@@ -2,6 +2,7 @@ package apps
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -575,5 +576,128 @@ func TestSnapshotRoundTripOSU(t *testing.T) {
 		checkRoundTrip(t, fmt.Sprintf("osu/rank%d", rank), osu[rank])
 		checkRoundTrip(t, fmt.Sprintf("osup2p/rank%d", rank), p2p[rank])
 		checkRoundTrip(t, fmt.Sprintf("osubw/rank%d", rank), bw[rank])
+	}
+}
+
+// --- Captured-image immutability and the streaming snapshot ----------------
+
+// snapshotProbe snapshots its app both ways right after its at-th Step and
+// keeps private copies, so the test can tell after the run whether later
+// Steps reached into bytes the app had already handed out.
+type snapshotProbe struct {
+	rt.App
+	at, steps              int
+	snap, streamed         []byte // what the app handed out
+	snapCopy, streamedCopy []byte // what those bytes were at the time
+	err                    error
+}
+
+func (p *snapshotProbe) Step(env *rt.Env) (bool, error) {
+	more, err := p.App.Step(env)
+	p.steps++
+	if p.steps == p.at && p.err == nil {
+		var buf bytes.Buffer
+		if p.snap, p.err = p.App.Snapshot(); p.err == nil {
+			p.err = p.App.(rt.StreamSnapshotter).SnapshotTo(&buf)
+		}
+		p.streamed = buf.Bytes()
+		p.snapCopy = append([]byte(nil), p.snap...)
+		p.streamedCopy = append([]byte(nil), p.streamed...)
+	}
+	return more, err
+}
+
+// TestCapturedImageImmutable: the checkpoint pipeline hashes a captured
+// image once and writes it later without re-hashing, so the bytes an app
+// hands to a capture must never change afterwards (rt.App's immutability
+// rule). Every registered app is snapshotted mid-run, run to completion,
+// and the earlier bytes compared with what they were; the streaming and
+// the blob snapshot must also agree byte for byte.
+func TestCapturedImageImmutable(t *testing.T) {
+	factories := map[string]func(rank int) rt.App{}
+	for _, name := range append([]string{"straggler"}, Names...) {
+		f, err := Factory(name, 0.001)
+		if err != nil {
+			t.Fatal(err)
+		}
+		factories[name] = f
+	}
+	factories["straggler-insert"] = func(rank int) rt.App {
+		return NewStraggler(StragglerConfig{HotRanks: 2, ColdSteps: 3, HotIters: 12,
+			StateElems: 300, HotStateElems: 2*stragglerBlockElems + 37, InsertEvery: 1}, rank)
+	}
+	for name, factory := range factories {
+		const ranks, at = 4, 2
+		probes := make([]*snapshotProbe, ranks)
+		if _, err := rt.Run(smallConfig(ranks, rt.AlgoNative), func(rank int) rt.App {
+			probes[rank] = &snapshotProbe{App: factory(rank), at: at}
+			return probes[rank]
+		}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for rank, p := range probes {
+			switch {
+			case p.err != nil:
+				t.Errorf("%s/rank%d: snapshot: %v", name, rank, p.err)
+			case p.steps <= at:
+				t.Errorf("%s/rank%d: only %d steps, nothing ran after the snapshot", name, rank, p.steps)
+			case !bytes.Equal(p.snapCopy, p.streamedCopy):
+				t.Errorf("%s/rank%d: SnapshotTo wrote %d bytes that differ from Snapshot's %d",
+					name, rank, len(p.streamedCopy), len(p.snapCopy))
+			case !bytes.Equal(p.snap, p.snapCopy) || !bytes.Equal(p.streamed, p.streamedCopy):
+				t.Errorf("%s/rank%d: snapshot bytes changed under later Steps (live state aliased)", name, rank)
+			}
+		}
+	}
+}
+
+// writeSizes records the size of every Write it absorbs.
+type writeSizes struct {
+	bytes.Buffer
+	sizes []int
+}
+
+func (w *writeSizes) Write(p []byte) (int, error) {
+	w.sizes = append(w.sizes, len(p))
+	return w.Buffer.Write(p)
+}
+
+// TestStragglerSnapshotBlocks: the block-encoded SnapshotTo must emit the
+// documented fixed-width layout exactly — checked against a per-element
+// reference, at State lengths below, at, and not a multiple of the block —
+// in a handful of Writes, not one per element.
+func TestStragglerSnapshotBlocks(t *testing.T) {
+	for _, elems := range []int{1, stragglerBlockElems - 1, stragglerBlockElems, 2*stragglerBlockElems + 37} {
+		a := NewStraggler(StragglerConfig{HotRanks: 1, HotIters: 5, StateElems: elems, InsertEvery: 1}, 0)
+		a.Iter, a.Acc = 3, 0.625
+		var want bytes.Buffer
+		for _, v := range []uint64{uint64(a.Iter), uint64(a.target), math.Float64bits(a.Acc), uint64(len(a.Sum)), uint64(len(a.State))} {
+			want.Write(binary.LittleEndian.AppendUint64(nil, v))
+		}
+		want.Write(a.Sum)
+		for _, v := range a.State {
+			want.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+		var got writeSizes
+		if err := a.SnapshotTo(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%d elements: SnapshotTo wrote %d bytes that differ from the %d-byte layout", elems, got.Len(), want.Len())
+		}
+		if maxWrites := 2 + (elems+stragglerBlockElems-1)/stragglerBlockElems; len(got.sizes) > maxWrites {
+			t.Fatalf("%d elements: %d Writes, want at most %d", elems, len(got.sizes), maxWrites)
+		}
+		snap, err := a.Snapshot()
+		if err != nil || !bytes.Equal(snap, want.Bytes()) {
+			t.Fatalf("%d elements: Snapshot disagrees with the layout (err %v)", elems, err)
+		}
+		b := NewStraggler(StragglerConfig{HotRanks: 1, HotIters: 5, StateElems: elems, InsertEvery: 1}, 0)
+		if err := b.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := b.Snapshot(); !bytes.Equal(again, snap) {
+			t.Fatalf("%d elements: restore did not round-trip the snapshot", elems)
+		}
 	}
 }

@@ -204,17 +204,6 @@ func gearCandidates(data []byte) []int64 {
 	return out
 }
 
-// hashShardClocklessCDC is hashShardClockless plus the content-defined
-// chunk table over the same logical stream, in the same single pass.
-func hashShardClocklessCDC(ri *RankImage) (sum uint64, size int64, chunks []RawChunk, err error) {
-	cs := newChunkSummer(nil)
-	cw := newCountWriter(cs)
-	if err := writeShardRaw(cw, ri, true); err != nil {
-		return 0, 0, nil, err
-	}
-	return cw.h.Sum64(), cw.n, cs.finish(), nil
-}
-
 // ------------------------------------------------------------- CDC writer
 
 // shardCDCMagic introduces the stored CDC stream (between codec and object):
@@ -233,147 +222,21 @@ type shardCDCHeader struct {
 	Fresh   []int32 // indices of the chunks stored in this object, ascending
 }
 
-// cdcFilterWriter forwards only the byte ranges of fresh chunks to dst,
-// discarding reused spans. It sees the full logical stream.
-type cdcFilterWriter struct {
-	dst    io.Writer
-	ranges [][2]int64 // fresh [start, end) logical ranges, ascending
-	idx    int
-	pos    int64
-}
-
-func newCDCFilterWriter(dst io.Writer, chunkLens []int64, fresh []int32) *cdcFilterWriter {
-	freshSet := make(map[int32]bool, len(fresh))
-	for _, k := range fresh {
-		freshSet[k] = true
-	}
-	var ranges [][2]int64
+// cdcRanges lists the fresh chunks a CDC entry stores as spans of its
+// logical stream, each with the CRC-32C the hash pass recorded for it, and
+// the chunk lengths tiling the stream (the object header's Chunks field).
+func cdcRanges(si *ShardInfo) (fresh []shardRange, lens []int64) {
+	lens = make([]int64, len(si.Chunks))
 	var off int64
-	for k, l := range chunkLens {
-		if freshSet[int32(k)] {
-			// Extend the previous range when fresh chunks are adjacent.
-			if n := len(ranges); n > 0 && ranges[n-1][1] == off {
-				ranges[n-1][1] = off + l
-			} else {
-				ranges = append(ranges, [2]int64{off, off + l})
-			}
+	for k := range si.Chunks {
+		c := &si.Chunks[k]
+		lens[k] = c.Len
+		if c.SrcEpoch == si.RefEpoch && c.SrcRank == si.Rank {
+			fresh = append(fresh, shardRange{idx: k, off: off, n: c.Len, crc: c.CRC})
 		}
-		off += l
+		off += c.Len
 	}
-	return &cdcFilterWriter{dst: dst, ranges: ranges}
-}
-
-func (f *cdcFilterWriter) Write(b []byte) (int, error) {
-	total := len(b)
-	for len(b) > 0 {
-		if f.idx >= len(f.ranges) {
-			f.pos += int64(len(b))
-			break
-		}
-		r := f.ranges[f.idx]
-		if f.pos < r[0] {
-			skip := r[0] - f.pos
-			if skip > int64(len(b)) {
-				skip = int64(len(b))
-			}
-			f.pos += skip
-			b = b[skip:]
-			continue
-		}
-		take := r[1] - f.pos
-		if take > int64(len(b)) {
-			take = int64(len(b))
-		}
-		if _, err := f.dst.Write(b[:take]); err != nil {
-			return total - len(b), err
-		}
-		f.pos += take
-		b = b[take:]
-		if f.pos == r[1] {
-			f.idx++
-		}
-	}
-	return total, nil
-}
-
-// ShardCDCWriter streams one rank's LOGICAL chunked shard and stores only
-// its fresh chunks as a RawFormatCDC object. Write sees the same bytes a
-// plain ShardWriter would (writeShardRaw output); the filter drops reused
-// chunk spans before the codec, so in-flight memory stays the codec state
-// plus one chunk buffer.
-type ShardCDCWriter struct {
-	rank      int
-	raw       *countWriter // logical stream accounting (drift check)
-	dRaw      *countWriter // stored CDC stream (magic+header+fresh chunks)
-	cw        io.WriteCloser
-	comp      *countWriter
-	chunk     *chunkWriter
-	dst       io.WriteCloser
-	headerLen int64
-}
-
-// ShardCDCSummary reports the three identities of a stored CDC object: the
-// logical stream it reproduces (RawSize/RawSum), the stored stream between
-// codec and object (DeltaRawSize/DeltaRawSum), and the object itself
-// (Size/Checksum) — plus HeaderLen, the stored-stream offset where the
-// fresh chunk payloads begin (what fresh ChunkRef.SrcOff values are
-// computed from).
-type ShardCDCSummary struct {
-	Size         int64
-	Checksum     uint64
-	RawSize      int64
-	RawSum       uint64
-	DeltaRawSize int64
-	DeltaRawSum  uint64
-	HeaderLen    int64
-}
-
-func NewShardCDCWriter(rank int, dst io.WriteCloser, codec Codec, hdr shardCDCHeader) (*ShardCDCWriter, error) {
-	w := &ShardCDCWriter{rank: rank, dst: dst}
-	w.chunk = newChunkWriter(dst)
-	w.comp = newCountWriter(w.chunk)
-	cw, err := codec.NewWriter(w.comp)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: rank %d cdc codec: %w", rank, err)
-	}
-	w.cw = cw
-	w.dRaw = newCountWriter(cw)
-	if _, err := w.dRaw.Write(shardCDCMagic); err != nil {
-		return nil, fmt.Errorf("ckpt: rank %d cdc magic: %w", rank, err)
-	}
-	if err := gob.NewEncoder(w.dRaw).Encode(&hdr); err != nil {
-		return nil, fmt.Errorf("ckpt: rank %d cdc header: %w", rank, err)
-	}
-	w.headerLen = w.dRaw.n
-	w.raw = newCountWriter(newCDCFilterWriter(w.dRaw, hdr.Chunks, hdr.Fresh))
-	return w, nil
-}
-
-// Write accepts the logical chunked stream (same bytes as ShardWriter).
-func (w *ShardCDCWriter) Write(b []byte) (int, error) { return w.raw.Write(b) }
-
-// Close finalizes the codec stream, flushes the chunk buffer, closes the
-// store writer, and reports all identities.
-func (w *ShardCDCWriter) Close() (ShardCDCSummary, error) {
-	var firstErr error
-	if err := w.cw.Close(); err != nil {
-		firstErr = fmt.Errorf("ckpt: encoding rank %d cdc shard: %w", w.rank, err)
-	}
-	if err := w.chunk.close(); err != nil && firstErr == nil {
-		firstErr = fmt.Errorf("ckpt: writing rank %d cdc shard: %w", w.rank, err)
-	}
-	if err := w.dst.Close(); err != nil && firstErr == nil {
-		firstErr = fmt.Errorf("ckpt: sealing rank %d cdc shard stream: %w", w.rank, err)
-	}
-	return ShardCDCSummary{
-		Size:         w.comp.n,
-		Checksum:     w.comp.h.Sum64(),
-		RawSize:      w.raw.n,
-		RawSum:       w.raw.h.Sum64(),
-		DeltaRawSize: w.dRaw.n,
-		DeltaRawSum:  w.dRaw.h.Sum64(),
-		HeaderLen:    w.headerLen,
-	}, firstErr
+	return fresh, lens
 }
 
 // selfChunkRefs addresses a full chunked shard's own chunk table into

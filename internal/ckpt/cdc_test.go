@@ -75,11 +75,11 @@ func insertAt(b []byte, off int, extra []byte) []byte {
 func TestChunkTableInvariants(t *testing.T) {
 	img := cdcImage(1, 7)
 	ri := &img.Images[0]
-	sum, size, chunks, err := hashShardClocklessCDC(ri)
+	sum, size, _, chunks, err := hashShard(ri, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSum, wantSize, err := hashShardClockless(ri)
+	wantSum, wantSize, _, _, err := hashShard(ri, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}

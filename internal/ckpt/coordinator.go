@@ -37,6 +37,12 @@ type RankHooks struct {
 	// without the double allocation of build-then-copy. The two MUST produce
 	// identical bytes — shard identity (and page-delta diffing) hashes them.
 	AppSnapshotTo func(w io.Writer) error
+	// AppSizeHint is the length of the serialized state this rank was
+	// restored from (zero on a fresh start): the best guess at how big the
+	// first capture's AppSnapshotTo output will be, so its buffer is sized
+	// once instead of doubling its way up. Later captures use the previous
+	// capture's length.
+	AppSizeHint int
 	// ProtoSnapshot serializes the protocol state (via Protocol.Snapshot).
 	ProtoSnapshot func() ([]byte, error)
 	// ClockVT reads the rank's virtual clock.
@@ -293,6 +299,9 @@ type Coordinator struct {
 	descs     []*Descriptor
 	doneRanks []bool
 	hooks     []RankHooks
+	// appLens is each rank's expected serialized-state length: the hooks'
+	// AppSizeHint until the first capture, the last capture's length after.
+	appLens   []int
 	requestVT float64
 
 	// Cumulative drain-counter totals at the time the current request was
@@ -339,6 +348,7 @@ func NewCoordinator(w *mpi.World, mode Mode) *Coordinator {
 	c.descs = make([]*Descriptor, w.N)
 	c.doneRanks = make([]bool, w.N)
 	c.hooks = make([]RankHooks, w.N)
+	c.appLens = make([]int, w.N)
 	// A world abort must wake ranks parked on the coordinator's condition
 	// variable so they observe it and unwind.
 	w.OnAbort(func() {
@@ -402,6 +412,7 @@ func (c *Coordinator) nodes() int {
 func (c *Coordinator) RegisterRank(rank int, h RankHooks) {
 	c.mu.Lock()
 	c.hooks[rank] = h
+	c.appLens[rank] = h.AppSizeHint
 	c.mu.Unlock()
 }
 
@@ -556,15 +567,19 @@ func (c *Coordinator) captureRank(r int, img *JobImage) error {
 	if h := c.hooks[r]; h.AppSnapshot != nil || h.AppSnapshotTo != nil {
 		if h.AppSnapshotTo != nil {
 			// Streaming fast path: the app writes straight into the image
-			// buffer (one allocation, grown in place) instead of building a
-			// private []byte the capture then copies.
-			var buf bytes.Buffer
-			if err := h.AppSnapshotTo(&buf); err != nil {
+			// buffer instead of building a private []byte the capture then
+			// copies. The buffer is sized up front from the rank's expected
+			// length, so a state that grew no more than the headroom since is
+			// captured in exactly one allocation; with no expectation (a
+			// fresh start's first capture) it grows by doubling.
+			buf := bytes.NewBuffer(make([]byte, 0, captureBufferCap(c.appLens[r])))
+			if err := h.AppSnapshotTo(buf); err != nil {
 				if firstErr == nil {
 					firstErr = fmt.Errorf("ckpt: rank %d app snapshot: %w", r, err)
 				}
 			} else {
 				ri.App = buf.Bytes()
+				c.appLens[r] = len(ri.App)
 			}
 		} else {
 			app, err := h.AppSnapshot()
@@ -585,6 +600,17 @@ func (c *Coordinator) captureRank(r int, img *JobImage) error {
 	ri.Inflight = c.W.SnapshotInflight(r)
 	img.Images[r] = ri
 	return firstErr
+}
+
+// captureBufferCap sizes a capture buffer for a state expected to serialize
+// to about expect bytes: proportional slack, because state that grows at all
+// grows with its size (an exact-size buffer is the worst case — it fills,
+// then one doubling copies everything), plus a page for small states.
+func captureBufferCap(expect int) int {
+	if expect <= 0 {
+		return 0
+	}
+	return expect + expect/32 + 4096
 }
 
 // captureLocked runs stage 1 of the checkpoint pipeline — snapshotting every

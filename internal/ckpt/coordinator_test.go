@@ -2,6 +2,8 @@ package ckpt
 
 import (
 	"errors"
+	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -211,5 +213,52 @@ func TestCoordinatorDoneRanksCountAsParked(t *testing.T) {
 	img, _, _ := c.Result()
 	if img.Images[1].Desc.Kind != ParkDone {
 		t.Fatalf("finished rank recorded as %v", img.Images[1].Desc.Kind)
+	}
+}
+
+// TestCaptureBufferAllocatedOnce: a rank whose serialized state grew by no
+// more than a percent since the coordinator last learned its length — from
+// the restart image's hint on the first capture, from the previous capture
+// on later ones — is captured into a buffer allocated exactly once. Without
+// the headroom an exact-size buffer fills and doubles (about 3x the state
+// in allocations); without any sizing it doubles its way up from nothing.
+func TestCaptureBufferAllocatedOnce(t *testing.T) {
+	const grown = 8 << 20
+	block := make([]byte, 64<<10)
+	state := grown * 100 / 101 // what the rank was restored from
+	c, _, _ := newStubCoordinator(1, ContinueAfterCapture)
+	c.RegisterRank(0, RankHooks{
+		AppSnapshotTo: func(w io.Writer) error {
+			for left := state; left > 0; left -= min(left, len(block)) {
+				if _, err := w.Write(block[:min(left, len(block))]); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		ProtoSnapshot: func() ([]byte, error) { return nil, nil },
+		ClockVT:       func() float64 { return 0 },
+		AppSizeHint:   state,
+	})
+	for capture := 0; capture < 2; capture++ {
+		state = state * 101 / 100 // one percent more than last known
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.RequestCheckpoint(float64(capture))
+		if o := c.ParkUntil(0, &Descriptor{Kind: ParkBoundary}, func() Decision { return Stay }); o != Released {
+			t.Fatalf("capture %d: outcome %v", capture, o)
+		}
+		img, _, err := c.Result()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(img.Images[0].App) != state {
+			t.Fatalf("capture %d: captured %d bytes of a %d-byte state", capture, len(img.Images[0].App), state)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(state)*5/4 {
+			t.Fatalf("capture %d: allocated %d bytes for a %d-byte state (%.2fx, want <= 1.25x: the buffer regrew)",
+				capture, alloc, state, float64(alloc)/float64(state))
+		}
 	}
 }

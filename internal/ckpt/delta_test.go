@@ -373,23 +373,31 @@ func TestDeltaPageCorruptionAttributed(t *testing.T) {
 	bad.App = append([]byte(nil), bad.App...)
 	bad.App[5001] ^= 0xFF
 	bad.ClockVT = 0 // the stored stream is clockless
+	// The range writer checks every page it copies against the hash pass's
+	// CRC, so the tampered object is built the way a buggy-but-consistent
+	// writer would: ranges carry the TAMPERED stream's own page CRCs.
+	stream, err := newShardStream(&bad, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stream.size != si.RawSize {
+		t.Fatalf("tampered stream changed length: %d vs %d", stream.size, si.RawSize)
+	}
+	_, _, badPages, _, err := hashShard(&bad, si.PageSize, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranges := deltaRanges(si)
+	for k := range ranges {
+		ranges[k].crc = badPages[ranges[k].idx]
+	}
 	sink := &memSink{}
-	dw, err := NewShardDeltaWriter(1, sink, FlateCodec(0), shardDeltaHeader{
+	dsum, err := writePartialShard(1, sink, FlateCodec(0), shardDeltaMagic, &shardDeltaHeader{
 		Rank: 1, BaseEpoch: si.BaseEpoch,
 		PageSize: si.PageSize, RawSize: si.RawSize, Pages: si.DeltaPages,
-	})
+	}, stream, ranges, "page")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := writeShardRaw(dw, &bad, true); err != nil {
-		t.Fatal(err)
-	}
-	dsum, err := dw.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dsum.RawSize != si.RawSize {
-		t.Fatalf("tampered stream changed length: %d vs %d", dsum.RawSize, si.RawSize)
 	}
 	if err := fs.PutShard(1, 1, sink.Bytes()); err != nil {
 		t.Fatal(err)

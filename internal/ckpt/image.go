@@ -310,10 +310,14 @@ func putFlateWriter(level int, fw *flate.Writer) {
 // already-captured image, and the per-shard transient memory is the
 // encoder's own bounded state:
 //
-//	writeShardRaw: magic + gob(small header) + payload bytes
-//	  → countWriter(raw FNV+size)
+//	shardStream: magic + gob(small header) | payload segments, by reference
+//	  → tallyWriter(raw size)
 //	  → flate.Writer → countWriter(compressed FNV+size)
 //	  → pooled chunk buffer → Store.PutShardStream
+//
+// The raw FNV identity is NOT recomputed on this path: HashCapture* walked
+// the same segment list once, before the commit ticket, and the manifest's
+// RawSum/RawSize are stamped from that pass (see shardStream).
 //
 // Concurrency is bounded in BYTES, not just workers: every open ShardWriter
 // charges shardStreamFootprint against a StreamBudget, so the commit
@@ -406,6 +410,17 @@ func (b *StreamBudget) TakePeak() int64 {
 	p := b.peak
 	b.peak = b.inUse
 	return p
+}
+
+// tallyWriter counts the bytes written through it (no hashing).
+type tallyWriter struct {
+	dst io.Writer
+	n   int64
+}
+
+func (w *tallyWriter) Write(p []byte) (int, error) {
+	w.n += int64(len(p))
+	return w.dst.Write(p)
 }
 
 // countWriter accumulates an FNV-1a checksum and byte count over everything
@@ -502,36 +517,71 @@ func (w *chunkWriter) close() error {
 	return err
 }
 
+// objectWriter is the tail every stored shard object — full, page-delta or
+// CDC — is written through: the codec stage (pooled flate by default), whose
+// output is checksummed and chunk-buffered on its way to the store stream.
+type objectWriter struct {
+	rank  int
+	dst   io.WriteCloser
+	chunk *chunkWriter
+	comp  *countWriter
+	cw    io.WriteCloser // codec stage
+}
+
+func newObjectWriter(rank int, dst io.WriteCloser, codec Codec) (*objectWriter, error) {
+	o := &objectWriter{rank: rank, dst: dst}
+	o.chunk = newChunkWriter(dst)
+	o.comp = newCountWriter(o.chunk)
+	cw, err := codec.NewWriter(o.comp)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: rank %d shard compressor: %w", rank, err)
+	}
+	o.cw = cw
+	return o, nil
+}
+
+func (o *objectWriter) Write(p []byte) (int, error) { return o.cw.Write(p) }
+
+// close finalizes the codec stream, flushes the chunk buffer and closes the
+// store stream, reporting the stored object's size and FNV-1a checksum.
+func (o *objectWriter) close() (size int64, checksum uint64, err error) {
+	if cerr := o.cw.Close(); cerr != nil {
+		err = fmt.Errorf("ckpt: compressing rank %d shard: %w", o.rank, cerr)
+	}
+	if cerr := o.chunk.close(); cerr != nil && err == nil {
+		err = fmt.Errorf("ckpt: writing rank %d shard: %w", o.rank, cerr)
+	}
+	if cerr := o.dst.Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("ckpt: sealing rank %d shard stream: %w", o.rank, cerr)
+	}
+	return o.comp.n, o.comp.h.Sum64(), err
+}
+
 // ShardSummary is what a ShardWriter reports at Close: the geometry and
-// checksums the manifest's ShardInfo is stamped from. Sizes and checksums
-// are computed as the bytes flow — the whole point is that no one ever held
-// the shard in memory to measure it.
+// checksum the manifest's ShardInfo is stamped from. Sizes and the stored
+// checksum are computed as the bytes flow — the whole point is that no one
+// ever held the shard in memory to measure it. The raw FNV identity is not
+// here: it belongs to the hash pass (HashCapture*), the one walk that reads
+// every raw byte for identity.
 type ShardSummary struct {
 	Size     int64  // compressed bytes that reached the store
 	Checksum uint64 // FNV-1a over the compressed stream
-	RawSize  int64  // raw gob bytes before compression
-	RawSum   uint64 // FNV-1a over the raw (clockless) gob
+	RawSize  int64  // raw stream bytes before compression
 	// PageSums is the CRC-32C page table of the raw stream, present only
-	// when the writer was opened with a page size (delta-mode commits).
+	// when the writer was opened with a page size.
 	PageSums []uint32
 	// Chunks is the content-defined chunk table of the raw stream, present
-	// only when the writer was opened with chunking on (CDC-mode commits).
+	// only when the writer was opened with chunking on.
 	Chunks []RawChunk
 }
 
-// ShardWriter streams one rank's shard into a store stream: the rank image
-// gob-encodes through the raw identity counter into the codec stage
-// (pooled flate by default), whose output is checksummed and chunk-buffered
-// on its way to the store writer. Nothing shard-sized is ever buffered.
-// Close finalizes the codec stream, closes the store writer, and returns
-// the summary.
+// ShardWriter streams one rank's full shard into a store stream: the rank
+// image's logical stream flows through the raw byte tally into the object
+// writer. Nothing shard-sized is ever buffered. Close finalizes the codec
+// stream, closes the store writer, and returns the summary.
 type ShardWriter struct {
-	rank   int
-	dst    io.WriteCloser
-	chunk  *chunkWriter
-	comp   *countWriter
-	cw     io.WriteCloser // codec stage
-	raw    *countWriter
+	obj    *objectWriter
+	raw    *tallyWriter
 	pages  *pageSummer
 	chunks *chunkSummer
 }
@@ -540,31 +590,21 @@ type ShardWriter struct {
 // store stream (typically Store.PutShardStream's writer) at the default
 // compression level.
 func NewShardWriter(rank int, dst io.WriteCloser) (*ShardWriter, error) {
-	return NewShardWriterLevel(rank, dst, 0, 0)
-}
-
-// NewShardWriterLevel opens a streaming shard encoder at an explicit flate
-// level (0 = default; see normFlateLevel) and, when pageSize > 0, records a
-// CRC-32C page table over the raw stream as it flows (reported at Close) —
-// the page-granular identity the delta differ compares epochs with.
-func NewShardWriterLevel(rank int, dst io.WriteCloser, level int, pageSize int64) (*ShardWriter, error) {
-	return NewShardWriterCodec(rank, dst, FlateCodec(level), pageSize, false)
+	return NewShardWriterCodec(rank, dst, FlateCodec(0), 0, false)
 }
 
 // NewShardWriterCodec opens a streaming shard encoder through an explicit
-// codec. pageSize > 0 records the delta differ's page table; withChunks
-// records the CDC chunker's content-defined chunk table over the same raw
-// stream (both reported at Close).
+// codec. pageSize > 0 records a CRC-32C page table and withChunks the CDC
+// chunker's content-defined chunk table over the raw stream as it flows
+// (both reported at Close) — what compaction re-derives when it flattens a
+// merged stream; commits take both tables from the hash pass instead.
 func NewShardWriterCodec(rank int, dst io.WriteCloser, codec Codec, pageSize int64, withChunks bool) (*ShardWriter, error) {
-	w := &ShardWriter{rank: rank, dst: dst}
-	w.chunk = newChunkWriter(dst)
-	w.comp = newCountWriter(w.chunk)
-	cw, err := codec.NewWriter(w.comp)
+	obj, err := newObjectWriter(rank, dst, codec)
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: rank %d shard compressor: %w", rank, err)
+		return nil, err
 	}
-	w.cw = cw
-	var rawDst io.Writer = cw
+	w := &ShardWriter{obj: obj}
+	var rawDst io.Writer = obj
 	if pageSize > 0 {
 		w.pages = newPageSummer(pageSize, rawDst)
 		rawDst = w.pages
@@ -573,7 +613,7 @@ func NewShardWriterCodec(rank int, dst io.WriteCloser, codec Codec, pageSize int
 		w.chunks = newChunkSummer(rawDst)
 		rawDst = w.chunks
 	}
-	w.raw = newCountWriter(rawDst)
+	w.raw = &tallyWriter{dst: rawDst}
 	return w, nil
 }
 
@@ -585,31 +625,17 @@ func (w *ShardWriter) Encode(ri *RankImage, clockless bool) error {
 }
 
 // Close finalizes the codec stream, flushes the chunk buffer, closes the
-// store writer, and reports the shard's geometry and checksums.
+// store writer, and reports the shard's geometry and checksum.
 func (w *ShardWriter) Close() (ShardSummary, error) {
-	var firstErr error
-	if err := w.cw.Close(); err != nil {
-		firstErr = fmt.Errorf("ckpt: compressing rank %d shard: %w", w.rank, err)
-	}
-	if err := w.chunk.close(); err != nil && firstErr == nil {
-		firstErr = fmt.Errorf("ckpt: writing rank %d shard: %w", w.rank, err)
-	}
-	if err := w.dst.Close(); err != nil && firstErr == nil {
-		firstErr = fmt.Errorf("ckpt: sealing rank %d shard stream: %w", w.rank, err)
-	}
-	sum := ShardSummary{
-		Size:     w.comp.n,
-		Checksum: w.comp.h.Sum64(),
-		RawSize:  w.raw.n,
-		RawSum:   w.raw.h.Sum64(),
-	}
+	size, checksum, err := w.obj.close()
+	sum := ShardSummary{Size: size, Checksum: checksum, RawSize: w.raw.n}
 	if w.pages != nil {
 		sum.PageSums = w.pages.finish()
 	}
 	if w.chunks != nil {
 		sum.Chunks = w.chunks.finish()
 	}
-	return sum, firstErr
+	return sum, err
 }
 
 // shardRawHeader is the chunked raw layout's structured prefix: everything
@@ -632,11 +658,28 @@ type shardRawHeader struct {
 // with the wrong format fails loudly instead of gob-misparsing.
 var shardRawMagic = []byte("MANASHD1")
 
-// writeShardRaw streams one rank image in the chunked raw layout. clockless
-// zeroes ClockVT (the store-epoch identity contract). Payload slices are
-// written straight from the captured image — no copies, no gob buffering
-// beyond the small header message.
-func writeShardRaw(w io.Writer, ri *RankImage, clockless bool) error {
+// shardStream is THE description of one rank image's logical
+// (RawFormatChunked) stream: an ordered list of byte segments —
+// magic+gob(header) | App | Proto | each in-flight payload — that reference
+// the captured image's slices in place. The hash pass, the full-shard
+// writer and the partial-object range writer all walk this one list, so
+// they agree on every offset by construction, and a page or chunk can be
+// copied out by offset without streaming the bytes before it.
+//
+// The payload segments alias the captured image, which is immutable once
+// captureRank returns (see rt.App): that is what lets the commit stamp the
+// hash pass's identity onto bytes it writes later without re-hashing them.
+type shardStream struct {
+	rank   int
+	segs   [][]byte // non-empty segments, in stream order
+	starts []int64  // starts[k] is segs[k]'s logical offset
+	size   int64
+}
+
+// newShardStream lays out one rank image's logical stream. clockless zeroes
+// ClockVT in the header (the store-epoch identity contract). Only the small
+// header is encoded; payload bytes are referenced, not copied.
+func newShardStream(ri *RankImage, clockless bool) (*shardStream, error) {
 	hdr := shardRawHeader{
 		Rank:     ri.Rank,
 		Desc:     ri.Desc,
@@ -656,23 +699,73 @@ func writeShardRaw(w io.Writer, ri *RankImage, clockless bool) error {
 			hdr.Inflight[i] = m
 		}
 	}
-	if _, err := w.Write(shardRawMagic); err != nil {
-		return fmt.Errorf("ckpt: writing rank %d shard: %w", ri.Rank, err)
+	var head bytes.Buffer
+	head.Write(shardRawMagic)
+	if err := gob.NewEncoder(&head).Encode(&hdr); err != nil {
+		return nil, fmt.Errorf("ckpt: encoding rank %d shard header: %w", ri.Rank, err)
 	}
-	if err := gob.NewEncoder(w).Encode(&hdr); err != nil {
-		return fmt.Errorf("ckpt: encoding rank %d shard header: %w", ri.Rank, err)
-	}
-	for _, payload := range [][]byte{ri.App, ri.Proto} {
-		if _, err := w.Write(payload); err != nil {
-			return fmt.Errorf("ckpt: writing rank %d shard: %w", ri.Rank, err)
+	s := &shardStream{rank: ri.Rank}
+	add := func(seg []byte) {
+		if len(seg) == 0 {
+			return
 		}
+		s.segs = append(s.segs, seg)
+		s.starts = append(s.starts, s.size)
+		s.size += int64(len(seg))
 	}
+	add(head.Bytes())
+	add(ri.App)
+	add(ri.Proto)
 	for _, m := range ri.Inflight {
-		if _, err := w.Write(m.Data); err != nil {
-			return fmt.Errorf("ckpt: writing rank %d shard: %w", ri.Rank, err)
+		add(m.Data)
+	}
+	return s, nil
+}
+
+// writeTo streams the whole logical stream into w.
+func (s *shardStream) writeTo(w io.Writer) error {
+	for _, seg := range s.segs {
+		if _, err := w.Write(seg); err != nil {
+			return fmt.Errorf("ckpt: writing rank %d shard: %w", s.rank, err)
 		}
 	}
 	return nil
+}
+
+// writeRange copies the logical bytes [off, off+n) into w — reading only
+// those bytes, wherever segment boundaries fall inside them — and returns
+// their CRC-32C.
+func (s *shardStream) writeRange(w io.Writer, off, n int64) (uint32, error) {
+	if off < 0 || n < 0 || off > s.size-n {
+		return 0, fmt.Errorf("ckpt: rank %d shard range [%d:%d) exceeds its %d-byte stream", s.rank, off, off+n, s.size)
+	}
+	// The segment holding off is the last one starting at or before it.
+	k := sort.Search(len(s.starts), func(i int) bool { return s.starts[i] > off }) - 1
+	var crc uint32
+	for ; n > 0; k++ {
+		piece := s.segs[k][off-s.starts[k]:]
+		if int64(len(piece)) > n {
+			piece = piece[:n]
+		}
+		crc = crc32.Update(crc, crcTable, piece)
+		if _, err := w.Write(piece); err != nil {
+			return 0, fmt.Errorf("ckpt: writing rank %d shard: %w", s.rank, err)
+		}
+		off += int64(len(piece))
+		n -= int64(len(piece))
+	}
+	return crc, nil
+}
+
+// writeShardRaw streams one rank image in the chunked raw layout. Payload
+// slices are written straight from the captured image — no copies, no gob
+// buffering beyond the small header message.
+func writeShardRaw(w io.Writer, ri *RankImage, clockless bool) error {
+	s, err := newShardStream(ri, clockless)
+	if err != nil {
+		return err
+	}
+	return s.writeTo(w)
 }
 
 // readShardRaw reverses writeShardRaw. rawSize is the manifest's declared
@@ -851,17 +944,40 @@ func (r *cappedMessageReader) ReadByte() (byte, error) {
 	return b[0], nil
 }
 
-// hashShardClockless computes a rank image's clockless raw-stream identity
-// (RawSum, RawSize) by streaming the chunked layout through a counter —
-// the byte-free replacement for materializing the raw stream just to hash
-// it. The stream is byte-identical to what ShardWriter.Encode later feeds
-// the compressor, so the identities agree.
-func hashShardClockless(ri *RankImage) (sum uint64, size int64, err error) {
-	cw := newCountWriter(nil)
-	if err := writeShardRaw(cw, ri, true); err != nil {
-		return 0, 0, err
+// hashShard is the identity pass over one rank image: the ONE walk per
+// checkpoint that reads every raw byte of the clockless logical stream. It
+// yields the FNV-1a identity (RawSum, RawSize) and, riding the same walk,
+// the CRC-32C page table (pageSize > 0) or the content-defined chunk table
+// (cdc) the partial-object diffs need. The stream is the same segment list
+// the writers later copy from, so the identities describe exactly the bytes
+// that reach the store.
+func hashShard(ri *RankImage, pageSize int64, cdc bool) (sum uint64, size int64, pages []uint32, chunks []RawChunk, err error) {
+	s, err := newShardStream(ri, true)
+	if err != nil {
+		return 0, 0, nil, nil, err
 	}
-	return cw.h.Sum64(), cw.n, nil
+	var ps *pageSummer
+	var cs *chunkSummer
+	var dst io.Writer
+	switch {
+	case cdc:
+		cs = newChunkSummer(nil)
+		dst = cs
+	case pageSize > 0:
+		ps = newPageSummer(pageSize, nil)
+		dst = ps
+	}
+	cw := newCountWriter(dst)
+	if err := s.writeTo(cw); err != nil {
+		return 0, 0, nil, nil, err
+	}
+	if ps != nil {
+		pages = ps.finish()
+	}
+	if cs != nil {
+		chunks = cs.finish()
+	}
+	return cw.h.Sum64(), cw.n, pages, chunks, nil
 }
 
 // ----------------------------------------------------------- page deltas
@@ -947,17 +1063,6 @@ func (p *pageSummer) finish() []uint32 {
 	return p.sums
 }
 
-// hashShardClocklessPaged is hashShardClockless plus a page table over the
-// same logical stream. The page sums describe exactly the bytes FNV hashes.
-func hashShardClocklessPaged(ri *RankImage, pageSize int64) (sum uint64, size int64, pages []uint32, err error) {
-	ps := newPageSummer(pageSize, nil)
-	cw := newCountWriter(ps)
-	if err := writeShardRaw(cw, ri, true); err != nil {
-		return 0, 0, nil, err
-	}
-	return cw.h.Sum64(), cw.n, ps.finish(), nil
-}
-
 // shardDeltaMagic introduces the stored delta stream (decompressed):
 //
 //	magic | gob(shardDeltaHeader) | dirty page payloads, ascending index
@@ -977,115 +1082,88 @@ type shardDeltaHeader struct {
 	Pages     []int32
 }
 
-// pageFilterWriter forwards only the byte ranges of dirty pages to dst,
-// discarding clean pages. It sees the full logical stream.
-type pageFilterWriter struct {
-	dst      io.Writer
-	pageSize int64
-	dirty    map[int32]bool
-	pos      int64
+// shardRange is one span of a logical stream that a partial object stores —
+// a dirty page or a fresh chunk — with its index in the page or chunk table
+// and the CRC-32C the hash pass recorded for its bytes.
+type shardRange struct {
+	idx    int
+	off, n int64
+	crc    uint32
 }
 
-func newPageFilterWriter(dst io.Writer, pageSize int64, pages []int32) *pageFilterWriter {
-	dirty := make(map[int32]bool, len(pages))
-	for _, p := range pages {
-		dirty[p] = true
-	}
-	return &pageFilterWriter{dst: dst, pageSize: pageSize, dirty: dirty}
-}
-
-func (f *pageFilterWriter) Write(b []byte) (int, error) {
-	total := len(b)
-	for len(b) > 0 {
-		page := int32(f.pos / f.pageSize)
-		room := f.pageSize - f.pos%f.pageSize
-		chunk := b
-		if int64(len(chunk)) > room {
-			chunk = chunk[:room]
-		}
-		if f.dirty[page] {
-			if _, err := f.dst.Write(chunk); err != nil {
-				return total - len(b), err
-			}
-		}
-		f.pos += int64(len(chunk))
-		b = b[len(chunk):]
-	}
-	return total, nil
-}
-
-// ShardDeltaWriter streams one rank's LOGICAL chunked shard and stores only
-// its dirty pages as a RawFormatPageDelta object. Write sees the same bytes
-// a plain ShardWriter would (writeShardRaw output); the filter drops clean
-// pages before compression, so in-flight memory stays the compressor
-// window plus one chunk buffer — dirty ratio only shrinks the output.
-type ShardDeltaWriter struct {
-	rank  int
-	raw   *countWriter // logical stream accounting (drift check vs HashCapture)
-	dRaw  *countWriter // stored delta stream (magic+header+dirty pages)
-	cw    io.WriteCloser
-	comp  *countWriter
-	chunk *chunkWriter
-	dst   io.WriteCloser
-}
-
-// ShardDeltaSummary reports both identities of a stored delta: the logical
-// stream it reproduces (RawSize/RawSum, manifest reuse key) and the delta
-// stream actually stored (DeltaRawSize/DeltaRawSum), plus the compressed
-// object Size/Checksum.
-type ShardDeltaSummary struct {
+// partialSummary reports the identities of a stored partial object: the
+// stored stream between codec and object (DeltaRawSize/DeltaRawSum — magic,
+// header and payload ranges), the object itself (Size/Checksum), and
+// HeaderLen, the stored-stream offset where the payload ranges begin (what
+// fresh ChunkRef.SrcOff values are computed from).
+type partialSummary struct {
 	Size         int64
 	Checksum     uint64
-	RawSize      int64
-	RawSum       uint64
 	DeltaRawSize int64
 	DeltaRawSum  uint64
+	HeaderLen    int64
 }
 
-func NewShardDeltaWriter(rank int, dst io.WriteCloser, codec Codec, hdr shardDeltaHeader) (*ShardDeltaWriter, error) {
-	w := &ShardDeltaWriter{rank: rank, dst: dst}
-	w.chunk = newChunkWriter(dst)
-	w.comp = newCountWriter(w.chunk)
-	cw, err := codec.NewWriter(w.comp)
+// writePartialShard stores one partial object — page-delta or CDC — over a
+// store stream:
+//
+//	magic | gob(hdr) | the listed ranges of the logical stream, in order
+//
+// Only the listed ranges of the captured image are read: each is copied out
+// of s by offset and its CRC-32C checked against the one the hash pass
+// recorded, so a range that no longer holds the hashed bytes fails the
+// commit attributed to its page or chunk (unit names which) instead of
+// sealing an object the manifest's tables would reject at restart. dst is
+// closed on every path.
+func writePartialShard(rank int, dst io.WriteCloser, codec Codec, magic []byte, hdr any, s *shardStream, ranges []shardRange, unit string) (partialSummary, error) {
+	obj, err := newObjectWriter(rank, dst, codec)
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: rank %d delta compressor: %w", rank, err)
+		//lint:allow closecheck object-writer setup failed; dst is abandoned and the setup error surfaces
+		dst.Close()
+		return partialSummary{}, err
 	}
-	w.cw = cw
-	w.dRaw = newCountWriter(cw)
-	if _, err := w.dRaw.Write(shardDeltaMagic); err != nil {
-		return nil, fmt.Errorf("ckpt: rank %d delta magic: %w", rank, err)
+	raw := newCountWriter(obj)
+	var headerLen int64
+	werr := func() error {
+		if _, err := raw.Write(magic); err != nil {
+			return fmt.Errorf("ckpt: rank %d %s-object magic: %w", rank, unit, err)
+		}
+		if err := gob.NewEncoder(raw).Encode(hdr); err != nil {
+			return fmt.Errorf("ckpt: rank %d %s-object header: %w", rank, unit, err)
+		}
+		headerLen = raw.n
+		for _, r := range ranges {
+			crc, err := s.writeRange(raw, r.off, r.n)
+			if err != nil {
+				return err
+			}
+			if crc != r.crc {
+				return fmt.Errorf("ckpt: rank %d %s %d does not hold the bytes the hash pass saw (crc %08x, want %08x): captured image mutated during commit",
+					rank, unit, r.idx, crc, r.crc)
+			}
+		}
+		return nil
+	}()
+	size, checksum, cerr := obj.close()
+	if werr != nil {
+		return partialSummary{}, werr
 	}
-	if err := gob.NewEncoder(w.dRaw).Encode(&hdr); err != nil {
-		return nil, fmt.Errorf("ckpt: rank %d delta header: %w", rank, err)
+	if cerr != nil {
+		return partialSummary{}, cerr
 	}
-	w.raw = newCountWriter(newPageFilterWriter(w.dRaw, hdr.PageSize, hdr.Pages))
-	return w, nil
+	return partialSummary{Size: size, Checksum: checksum,
+		DeltaRawSize: raw.n, DeltaRawSum: raw.h.Sum64(), HeaderLen: headerLen}, nil
 }
 
-// Write accepts the logical chunked stream (same bytes as ShardWriter).
-func (w *ShardDeltaWriter) Write(b []byte) (int, error) { return w.raw.Write(b) }
-
-// Close finalizes the compressed delta stream, flushes the chunk buffer,
-// closes the store writer, and reports both identities.
-func (w *ShardDeltaWriter) Close() (ShardDeltaSummary, error) {
-	var firstErr error
-	if err := w.cw.Close(); err != nil {
-		firstErr = fmt.Errorf("ckpt: compressing rank %d delta shard: %w", w.rank, err)
+// deltaRanges lists the dirty pages a page-delta entry stores as spans of
+// its logical stream, each with the CRC-32C the hash pass recorded for it.
+func deltaRanges(si *ShardInfo) []shardRange {
+	ranges := make([]shardRange, len(si.DeltaPages))
+	for k, p := range si.DeltaPages {
+		off := int64(p) * si.PageSize
+		ranges[k] = shardRange{idx: int(p), off: off, n: min(si.PageSize, si.RawSize-off), crc: si.PageSums[p]}
 	}
-	if err := w.chunk.close(); err != nil && firstErr == nil {
-		firstErr = fmt.Errorf("ckpt: writing rank %d delta shard: %w", w.rank, err)
-	}
-	if err := w.dst.Close(); err != nil && firstErr == nil {
-		firstErr = fmt.Errorf("ckpt: sealing rank %d delta shard stream: %w", w.rank, err)
-	}
-	return ShardDeltaSummary{
-		Size:         w.comp.n,
-		Checksum:     w.comp.h.Sum64(),
-		RawSize:      w.raw.n,
-		RawSum:       w.raw.h.Sum64(),
-		DeltaRawSize: w.dRaw.n,
-		DeltaRawSum:  w.dRaw.h.Sum64(),
-	}, firstErr
+	return ranges
 }
 
 // deltaMergeReader reconstructs the logical chunked stream from a base

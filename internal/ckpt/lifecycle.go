@@ -342,45 +342,14 @@ func flattenDeltaShard(store Store, newEpoch int, si *ShardInfo) error {
 	if err != nil {
 		return err
 	}
-	// Re-encode with the codec that produced the delta object, so the
-	// entry's persisted CodecID keeps describing the stored bytes.
-	codec, err := codecByID(si.CodecID)
+	sum, err := flattenMerged(store, newEpoch, si, m.merged, m.finish)
 	if err != nil {
 		return err
 	}
-	dst, err := store.PutShardStream(newEpoch, si.Rank)
-	if err != nil {
-		return err
-	}
-	sw, err := NewShardWriterCodec(si.Rank, dst, codec, si.PageSize, false)
-	if err != nil {
-		//lint:allow closecheck shard-writer setup failed; dst is abandoned and the setup error surfaces
-		dst.Close()
-		return err
-	}
-	// The merged stream IS the chunked raw stream; feed it straight into the
-	// writer's raw side (the page summer re-derives the table as it flows).
-	_, copyErr := io.Copy(sw.raw, m.merged)
-	sum, closeErr := sw.Close()
-	if err := m.finish(copyErr); err != nil {
-		return err
-	}
-	if closeErr != nil {
-		return closeErr
-	}
-	if sum.RawSum != si.RawSum || sum.RawSize != si.RawSize {
-		return fmt.Errorf("flattened shard does not match its manifest identity (got %d raw bytes sum %#x, want %d sum %#x)",
-			sum.RawSize, sum.RawSum, si.RawSize, si.RawSum)
-	}
-	si.RawFormat = RawFormatChunked
-	si.Size = sum.Size
-	si.Checksum = sum.Checksum
 	si.PageSums = sum.PageSums
 	si.BaseEpoch = 0
 	si.DeltaPages = nil
 	si.BaseSize = 0
-	si.DeltaRawSize = 0
-	si.DeltaRawSum = 0
 	return nil
 }
 
@@ -400,38 +369,55 @@ func flattenCDCShard(store Store, newEpoch int, si *ShardInfo) error {
 	if err != nil {
 		return err
 	}
+	_, err = flattenMerged(store, newEpoch, si, m.merged, m.finish)
+	return err
+}
+
+// flattenMerged streams a verified merge's logical stream through a shard
+// compressor into a full shard object at (newEpoch, si.Rank), settles the
+// merge's verdict (finish), and turns si into the full shard's entry. The
+// new object is re-encoded with the codec that produced the partial one, so
+// the entry's persisted CodecID keeps describing the stored bytes.
+func flattenMerged(store Store, newEpoch int, si *ShardInfo, merged *countReader, finish func(error) error) (ShardSummary, error) {
 	codec, err := codecByID(si.CodecID)
 	if err != nil {
-		return err
+		return ShardSummary{}, err
 	}
 	dst, err := store.PutShardStream(newEpoch, si.Rank)
 	if err != nil {
-		return err
+		return ShardSummary{}, err
 	}
 	sw, err := NewShardWriterCodec(si.Rank, dst, codec, si.PageSize, false)
 	if err != nil {
 		//lint:allow closecheck shard-writer setup failed; dst is abandoned and the setup error surfaces
 		dst.Close()
-		return err
+		return ShardSummary{}, err
 	}
-	_, copyErr := io.Copy(sw.raw, m.merged)
+	// The merged stream IS the chunked raw stream; feed it straight into the
+	// writer's raw side (the page summer re-derives the table as it flows).
+	_, copyErr := io.Copy(sw.raw, merged)
 	sum, closeErr := sw.Close()
-	if err := m.finish(copyErr); err != nil {
-		return err
+	// The writer only counts raw bytes; the merge reader hashed exactly the
+	// bytes it handed the writer, so its FNV-1a IS the new object's raw
+	// identity — a reading of the flattened stream itself, not an echo of
+	// the manifest. Reported through finish so a corrupt source object still
+	// wins the verdict.
+	if got := merged.h.Sum64(); copyErr == nil && (got != si.RawSum || sum.RawSize != si.RawSize) {
+		copyErr = fmt.Errorf("flattened shard does not match its manifest identity (got %d raw bytes sum %#x, want %d sum %#x)",
+			sum.RawSize, got, si.RawSize, si.RawSum)
+	}
+	if err := finish(copyErr); err != nil {
+		return ShardSummary{}, err
 	}
 	if closeErr != nil {
-		return closeErr
-	}
-	if sum.RawSum != si.RawSum || sum.RawSize != si.RawSize {
-		return fmt.Errorf("flattened shard does not match its manifest identity (got %d raw bytes sum %#x, want %d sum %#x)",
-			sum.RawSize, sum.RawSum, si.RawSize, si.RawSum)
+		return ShardSummary{}, closeErr
 	}
 	si.RawFormat = RawFormatChunked
 	si.Size = sum.Size
 	si.Checksum = sum.Checksum
 	si.DeltaRawSize = 0
 	si.DeltaRawSum = 0
-	return nil
+	return sum, nil
 }
 
 // remapSelfChunks rewrites a compacted entry's chunk table so every chunk

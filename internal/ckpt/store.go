@@ -934,8 +934,11 @@ type ShardSums struct {
 
 // HashCapture hashes every rank's clockless shard identity across
 // GOMAXPROCS workers, using O(workers) memory regardless of shard sizes.
+// This is the identity pass: the only walk between request and seal that
+// reads every raw byte of the captured image for its FNV-1a (CommitStreamed
+// stamps the manifest's RawSum/RawSize from it and never re-hashes).
 func HashCapture(img *JobImage) (*ShardSums, error) {
-	return hashCapture(img, 0)
+	return hashCapture(img, 0, false)
 }
 
 // HashCapturePaged additionally records each rank's CRC-32C page table over
@@ -946,7 +949,7 @@ func HashCapturePaged(img *JobImage, pageSize int64) (*ShardSums, error) {
 	if pageSize <= 0 {
 		pageSize = ShardPageBytes
 	}
-	return hashCapture(img, pageSize)
+	return hashCapture(img, pageSize, false)
 }
 
 // HashCaptureCDC records each rank's content-defined chunk table over the
@@ -954,37 +957,29 @@ func HashCapturePaged(img *JobImage, pageSize int64) (*ShardSums, error) {
 // CRCs ride the FNV stream — no second walk), arming CommitStreamed's
 // content-addressed chunk diff.
 func HashCaptureCDC(img *JobImage) (*ShardSums, error) {
-	n := len(img.Images)
-	sums := &ShardSums{
-		Sums:   make([]uint64, n),
-		Sizes:  make([]int64, n),
-		Chunks: make([][]RawChunk, n),
-	}
-	errs := make([]error, n)
-	fanOut(n, encodeWorkers(n), func(i int) {
-		sums.Sums[i], sums.Sizes[i], sums.Chunks[i], errs[i] = hashShardClocklessCDC(&img.Images[i])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return sums, nil
+	return hashCapture(img, 0, true)
 }
 
-func hashCapture(img *JobImage, pageSize int64) (*ShardSums, error) {
+func hashCapture(img *JobImage, pageSize int64, cdc bool) (*ShardSums, error) {
 	n := len(img.Images)
 	sums := &ShardSums{Sums: make([]uint64, n), Sizes: make([]int64, n)}
-	if pageSize > 0 {
+	switch {
+	case cdc:
+		sums.Chunks = make([][]RawChunk, n)
+	case pageSize > 0:
 		sums.PageSize = pageSize
 		sums.PageSums = make([][]uint32, n)
 	}
 	errs := make([]error, n)
 	fanOut(n, encodeWorkers(n), func(i int) {
-		if pageSize > 0 {
-			sums.Sums[i], sums.Sizes[i], sums.PageSums[i], errs[i] = hashShardClocklessPaged(&img.Images[i], pageSize)
-		} else {
-			sums.Sums[i], sums.Sizes[i], errs[i] = hashShardClockless(&img.Images[i])
+		var pages []uint32
+		var chunks []RawChunk
+		sums.Sums[i], sums.Sizes[i], pages, chunks, errs[i] = hashShard(&img.Images[i], pageSize, cdc)
+		if sums.PageSums != nil {
+			sums.PageSums[i] = pages
+		}
+		if sums.Chunks != nil {
+			sums.Chunks[i] = chunks
 		}
 	})
 	for _, err := range errs {
@@ -997,9 +992,12 @@ func hashCapture(img *JobImage, pageSize int64) (*ShardSums, error) {
 
 // CommitStreamed runs the ordered tail of the commit: diff the hashed shard
 // identities against the parent manifest, stream the fresh set into the
-// store (each shard gob+flate+checksum straight into its PutShardStream
-// writer — no whole-shard slice anywhere), and seal the manifest from the
-// writer-reported sizes and checksums. budget bounds the fan-out's
+// store (each shard codec+checksum straight into its PutShardStream writer
+// — no whole-shard slice anywhere), and seal the manifest: raw identities
+// (RawSum/RawSize, page and chunk tables) from sums, which must be the
+// identity pass over this very img, stored sizes and checksums from the
+// writers. Nothing here re-hashes the raw stream, and a partial object
+// reads only the pages or chunks it stores. budget bounds the fan-out's
 // in-flight encode memory; nil selects a default-capacity budget.
 //
 // When sums carries page tables (HashCapturePaged), the diff is page-
@@ -1204,88 +1202,69 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 			si := &man.Shards[i]
 			budget.Acquire(shardStreamFootprint)
 			defer budget.Release(shardStreamFootprint)
+			stream, err := newShardStream(ri, true)
+			if err != nil {
+				return err
+			}
+			if stream.size != si.RawSize {
+				return fmt.Errorf("ckpt: rank %d shard is %d raw bytes but was hashed as %d (sums are not this image's)",
+					ri.Rank, stream.size, si.RawSize)
+			}
 			dst, err := openFreshStream(store, ms, epoch, si)
 			if err != nil {
 				return err
 			}
-			var sum ShardSummary
-			var encErr, closeErr error
+			// RawSum/RawSize were stamped from the hash pass above; the
+			// writers below only move bytes. A full shard streams the whole
+			// segment list; a partial object copies its dirty pages or fresh
+			// chunks out of it by offset, CRC-checked against the hash pass's
+			// tables, and reads nothing else of the image.
 			switch si.RawFormat {
 			case RawFormatPageDelta:
-				dw, err := NewShardDeltaWriter(ri.Rank, dst, codec, shardDeltaHeader{
+				sum, err := writePartialShard(ri.Rank, dst, codec, shardDeltaMagic, &shardDeltaHeader{
 					Rank: ri.Rank, BaseEpoch: si.BaseEpoch,
 					PageSize: si.PageSize, RawSize: si.RawSize, Pages: si.DeltaPages,
-				})
+				}, stream, deltaRanges(si), "page")
 				if err != nil {
-					//lint:allow closecheck delta-writer setup failed; dst is abandoned and the setup error surfaces
-					dst.Close()
 					return err
 				}
-				encErr = writeShardRaw(dw, ri, true)
-				var dsum ShardDeltaSummary
-				dsum, closeErr = dw.Close()
-				sum = ShardSummary{Size: dsum.Size, Checksum: dsum.Checksum,
-					RawSize: dsum.RawSize, RawSum: dsum.RawSum}
-				si.DeltaRawSize = dsum.DeltaRawSize
-				si.DeltaRawSum = dsum.DeltaRawSum
+				si.Size, si.Checksum = sum.Size, sum.Checksum
+				si.DeltaRawSize, si.DeltaRawSum = sum.DeltaRawSize, sum.DeltaRawSum
 			case RawFormatCDC:
-				freshIdx := cdcFreshIndices(si)
-				lens := make([]int64, len(si.Chunks))
-				for k := range si.Chunks {
-					lens[k] = si.Chunks[k].Len
-				}
-				cw, err := NewShardCDCWriter(ri.Rank, dst, codec, shardCDCHeader{
-					Rank: ri.Rank, RawSize: si.RawSize, Chunks: lens, Fresh: freshIdx,
-				})
+				fresh, lens := cdcRanges(si)
+				sum, err := writePartialShard(ri.Rank, dst, codec, shardCDCMagic, &shardCDCHeader{
+					Rank: ri.Rank, RawSize: si.RawSize, Chunks: lens, Fresh: cdcFreshIndices(si),
+				}, stream, fresh, "chunk")
 				if err != nil {
-					//lint:allow closecheck cdc-writer setup failed; dst is abandoned and the setup error surfaces
-					dst.Close()
 					return err
 				}
-				encErr = writeShardRaw(cw, ri, true)
-				var csum ShardCDCSummary
-				csum, closeErr = cw.Close()
-				sum = ShardSummary{Size: csum.Size, Checksum: csum.Checksum,
-					RawSize: csum.RawSize, RawSum: csum.RawSum}
-				si.DeltaRawSize = csum.DeltaRawSize
-				si.DeltaRawSum = csum.DeltaRawSum
+				si.Size, si.Checksum = sum.Size, sum.Checksum
+				si.DeltaRawSize, si.DeltaRawSum = sum.DeltaRawSize, sum.DeltaRawSum
 				// Stamp the fresh chunks' addresses into this object's stored
 				// stream: header first, then the fresh payloads in index
 				// order.
-				off := csum.HeaderLen
-				for _, k := range freshIdx {
-					si.Chunks[k].SrcOff = off
-					off += si.Chunks[k].Len
+				off := sum.HeaderLen
+				for _, r := range fresh {
+					si.Chunks[r.idx].SrcOff = off
+					off += r.n
 				}
 			default:
-				pageSize := int64(0)
-				if deltaMode {
-					pageSize = sums.PageSize
-				}
-				sw, err := NewShardWriterCodec(ri.Rank, dst, codec, pageSize, false)
+				sw, err := NewShardWriterCodec(ri.Rank, dst, codec, 0, false)
 				if err != nil {
 					//lint:allow closecheck shard-writer setup failed; dst is abandoned and the setup error surfaces
 					dst.Close()
 					return err
 				}
-				encErr = sw.Encode(ri, true)
-				sum, closeErr = sw.Close()
+				encErr := stream.writeTo(sw.raw)
+				sum, closeErr := sw.Close()
+				if encErr != nil {
+					return encErr
+				}
+				if closeErr != nil {
+					return closeErr
+				}
+				si.Size, si.Checksum = sum.Size, sum.Checksum
 			}
-			if encErr != nil {
-				return encErr
-			}
-			if closeErr != nil {
-				return closeErr
-			}
-			// The raw identity must match the pre-ticket hash: it keys the
-			// next epoch's diff, and a drift here would silently reuse a
-			// changed shard later. (For deltas the writer's raw counter sees
-			// the same logical stream, so the check is format-independent.)
-			if sum.RawSum != sums.Sums[i] || sum.RawSize != sums.Sizes[i] {
-				return fmt.Errorf("ckpt: rank %d shard identity drifted between hash and stream (state mutated during commit?)", ri.Rank)
-			}
-			si.Size = sum.Size
-			si.Checksum = sum.Checksum
 			return nil
 		}()
 	})

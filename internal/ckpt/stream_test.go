@@ -1,0 +1,346 @@
+package ckpt
+
+// The by-offset range writer against a reference: a partial object
+// (page-delta or CDC) built by copying dirty pages / fresh chunks out of the
+// segment list must be byte-for-byte what slicing the materialised logical
+// stream gives.
+
+import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"mana/internal/mpi"
+	"mana/internal/netmodel"
+)
+
+// straddlingImage draws a rank image whose segment boundaries (header | App
+// | Proto | in-flight payloads) fall at arbitrary offsets: shape picks the
+// degenerate layouts (no Proto, no in-flight, empty payloads, a tiny App),
+// the rng everything else.
+func straddlingImage(rng *rand.Rand, rank, shape int, scale int) RankImage {
+	noise := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	ri := RankImage{
+		Rank:    rank,
+		Desc:    Descriptor{Kind: ParkPreCollective, Coll: &CollDesc{Kind: 1, Bench: true, VirtSize: 8}},
+		ClockVT: 1 + rng.Float64(),
+		App:     noise(scale + rng.Intn(4*scale)),
+	}
+	switch shape % 4 {
+	case 0: // empty Proto, zero in-flight: App runs to the end of the stream
+	case 1: // a Proto straddled by whatever unit App ends in
+		ri.Proto = noise(1 + rng.Intn(scale))
+	case 2: // several in-flight payloads, one empty, one a single byte
+		ri.Proto = noise(rng.Intn(scale / 2))
+		for _, n := range []int{rng.Intn(scale), 0, 1, scale/3 + rng.Intn(scale)} {
+			ri.Inflight = append(ri.Inflight, mpi.InflightSnapshot{CommID: 1, SrcComm: 1, Tag: n, Data: noise(n)})
+		}
+	case 3: // tiny App: the first unit already spans three segments
+		ri.App = noise(1 + rng.Intn(7))
+		ri.Proto = noise(scale / 2)
+		ri.Inflight = []mpi.InflightSnapshot{{CommID: 2, Tag: 9, Data: noise(2 * scale)}}
+	}
+	return ri
+}
+
+// logicalOf materialises a rank image's clockless logical stream — the
+// reference every range is sliced from.
+func logicalOf(t *testing.T, ri *RankImage) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := writeShardRaw(&buf, ri, true); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// partialReference builds a partial object's stored stream the slow way:
+// magic, gob header, then the listed [lo, hi) slices of the logical stream.
+func partialReference(t *testing.T, magic []byte, hdr any, logical []byte, spans [][2]int64) (ref []byte, headerLen int64) {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.Write(magic)
+	if err := gob.NewEncoder(&buf).Encode(hdr); err != nil {
+		t.Fatal(err)
+	}
+	headerLen = int64(buf.Len())
+	for _, s := range spans {
+		buf.Write(logical[s[0]:s[1]])
+	}
+	return buf.Bytes(), headerLen
+}
+
+// checkStored holds one committed partial entry to its reference: the
+// stored object decodes to exactly the reference stream, the manifest's
+// stored-stream and object identities describe those bytes, and under the
+// identity codec the object IS the reference.
+func checkStored(t *testing.T, store Store, si *ShardInfo, codecName string, ref []byte) {
+	t.Helper()
+	blob, err := getShardBlob(store, si.RefEpoch, si.Rank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if si.Size != int64(len(blob)) || si.Checksum != checksumOf(blob) {
+		t.Fatalf("rank %d: Size/Checksum %d/%x do not describe the %d stored bytes", si.Rank, si.Size, si.Checksum, len(blob))
+	}
+	codec, err := CodecByName(codecName, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := io.ReadAll(codec.NewReader(bytes.NewReader(blob)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stored, ref) {
+		t.Fatalf("rank %d: stored stream (%d bytes) differs from the sliced reference (%d bytes)", si.Rank, len(stored), len(ref))
+	}
+	if codecName == "none" && !bytes.Equal(blob, ref) {
+		t.Fatalf("rank %d: identity-codec object is not the reference stream", si.Rank)
+	}
+	if si.DeltaRawSize != int64(len(ref)) || si.DeltaRawSum != checksumOf(ref) {
+		t.Fatalf("rank %d: DeltaRawSize/DeltaRawSum %d/%x, reference is %d/%x",
+			si.Rank, si.DeltaRawSize, si.DeltaRawSum, len(ref), checksumOf(ref))
+	}
+}
+
+// codecStore is a MemStore behind a ModelStore pinned to one codec — the
+// way the coordinator selects a commit's codec.
+func codecStore(codecName string) *ModelStore {
+	ms := NewModelStore(NewMemStore(), netmodel.New(netmodel.PerlmutterLike(), 2), 1)
+	ms.Codec = codecName
+	return ms
+}
+
+// TestPageDeltaRangesMatchSlicedStream: randomized images, page sizes that
+// divide nothing, random dirty sets — committed through HashCapturePaged and
+// CommitStreamed against a synthetic parent whose page table differs in
+// exactly the chosen pages.
+func TestPageDeltaRangesMatchSlicedStream(t *testing.T) {
+	for seed := int64(0); seed < 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pageSize := int64(257 + rng.Intn(3000))
+		codecName := []string{"none", "flate"}[seed%2]
+		img := &JobImage{Algorithm: "cc", Ranks: 4, PPN: 2, CaptureVT: 2, Images: make([]RankImage, 4)}
+		for r := range img.Images {
+			img.Images[r] = straddlingImage(rng, r, r, int(pageSize))
+		}
+		if seed%3 == 0 {
+			// A stream that ends exactly on a page boundary (no short page).
+			ri := &img.Images[0]
+			if pad := int(pageSize) - len(logicalOf(t, ri))%int(pageSize); pad != int(pageSize) {
+				ri.App = append(ri.App, make([]byte, pad)...)
+			}
+		}
+		sums, err := HashCapturePaged(img, pageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// The parent: same geometry, full shards in epoch 0, page tables
+		// that disagree with this capture in a random set of at most half
+		// the pages (more would re-anchor to a full shard).
+		parent := &Manifest{Ranks: 4, Version: ManifestV4, Epoch: 0, Parent: -1, Shards: make([]ShardInfo, 4)}
+		dirty := make([][]int32, 4)
+		for r := range parent.Shards {
+			pages := append([]uint32(nil), sums.PageSums[r]...)
+			n := len(pages)
+			for _, p := range rng.Perm(n)[:1+rng.Intn(max(1, n/2))] {
+				pages[p] ^= 0xdeadbeef
+				dirty[r] = append(dirty[r], int32(p))
+			}
+			parent.Shards[r] = ShardInfo{Rank: r, RawSize: sums.Sizes[r], RawSum: sums.Sums[r] + 1,
+				RawFormat: RawFormatChunked, PageSize: pageSize, PageSums: pages, Size: 100}
+		}
+
+		store := codecStore(codecName)
+		man, _, err := CommitStreamed(store, 1, parent, img, sums, nil)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for r := range man.Shards {
+			si := &man.Shards[r]
+			sort.Slice(dirty[r], func(a, b int) bool { return dirty[r][a] < dirty[r][b] })
+			if si.RawFormat != RawFormatPageDelta || fmt.Sprint(si.DeltaPages) != fmt.Sprint(dirty[r]) {
+				t.Fatalf("seed %d rank %d: format %d with dirty pages %v, want a delta of %v",
+					seed, r, si.RawFormat, si.DeltaPages, dirty[r])
+			}
+			logical := logicalOf(t, &img.Images[r])
+			if si.RawSize != int64(len(logical)) || si.RawSum != checksumOf(logical) {
+				t.Fatalf("seed %d rank %d: logical identity %d/%x, stream is %d/%x",
+					seed, r, si.RawSize, si.RawSum, len(logical), checksumOf(logical))
+			}
+			var spans [][2]int64
+			for _, p := range si.DeltaPages {
+				lo := int64(p) * pageSize
+				spans = append(spans, [2]int64{lo, min(lo+pageSize, int64(len(logical)))})
+			}
+			ref, _ := partialReference(t, shardDeltaMagic, &shardDeltaHeader{
+				Rank: r, BaseEpoch: 0, PageSize: pageSize, RawSize: int64(len(logical)), Pages: si.DeltaPages,
+			}, logical, spans)
+			checkStored(t, store, si, codecName, ref)
+		}
+	}
+}
+
+// TestCDCRangesMatchSlicedStream: the same property for chunk objects —
+// random subsets of each rank's content-defined chunks are made "already
+// stored" through a synthetic parent table, the rest must land in the
+// object in index order, at the SrcOff the manifest stamps.
+func TestCDCRangesMatchSlicedStream(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(100 + seed))
+		codecName := []string{"none", "flate"}[seed%2]
+		img := &JobImage{Algorithm: "cc", Ranks: 4, PPN: 2, CaptureVT: 2, Images: make([]RankImage, 4)}
+		for r := range img.Images {
+			// Segments of tens of KiB against 8-128 KiB chunks: boundaries
+			// land inside App, Proto and in-flight payloads alike.
+			img.Images[r] = straddlingImage(rng, r, r, 40<<10)
+		}
+		sums, err := HashCaptureCDC(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// The parent's index holds a random subset of every rank's chunks,
+		// all filed under one foreign shard (cross-rank reuse), at least
+		// half of each rank's bytes so the commit keeps a CDC object.
+		parent := &Manifest{Ranks: 4, Version: ManifestV5, Epoch: 0, Parent: -1, Shards: make([]ShardInfo, 4)}
+		reused := make([]map[int]bool, 4)
+		var foreign []ChunkRef
+		for r := range parent.Shards {
+			parent.Shards[r] = ShardInfo{Rank: r, RawSize: 1, RawSum: uint64(r), RawFormat: RawFormatChunked}
+			reused[r] = make(map[int]bool)
+			var have int64
+			for _, k := range rng.Perm(len(sums.Chunks[r])) {
+				if have*2 >= sums.Sizes[r] && rng.Intn(3) > 0 {
+					continue
+				}
+				c := sums.Chunks[r][k]
+				reused[r][k] = true
+				have += c.Len
+				foreign = append(foreign, ChunkRef{Len: c.Len, CRC: c.CRC, Sum: c.Sum, SrcEpoch: 0, SrcRank: 3, SrcOff: int64(len(foreign))})
+			}
+		}
+		parent.Shards[3].Chunks = foreign
+
+		store := codecStore(codecName)
+		man, _, err := CommitStreamed(store, 1, parent, img, sums, nil)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for r := range man.Shards {
+			si := &man.Shards[r]
+			if si.RawFormat != RawFormatCDC {
+				t.Fatalf("seed %d rank %d: stored as format %d, want a chunk object", seed, r, si.RawFormat)
+			}
+			logical := logicalOf(t, &img.Images[r])
+			var spans [][2]int64
+			var lens []int64
+			var fresh []int32
+			var off int64
+			for k, c := range sums.Chunks[r] {
+				lens = append(lens, c.Len)
+				if !reused[r][k] {
+					fresh = append(fresh, int32(k))
+					spans = append(spans, [2]int64{off, off + c.Len})
+				}
+				off += c.Len
+			}
+			ref, headerLen := partialReference(t, shardCDCMagic, &shardCDCHeader{
+				Rank: r, RawSize: int64(len(logical)), Chunks: lens, Fresh: fresh,
+			}, logical, spans)
+			checkStored(t, store, si, codecName, ref)
+			at := headerLen
+			for _, k := range fresh {
+				c := &si.Chunks[k]
+				if c.SrcEpoch != 1 || c.SrcRank != r || c.SrcOff != at {
+					t.Fatalf("seed %d rank %d chunk %d: addressed (%d, %d, %d), reference offset is %d",
+						seed, r, k, c.SrcEpoch, c.SrcRank, c.SrcOff, at)
+				}
+				if got := crc32.Checksum(ref[at:at+c.Len], crcTable); got != c.CRC {
+					t.Fatalf("seed %d rank %d chunk %d: bytes at its SrcOff have crc %08x, table says %08x", seed, r, k, got, c.CRC)
+				}
+				at += c.Len
+			}
+		}
+	}
+}
+
+// TestCommitRejectsMutatedPage: with the re-hash gone, the range writer's
+// CRC check is what catches a captured image that changed between the hash
+// pass and the commit — and it names the page.
+func TestCommitRejectsMutatedPage(t *testing.T) {
+	fs := mustFileStore(t)
+	img0 := pagedImage(4, 6)
+	man0, _ := commitPaged(t, fs, 0, nil, img0)
+	img1 := pagedImage(4, 6)
+	img1.Images[1].App[5000] ^= 0xFF // dirties one page of rank 1
+	sums, err := HashCapturePaged(img1, testPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img1.Images[1].App[5001] ^= 0xFF // ... and changes again after the hash pass
+	_, _, err = CommitStreamed(fs, 1, man0, img1, sums, nil)
+	if err == nil {
+		t.Fatal("commit sealed a page whose bytes no longer match the hash pass")
+	}
+	dirty := dirtyPages(shardOf(t, man0, 1), sums.PageSums[1])
+	if len(dirty) != 1 {
+		t.Fatalf("fixture dirtied pages %v, want exactly one", dirty)
+	}
+	for _, want := range []string{"rank 1", fmt.Sprintf("page %d ", dirty[0]), "hash pass"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
+		}
+	}
+	if _, err := fs.GetManifest(1); err == nil {
+		t.Fatal("the failed commit sealed a manifest")
+	}
+}
+
+// TestCompactionChecksFlattenedIdentity: flattening reads the raw identity
+// of what it writes off the merge reader (the shard writer only counts
+// bytes), and a partial shard whose verified merge does not hash to its
+// manifest identity must not be compacted into a full shard that claims it.
+func TestCompactionChecksFlattenedIdentity(t *testing.T) {
+	commits := map[string]func(*testing.T, Store, int, *Manifest, *JobImage) (*Manifest, *CommitStats){
+		"delta": commitPaged, "cdc": commitCDC,
+	}
+	for name, commit := range commits {
+		fs := mustFileStore(t)
+		img0, img1 := pagedImage(4, 6), pagedImage(4, 6)
+		want := RawFormatPageDelta
+		if name == "cdc" {
+			img0, img1 = cdcImage(4, 1), cdcImage(4, 1)
+			want = RawFormatCDC
+		}
+		man0, _ := commit(t, fs, 0, nil, img0)
+		img1.Images[1].App[5000] ^= 0xFF
+		man1, _ := commit(t, fs, 1, man0, img1)
+		si := shardOf(t, man1, 1)
+		if si.RawFormat != want {
+			t.Fatalf("%s: fixture stored format %d", name, si.RawFormat)
+		}
+		si.RawSum ^= 1 // every page and chunk CRC still passes; only the stream identity lies
+		if err := fs.PutManifest(1, man1); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := CompactChain(fs, 1, nil)
+		if err == nil || !strings.Contains(err.Error(), "flattened shard does not match its manifest identity") {
+			t.Fatalf("%s: compaction over a lying identity: %v", name, err)
+		}
+		if epochs, _ := fs.Epochs(); len(epochs) != 2 {
+			t.Fatalf("%s: failed compaction left epochs %v", name, epochs)
+		}
+	}
+}

@@ -1,0 +1,222 @@
+package conformance
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"io"
+	"os"
+	"os/exec"
+	"sync"
+	"testing"
+
+	"mana/internal/apps"
+	"mana/internal/ckpt"
+	"mana/internal/netmodel"
+	"mana/internal/rt"
+)
+
+// goldenChildEnv marks the process TestStoredBytesGolden re-executes itself
+// in.
+const goldenChildEnv = "MANA_GOLDEN_CHILD"
+
+// gatedApp holds rank 0 at its trigger step until every other rank has run
+// out of steps, so leg 0 always captures finished cold ranks no matter how
+// the host schedules the rank goroutines. With one hot rank the captured
+// bytes are then a function of the program alone.
+type gatedApp struct {
+	rt.App
+	rank, atStep, done int
+	left               *sync.WaitGroup // cold ranks still stepping
+}
+
+func (a *gatedApp) Step(env *rt.Env) (bool, error) {
+	more, err := a.App.Step(env)
+	a.done++
+	if a.rank != 0 && !more {
+		a.left.Done()
+	}
+	if a.rank == 0 && a.done == a.atStep {
+		a.left.Wait()
+	}
+	return more, err
+}
+
+func (a *gatedApp) SnapshotTo(w io.Writer) error {
+	return a.App.(rt.StreamSnapshotter).SnapshotTo(w)
+}
+
+// goldenConfig is the job the golden chains run: three ranks on two nodes.
+func goldenConfig() rt.Config {
+	return rt.Config{Ranks: 3, PPN: 2, Params: netmodel.EthernetLike(), Algorithm: rt.AlgoCC}
+}
+
+// goldenStraggler builds the golden chains' program: one hot rank with
+// 1.6 MB of state (dozens of pages and chunks) and two small cold ranks,
+// long enough to outlast every leg of a chain.
+func goldenStraggler(insertEvery int) func(rank int) rt.App {
+	cfg := apps.StragglerConfig{
+		HotRanks: 1, ColdSteps: 2, HotIters: 18,
+		StateElems: 3000, HotStateElems: 200000, InsertEvery: insertEvery,
+	}
+	return func(rank int) rt.App { return apps.NewStraggler(cfg, rank) }
+}
+
+// goldenChain runs an allocation chain of the straggler (one hot rank, two
+// cold ones) into a MemStore: leg 0 from a fresh start, every later leg a
+// restart from the newest epoch, each leg sealing one epoch and exiting. It
+// returns the store and a digest over every sealed manifest record and
+// every stored object, in epoch and rank order.
+func goldenChain(t *testing.T, plan rt.CkptPlan, insertEvery int) (*ckpt.MemStore, string) {
+	t.Helper()
+	const legs, atStep = 4, 3
+	store := ckpt.NewMemStore()
+	plan.AtStep, plan.Mode, plan.Store, plan.Async = atStep, ckpt.ExitAfterCapture, store, true
+	cfg := goldenConfig()
+	cfg.Checkpoint = &plan
+	plain := goldenStraggler(insertEvery)
+	ranks := cfg.Ranks
+
+	var left sync.WaitGroup
+	left.Add(ranks - 1)
+	if _, err := rt.Run(cfg, func(rank int) rt.App {
+		return &gatedApp{App: plain(rank), rank: rank, atStep: atStep, left: &left}
+	}); err != nil {
+		t.Fatalf("leg 0: %v", err)
+	}
+	for k := 1; k < legs; k++ {
+		rep, err := rt.RestartFromStore(cfg, store, -1, plain)
+		if err != nil {
+			t.Fatalf("leg %d: %v", k, err)
+		}
+		// A restart leg tells the coordinator how big each rank's state
+		// was, so the hot rank's capture buffer is sized once with a few
+		// percent of headroom, not doubled up to it.
+		if app := rep.Image.Images[0].App; cap(app) > len(app)+len(app)/16+8192 {
+			t.Errorf("leg %d: hot rank captured %d bytes into a %d-byte buffer (restart image's size hint not used)", k, len(app), cap(app))
+		}
+	}
+
+	epochs, err := store.Epochs()
+	if err != nil || len(epochs) != legs {
+		t.Fatalf("sealed epochs %v (err %v), want %d", epochs, err, legs)
+	}
+	h := sha256.New()
+	for _, e := range epochs {
+		man, err := store.GetManifest(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := ckpt.EncodeManifestRecord(man)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(rec)
+		for i := range man.Shards {
+			si := &man.Shards[i]
+			fmt.Fprintf(h, "|%d/%d %d %x|", e, si.Rank, si.Size, si.Checksum)
+			if si.RefEpoch != e {
+				continue
+			}
+			blob, err := store.GetShard(e, si.Rank)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(blob)
+		}
+	}
+	return store, hex.EncodeToString(h.Sum(nil))
+}
+
+// TestStoredBytesGolden pins what reaches the store: for a fixed straggler
+// chain under each storage plan, every sealed manifest record and every
+// stored object must match digests recorded before the commit path was
+// reworked to touch captured state once. The pinned digests use the `none`
+// codec so they do not depend on the toolchain's deflate; the flate digests
+// are logged for differential runs against another commit.
+//
+// The chains run in a child process that has done nothing else: gob numbers
+// user types process-wide in order of first use, and those numbers are in
+// every shard header and manifest, so the bytes depend on what the process
+// encoded before (one process writes a chain in production; a shared test
+// binary does not).
+func TestStoredBytesGolden(t *testing.T) {
+	if os.Getenv(goldenChildEnv) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestStoredBytesGolden$", "-test.v")
+		cmd.Env = append(os.Environ(), goldenChildEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		t.Logf("child process:\n%s", out)
+		if err != nil {
+			t.Fatalf("golden chains failed in the child process: %v", err)
+		}
+		return
+	}
+	plans := []struct {
+		name        string
+		plan        rt.CkptPlan
+		insertEvery int
+		want        string
+		partial     func(*ckpt.ShardInfo) bool // the plan's partial-object format
+	}{
+		{"full", rt.CkptPlan{}, 0,
+			"d489352754c1d9bb2a05950bf5872a38b6def3c1f1b4e168684d0df87e3f7db3", nil},
+		{"delta", rt.CkptPlan{Incremental: true, Delta: true}, 0,
+			"1623829990d11fb1440bd55e647ba524f4009176ad31d7db6a4a48f40d80371d",
+			func(si *ckpt.ShardInfo) bool { return si.RawFormat == ckpt.RawFormatPageDelta }},
+		{"cdc", rt.CkptPlan{Incremental: true, CDC: true}, 1,
+			"58519600b664c5fbf8cc8c380c5d674c4b15818a8ec2ca3074ad76f9ad0eebb9",
+			func(si *ckpt.ShardInfo) bool { return si.RawFormat == ckpt.RawFormatCDC }},
+	}
+	for _, p := range plans {
+		p := p
+		t.Run(p.name, func(t *testing.T) {
+			flatePlan := p.plan
+			_, flateDigest := goldenChain(t, flatePlan, p.insertEvery)
+			t.Logf("flate digest %s", flateDigest)
+
+			nonePlan := p.plan
+			nonePlan.Codec = "none"
+			store, got := goldenChain(t, nonePlan, p.insertEvery)
+			if got != p.want {
+				t.Errorf("stored bytes changed: digest %s, want %s", got, p.want)
+			}
+
+			// The chain must actually exercise the plan's partial objects and
+			// whole-shard reuse, or the digest pins nothing of interest.
+			latest, err := ckpt.LatestEpoch(store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			man, err := store.GetManifest(latest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.partial != nil {
+				if !p.partial(&man.Shards[0]) {
+					t.Errorf("hot rank stored as format %d, not the plan's partial object", man.Shards[0].RawFormat)
+				}
+				if man.Shards[1].RefEpoch == latest {
+					t.Errorf("cold rank rewritten in epoch %d, want a reference", latest)
+				}
+			}
+			if faults, err := ckpt.VerifyStore(store); err != nil || len(faults) > 0 {
+				t.Fatalf("store does not verify: %v %v", err, faults)
+			}
+
+			// Every sealed epoch restarts into the uninterrupted run's state.
+			epochs, _ := store.Epochs()
+			var digest string
+			for _, e := range epochs {
+				rep, err := rt.RestartFromStore(goldenConfig(), store, e, goldenStraggler(p.insertEvery))
+				if err != nil || !rep.Completed {
+					t.Fatalf("restart from epoch %d: %v", e, err)
+				}
+				if digest == "" {
+					digest = rep.StateDigest
+				} else if rep.StateDigest != digest {
+					t.Fatalf("restart from epoch %d diverged: %.12s != %.12s", e, rep.StateDigest, digest)
+				}
+			}
+		})
+	}
+}

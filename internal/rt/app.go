@@ -46,7 +46,14 @@ type App interface {
 	// Step advances the application by one unit of work, returning false
 	// when the program is complete.
 	Step(env *Env) (more bool, err error)
-	// Snapshot serializes all mutable state (the upper-half image).
+	// Snapshot serializes all mutable state (the upper-half image). The
+	// returned bytes must not alias live state: the captured image is
+	// IMMUTABLE from the moment Snapshot returns — later Steps must leave
+	// every byte of it as it was. The checkpoint pipeline hashes the image
+	// once and writes it to the store later (behind the resumed job, when
+	// the capture is asynchronous) without hashing it again, so an app that
+	// hands out a view of a buffer it keeps mutating would seal shards
+	// whose bytes do not match their recorded identity.
 	Snapshot() ([]byte, error)
 	// Restore rebuilds state from a Snapshot.
 	Restore(data []byte) error
@@ -60,7 +67,10 @@ type App interface {
 // instead of build-then-copy. SnapshotTo MUST produce exactly the bytes
 // Snapshot would return: shard identity (and page-delta diffing against the
 // previous epoch) hashes the serialized stream, and the runtime's final
-// job digest still uses Snapshot.
+// job digest still uses Snapshot. Snapshot's immutability rule comes for
+// free here: an io.Writer never retains the slice it is handed, so the
+// capture buffer holds its own copy of every byte written (refilling one
+// scratch block between Writes is fine).
 type StreamSnapshotter interface {
 	SnapshotTo(w io.Writer) error
 }

@@ -422,6 +422,11 @@ func runJob(cfg Config, w *mpi.World, coord *ckpt.Coordinator, factory func(rank
 				// into the coordinator's buffer (must match Snapshot's bytes).
 				hooks.AppSnapshotTo = ss.SnapshotTo
 			}
+			if img != nil {
+				// A restarted rank's state is about as big as the image it
+				// is restored from; the first capture sizes its buffer by it.
+				hooks.AppSizeHint = len(img.Images[rank].App)
+			}
 			coord.RegisterRank(rank, hooks)
 
 			env.inSetup = true
