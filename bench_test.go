@@ -292,14 +292,9 @@ func (a *fatApp) Restore(data []byte) error {
 }
 
 // BenchmarkImagePipeline measures the checkpoint image pipeline — per-rank
-// capture plus job-image encode — on a 256-rank job with fat rank states,
-// comparing the legacy serial path (CaptureWorkers=1 + monolithic v1 encode)
-// against the sharded parallel path (GOMAXPROCS capture fan-out + v2
-// per-rank gob+flate shards). The "speedup-x" metric is the headline: the
-// parallel sharded pipeline must come out >= 2x faster. The win has two
-// independent legs — shards encode/compress concurrently, and even
-// single-threaded the sharded path beats one huge reflective gob with a
-// whole-image checksum — so the factor holds even at GOMAXPROCS=1.
+// capture plus job-image encode — on a 256-rank job with fat rank states:
+// GOMAXPROCS capture fan-out, then per-rank gob+flate shards encoded
+// concurrently, round-tripped through decode.
 func BenchmarkImagePipeline(b *testing.B) {
 	const ranks = 256
 	elems := 32 << 10 // 32k float64 = 256 KB of state per rank
@@ -325,22 +320,6 @@ func BenchmarkImagePipeline(b *testing.B) {
 		return rep.Image, rep.Checkpoint.CaptureHostSeconds
 	}
 
-	b.Run("v1-serial", func(b *testing.B) {
-		var capS, encS float64
-		for i := 0; i < b.N; i++ {
-			img, cs := capture(b, 1)
-			t0 := time.Now()
-			blob, err := img.EncodeV1()
-			if err != nil {
-				b.Fatal(err)
-			}
-			capS, encS = cs, time.Since(t0).Seconds()
-			b.SetBytes(int64(len(blob)))
-		}
-		b.ReportMetric(capS*1e3, "capture-ms")
-		b.ReportMetric(encS*1e3, "encode-ms")
-	})
-
 	b.Run("v2-parallel", func(b *testing.B) {
 		var capS, encS float64
 		for i := 0; i < b.N; i++ {
@@ -358,27 +337,6 @@ func BenchmarkImagePipeline(b *testing.B) {
 		}
 		b.ReportMetric(capS*1e3, "capture-ms")
 		b.ReportMetric(encS*1e3, "encode-ms")
-	})
-
-	b.Run("speedup", func(b *testing.B) {
-		var speedup float64
-		for i := 0; i < b.N; i++ {
-			imgS, capSerial := capture(b, 1)
-			t0 := time.Now()
-			if _, err := imgS.EncodeV1(); err != nil {
-				b.Fatal(err)
-			}
-			serial := capSerial + time.Since(t0).Seconds()
-
-			imgP, capParallel := capture(b, 0)
-			t0 = time.Now()
-			if _, err := imgP.Encode(); err != nil {
-				b.Fatal(err)
-			}
-			parallel := capParallel + time.Since(t0).Seconds()
-			speedup = serial / parallel
-		}
-		b.ReportMetric(speedup, "speedup-x")
 	})
 }
 

@@ -20,10 +20,7 @@
 // Bare `ccimg [-v] <path>` is shorthand for `ccimg info`. A directory
 // argument is treated as a checkpoint store (one epoch per capture,
 // incremental shard references resolved through the chain); a file argument
-// as an encoded image. Both the v2 sharded format and legacy v1 monolithic
-// images are accepted; shard-level operations degrade gracefully on v1
-// (verify checks the single whole-image checksum, extract decodes the whole
-// image first).
+// as an encoded image.
 package main
 
 import (
@@ -31,7 +28,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"mana/internal/ckpt"
 	"mana/internal/netmodel"
@@ -109,26 +108,25 @@ func runInfo(args []string) error {
 	}
 	if *asJSON {
 		if tgt.store != nil {
-			return storeInfoJSON(tgt.store, tgt.path)
+			return storeInfoJSON(os.Stdout, tgt.store, tgt.path)
 		}
 		return imageInfoJSON(tgt.blob, tgt.path)
 	}
 	if tgt.store != nil {
-		return storeInfo(tgt.store, tgt.path, *verbose)
+		return storeInfo(os.Stdout, tgt.store, tgt.path, *verbose)
 	}
 	blob, path := tgt.blob, tgt.path
 	img, err := ckpt.DecodeJobImage(blob)
 	if err != nil {
 		return err
 	}
-	man, _ := ckpt.DecodeManifest(blob) // nil for v1 images
+	man, err := ckpt.DecodeManifest(blob)
+	if err != nil {
+		return err
+	}
 
 	fmt.Printf("checkpoint image: %s\n", path)
-	format := "v1 (monolithic)"
-	if man != nil {
-		format = fmt.Sprintf("v2 (sharded, %d shards)", len(man.Shards))
-	}
-	fmt.Printf("  format:      %s\n", format)
+	fmt.Printf("  format:      v2 (sharded, %d shards)\n", len(man.Shards))
 	fmt.Printf("  algorithm:   %s\n", img.Algorithm)
 	fmt.Printf("  ranks:       %d (%d per node, %d nodes)\n",
 		img.Ranks, img.PPN, (img.Ranks+img.PPN-1)/img.PPN)
@@ -138,18 +136,16 @@ func runInfo(args []string) error {
 		fmt.Printf(" (padded to %d per rank)", img.PaddedBytesPerRank)
 	}
 	fmt.Println()
-	if man != nil {
-		var comp, raw int64
-		for _, s := range man.Shards {
-			comp += s.Size
-			raw += s.RawSize
-		}
-		ratio := 0.0
-		if raw > 0 {
-			ratio = float64(comp) / float64(raw)
-		}
-		fmt.Printf("  shard data:  %d bytes compressed from %d (ratio %.2f)\n", comp, raw, ratio)
+	var comp, raw int64
+	for _, s := range man.Shards {
+		comp += s.Size
+		raw += s.RawSize
 	}
+	ratio := 0.0
+	if raw > 0 {
+		ratio = float64(comp) / float64(raw)
+	}
+	fmt.Printf("  shard data:  %d bytes compressed from %d (ratio %.2f)\n", comp, raw, ratio)
 
 	parks := map[ckpt.ParkKind]int{}
 	var inflight, inflightBytes, pendingRecvs int
@@ -220,15 +216,24 @@ type shardJSON struct {
 	ClockVT  float64 `json:"clock_vt,omitempty"`
 	RawSum   string  `json:"raw_sum,omitempty"`
 
-	// Page-delta fields (v4 stores). RawFormat distinguishes gob (0),
-	// chunked (1), and page-delta (2) stored objects; delta entries name the
-	// full base shard they patch and the dirty pages they carry.
-	RawFormat    int   `json:"raw_format,omitempty"`
-	PageSize     int64 `json:"page_size,omitempty"`
-	Pages        int   `json:"pages,omitempty"` // page-table length
-	BaseEpoch    *int  `json:"base_epoch,omitempty"`
-	DirtyPages   int   `json:"dirty_pages,omitempty"`
-	DeltaRawSize int64 `json:"delta_raw_size,omitempty"`
+	RawFormat int   `json:"raw_format,omitempty"` // ckpt.RawFormat*: 1 full, 2 and 3 partial
+	PageSize  int64 `json:"page_size,omitempty"`
+	Pages     int   `json:"pages,omitempty"`  // page-table length
+	Chunks    int   `json:"chunks,omitempty"` // chunk-table length
+
+	// Partial entries (page-delta and CDC objects alike): how many of
+	// raw_size's logical bytes this object holds itself, the length of its
+	// stored stream before compression, and the other objects the rest is
+	// read from (ckpt.ShardInfo.Sources).
+	PartialOwnBytes *int64       `json:"partial_own_bytes,omitempty"`
+	PartialRawSize  int64        `json:"partial_raw_size,omitempty"`
+	Sources         []sourceJSON `json:"sources,omitempty"`
+}
+
+type sourceJSON struct {
+	Epoch int   `json:"epoch"`
+	Rank  int   `json:"rank"`
+	Bytes int64 `json:"bytes"`
 }
 
 type epochJSON struct {
@@ -244,15 +249,15 @@ type epochJSON struct {
 	ReusedShards       int         `json:"reused_shards"`
 	FreshBytes         int64       `json:"fresh_bytes"`
 	ReusedBytes        int64       `json:"reused_bytes"`
-	DeltaShards        int         `json:"delta_shards,omitempty"` // fresh shards stored as page deltas
-	DeltaBytes         int64       `json:"delta_bytes,omitempty"`  // their compressed bytes (subset of fresh)
+	PartialShards      int         `json:"partial_shards,omitempty"` // fresh shards stored as partial objects
+	PartialBytes       int64       `json:"partial_bytes,omitempty"`  // their compressed bytes (subset of fresh)
 	Shards             []shardJSON `json:"shards"`
 }
 
 type infoJSON struct {
 	Kind               string         `json:"kind"` // "image" or "store"
 	Path               string         `json:"path"`
-	Format             string         `json:"format,omitempty"` // image files: "v1" or "v2"
+	Format             string         `json:"format,omitempty"` // image files: "v2"
 	Algorithm          string         `json:"algorithm,omitempty"`
 	Ranks              int            `json:"ranks,omitempty"`
 	PPN                int            `json:"ppn,omitempty"`
@@ -267,8 +272,8 @@ type infoJSON struct {
 	Epochs             []epochJSON    `json:"epochs,omitempty"` // stores
 }
 
-func emitJSON(v any) error {
-	enc := json.NewEncoder(os.Stdout)
+func emitJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
 }
@@ -279,8 +284,12 @@ func imageInfoJSON(blob []byte, path string) error {
 	if err != nil {
 		return err
 	}
+	man, err := ckpt.DecodeManifest(blob)
+	if err != nil {
+		return err
+	}
 	out := infoJSON{
-		Kind: "image", Path: path, Format: "v1",
+		Kind: "image", Path: path, Format: "v2",
 		Algorithm: img.Algorithm, Ranks: img.Ranks, PPN: img.PPN,
 		CaptureVT: img.CaptureVT, TotalBytes: img.TotalBytes(),
 		PaddedBytesPerRank: img.PaddedBytesPerRank,
@@ -295,20 +304,17 @@ func imageInfoJSON(blob []byte, path string) error {
 		}
 		out.PendingRecvs += len(ri.Desc.Recvs)
 	}
-	if man, err := ckpt.DecodeManifest(blob); err == nil {
-		out.Format = "v2"
-		for _, si := range man.Shards {
-			out.Shards = append(out.Shards, shardJSON{
-				Rank: si.Rank, Offset: si.Offset, Size: si.Size,
-				RawSize: si.RawSize, Checksum: fmt.Sprintf("%016x", si.Checksum),
-			})
-		}
+	for _, si := range man.Shards {
+		out.Shards = append(out.Shards, shardJSON{
+			Rank: si.Rank, Offset: si.Offset, Size: si.Size,
+			RawSize: si.RawSize, Checksum: fmt.Sprintf("%016x", si.Checksum),
+		})
 	}
-	return emitJSON(&out)
+	return emitJSON(os.Stdout, &out)
 }
 
 // storeInfoJSON renders a store's whole epoch chain machine-readably.
-func storeInfoJSON(store *ckpt.FileStore, path string) error {
+func storeInfoJSON(w io.Writer, store *ckpt.FileStore, path string) error {
 	epochs, err := store.Epochs()
 	if err != nil {
 		return err
@@ -335,21 +341,22 @@ func storeInfoJSON(store *ckpt.FileStore, path string) error {
 				RefEpoch: &ref, ClockVT: si.ClockVT,
 				RawSum:    fmt.Sprintf("%016x", si.RawSum),
 				RawFormat: si.RawFormat,
-				PageSize:  si.PageSize, Pages: len(si.PageSums),
+				PageSize:  si.PageSize, Pages: len(si.PageSums), Chunks: len(si.Chunks),
 			}
-			if si.RawFormat == ckpt.RawFormatPageDelta {
-				base := si.BaseEpoch
-				sj.BaseEpoch = &base
-				sj.DirtyPages = len(si.DeltaPages)
-				sj.DeltaRawSize = si.DeltaRawSize
+			if si.Partial() {
+				own, srcs := si.Sources()
+				sj.PartialOwnBytes, sj.PartialRawSize = &own, si.DeltaRawSize
+				for _, s := range srcs {
+					sj.Sources = append(sj.Sources, sourceJSON{Epoch: s.Epoch, Rank: s.Rank, Bytes: s.Bytes})
+				}
 			}
 			ej.Shards = append(ej.Shards, sj)
 			if si.RefEpoch == man.Epoch {
 				ej.FreshShards++
 				ej.FreshBytes += si.Size
-				if si.RawFormat == ckpt.RawFormatPageDelta {
-					ej.DeltaShards++
-					ej.DeltaBytes += si.Size
+				if si.Partial() {
+					ej.PartialShards++
+					ej.PartialBytes += si.Size
 				}
 			} else {
 				ej.ReusedShards++
@@ -358,35 +365,35 @@ func storeInfoJSON(store *ckpt.FileStore, path string) error {
 		}
 		out.Epochs = append(out.Epochs, ej)
 	}
-	return emitJSON(&out)
+	return emitJSON(w, &out)
 }
 
 // storeInfo renders a checkpoint store's epoch chain.
-func storeInfo(store *ckpt.FileStore, path string, verbose bool) error {
+func storeInfo(w io.Writer, store *ckpt.FileStore, path string, verbose bool) error {
 	epochs, err := store.Epochs()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("checkpoint store: %s (%d sealed epochs)\n", path, len(epochs))
+	fmt.Fprintf(w, "checkpoint store: %s (%d sealed epochs)\n", path, len(epochs))
 	if len(epochs) == 0 {
 		return nil
 	}
-	fmt.Printf("%-7s %-7s %-6s %10s %7s %7s %7s %12s %12s %12s\n",
-		"EPOCH", "PARENT", "RANKS", "CAPTURE-VT", "FRESH", "DELTA", "REUSED", "FRESH-B", "DELTA-B", "REUSED-B")
+	fmt.Fprintf(w, "%-7s %-7s %-6s %10s %7s %7s %7s %12s %12s %12s\n",
+		"EPOCH", "PARENT", "RANKS", "CAPTURE-VT", "FRESH", "PARTIAL", "REUSED", "FRESH-B", "PARTIAL-B", "REUSED-B")
 	for _, e := range epochs {
 		man, err := store.GetManifest(e)
 		if err != nil {
 			return err
 		}
-		fresh, delta, reused := 0, 0, 0
-		var freshB, deltaB, reusedB int64
+		fresh, partial, reused := 0, 0, 0
+		var freshB, partialB, reusedB int64
 		for _, si := range man.Shards {
 			if si.RefEpoch == man.Epoch {
 				fresh++
 				freshB += si.Size
-				if si.RawFormat == ckpt.RawFormatPageDelta {
-					delta++
-					deltaB += si.Size
+				if si.Partial() {
+					partial++
+					partialB += si.Size
 				}
 			} else {
 				reused++
@@ -397,20 +404,25 @@ func storeInfo(store *ckpt.FileStore, path string, verbose bool) error {
 		if man.Parent >= 0 {
 			parent = fmt.Sprint(man.Parent)
 		}
-		fmt.Printf("%-7d %-7s %-6d %9.4fs %7d %7d %7d %12d %12d %12d\n",
-			man.Epoch, parent, man.Ranks, man.CaptureVT, fresh, delta, reused, freshB, deltaB, reusedB)
+		fmt.Fprintf(w, "%-7d %-7s %-6d %9.4fs %7d %7d %7d %12d %12d %12d\n",
+			man.Epoch, parent, man.Ranks, man.CaptureVT, fresh, partial, reused, freshB, partialB, reusedB)
 		if verbose {
 			for _, si := range man.Shards {
 				loc := "fresh"
-				if si.RawFormat == ckpt.RawFormatPageDelta {
-					loc = fmt.Sprintf("delta vs epoch %d (%d/%d pages)",
-						si.BaseEpoch, len(si.DeltaPages), len(si.PageSums))
-				}
 				if si.RefEpoch != man.Epoch {
 					loc = fmt.Sprintf("ref epoch %d", si.RefEpoch)
 				}
-				fmt.Printf("    rank %4d: %s, %dB (raw %dB), clock=%.6fs\n",
+				fmt.Fprintf(w, "    rank %4d: %s, %dB (raw %dB), clock=%.6fs\n",
 					si.Rank, loc, si.Size, si.RawSize, si.ClockVT)
+				if si.Partial() {
+					own, srcs := si.Sources()
+					from := make([]string, len(srcs))
+					for k, s := range srcs {
+						from[k] = fmt.Sprintf("epoch %d rank %d, %d bytes", s.Epoch, s.Rank, s.Bytes)
+					}
+					fmt.Fprintf(w, "               partial: %d of %d raw bytes stored here; sources: %s\n",
+						own, si.RawSize, strings.Join(from, "; "))
+				}
 			}
 		}
 	}
@@ -432,21 +444,17 @@ func runVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	if man, err := ckpt.DecodeManifest(blob); err == nil {
-		fmt.Printf("%s: %d shards\n", path, len(man.Shards))
-	} else {
-		fmt.Printf("%s: v1 image (single checksum)\n", path)
+	man, err := ckpt.DecodeManifest(blob)
+	if err != nil {
+		return err
 	}
+	fmt.Printf("%s: %d shards\n", path, len(man.Shards))
 	if len(faults) == 0 {
 		fmt.Println("all shards verify: ok")
 		return nil
 	}
 	for _, f := range faults {
-		if f.Rank < 0 {
-			fmt.Printf("image FAULT: %v\n", f.Err)
-		} else {
-			fmt.Printf("rank %d shard FAULT: %v\n", f.Rank, f.Err)
-		}
+		fmt.Printf("rank %d shard FAULT: %v\n", f.Rank, f.Err)
 	}
 	return fmt.Errorf("%d shard(s) corrupted", len(faults))
 }

@@ -6,30 +6,36 @@
 // Usage:
 //
 //	ccverify [-ranks N] [-ppn N] [-scale F] [-workloads a,b] [-algos cc,2pc]
-//	         [-min-triggers N] [-max-triggers N] [-negative] [-crossgeo]
-//	         [-incremental] [-delta] [-cdc] [-lifecycle] [-contention] [-faults] [-v]
+//	         [-min-triggers N] [-max-triggers N] [-only leg[,leg]] [-v]
 //
-// Beyond the trigger matrix, the default run also verifies (on the first
-// runnable case) that a checkpoint restarts correctly onto a different
-// ranks-per-node geometry (-crossgeo, the allocation-chaining scenario),
-// that corruption — both of a decoded snapshot and of a single shard inside
-// the encoded sharded image — is detected and attributed (-negative), that
-// the staged asynchronous pipeline's FileStore chains restart digest-
-// identically from every epoch with incremental shard reuse and attributable
-// parent-epoch corruption (-incremental, on the low-churn straggler
-// workload), that page-delta chains store partially-changed shards as dirty
-// pages, shrink the fresh bytes per capture, and reassemble byte-identically
-// through their base epochs (-delta), that content-defined-chunk chains keep
-// reusing chunks under insertion shifts that collapse page deltas and
-// reassemble byte-identically through their chunk sources (-cdc), that chain
-// compaction and epoch garbage collection reclaim
-// storage without changing any surviving restart and attribute dangling
-// references instead of panicking (-lifecycle), that two tenants contending
-// for a capacity-bounded shared drain scheduler restart digest-identically
-// from every sealed epoch while backlog-forced PFS fallbacks and admission
-// waits are attributed in the stats (-contention), and that killing a rank
-// mid-drain or mid-capture aborts the coordinator with diagnostics instead
-// of wedging (-faults).
+// Beyond the trigger matrix, the run also verifies a set of legs, all of
+// them by default; -only names the ones to keep:
+//
+//	negative     (first runnable case) corruption — both of a decoded
+//	             snapshot and of a single shard inside the encoded sharded
+//	             image — is detected and attributed
+//	crossgeo     (same case) a checkpoint restarts correctly onto a
+//	             different ranks-per-node geometry — the allocation-chaining
+//	             scenario
+//	incremental  the staged asynchronous pipeline's FileStore chains restart
+//	             digest-identically from every epoch with incremental shard
+//	             reuse and attributable parent-epoch corruption (on the
+//	             low-churn straggler workload)
+//	delta        page-delta chains store partially-changed shards as dirty
+//	             pages, shrink the fresh bytes per capture, and reassemble
+//	             byte-identically through their base epochs
+//	cdc          content-defined-chunk chains keep reusing chunks under
+//	             insertion shifts that collapse page deltas and reassemble
+//	             byte-identically through their chunk sources
+//	lifecycle    chain compaction and epoch garbage collection reclaim
+//	             storage without changing any surviving restart and attribute
+//	             dangling references instead of panicking
+//	contention   two tenants contending for a capacity-bounded shared drain
+//	             scheduler restart digest-identically from every sealed epoch
+//	             while backlog-forced PFS fallbacks and admission waits are
+//	             attributed in the stats
+//	faults       (first runnable case) killing a rank mid-drain or mid-capture aborts the
+//	             coordinator with diagnostics instead of wedging
 //
 // The exit status is non-zero if any check fails, making ccverify directly
 // usable as a CI gate.
@@ -39,12 +45,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"mana/internal/apps"
 	"mana/internal/conformance"
 )
+
+// legs are the checks that ride along with the trigger matrix, in the order
+// they run.
+var legs = []string{"negative", "crossgeo", "incremental", "delta", "cdc", "lifecycle", "contention", "faults"}
 
 func main() {
 	var (
@@ -55,17 +66,19 @@ func main() {
 		algos       = flag.String("algos", "cc,2pc", "comma-separated algorithms")
 		minTriggers = flag.Int("min-triggers", 8, "minimum checkpoint trigger points per case")
 		maxTriggers = flag.Int("max-triggers", 16, "trigger sweep cap (stratified sampling beyond)")
-		negative    = flag.Bool("negative", true, "also verify that corrupted images (snapshot and per-shard) are detected")
-		crossgeo    = flag.Bool("crossgeo", true, "also verify restart onto different ranks-per-node geometries")
-		incremental = flag.Bool("incremental", true, "also verify async incremental FileStore chains (straggler workload)")
-		deltas      = flag.Bool("delta", true, "also verify page-delta chains (page-scale straggler workload)")
-		cdc         = flag.Bool("cdc", true, "also verify content-defined-chunk chains (insertion-shifted straggler workload)")
-		lifecycle   = flag.Bool("lifecycle", true, "also verify GC and chain compaction on a FileStore chain (straggler workload)")
-		contention  = flag.Bool("contention", true, "also verify multi-tenant drain backpressure (queueing and PFS fallback) restarts digest-identically")
-		faults      = flag.Bool("faults", true, "also verify rank-death fault injection (mid-drain and mid-capture)")
+		only        = flag.String("only", strings.Join(legs, ","), "comma-separated legs to verify beyond the trigger matrix")
 		verbose     = flag.Bool("v", false, "log every trigger point")
 	)
 	flag.Parse()
+
+	run := make(map[string]bool)
+	for _, leg := range splitList(*only) {
+		if !slices.Contains(legs, leg) {
+			fmt.Fprintf(os.Stderr, "ccverify: -only names unknown leg %q (legs: %s)\n", leg, strings.Join(legs, ", "))
+			os.Exit(2)
+		}
+		run[leg] = true
+	}
 
 	wls, algoList := splitList(*workloads), splitList(*algos)
 	if len(wls) == 0 || len(algoList) == 0 {
@@ -100,7 +113,7 @@ func main() {
 	// The auxiliary sweeps run on the first case the matrix actually
 	// executed (a skipped NA cell has no image to work with), sharing one
 	// captured checkpoint across all of them.
-	if *negative || *crossgeo {
+	if run["negative"] || run["crossgeo"] {
 		var wl, algo string
 		for _, c := range matrix.Cases {
 			if !c.Skipped {
@@ -110,7 +123,7 @@ func main() {
 		}
 		if wl == "" {
 			fmt.Println("auxiliary checks: skipped (no runnable case in the matrix)")
-		} else if verdicts, err := conformance.VerifyAuxSuite(wl, algo, opts, *negative, *crossgeo); err != nil {
+		} else if verdicts, err := conformance.VerifyAuxSuite(wl, algo, opts, run["negative"], run["crossgeo"]); err != nil {
 			fmt.Printf("auxiliary checks (%s/%s): FAIL: %v\n", wl, algo, err)
 			failed = true
 		} else {
@@ -128,7 +141,7 @@ func main() {
 	// The incremental-chain sweep runs on the low-churn straggler workload —
 	// most ranks finish early and freeze, so the chain actually reuses
 	// shards — under the first requested algorithm that can run it.
-	if *incremental {
+	if run["incremental"] {
 		algo := algoList[0]
 		if rpt, err := conformance.VerifyIncrementalChain(conformance.DefaultChainWorkload, algo, opts, true); err != nil {
 			fmt.Printf("incremental-chain check (%s/%s): FAIL: %v\n", conformance.DefaultChainWorkload, algo, err)
@@ -142,7 +155,7 @@ func main() {
 	// partially-changed shards must be stored as dirty pages, restart
 	// digest-identically through their base epochs, and shrink the fresh
 	// bytes per capture against whole-shard reuse.
-	if *deltas {
+	if run["delta"] {
 		algo := algoList[0]
 		if rpt, err := conformance.VerifyDeltaChain(algo, opts); err != nil {
 			fmt.Printf("page-delta-chain check (straggler/%s): FAIL: %v\n", algo, err)
@@ -157,7 +170,7 @@ func main() {
 	// reuse survives the byte shift that collapses page deltas, restart
 	// digest-identically from every sealed epoch (and after compaction), and
 	// attribute damaged chunk sources.
-	if *cdc {
+	if run["cdc"] {
 		algo := algoList[0]
 		if rpt, err := conformance.VerifyCDCChain(algo, opts); err != nil {
 			fmt.Printf("cdc-chain check (straggler/%s): FAIL: %v\n", algo, err)
@@ -171,7 +184,7 @@ func main() {
 	// must restore the depth-1 restart read, GC must reclaim every dead
 	// epoch without touching a live reference, and a broken chain must be
 	// attributed rather than panicking.
-	if *lifecycle {
+	if run["lifecycle"] {
 		algo := algoList[0]
 		if rpt, err := conformance.VerifyLifecycle(conformance.DefaultChainWorkload, algo, opts); err != nil {
 			fmt.Printf("lifecycle check (%s/%s): FAIL: %v\n", conformance.DefaultChainWorkload, algo, err)
@@ -185,7 +198,7 @@ func main() {
 	// capacity-bounded scheduler: backlog-forced PFS fallbacks and admission
 	// waits must be attributed in the stats while every sealed epoch of
 	// every tenant restarts digest-identically.
-	if *contention {
+	if run["contention"] {
 		algo := algoList[0]
 		if rpt, err := conformance.VerifyContention(conformance.DefaultChainWorkload, algo, opts); err != nil {
 			fmt.Printf("contention check (%s/%s): FAIL: %v\n", conformance.DefaultChainWorkload, algo, err)
@@ -196,7 +209,7 @@ func main() {
 	}
 
 	// Fault injection runs on the first runnable matrix case.
-	if *faults {
+	if run["faults"] {
 		var wl, algo string
 		for _, c := range matrix.Cases {
 			if !c.Skipped {

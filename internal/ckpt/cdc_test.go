@@ -2,8 +2,9 @@ package ckpt
 
 // Tests for raw format 3 (content-defined chunks): chunk-table invariants,
 // commit-time dedup against the chain's chunk index (including across an
-// insertion shift and across ranks), codec selection, corruption
-// attribution through chunk sources, and GC/compaction round trips.
+// insertion shift and across ranks), codec selection, and GC/compaction
+// round trips. Corruption attribution is in partial_test.go, shared with
+// raw format 2.
 
 import (
 	"bytes"
@@ -47,7 +48,7 @@ func cdcImage(n int, seed uint64) *JobImage {
 
 // commitCDC hashes with a chunk table and commits, the exact sequence the
 // coordinator runs with CDC on.
-func commitCDC(t *testing.T, store Store, epoch int, parent *Manifest, img *JobImage) (*Manifest, *CommitStats) {
+func commitCDC(t testing.TB, store Store, epoch int, parent *Manifest, img *JobImage) (*Manifest, *CommitStats) {
 	t.Helper()
 	sums, err := HashCaptureCDC(img)
 	if err != nil {
@@ -242,49 +243,6 @@ func TestCDCCrossRankReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameImages(t, img1, got1)
-}
-
-// TestCDCSourceCorruptionAttributed: damaging the stored object a reused
-// chunk points into fails the load with the source epoch named, and
-// VerifyStore attributes the same shard.
-func TestCDCSourceCorruptionAttributed(t *testing.T) {
-	fs := mustFileStore(t)
-	img0 := cdcImage(4, 9)
-	man0, _ := commitCDC(t, fs, 0, nil, img0)
-	img1 := cdcImage(4, 9)
-	img1.Images[1].App = insertAt(img1.Images[1].App, 4096, noisyBytes(32, 7))
-	commitCDC(t, fs, 1, man0, img1)
-
-	path := fs.ShardPath(0, 1)
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob[len(blob)/2] ^= 0xFF
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, lerr := LoadJobImage(fs, 1)
-	if lerr == nil {
-		t.Fatal("load succeeded over a corrupted chunk source")
-	}
-	for _, want := range []string{"epoch 1", "rank 1", "chunk source shard in epoch 0 corrupted"} {
-		if !strings.Contains(lerr.Error(), want) {
-			t.Fatalf("load error %q does not attribute %q", lerr, want)
-		}
-	}
-	faults, err := VerifyStore(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(faults) == 0 {
-		t.Fatal("store verify missed the corrupted chunk source")
-	}
-	for _, f := range faults {
-		if f.Rank != 1 {
-			t.Fatalf("fault misattributed: %+v (want rank 1)", f)
-		}
-	}
 }
 
 // TestCDCChainGCAndCompaction: GC traces liveness through chunk refs (a

@@ -24,8 +24,7 @@
 // every rank concurrently (all ranks are parked, so per-rank state is frozen)
 // and the image is written in the v2 sharded format — one independently
 // compressed and checksummed shard per rank behind a job manifest — encoded
-// and decoded across GOMAXPROCS workers (see image.go). Legacy v1 monolithic
-// images still decode.
+// and decoded across GOMAXPROCS workers (see image.go).
 //
 // The checkpoint path is a staged pipeline (see coordinator.go, store.go,
 // FORMAT.md): stage 1 snapshots all ranks while parked; stages 2–3 hash
@@ -112,9 +111,8 @@ type CollDesc struct {
 	// collective (no data movement). Meaningful only with Bench.
 	VirtSize int
 	// Bench marks a size-only benchmark collective: on restart the op is
-	// re-issued sized (VirtSize may legitimately be 0) rather than through
-	// named buffers. v1 images predate this flag; decoding falls back to
-	// VirtSize > 0 for them.
+	// re-issued sized (VirtSize may legitimately be 0 — which is why the size
+	// alone cannot mark one) rather than through named buffers.
 	Bench bool
 }
 

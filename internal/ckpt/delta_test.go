@@ -2,16 +2,11 @@ package ckpt
 
 // Tests for raw format 2 (page deltas): commit-time diffing against the
 // parent's page table, fallbacks to full shards (legacy parents, geometry
-// mismatches, re-anchoring), zero-dirty exact reuse, per-page corruption
-// attribution, budget bounds with deltas on, and GC/compaction round trips.
+// mismatches, re-anchoring), zero-dirty exact reuse, budget bounds with
+// deltas on, and GC/compaction round trips. Corruption attribution is in
+// partial_test.go, shared with raw format 3.
 
-import (
-	"os"
-	"regexp"
-	"strconv"
-	"strings"
-	"testing"
-)
+import "testing"
 
 const testPageSize = int64(1) << 10
 
@@ -38,7 +33,7 @@ func pagedImage(n int, seed byte) *JobImage {
 
 // commitPaged hashes with a page table and commits, the exact sequence the
 // coordinator runs with Delta on.
-func commitPaged(t *testing.T, store Store, epoch int, parent *Manifest, img *JobImage) (*Manifest, *CommitStats) {
+func commitPaged(t testing.TB, store Store, epoch int, parent *Manifest, img *JobImage) (*Manifest, *CommitStats) {
 	t.Helper()
 	sums, err := HashCapturePaged(img, testPageSize)
 	if err != nil {
@@ -349,102 +344,6 @@ func TestDeltaFallbacksToFullShard(t *testing.T) {
 	})
 }
 
-// TestDeltaPageCorruptionAttributed: a delta object whose stored page bytes
-// are wrong — while every envelope checksum is intact — must fail the load
-// attributed to the exact (epoch, rank, page), from the page-table CRC at
-// merge time. The corrupted object is re-encoded from a tampered capture and
-// the manifest is patched to its envelope sums, so only the page CRC can
-// catch it.
-func TestDeltaPageCorruptionAttributed(t *testing.T) {
-	fs := mustFileStore(t)
-	img0 := pagedImage(4, 6)
-	man0, _ := commitPaged(t, fs, 0, nil, img0)
-	img1 := pagedImage(4, 6)
-	img1.Images[1].App[5000] ^= 0xFF
-	man1, _ := commitPaged(t, fs, 1, man0, img1)
-	si := shardOf(t, man1, 1)
-	if si.RawFormat != RawFormatPageDelta {
-		t.Fatalf("fixture did not store a delta: %+v", si)
-	}
-
-	// Tamper inside the dirty page (adjacent byte, same page), re-encode the
-	// delta object, and patch the manifest's envelope identities.
-	bad := img1.Images[1]
-	bad.App = append([]byte(nil), bad.App...)
-	bad.App[5001] ^= 0xFF
-	bad.ClockVT = 0 // the stored stream is clockless
-	// The range writer checks every page it copies against the hash pass's
-	// CRC, so the tampered object is built the way a buggy-but-consistent
-	// writer would: ranges carry the TAMPERED stream's own page CRCs.
-	stream, err := newShardStream(&bad, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stream.size != si.RawSize {
-		t.Fatalf("tampered stream changed length: %d vs %d", stream.size, si.RawSize)
-	}
-	_, _, badPages, _, err := hashShard(&bad, si.PageSize, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranges := deltaRanges(si)
-	for k := range ranges {
-		ranges[k].crc = badPages[ranges[k].idx]
-	}
-	sink := &memSink{}
-	dsum, err := writePartialShard(1, sink, FlateCodec(0), shardDeltaMagic, &shardDeltaHeader{
-		Rank: 1, BaseEpoch: si.BaseEpoch,
-		PageSize: si.PageSize, RawSize: si.RawSize, Pages: si.DeltaPages,
-	}, stream, ranges, "page")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.PutShard(1, 1, sink.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	si.Size, si.Checksum = dsum.Size, dsum.Checksum
-	si.DeltaRawSize, si.DeltaRawSum = dsum.DeltaRawSize, dsum.DeltaRawSum
-	if err := fs.PutManifest(1, man1); err != nil {
-		t.Fatal(err)
-	}
-
-	_, lerr := LoadJobImage(fs, 1)
-	if lerr == nil {
-		t.Fatal("load over a tampered delta page succeeded")
-	}
-	for _, want := range []string{"epoch 1", "rank 1", "corrupted (crc"} {
-		if !strings.Contains(lerr.Error(), want) {
-			t.Fatalf("error %q does not mention %q", lerr, want)
-		}
-	}
-	m := regexp.MustCompile(`page (\d+) corrupted`).FindStringSubmatch(lerr.Error())
-	if m == nil {
-		t.Fatalf("error %q does not name the page", lerr)
-	}
-	page, _ := strconv.Atoi(m[1])
-	inDirty := false
-	for _, p := range si.DeltaPages {
-		if int(p) == page {
-			inDirty = true
-		}
-	}
-	if !inDirty {
-		t.Fatalf("attributed page %d is not in the dirty set %v", page, si.DeltaPages)
-	}
-	faults, err := VerifyStore(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(faults) == 0 {
-		t.Fatal("store verify missed the tampered delta page")
-	}
-	for _, f := range faults {
-		if f.Rank != 1 {
-			t.Fatalf("tampered page misattributed: %+v", f)
-		}
-	}
-}
-
 // TestDeltaCommitBudgetBounded: with deltas on, the streaming encoder's
 // high-water mark stays within an arbitrarily tight budget, down to the
 // serial floor.
@@ -566,38 +465,4 @@ func TestDeltaChainGCAndCompaction(t *testing.T) {
 			t.Fatalf("compacted delta chain did not verify: faults=%v err=%v", faults, err)
 		}
 	})
-}
-
-// TestDeltaBaseCorruptionSurfacesOnLoad: damage to the FULL base shard a
-// delta patches must be attributed to the base epoch by both load and
-// VerifyStore (complementing the conformance-level check with a unit one).
-func TestDeltaBaseCorruptionSurfacesOnLoad(t *testing.T) {
-	fs := mustFileStore(t)
-	img0 := pagedImage(4, 9)
-	man0, _ := commitPaged(t, fs, 0, nil, img0)
-	img1 := pagedImage(4, 9)
-	img1.Images[1].App[5000] ^= 0xFF
-	man1, _ := commitPaged(t, fs, 1, man0, img1)
-	si := shardOf(t, man1, 1)
-	if si.RawFormat != RawFormatPageDelta {
-		t.Fatalf("fixture did not store a delta: %+v", si)
-	}
-	path := fs.ShardPath(si.BaseEpoch, 1)
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob[len(blob)/2] ^= 0xFF
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, lerr := LoadJobImage(fs, 1)
-	if lerr == nil {
-		t.Fatal("load over a corrupted delta base succeeded")
-	}
-	for _, want := range []string{"epoch 1", "rank 1", "base shard in epoch 0 corrupted"} {
-		if !strings.Contains(lerr.Error(), want) {
-			t.Fatalf("error %q does not mention %q", lerr, want)
-		}
-	}
 }

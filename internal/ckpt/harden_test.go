@@ -62,17 +62,6 @@ func TestTruncatedImagesError(t *testing.T) {
 				l, len(full), decodeErrored, verifyDetected)
 		}
 	}
-	// v1 truncations too (single-checksum format).
-	v1, err := testJobImage(3).EncodeV1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range []int{0, 4, 8, 12, 15, len(v1) / 2, len(v1) - 1} {
-		decodeErrored, verifyDetected := decodeAll(t, v1[:l])
-		if !decodeErrored || !verifyDetected {
-			t.Fatalf("v1 truncation to %d bytes slipped through", l)
-		}
-	}
 }
 
 // forgeImage re-wraps a (possibly hostile) manifest with a valid header
@@ -158,13 +147,6 @@ func TestRankNotInManifest(t *testing.T) {
 	if _, _, err := ShardRange(v2, 17); err == nil {
 		t.Fatal("ShardRange found a missing rank")
 	}
-	v1, err := testJobImage(3).EncodeV1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ExtractRank(v1, 17); err == nil || !strings.Contains(err.Error(), "no rank 17") {
-		t.Fatalf("v1 extract of missing rank: %v", err)
-	}
 }
 
 // TestManifestRecordRoundTripAndCorruption: the store's standalone manifest
@@ -174,8 +156,8 @@ func TestManifestRecordRoundTrip(t *testing.T) {
 		Algorithm: "cc", Ranks: 2, PPN: 2, CaptureVT: 3.25,
 		Version: ManifestV3, Epoch: 4, Parent: 2,
 		Shards: []ShardInfo{
-			{Rank: 0, Size: 10, RawSize: 20, Checksum: 5, RefEpoch: 1, ClockVT: 3.0, RawSum: 9},
-			{Rank: 1, Size: 11, RawSize: 21, Checksum: 6, RefEpoch: 4, ClockVT: 3.25, RawSum: 8},
+			{Rank: 0, Size: 10, RawSize: 20, Checksum: 5, RefEpoch: 1, ClockVT: 3.0, RawSum: 9, RawFormat: RawFormatChunked},
+			{Rank: 1, Size: 11, RawSize: 21, Checksum: 6, RefEpoch: 4, ClockVT: 3.25, RawSum: 8, RawFormat: RawFormatChunked},
 		},
 	}
 	rec, err := EncodeManifestRecord(man)

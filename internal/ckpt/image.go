@@ -2,31 +2,24 @@ package ckpt
 
 // Checkpoint image serialization.
 //
-// Two on-disk formats are supported:
+// A self-contained image is the v2 sharded blob ("MANAIMG2"): every rank's
+// RankImage is an independent shard — gob-encoded, flate-compressed, and
+// FNV-1a checksummed on its own — referenced from a job manifest that
+// carries the job geometry and the shard table (offset, size, checksum).
+// Shards are encoded and decoded in parallel across GOMAXPROCS workers, a
+// corrupted image is attributed to the specific rank shard that failed, and
+// a single rank can be extracted without materializing the job
+// (ExtractRank). This is the format MANA-style per-rank image files collapse
+// into when the job image is a single blob. (The monolithic v1 format,
+// "MANAIMG1", is no longer read or written.)
 //
-//   - v1 ("MANAIMG1"): the original monolithic format — one gob stream of the
-//     whole JobImage behind a single FNV-1a checksum. Still decoded for
-//     backward compatibility (EncodeV1 exists for tests and benchmarks).
-//
-//   - v2 ("MANAIMG2"): the sharded format. Every rank's RankImage is an
-//     independent shard — gob-encoded, flate-compressed, and FNV-1a
-//     checksummed on its own — referenced from a job manifest that carries
-//     the job geometry and the shard table (offset, size, checksum). Shards
-//     are encoded and decoded in parallel across GOMAXPROCS workers, a
-//     corrupted image is attributed to the specific rank shard that failed,
-//     and a single rank can be extracted without materializing the job
-//     (ExtractRank). This is the format MANA-style per-rank image files
-//     collapse into when the job image is a single blob.
-//
-// Layout of a v2 image:
+// Layout:
 //
 //	[0:8)    magic "MANAIMG2"
 //	[8:12)   uint32 LE: manifest gob length M
 //	[12:20)  uint64 LE: FNV-1a checksum of the manifest gob
 //	[20:20+M) manifest gob (Manifest)
 //	[20+M:)  shard blobs, concatenated in manifest order
-//
-// Encode always emits v2; DecodeJobImage sniffs the magic and accepts both.
 
 import (
 	"bufio"
@@ -48,12 +41,9 @@ import (
 	"mana/internal/mpi"
 )
 
-// Image format magics. A corrupted or truncated image must fail loudly at
-// decode time, not as a mysterious divergence after restart.
-var (
-	imageMagicV1 = []byte("MANAIMG1")
-	imageMagicV2 = []byte("MANAIMG2")
-)
+// imageMagicV2 heads an encoded image. A corrupted or truncated image must
+// fail loudly at decode time, not as a mysterious divergence after restart.
+var imageMagicV2 = []byte("MANAIMG2")
 
 // shardCompression is the flate level applied to every shard. BestSpeed: the
 // pipeline is checksum- and copy-bound, and checkpoint images (gobs of
@@ -87,13 +77,11 @@ type ShardInfo struct {
 	// zeroed) shard stream — the identity the incremental differ compares
 	// against the previous epoch.
 	RawSum uint64
-	// RawFormat selects the raw shard stream's layout (store shards only):
-	// RawFormatGob for legacy whole-gob shards, RawFormatChunked for the
-	// bounded-memory header+payload layout the streaming writer emits,
-	// RawFormatPageDelta for a page-delta object reconstructed against an
-	// earlier full shard (below), RawFormatCDC for a content-defined-chunk
-	// object reconstructed from its chunk table (cdc.go). Old manifests
-	// decode with the zero value, which is the legacy format.
+	// RawFormat selects the stored object's layout (store shards only):
+	// RawFormatChunked for a full shard in the bounded-memory
+	// header+payload layout the streaming writer emits, RawFormatPageDelta
+	// or RawFormatCDC for a partial object reconstructed through its extent
+	// list (partial.go). v2 blob manifests leave it zero.
 	RawFormat int
 
 	// Page-delta fields (RawFormat == RawFormatPageDelta, plus the page
@@ -143,11 +131,10 @@ type ShardInfo struct {
 
 // Raw shard stream formats (ShardInfo.RawFormat).
 const (
-	// RawFormatGob: one gob(RankImage) message, clock zeroed. gob frames
-	// every Encode as a single length-prefixed message that it buffers IN
-	// FULL on both sides, so this layout costs a whole-shard buffer no
-	// matter how it is transported. Kept for decoding stores written
-	// before the chunked layout.
+	// RawFormatGob: one gob(RankImage) message — what a v2 blob image's
+	// shards hold, and the zero value their manifests carry. No store epoch
+	// has been written in it since the chunked layout; store manifests that
+	// name it are rejected (Manifest.validate).
 	RawFormatGob = 0
 	// RawFormatChunked: a small gob header (the RankImage minus its bulk
 	// payloads, plus their lengths) followed by the payload bytes raw —
@@ -584,13 +571,6 @@ type ShardWriter struct {
 	raw    *tallyWriter
 	pages  *pageSummer
 	chunks *chunkSummer
-}
-
-// NewShardWriter opens a streaming encoder for one rank's shard over a
-// store stream (typically Store.PutShardStream's writer) at the default
-// compression level.
-func NewShardWriter(rank int, dst io.WriteCloser) (*ShardWriter, error) {
-	return NewShardWriterCodec(rank, dst, FlateCodec(0), 0, false)
 }
 
 // NewShardWriterCodec opens a streaming shard encoder through an explicit
@@ -1155,88 +1135,6 @@ func writePartialShard(rank int, dst io.WriteCloser, codec Codec, magic []byte, 
 		DeltaRawSize: raw.n, DeltaRawSum: raw.h.Sum64(), HeaderLen: headerLen}, nil
 }
 
-// deltaRanges lists the dirty pages a page-delta entry stores as spans of
-// its logical stream, each with the CRC-32C the hash pass recorded for it.
-func deltaRanges(si *ShardInfo) []shardRange {
-	ranges := make([]shardRange, len(si.DeltaPages))
-	for k, p := range si.DeltaPages {
-		off := int64(p) * si.PageSize
-		ranges[k] = shardRange{idx: int(p), off: off, n: min(si.PageSize, si.RawSize-off), crc: si.PageSums[p]}
-	}
-	return ranges
-}
-
-// deltaMergeReader reconstructs the logical chunked stream from a base
-// logical stream (a full shard's decompressed bytes) and a delta body (the
-// dirty page payloads, header already consumed), one page at a time: dirty
-// pages come from the delta (the base's copy is skipped), clean pages from
-// the base, and every page is CRC-checked against the manifest's table the
-// moment it is assembled — corruption is attributed to the exact page
-// before a single byte of it reaches the shard decoder.
-type deltaMergeReader struct {
-	base  io.Reader
-	delta io.Reader
-	si    *ShardInfo
-	dirty map[int32]bool
-	page  int32
-	buf   []byte
-	avail []byte
-	err   error
-}
-
-func newDeltaMergeReader(base, delta io.Reader, si *ShardInfo) *deltaMergeReader {
-	dirty := make(map[int32]bool, len(si.DeltaPages))
-	for _, p := range si.DeltaPages {
-		dirty[p] = true
-	}
-	return &deltaMergeReader{base: base, delta: delta, si: si, dirty: dirty,
-		buf: make([]byte, si.PageSize)}
-}
-
-// fill assembles and verifies the next page into r.avail.
-func (r *deltaMergeReader) fill() error {
-	off := int64(r.page) * r.si.PageSize
-	if off >= r.si.RawSize {
-		return io.EOF
-	}
-	n := r.si.PageSize
-	if off+n > r.si.RawSize {
-		n = r.si.RawSize - off
-	}
-	b := r.buf[:n]
-	if r.dirty[r.page] {
-		if _, err := io.ReadFull(r.delta, b); err != nil {
-			return fmt.Errorf("reading delta page %d: %w", r.page, err)
-		}
-		if _, err := io.CopyN(io.Discard, r.base, n); err != nil {
-			return fmt.Errorf("skipping base page %d: %w", r.page, err)
-		}
-	} else if _, err := io.ReadFull(r.base, b); err != nil {
-		return fmt.Errorf("reading base page %d: %w", r.page, err)
-	}
-	if got := crc32.Checksum(b, crcTable); got != r.si.PageSums[r.page] {
-		return fmt.Errorf("page %d corrupted (crc %08x, want %08x)", r.page, got, r.si.PageSums[r.page])
-	}
-	r.avail = b
-	r.page++
-	return nil
-}
-
-func (r *deltaMergeReader) Read(p []byte) (int, error) {
-	if r.err != nil {
-		return 0, r.err
-	}
-	for len(r.avail) == 0 {
-		if err := r.fill(); err != nil {
-			r.err = err
-			return 0, err
-		}
-	}
-	n := copy(p, r.avail)
-	r.avail = r.avail[n:]
-	return n, nil
-}
-
 // countReader accumulates an FNV-1a checksum and byte count over everything
 // read through it.
 type countReader struct {
@@ -1272,9 +1170,9 @@ func (r *tallyReader) Read(p []byte) (int, error) {
 // materializing the compressed blob or the raw stream: the compressed
 // bytes are checksummed as they are read, decompression feeds the raw
 // decoder directly, and the raw byte count is tallied on the way through.
-// rawFormat selects the raw layout (ShardInfo.RawFormat); the chunked
-// layout allocates nothing beyond the restored state itself, while the
-// legacy gob layout necessarily buffers one whole message. The whole
+// rawFormat is the entry's ShardInfo.RawFormat, which must be the chunked
+// layout (it allocates nothing beyond the restored state itself; partial
+// formats go through the extent merge instead). The whole
 // object is always drained so the checksum covers every stored byte —
 // trailing garbage after the compressed stream is corruption, exactly as
 // it was when the blob was checksummed at rest.
@@ -1296,22 +1194,11 @@ func decodeShardStream(src io.Reader, rawSize int64, wantSum uint64, rawFormat i
 
 	var ri *RankImage
 	var decErr error
-	switch rawFormat {
-	case RawFormatChunked:
+	if rawFormat == RawFormatChunked {
 		// The bufio layer reads ahead of the header's gob decoder but stays
 		// on this side of the tally, so the final drained count is exact.
-		br := bufio.NewReader(tr)
-		ri, decErr = readShardRaw(br, rawSize)
-	case RawFormatGob:
-		// Legacy whole-gob shards decode pre-checksum too, so their message
-		// lengths are bounded the same way (rawSize, from the validated
-		// manifest) — a bit-rotted flate stream cannot demand gob's 8 GB.
-		ri = &RankImage{}
-		decErr = gob.NewDecoder(newCappedMessageReader(bufio.NewReader(tr), rawSize)).Decode(ri)
-		if decErr != nil {
-			decErr = fmt.Errorf("decoding: %w", decErr)
-		}
-	default:
+		ri, decErr = readShardRaw(bufio.NewReader(tr), rawSize)
+	} else {
 		decErr = fmt.Errorf("unsupported raw shard format %d", rawFormat)
 	}
 	if decErr == nil {
@@ -1467,63 +1354,55 @@ func (ji *JobImage) Encode() ([]byte, error) {
 	return out, nil
 }
 
-// EncodeV1 serializes the job image in the legacy monolithic v1 format: a
-// magic/version header, an FNV-1a integrity checksum, and one gob payload.
-// Kept as the backward-compatibility reference (old images must keep
-// decoding) and as the serial baseline for the image-pipeline benchmarks.
-func (ji *JobImage) EncodeV1() ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(ji); err != nil {
-		return nil, fmt.Errorf("ckpt: encoding job image: %w", err)
-	}
-	out := make([]byte, 0, len(imageMagicV1)+8+payload.Len())
-	out = append(out, imageMagicV1...)
-	var sum [8]byte
-	binary.LittleEndian.PutUint64(sum[:], checksumOf(payload.Bytes()))
-	out = append(out, sum[:]...)
-	out = append(out, payload.Bytes()...)
-	return out, nil
-}
-
-// DecodeJobImage deserializes a job image produced by Encode (v2 sharded) or
-// EncodeV1 (legacy monolithic), verifying headers and integrity checksums.
-// Corruption in a v2 image is attributed to the specific rank shard.
+// DecodeJobImage deserializes a job image produced by Encode, verifying the
+// header and integrity checksums. Corruption is attributed to the specific
+// rank shard.
 func DecodeJobImage(data []byte) (*JobImage, error) {
-	switch {
-	case len(data) >= len(imageMagicV2) && bytes.Equal(data[:len(imageMagicV2)], imageMagicV2):
-		return decodeV2(data)
-	case len(data) >= len(imageMagicV1) && bytes.Equal(data[:len(imageMagicV1)], imageMagicV1):
-		return decodeV1(data)
-	case len(data) < len(imageMagicV1)+8:
-		return nil, fmt.Errorf("ckpt: image truncated (%d bytes)", len(data))
+	man, err := DecodeManifest(data)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("ckpt: not a checkpoint image (bad magic)")
-}
-
-func decodeV1(data []byte) (*JobImage, error) {
-	if len(data) < len(imageMagicV1)+8 {
-		return nil, fmt.Errorf("ckpt: image truncated (%d bytes)", len(data))
+	ji := &JobImage{
+		Algorithm:          man.Algorithm,
+		Ranks:              man.Ranks,
+		PPN:                man.PPN,
+		CaptureVT:          man.CaptureVT,
+		PaddedBytesPerRank: man.PaddedBytesPerRank,
+		Images:             make([]RankImage, len(man.Shards)),
 	}
-	want := binary.LittleEndian.Uint64(data[len(imageMagicV1):])
-	payload := data[len(imageMagicV1)+8:]
-	if got := checksumOf(payload); got != want {
-		return nil, fmt.Errorf("ckpt: image corrupted (checksum %x, want %x)", got, want)
-	}
-	var ji JobImage
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ji); err != nil {
-		return nil, fmt.Errorf("ckpt: decoding job image: %w", err)
-	}
-	return &ji, nil
-}
-
-// DecodeManifest reads a v2 image's manifest without touching shard data.
-// It fails on v1 images (they have no manifest) and on header corruption.
-func DecodeManifest(data []byte) (*Manifest, error) {
-	if len(data) < 20 || !bytes.Equal(data[:len(imageMagicV2)], imageMagicV2) {
-		if len(data) >= len(imageMagicV1) && bytes.Equal(data[:len(imageMagicV1)], imageMagicV1) {
-			return nil, fmt.Errorf("ckpt: v1 image has no manifest")
+	errs := make([]error, len(man.Shards))
+	fanOut(len(man.Shards), encodeWorkers(len(man.Shards)), func(i int) {
+		blob, err := shardBlob(data, man, i)
+		if err != nil {
+			errs[i] = err
+			return
 		}
-		return nil, fmt.Errorf("ckpt: not a v2 checkpoint image")
+		ri, err := decodeShard(blob, man.Shards[i].RawSize)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		if ri.Rank != man.Shards[i].Rank {
+			errs[i] = fmt.Errorf("shard content is for rank %d", ri.Rank)
+			return
+		}
+		ji.Images[i] = *ri
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("ckpt: rank %d shard: %w", man.Shards[i].Rank, err)
+		}
+	}
+	return ji, nil
+}
+
+// DecodeManifest reads an image's manifest without touching shard data.
+func DecodeManifest(data []byte) (*Manifest, error) {
+	if len(data) < 20 {
+		return nil, fmt.Errorf("ckpt: image truncated (%d bytes)", len(data))
+	}
+	if !bytes.Equal(data[:len(imageMagicV2)], imageMagicV2) {
+		return nil, fmt.Errorf("ckpt: not a checkpoint image (bad magic)")
 	}
 	headLen := int64(binary.LittleEndian.Uint32(data[8:12]))
 	wantSum := binary.LittleEndian.Uint64(data[12:20])
@@ -1583,6 +1462,10 @@ func (man *Manifest) validate(shardDataLen int64) error {
 		}
 		if si.RawFormat < RawFormatGob || si.RawFormat > RawFormatCDC {
 			return fmt.Errorf("ckpt: rank %d shard declares unknown raw format %d", si.Rank, si.RawFormat)
+		}
+		if man.Version >= ManifestV3 && si.RawFormat == RawFormatGob {
+			return fmt.Errorf("ckpt: rank %d shard declares raw format %d (whole-gob store shards are no longer decodable)",
+				si.Rank, si.RawFormat)
 		}
 		if si.CodecID < CodecFlate || si.CodecID > CodecNone {
 			return fmt.Errorf("ckpt: rank %d shard declares unknown codec %d", si.Rank, si.CodecID)
@@ -1722,45 +1605,6 @@ func shardBlob(data []byte, man *Manifest, i int) ([]byte, error) {
 	return blob, nil
 }
 
-func decodeV2(data []byte) (*JobImage, error) {
-	man, err := DecodeManifest(data)
-	if err != nil {
-		return nil, err
-	}
-	ji := &JobImage{
-		Algorithm:          man.Algorithm,
-		Ranks:              man.Ranks,
-		PPN:                man.PPN,
-		CaptureVT:          man.CaptureVT,
-		PaddedBytesPerRank: man.PaddedBytesPerRank,
-		Images:             make([]RankImage, len(man.Shards)),
-	}
-	errs := make([]error, len(man.Shards))
-	fanOut(len(man.Shards), encodeWorkers(len(man.Shards)), func(i int) {
-		blob, err := shardBlob(data, man, i)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		ri, err := decodeShard(blob, man.Shards[i].RawSize)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		if ri.Rank != man.Shards[i].Rank {
-			errs[i] = fmt.Errorf("shard content is for rank %d", ri.Rank)
-			return
-		}
-		ji.Images[i] = *ri
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: rank %d shard: %w", man.Shards[i].Rank, err)
-		}
-	}
-	return ji, nil
-}
-
 // ShardFault names one corrupted or undecodable shard in an image.
 type ShardFault struct {
 	Rank int
@@ -1768,18 +1612,10 @@ type ShardFault struct {
 }
 
 // VerifyImage checks an image's integrity shard by shard without requiring
-// the whole job to decode: every v2 shard's checksum is validated and the
-// shard is trially decoded; faults are attributed per rank. For v1 images the
-// single whole-payload checksum is all there is, so a corrupted v1 image
-// yields one fault with Rank -1. A structural error (bad magic, corrupted
-// manifest) is returned as err instead.
+// the whole job to decode: every shard's checksum is validated and the
+// shard is trially decoded; faults are attributed per rank. A structural
+// error (bad magic, corrupted manifest) is returned as err instead.
 func VerifyImage(data []byte) ([]ShardFault, error) {
-	if len(data) >= len(imageMagicV1) && bytes.Equal(data[:len(imageMagicV1)], imageMagicV1) {
-		if _, err := decodeV1(data); err != nil {
-			return []ShardFault{{Rank: -1, Err: err}}, nil
-		}
-		return nil, nil
-	}
 	man, err := DecodeManifest(data)
 	if err != nil {
 		return nil, err
@@ -1821,22 +1657,9 @@ func ShardRange(data []byte, rank int) (lo, hi int64, err error) {
 	return 0, 0, fmt.Errorf("ckpt: image has no rank %d", rank)
 }
 
-// ExtractRank decodes a single rank's image from an encoded job image. For
-// v2 images only that rank's shard is read and decompressed; for v1 images
-// the whole image must decode first.
+// ExtractRank decodes a single rank's image from an encoded job image:
+// only that rank's shard is read and decompressed.
 func ExtractRank(data []byte, rank int) (*RankImage, error) {
-	if len(data) >= len(imageMagicV1) && bytes.Equal(data[:len(imageMagicV1)], imageMagicV1) {
-		ji, err := decodeV1(data)
-		if err != nil {
-			return nil, err
-		}
-		for i := range ji.Images {
-			if ji.Images[i].Rank == rank {
-				return &ji.Images[i], nil
-			}
-		}
-		return nil, fmt.Errorf("ckpt: image has no rank %d", rank)
-	}
 	man, err := DecodeManifest(data)
 	if err != nil {
 		return nil, err

@@ -57,41 +57,37 @@ func testJobImage(ranks int) *JobImage {
 	return ji
 }
 
-// TestV1ImagesStillDecode: images written by the legacy monolithic encoder
-// must keep decoding, bit-identically to what the v2 round trip produces.
-func TestV1ImagesStillDecode(t *testing.T) {
+// TestImageRoundTrip: an encoded image decodes back to what was encoded,
+// and the retired monolithic v1 format is refused by its magic rather than
+// misparsed.
+func TestImageRoundTrip(t *testing.T) {
 	ji := testJobImage(6)
-	v1, err := ji.EncodeV1()
+	blob, err := ji.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := ji.Encode()
+	got, err := DecodeJobImage(blob)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("decode: %v", err)
 	}
-	if bytes.Equal(v1[:8], v2[:8]) {
-		t.Fatal("v1 and v2 images share a magic; version sniffing is impossible")
+	if !reflect.DeepEqual(got, ji) {
+		t.Fatalf("round trip changed the image:\ngot  %+v\nwant %+v", got, ji)
 	}
-	fromV1, err := DecodeJobImage(v1)
-	if err != nil {
-		t.Fatalf("v1 decode: %v", err)
+	if got.Algorithm != "cc" || got.Ranks != 6 || got.CaptureVT != 1.25 {
+		t.Fatalf("header mismatch: %+v", got)
 	}
-	fromV2, err := DecodeJobImage(v2)
-	if err != nil {
-		t.Fatalf("v2 decode: %v", err)
+	if c := got.Images[1].Desc.Coll; c == nil || !c.Bench {
+		t.Fatalf("bench descriptor lost: %+v", got.Images[1].Desc)
 	}
-	if !reflect.DeepEqual(fromV1, fromV2) {
-		t.Fatalf("v1 and v2 decodes disagree:\nv1: %+v\nv2: %+v", fromV1, fromV2)
-	}
-	if fromV2.Algorithm != "cc" || fromV2.Ranks != 6 || fromV2.CaptureVT != 1.25 {
-		t.Fatalf("header mismatch: %+v", fromV2)
-	}
-	// The Bench flag survives both formats.
-	if c := fromV1.Images[1].Desc.Coll; c == nil || !c.Bench {
-		t.Fatalf("bench descriptor lost through v1: %+v", fromV1.Images[1].Desc)
-	}
-	if c := fromV2.Images[1].Desc.Coll; c == nil || !c.Bench {
-		t.Fatalf("bench descriptor lost through v2: %+v", fromV2.Images[1].Desc)
+	v1 := append([]byte("MANAIMG1"), blob[8:]...)
+	for name, err := range map[string]error{
+		"decode":  func() error { _, err := DecodeJobImage(v1); return err }(),
+		"extract": func() error { _, err := ExtractRank(v1, 0); return err }(),
+		"verify":  func() error { _, err := VerifyImage(v1); return err }(),
+	} {
+		if err == nil || !strings.Contains(err.Error(), "bad magic") {
+			t.Fatalf("%s of a v1 image: %v (want a bad-magic error)", name, err)
+		}
 	}
 }
 
@@ -162,29 +158,21 @@ func TestManifestAndShardRange(t *testing.T) {
 
 func TestExtractRank(t *testing.T) {
 	ji := testJobImage(6)
-	for _, encode := range []struct {
-		name string
-		fn   func() ([]byte, error)
-	}{
-		{"v2", ji.Encode},
-		{"v1", ji.EncodeV1},
-	} {
-		blob, err := encode.fn()
+	blob, err := ji.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []int{0, 3, 5} {
+		ri, err := ExtractRank(blob, r)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("extract rank %d: %v", r, err)
 		}
-		for _, r := range []int{0, 3, 5} {
-			ri, err := ExtractRank(blob, r)
-			if err != nil {
-				t.Fatalf("%s extract rank %d: %v", encode.name, r, err)
-			}
-			if !reflect.DeepEqual(*ri, ji.Images[r]) {
-				t.Fatalf("%s extract rank %d mismatch:\ngot  %+v\nwant %+v", encode.name, r, *ri, ji.Images[r])
-			}
+		if !reflect.DeepEqual(*ri, ji.Images[r]) {
+			t.Fatalf("extract rank %d mismatch:\ngot  %+v\nwant %+v", r, *ri, ji.Images[r])
 		}
-		if _, err := ExtractRank(blob, 99); err == nil {
-			t.Fatalf("%s extract accepted a nonexistent rank", encode.name)
-		}
+	}
+	if _, err := ExtractRank(blob, 99); err == nil {
+		t.Fatal("extract accepted a nonexistent rank")
 	}
 }
 
@@ -223,16 +211,6 @@ func TestShardCorruptionAttributed(t *testing.T) {
 	bad[15] ^= 0xFF // inside the manifest checksum/header region
 	if _, err := VerifyImage(bad); err == nil {
 		t.Fatal("corrupted manifest verified")
-	}
-	// A corrupted v1 image yields one unattributed fault.
-	v1, err := ji.EncodeV1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1[len(v1)-1] ^= 0xFF
-	faults, err := VerifyImage(v1)
-	if err != nil || len(faults) != 1 || faults[0].Rank != -1 {
-		t.Fatalf("corrupted v1 image: faults %v err %v", faults, err)
 	}
 }
 
@@ -304,7 +282,7 @@ func TestShardWriterStreamsIdentically(t *testing.T) {
 		ri := &ji.Images[r]
 
 		sink := &memSink{}
-		sw, err := NewShardWriter(ri.Rank, sink)
+		sw, err := NewShardWriterCodec(ri.Rank, sink, FlateCodec(0), 0, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,32 +336,34 @@ func TestShardWriterStreamsIdentically(t *testing.T) {
 	}
 }
 
-// TestLegacyGobShardsStillDecode: stores written before the chunked layout
-// hold whole-gob raw streams; the streaming decoder must keep reading them
-// through RawFormatGob.
-func TestLegacyGobShardsStillDecode(t *testing.T) {
+// TestWholeGobShardsRejected: the whole-gob store layout is retired. Its
+// bytes must fail as an attributed error under every format the decoder is
+// asked to read them as — never alias into a silent misread — and a store
+// manifest that still names the format is refused at decode.
+func TestWholeGobShardsRejected(t *testing.T) {
 	ri := &testJobImage(3).Images[0]
 	clockless := *ri
 	clockless.ClockVT = 0
-	blob, rawSize, err := encodeShard(&clockless) // the legacy gob+flate encoder
+	blob, rawSize, err := encodeShard(&clockless) // gob+flate, as v2 blob images still hold
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeShardStream(bytes.NewReader(blob), rawSize, checksumOf(blob), RawFormatGob, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rank != ri.Rank || !bytes.Equal(got.App, ri.App) {
-		t.Fatalf("legacy decode mismatch: %+v", got)
-	}
-	// The formats must not alias: chunked bytes under the gob format (and
-	// vice versa) fail as decode errors, not silent misreads.
 	if _, err := decodeShardStream(bytes.NewReader(blob), rawSize, checksumOf(blob), RawFormatChunked, nil); err == nil {
 		t.Fatal("gob bytes decoded under the chunked format")
 	}
-	if _, err := decodeShardStream(bytes.NewReader(blob), rawSize, checksumOf(blob), RawFormatChunked+1, nil); err == nil ||
-		!strings.Contains(err.Error(), "unsupported raw shard format") {
-		t.Fatalf("unknown format not rejected: %v", err)
+	for _, format := range []int{RawFormatGob, RawFormatChunked + 1} {
+		if _, err := decodeShardStream(bytes.NewReader(blob), rawSize, checksumOf(blob), format, nil); err == nil ||
+			!strings.Contains(err.Error(), "unsupported raw shard format") {
+			t.Fatalf("format %d not rejected: %v", format, err)
+		}
+	}
+	man := &Manifest{Ranks: 1, Version: ManifestV3, Shards: []ShardInfo{{Rank: 0, RawFormat: RawFormatGob}}}
+	rec, err := EncodeManifestRecord(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeManifestRecord(rec); err == nil || !strings.Contains(err.Error(), "rank 0 shard declares raw format 0") {
+		t.Fatalf("store manifest naming the gob format not rejected: %v", err)
 	}
 }
 
@@ -408,7 +388,7 @@ func TestChunkedHeaderStaysSmall(t *testing.T) {
 func TestDecodeShardStreamRejects(t *testing.T) {
 	ri := &testJobImage(3).Images[1]
 	sink := &memSink{}
-	sw, err := NewShardWriter(ri.Rank, sink)
+	sw, err := NewShardWriterCodec(ri.Rank, sink, FlateCodec(0), 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,31 +506,12 @@ func TestHostileShardHeadersErrorCleanly(t *testing.T) {
 	t.Run("absurd-gob-message-length", func(t *testing.T) {
 		// A raw stream whose gob framing declares a multi-gigabyte message:
 		// the capped reader must refuse before gob allocates it.
-		raw := []byte{0xF8, 0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF} // -8 ext bytes: ~2^63
+		raw := append(append([]byte(nil), shardRawMagic...),
+			0xF8, 0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF) // -8 ext bytes: ~2^63
 		blob := compress(raw)
-		_, err := decodeShardStream(bytes.NewReader(blob), int64(len(raw)), checksumOf(blob), RawFormatGob, nil)
+		_, err := decodeShardStream(bytes.NewReader(blob), int64(len(raw)), checksumOf(blob), RawFormatChunked, nil)
 		if err == nil || !strings.Contains(err.Error(), "exceeds") {
 			t.Fatalf("absurd gob message length not rejected: %v", err)
-		}
-	})
-
-	t.Run("legacy-bit-rot-reports-corruption", func(t *testing.T) {
-		// Flipping one stored bit of a legacy shard must come back as the
-		// checksum diagnostic (allocation-bounded on the way), as it did
-		// when the blob was checksummed before decode.
-		ri := &testJobImage(3).Images[0]
-		clockless := *ri
-		clockless.ClockVT = 0
-		blob, rawSize, err := encodeShard(&clockless)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := checksumOf(blob)
-		mut := append([]byte(nil), blob...)
-		mut[len(mut)/3] ^= 0x10
-		_, err = decodeShardStream(bytes.NewReader(mut), rawSize, want, RawFormatGob, nil)
-		if err == nil || !strings.Contains(err.Error(), "corrupted") {
-			t.Fatalf("bit rot not reported as corruption: %v", err)
 		}
 	})
 }

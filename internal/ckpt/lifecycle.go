@@ -9,9 +9,9 @@ package ckpt
 // is only viable with a retention policy:
 //
 //   - GCStore deletes every sealed epoch that no retained manifest reaches
-//     (liveness traced transitively through ShardInfo.RefEpoch and, for
-//     page-delta shards, BaseEpoch), plus any unsealed-epoch debris left
-//     by aborted commits.
+//     (liveness traced transitively through ShardInfo.RefEpoch and the
+//     sources of partial shards), plus any unsealed-epoch debris left by
+//     aborted commits.
 //   - CompactChain rewrites a deep chain's newest epoch into a fresh
 //     self-contained epoch by streaming verified copies of every resolved
 //     shard, restoring the depth-1 restart read cost and making every
@@ -57,10 +57,10 @@ type epochDeleter interface {
 //
 // Liveness: an epoch is live if it is one of the `keep` newest sealed
 // epochs, or if any live epoch's manifest references it through a shard's
-// RefEpoch. The closure is transitive so that every sealed epoch left
-// behind still passes VerifyStore — a live epoch's own manifest must keep
-// resolving even when the restart set of the retained heads never touches
-// it. A live epoch keeps all of its objects (its own manifest references
+// RefEpoch or a partial shard's Sources. The closure is transitive so that
+// every sealed epoch left behind still passes VerifyStore — a live epoch's
+// own manifest must keep resolving even when the restart set of the
+// retained heads never touches it. A live epoch keeps all of its objects (its own manifest references
 // every fresh shard it holds), so reclamation is whole-epoch: dead epochs
 // are deleted newest-first via DeleteEpoch, which unseals (removes the
 // manifest of) each epoch before its shards — a crash mid-GC leaves
@@ -94,9 +94,14 @@ func GCStore(store Store, keep int) (*GCStats, error) {
 	if len(retained) > keep {
 		retained = retained[len(retained)-keep:]
 	}
+	mark := func(e int) {
+		if !live[e] {
+			live[e] = true
+			queue = append(queue, e)
+		}
+	}
 	for _, e := range retained {
-		live[e] = true
-		queue = append(queue, e)
+		mark(e)
 	}
 	for len(queue) > 0 {
 		e := queue[len(queue)-1]
@@ -110,26 +115,14 @@ func GCStore(store Store, keep int) (*GCStats, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ckpt: gc tracing liveness: %w", err)
 		}
+		// An entry keeps alive the epoch holding its object and, when that
+		// object is partial, every epoch its sources live in: it is
+		// unreadable without them.
 		for i := range man.Shards {
-			if ref := man.Shards[i].RefEpoch; !live[ref] {
-				live[ref] = true
-				queue = append(queue, ref)
-			}
-			// A page-delta shard needs its base epoch alive too: the delta
-			// object is unreadable without the full shard it diffs against.
-			if man.Shards[i].RawFormat == RawFormatPageDelta {
-				if base := man.Shards[i].BaseEpoch; !live[base] {
-					live[base] = true
-					queue = append(queue, base)
-				}
-			}
-			// A chunk table keeps every source epoch alive: a CDC shard is
-			// unreadable without the objects its reused chunks point into.
-			for _, c := range man.Shards[i].Chunks {
-				if !live[c.SrcEpoch] {
-					live[c.SrcEpoch] = true
-					queue = append(queue, c.SrcEpoch)
-				}
+			mark(man.Shards[i].RefEpoch)
+			_, srcs := man.Shards[i].Sources()
+			for _, s := range srcs {
+				mark(s.Epoch)
 			}
 		}
 	}
@@ -207,17 +200,14 @@ func CompactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *Com
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := checkRefsSealed(store, man); err != nil {
+	if err := checkRefsSealed(store, man, man.Shards); err != nil {
 		return nil, nil, err
 	}
 	selfContained := true
 	for i := range man.Shards {
-		// A page-delta shard is never self-contained even when the delta
-		// object lives in this epoch: it reconstructs through its base. A
-		// CDC shard likewise reconstructs through its chunk sources.
-		if man.Shards[i].RefEpoch != man.Epoch ||
-			man.Shards[i].RawFormat == RawFormatPageDelta ||
-			man.Shards[i].RawFormat == RawFormatCDC {
+		// A partial shard is never self-contained even when its object lives
+		// in this epoch: it reconstructs through its sources.
+		if man.Shards[i].RefEpoch != man.Epoch || man.Shards[i].Partial() {
 			selfContained = false
 			break
 		}
@@ -253,28 +243,18 @@ func CompactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *Com
 			si := man.Shards[i]
 			budget.Acquire(shardStreamFootprint)
 			defer budget.Release(shardStreamFootprint)
-			switch {
-			case si.RawFormat == RawFormatPageDelta:
-				// A delta shard cannot be copied verbatim — the copy would
-				// still dangle off its base. Flatten it: stream the verified
-				// base+delta page merge back through a shard compressor into
+			if si.Partial() {
+				// A partial shard cannot be copied verbatim — the copy would
+				// still dangle off its sources. Flatten it: stream the
+				// verified extent merge back through a shard compressor into
 				// a self-contained full shard. The logical identity (RawSum/
-				// RawSize, page table) is unchanged; only the stored object
-				// is new.
-				if err := flattenDeltaShard(store, newEpoch, &si); err != nil {
-					return fmt.Errorf("ckpt: compacting epoch %d rank %d (delta stored in epoch %d, base in epoch %d): %w",
-						epoch, si.Rank, si.RefEpoch, si.BaseEpoch, err)
-				}
-			case si.RawFormat == RawFormatCDC:
-				// A CDC shard dangles off every epoch its reused chunks
-				// point into. Flatten it the same way: stream the per-chunk
-				// verified merge back through a shard compressor into a
-				// self-contained full chunked shard.
-				if err := flattenCDCShard(store, newEpoch, &si); err != nil {
-					return fmt.Errorf("ckpt: compacting epoch %d rank %d (cdc shard stored in epoch %d): %w",
+				// RawSize, page and chunk tables) is unchanged; only the
+				// stored object is new.
+				if err := flattenPartialShard(store, newEpoch, &si); err != nil {
+					return fmt.Errorf("ckpt: compacting epoch %d rank %d (partial shard stored in epoch %d): %w",
 						epoch, si.Rank, si.RefEpoch, err)
 				}
-			default:
+			} else {
 				src, err := store.OpenShard(si.RefEpoch, si.Rank)
 				if err != nil {
 					return err
@@ -327,97 +307,62 @@ func CompactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *Com
 	return newMan, st, nil
 }
 
-// flattenDeltaShard rewrites one page-delta shard as a self-contained
-// chunked shard in newEpoch: the base and delta objects stream through the
-// page merger (every page CRC-checked, both objects checksum-verified) and
-// the merged logical stream recompresses directly into the new object —
-// nothing shard-sized is ever held. On success si is mutated in place into
-// the full shard's entry: RawFormatChunked, new Size/Checksum, page table
-// kept, delta linkage cleared.
-func flattenDeltaShard(store Store, newEpoch int, si *ShardInfo) error {
-	m, err := openDeltaMerge(store, si)
-	if m != nil {
-		defer m.close()
-	}
-	if err != nil {
-		return err
-	}
-	sum, err := flattenMerged(store, newEpoch, si, m.merged, m.finish)
-	if err != nil {
-		return err
-	}
-	si.PageSums = sum.PageSums
-	si.BaseEpoch = 0
-	si.DeltaPages = nil
-	si.BaseSize = 0
-	return nil
-}
-
-// flattenCDCShard rewrites one CDC shard as a self-contained chunked shard
-// in newEpoch: the fresh payload and every reused chunk stream through the
-// per-chunk-verified merge (source objects checksum-verified, every chunk
-// CRC-checked) and the merged logical stream recompresses directly into the
-// new object — nothing shard-sized is ever held. On success si is mutated
-// in place into the full shard's entry: RawFormatChunked, new Size/Checksum,
-// stored-stream identity cleared. The chunk table keeps its content hashes;
-// CompactChain remaps it to self-source from the new object.
-func flattenCDCShard(store Store, newEpoch int, si *ShardInfo) error {
-	m, err := openCDCMerge(store, si)
-	if m != nil {
-		defer m.close()
-	}
-	if err != nil {
-		return err
-	}
-	_, err = flattenMerged(store, newEpoch, si, m.merged, m.finish)
-	return err
-}
-
-// flattenMerged streams a verified merge's logical stream through a shard
-// compressor into a full shard object at (newEpoch, si.Rank), settles the
-// merge's verdict (finish), and turns si into the full shard's entry. The
-// new object is re-encoded with the codec that produced the partial one, so
-// the entry's persisted CodecID keeps describing the stored bytes.
-func flattenMerged(store Store, newEpoch int, si *ShardInfo, merged *countReader, finish func(error) error) (ShardSummary, error) {
+// flattenPartialShard rewrites one partial shard as a self-contained
+// chunked shard in newEpoch: its own payload and every source stream
+// through the extent merge (every extent CRC-checked, every object
+// checksum-verified) and the merged logical stream recompresses directly
+// into the new object — nothing shard-sized is ever held. The new object is
+// re-encoded with the codec that produced the partial one, so the entry's
+// persisted CodecID keeps describing the stored bytes. On success si is
+// mutated in place into the full shard's entry: RawFormatChunked, new
+// Size/Checksum, page table re-derived from the flattened stream, source
+// linkage and stored-stream identity cleared. A chunk table keeps its
+// content hashes; CompactChain remaps it to self-source from the new object.
+func flattenPartialShard(store Store, newEpoch int, si *ShardInfo) error {
 	codec, err := codecByID(si.CodecID)
 	if err != nil {
-		return ShardSummary{}, err
+		return err
 	}
+	m, err := openPartialMerge(store, si)
+	if err != nil {
+		return err
+	}
+	defer m.close()
 	dst, err := store.PutShardStream(newEpoch, si.Rank)
 	if err != nil {
-		return ShardSummary{}, err
+		return err
 	}
 	sw, err := NewShardWriterCodec(si.Rank, dst, codec, si.PageSize, false)
 	if err != nil {
 		//lint:allow closecheck shard-writer setup failed; dst is abandoned and the setup error surfaces
 		dst.Close()
-		return ShardSummary{}, err
+		return err
 	}
 	// The merged stream IS the chunked raw stream; feed it straight into the
 	// writer's raw side (the page summer re-derives the table as it flows).
-	_, copyErr := io.Copy(sw.raw, merged)
+	_, copyErr := io.Copy(sw.raw, m.merged)
 	sum, closeErr := sw.Close()
 	// The writer only counts raw bytes; the merge reader hashed exactly the
 	// bytes it handed the writer, so its FNV-1a IS the new object's raw
 	// identity — a reading of the flattened stream itself, not an echo of
 	// the manifest. Reported through finish so a corrupt source object still
 	// wins the verdict.
-	if got := merged.h.Sum64(); copyErr == nil && (got != si.RawSum || sum.RawSize != si.RawSize) {
+	if got := m.merged.h.Sum64(); copyErr == nil && (got != si.RawSum || sum.RawSize != si.RawSize) {
 		copyErr = fmt.Errorf("flattened shard does not match its manifest identity (got %d raw bytes sum %#x, want %d sum %#x)",
 			sum.RawSize, got, si.RawSize, si.RawSum)
 	}
-	if err := finish(copyErr); err != nil {
-		return ShardSummary{}, err
+	if err := m.finish(copyErr); err != nil {
+		return err
 	}
 	if closeErr != nil {
-		return ShardSummary{}, closeErr
+		return closeErr
 	}
 	si.RawFormat = RawFormatChunked
-	si.Size = sum.Size
-	si.Checksum = sum.Checksum
-	si.DeltaRawSize = 0
-	si.DeltaRawSum = 0
-	return sum, nil
+	si.Size, si.Checksum = sum.Size, sum.Checksum
+	si.PageSums = sum.PageSums
+	si.BaseEpoch, si.BaseSize, si.DeltaPages = 0, 0, nil
+	si.DeltaRawSize, si.DeltaRawSum = 0, 0
+	return nil
 }
 
 // remapSelfChunks rewrites a compacted entry's chunk table so every chunk

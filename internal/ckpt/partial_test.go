@@ -1,0 +1,448 @@
+package ckpt
+
+// Tests for the one partial-shard model (partial.go): both raw formats go
+// through the same extent merge, so one damage list runs against a
+// page-delta chain and a CDC chain and must draw the same verdicts, in the
+// same order, in the same words.
+
+import (
+	"bytes"
+	"io"
+	"regexp"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// partialChain is a two-epoch store whose epoch 1 holds rank 1 as a partial
+// object sourced from rank 1's full shard in epoch 0.
+type partialChain struct {
+	store *MemStore
+	man   *Manifest  // epoch 1
+	si    *ShardInfo // man's rank-1 entry
+	img   *JobImage  // what epoch 1 captured
+	edit  int        // an index of img.Images[1].App inside an extent the object stores itself
+}
+
+var partialChains = []struct {
+	name  string
+	build func(t testing.TB) *partialChain
+}{
+	{"page-delta", func(t testing.TB) *partialChain {
+		c := &partialChain{store: NewMemStore(), img: pagedImage(4, 6), edit: 5000}
+		man0, _ := commitPaged(t, c.store, 0, nil, pagedImage(4, 6))
+		c.img.Images[1].App[c.edit] ^= 0xFF
+		c.man, _ = commitPaged(t, c.store, 1, man0, c.img)
+		return c
+	}},
+	{"cdc", func(t testing.TB) *partialChain {
+		c := &partialChain{store: NewMemStore(), img: cdcImage(4, 9), edit: 4100}
+		man0, _ := commitCDC(t, c.store, 0, nil, cdcImage(4, 9))
+		c.img.Images[1].App = insertAt(c.img.Images[1].App, 4096, noisyBytes(32, 7))
+		c.man, _ = commitCDC(t, c.store, 1, man0, c.img)
+		return c
+	}},
+}
+
+// flipShard flips one byte in the middle of a stored object.
+func flipShard(t *testing.T, s Store, epoch, rank int) {
+	t.Helper()
+	blob, err := s.GetShard(epoch, rank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[len(blob)/2] ^= 0xFF
+	if err := s.PutShard(epoch, rank, blob); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rewriteOwnObject re-encodes c.si's own object from ri with the header
+// hdrOf describes, then patches the manifest's envelope identities (Size,
+// Checksum, stored-stream identity) to the new object and reseals — the
+// object a buggy-but-consistent writer would leave behind, which only the
+// checks past the envelope can catch. Ranges carry ri's own CRCs, because
+// the range writer refuses bytes that disagree with the CRC it is handed.
+func (c *partialChain) rewriteOwnObject(t *testing.T, ri RankImage, hdrOf *ShardInfo) {
+	t.Helper()
+	stream, err := newShardStream(&ri, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stream.size != c.si.RawSize {
+		t.Fatalf("rewritten stream changed length: %d vs %d", stream.size, c.si.RawSize)
+	}
+	own, _ := c.si.ownRanges()
+	for k := range own {
+		if own[k].crc, err = stream.writeRange(io.Discard, own[k].off, own[k].n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	magic, hdr, unit := partialHeader(hdrOf, own)
+	sink := &memSink{}
+	sum, err := writePartialShard(1, sink, FlateCodec(0), magic, hdr, stream, own, unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.store.PutShard(1, 1, sink.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	c.si.Size, c.si.Checksum = sum.Size, sum.Checksum
+	c.si.DeltaRawSize, c.si.DeltaRawSum = sum.DeltaRawSize, sum.DeltaRawSum
+	if err := c.store.PutManifest(1, c.man); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPartialMergeVerdicts runs one damage list against both partial
+// formats. Every verdict must name epoch 1 rank 1, match the same pattern
+// whichever format stored the entry, and come back identically from the
+// three consumers of the merge: load, VerifyStore and compaction.
+func TestPartialMergeVerdicts(t *testing.T) {
+	extentRE := regexp.MustCompile(`extent (\d+) corrupted \(crc [0-9a-f]{8}, want [0-9a-f]{8}; sourced from epoch (\d+) rank 1\)`)
+	// extentFrom checks that the verdict names an extent the entry's own
+	// derivation places in the given epoch.
+	extentFrom := func(epoch int) func(*testing.T, *partialChain, string) {
+		return func(t *testing.T, c *partialChain, msg string) {
+			m := extentRE.FindStringSubmatch(msg)
+			if m == nil {
+				t.Fatalf("verdict %q does not name the extent and its source", msg)
+			}
+			k, _ := strconv.Atoi(m[1])
+			from, _ := strconv.Atoi(m[2])
+			found := false
+			c.si.extents(func(i int, e extent) {
+				found = found || (i == k && e.epoch == epoch && e.own == (epoch == 1))
+			})
+			if !found || from != epoch {
+				t.Fatalf("verdict %q blames extent %d (epoch %d), want one stored in epoch %d", msg, k, from, epoch)
+			}
+		}
+	}
+	damages := []struct {
+		name   string
+		damage func(*testing.T, *partialChain)
+		want   string // substring of the verdict
+		check  func(*testing.T, *partialChain, string)
+		// rank1Only: the damage breaks other ranks of epoch 1 too, so only
+		// the single-rank load can be held to naming rank 1.
+		rank1Only bool
+	}{
+		{name: "own object flipped",
+			damage: func(t *testing.T, c *partialChain) { flipShard(t, c.store, 1, 1) },
+			want:   "shard corrupted (checksum "},
+		{name: "source flipped",
+			damage: func(t *testing.T, c *partialChain) { flipShard(t, c.store, 0, 1) },
+			want:   "source shard in epoch 0 corrupted (checksum "},
+		{name: "own and source flipped: own wins",
+			damage: func(t *testing.T, c *partialChain) {
+				flipShard(t, c.store, 0, 1)
+				flipShard(t, c.store, 1, 1)
+			},
+			want: ": shard corrupted (checksum "},
+		{name: "source truncated",
+			damage: func(t *testing.T, c *partialChain) {
+				blob, err := c.store.GetShard(0, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.store.PutShard(0, 1, blob[:len(blob)/2]); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: "source shard in epoch 0 corrupted (checksum "},
+		{name: "own payload fails its crc",
+			damage: func(t *testing.T, c *partialChain) {
+				bad := c.img.Images[1]
+				bad.App = append([]byte(nil), bad.App...)
+				bad.App[c.edit] ^= 0x0F
+				c.rewriteOwnObject(t, bad, c.si)
+			},
+			want: "corrupted (crc ", check: extentFrom(1)},
+		{name: "sourced payload fails its crc",
+			damage: func(t *testing.T, c *partialChain) {
+				// Every object is intact; the entry's table is what lies.
+				sourced := -1
+				c.si.extents(func(k int, e extent) {
+					if !e.own && sourced < 0 {
+						sourced = k
+					}
+				})
+				if len(c.si.Chunks) > 0 {
+					c.si.Chunks[sourced].CRC ^= 1
+				} else {
+					c.si.PageSums[sourced] ^= 1
+				}
+				if err := c.store.PutManifest(1, c.man); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: "corrupted (crc ", check: extentFrom(0)},
+		{name: "header disagrees with the manifest",
+			damage: func(t *testing.T, c *partialChain) {
+				lying := *c.si
+				lying.RawSize++
+				c.rewriteOwnObject(t, c.img.Images[1], &lying)
+			},
+			want: "partial-object header disagrees with the manifest"},
+		{name: "source epoch unsealed",
+			damage: func(t *testing.T, c *partialChain) {
+				if _, err := c.store.DeleteEpoch(0); err != nil {
+					t.Fatal(err)
+				}
+			},
+			want: "references epoch 0, which is not sealed in the store", rank1Only: true},
+	}
+	for _, chain := range partialChains {
+		for _, d := range damages {
+			t.Run(chain.name+"/"+d.name, func(t *testing.T) {
+				c := chain.build(t)
+				c.si = shardOf(t, c.man, 1)
+				if !c.si.Partial() || c.si.RefEpoch != 1 {
+					t.Fatalf("fixture did not store rank 1 as a partial object: %+v", c.si)
+				}
+				if _, srcs := c.si.Sources(); len(srcs) != 1 || srcs[0].Epoch != 0 || srcs[0].Rank != 1 {
+					t.Fatalf("fixture sources %+v, want exactly epoch 0 rank 1", srcs)
+				}
+				if got, err := LoadJobImage(c.store, 1); err != nil {
+					t.Fatalf("pristine chain does not load: %v", err)
+				} else {
+					sameImages(t, c.img, got)
+				}
+				d.damage(t, c)
+
+				verdict := func(who string, err error, wantRank1 bool) {
+					t.Helper()
+					if err == nil {
+						t.Fatalf("%s succeeded over the damage", who)
+					}
+					if !strings.Contains(err.Error(), d.want) || (wantRank1 && !strings.Contains(err.Error(), "epoch 1 rank 1")) {
+						t.Fatalf("%s verdict %q, want epoch 1 rank 1 and %q", who, err, d.want)
+					}
+					if d.check != nil {
+						d.check(t, c, err.Error())
+					}
+				}
+				_, err := ExtractRankFromStore(c.store, 1, 1)
+				verdict("extract", err, true)
+				_, err = LoadJobImage(c.store, 1)
+				verdict("load", err, !d.rank1Only)
+				_, _, err = CompactChain(c.store, 1, nil)
+				verdict("compaction", err, !d.rank1Only)
+
+				faults, err := VerifyStore(c.store)
+				if err != nil {
+					t.Fatal(err)
+				}
+				found := false
+				for _, f := range faults {
+					if f.Epoch == 1 && f.Rank == 1 {
+						found = true
+						verdict("verify", f.Err, false)
+					}
+				}
+				if !found {
+					t.Fatalf("store verify did not fault epoch 1 rank 1: %v", faults)
+				}
+			})
+		}
+	}
+}
+
+// FuzzPartialShardDecode: hostile bytes behind a partial entry — its own
+// object, its source object, or the manifest entry itself — must come back
+// as an attributed error or a clean decode. Never a panic, and never an
+// allocation beyond what the entry states: the manifest (validated, as
+// every store read validates it) bounds every buffer the merge makes, and
+// the own object's checksum is settled before its gob header is decoded
+// (gob sizes a slice from its declared count, 10 MB at a time, so that
+// decoder must only ever see bytes a writer produced). The fuzzer therefore
+// holds decode to a small multiple of the entry's stated sizes however the
+// bytes lie. One target serves both formats because one merge does.
+func FuzzPartialShardDecode(f *testing.F) {
+	type seedChain struct {
+		own, src []byte
+		man0     *Manifest
+		man1     Manifest
+	}
+	var seeds []seedChain
+	for _, chain := range partialChains {
+		c := chain.build(f)
+		man0, err := c.store.GetManifest(0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		own, err := c.store.GetShard(1, 1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		src, err := c.store.GetShard(0, 1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, seedChain{own: own, src: src, man0: man0, man1: *c.man})
+	}
+	// Corpus: which chain; where and how to damage each object (xor 0xFE
+	// truncates there instead); which manifest field to perturb, by how much.
+	for chain := range seeds {
+		f.Add(uint8(chain), uint32(0), uint8(0), uint32(0), uint8(0), uint8(0), int64(0))
+		f.Add(uint8(chain), uint32(40), uint8(0xFF), uint32(0), uint8(0), uint8(0), int64(0))
+		f.Add(uint8(chain), uint32(0), uint8(0), uint32(900), uint8(1), uint8(0), int64(0))
+		f.Add(uint8(chain), uint32(300), uint8(0xFE), uint32(500), uint8(0xFE), uint8(0), int64(0))
+		for field := uint8(1); field <= 12; field++ {
+			f.Add(uint8(chain), uint32(0), uint8(0), uint32(0), uint8(0), field, int64(1))
+			f.Add(uint8(chain), uint32(7), uint8(3), uint32(0), uint8(0), field, int64(-3))
+		}
+	}
+	damage := func(blob []byte, at uint32, xor uint8) []byte {
+		out := append([]byte(nil), blob...)
+		if xor == 0xFE {
+			return out[:int(at)%len(out)]
+		}
+		out[int(at)%len(out)] ^= xor
+		return out
+	}
+	f.Fuzz(func(t *testing.T, chain uint8, ownAt uint32, ownXor uint8, srcAt uint32, srcXor uint8, field uint8, delta int64) {
+		seed := &seeds[int(chain)%len(seeds)]
+		own, src := damage(seed.own, ownAt, ownXor), damage(seed.src, srcAt, srcXor)
+
+		man := seed.man1
+		man.Shards = append([]ShardInfo(nil), man.Shards...)
+		si := &man.Shards[1]
+		si.DeltaPages = append([]int32(nil), si.DeltaPages...)
+		si.Chunks = append([]ChunkRef(nil), si.Chunks...)
+		pick := func(n int) int { return int(uint64(delta)>>8) % n }
+		switch field % 13 {
+		case 1:
+			si.RawSize += delta
+		case 2:
+			si.Size += delta
+		case 3:
+			si.DeltaRawSize += delta
+		case 4:
+			si.RawSum += uint64(delta)
+		case 5:
+			si.DeltaRawSum += uint64(delta)
+		case 6:
+			si.PageSize += delta
+		case 7:
+			si.BaseEpoch += int(delta)
+		case 8:
+			if n := len(si.DeltaPages); n > 0 {
+				si.DeltaPages[pick(n)] += int32(delta)
+			}
+		case 9:
+			if n := len(si.Chunks); n > 0 {
+				si.Chunks[pick(n)].SrcOff += delta
+			}
+		case 10:
+			if n := len(si.Chunks); n > 0 {
+				si.Chunks[pick(n)].SrcRank += int(delta)
+			}
+		case 11:
+			if n := len(si.Chunks); n > 1 { // move a boundary: the table still tiles RawSize
+				k := pick(n - 1)
+				si.Chunks[k].Len += delta
+				si.Chunks[k+1].Len -= delta
+			}
+		case 12:
+			si.CodecID += int(delta)
+		}
+		// Every path to a stored manifest runs validate; what it refuses
+		// never reaches the merge.
+		rec, err := EncodeManifestRecord(&man)
+		if err != nil {
+			t.Fatal(err)
+		}
+		valid, err := DecodeManifestRecord(rec)
+		if err != nil {
+			return
+		}
+		si = &valid.Shards[1]
+		stated := si.RawSize + si.DeltaRawSize + si.Size + int64(len(own)+len(src))
+		if stated > 64<<20 {
+			t.Skip() // an entry that honestly states gigabytes may allocate them
+		}
+
+		store := NewMemStore()
+		for _, err := range []error{
+			store.PutManifest(0, seed.man0), store.PutShard(0, 1, src),
+			store.PutManifest(1, valid), store.PutShard(1, 1, own),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ri, err := ExtractRankFromStore(store, 1, 1)
+		runtime.ReadMemStats(&after)
+		if err == nil && ri.Rank != 1 {
+			t.Fatalf("clean decode returned rank %d", ri.Rank)
+		}
+		if err != nil && !strings.Contains(err.Error(), "epoch 1 rank 1") {
+			t.Fatalf("error not attributed to the entry: %v", err)
+		}
+		// Two manifest decodes, two flate windows and a few 32 KiB copy
+		// buffers are spent whatever the input; past that fixed floor, memory
+		// follows the stated sizes.
+		if got, limit := int64(after.TotalAlloc-before.TotalAlloc), 3*stated+(4<<20); got > limit {
+			t.Fatalf("decode allocated %d bytes for an entry stating %d (limit %d; verdict: %v)", got, stated, limit, err)
+		}
+	})
+}
+
+// TestDamagedHeaderNamedBeforeDecode: gob sizes a slice from its declared
+// count before reading an element, so a header whose chunk count was damaged
+// to 16M would cost a 10 MB allocation if it were decoded first and blamed
+// afterwards. The own object's checksum is settled before its header is
+// interpreted: the verdict is corruption and the allocation never happens.
+func TestDamagedHeaderNamedBeforeDecode(t *testing.T) {
+	c := partialChains[1].build(t) // cdc: its header holds a long slice to damage in place
+	si := shardOf(t, c.man, 1)
+	codec, err := codecByID(si.CodecID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := c.store.OpenShard(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(codec.NewReader(rc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// gob writes a count below 128 as itself and a chunk length (a positive
+	// int under 2^23) as its width's complement, then length<<1 big-endian.
+	gobLen := func(n int64) []byte {
+		u := uint64(n) << 1
+		return []byte{0xFD, byte(u >> 16), byte(u >> 8), byte(u)}
+	}
+	if len(si.Chunks) > 127 {
+		t.Fatalf("fixture has %d chunks; the count no longer fits one byte", len(si.Chunks))
+	}
+	table := append([]byte{byte(len(si.Chunks))}, gobLen(si.Chunks[0].Len)...)
+	at := bytes.Index(raw, table)
+	if at < 0 {
+		t.Fatal("chunk-length table not found in the stored header")
+	}
+	copy(raw[at:], []byte{0xFD, 0xFF, 0xFF, 0xFF}) // count = 16,777,215
+	blob, err := compressShard(1, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.store.PutShard(1, 1, blob); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = ExtractRankFromStore(c.store, 1, 1)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "epoch 1 rank 1: shard corrupted (checksum ") {
+		t.Fatalf("verdict %v, want epoch 1 rank 1 named as corrupted", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Fatalf("naming the damage allocated %d bytes", got)
+	}
+}

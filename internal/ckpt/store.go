@@ -22,9 +22,7 @@ package ckpt
 //     overlap (asynchronous ones).
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -1210,7 +1208,8 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 				return fmt.Errorf("ckpt: rank %d shard is %d raw bytes but was hashed as %d (sums are not this image's)",
 					ri.Rank, stream.size, si.RawSize)
 			}
-			dst, err := openFreshStream(store, ms, epoch, si)
+			own, ownBytes := si.ownRanges()
+			dst, err := openFreshStream(store, ms, epoch, si, ownBytes)
 			if err != nil {
 				return err
 			}
@@ -1219,52 +1218,41 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 			// segment list; a partial object copies its dirty pages or fresh
 			// chunks out of it by offset, CRC-checked against the hash pass's
 			// tables, and reads nothing else of the image.
-			switch si.RawFormat {
-			case RawFormatPageDelta:
-				sum, err := writePartialShard(ri.Rank, dst, codec, shardDeltaMagic, &shardDeltaHeader{
-					Rank: ri.Rank, BaseEpoch: si.BaseEpoch,
-					PageSize: si.PageSize, RawSize: si.RawSize, Pages: si.DeltaPages,
-				}, stream, deltaRanges(si), "page")
+			if si.Partial() {
+				magic, hdr, unit := partialHeader(si, own)
+				sum, err := writePartialShard(ri.Rank, dst, codec, magic, hdr, stream, own, unit)
 				if err != nil {
 					return err
 				}
 				si.Size, si.Checksum = sum.Size, sum.Checksum
 				si.DeltaRawSize, si.DeltaRawSum = sum.DeltaRawSize, sum.DeltaRawSum
-			case RawFormatCDC:
-				fresh, lens := cdcRanges(si)
-				sum, err := writePartialShard(ri.Rank, dst, codec, shardCDCMagic, &shardCDCHeader{
-					Rank: ri.Rank, RawSize: si.RawSize, Chunks: lens, Fresh: cdcFreshIndices(si),
-				}, stream, fresh, "chunk")
-				if err != nil {
-					return err
+				if si.RawFormat == RawFormatCDC {
+					// Stamp the fresh chunks' addresses into this object's stored
+					// stream: header first, then the fresh payloads in index
+					// order.
+					off := sum.HeaderLen
+					for _, r := range own {
+						si.Chunks[r.idx].SrcOff = off
+						off += r.n
+					}
 				}
-				si.Size, si.Checksum = sum.Size, sum.Checksum
-				si.DeltaRawSize, si.DeltaRawSum = sum.DeltaRawSize, sum.DeltaRawSum
-				// Stamp the fresh chunks' addresses into this object's stored
-				// stream: header first, then the fresh payloads in index
-				// order.
-				off := sum.HeaderLen
-				for _, r := range fresh {
-					si.Chunks[r.idx].SrcOff = off
-					off += r.n
-				}
-			default:
-				sw, err := NewShardWriterCodec(ri.Rank, dst, codec, 0, false)
-				if err != nil {
-					//lint:allow closecheck shard-writer setup failed; dst is abandoned and the setup error surfaces
-					dst.Close()
-					return err
-				}
-				encErr := stream.writeTo(sw.raw)
-				sum, closeErr := sw.Close()
-				if encErr != nil {
-					return encErr
-				}
-				if closeErr != nil {
-					return closeErr
-				}
-				si.Size, si.Checksum = sum.Size, sum.Checksum
+				return nil
 			}
+			sw, err := NewShardWriterCodec(ri.Rank, dst, codec, 0, false)
+			if err != nil {
+				//lint:allow closecheck shard-writer setup failed; dst is abandoned and the setup error surfaces
+				dst.Close()
+				return err
+			}
+			encErr := stream.writeTo(sw.raw)
+			sum, closeErr := sw.Close()
+			if encErr != nil {
+				return encErr
+			}
+			if closeErr != nil {
+				return closeErr
+			}
+			si.Size, si.Checksum = sum.Size, sum.Checksum
 			return nil
 		}()
 	})
@@ -1326,25 +1314,14 @@ func dirtyPages(p *ShardInfo, pages []uint32) []int32 {
 	return dirty
 }
 
-// openFreshStream opens the store stream one fresh shard encodes into,
-// routing page-delta and CDC shards through the ModelStore's pro-rata
-// padded pricing when a padded image size is configured: each partial
-// object charges the fraction of the padded size its stored payload covers
-// (dirty pages, or fresh chunk bytes).
-func openFreshStream(store Store, ms *ModelStore, epoch int, si *ShardInfo) (io.WriteCloser, error) {
-	if ms != nil && ms.PadShardBytes > 0 && si.RawFormat == RawFormatPageDelta {
-		pad := ms.PadShardBytes * int64(len(si.DeltaPages)) / pagesOf(si.RawSize, si.PageSize)
-		if pad < 1 {
-			pad = 1
-		}
-		return ms.putShardStreamPadded(epoch, si.Rank, pad)
-	}
-	if ms != nil && ms.PadShardBytes > 0 && si.RawFormat == RawFormatCDC && si.RawSize > 0 {
-		pad := ms.PadShardBytes * cdcFreshLen(si) / si.RawSize
-		if pad < 1 {
-			pad = 1
-		}
-		return ms.putShardStreamPadded(epoch, si.Rank, pad)
+// openFreshStream opens the store stream one fresh shard encodes into. With
+// a padded image size configured, a partial object is charged the share of
+// the padded size its ownBytes of payload cover (paddedShare — the same
+// expression ReadSetOf prices the read with), never padded back up to a
+// whole shard.
+func openFreshStream(store Store, ms *ModelStore, epoch int, si *ShardInfo, ownBytes int64) (io.WriteCloser, error) {
+	if ms != nil && ms.PadShardBytes > 0 && si.Partial() {
+		return ms.putShardStreamPadded(epoch, si.Rank, max(1, si.paddedShare(ms.PadShardBytes, ownBytes)))
 	}
 	return store.PutShardStream(epoch, si.Rank)
 }
@@ -1379,75 +1356,49 @@ func sealedSet(store Store) (map[int]bool, error) {
 	return set, nil
 }
 
-// unsealedRefErr is the one diagnostic for a cross-epoch reference whose
-// target epoch is not sealed (shared by every chain-resolution entry point
-// so the wording cannot drift between them).
-func unsealedRefErr(man *Manifest, si *ShardInfo) error {
-	return fmt.Errorf("ckpt: epoch %d rank %d references epoch %d, which is not sealed in the store (aborted commit or lost parent manifest)",
-		man.Epoch, si.Rank, si.RefEpoch)
-}
-
-// unsealedBaseErr is the same diagnostic for a page-delta shard whose base
-// epoch is gone: the delta object may be intact, but without its full base
-// shard it reconstructs nothing.
-func unsealedBaseErr(man *Manifest, si *ShardInfo) error {
-	return fmt.Errorf("ckpt: epoch %d rank %d delta-references base epoch %d, which is not sealed in the store (aborted commit or reclaimed base)",
-		man.Epoch, si.Rank, si.BaseEpoch)
-}
-
-// unsealedChunkErr is the same diagnostic for a chunk table entry whose
-// source epoch is gone: without the object physically holding the chunk's
-// bytes the shard cannot reassemble.
-func unsealedChunkErr(man *Manifest, si *ShardInfo, srcEpoch int) error {
-	return fmt.Errorf("ckpt: epoch %d rank %d chunk-references epoch %d, which is not sealed in the store (aborted commit or reclaimed chunk source)",
-		man.Epoch, si.Rank, srcEpoch)
-}
-
-// unsealedChunkSrc returns the first chunk-source epoch of si that is not
-// sealed, or -1 when every source resolves. Sources equal to the manifest's
-// own epoch are trivially sealed-by-construction (the manifest in hand IS
-// the seal).
-func unsealedChunkSrc(si *ShardInfo, manEpoch int, sealed map[int]bool) int {
-	for i := range si.Chunks {
-		if e := si.Chunks[i].SrcEpoch; e != manEpoch && !sealed[e] {
-			return e
+// unsealedDep returns the first epoch an entry's bytes live in that is not
+// sealed — its RefEpoch, then each source of a partial entry — or -1 when
+// every dependency resolves. The manifest's own epoch is sealed by
+// construction (the manifest in hand IS the seal).
+func unsealedDep(man *Manifest, si *ShardInfo, sealed map[int]bool) int {
+	if si.RefEpoch != man.Epoch && !sealed[si.RefEpoch] {
+		return si.RefEpoch
+	}
+	_, srcs := si.Sources()
+	for _, s := range srcs {
+		if s.Epoch != man.Epoch && !sealed[s.Epoch] {
+			return s.Epoch
 		}
 	}
 	return -1
 }
 
-// checkRefsSealed validates that every cross-epoch reference in a manifest
-// resolves to a SEALED epoch. A reference into an unsealed epoch directory
-// (an aborted commit, or a chain whose parent manifest was lost) must fail
-// with a diagnostic naming the reference — its shard files may physically
-// exist, and silently restoring from an aborted commit is exactly the
-// corruption the manifest-sealed-last contract exists to prevent.
-func checkRefsSealed(store Store, man *Manifest) error {
-	hasRefs := false
-	for i := range man.Shards {
-		if man.Shards[i].RefEpoch != man.Epoch || man.Shards[i].RawFormat == RawFormatPageDelta ||
-			man.Shards[i].RawFormat == RawFormatCDC {
-			hasRefs = true
+// checkRefsSealed validates that every cross-epoch dependency of the given
+// entries of man resolves to a SEALED epoch. A reference into an unsealed
+// epoch directory (an aborted commit, a chain whose parent manifest was
+// lost, a reclaimed source) must fail with a diagnostic naming it — its
+// shard files may physically exist, and silently restoring from an aborted
+// commit is exactly the corruption the manifest-sealed-last contract exists
+// to prevent. One wording serves every chain-resolution entry point.
+func checkRefsSealed(store Store, man *Manifest, shards []ShardInfo) error {
+	selfContained := true
+	for i := range shards {
+		if shards[i].RefEpoch != man.Epoch || shards[i].Partial() {
+			selfContained = false
 			break
 		}
 	}
-	if !hasRefs {
+	if selfContained {
 		return nil
 	}
 	sealed, err := sealedSet(store)
 	if err != nil {
 		return err
 	}
-	for i := range man.Shards {
-		si := &man.Shards[i]
-		if si.RefEpoch != man.Epoch && !sealed[si.RefEpoch] {
-			return unsealedRefErr(man, si)
-		}
-		if si.RawFormat == RawFormatPageDelta && !sealed[si.BaseEpoch] {
-			return unsealedBaseErr(man, si)
-		}
-		if e := unsealedChunkSrc(si, man.Epoch, sealed); e >= 0 {
-			return unsealedChunkErr(man, si, e)
+	for i := range shards {
+		if e := unsealedDep(man, &shards[i], sealed); e >= 0 {
+			return fmt.Errorf("ckpt: epoch %d rank %d references epoch %d, which is not sealed in the store (aborted commit, lost parent manifest or reclaimed source)",
+				man.Epoch, shards[i].Rank, e)
 		}
 	}
 	return nil
@@ -1464,7 +1415,7 @@ func LoadJobImage(store Store, epoch int) (*JobImage, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkRefsSealed(store, man); err != nil {
+	if err := checkRefsSealed(store, man, man.Shards); err != nil {
 		return nil, err
 	}
 	ji := &JobImage{
@@ -1501,26 +1452,11 @@ func loadShard(store Store, man *Manifest, si *ShardInfo) (*RankImage, error) {
 	if si.RefEpoch != man.Epoch {
 		at = fmt.Sprintf("epoch %d rank %d (shard stored in epoch %d)", man.Epoch, si.Rank, si.RefEpoch)
 	}
-	var ri *RankImage
-	var err error
-	switch si.RawFormat {
-	case RawFormatPageDelta:
-		ri, err = loadShardDelta(store, si)
-	case RawFormatCDC:
-		ri, err = loadShardCDC(store, si)
-	default:
-		codec, cerr := codecByID(si.CodecID)
-		if cerr != nil {
-			return nil, fmt.Errorf("ckpt: %s: %w", at, cerr)
-		}
-		var rc io.ReadCloser
-		rc, err = store.OpenShard(si.RefEpoch, si.Rank)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: %s: %w", at, err)
-		}
-		defer rc.Close()
-		ri, err = decodeShardStream(rc, si.RawSize, si.Checksum, si.RawFormat, codec)
+	load := loadShardFull
+	if si.Partial() {
+		load = loadShardPartial
 	}
+	ri, err := load(store, si)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %s: %w", at, err)
 	}
@@ -1535,160 +1471,18 @@ func loadShard(store Store, man *Manifest, si *ShardInfo) (*RankImage, error) {
 	return ri, nil
 }
 
-// deltaMerge wires one RawFormatPageDelta shard's two stored objects — the
-// full base shard at si.BaseEpoch and the delta object at si.RefEpoch —
-// into the page-merged logical stream. Callers read `merged` (the logical
-// chunked stream, CRC-checked page by page as it assembles) and then call
-// finish, which drains both objects so every checksum covers every byte
-// and applies the verification order: a compressed-object checksum
-// mismatch wins over any decode or page error (corrupted bytes produce
-// arbitrary downstream failures; naming the corrupt object is what
-// matters). A page whose payload decompresses cleanly but fails its CRC
-// is attributed by page index — the caller's context adds epoch and rank.
-type deltaMerge struct {
-	si      *ShardInfo
-	bi      *ShardInfo
-	merged  *countReader
-	baseCr  *countReader
-	deltaCr *countReader
-	dRaw    *countReader
-	closers []io.Closer
-}
-
-func openDeltaMerge(store Store, si *ShardInfo) (*deltaMerge, error) {
-	baseMan, err := store.GetManifest(si.BaseEpoch)
-	if err != nil {
-		return nil, fmt.Errorf("reading base epoch %d manifest: %w", si.BaseEpoch, err)
-	}
-	var bi *ShardInfo
-	for i := range baseMan.Shards {
-		if baseMan.Shards[i].Rank == si.Rank {
-			bi = &baseMan.Shards[i]
-			break
-		}
-	}
-	if bi == nil {
-		return nil, fmt.Errorf("base epoch %d has no rank %d", si.BaseEpoch, si.Rank)
-	}
-	if bi.RefEpoch != si.BaseEpoch || bi.RawFormat != RawFormatChunked || bi.RawSize != si.RawSize {
-		return nil, fmt.Errorf("base epoch %d rank %d is not a full shard of %d raw bytes (format %d, stored in epoch %d, %d raw bytes)",
-			si.BaseEpoch, si.Rank, si.RawSize, bi.RawFormat, bi.RefEpoch, bi.RawSize)
-	}
-
-	baseCodec, err := codecByID(bi.CodecID)
+// loadShardFull decodes a full shard straight off its one stored object.
+func loadShardFull(store Store, si *ShardInfo) (*RankImage, error) {
+	codec, err := codecByID(si.CodecID)
 	if err != nil {
 		return nil, err
 	}
-	deltaCodec, err := codecByID(si.CodecID)
+	rc, err := store.OpenShard(si.RefEpoch, si.Rank)
 	if err != nil {
 		return nil, err
 	}
-
-	m := &deltaMerge{si: si, bi: bi}
-	brc, err := store.OpenShard(si.BaseEpoch, si.Rank)
-	if err != nil {
-		return nil, fmt.Errorf("opening base shard in epoch %d: %w", si.BaseEpoch, err)
-	}
-	m.closers = append(m.closers, brc)
-	m.baseCr = newCountReader(brc)
-	baseFl := baseCodec.NewReader(m.baseCr)
-	m.closers = append(m.closers, baseFl)
-
-	drc, err := store.OpenShard(si.RefEpoch, si.Rank)
-	if err != nil {
-		m.close()
-		return nil, err
-	}
-	m.closers = append(m.closers, drc)
-	m.deltaCr = newCountReader(drc)
-	deltaFl := deltaCodec.NewReader(m.deltaCr)
-	m.closers = append(m.closers, deltaFl)
-	m.dRaw = newCountReader(deltaFl)
-	dbr := bufio.NewReader(m.dRaw)
-
-	magic := make([]byte, len(shardDeltaMagic))
-	if _, err := io.ReadFull(dbr, magic); err != nil {
-		return m, fmt.Errorf("reading delta header: %w", err)
-	}
-	if !bytes.Equal(magic, shardDeltaMagic) {
-		return m, fmt.Errorf("delta stream has bad magic %q", magic)
-	}
-	var hdr shardDeltaHeader
-	if err := gob.NewDecoder(newCappedMessageReader(dbr, si.DeltaRawSize)).Decode(&hdr); err != nil {
-		return m, fmt.Errorf("decoding delta header: %w", err)
-	}
-	if hdr.Rank != si.Rank || hdr.BaseEpoch != si.BaseEpoch || hdr.PageSize != si.PageSize ||
-		hdr.RawSize != si.RawSize || len(hdr.Pages) != len(si.DeltaPages) {
-		return m, fmt.Errorf("delta header disagrees with the manifest (rank %d, base epoch %d, page size %d, raw %d, %d dirty pages)",
-			hdr.Rank, hdr.BaseEpoch, hdr.PageSize, hdr.RawSize, len(hdr.Pages))
-	}
-	m.merged = newCountReader(newDeltaMergeReader(baseFl, dbr, si))
-	return m, nil
-}
-
-func (m *deltaMerge) close() {
-	for i := len(m.closers) - 1; i >= 0; i-- {
-		m.closers[i].Close()
-	}
-}
-
-// finish drains both raw streams, then both stored objects (trailing
-// garbage is corruption, exactly as in the single-object decode path),
-// and settles the verdict against decErr, the caller's decode result.
-func (m *deltaMerge) finish(decErr error) error {
-	si, bi := m.si, m.bi
-	if decErr == nil && (m.merged.n != si.RawSize || m.merged.h.Sum64() != si.RawSum) {
-		decErr = fmt.Errorf("merged stream does not match the manifest identity (got %d bytes sum %#x, want %d bytes sum %#x)",
-			m.merged.n, m.merged.h.Sum64(), si.RawSize, si.RawSum)
-	}
-	if _, err := io.Copy(io.Discard, m.dRaw); err != nil && decErr == nil {
-		decErr = fmt.Errorf("decompressing delta shard: %w", err)
-	}
-	if _, err := io.Copy(io.Discard, m.deltaCr); err != nil && decErr == nil {
-		decErr = fmt.Errorf("reading delta shard: %w", err)
-	}
-	if _, err := io.Copy(io.Discard, m.baseCr); err != nil && decErr == nil {
-		decErr = fmt.Errorf("reading base shard: %w", err)
-	}
-	if got := m.deltaCr.h.Sum64(); got != si.Checksum {
-		return fmt.Errorf("shard corrupted (checksum %x, want %x)", got, si.Checksum)
-	}
-	if got := m.baseCr.h.Sum64(); got != bi.Checksum {
-		return fmt.Errorf("base shard in epoch %d corrupted (checksum %x, want %x)", si.BaseEpoch, got, bi.Checksum)
-	}
-	if decErr != nil {
-		return decErr
-	}
-	if m.deltaCr.n != si.Size || m.dRaw.n != si.DeltaRawSize || m.dRaw.h.Sum64() != si.DeltaRawSum {
-		return fmt.Errorf("delta stream does not match the manifest (stored %d bytes, raw %d sum %#x; want %d, raw %d sum %#x)",
-			m.deltaCr.n, m.dRaw.n, m.dRaw.h.Sum64(), si.Size, si.DeltaRawSize, si.DeltaRawSum)
-	}
-	return nil
-}
-
-// loadShardDelta reconstructs one RawFormatPageDelta shard's rank image by
-// streaming the base+delta merge straight into the shard decoder — one-page
-// merge memory, nothing shard-sized buffered.
-func loadShardDelta(store Store, si *ShardInfo) (*RankImage, error) {
-	m, err := openDeltaMerge(store, si)
-	if m != nil {
-		defer m.close()
-	}
-	if err != nil {
-		return nil, err
-	}
-	// The bufio layer reads ahead of the header's gob decoder but stays on
-	// this side of the merged counter, so the drained count is exact.
-	ri, decErr := readShardRaw(bufio.NewReader(m.merged), si.RawSize)
-	if decErr == nil {
-		if _, err := io.Copy(io.Discard, m.merged); err != nil {
-			decErr = fmt.Errorf("merging pages: %w", err)
-		}
-	}
-	if err := m.finish(decErr); err != nil {
-		return nil, err
-	}
-	return ri, nil
+	defer rc.Close()
+	return decodeShardStream(rc, si.RawSize, si.Checksum, si.RawFormat, codec)
 }
 
 // ExtractRankFromStore decodes a single rank's image from one store epoch:
@@ -1705,20 +1499,8 @@ func ExtractRankFromStore(store Store, epoch, rank int) (*RankImage, error) {
 		if si.Rank != rank {
 			continue
 		}
-		if si.RefEpoch != man.Epoch || si.RawFormat == RawFormatPageDelta || si.RawFormat == RawFormatCDC {
-			sealed, err := sealedSet(store)
-			if err != nil {
-				return nil, err
-			}
-			if si.RefEpoch != man.Epoch && !sealed[si.RefEpoch] {
-				return nil, unsealedRefErr(man, si)
-			}
-			if si.RawFormat == RawFormatPageDelta && !sealed[si.BaseEpoch] {
-				return nil, unsealedBaseErr(man, si)
-			}
-			if e := unsealedChunkSrc(si, man.Epoch, sealed); e >= 0 {
-				return nil, unsealedChunkErr(man, si, e)
-			}
+		if err := checkRefsSealed(store, man, man.Shards[i:i+1]); err != nil {
+			return nil, err
 		}
 		return loadShard(store, man, si)
 	}
@@ -1737,74 +1519,41 @@ func ExtractRankFromStore(store Store, epoch, rank int) (*RankImage, error) {
 // a restart is priced against exactly what the chain was charged to write.
 func ReadSetOf(man *Manifest) []netmodel.EpochRead {
 	byEpoch := make(map[int]*netmodel.EpochRead)
-	for i := range man.Shards {
-		si := &man.Shards[i]
-		r := byEpoch[si.RefEpoch]
+	charge := func(epoch int, bytes int64) {
+		r := byEpoch[epoch]
 		if r == nil {
-			r = &netmodel.EpochRead{Epoch: si.RefEpoch}
-			byEpoch[si.RefEpoch] = r
+			r = &netmodel.EpochRead{Epoch: epoch}
+			byEpoch[epoch] = r
 		}
 		r.Shards++
-		switch {
-		case man.PaddedBytesPerRank > 0 && si.RawFormat == RawFormatPageDelta:
-			// A delta object holds only the dirty fraction; padding it back
-			// up to a whole shard would erase exactly the read-cost win the
-			// format exists for. The base shard is charged separately below.
-			r.Bytes += man.PaddedBytesPerRank * int64(len(si.DeltaPages)) / pagesOf(si.RawSize, si.PageSize)
-		case man.PaddedBytesPerRank > 0 && si.RawFormat == RawFormatCDC && si.RawSize > 0:
-			// Same pro-rata rule for CDC objects: the object holds only the
-			// fresh chunk bytes. Reused chunks' sources are charged below.
-			r.Bytes += man.PaddedBytesPerRank * cdcFreshLen(si) / si.RawSize
-		case man.PaddedBytesPerRank > 0:
-			r.Bytes += man.PaddedBytesPerRank
-		default:
-			r.Bytes += si.Size
+		r.Bytes += bytes
+	}
+	pad := man.PaddedBytesPerRank
+	for i := range man.Shards {
+		si := &man.Shards[i]
+		own, srcs := si.Sources()
+		// The entry's own object: a partial one holds only `own` of the
+		// logical bytes, and padding it back up to a whole shard would erase
+		// exactly the read-cost win it exists for.
+		if pad > 0 {
+			charge(si.RefEpoch, si.paddedShare(pad, own))
+		} else {
+			charge(si.RefEpoch, si.Size)
 		}
-		if si.RawFormat == RawFormatPageDelta {
-			// Restart also reads the full base shard the delta reconstructs
-			// against — a second fan-in, priced on its own epoch.
-			b := byEpoch[si.BaseEpoch]
-			if b == nil {
-				b = &netmodel.EpochRead{Epoch: si.BaseEpoch}
-				byEpoch[si.BaseEpoch] = b
-			}
-			b.Shards++
-			if man.PaddedBytesPerRank > 0 {
-				b.Bytes += man.PaddedBytesPerRank
-			} else {
-				b.Bytes += si.BaseSize
-			}
-		}
-		if si.RawFormat == RawFormatCDC {
-			// Restart also reads every distinct source object reused chunks
-			// point into, pro-rata by the chunk bytes actually pulled from
-			// each (padded basis when configured, raw chunk bytes otherwise —
-			// the merge reads sources sequentially, skipping unused spans).
-			srcBytes := make(map[int]int64)
-			srcObjs := make(map[int]map[int]bool)
-			for k := range si.Chunks {
-				c := &si.Chunks[k]
-				if c.SrcEpoch == si.RefEpoch && c.SrcRank == si.Rank {
-					continue // fresh: in the CDC object charged above
-				}
-				srcBytes[c.SrcEpoch] += c.Len
-				if srcObjs[c.SrcEpoch] == nil {
-					srcObjs[c.SrcEpoch] = make(map[int]bool)
-				}
-				srcObjs[c.SrcEpoch][c.SrcRank] = true
-			}
-			for e, bytes := range srcBytes {
-				b := byEpoch[e]
-				if b == nil {
-					b = &netmodel.EpochRead{Epoch: e}
-					byEpoch[e] = b
-				}
-				b.Shards += len(srcObjs[e])
-				if man.PaddedBytesPerRank > 0 && si.RawSize > 0 {
-					b.Bytes += man.PaddedBytesPerRank * bytes / si.RawSize
-				} else {
-					b.Bytes += bytes
-				}
+		// Restart also reads every source object the rest is drawn from — a
+		// further fan-in each, priced on its own epoch: a source whose stored
+		// size the entry records is charged as that whole object, any other
+		// by the bytes drawn from it.
+		for _, s := range srcs {
+			switch {
+			case s.Size > 0 && pad > 0:
+				charge(s.Epoch, pad)
+			case s.Size > 0:
+				charge(s.Epoch, s.Size)
+			case pad > 0:
+				charge(s.Epoch, si.paddedShare(pad, s.Bytes))
+			default:
+				charge(s.Epoch, s.Bytes)
 			}
 		}
 	}
@@ -1839,7 +1588,7 @@ func ResolveReadSet(store Store, epoch int) ([]netmodel.EpochRead, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkRefsSealed(store, man); err != nil {
+	if err := checkRefsSealed(store, man, man.Shards); err != nil {
 		return nil, err
 	}
 	return ReadSetOf(man), nil
@@ -1887,27 +1636,13 @@ func VerifyStore(store Store) ([]StoreFault, error) {
 		todo := make([]int, 0, len(man.Shards))
 		for i := range man.Shards {
 			si := &man.Shards[i]
-			if si.RefEpoch != man.Epoch && !sealed[si.RefEpoch] {
+			if bad := unsealedDep(man, si, sealed); bad >= 0 {
 				// The referenced epoch is gone or never sealed: its shard
 				// file may even exist (an aborted commit), but nothing
 				// vouches for it — attribute rather than trial-decode.
 				faults = append(faults, StoreFault{
-					Epoch: e, Rank: si.Rank, RefEpoch: si.RefEpoch,
-					Err: fmt.Errorf("references epoch %d, which is not sealed in the store", si.RefEpoch),
-				})
-				continue
-			}
-			if si.RawFormat == RawFormatPageDelta && !sealed[si.BaseEpoch] {
-				faults = append(faults, StoreFault{
-					Epoch: e, Rank: si.Rank, RefEpoch: si.BaseEpoch,
-					Err: fmt.Errorf("delta-references base epoch %d, which is not sealed in the store", si.BaseEpoch),
-				})
-				continue
-			}
-			if bad := unsealedChunkSrc(si, man.Epoch, sealed); bad >= 0 {
-				faults = append(faults, StoreFault{
 					Epoch: e, Rank: si.Rank, RefEpoch: bad,
-					Err: fmt.Errorf("chunk-references epoch %d, which is not sealed in the store", bad),
+					Err: fmt.Errorf("references epoch %d, which is not sealed in the store", bad),
 				})
 				continue
 			}

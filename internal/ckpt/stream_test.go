@@ -313,7 +313,7 @@ func TestCommitRejectsMutatedPage(t *testing.T) {
 // bytes), and a partial shard whose verified merge does not hash to its
 // manifest identity must not be compacted into a full shard that claims it.
 func TestCompactionChecksFlattenedIdentity(t *testing.T) {
-	commits := map[string]func(*testing.T, Store, int, *Manifest, *JobImage) (*Manifest, *CommitStats){
+	commits := map[string]func(testing.TB, Store, int, *Manifest, *JobImage) (*Manifest, *CommitStats){
 		"delta": commitPaged, "cdc": commitCDC,
 	}
 	for name, commit := range commits {

@@ -13,11 +13,9 @@ package conformance
 import (
 	"fmt"
 	"os"
-	"strings"
 
 	"mana/internal/apps"
 	"mana/internal/ckpt"
-	"mana/internal/netmodel"
 	"mana/internal/rt"
 )
 
@@ -101,12 +99,12 @@ func VerifyCDCChain(algo string, opts Options) (*CDCChainReport, error) {
 	// Baseline: the same insertion-shifted chain with page deltas — the diff
 	// strategy the shift defeats.
 	const streamBudget = int64(8) << 20
-	deltaRep, _, err := runChain(&o, algo, goldenRep, factory, tmp+"/delta", minEpochs, true, true, true, false, netmodel.TierPFS, streamBudget)
+	deltaRep, _, err := runChain(&o, algo, goldenRep, factory, tmp+"/delta", minEpochs, rt.CkptPlan{Async: true, Incremental: true, Delta: true, StreamBudgetBytes: streamBudget})
 	if err != nil {
 		return nil, err
 	}
 	// Under test: the same pipeline with content-defined chunking.
-	cdcRep, cdcFS, err := runChain(&o, algo, goldenRep, factory, tmp+"/cdc", minEpochs, true, true, false, true, netmodel.TierPFS, streamBudget)
+	cdcRep, cdcFS, err := runChain(&o, algo, goldenRep, factory, tmp+"/cdc", minEpochs, rt.CkptPlan{Async: true, Incremental: true, CDC: true, StreamBudgetBytes: streamBudget})
 	if err != nil {
 		return nil, err
 	}
@@ -201,85 +199,8 @@ func VerifyCDCChain(algo string, opts Options) (*CDCChainReport, error) {
 	// Negative leg: damage a shard that a reused chunk points INTO. Restart
 	// of the chunk object's epoch must attribute the source epoch, and
 	// VerifyStore must attribute the same rank.
-	if err := verifyCDCSourceCorruptionAttributed(&o, algo, cdcFS, factory); err != nil {
+	if err := verifySourceCorruptionAttributed(&o, algo, cdcFS, factory); err != nil {
 		return nil, err
 	}
 	return rpt, nil
-}
-
-// verifyCDCSourceCorruptionAttributed corrupts the stored object a reused
-// chunk of the newest CDC shard sources from and asserts both restart and
-// VerifyStore attribute the damage.
-func verifyCDCSourceCorruptionAttributed(o *Options, algo string, fs *ckpt.FileStore, factory func(int) rt.App) error {
-	epochs, err := fs.Epochs()
-	if err != nil {
-		return err
-	}
-	var srcEpoch, srcRank, last = -1, -1, -1
-	for i := len(epochs) - 1; i >= 0 && srcEpoch < 0; i-- {
-		man, err := fs.GetManifest(epochs[i])
-		if err != nil {
-			return err
-		}
-		for j := range man.Shards {
-			si := &man.Shards[j]
-			// A chunk object stored in THIS epoch (not a reused reference)
-			// with at least one chunk sourced from an earlier epoch.
-			if si.RawFormat != ckpt.RawFormatCDC || si.RefEpoch != man.Epoch {
-				continue
-			}
-			for k := range si.Chunks {
-				if si.Chunks[k].SrcEpoch != man.Epoch {
-					srcEpoch, srcRank = si.Chunks[k].SrcEpoch, si.Chunks[k].SrcRank
-					last = man.Epoch
-					break
-				}
-			}
-			if srcEpoch >= 0 {
-				break
-			}
-		}
-	}
-	if srcEpoch < 0 {
-		return fmt.Errorf("cdc chain holds no chunk objects with cross-epoch chunk sources")
-	}
-	path := fs.ShardPath(srcEpoch, srcRank)
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("reading cdc chunk source shard: %w", err)
-	}
-	pristine := append([]byte(nil), blob...)
-	blob[len(blob)/2] ^= 0xFF
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		return err
-	}
-	defer os.WriteFile(path, pristine, 0o644)
-
-	_, rerr := rt.RestartFromStore(baseConfig(o, algo), fs, last, factory)
-	if rerr == nil {
-		return fmt.Errorf("restart from epoch %d succeeded over a corrupted chunk source in epoch %d", last, srcEpoch)
-	}
-	for _, want := range []string{
-		fmt.Sprintf("epoch %d", last),
-		fmt.Sprintf("chunk source shard in epoch %d corrupted", srcEpoch),
-	} {
-		if !strings.Contains(rerr.Error(), want) {
-			return fmt.Errorf("cdc restart error %q does not attribute %q", rerr, want)
-		}
-	}
-	faults, err := ckpt.VerifyStore(fs)
-	if err != nil {
-		return err
-	}
-	if len(faults) == 0 {
-		return fmt.Errorf("store verify missed the corrupted cdc chunk source shard")
-	}
-	for _, f := range faults {
-		if f.Rank != srcRank {
-			return fmt.Errorf("cdc source fault misattributed: %+v (want rank %d)", f, srcRank)
-		}
-	}
-	o.Logf("cdc chunk source corruption attributed: rank %d source epoch %d (chunk object in epoch %d)",
-		srcRank, srcEpoch, last)
-	return nil
 }

@@ -14,7 +14,6 @@ import (
 
 	"mana/internal/apps"
 	"mana/internal/ckpt"
-	"mana/internal/netmodel"
 	"mana/internal/rt"
 )
 
@@ -87,12 +86,12 @@ func VerifyDeltaChain(algo string, opts Options) (*DeltaChainReport, error) {
 
 	// Baseline: async incremental WITHOUT deltas — whole-shard reuse only.
 	const streamBudget = int64(4) << 20
-	baseRep, _, err := runChain(&o, algo, goldenRep, factory, tmp+"/whole", minEpochs, true, true, false, false, netmodel.TierPFS, streamBudget)
+	baseRep, _, err := runChain(&o, algo, goldenRep, factory, tmp+"/whole", minEpochs, rt.CkptPlan{Async: true, Incremental: true, StreamBudgetBytes: streamBudget})
 	if err != nil {
 		return nil, err
 	}
 	// Under test: the same pipeline with page deltas on.
-	deltaRep, deltaFS, err := runChain(&o, algo, goldenRep, factory, tmp+"/delta", minEpochs, true, true, true, false, netmodel.TierPFS, streamBudget)
+	deltaRep, deltaFS, err := runChain(&o, algo, goldenRep, factory, tmp+"/delta", minEpochs, rt.CkptPlan{Async: true, Incremental: true, Delta: true, StreamBudgetBytes: streamBudget})
 	if err != nil {
 		return nil, err
 	}
@@ -161,22 +160,23 @@ func VerifyDeltaChain(algo string, opts Options) (*DeltaChainReport, error) {
 	// Negative leg: damage the FULL BASE shard a delta patches. Restarting
 	// the delta's epoch must attribute the fault to the base epoch, and
 	// VerifyStore must attribute the same rank and epoch.
-	if err := verifyDeltaBaseCorruptionAttributed(&o, algo, deltaFS, factory); err != nil {
+	if err := verifySourceCorruptionAttributed(&o, algo, deltaFS, factory); err != nil {
 		return nil, err
 	}
 	return rpt, nil
 }
 
-// verifyDeltaBaseCorruptionAttributed corrupts the base shard of the newest
-// page-delta entry in the chain and asserts both restart and VerifyStore
-// attribute the damage to the base epoch's shard.
-func verifyDeltaBaseCorruptionAttributed(o *Options, algo string, fs *ckpt.FileStore, factory func(int) rt.App) error {
+// verifySourceCorruptionAttributed corrupts a source object of the newest
+// partial shard in the chain (a page delta's base, a CDC object's chunk
+// source — ckpt.ShardInfo.Sources names it either way) and asserts both
+// restart and VerifyStore attribute the damage to the source epoch's shard.
+func verifySourceCorruptionAttributed(o *Options, algo string, fs *ckpt.FileStore, factory func(int) rt.App) error {
 	epochs, err := fs.Epochs()
 	if err != nil {
 		return err
 	}
 	var victim *ckpt.ShardInfo
-	var last int
+	var src ckpt.ShardSource
 	for i := len(epochs) - 1; i >= 0 && victim == nil; i-- {
 		man, err := fs.GetManifest(epochs[i])
 		if err != nil {
@@ -184,21 +184,22 @@ func verifyDeltaBaseCorruptionAttributed(o *Options, algo string, fs *ckpt.FileS
 		}
 		for j := range man.Shards {
 			si := &man.Shards[j]
-			// A delta stored in THIS epoch (not a reused reference to one).
-			if si.RawFormat == ckpt.RawFormatPageDelta && si.RefEpoch == man.Epoch {
-				victim = si
-				last = man.Epoch
+			// A partial object stored in THIS epoch (not a reused reference
+			// to one) with a source in an earlier epoch.
+			if _, srcs := si.Sources(); si.RefEpoch == man.Epoch && len(srcs) > 0 && srcs[0].Epoch != man.Epoch {
+				victim, src = si, srcs[0]
 				break
 			}
 		}
 	}
 	if victim == nil {
-		return fmt.Errorf("delta chain holds no page-delta shards to corrupt the base of")
+		return fmt.Errorf("chain holds no partial shards with cross-epoch sources to corrupt")
 	}
-	path := fs.ShardPath(victim.BaseEpoch, victim.Rank)
+	last := victim.RefEpoch
+	path := fs.ShardPath(src.Epoch, src.Rank)
 	blob, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("reading delta base shard: %w", err)
+		return fmt.Errorf("reading source shard: %w", err)
 	}
 	pristine := append([]byte(nil), blob...)
 	blob[len(blob)/2] ^= 0xFF
@@ -209,15 +210,15 @@ func verifyDeltaBaseCorruptionAttributed(o *Options, algo string, fs *ckpt.FileS
 
 	_, rerr := rt.RestartFromStore(baseConfig(o, algo), fs, last, factory)
 	if rerr == nil {
-		return fmt.Errorf("restart from epoch %d succeeded over a corrupted delta base in epoch %d", last, victim.BaseEpoch)
+		return fmt.Errorf("restart from epoch %d succeeded over a corrupted source in epoch %d", last, src.Epoch)
 	}
 	for _, want := range []string{
 		fmt.Sprintf("epoch %d", last),
 		fmt.Sprintf("rank %d", victim.Rank),
-		fmt.Sprintf("base shard in epoch %d corrupted", victim.BaseEpoch),
+		fmt.Sprintf("source shard in epoch %d corrupted", src.Epoch),
 	} {
 		if !strings.Contains(rerr.Error(), want) {
-			return fmt.Errorf("delta restart error %q does not attribute %q", rerr, want)
+			return fmt.Errorf("restart error %q does not attribute %q", rerr, want)
 		}
 	}
 	faults, err := ckpt.VerifyStore(fs)
@@ -225,14 +226,14 @@ func verifyDeltaBaseCorruptionAttributed(o *Options, algo string, fs *ckpt.FileS
 		return err
 	}
 	if len(faults) == 0 {
-		return fmt.Errorf("store verify missed the corrupted delta base shard")
+		return fmt.Errorf("store verify missed the corrupted source shard")
 	}
 	for _, f := range faults {
-		if f.Rank != victim.Rank {
-			return fmt.Errorf("delta base fault misattributed: %+v (want rank %d)", f, victim.Rank)
+		if f.Rank != victim.Rank && f.Rank != src.Rank {
+			return fmt.Errorf("source fault misattributed: %+v (want rank %d or %d)", f, victim.Rank, src.Rank)
 		}
 	}
-	o.Logf("delta base corruption attributed: rank %d base epoch %d (delta in epoch %d)",
-		victim.Rank, victim.BaseEpoch, last)
+	o.Logf("source corruption attributed: rank %d source epoch %d rank %d (partial object in epoch %d)",
+		victim.Rank, src.Epoch, src.Rank, last)
 	return nil
 }

@@ -56,27 +56,25 @@ func chainPlan(goldenRep *rt.Report, minEpochs int) rt.CkptPlan {
 }
 
 // runChain executes the workload with periodic captures into a fresh
-// FileStore and returns the report plus the store.
+// FileStore and returns the report plus the store. shape is the storage
+// side of the plan — Async, Incremental, Delta, CDC, Tier,
+// StreamBudgetBytes — as the caller would hand it to rt; the capture
+// triggers come from chainPlan.
 func runChain(o *Options, algo string, goldenRep *rt.Report, factory func(int) rt.App,
-	dir string, minEpochs int, async, incremental, delta, cdc bool, tier netmodel.StorageTier,
-	streamBudget int64) (*rt.Report, *ckpt.FileStore, error) {
+	dir string, minEpochs int, shape rt.CkptPlan) (*rt.Report, *ckpt.FileStore, error) {
 	fs, err := ckpt.NewFileStore(dir)
 	if err != nil {
 		return nil, nil, err
 	}
 	cfg := baseConfig(o, algo)
-	plan := chainPlan(goldenRep, minEpochs)
+	plan, trigger := shape, chainPlan(goldenRep, minEpochs)
+	plan.AtStep, plan.Every, plan.Mode = trigger.AtStep, trigger.Every, trigger.Mode
 	plan.Store = fs
-	plan.Async = async
-	plan.Incremental = incremental
-	plan.Delta = delta
-	plan.CDC = cdc
-	plan.Tier = tier
-	plan.StreamBudgetBytes = streamBudget
 	cfg.Checkpoint = &plan
 	rep, err := rt.Run(cfg, factory)
 	if err != nil {
-		return nil, nil, fmt.Errorf("chained run (async=%v incremental=%v delta=%v cdc=%v tier=%v): %w", async, incremental, delta, cdc, tier, err)
+		return nil, nil, fmt.Errorf("chained run (async=%v incremental=%v delta=%v cdc=%v tier=%v): %w",
+			shape.Async, shape.Incremental, shape.Delta, shape.CDC, shape.Tier, err)
 	}
 	if !rep.Completed {
 		return nil, nil, fmt.Errorf("chained run did not complete")
@@ -131,19 +129,19 @@ func VerifyIncrementalChain(wl, algo string, opts Options, requireReuse bool) (*
 	defer os.RemoveAll(tmp)
 
 	// Synchronous full captures: the reference chain.
-	syncRep, syncFS, err := runChain(&o, algo, goldenRep, factory, tmp+"/sync", minEpochs, false, false, false, false, netmodel.TierPFS, 0)
+	syncRep, syncFS, err := runChain(&o, algo, goldenRep, factory, tmp+"/sync", minEpochs, rt.CkptPlan{})
 	if err != nil {
 		return nil, err
 	}
 	// Asynchronous incremental captures: the staged pipeline under test.
-	asyncRep, asyncFS, err := runChain(&o, algo, goldenRep, factory, tmp+"/async", minEpochs, true, true, false, false, netmodel.TierPFS, 0)
+	asyncRep, asyncFS, err := runChain(&o, algo, goldenRep, factory, tmp+"/async", minEpochs, rt.CkptPlan{Async: true, Incremental: true})
 	if err != nil {
 		return nil, err
 	}
 	// The same pipeline staged on the burst-buffer tier: tier selection is
 	// pure virtual-time accounting, so the chain must stay digest-identical
 	// while stalling even less than the PFS async chain.
-	tieredRep, tieredFS, err := runChain(&o, algo, goldenRep, factory, tmp+"/tiered", minEpochs, true, true, false, false, netmodel.TierBurstBuffer, 0)
+	tieredRep, tieredFS, err := runChain(&o, algo, goldenRep, factory, tmp+"/tiered", minEpochs, rt.CkptPlan{Async: true, Incremental: true, Tier: netmodel.TierBurstBuffer})
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +150,7 @@ func VerifyIncrementalChain(wl, algo string, opts Options, requireReuse bool) (*
 	// budget. The budget bounds memory, never content: the chain must stay
 	// digest-identical and restart from every sealed epoch like the rest.
 	const streamBudget = int64(4) << 20
-	streamRep, streamFS, err := runChain(&o, algo, goldenRep, factory, tmp+"/streamed", minEpochs, true, true, false, false, netmodel.TierPFS, streamBudget)
+	streamRep, streamFS, err := runChain(&o, algo, goldenRep, factory, tmp+"/streamed", minEpochs, rt.CkptPlan{Async: true, Incremental: true, StreamBudgetBytes: streamBudget})
 	if err != nil {
 		return nil, err
 	}

@@ -58,7 +58,7 @@ func VerifyLifecycle(wl, algo string, opts Options) (*LifecycleReport, error) {
 
 	// A deep incremental straggler chain: most ranks idle, so late epochs
 	// reference early ones and the restart read set spans the chain.
-	_, fs, err := runChain(&o, algo, goldenRep, factory, tmp+"/deep", minEpochs, true, true, false, false, netmodel.TierPFS, 0)
+	_, fs, err := runChain(&o, algo, goldenRep, factory, tmp+"/deep", minEpochs, rt.CkptPlan{Async: true, Incremental: true})
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +178,7 @@ func VerifyLifecycle(wl, algo string, opts Options) (*LifecycleReport, error) {
 	// GC without compaction: transitive liveness must keep every epoch a
 	// survivor references, so every surviving epoch still restarts golden
 	// and the store verifies clean.
-	_, fs2, err := runChain(&o, algo, goldenRep, factory, tmp+"/gc-only", minEpochs, true, true, false, false, netmodel.TierPFS, 0)
+	_, fs2, err := runChain(&o, algo, goldenRep, factory, tmp+"/gc-only", minEpochs, rt.CkptPlan{Async: true, Incremental: true})
 	if err != nil {
 		return nil, err
 	}

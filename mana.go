@@ -63,8 +63,7 @@
 // its own — behind a job manifest, and capture plus encode/decode fan out
 // across GOMAXPROCS workers. Corruption is detected and attributed to the
 // specific rank shard, and a single rank can be extracted without decoding
-// the job (ExtractRank). Legacy v1 monolithic images still load. The ccimg
-// tool fronts all of it:
+// the job (ExtractRank). The ccimg tool fronts all of it:
 //
 //	ccimg info -v job.img            # geometry, park census, shard table
 //	ccimg verify job.img             # per-shard integrity (CI-friendly exit)
@@ -77,7 +76,7 @@
 // ranks-per-node geometry (and node count) — MANA's allocation-chaining
 // scenario, where the network-agnostic image outlives the allocation it was
 // taken on. Only the rebuilt lower half changes; the conformance engine's
-// cross-geometry sweep (ccverify -crossgeo) asserts digest equality across
+// cross-geometry sweep (ccverify -only crossgeo) asserts digest equality across
 // placements.
 //
 // # Asynchronous, incremental, and streaming checkpointing
@@ -100,10 +99,10 @@
 // any sealed epoch (RestartFromStore), streaming and resolving reference
 // chains — a reference into a missing or unsealed parent fails with a
 // descriptive error — and attributing corruption to the exact epoch and
-// rank. The conformance engine's incremental sweep (ccverify -incremental)
+// rank. The conformance engine's incremental sweep (ccverify -only incremental)
 // asserts digest equality from every epoch of a FileStore chain — on both
 // storage tiers, plus a budget-constrained streaming leg — and its
-// fault-injection suite (ccverify -faults) kills ranks mid-drain and
+// fault-injection suite (ccverify -only faults) kills ranks mid-drain and
 // mid-capture and asserts the coordinator aborts with diagnostics instead
 // of wedging.
 //
@@ -113,7 +112,7 @@
 // chain head as a fresh self-contained epoch (CompactChain), bounding the
 // restart read fan-in at depth 1, and aborted-commit debris is swept along
 // the way. The ccimg gc and compact subcommands run both offline, and the
-// conformance lifecycle leg (ccverify -lifecycle) asserts restart digests
+// conformance lifecycle leg (ccverify -only lifecycle) asserts restart digests
 // survive compaction + GC unchanged.
 //
 // # Storage tiers and the failure model
