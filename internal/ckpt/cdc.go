@@ -17,7 +17,7 @@ package ckpt
 //	chunk-index order
 //
 // The manifest entry carries the FULL chunk table (ShardInfo.Chunks): per
-// chunk its length, CRC-32C, FNV-1a content hash, and the (SrcEpoch,
+// chunk its length, CRC-32C, XXH64 content hash, and the (SrcEpoch,
 // SrcRank, SrcOff) address of its bytes inside a physically stored object's
 // decompressed stream. Fresh chunks point into this object (header offset +
 // cumulative fresh lengths); reused chunks copy their source address
@@ -69,29 +69,13 @@ var gearTable = func() (t [256]uint64) {
 	return t
 }()
 
-// FNV-1a constants for the incremental per-chunk content hash (identical to
-// hash/fnv's 64a, inlined so the chunker updates span-wise without an
-// interface call per byte).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvUpdate(h uint64, p []byte) uint64 {
-	for _, b := range p {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	return h
-}
-
 // RawChunk is one content-defined chunk of a logical stream as the chunker
 // reports it: pure content identity, no storage address yet. Offsets are
 // implicit — chunks tile the stream in order.
 type RawChunk struct {
 	Len int64
 	CRC uint32 // CRC-32C (Castagnoli) of the chunk bytes
-	Sum uint64 // FNV-1a of the chunk bytes — the content-address key
+	Sum uint64 // XXH64 of the chunk bytes — the content-address key
 }
 
 // ChunkRef is a manifest chunk-table entry (ShardInfo.Chunks): a RawChunk
@@ -111,7 +95,7 @@ type ChunkRef struct {
 }
 
 // chunkKey is the content-address index key. All three identity fields
-// participate: a 64-bit FNV collision alone must not alias two different
+// participate: a 64-bit hash collision alone must not alias two different
 // chunks into one stored object.
 type chunkKey struct {
 	sum uint64
@@ -122,51 +106,68 @@ type chunkKey struct {
 func keyOfRef(c *ChunkRef) chunkKey { return chunkKey{c.Sum, c.Len, c.CRC} }
 func keyOfRaw(c *RawChunk) chunkKey { return chunkKey{c.Sum, c.Len, c.CRC} }
 
+// gearSkipBytes is how much of each chunk the rolling hash never looks at:
+// no cut is allowed before CDCMinChunkBytes and the shift forgets a byte
+// after 64 steps, so rolling from zero over the last 64 bytes below the
+// floor reaches the floor with the value a continuous hash would hold.
+const gearSkipBytes = CDCMinChunkBytes - 64
+
 // chunkSummer accumulates the content-defined chunk table of everything
 // written through it, forwarding to dst (nil discards — hash-only passes).
-// The gear hash runs CONTINUOUSLY across cut points (it is never reset per
-// chunk): a reset would make each boundary depend on the previous cut, and
-// boundary decisions must depend only on the local 64-byte window for edits
-// to stay local.
+// A boundary depends only on the 64 bytes before it, never on the previous
+// cut, so edits stay local.
 type chunkSummer struct {
 	dst    io.Writer
 	chunks []RawChunk
 	gear   uint64
 	clen   int64  // bytes accumulated into the current chunk
 	crc    uint32 // running CRC-32C of the current chunk
-	fsum   uint64 // running FNV-1a of the current chunk
+	sum    xxh64  // running content hash of the current chunk
 }
 
 func newChunkSummer(dst io.Writer) *chunkSummer {
-	return &chunkSummer{dst: dst, fsum: fnvOffset64}
+	return &chunkSummer{dst: dst, sum: newXXH64()}
 }
 
 func (s *chunkSummer) seal(span []byte, total int64) {
-	s.chunks = append(s.chunks, RawChunk{
-		Len: total,
-		CRC: crc32.Update(s.crc, crcTable, span),
-		Sum: fnvUpdate(s.fsum, span),
-	})
-	s.crc, s.fsum = 0, fnvOffset64
+	s.sum.write(span)
+	s.chunks = append(s.chunks, RawChunk{Len: total, CRC: crc32.Update(s.crc, crcTable, span), Sum: s.sum.sum64()})
+	s.crc, s.clen = 0, 0
+	s.sum.reset()
 }
 
 func (s *chunkSummer) Write(p []byte) (int, error) {
 	g, cl := s.gear, s.clen
 	start := 0
-	for i := 0; i < len(p); i++ {
-		g = g<<1 + gearTable[p[i]]
-		cl++
+	for i := 0; i < len(p); {
+		if cl < gearSkipBytes {
+			n := min(int(gearSkipBytes-cl), len(p)-i)
+			i, cl, g = i+n, cl+int64(n), 0
+			continue
+		}
+		// Roll to the next cut, the ceiling or the end of p: first through
+		// what is left below the floor, where no candidate counts.
+		run := p[i:min(len(p), i+int(CDCMaxChunkBytes-cl))]
+		k := 0
+		for warm := min(len(run), int(CDCMinChunkBytes-1-cl)); k < warm; k++ {
+			g = g<<1 + gearTable[run[k]]
+		}
+		for k < len(run) {
+			g = g<<1 + gearTable[run[k]]
+			k++
+			if g&cdcBoundaryMask == 0 {
+				break
+			}
+		}
+		i, cl = i+k, cl+int64(k)
 		if (cl >= CDCMinChunkBytes && g&cdcBoundaryMask == 0) || cl >= CDCMaxChunkBytes {
-			s.seal(p[start:i+1], cl)
-			start, cl = i+1, 0
+			s.seal(p[start:i], cl)
+			start, cl = i, 0
 		}
 	}
 	s.gear, s.clen = g, cl
-	if start < len(p) {
-		span := p[start:]
-		s.crc = crc32.Update(s.crc, crcTable, span)
-		s.fsum = fnvUpdate(s.fsum, span)
-	}
+	s.crc = crc32.Update(s.crc, crcTable, p[start:])
+	s.sum.write(p[start:])
 	if s.dst != nil {
 		return s.dst.Write(p)
 	}
@@ -177,8 +178,7 @@ func (s *chunkSummer) Write(p []byte) (int, error) {
 // must not be written to afterwards.
 func (s *chunkSummer) finish() []RawChunk {
 	if s.clen > 0 {
-		s.chunks = append(s.chunks, RawChunk{Len: s.clen, CRC: s.crc, Sum: s.fsum})
-		s.crc, s.fsum, s.clen = 0, fnvOffset64, 0
+		s.seal(nil, s.clen)
 	}
 	return s.chunks
 }

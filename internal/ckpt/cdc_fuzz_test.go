@@ -5,12 +5,14 @@ package ckpt
 // target checks the invariants that make dedup work on every input:
 //
 //   - the chunk table tiles the stream exactly and every per-chunk CRC-32C /
-//     FNV identity matches the bytes it covers (so concatenating the chunks
+//     XXH64 identity matches the bytes it covers (so concatenating the chunks
 //     reproduces the stream byte-identically);
 //   - size bounds hold (interior chunks in [min, max], all chunks <= max);
-//   - chunks wholly before the edit are byte-for-byte unchanged (the gear
-//     hash runs continuously, so cut decisions up to the edit see only
-//     shared bytes);
+//   - the table equals the one a reference walk that rolls the gear hash
+//     over every byte produces, however the stream is split into writes
+//     (the chunker skips each chunk's prefix below the floor);
+//   - chunks wholly before the edit are byte-for-byte unchanged (cut
+//     decisions up to the edit see only shared bytes);
 //   - after the edit the two walks provably resynchronize: if the shared
 //     suffix contains consecutive gear candidates c1 < c2 (at least one
 //     64-byte window past the edit) whose gap lies in (min, max-min], every
@@ -26,6 +28,8 @@ package ckpt
 import (
 	"bytes"
 	"hash/crc32"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -36,6 +40,60 @@ func chunkTable(data []byte) []RawChunk {
 		panic(err)
 	}
 	return cs.finish()
+}
+
+// chunkTableSplit runs the streaming chunker over data cut into writes at
+// the given ascending offsets (those past the end are ignored).
+func chunkTableSplit(data []byte, at []int) []RawChunk {
+	cs := newChunkSummer(nil)
+	prev := 0
+	for _, off := range at {
+		if off < prev || off > len(data) {
+			continue
+		}
+		cs.Write(data[prev:off])
+		prev = off
+	}
+	cs.Write(data[prev:])
+	return cs.finish()
+}
+
+// randomSplits draws ascending write boundaries over n bytes: mostly short
+// writes (several inside every 64-byte warm-up window) with the odd long one.
+func randomSplits(rng *rand.Rand, n int) []int {
+	var at []int
+	for off := 0; off < n; {
+		step := 1 + rng.Intn(90)
+		if rng.Intn(3) == 0 {
+			step = 1 + rng.Intn(3*CDCMinChunkBytes)
+		}
+		off += step
+		at = append(at, off)
+	}
+	return at
+}
+
+// refChunkTable is the chunker without the prefix skip: one pass over the
+// whole of data, the gear hash rolled over every byte and never restarted.
+func refChunkTable(data []byte) []RawChunk {
+	var out []RawChunk
+	var g uint64
+	start := 0
+	seal := func(end int) {
+		span := data[start:end]
+		out = append(out, RawChunk{Len: int64(len(span)), CRC: crc32.Checksum(span, crcTable), Sum: checksumOf(span)})
+		start = end
+	}
+	for i, b := range data {
+		g = g<<1 + gearTable[b]
+		if n := i + 1 - start; (n >= CDCMinChunkBytes && g&cdcBoundaryMask == 0) || n >= CDCMaxChunkBytes {
+			seal(i + 1)
+		}
+	}
+	if start < len(data) {
+		seal(len(data))
+	}
+	return out
 }
 
 // checkTableTiles fails unless the table tiles data exactly with in-bounds
@@ -58,7 +116,7 @@ func checkTableTiles(t *testing.T, data []byte, chunks []RawChunk) []int64 {
 		if got := crc32.Checksum(span, crcTable); got != c.CRC {
 			t.Fatalf("chunk %d crc %08x, table says %08x", k, got, c.CRC)
 		}
-		if got := fnvUpdate(fnvOffset64, span); got != c.Sum {
+		if got := checksumOf(span); got != c.Sum {
 			t.Fatalf("chunk %d sum %x, table says %x", k, got, c.Sum)
 		}
 		off += c.Len
@@ -92,6 +150,13 @@ func FuzzChunkerStability(f *testing.F) {
 		edited = append(edited, data[p+dn:]...)
 
 		ca, cb := chunkTable(data), chunkTable(edited)
+		if ref := refChunkTable(data); !slices.Equal(ca, ref) {
+			t.Fatalf("skipping chunker and reference walk disagree:\n%+v\n%+v", ca, ref)
+		}
+		at := randomSplits(rand.New(rand.NewSource(int64(pos)^int64(len(ins)))), len(edited))
+		if split, ref := chunkTableSplit(edited, at), refChunkTable(edited); !slices.Equal(split, ref) || !slices.Equal(cb, ref) {
+			t.Fatalf("skipping chunker (one write, then writes cut at %v) and reference walk disagree:\n%+v\n%+v\n%+v", at, cb, split, ref)
+		}
 		ba := checkTableTiles(t, data, ca)
 		bb := checkTableTiles(t, edited, cb)
 

@@ -9,7 +9,10 @@ package ckpt
 import (
 	"bytes"
 	"hash/crc32"
+	"math/rand"
 	"os"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -72,7 +75,7 @@ func insertAt(b []byte, off int, extra []byte) []byte {
 
 // TestChunkTableInvariants: the chunk table produced by the streaming
 // chunker covers the raw stream exactly, respects the size bounds, and
-// records per-chunk CRC/FNV identities that match the bytes.
+// records per-chunk CRC/XXH64 identities that match the bytes.
 func TestChunkTableInvariants(t *testing.T) {
 	img := cdcImage(1, 7)
 	ri := &img.Images[0]
@@ -110,15 +113,104 @@ func TestChunkTableInvariants(t *testing.T) {
 		if got := crc32.Checksum(span, crcTable); got != c.CRC {
 			t.Fatalf("chunk %d crc %08x, table says %08x", k, got, c.CRC)
 		}
-		h := uint64(fnvOffset64)
-		h = fnvUpdate(h, span)
-		if h != c.Sum {
+		if h := checksumOf(span); h != c.Sum {
 			t.Fatalf("chunk %d sum %x, table says %x", k, h, c.Sum)
 		}
 		off += c.Len
 	}
 	if off != size {
 		t.Fatalf("chunk table covers %d bytes of a %d-byte stream", off, size)
+	}
+}
+
+// TestGearSkip: the chunker leaves the gear hash alone for each chunk's
+// first CDCMinChunkBytes-64 bytes and restarts it from zero there. Every
+// input below must come out with the table a walk that rolls over every byte
+// produces, through every write split: candidates one byte under, at and one
+// byte over the floor, candidate-free runs cut at the ceiling, and writes
+// that end inside the skipped prefix and inside the 64-byte warm-up window of
+// the first and of a later chunk.
+func TestGearSkip(t *testing.T) {
+	// window is 64 bytes after which the gear hash is a candidate whatever
+	// came before; fill is a byte whose runs never are.
+	noise := noisyBytes(1<<20, 5)
+	var window []byte
+	for _, c := range gearCandidates(noise) {
+		if c >= 64 {
+			window = noise[c-64 : c]
+			break
+		}
+	}
+	if window == nil {
+		t.Fatal("1 MiB of noise holds no gear candidate")
+	}
+	const fill = 0x5a
+	if (-gearTable[fill])&cdcBoundaryMask == 0 {
+		t.Fatal("a run of the fill byte is itself a candidate")
+	}
+	// candidatesAt builds n fill bytes with a candidate (cut allowed after)
+	// at each of the given offsets.
+	candidatesAt := func(n int, offs ...int) []byte {
+		b := bytes.Repeat([]byte{fill}, n)
+		for _, off := range offs {
+			copy(b[off-64:off], window)
+		}
+		return b
+	}
+	const floor, ceil = CDCMinChunkBytes, CDCMaxChunkBytes
+	for _, tc := range []struct {
+		name string
+		data []byte
+		lens []int64 // leading chunk lengths the input is built to produce
+	}{
+		{"candidate one under the floor", candidatesAt(floor+100, floor-1), []int64{floor + 100}},
+		{"candidate at the floor", candidatesAt(floor+100, floor), []int64{floor, 100}},
+		{"candidate one over the floor", candidatesAt(floor+100, floor+1), []int64{floor + 1, 99}},
+		{"no candidate", candidatesAt(2*ceil + 9), []int64{ceil, ceil, 9}},
+		{"later chunk", candidatesAt(3*floor+500, floor+5, 2*floor+4, 2*floor+75, 3*floor+75),
+			[]int64{floor + 5, floor + 70, floor}},
+		{"ceiling then floor", candidatesAt(ceil+floor+64, ceil+floor-1, ceil+floor), []int64{ceil, floor, 64}},
+		{"noise", noise[:400<<10], nil},
+		{"shorter than the skip", noise[:floor-65], []int64{floor - 65}},
+		{"empty", nil, nil},
+	} {
+		ref := refChunkTable(tc.data)
+		for k, n := range tc.lens {
+			if k >= len(ref) || ref[k].Len != n {
+				t.Fatalf("%s: reference chunk %d is %+v, input was built for length %d", tc.name, k, ref, n)
+			}
+		}
+		// Write boundaries around the skip and the warm-up window of the
+		// chunk starting at 0 and of the one after the first cut.
+		var edges []int
+		bases := []int{0}
+		if len(tc.lens) > 0 {
+			bases = append(bases, int(tc.lens[0]))
+		}
+		for _, base := range bases {
+			for _, d := range []int{1, 100, floor - 65, floor - 64, floor - 63, floor - 32, floor - 1, floor, floor + 1} {
+				edges = append(edges, base+d)
+			}
+		}
+		splits := [][]int{nil, edges}
+		for _, e := range edges {
+			splits = append(splits, []int{e})
+		}
+		var stride []int
+		for off := 61; off < len(tc.data); off += 61 {
+			stride = append(stride, off)
+		}
+		splits = append(splits, stride)
+		rng := rand.New(rand.NewSource(int64(len(tc.data))))
+		for i := 0; i < 8; i++ {
+			splits = append(splits, randomSplits(rng, len(tc.data)))
+		}
+		for _, at := range splits {
+			sort.Ints(at)
+			if got := chunkTableSplit(tc.data, at); !slices.Equal(got, ref) {
+				t.Fatalf("%s, writes cut at %v:\n got %+v\nwant %+v", tc.name, at, got, ref)
+			}
+		}
 	}
 }
 

@@ -26,7 +26,7 @@ const (
 	// CodecFlate: compress/flate at the level the writer was opened with.
 	CodecFlate = 0
 	// CodecNone: the identity passthrough — stored bytes ARE the raw
-	// stream. The integrity story is unchanged (the stored-object FNV and
+	// stream. The integrity story is unchanged (the stored-object XXH64 and
 	// the raw identity just coincide); only the CPU spent on flate goes
 	// away.
 	CodecNone = 1

@@ -4,7 +4,7 @@ package ckpt
 //
 // A self-contained image is the v2 sharded blob ("MANAIMG2"): every rank's
 // RankImage is an independent shard — gob-encoded, flate-compressed, and
-// FNV-1a checksummed on its own — referenced from a job manifest that
+// XXH64 checksummed on its own — referenced from a job manifest that
 // carries the job geometry and the shard table (offset, size, checksum).
 // Shards are encoded and decoded in parallel across GOMAXPROCS workers, a
 // corrupted image is attributed to the specific rank shard that failed, and
@@ -17,7 +17,7 @@ package ckpt
 //
 //	[0:8)    magic "MANAIMG2"
 //	[8:12)   uint32 LE: manifest gob length M
-//	[12:20)  uint64 LE: FNV-1a checksum of the manifest gob
+//	[12:20)  uint64 LE: XXH64 checksum of the manifest gob
 //	[20:20+M) manifest gob (Manifest)
 //	[20+M:)  shard blobs, concatenated in manifest order
 
@@ -28,9 +28,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"hash"
 	"hash/crc32"
-	"hash/fnv"
 	"io"
 	"math"
 	"runtime"
@@ -58,7 +56,7 @@ type ShardInfo struct {
 	Offset   int64  // into the shard data section (after the manifest); 0 in stores
 	Size     int64  // compressed shard bytes
 	RawSize  int64  // gob bytes before compression
-	Checksum uint64 // FNV-1a over the compressed shard blob
+	Checksum uint64 // XXH64 over the compressed shard blob
 
 	// RefEpoch is the store epoch whose shard data holds this rank's bytes.
 	// Equal to the manifest's own Epoch for freshly written shards; an
@@ -73,7 +71,7 @@ type ShardInfo struct {
 	// blob is what makes shard reuse possible. Restart re-applies it from
 	// here.
 	ClockVT float64
-	// RawSum is the FNV-1a checksum of the raw (pre-compression, clock-
+	// RawSum is the XXH64 checksum of the raw (pre-compression, clock-
 	// zeroed) shard stream — the identity the incremental differ compares
 	// against the previous epoch.
 	RawSum uint64
@@ -110,14 +108,14 @@ type ShardInfo struct {
 	// this manifest alone.
 	BaseSize int64
 	// DeltaRawSize/DeltaRawSum are the stored delta stream's raw
-	// (pre-compression) length and FNV-1a — what Size/Checksum compress.
+	// (pre-compression) length and XXH64 — what Size/Checksum compress.
 	// CDC objects reuse them for their stored stream (magic + header +
 	// fresh chunk payloads): the geometry is identical.
 	DeltaRawSize int64
 	DeltaRawSum  uint64
 
 	// Chunks is the content-defined chunk table of the LOGICAL stream (CDC
-	// mode, cdc.go): per chunk its length, CRC-32C, FNV-1a content hash, and
+	// mode, cdc.go): per chunk its length, CRC-32C, XXH64 content hash, and
 	// the physical object its bytes live in. Present on every shard
 	// committed with CDC on (full chunked shards carry a self-sourced table
 	// so later epochs can reuse their chunks); required when RawFormat ==
@@ -299,10 +297,10 @@ func putFlateWriter(level int, fw *flate.Writer) {
 //
 //	shardStream: magic + gob(small header) | payload segments, by reference
 //	  → tallyWriter(raw size)
-//	  → flate.Writer → countWriter(compressed FNV+size)
+//	  → flate.Writer → countWriter(compressed XXH64+size)
 //	  → pooled chunk buffer → Store.PutShardStream
 //
-// The raw FNV identity is NOT recomputed on this path: HashCapture* walked
+// The raw XXH64 identity is NOT recomputed on this path: HashCapture* walked
 // the same segment list once, before the commit ticket, and the manifest's
 // RawSum/RawSize are stamped from that pass (see shardStream).
 //
@@ -410,21 +408,21 @@ func (w *tallyWriter) Write(p []byte) (int, error) {
 	return w.dst.Write(p)
 }
 
-// countWriter accumulates an FNV-1a checksum and byte count over everything
+// countWriter accumulates an XXH64 checksum and byte count over everything
 // written through it, forwarding to dst (nil dst discards — the hash-only
 // identity pass).
 type countWriter struct {
 	dst io.Writer
-	h   hash.Hash64
+	h   xxh64
 	n   int64
 }
 
 func newCountWriter(dst io.Writer) *countWriter {
-	return &countWriter{dst: dst, h: fnv.New64a()}
+	return &countWriter{dst: dst, h: newXXH64()}
 }
 
 func (w *countWriter) Write(p []byte) (int, error) {
-	w.h.Write(p)
+	w.h.write(p)
 	w.n += int64(len(p))
 	if w.dst == nil {
 		return len(p), nil
@@ -434,7 +432,7 @@ func (w *countWriter) Write(p []byte) (int, error) {
 
 // copyShardVerified streams one stored shard blob from src to dst in
 // bounded chunks, checking the copied bytes against the manifest identity
-// (stored size and FNV-1a checksum over the compressed blob). The check is
+// (stored size and XXH64 checksum over the compressed blob). The check is
 // what makes compaction safe to follow with GC: the copy must be proven
 // byte-identical BEFORE the new epoch seals and the original becomes
 // deletable — a silently corrupt copy would otherwise turn into data loss
@@ -445,9 +443,9 @@ func copyShardVerified(dst io.Writer, src io.Reader, wantSize int64, wantSum uin
 	if _, err := io.CopyBuffer(cw, src, buf); err != nil {
 		return err
 	}
-	if cw.n != wantSize || cw.h.Sum64() != wantSum {
+	if cw.n != wantSize || cw.h.sum64() != wantSum {
 		return fmt.Errorf("copied shard does not match its manifest identity (got %d bytes sum %#x, want %d bytes sum %#x)",
-			cw.n, cw.h.Sum64(), wantSize, wantSum)
+			cw.n, cw.h.sum64(), wantSize, wantSum)
 	}
 	return nil
 }
@@ -530,7 +528,7 @@ func newObjectWriter(rank int, dst io.WriteCloser, codec Codec) (*objectWriter, 
 func (o *objectWriter) Write(p []byte) (int, error) { return o.cw.Write(p) }
 
 // close finalizes the codec stream, flushes the chunk buffer and closes the
-// store stream, reporting the stored object's size and FNV-1a checksum.
+// store stream, reporting the stored object's size and XXH64 checksum.
 func (o *objectWriter) close() (size int64, checksum uint64, err error) {
 	if cerr := o.cw.Close(); cerr != nil {
 		err = fmt.Errorf("ckpt: compressing rank %d shard: %w", o.rank, cerr)
@@ -541,18 +539,18 @@ func (o *objectWriter) close() (size int64, checksum uint64, err error) {
 	if cerr := o.dst.Close(); cerr != nil && err == nil {
 		err = fmt.Errorf("ckpt: sealing rank %d shard stream: %w", o.rank, cerr)
 	}
-	return o.comp.n, o.comp.h.Sum64(), err
+	return o.comp.n, o.comp.h.sum64(), err
 }
 
 // ShardSummary is what a ShardWriter reports at Close: the geometry and
 // checksum the manifest's ShardInfo is stamped from. Sizes and the stored
 // checksum are computed as the bytes flow — the whole point is that no one
-// ever held the shard in memory to measure it. The raw FNV identity is not
+// ever held the shard in memory to measure it. The raw XXH64 identity is not
 // here: it belongs to the hash pass (HashCapture*), the one walk that reads
 // every raw byte for identity.
 type ShardSummary struct {
 	Size     int64  // compressed bytes that reached the store
-	Checksum uint64 // FNV-1a over the compressed stream
+	Checksum uint64 // XXH64 over the compressed stream
 	RawSize  int64  // raw stream bytes before compression
 	// PageSums is the CRC-32C page table of the raw stream, present only
 	// when the writer was opened with a page size.
@@ -926,7 +924,7 @@ func (r *cappedMessageReader) ReadByte() (byte, error) {
 
 // hashShard is the identity pass over one rank image: the ONE walk per
 // checkpoint that reads every raw byte of the clockless logical stream. It
-// yields the FNV-1a identity (RawSum, RawSize) and, riding the same walk,
+// yields the XXH64 identity (RawSum, RawSize) and, riding the same walk,
 // the CRC-32C page table (pageSize > 0) or the content-defined chunk table
 // (cdc) the partial-object diffs need. The stream is the same segment list
 // the writers later copy from, so the identities describe exactly the bytes
@@ -957,7 +955,7 @@ func hashShard(ri *RankImage, pageSize int64, cdc bool) (sum uint64, size int64,
 	if cs != nil {
 		chunks = cs.finish()
 	}
-	return cw.h.Sum64(), cw.n, pages, chunks, nil
+	return cw.h.sum64(), cw.n, pages, chunks, nil
 }
 
 // ----------------------------------------------------------- page deltas
@@ -972,9 +970,8 @@ func hashShard(ri *RankImage, pageSize int64, cdc bool) (sum uint64, size int64,
 //
 // CRC-32C (Castagnoli) is the page checksum deliberately: the stdlib
 // implementation is hardware-accelerated (SSE4.2/ARMv8 CRC instructions),
-// so the per-page diff costs a fraction of another FNV pass. FNV-1a remains
-// the whole-stream identity (RawSum) for manifest compatibility — reuse
-// keying is unchanged.
+// and 32 bits a page keep the manifest's table small. XXH64 remains the
+// whole-stream identity (RawSum) — reuse keying is unchanged.
 
 // ShardPageBytes is the default page width. 64 KiB balances table size
 // (16 KiB of sums per GiB of state) against delta granularity (one hot byte
@@ -1132,24 +1129,24 @@ func writePartialShard(rank int, dst io.WriteCloser, codec Codec, magic []byte, 
 		return partialSummary{}, cerr
 	}
 	return partialSummary{Size: size, Checksum: checksum,
-		DeltaRawSize: raw.n, DeltaRawSum: raw.h.Sum64(), HeaderLen: headerLen}, nil
+		DeltaRawSize: raw.n, DeltaRawSum: raw.h.sum64(), HeaderLen: headerLen}, nil
 }
 
-// countReader accumulates an FNV-1a checksum and byte count over everything
+// countReader accumulates an XXH64 checksum and byte count over everything
 // read through it.
 type countReader struct {
 	src io.Reader
-	h   hash.Hash64
+	h   xxh64
 	n   int64
 }
 
 func newCountReader(src io.Reader) *countReader {
-	return &countReader{src: src, h: fnv.New64a()}
+	return &countReader{src: src, h: newXXH64()}
 }
 
 func (r *countReader) Read(p []byte) (int, error) {
 	n, err := r.src.Read(p)
-	r.h.Write(p[:n])
+	r.h.write(p[:n])
 	r.n += int64(n)
 	return n, err
 }
@@ -1211,7 +1208,7 @@ func decodeShardStream(src io.Reader, rawSize int64, wantSum uint64, rawFormat i
 	if _, err := io.Copy(io.Discard, cr); err != nil && decErr == nil {
 		decErr = fmt.Errorf("reading shard: %w", err)
 	}
-	if got := cr.h.Sum64(); got != wantSum {
+	if got := cr.h.sum64(); got != wantSum {
 		return nil, fmt.Errorf("shard corrupted (checksum %x, want %x)", got, wantSum)
 	}
 	if decErr != nil {
@@ -1288,12 +1285,6 @@ func decodeShard(blob []byte, rawSize int64) (*RankImage, error) {
 		return nil, fmt.Errorf("decoding: %w", err)
 	}
 	return &ri, nil
-}
-
-func checksumOf(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
 }
 
 // Encode serializes the job image in the v2 sharded format, fanning the
@@ -1541,7 +1532,7 @@ func (man *Manifest) validate(shardDataLen int64) error {
 
 // manifestRecordMagic heads a standalone manifest record — the per-epoch
 // commit file a Store seals each capture with (see FORMAT.md). The layout
-// after the magic matches the in-blob v2 header: u32 gob length, u64 FNV-1a
+// after the magic matches the in-blob v2 header: u32 gob length, u64 XXH64
 // checksum, manifest gob.
 var manifestRecordMagic = []byte("MANAMFT3")
 

@@ -343,11 +343,11 @@ func flattenPartialShard(store Store, newEpoch int, si *ShardInfo) error {
 	_, copyErr := io.Copy(sw.raw, m.merged)
 	sum, closeErr := sw.Close()
 	// The writer only counts raw bytes; the merge reader hashed exactly the
-	// bytes it handed the writer, so its FNV-1a IS the new object's raw
+	// bytes it handed the writer, so its XXH64 IS the new object's raw
 	// identity — a reading of the flattened stream itself, not an echo of
 	// the manifest. Reported through finish so a corrupt source object still
 	// wins the verdict.
-	if got := m.merged.h.Sum64(); copyErr == nil && (got != si.RawSum || sum.RawSize != si.RawSize) {
+	if got := m.merged.h.sum64(); copyErr == nil && (got != si.RawSum || sum.RawSize != si.RawSize) {
 		copyErr = fmt.Errorf("flattened shard does not match its manifest identity (got %d raw bytes sum %#x, want %d sum %#x)",
 			sum.RawSize, got, si.RawSize, si.RawSum)
 	}

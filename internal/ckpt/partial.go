@@ -282,22 +282,35 @@ type partialMerge struct {
 	err   error
 }
 
-// checkStoredObject reads the entry's own object end to end and settles its
-// stored checksum, returning the byte count.
-func checkStoredObject(store Store, si *ShardInfo) (int64, error) {
+// openCheckedObject reads the entry's own object end to end, settles its
+// stored checksum and returns its byte count and a reader at its first byte:
+// over the checked bytes if they fit one staging buffer, else a second open.
+func openCheckedObject(store Store, si *ShardInfo) (io.ReadCloser, int64, error) {
 	rc, err := store.OpenShard(si.RefEpoch, si.Rank)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	defer rc.Close()
 	cr := newCountReader(rc)
-	if _, err := io.Copy(io.Discard, cr); err != nil {
-		return 0, fmt.Errorf("reading shard: %w", err)
+	var held bytes.Buffer
+	if si.Size > 0 && si.Size <= shardChunkBytes {
+		held.Grow(int(si.Size) + bytes.MinRead)
+		_, err = held.ReadFrom(io.LimitReader(cr, si.Size))
 	}
-	if got := cr.h.Sum64(); got != si.Checksum {
-		return 0, fmt.Errorf("shard corrupted (checksum %x, want %x)", got, si.Checksum)
+	if err == nil {
+		_, err = io.Copy(io.Discard, cr)
 	}
-	return cr.n, nil
+	rc.Close()
+	if err != nil {
+		return nil, 0, fmt.Errorf("reading shard: %w", err)
+	}
+	if got := cr.h.sum64(); got != si.Checksum {
+		return nil, 0, fmt.Errorf("shard corrupted (checksum %x, want %x)", got, si.Checksum)
+	}
+	if int64(held.Len()) == cr.n {
+		return io.NopCloser(&held), cr.n, nil
+	}
+	rc, err = store.OpenShard(si.RefEpoch, si.Rank)
+	return rc, cr.n, err
 }
 
 // openPartialMerge settles the own object's checksum, then opens it and
@@ -305,20 +318,16 @@ func checkStoredObject(store Store, si *ShardInfo) (int64, error) {
 // checksum pass comes first because the header is a gob message: gob sizes a
 // slice from its declared count before reading an element (up to 10 MB a
 // slice), so a damaged header must be named as corruption before it is
-// decoded, not after. A partial object is the small side of its entry — the
-// extra pass reads its stored bytes only, through nothing but the hash. A
-// header that cannot be trusted past that is settled through finish like any
-// other decode error.
+// decoded, not after. A partial object is the small side of its entry, so
+// the pass usually keeps it and the decode reads the checked bytes. A header
+// that cannot be trusted past that is settled through finish like any other
+// decode error.
 func openPartialMerge(store Store, si *ShardInfo) (*partialMerge, error) {
 	codec, err := codecByID(si.CodecID)
 	if err != nil {
 		return nil, err
 	}
-	objSize, err := checkStoredObject(store, si)
-	if err != nil {
-		return nil, err
-	}
-	rc, err := store.OpenShard(si.RefEpoch, si.Rank)
+	rc, objSize, err := openCheckedObject(store, si)
 	if err != nil {
 		return nil, err
 	}
@@ -414,7 +423,7 @@ func (m *partialMerge) retireSource(s *mergeSource) error {
 		if _, err := io.Copy(io.Discard, s.cr); err != nil && s.verr == nil {
 			s.verr = fmt.Errorf("reading source shard in epoch %d: %w", s.epoch, err)
 		}
-		if got := s.cr.h.Sum64(); got != s.bi.Checksum || s.cr.n != s.bi.Size {
+		if got := s.cr.h.sum64(); got != s.bi.Checksum || s.cr.n != s.bi.Size {
 			s.verr = fmt.Errorf("source shard in epoch %d corrupted (checksum %x, want %x)",
 				s.epoch, got, s.bi.Checksum)
 		}
@@ -524,9 +533,9 @@ func (m *partialMerge) close() {
 // decErr, the caller's decode result, in the order the type comment gives.
 func (m *partialMerge) finish(decErr error) error {
 	si := m.si
-	if decErr == nil && (m.merged.n != si.RawSize || m.merged.h.Sum64() != si.RawSum) {
+	if decErr == nil && (m.merged.n != si.RawSize || m.merged.h.sum64() != si.RawSum) {
 		decErr = fmt.Errorf("merged stream does not match the manifest identity (got %d bytes sum %#x, want %d bytes sum %#x)",
-			m.merged.n, m.merged.h.Sum64(), si.RawSize, si.RawSum)
+			m.merged.n, m.merged.h.sum64(), si.RawSize, si.RawSum)
 	}
 	if _, err := io.Copy(io.Discard, m.dRaw); err != nil && decErr == nil {
 		decErr = fmt.Errorf("decompressing shard: %w", err)
@@ -557,9 +566,9 @@ func (m *partialMerge) finish(decErr error) error {
 	if decErr != nil {
 		return decErr
 	}
-	if m.objSize != si.Size || m.dRaw.n != si.DeltaRawSize || m.dRaw.h.Sum64() != si.DeltaRawSum {
+	if m.objSize != si.Size || m.dRaw.n != si.DeltaRawSize || m.dRaw.h.sum64() != si.DeltaRawSum {
 		return fmt.Errorf("stored stream does not match the manifest (stored %d bytes, raw %d sum %#x; want %d, raw %d sum %#x)",
-			m.objSize, m.dRaw.n, m.dRaw.h.Sum64(), si.Size, si.DeltaRawSize, si.DeltaRawSum)
+			m.objSize, m.dRaw.n, m.dRaw.h.sum64(), si.Size, si.DeltaRawSize, si.DeltaRawSum)
 	}
 	return nil
 }

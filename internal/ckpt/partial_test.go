@@ -446,3 +446,32 @@ func TestDamagedHeaderNamedBeforeDecode(t *testing.T) {
 		t.Fatalf("naming the damage allocated %d bytes", got)
 	}
 }
+
+// openCountingStore counts OpenShard calls per object.
+type openCountingStore struct {
+	*MemStore
+	opens map[[2]int]int
+}
+
+func (s *openCountingStore) OpenShard(epoch, rank int) (io.ReadCloser, error) {
+	s.opens[[2]int{epoch, rank}]++
+	return s.MemStore.OpenShard(epoch, rank)
+}
+
+// TestSmallPartialObjectOpenedOnce: a partial object that fits one staging
+// buffer is checksummed and decoded from a single read of the store.
+func TestSmallPartialObjectOpenedOnce(t *testing.T) {
+	for _, chain := range partialChains {
+		c := chain.build(t)
+		if si := shardOf(t, c.man, 1); !si.Partial() || si.Size > shardChunkBytes {
+			t.Fatalf("%s: fixture's rank 1 is not a small partial object: %+v", chain.name, si)
+		}
+		cs := &openCountingStore{MemStore: c.store, opens: make(map[[2]int]int)}
+		if _, err := ExtractRankFromStore(cs, 1, 1); err != nil {
+			t.Fatalf("%s: %v", chain.name, err)
+		}
+		if n := cs.opens[[2]int{1, 1}]; n != 1 {
+			t.Errorf("%s: own object opened %d times, want 1", chain.name, n)
+		}
+	}
+}

@@ -909,7 +909,7 @@ func CommitCapture(store Store, epoch int, parent *Manifest, img *JobImage) (*Ma
 }
 
 // ShardSums holds stage 2a's output: every rank's clockless shard identity
-// (raw gob size and FNV-1a hash), computed by streaming each gob through a
+// (raw gob size and XXH64 hash), computed by streaming each gob through a
 // counter — no raw bytes are retained. It depends only on the image — not
 // on the parent manifest — so the coordinator computes it BEFORE taking the
 // epoch-ordering ticket, letting concurrent background commits hash in
@@ -933,14 +933,14 @@ type ShardSums struct {
 // HashCapture hashes every rank's clockless shard identity across
 // GOMAXPROCS workers, using O(workers) memory regardless of shard sizes.
 // This is the identity pass: the only walk between request and seal that
-// reads every raw byte of the captured image for its FNV-1a (CommitStreamed
+// reads every raw byte of the captured image for its XXH64 (CommitStreamed
 // stamps the manifest's RawSum/RawSize from it and never re-hashes).
 func HashCapture(img *JobImage) (*ShardSums, error) {
 	return hashCapture(img, 0, false)
 }
 
 // HashCapturePaged additionally records each rank's CRC-32C page table over
-// the same pass (the page CRCs ride the FNV stream — no second walk),
+// the same pass (the page CRCs ride the identity stream — no second walk),
 // arming CommitStreamed's page-delta diff. pageSize <= 0 selects the
 // default ShardPageBytes.
 func HashCapturePaged(img *JobImage, pageSize int64) (*ShardSums, error) {
@@ -951,8 +951,8 @@ func HashCapturePaged(img *JobImage, pageSize int64) (*ShardSums, error) {
 }
 
 // HashCaptureCDC records each rank's content-defined chunk table over the
-// same single streaming pass as the FNV identity (the gear hash and chunk
-// CRCs ride the FNV stream — no second walk), arming CommitStreamed's
+// same single streaming pass as the XXH64 identity (the gear hash and chunk
+// CRCs ride the identity stream — no second walk), arming CommitStreamed's
 // content-addressed chunk diff.
 func HashCaptureCDC(img *JobImage) (*ShardSums, error) {
 	return hashCapture(img, 0, true)

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"io"
 	"os"
 	"os/exec"
@@ -62,12 +63,18 @@ func goldenStraggler(insertEvery int) func(rank int) rt.App {
 	return func(rank int) rt.App { return apps.NewStraggler(cfg, rank) }
 }
 
+// goldenDigests splits what a chain stored three ways, so a change to the
+// 64-bit identity hash can show that it moved nothing else: objects covers
+// every stored object's bytes and size, shape every manifest entry with its
+// stream identities (Checksum, RawSum, DeltaRawSum, chunk Sum) blanked, and
+// records the sealed manifest records whole.
+type goldenDigests struct{ objects, shape, records string }
+
 // goldenChain runs an allocation chain of the straggler (one hot rank, two
 // cold ones) into a MemStore: leg 0 from a fresh start, every later leg a
 // restart from the newest epoch, each leg sealing one epoch and exiting. It
-// returns the store and a digest over every sealed manifest record and
-// every stored object, in epoch and rank order.
-func goldenChain(t *testing.T, plan rt.CkptPlan, insertEvery int) (*ckpt.MemStore, string) {
+// returns the store and its digests, taken in epoch and rank order.
+func goldenChain(t *testing.T, plan rt.CkptPlan, insertEvery int) (*ckpt.MemStore, goldenDigests) {
 	t.Helper()
 	const legs, atStep = 4, 3
 	store := ckpt.NewMemStore()
@@ -101,7 +108,7 @@ func goldenChain(t *testing.T, plan rt.CkptPlan, insertEvery int) (*ckpt.MemStor
 	if err != nil || len(epochs) != legs {
 		t.Fatalf("sealed epochs %v (err %v), want %d", epochs, err, legs)
 	}
-	h := sha256.New()
+	objects, shape, records := sha256.New(), sha256.New(), sha256.New()
 	for _, e := range epochs {
 		man, err := store.GetManifest(e)
 		if err != nil {
@@ -111,29 +118,39 @@ func goldenChain(t *testing.T, plan rt.CkptPlan, insertEvery int) (*ckpt.MemStor
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Write(rec)
+		records.Write(rec)
 		for i := range man.Shards {
-			si := &man.Shards[i]
-			fmt.Fprintf(h, "|%d/%d %d %x|", e, si.Rank, si.Size, si.Checksum)
-			if si.RefEpoch != e {
-				continue
+			si := &man.Shards[i] // decoded for this call alone, so free to edit
+			fmt.Fprintf(records, "|%d/%d %d %x|", e, si.Rank, si.Size, si.Checksum)
+			if si.RefEpoch == e {
+				blob, err := store.GetShard(e, si.Rank)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(objects, "|%d/%d %d|", e, si.Rank, len(blob))
+				objects.Write(blob)
 			}
-			blob, err := store.GetShard(e, si.Rank)
-			if err != nil {
-				t.Fatal(err)
+			// The entry minus its 64-bit stream identities: what is left is
+			// geometry, references and the CRC-32C tables.
+			si.Checksum, si.RawSum, si.DeltaRawSum = 0, 0, 0
+			for k := range si.Chunks {
+				si.Chunks[k].Sum = 0
 			}
-			h.Write(blob)
 		}
+		fmt.Fprintf(shape, "%+v\n", *man)
 	}
-	return store, hex.EncodeToString(h.Sum(nil))
+	sum := func(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)) }
+	return store, goldenDigests{sum(objects), sum(shape), sum(records)}
 }
 
 // TestStoredBytesGolden pins what reaches the store: for a fixed straggler
-// chain under each storage plan, every sealed manifest record and every
-// stored object must match digests recorded before the commit path was
-// reworked to touch captured state once. The pinned digests use the `none`
-// codec so they do not depend on the toolchain's deflate; the flate digests
-// are logged for differential runs against another commit.
+// chain under each storage plan, every stored object and every sealed
+// manifest record must match pinned digests. All three were recorded on the
+// last commit that hashed with FNV-1a; the change to XXH64 re-recorded
+// records alone and left objects and shape as they were, which is the proof
+// that only 64-bit sum values moved. The pinned digests use the `none` codec
+// so they do not depend on the toolchain's deflate; the flate digests are
+// logged for differential runs against another commit.
 //
 // The chains run in a child process that has done nothing else: gob numbers
 // user types process-wide in order of first use, and those numbers are in
@@ -155,16 +172,25 @@ func TestStoredBytesGolden(t *testing.T) {
 		name        string
 		plan        rt.CkptPlan
 		insertEvery int
-		want        string
+		want        goldenDigests
 		partial     func(*ckpt.ShardInfo) bool // the plan's partial-object format
 	}{
-		{"full", rt.CkptPlan{}, 0,
-			"d489352754c1d9bb2a05950bf5872a38b6def3c1f1b4e168684d0df87e3f7db3", nil},
-		{"delta", rt.CkptPlan{Incremental: true, Delta: true}, 0,
-			"1623829990d11fb1440bd55e647ba524f4009176ad31d7db6a4a48f40d80371d",
+		{"full", rt.CkptPlan{}, 0, goldenDigests{
+			objects: "c5572de7c5243c007e8d6f92ccfe0e54f08caa0568730f601b1684cfc0217625",
+			shape:   "13bba17fc90f48cf9b25300f0de5a8703f502489ee6cf5257572d892c0c3ebc9",
+			records: "230e74444b418c2f486a86b6d9f737b20bd96106a392a09f65a5ccfe1e0ee632",
+		}, nil},
+		{"delta", rt.CkptPlan{Incremental: true, Delta: true}, 0, goldenDigests{
+			objects: "336a3c4ad1ccb98ec5b61710249211958e917c0e674b74cf51b7f0a8dd4a5c06",
+			shape:   "4697ad79a8b6a4b61348a9061aeedff88909716334850305aa8e007dac5756a9",
+			records: "747dbd3ae9b1cc2d55ef0789512478f36ec6512b2ba8da24d77bda7da6d11371",
+		},
 			func(si *ckpt.ShardInfo) bool { return si.RawFormat == ckpt.RawFormatPageDelta }},
-		{"cdc", rt.CkptPlan{Incremental: true, CDC: true}, 1,
-			"58519600b664c5fbf8cc8c380c5d674c4b15818a8ec2ca3074ad76f9ad0eebb9",
+		{"cdc", rt.CkptPlan{Incremental: true, CDC: true}, 1, goldenDigests{
+			objects: "534a072143d099bd700c22945e0ce962f4014e06ecd2fc184b8b848682e01929",
+			shape:   "7a5abea902b1ba81a86959a555b1762be83dd000f860a3c7c3313603fb71aeb9",
+			records: "6b1f4e30d659fcf5eda4c0c0124cf3e911784d43f790432cb52ad8b73530195e",
+		},
 			func(si *ckpt.ShardInfo) bool { return si.RawFormat == ckpt.RawFormatCDC }},
 	}
 	for _, p := range plans {
@@ -172,13 +198,13 @@ func TestStoredBytesGolden(t *testing.T) {
 		t.Run(p.name, func(t *testing.T) {
 			flatePlan := p.plan
 			_, flateDigest := goldenChain(t, flatePlan, p.insertEvery)
-			t.Logf("flate digest %s", flateDigest)
+			t.Logf("flate digests %+v", flateDigest)
 
 			nonePlan := p.plan
 			nonePlan.Codec = "none"
 			store, got := goldenChain(t, nonePlan, p.insertEvery)
 			if got != p.want {
-				t.Errorf("stored bytes changed: digest %s, want %s", got, p.want)
+				t.Errorf("stored bytes changed (see goldenDigests for what each digest covers):\n got %+v\nwant %+v", got, p.want)
 			}
 
 			// The chain must actually exercise the plan's partial objects and
