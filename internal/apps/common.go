@@ -19,11 +19,19 @@ package apps
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 )
+
+// putF64 and getF64 write and read one little-endian float64 — the element
+// encoding of the collectives' payloads — in place, where mpi.F64Bytes and
+// mpi.BytesF64 would allocate a slice per value on the step path.
+func putF64(b []byte, x float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(x)) }
+func getF64(b []byte) float64    { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 
 // bufset is a named-buffer registry shared by the proxy apps.
 type bufset struct {

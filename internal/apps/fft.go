@@ -6,24 +6,51 @@ import "math"
 // (VASP's runtime is dominated by 3-D FFTs whose distributed transposes
 // drive its extreme collective-call rate; paper §1, §5.4).
 
-// fftForward computes the in-place forward DFT of a power-of-two-length
-// complex vector.
-func fftForward(x []complex128) { fftRadix2(x, false) }
-
-// fftInverse computes the in-place inverse DFT (normalized by 1/N).
-func fftInverse(x []complex128) {
-	fftRadix2(x, true)
-	n := complex(float64(len(x)), 0)
-	for i := range x {
-		x[i] /= n
-	}
+// fftPlan is the transform of one length and direction with its twiddle
+// factors tabulated: stages[k] is the sequence w, w·wl, w·wl², ... a
+// butterfly block of length 2<<k steps through. Each sequence is built by
+// the same `w *= wl` recurrence the transform used to run per block, so the
+// planned transform is bit-identical to it; what the table saves is a
+// cos/sin pair per stage and the multiply chain per block on every call.
+type fftPlan struct {
+	inverse bool
+	stages  [][]complex128
 }
 
-func fftRadix2(x []complex128, inverse bool) {
-	n := len(x)
+// newFFTPlan tabulates the twiddles for power-of-two length n.
+func newFFTPlan(n int, inverse bool) *fftPlan {
 	if n&(n-1) != 0 {
 		panic("apps: FFT length must be a power of two")
 	}
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	p := &fftPlan{inverse: inverse}
+	for length := 2; length <= n; length <<= 1 {
+		ang := sign * 2 * math.Pi / float64(length)
+		wl := complex(math.Cos(ang), math.Sin(ang))
+		tw := make([]complex128, length/2)
+		w := complex(1, 0)
+		for j := range tw {
+			tw[j] = w
+			w *= wl
+		}
+		p.stages = append(p.stages, tw)
+	}
+	return p
+}
+
+// fftForward computes the in-place forward DFT of a power-of-two-length
+// complex vector.
+func fftForward(x []complex128) { newFFTPlan(len(x), false).transform(x) }
+
+// fftInverse computes the in-place inverse DFT (normalized by 1/N).
+func fftInverse(x []complex128) { newFFTPlan(len(x), true).transform(x) }
+
+// transform runs the plan in place over x, whose length must be the plan's.
+func (p *fftPlan) transform(x []complex128) {
+	n := len(x)
 	// Bit-reversal permutation.
 	for i, j := 1, 0; i < n; i++ {
 		bit := n >> 1
@@ -35,22 +62,21 @@ func fftRadix2(x []complex128, inverse bool) {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	for length := 2; length <= n; length <<= 1 {
-		ang := sign * 2 * math.Pi / float64(length)
-		wl := complex(math.Cos(ang), math.Sin(ang))
-		for i := 0; i < n; i += length {
-			w := complex(1, 0)
-			for j := 0; j < length/2; j++ {
+	for _, tw := range p.stages {
+		half := len(tw)
+		for i := 0; i < n; i += 2 * half {
+			for j, w := range tw {
 				u := x[i+j]
-				v := x[i+j+length/2] * w
+				v := x[i+j+half] * w
 				x[i+j] = u + v
-				x[i+j+length/2] = u - v
-				w *= wl
+				x[i+j+half] = u - v
 			}
+		}
+	}
+	if p.inverse {
+		scale := complex(float64(n), 0)
+		for i := range x {
+			x[i] /= scale
 		}
 	}
 }

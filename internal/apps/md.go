@@ -181,8 +181,8 @@ func (m *MD) localEnergy(pot float64) float64 {
 func (m *MD) Step(env *rt.Env) (bool, error) {
 	switch m.Phase {
 	case 0: // force, integrate, halo exchange
-		haloL := mpi.BytesF64(m.bufs.get("haloL"))[0]
-		haloR := mpi.BytesF64(m.bufs.get("haloR"))[0]
+		haloL := getF64(m.bufs.get("haloL"))
+		haloR := getF64(m.bufs.get("haloR"))
 		pot := m.forces(haloL, haloR)
 		m.integrate()
 		m.Energy = m.localEnergy(pot)
@@ -206,7 +206,7 @@ func (m *MD) Step(env *rt.Env) (bool, error) {
 		env.WaitAll()
 	case 1: // periodic global energy
 		if (m.Iter+1)%m.cfg.EnergyEvery == 0 {
-			copy(m.bufs.get("energy"), mpi.F64Bytes([]float64{m.Energy}))
+			putF64(m.bufs.get("energy"), m.Energy)
 			m.Phase = 2
 			env.Allreduce(rt.WorldVID, mpi.OpSum, "energy")
 		} else {
@@ -214,7 +214,7 @@ func (m *MD) Step(env *rt.Env) (bool, error) {
 			m.Phase = 0
 		}
 	case 2: // consume global energy
-		m.Energy = mpi.BytesF64(m.bufs.get("energy"))[0]
+		m.Energy = getF64(m.bufs.get("energy"))
 		m.Iter++
 		m.Phase = 0
 	}

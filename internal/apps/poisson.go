@@ -112,18 +112,18 @@ func (p *Poisson) Step(env *rt.Env) (bool, error) {
 	c := p.cfg.ComputeVT
 	switch p.Phase {
 	case 0: // bootstrap: global rho0 = r.r
-		copy(p.bufs.get("rho"), mpi.F64Bytes([]float64{dot(p.R, p.R)}))
+		putF64(p.bufs.get("rho"), dot(p.R, p.R))
 		env.Iallreduce(rt.WorldVID, mpi.OpSum, "rho", "rhoout")
 		p.Phase = 1
 	case 1:
 		p.Phase = 2
 		env.WaitAll()
 	case 2:
-		p.Rho = mpi.BytesF64(p.bufs.get("rhoout"))[0]
+		p.Rho = getF64(p.bufs.get("rhoout"))
 		p.Phase = 3
 	case 3: // q = A p; start global p.q
 		p.applyA()
-		copy(p.bufs.get("dot"), mpi.F64Bytes([]float64{dot(p.P, p.Q)}))
+		putF64(p.bufs.get("dot"), dot(p.P, p.Q))
 		env.Iallreduce(rt.WorldVID, mpi.OpSum, "dot", "dotout")
 		env.Compute(0.6 * c) // overlapped matvec tail
 		p.Phase = 4
@@ -131,7 +131,7 @@ func (p *Poisson) Step(env *rt.Env) (bool, error) {
 		p.Phase = 5
 		env.WaitAll()
 	case 5: // alpha update; start global new rho
-		pq := mpi.BytesF64(p.bufs.get("dotout"))[0]
+		pq := getF64(p.bufs.get("dotout"))
 		if pq == 0 {
 			p.Converged = true
 			return false, nil
@@ -141,7 +141,7 @@ func (p *Poisson) Step(env *rt.Env) (bool, error) {
 			p.X[i] += alpha * p.P[i]
 			p.R[i] -= alpha * p.Q[i]
 		}
-		copy(p.bufs.get("rho"), mpi.F64Bytes([]float64{dot(p.R, p.R)}))
+		putF64(p.bufs.get("rho"), dot(p.R, p.R))
 		env.Iallreduce(rt.WorldVID, mpi.OpSum, "rho", "rhoout")
 		env.Compute(0.4 * c)
 		p.Phase = 6
@@ -149,7 +149,7 @@ func (p *Poisson) Step(env *rt.Env) (bool, error) {
 		p.Phase = 7
 		env.WaitAll()
 	case 7: // beta update, convergence check
-		rhoNew := mpi.BytesF64(p.bufs.get("rhoout"))[0]
+		rhoNew := getF64(p.bufs.get("rhoout"))
 		beta := rhoNew / p.Rho
 		p.Rho = rhoNew
 		p.Residual = math.Sqrt(rhoNew)

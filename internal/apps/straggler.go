@@ -142,7 +142,7 @@ func (a *Straggler) Step(env *rt.Env) (bool, error) {
 	// contract, post-processing belongs to the step after the blocking
 	// batch).
 	if a.Iter > 0 {
-		a.Acc = mpi.BytesF64(a.Sum)[0] / float64(env.CommSize(a.sub))
+		a.Acc = getF64(a.Sum) / float64(env.CommSize(a.sub))
 	}
 	// Advance deterministic local state; only hot ranks churn their bulk
 	// payload, and only while iterating.
@@ -163,7 +163,7 @@ func (a *Straggler) Step(env *rt.Env) (bool, error) {
 	}
 	env.Compute(2e-6)
 	contrib := a.Acc + a.State[a.Iter%len(a.State)]
-	copy(a.Sum, mpi.F64Bytes([]float64{contrib}))
+	putF64(a.Sum, contrib)
 	// Program counter advances before the blocking collective.
 	a.Iter++
 	env.Allreduce(a.sub, mpi.OpSum, "sum")

@@ -140,7 +140,7 @@ func (s *SW4Mini) Step(env *rt.Env) (bool, error) {
 		env.WaitAll()
 	case 1: // periodic stability reduction
 		if (s.Iter+1)%s.cfg.StabilityEvery == 0 {
-			copy(s.bufs.get("maxu"), mpi.F64Bytes([]float64{s.MaxU}))
+			putF64(s.bufs.get("maxu"), s.MaxU)
 			s.Phase = 2
 			env.Allreduce(rt.WorldVID, mpi.OpMax, "maxu")
 		} else {
@@ -148,7 +148,7 @@ func (s *SW4Mini) Step(env *rt.Env) (bool, error) {
 			s.Phase = 0
 		}
 	case 2:
-		s.MaxU = mpi.BytesF64(s.bufs.get("maxu"))[0]
+		s.MaxU = getF64(s.bufs.get("maxu"))
 		s.Iter++
 		s.Phase = 0
 	}

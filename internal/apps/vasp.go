@@ -28,6 +28,8 @@ type VASPMini struct {
 	bufs   bufset
 	row    int // row sub-communicator vid
 	rng    splitmix64
+
+	fwd, inv *fftPlan // twiddle tables for the slab's length; rebuilt by Setup
 }
 
 // VASPConfig parametrizes the proxy.
@@ -82,6 +84,7 @@ func (v *VASPMini) Setup(env *rt.Env) error {
 	v.bufs.add("haloR", 8)
 
 	v.Slab = make([]complex128, v.cfg.SlabN)
+	v.fwd, v.inv = newFFTPlan(v.cfg.SlabN, false), newFFTPlan(v.cfg.SlabN, true)
 	v.rng = splitmix64{S: uint64(env.Rank())*2654435761 + 1}
 	for i := range v.Slab {
 		v.Slab[i] = complex(v.rng.float()-0.5, v.rng.float()-0.5)
@@ -98,14 +101,14 @@ func (v *VASPMini) Step(env *rt.Env) (bool, error) {
 	c := v.cfg.ComputeVT
 	switch v.Phase {
 	case 0: // forward FFT, then first transpose
-		fftForward(v.Slab)
+		v.fwd.transform(v.Slab)
 		v.fillAta()
 		env.Compute(0.35 * c)
 		v.Phase = 1
 		env.Alltoall(v.row, "ata")
 	case 1: // fold transposed data back, inverse FFT, second transpose
 		v.foldAta()
-		fftInverse(v.Slab)
+		v.inv.transform(v.Slab)
 		env.Compute(0.35 * c)
 		v.Phase = 2
 		env.Alltoall(v.row, "ata")
@@ -115,9 +118,10 @@ func (v *VASPMini) Step(env *rt.Env) (bool, error) {
 		right := (env.Rank() + 1) % n
 		env.Irecv(rt.WorldVID, left, 11, "haloL", 0, 8)
 		env.Irecv(rt.WorldVID, right, 12, "haloR", 0, 8)
-		payload := mpi.F64Bytes([]float64{real(v.Slab[0])})
-		env.Send(rt.WorldVID, left, 12, payload)
-		env.Send(rt.WorldVID, right, 11, payload)
+		var payload [8]byte
+		putF64(payload[:], real(v.Slab[0]))
+		env.Send(rt.WorldVID, left, 12, payload[:])
+		env.Send(rt.WorldVID, right, 11, payload[:])
 		env.Compute(0.15 * c)
 		v.Phase = 3
 		env.WaitAll()
@@ -126,12 +130,12 @@ func (v *VASPMini) Step(env *rt.Env) (bool, error) {
 		for _, z := range v.Slab {
 			e += real(z)*real(z) + imag(z)*imag(z)
 		}
-		copy(v.bufs.get("energy"), mpi.F64Bytes([]float64{e}))
+		putF64(v.bufs.get("energy"), e)
 		env.Compute(0.15 * c)
 		v.Phase = 4
 		env.Allreduce(rt.WorldVID, mpi.OpSum, "energy")
 	case 4: // consume energy, next iteration
-		v.Energy = mpi.BytesF64(v.bufs.get("energy"))[0]
+		v.Energy = getF64(v.bufs.get("energy"))
 		if math.IsNaN(v.Energy) || math.IsInf(v.Energy, 0) {
 			v.Energy = 0
 		}
@@ -145,8 +149,7 @@ func (v *VASPMini) Step(env *rt.Env) (bool, error) {
 func (v *VASPMini) fillAta() {
 	b := v.bufs.get("ata")
 	for i := 0; i+8 <= len(b); i += 8 {
-		idx := (i / 8) % len(v.Slab)
-		copy(b[i:i+8], mpi.F64Bytes([]float64{real(v.Slab[idx])}))
+		putF64(b[i:], real(v.Slab[(i/8)%len(v.Slab)]))
 	}
 }
 
@@ -154,12 +157,8 @@ func (v *VASPMini) fillAta() {
 // magnitudes bounded.
 func (v *VASPMini) foldAta() {
 	b := v.bufs.get("ata")
-	vals := mpi.BytesF64(b)
-	for i, x := range vals {
-		if i >= len(v.Slab) {
-			break
-		}
-		v.Slab[i] += complex(x*1e-3, 0)
+	for i := 0; i < len(v.Slab) && 8*i+8 <= len(b); i++ {
+		v.Slab[i] += complex(getF64(b[8*i:])*1e-3, 0)
 		if cmplx.Abs(v.Slab[i]) > 1e6 {
 			v.Slab[i] /= 1e6
 		}

@@ -225,11 +225,13 @@ type Protocol interface {
 	RegisterComm(ci *CommInfo)
 
 	// Collective runs one blocking collective through the protocol. exec
-	// performs the actual simulator call. desc describes the pending
-	// operation for capture (may be nil when checkpointing is disabled).
+	// performs the actual simulator call. desc builds the record of the
+	// pending operation for capture; a protocol calls it only when it parks
+	// the rank in front of the operation, so the uninterrupted path builds
+	// nothing (nil when checkpointing is disabled: see Describe).
 	// The returned outcome is Terminated if a checkpoint-and-exit was
 	// captured while parked at this wrapper; the caller must unwind.
-	Collective(ci *CommInfo, desc *Descriptor, exec func()) Outcome
+	Collective(ci *CommInfo, desc func() *Descriptor, exec func()) Outcome
 
 	// Initiate runs one non-blocking collective initiation. It never parks.
 	Initiate(ci *CommInfo, exec func() *mpi.Request) *mpi.Request
@@ -249,6 +251,17 @@ type Protocol interface {
 	// number tables) into/from the rank image.
 	Snapshot() ([]byte, error)
 	Restore(data []byte) error
+}
+
+// Describe builds a pending collective's descriptor with the given park kind;
+// without a builder the descriptor carries the kind alone.
+func Describe(desc func() *Descriptor, kind ParkKind) *Descriptor {
+	d := &Descriptor{}
+	if desc != nil {
+		d = desc()
+	}
+	d.Kind = kind
+	return d
 }
 
 // Algorithm is the job-wide view of a checkpointing algorithm.

@@ -35,7 +35,7 @@ func (nativeRank) Name() string              { return "native" }
 func (nativeRank) RegisterComm(ci *CommInfo) {}
 func (nativeRank) Snapshot() ([]byte, error) { return nil, nil }
 func (nativeRank) Restore(data []byte) error { return nil }
-func (nativeRank) Collective(ci *CommInfo, desc *Descriptor, exec func()) Outcome {
+func (nativeRank) Collective(ci *CommInfo, desc func() *Descriptor, exec func()) Outcome {
 	exec()
 	return Proceed
 }

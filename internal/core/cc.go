@@ -321,7 +321,7 @@ func (r *Rank) nbPending() int {
 // Algorithm 2 wrapper. On the fast path (no checkpoint pending) the total
 // added cost is one interposition charge and a local counter increment — no
 // network operations, the heart of the paper's overhead claim.
-func (r *Rank) Collective(ci *ckpt.CommInfo, desc *ckpt.Descriptor, exec func()) ckpt.Outcome {
+func (r *Rank) Collective(ci *ckpt.CommInfo, desc func() *ckpt.Descriptor, exec func()) ckpt.Outcome {
 	model := r.p.World().Model
 	r.p.Ct.WrapperCalls++
 	r.p.Clk.Advance(model.P.WrapperCost)
@@ -340,7 +340,8 @@ func (r *Rank) Collective(ci *ckpt.CommInfo, desc *ckpt.Descriptor, exec func())
 	// next collective would overshoot; the park point is capturable.
 	r.absorbUpdates()
 	if r.reachedAllTargets() {
-		out := r.cc.coord.ParkUntil(r.p.Rank(), desc, func() ckpt.Decision {
+		d := ckpt.Describe(desc, ckpt.ParkPreCollective)
+		out := r.cc.coord.ParkUntil(r.p.Rank(), d, func() ckpt.Decision {
 			r.absorbUpdates()
 			if r.behindSomeTarget() {
 				return ckpt.Resume

@@ -3,414 +3,367 @@ package mpi
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"mana/internal/netmodel"
 )
 
 // collSlot is the shared rendezvous object for one collective operation
 // instance: the seq-th collective on a communicator. Member ranks register
-// their entry times and payloads; exit times and results are derived from
-// the netmodel according to the collective's semantics.
+// their entry times and stage their payloads under the communicator's mutex;
+// the last one to arrive resolves the instance once — common exit time and
+// reduced or concatenated result — and every member then reads what it needs
+// without recomputing. A slot and its buffers are reused for a later
+// instance once every member has left it.
 type collSlot struct {
 	core *commCore
-	seq  uint64
 	spec netmodel.CollSpec
+	nb   bool      // non-blocking instance (members poll through their mailboxes)
+	cond sync.Cond // on core.mu; broadcast when the root has entered and when full
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	entries  []float64 // entry (initiation) virtual time per comm rank, -1 until seen
-	datas    [][]byte  // contributed payloads per comm rank
-	arrived  int
-	full     bool
-	nb       bool // non-blocking instance (uniform completion rule)
-	nbExits  []float64
-	results  [][]byte // per-rank results, computed when data is available
-	nFetched int
+	entries []float64 // entry (initiation) virtual time per comm rank, -1 until seen
+	datas   [][]byte  // staged payload per comm rank
+	arrived int
+	exit    float64 // once full: the synchronizing kinds' common exit, Reduce/Gather's root exit
+	result  []byte  // once full: reduction, prefix reductions or concatenation
+
+	left    atomic.Int32 // members done with the instance
+	retired bool
 }
 
-// slotFor returns (creating if needed) the slot for the seq-th collective on
-// the communicator, validating that all ranks agree on kind/size/root.
-func (c *Comm) slotFor(seq uint64, spec netmodel.CollSpec, nb bool) *collSlot {
-	core := c.core
-	core.mu.Lock()
-	defer core.mu.Unlock()
-	if s, ok := core.slots[seq]; ok {
-		if s.spec.Kind != spec.Kind {
-			panic(fmt.Sprintf("mpi: collective mismatch on comm %d seq %d: %v vs %v (erroneous program)",
-				core.id, seq, s.spec.Kind, spec.Kind))
-		}
-		return s
+// slotLocked returns the instance for the seq-th collective on the
+// communicator. Members pass through instances in order, so seq is either
+// live or the next one, which the first member to reach it claims from the
+// free list.
+func (core *commCore) slotLocked(seq uint64, kind netmodel.CollKind, size, root int, op Op, nb bool) *collSlot {
+	idx := int(seq - core.base)
+	if idx < len(core.live) {
+		return core.live[idx]
 	}
-	n := core.group.Size()
-	s := &collSlot{core: core, seq: seq, spec: spec, nb: nb}
-	s.cond = sync.NewCond(&s.mu)
-	s.entries = make([]float64, n)
+	if idx > len(core.live) {
+		panic(fmt.Sprintf("mpi: comm %d: collective %d entered before %d", core.id, seq, core.base+uint64(len(core.live))))
+	}
+	var s *collSlot
+	if k := len(core.free) - 1; k >= 0 {
+		s, core.free = core.free[k], core.free[:k]
+	} else {
+		n := core.group.Size()
+		s = &collSlot{core: core, entries: make([]float64, n), datas: make([][]byte, n)}
+		s.cond.L = &core.mu
+		s.spec.Geom, s.spec.WorldRanks = core.geom, core.group.WorldRanks()
+	}
+	s.spec.Kind, s.spec.Size, s.spec.Root, s.spec.ReduceOp = kind, size, root, int(op)
+	s.nb, s.arrived, s.retired, s.result = nb, 0, false, s.result[:0]
+	s.left.Store(0)
 	for i := range s.entries {
-		s.entries[i] = -1
+		s.entries[i], s.datas[i] = -1, s.datas[i][:0]
 	}
-	s.datas = make([][]byte, n)
-	s.results = make([][]byte, n)
-	core.slots[seq] = s
+	core.live = append(core.live, s)
 	return s
 }
 
-// register records rank i's entry (or initiation) with its payload.
-func (s *collSlot) register(i int, vt float64, payload []byte) {
-	s.mu.Lock()
-	if s.entries[i] >= 0 {
-		s.mu.Unlock()
-		panic(fmt.Sprintf("mpi: rank %d entered collective %v twice (comm %d seq %d)",
-			i, s.spec.Kind, s.core.id, s.seq))
-	}
-	s.entries[i] = vt
-	if payload != nil {
-		s.datas[i] = append([]byte(nil), payload...)
-	}
-	s.arrived++
-	if s.arrived == s.spec.Geom.N {
-		s.full = true
-	}
-	s.cond.Broadcast()
-	full, nb := s.full, s.nb
-	s.mu.Unlock()
-	s.core.w.NoteActivity()
-	if full && nb {
-		// Non-blocking instance just became completable: wake the members'
-		// mailboxes so any rank blocked in Wait re-evaluates its request.
-		for _, wr := range s.spec.WorldRanks {
-			s.core.w.Wake(wr)
-		}
-	}
-}
-
-// waitFull blocks until every member has entered. The deferred unlock is
-// load-bearing: checkAbort panics out of the loop, and a leaked slot mutex
-// would wedge every other member blocked on the same slot beyond even the
-// watchdog's reach.
-func (s *collSlot) waitFull() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for !s.full {
-		s.core.w.checkAbort()
-		s.cond.Wait()
-	}
-}
-
-// waitInitiated is waitFull under its request-facing name: a non-blocking
-// collective cannot complete until all participants initiated it.
-func (s *collSlot) waitInitiated() { s.waitFull() }
-
-// waitRootArrived blocks until the root's entry has been recorded. The
-// deferred unlock matters for the same reason as in waitFull.
-func (s *collSlot) waitRootArrived() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.entries[s.spec.Root] < 0 {
-		s.core.w.checkAbort()
-		s.cond.Wait()
-	}
-	return s.entries[s.spec.Root]
-}
-
-// completionFor reports the completion time of a non-blocking instance for
-// comm rank i, if determinable (i.e. all ranks have initiated).
-func (s *collSlot) completionFor(i int) (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.full {
-		return 0, false
-	}
-	if s.nbExits == nil {
-		s.nbExits = s.core.w.Model.CollExits(s.spec, s.entries)
-		s.computeResultsLocked()
-	}
-	return s.nbExits[i], true
-}
-
-// resultFor returns rank i's result payload (may be nil for barrier or
-// non-root ranks of rooted collectives). Caller must ensure data readiness:
-// for Bcast/Scatter the root must have arrived; otherwise the slot must be
-// full.
-func (s *collSlot) resultFor(i int) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Rooted distributions depend only on the root's payload, which lets
-	// receivers fetch results before stragglers arrive (non-synchronizing
-	// exit, paper §3).
-	switch s.spec.Kind {
-	case netmodel.Bcast:
-		return s.datas[s.spec.Root]
-	case netmodel.Scatter:
-		root := s.spec.Root
-		blk := len(s.datas[root]) / s.spec.Geom.N
-		return s.datas[root][i*blk : (i+1)*blk]
-	}
-	if s.results[i] == nil && s.full {
-		s.computeResultsLocked()
-	}
-	return s.results[i]
-}
-
-// fetched marks rank i done with the slot; the last fetch removes the slot
-// from the communicator's table.
-func (s *collSlot) fetched(i int) {
-	s.mu.Lock()
-	s.nFetched++
-	last := s.nFetched == s.spec.Geom.N
-	s.mu.Unlock()
-	if last {
-		s.core.mu.Lock()
-		delete(s.core.slots, s.seq)
-		s.core.mu.Unlock()
-	}
-}
-
-// computeResultsLocked fills s.results according to the collective's data
-// semantics. Requires s.mu held and, for fan-in/synchronizing kinds, s.full.
-func (s *collSlot) computeResultsLocked() {
-	n := s.spec.Geom.N
-	switch s.spec.Kind {
-	case netmodel.Barrier:
-		// no data
-	case netmodel.Bcast:
-		root := s.spec.Root
-		for i := 0; i < n; i++ {
-			s.results[i] = s.datas[root]
-		}
-	case netmodel.Scatter:
-		root := s.spec.Root
-		blk := len(s.datas[root]) / n
-		for i := 0; i < n; i++ {
-			s.results[i] = s.datas[root][i*blk : (i+1)*blk]
-		}
-	case netmodel.Reduce:
-		s.results[s.spec.Root] = reduceAll(Op(s.spec.ReduceOp), s.datas)
-	case netmodel.Allreduce:
-		red := reduceAll(Op(s.spec.ReduceOp), s.datas)
-		for i := 0; i < n; i++ {
-			s.results[i] = red
-		}
-	case netmodel.Gather:
-		s.results[s.spec.Root] = concat(s.datas)
-	case netmodel.Allgather:
-		all := concat(s.datas)
-		for i := 0; i < n; i++ {
-			s.results[i] = all
-		}
-	case netmodel.Alltoall:
-		blk := len(s.datas[0]) / n
-		for i := 0; i < n; i++ {
-			out := make([]byte, 0, blk*n)
-			for j := 0; j < n; j++ {
-				out = append(out, s.datas[j][i*blk:(i+1)*blk]...)
-			}
-			s.results[i] = out
-		}
-	case netmodel.Scan:
-		op := Op(s.spec.ReduceOp)
-		acc := append([]byte(nil), s.datas[0]...)
-		s.results[0] = append([]byte(nil), acc...)
-		for i := 1; i < n; i++ {
-			applyOp(op, acc, s.datas[i])
-			s.results[i] = append([]byte(nil), acc...)
-		}
-	case netmodel.ReduceScatter:
-		red := reduceAll(Op(s.spec.ReduceOp), s.datas)
-		blk := len(red) / n
-		for i := 0; i < n; i++ {
-			s.results[i] = red[i*blk : (i+1)*blk]
-		}
-	}
-}
-
-// enter registers the caller in the seq-th collective and returns the slot.
-func (c *Comm) enter(kind netmodel.CollKind, size int, root int, op Op, payload []byte, nb bool) *collSlot {
-	spec := netmodel.CollSpec{
-		Kind:       kind,
-		Size:       size,
-		Root:       root,
-		Geom:       c.core.geom,
-		WorldRanks: c.core.group.WorldRanks(),
-		ReduceOp:   int(op),
-	}
-	seq := c.collSeq
-	c.collSeq++
-	s := c.slotFor(seq, spec, nb)
-	c.p.Ct.Collective(kind, size, nb)
-	c.p.Clk.Advance(c.p.w.Model.P.CallOverhead)
-	s.register(c.myRank, c.p.Clk.Now(), payload)
-	return s
-}
-
-// blockingExit waits as required by the collective's semantics (root
-// arrival for rooted distributions, full membership for synchronizing and
-// fan-in roots) and returns the caller's exit time.
-func (c *Comm) blockingExit(s *collSlot) float64 {
-	model := c.p.w.Model
-	i := c.myRank
+// resolveLocked runs once per instance, on the last member's arrival: the
+// exit time every waiter would otherwise derive for itself from all n entry
+// times, and the data result, folded in comm-rank order.
+func (core *commCore) resolveLocked(s *collSlot) {
+	model, op := core.w.Model, Op(s.spec.ReduceOp)
 	switch s.spec.Kind {
 	case netmodel.Bcast, netmodel.Scatter:
-		if i == s.spec.Root {
-			return model.RootedRootExit(s.spec, s.entryOf(i))
-		}
-		rootEntry := s.waitRootArrived()
-		return model.RootedRecvExit(s.spec, s.entryOf(i), rootEntry, i)
+		// Exits and data follow from the root's entry alone.
 	case netmodel.Reduce, netmodel.Gather:
-		if i == s.spec.Root {
-			s.waitFull()
-			return model.FanInRootExit(s.spec, s.snapshotEntries())
-		}
-		return model.FanInLeafExit(s.spec, s.entryOf(i), i)
-	default: // synchronizing
-		s.waitFull()
-		return model.SyncExit(s.spec, s.snapshotEntries())
-	}
-}
-
-// finishBlocking applies the per-kind blocking exit rule and returns the
-// caller's result payload.
-func (c *Comm) finishBlocking(s *collSlot) []byte {
-	i := c.myRank
-	c.p.SetWaitSite("collective")
-	defer c.p.SetWaitSite("")
-	c.p.Clk.SyncTo(c.blockingExit(s))
-
-	var res []byte
-	switch s.spec.Kind {
-	case netmodel.Barrier:
-	case netmodel.Reduce, netmodel.Gather:
-		if i == s.spec.Root {
-			res = s.resultFor(i)
-		}
+		s.exit = model.FanInRootExit(s.spec, s.entries)
 	default:
-		res = s.resultFor(i)
+		s.exit = model.SyncExit(s.spec, s.entries)
 	}
-	s.fetched(i)
-	return res
+	switch s.spec.Kind {
+	case netmodel.Reduce, netmodel.Allreduce, netmodel.ReduceScatter:
+		s.result = append(s.result, s.datas[0]...)
+		for _, d := range s.datas[1:] {
+			applyOp(op, s.result, d)
+		}
+	case netmodel.Gather, netmodel.Allgather:
+		for _, d := range s.datas {
+			s.result = append(s.result, d...)
+		}
+	case netmodel.Scan: // rank i's prefix at block i
+		s.result = append(s.result, s.datas[0]...)
+		for _, d := range s.datas[1:] {
+			k := len(s.result)
+			s.result = append(s.result, s.result[k-len(d):]...)
+			applyOp(op, s.result[k:], d)
+		}
+	}
+	s.cond.Broadcast()
 }
 
-func (s *collSlot) entryOf(i int) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.entries[i]
+// settledFor reports whether comm rank i's exit time is determined: by the
+// root's entry for rooted distributions, at once for Reduce/Gather leaves,
+// by full membership otherwise (paper §3: only the last are synchronizing).
+func (s *collSlot) settledFor(i int) bool {
+	switch s.spec.Kind {
+	case netmodel.Bcast, netmodel.Scatter:
+		return s.entries[s.spec.Root] >= 0
+	case netmodel.Reduce, netmodel.Gather:
+		if i != s.spec.Root {
+			return true
+		}
+	}
+	return s.arrived == s.spec.Geom.N
 }
 
-func (s *collSlot) snapshotEntries() []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]float64, len(s.entries))
-	copy(out, s.entries)
+// exitFor returns comm rank i's exit (for a non-blocking instance:
+// completion) time. Requires settledFor(i); the per-rank rules are the ones
+// netmodel.CollExits is built from.
+func (s *collSlot) exitFor(i int) float64 {
+	model, root := s.core.w.Model, s.spec.Root
+	switch s.spec.Kind {
+	case netmodel.Bcast, netmodel.Scatter:
+		if i == root {
+			return model.RootedRootExit(s.spec, s.entries[root])
+		}
+		return model.RootedRecvExit(s.spec, s.entries[i], s.entries[root], i)
+	case netmodel.Reduce, netmodel.Gather:
+		if i != root {
+			return model.FanInLeafExit(s.spec, s.entries[i], i)
+		}
+	}
+	return s.exit
+}
+
+// resultInto copies comm rank i's result straight from the instance's staged
+// payloads or shared result into out and returns the filled prefix; a nil
+// out asks for a fresh buffer of the result's length. Ranks without a result
+// (Barrier, the Bcast root, Reduce/Gather leaves) get out[:0]. The instance
+// is immutable from the moment i's exit is settled until i leaves it, so
+// this runs outside the communicator's mutex.
+func (s *collSlot) resultInto(i int, out []byte) []byte {
+	if out != nil && len(out) == 0 {
+		return out
+	}
+	n, root := s.spec.Geom.N, s.spec.Root
+	var src []byte
+	switch s.spec.Kind {
+	case netmodel.Bcast:
+		if i != root {
+			src = s.datas[root]
+		}
+	case netmodel.Scatter:
+		blk := len(s.datas[root]) / n
+		src = s.datas[root][i*blk : (i+1)*blk]
+	case netmodel.Reduce, netmodel.Gather:
+		if i == root {
+			src = s.result
+		}
+	case netmodel.Allreduce, netmodel.Allgather:
+		src = s.result
+	case netmodel.Scan, netmodel.ReduceScatter:
+		blk := len(s.result) / n
+		src = s.result[i*blk : (i+1)*blk]
+	case netmodel.Alltoall: // block i of every member's payload, in comm-rank order
+		blk := len(s.datas[0]) / n
+		if out == nil {
+			out = make([]byte, blk*n)
+		}
+		off := 0
+		for j := 0; j < n && off < len(out); j++ {
+			off += copy(out[off:], s.datas[j][i*blk:(i+1)*blk])
+		}
+		return out[:off]
+	}
+	if out == nil && len(src) > 0 {
+		out = make([]byte, len(src))
+	}
+	return out[:copy(out, src)]
+}
+
+// leave marks one member done with the instance; the last one out retires
+// it, and retired instances at the head of the live window go back to the
+// free list.
+func (core *commCore) leave(s *collSlot) {
+	if int(s.left.Add(1)) < s.spec.Geom.N {
+		return
+	}
+	core.mu.Lock()
+	s.retired = true
+	k := 0
+	for k < len(core.live) && core.live[k].retired {
+		core.free = append(core.free, core.live[k])
+		k++
+	}
+	core.base += uint64(k)
+	core.live = core.live[:copy(core.live, core.live[k:])]
+	core.mu.Unlock()
+}
+
+// payloadOf applies the per-kind contribution rules: the per-rank size the
+// cost model sees and the bytes this rank stages (only the root's for Bcast
+// and Scatter, whose non-roots do not know the size).
+func (c *Comm) payloadOf(kind netmodel.CollKind, root int, in []byte) (size int, payload []byte) {
+	n := c.Size()
+	size, payload = len(in), in
+	switch kind {
+	case netmodel.Bcast:
+		if c.myRank != root {
+			payload = nil
+		}
+	case netmodel.Scatter:
+		if c.myRank != root {
+			return 0, nil
+		}
+		fallthrough
+	case netmodel.Alltoall, netmodel.ReduceScatter:
+		if len(in)%n != 0 {
+			panic(fmt.Sprintf("mpi: %v payload %d not divisible by comm size %d", kind, len(in), n))
+		}
+		size = len(in) / n
+	}
+	return size, payload
+}
+
+// enter registers the caller in its next collective on the communicator —
+// entry time and staged payload — and resolves the instance if the caller
+// completes it. A blocking caller then sleeps, at most once, until its exit
+// time is settled, and gets it back; a non-blocking caller returns at once.
+func (c *Comm) enter(kind netmodel.CollKind, size, root int, op Op, payload []byte, nb bool) (s *collSlot, exit float64) {
+	p, core, i := c.p, c.core, c.myRank
+	seq := c.collSeq
+	c.collSeq++
+	p.Ct.Collective(kind, size, nb)
+	p.Clk.Advance(p.w.Model.P.CallOverhead)
+	p.w.NoteActivity()
+
+	full := false
+	core.mu.Lock()
+	defer func() { // also on a panic out of the wait or the reduction
+		core.mu.Unlock()
+		if full && nb {
+			// Non-blocking instance just became completable: wake the
+			// members' mailboxes so a rank blocked in Wait re-evaluates.
+			for _, wr := range s.spec.WorldRanks {
+				p.w.Wake(wr)
+			}
+		}
+	}()
+	s = core.slotLocked(seq, kind, size, root, op, nb)
+	if s.spec.Kind != kind || s.entries[i] >= 0 {
+		panic(fmt.Sprintf("mpi: rank %d entered %v on comm %d seq %d, which is %v with entry %g (erroneous program)",
+			i, kind, core.id, seq, s.spec.Kind, s.entries[i]))
+	}
+	s.entries[i] = p.Clk.Now()
+	s.datas[i] = append(s.datas[i], payload...)
+	s.arrived++
+	if i == root && (kind == netmodel.Bcast || kind == netmodel.Scatter) {
+		s.spec.Size = size // the root's, whoever claimed the slot
+		s.cond.Broadcast()
+	}
+	if full = s.arrived == s.spec.Geom.N; full {
+		core.resolveLocked(s)
+	}
+	if nb {
+		return s, 0
+	}
+	parked := false
+	for !s.settledFor(i) {
+		p.w.checkAbort()
+		parked = true
+		p.collParks++
+		p.waitSite.Store(&siteCollective)
+		s.cond.Wait()
+	}
+	if parked {
+		p.waitSite.Store(nil)
+	}
+	return s, s.exitFor(i)
+}
+
+// noData is the out buffer of a collective that moves no bytes.
+var noData = []byte{}
+
+// exchange runs one blocking collective: stage in, wait as the kind's
+// semantics require, advance the clock to the exit time, copy the caller's
+// result into out (see resultInto for a nil out).
+func (c *Comm) exchange(kind netmodel.CollKind, size, root int, op Op, payload, out []byte) []byte {
+	s, exit := c.enter(kind, size, root, op, payload, false)
+	c.p.Clk.SyncTo(exit)
+	out = s.resultInto(c.myRank, out)
+	c.core.leave(s)
 	return out
 }
 
-func concat(datas [][]byte) []byte {
-	var total int
-	for _, d := range datas {
-		total += len(d)
+// Collective executes one blocking data-carrying collective of the given
+// kind in place: in is the caller's contribution (the whole buffer for
+// Alltoall, Scatter's root and ReduceScatter; ignored where the kind takes
+// none from this rank) and out receives its result, if it has one. in and
+// out may be the same buffer. It returns the number of bytes written to out.
+// The []byte-returning methods below are this routine with a fresh out.
+func (c *Comm) Collective(kind netmodel.CollKind, root int, op Op, in, out []byte) int {
+	if out == nil {
+		out = noData
 	}
-	out := make([]byte, 0, total)
-	for _, d := range datas {
-		out = append(out, d...)
-	}
-	return out
+	size, payload := c.payloadOf(kind, root, in)
+	return len(c.exchange(kind, size, root, op, payload, out))
+}
+
+// fresh runs a blocking collective whose result is returned in a new buffer.
+func (c *Comm) fresh(kind netmodel.CollKind, root int, op Op, in []byte) []byte {
+	size, payload := c.payloadOf(kind, root, in)
+	return c.exchange(kind, size, root, op, payload, nil)
 }
 
 // Barrier implements MPI_Barrier.
-func (c *Comm) Barrier() {
-	s := c.enter(netmodel.Barrier, 0, 0, OpSum, nil, false)
-	c.finishBlocking(s)
-}
+func (c *Comm) Barrier() { c.exchange(netmodel.Barrier, 0, 0, OpSum, nil, noData) }
 
 // Bcast implements MPI_Bcast: the root's buf is sent to all; on non-roots
 // buf is overwritten with the root's data. Returns the received data length.
 func (c *Comm) Bcast(root int, buf []byte) int {
-	var payload []byte
+	n := c.Collective(netmodel.Bcast, root, OpSum, buf, buf)
 	if c.myRank == root {
-		payload = buf
+		return len(buf)
 	}
-	s := c.enter(netmodel.Bcast, len(buf), root, OpSum, payload, false)
-	res := c.finishBlocking(s)
-	if c.myRank != root {
-		return copy(buf, res)
-	}
-	return len(buf)
+	return n
 }
 
 // Reduce implements MPI_Reduce; the reduced vector is returned at the root
 // (nil elsewhere). Payloads are little-endian float64 vectors.
 func (c *Comm) Reduce(root int, op Op, data []byte) []byte {
-	s := c.enter(netmodel.Reduce, len(data), root, op, data, false)
-	res := c.finishBlocking(s)
-	if c.myRank == root {
-		return append([]byte(nil), res...)
-	}
-	return nil
+	return c.fresh(netmodel.Reduce, root, op, data)
 }
 
 // Allreduce implements MPI_Allreduce.
 func (c *Comm) Allreduce(op Op, data []byte) []byte {
-	s := c.enter(netmodel.Allreduce, len(data), 0, op, data, false)
-	return append([]byte(nil), c.finishBlocking(s)...)
+	return c.fresh(netmodel.Allreduce, 0, op, data)
 }
 
 // Gather implements MPI_Gather: the root receives the concatenation of all
 // contributions in comm-rank order (nil elsewhere).
 func (c *Comm) Gather(root int, data []byte) []byte {
-	s := c.enter(netmodel.Gather, len(data), root, OpSum, data, false)
-	res := c.finishBlocking(s)
-	if c.myRank == root {
-		return append([]byte(nil), res...)
-	}
-	return nil
+	return c.fresh(netmodel.Gather, root, OpSum, data)
 }
 
 // Allgather implements MPI_Allgather.
 func (c *Comm) Allgather(data []byte) []byte {
-	s := c.enter(netmodel.Allgather, len(data), 0, OpSum, data, false)
-	return append([]byte(nil), c.finishBlocking(s)...)
+	return c.fresh(netmodel.Allgather, 0, OpSum, data)
 }
 
 // Alltoall implements MPI_Alltoall: data must contain Size() equal blocks;
 // block j goes to comm rank j; the result contains one block from each rank.
 func (c *Comm) Alltoall(data []byte) []byte {
-	n := c.Size()
-	if len(data)%n != 0 {
-		panic(fmt.Sprintf("mpi: Alltoall payload %d not divisible by comm size %d", len(data), n))
-	}
-	s := c.enter(netmodel.Alltoall, len(data)/n, 0, OpSum, data, false)
-	return append([]byte(nil), c.finishBlocking(s)...)
+	return c.fresh(netmodel.Alltoall, 0, OpSum, data)
 }
 
 // Scatter implements MPI_Scatter: the root's data (Size() equal blocks) is
 // distributed; every rank receives its block.
 func (c *Comm) Scatter(root int, data []byte) []byte {
-	size := 0
-	var payload []byte
-	if c.myRank == root {
-		n := c.Size()
-		if len(data)%n != 0 {
-			panic(fmt.Sprintf("mpi: Scatter payload %d not divisible by comm size %d", len(data), n))
-		}
-		size = len(data) / n
-		payload = data
-	}
-	s := c.enter(netmodel.Scatter, size, root, OpSum, payload, false)
-	return append([]byte(nil), c.finishBlocking(s)...)
+	return c.fresh(netmodel.Scatter, root, OpSum, data)
 }
 
 // Scan implements MPI_Scan (inclusive prefix reduction).
 func (c *Comm) Scan(op Op, data []byte) []byte {
-	s := c.enter(netmodel.Scan, len(data), 0, op, data, false)
-	return append([]byte(nil), c.finishBlocking(s)...)
+	return c.fresh(netmodel.Scan, 0, op, data)
 }
 
 // ReduceScatter implements MPI_Reduce_scatter_block: reduce all
 // contributions, then scatter equal blocks.
 func (c *Comm) ReduceScatter(op Op, data []byte) []byte {
-	n := c.Size()
-	if len(data)%n != 0 {
-		panic(fmt.Sprintf("mpi: ReduceScatter payload %d not divisible by comm size %d", len(data), n))
-	}
-	s := c.enter(netmodel.ReduceScatter, len(data)/n, 0, op, data, false)
-	return append([]byte(nil), c.finishBlocking(s)...)
+	return c.fresh(netmodel.ReduceScatter, 0, op, data)
 }

@@ -13,25 +13,24 @@ import (
 const worldCommID uint64 = 1
 
 // commCore is the part of a communicator shared by all member ranks: the
-// group, the derived geometry, and the table of in-flight collective slots.
+// group, the derived geometry, and the window of live collective instances.
 type commCore struct {
 	id    uint64
 	w     *World
 	group *Group
 	geom  netmodel.Geometry
 
-	mu    sync.Mutex
-	slots map[uint64]*collSlot
+	// mu guards the window and every field of the slots in it. Ranks may lap
+	// each other (a Bcast root does not wait for its receivers), so several
+	// consecutive instances can be live at once.
+	mu   sync.Mutex
+	base uint64      // sequence number of live[0]
+	live []*collSlot // instances base, base+1, ... that some member has yet to leave
+	free []*collSlot // retired slots, reused with their buffers
 }
 
 func newCommCore(w *World, id uint64, g *Group) *commCore {
-	return &commCore{
-		id:    id,
-		w:     w,
-		group: g,
-		geom:  w.Model.GeometryOf(g.WorldRanks()),
-		slots: make(map[uint64]*collSlot),
-	}
+	return &commCore{id: id, w: w, group: g, geom: w.Model.GeometryOf(g.WorldRanks())}
 }
 
 // Comm is one rank's handle on a communicator. Handles are per-rank (they

@@ -302,10 +302,7 @@ func Testall(p *Proc, reqs []*Request) bool {
 	}
 	for _, r := range reqs {
 		if r != nil {
-			r.mu.Lock()
-			vt := r.completeVT
-			r.mu.Unlock()
-			p.Clk.SyncTo(vt)
+			p.Clk.SyncTo(r.completeVT)
 		}
 	}
 	return true
@@ -321,7 +318,7 @@ func (c *Comm) Probe(src, tag int) Status {
 	p.WaitUntil(func() bool {
 		mb := p.w.mail[p.rank]
 		for _, msg := range mb.queue {
-			if matches(msg, c.core.id, src, tag) {
+			if matches(msg.commID, msg.srcComm, msg.tag, c.core.id, src, tag) {
 				st = Status{Source: msg.srcComm, Tag: msg.tag, Count: len(msg.data)}
 				p.Clk.SyncTo(msg.arriveVT)
 				return true

@@ -753,3 +753,30 @@ func TestEagerThresholdSendCost(t *testing.T) {
 		t.Fatalf("small send (%g) should be cheaper than large (%g)", small, large)
 	}
 }
+
+// TestCollectiveWakesOncePerWaiter: the last rank to enter a synchronizing
+// collective wakes the others once. Waking every sleeper on every arrival, as
+// the slot did before it resolved itself, parks a rank up to n-1 times per
+// instance: n(n-1)/2 wake-ups for nothing.
+func TestCollectiveWakesOncePerWaiter(t *testing.T) {
+	const n, rounds = 64, 5
+	w := runRanks(t, n, 32, func(c *Comm) {
+		for i := 0; i < rounds; i++ {
+			got := BytesF64(c.Allreduce(OpSum, F64Bytes([]float64{float64(c.Rank())})))[0]
+			if got != n*(n-1)/2 {
+				t.Errorf("rank %d round %d: sum %v", c.Rank(), i, got)
+			}
+		}
+	})
+	total := 0
+	for r := 0; r < n; r++ {
+		parks := w.Proc(r).collParks
+		if parks > rounds {
+			t.Errorf("rank %d slept %d times in %d collectives", r, parks, rounds)
+		}
+		total += parks
+	}
+	if total > rounds*(n-1) {
+		t.Errorf("%d sleeps over %d instances of %d ranks: the last to arrive never sleeps", total, rounds, n)
+	}
+}

@@ -2,9 +2,9 @@ package mpi
 
 import "sync"
 
-// message is one point-to-point message in flight or queued unexpected.
+// message is one point-to-point message queued unexpected: one that reached
+// its receiver before a matching receive was posted.
 type message struct {
-	srcWorld int // world rank of sender
 	srcComm  int // comm rank of sender
 	commID   uint64
 	tag      int
@@ -12,43 +12,27 @@ type message struct {
 	arriveVT float64 // virtual time the message reaches the receiver
 }
 
-// postedRecv is a receive posted before its message arrived.
-type postedRecv struct {
-	commID uint64
-	src    int // comm rank or AnySource
-	tag    int // or AnyTag
-	buf    []byte
-	req    *Request
-}
-
 // mailbox holds one rank's unexpected-message queue and posted receives.
 // Senders lock the destination mailbox; the owning rank locks it to post
 // receives and to park in WaitUntil.
 type mailbox struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []*message    // unexpected messages, arrival order (FIFO per sender)
-	posted []*postedRecv // receives awaiting a match, post order
+	cond   sync.Cond  // on mu; only the owning rank waits on it
+	queue  []*message // unexpected messages, arrival order (FIFO per sender)
+	posted []*Request // receives awaiting a match, post order
+	free   []*message // consumed messages, reused with their buffers
 }
 
 func newMailbox() *mailbox {
 	mb := &mailbox{}
-	mb.cond = sync.NewCond(&mb.mu)
+	mb.cond.L = &mb.mu
 	return mb
 }
 
-// matches reports whether a message satisfies a (src, tag, comm) pattern.
-func matches(m *message, commID uint64, src, tag int) bool {
-	if m.commID != commID {
-		return false
-	}
-	if src != AnySource && m.srcComm != src {
-		return false
-	}
-	if tag != AnyTag && m.tag != tag {
-		return false
-	}
-	return true
+// matches reports whether a message sent as (msgComm, msgSrc, msgTag)
+// satisfies a (comm, src, tag) receive pattern.
+func matches(msgComm uint64, msgSrc, msgTag int, commID uint64, src, tag int) bool {
+	return msgComm == commID && (src == AnySource || src == msgSrc) && (tag == AnyTag || tag == msgTag)
 }
 
 // Send implements MPI_Send in buffered mode: the sender never blocks on the
@@ -58,6 +42,11 @@ func matches(m *message, commID uint64, src, tag int) bool {
 // local copy into the eager buffer, while large messages pay their full
 // network serialization at the sender (the rendezvous pipeline keeps the
 // sender busy for size/bandwidth even though matching is asynchronous here).
+//
+// Under the destination's mailbox lock the payload goes straight into the
+// first posted receive that matches (first posted wins, preserving
+// non-overtaking order) and completes it; only a message nobody is waiting
+// for is built and queued.
 func (c *Comm) Send(dst, tag int, data []byte) {
 	p := c.p
 	model := p.w.Model
@@ -79,15 +68,40 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 	p.Clk.Advance(cost)
 	arrive := p.Clk.Now() + model.P2PCost(p.rank, dstWorld, size)
 
-	msg := &message{
-		srcWorld: p.rank,
-		srcComm:  c.myRank,
-		commID:   c.core.id,
-		tag:      tag,
-		data:     append([]byte(nil), data...),
-		arriveVT: arrive,
+	mb := p.w.mail[dstWorld]
+	mb.mu.Lock()
+	if i := mb.postedFor(c.core.id, c.myRank, tag); i >= 0 {
+		// The receive completes, in virtual time, when the message arrives;
+		// the receiver's RecvOverhead is charged by the waiter when it
+		// synchronizes.
+		r := mb.posted[i]
+		mb.posted = append(mb.posted[:i], mb.posted[i+1:]...)
+		r.complete(arrive, Status{Source: c.myRank, Tag: tag, Count: copy(r.buf, data)})
+	} else {
+		var msg *message
+		if k := len(mb.free) - 1; k >= 0 {
+			msg, mb.free = mb.free[k], mb.free[:k]
+		} else {
+			msg = &message{}
+		}
+		msg.srcComm, msg.commID, msg.tag, msg.arriveVT = c.myRank, c.core.id, tag, arrive
+		msg.data = append(msg.data[:0], data...)
+		mb.queue = append(mb.queue, msg)
+		p.w.NoteActivity()
 	}
-	c.deliver(dstWorld, msg)
+	mb.cond.Broadcast()
+	mb.mu.Unlock()
+}
+
+// postedFor returns the index of the first posted receive a message with the
+// given envelope satisfies, or -1.
+func (mb *mailbox) postedFor(commID uint64, srcComm, tag int) int {
+	for i, r := range mb.posted {
+		if matches(commID, srcComm, tag, r.commID, r.src, r.tag) {
+			return i
+		}
+	}
+	return -1
 }
 
 // Isend implements MPI_Isend. With eager sends the request completes
@@ -99,36 +113,6 @@ func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 	return r
 }
 
-// deliver places msg in the destination mailbox, matching a posted receive
-// if one fits (first posted wins, preserving non-overtaking order).
-func (c *Comm) deliver(dstWorld int, msg *message) {
-	c.p.w.NoteActivity()
-	mb := c.p.w.mail[dstWorld]
-	mb.mu.Lock()
-	for i, pr := range mb.posted {
-		if matches(msg, pr.commID, pr.src, pr.tag) {
-			mb.posted = append(mb.posted[:i], mb.posted[i+1:]...)
-			mb.mu.Unlock()
-			completeRecv(pr, msg)
-			mb.mu.Lock()
-			mb.cond.Broadcast()
-			mb.mu.Unlock()
-			return
-		}
-	}
-	mb.queue = append(mb.queue, msg)
-	mb.cond.Broadcast()
-	mb.mu.Unlock()
-}
-
-// completeRecv copies the payload and completes the receive request. The
-// receive completes, in virtual time, when the message arrives; the
-// receiver's RecvOverhead is charged by the waiter when it synchronizes.
-func completeRecv(pr *postedRecv, msg *message) {
-	n := copy(pr.buf, msg.data)
-	pr.req.complete(msg.arriveVT, Status{Source: msg.srcComm, Tag: msg.tag, Count: n})
-}
-
 // Irecv implements MPI_Irecv: post a receive for (src, tag) into buf. src
 // may be AnySource and tag may be AnyTag. If a matching unexpected message
 // is already queued, the request completes immediately.
@@ -138,21 +122,21 @@ func (c *Comm) Irecv(src, tag int, buf []byte) *Request {
 	p.Clk.Advance(p.w.Model.P.CallOverhead)
 
 	req := newRequest(reqRecv, p)
-	pr := &postedRecv{commID: c.core.id, src: src, tag: tag, buf: buf, req: req}
+	req.commID, req.src, req.tag, req.buf = c.core.id, src, tag, buf
 
 	mb := p.w.mail[p.rank]
 	mb.mu.Lock()
+	defer mb.mu.Unlock()
 	for i, msg := range mb.queue {
-		if matches(msg, pr.commID, src, tag) {
+		if matches(msg.commID, msg.srcComm, msg.tag, req.commID, src, tag) {
 			mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
-			mb.mu.Unlock()
-			completeRecv(pr, msg)
+			req.complete(msg.arriveVT, Status{Source: msg.srcComm, Tag: msg.tag, Count: copy(buf, msg.data)})
 			p.Ct.BytesRecv += int64(len(msg.data))
+			mb.free = append(mb.free, msg)
 			return req
 		}
 	}
-	mb.posted = append(mb.posted, pr)
-	mb.mu.Unlock()
+	mb.posted = append(mb.posted, req)
 	return req
 }
 
@@ -162,6 +146,7 @@ func (c *Comm) Irecv(src, tag int, buf []byte) *Request {
 func (c *Comm) Recv(src, tag int, buf []byte) Status {
 	req := c.Irecv(src, tag, buf)
 	st := req.Wait()
+	req.Free()
 	c.p.Clk.Advance(c.p.w.Model.P.RecvOverhead)
 	c.p.Ct.BytesRecv += int64(st.Count)
 	return st
@@ -181,7 +166,7 @@ func (c *Comm) Iprobe(src, tag int) (bool, Status) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for _, msg := range mb.queue {
-		if matches(msg, c.core.id, src, tag) && msg.arriveVT <= now {
+		if matches(msg.commID, msg.srcComm, msg.tag, c.core.id, src, tag) && msg.arriveVT <= now {
 			return true, Status{Source: msg.srcComm, Tag: msg.tag, Count: len(msg.data)}
 		}
 	}
@@ -201,7 +186,7 @@ func (c *Comm) HasQueued(src, tag int) bool {
 
 func (c *Comm) hasQueuedLocked(src, tag int) bool {
 	for _, msg := range c.p.w.mail[c.p.rank].queue {
-		if matches(msg, c.core.id, src, tag) {
+		if matches(msg.commID, msg.srcComm, msg.tag, c.core.id, src, tag) {
 			return true
 		}
 	}
@@ -270,7 +255,6 @@ func (w *World) InjectDrained(rank int, msgs []InflightSnapshot, atVT float64) {
 	defer mb.mu.Unlock()
 	for _, s := range msgs {
 		mb.queue = append(mb.queue, &message{
-			srcWorld: -1,
 			srcComm:  s.SrcComm,
 			commID:   s.CommID,
 			tag:      s.Tag,

@@ -72,15 +72,6 @@ func applyOp(op Op, dst, src []byte) {
 	}
 }
 
-// reduceAll folds every contribution into a fresh result vector.
-func reduceAll(op Op, datas [][]byte) []byte {
-	acc := append([]byte(nil), datas[0]...)
-	for _, d := range datas[1:] {
-		applyOp(op, acc, d)
-	}
-	return acc
-}
-
 // F64Bytes encodes a float64 vector as the little-endian payload the
 // collectives expect.
 func F64Bytes(xs []float64) []byte {

@@ -3,6 +3,7 @@ package mpi
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // reqKind distinguishes the operation behind a Request.
@@ -27,68 +28,84 @@ type Request struct {
 	kind reqKind
 	p    *Proc
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	done       bool
+	// done is stored last by complete; completeVT and status may be read
+	// once it is observed. A receive is completed by its sender.
+	done       atomic.Bool
 	completeVT float64
 	status     Status
 
-	// Receive plumbing: the destination buffer (filled at match time) and
-	// the match pattern for re-posting after restart.
-	buf []byte
+	// Receive plumbing: the match pattern while posted and the destination
+	// buffer (filled at match time; a collective's out buffer otherwise).
+	commID   uint64
+	src, tag int
+	buf      []byte
 
-	// Collective plumbing.
+	// Collective plumbing. mu makes collDone single-flight: the owner and
+	// the checkpoint coordinator's drain both poll.
+	mu       sync.Mutex
 	slot     *collSlot
 	slotRank int // comm rank within the collective
 }
 
+// newRequest takes a request from the rank's free list or allocates one.
+// Only the owning rank's goroutine creates and frees its requests.
 func newRequest(kind reqKind, p *Proc) *Request {
-	r := &Request{kind: kind, p: p}
-	r.cond = sync.NewCond(&r.mu)
-	return r
+	if k := len(p.freeReqs) - 1; k >= 0 {
+		r := p.freeReqs[k]
+		p.freeReqs = p.freeReqs[:k]
+		r.kind = kind
+		return r
+	}
+	return &Request{kind: kind, p: p}
+}
+
+// Free returns a completed request to its rank's free list
+// (MPI_Request_free after completion). The caller must hold the only
+// reference and must not use the request afterwards.
+func (r *Request) Free() {
+	r.done.Store(false)
+	r.buf, r.slot = nil, nil
+	r.p.freeReqs = append(r.p.freeReqs, r)
 }
 
 // complete marks the request done at virtual time vt with the given status.
 func (r *Request) complete(vt float64, st Status) {
-	r.mu.Lock()
-	r.done = true
-	r.completeVT = vt
-	r.status = st
-	r.cond.Broadcast()
-	r.mu.Unlock()
+	r.completeVT, r.status = vt, st
+	r.done.Store(true)
 	r.p.w.NoteActivity()
 }
 
 // Done reports (without charging any cost or blocking) whether the request
 // has completed. The checkpointing layer uses this for bookkeeping.
 func (r *Request) Done() bool {
-	if r == nil {
-		return true
-	}
-	if r.kind == reqColl {
-		return r.collDone()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.done
+	return r == nil || r.done.Load() || r.kind == reqColl && r.collDone()
 }
 
-// collDone resolves completion for collective requests against the slot.
+// collDone resolves completion for collective requests against the slot: a
+// non-blocking collective completes once every participant has initiated
+// it. The first poll to see that copies the result out and leaves the slot.
 func (r *Request) collDone() bool {
 	r.mu.Lock()
-	if r.done {
-		r.mu.Unlock()
+	defer r.mu.Unlock()
+	if r.done.Load() {
 		return true
 	}
-	r.mu.Unlock()
-
-	vt, ok := r.slot.completionFor(r.slotRank)
-	if !ok {
+	s := r.slot
+	s.core.mu.Lock()
+	full := s.arrived == s.spec.Geom.N
+	var vt float64
+	if full {
+		vt = s.exitFor(r.slotRank)
+	}
+	s.core.mu.Unlock()
+	if !full {
 		return false
 	}
-	r.collectResult()
+	if r.buf != nil {
+		s.resultInto(r.slotRank, r.buf)
+	}
+	s.core.leave(s)
 	r.complete(vt, Status{})
-	r.slot.fetched(r.slotRank)
 	return true
 }
 
@@ -101,10 +118,7 @@ func (r *Request) Test() bool {
 	if !r.Done() {
 		return false
 	}
-	r.mu.Lock()
-	vt := r.completeVT
-	r.mu.Unlock()
-	r.p.Clk.SyncTo(vt)
+	r.p.Clk.SyncTo(r.completeVT)
 	return true
 }
 
@@ -119,14 +133,11 @@ func (r *Request) Test() bool {
 func (r *Request) Wait() Status {
 	r.p.Ct.Waits++
 	r.p.Clk.Advance(r.p.w.Model.P.CallOverhead)
-	r.p.SetWaitSite("request-wait")
-	defer r.p.SetWaitSite("")
-	r.p.WaitUntil(func() bool { return r.Done() })
-	r.mu.Lock()
-	vt, st := r.completeVT, r.status
-	r.mu.Unlock()
-	r.p.Clk.SyncTo(vt)
-	return st
+	if !r.Done() {
+		r.p.WaitUntilAt(&siteRequestWait, r.Done)
+	}
+	r.p.Clk.SyncTo(r.completeVT)
+	return r.status
 }
 
 // WaitPolling emulates a test loop ("while (!flag) MPI_Test(...)") without
@@ -167,8 +178,4 @@ func Waitall(reqs []*Request) []Status {
 
 // Status returns the completed request's status. Valid only after Wait/Test
 // reported completion.
-func (r *Request) Status() Status {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.status
-}
+func (r *Request) Status() Status { return r.status }

@@ -13,22 +13,10 @@ import "mana/internal/netmodel"
 // CollectiveSized executes a blocking collective of the given kind and
 // per-rank payload size without moving data.
 func (c *Comm) CollectiveSized(kind netmodel.CollKind, root, size int) {
-	s := c.enter(kind, size, root, OpSum, nil, false)
-	c.finishBlockingSized(s)
+	c.exchange(kind, size, root, OpSum, nil, noData)
 }
 
 // ICollectiveSized initiates a non-blocking size-only collective.
 func (c *Comm) ICollectiveSized(kind netmodel.CollKind, root, size int) *Request {
-	s := c.enter(kind, size, root, OpSum, nil, true)
-	r := newRequest(reqColl, c.p)
-	r.slot = s
-	r.slotRank = c.myRank
-	return r
-}
-
-// finishBlockingSized applies the blocking exit rules without touching
-// payload data.
-func (c *Comm) finishBlockingSized(s *collSlot) {
-	c.p.Clk.SyncTo(c.blockingExit(s))
-	s.fetched(c.myRank)
+	return c.istart(kind, size, root, OpSum, nil, nil)
 }

@@ -52,8 +52,14 @@ func (w *World) Abort(err error) bool {
 	return true
 }
 
-// AbortErr returns the abort error, or nil while the world is healthy.
+// AbortErr returns the abort error, or nil while the world is healthy (the
+// common case, answered without taking a lock: every wake-up asks).
 func (w *World) AbortErr() error {
+	select {
+	case <-w.abortCh:
+	default:
+		return nil
+	}
 	w.abortMu.Lock()
 	defer w.abortMu.Unlock()
 	return w.abortErr
@@ -89,46 +95,34 @@ func (w *World) checkAbort() {
 // wakeSlots broadcasts every live collective slot's condition variable so
 // ranks blocked inside collectives observe an abort.
 func (w *World) wakeSlots() {
-	wakeCore := func(core *commCore) {
-		core.mu.Lock()
-		slots := make([]*collSlot, 0, len(core.slots))
-		for _, s := range core.slots {
-			slots = append(slots, s)
-		}
-		core.mu.Unlock()
-		for _, s := range slots {
-			s.mu.Lock()
-			s.cond.Broadcast()
-			s.mu.Unlock()
-		}
-	}
-	wakeCore(w.worldCore)
 	w.mu.Lock()
-	cores := make([]*commCore, 0, len(w.cores))
+	cores := []*commCore{w.worldCore}
 	for _, c := range w.cores {
 		cores = append(cores, c)
 	}
 	w.mu.Unlock()
-	for _, c := range cores {
-		wakeCore(c)
+	for _, core := range cores {
+		core.mu.Lock()
+		for _, s := range core.live {
+			s.cond.Broadcast()
+		}
+		core.mu.Unlock()
 	}
 }
 
 // SetWaitSite labels what a rank is currently blocked on (or "" while
 // running). The label appears in the watchdog's diagnostic dump; labels are
 // static strings so the hot path never formats.
-func (w *World) SetWaitSite(rank int, site string) {
-	w.procs[rank].waitSite.Store(site)
-}
+func (w *World) SetWaitSite(rank int, site string) { w.procs[rank].SetWaitSite(site) }
 
 // WaitSites renders one diagnostic line per rank: the wait-site label plus
 // the rank's mailbox occupancy (queued unexpected messages, posted receives).
 func (w *World) WaitSites() []string {
 	out := make([]string, w.N)
 	for r := 0; r < w.N; r++ {
-		site, _ := w.procs[r].waitSite.Load().(string)
-		if site == "" {
-			site = "running"
+		site := "running"
+		if s := w.procs[r].waitSite.Load(); s != nil {
+			site = *s
 		}
 		mb := w.mail[r]
 		mb.mu.Lock()

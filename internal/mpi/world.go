@@ -124,10 +124,20 @@ type Proc struct {
 	// Ct accumulates the rank's call/byte counters.
 	Ct *trace.Counters
 
-	// waitSite labels what the rank is currently blocked on, for the
-	// deadlock watchdog's diagnostic dump.
-	waitSite atomic.Value // string
+	// waitSite labels what the rank is currently blocked on (nil: running),
+	// for the deadlock watchdog's diagnostic dump. The simulator's own
+	// labels are static strings, so labelling a wait allocates nothing.
+	waitSite atomic.Pointer[string]
+
+	freeReqs  []*Request // completed requests handed back through Request.Free
+	collParks int        // times the rank slept inside a blocking collective (tests)
 }
+
+// Wait-site labels of the simulator's own blocking calls.
+var (
+	siteCollective  = "collective"
+	siteRequestWait = "request-wait"
+)
 
 // Rank returns the world rank.
 func (p *Proc) Rank() int { return p.rank }
@@ -142,19 +152,38 @@ func (p *Proc) Compute(d float64) {
 }
 
 // SetWaitSite labels what this rank is blocked on (see World.SetWaitSite).
-func (p *Proc) SetWaitSite(site string) { p.waitSite.Store(site) }
+func (p *Proc) SetWaitSite(site string) {
+	if site == "" {
+		p.waitSite.Store(nil)
+		return
+	}
+	p.waitSite.Store(&site)
+}
 
 // WaitUntil blocks the rank until pred() reports true. pred is evaluated
 // under the rank's mailbox lock, so it may inspect state that message
 // arrivals or WakeAll mutate. Used by the checkpointing layer to park ranks
 // and by Wait_for_new_targets-style loops.
-func (p *Proc) WaitUntil(pred func() bool) {
+func (p *Proc) WaitUntil(pred func() bool) { p.WaitUntilAt(nil, pred) }
+
+// WaitUntilAt is WaitUntil under a wait-site label: site (a static string;
+// nil keeps the current label) names the wait for as long as the rank
+// sleeps in it.
+func (p *Proc) WaitUntilAt(site *string, pred func() bool) {
 	mb := p.w.mail[p.rank]
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
+	slept := false
 	for !pred() {
 		p.w.checkAbort()
+		if site != nil {
+			p.waitSite.Store(site) // each cycle: pred may have relabelled the rank
+		}
+		slept = true
 		mb.cond.Wait()
+	}
+	if site != nil && slept {
+		p.waitSite.Store(nil)
 	}
 }
 

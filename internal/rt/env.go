@@ -22,15 +22,23 @@ var errTerminated = errors.New("rt: rank terminated by checkpoint")
 // program against. Every call is interposed by the active checkpointing
 // protocol, exactly as MANA's wrapper stubs interpose on a real MPI library.
 type Env struct {
-	p     *mpi.Proc
-	proto ckpt.Protocol
-	coord *ckpt.Coordinator
-	app   App
+	p       *mpi.Proc
+	proto   ckpt.Protocol
+	wrapped bool // the protocol interposes on point-to-point calls (all but native)
+	coord   *ckpt.Coordinator
+	app     App
 
 	comms   []*ckpt.CommInfo
-	reqs    map[int]*reqEntry
-	reqOrd  []int // ids in issue order (deterministic iteration)
+	reqs    []reqEntry // outstanding requests in issue order (ascending id)
 	nextReq int
+
+	// call is the one collective the rank has in flight through the
+	// protocol; exec, start and describe are its three views, bound once so
+	// that routing a call through the Protocol interface allocates nothing.
+	call     collCall
+	exec     func()
+	start    func() *mpi.Request
+	describe func() *ckpt.Descriptor
 
 	inSetup         bool
 	enforceContract bool
@@ -41,18 +49,33 @@ type Env struct {
 type reqEntry struct {
 	id   int
 	req  *mpi.Request
-	recv *ckpt.RecvDesc // re-post info for p2p receives
+	recv ckpt.RecvDesc // re-post info for p2p receives
+	p2p  bool          // recv is meaningful
 	// doneBoundaries counts step boundaries this entry has crossed while
 	// complete and unwaited; stepBoundary collects it on the second one.
 	doneBoundaries int
 }
 
+// collCall is a collective as the application issued it: what to execute or
+// initiate now, and what to re-issue after a restart if the rank parks in
+// front of it.
+type collCall struct {
+	ci      *ckpt.CommInfo
+	kind    netmodel.CollKind
+	op      mpi.Op
+	root    int
+	in, out string // named buffers ("" for none)
+	size    int    // bench: per-rank payload size of a size-only collective
+	bench   bool
+}
+
 func newEnv(p *mpi.Proc, proto ckpt.Protocol, coord *ckpt.Coordinator, app App, enforce bool) *Env {
 	e := &Env{
 		p: p, proto: proto, coord: coord, app: app,
-		reqs:            make(map[int]*reqEntry),
+		wrapped:         proto.Name() != "native",
 		enforceContract: enforce,
 	}
+	e.exec, e.start, e.describe = e.execCall, e.startCall, e.describeCall
 	world := p.World().WorldComm(p.Rank())
 	e.comms = append(e.comms, commInfoOf(world, WorldVID))
 	proto.RegisterComm(e.comms[0])
@@ -147,7 +170,7 @@ func (e *Env) buf(id string, off, ln int) []byte {
 // point-to-point call. MANA wraps every MPI function, not just collectives;
 // the native baseline runs unwrapped.
 func (e *Env) chargeP2PWrapper() {
-	if e.proto.Name() == "native" {
+	if !e.wrapped {
 		return
 	}
 	e.p.Ct.WrapperCalls++
@@ -170,19 +193,19 @@ func (e *Env) Irecv(vid, src, tag int, bufID string, off, ln int) int {
 	e.chargeP2PWrapper()
 	region := e.buf(bufID, off, ln)
 	req := e.comm(vid).Comm.Irecv(src, tag, region)
-	id := e.addReq(req, &ckpt.RecvDesc{
+	return e.addReq(reqEntry{req: req, p2p: true, recv: ckpt.RecvDesc{
 		CommVID: vid, Src: src, Tag: tag, BufID: bufID, Off: off, Len: len(region),
-	})
-	return id
+	}})
 }
 
-func (e *Env) addReq(req *mpi.Request, recv *ckpt.RecvDesc) int {
-	id := e.nextReq
+func (e *Env) addReq(en reqEntry) int {
+	en.id = e.nextReq
 	e.nextReq++
-	e.reqs[id] = &reqEntry{id: id, req: req, recv: recv}
-	e.reqOrd = append(e.reqOrd, id)
-	return id
+	e.reqs = append(e.reqs, en)
+	return en.id
 }
+
+var siteWaitall = "waitall"
 
 // WaitAll waits for the given request ids (all outstanding requests if none
 // are given). It is a blocking batch: at most one per Step, as the final
@@ -190,40 +213,46 @@ func (e *Env) addReq(req *mpi.Request, recv *ckpt.RecvDesc) int {
 func (e *Env) WaitAll(ids ...int) {
 	e.noteBlocking()
 	if len(ids) == 0 {
-		ids = append([]int(nil), e.reqOrd...)
+		for i := range e.reqs {
+			e.wait(&e.reqs[i])
+		}
+		e.reqs = e.reqs[:0]
+		return
 	}
-	e.p.SetWaitSite("waitall")
-	defer e.p.SetWaitSite("")
 	for _, id := range ids {
-		en, ok := e.reqs[id]
-		if !ok {
+		i := sort.Search(len(e.reqs), func(i int) bool { return e.reqs[i].id >= id })
+		if i == len(e.reqs) || e.reqs[i].id != id {
 			continue // already completed and collected
 		}
-		for !en.req.Done() {
-			if e.coord.Pending() {
-				desc := &ckpt.Descriptor{Kind: ckpt.ParkInWait}
-				if out := e.proto.HoldAtWait(desc, en.req.Done); out == ckpt.Terminated {
-					panic(errTerminated)
-				}
-				continue
-			}
-			// Block until the request completes — or a checkpoint request
-			// arrives, in which case the wait must become park-aware (the
-			// peer that would complete this request may itself park).
-			e.p.WaitUntil(func() bool { return en.req.Done() || e.coord.Pending() })
-		}
-		en.req.Wait() // completed: synchronize the clock and collect status
-		e.dropReq(id)
+		e.wait(&e.reqs[i])
+		e.reqs = append(e.reqs[:i], e.reqs[i+1:]...)
 	}
 }
 
-func (e *Env) dropReq(id int) {
-	delete(e.reqs, id)
-	for i, v := range e.reqOrd {
-		if v == id {
-			e.reqOrd = append(e.reqOrd[:i], e.reqOrd[i+1:]...)
-			break
+// wait completes one request — parking through the protocol whenever a
+// checkpoint is pending — synchronizes the clock to it and collects it: the
+// entry's request becomes nil (which reads as done), and a receive goes back
+// to the simulator's free list. A collective request does not: the
+// protocol's drain list may still hold it.
+func (e *Env) wait(en *reqEntry) {
+	req := en.req
+	for !req.Done() {
+		if e.coord.Pending() {
+			desc := &ckpt.Descriptor{Kind: ckpt.ParkInWait}
+			if out := e.proto.HoldAtWait(desc, req.Done); out == ckpt.Terminated {
+				panic(errTerminated)
+			}
+			continue
 		}
+		// Block until the request completes — or a checkpoint request
+		// arrives, in which case the wait must become park-aware (the
+		// peer that would complete this request may itself park).
+		e.p.WaitUntilAt(&siteWaitall, func() bool { return req.Done() || e.coord.Pending() })
+	}
+	req.Wait() // completed: synchronize the clock and collect status
+	en.req = nil
+	if en.p2p {
+		req.Free()
 	}
 }
 
@@ -231,9 +260,9 @@ func (e *Env) dropReq(id int) {
 // coordinator calls it at capture time (the rank is parked).
 func (e *Env) pendingRecvDescs() []ckpt.RecvDesc {
 	var out []ckpt.RecvDesc
-	for _, en := range e.reqs {
-		if en.recv != nil && !en.req.Done() {
-			out = append(out, *en.recv)
+	for i := range e.reqs {
+		if en := &e.reqs[i]; en.p2p && !en.req.Done() {
+			out = append(out, en.recv)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -270,175 +299,159 @@ func (e *Env) noteBlocking() {
 // never pruned; their deferred WaitAll is the standard overlap pattern.
 func (e *Env) stepBoundary() {
 	e.blockingInStep = 0
-	kept := e.reqOrd[:0]
-	for _, id := range e.reqOrd {
-		if en := e.reqs[id]; en != nil && en.recv != nil && en.req.Done() {
+	kept := e.reqs[:0]
+	for _, en := range e.reqs {
+		if en.p2p && en.req.Done() {
 			if en.doneBoundaries > 0 {
-				delete(e.reqs, id)
+				en.req.Free()
 				continue
 			}
 			en.doneBoundaries++
 		}
-		kept = append(kept, id)
+		kept = append(kept, en)
 	}
-	e.reqOrd = kept
+	e.reqs = kept
 }
 
-// runCollective routes one blocking collective through the protocol.
-func (e *Env) runCollective(ci *ckpt.CommInfo, desc *ckpt.Descriptor, exec func()) {
+// collective routes one blocking collective through the protocol.
+func (e *Env) collective(call collCall) {
 	e.noteBlocking()
-	if out := e.proto.Collective(ci, desc, exec); out == ckpt.Terminated {
+	e.call = call
+	if out := e.proto.Collective(call.ci, e.describe, e.exec); out == ckpt.Terminated {
 		panic(errTerminated)
 	}
 }
 
-func collDesc(vid int, kind netmodel.CollKind, op mpi.Op, root int, in, out string) *ckpt.Descriptor {
+// initiate routes a non-blocking collective initiation through the protocol.
+func (e *Env) initiate(call collCall) int {
+	e.call = call
+	return e.addReq(reqEntry{req: e.proto.Initiate(call.ci, e.start)})
+}
+
+// callBufs resolves the call's named buffers on the ranks that use them: a
+// Scatter's in buffer and a Gather's out buffer exist on the root only.
+func (e *Env) callBufs() (in, out []byte) {
+	c := &e.call
+	isRoot := c.ci.Comm.Rank() == c.root
+	if c.in != "" && (c.kind != netmodel.Scatter || isRoot) {
+		in = e.buf(c.in, 0, 0)
+	}
+	if c.out != "" && (c.kind != netmodel.Gather || isRoot) {
+		out = e.buf(c.out, 0, 0)
+	}
+	return in, out
+}
+
+// execCall performs the call in flight: the result lands in the out buffer.
+func (e *Env) execCall() {
+	c := &e.call
+	if c.bench {
+		c.ci.Comm.CollectiveSized(c.kind, c.root, c.size)
+		return
+	}
+	in, out := e.callBufs()
+	c.ci.Comm.Collective(c.kind, c.root, c.op, in, out)
+}
+
+// startCall initiates the call in flight.
+func (e *Env) startCall() *mpi.Request {
+	c := &e.call
+	if c.bench {
+		return c.ci.Comm.ICollectiveSized(c.kind, c.root, c.size)
+	}
+	in, out := e.callBufs()
+	return c.ci.Comm.ICollective(c.kind, c.root, c.op, in, out)
+}
+
+// describeCall builds the restart descriptor of the call in flight. The
+// protocols ask for it only when the rank parks in front of the call.
+func (e *Env) describeCall() *ckpt.Descriptor {
+	c := &e.call
 	return &ckpt.Descriptor{
 		Kind: ckpt.ParkPreCollective,
 		Coll: &ckpt.CollDesc{
-			CommVID: vid, Kind: int(kind), Op: int(op), Root: root,
-			InBufID: in, OutBufID: out,
+			CommVID: c.ci.VID, Kind: int(c.kind), Op: int(c.op), Root: c.root,
+			InBufID: c.in, OutBufID: c.out, VirtSize: c.size, Bench: c.bench,
 		},
 	}
 }
 
 // Barrier executes MPI_Barrier on the communicator.
 func (e *Env) Barrier(vid int) {
-	ci := e.comm(vid)
-	e.runCollective(ci, collDesc(vid, netmodel.Barrier, 0, 0, "", ""), func() {
-		ci.Comm.Barrier()
-	})
+	e.collective(collCall{ci: e.comm(vid), kind: netmodel.Barrier})
 }
 
 // Bcast broadcasts the named buffer from root (in place on non-roots).
 func (e *Env) Bcast(vid, root int, bufID string) {
-	ci := e.comm(vid)
-	e.runCollective(ci, collDesc(vid, netmodel.Bcast, 0, root, bufID, bufID), func() {
-		ci.Comm.Bcast(root, e.buf(bufID, 0, 0))
-	})
+	e.collective(collCall{ci: e.comm(vid), kind: netmodel.Bcast, root: root, in: bufID, out: bufID})
 }
 
 // Allreduce reduces the named buffer in place across the communicator.
 func (e *Env) Allreduce(vid int, op mpi.Op, bufID string) {
-	ci := e.comm(vid)
-	e.runCollective(ci, collDesc(vid, netmodel.Allreduce, op, 0, bufID, bufID), func() {
-		b := e.buf(bufID, 0, 0)
-		copy(b, ci.Comm.Allreduce(op, b))
-	})
+	e.collective(collCall{ci: e.comm(vid), kind: netmodel.Allreduce, op: op, in: bufID, out: bufID})
 }
 
 // Reduce reduces the named buffer to the root (in place at the root).
 func (e *Env) Reduce(vid, root int, op mpi.Op, bufID string) {
-	ci := e.comm(vid)
-	e.runCollective(ci, collDesc(vid, netmodel.Reduce, op, root, bufID, bufID), func() {
-		b := e.buf(bufID, 0, 0)
-		if res := ci.Comm.Reduce(root, op, b); res != nil {
-			copy(b, res)
-		}
-	})
+	e.collective(collCall{ci: e.comm(vid), kind: netmodel.Reduce, op: op, root: root, in: bufID, out: bufID})
 }
 
 // Allgather gathers equal contributions from all ranks into the out buffer.
 func (e *Env) Allgather(vid int, inBufID, outBufID string) {
-	ci := e.comm(vid)
-	e.runCollective(ci, collDesc(vid, netmodel.Allgather, 0, 0, inBufID, outBufID), func() {
-		copy(e.buf(outBufID, 0, 0), ci.Comm.Allgather(e.buf(inBufID, 0, 0)))
-	})
+	e.collective(collCall{ci: e.comm(vid), kind: netmodel.Allgather, in: inBufID, out: outBufID})
 }
 
 // Alltoall exchanges equal blocks of the named buffer (in place).
 func (e *Env) Alltoall(vid int, bufID string) {
-	ci := e.comm(vid)
-	e.runCollective(ci, collDesc(vid, netmodel.Alltoall, 0, 0, bufID, bufID), func() {
-		b := e.buf(bufID, 0, 0)
-		copy(b, ci.Comm.Alltoall(b))
-	})
+	e.collective(collCall{ci: e.comm(vid), kind: netmodel.Alltoall, in: bufID, out: bufID})
 }
 
 // Gather gathers contributions to the root's out buffer.
 func (e *Env) Gather(vid, root int, inBufID, outBufID string) {
-	ci := e.comm(vid)
-	e.runCollective(ci, collDesc(vid, netmodel.Gather, 0, root, inBufID, outBufID), func() {
-		res := ci.Comm.Gather(root, e.buf(inBufID, 0, 0))
-		if res != nil {
-			copy(e.buf(outBufID, 0, 0), res)
-		}
-	})
+	e.collective(collCall{ci: e.comm(vid), kind: netmodel.Gather, root: root, in: inBufID, out: outBufID})
 }
 
 // Scatter distributes the root's in buffer in equal blocks to out buffers.
 func (e *Env) Scatter(vid, root int, inBufID, outBufID string) {
-	ci := e.comm(vid)
-	e.runCollective(ci, collDesc(vid, netmodel.Scatter, 0, root, inBufID, outBufID), func() {
-		var payload []byte
-		if ci.Comm.Rank() == root {
-			payload = e.buf(inBufID, 0, 0)
-		}
-		copy(e.buf(outBufID, 0, 0), ci.Comm.Scatter(root, payload))
-	})
+	e.collective(collCall{ci: e.comm(vid), kind: netmodel.Scatter, root: root, in: inBufID, out: outBufID})
 }
 
 // Scan computes the inclusive prefix reduction of the named buffer in place
 // (MPI_Scan).
 func (e *Env) Scan(vid int, op mpi.Op, bufID string) {
-	ci := e.comm(vid)
-	e.runCollective(ci, collDesc(vid, netmodel.Scan, op, 0, bufID, bufID), func() {
-		b := e.buf(bufID, 0, 0)
-		copy(b, ci.Comm.Scan(op, b))
-	})
+	e.collective(collCall{ci: e.comm(vid), kind: netmodel.Scan, op: op, in: bufID, out: bufID})
 }
 
 // ReduceScatter reduces the named buffer across the communicator and
 // scatters equal blocks; the caller's block lands at the front of the
 // buffer (MPI_Reduce_scatter_block).
 func (e *Env) ReduceScatter(vid int, op mpi.Op, bufID string) {
-	ci := e.comm(vid)
-	e.runCollective(ci, collDesc(vid, netmodel.ReduceScatter, op, 0, bufID, bufID), func() {
-		b := e.buf(bufID, 0, 0)
-		copy(b, ci.Comm.ReduceScatter(op, b))
-	})
-}
-
-// initiate routes a non-blocking collective initiation through the protocol.
-func (e *Env) initiate(ci *ckpt.CommInfo, exec func() *mpi.Request) int {
-	req := e.proto.Initiate(ci, exec)
-	return e.addReq(req, nil)
+	e.collective(collCall{ci: e.comm(vid), kind: netmodel.ReduceScatter, op: op, in: bufID, out: bufID})
 }
 
 // Ibarrier initiates a non-blocking barrier and returns a request id.
 func (e *Env) Ibarrier(vid int) int {
-	ci := e.comm(vid)
-	return e.initiate(ci, func() *mpi.Request { return ci.Comm.Ibarrier() })
+	return e.initiate(collCall{ci: e.comm(vid), kind: netmodel.Barrier})
 }
 
 // Ibcast initiates a non-blocking broadcast of the named buffer.
 func (e *Env) Ibcast(vid, root int, bufID string) int {
-	ci := e.comm(vid)
-	return e.initiate(ci, func() *mpi.Request { return ci.Comm.Ibcast(root, e.buf(bufID, 0, 0)) })
+	return e.initiate(collCall{ci: e.comm(vid), kind: netmodel.Bcast, root: root, in: bufID, out: bufID})
 }
 
 // Iallreduce initiates a non-blocking allreduce from in to out buffers.
 func (e *Env) Iallreduce(vid int, op mpi.Op, inBufID, outBufID string) int {
-	ci := e.comm(vid)
-	return e.initiate(ci, func() *mpi.Request {
-		return ci.Comm.Iallreduce(op, e.buf(inBufID, 0, 0), e.buf(outBufID, 0, 0))
-	})
+	return e.initiate(collCall{ci: e.comm(vid), kind: netmodel.Allreduce, op: op, in: inBufID, out: outBufID})
 }
 
 // Iallgather initiates a non-blocking allgather.
 func (e *Env) Iallgather(vid int, inBufID, outBufID string) int {
-	ci := e.comm(vid)
-	return e.initiate(ci, func() *mpi.Request {
-		return ci.Comm.Iallgather(e.buf(inBufID, 0, 0), e.buf(outBufID, 0, 0))
-	})
+	return e.initiate(collCall{ci: e.comm(vid), kind: netmodel.Allgather, in: inBufID, out: outBufID})
 }
 
 // Ialltoall initiates a non-blocking all-to-all exchange.
 func (e *Env) Ialltoall(vid int, inBufID, outBufID string) int {
-	ci := e.comm(vid)
-	return e.initiate(ci, func() *mpi.Request {
-		return ci.Comm.Ialltoall(e.buf(inBufID, 0, 0), e.buf(outBufID, 0, 0))
-	})
+	return e.initiate(collCall{ci: e.comm(vid), kind: netmodel.Alltoall, in: inBufID, out: outBufID})
 }
 
 // BenchCollective executes a size-only blocking collective: it costs
@@ -446,22 +459,12 @@ func (e *Env) Ialltoall(vid int, inBufID, outBufID string) int {
 // size would, without moving bytes. Micro-benchmarks use it to model large
 // messages without allocating them.
 func (e *Env) BenchCollective(vid int, kind netmodel.CollKind, root, size int) {
-	ci := e.comm(vid)
-	desc := &ckpt.Descriptor{
-		Kind: ckpt.ParkPreCollective,
-		Coll: &ckpt.CollDesc{CommVID: vid, Kind: int(kind), Root: root, VirtSize: size, Bench: true},
-	}
-	e.runCollective(ci, desc, func() {
-		ci.Comm.CollectiveSized(kind, root, size)
-	})
+	e.collective(collCall{ci: e.comm(vid), kind: kind, root: root, size: size, bench: true})
 }
 
 // IBenchCollective initiates a size-only non-blocking collective.
 func (e *Env) IBenchCollective(vid int, kind netmodel.CollKind, root, size int) int {
-	ci := e.comm(vid)
-	return e.initiate(ci, func() *mpi.Request {
-		return ci.Comm.ICollectiveSized(kind, root, size)
-	})
+	return e.initiate(collCall{ci: e.comm(vid), kind: kind, root: root, size: size, bench: true})
 }
 
 // execCollDesc re-issues a pending collective from its restart descriptor.

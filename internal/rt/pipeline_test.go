@@ -263,7 +263,7 @@ func TestStepBoundaryPrunesCompletedRecvs(t *testing.T) {
 	}
 	// First boundary: grace period — a next-step WaitAll must still find it.
 	env.stepBoundary()
-	if _, ok := env.reqs[doneID]; !ok {
+	if !hasReq(env, doneID) {
 		t.Fatal("completed receive pruned at its first boundary (cross-step WaitAll would miss it)")
 	}
 	// Second boundary: still unwaited — now it is abandoned and collected.
@@ -271,11 +271,8 @@ func TestStepBoundaryPrunesCompletedRecvs(t *testing.T) {
 	if len(env.reqs) != 1 {
 		t.Fatalf("abandoned receive not pruned: %d requests remain", len(env.reqs))
 	}
-	if _, ok := env.reqs[pendingID]; !ok {
+	if !hasReq(env, pendingID) {
 		t.Fatal("incomplete receive was pruned")
-	}
-	if len(env.reqOrd) != 1 || env.reqOrd[0] != pendingID {
-		t.Fatalf("reqOrd inconsistent after prune: %v", env.reqOrd)
 	}
 	// Repeated boundaries with fire-and-forget receives stay bounded: each
 	// entry lives at most two boundaries.
@@ -297,6 +294,15 @@ func TestStepBoundaryPrunesCompletedRecvs(t *testing.T) {
 	if w.Proc(0).Ct.Waits != waitsBefore+1 {
 		t.Fatal("cross-step WaitAll skipped the completed receive")
 	}
+}
+
+func hasReq(env *Env, id int) bool {
+	for _, en := range env.reqs {
+		if en.id == id {
+			return true
+		}
+	}
+	return false
 }
 
 // TestStreamBudgetPlumbedAndReported: a store-committed run must report a

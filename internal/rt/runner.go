@@ -291,41 +291,41 @@ func runJob(cfg Config, w *mpi.World, coord *ckpt.Coordinator, factory func(rank
 		finalSnap = make([][]byte, cfg.Ranks)
 
 		// Checkpoint scheduling: the next request time, advanced by Every
-		// after each successful request (periodic checkpointing).
+		// after each successful request (periodic checkpointing). Both are
+		// written under ckptMu; every rank reads them at every step boundary
+		// and almost always finds nothing due, so that read takes no lock.
 		ckptMu      sync.Mutex
-		nextCkptVT  = math.Inf(1)
-		atStepFired = false
+		nextCkptVT  atomic.Uint64 // float64 bits
+		atStepFired atomic.Bool
 	)
+	nextCkptVT.Store(math.Float64bits(math.Inf(1)))
 	if cfg.Checkpoint != nil && cfg.Checkpoint.AtStep <= 0 {
-		nextCkptVT = cfg.Checkpoint.AtVT
+		nextCkptVT.Store(math.Float64bits(cfg.Checkpoint.AtVT))
 	}
 	maybeRequest := func(rank int, now float64, stepsDone int64) {
+		plan := cfg.Checkpoint
+		due := func() bool {
+			if plan.AtStep > 0 && !atStepFired.Load() {
+				// Deterministic step-indexed trigger: raised by rank 0 at
+				// the boundary after its AtStep-th completed step.
+				return rank == 0 && stepsDone >= int64(plan.AtStep)
+			}
+			return now >= math.Float64frombits(nextCkptVT.Load())
+		}
+		if !due() {
+			return
+		}
 		ckptMu.Lock()
 		defer ckptMu.Unlock()
-		if plan := cfg.Checkpoint; plan.AtStep > 0 && !atStepFired {
-			// Deterministic step-indexed trigger: raised by rank 0 at the
-			// boundary after its AtStep-th completed step.
-			if rank != 0 || stepsDone < int64(plan.AtStep) {
-				return
-			}
-			if coord.RequestCheckpoint(now) {
-				atStepFired = true
-				if plan.Every > 0 && plan.Mode == ckpt.ContinueAfterCapture {
-					nextCkptVT = now + plan.Every
-				}
-			}
-			return
+		if !due() || !coord.RequestCheckpoint(now) {
+			return // raised by another rank in the meantime, or refused
 		}
-		if now < nextCkptVT {
-			return
+		atStepFired.Store(true)
+		next := math.Inf(1)
+		if plan.Every > 0 && plan.Mode == ckpt.ContinueAfterCapture {
+			next = now + plan.Every
 		}
-		if coord.RequestCheckpoint(now) {
-			if cfg.Checkpoint.Every > 0 && cfg.Checkpoint.Mode == ckpt.ContinueAfterCapture {
-				nextCkptVT = now + cfg.Checkpoint.Every
-			} else {
-				nextCkptVT = math.Inf(1)
-			}
-		}
+		nextCkptVT.Store(math.Float64bits(next))
 	}
 	recordErr := func(err error) {
 		errMu.Lock()
@@ -495,7 +495,7 @@ func runJob(cfg Config, w *mpi.World, coord *ckpt.Coordinator, factory func(rank
 					maybeRequest(rank, p.Clk.Now(), rankSteps[rank])
 				}
 				env.stepBoundary()
-				if out := proto.AtBoundary(&ckpt.Descriptor{Kind: ckpt.ParkBoundary}); out == ckpt.Terminated {
+				if out := proto.AtBoundary(&boundaryDesc); out == ckpt.Terminated {
 					return
 				}
 				more, err := app.Step(env)
@@ -560,6 +560,11 @@ func runJob(cfg Config, w *mpi.World, coord *ckpt.Coordinator, factory func(rank
 	defer errMu.Unlock()
 	return rep, firstErr
 }
+
+// boundaryDesc is what every rank passes to AtBoundary between steps. A
+// mid-run boundary is not a park point, so the protocols only read its kind
+// and one shared value saves an allocation per step.
+var boundaryDesc = ckpt.Descriptor{Kind: ckpt.ParkBoundary}
 
 // digestOf hashes every rank's final snapshot into one canonical job digest.
 // Snapshots are length-prefixed so rank boundaries cannot alias.

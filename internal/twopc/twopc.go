@@ -83,7 +83,7 @@ func (r *Rank) Name() string { return "2pc" }
 func (r *Rank) RegisterComm(ci *ckpt.CommInfo) {}
 
 // Collective implements ckpt.Protocol: the 2PC wrapper.
-func (r *Rank) Collective(ci *ckpt.CommInfo, desc *ckpt.Descriptor, exec func()) ckpt.Outcome {
+func (r *Rank) Collective(ci *ckpt.CommInfo, desc func() *ckpt.Descriptor, exec func()) ckpt.Outcome {
 	model := r.p.World().Model
 	r.p.Ct.WrapperCalls++
 	r.p.Clk.Advance(model.P.WrapperCost)
@@ -92,11 +92,9 @@ func (r *Rank) Collective(ci *ckpt.CommInfo, desc *ckpt.Descriptor, exec func())
 	// in front of it; the members already polling cannot pass a barrier this
 	// rank never enters.
 	if r.t.coord.Pending() {
-		if d := descWithKind(desc, ckpt.ParkPreCollective); d != nil {
-			out := r.t.coord.ParkUntil(r.p.Rank(), d, func() ckpt.Decision { return ckpt.Stay })
-			if out == ckpt.Terminated {
-				return ckpt.Terminated
-			}
+		d := ckpt.Describe(desc, ckpt.ParkPreCollective)
+		if r.t.coord.ParkUntil(r.p.Rank(), d, func() ckpt.Decision { return ckpt.Stay }) == ckpt.Terminated {
+			return ckpt.Terminated
 		}
 	}
 
@@ -105,6 +103,13 @@ func (r *Rank) Collective(ci *ckpt.CommInfo, desc *ckpt.Descriptor, exec func())
 	r.p.Ct.Barriers2PC++
 	if r.waitBarrier(req, desc) {
 		return ckpt.Terminated
+	}
+	if r.t.coord.Pending() {
+		// This rank may have been the one to complete the barrier after a
+		// peer parked inside its test loop. Completion wakes mailboxes, but
+		// a parked rank sleeps on the coordinator: without this it would
+		// never re-test, and the collective below would wait for it forever.
+		r.t.coord.Poke()
 	}
 
 	exec()
@@ -123,11 +128,11 @@ func (r *Rank) Collective(ci *ckpt.CommInfo, desc *ckpt.Descriptor, exec func())
 // before stopping. The virtual cost of the polling loop is charged on the
 // poll grid, exactly like an uninterrupted test loop. Returns true if the
 // rank was checkpoint-terminated.
-func (r *Rank) waitBarrier(req *mpi.Request, desc *ckpt.Descriptor) bool {
+func (r *Rank) waitBarrier(req *mpi.Request, desc func() *ckpt.Descriptor) bool {
 	start := r.p.Clk.Now()
 	for !req.Done() {
 		if r.t.coord.Pending() {
-			d := descWithKind(desc, ckpt.ParkInBarrier)
+			d := ckpt.Describe(desc, ckpt.ParkInBarrier)
 			out := r.t.coord.ParkUntil(r.p.Rank(), d, func() ckpt.Decision {
 				if req.Done() {
 					return ckpt.Resume
@@ -144,6 +149,7 @@ func (r *Rank) waitBarrier(req *mpi.Request, desc *ckpt.Descriptor) bool {
 		r.p.WaitUntil(func() bool { return req.Done() || r.t.coord.Pending() })
 	}
 	req.Wait() // completed: synchronize the clock
+	req.Free()
 	if interval := r.p.World().Model.P.PollInterval; interval > 0 {
 		waited := r.p.Clk.Now() - start
 		if waited < 0 {
@@ -196,14 +202,3 @@ func (r *Rank) Snapshot() ([]byte, error) { return nil, nil }
 
 // Restore implements ckpt.Protocol.
 func (r *Rank) Restore(data []byte) error { return nil }
-
-// descWithKind clones desc with the given park kind (desc may be nil when
-// checkpointing is disabled for the run).
-func descWithKind(desc *ckpt.Descriptor, k ckpt.ParkKind) *ckpt.Descriptor {
-	if desc == nil {
-		return &ckpt.Descriptor{Kind: k}
-	}
-	d := *desc
-	d.Kind = k
-	return &d
-}
