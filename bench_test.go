@@ -8,11 +8,8 @@ package mana
 // alongside the usual ns/op.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"testing"
-	"time"
 
 	"mana/internal/apps"
 	"mana/internal/ckpt"
@@ -244,100 +241,6 @@ func BenchmarkFig9CkptRestart(b *testing.B) {
 
 func nodesName(n int) string {
 	return map[int]string{1: "1node", 2: "2nodes", 4: "4nodes", 8: "8nodes"}[n]
-}
-
-// fatApp is a barrier loop dragging a large float-patterned state — a proxy
-// for a production rank whose snapshot dominates checkpoint time. Snapshot
-// gob-encodes the state, as the real proxy applications do.
-type fatApp struct {
-	Iters, Iter int
-	Data        []float64
-}
-
-func newFatApp(elems, rank, iters int) *fatApp {
-	a := &fatApp{Iters: iters, Data: make([]float64, elems)}
-	for i := range a.Data {
-		a.Data[i] = float64(rank) + float64(i%512)/512
-	}
-	return a
-}
-
-func (a *fatApp) Name() string            { return "fat-state" }
-func (a *fatApp) Setup(env *rt.Env) error { return nil }
-func (a *fatApp) Buffer(string) []byte    { return nil }
-func (a *fatApp) Step(env *rt.Env) (bool, error) {
-	a.Iter++
-	env.Barrier(rt.WorldVID)
-	return a.Iter < a.Iters, nil
-}
-func (a *fatApp) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(struct {
-		Iter int
-		Data []float64
-	}{a.Iter, a.Data})
-	return buf.Bytes(), err
-}
-func (a *fatApp) Restore(data []byte) error {
-	var st struct {
-		Iter int
-		Data []float64
-	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return err
-	}
-	a.Iter = st.Iter
-	copy(a.Data, st.Data)
-	return nil
-}
-
-// BenchmarkImagePipeline measures the checkpoint image pipeline — per-rank
-// capture plus job-image encode — on a 256-rank job with fat rank states:
-// GOMAXPROCS capture fan-out, then per-rank gob+flate shards encoded
-// concurrently, round-tripped through decode.
-func BenchmarkImagePipeline(b *testing.B) {
-	const ranks = 256
-	elems := 32 << 10 // 32k float64 = 256 KB of state per rank
-	if testing.Short() {
-		elems = 8 << 10
-	}
-
-	// capture runs the 256-rank job to a checkpoint-exit and returns the
-	// image plus the host seconds the coordinator spent building it. It takes
-	// the sub-benchmark's *testing.B so a failure aborts the right goroutine.
-	capture := func(b *testing.B, workers int) (*ckpt.JobImage, float64) {
-		cfg := rt.Config{
-			Ranks: ranks, PPN: 32, Params: netmodel.PerlmutterLike(), Algorithm: rt.AlgoCC,
-			Checkpoint: &rt.CkptPlan{AtStep: 2, Mode: ckpt.ExitAfterCapture, CaptureWorkers: workers},
-		}
-		rep, err := rt.Run(cfg, func(rank int) rt.App { return newFatApp(elems, rank, 8) })
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Image == nil || rep.Checkpoint == nil {
-			b.Fatal("no checkpoint captured")
-		}
-		return rep.Image, rep.Checkpoint.CaptureHostSeconds
-	}
-
-	b.Run("v2-parallel", func(b *testing.B) {
-		var capS, encS float64
-		for i := 0; i < b.N; i++ {
-			img, cs := capture(b, 0)
-			t0 := time.Now()
-			blob, err := img.Encode()
-			if err != nil {
-				b.Fatal(err)
-			}
-			capS, encS = cs, time.Since(t0).Seconds()
-			b.SetBytes(int64(len(blob)))
-			if _, err := ckpt.DecodeJobImage(blob); err != nil {
-				b.Fatal(err) // the fast path must still round-trip
-			}
-		}
-		b.ReportMetric(capS*1e3, "capture-ms")
-		b.ReportMetric(encS*1e3, "encode-ms")
-	})
 }
 
 // BenchmarkAsyncIncrementalCheckpoint compares the PR 2 synchronous

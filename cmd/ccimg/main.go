@@ -2,10 +2,10 @@
 // restart analog of `file`/`readelf` for MANA images.
 //
 //	ccimg info [-v] [-json] <image|store-dir>
-//	                                     job geometry, park census, shard
-//	                                     table / epoch chain summary
-//	                                     (-json: machine-readable manifest
-//	                                     or chain output for scripts)
+//	                                     epoch chain summary and shard tables;
+//	                                     for an image file also the job's park
+//	                                     census and p2p drain (-json: the same,
+//	                                     machine-readable, for scripts)
 //	ccimg verify <image|store-dir>       per-shard integrity check, chain
 //	                                     reference resolution (exit 1 on fault)
 //	ccimg extract -rank N [-epoch E] [-o out.shard] <image|store-dir>
@@ -17,10 +17,10 @@
 //	                                     self-contained epoch (then gc -keep 1
 //	                                     reclaims the old chain)
 //
-// Bare `ccimg [-v] <path>` is shorthand for `ccimg info`. A directory
-// argument is treated as a checkpoint store (one epoch per capture,
-// incremental shard references resolved through the chain); a file argument
-// as an encoded image.
+// Bare `ccimg [-v] <path>` is shorthand for `ccimg info`. Either argument
+// names a checkpoint store and every command runs on it as one: a directory
+// holds one epoch per capture (incremental shard references resolved through
+// the chain), an image file is a single epoch, packed (ckpt.OpenImage).
 package main
 
 import (
@@ -37,42 +37,29 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-	cmd := "info"
+	run, args := runInfo, os.Args[1:]
 	if len(args) > 0 {
-		switch args[0] {
-		case "info", "verify", "extract", "gc", "compact":
-			cmd, args = args[0], args[1:]
+		if sub, ok := map[string]func(io.Writer, []string) error{
+			"info": runInfo, "verify": runVerify, "extract": runExtract, "gc": runGC, "compact": runCompact,
+		}[args[0]]; ok {
+			run, args = sub, args[1:]
 		}
 	}
-	var err error
-	switch cmd {
-	case "info":
-		err = runInfo(args)
-	case "verify":
-		err = runVerify(args)
-	case "extract":
-		err = runExtract(args)
-	case "gc":
-		err = runGC(args)
-	case "compact":
-		err = runCompact(args)
-	}
-	if err != nil {
+	if err := run(os.Stdout, args); err != nil {
 		fmt.Fprintln(os.Stderr, "ccimg:", err)
 		os.Exit(1)
 	}
 }
 
-// target resolves the path argument: a directory opens as a store, a file
-// loads as a raw encoded image.
+// target is the path argument, resolved to the store it names.
 type target struct {
 	path  string
-	blob  []byte          // image bytes (file targets)
-	store *ckpt.FileStore // non-nil for store directories
+	store ckpt.Store
+	file  bool // a packed image file: one epoch, read-only
 }
 
-// readTarget classifies and loads the single path argument.
+// readTarget resolves the single path argument: a directory opens as a
+// FileStore, a file as the one-epoch store it packs.
 func readTarget(fs *flag.FlagSet, usage string) (*target, error) {
 	if fs.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage:", usage)
@@ -90,14 +77,18 @@ func readTarget(fs *flag.FlagSet, usage string) (*target, error) {
 		}
 		return &target{path: path, store: store}, nil
 	}
-	blob, err := os.ReadFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return &target{path: path, blob: blob}, nil
+	store, err := ckpt.OpenImage(data)
+	if err != nil {
+		return nil, err
+	}
+	return &target{path: path, store: store, file: true}, nil
 }
 
-func runInfo(args []string) error {
+func runInfo(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
 	verbose := fs.Bool("v", false, "per-rank detail")
 	asJSON := fs.Bool("json", false, "machine-readable manifest/chain output")
@@ -106,99 +97,104 @@ func runInfo(args []string) error {
 	if err != nil {
 		return err
 	}
+	var job *jobSummary
+	if tgt.file {
+		if job, err = summarize(tgt.store); err != nil {
+			return err
+		}
+	}
 	if *asJSON {
-		if tgt.store != nil {
-			return storeInfoJSON(os.Stdout, tgt.store, tgt.path)
-		}
-		return imageInfoJSON(tgt.blob, tgt.path)
+		return storeInfoJSON(w, tgt.store, tgt.path, job)
 	}
-	if tgt.store != nil {
-		return storeInfo(os.Stdout, tgt.store, tgt.path, *verbose)
+	if job != nil {
+		job.print(w, tgt.path)
 	}
-	blob, path := tgt.blob, tgt.path
-	img, err := ckpt.DecodeJobImage(blob)
-	if err != nil {
+	if err := storeInfo(w, tgt.store, tgt.path, *verbose); err != nil {
 		return err
 	}
-	man, err := ckpt.DecodeManifest(blob)
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("checkpoint image: %s\n", path)
-	fmt.Printf("  format:      v2 (sharded, %d shards)\n", len(man.Shards))
-	fmt.Printf("  algorithm:   %s\n", img.Algorithm)
-	fmt.Printf("  ranks:       %d (%d per node, %d nodes)\n",
-		img.Ranks, img.PPN, (img.Ranks+img.PPN-1)/img.PPN)
-	fmt.Printf("  captured at: vt=%.6fs\n", img.CaptureVT)
-	fmt.Printf("  total bytes: %d", img.TotalBytes())
-	if img.PaddedBytesPerRank > 0 {
-		fmt.Printf(" (padded to %d per rank)", img.PaddedBytesPerRank)
-	}
-	fmt.Println()
-	var comp, raw int64
-	for _, s := range man.Shards {
-		comp += s.Size
-		raw += s.RawSize
-	}
-	ratio := 0.0
-	if raw > 0 {
-		ratio = float64(comp) / float64(raw)
-	}
-	fmt.Printf("  shard data:  %d bytes compressed from %d (ratio %.2f)\n", comp, raw, ratio)
-
-	parks := map[ckpt.ParkKind]int{}
-	var inflight, inflightBytes, pendingRecvs int
-	for i := range img.Images {
-		ri := &img.Images[i]
-		parks[ri.Desc.Kind]++
-		inflight += len(ri.Inflight)
-		for _, m := range ri.Inflight {
-			inflightBytes += len(m.Data)
-		}
-		pendingRecvs += len(ri.Desc.Recvs)
-	}
-	fmt.Printf("  park kinds:  ")
-	for _, k := range []ckpt.ParkKind{
-		ckpt.ParkPreCollective, ckpt.ParkInBarrier, ckpt.ParkInWait,
-		ckpt.ParkBoundary, ckpt.ParkDone,
-	} {
-		if parks[k] > 0 {
-			fmt.Printf("%s:%d ", k, parks[k])
-		}
-	}
-	fmt.Println()
-	fmt.Printf("  p2p drain:   %d in-flight messages (%d bytes), %d pending receives\n",
-		inflight, inflightBytes, pendingRecvs)
-
-	if *verbose {
-		fmt.Println()
-		for i := range img.Images {
-			printRank(&img.Images[i])
+	if job != nil && *verbose {
+		fmt.Fprintln(w)
+		for i := range job.img.Images {
+			printRank(w, &job.img.Images[i])
 		}
 	}
 	return nil
 }
 
-func printRank(ri *ckpt.RankImage) {
-	fmt.Printf("rank %4d: park=%-14s app=%dB proto=%dB clock=%.6fs\n",
+// jobSummary is what only decoded shards can tell about an epoch: where the
+// ranks were parked and what the p2p drain carried. `info` prints it for an
+// image file (a store directory's chain is summarized from manifests alone).
+type jobSummary struct {
+	img                                   *ckpt.JobImage
+	parks                                 map[ckpt.ParkKind]int
+	inflight, inflightBytes, pendingRecvs int
+}
+
+// summarize decodes the store's newest epoch and takes its census.
+func summarize(store ckpt.Store) (*jobSummary, error) {
+	epoch, err := ckpt.LatestEpoch(store)
+	if err != nil {
+		return nil, err
+	}
+	img, err := ckpt.LoadJobImage(store, epoch)
+	if err != nil {
+		return nil, err
+	}
+	job := &jobSummary{img: img, parks: map[ckpt.ParkKind]int{}}
+	for i := range img.Images {
+		ri := &img.Images[i]
+		job.parks[ri.Desc.Kind]++
+		job.inflight += len(ri.Inflight)
+		for _, m := range ri.Inflight {
+			job.inflightBytes += len(m.Data)
+		}
+		job.pendingRecvs += len(ri.Desc.Recvs)
+	}
+	return job, nil
+}
+
+func (job *jobSummary) print(w io.Writer, path string) {
+	img := job.img
+	fmt.Fprintf(w, "checkpoint image: %s\n", path)
+	fmt.Fprintf(w, "  algorithm:   %s\n", img.Algorithm)
+	fmt.Fprintf(w, "  ranks:       %d (%d per node, %d nodes)\n",
+		img.Ranks, img.PPN, (img.Ranks+img.PPN-1)/img.PPN)
+	fmt.Fprintf(w, "  captured at: vt=%.6fs\n", img.CaptureVT)
+	fmt.Fprintf(w, "  total bytes: %d", img.TotalBytes())
+	if img.PaddedBytesPerRank > 0 {
+		fmt.Fprintf(w, " (padded to %d per rank)", img.PaddedBytesPerRank)
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "  park kinds:  ")
+	for k := ckpt.ParkPreCollective; k <= ckpt.ParkDone; k++ {
+		if job.parks[k] > 0 {
+			fmt.Fprintf(w, "%s:%d ", k, job.parks[k])
+		}
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "  p2p drain:   %d in-flight messages (%d bytes), %d pending receives\n",
+		job.inflight, job.inflightBytes, job.pendingRecvs)
+}
+
+func printRank(w io.Writer, ri *ckpt.RankImage) {
+	fmt.Fprintf(w, "rank %4d: park=%-14s app=%dB proto=%dB clock=%.6fs\n",
 		ri.Rank, ri.Desc.Kind, len(ri.App), len(ri.Proto), ri.ClockVT)
 	if ri.Desc.Coll != nil {
 		c := ri.Desc.Coll
 		if c.Bench || c.VirtSize > 0 {
-			fmt.Printf("           pending collective: %v on comm vid %d (root %d, bench size %d)\n",
+			fmt.Fprintf(w, "           pending collective: %v on comm vid %d (root %d, bench size %d)\n",
 				netmodel.CollKind(c.Kind), c.CommVID, c.Root, c.VirtSize)
 		} else {
-			fmt.Printf("           pending collective: %v on comm vid %d (root %d, bufs %q/%q)\n",
+			fmt.Fprintf(w, "           pending collective: %v on comm vid %d (root %d, bufs %q/%q)\n",
 				netmodel.CollKind(c.Kind), c.CommVID, c.Root, c.InBufID, c.OutBufID)
 		}
 	}
 	for _, rd := range ri.Desc.Recvs {
-		fmt.Printf("           pending recv: comm vid %d src %d tag %d -> %s[%d:%d]\n",
+		fmt.Fprintf(w, "           pending recv: comm vid %d src %d tag %d -> %s[%d:%d]\n",
 			rd.CommVID, rd.Src, rd.Tag, rd.BufID, rd.Off, rd.Off+rd.Len)
 	}
 	for _, m := range ri.Inflight {
-		fmt.Printf("           in-flight: comm %d from %d tag %d (%d bytes)\n",
+		fmt.Fprintf(w, "           in-flight: comm %d from %d tag %d (%d bytes)\n",
 			m.CommID, m.SrcComm, m.Tag, len(m.Data))
 	}
 }
@@ -208,11 +204,10 @@ func printRank(ri *ckpt.RankImage) {
 // as float64 (jq, JavaScript), which a checksum must never do.
 type shardJSON struct {
 	Rank     int     `json:"rank"`
-	Offset   int64   `json:"offset,omitempty"`
 	Size     int64   `json:"size"`
 	RawSize  int64   `json:"raw_size"`
 	Checksum string  `json:"checksum"`
-	RefEpoch *int    `json:"ref_epoch,omitempty"` // v3 store shards only
+	RefEpoch *int    `json:"ref_epoch,omitempty"`
 	ClockVT  float64 `json:"clock_vt,omitempty"`
 	RawSum   string  `json:"raw_sum,omitempty"`
 
@@ -255,71 +250,33 @@ type epochJSON struct {
 }
 
 type infoJSON struct {
-	Kind               string         `json:"kind"` // "image" or "store"
-	Path               string         `json:"path"`
-	Format             string         `json:"format,omitempty"` // image files: "v2"
-	Algorithm          string         `json:"algorithm,omitempty"`
-	Ranks              int            `json:"ranks,omitempty"`
-	PPN                int            `json:"ppn,omitempty"`
-	CaptureVT          float64        `json:"capture_vt,omitempty"`
-	TotalBytes         int64          `json:"total_bytes,omitempty"`
-	PaddedBytesPerRank int64          `json:"padded_bytes_per_rank,omitempty"`
-	Parks              map[string]int `json:"parks,omitempty"`
-	InflightMessages   int            `json:"inflight_messages,omitempty"`
-	InflightBytes      int            `json:"inflight_bytes,omitempty"`
-	PendingRecvs       int            `json:"pending_recvs,omitempty"`
-	Shards             []shardJSON    `json:"shards,omitempty"` // v2 images
-	Epochs             []epochJSON    `json:"epochs,omitempty"` // stores
+	Kind string `json:"kind"` // "image" or "store"
+	Path string `json:"path"`
+	// An image file's job summary (see jobSummary); its geometry is in its
+	// one epoch below.
+	TotalBytes       int64          `json:"total_bytes,omitempty"`
+	Parks            map[string]int `json:"parks,omitempty"`
+	InflightMessages int            `json:"inflight_messages,omitempty"`
+	InflightBytes    int            `json:"inflight_bytes,omitempty"`
+	PendingRecvs     int            `json:"pending_recvs,omitempty"`
+	Epochs           []epochJSON    `json:"epochs,omitempty"`
 }
 
-func emitJSON(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
-}
-
-// imageInfoJSON renders one encoded image's manifest machine-readably.
-func imageInfoJSON(blob []byte, path string) error {
-	img, err := ckpt.DecodeJobImage(blob)
-	if err != nil {
-		return err
-	}
-	man, err := ckpt.DecodeManifest(blob)
-	if err != nil {
-		return err
-	}
-	out := infoJSON{
-		Kind: "image", Path: path, Format: "v2",
-		Algorithm: img.Algorithm, Ranks: img.Ranks, PPN: img.PPN,
-		CaptureVT: img.CaptureVT, TotalBytes: img.TotalBytes(),
-		PaddedBytesPerRank: img.PaddedBytesPerRank,
-		Parks:              map[string]int{},
-	}
-	for i := range img.Images {
-		ri := &img.Images[i]
-		out.Parks[ri.Desc.Kind.String()]++
-		out.InflightMessages += len(ri.Inflight)
-		for _, m := range ri.Inflight {
-			out.InflightBytes += len(m.Data)
-		}
-		out.PendingRecvs += len(ri.Desc.Recvs)
-	}
-	for _, si := range man.Shards {
-		out.Shards = append(out.Shards, shardJSON{
-			Rank: si.Rank, Offset: si.Offset, Size: si.Size,
-			RawSize: si.RawSize, Checksum: fmt.Sprintf("%016x", si.Checksum),
-		})
-	}
-	return emitJSON(os.Stdout, &out)
-}
-
-// storeInfoJSON renders a store's whole epoch chain machine-readably.
-func storeInfoJSON(w io.Writer, store *ckpt.FileStore, path string) error {
+// storeInfoJSON renders a store's whole epoch chain machine-readably, with
+// the job summary when the target is an image file (job non-nil).
+func storeInfoJSON(w io.Writer, store ckpt.Store, path string, job *jobSummary) error {
 	epochs, err := store.Epochs()
 	if err != nil {
 		return err
 	}
 	out := infoJSON{Kind: "store", Path: path, Epochs: []epochJSON{}}
+	if job != nil {
+		out.Kind, out.TotalBytes, out.Parks = "image", job.img.TotalBytes(), map[string]int{}
+		for k, n := range job.parks {
+			out.Parks[k.String()] = n
+		}
+		out.InflightMessages, out.InflightBytes, out.PendingRecvs = job.inflight, job.inflightBytes, job.pendingRecvs
+	}
 	for _, e := range epochs {
 		man, err := store.GetManifest(e)
 		if err != nil {
@@ -365,11 +322,13 @@ func storeInfoJSON(w io.Writer, store *ckpt.FileStore, path string) error {
 		}
 		out.Epochs = append(out.Epochs, ej)
 	}
-	return emitJSON(w, &out)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(&out)
 }
 
 // storeInfo renders a checkpoint store's epoch chain.
-func storeInfo(w io.Writer, store *ckpt.FileStore, path string, verbose bool) error {
+func storeInfo(w io.Writer, store ckpt.Store, path string, verbose bool) error {
 	epochs, err := store.Epochs()
 	if err != nil {
 		return err
@@ -429,57 +388,33 @@ func storeInfo(w io.Writer, store *ckpt.FileStore, path string, verbose bool) er
 	return nil
 }
 
-func runVerify(args []string) error {
+// runVerify checks every sealed epoch's shards (through the reference
+// chain) and attributes faults per epoch and rank.
+func runVerify(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	fs.Parse(args)
 	tgt, err := readTarget(fs, "ccimg verify <image-file|store-dir>")
 	if err != nil {
 		return err
 	}
-	if tgt.store != nil {
-		return verifyStore(tgt.store, tgt.path)
-	}
-	blob, path := tgt.blob, tgt.path
-	faults, err := ckpt.VerifyImage(blob)
+	epochs, err := tgt.store.Epochs()
 	if err != nil {
 		return err
 	}
-	man, err := ckpt.DecodeManifest(blob)
+	faults, err := ckpt.VerifyStore(tgt.store)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d shards\n", path, len(man.Shards))
+	fmt.Fprintf(w, "%s: %d sealed epochs\n", tgt.path, len(epochs))
 	if len(faults) == 0 {
-		fmt.Println("all shards verify: ok")
-		return nil
-	}
-	for _, f := range faults {
-		fmt.Printf("rank %d shard FAULT: %v\n", f.Rank, f.Err)
-	}
-	return fmt.Errorf("%d shard(s) corrupted", len(faults))
-}
-
-// verifyStore checks every sealed epoch's shards (through the reference
-// chain) and attributes faults per epoch and rank.
-func verifyStore(store *ckpt.FileStore, path string) error {
-	epochs, err := store.Epochs()
-	if err != nil {
-		return err
-	}
-	faults, err := ckpt.VerifyStore(store)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s: %d sealed epochs\n", path, len(epochs))
-	if len(faults) == 0 {
-		fmt.Println("all epochs verify: ok")
+		fmt.Fprintln(w, "all epochs verify: ok")
 		return nil
 	}
 	for _, f := range faults {
 		if f.Rank < 0 {
-			fmt.Printf("epoch %d FAULT: %v\n", f.Epoch, f.Err)
+			fmt.Fprintf(w, "epoch %d FAULT: %v\n", f.Epoch, f.Err)
 		} else {
-			fmt.Printf("epoch %d rank %d (bytes in epoch %d) FAULT: %v\n", f.Epoch, f.Rank, f.RefEpoch, f.Err)
+			fmt.Fprintf(w, "epoch %d rank %d (bytes in epoch %d) FAULT: %v\n", f.Epoch, f.Rank, f.RefEpoch, f.Err)
 		}
 	}
 	return fmt.Errorf("%d fault(s) in the chain", len(faults))
@@ -488,7 +423,7 @@ func verifyStore(store *ckpt.FileStore, path string) error {
 // runGC reclaims a store's dead epochs: everything not reachable from the
 // newest -keep sealed manifests through their shard references, plus
 // unsealed (aborted-commit) debris.
-func runGC(args []string) error {
+func runGC(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("gc", flag.ExitOnError)
 	keep := fs.Int("keep", 1, "sealed epochs to retain (plus everything they reference)")
 	fs.Parse(args)
@@ -496,15 +431,15 @@ func runGC(args []string) error {
 	if err != nil {
 		return err
 	}
-	if tgt.store == nil {
+	if tgt.file {
 		return fmt.Errorf("gc needs a store directory, not an image file")
 	}
 	st, err := ckpt.GCStore(tgt.store, *keep)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: kept epochs %v\n", tgt.path, st.LiveEpochs)
-	fmt.Printf("reclaimed %d bytes: %d dead epoch(s), %d shard(s), %d unsealed debris file(s)\n",
+	fmt.Fprintf(w, "%s: kept epochs %v\n", tgt.path, st.LiveEpochs)
+	fmt.Fprintf(w, "reclaimed %d bytes: %d dead epoch(s), %d shard(s), %d unsealed debris file(s)\n",
 		st.ReclaimedBytes, st.DeletedEpochs, st.DeletedShards, st.SweptObjects)
 	return nil
 }
@@ -512,7 +447,7 @@ func runGC(args []string) error {
 // runCompact rewrites one epoch's resolved chain into a fresh
 // self-contained epoch (verified byte-identical copies, restart digest
 // unchanged); the old chain becomes reclaimable by gc.
-func runCompact(args []string) error {
+func runCompact(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ExitOnError)
 	epoch := fs.Int("epoch", -1, "epoch to compact (-1 = latest)")
 	fs.Parse(args)
@@ -520,7 +455,7 @@ func runCompact(args []string) error {
 	if err != nil {
 		return err
 	}
-	if tgt.store == nil {
+	if tgt.file {
 		return fmt.Errorf("compact needs a store directory, not an image file")
 	}
 	e := *epoch
@@ -534,40 +469,36 @@ func runCompact(args []string) error {
 		return err
 	}
 	if st == nil {
-		fmt.Printf("%s: epoch %d is already self-contained, nothing to do\n", tgt.path, e)
+		fmt.Fprintf(w, "%s: epoch %d is already self-contained, nothing to do\n", tgt.path, e)
 		return nil
 	}
-	fmt.Printf("%s: compacted epoch %d into self-contained epoch %d (%d shards, %d bytes)\n",
+	fmt.Fprintf(w, "%s: compacted epoch %d into self-contained epoch %d (%d shards, %d bytes)\n",
 		tgt.path, e, man.Epoch, st.FreshShards, st.FreshBytes)
-	fmt.Printf("run `ccimg gc -keep 1 %s` to reclaim the old chain\n", tgt.path)
+	fmt.Fprintf(w, "run `ccimg gc -keep 1 %s` to reclaim the old chain\n", tgt.path)
 	return nil
 }
 
-func runExtract(args []string) error {
+func runExtract(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("extract", flag.ExitOnError)
 	rank := fs.Int("rank", 0, "rank whose shard to extract")
-	epoch := fs.Int("epoch", -1, "store epoch to extract from (-1 = latest; stores only)")
+	epoch := fs.Int("epoch", -1, "store epoch to extract from (-1 = latest)")
 	out := fs.String("o", "", "write the decoded rank image (gob) to this file")
 	fs.Parse(args)
 	tgt, err := readTarget(fs, "ccimg extract -rank N [-epoch E] [-o out] <image-file|store-dir>")
 	if err != nil {
 		return err
 	}
-	var ri *ckpt.RankImage
-	if tgt.store != nil {
-		e := *epoch
-		if e < 0 {
-			if e, err = ckpt.LatestEpoch(tgt.store); err != nil {
-				return err
-			}
-		}
-		if ri, err = ckpt.ExtractRankFromStore(tgt.store, e, *rank); err != nil {
+	e := *epoch
+	if e < 0 {
+		if e, err = ckpt.LatestEpoch(tgt.store); err != nil {
 			return err
 		}
-	} else if ri, err = ckpt.ExtractRank(tgt.blob, *rank); err != nil {
+	}
+	ri, err := ckpt.ExtractRankFromStore(tgt.store, e, *rank)
+	if err != nil {
 		return err
 	}
-	printRank(ri)
+	printRank(w, ri)
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
@@ -581,7 +512,7 @@ func runExtract(args []string) error {
 		if err := f.Close(); err != nil {
 			return fmt.Errorf("writing %s: %w", *out, err)
 		}
-		fmt.Printf("wrote decoded rank %d image to %s\n", *rank, *out)
+		fmt.Fprintf(w, "wrote decoded rank %d image to %s\n", *rank, *out)
 	}
 	return nil
 }

@@ -3,12 +3,16 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 
 	"mana/internal/ckpt"
+	"mana/internal/mpi"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/ from this run's output")
@@ -121,30 +125,93 @@ func TestInfoGolden(t *testing.T) {
 		if err := storeInfo(&text, s.store, s.name+"-store", true); err != nil {
 			t.Fatal(err)
 		}
-		if err := storeInfoJSON(&js, s.store, s.name+"-store"); err != nil {
+		if err := storeInfoJSON(&js, s.store, s.name+"-store", nil); err != nil {
 			t.Fatal(err)
 		}
-		for file, got := range map[string][]byte{
-			s.name + "_info.txt":  maskVolatile(text.Bytes()),
-			s.name + "_info.json": maskVolatile(js.Bytes()),
-		} {
-			path := filepath.Join("testdata", file)
-			if *update {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s differs from the golden file (go test ./cmd/ccimg -update rewrites it):\n--- got\n%s--- want\n%s", file, got, want)
-			}
+		checkGolden(t, s.name+"_info.txt", text.Bytes())
+		checkGolden(t, s.name+"_info.json", js.Bytes())
+	}
+}
+
+// checkGolden compares masked output against testdata/<file>, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, file string, out []byte) {
+	t.Helper()
+	got, path := maskVolatile(out), filepath.Join("testdata", file)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
 		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs from the golden file (go test ./cmd/ccimg -update rewrites it):\n--- got\n%s--- want\n%s", file, got, want)
+	}
+}
+
+// TestImageGolden pins what every command prints for a packed image FILE:
+// the path resolves to the one-epoch store the file is, so info, info
+// -json, verify and extract are the store arms TestInfoGolden pins for
+// directories, plus the job summary only a file target prints. gc and
+// compact refuse it.
+func TestImageGolden(t *testing.T) {
+	ji := &ckpt.JobImage{Algorithm: "2pc", Ranks: 3, PPN: 2, CaptureVT: 0.75, Images: []ckpt.RankImage{
+		{Rank: 0, ClockVT: 0.75, App: bytes.Repeat([]byte{7}, 4<<10), Proto: []byte{1},
+			Desc: ckpt.Descriptor{Kind: ckpt.ParkInBarrier, Coll: &ckpt.CollDesc{CommVID: 1, Kind: 2, Root: 1, InBufID: "in", OutBufID: "out"}}},
+		{Rank: 1, ClockVT: 0.5, App: noisy(3000, 1), Proto: []byte{2, 2},
+			Desc:     ckpt.Descriptor{Kind: ckpt.ParkInWait, Recvs: []ckpt.RecvDesc{{CommVID: 0, Src: 2, Tag: 9, BufID: "halo", Off: 16, Len: 32}}},
+			Inflight: []mpi.InflightSnapshot{{CommID: 0, SrcComm: 2, Tag: 9, Data: []byte("payload")}}},
+		{Rank: 2, ClockVT: 0.25, App: []byte("done"), Desc: ckpt.Descriptor{Kind: ckpt.ParkDone}},
+	}}
+	data, err := ji.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	img := filepath.Join(dir, "small.img")
+	if err := os.WriteFile(img, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var text, js bytes.Buffer
+	for _, c := range []struct {
+		name string
+		run  func(io.Writer, []string) error
+		args []string
+	}{
+		{"info", runInfo, []string{"-v", img}},
+		{"verify", runVerify, []string{img}},
+		{"extract", runExtract, []string{"-rank", "1", img}},
+	} {
+		fmt.Fprintf(&text, "$ ccimg %s %s\n", c.name, strings.Join(c.args, " "))
+		if err := c.run(&text, c.args); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := runInfo(&js, []string{"-json", img}); err != nil {
+		t.Fatal(err)
+	}
+	unrooted := func(b []byte) []byte { return bytes.ReplaceAll(b, []byte(dir+string(filepath.Separator)), nil) }
+	checkGolden(t, "image_info.txt", unrooted(text.Bytes()))
+	checkGolden(t, "image_info.json", unrooted(js.Bytes()))
+
+	for name, run := range map[string]func(io.Writer, []string) error{"gc": runGC, "compact": runCompact} {
+		if err := run(io.Discard, []string{img}); err == nil || !strings.Contains(err.Error(), "not an image file") {
+			t.Errorf("%s on an image file: %v", name, err)
+		}
+	}
+	// An image in the retired blob format fails by its magic.
+	old := append([]byte("MANAIMG2"), data[8:]...)
+	if err := os.WriteFile(img, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runVerify(io.Discard, []string{img}); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("MANAIMG2 file: %v (want a bad-magic error)", err)
 	}
 }

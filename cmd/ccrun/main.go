@@ -251,6 +251,10 @@ func main() {
 	}
 	if !rep.Completed {
 		fmt.Println("job exited at checkpoint (restart to continue)")
+	} else if rep.StateDigest != "" {
+		// Equal for an uninterrupted run and for any chain of checkpoint /
+		// restart legs of the same program (scripts/cli_roundtrip.sh).
+		fmt.Printf("state digest: %s\n", rep.StateDigest)
 	}
 	if rep.Image != nil && *image != "" {
 		if err := mana.SaveImage(*image, rep.Image); err != nil {

@@ -79,14 +79,15 @@ func insertAt(b []byte, off int, extra []byte) []byte {
 func TestChunkTableInvariants(t *testing.T) {
 	img := cdcImage(1, 7)
 	ri := &img.Images[0]
-	sum, size, _, chunks, err := hashShard(ri, 0, true)
+	chunked, sum, _, chunks, err := hashShard(ri, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSum, wantSize, _, _, err := hashShard(ri, 0, false)
+	plain, wantSum, _, _, err := hashShard(ri, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	size, wantSize := chunked.size, plain.size
 	if sum != wantSum || size != wantSize {
 		t.Fatalf("chunking pass changed the stream identity: %x/%d want %x/%d", sum, size, wantSum, wantSize)
 	}

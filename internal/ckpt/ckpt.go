@@ -22,9 +22,10 @@
 //
 // Capture and serialization are built for scale: the coordinator snapshots
 // every rank concurrently (all ranks are parked, so per-rank state is frozen)
-// and the image is written in the v2 sharded format — one independently
-// compressed and checksummed shard per rank behind a job manifest — encoded
-// and decoded across GOMAXPROCS workers (see image.go).
+// and the image is written as one independently compressed and checksummed
+// shard per rank behind a job manifest, encoded and decoded across
+// GOMAXPROCS workers — into a Store, or packed into a single file, which is
+// the same epoch either way (see image.go).
 //
 // The checkpoint path is a staged pipeline (see coordinator.go, store.go,
 // FORMAT.md): stage 1 snapshots all ranks while parked; stages 2–3 hash

@@ -277,11 +277,12 @@ func TestDeltaFallbacksToFullShard(t *testing.T) {
 	})
 
 	t.Run("legacy-gob-parent", func(t *testing.T) {
-		// deltaEligible is the gate: a legacy gob parent has no positional
-		// layout to diff against regardless of what else it carries.
+		// deltaEligible is the gate: a parent in the retired whole-gob format
+		// (0) has no positional layout to diff against regardless of what
+		// else it carries.
 		sums := &ShardSums{Sums: []uint64{7}, Sizes: []int64{100},
 			PageSize: testPageSize, PageSums: [][]uint32{{1, 2}}}
-		p := &ShardInfo{RawFormat: RawFormatGob, PageSize: testPageSize,
+		p := &ShardInfo{RawFormat: 0, PageSize: testPageSize,
 			PageSums: []uint32{3, 4}, RawSize: 100}
 		if deltaEligible(p, sums, 0) {
 			t.Fatal("legacy gob parent deemed delta-eligible")

@@ -1,152 +1,281 @@
 package ckpt
 
-// Fuzz-ish hardening tests for the image decode paths: truncated blobs,
-// hostile shard-table geometry, and ranks missing from the manifest must
-// all come back as errors — never as panics or unbounded allocations.
+// Hardening of the one decode path a checkpoint FILE has: a packed image
+// opens as a store (OpenImage) and everything behind that is the store's
+// own load and verify. One damage list states what every kind of damage
+// must produce — an error that names what is wrong, attributed to the rank
+// whose object was hit, never a panic or an allocation sized by a lie.
+// FuzzOpenImage explores around the same list.
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
 
-// decodeAll exercises every public decode entry point on one blob, failing
-// the test if any of them panics. It reports whether the full decode
-// errored and whether per-shard verification detected a problem (VerifyImage
-// reports shard corruption through faults, not an error). DecodeManifest and
-// ExtractRank run for panic coverage; their errors are not asserted here —
-// a manifest can be internally consistent while its shard data is damaged.
-func decodeAll(t *testing.T, data []byte) (decodeErrored, verifyDetected bool) {
-	t.Helper()
-	defer func() {
-		if p := recover(); p != nil {
-			t.Fatalf("decode panicked on %d bytes: %v", len(data), p)
-		}
-	}()
-	_, err := DecodeJobImage(data)
-	decodeErrored = err != nil
-	_, _ = DecodeManifest(data)
-	for r := -1; r < 4; r++ {
-		_, _ = ExtractRank(data, r)
-	}
-	faults, verr := VerifyImage(data)
-	verifyDetected = verr != nil || len(faults) > 0
-	return decodeErrored, verifyDetected
+// imageDamage is one way to damage a packed image.
+type imageDamage struct {
+	kind, name string
+	data       []byte
+	// rank is the shard the damage hit: the file still opens, VerifyStore
+	// faults exactly this rank and every other rank still extracts. -1 when
+	// the damage is to the framing, the record or the size accounting, and
+	// OpenImage itself must refuse the file.
+	rank int
+	want string // what the decode error must say
 }
 
-// TestTruncatedImagesError: every truncation of a valid image (sampled
-// densely through the header and manifest, sparsely through shard data)
-// must error out of every decode path without panicking.
-func TestTruncatedImagesError(t *testing.T) {
-	full, err := testJobImage(5).Encode()
+// packImage frames a manifest record and an object section as Encode does.
+func packImage(rec, objects []byte) []byte {
+	out := binary.LittleEndian.AppendUint32(append([]byte(nil), imageMagic...), uint32(len(rec)))
+	return append(append(out, rec...), objects...)
+}
+
+// imageDamageList is THE damage list over a packed image of n ranks (n >= 3),
+// returned with the pristine file. Kinds: "truncated" — at every section
+// boundary, at every length through the header, and at a stride through
+// record and objects; "flipped" — one byte in the magic, the length word,
+// the record and the middle of EACH rank's object, plus trailing garbage;
+// "record" — a re-sealed (internally checksummed) record that lies: hostile
+// geometry, sizes that do not add up to the bytes present, an entry that
+// references another epoch or is a partial object drawing on one.
+func imageDamageList(t testing.TB, n int) (pristine []byte, list []imageDamage) {
+	t.Helper()
+	full, err := testJobImage(n).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
+	man, err := DecodeManifest(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objectsAt := 12 + int(binary.LittleEndian.Uint32(full[8:12]))
+	add := func(kind, name string, data []byte, rank int, want string) {
+		list = append(list, imageDamage{kind, name, data, rank, want})
+	}
+
+	cuts := map[int]bool{0: true, 8: true, 12: true, objectsAt: true, len(full) - 1: true}
+	for l := 0; l < 64; l++ {
+		cuts[l] = true
+	}
+	for l := 64; l < len(full); l += len(full)/97 + 1 {
+		cuts[l] = true
+	}
+	flip := func(at int, mask byte) []byte {
+		bad := append([]byte(nil), full...)
+		bad[at] ^= mask
+		return bad
+	}
+	add("flipped", "magic", flip(3, 0xFF), -1, "bad magic")
+	add("flipped", "length word", flip(8, 0x01), -1, "manifest record")
+	add("flipped", "record", flip((12+objectsAt)/2, 0xFF), -1, "manifest record corrupted")
+	at := objectsAt
+	for r := range man.Shards {
+		size := int(man.Shards[r].Size)
+		cuts[at] = true
+		add("flipped", fmt.Sprintf("rank %d object", r), flip(at+size/2, 0xFF), r,
+			fmt.Sprintf("epoch 0 rank %d: shard corrupted (checksum ", r))
+		at += size
+	}
+	add("flipped", "trailing garbage", append(append([]byte(nil), full...), 0xEE, 0xEE), -1,
+		"image has 2 trailing bytes")
+	for l := range cuts {
+		add("truncated", fmt.Sprintf("to %d of %d bytes", l, len(full)), full[:l], -1, "truncated")
+	}
+
+	forge := func(name string, rank int, want string, mutate func(m *Manifest)) {
+		m := *man
+		m.Shards = append([]ShardInfo(nil), man.Shards...)
+		mutate(&m)
+		rec, err := EncodeManifestRecord(&m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		add("record", name, packImage(rec, full[objectsAt:]), rank, want)
+	}
+	objects := int64(len(full) - objectsAt)
+	forge("negative size", -1, "negative geometry", func(m *Manifest) { m.Shards[1].Size = -1 })
+	forge("negative raw", -1, "negative geometry", func(m *Manifest) { m.Shards[1].RawSize = -1 })
+	forge("size past end", -1, fmt.Sprintf("declares %d bytes of shard objects, %d follow", objects+objects+1-man.Shards[0].Size, objects),
+		func(m *Manifest) { m.Shards[0].Size = objects + 1 })
+	forge("size short", -1, fmt.Sprintf("image has 1 trailing bytes (manifest declares %d bytes of shard objects, %d follow", objects-1, objects),
+		func(m *Manifest) { m.Shards[2].Size-- })
+	forge("sizes overflow", -1, "shard sizes overflow", func(m *Manifest) { m.Shards[0].Size, m.Shards[1].Size = 1<<62, 1<<62 })
+	forge("rank out of range", -1, "names rank 7", func(m *Manifest) { m.Shards[0].Rank = 7 })
+	forge("negative ranks", -1, "declares -1 ranks", func(m *Manifest) { m.Ranks = -1; m.Shards = nil })
+	forge("shard/rank mismatch", -1, "lists 2 shards", func(m *Manifest) { m.Shards = m.Shards[:2] })
+	// An absurd RawSize must error after bounded work (the decompressed
+	// stream won't match), never allocate the declared size.
+	forge("absurd raw size", 1, "epoch 0 rank 1: raw size mismatch", func(m *Manifest) { m.Shards[1].RawSize = 1 << 50 })
+	// A file is one epoch: an entry whose bytes live in another one, or a
+	// partial object that draws on another one, is a reference into an
+	// epoch the opened store does not hold — the chain check every store
+	// read runs, nothing specific to files.
+	elsewhere := func(m *Manifest) {
+		m.Epoch = 1
+		for i := range m.Shards {
+			m.Shards[i].RefEpoch = 1
+		}
+	}
+	forge("entry references another epoch", 1, "epoch 1 rank 1 references epoch 0, which is not sealed", func(m *Manifest) {
+		elsewhere(m)
+		m.Shards[1].RefEpoch = 0
+	})
+	forge("partial object", 1, "epoch 1 rank 1 references epoch 0, which is not sealed", func(m *Manifest) {
+		elsewhere(m)
+		si := &m.Shards[1]
+		si.RawFormat, si.BaseEpoch, si.PageSize, si.PageSums = RawFormatPageDelta, 0, si.RawSize, []uint32{0}
+	})
+	return full, list
+}
+
+// runImageDamage holds every row of one kind to its verdict, through every
+// way a file is read.
+func runImageDamage(t *testing.T, kind string) {
+	const n = 5
+	full, list := imageDamageList(t, n)
 	if img, err := DecodeJobImage(full); err != nil || img == nil {
 		t.Fatalf("pristine image did not decode: %v", err)
 	}
-	lengths := map[int]bool{}
-	for l := 0; l < len(full) && l < 64; l++ {
-		lengths[l] = true // every header/near-header truncation
+	if faults, err := VerifyStore(openTestImage(t, full)); err != nil || len(faults) != 0 {
+		t.Fatalf("pristine image has faults %v (err %v)", faults, err)
 	}
-	for l := 64; l < len(full); l += len(full)/97 + 1 {
-		lengths[l] = true // sampled through manifest and shard data
-	}
-	lengths[len(full)-1] = true
-	for l := range lengths {
-		decodeErrored, verifyDetected := decodeAll(t, full[:l])
-		if !decodeErrored || !verifyDetected {
-			t.Fatalf("truncation to %d of %d bytes slipped through (decode err=%v, verify detected=%v)",
-				l, len(full), decodeErrored, verifyDetected)
+	ran := 0
+	for _, c := range list {
+		if c.kind != kind {
+			continue
 		}
+		ran++
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("%s: decode panicked on %d bytes: %v", c.name, len(c.data), p)
+				}
+			}()
+			if _, err := DecodeJobImage(c.data); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%s: decode error %v does not say %q", c.name, err, c.want)
+			}
+			store, err := OpenImage(c.data)
+			if _, merr := DecodeManifest(c.data); (merr == nil) != (err == nil) {
+				t.Fatalf("%s: OpenImage says %v, DecodeManifest says %v", c.name, err, merr)
+			}
+			if c.rank < 0 {
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("%s: OpenImage error %v does not say %q", c.name, err, c.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("%s: damage inside rank %d's shard failed the whole file: %v", c.name, c.rank, err)
+			}
+			faults, err := VerifyStore(store)
+			if err != nil {
+				t.Fatalf("%s: verify failed structurally: %v", c.name, err)
+			}
+			if len(faults) != 1 || faults[0].Rank != c.rank {
+				t.Fatalf("%s: damage to rank %d attributed to %v", c.name, c.rank, faults)
+			}
+			epoch, err := LatestEpoch(store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := -1; r <= n; r++ {
+				_, err := ExtractRankFromStore(store, epoch, r)
+				if healthy := r >= 0 && r < n && r != c.rank; healthy != (err == nil) {
+					t.Fatalf("%s: extract of rank %d: %v", c.name, r, err)
+				}
+			}
+		}()
+	}
+	if ran == 0 {
+		t.Fatalf("the damage list has no %q rows", kind)
 	}
 }
 
-// forgeImage re-wraps a (possibly hostile) manifest with a valid header
-// checksum in front of the given shard data, simulating corruption that a
-// simple checksum cannot catch — the manifest itself is internally
-// consistent, just wrong.
-func forgeImage(t *testing.T, man *Manifest, shardData []byte) []byte {
-	t.Helper()
-	var head bytes.Buffer
-	if err := gob.NewEncoder(&head).Encode(man); err != nil {
-		t.Fatal(err)
-	}
-	out := append([]byte(nil), imageMagicV2...)
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(head.Len()))
-	out = append(out, u32[:]...)
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], checksumOf(head.Bytes()))
-	out = append(out, u64[:]...)
-	out = append(out, head.Bytes()...)
-	return append(out, shardData...)
-}
+// TestTruncatedImagesError: every truncation of a valid image — at each
+// section boundary, densely through the header, at a stride through record
+// and objects — is refused as a truncation.
+func TestTruncatedImagesError(t *testing.T) { runImageDamage(t, "truncated") }
 
-// TestHostileManifestsError: internally-checksummed manifests with insane
-// shard geometry must be rejected by validation, not trusted into slicing
-// or allocation.
-func TestHostileManifestsError(t *testing.T) {
-	base, err := testJobImage(3).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	man, err := DecodeManifest(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	headLen := int64(binary.LittleEndian.Uint32(base[8:12]))
-	shardData := base[20+headLen:]
+// TestShardCorruptionAttributed: a flipped byte in rank k's object fails the
+// decode and is attributed to exactly rank k, every other rank still
+// extracts, and a flip in the framing or the record — or bytes past the end
+// — is structural: no shard to blame.
+func TestShardCorruptionAttributed(t *testing.T) { runImageDamage(t, "flipped") }
 
-	mutate := func(f func(m *Manifest)) []byte {
-		m := *man
-		m.Shards = append([]ShardInfo(nil), man.Shards...)
-		f(&m)
-		return forgeImage(t, &m, shardData)
-	}
-
-	cases := map[string][]byte{
-		"negative offset": mutate(func(m *Manifest) { m.Shards[1].Offset = -9 }),
-		"negative size":   mutate(func(m *Manifest) { m.Shards[1].Size = -1 }),
-		"negative raw":    mutate(func(m *Manifest) { m.Shards[1].RawSize = -1 }),
-		"offset past end": mutate(func(m *Manifest) { m.Shards[2].Offset = int64(len(shardData)) }),
-		"size past end":   mutate(func(m *Manifest) { m.Shards[0].Size = int64(len(shardData)) + 1 }),
-		"offset overflow": mutate(func(m *Manifest) { m.Shards[1].Offset = 1 << 62; m.Shards[1].Size = 1 << 62 }),
-		"rank out of range": mutate(func(m *Manifest) {
-			m.Shards[0].Rank = 7
-		}),
-		"negative ranks": mutate(func(m *Manifest) { m.Ranks = -1; m.Shards = nil }),
-		"shard/rank mismatch": mutate(func(m *Manifest) {
-			m.Shards = m.Shards[:2]
-		}),
-		// An absurd RawSize must error after bounded work (the decompressed
-		// stream won't match), never preallocate the declared size.
-		"absurd raw size": mutate(func(m *Manifest) { m.Shards[1].RawSize = 1 << 50 }),
-	}
-	for name, blob := range cases {
-		decodeErrored, verifyDetected := decodeAll(t, blob)
-		if !decodeErrored || !verifyDetected {
-			t.Fatalf("%s: hostile manifest slipped through (decode err=%v, verify detected=%v)",
-				name, decodeErrored, verifyDetected)
-		}
-	}
-}
+// TestHostileManifestsError: internally-checksummed records that lie about
+// geometry, sizes or where the bytes live are refused by validation, by the
+// size accounting or by the chain check — never trusted into slicing or
+// allocation.
+func TestHostileManifestsError(t *testing.T) { runImageDamage(t, "record") }
 
 // TestRankNotInManifest: extraction of a rank the manifest does not list
-// must error on both formats.
+// must error.
 func TestRankNotInManifest(t *testing.T) {
-	v2, err := testJobImage(3).Encode()
+	blob, err := testJobImage(3).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExtractRank(v2, 17); err == nil || !strings.Contains(err.Error(), "no rank 17") {
-		t.Fatalf("v2 extract of missing rank: %v", err)
+	if _, err := ExtractRankFromStore(openTestImage(t, blob), 0, 17); err == nil || !strings.Contains(err.Error(), "no rank 17") {
+		t.Fatalf("extract of missing rank: %v", err)
 	}
-	if _, _, err := ShardRange(v2, 17); err == nil {
-		t.Fatal("ShardRange found a missing rank")
+}
+
+// FuzzOpenImage: whatever bytes a file holds, open → verify → load comes
+// back as an error or a decoded job — never a panic, and never an
+// allocation beyond a small multiple of what the file and its (validated)
+// manifest state. Seeded with the damage list, so the fuzzer starts from
+// files that already get past the framing.
+func FuzzOpenImage(f *testing.F) {
+	full, list := imageDamageList(f, 3)
+	f.Add(full)
+	for _, c := range list {
+		if c.kind != "truncated" {
+			f.Add(c.data)
+		}
 	}
+	f.Add(full[:len(full)/2])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		stated := int64(len(data))
+		store, err := OpenImage(data)
+		if err == nil {
+			epoch, err := LatestEpoch(store)
+			if err != nil {
+				t.Fatalf("an opened image holds no epoch: %v", err)
+			}
+			man, err := store.GetManifest(epoch)
+			if err != nil {
+				t.Fatalf("an opened image's manifest does not decode: %v", err)
+			}
+			for i := range man.Shards {
+				if stated += man.Shards[i].RawSize; stated > 64<<20 || stated < 0 {
+					t.Skip() // a manifest that honestly states gigabytes may allocate them
+				}
+			}
+			faults, verr := VerifyStore(store)
+			img, lerr := LoadJobImage(store, epoch)
+			if verr != nil {
+				t.Fatalf("verify failed structurally on an opened image: %v", verr)
+			}
+			if (len(faults) == 0) != (lerr == nil) {
+				t.Fatalf("verify found %v but load said %v", faults, lerr)
+			}
+			if lerr == nil && len(img.Images) != man.Ranks {
+				t.Fatalf("clean load returned %d of %d ranks", len(img.Images), man.Ranks)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		// Manifest decodes, a flate window per shard and a few copy buffers
+		// are spent whatever the input; past that fixed floor, memory follows
+		// the stated sizes.
+		if got, limit := int64(after.TotalAlloc-before.TotalAlloc), 3*stated+(4<<20); got > limit {
+			t.Fatalf("open/verify/load allocated %d bytes for a file stating %d (limit %d; open: %v)", got, stated, limit, err)
+		}
+	})
 }
 
 // TestManifestRecordRoundTripAndCorruption: the store's standalone manifest

@@ -2,24 +2,17 @@ package ckpt
 
 // Checkpoint image serialization.
 //
-// A self-contained image is the v2 sharded blob ("MANAIMG2"): every rank's
-// RankImage is an independent shard — gob-encoded, flate-compressed, and
-// XXH64 checksummed on its own — referenced from a job manifest that
-// carries the job geometry and the shard table (offset, size, checksum).
-// Shards are encoded and decoded in parallel across GOMAXPROCS workers, a
-// corrupted image is attributed to the specific rank shard that failed, and
-// a single rank can be extracted without materializing the job
-// (ExtractRank). This is the format MANA-style per-rank image files collapse
-// into when the job image is a single blob. (The monolithic v1 format,
-// "MANAIMG1", is no longer read or written.)
+// There is one on-disk format: the store epoch (FORMAT.md) — per rank one
+// chunked, codec-compressed, XXH64-checksummed shard object, behind a sealed
+// manifest record carrying the job geometry and the shard table. This file
+// holds the shard streams, the manifest and its record; store.go commits
+// and loads epochs. A self-contained image FILE is such an epoch, packed
+// (Encode / OpenImage at the end of this file):
 //
-// Layout:
-//
-//	[0:8)    magic "MANAIMG2"
-//	[8:12)   uint32 LE: manifest gob length M
-//	[12:20)  uint64 LE: XXH64 checksum of the manifest gob
-//	[20:20+M) manifest gob (Manifest)
-//	[20+M:)  shard blobs, concatenated in manifest order
+//	[0:8)     magic "MANAIMG3"
+//	[8:12)    uint32 LE: manifest record length R
+//	[12:12+R) the epoch's manifest record ("MANAMFT3", see FORMAT.md)
+//	[12+R:)   the epoch's shard objects in rank order, each ShardInfo.Size bytes
 
 import (
 	"bufio"
@@ -39,24 +32,18 @@ import (
 	"mana/internal/mpi"
 )
 
-// imageMagicV2 heads an encoded image. A corrupted or truncated image must
-// fail loudly at decode time, not as a mysterious divergence after restart.
-var imageMagicV2 = []byte("MANAIMG2")
-
 // shardCompression is the flate level applied to every shard. BestSpeed: the
 // pipeline is checksum- and copy-bound, and checkpoint images (gobs of
 // float-heavy application state) compress well even at the fastest level.
 const shardCompression = flate.BestSpeed
 
-// ShardInfo locates and authenticates one rank's shard inside a v2 image or
-// a v3 store epoch. The RefEpoch/ClockVT/RawSum fields are meaningful only in
-// v3 manifests (see FORMAT.md); v2 blob images leave them zero.
+// ShardInfo locates and authenticates one rank's shard in a store epoch
+// (see FORMAT.md).
 type ShardInfo struct {
 	Rank     int
-	Offset   int64  // into the shard data section (after the manifest); 0 in stores
-	Size     int64  // compressed shard bytes
-	RawSize  int64  // gob bytes before compression
-	Checksum uint64 // XXH64 over the compressed shard blob
+	Size     int64  // stored (compressed) object bytes
+	RawSize  int64  // logical stream bytes before compression
+	Checksum uint64 // XXH64 over the stored object
 
 	// RefEpoch is the store epoch whose shard data holds this rank's bytes.
 	// Equal to the manifest's own Epoch for freshly written shards; an
@@ -65,7 +52,7 @@ type ShardInfo struct {
 	// time, so RefEpoch always names the epoch that physically wrote the
 	// blob.
 	RefEpoch int
-	// ClockVT is the rank's virtual clock at capture. v3 shard blobs are
+	// ClockVT is the rank's virtual clock at capture. Shard objects are
 	// encoded with the clock zeroed — it is the one field that changes every
 	// capture even for an otherwise idle rank, and keeping it out of the
 	// blob is what makes shard reuse possible. Restart re-applies it from
@@ -75,11 +62,10 @@ type ShardInfo struct {
 	// zeroed) shard stream — the identity the incremental differ compares
 	// against the previous epoch.
 	RawSum uint64
-	// RawFormat selects the stored object's layout (store shards only):
-	// RawFormatChunked for a full shard in the bounded-memory
-	// header+payload layout the streaming writer emits, RawFormatPageDelta
-	// or RawFormatCDC for a partial object reconstructed through its extent
-	// list (partial.go). v2 blob manifests leave it zero.
+	// RawFormat selects the stored object's layout: RawFormatChunked for a
+	// full shard in the bounded-memory header+payload layout the streaming
+	// writer emits, RawFormatPageDelta or RawFormatCDC for a partial object
+	// reconstructed through its extent list (partial.go).
 	RawFormat int
 
 	// Page-delta fields (RawFormat == RawFormatPageDelta, plus the page
@@ -127,13 +113,9 @@ type ShardInfo struct {
 	CodecID int
 }
 
-// Raw shard stream formats (ShardInfo.RawFormat).
+// Raw shard stream formats (ShardInfo.RawFormat). Zero is not a format: it
+// named the retired whole-RankImage gob, and Manifest.validate refuses it.
 const (
-	// RawFormatGob: one gob(RankImage) message — what a v2 blob image's
-	// shards hold, and the zero value their manifests carry. No store epoch
-	// has been written in it since the chunked layout; store manifests that
-	// name it are rejected (Manifest.validate).
-	RawFormatGob = 0
 	// RawFormatChunked: a small gob header (the RankImage minus its bulk
 	// payloads, plus their lengths) followed by the payload bytes raw —
 	// App, Proto, then each in-flight message's data, in order. Only the
@@ -155,13 +137,9 @@ const (
 	RawFormatCDC = 3
 )
 
-// Manifest versions. Zero-valued Version means v2 (the version field
-// predates nothing: v2 blob manifests never carried one).
+// Manifest versions: which commit mode sealed the epoch. Readers do not
+// switch on it — every entry says what it is (RawFormat, tables).
 const (
-	// ManifestV2 is the in-blob manifest of a self-contained sharded image:
-	// shard blobs follow the manifest, located by Offset, with the rank
-	// clock inside the shard gob.
-	ManifestV2 = 0
 	// ManifestV3 is the store-epoch manifest: shards live as individual
 	// store objects (RefEpoch, Rank), possibly in earlier epochs, with the
 	// rank clock carried per shard in the manifest itself.
@@ -181,8 +159,7 @@ const (
 // Manifest is the job-level header: the geometry needed to rebuild the
 // lower half plus the shard table. It deliberately duplicates the JobImage
 // header fields so tools can inspect an image without touching shard data.
-// In v2 blob images it sits between the header and the shard data; in a
-// Store each epoch has one, sealed as the epoch's commit record.
+// Each store epoch has one, sealed as the epoch's commit record.
 type Manifest struct {
 	Algorithm          string
 	Ranks              int
@@ -191,18 +168,17 @@ type Manifest struct {
 	PaddedBytesPerRank int64
 	Shards             []ShardInfo
 
-	// Version discriminates blob (v2) from store-epoch (v3) manifests.
+	// Version is one of ManifestV3..ManifestV5.
 	Version int
 	// Epoch is this capture's position in the store's chain (0-based);
 	// Parent is the epoch the incremental differ diffed against, -1 for a
-	// full capture with no parent. Both are -1/0-valued in v2 blobs.
+	// full capture with no parent.
 	Epoch  int
 	Parent int
 	// Tier records which storage tier this epoch was committed to
 	// (netmodel.StorageTier: 0 = parallel FS, 1 = burst buffer). Stamped by
 	// the ModelStore at seal time; restart read modeling charges the chain
-	// against this tier. Zero in v2 blobs and on stores committed without a
-	// cost model.
+	// against this tier. Zero on stores committed without a cost model.
 	Tier int
 }
 
@@ -283,12 +259,11 @@ func putFlateWriter(level int, fw *flate.Writer) {
 
 // ---------------------------------------------------------- streaming encode
 
-// Streaming shard I/O. The staged pipeline's commit stage used to
-// materialize every rank's raw gob and compressed blob as whole []byte
-// slices, so peak encode memory scaled with the image size — the #1
-// scalability cliff for MANA-scale images (hundreds of MB per rank). The
-// streaming path encodes each shard straight into the store's shard writer
-// through fixed-size buffers. Crucially the raw layout is CHUNKED
+// Streaming shard I/O. Every shard — a store commit's and an image file's
+// alike — is encoded straight into the store's shard writer through
+// fixed-size buffers: materializing a rank's raw stream or stored object
+// whole would make peak encode memory scale with the image size (hundreds
+// of MB per rank at MANA scale). Crucially the raw layout is CHUNKED
 // (RawFormatChunked): gob frames every Encode call as one message that it
 // buffers in full on both sides, so only a small header goes through gob —
 // the bulk payloads (App/Proto/in-flight bytes) are written raw from the
@@ -648,9 +623,9 @@ var shardRawMagic = []byte("MANASHD1")
 // captureRank returns (see rt.App): that is what lets the commit stamp the
 // hash pass's identity onto bytes it writes later without re-hashing them.
 type shardStream struct {
-	rank   int
-	segs   [][]byte // non-empty segments, in stream order
-	starts []int64  // starts[k] is segs[k]'s logical offset
+	ri     *RankImage // the image the segments alias
+	segs   [][]byte   // non-empty segments, in stream order
+	starts []int64    // starts[k] is segs[k]'s logical offset
 	size   int64
 }
 
@@ -682,7 +657,7 @@ func newShardStream(ri *RankImage, clockless bool) (*shardStream, error) {
 	if err := gob.NewEncoder(&head).Encode(&hdr); err != nil {
 		return nil, fmt.Errorf("ckpt: encoding rank %d shard header: %w", ri.Rank, err)
 	}
-	s := &shardStream{rank: ri.Rank}
+	s := &shardStream{ri: ri}
 	add := func(seg []byte) {
 		if len(seg) == 0 {
 			return
@@ -704,7 +679,7 @@ func newShardStream(ri *RankImage, clockless bool) (*shardStream, error) {
 func (s *shardStream) writeTo(w io.Writer) error {
 	for _, seg := range s.segs {
 		if _, err := w.Write(seg); err != nil {
-			return fmt.Errorf("ckpt: writing rank %d shard: %w", s.rank, err)
+			return fmt.Errorf("ckpt: writing rank %d shard: %w", s.ri.Rank, err)
 		}
 	}
 	return nil
@@ -715,7 +690,7 @@ func (s *shardStream) writeTo(w io.Writer) error {
 // their CRC-32C.
 func (s *shardStream) writeRange(w io.Writer, off, n int64) (uint32, error) {
 	if off < 0 || n < 0 || off > s.size-n {
-		return 0, fmt.Errorf("ckpt: rank %d shard range [%d:%d) exceeds its %d-byte stream", s.rank, off, off+n, s.size)
+		return 0, fmt.Errorf("ckpt: rank %d shard range [%d:%d) exceeds its %d-byte stream", s.ri.Rank, off, off+n, s.size)
 	}
 	// The segment holding off is the last one starting at or before it.
 	k := sort.Search(len(s.starts), func(i int) bool { return s.starts[i] > off }) - 1
@@ -727,7 +702,7 @@ func (s *shardStream) writeRange(w io.Writer, off, n int64) (uint32, error) {
 		}
 		crc = crc32.Update(crc, crcTable, piece)
 		if _, err := w.Write(piece); err != nil {
-			return 0, fmt.Errorf("ckpt: writing rank %d shard: %w", s.rank, err)
+			return 0, fmt.Errorf("ckpt: writing rank %d shard: %w", s.ri.Rank, err)
 		}
 		off += int64(len(piece))
 		n -= int64(len(piece))
@@ -928,11 +903,13 @@ func (r *cappedMessageReader) ReadByte() (byte, error) {
 // the CRC-32C page table (pageSize > 0) or the content-defined chunk table
 // (cdc) the partial-object diffs need. The stream is the same segment list
 // the writers later copy from, so the identities describe exactly the bytes
-// that reach the store.
-func hashShard(ri *RankImage, pageSize int64, cdc bool) (sum uint64, size int64, pages []uint32, chunks []RawChunk, err error) {
-	s, err := newShardStream(ri, true)
+// that reach the store — and it is returned, so the commit copies from the
+// very list that was hashed instead of laying it out (and gob-encoding the
+// header, type descriptors included) a second time.
+func hashShard(ri *RankImage, pageSize int64, cdc bool) (s *shardStream, sum uint64, pages []uint32, chunks []RawChunk, err error) {
+	s, err = newShardStream(ri, true)
 	if err != nil {
-		return 0, 0, nil, nil, err
+		return nil, 0, nil, nil, err
 	}
 	var ps *pageSummer
 	var cs *chunkSummer
@@ -947,7 +924,7 @@ func hashShard(ri *RankImage, pageSize int64, cdc bool) (sum uint64, size int64,
 	}
 	cw := newCountWriter(dst)
 	if err := s.writeTo(cw); err != nil {
-		return 0, 0, nil, nil, err
+		return nil, 0, nil, nil, err
 	}
 	if ps != nil {
 		pages = ps.finish()
@@ -955,7 +932,7 @@ func hashShard(ri *RankImage, pageSize int64, cdc bool) (sum uint64, size int64,
 	if cs != nil {
 		chunks = cs.finish()
 	}
-	return cw.h.sum64(), cw.n, pages, chunks, nil
+	return s, cw.h.sum64(), pages, chunks, nil
 }
 
 // ----------------------------------------------------------- page deltas
@@ -1220,206 +1197,10 @@ func decodeShardStream(src io.Reader, rawSize int64, wantSum uint64, rawFormat i
 	return ri, nil
 }
 
-// compressShard flate-compresses one rank's raw shard gob, recycling
-// writers through the level-keyed pools.
-func compressShard(rank int, raw []byte) ([]byte, error) {
-	var out bytes.Buffer
-	out.Grow(len(raw)/4 + 64)
-	fw, err := flateWriterFor(shardCompression, &out)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: rank %d shard compressor: %w", rank, err)
-	}
-	if _, err := fw.Write(raw); err != nil {
-		return nil, fmt.Errorf("ckpt: compressing rank %d shard: %w", rank, err)
-	}
-	if err := fw.Close(); err != nil {
-		return nil, fmt.Errorf("ckpt: compressing rank %d shard: %w", rank, err)
-	}
-	putFlateWriter(shardCompression, fw)
-	return out.Bytes(), nil
-}
-
-// encodeShard serializes one rank image: gob, then flate. Returns the
-// compressed blob and the raw (pre-compression) gob size.
-func encodeShard(ri *RankImage) ([]byte, int64, error) {
-	var raw bytes.Buffer
-	if err := gob.NewEncoder(&raw).Encode(ri); err != nil {
-		return nil, 0, fmt.Errorf("ckpt: encoding rank %d shard: %w", ri.Rank, err)
-	}
-	blob, err := compressShard(ri.Rank, raw.Bytes())
-	if err != nil {
-		return nil, 0, err
-	}
-	return blob, int64(raw.Len()), nil
-}
-
-// shardPreallocCap bounds the decode buffer preallocated from a manifest's
-// RawSize. The manifest is attacker-ish input (a corrupted image must fail
-// cleanly); trusting an absurd RawSize would turn a flipped bit into a
-// multi-gigabyte allocation. Larger shards still decode — the buffer grows
-// as the decompressor actually produces bytes.
-const shardPreallocCap = 8 << 20
-
-// decodeShard reverses encodeShard. rawSize is the manifest's declared
-// pre-compression size; a mismatch with what the decompressor produces is
-// reported as corruption.
-func decodeShard(blob []byte, rawSize int64) (*RankImage, error) {
-	if rawSize < 0 {
-		return nil, fmt.Errorf("negative raw size %d", rawSize)
-	}
-	prealloc := rawSize
-	if prealloc > shardPreallocCap {
-		prealloc = shardPreallocCap
-	}
-	fr := flate.NewReader(bytes.NewReader(blob))
-	defer fr.Close()
-	raw := bytes.NewBuffer(make([]byte, 0, prealloc))
-	if _, err := io.Copy(raw, fr); err != nil {
-		return nil, fmt.Errorf("decompressing: %w", err)
-	}
-	if int64(raw.Len()) != rawSize {
-		return nil, fmt.Errorf("raw size mismatch: decompressed %d bytes, manifest says %d", raw.Len(), rawSize)
-	}
-	var ri RankImage
-	if err := gob.NewDecoder(raw).Decode(&ri); err != nil {
-		return nil, fmt.Errorf("decoding: %w", err)
-	}
-	return &ri, nil
-}
-
-// Encode serializes the job image in the v2 sharded format, fanning the
-// per-rank shard encoding out across GOMAXPROCS workers. The output is
-// deterministic: shards land in rank order regardless of worker scheduling.
-func (ji *JobImage) Encode() ([]byte, error) {
-	n := len(ji.Images)
-	shards := make([][]byte, n)
-	raws := make([]int64, n)
-	errs := make([]error, n)
-	fanOut(n, encodeWorkers(n), func(i int) {
-		shards[i], raws[i], errs[i] = encodeShard(&ji.Images[i])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	man := Manifest{
-		Algorithm:          ji.Algorithm,
-		Ranks:              ji.Ranks,
-		PPN:                ji.PPN,
-		CaptureVT:          ji.CaptureVT,
-		PaddedBytesPerRank: ji.PaddedBytesPerRank,
-		Shards:             make([]ShardInfo, n),
-	}
-	var off, total int64
-	for i := range shards {
-		man.Shards[i] = ShardInfo{
-			Rank:     ji.Images[i].Rank,
-			Offset:   off,
-			Size:     int64(len(shards[i])),
-			RawSize:  raws[i],
-			Checksum: checksumOf(shards[i]),
-		}
-		off += int64(len(shards[i]))
-		total += int64(len(shards[i]))
-	}
-
-	var head bytes.Buffer
-	if err := gob.NewEncoder(&head).Encode(&man); err != nil {
-		return nil, fmt.Errorf("ckpt: encoding image manifest: %w", err)
-	}
-
-	out := make([]byte, 0, 20+head.Len()+int(total))
-	out = append(out, imageMagicV2...)
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(head.Len()))
-	out = append(out, u32[:]...)
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], checksumOf(head.Bytes()))
-	out = append(out, u64[:]...)
-	out = append(out, head.Bytes()...)
-	for _, s := range shards {
-		out = append(out, s...)
-	}
-	return out, nil
-}
-
-// DecodeJobImage deserializes a job image produced by Encode, verifying the
-// header and integrity checksums. Corruption is attributed to the specific
-// rank shard.
-func DecodeJobImage(data []byte) (*JobImage, error) {
-	man, err := DecodeManifest(data)
-	if err != nil {
-		return nil, err
-	}
-	ji := &JobImage{
-		Algorithm:          man.Algorithm,
-		Ranks:              man.Ranks,
-		PPN:                man.PPN,
-		CaptureVT:          man.CaptureVT,
-		PaddedBytesPerRank: man.PaddedBytesPerRank,
-		Images:             make([]RankImage, len(man.Shards)),
-	}
-	errs := make([]error, len(man.Shards))
-	fanOut(len(man.Shards), encodeWorkers(len(man.Shards)), func(i int) {
-		blob, err := shardBlob(data, man, i)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		ri, err := decodeShard(blob, man.Shards[i].RawSize)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		if ri.Rank != man.Shards[i].Rank {
-			errs[i] = fmt.Errorf("shard content is for rank %d", ri.Rank)
-			return
-		}
-		ji.Images[i] = *ri
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: rank %d shard: %w", man.Shards[i].Rank, err)
-		}
-	}
-	return ji, nil
-}
-
-// DecodeManifest reads an image's manifest without touching shard data.
-func DecodeManifest(data []byte) (*Manifest, error) {
-	if len(data) < 20 {
-		return nil, fmt.Errorf("ckpt: image truncated (%d bytes)", len(data))
-	}
-	if !bytes.Equal(data[:len(imageMagicV2)], imageMagicV2) {
-		return nil, fmt.Errorf("ckpt: not a checkpoint image (bad magic)")
-	}
-	headLen := int64(binary.LittleEndian.Uint32(data[8:12]))
-	wantSum := binary.LittleEndian.Uint64(data[12:20])
-	if int64(len(data)) < 20+headLen {
-		return nil, fmt.Errorf("ckpt: image truncated (manifest needs %d bytes, have %d)", 20+headLen, len(data))
-	}
-	head := data[20 : 20+headLen]
-	if got := checksumOf(head); got != wantSum {
-		return nil, fmt.Errorf("ckpt: image manifest corrupted (checksum %x, want %x)", got, wantSum)
-	}
-	var man Manifest
-	if err := gob.NewDecoder(bytes.NewReader(head)).Decode(&man); err != nil {
-		return nil, fmt.Errorf("ckpt: decoding image manifest: %w", err)
-	}
-	if err := man.validate(int64(len(data)) - 20 - headLen); err != nil {
-		return nil, err
-	}
-	return &man, nil
-}
-
 // validate sanity-checks a decoded manifest's shard table so that corrupted
 // or hostile metadata fails with a diagnostic instead of driving later
-// slicing or allocation off a cliff. shardDataLen is the length of the shard
-// data region the offsets index (pass a negative value to skip the bounds
-// checks, e.g. for store manifests whose shards live in per-rank objects).
-func (man *Manifest) validate(shardDataLen int64) error {
+// slicing or allocation off a cliff.
+func (man *Manifest) validate() error {
 	if man.Ranks < 0 {
 		return fmt.Errorf("ckpt: manifest declares %d ranks", man.Ranks)
 	}
@@ -1435,28 +1216,16 @@ func (man *Manifest) validate(shardDataLen int64) error {
 		if si.Rank != i {
 			return fmt.Errorf("ckpt: shard %d names rank %d (table must be in rank order)", i, si.Rank)
 		}
-		if si.Size < 0 || si.RawSize < 0 || si.Offset < 0 {
-			return fmt.Errorf("ckpt: rank %d shard has negative geometry (offset %d, size %d, raw %d)",
-				si.Rank, si.Offset, si.Size, si.RawSize)
+		if si.Size < 0 || si.RawSize < 0 {
+			return fmt.Errorf("ckpt: rank %d shard has negative geometry (size %d, raw %d)",
+				si.Rank, si.Size, si.RawSize)
 		}
-		if si.Offset > math.MaxInt64-si.Size {
-			return fmt.Errorf("ckpt: rank %d shard geometry overflows (offset %d, size %d)",
-				si.Rank, si.Offset, si.Size)
-		}
-		if shardDataLen >= 0 && si.Offset+si.Size > shardDataLen {
-			return fmt.Errorf("ckpt: rank %d shard [%d:%d) exceeds %d bytes of shard data",
-				si.Rank, si.Offset, si.Offset+si.Size, shardDataLen)
-		}
-		if man.Version >= ManifestV3 && (si.RefEpoch < 0 || si.RefEpoch > man.Epoch) {
+		if si.RefEpoch < 0 || si.RefEpoch > man.Epoch {
 			return fmt.Errorf("ckpt: rank %d shard references epoch %d from epoch %d",
 				si.Rank, si.RefEpoch, man.Epoch)
 		}
-		if si.RawFormat < RawFormatGob || si.RawFormat > RawFormatCDC {
+		if si.RawFormat < RawFormatChunked || si.RawFormat > RawFormatCDC {
 			return fmt.Errorf("ckpt: rank %d shard declares unknown raw format %d", si.Rank, si.RawFormat)
-		}
-		if man.Version >= ManifestV3 && si.RawFormat == RawFormatGob {
-			return fmt.Errorf("ckpt: rank %d shard declares raw format %d (whole-gob store shards are no longer decodable)",
-				si.Rank, si.RawFormat)
 		}
 		if si.CodecID < CodecFlate || si.CodecID > CodecNone {
 			return fmt.Errorf("ckpt: rank %d shard declares unknown codec %d", si.Rank, si.CodecID)
@@ -1531,9 +1300,8 @@ func (man *Manifest) validate(shardDataLen int64) error {
 }
 
 // manifestRecordMagic heads a standalone manifest record — the per-epoch
-// commit file a Store seals each capture with (see FORMAT.md). The layout
-// after the magic matches the in-blob v2 header: u32 gob length, u64 XXH64
-// checksum, manifest gob.
+// commit file a Store seals each capture with (see FORMAT.md): magic, u32
+// gob length, u64 XXH64 of the gob, manifest gob.
 var manifestRecordMagic = []byte("MANAMFT3")
 
 // EncodeManifestRecord serializes a manifest as a standalone, checksummed
@@ -1545,14 +1313,9 @@ func EncodeManifestRecord(man *Manifest) ([]byte, error) {
 	}
 	out := make([]byte, 0, 20+head.Len())
 	out = append(out, manifestRecordMagic...)
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(head.Len()))
-	out = append(out, u32[:]...)
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], checksumOf(head.Bytes()))
-	out = append(out, u64[:]...)
-	out = append(out, head.Bytes()...)
-	return out, nil
+	out = binary.LittleEndian.AppendUint32(out, uint32(head.Len()))
+	out = binary.LittleEndian.AppendUint64(out, checksumOf(head.Bytes()))
+	return append(out, head.Bytes()...), nil
 }
 
 // DecodeManifestRecord reverses EncodeManifestRecord, verifying the magic
@@ -1563,8 +1326,10 @@ func DecodeManifestRecord(data []byte) (*Manifest, error) {
 	}
 	headLen := int64(binary.LittleEndian.Uint32(data[8:12]))
 	wantSum := binary.LittleEndian.Uint64(data[12:20])
-	if int64(len(data)) != 20+headLen {
-		return nil, fmt.Errorf("ckpt: manifest record truncated (needs %d bytes, have %d)", 20+headLen, len(data))
+	if have, want := int64(len(data)), 20+headLen; have < want {
+		return nil, fmt.Errorf("ckpt: manifest record truncated (declares %d bytes, have %d)", want, have)
+	} else if have > want {
+		return nil, fmt.Errorf("ckpt: manifest record has %d trailing bytes (declares %d bytes, have %d)", have-want, want, have)
 	}
 	head := data[20:]
 	if got := checksumOf(head); got != wantSum {
@@ -1574,100 +1339,117 @@ func DecodeManifestRecord(data []byte) (*Manifest, error) {
 	if err := gob.NewDecoder(bytes.NewReader(head)).Decode(&man); err != nil {
 		return nil, fmt.Errorf("ckpt: decoding manifest record: %w", err)
 	}
-	if err := man.validate(-1); err != nil {
+	if err := man.validate(); err != nil {
 		return nil, err
 	}
 	return &man, nil
 }
 
-// shardBlob slices one shard's compressed blob out of a v2 image and
-// verifies its checksum.
-func shardBlob(data []byte, man *Manifest, i int) ([]byte, error) {
-	si := &man.Shards[i]
-	base := int64(20) + int64(binary.LittleEndian.Uint32(data[8:12]))
-	lo, hi := base+si.Offset, base+si.Offset+si.Size
-	if lo < base || hi > int64(len(data)) || lo > hi {
-		return nil, fmt.Errorf("shard out of bounds [%d:%d) of %d", lo, hi, len(data))
-	}
-	blob := data[lo:hi]
-	if got := checksumOf(blob); got != si.Checksum {
-		return nil, fmt.Errorf("shard corrupted (checksum %x, want %x)", got, si.Checksum)
-	}
-	return blob, nil
-}
+// ------------------------------------------------------------ packed image
 
-// ShardFault names one corrupted or undecodable shard in an image.
-type ShardFault struct {
-	Rank int
-	Err  error
-}
+// imageMagic heads a self-contained image file: one store epoch, packed
+// (layout at the top of this file). A file in any earlier image format fails
+// here by magic; none is read.
+var imageMagic = []byte("MANAIMG3")
 
-// VerifyImage checks an image's integrity shard by shard without requiring
-// the whole job to decode: every shard's checksum is validated and the
-// shard is trially decoded; faults are attributed per rank. A structural
-// error (bad magic, corrupted manifest) is returned as err instead.
-func VerifyImage(data []byte) ([]ShardFault, error) {
-	man, err := DecodeManifest(data)
+// Encode serializes the job image as a single file: the image is committed
+// as one full epoch into a private MemStore through the ordinary commit path,
+// and the file is exactly what that store then holds — the sealed manifest
+// record followed by the shard objects in rank order. The bytes are a
+// function of the image alone: shards land in rank order however the commit
+// fan-out was scheduled.
+func (ji *JobImage) Encode() ([]byte, error) {
+	store := NewMemStore()
+	man, _, err := CommitCapture(store, 0, nil, ji)
 	if err != nil {
 		return nil, err
 	}
-	faults := make([]error, len(man.Shards))
-	fanOut(len(man.Shards), encodeWorkers(len(man.Shards)), func(i int) {
-		blob, err := shardBlob(data, man, i)
-		if err != nil {
-			faults[i] = err
-			return
-		}
-		if _, err := decodeShard(blob, man.Shards[i].RawSize); err != nil {
-			faults[i] = err
-		}
-	})
-	var out []ShardFault
-	for i, err := range faults {
-		if err != nil {
-			out = append(out, ShardFault{Rank: man.Shards[i].Rank, Err: err})
-		}
+	rec := store.mans[0]
+	total := len(imageMagic) + 4 + len(rec)
+	for i := range man.Shards {
+		total += int(man.Shards[i].Size)
+	}
+	out := make([]byte, 0, total)
+	out = append(out, imageMagic...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(rec)))
+	out = append(out, rec...)
+	for i := range man.Shards {
+		out = append(out, store.shards[[2]int{0, man.Shards[i].Rank}]...)
 	}
 	return out, nil
 }
 
-// ShardRange returns the byte range [lo, hi) a rank's compressed shard
-// occupies within an encoded v2 image. Tools (and the conformance engine's
-// per-shard corruption probe) use it to address shard bytes directly.
-func ShardRange(data []byte, rank int) (lo, hi int64, err error) {
-	man, err := DecodeManifest(data)
-	if err != nil {
-		return 0, 0, err
+// openImage checks a packed image's framing — magic, record length, the
+// record itself (DecodeManifestRecord) and that the shard table's stored
+// sizes account for every remaining byte, no fewer and no more — and installs
+// the record and the objects, as sub-slices of data, in a MemStore.
+func openImage(data []byte) (*MemStore, *Manifest, error) {
+	head := len(imageMagic) + 4
+	if len(data) < head {
+		return nil, nil, fmt.Errorf("ckpt: image truncated (%d bytes, the header alone is %d)", len(data), head)
 	}
-	base := int64(20) + int64(binary.LittleEndian.Uint32(data[8:12]))
+	if !bytes.Equal(data[:len(imageMagic)], imageMagic) {
+		return nil, nil, fmt.Errorf("ckpt: not a checkpoint image (bad magic)")
+	}
+	recLen := int64(binary.LittleEndian.Uint32(data[len(imageMagic):head]))
+	if have := int64(len(data) - head); recLen > have {
+		return nil, nil, fmt.Errorf("ckpt: image truncated (manifest record declares %d bytes, %d follow the header)", recLen, have)
+	}
+	rec, objects := data[head:int64(head)+recLen], data[int64(head)+recLen:]
+	man, err := DecodeManifestRecord(rec)
+	if err != nil {
+		return nil, nil, err
+	}
+	var declared int64
 	for i := range man.Shards {
-		if si := &man.Shards[i]; si.Rank == rank {
-			return base + si.Offset, base + si.Offset + si.Size, nil
+		// Sizes are validated non-negative, so a sum below zero overflowed.
+		if declared += man.Shards[i].Size; declared < 0 {
+			return nil, nil, fmt.Errorf("ckpt: image manifest's shard sizes overflow")
 		}
 	}
-	return 0, 0, fmt.Errorf("ckpt: image has no rank %d", rank)
+	if have := int64(len(objects)); declared > have {
+		return nil, nil, fmt.Errorf("ckpt: image truncated (manifest declares %d bytes of shard objects, %d follow the record)", declared, have)
+	} else if declared < have {
+		return nil, nil, fmt.Errorf("ckpt: image has %d trailing bytes (manifest declares %d bytes of shard objects, %d follow the record)", have-declared, declared, have)
+	}
+	store := NewMemStore()
+	store.mans[man.Epoch] = rec
+	for i := range man.Shards {
+		si := &man.Shards[i]
+		store.shards[[2]int{man.Epoch, si.Rank}] = objects[:si.Size]
+		objects = objects[si.Size:]
+	}
+	return store, man, nil
 }
 
-// ExtractRank decodes a single rank's image from an encoded job image:
-// only that rank's shard is read and decompressed.
-func ExtractRank(data []byte, rank int) (*RankImage, error) {
-	man, err := DecodeManifest(data)
+// OpenImage opens a packed image as the one-epoch store it is (the caller
+// must leave data alone while the store is in use), so LoadJobImage,
+// VerifyStore and ExtractRankFromStore serve a file exactly as they serve a
+// store directory. An entry that references another epoch, or a partial
+// object drawing on one, fails there as any reference into an unsealed
+// epoch does.
+func OpenImage(data []byte) (Store, error) {
+	store, _, err := openImage(data)
 	if err != nil {
 		return nil, err
 	}
-	for i := range man.Shards {
-		if man.Shards[i].Rank != rank {
-			continue
-		}
-		blob, err := shardBlob(data, man, i)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: rank %d shard: %w", rank, err)
-		}
-		ri, err := decodeShard(blob, man.Shards[i].RawSize)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: rank %d shard: %w", rank, err)
-		}
-		return ri, nil
+	return store, nil
+}
+
+// DecodeManifest reads a packed image's manifest without touching shard
+// data.
+func DecodeManifest(data []byte) (*Manifest, error) {
+	_, man, err := openImage(data)
+	return man, err
+}
+
+// DecodeJobImage deserializes a job image produced by Encode, verifying the
+// framing and every checksum. Corruption is attributed to the specific rank
+// shard.
+func DecodeJobImage(data []byte) (*JobImage, error) {
+	store, man, err := openImage(data)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("ckpt: image has no rank %d", rank)
+	return LoadJobImage(store, man.Epoch)
 }

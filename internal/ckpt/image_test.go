@@ -1,13 +1,16 @@
 package ckpt
 
-// Tests for the v2 sharded image format: v1 backward compatibility,
-// determinism of the parallel encoder, per-shard corruption attribution,
-// manifest inspection, single-rank extraction, and serial/parallel capture
-// equivalence.
+// Tests for the packed image file and the shard streams under it:
+// round trip, determinism of the parallel encoder, manifest inspection,
+// single-rank extraction, serial/parallel capture equivalence, and the
+// streaming shard writer and decoder. What damage to a packed image must
+// produce is harden_test.go's table.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -57,9 +60,36 @@ func testJobImage(ranks int) *JobImage {
 	return ji
 }
 
+// openTestImage opens a packed image as its one-epoch store.
+func openTestImage(t testing.TB, blob []byte) Store {
+	t.Helper()
+	store, err := OpenImage(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+// flateBlob compresses raw the way the default codec stores a shard.
+func flateBlob(t testing.TB, raw []byte) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	w, err := FlateCodec(0).NewWriter(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
 // TestImageRoundTrip: an encoded image decodes back to what was encoded,
-// and the retired monolithic v1 format is refused by its magic rather than
-// misparsed.
+// and a file in either retired blob format is refused by its magic rather
+// than misparsed.
 func TestImageRoundTrip(t *testing.T) {
 	ji := testJobImage(6)
 	blob, err := ji.Encode()
@@ -79,14 +109,16 @@ func TestImageRoundTrip(t *testing.T) {
 	if c := got.Images[1].Desc.Coll; c == nil || !c.Bench {
 		t.Fatalf("bench descriptor lost: %+v", got.Images[1].Desc)
 	}
-	v1 := append([]byte("MANAIMG1"), blob[8:]...)
-	for name, err := range map[string]error{
-		"decode":  func() error { _, err := DecodeJobImage(v1); return err }(),
-		"extract": func() error { _, err := ExtractRank(v1, 0); return err }(),
-		"verify":  func() error { _, err := VerifyImage(v1); return err }(),
-	} {
-		if err == nil || !strings.Contains(err.Error(), "bad magic") {
-			t.Fatalf("%s of a v1 image: %v (want a bad-magic error)", name, err)
+	for _, magic := range []string{"MANAIMG1", "MANAIMG2"} {
+		old := append([]byte(magic), blob[8:]...)
+		for name, err := range map[string]error{
+			"decode":   func() error { _, err := DecodeJobImage(old); return err }(),
+			"open":     func() error { _, err := OpenImage(old); return err }(),
+			"manifest": func() error { _, err := DecodeManifest(old); return err }(),
+		} {
+			if err == nil || !strings.Contains(err.Error(), "bad magic") {
+				t.Fatalf("%s of a %s image: %v (want a bad-magic error)", name, magic, err)
+			}
 		}
 	}
 }
@@ -110,6 +142,10 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
+// TestManifestAndShardRange: the manifest is readable without touching
+// shard data, and the shard table's sizes alone address every object — the
+// file is magic, length word, record, then the objects back to back in rank
+// order, with nothing before, between or after.
 func TestManifestAndShardRange(t *testing.T) {
 	ji := testJobImage(5)
 	ji.PaddedBytesPerRank = 1234
@@ -125,34 +161,39 @@ func TestManifestAndShardRange(t *testing.T) {
 		man.CaptureVT != 1.25 || man.PaddedBytesPerRank != 1234 {
 		t.Fatalf("manifest header mismatch: %+v", man)
 	}
-	if len(man.Shards) != 5 {
-		t.Fatalf("manifest has %d shards, want 5", len(man.Shards))
+	if man.Epoch != 0 || man.Parent != -1 || len(man.Shards) != 5 {
+		t.Fatalf("packed epoch is %d (parent %d) with %d shards, want a parentless epoch 0 with 5", man.Epoch, man.Parent, len(man.Shards))
 	}
-	var total int64
+	rec, err := EncodeManifestRecord(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := binary.LittleEndian.Uint32(blob[8:12]); int(want) != len(rec) || !bytes.Equal(blob[12:12+len(rec)], rec) {
+		t.Fatalf("the file does not carry the epoch's manifest record behind its %d-byte length word", want)
+	}
+	store := openTestImage(t, blob)
+	at := int64(12 + len(rec))
 	for i, s := range man.Shards {
-		if s.Rank != i {
-			t.Fatalf("shard %d claims rank %d", i, s.Rank)
-		}
-		if s.Offset != total {
-			t.Fatalf("shard %d at offset %d, want %d (contiguous)", i, s.Offset, total)
+		if s.Rank != i || s.RefEpoch != 0 || s.Partial() {
+			t.Fatalf("shard %d is rank %d stored in epoch %d (partial %v), want a full shard of its own epoch", i, s.Rank, s.RefEpoch, s.Partial())
 		}
 		if s.Size <= 0 || s.RawSize <= 0 {
 			t.Fatalf("shard %d has degenerate sizes: %+v", i, s)
 		}
-		lo, hi, err := ShardRange(blob, i)
-		if err != nil {
-			t.Fatal(err)
+		object := blob[at : at+s.Size]
+		if checksumOf(object) != s.Checksum {
+			t.Fatalf("the %d bytes at %d are not rank %d's object", s.Size, at, i)
 		}
-		if hi-lo != s.Size {
-			t.Fatalf("ShardRange(%d) spans %d bytes, manifest says %d", i, hi-lo, s.Size)
+		if got, err := store.GetShard(0, i); err != nil || !bytes.Equal(got, object) {
+			t.Fatalf("the opened store's rank %d object differs from the file's (err %v)", i, err)
 		}
-		total += s.Size
+		at += s.Size
+	}
+	if at != int64(len(blob)) {
+		t.Fatalf("shard table accounts for %d of the file's %d bytes", at, len(blob))
 	}
 	if _, err := DecodeManifest([]byte("MANAIMG1xxxxxxxx")); err == nil {
 		t.Fatal("v1 image yielded a manifest")
-	}
-	if _, _, err := ShardRange(blob, 99); err == nil {
-		t.Fatal("ShardRange accepted a nonexistent rank")
 	}
 }
 
@@ -162,8 +203,9 @@ func TestExtractRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	store := openTestImage(t, blob)
 	for _, r := range []int{0, 3, 5} {
-		ri, err := ExtractRank(blob, r)
+		ri, err := ExtractRankFromStore(store, 0, r)
 		if err != nil {
 			t.Fatalf("extract rank %d: %v", r, err)
 		}
@@ -171,46 +213,8 @@ func TestExtractRank(t *testing.T) {
 			t.Fatalf("extract rank %d mismatch:\ngot  %+v\nwant %+v", r, *ri, ji.Images[r])
 		}
 	}
-	if _, err := ExtractRank(blob, 99); err == nil {
+	if _, err := ExtractRankFromStore(store, 0, 99); err == nil {
 		t.Fatal("extract accepted a nonexistent rank")
-	}
-}
-
-// TestShardCorruptionAttributed: flipping one byte in rank k's shard must
-// fail the decode, and per-shard verification must attribute the fault to
-// exactly rank k.
-func TestShardCorruptionAttributed(t *testing.T) {
-	ji := testJobImage(8)
-	blob, err := ji.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if faults, err := VerifyImage(blob); err != nil || len(faults) != 0 {
-		t.Fatalf("pristine image has faults %v (err %v)", faults, err)
-	}
-	for _, victim := range []int{0, 3, 7} {
-		lo, hi, err := ShardRange(blob, victim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bad := append([]byte(nil), blob...)
-		bad[(lo+hi)/2] ^= 0xFF
-		if _, err := DecodeJobImage(bad); err == nil {
-			t.Fatalf("decode accepted corruption in rank %d's shard", victim)
-		}
-		faults, err := VerifyImage(bad)
-		if err != nil {
-			t.Fatalf("verify failed structurally: %v", err)
-		}
-		if len(faults) != 1 || faults[0].Rank != victim {
-			t.Fatalf("corruption in rank %d attributed to %v", victim, faults)
-		}
-	}
-	// Manifest corruption is structural: no shard to blame.
-	bad := append([]byte(nil), blob...)
-	bad[15] ^= 0xFF // inside the manifest checksum/header region
-	if _, err := VerifyImage(bad); err == nil {
-		t.Fatal("corrupted manifest verified")
 	}
 }
 
@@ -262,6 +266,18 @@ func TestCaptureSerialParallelEquivalent(t *testing.T) {
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("serial and parallel captures differ:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
+	// ... and so the same file, byte for byte.
+	a, err := serial.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := parallel.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("serial and parallel captures encode to different files")
+	}
 }
 
 // memSink is a minimal WriteCloser capturing a shard stream.
@@ -304,10 +320,11 @@ func TestShardWriterStreamsIdentically(t *testing.T) {
 		// The writer no longer hashes the raw stream; the identity pass does,
 		// over the same segment list. Hold the two to one set of bytes: what
 		// the sink decompresses to must hash to the identity pass's answer.
-		wantSum, wantSize, _, _, err := hashShard(ri, 0, false)
+		stream, wantSum, _, _, err := hashShard(ri, 0, false)
 		if err != nil {
 			t.Fatal(err)
 		}
+		wantSize := stream.size
 		raw, err := io.ReadAll(FlateCodec(0).NewReader(bytes.NewReader(blob)))
 		if err != nil {
 			t.Fatal(err)
@@ -336,34 +353,34 @@ func TestShardWriterStreamsIdentically(t *testing.T) {
 	}
 }
 
-// TestWholeGobShardsRejected: the whole-gob store layout is retired. Its
-// bytes must fail as an attributed error under every format the decoder is
-// asked to read them as — never alias into a silent misread — and a store
-// manifest that still names the format is refused at decode.
+// TestWholeGobShardsRejected: the whole-RankImage gob layout is retired and
+// nothing writes it. Its bytes must fail as an attributed error under every
+// format the decoder is asked to read them as — never alias into a silent
+// misread — and a manifest that names the format is refused at decode.
 func TestWholeGobShardsRejected(t *testing.T) {
-	ri := &testJobImage(3).Images[0]
-	clockless := *ri
+	clockless := testJobImage(3).Images[0]
 	clockless.ClockVT = 0
-	blob, rawSize, err := encodeShard(&clockless) // gob+flate, as v2 blob images still hold
-	if err != nil {
+	var raw bytes.Buffer
+	if err := gob.NewEncoder(&raw).Encode(&clockless); err != nil {
 		t.Fatal(err)
 	}
+	blob, rawSize := flateBlob(t, raw.Bytes()), int64(raw.Len())
 	if _, err := decodeShardStream(bytes.NewReader(blob), rawSize, checksumOf(blob), RawFormatChunked, nil); err == nil {
 		t.Fatal("gob bytes decoded under the chunked format")
 	}
-	for _, format := range []int{RawFormatGob, RawFormatChunked + 1} {
+	for _, format := range []int{0, RawFormatChunked + 1} {
 		if _, err := decodeShardStream(bytes.NewReader(blob), rawSize, checksumOf(blob), format, nil); err == nil ||
 			!strings.Contains(err.Error(), "unsupported raw shard format") {
 			t.Fatalf("format %d not rejected: %v", format, err)
 		}
 	}
-	man := &Manifest{Ranks: 1, Version: ManifestV3, Shards: []ShardInfo{{Rank: 0, RawFormat: RawFormatGob}}}
+	man := &Manifest{Ranks: 1, Version: ManifestV3, Shards: []ShardInfo{{Rank: 0, RawFormat: 0}}}
 	rec, err := EncodeManifestRecord(man)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeManifestRecord(rec); err == nil || !strings.Contains(err.Error(), "rank 0 shard declares raw format 0") {
-		t.Fatalf("store manifest naming the gob format not rejected: %v", err)
+	if _, err := DecodeManifestRecord(rec); err == nil || !strings.Contains(err.Error(), "rank 0 shard declares unknown raw format 0") {
+		t.Fatalf("manifest naming the gob format not rejected: %v", err)
 	}
 }
 
@@ -373,10 +390,11 @@ func TestWholeGobShardsRejected(t *testing.T) {
 // memory is secretly scaling with the shard again.
 func TestChunkedHeaderStaysSmall(t *testing.T) {
 	ri := &RankImage{Rank: 0, App: make([]byte, 8<<20), Proto: []byte{1, 2}}
-	_, rawSize, _, _, err := hashShard(ri, 0, false)
+	stream, _, _, _, err := hashShard(ri, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rawSize := stream.size
 	payload := int64(len(ri.App) + len(ri.Proto))
 	if overhead := rawSize - payload; overhead <= 0 || overhead > 4096 {
 		t.Fatalf("chunked overhead %d bytes over %d payload (want small and positive)", overhead, payload)
@@ -478,13 +496,7 @@ func TestStreamBudgetAccounting(t *testing.T) {
 // bytes BEFORE the checksum is verified, so hostile or bit-rotted framing
 // must fail with a diagnostic — never a huge allocation or a panic.
 func TestHostileShardHeadersErrorCleanly(t *testing.T) {
-	compress := func(raw []byte) []byte {
-		blob, err := compressShard(0, raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
+	compress := func(raw []byte) []byte { return flateBlob(t, raw) }
 
 	t.Run("overflowing-payload-lengths", func(t *testing.T) {
 		// A chunked header whose payload lengths sum past int64: each term
@@ -514,4 +526,39 @@ func TestHostileShardHeadersErrorCleanly(t *testing.T) {
 			t.Fatalf("absurd gob message length not rejected: %v", err)
 		}
 	})
+}
+
+// BenchmarkPackedImageRoundTrip times Encode + DecodeJobImage — what
+// `ccrun -image` then `-restart` cost beyond the run — on a many-small-ranks
+// image (fixed per-shard costs) and two bulk ones (half of each rank's state
+// incompressible). Run with -cpu 1 to compare commits.
+func BenchmarkPackedImageRoundTrip(b *testing.B) {
+	shapes := []struct{ ranks, bytes int }{{64, 1600}, {8, 3 << 20}, {2, 16 << 20}}
+	for _, s := range shapes {
+		if testing.Short() && s.bytes > 1<<20 {
+			s.bytes >>= 5
+		}
+		ji := &JobImage{Algorithm: "cc", Ranks: s.ranks, PPN: 2, CaptureVT: 1, Images: make([]RankImage, s.ranks)}
+		for r := range ji.Images {
+			app := noisyBytes(s.bytes, uint64(r+1))
+			for i := len(app) / 2; i < len(app); i++ {
+				app[i] = byte(r + i>>6)
+			}
+			ji.Images[r] = RankImage{Rank: r, App: app, Proto: []byte{byte(r)}, ClockVT: 1,
+				Desc: Descriptor{Kind: ParkPreCollective, Coll: &CollDesc{Kind: 1, InBufID: "x", OutBufID: "x"}}}
+		}
+		b.Run(fmt.Sprintf("%dx%d", s.ranks, s.bytes), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(s.ranks * s.bytes))
+			for i := 0; i < b.N; i++ {
+				blob, err := ji.Encode()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := DecodeJobImage(blob); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

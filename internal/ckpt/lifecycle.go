@@ -275,7 +275,6 @@ func CompactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *Com
 				}
 			}
 			si.RefEpoch = newEpoch
-			si.Offset = 0
 			// Every compacted shard is a self-contained full chunked stream
 			// in newEpoch, so its chunk table (if any) must self-source from
 			// the new object. The remap also clones the slice: si.Chunks

@@ -186,7 +186,7 @@ func TestCompactChain(t *testing.T) {
 				t.Fatalf("compaction stats: %+v", st)
 			}
 			for _, si := range man.Shards {
-				if si.RefEpoch != 4 || si.Offset != 0 {
+				if si.RefEpoch != 4 {
 					t.Fatalf("compacted shard still references elsewhere: %+v", si)
 				}
 			}

@@ -428,11 +428,7 @@ func TestDamagedHeaderNamedBeforeDecode(t *testing.T) {
 		t.Fatal("chunk-length table not found in the stored header")
 	}
 	copy(raw[at:], []byte{0xFD, 0xFF, 0xFF, 0xFF}) // count = 16,777,215
-	blob, err := compressShard(1, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.store.PutShard(1, 1, blob); err != nil {
+	if err := c.store.PutShard(1, 1, flateBlob(t, raw)); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats

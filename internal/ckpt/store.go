@@ -928,6 +928,11 @@ type ShardSums struct {
 	// chunk-level diffing. CommitStreamed looks each chunk up in the parent
 	// chain's content-addressed index.
 	Chunks [][]RawChunk
+	// streams holds the identity pass's per-rank stream layouts for
+	// CommitStreamed to copy from (read-only there, so one ShardSums serves
+	// any number of commits of its image). Nil on a ShardSums built by hand;
+	// the commit then lays the streams out itself.
+	streams []*shardStream
 }
 
 // HashCapture hashes every rank's clockless shard identity across
@@ -960,7 +965,7 @@ func HashCaptureCDC(img *JobImage) (*ShardSums, error) {
 
 func hashCapture(img *JobImage, pageSize int64, cdc bool) (*ShardSums, error) {
 	n := len(img.Images)
-	sums := &ShardSums{Sums: make([]uint64, n), Sizes: make([]int64, n)}
+	sums := &ShardSums{Sums: make([]uint64, n), Sizes: make([]int64, n), streams: make([]*shardStream, n)}
 	switch {
 	case cdc:
 		sums.Chunks = make([][]RawChunk, n)
@@ -972,7 +977,11 @@ func hashCapture(img *JobImage, pageSize int64, cdc bool) (*ShardSums, error) {
 	fanOut(n, encodeWorkers(n), func(i int) {
 		var pages []uint32
 		var chunks []RawChunk
-		sums.Sums[i], sums.Sizes[i], pages, chunks, errs[i] = hashShard(&img.Images[i], pageSize, cdc)
+		sums.streams[i], sums.Sums[i], pages, chunks, errs[i] = hashShard(&img.Images[i], pageSize, cdc)
+		if errs[i] != nil {
+			return
+		}
+		sums.Sizes[i] = sums.streams[i].size
 		if sums.PageSums != nil {
 			sums.PageSums[i] = pages
 		}
@@ -1200,9 +1209,17 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 			si := &man.Shards[i]
 			budget.Acquire(shardStreamFootprint)
 			defer budget.Release(shardStreamFootprint)
-			stream, err := newShardStream(ri, true)
-			if err != nil {
-				return err
+			// The identity pass's layout of this very rank image, when sums
+			// carries one; anything else is laid out here, and the size check
+			// below catches sums that belong to another image.
+			var stream *shardStream
+			if sums.streams != nil && sums.streams[i].ri == ri {
+				stream = sums.streams[i]
+			} else {
+				var err error
+				if stream, err = newShardStream(ri, true); err != nil {
+					return err
+				}
 			}
 			if stream.size != si.RawSize {
 				return fmt.Errorf("ckpt: rank %d shard is %d raw bytes but was hashed as %d (sums are not this image's)",
@@ -1463,11 +1480,9 @@ func loadShard(store Store, man *Manifest, si *ShardInfo) (*RankImage, error) {
 	if ri.Rank != si.Rank {
 		return nil, fmt.Errorf("ckpt: %s: shard content is for rank %d", at, ri.Rank)
 	}
-	if man.Version >= ManifestV3 {
-		// v3 shards are encoded clockless; the capture-time clock rides in
-		// the manifest.
-		ri.ClockVT = si.ClockVT
-	}
+	// Shards are encoded clockless; the capture-time clock rides in the
+	// manifest.
+	ri.ClockVT = si.ClockVT
 	return ri, nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -343,4 +344,46 @@ func TestCompactionChecksFlattenedIdentity(t *testing.T) {
 			t.Fatalf("%s: failed compaction left epochs %v", name, epochs)
 		}
 	}
+}
+
+// TestCommitCopiesFromHashedStreams: the identity pass hands its stream
+// layouts to the commit inside ShardSums, so a shard's gob header is encoded
+// once per checkpoint. The hand-off must be invisible in what is stored: one
+// ShardSums serves any number of commits of its image, a ShardSums built by
+// hand (no layouts) commits the same bytes, and sums that belong to ANOTHER
+// image never get that image's bytes written under this one's name.
+func TestCommitCopiesFromHashedStreams(t *testing.T) {
+	img := testImage(4, 2)
+	sums, err := HashCapture(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sums.streams) != 4 || sums.streams[3].ri != &img.Images[3] {
+		t.Fatal("the identity pass did not keep its stream layouts")
+	}
+	byHand := &ShardSums{Sums: sums.Sums, Sizes: sums.Sizes}
+	var want *MemStore
+	for i, s := range []*ShardSums{sums, sums, byHand} {
+		store := NewMemStore()
+		if _, _, err := CommitStreamed(store, 0, nil, img, s, nil); err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+		if want == nil {
+			want = store
+			continue
+		}
+		if !reflect.DeepEqual(store.shards, want.shards) || !reflect.DeepEqual(store.mans, want.mans) {
+			t.Fatalf("commit %d stored different bytes than the first", i)
+		}
+	}
+	other := testImage(4, 9) // same sizes, different bytes
+	store := NewMemStore()
+	if _, _, err := CommitStreamed(store, 0, nil, other, sums, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadJobImage(store, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameImages(t, got, other)
 }

@@ -111,8 +111,7 @@ func (d *xxh64) sum64() uint64 {
 	return h
 }
 
-// checksumOf is the identity of one in-memory blob (manifest records, v2
-// blob manifests and their shards).
+// checksumOf is the identity of one in-memory blob (manifest records).
 func checksumOf(b []byte) uint64 {
 	d := newXXH64()
 	d.write(b)

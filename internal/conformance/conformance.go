@@ -497,8 +497,8 @@ func crossGeometryOn(o *Options, wl, algo string, goldenRep *rt.Report, factory 
 	return nil
 }
 
-// VerifyShardCorruptionDetected guards the sharded image format's integrity
-// story: it captures a checkpoint, encodes it, flips one byte inside a
+// VerifyShardCorruptionDetected guards the image file's integrity story: it
+// captures a checkpoint, encodes it, flips one byte inside a
 // specific rank's shard, and asserts that (a) the full decode refuses the
 // image, (b) per-shard verification attributes the fault to exactly the
 // corrupted rank, and (c) the pristine image verifies clean.
@@ -518,22 +518,37 @@ func VerifyShardCorruptionDetected(wl, algo string, opts Options) error {
 	return shardCorruptionOn(encoded, o.Ranks)
 }
 
-// shardCorruptionOn runs the per-shard corruption probe on an encoded image.
+// shardCorruptionOn runs the per-shard corruption probe on a packed image,
+// through the store the file opens as.
 func shardCorruptionOn(encoded []byte, ranks int) error {
-	if faults, err := ckpt.VerifyImage(encoded); err != nil || len(faults) != 0 {
+	verify := func(data []byte) ([]ckpt.StoreFault, error) {
+		store, err := ckpt.OpenImage(data)
+		if err != nil {
+			return nil, err
+		}
+		return ckpt.VerifyStore(store)
+	}
+	if faults, err := verify(encoded); err != nil || len(faults) != 0 {
 		return fmt.Errorf("pristine image did not verify: faults=%v err=%v", faults, err)
 	}
-	victim := ranks - 1 // any shard must be covered; the last exercises offsets
-	lo, hi, err := ckpt.ShardRange(encoded, victim)
+	man, err := ckpt.DecodeManifest(encoded)
 	if err != nil {
-		return fmt.Errorf("locating rank %d shard: %w", victim, err)
+		return fmt.Errorf("reading the image manifest: %w", err)
+	}
+	// The objects close the file in rank order, Size bytes each, so a shard
+	// is addressed by the sizes from it to the end. Any shard must be
+	// covered; the last one sits behind every other.
+	victim := ranks - 1
+	lo := int64(len(encoded))
+	for i := victim; i < len(man.Shards); i++ {
+		lo -= man.Shards[i].Size
 	}
 	bad := append([]byte(nil), encoded...)
-	bad[(lo+hi)/2] ^= 0xFF
+	bad[lo+man.Shards[victim].Size/2] ^= 0xFF
 	if _, err := ckpt.DecodeJobImage(bad); err == nil {
 		return fmt.Errorf("decode accepted an image with a corrupted rank-%d shard", victim)
 	}
-	faults, err := ckpt.VerifyImage(bad)
+	faults, err := verify(bad)
 	if err != nil {
 		return fmt.Errorf("per-shard verify failed structurally: %w", err)
 	}

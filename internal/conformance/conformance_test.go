@@ -1,9 +1,12 @@
 package conformance
 
 import (
+	"reflect"
 	"testing"
 
 	"mana/internal/apps"
+	"mana/internal/ckpt"
+	"mana/internal/mpi"
 	"mana/internal/rt"
 )
 
@@ -313,5 +316,82 @@ func TestContention(t *testing.T) {
 		if _, err := VerifyContention(DefaultChainWorkload, rt.Algo2PC, Options{Logf: t.Logf}); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// normalized returns img with every empty slice nil, the one difference a
+// serialization round trip is allowed to make.
+func normalized(img *ckpt.JobImage) *ckpt.JobImage {
+	out := *img
+	out.Images = append([]ckpt.RankImage(nil), img.Images...)
+	for i := range out.Images {
+		ri := &out.Images[i]
+		if len(ri.App) == 0 {
+			ri.App = nil
+		}
+		if len(ri.Proto) == 0 {
+			ri.Proto = nil
+		}
+		if len(ri.Desc.Recvs) == 0 {
+			ri.Desc.Recvs = nil
+		}
+		ri.Inflight = append([]mpi.InflightSnapshot(nil), ri.Inflight...)
+		for k := range ri.Inflight {
+			if len(ri.Inflight[k].Data) == 0 {
+				ri.Inflight[k].Data = nil
+			}
+		}
+	}
+	return &out
+}
+
+// TestPackedImageRoundTrip: an image file is lossless. For every registered
+// app under CC and 2PC, a mid-run capture → Encode → DecodeJobImage returns
+// the captured JobImage field for field — geometry, App, Proto, every
+// in-flight payload, the park descriptor with its pending receives, and the
+// clocks, which travel in the manifest rather than in the shards.
+func TestPackedImageRoundTrip(t *testing.T) {
+	o := (&Options{}).withDefaults()
+	var parks, inflight, recvs int
+	for _, wl := range append(append([]string(nil), apps.Names...), "straggler") {
+		for _, algo := range []string{rt.AlgoCC, rt.Algo2PC} {
+			if notRunnable(wl, algo) != nil {
+				continue // the paper's NA cell
+			}
+			_, _, image, err := captureMidRun(&o, wl, algo)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", wl, algo, err)
+			}
+			encoded, err := image.Encode()
+			if err != nil {
+				t.Fatalf("%s/%s: encode: %v", wl, algo, err)
+			}
+			got, err := ckpt.DecodeJobImage(encoded)
+			if err != nil {
+				t.Fatalf("%s/%s: decode: %v", wl, algo, err)
+			}
+			want := normalized(image)
+			if got = normalized(got); !reflect.DeepEqual(got, want) {
+				for r := range want.Images {
+					if !reflect.DeepEqual(got.Images[r], want.Images[r]) {
+						t.Errorf("%s/%s rank %d changed:\ngot  %+v\nwant %+v", wl, algo, r, got.Images[r].Desc, want.Images[r].Desc)
+					}
+				}
+				t.Fatalf("%s/%s: round trip changed the image (header got %s %d/%d vt %v pad %d)", wl, algo,
+					got.Algorithm, got.Ranks, got.PPN, got.CaptureVT, got.PaddedBytesPerRank)
+			}
+			for r := range want.Images {
+				ri := &want.Images[r]
+				if ri.Desc.Kind != ckpt.ParkDone {
+					parks++
+				}
+				inflight += len(ri.Inflight)
+				recvs += len(ri.Desc.Recvs)
+			}
+		}
+	}
+	// The sweep must have carried what a round trip can lose.
+	if parks == 0 || inflight == 0 || recvs == 0 {
+		t.Fatalf("captures held %d mid-run parks, %d in-flight messages, %d pending receives: nothing of one kind crossed the file", parks, inflight, recvs)
 	}
 }

@@ -58,12 +58,13 @@
 //
 // # Checkpoint images
 //
-// Images are serialized in a sharded format (v2): every rank's upper half is
-// an independent shard — gob-encoded, flate-compressed, and checksummed on
-// its own — behind a job manifest, and capture plus encode/decode fan out
-// across GOMAXPROCS workers. Corruption is detected and attributed to the
-// specific rank shard, and a single rank can be extracted without decoding
-// the job (ExtractRank). The ccimg tool fronts all of it:
+// An image file (SaveImage / LoadImage) is one store epoch, packed: every
+// rank's upper half is an independent shard object — chunked, compressed,
+// and checksummed on its own — behind the epoch's manifest record, and
+// capture plus encode/decode fan out across GOMAXPROCS workers. Corruption
+// is detected and attributed to the specific rank shard, and a single rank
+// can be extracted without decoding the job. The ccimg tool fronts all of
+// it, for a file and a store directory alike:
 //
 //	ccimg info -v job.img            # geometry, park census, shard table
 //	ccimg verify job.img             # per-shard integrity (CI-friendly exit)
@@ -156,11 +157,9 @@ type (
 	JobImage = ckpt.JobImage
 	// RankImage is one rank's shard of a job checkpoint.
 	RankImage = ckpt.RankImage
-	// Manifest is the sharded image's job-level header: geometry plus the
-	// per-rank shard table (v3 manifests add store epochs and parent refs).
+	// Manifest is a store epoch's job-level header: geometry, epoch and
+	// parent, plus the per-rank shard table.
 	Manifest = ckpt.Manifest
-	// ShardFault names one corrupted shard found by VerifyImage.
-	ShardFault = ckpt.ShardFault
 	// Store is a checkpoint store: the staged pipeline's commit target,
 	// holding a chain of capture epochs with incremental shard reuse.
 	Store = ckpt.Store

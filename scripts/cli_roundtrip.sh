@@ -1,0 +1,86 @@
+#!/usr/bin/env bash
+# Cross-process checkpoint/restart gate: every leg below is a separate
+# ccrun or ccimg PROCESS, so what crosses between them is only what was
+# written to disk — the use case of the paper (chained allocations), which
+# the in-process tests cannot reach. On the 8-rank straggler (2 hot ranks,
+# 6 cold ones that finish early) it checks that
+#   (a) an uninterrupted run prints a state digest D;
+#   (b) ccrun -image f, then ccimg verify / info -json / extract on f, then
+#       ccrun -restart f reaches D — and a file in the retired blob format
+#       is refused by its magic;
+#   (c) a chain of -incremental -store d / -restart-store d legs verifies
+#       and restarts into D, and the first leg whose parent epoch holds
+#       every cold rank as park=done reuses exactly the cold ranks' shards:
+#       shard reuse works across processes of one binary.
+# Which leg (c)'s precondition first holds on depends on host scheduling
+# (ROADMAP item 0), so legs are added, bounded, until it does. It is read
+# with `ccimg info -v` from the image file each leg also writes: a store
+# directory's `info -v` is manifest-only and park kinds live in the shards.
+# (Pipelines end in `grep >/dev/null`, not `grep -q`: under pipefail an early
+# exit of grep fails the writer with SIGPIPE.)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+go build -o "$work/bin/" ./cmd/ccrun ./cmd/ccimg
+ccimg="$work/bin/ccimg"
+ccrun() { "$work/bin/ccrun" -app straggler -algo cc -ranks 8 -ppn 4 -scale 2 "$@"; }
+cold=6        # ranks - apps.DefaultStragglerConfig().HotRanks
+step=0.0003   # virtual seconds between legs; the whole run is ~0.0048
+max_legs=10   # a cold rank finishes its 4 steps at no less than one a leg
+
+fail() { echo "cli_roundtrip: FAIL: $*" >&2; exit 1; }
+digest_of() { sed -n 's/^state digest: //p'; }
+
+# (a) uninterrupted
+want=$(ccrun | digest_of)
+[ -n "$want" ] || fail "the uninterrupted run printed no state digest"
+echo "uninterrupted:        $want"
+
+# (b) through an image file
+img="$work/job.img"
+ccrun -ckpt-at "$step" -image "$img" >/dev/null
+"$ccimg" verify "$img" >/dev/null || fail "ccimg verify refused a fresh image file"
+"$ccimg" info -json "$img" | grep '"kind": "image"' >/dev/null || fail "ccimg info -json did not describe an image"
+"$ccimg" extract -rank 1 "$img" | grep '^rank    1: park=' >/dev/null || fail "ccimg extract -rank 1 printed no rank line"
+got=$(ccrun -restart "$img" | digest_of)
+echo "restart from file:    $got"
+[ "$got" = "$want" ] || fail "restart from the image file diverged"
+
+{ printf MANAIMG2; tail -c +9 "$img"; } >"$work/old.img"
+for cmd in "ccrun -restart" "$ccimg verify"; do
+	if $cmd "$work/old.img" >/dev/null 2>"$work/err"; then
+		fail "$cmd accepted a MANAIMG2 file"
+	fi
+	grep -q "bad magic" "$work/err" || fail "$cmd on a MANAIMG2 file: $(cat "$work/err")"
+done
+
+# (c) through a store chain, one process per leg
+store="$work/store"
+from=()
+parent_cold_done=0
+pinned=""
+for ((leg = 0; leg < max_legs; leg++)); do
+	at=$(awk -v k="$leg" -v s="$step" 'BEGIN { printf "%.4f", s * (k + 1) }')
+	out=$(ccrun "${from[@]}" -ckpt-at "$at" -incremental -store "$store" -image "$work/leg.img")
+	from=(-restart-store "$store")
+	counts=$(sed -n 's/.*epoch [0-9]*: \([0-9]*\) fresh \/ \([0-9]*\) reused shards.*/\1 \2/p' <<<"$out")
+	[ -n "$counts" ] || fail "leg $leg sealed no epoch (the run ended before the precondition held)"
+	read -r fresh reused <<<"$counts"
+	echo "leg $leg (vt $at):      $fresh fresh / $reused reused shards"
+	if [ "$parent_cold_done" = 1 ]; then
+		[ "$reused" -eq "$cold" ] || fail "leg $leg reused $reused shards, want the $cold cold ranks'"
+		pinned=$leg
+		break
+	fi
+	if [ "$("$ccimg" info -v "$work/leg.img" | grep -c 'park=done')" -ge "$cold" ]; then
+		parent_cold_done=1
+	fi
+done
+[ -n "$pinned" ] || fail "no epoch held every cold rank as done within $max_legs legs"
+"$ccimg" verify "$store" >/dev/null || fail "ccimg verify found faults in the store chain"
+got=$(ccrun -restart-store "$store" | digest_of)
+echo "restart from store:   $got"
+[ "$got" = "$want" ] || fail "restart from the store chain diverged"
+echo "cli_roundtrip: ok (three equal digests; leg $pinned reused the $cold cold shards across processes)"

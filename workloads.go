@@ -79,24 +79,3 @@ func LoadImage(path string) (*JobImage, error) {
 	}
 	return ckpt.DecodeJobImage(blob)
 }
-
-// VerifyImageFile checks a stored image's integrity shard by shard without
-// materializing the job, attributing any corruption to the rank shard it
-// lives in (v1 images have a single checksum; a fault reports Rank -1).
-func VerifyImageFile(path string) ([]ShardFault, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("mana: reading image: %w", err)
-	}
-	return ckpt.VerifyImage(blob)
-}
-
-// ExtractRank decodes a single rank's image from a stored checkpoint; with
-// v2 sharded images only that rank's shard is read and decompressed.
-func ExtractRank(path string, rank int) (*RankImage, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("mana: reading image: %w", err)
-	}
-	return ckpt.ExtractRank(blob, rank)
-}
