@@ -17,13 +17,16 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
+
+	"mana/internal/inflate"
 )
 
 // Codec identifiers persisted in ShardInfo.CodecID. The zero value is the
 // flate codec so every manifest written before codecs existed keeps meaning
 // what it meant.
 const (
-	// CodecFlate: compress/flate at the level the writer was opened with.
+	// CodecFlate: DEFLATE — compress/flate at the level the writer was
+	// opened with, internal/inflate on the way back.
 	CodecFlate = 0
 	// CodecNone: the identity passthrough — stored bytes ARE the raw
 	// stream. The integrity story is unchanged (the stored-object XXH64 and
@@ -66,8 +69,14 @@ func (c flateCodec) NewWriter(dst io.Writer) (io.WriteCloser, error) {
 	return &flateCodecWriter{fw: fw, level: c.level}, nil
 }
 
+// NewReader decodes with the in-tree inflate (stored streams are plain
+// RFC 1951; compress/flate still writes them). Close returns the decoder's
+// state to a pool, so every reader opened here is closed exactly once by its
+// owner and not read afterwards; a stray second Close is a no-op.
 func (c flateCodec) NewReader(src io.Reader) io.ReadCloser {
-	return flate.NewReader(src)
+	r := new(inflate.Reader)
+	r.Reset(src)
+	return r
 }
 
 // flateCodecWriter recycles the compressor into its level's pool on a

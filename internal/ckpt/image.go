@@ -257,6 +257,21 @@ func putFlateWriter(level int, fw *flate.Writer) {
 	flatePools[level-flate.HuffmanOnly].Put(fw)
 }
 
+// bufReaders recycles the read-ahead buffer in front of a shard's gob header
+// decoder, so a load of many small shards allocates none per shard.
+var bufReaders = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+
+func getBufReader(src io.Reader) *bufio.Reader {
+	br := bufReaders.Get().(*bufio.Reader)
+	br.Reset(src)
+	return br
+}
+
+func putBufReader(br *bufio.Reader) {
+	br.Reset(nil) // drop the source: the pool must not keep a shard's reader chain alive
+	bufReaders.Put(br)
+}
+
 // ---------------------------------------------------------- streaming encode
 
 // Streaming shard I/O. Every shard — a store commit's and an image file's
@@ -1171,7 +1186,9 @@ func decodeShardStream(src io.Reader, rawSize int64, wantSum uint64, rawFormat i
 	if rawFormat == RawFormatChunked {
 		// The bufio layer reads ahead of the header's gob decoder but stays
 		// on this side of the tally, so the final drained count is exact.
-		ri, decErr = readShardRaw(bufio.NewReader(tr), rawSize)
+		br := getBufReader(tr)
+		ri, decErr = readShardRaw(br, rawSize)
+		putBufReader(br)
 	} else {
 		decErr = fmt.Errorf("unsupported raw shard format %d", rawFormat)
 	}

@@ -1,0 +1,145 @@
+package ckpt
+
+import (
+	"bytes"
+	"encoding/gob"
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"sync"
+	"testing"
+)
+
+// TestConcurrentLoadMatchesSerial: the inflate states and read-ahead buffers
+// the read path draws from pools are never shared between two shards. A
+// 64-rank epoch whose entries are half page-delta merges (own object plus a
+// base source, two decoders each) and half references to full shards is
+// loaded by four LoadJobImage calls at once, each fanning out at GOMAXPROCS
+// 4, and every rank image must equal a serial load's. Run under -race.
+func TestConcurrentLoadMatchesSerial(t *testing.T) {
+	const ranks = 64
+	store := NewMemStore()
+	img := pagedImage(ranks, 11)
+	parent, _ := commitPaged(t, store, 0, nil, img)
+	for r := 0; r < ranks; r += 2 {
+		img.Images[r].App[5000+r] ^= 0x5a
+	}
+	man, _ := commitPaged(t, store, 1, parent, img)
+	partial := 0
+	for i := range man.Shards {
+		if man.Shards[i].Partial() {
+			partial++
+		}
+	}
+	if partial != ranks/2 {
+		t.Fatalf("epoch 1 holds %d partial entries, want %d", partial, ranks/2)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial, err := LoadJobImage(store, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameImages(t, img, serial)
+
+	runtime.GOMAXPROCS(4)
+	const loaders = 4
+	loaded := make([]*JobImage, loaders)
+	errs := make([]error, loaders)
+	var wg sync.WaitGroup
+	for l := 0; l < loaders; l++ {
+		wg.Add(1)
+		go func(l int) {
+			defer wg.Done()
+			loaded[l], errs[l] = LoadJobImage(store, 1)
+		}(l)
+	}
+	wg.Wait()
+	for l := range loaded {
+		if errs[l] != nil {
+			t.Fatalf("concurrent load %d: %v", l, errs[l])
+		}
+		for r := range serial.Images {
+			if !reflect.DeepEqual(loaded[l].Images[r], serial.Images[r]) {
+				t.Fatalf("concurrent load %d: rank %d differs from the serial load", l, r)
+			}
+		}
+	}
+}
+
+// smallShardEpoch commits an n-rank epoch of ~2 KB shards and returns its
+// store.
+func smallShardEpoch(t *testing.T, n int) Store {
+	t.Helper()
+	img := testImage(n, 3)
+	for r := range img.Images {
+		app := make([]byte, 2000)
+		for i := range app {
+			app[i] = byte(r) + byte(i*i>>3)
+		}
+		img.Images[r].App = app
+	}
+	store := NewMemStore()
+	if _, _, err := CommitCapture(store, 0, nil, img); err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+// TestLoadAllocsPerShard: loading many small shards pays the codec and
+// buffer state once, not per shard. Two epoch sizes give the cost of one
+// more shard; it may be the decoded image plus what gob itself spends on a
+// stream's header (a decoder, the type exchange, a compiled engine — measured
+// here on the same header, since it moves with the Go release) plus a small
+// constant for the readers in between. Before the inflate state and the
+// read-ahead buffer were pooled, an extra 2 KB shard cost ~68 KB and ~60
+// allocations more than that: a decompressor, its window and two buffers.
+func TestLoadAllocsPerShard(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("under the race detector sync.Pool drops a share of what it is given")
+			}
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a serial fan-out: no goroutines in the count
+	measure := func(run func()) (allocs float64, size uint64) {
+		allocs = testing.AllocsPerRun(10, run)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		return allocs, after.TotalAlloc - before.TotalAlloc
+	}
+	load := func(n int) (float64, uint64) {
+		store := smallShardEpoch(t, n)
+		return measure(func() {
+			if _, err := LoadJobImage(store, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a32, b32 := load(32)
+	a64, b64 := load(64)
+	shardAllocs, shardBytes := (a64-a32)/32, float64(b64-b32)/32
+
+	ri := &testImage(1, 3).Images[0]
+	var hdr bytes.Buffer
+	if err := gob.NewEncoder(&hdr).Encode(shardRawHeader{Rank: ri.Rank, Desc: ri.Desc, AppLen: 2000, ProtoLen: 2}); err != nil {
+		t.Fatal(err)
+	}
+	gobAllocs, gobBytes := measure(func() {
+		var h shardRawHeader
+		if err := gob.NewDecoder(bytes.NewReader(hdr.Bytes())).Decode(&h); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("one more 2 KB shard: %.1f allocations, %.0f bytes; gob's header decode alone: %.0f allocations, %d bytes",
+		shardAllocs, shardBytes, gobAllocs, gobBytes)
+	if limit := gobAllocs + 24; shardAllocs > limit {
+		t.Errorf("one more shard takes %.1f allocations to load, want <= %.0f (gob's %.0f + 24)", shardAllocs, limit, gobAllocs)
+	}
+	if limit := float64(gobBytes) + 2000 + 2048; shardBytes > limit {
+		t.Errorf("one more shard allocates %.0f bytes to load, want <= %.0f (gob's %d + the image + 2 KiB)", shardBytes, limit, gobBytes)
+	}
+}

@@ -269,9 +269,9 @@ type partialMerge struct {
 	si      *ShardInfo
 	ext     []extent
 	merged  *countReader
-	objSize int64        // own object's stored bytes, counted by the checksum pass
-	dRaw    *countReader // own object's decompressed stream
-	payload io.Reader    // dRaw past the header
+	objSize int64         // own object's stored bytes, counted by the checksum pass
+	dRaw    *countReader  // own object's decompressed stream
+	payload *bufio.Reader // dRaw past the header; pooled, released by close
 	closers []io.Closer
 	sources map[[2]int]*mergeSource
 	mans    map[int]*Manifest // source-manifest cache
@@ -342,13 +342,13 @@ func openPartialMerge(store Store, si *ShardInfo) (*partialMerge, error) {
 	dec := codec.NewReader(rc)
 	m.closers = []io.Closer{rc, dec}
 	m.dRaw = newCountReader(dec)
-	dbr := bufio.NewReader(m.dRaw)
-	if err := readPartialHeader(dbr, si, m.ext); err != nil {
+	m.payload = getBufReader(m.dRaw)
+	if err := readPartialHeader(m.payload, si, m.ext); err != nil {
 		err = m.finish(err)
 		m.close()
 		return nil, err
 	}
-	m.payload, m.buf = dbr, make([]byte, maxLen)
+	m.buf = make([]byte, maxLen)
 	m.merged = newCountReader(m)
 	return m, nil
 }
@@ -526,6 +526,10 @@ func (m *partialMerge) close() {
 	for i := len(m.closers) - 1; i >= 0; i-- {
 		m.closers[i].Close()
 	}
+	if m.payload != nil {
+		putBufReader(m.payload)
+		m.payload = nil
+	}
 }
 
 // finish drains the entry's own decompressed stream and completes every
@@ -584,7 +588,9 @@ func loadShardPartial(store Store, si *ShardInfo) (*RankImage, error) {
 	defer m.close()
 	// The bufio layer reads ahead of the header's gob decoder but stays on
 	// this side of the merged counter, so the drained count is exact.
-	ri, decErr := readShardRaw(bufio.NewReader(m.merged), si.RawSize)
+	br := getBufReader(m.merged)
+	ri, decErr := readShardRaw(br, si.RawSize)
+	putBufReader(br)
 	if decErr == nil {
 		if _, err := io.Copy(io.Discard, m.merged); err != nil {
 			decErr = fmt.Errorf("merging extents: %w", err)
