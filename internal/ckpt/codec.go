@@ -14,7 +14,6 @@ package ckpt
 // happens to be configured at restart time.
 
 import (
-	"compress/flate"
 	"fmt"
 	"io"
 
@@ -25,8 +24,10 @@ import (
 // flate codec so every manifest written before codecs existed keeps meaning
 // what it meant.
 const (
-	// CodecFlate: DEFLATE — compress/flate at the level the writer was
-	// opened with, internal/inflate on the way back.
+	// CodecFlate: DEFLATE — written by internal/deflate at BestSpeed (every
+	// level the tree selects; its bytes are compress/flate's), by
+	// compress/flate at any other hinted level; internal/inflate on the way
+	// back.
 	CodecFlate = 0
 	// CodecNone: the identity passthrough — stored bytes ARE the raw
 	// stream. The integrity story is unchanged (the stored-object XXH64 and
@@ -70,7 +71,7 @@ func (c flateCodec) NewWriter(dst io.Writer) (io.WriteCloser, error) {
 }
 
 // NewReader decodes with the in-tree inflate (stored streams are plain
-// RFC 1951; compress/flate still writes them). Close returns the decoder's
+// RFC 1951). Close returns the decoder's
 // state to a pool, so every reader opened here is closed exactly once by its
 // owner and not read afterwards; a stray second Close is a no-op.
 func (c flateCodec) NewReader(src io.Reader) io.ReadCloser {
@@ -83,7 +84,7 @@ func (c flateCodec) NewReader(src io.Reader) io.ReadCloser {
 // clean Close (a writer that failed mid-stream is abandoned: its internal
 // state is undefined).
 type flateCodecWriter struct {
-	fw    *flate.Writer
+	fw    flateStream
 	level int
 }
 

@@ -29,12 +29,15 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mana/internal/deflate"
 	"mana/internal/mpi"
 )
 
 // shardCompression is the flate level applied to every shard. BestSpeed: the
 // pipeline is checksum- and copy-bound, and checkpoint images (gobs of
 // float-heavy application state) compress well even at the fastest level.
+// At this level the stream is written by internal/deflate, which produces
+// compress/flate's BestSpeed bytes at about twice its speed.
 const shardCompression = flate.BestSpeed
 
 // ShardInfo locates and authenticates one rank's shard in a store epoch
@@ -221,14 +224,21 @@ func fanOut(jobs, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// flatePools recycles compressors across shards — a flate.Writer carries
-// megabyte-scale window state whose allocation would otherwise dominate the
-// encode of small shards (hundreds of ranks x one fresh writer each) —
-// KEYED BY LEVEL: a writer keeps its compression level across Reset, so a
-// single pool would silently recycle a writer at whatever level it was
+// flatePools recycles compressors across shards — one carries half a
+// megabyte or more of window and table state whose allocation would otherwise
+// dominate the encode of small shards (hundreds of ranks x one fresh writer
+// each) — KEYED BY LEVEL: a writer keeps its compression level across Reset,
+// so a single pool would silently recycle a writer at whatever level it was
 // created with once per-tier levels diverge. Indexed by
 // level - flate.HuffmanOnly (the lowest valid level, -2).
 var flatePools [flate.BestCompression - flate.HuffmanOnly + 1]sync.Pool
+
+// flateStream is a pooled compressor: internal/deflate's writer at BestSpeed,
+// compress/flate's at every other level.
+type flateStream interface {
+	io.WriteCloser
+	Reset(dst io.Writer)
+}
 
 // normFlateLevel maps a codec hint to a concrete flate level: 0 (unset)
 // selects the default shardCompression, anything outside flate's valid
@@ -243,17 +253,20 @@ func normFlateLevel(level int) int {
 }
 
 // flateWriterFor pulls (or creates) a compressor at one normalized level.
-func flateWriterFor(level int, dst io.Writer) (*flate.Writer, error) {
-	fw, _ := flatePools[level-flate.HuffmanOnly].Get().(*flate.Writer)
-	if fw == nil {
-		return flate.NewWriter(dst, level)
+func flateWriterFor(level int, dst io.Writer) (flateStream, error) {
+	fw, _ := flatePools[level-flate.HuffmanOnly].Get().(flateStream)
+	if fw != nil {
+		fw.Reset(dst)
+		return fw, nil
 	}
-	fw.Reset(dst)
-	return fw, nil
+	if level == flate.BestSpeed {
+		return deflate.NewWriter(dst), nil
+	}
+	return flate.NewWriter(dst, level)
 }
 
 // putFlateWriter recycles a compressor into its level's pool.
-func putFlateWriter(level int, fw *flate.Writer) {
+func putFlateWriter(level int, fw flateStream) {
 	flatePools[level-flate.HuffmanOnly].Put(fw)
 }
 
@@ -287,7 +300,7 @@ func putBufReader(br *bufio.Reader) {
 //
 //	shardStream: magic + gob(small header) | payload segments, by reference
 //	  → tallyWriter(raw size)
-//	  → flate.Writer → countWriter(compressed XXH64+size)
+//	  → codec (internal/deflate) → countWriter(compressed XXH64+size)
 //	  → pooled chunk buffer → Store.PutShardStream
 //
 // The raw XXH64 identity is NOT recomputed on this path: HashCapture* walked

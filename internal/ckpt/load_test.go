@@ -67,6 +67,103 @@ func TestConcurrentLoadMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestConcurrentCommitMatchesSerial is the write side's twin: the pooled
+// compressors (and chunk buffers) the commit path draws are never shared
+// between two shards. A 64-rank chain — an epoch of full shards, from under a
+// block to several blocks of half-compressible state each, then an epoch of
+// page deltas — is committed into four stores at once, each CommitStreamed
+// fanning out at GOMAXPROCS 4, and every stored object must be byte-equal to
+// the one a serial commit stores. Run under -race.
+func TestConcurrentCommitMatchesSerial(t *testing.T) {
+	const ranks = 64
+	base := pagedImage(ranks, 11)
+	for r := range base.Images {
+		app := make([]byte, 16<<10+r*3000)
+		s := uint64(r)*0x9e3779b97f4a7c15 + 1
+		for i := range app {
+			if i%128 < 64 { // 64 bytes of noise, 64 of one byte, like the benchmark's fat ranks
+				s ^= s << 13
+				s ^= s >> 7
+				s ^= s << 17
+			}
+			app[i] = byte(s)
+		}
+		base.Images[r].App = app
+	}
+	next := *base
+	next.Images = append([]RankImage(nil), base.Images...)
+	for r := 0; r < ranks; r += 2 {
+		next.Images[r].App = bytes.Clone(next.Images[r].App)
+		next.Images[r].App[5000+r] ^= 0x5a
+	}
+	commitChain := func() (Store, error) {
+		store := NewMemStore()
+		var parent *Manifest
+		for epoch, img := range []*JobImage{base, &next} {
+			sums, err := HashCapturePaged(img, testPageSize)
+			if err != nil {
+				return nil, err
+			}
+			if parent, _, err = CommitStreamed(store, epoch, parent, img, sums, nil); err != nil {
+				return nil, err
+			}
+		}
+		return store, nil
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial, err := commitChain()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	runtime.GOMAXPROCS(4)
+	const committers = 4
+	stores := make([]Store, committers)
+	errs := make([]error, committers)
+	var wg sync.WaitGroup
+	for c := range stores {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			stores[c], errs[c] = commitChain()
+		}(c)
+	}
+	wg.Wait()
+	for c, err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent commit %d: %v", c, err)
+		}
+	}
+	for epoch := 0; epoch <= 1; epoch++ {
+		man, err := serial.GetManifest(epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own := 0
+		for _, sh := range man.Shards {
+			if sh.RefEpoch != epoch {
+				continue
+			}
+			own++
+			want, err := serial.GetShard(epoch, sh.Rank)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c, store := range stores {
+				got, err := store.GetShard(epoch, sh.Rank)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("concurrent commit %d: epoch %d rank %d holds %d bytes, err %v; the serial commit stored %d and they differ",
+						c, epoch, sh.Rank, len(got), err, len(want))
+				}
+			}
+		}
+		if want := ranks >> epoch; own != want {
+			t.Fatalf("epoch %d stores %d objects of its own, want %d", epoch, own, want)
+		}
+	}
+}
+
 // smallShardEpoch commits an n-rank epoch of ~2 KB shards and returns its
 // store.
 func smallShardEpoch(t *testing.T, n int) Store {

@@ -1,0 +1,111 @@
+package deflate
+
+import (
+	"compress/flate"
+	"io"
+	"runtime/debug"
+	"testing"
+	"time"
+)
+
+// The streams a checkpoint commit encodes: the two shapes the benchmark's
+// applications fill their state with, at a size that is many blocks, and one
+// small shard (a 64-rank job's per-rank state), where building three Huffman
+// codes is most of the work.
+type benchStream struct {
+	name string
+	data []byte
+	gate float64 // TestDeflateRatio: at least this many times compress/flate
+}
+
+func benchStreams() []benchStream {
+	return []benchStream{
+		{"run_noise", runNoise(4 << 20), 1.5},
+		{"noise_floats", noiseFloats(4 << 20), 1.5},
+		{"small", noiseFloats(1600), 1.2},
+	}
+}
+
+// resetWriter is what this package's Writer and compress/flate's have in
+// common.
+type resetWriter interface {
+	io.WriteCloser
+	Reset(io.Writer)
+}
+
+// stream runs data through a reused writer the way the store's commit does:
+// Reset, one Write, Close.
+func stream(tb testing.TB, w resetWriter, data []byte) {
+	w.Reset(io.Discard)
+	if _, err := w.Write(data); err != nil {
+		tb.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+func BenchmarkDeflate(b *testing.B) {
+	for _, st := range benchStreams() {
+		b.Run(st.name+"/ours", func(b *testing.B) {
+			b.SetBytes(int64(len(st.data)))
+			w := NewWriter(nil)
+			for i := 0; i < b.N; i++ {
+				stream(b, w, st.data)
+			}
+		})
+		b.Run(st.name+"/stdlib", func(b *testing.B) {
+			b.SetBytes(int64(len(st.data)))
+			w, _ := flate.NewWriter(nil, flate.BestSpeed)
+			for i := 0; i < b.N; i++ {
+				stream(b, w, st.data)
+			}
+		})
+	}
+}
+
+func raceEnabled() bool {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range info.Settings {
+		if s.Key == "-race" && s.Value == "true" {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDeflateRatio is the speed gate: on each stream this encoder is at least
+// gate times compress/flate's pooled BestSpeed writer in the same process,
+// best of 5 each.
+func TestDeflateRatio(t *testing.T) {
+	if raceEnabled() || testing.CoverMode() != "" {
+		t.Skip("the race detector charges per load and coverage per statement, this package's only; the ratio means nothing under either")
+	}
+	ours := NewWriter(nil)
+	ref, _ := flate.NewWriter(nil, flate.BestSpeed)
+	for _, st := range benchStreams() {
+		reps := max(1, 1<<20/len(st.data)) // a small stream is timed over many
+		timed := func(w resetWriter) time.Duration {
+			t0 := time.Now()
+			for i := 0; i < reps; i++ {
+				stream(t, w, st.data)
+			}
+			return time.Since(t0) / time.Duration(reps)
+		}
+		bestOurs, bestRef := time.Duration(1<<62), time.Duration(1<<62)
+		for i := 0; i < 5; i++ { // alternating, so a noisy stretch costs both sides
+			bestOurs = min(bestOurs, timed(ours))
+			bestRef = min(bestRef, timed(ref))
+		}
+		mbps := func(d time.Duration) float64 { return float64(len(st.data)) / 1e6 / d.Seconds() }
+		ratio := bestRef.Seconds() / bestOurs.Seconds()
+		t.Logf("%s: %d bytes in %v (%.0f MB/s), compress/flate %v (%.0f MB/s), %.2fx",
+			st.name, len(st.data), bestOurs, mbps(bestOurs), bestRef, mbps(bestRef), ratio)
+		if ratio < st.gate {
+			t.Errorf("%s: in-tree deflate is %.2fx compress/flate, want >= %.1fx", st.name, ratio, st.gate)
+		}
+	}
+}
