@@ -10,7 +10,9 @@
 //
 // Absolute virtual runtimes scale linearly with -scale; overhead
 // percentages, call rates, and all qualitative comparisons are
-// scale-invariant (see EXPERIMENTS.md).
+// scale-invariant: -scale multiplies each application's iteration count and
+// nothing else, so a run is the same per-iteration call mix repeated more or
+// fewer times.
 package main
 
 import (

@@ -54,7 +54,7 @@ func main() {
 		incr     = flag.Bool("incremental", false, "reuse unchanged shards from the previous epoch (implies a store)")
 		delta    = flag.Bool("delta", false, "store partially-changed shards as page deltas against the chain's base epoch (implies a store; best with -incremental)")
 		cdc      = flag.Bool("cdc", false, "store changed shards as content-defined chunk objects reusing the chain's chunks (implies a store; best with -incremental; excludes -delta)")
-		codec    = flag.String("codec", "", "stored-object codec: flate or none (empty = the tier's hint)")
+		codec    = flag.String("codec", "", "stored-object codec: flate or none (empty = flate)")
 		budgetMB = flag.Int("stream-budget", 0, "in-flight streaming-encode budget in MiB for store commits (0 = default)")
 		keep     = flag.Int("keep", 0, "garbage-collect the store after each seal, retaining this many epochs (0 = keep everything)")
 		drainPol = flag.String("drain-policy", "", "arbitrate burst->PFS drains through a shared scheduler: fifo, fair, or priority (empty = no scheduler)")

@@ -30,10 +30,7 @@ package ckpt
 // stored object, and DeltaRawSize/DeltaRawSum the stored stream between the
 // codec and the object (reused field names — the geometry is identical).
 
-import (
-	"hash/crc32"
-	"io"
-)
+import "hash/crc32"
 
 // Chunk size bounds. The target is the mean spacing of gear boundary
 // candidates (one per 2^16 bytes at the 16-bit mask); the floor skips
@@ -113,11 +110,10 @@ func keyOfRaw(c *RawChunk) chunkKey { return chunkKey{c.Sum, c.Len, c.CRC} }
 const gearSkipBytes = CDCMinChunkBytes - 64
 
 // chunkSummer accumulates the content-defined chunk table of everything
-// written through it, forwarding to dst (nil discards — hash-only passes).
-// A boundary depends only on the 64 bytes before it, never on the previous
-// cut, so edits stay local.
+// written to it (a hash-only sink: the bytes go nowhere). A boundary depends
+// only on the 64 bytes before it, never on the previous cut, so edits stay
+// local.
 type chunkSummer struct {
-	dst    io.Writer
 	chunks []RawChunk
 	gear   uint64
 	clen   int64  // bytes accumulated into the current chunk
@@ -125,9 +121,7 @@ type chunkSummer struct {
 	sum    xxh64  // running content hash of the current chunk
 }
 
-func newChunkSummer(dst io.Writer) *chunkSummer {
-	return &chunkSummer{dst: dst, sum: newXXH64()}
-}
+func newChunkSummer() *chunkSummer { return &chunkSummer{sum: newXXH64()} }
 
 func (s *chunkSummer) seal(span []byte, total int64) {
 	s.sum.write(span)
@@ -168,9 +162,6 @@ func (s *chunkSummer) Write(p []byte) (int, error) {
 	s.gear, s.clen = g, cl
 	s.crc = crc32.Update(s.crc, crcTable, p[start:])
 	s.sum.write(p[start:])
-	if s.dst != nil {
-		return s.dst.Write(p)
-	}
 	return len(p), nil
 }
 

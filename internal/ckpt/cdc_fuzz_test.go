@@ -35,7 +35,7 @@ import (
 
 // chunkTable runs the streaming chunker over data and returns its table.
 func chunkTable(data []byte) []RawChunk {
-	cs := newChunkSummer(nil)
+	cs := newChunkSummer()
 	if _, err := cs.Write(data); err != nil {
 		panic(err)
 	}
@@ -45,7 +45,7 @@ func chunkTable(data []byte) []RawChunk {
 // chunkTableSplit runs the streaming chunker over data cut into writes at
 // the given ascending offsets (those past the end are ignored).
 func chunkTableSplit(data []byte, at []int) []RawChunk {
-	cs := newChunkSummer(nil)
+	cs := newChunkSummer()
 	prev := 0
 	for _, off := range at {
 		if off < prev || off > len(data) {

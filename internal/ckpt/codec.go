@@ -2,21 +2,22 @@ package ckpt
 
 // Codec-pluggable encode path. Every stored shard object (full chunked
 // shards, page deltas, CDC chunk objects) passes through exactly one codec
-// between the raw stream and the store writer. Historically that codec was
-// hard-wired to compress/flate at a tier-hinted level; the Codec interface
-// makes the stage explicit so a bandwidth-rich tier can select the `none`
-// passthrough and run the chunk pipeline at raw memory bandwidth, and so
-// the benchmarks can separate hashing/chunking cost from compression cost.
+// between the raw stream and the store writer. The Codec interface makes the
+// stage explicit so a plan can select the `none` passthrough and run the
+// chunk pipeline at raw memory bandwidth, and so the benchmarks can separate
+// hashing/chunking cost from compression cost.
 //
 // The codec that encoded an object is recorded per shard in the manifest
 // (ShardInfo.CodecID, gob-additive: old manifests decode as CodecFlate),
-// because decode must follow the bytes that exist, not the tier hint that
+// because decode must follow the bytes that exist, not the codec that
 // happens to be configured at restart time.
 
 import (
 	"fmt"
 	"io"
+	"sync"
 
+	"mana/internal/deflate"
 	"mana/internal/inflate"
 )
 
@@ -24,10 +25,8 @@ import (
 // flate codec so every manifest written before codecs existed keeps meaning
 // what it meant.
 const (
-	// CodecFlate: DEFLATE — written by internal/deflate at BestSpeed (every
-	// level the tree selects; its bytes are compress/flate's), by
-	// compress/flate at any other hinted level; internal/inflate on the way
-	// back.
+	// CodecFlate: DEFLATE — written by internal/deflate (compress/flate's
+	// BestSpeed bytes), read back by internal/inflate.
 	CodecFlate = 0
 	// CodecNone: the identity passthrough — stored bytes ARE the raw
 	// stream. The integrity story is unchanged (the stored-object XXH64 and
@@ -50,43 +49,44 @@ type Codec interface {
 	NewReader(src io.Reader) io.ReadCloser
 }
 
-// flateCodec wraps the level-keyed pooled flate writers.
-type flateCodec struct {
-	level int // normalized (see normFlateLevel)
-}
+// flateCodec is DEFLATE through internal/deflate's one level, BestSpeed: the
+// pipeline is checksum- and copy-bound, and checkpoint images (gobs of
+// float-heavy application state) compress well even at the fastest level.
+type flateCodec struct{}
 
-// FlateCodec returns the flate codec at a codec-hint level (0 selects the
-// default shardCompression; out-of-range values clamp, see normFlateLevel).
-func FlateCodec(level int) Codec { return flateCodec{level: normFlateLevel(level)} }
+// FlateCodec returns the flate codec. The argument is unused: it was a level
+// hint no caller set, kept only because bench/ calls FlateCodec(0) (ROADMAP).
+func FlateCodec(int) Codec { return flateCodec{} }
 
-func (c flateCodec) Name() string { return "flate" }
-func (c flateCodec) ID() int      { return CodecFlate }
+func (flateCodec) Name() string { return "flate" }
+func (flateCodec) ID() int      { return CodecFlate }
 
-func (c flateCodec) NewWriter(dst io.Writer) (io.WriteCloser, error) {
-	fw, err := flateWriterFor(c.level, dst)
-	if err != nil {
-		return nil, err
-	}
-	return &flateCodecWriter{fw: fw, level: c.level}, nil
+// flateWriters recycles compressors across shards — one carries half a
+// megabyte of window and table state whose allocation would otherwise
+// dominate the encode of small shards (hundreds of ranks x one fresh writer
+// each).
+var flateWriters = sync.Pool{New: func() any { return deflate.NewWriter(nil) }}
+
+func (flateCodec) NewWriter(dst io.Writer) (io.WriteCloser, error) {
+	fw := flateWriters.Get().(*deflate.Writer)
+	fw.Reset(dst)
+	return &flateCodecWriter{fw}, nil
 }
 
 // NewReader decodes with the in-tree inflate (stored streams are plain
 // RFC 1951). Close returns the decoder's
 // state to a pool, so every reader opened here is closed exactly once by its
 // owner and not read afterwards; a stray second Close is a no-op.
-func (c flateCodec) NewReader(src io.Reader) io.ReadCloser {
+func (flateCodec) NewReader(src io.Reader) io.ReadCloser {
 	r := new(inflate.Reader)
 	r.Reset(src)
 	return r
 }
 
-// flateCodecWriter recycles the compressor into its level's pool on a
-// clean Close (a writer that failed mid-stream is abandoned: its internal
-// state is undefined).
-type flateCodecWriter struct {
-	fw    flateStream
-	level int
-}
+// flateCodecWriter recycles the compressor into the pool on a clean Close (a
+// writer that failed mid-stream is abandoned: its internal state is
+// undefined).
+type flateCodecWriter struct{ fw *deflate.Writer }
 
 func (w *flateCodecWriter) Write(p []byte) (int, error) { return w.fw.Write(p) }
 
@@ -94,7 +94,7 @@ func (w *flateCodecWriter) Close() error {
 	if err := w.fw.Close(); err != nil {
 		return err
 	}
-	putFlateWriter(w.level, w.fw)
+	flateWriters.Put(w.fw)
 	return nil
 }
 
@@ -120,13 +120,13 @@ type nopWriteCloser struct{ io.Writer }
 
 func (nopWriteCloser) Close() error { return nil }
 
-// CodecByName resolves a codec knob: "" and "flate" select flate at the
-// given hint level, "none" the passthrough. Unknown names are an error —
-// a typo'd tier hint must fail the commit, not silently compress.
-func CodecByName(name string, flateLevel int) (Codec, error) {
+// CodecByName resolves a codec knob: "" and "flate" select flate, "none" the
+// passthrough. Unknown names are an error — a typo'd plan must fail the
+// commit, not silently compress.
+func CodecByName(name string) (Codec, error) {
 	switch name {
 	case "", "flate":
-		return FlateCodec(flateLevel), nil
+		return FlateCodec(0), nil
 	case "none":
 		return NoneCodec(), nil
 	}
@@ -134,8 +134,6 @@ func CodecByName(name string, flateLevel int) (Codec, error) {
 }
 
 // codecByID resolves a manifest's persisted codec discriminator for decode.
-// The flate level is irrelevant on the read side (flate streams are
-// self-describing); FlateCodec(0) reads any level.
 func codecByID(id int) (Codec, error) {
 	switch id {
 	case CodecFlate:

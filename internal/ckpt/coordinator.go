@@ -234,10 +234,9 @@ type Coordinator struct {
 	// diff strategies address the same fresh-byte budget).
 	CDC bool
 
-	// Codec overrides the stored-object codec for every shard this
-	// coordinator commits: "flate" (the default, at the tier's hint level)
-	// or "none" (the identity passthrough — no compression CPU). Empty
-	// defers to the commit tier's codec hint.
+	// Codec selects the stored-object codec for every shard this
+	// coordinator commits: "flate" (the default; empty means flate) or
+	// "none" (the identity passthrough — no compression CPU).
 	Codec string
 
 	// Tier selects the storage tier checkpoint writes are charged against
@@ -847,15 +846,7 @@ func (c *Coordinator) commitEpoch(epoch int, img *JobImage) commitResult {
 	c.store.Overlapped = c.Async
 	c.store.Tier = c.Tier
 	c.store.PadShardBytes = c.PaddedBytesPerRank
-	// The commit tier's codec hint selects the encoders' flate level and
-	// default codec (the effective tier: an absent burst tier resolves to
-	// the PFS constants); the plan's Codec knob overrides the tier's.
-	tierSpec := c.W.Model.Tier(c.W.Model.EffectiveTier(c.Tier))
-	c.store.FlateLevel = tierSpec.FlateLevel
 	c.store.Codec = c.Codec
-	if c.store.Codec == "" {
-		c.store.Codec = tierSpec.Codec
-	}
 	// Multi-tenant drain arbitration: the sealing epoch submits its drain to
 	// the shared scheduler (and takes the backpressure/fallback decision)
 	// inside PutManifest, under this same commit ticket.
@@ -1019,16 +1010,11 @@ func (c *Coordinator) applyCommitLocked(histIdx int, res commitResult) {
 	}
 }
 
-// WaitCommits blocks until every in-flight background commit has sealed its
-// epoch. Result and History wait implicitly (via drainPending, which first
-// waits out an in-flight capture).
-func (c *Coordinator) WaitCommits() { c.commitWG.Wait() }
-
 // drainPending waits for any in-flight capture to complete before waiting
 // out its background commit. A chained request can be accepted just as the
 // final ranks finish: the capture watcher then runs concurrently with the
 // caller reading results, and its async commit would otherwise register
-// with the WaitGroup only after WaitCommits had already returned —
+// with the WaitGroup only after a bare commitWG.Wait had already returned —
 // committing to the store after the run reported. The wait gives up if the
 // world dies (the watcher exits without a phase transition on abort; for a
 // wedged drain the watchdog's abort is what wakes us).

@@ -17,7 +17,6 @@ package ckpt
 import (
 	"bufio"
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
@@ -29,16 +28,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mana/internal/deflate"
 	"mana/internal/mpi"
 )
-
-// shardCompression is the flate level applied to every shard. BestSpeed: the
-// pipeline is checksum- and copy-bound, and checkpoint images (gobs of
-// float-heavy application state) compress well even at the fastest level.
-// At this level the stream is written by internal/deflate, which produces
-// compress/flate's BestSpeed bytes at about twice its speed.
-const shardCompression = flate.BestSpeed
 
 // ShardInfo locates and authenticates one rank's shard in a store epoch
 // (see FORMAT.md).
@@ -222,52 +213,6 @@ func fanOut(jobs, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// flatePools recycles compressors across shards — one carries half a
-// megabyte or more of window and table state whose allocation would otherwise
-// dominate the encode of small shards (hundreds of ranks x one fresh writer
-// each) — KEYED BY LEVEL: a writer keeps its compression level across Reset,
-// so a single pool would silently recycle a writer at whatever level it was
-// created with once per-tier levels diverge. Indexed by
-// level - flate.HuffmanOnly (the lowest valid level, -2).
-var flatePools [flate.BestCompression - flate.HuffmanOnly + 1]sync.Pool
-
-// flateStream is a pooled compressor: internal/deflate's writer at BestSpeed,
-// compress/flate's at every other level.
-type flateStream interface {
-	io.WriteCloser
-	Reset(dst io.Writer)
-}
-
-// normFlateLevel maps a codec hint to a concrete flate level: 0 (unset)
-// selects the default shardCompression, anything outside flate's valid
-// range is clamped to it too. NoCompression is deliberately not selectable
-// — a checkpoint tier that wants raw bytes selects the `none` codec
-// (codec.go), which skips flate's framing entirely.
-func normFlateLevel(level int) int {
-	if level == 0 || level < flate.HuffmanOnly || level > flate.BestCompression {
-		return shardCompression
-	}
-	return level
-}
-
-// flateWriterFor pulls (or creates) a compressor at one normalized level.
-func flateWriterFor(level int, dst io.Writer) (flateStream, error) {
-	fw, _ := flatePools[level-flate.HuffmanOnly].Get().(flateStream)
-	if fw != nil {
-		fw.Reset(dst)
-		return fw, nil
-	}
-	if level == flate.BestSpeed {
-		return deflate.NewWriter(dst), nil
-	}
-	return flate.NewWriter(dst, level)
-}
-
-// putFlateWriter recycles a compressor into its level's pool.
-func putFlateWriter(level int, fw flateStream) {
-	flatePools[level-flate.HuffmanOnly].Put(fw)
 }
 
 // bufReaders recycles the read-ahead buffer in front of a shard's gob header
@@ -558,9 +503,6 @@ type ShardSummary struct {
 	// PageSums is the CRC-32C page table of the raw stream, present only
 	// when the writer was opened with a page size.
 	PageSums []uint32
-	// Chunks is the content-defined chunk table of the raw stream, present
-	// only when the writer was opened with chunking on.
-	Chunks []RawChunk
 }
 
 // ShardWriter streams one rank's full shard into a store stream: the rank
@@ -568,18 +510,18 @@ type ShardSummary struct {
 // writer. Nothing shard-sized is ever buffered. Close finalizes the codec
 // stream, closes the store writer, and returns the summary.
 type ShardWriter struct {
-	obj    *objectWriter
-	raw    *tallyWriter
-	pages  *pageSummer
-	chunks *chunkSummer
+	obj   *objectWriter
+	raw   *tallyWriter
+	pages *pageSummer
 }
 
 // NewShardWriterCodec opens a streaming shard encoder through an explicit
-// codec. pageSize > 0 records a CRC-32C page table and withChunks the CDC
-// chunker's content-defined chunk table over the raw stream as it flows
-// (both reported at Close) — what compaction re-derives when it flattens a
-// merged stream; commits take both tables from the hash pass instead.
-func NewShardWriterCodec(rank int, dst io.WriteCloser, codec Codec, pageSize int64, withChunks bool) (*ShardWriter, error) {
+// codec. pageSize > 0 records a CRC-32C page table over the raw stream as it
+// flows (reported at Close) — what compaction re-derives when it flattens a
+// merged stream; commits take the table from the hash pass instead. The
+// trailing bool is unused: it asked for a chunk table no caller wanted, kept
+// only because bench/ passes it (ROADMAP).
+func NewShardWriterCodec(rank int, dst io.WriteCloser, codec Codec, pageSize int64, _ bool) (*ShardWriter, error) {
 	obj, err := newObjectWriter(rank, dst, codec)
 	if err != nil {
 		return nil, err
@@ -589,10 +531,6 @@ func NewShardWriterCodec(rank int, dst io.WriteCloser, codec Codec, pageSize int
 	if pageSize > 0 {
 		w.pages = newPageSummer(pageSize, rawDst)
 		rawDst = w.pages
-	}
-	if withChunks {
-		w.chunks = newChunkSummer(rawDst)
-		rawDst = w.chunks
 	}
 	w.raw = &tallyWriter{dst: rawDst}
 	return w, nil
@@ -612,9 +550,6 @@ func (w *ShardWriter) Close() (ShardSummary, error) {
 	sum := ShardSummary{Size: size, Checksum: checksum, RawSize: w.raw.n}
 	if w.pages != nil {
 		sum.PageSums = w.pages.finish()
-	}
-	if w.chunks != nil {
-		sum.Chunks = w.chunks.finish()
 	}
 	return sum, err
 }
@@ -944,7 +879,7 @@ func hashShard(ri *RankImage, pageSize int64, cdc bool) (s *shardStream, sum uin
 	var dst io.Writer
 	switch {
 	case cdc:
-		cs = newChunkSummer(nil)
+		cs = newChunkSummer()
 		dst = cs
 	case pageSize > 0:
 		ps = newPageSummer(pageSize, nil)

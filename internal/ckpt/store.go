@@ -542,16 +542,10 @@ type ModelStore struct {
 	// fraction of the padded size): delta bytes are priced, never padded
 	// back up to whole shards.
 	PadShardBytes int64
-	// FlateLevel, when non-zero, selects the flate compression level fresh
-	// shards committed through this store are encoded at — the tier's codec
-	// hint (netmodel.TierSpec.FlateLevel): a fast staging tier trades ratio
-	// for encode speed, an archival tier the reverse. Zero keeps the
-	// package default.
-	FlateLevel int
-	// Codec, when non-empty, names the codec fresh shards are encoded
-	// through ("flate" or "none", see CodecByName); empty keeps flate at
-	// FlateLevel. The choice is persisted per shard (ShardInfo.CodecID) so
-	// decode follows the stored bytes, not the current configuration.
+	// Codec names the codec fresh shards are encoded through ("flate" or
+	// "none", see CodecByName; empty is flate). The choice is persisted per
+	// shard (ShardInfo.CodecID) so decode follows the stored bytes, not the
+	// current configuration.
 	Codec string
 
 	// Drains, when set, submits every burst-tier epoch's background PFS
@@ -577,17 +571,13 @@ type ModelStore struct {
 	// pending is keyed by epoch: with double-buffered background commits
 	// two epochs meter bytes concurrently, and aborting one must not
 	// discard (or a seal consume) the bytes accumulated for the other.
-	pending map[int]int64
-	costs   map[int]netmodel.WriteCost
-	drains  map[int]float64 // burst-tier epochs: background PFS drain time
-	// drainBytes records the staged bytes behind each entry of drains (the
-	// scheduler request size; kept even without a scheduler so callers can
-	// audit the byte accounting the drain prices).
-	drainBytes map[int]int64
-	queues     map[int]float64 // backpressure: admission wait charged at seal
-	fallbacks  map[int]bool    // epochs the backlog forced direct-to-PFS
+	pending   map[int]int64
+	costs     map[int]netmodel.WriteCost
+	drains    map[int]float64 // burst-tier epochs: background PFS drain time
+	queues    map[int]float64 // backpressure: admission wait charged at seal
+	fallbacks map[int]bool    // epochs the backlog forced direct-to-PFS
 
-	// Cumulative drain totals. Unlike drainBytes these survive DeleteEpoch,
+	// Cumulative drain totals. Unlike drains these survive DeleteEpoch,
 	// so a job's lifetime staging volume stays auditable after GC and
 	// compaction have retired the epochs that produced it.
 	totalDrainBytes int64
@@ -599,12 +589,11 @@ type ModelStore struct {
 func NewModelStore(inner Store, model *netmodel.Model, nodes int) *ModelStore {
 	return &ModelStore{
 		Inner: inner, Model: model, Nodes: nodes,
-		pending:    make(map[int]int64),
-		costs:      make(map[int]netmodel.WriteCost),
-		drains:     make(map[int]float64),
-		drainBytes: make(map[int]int64),
-		queues:     make(map[int]float64),
-		fallbacks:  make(map[int]bool),
+		pending:   make(map[int]int64),
+		costs:     make(map[int]netmodel.WriteCost),
+		drains:    make(map[int]float64),
+		queues:    make(map[int]float64),
+		fallbacks: make(map[int]bool),
 	}
 }
 
@@ -732,7 +721,6 @@ func (s *ModelStore) PutManifest(epoch int, man *Manifest) error {
 	}
 	if tier != netmodel.TierPFS {
 		s.drains[epoch] = s.Model.TierWriteTime(netmodel.TierPFS, pending, s.Nodes)
-		s.drainBytes[epoch] = pending
 		s.totalDrainBytes += pending
 		s.totalDrains++
 		if s.Drains != nil {
@@ -766,7 +754,6 @@ func (s *ModelStore) DeleteEpoch(epoch int) (int64, error) {
 	s.mu.Lock()
 	delete(s.costs, epoch)
 	delete(s.drains, epoch)
-	delete(s.drainBytes, epoch)
 	delete(s.queues, epoch)
 	delete(s.fallbacks, epoch)
 	s.mu.Unlock()
@@ -805,15 +792,6 @@ func (s *ModelStore) EpochDrain(epoch int) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.drains[epoch]
-}
-
-// EpochDrainBytes returns the staged bytes behind a burst-tier epoch's drain
-// (the scheduler request size). Zero for direct-PFS epochs — including
-// backlog-forced fallbacks, which never stage anything.
-func (s *ModelStore) EpochDrainBytes(epoch int) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.drainBytes[epoch]
 }
 
 // TotalDrainBytes returns the cumulative bytes this store has ever staged for
@@ -1021,13 +999,11 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 	deltaMode := sums.PageSums != nil
 	cdcMode := sums.Chunks != nil
 	ms, _ := store.(*ModelStore)
-	level := 0
 	codecName := ""
 	if ms != nil {
-		level = ms.FlateLevel
 		codecName = ms.Codec
 	}
-	codec, err := CodecByName(codecName, level)
+	codec, err := CodecByName(codecName)
 	if err != nil {
 		return nil, nil, err
 	}

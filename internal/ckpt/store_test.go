@@ -306,7 +306,7 @@ func TestModelStoreMetering(t *testing.T) {
 		t.Fatal(err)
 	}
 	padded := ms.EpochCost(2)
-	want := model.CheckpointWriteCost(4<<20, 2, false)
+	want := model.TierWriteCost(netmodel.TierPFS, 4<<20, 2, false)
 	if padded != want {
 		t.Fatalf("padded cost %+v, want %+v", padded, want)
 	}

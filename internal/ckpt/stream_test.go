@@ -94,7 +94,7 @@ func checkStored(t *testing.T, store Store, si *ShardInfo, codecName string, ref
 	if si.Size != int64(len(blob)) || si.Checksum != checksumOf(blob) {
 		t.Fatalf("rank %d: Size/Checksum %d/%x do not describe the %d stored bytes", si.Rank, si.Size, si.Checksum, len(blob))
 	}
-	codec, err := CodecByName(codecName, 0)
+	codec, err := CodecByName(codecName)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package deflate
 import (
 	"compress/flate"
 	"io"
-	"runtime/debug"
 	"testing"
 	"time"
 )
@@ -15,7 +14,7 @@ import (
 type benchStream struct {
 	name string
 	data []byte
-	gate float64 // TestDeflateRatio: at least this many times compress/flate
+	gate float64 // BenchmarkDeflateRatio: at least this many times compress/flate
 }
 
 func benchStreams() []benchStream {
@@ -64,26 +63,13 @@ func BenchmarkDeflate(b *testing.B) {
 	}
 }
 
-func raceEnabled() bool {
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
-		return false
-	}
-	for _, s := range info.Settings {
-		if s.Key == "-race" && s.Value == "true" {
-			return true
-		}
-	}
-	return false
-}
-
-// TestDeflateRatio is the speed gate: on each stream this encoder is at least
-// gate times compress/flate's pooled BestSpeed writer in the same process,
-// best of 5 each.
-func TestDeflateRatio(t *testing.T) {
-	if raceEnabled() || testing.CoverMode() != "" {
-		t.Skip("the race detector charges per load and coverage per statement, this package's only; the ratio means nothing under either")
-	}
+// BenchmarkDeflateRatio is the speed gate (b.Fatalf below it): on each stream
+// this encoder is at least gate times compress/flate's pooled BestSpeed writer
+// in the same process, best of 5 each. A benchmark so that `go test ./...`
+// asserts nothing about host speed; CI runs it by name with -benchtime=1x,
+// without -race or -cover (the detector charges per load and coverage per
+// statement, this package's only; the ratio means nothing under either).
+func BenchmarkDeflateRatio(b *testing.B) {
 	ours := NewWriter(nil)
 	ref, _ := flate.NewWriter(nil, flate.BestSpeed)
 	for _, st := range benchStreams() {
@@ -91,21 +77,26 @@ func TestDeflateRatio(t *testing.T) {
 		timed := func(w resetWriter) time.Duration {
 			t0 := time.Now()
 			for i := 0; i < reps; i++ {
-				stream(t, w, st.data)
+				stream(b, w, st.data)
 			}
 			return time.Since(t0) / time.Duration(reps)
 		}
-		bestOurs, bestRef := time.Duration(1<<62), time.Duration(1<<62)
-		for i := 0; i < 5; i++ { // alternating, so a noisy stretch costs both sides
-			bestOurs = min(bestOurs, timed(ours))
-			bestRef = min(bestRef, timed(ref))
-		}
 		mbps := func(d time.Duration) float64 { return float64(len(st.data)) / 1e6 / d.Seconds() }
-		ratio := bestRef.Seconds() / bestOurs.Seconds()
-		t.Logf("%s: %d bytes in %v (%.0f MB/s), compress/flate %v (%.0f MB/s), %.2fx",
-			st.name, len(st.data), bestOurs, mbps(bestOurs), bestRef, mbps(bestRef), ratio)
-		if ratio < st.gate {
-			t.Errorf("%s: in-tree deflate is %.2fx compress/flate, want >= %.1fx", st.name, ratio, st.gate)
-		}
+		b.Run(st.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bestOurs, bestRef := time.Duration(1<<62), time.Duration(1<<62)
+				for j := 0; j < 5; j++ { // alternating, so a noisy stretch costs both sides
+					bestOurs = min(bestOurs, timed(ours))
+					bestRef = min(bestRef, timed(ref))
+				}
+				ratio := bestRef.Seconds() / bestOurs.Seconds()
+				if ratio < st.gate {
+					b.Fatalf("in-tree deflate is %.2fx compress/flate, want >= %.1fx", ratio, st.gate)
+				}
+				b.ReportMetric(mbps(bestOurs), "MB/s")
+				b.ReportMetric(mbps(bestRef), "stdlib-MB/s")
+				b.ReportMetric(ratio, "x-stdlib")
+			}
+		})
 	}
 }

@@ -338,7 +338,8 @@ func Fig8(o Options) (*Table, error) {
 			"paper: CC ranges 2% (128 procs) to 5.2% (512), 2PC roughly double;",
 			"both reproduce the paper's trend of overhead growing with scale and",
 			"2PC exceeding CC; absolute magnitudes are smaller here because only",
-			"call interposition is modeled (see EXPERIMENTS.md)",
+			"call interposition is modeled (netmodel.WrapperCost, 40 ns per",
+			"wrapped collective)",
 		},
 	}
 	factory, err := apps.Factory("vasp", o.Scale)

@@ -4,13 +4,12 @@ import (
 	"bytes"
 	"compress/flate"
 	"io"
-	"runtime/debug"
 	"testing"
 	"time"
 )
 
-// shardLevel is internal/ckpt's shardCompression: the level every stored
-// stream the benchmark reads back was written at.
+// shardLevel is the level every stored stream the benchmark reads back was
+// written at: internal/deflate has only BestSpeed.
 const shardLevel = flate.BestSpeed
 
 var benchShapes = []struct {
@@ -67,49 +66,40 @@ func BenchmarkInflate(b *testing.B) {
 	}
 }
 
-func raceEnabled() bool {
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
-		return false
-	}
-	for _, s := range info.Settings {
-		if s.Key == "-race" && s.Value == "true" {
-			return true
-		}
-	}
-	return false
-}
-
-// TestInflateRatio is the speed gate: on both stream shapes the benchmark's
-// restarts read, this decoder is at least 1.5x compress/flate's in the same
-// process (best of 5 each). The reference reads as it did in the store: from a
-// source that is not an io.ByteReader, so behind the bufio it adds itself.
-func TestInflateRatio(t *testing.T) {
-	if raceEnabled() {
-		t.Skip("the race detector charges per load; the ratio means nothing under it")
-	}
+// BenchmarkInflateRatio is the speed gate (b.Fatalf below it): on both stream
+// shapes the benchmark's restarts read, this decoder is at least 1.5x
+// compress/flate's in the same process (best of 5 each). The reference reads
+// as it did in the store: from a source that is not an io.ByteReader, so
+// behind the bufio it adds itself. A benchmark so that `go test ./...` asserts
+// nothing about host speed; CI runs it by name with -benchtime=1x, without
+// -race (the detector charges per load; the ratio means nothing under it).
+func BenchmarkInflateRatio(b *testing.B) {
 	const size = 4 << 20
 	buf := make([]byte, 256<<10)
 	timed := func(r io.Reader) time.Duration {
 		t0 := time.Now()
-		if n := drain(t, r, buf); n != size {
-			t.Fatalf("decoded %d bytes, want %d", n, size)
+		if n := drain(b, r, buf); n != size {
+			b.Fatalf("decoded %d bytes, want %d", n, size)
 		}
 		return time.Since(t0)
 	}
 	for _, sh := range benchShapes {
-		stream := deflate(t, sh.gen(size), shardLevel, 1)
-		ours, ref := time.Duration(1<<62), time.Duration(1<<62)
-		for i := 0; i < 5; i++ { // alternating, so a noisy stretch costs both sides
-			ours = min(ours, timed(NewReader(bytes.NewReader(stream))))
-			ref = min(ref, timed(flate.NewReader(io.MultiReader(bytes.NewReader(stream)))))
-		}
-		mbps := func(d time.Duration) float64 { return size / 1e6 / d.Seconds() }
-		ratio := ref.Seconds() / ours.Seconds()
-		t.Logf("%s: %d -> %d bytes; in-tree %.0f MB/s, compress/flate %.0f MB/s, %.2fx",
-			sh.name, len(stream), size, mbps(ours), mbps(ref), ratio)
-		if ratio < 1.5 {
-			t.Errorf("%s: in-tree inflate is %.2fx compress/flate, want >= 1.5x", sh.name, ratio)
-		}
+		stream := deflate(b, sh.gen(size), shardLevel, 1)
+		b.Run(sh.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ours, ref := time.Duration(1<<62), time.Duration(1<<62)
+				for j := 0; j < 5; j++ { // alternating, so a noisy stretch costs both sides
+					ours = min(ours, timed(NewReader(bytes.NewReader(stream))))
+					ref = min(ref, timed(flate.NewReader(io.MultiReader(bytes.NewReader(stream)))))
+				}
+				ratio := ref.Seconds() / ours.Seconds()
+				if ratio < 1.5 {
+					b.Fatalf("in-tree inflate is %.2fx compress/flate, want >= 1.5x", ratio)
+				}
+				b.ReportMetric(size/1e6/ours.Seconds(), "MB/s")
+				b.ReportMetric(size/1e6/ref.Seconds(), "stdlib-MB/s")
+				b.ReportMetric(ratio, "x-stdlib")
+			}
+		})
 	}
 }

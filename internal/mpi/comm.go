@@ -65,11 +65,6 @@ func (c *Comm) WorldRank(commRank int) int { return c.core.group.WorldRank(commR
 // Geometry returns the communicator's placement geometry.
 func (c *Comm) Geometry() netmodel.Geometry { return c.core.geom }
 
-// CollSeq returns how many collective operations this rank has initiated on
-// the communicator (the slot-matching cursor). The checkpointing layer uses
-// it for diagnostics only; the CC algorithm keeps its own per-ggid counters.
-func (c *Comm) CollSeq() uint64 { return c.collSeq }
-
 // deriveCommID computes the deterministic id of a child communicator created
 // from parent at the parent's current collective sequence with the given
 // discriminator (e.g. split color). All members compute the same value.

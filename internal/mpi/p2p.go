@@ -181,21 +181,13 @@ func (c *Comm) HasQueued(src, tag int) bool {
 	mb := c.p.w.mail[c.p.rank]
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	return c.hasQueuedLocked(src, tag)
-}
-
-func (c *Comm) hasQueuedLocked(src, tag int) bool {
-	for _, msg := range c.p.w.mail[c.p.rank].queue {
+	for _, msg := range mb.queue {
 		if matches(msg.commID, msg.srcComm, msg.tag, c.core.id, src, tag) {
 			return true
 		}
 	}
 	return false
 }
-
-// QueuedLocked is like HasQueued but assumes the caller already holds the
-// rank's mailbox lock (i.e. it is running inside a WaitUntil predicate).
-func (c *Comm) QueuedLocked(src, tag int) bool { return c.hasQueuedLocked(src, tag) }
 
 // InflightSnapshot describes one undelivered message captured at checkpoint
 // time by the p2p drain.

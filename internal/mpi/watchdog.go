@@ -23,9 +23,6 @@ func (a AbortError) Unwrap() error { return a.Err }
 // event can revive a world whose ranks have all stopped producing activity.
 func (w *World) NoteActivity() { w.activity.Add(1) }
 
-// Activity returns the current progress counter value.
-func (w *World) Activity() uint64 { return w.activity.Load() }
-
 // Abort tears the world down with the given error: every rank blocked in a
 // simulator primitive (waits, collectives, parked checkpoints) panics with
 // an AbortError the runtime recovers, instead of blocking forever. The first

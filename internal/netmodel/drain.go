@@ -141,16 +141,6 @@ func (s *DrainScheduler) SetCapacity(bytes int64) {
 	s.capacity = bytes
 }
 
-// Capacity returns the configured staging bound (0 = unbounded).
-func (s *DrainScheduler) Capacity() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.capacity
-}
-
-// Policy returns the arbitration discipline.
-func (s *DrainScheduler) Policy() DrainPolicy { return s.policy }
-
 // Len returns the number of requests logged so far.
 func (s *DrainScheduler) Len() int {
 	s.mu.Lock()

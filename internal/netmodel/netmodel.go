@@ -60,15 +60,6 @@ type Params struct {
 	StorageSeek    float64 // per-shard positioning cost on chained restart reads (s)
 	StorageStagger float64 // per-additional-node open stagger (metadata contention) (s)
 	RestartFixed   float64 // fixed lower-half re-initialization cost (s)
-	// StorageFlateLevel is the PFS tier's codec hint: the flate level shard
-	// encoders use for epochs committed to this tier (0 = encoder default,
-	// otherwise a valid compress/flate level). Advisory — see
-	// TierSpec.FlateLevel.
-	StorageFlateLevel int
-	// StorageCodec is the PFS tier's codec name hint ("" or "flate" selects
-	// flate at StorageFlateLevel; "none" the identity passthrough).
-	// Advisory — see TierSpec.Codec.
-	StorageCodec string
 
 	// Burst-buffer tier (node-local NVMe or a dedicated staging appliance).
 	// Both bandwidths zero means the system has no burst tier: TierBurstBuffer
@@ -78,13 +69,6 @@ type Params struct {
 	BurstLatency float64 // fixed open cost per operation on the burst tier (s)
 	BurstSeek    float64 // per-shard positioning cost on burst-tier reads (s)
 	BurstStagger float64 // per-additional-node open stagger on the burst tier (s)
-	// BurstFlateLevel is the burst tier's codec hint (same semantics as
-	// StorageFlateLevel): a fast staging tier typically picks BestSpeed.
-	BurstFlateLevel int
-	// BurstCodec is the burst tier's codec name hint (same semantics as
-	// StorageCodec): a bandwidth-rich staging tier can pick "none" and skip
-	// compression CPU entirely.
-	BurstCodec string
 }
 
 // PerlmutterLike returns parameters tuned to resemble a Slingshot-11 system
@@ -115,9 +99,6 @@ func PerlmutterLike() Params {
 		BurstLatency:   0.01,
 		BurstSeek:      1e-4,
 		BurstStagger:   0,
-		// The burst tier is bandwidth-rich staging: pin BestSpeed explicitly
-		// (the PFS tier keeps the encoder default via 0).
-		BurstFlateLevel: 1,
 	}
 }
 
@@ -165,31 +146,6 @@ func (p Params) Validate() error {
 	}
 	if p.EagerThreshold < 0 {
 		return fmt.Errorf("netmodel: EagerThreshold must be >= 0")
-	}
-	// Codec hints must be valid compress/flate levels (HuffmanOnly -2 ..
-	// BestCompression 9) or zero (encoder default).
-	for _, c := range []struct {
-		name string
-		v    int
-	}{
-		{"StorageFlateLevel", p.StorageFlateLevel}, {"BurstFlateLevel", p.BurstFlateLevel},
-	} {
-		if c.v < -2 || c.v > 9 {
-			return fmt.Errorf("netmodel: parameter %s = %d is not a flate level", c.name, c.v)
-		}
-	}
-	// Codec name hints must spell a codec the shard encoders implement.
-	for _, c := range []struct {
-		name string
-		v    string
-	}{
-		{"StorageCodec", p.StorageCodec}, {"BurstCodec", p.BurstCodec},
-	} {
-		switch c.v {
-		case "", "flate", "none":
-		default:
-			return fmt.Errorf("netmodel: parameter %s = %q is not a codec (want flate or none)", c.name, c.v)
-		}
 	}
 	return nil
 }

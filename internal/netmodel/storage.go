@@ -39,15 +39,6 @@ type TierSpec struct {
 	AggBW       float64 // tier-wide aggregate bandwidth cap (B/s; 0 = uncapped)
 	Seek        float64 // per-object positioning cost on random reads (s)
 	Stagger     float64 // per-additional-node open stagger under contention (s)
-	// FlateLevel is the tier's codec hint: the flate compression level
-	// checkpoint shards committed to this tier should encode at (0 keeps
-	// the encoder's default). A fast staging tier favors BestSpeed; an
-	// archival tier can spend CPU on ratio. Purely advisory — it prices
-	// nothing here; ckpt.ModelStore passes it to the shard encoders.
-	FlateLevel int
-	// Codec is the tier's codec name hint ("" or "flate": flate at
-	// FlateLevel; "none": identity passthrough). Advisory like FlateLevel.
-	Codec string
 }
 
 // HasBurstTier reports whether the parameters describe a real burst tier.
@@ -82,8 +73,6 @@ func (m *Model) Tier(t StorageTier) TierSpec {
 			AggBW:       m.P.BurstAggBW,
 			Seek:        m.P.BurstSeek,
 			Stagger:     m.P.BurstStagger,
-			FlateLevel:  m.P.BurstFlateLevel,
-			Codec:       m.P.BurstCodec,
 		}
 	}
 	return TierSpec{
@@ -92,8 +81,6 @@ func (m *Model) Tier(t StorageTier) TierSpec {
 		AggBW:       m.P.StorageAggBW,
 		Seek:        m.P.StorageSeek,
 		Stagger:     m.P.StorageStagger,
-		FlateLevel:  m.P.StorageFlateLevel,
-		Codec:       m.P.StorageCodec,
 	}
 }
 
@@ -137,13 +124,6 @@ func (m *Model) TierWriteTime(t StorageTier, totalBytes int64, nodes int) float6
 	return sp.OpenLatency + float64(nodes-1)*sp.Stagger + sp.transfer(totalBytes, nodes)
 }
 
-// CheckpointWriteTime models writing checkpoint images to the parallel
-// filesystem tier. Kept as the classic single-tier entry point; equivalent
-// to TierWriteTime(TierPFS, ...).
-func (m *Model) CheckpointWriteTime(totalBytes int64, nodes int) float64 {
-	return m.TierWriteTime(TierPFS, totalBytes, nodes)
-}
-
 // WriteCost splits one checkpoint write into the virtual time the job stalls
 // for and the virtual time hidden behind resumed execution. The two always
 // sum to the full modeled write time (Total).
@@ -175,12 +155,6 @@ func (m *Model) TierWriteCost(t StorageTier, totalBytes int64, nodes int, overla
 		stall = total
 	}
 	return WriteCost{Total: total, Stall: stall, Overlap: total - stall}
-}
-
-// CheckpointWriteCost is TierWriteCost on the parallel filesystem tier (the
-// classic single-tier entry point).
-func (m *Model) CheckpointWriteCost(totalBytes int64, nodes int, overlapped bool) WriteCost {
-	return m.TierWriteCost(TierPFS, totalBytes, nodes, overlapped)
 }
 
 // TierDeleteTime models reclaiming `objects` checkpoint objects (shards and

@@ -50,9 +50,6 @@ type CkptPlan struct {
 	// periodic checkpointing every capture is padded, so Checkpoint,
 	// CheckpointHistory, and the charged write times all agree.
 	PaddedBytesPerRank int64
-	// CaptureWorkers bounds the coordinator's per-rank snapshot fan-out at
-	// capture time. Zero selects GOMAXPROCS; one forces the serial baseline.
-	CaptureWorkers int
 
 	// Async enables the staged pipeline's overlapped mode: the job resumes
 	// as soon as all ranks are snapshotted, paying only the storage open
@@ -76,9 +73,9 @@ type CkptPlan struct {
 	// survives insertions, deletions, and cross-rank duplication. Requires
 	// Store (defaulted like Incremental); mutually exclusive with Delta.
 	CDC bool
-	// Codec overrides the stored-object codec for every committed shard:
-	// "flate" (default) or "none" (identity passthrough, no compression
-	// CPU). Empty defers to the storage tier's codec hint.
+	// Codec selects the stored-object codec for every committed shard:
+	// "flate" (default; empty means flate) or "none" (identity passthrough,
+	// no compression CPU).
 	Codec string
 	// Tier selects the storage tier checkpoint writes are charged against
 	// (netmodel.TierPFS by default). TierBurstBuffer stages captures on the
@@ -237,8 +234,8 @@ func Run(cfg Config, factory func(rank int) App) (*Report, error) {
 }
 
 // newCoordinator builds the checkpoint coordinator for a job, applying the
-// plan's capture tuning (padded image sizes, capture fan-out) and attaching
-// the commit store (resuming its chain if it already holds epochs).
+// plan's capture tuning (padded image sizes) and attaching the commit store
+// (resuming its chain if it already holds epochs).
 func newCoordinator(w *mpi.World, plan *CkptPlan) (*ckpt.Coordinator, error) {
 	mode := ckpt.ContinueAfterCapture
 	if plan != nil {
@@ -247,7 +244,6 @@ func newCoordinator(w *mpi.World, plan *CkptPlan) (*ckpt.Coordinator, error) {
 	coord := ckpt.NewCoordinator(w, mode)
 	if plan != nil {
 		coord.PaddedBytesPerRank = plan.PaddedBytesPerRank
-		coord.CaptureWorkers = plan.CaptureWorkers
 		coord.Async = plan.Async
 		coord.Incremental = plan.Incremental
 		coord.Delta = plan.Delta

@@ -1,0 +1,40 @@
+#!/usr/bin/env bash
+# Runs every native fuzz target in the tree for <fuzztime> each: push CI
+# passes 10s so no target rots between nightlies, the nightly passes 5m.
+# A new target costs one row of the table (and the line saying what it
+# holds); a `func Fuzz*` in the tree that the table misses fails the run.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+fuzztime=${1:?usage: fuzz_smoke.sh <fuzztime, e.g. 10s or 5m>}
+
+# package  target  [extra go test flags]
+targets='
+# A checkpoint at any schedule point, then restart, ends in the uninterrupted run state.
+./internal/rt        FuzzCheckpointRestartTransparent
+# Drained bytes partition exactly across jobs, completions are monotone, no policy loses or invents work.
+./internal/netmodel  FuzzDrainConservation
+# Chunk tables tile exactly, identities recompute, an edit re-synchronizes the boundary walk at the first eligible candidate past it.
+./internal/ckpt      FuzzChunkerStability
+# Damaged page-delta / CDC objects x perturbed manifest entries: an attributed error or a clean decode, no panic, no allocation beyond the stated sizes.
+./internal/ckpt      FuzzPartialShardDecode
+# Arbitrary bytes as a packed image file: open -> verify -> load errors or decodes, verify and load agree, no panic, bounded allocation.
+./internal/ckpt      FuzzOpenImage
+# Arbitrary bytes as a DEFLATE stream: the in-tree decoder and compress/flate both fail or agree, at fixed state. (Minimizing a multi-KB input would eat a 10s run.)
+./internal/inflate   FuzzInflateAgree  -fuzzminimizetime=1s
+# Arbitrary bytes in arbitrary Write pieces: the in-tree encoder writes compress/flate BestSpeed bytes, the in-tree inflate reads them back, nothing allocated beyond the writer.
+./internal/deflate   FuzzDeflateAgree  -fuzzminimizetime=1s
+'
+rows=$(grep -v '^#' <<<"$targets" | grep .)
+
+missing=$(comm -23 \
+  <(grep -rhoE --include='*_test.go' --exclude-dir=bench '^func Fuzz[A-Za-z0-9_]+' . | sed 's/^func //' | sort) \
+  <(awk '{print $2}' <<<"$rows" | sort))
+[ -z "$missing" ] || { echo "fuzz_smoke: not in the table: $missing" >&2; exit 1; }
+
+# -timeout is a backstop above the nightly's 5m; go test fuzzes one target of
+# one package per run.
+while read -r pkg target extra; do
+  echo "== $target ($pkg, $fuzztime)"
+  # shellcheck disable=SC2086
+  go test -run=NONE -fuzz="^$target\$" -fuzztime="$fuzztime" -timeout 20m $extra "$pkg"
+done <<<"$rows"
