@@ -237,7 +237,8 @@ func main() {
 				fmt.Printf(" (%d fresh as page deltas, %d bytes)", st.DeltaShards, st.DeltaBytes)
 			}
 			if st.CDCShards > 0 {
-				fmt.Printf(" (%d fresh as cdc chunk objects, %d bytes)", st.CDCShards, st.CDCBytes)
+				fmt.Printf(" (%d fresh as cdc chunk objects, %d bytes; %d chunks predicted from the parent's table)",
+					st.CDCShards, st.CDCBytes, st.CDCPredictedChunks)
 			}
 		}
 		if st.CompactedEpoch >= 0 {

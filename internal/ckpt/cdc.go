@@ -109,31 +109,123 @@ func keyOfRaw(c *RawChunk) chunkKey { return chunkKey{c.Sum, c.Len, c.CRC} }
 // floor reaches the floor with the value a continuous hash would hold.
 const gearSkipBytes = CDCMinChunkBytes - 64
 
-// chunkSummer accumulates the content-defined chunk table of everything
-// written to it (a hash-only sink: the bytes go nowhere). A boundary depends
-// only on the 64 bytes before it, never on the previous cut, so edits stay
-// local.
+// chunkSummer accumulates the content-defined chunk table and the whole-
+// stream XXH64 of everything written to it (a hash-only sink: the bytes go
+// nowhere). A boundary depends only on the 64 bytes before it, never on the
+// previous cut, so edits stay local.
+//
+// The gear loop in Write is the only code that decides a cut from raw bytes.
+// With a hint — the parent manifest's chunk table for the same rank — most
+// chunks never reach it: once a sealed chunk equals parent chunk j, the next
+// one is expected to equal parent chunk j+1, and predict proves or declines
+// that at hash speed. A parent chunk that was cut by the gear walk has no
+// candidate in [floor, Len) and one at Len (or Len is the ceiling), and every
+// position from the floor up sees only the chunk's own bytes in its 64-byte
+// window, so a chunk start followed by the same bytes is cut at the same
+// length. Whatever the hint holds, every Len, CRC and Sum emitted and the
+// stream sum are computed here from the bytes written: a stale, foreign or
+// forged hint costs time or dedup, never a byte.
 type chunkSummer struct {
 	chunks []RawChunk
 	gear   uint64
 	clen   int64  // bytes accumulated into the current chunk
 	crc    uint32 // running CRC-32C of the current chunk
 	sum    xxh64  // running content hash of the current chunk
+	raw    xxh64  // the whole stream's, fed a chunk at a time while it is cache-hot
+
+	hint   []ChunkRef
+	byKey  map[chunkKey]int // hint position of each identity, first occurrence
+	expect int              // hint position expected at the next chunk start, -1 for none
+	// predicted counts chunks emitted by predict, declined the expectations
+	// it dropped (what a stale hint costs; the tests bound it per edit);
+	// everything else was cut by the gear loop.
+	predicted, declined int
 }
 
-func newChunkSummer() *chunkSummer { return &chunkSummer{sum: newXXH64()} }
+func newChunkSummer(hint []ChunkRef) *chunkSummer {
+	s := &chunkSummer{sum: newXXH64(), raw: newXXH64(), expect: -1}
+	if len(hint) > 1 { // a one-chunk table is all end-of-stream cut
+		s.hint = hint
+		s.byKey = make(map[chunkKey]int, len(hint))
+		for j := len(hint) - 1; j >= 0; j-- {
+			s.byKey[keyOfRef(&hint[j])] = j
+		}
+	}
+	return s
+}
+
+// expectAfter sets the expectation for the chunk after one that equals the
+// hint's entry j. The last entry is the parent's end-of-stream cut, never a
+// prediction.
+func (s *chunkSummer) expectAfter(j int) {
+	if j+1 < len(s.hint)-1 {
+		s.expect = j + 1
+	}
+}
 
 func (s *chunkSummer) seal(span []byte, total int64) {
 	s.sum.write(span)
-	s.chunks = append(s.chunks, RawChunk{Len: total, CRC: crc32.Update(s.crc, crcTable, span), Sum: s.sum.sum64()})
+	s.raw.write(span)
+	c := RawChunk{Len: total, CRC: crc32.Update(s.crc, crcTable, span), Sum: s.sum.sum64()}
+	s.chunks = append(s.chunks, c)
+	if j, ok := s.byKey[keyOfRaw(&c)]; ok {
+		s.expectAfter(j)
+	}
 	s.crc, s.clen = 0, 0
 	s.sum.reset()
+}
+
+// predict is called at a chunk start with the bytes in hand and an
+// expectation, which it consumes. It reports the length of the chunk it
+// emitted, or 0: the gear loop then cuts this chunk from its first byte. It
+// accepts only when the expected length is one the walk can cut, lies wholly
+// inside b, ends where the walk's own cut condition holds, and covers bytes
+// with the parent chunk's CRC-32C and XXH64 — cheapest test first, so an
+// expectation an edit has shifted is usually dropped after 64 bytes.
+func (s *chunkSummer) predict(b []byte) int {
+	j := s.expect
+	c := &s.hint[j]
+	s.expect = -1
+	if c.Len < CDCMinChunkBytes || c.Len > CDCMaxChunkBytes || c.Len > int64(len(b)) {
+		return 0
+	}
+	span := b[:c.Len]
+	var g uint64
+	for _, x := range span[len(span)-64:] {
+		g = g<<1 + gearTable[x]
+	}
+	if g&cdcBoundaryMask != 0 && c.Len < CDCMaxChunkBytes {
+		return 0
+	}
+	crc := crc32.Checksum(span, crcTable)
+	if crc != c.CRC {
+		return 0
+	}
+	s.sum.write(span)
+	sum := s.sum.sum64()
+	s.sum.reset()
+	if sum != c.Sum {
+		return 0
+	}
+	s.raw.write(span)
+	s.chunks = append(s.chunks, RawChunk{Len: int64(len(span)), CRC: crc, Sum: sum})
+	s.predicted++
+	s.expectAfter(j)
+	return len(span)
 }
 
 func (s *chunkSummer) Write(p []byte) (int, error) {
 	g, cl := s.gear, s.clen
 	start := 0
 	for i := 0; i < len(p); {
+		if cl == 0 && s.expect >= 0 {
+			if n := s.predict(p[i:]); n > 0 {
+				i += n
+				start = i
+				continue
+			}
+			s.declined++
+		}
 		if cl < gearSkipBytes {
 			n := min(int(gearSkipBytes-cl), len(p)-i)
 			i, cl, g = i+n, cl+int64(n), 0
@@ -162,6 +254,7 @@ func (s *chunkSummer) Write(p []byte) (int, error) {
 	s.gear, s.clen = g, cl
 	s.crc = crc32.Update(s.crc, crcTable, p[start:])
 	s.sum.write(p[start:])
+	s.raw.write(p[start:])
 	return len(p), nil
 }
 

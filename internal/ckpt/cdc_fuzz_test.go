@@ -11,6 +11,11 @@ package ckpt
 //   - the table equals the one a reference walk that rolls the gear hash
 //     over every byte produces, however the stream is split into writes
 //     (the chunker skips each chunk's prefix below the floor);
+//   - handed the table from before the edit to predict from, the chunker
+//     emits that same reference table and stream sum; handed that table with
+//     its entries perturbed, it still tiles the stream exactly with in-bounds
+//     chunks whose identities recompute, and the stream sum does not move (a
+//     forged hint may cost dedup, never a byte);
 //   - chunks wholly before the edit are byte-for-byte unchanged (cut
 //     decisions up to the edit see only shared bytes);
 //   - after the edit the two walks provably resynchronize: if the shared
@@ -34,18 +39,19 @@ import (
 )
 
 // chunkTable runs the streaming chunker over data and returns its table.
-func chunkTable(data []byte) []RawChunk {
-	cs := newChunkSummer()
-	if _, err := cs.Write(data); err != nil {
-		panic(err)
-	}
-	return cs.finish()
-}
+func chunkTable(data []byte) []RawChunk { return chunkTableSplit(data, nil) }
 
 // chunkTableSplit runs the streaming chunker over data cut into writes at
 // the given ascending offsets (those past the end are ignored).
 func chunkTableSplit(data []byte, at []int) []RawChunk {
-	cs := newChunkSummer()
+	return chunkHinted(data, at, nil).chunks
+}
+
+// chunkHinted is chunkTableSplit with a parent table for the chunker to
+// predict from. It returns the finished summer: its table, stream sum and
+// prediction counts.
+func chunkHinted(data []byte, at []int, hint []ChunkRef) *chunkSummer {
+	cs := newChunkSummer(hint)
 	prev := 0
 	for _, off := range at {
 		if off < prev || off > len(data) {
@@ -55,8 +61,12 @@ func chunkTableSplit(data []byte, at []int) []RawChunk {
 		prev = off
 	}
 	cs.Write(data[prev:])
-	return cs.finish()
+	cs.finish()
+	return cs
 }
+
+// hintOf is the chunk table of data as a manifest would carry it.
+func hintOf(data []byte) []ChunkRef { return selfChunkRefs(chunkTable(data), 0, 0) }
 
 // randomSplits draws ascending write boundaries over n bytes: mostly short
 // writes (several inside every 64-byte warm-up window) with the odd long one.
@@ -159,6 +169,51 @@ func FuzzChunkerStability(f *testing.F) {
 		}
 		ba := checkTableTiles(t, data, ca)
 		bb := checkTableTiles(t, edited, cb)
+
+		// Predicting from the table before the edit changes nothing: the
+		// hinted pass emits the reference walk's table and stream sum.
+		ref, refSum := refChunkTable(edited), checksumOf(edited)
+		hint := selfChunkRefs(ca, 0, 0)
+		for _, at := range [][]int{nil, at} {
+			if cs := chunkHinted(edited, at, hint); !slices.Equal(cs.chunks, ref) || cs.raw.sum64() != refSum {
+				t.Fatalf("hinted by the table before the edit (writes cut at %v), sum %x:\n%+v\nreference walk, sum %x:\n%+v", at, cs.raw.sum64(), cs.chunks, refSum, ref)
+			}
+		}
+		// A forged hint may cost dedup — a cut the walk would not make — but
+		// never a byte: the table still tiles the stream exactly, in bounds,
+		// every identity recomputes, and the stream sum is unmoved.
+		var off int64 // where hint[k]'s chunk starts, in both streams up to the edit
+		for k := range hint {
+			b := ins[k%max(len(ins), 1):]
+			if len(b) == 0 {
+				b = []byte{del}
+			}
+			end := off + CDCMaxChunkBytes
+			off += hint[k].Len
+			switch c := &hint[k]; b[0] % 6 {
+			case 0:
+				c.Len += int64(int8(b[len(b)-1]))
+			case 1:
+				c.Len, c.CRC, c.Sum = int64(b[len(b)-1])<<9, hint[(k+1)%len(hint)].CRC, hint[(k+1)%len(hint)].Sum
+			case 2:
+				hint[k] = hint[int(b[len(b)-1])%len(hint)]
+			case 3:
+				c.CRC ^= uint32(b[len(b)-1])
+			case 4:
+				// The true identity of a ceiling-length span from this chunk's
+				// start: every proof holds, though the walk may cut sooner.
+				if span := edited[min(end-CDCMaxChunkBytes, int64(len(edited))):min(end, int64(len(edited)))]; len(span) == CDCMaxChunkBytes {
+					c.Len, c.CRC, c.Sum = CDCMaxChunkBytes, crc32.Checksum(span, crcTable), checksumOf(span)
+				}
+			}
+		}
+		for _, at := range [][]int{nil, at} {
+			cs := chunkHinted(edited, at, hint)
+			checkTableTiles(t, edited, cs.chunks)
+			if cs.raw.sum64() != refSum {
+				t.Fatalf("forged hint moved the stream sum: %x, want %x", cs.raw.sum64(), refSum)
+			}
+		}
 
 		// Chunks wholly before the edit are identical: both walks consumed
 		// only shared bytes to produce them.

@@ -11,10 +11,13 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"os"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"mana/internal/netmodel"
 )
@@ -79,17 +82,17 @@ func insertAt(b []byte, off int, extra []byte) []byte {
 func TestChunkTableInvariants(t *testing.T) {
 	img := cdcImage(1, 7)
 	ri := &img.Images[0]
-	chunked, sum, _, chunks, err := hashShard(ri, 0, true)
+	chunked, err := hashShard(ri, 0, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, wantSum, _, _, err := hashShard(ri, 0, false)
+	plain, err := hashShard(ri, 0, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	size, wantSize := chunked.size, plain.size
-	if sum != wantSum || size != wantSize {
-		t.Fatalf("chunking pass changed the stream identity: %x/%d want %x/%d", sum, size, wantSum, wantSize)
+	chunks, size := chunked.chunks, chunked.stream.size
+	if chunked.sum != plain.sum || size != plain.stream.size {
+		t.Fatalf("chunking pass changed the stream identity: %x/%d want %x/%d", chunked.sum, size, plain.sum, plain.stream.size)
 	}
 	if len(chunks) < 8 {
 		t.Fatalf("1 MiB of noise produced only %d chunks", len(chunks))
@@ -491,5 +494,393 @@ func TestCodecNoneRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadJobImage(ms, 0); err == nil || !strings.Contains(err.Error(), "corrupted") {
 		t.Fatalf("none-codec corruption not caught: %v", err)
+	}
+}
+
+// trailingCutStream trims noise until its table ends in an end-of-stream cut
+// the walk itself would not make: at least the floor long, under the ceiling,
+// no gear candidate at its end.
+func trailingCutStream(t *testing.T, noise []byte) []byte {
+	t.Helper()
+	for n := len(noise); n > len(noise)-(64<<10); n -= 1000 {
+		table := chunkTable(noise[:n])
+		last := table[len(table)-1].Len
+		if c := gearCandidates(noise[n-64 : n]); last >= CDCMinChunkBytes && last < CDCMaxChunkBytes && (len(c) == 0 || c[len(c)-1] != 64) {
+			return noise[:n]
+		}
+	}
+	t.Fatal("no trim of the noise leaves a floor-sized end-of-stream chunk")
+	return nil
+}
+
+// TestChunkHintEquality: whatever table the chunker is handed to predict
+// from — its own, a stale one, another stream's, a forged one — it emits the
+// table and stream sum of the reference walk that rolls over every byte,
+// through one write and through random short ones.
+func TestChunkHintEquality(t *testing.T) {
+	base := trailingCutStream(t, noisyBytes(4<<20, 31))
+	own := hintOf(base)
+	mid := len(base)/2 + 12345
+	inserted := insertAt(base, mid, noisyBytes(200, 8))
+	deleted := append(bytes.Clone(base[:mid]), base[mid+777:]...)
+	overwritten := bytes.Clone(base)
+	copy(overwritten[mid:], noisyBytes(3000, 9))
+	twice := insertAt(append(bytes.Clone(inserted[:1<<20]), inserted[1<<20+8:]...), 3<<20, noisyBytes(8, 10))
+
+	// forge returns own with entry k rewritten.
+	forge := func(k int, f func(c *ChunkRef)) []ChunkRef {
+		h := slices.Clone(own)
+		f(&h[k])
+		return h
+	}
+	// The parent's trailing chunk, bytes and table entry, spliced in after
+	// chunk 19: length, CRC and sum all check out there, and only the walk's
+	// own cut condition says the cut is not one.
+	var cut20 int64
+	for _, c := range own[:20] {
+		cut20 += c.Len
+	}
+	tail := own[len(own)-1]
+	tailMid := insertAt(base, int(cut20), base[int64(len(base))-tail.Len:])
+	repeated := bytes.Repeat([]byte{0xAB}, 9*CDCMaxChunkBytes+100)
+
+	cases := []struct {
+		name string
+		data []byte
+		hint []ChunkRef
+		// With data in one write: at most maxDeclined expectations dropped —
+		// one per edit, two when the edit can straddle a cut — and at least
+		// minPredicted chunks predicted, or a predictor that never fires
+		// passes every equality below.
+		maxDeclined, minPredicted int
+	}{
+		{"own table", base, own, 0, len(own) - 2},
+		{"before an insertion", inserted, own, 1, len(own) - 5},
+		{"before a deletion", deleted, own, 1, len(own) - 5},
+		{"before an overwrite", overwritten, own, 2, len(own) - 6},
+		{"two edits stale", twice, own, 3, len(own) - 9},
+		{"another rank's table", base, hintOf(noisyBytes(4<<20, 32)), 0, 0},
+		{"empty table", base, []ChunkRef{}, 0, 0},
+		{"one-chunk table", base, own[:1], 0, 0},
+		{"forged: zero length", base, forge(5, func(c *ChunkRef) { c.Len = 0 }), 1, len(own) - 4},
+		{"forged: negative length", base, forge(5, func(c *ChunkRef) { c.Len = -c.Len }), 1, len(own) - 4},
+		{"forged: under the floor", base, forge(5, func(c *ChunkRef) { c.Len = CDCMinChunkBytes - 1 }), 1, len(own) - 4},
+		{"forged: over the ceiling", base, forge(5, func(c *ChunkRef) { c.Len = CDCMaxChunkBytes + 1 }), 1, len(own) - 4},
+		{"forged: longer than the stream", base, forge(5, func(c *ChunkRef) { c.Len = 1 << 40 }), 1, len(own) - 4},
+		{"forged: right length, wrong sum", base, forge(5, func(c *ChunkRef) { c.Sum ^= 1 }), 1, len(own) - 4},
+		{"forged: right sum, wrong crc", base, forge(5, func(c *ChunkRef) { c.CRC ^= 1 }), 1, len(own) - 4},
+		{"forged: trailing chunk mid-stream", tailMid, slices.Insert(slices.Clone(own), 20, tail), 1, len(own) - 4},
+		{"identical max-size chunks", repeated, hintOf(repeated), 0, 8},
+	}
+	for _, tc := range cases {
+		ref, refSum := refChunkTable(tc.data), checksumOf(tc.data)
+		rng := rand.New(rand.NewSource(int64(len(tc.name))))
+		for _, at := range [][]int{nil, randomSplits(rng, len(tc.data))} {
+			cs := chunkHinted(tc.data, at, tc.hint)
+			if !slices.Equal(cs.chunks, ref) {
+				k := 0
+				for k < len(ref) && k < len(cs.chunks) && cs.chunks[k] == ref[k] {
+					k++
+				}
+				t.Fatalf("%s (%d writes): hinted table (%d chunks) and the reference walk's (%d) part at chunk %d", tc.name, len(at)+1, len(cs.chunks), len(ref), k)
+			}
+			if got := cs.raw.sum64(); got != refSum {
+				t.Fatalf("%s (%d writes): stream sum %x, want %x", tc.name, len(at)+1, got, refSum)
+			}
+			if at == nil && (cs.declined > tc.maxDeclined || cs.predicted < tc.minPredicted) {
+				t.Fatalf("%s: %d of %d chunks predicted and %d expectations dropped, want at least %d and at most %d",
+					tc.name, cs.predicted, len(ref), cs.declined, tc.minPredicted, tc.maxDeclined)
+			}
+		}
+	}
+	// The spliced-in trailing chunk must have been expected and refused, not
+	// merely never reached.
+	if cs := chunkHinted(tailMid, nil, slices.Insert(slices.Clone(own), 20, tail)); cs.declined != 1 {
+		t.Fatalf("the parent's trailing chunk, found mid-stream: %d expectations dropped, want 1", cs.declined)
+	}
+}
+
+// shiftState emulates the hot rank of apps.Straggler under InsertEvery: 1
+// (this package cannot import it): fixed-width 8-byte elements, and every
+// step one element inserted at the straggler's interior position — every
+// later byte shifts — and a run of eight overwritten in place.
+type shiftState struct {
+	b    []byte
+	iter int
+}
+
+// editsPerStep is how many separate byte ranges one step changes.
+const editsPerStep = 2
+
+func (s *shiftState) step() {
+	s.iter++
+	n := len(s.b) / 8
+	s.b = insertAt(s.b, (s.iter*131%(n-1))*8, noisyBytes(8, uint64(s.iter)))
+	for k := 0; k < 8; k++ {
+		s.b[((s.iter*8+k)%n)*8+3] ^= byte(s.iter) | 1
+	}
+}
+
+// cdcCoordinator is a stub coordinator over store whose rank 0 snapshots
+// state and whose other ranks never change, committing CDC epochs.
+func cdcCoordinator(t *testing.T, store Store, state *shiftState, n int) *Coordinator {
+	t.Helper()
+	c, _, _ := newStubCoordinator(n, ContinueAfterCapture)
+	h := c.hooks[0]
+	h.AppSnapshot = func() ([]byte, error) { return bytes.Clone(state.b), nil }
+	c.RegisterRank(0, h)
+	c.Incremental, c.CDC = true, true
+	if err := c.SetStore(store); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// captureNow raises one checkpoint request, parks every rank until the
+// capture releases them, and returns the captured image. Under Async the
+// commit may still be running.
+func captureNow(t *testing.T, c *Coordinator, vt float64) *JobImage {
+	t.Helper()
+	if !c.RequestCheckpoint(vt) {
+		t.Fatal("checkpoint request rejected")
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < c.W.N; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			c.ParkUntil(rank, &Descriptor{Kind: ParkBoundary}, func() Decision { return Stay })
+		}(r)
+	}
+	wg.Wait()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.image
+}
+
+// TestHintedCaptureAfterRestart: the first capture of a coordinator resumed
+// on a store — a restarted allocation's — is hashed against the chain's last
+// manifest: on the insertion-shifted straggler shape at least nine chunks in
+// ten are predicted, an edit costs at most one dropped expectation, the count
+// reaches CheckpointStats, and the table is the reference walk's.
+func TestHintedCaptureAfterRestart(t *testing.T) {
+	const ranks, steps = 4, 4
+	store := NewMemStore()
+	state := &shiftState{b: noisyBytes(8<<20, 77)}
+	first := cdcCoordinator(t, store, state, ranks)
+	captureNow(t, first, 1)
+	if h := first.History(); len(h) != 1 || h[0].Epoch != 0 || h[0].CDCPredictedChunks != 0 {
+		t.Fatalf("a chain's first capture has no table to predict from: %+v", h)
+	}
+	man0, err := store.GetManifest(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < steps; i++ {
+		state.step()
+	}
+	resumed := cdcCoordinator(t, store, state, ranks)
+	img := captureNow(t, resumed, 2)
+	h := resumed.History()
+	if len(h) != 1 || h[0].Epoch != 1 || h[0].CDCShards != 1 {
+		t.Fatalf("resumed capture: %+v", h)
+	}
+	man1, err := store.GetManifest(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := shardOf(t, man1, 0)
+	if got, total := h[0].CDCPredictedChunks, len(hot.Chunks); total < 100 || got*10 < total*9 {
+		t.Fatalf("%d of the straggler's %d chunks predicted, want at least nine in ten", got, total)
+	}
+
+	// The same pass by hand, for what the stats do not carry.
+	stream, err := newShardStream(&img.Images[0], true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := newChunkSummer(shardOf(t, man0, 0).Chunks)
+	if err := stream.writeTo(cs); err != nil {
+		t.Fatal(err)
+	}
+	cs.finish()
+	if cs.predicted != h[0].CDCPredictedChunks {
+		t.Fatalf("stats say %d chunks predicted, the straggler's own pass %d", h[0].CDCPredictedChunks, cs.predicted)
+	}
+	if cs.declined > steps*editsPerStep {
+		t.Fatalf("%d expectations dropped over %d edits", cs.declined, steps*editsPerStep)
+	}
+	var raw bytes.Buffer
+	if err := stream.writeTo(&raw); err != nil {
+		t.Fatal(err)
+	}
+	ref := refChunkTable(raw.Bytes())
+	if !slices.Equal(cs.chunks, ref) || len(hot.Chunks) != len(ref) {
+		t.Fatalf("hinted table differs from the reference walk's")
+	}
+	for k, c := range hot.Chunks {
+		if (RawChunk{c.Len, c.CRC, c.Sum}) != ref[k] {
+			t.Fatalf("sealed chunk %d is %+v, the reference walk's %+v", k, c, ref[k])
+		}
+	}
+	if hot.RawSum != checksumOf(raw.Bytes()) {
+		t.Fatalf("sealed stream sum %x, want %x", hot.RawSum, checksumOf(raw.Bytes()))
+	}
+}
+
+// TestHintedAsyncChain: the hint is loaded outside the ordering ticket while
+// earlier commits, and the compaction that re-roots the chain, store it
+// under the ticket. An Async chain of CDC captures in back-to-back bursts
+// with CompactEvery must seal exactly the manifests a serial replay of the
+// same images — unhinted, one commit at a time — seals. Run under -race.
+func TestHintedAsyncChain(t *testing.T) {
+	const ranks, captures = 4, 9
+	store := NewMemStore()
+	state := &shiftState{b: noisyBytes(2<<20, 55)}
+	c := cdcCoordinator(t, store, state, ranks)
+	c.Async, c.CompactEvery = true, 2
+	imgs := make([]*JobImage, captures)
+	for k := range imgs {
+		imgs[k] = captureNow(t, c, float64(k+1))
+		state.step()
+		if k%3 == 2 {
+			// Let the burst's commits seal: the last one's compaction then
+			// finds its epoch number free, and the next burst's first hash
+			// reads a manifest CompactChain wrote.
+			c.History()
+		}
+	}
+	hist := c.History()
+	if len(hist) != captures {
+		t.Fatalf("%d captures in the history, want %d", len(hist), captures)
+	}
+	_, _, err := c.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	serial := NewMemStore()
+	var parent *Manifest
+	var predicted, compacted int
+	for k, st := range hist {
+		sums, err := HashCaptureCDC(imgs[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if parent, _, err = CommitStreamed(serial, st.Epoch, parent, imgs[k], sums, nil); err != nil {
+			t.Fatal(err)
+		}
+		if st.CompactedEpoch >= 0 {
+			if parent, _, err = CompactChain(serial, st.Epoch, nil); err != nil {
+				t.Fatal(err)
+			}
+			if parent.Epoch != st.CompactedEpoch {
+				t.Fatalf("serial compaction sealed epoch %d, the chain's %d", parent.Epoch, st.CompactedEpoch)
+			}
+			compacted++
+		}
+		predicted += st.CDCPredictedChunks
+	}
+	if compacted == 0 || predicted == 0 {
+		t.Fatalf("chain compacted %d times and predicted %d chunks: nothing was exercised", compacted, predicted)
+	}
+	t.Logf("%d captures, %d compactions, %d chunks predicted", captures, compacted, predicted)
+	got, err := store.Epochs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := serial.Epochs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("chain sealed epochs %v, serial replay %v", got, want)
+	}
+	for _, e := range want {
+		a, err := store.GetManifest(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := serial.GetManifest(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("epoch %d: the chain sealed\n%+v\nthe serial replay\n%+v", e, a, b)
+		}
+	}
+}
+
+// TestHintManifestShapes: the identity pass takes a rank's hint only from a
+// manifest entry at the same position for the same rank — a parent with
+// fewer shards than the image, or with other ranks in its slots, is not
+// indexed past its end or believed — and whatever it takes, the sums and
+// tables are the unhinted pass's.
+func TestHintManifestShapes(t *testing.T) {
+	img := cdcImage(4, 3)
+	man, _ := commitCDC(t, NewMemStore(), 0, nil, img)
+	want, err := HashCaptureCDC(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, swapped := *man, *man
+	short.Shards = man.Shards[:2]
+	swapped.Shards = slices.Clone(man.Shards)
+	slices.Reverse(swapped.Shards)
+	for _, tc := range []struct {
+		name   string
+		hint   *Manifest
+		hinted int // ranks that find their own table
+	}{
+		{"none", nil, 0},
+		{"own", man, 4},
+		{"fewer shards", &short, 2},
+		{"other ranks' slots", &swapped, 0},
+		{"no shards", &Manifest{}, 0},
+	} {
+		got, err := hashCapture(img, 0, true, tc.hint)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !slices.Equal(got.Sums, want.Sums) || !slices.Equal(got.Sizes, want.Sizes) || !reflect.DeepEqual(got.Chunks, want.Chunks) {
+			t.Fatalf("%s: hinted identity pass differs from the unhinted one", tc.name)
+		}
+		if (got.PredictedChunks > 0) != (tc.hinted > 0) {
+			t.Fatalf("%s: %d chunks predicted with %d ranks hinted", tc.name, got.PredictedChunks, tc.hinted)
+		}
+	}
+}
+
+// BenchmarkChunkHintRatio is a gate (b.Fatalf), not a measurement: chunking
+// a 16 MiB insertion-shifted stream with the table from before the insertion
+// as the hint must run at least twice as fast as chunking it without one, in
+// the same process — the BenchmarkIdentityPassRatio idiom; CI runs it by
+// name with -benchtime=1x, without -race.
+func BenchmarkChunkHintRatio(b *testing.B) {
+	before := noisyBytes(16<<20, 1)
+	hint := hintOf(before)
+	buf := insertAt(before, len(before)/3, noisyBytes(8, 2))
+	pass := func(hint []ChunkRef) time.Duration {
+		t0 := time.Now()
+		cs := chunkHinted(buf, nil, hint)
+		d := time.Since(t0)
+		identitySink += cs.raw.sum64()
+		return d
+	}
+	mbps := func(d time.Duration) float64 { return float64(len(buf)) / 1e6 / d.Seconds() }
+	for i := 0; i < b.N; i++ {
+		// Fastest of five each, taken turn about so a busy spell on a shared
+		// host lands on both sides.
+		plain, hinted := time.Duration(1<<63-1), time.Duration(1<<63-1)
+		for try := 0; try < 5; try++ {
+			plain, hinted = min(plain, pass(nil)), min(hinted, pass(hint))
+		}
+		if plain < 2*hinted {
+			b.Fatalf("hinted chunk pass took %v over 16 MiB, unhinted %v: want at least 2x faster", hinted, plain)
+		}
+		b.ReportMetric(mbps(hinted), "MB/s")
+		b.ReportMetric(mbps(plain), "unhinted-MB/s")
+		b.ReportMetric(float64(plain)/float64(hinted), "x-unhinted")
 	}
 }

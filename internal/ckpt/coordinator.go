@@ -137,6 +137,11 @@ type CheckpointStats struct {
 	// FreshShards/FreshBytes).
 	CDCShards int
 	CDCBytes  int64
+	// CDCPredictedChunks is how many of this capture's content-defined
+	// chunks the identity pass proved against the previous sealed epoch's
+	// chunk table instead of finding with the rolling hash (host cost only:
+	// the table is the same either way).
+	CDCPredictedChunks int
 
 	// CaptureHostSeconds is the wall-clock (host, not virtual) time the
 	// coordinator spent building this checkpoint's job image — the quantity
@@ -189,9 +194,9 @@ type Coordinator struct {
 	Mode Mode
 
 	// CaptureWorkers bounds the per-rank snapshot fan-out at capture time.
-	// Zero selects GOMAXPROCS; one forces the serial path (benchmarks use it
-	// as the baseline). Every rank is parked during capture, so per-rank
-	// snapshots are race-free by construction and can run concurrently.
+	// Zero selects GOMAXPROCS; one forces the serial path. Every rank is
+	// parked during capture, so per-rank snapshots are race-free by
+	// construction and can run concurrently.
 	CaptureWorkers int
 
 	// PaddedBytesPerRank, when positive, is stamped into every captured
@@ -321,8 +326,12 @@ type Coordinator struct {
 	// order == epoch order) and commits seal strictly in epoch order — the
 	// incremental differ diffs each epoch against the previous committed
 	// manifest, so an out-of-order seal would diff against the wrong
-	// parent. commitMu/commitCond implement the ordering ticket; lastMan is
-	// the most recently sealed manifest (both guarded by commitMu).
+	// parent. commitMu/commitCond implement the ordering ticket. lastMan is
+	// the most recently sealed manifest: stored only under the ticket (and by
+	// SetStore, before any request), loaded under it as the diff parent and
+	// outside it as the identity pass's chunk hint, which may therefore be an
+	// epoch older than the parent — a sealed manifest is never written again,
+	// and a stale hint only lowers the chunker's hit rate.
 	store      *ModelStore
 	budget     *StreamBudget // created on first commit, guarded by commitMu
 	nextEpoch  int
@@ -330,7 +339,7 @@ type Coordinator struct {
 	commitMu   sync.Mutex
 	commitCond *sync.Cond
 	committed  int // epochs sealed so far (the next commit ticket)
-	lastMan    *Manifest
+	lastMan    atomic.Pointer[Manifest]
 	// sealsSinceCompact counts seals toward the next CompactEvery trigger
 	// (guarded by commitMu, like the rest of the commit stage's state).
 	sealsSinceCompact int
@@ -395,7 +404,7 @@ func (c *Coordinator) SetStore(s Store) error {
 		}
 		c.nextEpoch = latest + 1
 		c.committed = latest + 1 // the ordering ticket continues the chain
-		c.lastMan = man
+		c.lastMan.Store(man)
 	}
 	c.store = ms
 	return nil
@@ -796,7 +805,7 @@ type commitResult struct {
 
 // commitEpoch runs stages 2–3 for one captured image: hash every shard's
 // identity (parallel with other epochs' hashing — it depends only on this
-// image), then under the ordering ticket diff against the previous
+// image; the manifest CDC mode reads beside it is a hint), then under the ordering ticket diff against the previous
 // committed manifest (when Incremental), stream the fresh shards into the
 // store under the encode budget, and seal the epoch. Called WITHOUT c.mu
 // held.
@@ -808,8 +817,9 @@ func (c *Coordinator) commitEpoch(epoch int, img *JobImage) commitResult {
 	switch {
 	case c.CDC:
 		// CDC mode also builds the content-defined chunk table the
-		// commit-time chunk index consumes.
-		sums, encErr = HashCaptureCDC(img)
+		// commit-time chunk index consumes, most of it proved against the
+		// last sealed epoch's instead of searched for.
+		sums, encErr = hashCapture(img, 0, true, c.lastMan.Load())
 	case c.Delta:
 		// Delta mode also builds the per-page CRC table the differ needs.
 		sums, encErr = HashCapturePaged(img, ShardPageBytes)
@@ -837,7 +847,7 @@ func (c *Coordinator) commitEpoch(epoch int, img *JobImage) commitResult {
 
 	var parent *Manifest
 	if c.Incremental {
-		parent = c.lastMan
+		parent = c.lastMan.Load()
 	}
 	// The ModelStore's metering knobs are per-commit; commits are serialized
 	// by the ordering ticket, so setting them here is race-free — and so is
@@ -868,7 +878,7 @@ func (c *Coordinator) commitEpoch(epoch int, img *JobImage) commitResult {
 		//lint:allow wallclock commit hostSeconds deliberately reports host-side commit cost
 		return commitResult{epoch: epoch, compacted: -1, peakEncode: peak, hostSeconds: time.Since(t0).Seconds(), err: err}
 	}
-	c.lastMan = man
+	c.lastMan.Store(man)
 	res := commitResult{
 		epoch: epoch, stats: st, cost: c.store.EpochCost(epoch),
 		drain:      c.store.EpochDrain(epoch),
@@ -918,7 +928,7 @@ func (c *Coordinator) lifecyclePass(epoch int, man *Manifest, res *commitResult)
 					// Re-root the chain: the next capture diffs against the
 					// compacted epoch. Raw identities are carried over by
 					// the copy, so shard reuse keeps working across it.
-					c.lastMan = newMan
+					c.lastMan.Store(newMan)
 					res.compacted = newMan.Epoch
 					res.compactVT = c.store.EpochCost(newMan.Epoch).Total
 					c.sealsSinceCompact = 0
@@ -989,6 +999,7 @@ func (c *Coordinator) applyCommitLocked(histIdx int, res commitResult) {
 		e.DeltaBytes = res.stats.DeltaBytes
 		e.CDCShards = res.stats.CDCShards
 		e.CDCBytes = res.stats.CDCBytes
+		e.CDCPredictedChunks = res.stats.CDCPredictedChunks
 	}
 	// Lifecycle outcome applies even when the pass failed part-way (the
 	// epoch itself sealed; whatever was reclaimed before the failure is

@@ -860,42 +860,57 @@ func (r *cappedMessageReader) ReadByte() (byte, error) {
 	return b[0], nil
 }
 
+// shardHash is what the identity pass yields for one rank: the stream it
+// walked, its XXH64, and whichever table rode the walk.
+type shardHash struct {
+	stream    *shardStream
+	sum       uint64
+	pages     []uint32
+	chunks    []RawChunk
+	predicted int // chunks of the table proved from the hint, not gear-cut
+}
+
 // hashShard is the identity pass over one rank image: the ONE walk per
 // checkpoint that reads every raw byte of the clockless logical stream. It
 // yields the XXH64 identity (RawSum, RawSize) and, riding the same walk,
 // the CRC-32C page table (pageSize > 0) or the content-defined chunk table
-// (cdc) the partial-object diffs need. The stream is the same segment list
-// the writers later copy from, so the identities describe exactly the bytes
-// that reach the store — and it is returned, so the commit copies from the
-// very list that was hashed instead of laying it out (and gob-encoding the
-// header, type descriptors included) a second time.
-func hashShard(ri *RankImage, pageSize int64, cdc bool) (s *shardStream, sum uint64, pages []uint32, chunks []RawChunk, err error) {
-	s, err = newShardStream(ri, true)
+// (cdc) the partial-object diffs need; hint is the parent's chunk table for
+// this rank, which only makes the CDC walk faster (see chunkSummer). The
+// stream is the same segment list the writers later copy from, so the
+// identities describe exactly the bytes that reach the store — and it is
+// returned, so the commit copies from the very list that was hashed instead
+// of laying it out (and gob-encoding the header, type descriptors included) a
+// second time.
+func hashShard(ri *RankImage, pageSize int64, cdc bool, hint []ChunkRef) (shardHash, error) {
+	s, err := newShardStream(ri, true)
 	if err != nil {
-		return nil, 0, nil, nil, err
+		return shardHash{}, err
+	}
+	h := shardHash{stream: s}
+	if cdc {
+		cs := newChunkSummer(hint)
+		if err := s.writeTo(cs); err != nil {
+			return shardHash{}, err
+		}
+		h.chunks = cs.finish()
+		h.sum, h.predicted = cs.raw.sum64(), cs.predicted
+		return h, nil
 	}
 	var ps *pageSummer
-	var cs *chunkSummer
 	var dst io.Writer
-	switch {
-	case cdc:
-		cs = newChunkSummer()
-		dst = cs
-	case pageSize > 0:
+	if pageSize > 0 {
 		ps = newPageSummer(pageSize, nil)
 		dst = ps
 	}
 	cw := newCountWriter(dst)
 	if err := s.writeTo(cw); err != nil {
-		return nil, 0, nil, nil, err
+		return shardHash{}, err
 	}
 	if ps != nil {
-		pages = ps.finish()
+		h.pages = ps.finish()
 	}
-	if cs != nil {
-		chunks = cs.finish()
-	}
-	return s, cw.h.sum64(), pages, chunks, nil
+	h.sum = cw.h.sum64()
+	return h, nil
 }
 
 // ----------------------------------------------------------- page deltas

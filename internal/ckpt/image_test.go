@@ -320,11 +320,11 @@ func TestShardWriterStreamsIdentically(t *testing.T) {
 		// The writer no longer hashes the raw stream; the identity pass does,
 		// over the same segment list. Hold the two to one set of bytes: what
 		// the sink decompresses to must hash to the identity pass's answer.
-		stream, wantSum, _, _, err := hashShard(ri, 0, false)
+		h, err := hashShard(ri, 0, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantSize := stream.size
+		wantSum, wantSize := h.sum, h.stream.size
 		raw, err := io.ReadAll(FlateCodec(0).NewReader(bytes.NewReader(blob)))
 		if err != nil {
 			t.Fatal(err)
@@ -390,11 +390,11 @@ func TestWholeGobShardsRejected(t *testing.T) {
 // memory is secretly scaling with the shard again.
 func TestChunkedHeaderStaysSmall(t *testing.T) {
 	ri := &RankImage{Rank: 0, App: make([]byte, 8<<20), Proto: []byte{1, 2}}
-	stream, _, _, _, err := hashShard(ri, 0, false)
+	h, err := hashShard(ri, 0, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawSize := stream.size
+	rawSize := h.stream.size
 	payload := int64(len(ri.App) + len(ri.Proto))
 	if overhead := rawSize - payload; overhead <= 0 || overhead > 4096 {
 		t.Fatalf("chunked overhead %d bytes over %d payload (want small and positive)", overhead, payload)

@@ -30,6 +30,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"mana/internal/netmodel"
 )
@@ -865,6 +866,9 @@ type CommitStats struct {
 	// included in FreshBytes.
 	CDCShards int
 	CDCBytes  int64
+	// CDCPredictedChunks is sums.PredictedChunks: how many of this capture's
+	// chunks the identity pass took from the parent's table.
+	CDCPredictedChunks int
 }
 
 // CommitCapture runs stages 2–3 of the checkpoint pipeline for one captured
@@ -906,6 +910,10 @@ type ShardSums struct {
 	// chunk-level diffing. CommitStreamed looks each chunk up in the parent
 	// chain's content-addressed index.
 	Chunks [][]RawChunk
+	// PredictedChunks counts the entries of Chunks that were proved against
+	// the parent's table instead of cut by the gear loop (zero without a
+	// hint: the exported HashCaptureCDC has none).
+	PredictedChunks int
 	// streams holds the identity pass's per-rank stream layouts for
 	// CommitStreamed to copy from (read-only there, so one ShardSums serves
 	// any number of commits of its image). Nil on a ShardSums built by hand;
@@ -919,7 +927,7 @@ type ShardSums struct {
 // reads every raw byte of the captured image for its XXH64 (CommitStreamed
 // stamps the manifest's RawSum/RawSize from it and never re-hashes).
 func HashCapture(img *JobImage) (*ShardSums, error) {
-	return hashCapture(img, 0, false)
+	return hashCapture(img, 0, false, nil)
 }
 
 // HashCapturePaged additionally records each rank's CRC-32C page table over
@@ -930,7 +938,7 @@ func HashCapturePaged(img *JobImage, pageSize int64) (*ShardSums, error) {
 	if pageSize <= 0 {
 		pageSize = ShardPageBytes
 	}
-	return hashCapture(img, pageSize, false)
+	return hashCapture(img, pageSize, false, nil)
 }
 
 // HashCaptureCDC records each rank's content-defined chunk table over the
@@ -938,10 +946,14 @@ func HashCapturePaged(img *JobImage, pageSize int64) (*ShardSums, error) {
 // CRCs ride the identity stream — no second walk), arming CommitStreamed's
 // content-addressed chunk diff.
 func HashCaptureCDC(img *JobImage) (*ShardSums, error) {
-	return hashCapture(img, 0, true)
+	return hashCapture(img, 0, true, nil)
 }
 
-func hashCapture(img *JobImage, pageSize int64, cdc bool) (*ShardSums, error) {
+// hashCapture is the identity pass behind the three exports. hint, used in
+// CDC mode only, is a sealed manifest of the same job — normally the diff
+// parent — whose chunk tables let the chunker prove most cuts instead of
+// searching for them; it never changes the result.
+func hashCapture(img *JobImage, pageSize int64, cdc bool, hint *Manifest) (*ShardSums, error) {
 	n := len(img.Images)
 	sums := &ShardSums{Sums: make([]uint64, n), Sizes: make([]int64, n), streams: make([]*shardStream, n)}
 	switch {
@@ -952,27 +964,41 @@ func hashCapture(img *JobImage, pageSize int64, cdc bool) (*ShardSums, error) {
 		sums.PageSums = make([][]uint32, n)
 	}
 	errs := make([]error, n)
+	var predicted atomic.Int64
 	fanOut(n, encodeWorkers(n), func(i int) {
-		var pages []uint32
-		var chunks []RawChunk
-		sums.streams[i], sums.Sums[i], pages, chunks, errs[i] = hashShard(&img.Images[i], pageSize, cdc)
+		ri := &img.Images[i]
+		var h shardHash
+		h, errs[i] = hashShard(ri, pageSize, cdc, hintFor(hint, i, ri.Rank))
 		if errs[i] != nil {
 			return
 		}
-		sums.Sizes[i] = sums.streams[i].size
+		sums.streams[i], sums.Sums[i], sums.Sizes[i] = h.stream, h.sum, h.stream.size
 		if sums.PageSums != nil {
-			sums.PageSums[i] = pages
+			sums.PageSums[i] = h.pages
 		}
 		if sums.Chunks != nil {
-			sums.Chunks[i] = chunks
+			sums.Chunks[i] = h.chunks
 		}
+		predicted.Add(int64(h.predicted))
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
+	sums.PredictedChunks = int(predicted.Load())
 	return sums, nil
+}
+
+// hintFor picks image i's chunk table out of a hint manifest: the entry at
+// the same position when it is the same rank's (a manifest lists shards in
+// image order), nothing otherwise — a parent with fewer shards, or another
+// job's.
+func hintFor(hint *Manifest, i, rank int) []ChunkRef {
+	if hint == nil || i >= len(hint.Shards) || hint.Shards[i].Rank != rank {
+		return nil
+	}
+	return hint.Shards[i].Chunks
 }
 
 // CommitStreamed runs the ordered tail of the commit: diff the hashed shard
@@ -1056,7 +1082,7 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 	// Diff against the parent BEFORE streaming: on the low-churn jobs
 	// incremental checkpointing targets, most shards are references and
 	// re-encoding them would be pure waste. Only the fresh set streams.
-	st := &CommitStats{Epoch: epoch}
+	st := &CommitStats{Epoch: epoch, CDCPredictedChunks: sums.PredictedChunks}
 	fresh := make([]int, 0, n)
 	for i := range img.Images {
 		ri := &img.Images[i]
