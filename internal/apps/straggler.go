@@ -182,19 +182,19 @@ func (a *Straggler) Step(env *rt.Env) (bool, error) {
 // Layout: 5 uint64 header words (Iter, target, Acc bits, len(Sum),
 // len(State)), then Sum verbatim, then each State element as float64 bits.
 
+// snapshotLen is the byte length of that layout for nSum Sum bytes and
+// nState State elements: what Snapshot reserves, SnapshotTo writes and
+// Restore requires.
+func snapshotLen(nSum, nState int) int { return 5*8 + nSum + 8*nState }
+
 func (a *Straggler) Snapshot() ([]byte, error) {
 	var buf bytes.Buffer
-	buf.Grow(5*8 + len(a.Sum) + 8*len(a.State))
+	buf.Grow(snapshotLen(len(a.Sum), len(a.State)))
 	if err := a.SnapshotTo(&buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
-
-// stragglerBlockElems is how many State elements SnapshotTo encodes per
-// Write: a 32 KiB block amortizes the interface call that an 8-byte Write
-// per element paid two million times per 16 MiB hot rank.
-const stragglerBlockElems = 4 << 10
 
 // SnapshotTo implements rt.StreamSnapshotter: the capture path streams the
 // snapshot straight into the image buffer. Produces exactly Snapshot's bytes.
@@ -211,18 +211,7 @@ func (a *Straggler) SnapshotTo(w io.Writer) error {
 	if _, err := w.Write(a.Sum); err != nil {
 		return err
 	}
-	block := make([]byte, 8*min(len(a.State), stragglerBlockElems))
-	for state := a.State; len(state) > 0; {
-		n := min(len(state), stragglerBlockElems)
-		for i, v := range state[:n] {
-			binary.LittleEndian.PutUint64(block[8*i:], math.Float64bits(v))
-		}
-		if _, err := w.Write(block[:8*n]); err != nil {
-			return err
-		}
-		state = state[n:]
-	}
-	return nil
+	return writeF64s(w, a.State)
 }
 
 func (a *Straggler) Restore(data []byte) error {
@@ -235,7 +224,7 @@ func (a *Straggler) Restore(data []byte) error {
 	nSum := int(binary.LittleEndian.Uint64(data[24:]))
 	nState := int(binary.LittleEndian.Uint64(data[32:]))
 	rest := data[5*8:]
-	if nSum < 0 || nState < 0 || len(rest) != nSum+8*nState {
+	if nSum < 0 || nState < 0 || len(data) != snapshotLen(nSum, nState) {
 		return fmt.Errorf("straggler: snapshot claims %d+8*%d payload bytes, has %d",
 			nSum, nState, len(rest))
 	}
@@ -250,8 +239,6 @@ func (a *Straggler) Restore(data []byte) error {
 	}
 	a.Iter, a.Acc, a.target = iter, acc, target
 	copy(a.Sum, rest[:nSum])
-	for i := range a.State {
-		a.State[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[nSum+8*i:]))
-	}
+	readF64s(a.State, rest[nSum:])
 	return nil
 }

@@ -369,13 +369,37 @@ func newCountWriter(dst io.Writer) *countWriter {
 	return &countWriter{dst: dst, h: newXXH64()}
 }
 
+// countPieceBytes bounds what countWriter hashes before handing the same
+// bytes to dst, so that dst — the page summer, the codec, the chunk buffer —
+// reads them from cache. A shard stream delivers a 16 MiB segment as one
+// Write; hashed whole and then forwarded whole, it came from DRAM twice.
+const countPieceBytes = CDCMaxChunkBytes
+
+// Write hashes and forwards p a piece at a time. It returns the bytes dst
+// consumed; on an error h and n may cover up to one piece more than that.
 func (w *countWriter) Write(p []byte) (int, error) {
-	w.h.write(p)
-	w.n += int64(len(p))
 	if w.dst == nil {
+		w.h.write(p)
+		w.n += int64(len(p))
 		return len(p), nil
 	}
-	return w.dst.Write(p)
+	done := 0
+	for {
+		piece := p[done:]
+		if len(piece) > countPieceBytes {
+			piece = piece[:countPieceBytes]
+		}
+		w.h.write(piece)
+		w.n += int64(len(piece))
+		n, err := w.dst.Write(piece)
+		done += n
+		if err == nil && n < len(piece) {
+			err = io.ErrShortWrite
+		}
+		if err != nil || done == len(p) {
+			return done, err
+		}
+	}
 }
 
 // copyShardVerified streams one stored shard blob from src to dst in

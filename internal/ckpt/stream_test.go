@@ -387,3 +387,122 @@ func TestCommitCopiesFromHashedStreams(t *testing.T) {
 	}
 	sameImages(t, got, other)
 }
+
+// sizedSink is countWriter's downstream in the split tests: it keeps the
+// bytes, remembers the longest Write it was handed, and, with failAt > 0,
+// accepts only the first failAt bytes and then fails.
+type sizedSink struct {
+	bytes.Buffer
+	longest int
+	failAt  int
+}
+
+var errSinkFull = fmt.Errorf("sink full")
+
+func (s *sizedSink) Write(p []byte) (int, error) {
+	s.longest = max(s.longest, len(p))
+	if s.failAt > 0 && s.Len()+len(p) > s.failAt {
+		n, _ := s.Buffer.Write(p[:s.failAt-s.Len()])
+		return n, errSinkFull
+	}
+	return s.Buffer.Write(p)
+}
+
+// TestCountWriterSplitsLongWrites: countWriter hands its downstream pieces
+// of at most countPieceBytes, and nothing it computes or forwards depends on
+// it — stream sum, byte count, downstream bytes and the page table a
+// pageSummer behind it builds are those of the logical stream whether each
+// segment arrives as one Write (what shardStream.writeTo does) or cut at
+// random, for segments shorter than, equal to and longer than a piece.
+func TestCountWriterSplitsLongWrites(t *testing.T) {
+	const pageSize = 64 << 10
+	rng := rand.New(rand.NewSource(23))
+	var images []RankImage
+	for shape := 0; shape < 8; shape++ {
+		images = append(images, straddlingImage(rng, shape, shape, countPieceBytes/2))
+	}
+	for _, n := range []int{countPieceBytes - 1, countPieceBytes, countPieceBytes + 1, 3*countPieceBytes + 7} {
+		ri := straddlingImage(rng, len(images), 1, 1<<10)
+		ri.App = make([]byte, n)
+		rng.Read(ri.App)
+		images = append(images, ri)
+	}
+	for i := range images {
+		ri := &images[i]
+		logical := logicalOf(t, ri)
+		s, err := newShardStream(ri, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed := func(cut bool) (*countWriter, *sizedSink, []uint32) {
+			sink := &sizedSink{}
+			ps := newPageSummer(pageSize, sink)
+			cw := newCountWriter(ps)
+			for _, seg := range s.segs {
+				at := []int{len(seg)}
+				if cut {
+					at = randomSplits(rng, len(seg))
+				}
+				prev := 0
+				for _, end := range at {
+					end = min(end, len(seg))
+					if n, err := cw.Write(seg[prev:end]); err != nil || n != end-prev {
+						t.Fatalf("image %d: Write of %d bytes returned (%d, %v)", i, end-prev, n, err)
+					}
+					prev = end
+				}
+			}
+			return cw, sink, ps.finish()
+		}
+		whole, wholeSink, wholePages := feed(false)
+		if wholeSink.longest > countPieceBytes {
+			t.Fatalf("image %d: downstream was handed a %d-byte Write, want at most %d", i, wholeSink.longest, countPieceBytes)
+		}
+		if whole.n != int64(len(logical)) || whole.h.sum64() != checksumOf(logical) || !bytes.Equal(wholeSink.Bytes(), logical) {
+			t.Fatalf("image %d: whole-segment writes: %d bytes sum %#x, want the logical stream's %d bytes sum %#x",
+				i, whole.n, whole.h.sum64(), len(logical), checksumOf(logical))
+		}
+		cut, cutSink, cutPages := feed(true)
+		if cut.n != whole.n || cut.h.sum64() != whole.h.sum64() || !bytes.Equal(cutSink.Bytes(), logical) || !reflect.DeepEqual(cutPages, wholePages) {
+			t.Fatalf("image %d: cutting the segments changed what countWriter computed or forwarded", i)
+		}
+		var wantPages []uint32
+		for off := 0; off < len(logical); off += pageSize {
+			wantPages = append(wantPages, crc32.Checksum(logical[off:min(off+pageSize, len(logical))], crcTable))
+		}
+		if !reflect.DeepEqual(wholePages, wantPages) {
+			t.Fatalf("image %d: page table differs from the logical stream's", i)
+		}
+	}
+}
+
+// TestCountWriterFailingDownstream: a downstream that fails mid-segment gets
+// its error and its own byte count returned, and countWriter has hashed at
+// least those bytes and at most one piece more.
+func TestCountWriterFailingDownstream(t *testing.T) {
+	seg := make([]byte, 3*countPieceBytes+7)
+	rand.New(rand.NewSource(5)).Read(seg)
+	for _, failAt := range []int{1, countPieceBytes - 1, countPieceBytes, countPieceBytes + 1, 2*countPieceBytes + 9, len(seg) - 1} {
+		sink := &sizedSink{failAt: failAt}
+		cw := newCountWriter(sink)
+		n, err := cw.Write(seg)
+		if err != errSinkFull || n != failAt {
+			t.Fatalf("failing at %d: Write returned (%d, %v), want (%d, %v)", failAt, n, err, failAt, errSinkFull)
+		}
+		if hashed := cw.n; int64(n) > hashed || hashed > int64(n)+countPieceBytes {
+			t.Fatalf("failing at %d: %d bytes consumed, %d hashed", failAt, n, hashed)
+		}
+		if cw.h.sum64() != checksumOf(seg[:cw.n]) {
+			t.Fatalf("failing at %d: sum is not that of the %d bytes counted", failAt, cw.n)
+		}
+	}
+	// A downstream that comes up short without an error is an error.
+	short := newCountWriter(writerFunc(func(p []byte) (int, error) { return len(p) / 2, nil }))
+	if n, err := short.Write(seg); err != io.ErrShortWrite || n != countPieceBytes/2 {
+		t.Fatalf("short downstream: Write returned (%d, %v)", n, err)
+	}
+}
+
+type writerFunc func(p []byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
