@@ -18,8 +18,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"mana/internal/netmodel"
 )
 
 // noisyBytes fills n bytes from a xorshift64 stream: content-rich data with
@@ -423,17 +421,20 @@ func TestCDCChainGCAndCompaction(t *testing.T) {
 // identity equals the raw identity), records CodecNone per shard, decodes a
 // mixed-codec delta chain, and still detects corruption.
 func TestCodecNoneRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	inner, err := NewFileStore(dir)
+	ms, err := NewFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := netmodel.New(netmodel.EthernetLike(), 2)
-	ms := NewModelStore(inner, model, 2)
-	ms.Codec = "none"
+	commit := func(codecName string, epoch int, parent *Manifest, img *JobImage) (*Manifest, *CommitStats) {
+		sums, err := HashCaptureCDC(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return commitWith(t, ms, codecName, epoch, parent, img, sums)
+	}
 
 	img0 := cdcImage(2, 31)
-	man0, _ := commitCDC(t, ms, 0, nil, img0)
+	man0, _ := commit("none", 0, nil, img0)
 	for _, si := range man0.Shards {
 		if si.CodecID != CodecNone {
 			t.Fatalf("rank %d sealed with codec %d, want none", si.Rank, si.CodecID)
@@ -452,7 +453,7 @@ func TestCodecNoneRoundTrip(t *testing.T) {
 	// verbatim and still reassembles.
 	img1 := cdcImage(2, 31)
 	img1.Images[1].App = insertAt(img1.Images[1].App, 1<<19, noisyBytes(16, 8))
-	man1, st1 := commitCDC(t, ms, 1, man0, img1)
+	man1, st1 := commit("none", 1, man0, img1)
 	if st1.CDCShards != 1 {
 		t.Fatalf("epoch 1 stats: %+v", st1)
 	}
@@ -467,11 +468,10 @@ func TestCodecNoneRoundTrip(t *testing.T) {
 
 	// Mixed-codec chain: a flate epoch whose delta decodes against the
 	// none-codec chain is resolved per shard from the manifest, not from
-	// the store's current knob.
-	ms.Codec = "flate"
+	// the plan's current knob.
 	img2 := cdcImage(2, 31)
 	img2.Images[1].App = insertAt(img2.Images[1].App, 1<<18, noisyBytes(16, 9))
-	man2, _ := commitCDC(t, ms, 2, man1, img2)
+	man2, _ := commit("flate", 2, man1, img2)
 	if si := shardOf(t, man2, 1); si.CodecID != CodecFlate {
 		t.Fatalf("flate epoch sealed with codec %d", si.CodecID)
 	}
@@ -483,7 +483,7 @@ func TestCodecNoneRoundTrip(t *testing.T) {
 
 	// Corruption under the none codec is still caught by the stored-object
 	// checksum.
-	path := inner.ShardPath(0, 0)
+	path := ms.ShardPath(0, 0)
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -625,14 +625,10 @@ func (s *shiftState) step() {
 // state and whose other ranks never change, committing CDC epochs.
 func cdcCoordinator(t *testing.T, store Store, state *shiftState, n int) *Coordinator {
 	t.Helper()
-	c, _, _ := newStubCoordinator(n, ContinueAfterCapture)
+	c, _, _ := newStubCoordinator(t, n, Plan{Store: store, Incremental: true, CDC: true})
 	h := c.hooks[0]
 	h.AppSnapshot = func() ([]byte, error) { return bytes.Clone(state.b), nil }
 	c.RegisterRank(0, h)
-	c.Incremental, c.CDC = true, true
-	if err := c.SetStore(store); err != nil {
-		t.Fatal(err)
-	}
 	return c
 }
 
@@ -739,7 +735,7 @@ func TestHintedAsyncChain(t *testing.T) {
 	store := NewMemStore()
 	state := &shiftState{b: noisyBytes(2<<20, 55)}
 	c := cdcCoordinator(t, store, state, ranks)
-	c.Async, c.CompactEvery = true, 2
+	c.Plan.Async, c.Plan.CompactEvery = true, 2
 	imgs := make([]*JobImage, captures)
 	for k := range imgs {
 		imgs[k] = captureNow(t, c, float64(k+1))

@@ -35,20 +35,21 @@
 // checksum flow straight into the store's shard writer (ShardWriter)
 // through pooled fixed-size buffers, with
 // concurrent streams bounded in bytes by a StreamBudget
-// (Coordinator.StreamBudgetBytes; high-water reported as
+// (Plan.StreamBudgetBytes; high-water reported as
 // CheckpointStats.PeakEncodeBytes), so peak encode memory never scales
 // with the image size. Restart reads are symmetric (OpenShard streamed
 // through verification into the gob decoder). With
-// Coordinator.Async the job is released after stage 1 against only the
+// Plan.Async the job is released after stage 1 against only the
 // storage open latency — the forked-checkpoint analog — and the write time
-// is accounted as overlap instead of stall. With Coordinator.Incremental a
+// is accounted as overlap instead of stall. With Plan.Incremental a
 // shard whose content hash matches the previous committed epoch is recorded
 // as a reference to the epoch that already holds its bytes; restart
 // resolves the reference chain through the Store and attributes any
-// corruption to the (epoch, rank) that failed. Commits are charged to a
-// storage tier (Coordinator.Tier): direct to the parallel filesystem, or
-// staged on the burst buffer with a background drain to durable storage
-// (CheckpointStats.TierDrainVT).
+// corruption to the (epoch, rank) that failed. An epoch is priced when the
+// coordinator seals it, from its manifest alone (WriteBytesOf; the restart
+// side is ReadSetOf), against a storage tier (Plan.Tier): direct to the
+// parallel filesystem, or staged on the burst buffer with a background drain
+// to durable storage (CheckpointStats.TierDrainVT).
 package ckpt
 
 import (

@@ -140,7 +140,7 @@ func TestNativeAlgorithm(t *testing.T) {
 
 func TestCoordinatorParkLifecycle(t *testing.T) {
 	w := mpi.NewWorld(1, netmodel.New(netmodel.PerlmutterLike(), 1))
-	c := NewCoordinator(w, ContinueAfterCapture)
+	c, _ := NewCoordinator(w, nil) // no plan: cannot fail
 	c.SetAlgorithm(NewNative())
 	// No pending checkpoint: ParkUntil is a no-op.
 	out := c.ParkUntil(0, &Descriptor{Kind: ParkBoundary}, func() Decision { return Stay })

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"runtime"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,6 +25,111 @@ const (
 	// images are used to restart (chaining resource allocations).
 	ExitAfterCapture
 )
+
+// Plan schedules checkpointing during a run and says how each capture is
+// committed and priced. The coordinator keeps its own copy (Coordinator.Plan).
+type Plan struct {
+	// AtVT requests the (first) checkpoint when any rank's virtual clock
+	// first reaches this time (seconds).
+	AtVT float64
+	// AtStep, when positive, requests the checkpoint at the boundary where
+	// rank 0 has completed exactly AtStep application steps, instead of at a
+	// virtual time. Step counts are a deterministic property of the program,
+	// so two runs with the same AtStep raise the request at the identical
+	// point in rank 0's execution — the trigger the conformance engine
+	// sweeps. AtStep takes precedence over AtVT.
+	AtStep int
+	// Every, when positive, requests further checkpoints at this virtual
+	// period after each capture — the production pattern of periodic
+	// checkpoints during a long run. Only meaningful with
+	// ContinueAfterCapture.
+	Every float64
+	// Mode selects continue-in-place or exit-for-restart.
+	Mode Mode
+	// PaddedBytesPerRank, when positive, overrides the measured image size
+	// in the storage model (to reproduce the paper's image sizes). With
+	// periodic checkpointing every capture is padded, so Checkpoint,
+	// CheckpointHistory, and the charged write times all agree.
+	PaddedBytesPerRank int64
+
+	// Async enables the staged pipeline's overlapped mode: the job resumes
+	// as soon as all ranks are snapshotted, paying only the storage open
+	// latency, while shard encode and store commit run behind execution
+	// (CheckpointStats.OverlapVT instead of StallVT).
+	Async bool
+	// Incremental enables shard reuse across the Store's epochs: ranks
+	// whose state did not change since the previous committed capture are
+	// recorded as references instead of re-written. Requires Store.
+	Incremental bool
+	// Delta enables sub-rank page deltas on top of Incremental: capture
+	// hashing keeps a per-page CRC table, and a rank whose shard changed in
+	// only a few 64 KiB pages is stored as a page-delta object holding just
+	// the dirty pages (RawFormatPageDelta) against the chain's full
+	// base shard. Requires Store (defaulted like Incremental).
+	Delta bool
+	// CDC enables content-defined chunking on top of Incremental: capture
+	// hashing splits each rank's stream on Gear rolling-hash boundaries,
+	// and a changed rank stores only content-new chunks as a chunk object
+	// (RawFormatCDC) referencing the chain's existing chunks — reuse
+	// survives insertions, deletions, and cross-rank duplication. Requires
+	// Store (defaulted like Incremental); mutually exclusive with Delta.
+	CDC bool
+	// Codec selects the stored-object codec for every committed shard:
+	// "flate" (default; empty means flate) or "none" (identity passthrough,
+	// no compression CPU).
+	Codec string
+	// Tier selects the storage tier checkpoint writes are charged against
+	// (netmodel.TierPFS by default). TierBurstBuffer stages captures on the
+	// fast tier — with Async the job stalls only for the burst open
+	// latency — while each sealed epoch accrues a background parallel-FS
+	// drain (CheckpointStats.TierDrainVT).
+	Tier netmodel.StorageTier
+	// Store, when non-nil, receives every capture as a sealed epoch (shards
+	// plus manifest) in addition to the in-memory image. Restart can load
+	// any sealed epoch back via RestartFromStore.
+	Store Store
+	// StreamBudgetBytes bounds the commit stage's in-flight streaming-
+	// encode memory: shards gob+compress+checksum straight into the store's
+	// shard streams, and concurrent streams charge a fixed footprint
+	// against this budget, so peak encode memory never scales with the
+	// image size. Zero selects DefaultStreamBudgetBytes. The realized
+	// high-water mark is reported per capture as
+	// CheckpointStats.PeakEncodeBytes.
+	StreamBudgetBytes int64
+	// KeepEpochs, when positive, garbage-collects the store after every
+	// sealed epoch, retaining the newest KeepEpochs epochs plus everything
+	// their manifests transitively reference (GCStore). Reclaimed
+	// bytes are reported per capture in CheckpointStats. Requires Store.
+	KeepEpochs int
+	// CompactEvery, when positive, compacts the chain after every
+	// CompactEvery-th seal: the newest epoch is rewritten as a fresh
+	// self-contained epoch (CompactChain), bounding the restart read
+	// fan-in (RestartReadVT) no matter how deep the incremental chain
+	// grows, and making the old chain reclaimable by KeepEpochs.
+	CompactEvery int
+
+	// DrainSched, when non-nil, shares this job's burst→PFS drains with
+	// other tenants through one netmodel.DrainScheduler: sealed burst
+	// epochs' drains queue against every job using the same scheduler
+	// instead of assuming a private PFS, and a bounded scheduler capacity
+	// feeds back as backpressure (CheckpointStats.DrainQueueVT), forced
+	// direct-to-PFS fallback (CheckpointStats.PFSFallback), and admission
+	// deferrals. Store-path only; requires Tier = TierBurstBuffer to have
+	// any effect. JobID keys this job in the shared per-job accounting and
+	// DrainPriority ranks it under the scheduler's priority policy.
+	DrainSched    *netmodel.DrainScheduler
+	JobID         int
+	DrainPriority int
+	// FallbackWaitVT is the longest backpressure wait a sealing epoch
+	// tolerates before abandoning the burst tier for a direct PFS commit.
+	// Zero tolerates none: any wait for staging room forces the fallback.
+	FallbackWaitVT float64
+	// AdmitBacklogBytes, when positive, enables admission control: a
+	// periodic checkpoint trigger that fires while the shared backlog
+	// exceeds this budget is refused and retried at a later boundary
+	// (counted in CheckpointStats.AdmissionDeferred).
+	AdmitBacklogBytes int64
+}
 
 // RankHooks are the capture callbacks the runtime registers per rank. They
 // are invoked while the rank is parked (blocked), so they may read the
@@ -191,108 +296,10 @@ const (
 type Coordinator struct {
 	W    *mpi.World
 	Algo Algorithm
-	Mode Mode
-
-	// CaptureWorkers bounds the per-rank snapshot fan-out at capture time.
-	// Zero selects GOMAXPROCS; one forces the serial path. Every rank is
-	// parked during capture, so per-rank snapshots are race-free by
-	// construction and can run concurrently.
-	CaptureWorkers int
-
-	// PaddedBytesPerRank, when positive, is stamped into every captured
-	// image and drives the storage model (reproducing the paper's image
-	// sizes). Owned here so that with periodic checkpointing every capture —
-	// not just the last — charges and records the padded size.
-	PaddedBytesPerRank int64
-
-	// Async selects the staged pipeline's overlapped mode: stage 1 (the
-	// all-ranks snapshot) still happens with every rank parked, but the job
-	// is released as soon as it completes, paying only the storage open
-	// latency; the encode and store-commit stages run behind the resumed
-	// execution and their write time is accounted as overlap, not stall —
-	// the forked-checkpoint analog of MANA/DMTCP.
-	Async bool
-
-	// Incremental enables shard reuse across store epochs: a rank whose
-	// clockless shard hashes identically to the previous committed epoch is
-	// recorded as a reference instead of re-encoded and re-written.
-	// Requires a store (SetStore).
-	Incremental bool
-
-	// Delta enables sub-rank page deltas on top of Incremental: capture
-	// hashing also computes a per-page CRC table (HashCapturePaged), and a
-	// rank whose shard differs from the parent epoch in only a few pages is
-	// stored as a RawFormatPageDelta object holding just the dirty pages,
-	// diffed against the chain's full base shard. Implies page tables in the
-	// manifest (ManifestV4); requires a store, and does nothing useful
-	// without Incremental (every shard hashes fresh with no parent to diff
-	// against).
-	Delta bool
-
-	// CDC enables content-defined chunking on top of Incremental: capture
-	// hashing also splits each rank's logical stream on Gear rolling-hash
-	// content boundaries (HashCaptureCDC), and a rank whose shard shares
-	// chunks with the parent chain — across arbitrary insertions, deletions,
-	// and even other ranks — is stored as a RawFormatCDC object holding just
-	// the content-new chunks. Implies chunk tables in the manifest
-	// (ManifestV5); requires a store; mutually exclusive with Delta (the two
-	// diff strategies address the same fresh-byte budget).
-	CDC bool
-
-	// Codec selects the stored-object codec for every shard this
-	// coordinator commits: "flate" (the default; empty means flate) or
-	// "none" (the identity passthrough — no compression CPU).
-	Codec string
-
-	// Tier selects the storage tier checkpoint writes are charged against
-	// (default: the parallel filesystem). With TierBurstBuffer, captures
-	// land on the fast tier — synchronous ones stall for the (cheaper)
-	// burst write, asynchronous ones for only its open latency — and each
-	// sealed epoch accrues a background PFS drain (CheckpointStats.
-	// TierDrainVT) migrating it to durable storage.
-	Tier netmodel.StorageTier
-
-	// StreamBudgetBytes bounds the commit stage's in-flight streaming-
-	// encode memory: concurrent shard streams charge their fixed footprint
-	// against the budget and block when it is exhausted, so peak encode
-	// memory never scales with the image size. Zero selects
-	// DefaultStreamBudgetBytes. The realized high-water mark is reported as
-	// CheckpointStats.PeakEncodeBytes.
-	StreamBudgetBytes int64
-
-	// KeepEpochs, when positive, runs GCStore after every sealed epoch,
-	// retaining the newest KeepEpochs sealed epochs (plus everything they
-	// transitively reference) and reclaiming the rest. Requires a store.
-	KeepEpochs int
-
-	// CompactEvery, when positive, compacts the chain after every
-	// CompactEvery-th seal: the just-sealed epoch is rewritten as a fresh
-	// self-contained epoch (CompactChain), the chain re-roots onto it, and
-	// — combined with KeepEpochs — the old chain becomes reclaimable. An
-	// epoch that is already self-contained resets the counter for free.
-	CompactEvery int
-
-	// DrainSched, when set, shares this job's burst→PFS drains with other
-	// tenants through a netmodel.DrainScheduler instead of assuming the PFS
-	// bandwidth is private (PR 4's unscheduled TierDrainVT pricing). It only
-	// applies to the staged store path — the blob path has no commit stage
-	// to arbitrate. JobID keys this coordinator's traffic in the shared
-	// accounting and DrainPriority ranks it under the priority policy.
-	DrainSched    *netmodel.DrainScheduler
-	JobID         int
-	DrainPriority int
-
-	// FallbackWaitVT is the longest backpressure wait a sealing epoch
-	// tolerates before abandoning the burst tier for a direct PFS commit
-	// (see ModelStore.FallbackWaitVT). Zero tolerates no wait.
-	FallbackWaitVT float64
-
-	// AdmitBacklogBytes, when positive (and DrainSched is set), is the
-	// admission controller's budget: a checkpoint request raised while the
-	// scheduler's backlog exceeds it is refused outright — the runner
-	// retries at a later boundary — rather than letting every tenant pile
-	// more staging traffic onto a tier that cannot absorb it.
-	AdmitBacklogBytes int64
+	// Plan is the job's checkpoint plan, kept by value: Store is defaulted
+	// (see NewCoordinator) and nothing may change once the first request is
+	// raised.
+	Plan Plan
 
 	pending atomic.Bool // fast-path flag read in every wrapper
 
@@ -328,11 +335,10 @@ type Coordinator struct {
 	// manifest, so an out-of-order seal would diff against the wrong
 	// parent. commitMu/commitCond implement the ordering ticket. lastMan is
 	// the most recently sealed manifest: stored only under the ticket (and by
-	// SetStore, before any request), loaded under it as the diff parent and
-	// outside it as the identity pass's chunk hint, which may therefore be an
-	// epoch older than the parent — a sealed manifest is never written again,
-	// and a stale hint only lowers the chunker's hit rate.
-	store      *ModelStore
+	// NewCoordinator), loaded under it as the diff parent and outside it as
+	// the identity pass's chunk hint, which may therefore be an epoch older
+	// than the parent — a sealed manifest is never written again, and a
+	// stale hint only lowers the chunker's hit rate.
 	budget     *StreamBudget // created on first commit, guarded by commitMu
 	nextEpoch  int
 	commitWG   sync.WaitGroup
@@ -345,37 +351,16 @@ type Coordinator struct {
 	sealsSinceCompact int
 }
 
-// NewCoordinator creates a coordinator for a world. The algorithm is
+// NewCoordinator creates a coordinator for a world under a checkpoint plan
+// (nil: no plan — the job never commits to a store). The algorithm is
 // attached afterwards via SetAlgorithm (protocols and coordinator reference
 // each other).
-func NewCoordinator(w *mpi.World, mode Mode) *Coordinator {
-	c := &Coordinator{W: w, Mode: mode}
-	c.cond = sync.NewCond(&c.mu)
-	c.commitCond = sync.NewCond(&c.commitMu)
-	c.parked = make([]bool, w.N)
-	c.descs = make([]*Descriptor, w.N)
-	c.doneRanks = make([]bool, w.N)
-	c.hooks = make([]RankHooks, w.N)
-	c.appLens = make([]int, w.N)
-	// A world abort must wake ranks parked on the coordinator's condition
-	// variable so they observe it and unwind.
-	w.OnAbort(func() {
-		c.mu.Lock()
-		c.cond.Broadcast()
-		c.mu.Unlock()
-	})
-	return c
-}
-
-// SetAlgorithm attaches the job-wide algorithm.
-func (c *Coordinator) SetAlgorithm(a Algorithm) { c.Algo = a }
-
-// SetStore directs the pipeline's commit stage at a store: every capture is
-// encoded into per-rank shards and sealed as a store epoch (in addition to
-// the in-memory JobImage the Result path keeps returning). The store is
-// wrapped in a ModelStore (if it is not one already) so commit traffic is
-// metered through the netmodel storage parameters. Must be called before
-// the first checkpoint request; a nil store restores the blob-only path.
+//
+// With plan.Store set, every capture is encoded into per-rank shards and
+// sealed as a store epoch (in addition to the in-memory JobImage the Result
+// path keeps returning); a plan that needs epochs — incremental reuse to diff
+// against, lifecycle policies to manage — and names no store gets an
+// in-memory one.
 //
 // A store that already holds sealed epochs is RESUMED, not clobbered:
 // numbering continues after the newest sealed epoch and the incremental
@@ -383,32 +368,49 @@ func (c *Coordinator) SetAlgorithm(a Algorithm) { c.Algo = a }
 // pattern, where a restarted allocation keeps checkpointing into the same
 // chain. (Starting at zero would overwrite epoch 0's shards while later
 // epochs still reference them.)
-func (c *Coordinator) SetStore(s Store) error {
-	if s == nil {
-		c.store = nil
-		return nil
+func NewCoordinator(w *mpi.World, plan *Plan) (*Coordinator, error) {
+	c := &Coordinator{W: w}
+	if plan != nil {
+		c.Plan = *plan
 	}
-	ms, ok := s.(*ModelStore)
-	if !ok {
-		ms = NewModelStore(s, c.W.Model, c.nodes())
+	c.cond = sync.NewCond(&c.mu)
+	c.commitCond = sync.NewCond(&c.commitMu)
+	c.parked = make([]bool, w.N)
+	c.descs = make([]*Descriptor, w.N)
+	c.doneRanks = make([]bool, w.N)
+	c.hooks = make([]RankHooks, w.N)
+	c.appLens = make([]int, w.N)
+	if p := &c.Plan; p.Store == nil && (p.Incremental || p.Delta || p.CDC || p.KeepEpochs > 0 || p.CompactEvery > 0) {
+		p.Store = NewMemStore()
 	}
-	epochs, err := ms.Epochs()
-	if err != nil {
-		return fmt.Errorf("ckpt: listing store epochs: %w", err)
-	}
-	if len(epochs) > 0 {
-		latest := epochs[len(epochs)-1]
-		man, err := ms.GetManifest(latest)
+	if store := c.Plan.Store; store != nil {
+		epochs, err := store.Epochs()
 		if err != nil {
-			return fmt.Errorf("ckpt: resuming store chain: %w", err)
+			return nil, fmt.Errorf("ckpt: listing store epochs: %w", err)
 		}
-		c.nextEpoch = latest + 1
-		c.committed = latest + 1 // the ordering ticket continues the chain
-		c.lastMan.Store(man)
+		if len(epochs) > 0 {
+			latest := epochs[len(epochs)-1]
+			man, err := store.GetManifest(latest)
+			if err != nil {
+				return nil, fmt.Errorf("ckpt: resuming store chain: %w", err)
+			}
+			c.nextEpoch = latest + 1
+			c.committed = latest + 1 // the ordering ticket continues the chain
+			c.lastMan.Store(man)
+		}
 	}
-	c.store = ms
-	return nil
+	// A world abort must wake ranks parked on the coordinator's condition
+	// variable so they observe it and unwind.
+	w.OnAbort(func() {
+		c.mu.Lock()
+		c.cond.Broadcast()
+		c.mu.Unlock()
+	})
+	return c, nil
 }
+
+// SetAlgorithm attaches the job-wide algorithm.
+func (c *Coordinator) SetAlgorithm(a Algorithm) { c.Algo = a }
 
 // nodes returns the writer-node count of the job's placement.
 func (c *Coordinator) nodes() int {
@@ -467,8 +469,8 @@ func (c *Coordinator) RequestCheckpoint(vt float64) bool {
 	// tier cannot absorb. (Backlog is read outside c.mu — the scheduler has
 	// its own lock and the check is advisory: a request admitted against a
 	// stale backlog is still priced correctly at seal time.)
-	if c.DrainSched != nil && c.AdmitBacklogBytes > 0 && c.store != nil &&
-		c.DrainSched.Backlog(vt) > c.AdmitBacklogBytes {
+	if p := &c.Plan; p.DrainSched != nil && p.AdmitBacklogBytes > 0 && p.Store != nil &&
+		p.DrainSched.Backlog(vt) > p.AdmitBacklogBytes {
 		c.mu.Lock()
 		if c.ph == phaseIdle || c.ph == phaseReleased {
 			c.deferred++
@@ -622,8 +624,8 @@ func captureBufferCap(expect int) int {
 }
 
 // captureLocked runs stage 1 of the checkpoint pipeline — snapshotting every
-// rank concurrently across CaptureWorkers (default GOMAXPROCS) workers while
-// the whole job is parked — then hands the frozen image to the commit path:
+// rank concurrently (each is parked, so per-rank snapshots are race-free by
+// construction) — then hands the frozen image to the commit path:
 // inline (the job stalls for the full write, today's stop-and-write) or, with
 // Async, in the background after releasing the job against only the storage
 // open latency. Caller holds c.mu, which freezes the parked-rank registry
@@ -639,18 +641,11 @@ func (c *Coordinator) captureLocked() {
 		Algorithm:          c.Algo.Name(),
 		Ranks:              c.W.N,
 		PPN:                c.W.Model.PPN,
-		PaddedBytesPerRank: c.PaddedBytesPerRank,
+		PaddedBytesPerRank: c.Plan.PaddedBytesPerRank,
 		Images:             make([]RankImage, c.W.N),
 	}
-	workers := c.CaptureWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > c.W.N {
-		workers = c.W.N
-	}
 	rankErrs := make([]error, c.W.N)
-	fanOut(c.W.N, workers, func(r int) {
+	fanOut(c.W.N, encodeWorkers(c.W.N), func(r int) {
 		rankErrs[r] = c.captureRank(r, img)
 	})
 	var maxVT float64
@@ -671,7 +666,7 @@ func (c *Coordinator) captureLocked() {
 		ImageBytes:     img.TotalBytes(),
 		Epoch:          -1,
 		CompactedEpoch: -1,
-		Tier:           c.W.Model.EffectiveTier(c.Tier),
+		Tier:           c.W.Model.EffectiveTier(c.Plan.Tier),
 		// Refusals accrued since the previous capture are attributed to this
 		// one: they are the admissions this capture eventually won.
 		AdmissionDeferred: c.deferred,
@@ -703,7 +698,7 @@ func (c *Coordinator) captureLocked() {
 	nodes := c.nodes()
 	c.image = img
 
-	if c.store == nil || c.err != nil {
+	if c.Plan.Store == nil || c.err != nil {
 		// Blob-only path (no commit stage) — also taken when the capture
 		// itself FAILED: a broken capture must never seal a durable epoch,
 		// because a fresh process restarting from the store cannot see
@@ -711,7 +706,7 @@ func (c *Coordinator) captureLocked() {
 		// healthy. The whole (possibly padded) image is charged against the
 		// selected storage tier — fully stalled by default, or latency-
 		// stalled with the transfer overlapped when Async.
-		cost := c.W.Model.TierWriteCost(c.Tier, img.TotalBytes(), nodes, c.Async)
+		cost := c.W.Model.TierWriteCost(c.Plan.Tier, img.TotalBytes(), nodes, c.Plan.Async)
 		c.stats.WriteVT = cost.Total
 		c.stats.StallVT = cost.Stall
 		c.stats.OverlapVT = cost.Overlap
@@ -733,11 +728,11 @@ func (c *Coordinator) captureLocked() {
 	histIdx := len(c.history)
 	c.history = append(c.history, c.stats)
 
-	if c.Async {
+	if c.Plan.Async {
 		// Release the job against only the commit tier's open latency;
 		// stages 2–3 run behind the resumed execution on a private
 		// (double-buffered) image — the next capture allocates a fresh one.
-		stall := c.W.Model.TierWriteCost(c.Tier, 0, nodes, true).Stall
+		stall := c.W.Model.TierWriteCost(c.Plan.Tier, 0, nodes, true).Stall
 		c.stats.StallVT = stall
 		c.history[histIdx].StallVT = stall
 		c.commitWG.Add(1)
@@ -773,7 +768,7 @@ func (c *Coordinator) releaseLocked(resume float64) {
 		}
 	}
 	c.pending.Store(false)
-	if c.Mode == ExitAfterCapture {
+	if c.Plan.Mode == ExitAfterCapture {
 		c.ph = phaseTerminated
 	} else {
 		c.ph = phaseReleased
@@ -782,15 +777,23 @@ func (c *Coordinator) releaseLocked(resume float64) {
 	c.W.NoteActivity()
 }
 
+// sealPrice is what sealing one epoch cost: the modeled write, split into
+// stall and overlap; the background PFS drain of a burst-tier epoch; and the
+// backpressure verdict — the wait the drain backlog imposed, or the fallback
+// to a direct PFS write when the wait was past the plan's patience.
+type sealPrice struct {
+	cost     netmodel.WriteCost
+	drain    float64
+	queue    float64
+	fallback bool
+}
+
 // commitResult carries one epoch commit's outcome back to the stats.
 type commitResult struct {
-	epoch       int
-	stats       *CommitStats
-	cost        netmodel.WriteCost
-	drain       float64 // background PFS drain of a burst-tier epoch
-	queue       float64 // backpressure wait the drain backlog imposed at seal
-	fallback    bool    // backlog forced this epoch direct-to-PFS
-	peakEncode  int64   // streaming encoder's in-flight high-water mark
+	epoch int
+	stats *CommitStats
+	sealPrice
+	peakEncode  int64 // streaming encoder's in-flight high-water mark
 	hostSeconds float64
 	err         error
 
@@ -805,22 +808,24 @@ type commitResult struct {
 
 // commitEpoch runs stages 2–3 for one captured image: hash every shard's
 // identity (parallel with other epochs' hashing — it depends only on this
-// image; the manifest CDC mode reads beside it is a hint), then under the ordering ticket diff against the previous
-// committed manifest (when Incremental), stream the fresh shards into the
-// store under the encode budget, and seal the epoch. Called WITHOUT c.mu
-// held.
-func (c *Coordinator) commitEpoch(epoch int, img *JobImage) commitResult {
+// image; the manifest CDC mode reads beside it is a hint), then under the
+// ordering ticket diff against the previous committed manifest (when
+// Incremental), stream the fresh shards into the store under the encode
+// budget, and seal the epoch. Called WITHOUT c.mu held.
+func (c *Coordinator) commitEpoch(epoch int, img *JobImage) (res commitResult) {
 	//lint:allow wallclock commit hostSeconds deliberately reports host-side commit cost
 	t0 := time.Now()
+	res = commitResult{epoch: epoch, compacted: -1}
+	codec, encErr := CodecByName(c.Plan.Codec)
 	var sums *ShardSums
-	var encErr error
 	switch {
-	case c.CDC:
+	case encErr != nil: // a typo'd codec fails the commit before any work
+	case c.Plan.CDC:
 		// CDC mode also builds the content-defined chunk table the
 		// commit-time chunk index consumes, most of it proved against the
 		// last sealed epoch's instead of searched for.
 		sums, encErr = hashCapture(img, 0, true, c.lastMan.Load())
-	case c.Delta:
+	case c.Plan.Delta:
 		// Delta mode also builds the per-page CRC table the differ needs.
 		sums, encErr = HashCapturePaged(img, ShardPageBytes)
 	default:
@@ -838,59 +843,87 @@ func (c *Coordinator) commitEpoch(epoch int, img *JobImage) commitResult {
 	defer func() {
 		c.committed++
 		c.commitCond.Broadcast()
+		//lint:allow wallclock commit hostSeconds deliberately reports host-side commit cost
+		res.hostSeconds = time.Since(t0).Seconds()
 	}()
 
-	if encErr != nil {
-		//lint:allow wallclock commit hostSeconds deliberately reports host-side commit cost
-		return commitResult{epoch: epoch, compacted: -1, hostSeconds: time.Since(t0).Seconds(), err: encErr}
+	if res.err = encErr; res.err != nil {
+		return res
 	}
-
 	var parent *Manifest
-	if c.Incremental {
+	if c.Plan.Incremental {
 		parent = c.lastMan.Load()
 	}
-	// The ModelStore's metering knobs are per-commit; commits are serialized
-	// by the ordering ticket, so setting them here is race-free — and so is
-	// reading the shared budget's per-epoch peak below.
-	c.store.Nodes = c.nodes()
-	c.store.Overlapped = c.Async
-	c.store.Tier = c.Tier
-	c.store.PadShardBytes = c.PaddedBytesPerRank
-	c.store.Codec = c.Codec
-	// Multi-tenant drain arbitration: the sealing epoch submits its drain to
-	// the shared scheduler (and takes the backpressure/fallback decision)
-	// inside PutManifest, under this same commit ticket.
-	c.store.Drains = c.DrainSched
-	c.store.JobID = c.JobID
-	c.store.Priority = c.DrainPriority
-	c.store.FallbackWaitVT = c.FallbackWaitVT
+	// Commits are serialized by the ordering ticket, so reading the shared
+	// budget's per-epoch peak below is race-free.
 	if c.budget == nil {
-		c.budget = NewStreamBudget(c.StreamBudgetBytes)
+		c.budget = NewStreamBudget(c.Plan.StreamBudgetBytes)
 	}
-	man, st, err := CommitStreamed(c.store, epoch, parent, img, sums, c.budget)
-	peak := c.budget.TakePeak()
+	man, st, err := buildCommit(c.Plan.Store, codec, epoch, parent, img, sums, c.budget)
+	res.peakEncode = c.budget.TakePeak()
+	if err == nil {
+		res.sealPrice, err = c.seal(man)
+	}
 	if err != nil {
-		// Discard the failed epoch's metered bytes (NOT a concurrent
-		// in-flight epoch's — metering is per-epoch) and its partial shard
-		// debris, so the next sealed epoch's cost is not over-charged and
-		// the store does not accumulate dead files.
-		c.store.AbortEpoch(epoch)
-		//lint:allow wallclock commit hostSeconds deliberately reports host-side commit cost
-		return commitResult{epoch: epoch, compacted: -1, peakEncode: peak, hostSeconds: time.Since(t0).Seconds(), err: err}
+		// The epoch never sealed: remove its partial shard debris so the
+		// store does not accumulate dead files (best-effort — the commit
+		// error is the one to surface, and GC sweeps what this leaves).
+		c.Plan.Store.DeleteEpoch(epoch)
+		res.err = err
+		return res
 	}
+	res.stats = st
 	c.lastMan.Store(man)
-	res := commitResult{
-		epoch: epoch, stats: st, cost: c.store.EpochCost(epoch),
-		drain:      c.store.EpochDrain(epoch),
-		queue:      c.store.EpochQueue(epoch),
-		fallback:   c.store.EpochFallback(epoch),
-		peakEncode: peak,
-		compacted:  -1,
-	}
 	c.lifecyclePass(epoch, man, &res)
-	//lint:allow wallclock commit hostSeconds deliberately reports host-side commit cost
-	res.hostSeconds = time.Since(t0).Seconds()
 	return res
+}
+
+// seal prices a finished manifest and seals its epoch — a commit's or a
+// compaction's — under the commit ticket. The charge is WriteBytesOf(man) on
+// the EFFECTIVE tier: requesting the burst tier on a one-tier system is a
+// plain PFS write, and fabricating a drain for it would double-count the
+// storage traffic. The manifest is stamped with the tier before it is
+// encoded, so the chain records where its bytes landed and restart read
+// modeling follows it. A burst-tier epoch also accrues the background PFS
+// drain of the same bytes.
+//
+// With a shared drain scheduler, sealing is also the backpressure decision
+// point: the scheduler is asked how long past the capture time the drain
+// backlog needs to make staging room for this epoch's bytes. A wait within
+// FallbackWaitVT is charged as the epoch's queue stall and shifts the
+// drain's arrival; a longer one abandons the burst tier — the epoch is
+// stamped, charged, and restart-priced as a direct PFS write, and no drain
+// is enqueued. The tier choice is pure accounting (the shards physically
+// land in the store either way), so deciding it at seal time re-prices the
+// epoch without rewriting any data.
+func (c *Coordinator) seal(man *Manifest) (sealPrice, error) {
+	m, p, nodes := c.W.Model, &c.Plan, c.nodes()
+	bytes := WriteBytesOf(man)
+	tier := m.EffectiveTier(p.Tier)
+	var price sealPrice
+	if tier != netmodel.TierPFS && p.DrainSched != nil {
+		wait := p.DrainSched.AdmitDelay(man.CaptureVT, bytes)
+		if math.IsInf(wait, 1) || wait > p.FallbackWaitVT {
+			tier, price.fallback = netmodel.TierPFS, true
+		} else {
+			price.queue = wait
+		}
+	}
+	man.Tier = int(tier)
+	if err := p.Store.PutManifest(man.Epoch, man); err != nil {
+		return sealPrice{}, err
+	}
+	price.cost = m.TierWriteCost(tier, bytes, nodes, p.Async)
+	if tier != netmodel.TierPFS {
+		price.drain = m.TierWriteTime(netmodel.TierPFS, bytes, nodes)
+		if p.DrainSched != nil {
+			p.DrainSched.Enqueue(netmodel.DrainRequest{
+				Job: p.JobID, Epoch: man.Epoch, Bytes: bytes, Nodes: nodes,
+				VT: man.CaptureVT + price.queue, Priority: p.DrainPriority,
+			})
+		}
+	}
+	return price, nil
 }
 
 // lifecyclePass runs the retention policy after one sealed epoch, still
@@ -901,9 +934,9 @@ func (c *Coordinator) commitEpoch(epoch int, img *JobImage) commitResult {
 // parent is lastMan (always retained, keep >= 1), and reuse copies RefEpoch
 // from lastMan's entries, all of which GC traced live.
 func (c *Coordinator) lifecyclePass(epoch int, man *Manifest, res *commitResult) {
-	if c.CompactEvery > 0 {
+	if c.Plan.CompactEvery > 0 {
 		c.sealsSinceCompact++
-		if c.sealsSinceCompact >= c.CompactEvery {
+		if c.sealsSinceCompact >= c.Plan.CompactEvery {
 			hasRefs := false
 			for i := range man.Shards {
 				if man.Shards[i].RefEpoch != man.Epoch {
@@ -915,12 +948,16 @@ func (c *Coordinator) lifecyclePass(epoch int, man *Manifest, res *commitResult)
 				c.sealsSinceCompact = 0 // already self-contained
 			} else if c.reserveEpoch(epoch + 1) {
 				// The compacted epoch takes the number epoch+1, which
-				// CompactChain derives as latest-sealed+1 (nothing newer can
+				// compactChain derives as latest-sealed+1 (nothing newer can
 				// seal while we hold the ticket). The number is consumed
 				// either way: the ticket advances past it even when the
 				// compaction fails and the number is burned, or later
 				// commits would wait forever for a seal that never comes.
-				newMan, _, err := CompactChain(c.store, epoch, c.budget)
+				newMan, _, err := compactChain(c.Plan.Store, epoch, c.budget)
+				var price sealPrice
+				if err == nil {
+					price, err = c.seal(newMan)
+				}
 				c.committed++
 				if err != nil {
 					res.lifecycleErr = fmt.Errorf("compacting chain at epoch %d: %w", epoch, err)
@@ -930,7 +967,7 @@ func (c *Coordinator) lifecyclePass(epoch int, man *Manifest, res *commitResult)
 					// the copy, so shard reuse keeps working across it.
 					c.lastMan.Store(newMan)
 					res.compacted = newMan.Epoch
-					res.compactVT = c.store.EpochCost(newMan.Epoch).Total
+					res.compactVT = price.cost.Total
 					c.sealsSinceCompact = 0
 				}
 			}
@@ -938,8 +975,8 @@ func (c *Coordinator) lifecyclePass(epoch int, man *Manifest, res *commitResult)
 			// leave the counter tripped and retry at the next seal.
 		}
 	}
-	if c.KeepEpochs > 0 && res.lifecycleErr == nil {
-		gc, err := GCStore(c.store, c.KeepEpochs)
+	if c.Plan.KeepEpochs > 0 && res.lifecycleErr == nil {
+		gc, err := GCStore(c.Plan.Store, c.Plan.KeepEpochs)
 		res.gc = gc
 		if err != nil {
 			res.lifecycleErr = fmt.Errorf("gc after epoch %d: %w", epoch, err)
@@ -1011,7 +1048,10 @@ func (c *Coordinator) applyCommitLocked(histIdx int, res commitResult) {
 		e.GCDeletedShards = res.gc.DeletedShards
 		e.GCSweptObjects = res.gc.SweptObjects
 		e.GCReclaimedBytes = res.gc.ReclaimedBytes
-		e.GCVT = res.gc.DeleteVT
+		// Deletes are metadata operations: the cost scales with the objects
+		// removed, not their bytes.
+		e.GCVT = c.W.Model.TierDeleteTime(c.W.Model.EffectiveTier(c.Plan.Tier),
+			res.gc.DeletedShards+res.gc.DeletedEpochs+res.gc.SweptObjects)
 	}
 	if res.lifecycleErr != nil && c.err == nil {
 		c.err = fmt.Errorf("ckpt: lifecycle pass after epoch %d: %w", res.epoch, res.lifecycleErr)
@@ -1136,9 +1176,9 @@ func (c *Coordinator) Terminated() bool {
 	return c.ph == phaseTerminated
 }
 
-// WaitLocked blocks the caller on the coordinator condition variable for one
-// wake cycle; protocols use it inside their own decide loops. The caller
-// must NOT hold c's lock; pred is evaluated under it.
+// WaitFor blocks the caller on the coordinator condition variable until pred
+// holds; protocols use it inside their own decide loops. The caller must NOT
+// hold c's lock; pred is evaluated under it.
 func (c *Coordinator) WaitFor(pred func() bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -40,9 +40,13 @@ func (s *stubAlgo) VerifySafeState() error {
 	return s.verifyErr
 }
 
-func newStubCoordinator(n int, mode Mode) (*Coordinator, *stubAlgo, *mpi.World) {
+func newStubCoordinator(t testing.TB, n int, plan Plan) (*Coordinator, *stubAlgo, *mpi.World) {
+	t.Helper()
 	w := mpi.NewWorld(n, netmodel.New(netmodel.PerlmutterLike(), n))
-	c := NewCoordinator(w, mode)
+	c, err := NewCoordinator(w, &plan)
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := &stubAlgo{quiesced: true}
 	c.SetAlgorithm(a)
 	for r := 0; r < n; r++ {
@@ -60,7 +64,7 @@ func newStubCoordinator(n int, mode Mode) (*Coordinator, *stubAlgo, *mpi.World) 
 
 func TestCoordinatorCaptureRelease(t *testing.T) {
 	const n = 3
-	c, _, _ := newStubCoordinator(n, ContinueAfterCapture)
+	c, _, _ := newStubCoordinator(t, n, Plan{})
 	if !c.RequestCheckpoint(1.0) {
 		t.Fatal("request rejected")
 	}
@@ -116,7 +120,7 @@ func TestCoordinatorCaptureRelease(t *testing.T) {
 
 func TestCoordinatorTerminate(t *testing.T) {
 	const n = 2
-	c, _, _ := newStubCoordinator(n, ExitAfterCapture)
+	c, _, _ := newStubCoordinator(t, n, Plan{Mode: ExitAfterCapture})
 	c.RequestCheckpoint(0)
 	var wg sync.WaitGroup
 	outcomes := make([]Outcome, n)
@@ -140,7 +144,7 @@ func TestCoordinatorTerminate(t *testing.T) {
 }
 
 func TestCoordinatorUnparkOnResume(t *testing.T) {
-	c, _, _ := newStubCoordinator(2, ContinueAfterCapture)
+	c, _, _ := newStubCoordinator(t, 2, Plan{})
 	c.RequestCheckpoint(0)
 	// Rank 0 parks but its decide resumes when poked with work available.
 	work := false
@@ -167,7 +171,7 @@ func TestCoordinatorUnparkOnResume(t *testing.T) {
 }
 
 func TestCoordinatorQuiesceGatesCapture(t *testing.T) {
-	c, a, _ := newStubCoordinator(1, ContinueAfterCapture)
+	c, a, _ := newStubCoordinator(t, 1, Plan{})
 	a.mu.Lock()
 	a.quiesced = false
 	a.mu.Unlock()
@@ -191,7 +195,7 @@ func TestCoordinatorQuiesceGatesCapture(t *testing.T) {
 }
 
 func TestCoordinatorVerifyFailureSurfaces(t *testing.T) {
-	c, a, _ := newStubCoordinator(1, ContinueAfterCapture)
+	c, a, _ := newStubCoordinator(t, 1, Plan{})
 	a.mu.Lock()
 	a.verifyErr = errors.New("boom")
 	a.mu.Unlock()
@@ -203,7 +207,7 @@ func TestCoordinatorVerifyFailureSurfaces(t *testing.T) {
 }
 
 func TestCoordinatorDoneRanksCountAsParked(t *testing.T) {
-	c, _, _ := newStubCoordinator(2, ContinueAfterCapture)
+	c, _, _ := newStubCoordinator(t, 2, Plan{})
 	c.FinishRank(1) // rank 1 finished before the request
 	c.RequestCheckpoint(0)
 	o := c.ParkUntil(0, &Descriptor{Kind: ParkBoundary}, func() Decision { return Stay })
@@ -226,7 +230,7 @@ func TestCaptureBufferAllocatedOnce(t *testing.T) {
 	const grown = 8 << 20
 	block := make([]byte, 64<<10)
 	state := grown * 100 / 101 // what the rank was restored from
-	c, _, _ := newStubCoordinator(1, ContinueAfterCapture)
+	c, _, _ := newStubCoordinator(t, 1, Plan{})
 	c.RegisterRank(0, RankHooks{
 		AppSnapshotTo: func(w io.Writer) error {
 			for left := state; left > 0; left -= min(left, len(block)) {

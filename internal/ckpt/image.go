@@ -171,8 +171,8 @@ type Manifest struct {
 	Parent int
 	// Tier records which storage tier this epoch was committed to
 	// (netmodel.StorageTier: 0 = parallel FS, 1 = burst buffer). Stamped by
-	// the ModelStore at seal time; restart read modeling charges the chain
-	// against this tier. Zero on stores committed without a cost model.
+	// the coordinator at seal time; restart read modeling charges the chain
+	// against this tier. Zero on epochs sealed outside a coordinator.
 	Tier int
 }
 

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -219,13 +220,14 @@ func TestExtractRank(t *testing.T) {
 }
 
 // TestCaptureSerialParallelEquivalent: the coordinator must build the same
-// image regardless of the capture fan-out width.
+// image regardless of the capture fan-out width, which follows GOMAXPROCS.
 func TestCaptureSerialParallelEquivalent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	capture := func(workers int) *JobImage {
+		runtime.GOMAXPROCS(workers)
 		const n = 16
 		w := mpi.NewWorld(n, netmodel.New(netmodel.PerlmutterLike(), 4))
-		c := NewCoordinator(w, ContinueAfterCapture)
-		c.CaptureWorkers = workers
+		c, _ := NewCoordinator(w, nil) // no plan: cannot fail
 		a := &stubAlgo{quiesced: true}
 		c.SetAlgorithm(a)
 		for r := 0; r < n; r++ {

@@ -41,15 +41,6 @@ type GCStats struct {
 	// ReclaimedBytes is the total stored bytes freed (shards, manifests,
 	// and debris).
 	ReclaimedBytes int64
-	// DeleteVT is the modeled virtual time of the deletion traffic, when
-	// the store prices it (ModelStore); zero otherwise. Deletes are
-	// metadata operations — the cost scales with object count, not bytes.
-	DeleteVT float64
-}
-
-// epochDeleter matches stores that can price deletion traffic (ModelStore).
-type epochDeleter interface {
-	DeleteCost(objects int) float64
 }
 
 // GCStore reclaims every dead epoch of a store, keeping the newest `keep`
@@ -136,7 +127,6 @@ func GCStore(store Store, keep int) (*GCStats, error) {
 	// Dead epochs, newest first (see above). Their manifests are read
 	// BEFORE any deletion so the object count is known even though the
 	// manifest is the first thing DeleteEpoch removes.
-	objects := 0
 	for i := len(epochs) - 1; i >= 0; i-- {
 		e := epochs[i]
 		if live[e] {
@@ -157,20 +147,15 @@ func GCStore(store Store, keep int) (*GCStats, error) {
 		}
 		st.DeletedEpochs++
 		st.DeletedShards += fresh
-		objects += fresh + 1 // shards + manifest
 	}
 
 	if sw, ok := store.(Sweeper); ok {
 		bytes, swept, err := sw.SweepUnsealed(epochs[len(epochs)-1])
 		st.ReclaimedBytes += bytes
 		st.SweptObjects += swept
-		objects += swept
 		if err != nil {
 			return st, fmt.Errorf("ckpt: gc sweeping unsealed debris: %w", err)
 		}
-	}
-	if d, ok := store.(epochDeleter); ok {
-		st.DeleteVT = d.DeleteCost(objects)
 	}
 	return st, nil
 }
@@ -196,6 +181,20 @@ func GCStore(store Store, keep int) (*GCStats, error) {
 // On any copy or verification failure nothing is sealed and the partial
 // new epoch is removed.
 func CompactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *CommitStats, error) {
+	man, st, err := compactChain(store, epoch, budget)
+	if err != nil || st == nil {
+		return man, st, err
+	}
+	if err := store.PutManifest(man.Epoch, man); err != nil {
+		return nil, nil, err
+	}
+	return man, st, nil
+}
+
+// compactChain is CompactChain up to the seal: the new epoch's objects are
+// written and its manifest returned finished but UNSEALED, for the caller to
+// PutManifest (tier as the source epoch's).
+func compactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *CommitStats, error) {
 	man, err := store.GetManifest(epoch)
 	if err != nil {
 		return nil, nil, err
@@ -234,7 +233,7 @@ func CompactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *Com
 		Version:            man.Version,
 		Epoch:              newEpoch,
 		Parent:             -1,
-		Tier:               man.Tier, // ModelStore re-stamps at seal
+		Tier:               man.Tier, // the coordinator's seal re-stamps it
 	}
 	st := &CommitStats{Epoch: newEpoch}
 	errs := make([]error, len(man.Shards))
@@ -286,22 +285,15 @@ func CompactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *Com
 	})
 	for _, err := range errs {
 		if err != nil {
-			// Nothing sealed: remove the partial epoch's debris (and, on a
-			// ModelStore, the bytes metered toward it).
-			if ms, ok := store.(interface{ AbortEpoch(int) }); ok {
-				ms.AbortEpoch(newEpoch)
-			} else {
-				store.DeleteEpoch(newEpoch)
-			}
+			// Nothing sealed: remove the partial epoch's debris, best-effort
+			// (the copy error is the one to surface).
+			store.DeleteEpoch(newEpoch)
 			return nil, nil, err
 		}
 	}
 	for i := range newMan.Shards {
 		st.FreshShards++
 		st.FreshBytes += newMan.Shards[i].Size
-	}
-	if err := store.PutManifest(newEpoch, newMan); err != nil {
-		return nil, nil, err
 	}
 	return newMan, st, nil
 }

@@ -1,9 +1,10 @@
 package ckpt
 
 import (
+	"errors"
+	"math"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 
 	"mana/internal/netmodel"
@@ -275,94 +276,68 @@ func TestLatestEpochEmptyStore(t *testing.T) {
 	}
 }
 
-// TestModelStoreAbortKeepsConcurrentMeter is the regression test for the
-// shared-pending bug: aborting one epoch must not zero the bytes metered
-// toward a different in-flight epoch, so the surviving epoch's sealed cost
-// still prices its traffic.
-func TestModelStoreAbortKeepsConcurrentMeter(t *testing.T) {
-	model := netmodel.New(netmodel.EthernetLike(), 2)
-	ms := NewModelStore(NewMemStore(), model, 2)
-
-	payload := make([]byte, 1<<20)
-	if err := ms.PutShard(0, 0, payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := ms.PutShard(1, 0, payload); err != nil {
-		t.Fatal(err)
-	}
-	ms.AbortEpoch(0)
-	if err := ms.PutManifest(1, &Manifest{Version: ManifestV3, Epoch: 1, Parent: -1, Ranks: 1}); err != nil {
-		t.Fatal(err)
-	}
-	got := ms.EpochCost(1)
-	want := model.TierWriteCost(netmodel.TierPFS, int64(len(payload)), 2, false)
-	if got != want {
-		t.Fatalf("epoch 1 cost %+v, want %+v (abort of epoch 0 drained its meter?)", got, want)
-	}
-	if _, err := ms.GetShard(0, 0); err == nil {
-		t.Fatal("aborted epoch's debris shard survived")
-	}
+// sealRefuser refuses to seal epoch 0, once release is closed: the commit
+// fails after its shards are already written, and not before the test has
+// put a second epoch in flight behind it.
+type sealRefuser struct {
+	*MemStore
+	release chan struct{}
 }
 
-// TestModelStoreConcurrentCommitAbort hammers interleaved commits and
-// aborts across distinct epochs under the race detector: every sealed
-// epoch's cost reflects exactly its own bytes.
-func TestModelStoreConcurrentCommitAbort(t *testing.T) {
-	model := netmodel.New(netmodel.EthernetLike(), 2)
-	ms := NewModelStore(NewMemStore(), model, 2)
-	const epochs = 16
-	payload := make([]byte, 64<<10)
-
-	var wg sync.WaitGroup
-	for e := 0; e < epochs; e++ {
-		wg.Add(1)
-		go func(e int) {
-			defer wg.Done()
-			if err := ms.PutShard(e, 0, payload); err != nil {
-				t.Error(err)
-				return
-			}
-			if e%2 == 0 {
-				ms.AbortEpoch(e)
-				return
-			}
-			if err := ms.PutManifest(e, &Manifest{Version: ManifestV3, Epoch: e, Parent: -1, Ranks: 1}); err != nil {
-				t.Error(err)
-			}
-		}(e)
+func (s *sealRefuser) PutManifest(epoch int, man *Manifest) error {
+	if epoch == 0 {
+		<-s.release
+		return errors.New("seal refused")
 	}
-	wg.Wait()
-
-	want := model.TierWriteCost(netmodel.TierPFS, int64(len(payload)), 2, false)
-	for e := 0; e < epochs; e++ {
-		cost := ms.EpochCost(e)
-		if e%2 == 0 {
-			if cost.Total != 0 {
-				t.Errorf("aborted epoch %d has a sealed cost %+v", e, cost)
-			}
-			continue
-		}
-		if cost != want {
-			t.Errorf("epoch %d cost %+v, want %+v", e, cost, want)
-		}
-	}
+	return s.MemStore.PutManifest(epoch, man)
 }
 
-// TestGCStoreDeleteCostPriced: on a ModelStore the reclaim pass reports the
-// modeled metadata cost of the deletions it performed.
-func TestGCStoreDeleteCostPriced(t *testing.T) {
-	model := netmodel.New(netmodel.EthernetLike(), 2)
-	ms := NewModelStore(NewMemStore(), model, 2)
-	commitLifecycleChain(t, ms)
-	st, err := GCStore(ms, 1)
+// TestFailedCommitLeavesNoDebris: a background commit that fails at the seal
+// removes the shard objects it had already written and surfaces through
+// Result, and the epoch captured while it was in flight still seals — at its
+// own manifest's price, charged for nothing the failed epoch wrote.
+func TestFailedCommitLeavesNoDebris(t *testing.T) {
+	store := &sealRefuser{MemStore: NewMemStore(), release: make(chan struct{})}
+	c, _, w := newStubCoordinator(t, 4, Plan{Store: store, Async: true})
+	captureNow(t, c, 1)
+	captureNow(t, c, 2)
+	close(store.release)
+	if _, _, err := c.Result(); err == nil || !strings.Contains(err.Error(), "committing epoch 0: seal refused") {
+		t.Fatalf("failed seal not surfaced: %v", err)
+	}
+	for key := range store.shards {
+		if key[0] == 0 {
+			t.Fatalf("unsealed epoch 0 left shard object %v behind", key)
+		}
+	}
+	if epochs, _ := store.Epochs(); len(epochs) != 1 || epochs[0] != 1 {
+		t.Fatalf("sealed epochs %v, want only epoch 1", epochs)
+	}
+	man, err := store.GetManifest(1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	hist := c.History()
+	if hist[0].WriteVT != 0 || hist[0].FreshShards != 0 {
+		t.Fatalf("the epoch that never sealed was charged: %+v", hist[0])
+	}
+	if want := w.Model.TierWriteCost(netmodel.TierPFS, WriteBytesOf(man), 1, true); hist[1].WriteVT != want.Total || hist[1].OverlapVT != want.Overlap {
+		t.Fatalf("epoch 1 charged %g (overlap %g), its own manifest prices %+v", hist[1].WriteVT, hist[1].OverlapVT, want)
+	}
+}
+
+// TestGCStoreDeleteCostPriced: the reclaim pass is charged the modeled
+// metadata cost of the deletions it performed.
+func TestGCStoreDeleteCostPriced(t *testing.T) {
+	model := netmodel.New(netmodel.EthernetLike(), 2)
+	s := newPinSealer(t, pinPlan{params: netmodel.EthernetLike()})
+	commitLifecycleChain(t, s.c.Plan.Store)
+	st, vt := s.collect(t, 1)
 	if st.DeletedEpochs != 2 {
 		t.Fatalf("want the chain middle deleted: %+v", st)
 	}
 	// Two epochs, each one fresh shard plus its manifest.
-	if want := ms.DeleteCost(4); st.DeleteVT != want {
-		t.Fatalf("DeleteVT %g, want %g", st.DeleteVT, want)
+	if want := model.TierDeleteTime(netmodel.TierPFS, 4); math.Float64frombits(vt) != want {
+		t.Fatalf("GCVT %g, want %g", math.Float64frombits(vt), want)
 	}
 }

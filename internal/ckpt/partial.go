@@ -82,18 +82,16 @@ func (si *ShardInfo) extents(visit func(k int, e extent)) {
 
 // ownRanges lists the extents a partial entry stores itself as spans of its
 // logical stream — what the writer copies out of the captured image, and the
-// index set (dirty pages, fresh chunks) the object's header repeats — and
-// their total length.
-func (si *ShardInfo) ownRanges() (own []shardRange, bytes int64) {
+// index set (dirty pages, fresh chunks) the object's header repeats.
+func (si *ShardInfo) ownRanges() (own []shardRange) {
 	var off int64
 	si.extents(func(k int, e extent) {
 		if e.own {
 			own = append(own, shardRange{idx: k, off: off, n: e.n, crc: e.crc})
-			bytes += e.n
 		}
 		off += e.n
 	})
-	return own, bytes
+	return own
 }
 
 // ShardSource is one stored object, other than the entry's own, that a
@@ -146,8 +144,8 @@ func (si *ShardInfo) Sources() (own int64, others []ShardSource) {
 
 // paddedShare prices `part` of the entry's RawSize logical bytes against a
 // padded per-rank image size: the whole stream is the whole padded size, a
-// fraction of it that fraction. Both sides of the model — the write charge
-// of a partial object and the restart read set — use this one expression.
+// fraction of it that fraction. Both sides of the model — WriteBytesOf and
+// ReadSetOf — use this one expression.
 func (si *ShardInfo) paddedShare(padded, part int64) int64 {
 	if part >= si.RawSize {
 		return padded

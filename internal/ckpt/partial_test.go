@@ -73,7 +73,7 @@ func (c *partialChain) rewriteOwnObject(t *testing.T, ri RankImage, hdrOf *Shard
 	if stream.size != c.si.RawSize {
 		t.Fatalf("rewritten stream changed length: %d vs %d", stream.size, c.si.RawSize)
 	}
-	own, _ := c.si.ownRanges()
+	own := c.si.ownRanges()
 	for k := range own {
 		if own[k].crc, err = stream.writeRange(io.Discard, own[k].off, own[k].n); err != nil {
 			t.Fatal(err)

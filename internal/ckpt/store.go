@@ -9,23 +9,22 @@ package ckpt
 // manifest last, so a crash mid-commit leaves a dangling unsealed epoch that
 // Epochs() simply does not report.
 //
-// Three implementations:
+// Two implementations:
 //
 //   - MemStore: a map; the default commit target when a plan enables the
 //     staged pipeline without naming a store.
 //   - FileStore: one directory per epoch, one file per fresh shard plus the
 //     sealed manifest — the on-disk layout a real MANA-style per-rank image
 //     tree collapses into.
-//   - ModelStore: a decorator that meters every write through the netmodel
-//     storage parameters, turning commit traffic into the virtual-time
-//     write cost the coordinator charges as stall (synchronous captures) or
-//     overlap (asynchronous ones).
+//
+// A store moves bytes and knows nothing of what they cost: both sides of the
+// storage model are functions of a sealed manifest (WriteBytesOf, ReadSetOf),
+// and the coordinator prices an epoch from them when it seals it.
 
 import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -74,8 +73,8 @@ type Store interface {
 
 // Sweeper is the optional debris-collection side of a Store: removal of
 // unsealed (aborted) epoch leftovers that Epochs() hides but that otherwise
-// accumulate forever. All three built-in stores implement it; GCStore uses
-// it when present.
+// accumulate forever. Both built-in stores implement it; GCStore uses it
+// when present.
 type Sweeper interface {
 	// SweepUnsealed removes every unsealed epoch's leftovers with an epoch
 	// number strictly below `before`, returning the bytes and object count
@@ -508,344 +507,6 @@ func removeSized(path string) (int64, bool, error) {
 	return fi.Size(), true, nil
 }
 
-// -------------------------------------------------------------- ModelStore
-
-// ModelStore decorates a Store with the netmodel's storage cost model:
-// every shard and manifest written through it is metered, and each sealed
-// epoch's traffic is converted into a netmodel.WriteCost against the
-// selected storage tier. The coordinator commits through a ModelStore and
-// charges the resulting Stall to the rank clocks (the whole write for
-// synchronous captures, only the tier's open latency for asynchronous ones,
-// with the transfer accounted as Overlap).
-//
-// An epoch committed to the burst-buffer tier additionally accrues a drain
-// cost: the background parallel-FS write that migrates the sealed epoch to
-// durable storage (burst buffers are staging space, not an archive). The
-// drain never stalls the job; EpochDrain exposes it and the coordinator
-// reports it as CheckpointStats.TierDrainVT.
-type ModelStore struct {
-	Inner Store
-	Model *netmodel.Model
-
-	// Nodes is the writer-node count the bandwidth model fans out over.
-	Nodes int
-	// Overlapped selects the forked-checkpoint cost split (see
-	// netmodel.TierWriteCost).
-	Overlapped bool
-	// Tier is the storage tier commits are charged against. Sealed
-	// manifests are stamped with it (Manifest.Tier) so restart read
-	// modeling knows where the chain's bytes live.
-	Tier netmodel.StorageTier
-	// PadShardBytes, when positive, charges every fresh shard at this size
-	// instead of its actual blob length (reproducing the paper's padded
-	// image sizes). Reused shards are never charged — that is the
-	// incremental win. Page-delta shards are charged pro-rata (the dirty
-	// fraction of the padded size): delta bytes are priced, never padded
-	// back up to whole shards.
-	PadShardBytes int64
-	// Codec names the codec fresh shards are encoded through ("flate" or
-	// "none", see CodecByName; empty is flate). The choice is persisted per
-	// shard (ShardInfo.CodecID) so decode follows the stored bytes, not the
-	// current configuration.
-	Codec string
-
-	// Drains, when set, submits every burst-tier epoch's background PFS
-	// drain to a shared multi-tenant scheduler instead of assuming the
-	// drain owns the PFS bandwidth. The standalone pricing recorded by
-	// EpochDrain is unchanged (it is exactly the request's uncontended
-	// service time); what the scheduler adds is backpressure — a bounded
-	// staging capacity whose backlog delays admission (EpochQueue) or, past
-	// FallbackWaitVT, forces the epoch straight to the PFS (EpochFallback).
-	Drains *netmodel.DrainScheduler
-	// JobID keys this store's traffic in the shared scheduler's accounting.
-	JobID int
-	// Priority ranks this store's drains under the scheduler's priority
-	// policy (higher serves first; ignored by the other policies).
-	Priority int
-	// FallbackWaitVT is the longest admission delay a sealing epoch
-	// tolerates before abandoning the burst tier: a backlog that cannot
-	// make room within it forces the epoch direct-to-PFS. Zero tolerates no
-	// wait at all (any backlog past capacity falls back).
-	FallbackWaitVT float64
-
-	mu sync.Mutex
-	// pending is keyed by epoch: with double-buffered background commits
-	// two epochs meter bytes concurrently, and aborting one must not
-	// discard (or a seal consume) the bytes accumulated for the other.
-	pending   map[int]int64
-	costs     map[int]netmodel.WriteCost
-	drains    map[int]float64 // burst-tier epochs: background PFS drain time
-	queues    map[int]float64 // backpressure: admission wait charged at seal
-	fallbacks map[int]bool    // epochs the backlog forced direct-to-PFS
-
-	// Cumulative drain totals. Unlike drains these survive DeleteEpoch,
-	// so a job's lifetime staging volume stays auditable after GC and
-	// compaction have retired the epochs that produced it.
-	totalDrainBytes int64
-	totalDrains     int
-}
-
-// NewModelStore wraps a store with the storage cost model (parallel-FS tier
-// by default; set Tier before the first commit to stage on the burst tier).
-func NewModelStore(inner Store, model *netmodel.Model, nodes int) *ModelStore {
-	return &ModelStore{
-		Inner: inner, Model: model, Nodes: nodes,
-		pending:   make(map[int]int64),
-		costs:     make(map[int]netmodel.WriteCost),
-		drains:    make(map[int]float64),
-		queues:    make(map[int]float64),
-		fallbacks: make(map[int]bool),
-	}
-}
-
-// meteredShardWriter counts the bytes of one shard stream and charges them
-// (or the padded size) to the ModelStore's pending epoch at Close — the
-// stream equivalent of metering a blob put, with the charge landing only
-// once the object is durably installed.
-type meteredShardWriter struct {
-	s      *ModelStore
-	inner  io.WriteCloser
-	epoch  int
-	n      int64
-	pad    int64 // per-stream charge override (delta pro-rata pricing)
-	closed bool
-}
-
-func (w *meteredShardWriter) Write(p []byte) (int, error) {
-	n, err := w.inner.Write(p)
-	w.n += int64(n)
-	return n, err
-}
-
-func (w *meteredShardWriter) Close() error {
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	if err := w.inner.Close(); err != nil {
-		return err
-	}
-	charged := w.n
-	if w.pad > 0 {
-		charged = w.pad
-	} else if w.s.PadShardBytes > 0 {
-		charged = w.s.PadShardBytes
-	}
-	w.s.mu.Lock()
-	w.s.pending[w.epoch] += charged
-	w.s.mu.Unlock()
-	return nil
-}
-
-// PutShardStream implements Store, metering the stream as it closes.
-func (s *ModelStore) PutShardStream(epoch, rank int) (io.WriteCloser, error) {
-	w, err := s.Inner.PutShardStream(epoch, rank)
-	if err != nil {
-		return nil, err
-	}
-	return &meteredShardWriter{s: s, inner: w, epoch: epoch}, nil
-}
-
-// putShardStreamPadded opens a metered stream whose Close charges `pad`
-// bytes regardless of PadShardBytes — how a page-delta shard is priced at
-// the dirty fraction of the padded image size instead of a whole padded
-// shard. pad <= 0 falls back to the default metering.
-func (s *ModelStore) putShardStreamPadded(epoch, rank int, pad int64) (io.WriteCloser, error) {
-	w, err := s.Inner.PutShardStream(epoch, rank)
-	if err != nil {
-		return nil, err
-	}
-	return &meteredShardWriter{s: s, inner: w, epoch: epoch, pad: pad}, nil
-}
-
-// OpenShard implements Store.
-func (s *ModelStore) OpenShard(epoch, rank int) (io.ReadCloser, error) {
-	return s.Inner.OpenShard(epoch, rank)
-}
-
-// PutShard implements Store, metering the write.
-func (s *ModelStore) PutShard(epoch, rank int, blob []byte) error {
-	return putShardBlob(s, epoch, rank, blob)
-}
-
-// GetShard implements Store.
-func (s *ModelStore) GetShard(epoch, rank int) ([]byte, error) { return s.Inner.GetShard(epoch, rank) }
-
-// PutManifest implements Store. Sealing the epoch converts the bytes
-// accumulated since the previous seal into that epoch's write cost on the
-// configured tier, stamping the manifest with the tier before it is encoded
-// so the chain records where its bytes landed. Burst-tier epochs also
-// accrue the background PFS drain cost for the same bytes.
-//
-// With a shared drain scheduler attached, sealing is also the backpressure
-// decision point: the scheduler is asked how long past the capture time the
-// drain backlog needs to make staging room for this epoch's bytes. A wait
-// within FallbackWaitVT is charged as the epoch's queue stall (EpochQueue)
-// and shifts the drain's arrival; a longer one abandons the burst tier —
-// the epoch is stamped, charged, and restart-priced as a direct PFS write
-// (EpochFallback), and no drain is enqueued. The tier choice is pure
-// accounting (the shards physically land in the inner store either way), so
-// deciding it at seal time re-prices the epoch without rewriting any data.
-func (s *ModelStore) PutManifest(epoch int, man *Manifest) error {
-	// The EFFECTIVE tier is stamped and charged: requesting the burst tier
-	// on a one-tier system is a plain PFS write, and fabricating a drain
-	// for it would double-count the storage traffic.
-	tier := s.Model.EffectiveTier(s.Tier)
-	s.mu.Lock()
-	pending := s.pending[epoch]
-	s.mu.Unlock()
-	queue, fallback := 0.0, false
-	if tier != netmodel.TierPFS && s.Drains != nil {
-		wait := s.Drains.AdmitDelay(man.CaptureVT, pending)
-		if math.IsInf(wait, 1) || wait > s.FallbackWaitVT {
-			tier, fallback = netmodel.TierPFS, true
-		} else {
-			queue = wait
-		}
-	}
-	man.Tier = int(tier)
-	if err := s.Inner.PutManifest(epoch, man); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Re-read under the lock: the sealed-last contract means every shard
-	// writer has closed by now, but the defensive re-read keeps the charge
-	// consistent even if a stray late close raced the snapshot above.
-	pending = s.pending[epoch]
-	s.costs[epoch] = s.Model.TierWriteCost(tier, pending, s.Nodes, s.Overlapped)
-	if queue > 0 {
-		s.queues[epoch] = queue
-	}
-	if fallback {
-		s.fallbacks[epoch] = true
-	}
-	if tier != netmodel.TierPFS {
-		s.drains[epoch] = s.Model.TierWriteTime(netmodel.TierPFS, pending, s.Nodes)
-		s.totalDrainBytes += pending
-		s.totalDrains++
-		if s.Drains != nil {
-			s.Drains.Enqueue(netmodel.DrainRequest{
-				Job: s.JobID, Epoch: epoch, Bytes: pending, Nodes: s.Nodes,
-				VT: man.CaptureVT + queue, Priority: s.Priority,
-			})
-		}
-	}
-	delete(s.pending, epoch)
-	return nil
-}
-
-// GetManifest implements Store.
-func (s *ModelStore) GetManifest(epoch int) (*Manifest, error) { return s.Inner.GetManifest(epoch) }
-
-// Epochs implements Store.
-func (s *ModelStore) Epochs() ([]int, error) { return s.Inner.Epochs() }
-
-// DeleteShard implements Store. Deletion is metadata traffic; DeleteCost
-// prices it per object, not per byte.
-func (s *ModelStore) DeleteShard(epoch, rank int) (int64, error) {
-	return s.Inner.DeleteShard(epoch, rank)
-}
-
-// DeleteEpoch implements Store, dropping the epoch's recorded cost and
-// drain along with its bytes so a later epoch reusing the number (after a
-// chain reset) cannot inherit a stale price.
-func (s *ModelStore) DeleteEpoch(epoch int) (int64, error) {
-	n, err := s.Inner.DeleteEpoch(epoch)
-	s.mu.Lock()
-	delete(s.costs, epoch)
-	delete(s.drains, epoch)
-	delete(s.queues, epoch)
-	delete(s.fallbacks, epoch)
-	s.mu.Unlock()
-	return n, err
-}
-
-// SweepUnsealed implements Sweeper when the inner store does; on a bare
-// inner store it reclaims nothing.
-func (s *ModelStore) SweepUnsealed(before int) (int64, int, error) {
-	if sw, ok := s.Inner.(Sweeper); ok {
-		return sw.SweepUnsealed(before)
-	}
-	return 0, 0, nil
-}
-
-// DeleteCost models reclaiming `objects` store objects on the configured
-// tier: one open plus a per-object metadata operation (priced as a Seek).
-// Deleted bytes never travel, so bytes do not appear in the cost.
-func (s *ModelStore) DeleteCost(objects int) float64 {
-	return s.Model.TierDeleteTime(s.Model.EffectiveTier(s.Tier), objects)
-}
-
-// EpochCost returns the modeled write cost of a sealed epoch (zero-valued
-// if the epoch was not committed through this ModelStore instance).
-func (s *ModelStore) EpochCost(epoch int) netmodel.WriteCost {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.costs[epoch]
-}
-
-// EpochDrain returns the modeled background drain time of a burst-tier
-// epoch — the parallel-FS write that migrates the sealed epoch to durable
-// storage. Zero for epochs committed directly to the PFS (nothing to
-// migrate) or not committed through this instance.
-func (s *ModelStore) EpochDrain(epoch int) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.drains[epoch]
-}
-
-// TotalDrainBytes returns the cumulative bytes this store has ever staged for
-// background drain, across all epochs including ones since garbage-collected
-// or compacted away. When the store feeds a DrainScheduler this equals the
-// scheduler's per-job byte meter for this store's JobID.
-func (s *ModelStore) TotalDrainBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.totalDrainBytes
-}
-
-// TotalDrains returns the cumulative count of drain requests this store has
-// recorded (one per burst-tier seal, including compacted epochs).
-func (s *ModelStore) TotalDrains() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.totalDrains
-}
-
-// EpochQueue returns the backpressure stall charged when the epoch sealed:
-// how long the drain backlog made the epoch wait for staging room. Zero
-// without a scheduler, without a capacity bound, or when room existed at the
-// capture time.
-func (s *ModelStore) EpochQueue(epoch int) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queues[epoch]
-}
-
-// EpochFallback reports whether the drain backlog forced this epoch to
-// abandon the burst tier and commit direct-to-PFS.
-func (s *ModelStore) EpochFallback(epoch int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fallbacks[epoch]
-}
-
-// AbortEpoch discards bytes metered toward one epoch whose commit failed
-// before sealing, so they are not charged to a later sealed epoch's cost.
-// Only the named epoch's meter is cleared: under double-buffered background
-// commits a concurrent in-flight epoch keeps the bytes already metered for
-// it. The aborted epoch's partial shard objects (debris the sealed-last
-// contract hides but nothing else would remove) are deleted from the inner
-// store best-effort — the epoch was never sealed, so there is no manifest
-// ordering to respect.
-func (s *ModelStore) AbortEpoch(epoch int) {
-	s.mu.Lock()
-	delete(s.pending, epoch)
-	s.mu.Unlock()
-	s.Inner.DeleteEpoch(epoch)
-}
-
 // ------------------------------------------------------------ commit stage
 
 // CommitStats summarizes one epoch commit: the incremental differ's verdict
@@ -1001,15 +662,29 @@ func hintFor(hint *Manifest, i, rank int) []ChunkRef {
 	return hint.Shards[i].Chunks
 }
 
-// CommitStreamed runs the ordered tail of the commit: diff the hashed shard
-// identities against the parent manifest, stream the fresh set into the
-// store (each shard codec+checksum straight into its PutShardStream writer
-// — no whole-shard slice anywhere), and seal the manifest: raw identities
+// CommitStreamed runs the ordered tail of the commit — buildCommit through
+// the flate codec — and seals the manifest as built.
+func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sums *ShardSums, budget *StreamBudget) (*Manifest, *CommitStats, error) {
+	man, st, err := buildCommit(store, FlateCodec(0), epoch, parent, img, sums, budget)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := store.PutManifest(epoch, man); err != nil {
+		return nil, nil, err
+	}
+	return man, st, nil
+}
+
+// buildCommit diffs the hashed shard identities against the parent manifest
+// and streams the fresh set into the store (each shard codec+checksum
+// straight into its PutShardStream writer — no whole-shard slice anywhere),
+// returning the epoch's finished manifest UNSEALED: raw identities
 // (RawSum/RawSize, page and chunk tables) from sums, which must be the
 // identity pass over this very img, stored sizes and checksums from the
 // writers. Nothing here re-hashes the raw stream, and a partial object
 // reads only the pages or chunks it stores. budget bounds the fan-out's
-// in-flight encode memory; nil selects a default-capacity budget.
+// in-flight encode memory; nil selects a default-capacity budget. The
+// caller seals (PutManifest) or, on error, removes the epoch's debris.
 //
 // When sums carries page tables (HashCapturePaged), the diff is page-
 // granular: a changed rank whose parent entry has a compatible page table
@@ -1017,22 +692,13 @@ func hintFor(hint *Manifest, i, rank int) []ChunkRef {
 // anchored at the chain's most recent FULL shard for that rank (deltas
 // never chain off deltas, so restart reads exactly two objects). The
 // manifest seals as ManifestV4.
-func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sums *ShardSums, budget *StreamBudget) (*Manifest, *CommitStats, error) {
+func buildCommit(store Store, codec Codec, epoch int, parent *Manifest, img *JobImage, sums *ShardSums, budget *StreamBudget) (*Manifest, *CommitStats, error) {
 	n := len(img.Images)
 	if budget == nil {
 		budget = NewStreamBudget(0)
 	}
 	deltaMode := sums.PageSums != nil
 	cdcMode := sums.Chunks != nil
-	ms, _ := store.(*ModelStore)
-	codecName := ""
-	if ms != nil {
-		codecName = ms.Codec
-	}
-	codec, err := CodecByName(codecName)
-	if err != nil {
-		return nil, nil, err
-	}
 
 	parentByRank := make(map[int]*ShardInfo)
 	if parent != nil {
@@ -1227,8 +893,8 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 				return fmt.Errorf("ckpt: rank %d shard is %d raw bytes but was hashed as %d (sums are not this image's)",
 					ri.Rank, stream.size, si.RawSize)
 			}
-			own, ownBytes := si.ownRanges()
-			dst, err := openFreshStream(store, ms, epoch, si, ownBytes)
+			own := si.ownRanges()
+			dst, err := store.PutShardStream(epoch, si.Rank)
 			if err != nil {
 				return err
 			}
@@ -1292,9 +958,6 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 			st.CDCBytes += man.Shards[i].Size
 		}
 	}
-	if err := store.PutManifest(epoch, man); err != nil {
-		return nil, nil, err
-	}
 	return man, st, nil
 }
 
@@ -1331,18 +994,6 @@ func dirtyPages(p *ShardInfo, pages []uint32) []int32 {
 		}
 	}
 	return dirty
-}
-
-// openFreshStream opens the store stream one fresh shard encodes into. With
-// a padded image size configured, a partial object is charged the share of
-// the padded size its ownBytes of payload cover (paddedShare — the same
-// expression ReadSetOf prices the read with), never padded back up to a
-// whole shard.
-func openFreshStream(store Store, ms *ModelStore, epoch int, si *ShardInfo, ownBytes int64) (io.WriteCloser, error) {
-	if ms != nil && ms.PadShardBytes > 0 && si.Partial() {
-		return ms.putShardStreamPadded(epoch, si.Rank, max(1, si.paddedShare(ms.PadShardBytes, ownBytes)))
-	}
-	return store.PutShardStream(epoch, si.Rank)
 }
 
 // ------------------------------------------------------------- load/verify
@@ -1522,6 +1173,32 @@ func ExtractRankFromStore(store Store, epoch, rank int) (*RankImage, error) {
 		return loadShard(store, man, si)
 	}
 	return nil, fmt.Errorf("ckpt: epoch %d has no rank %d", epoch, rank)
+}
+
+// WriteBytesOf is the write charge of one epoch: the bytes its seal is priced
+// on, from its manifest alone. Only the objects the epoch itself holds travel
+// to storage — a reference is free, which is the incremental win. With a
+// padded image size every full shard charges PaddedBytesPerRank and a partial
+// object the share of it its own payload covers (never padded back up to a
+// whole shard, never below one byte); otherwise each object charges its
+// stored size. ReadSetOf prices the same objects by the same expression, so
+// a restart is charged against exactly what the chain was charged to write.
+func WriteBytesOf(man *Manifest) int64 {
+	pad := man.PaddedBytesPerRank
+	var bytes int64
+	for i := range man.Shards {
+		si := &man.Shards[i]
+		if si.RefEpoch != man.Epoch {
+			continue
+		}
+		if pad > 0 {
+			own, _ := si.Sources()
+			bytes += max(1, si.paddedShare(pad, own))
+		} else {
+			bytes += si.Size
+		}
+	}
+	return bytes
 }
 
 // ReadSetOf computes the restart read fan-in of one epoch: the manifest's

@@ -263,20 +263,16 @@ func TestUnsealedEpochIgnored(t *testing.T) {
 	}
 }
 
-// TestModelStoreMetering: commit traffic is converted to modeled write
+// TestSealMetering: a sealed epoch's bytes are converted to modeled write
 // time; incremental epochs charge only fresh bytes, and the overlapped
 // split stalls only the open latency.
-func TestModelStoreMetering(t *testing.T) {
+func TestSealMetering(t *testing.T) {
 	params := netmodel.EthernetLike()
 	model := netmodel.New(params, 2)
-	ms := NewModelStore(NewMemStore(), model, 2)
+	s := newPinSealer(t, pinPlan{params: params})
 
-	img0 := testImage(4, 3)
-	man0, _, err := CommitCapture(ms, 0, nil, img0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := ms.EpochCost(0)
+	man0, p := s.seal(t, "", 0, nil, testImage(4, 3))
+	full := p.cost
 	if full.Total <= params.StorageLatency {
 		t.Fatalf("full epoch cost %+v not above latency", full)
 	}
@@ -286,11 +282,9 @@ func TestModelStoreMetering(t *testing.T) {
 
 	// Incremental + overlapped epoch: nothing fresh, so the transfer charge
 	// collapses to the latency floor; the stall is just the latency.
-	ms.Overlapped = true
-	if _, _, err := CommitCapture(ms, 1, man0, testImage(4, 3)); err != nil {
-		t.Fatal(err)
-	}
-	incr := ms.EpochCost(1)
+	s.c.Plan.Async = true
+	_, p = s.seal(t, "", 1, man0, testImage(4, 3))
+	incr := p.cost
 	if incr.Total >= full.Total {
 		t.Fatalf("incremental epoch %+v not cheaper than full %+v", incr, full)
 	}
@@ -298,49 +292,47 @@ func TestModelStoreMetering(t *testing.T) {
 		t.Fatalf("overlapped stall %g, want latency %g", incr.Stall, params.StorageLatency)
 	}
 
-	// Padded charging: every fresh shard bills PadShardBytes.
-	ms.Overlapped = false
-	ms.PadShardBytes = 1 << 20
+	// Padded charging: every fresh shard bills PaddedBytesPerRank.
+	s.c.Plan.Async = false
 	img2 := testImage(4, 4)
-	if _, _, err := CommitCapture(ms, 2, nil, img2); err != nil {
-		t.Fatal(err)
-	}
-	padded := ms.EpochCost(2)
+	img2.PaddedBytesPerRank = 1 << 20
+	_, p = s.seal(t, "", 2, nil, img2)
+	padded := p.cost
 	want := model.TierWriteCost(netmodel.TierPFS, 4<<20, 2, false)
 	if padded != want {
 		t.Fatalf("padded cost %+v, want %+v", padded, want)
 	}
 }
 
-// TestModelStoreTiering: burst-tier commits are charged against the burst
+// TestSealTiering: burst-tier seals are charged against the burst
 // constants, stamp the manifest with the tier, and accrue a background PFS
-// drain; direct-PFS commits drain nothing.
-func TestModelStoreTiering(t *testing.T) {
+// drain; direct-PFS seals drain nothing.
+func TestSealTiering(t *testing.T) {
 	params := netmodel.PerlmutterLike()
 	model := netmodel.New(params, 2)
-	ms := NewModelStore(NewMemStore(), model, 2)
-	ms.PadShardBytes = 64 << 20
-
-	if _, _, err := CommitCapture(ms, 0, nil, testImage(4, 3)); err != nil {
-		t.Fatal(err)
+	s := newPinSealer(t, pinPlan{params: params})
+	ms := s.c.Plan.Store
+	padded := func(img *JobImage) *JobImage {
+		img.PaddedBytesPerRank = 64 << 20
+		return img
 	}
-	pfs := ms.EpochCost(0)
-	if ms.EpochDrain(0) != 0 {
-		t.Fatalf("direct-PFS epoch has a drain: %g", ms.EpochDrain(0))
+
+	_, p := s.seal(t, "", 0, nil, padded(testImage(4, 3)))
+	pfs := p.cost
+	if p.drain != 0 {
+		t.Fatalf("direct-PFS epoch has a drain: %g", p.drain)
 	}
 	if man, err := ms.GetManifest(0); err != nil || man.Tier != int(netmodel.TierPFS) {
 		t.Fatalf("PFS epoch mis-stamped: tier=%v err=%v", man.Tier, err)
 	}
 
-	ms.Tier = netmodel.TierBurstBuffer
-	if _, _, err := CommitCapture(ms, 1, nil, testImage(4, 4)); err != nil {
-		t.Fatal(err)
-	}
-	bb := ms.EpochCost(1)
+	s.c.Plan.Tier = netmodel.TierBurstBuffer
+	_, p = s.seal(t, "", 1, nil, padded(testImage(4, 4)))
+	bb := p.cost
 	if bb.Total >= pfs.Total {
 		t.Fatalf("burst write %+v not cheaper than PFS %+v", bb, pfs)
 	}
-	drain := ms.EpochDrain(1)
+	drain := p.drain
 	if want := model.TierWriteTime(netmodel.TierPFS, 4*(64<<20), 2); drain != want {
 		t.Fatalf("burst epoch drain %g, want the PFS write %g", drain, want)
 	}
@@ -353,15 +345,12 @@ func TestModelStoreTiering(t *testing.T) {
 	// fabricated drain, manifest stamped with the effective tier.
 	flat := params
 	flat.BurstAggBW, flat.BurstNodeBW = 0, 0
-	fs := NewModelStore(NewMemStore(), netmodel.New(flat, 2), 2)
-	fs.Tier = netmodel.TierBurstBuffer
-	if _, _, err := CommitCapture(fs, 0, nil, testImage(4, 5)); err != nil {
-		t.Fatal(err)
+	fs := newPinSealer(t, pinPlan{params: flat, tier: netmodel.TierBurstBuffer})
+	_, p = fs.seal(t, "", 0, nil, testImage(4, 5))
+	if p.drain != 0 {
+		t.Fatalf("one-tier system fabricated a drain: %g", p.drain)
 	}
-	if d := fs.EpochDrain(0); d != 0 {
-		t.Fatalf("one-tier system fabricated a drain: %g", d)
-	}
-	if man, err := fs.GetManifest(0); err != nil || man.Tier != int(netmodel.TierPFS) {
+	if man, err := fs.c.Plan.Store.GetManifest(0); err != nil || man.Tier != int(netmodel.TierPFS) {
 		t.Fatalf("one-tier epoch not normalized to PFS: tier=%v err=%v", man.Tier, err)
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"mana/internal/mpi"
-	"mana/internal/netmodel"
 )
 
 // straddlingImage draws a rank image whose segment boundaries (header | App
@@ -114,12 +113,22 @@ func checkStored(t *testing.T, store Store, si *ShardInfo, codecName string, ref
 	}
 }
 
-// codecStore is a MemStore behind a ModelStore pinned to one codec — the
-// way the coordinator selects a commit's codec.
-func codecStore(codecName string) *ModelStore {
-	ms := NewModelStore(NewMemStore(), netmodel.New(netmodel.PerlmutterLike(), 2), 1)
-	ms.Codec = codecName
-	return ms
+// commitWith is CommitStreamed through a named codec — the way the
+// coordinator selects a commit's codec: the builder, then the seal.
+func commitWith(t testing.TB, store Store, codecName string, epoch int, parent *Manifest, img *JobImage, sums *ShardSums) (*Manifest, *CommitStats) {
+	t.Helper()
+	codec, err := CodecByName(codecName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, st, err := buildCommit(store, codec, epoch, parent, img, sums, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.PutManifest(epoch, man); err != nil {
+		t.Fatal(err)
+	}
+	return man, st
 }
 
 // TestPageDeltaRangesMatchSlicedStream: randomized images, page sizes that
@@ -163,11 +172,8 @@ func TestPageDeltaRangesMatchSlicedStream(t *testing.T) {
 				RawFormat: RawFormatChunked, PageSize: pageSize, PageSums: pages, Size: 100}
 		}
 
-		store := codecStore(codecName)
-		man, _, err := CommitStreamed(store, 1, parent, img, sums, nil)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		store := NewMemStore()
+		man, _ := commitWith(t, store, codecName, 1, parent, img, sums)
 		for r := range man.Shards {
 			si := &man.Shards[r]
 			sort.Slice(dirty[r], func(a, b int) bool { return dirty[r][a] < dirty[r][b] })
@@ -234,11 +240,8 @@ func TestCDCRangesMatchSlicedStream(t *testing.T) {
 		}
 		parent.Shards[3].Chunks = foreign
 
-		store := codecStore(codecName)
-		man, _, err := CommitStreamed(store, 1, parent, img, sums, nil)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		store := NewMemStore()
+		man, _ := commitWith(t, store, codecName, 1, parent, img, sums)
 		for r := range man.Shards {
 			si := &man.Shards[r]
 			if si.RawFormat != RawFormatCDC {

@@ -119,6 +119,9 @@ func goldenChain(t *testing.T, plan rt.CkptPlan, insertEvery int) (*ckpt.MemStor
 			t.Fatal(err)
 		}
 		records.Write(rec)
+		// The epoch's write charge, from the manifest alone, is the bytes of
+		// the objects the epoch holds (nothing here is padded or collected).
+		charged, stored := ckpt.WriteBytesOf(man), int64(0)
 		for i := range man.Shards {
 			si := &man.Shards[i] // decoded for this call alone, so free to edit
 			fmt.Fprintf(records, "|%d/%d %d %x|", e, si.Rank, si.Size, si.Checksum)
@@ -129,6 +132,7 @@ func goldenChain(t *testing.T, plan rt.CkptPlan, insertEvery int) (*ckpt.MemStor
 				}
 				fmt.Fprintf(objects, "|%d/%d %d|", e, si.Rank, len(blob))
 				objects.Write(blob)
+				stored += int64(len(blob))
 			}
 			// The entry minus its 64-bit stream identities: what is left is
 			// geometry, references and the CRC-32C tables.
@@ -138,6 +142,9 @@ func goldenChain(t *testing.T, plan rt.CkptPlan, insertEvery int) (*ckpt.MemStor
 			}
 		}
 		fmt.Fprintf(shape, "%+v\n", *man)
+		if charged != stored {
+			t.Errorf("epoch %d: manifest prices %d written bytes, the store holds %d", e, charged, stored)
+		}
 	}
 	sum := func(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)) }
 	return store, goldenDigests{sum(objects), sum(shape), sum(records)}

@@ -66,7 +66,7 @@ func TestPropertyGgidInjectiveOnSmallGroups(t *testing.T) {
 // instances, for direct unit tests of the seq/target machinery.
 func newTestCC(n int) (*CC, []ckpt.Protocol, *mpi.World) {
 	w := mpi.NewWorld(n, netmodel.New(netmodel.PerlmutterLike(), n))
-	coord := ckpt.NewCoordinator(w, ckpt.ContinueAfterCapture)
+	coord, _ := ckpt.NewCoordinator(w, nil) // no plan: cannot fail
 	cc := New(coord)
 	protos := make([]ckpt.Protocol, n)
 	for r := 0; r < n; r++ {

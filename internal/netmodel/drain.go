@@ -6,12 +6,13 @@ package netmodel
 // bandwidth, and the backlog of not-yet-drained epochs occupies burst-buffer
 // capacity that the next epoch's writes need. A DrainScheduler arbitrates
 // that shared bandwidth: each drain request is priced at its uncontended
-// TierWriteTime (exactly the figure ckpt.ModelStore has always reported as
-// EpochDrain), and the scheduler's arbitration policy decides how much LATER
-// than that a request actually finishes when others are in flight. The
-// excess is the contention signal (QueueVT); the outstanding bytes are the
-// backlog that, bounded by a capacity, produces backpressure — admission
-// delays and direct-to-PFS fallback — in the checkpoint coordinator.
+// TierWriteTime (exactly the figure the checkpoint coordinator reports as
+// CheckpointStats.TierDrainVT), and the scheduler's arbitration policy
+// decides how much LATER than that a request actually finishes when others
+// are in flight. The excess is the contention signal (QueueVT); the
+// outstanding bytes are the backlog that, bounded by a capacity, produces
+// backpressure — admission delays and direct-to-PFS fallback — in the
+// checkpoint coordinator.
 //
 // The scheduler is deterministic and purely virtual-time: it keeps an
 // append-only log of requests and every query replays the arbitration from
@@ -150,9 +151,9 @@ func (s *DrainScheduler) Len() int {
 
 // Enqueue logs one drain request and returns its ticket (the index Result
 // resolves). The request's standalone service is priced immediately at the
-// target tier's uncontended TierWriteTime — identical to the figure
-// ckpt.ModelStore records as EpochDrain — so a single-tenant scheduler
-// reproduces the unscheduled pricing exactly.
+// target tier's uncontended TierWriteTime — identical to the figure the
+// checkpoint coordinator reports as CheckpointStats.TierDrainVT — so a
+// single-tenant scheduler reproduces the unscheduled pricing exactly.
 func (s *DrainScheduler) Enqueue(r DrainRequest) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

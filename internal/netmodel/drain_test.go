@@ -14,7 +14,7 @@ func drainModel(t testing.TB) *Model {
 // pricing: a single tenant whose drains never overlap must see every request
 // finish exactly Standalone after arrival, with zero queueing excess, under
 // every policy — and Standalone must be bit-identical to the TierWriteTime
-// figure ckpt.ModelStore records as EpochDrain.
+// figure the checkpoint coordinator reports as CheckpointStats.TierDrainVT.
 func TestDrainSingleJobParity(t *testing.T) {
 	m := drainModel(t)
 	cases := []struct {

@@ -18,7 +18,7 @@ const (
 	// dedicated burst-buffer appliance): low open latency, bandwidth that
 	// scales with writer nodes, no shared metadata server to stagger on.
 	// Epochs committed here are drained to the PFS in the background (see
-	// ckpt.ModelStore); the drain is a TierPFS write.
+	// ckpt.CheckpointStats.TierDrainVT); the drain is a TierPFS write.
 	TierBurstBuffer
 )
 

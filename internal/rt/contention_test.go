@@ -13,10 +13,10 @@ import (
 // share: periodic async incremental captures staged on the burst tier with
 // the lifecycle policies (GC + compaction) active, all draining through one
 // shared scheduler.
-func contentionPlan(ms *ckpt.ModelStore, sched *netmodel.DrainScheduler, job int) *CkptPlan {
+func contentionPlan(store ckpt.Store, sched *netmodel.DrainScheduler, job int) *CkptPlan {
 	return &CkptPlan{
 		AtStep: 2, Every: 1e-6, Mode: ckpt.ContinueAfterCapture,
-		Store: ms, Async: true, Incremental: true,
+		Store: store, Async: true, Incremental: true,
 		KeepEpochs: 4, CompactEvery: 3,
 		Tier:       netmodel.TierBurstBuffer,
 		DrainSched: sched, JobID: job, DrainPriority: job % 2,
@@ -27,11 +27,10 @@ func contentionPlan(ms *ckpt.ModelStore, sched *netmodel.DrainScheduler, job int
 // TestContentionRaceAccounting runs several goroutine-concurrent jobs that
 // share one DrainScheduler, each with GC and compaction retiring epochs
 // behind the captures, and asserts the per-job byte accounting partitions
-// exactly: every job's scheduler meter equals its own store's cumulative
-// drain meter (no cross-job bleed), and the per-job meters sum to the
-// scheduler totals. This extends the per-epoch abort isolation of the
-// concurrent-capture fix to cross-job isolation, and is the designated
-// -race workout for the scheduler's locking.
+// exactly: a solo job's scheduler meter is the write charge of the burst-tier
+// manifests it sealed, under contention every job still stages something,
+// and the per-job meters sum to the scheduler totals (no cross-job bleed).
+// It is the designated -race workout for the scheduler's locking.
 func TestContentionRaceAccounting(t *testing.T) {
 	const (
 		jobs       = 4
@@ -45,11 +44,14 @@ func TestContentionRaceAccounting(t *testing.T) {
 
 	// Solo probe: one job through a private scheduler pins the accounting
 	// equality without contention and sizes the shared capacity below.
+	// Retention is off, so every manifest it sealed — compactions included —
+	// is still in the store to be priced.
 	probeCfg := testConfig(ranks, AlgoCC)
 	probeModel := netmodel.New(probeCfg.Params, probeCfg.PPN)
 	probeSched := netmodel.NewDrainScheduler(probeModel, netmodel.DrainFIFO)
-	probeStore := ckpt.NewModelStore(ckpt.NewMemStore(), probeModel, 2)
+	probeStore := ckpt.NewMemStore()
 	probeCfg.Checkpoint = contentionPlan(probeStore, probeSched, 0)
+	probeCfg.Checkpoint.KeepEpochs = 0
 	probeRep, err := Run(probeCfg, func(rank int) App { return newFrostApp(rank, frostIters) })
 	if err != nil {
 		t.Fatal(err)
@@ -61,11 +63,24 @@ func TestContentionRaceAccounting(t *testing.T) {
 	if probe.Requests == 0 || probe.Bytes <= 0 {
 		t.Fatalf("probe job staged nothing: %+v", probe)
 	}
-	if got := probeStore.TotalDrainBytes(); got != probe.Bytes {
-		t.Fatalf("probe store metered %d drain bytes, scheduler %d", got, probe.Bytes)
+	var sealedBytes int64
+	sealed, err := probeStore.Epochs()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := probeStore.TotalDrains(); got != probe.Requests {
-		t.Fatalf("probe store recorded %d drains, scheduler %d", got, probe.Requests)
+	for _, e := range sealed {
+		man, err := probeStore.GetManifest(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if man.Tier != int(netmodel.TierBurstBuffer) {
+			t.Fatalf("probe epoch %d sealed on tier %d with an unbounded scheduler", e, man.Tier)
+		}
+		sealedBytes += ckpt.WriteBytesOf(man)
+	}
+	if sealedBytes != probe.Bytes || len(sealed) != probe.Requests {
+		t.Fatalf("probe sealed %d burst epochs charging %d bytes, scheduler logged %d drains of %d bytes",
+			len(sealed), sealedBytes, probe.Requests, probe.Bytes)
 	}
 
 	// Shared run: capacity bounded at one job's lifetime volume so the
@@ -77,15 +92,13 @@ func TestContentionRaceAccounting(t *testing.T) {
 	sched.SetCapacity(probe.Bytes)
 
 	var (
-		wg     sync.WaitGroup
-		stores [jobs]*ckpt.ModelStore
-		reps   [jobs]*Report
-		errs   [jobs]error
+		wg   sync.WaitGroup
+		reps [jobs]*Report
+		errs [jobs]error
 	)
 	for j := 0; j < jobs; j++ {
 		cfg := testConfig(ranks, AlgoCC)
-		stores[j] = ckpt.NewModelStore(ckpt.NewMemStore(), netmodel.New(cfg.Params, cfg.PPN), 2)
-		cfg.Checkpoint = contentionPlan(stores[j], sched, j)
+		cfg.Checkpoint = contentionPlan(ckpt.NewMemStore(), sched, j)
 		wg.Add(1)
 		go func(j int, cfg Config) {
 			defer wg.Done()
@@ -108,15 +121,6 @@ func TestContentionRaceAccounting(t *testing.T) {
 		js := sched.JobStats(j)
 		if js.Requests == 0 || js.Bytes <= 0 {
 			t.Fatalf("job %d staged nothing: %+v", j, js)
-		}
-		// The cross-structure equality: the store's write meter and the
-		// scheduler's per-job meter were fed independently and must agree
-		// to the byte even after GC/compaction retired the epochs.
-		if got := stores[j].TotalDrainBytes(); got != js.Bytes {
-			t.Fatalf("job %d: store metered %d drain bytes, scheduler %d", j, got, js.Bytes)
-		}
-		if got := stores[j].TotalDrains(); got != js.Requests {
-			t.Fatalf("job %d: store recorded %d drains, scheduler %d", j, got, js.Requests)
 		}
 		for _, e := range reps[j].CheckpointHistory {
 			if e.DrainQueueVT < 0 || math.IsNaN(e.DrainQueueVT) {

@@ -244,7 +244,7 @@ func (a *leakBuf) Buffer(id string) []byte {
 // receives and non-blocking collective requests must survive pruning.
 func TestStepBoundaryPrunesCompletedRecvs(t *testing.T) {
 	w := mpi.NewWorld(2, netmodel.New(netmodel.PerlmutterLike(), 2))
-	coord := ckpt.NewCoordinator(w, ckpt.ContinueAfterCapture)
+	coord, _ := ckpt.NewCoordinator(w, nil) // no plan: cannot fail
 	algo := ckpt.NewNative()
 	coord.SetAlgorithm(algo)
 	app := &leakBuf{}

@@ -26,109 +26,9 @@ const (
 	AlgoCC     = "cc"
 )
 
-// CkptPlan schedules checkpointing during a run.
-type CkptPlan struct {
-	// AtVT requests the (first) checkpoint when any rank's virtual clock
-	// first reaches this time (seconds).
-	AtVT float64
-	// AtStep, when positive, requests the checkpoint at the boundary where
-	// rank 0 has completed exactly AtStep application steps, instead of at a
-	// virtual time. Step counts are a deterministic property of the program,
-	// so two runs with the same AtStep raise the request at the identical
-	// point in rank 0's execution — the trigger the conformance engine
-	// sweeps. AtStep takes precedence over AtVT.
-	AtStep int
-	// Every, when positive, requests further checkpoints at this virtual
-	// period after each capture — the production pattern of periodic
-	// checkpoints during a long run. Only meaningful with
-	// ContinueAfterCapture.
-	Every float64
-	// Mode selects continue-in-place or exit-for-restart.
-	Mode ckpt.Mode
-	// PaddedBytesPerRank, when positive, overrides the measured image size
-	// in the storage model (to reproduce the paper's image sizes). With
-	// periodic checkpointing every capture is padded, so Checkpoint,
-	// CheckpointHistory, and the charged write times all agree.
-	PaddedBytesPerRank int64
-
-	// Async enables the staged pipeline's overlapped mode: the job resumes
-	// as soon as all ranks are snapshotted, paying only the storage open
-	// latency, while shard encode and store commit run behind execution
-	// (CheckpointStats.OverlapVT instead of StallVT).
-	Async bool
-	// Incremental enables shard reuse across the Store's epochs: ranks
-	// whose state did not change since the previous committed capture are
-	// recorded as references instead of re-written. Requires Store.
-	Incremental bool
-	// Delta enables sub-rank page deltas on top of Incremental: capture
-	// hashing keeps a per-page CRC table, and a rank whose shard changed in
-	// only a few 64 KiB pages is stored as a page-delta object holding just
-	// the dirty pages (ckpt.RawFormatPageDelta) against the chain's full
-	// base shard. Requires Store (defaulted like Incremental).
-	Delta bool
-	// CDC enables content-defined chunking on top of Incremental: capture
-	// hashing splits each rank's stream on Gear rolling-hash boundaries,
-	// and a changed rank stores only content-new chunks as a chunk object
-	// (ckpt.RawFormatCDC) referencing the chain's existing chunks — reuse
-	// survives insertions, deletions, and cross-rank duplication. Requires
-	// Store (defaulted like Incremental); mutually exclusive with Delta.
-	CDC bool
-	// Codec selects the stored-object codec for every committed shard:
-	// "flate" (default; empty means flate) or "none" (identity passthrough,
-	// no compression CPU).
-	Codec string
-	// Tier selects the storage tier checkpoint writes are charged against
-	// (netmodel.TierPFS by default). TierBurstBuffer stages captures on the
-	// fast tier — with Async the job stalls only for the burst open
-	// latency — while each sealed epoch accrues a background parallel-FS
-	// drain (CheckpointStats.TierDrainVT).
-	Tier netmodel.StorageTier
-	// Store, when non-nil, receives every capture as a sealed epoch (shards
-	// plus manifest) in addition to the in-memory image. Restart can load
-	// any sealed epoch back via RestartFromStore.
-	Store ckpt.Store
-	// StreamBudgetBytes bounds the commit stage's in-flight streaming-
-	// encode memory: shards gob+compress+checksum straight into the store's
-	// shard streams, and concurrent streams charge a fixed footprint
-	// against this budget, so peak encode memory never scales with the
-	// image size. Zero selects ckpt.DefaultStreamBudgetBytes. The realized
-	// high-water mark is reported per capture as
-	// CheckpointStats.PeakEncodeBytes.
-	StreamBudgetBytes int64
-	// KeepEpochs, when positive, garbage-collects the store after every
-	// sealed epoch, retaining the newest KeepEpochs epochs plus everything
-	// their manifests transitively reference (ckpt.GCStore). Reclaimed
-	// bytes are reported per capture in CheckpointStats. Requires Store.
-	KeepEpochs int
-	// CompactEvery, when positive, compacts the chain after every
-	// CompactEvery-th seal: the newest epoch is rewritten as a fresh
-	// self-contained epoch (ckpt.CompactChain), bounding the restart read
-	// fan-in (RestartReadVT) no matter how deep the incremental chain
-	// grows, and making the old chain reclaimable by KeepEpochs.
-	CompactEvery int
-
-	// DrainSched, when non-nil, shares this job's burst→PFS drains with
-	// other tenants through one netmodel.DrainScheduler: sealed burst
-	// epochs' drains queue against every job using the same scheduler
-	// instead of assuming a private PFS, and a bounded scheduler capacity
-	// feeds back as backpressure (CheckpointStats.DrainQueueVT), forced
-	// direct-to-PFS fallback (CheckpointStats.PFSFallback), and admission
-	// deferrals. Store-path only; requires Tier = TierBurstBuffer to have
-	// any effect. JobID keys this job in the shared per-job accounting and
-	// DrainPriority ranks it under the scheduler's priority policy.
-	DrainSched    *netmodel.DrainScheduler
-	JobID         int
-	DrainPriority int
-	// FallbackWaitVT is the longest backpressure wait a sealing epoch
-	// tolerates before abandoning the burst tier for a direct PFS commit.
-	// Zero tolerates none: any wait for staging room forces the fallback.
-	FallbackWaitVT float64
-	// AdmitBacklogBytes, when positive, enables admission control: a
-	// periodic checkpoint trigger that fires while the shared backlog
-	// exceeds this budget is refused and retried at a later boundary
-	// (counted in CheckpointStats.AdmissionDeferred).
-	AdmitBacklogBytes int64
-}
+// CkptPlan schedules checkpointing during a run: the coordinator's plan,
+// under the name Config has always used for it.
+type CkptPlan = ckpt.Plan
 
 // Config describes one job.
 type Config struct {
@@ -223,7 +123,7 @@ func Run(cfg Config, factory func(rank int) App) (*Report, error) {
 		return nil, err
 	}
 	w := mpi.NewWorld(cfg.Ranks, netmodel.New(cfg.Params, cfg.PPN))
-	coord, err := newCoordinator(w, cfg.Checkpoint)
+	coord, err := ckpt.NewCoordinator(w, cfg.Checkpoint)
 	if err != nil {
 		return nil, err
 	}
@@ -231,45 +131,6 @@ func Run(cfg Config, factory func(rank int) App) (*Report, error) {
 		return nil, err
 	}
 	return runJob(cfg, w, coord, factory, nil)
-}
-
-// newCoordinator builds the checkpoint coordinator for a job, applying the
-// plan's capture tuning (padded image sizes) and attaching the commit store
-// (resuming its chain if it already holds epochs).
-func newCoordinator(w *mpi.World, plan *CkptPlan) (*ckpt.Coordinator, error) {
-	mode := ckpt.ContinueAfterCapture
-	if plan != nil {
-		mode = plan.Mode
-	}
-	coord := ckpt.NewCoordinator(w, mode)
-	if plan != nil {
-		coord.PaddedBytesPerRank = plan.PaddedBytesPerRank
-		coord.Async = plan.Async
-		coord.Incremental = plan.Incremental
-		coord.Delta = plan.Delta
-		coord.CDC = plan.CDC
-		coord.Codec = plan.Codec
-		coord.Tier = plan.Tier
-		coord.StreamBudgetBytes = plan.StreamBudgetBytes
-		coord.KeepEpochs = plan.KeepEpochs
-		coord.CompactEvery = plan.CompactEvery
-		coord.DrainSched = plan.DrainSched
-		coord.JobID = plan.JobID
-		coord.DrainPriority = plan.DrainPriority
-		coord.FallbackWaitVT = plan.FallbackWaitVT
-		coord.AdmitBacklogBytes = plan.AdmitBacklogBytes
-		store := plan.Store
-		if store == nil && (plan.Incremental || plan.Delta || plan.CDC || plan.KeepEpochs > 0 || plan.CompactEvery > 0) {
-			// Incremental reuse needs epochs to diff against (and the
-			// lifecycle policies need epochs to manage); default to an
-			// in-memory store when the plan names none.
-			store = ckpt.NewMemStore()
-		}
-		if err := coord.SetStore(store); err != nil {
-			return nil, err
-		}
-	}
-	return coord, nil
 }
 
 // runJob drives the rank goroutines over a prepared world. images, when
@@ -602,7 +463,7 @@ func Restart(cfg Config, img *ckpt.JobImage, factory func(rank int) App) (*Repor
 			img.Algorithm, cfg.Algorithm)
 	}
 	w := mpi.NewWorld(cfg.Ranks, netmodel.New(cfg.Params, cfg.PPN))
-	coord, err := newCoordinator(w, cfg.Checkpoint)
+	coord, err := ckpt.NewCoordinator(w, cfg.Checkpoint)
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,7 @@ import (
 
 func newTest2PC(n int) (*TwoPC, []ckpt.Protocol, *mpi.World) {
 	w := mpi.NewWorld(n, netmodel.New(netmodel.PerlmutterLike(), n))
-	coord := ckpt.NewCoordinator(w, ckpt.ContinueAfterCapture)
+	coord, _ := ckpt.NewCoordinator(w, nil) // no plan: cannot fail
 	tp := New(coord)
 	protos := make([]ckpt.Protocol, n)
 	for r := 0; r < n; r++ {

@@ -167,8 +167,6 @@ type (
 	FileStore = ckpt.FileStore
 	// MemStore is the in-memory Store.
 	MemStore = ckpt.MemStore
-	// ModelStore decorates a Store with the netmodel storage cost model.
-	ModelStore = ckpt.ModelStore
 	// StoreFault names one damaged shard found by VerifyStore.
 	StoreFault = ckpt.StoreFault
 	// GCStats reports what one GCStore pass reclaimed.
