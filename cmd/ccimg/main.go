@@ -217,11 +217,10 @@ type shardJSON struct {
 	Chunks    int   `json:"chunks,omitempty"` // chunk-table length
 
 	// Partial entries (page-delta and CDC objects alike): how many of
-	// raw_size's logical bytes this object holds itself, the length of its
-	// stored stream before compression, and the other objects the rest is
-	// read from (ckpt.ShardInfo.Sources).
+	// raw_size's logical bytes this object holds itself — its whole stored
+	// stream before compression — and the other objects the rest is read
+	// from (ckpt.ShardInfo.Sources).
 	PartialOwnBytes *int64       `json:"partial_own_bytes,omitempty"`
-	PartialRawSize  int64        `json:"partial_raw_size,omitempty"`
 	Sources         []sourceJSON `json:"sources,omitempty"`
 }
 
@@ -302,7 +301,7 @@ func storeInfoJSON(w io.Writer, store ckpt.Store, path string, job *jobSummary) 
 			}
 			if si.Partial() {
 				own, srcs := si.Sources()
-				sj.PartialOwnBytes, sj.PartialRawSize = &own, si.DeltaRawSize
+				sj.PartialOwnBytes = &own
 				for _, s := range srcs {
 					sj.Sources = append(sj.Sources, sourceJSON{Epoch: s.Epoch, Rank: s.Rank, Bytes: s.Bytes})
 				}

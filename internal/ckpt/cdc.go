@@ -11,18 +11,16 @@ package ckpt
 // content-addressed index of every chunk the parent chain already stores
 // (built from the parent manifests' chunk tables alone — no object reads)
 // and a changed rank stores only the chunks whose content is new, as a
-// RawFormatCDC object:
-//
-//	magic "MANASHD3" | gob(shardCDCHeader) | fresh chunk payloads, in
-//	chunk-index order
+// RawFormatCDC object: the fresh chunks' bytes back to back in chunk-index
+// order, nothing else.
 //
 // The manifest entry carries the FULL chunk table (ShardInfo.Chunks): per
 // chunk its length, CRC-32C, XXH64 content hash, and the (SrcEpoch,
 // SrcRank, SrcOff) address of its bytes inside a physically stored object's
-// decompressed stream. Fresh chunks point into this object (header offset +
-// cumulative fresh lengths); reused chunks copy their source address
-// verbatim from the parent table, so chains never deepen — restart resolves
-// every chunk in one hop, opening each distinct source object once and
+// decompressed stream. Fresh chunks point into this object (the cumulative
+// length of the fresh chunks before them); reused chunks copy their source
+// address verbatim from the parent table, so chains never deepen — restart
+// resolves every chunk in one hop, opening each distinct object once and
 // reading it sequentially.
 //
 // The same dual-identity contract as page deltas applies: RawSum/RawSize
@@ -79,9 +77,9 @@ type RawChunk struct {
 // plus the storage address of its bytes. SrcOff indexes the DECOMPRESSED
 // stored stream of the physical object at (SrcEpoch, SrcRank) — for a full
 // RawFormatChunked shard that stream is the logical stream itself (SrcOff =
-// logical offset); for a RawFormatCDC object it is header + fresh payloads
-// (SrcOff lands inside the payload section). Addresses are copied verbatim
-// on reuse, so they always name an object that physically holds the bytes.
+// logical offset); for a RawFormatCDC object it is its fresh chunks back to
+// back. Addresses are copied verbatim on reuse, so they always name an
+// object that physically holds the bytes.
 type ChunkRef struct {
 	Len      int64
 	CRC      uint32
@@ -281,24 +279,6 @@ func gearCandidates(data []byte) []int64 {
 		}
 	}
 	return out
-}
-
-// ------------------------------------------------------------- CDC writer
-
-// shardCDCMagic introduces the stored CDC stream (between codec and object):
-//
-//	magic | gob(shardCDCHeader) | fresh chunk payloads, ascending index
-//
-// The header repeats the chunk tiling and the fresh set so the object is
-// self-describing for tooling, but loads are driven by the manifest entry
-// (which carries the per-chunk identities and source addresses).
-var shardCDCMagic = []byte("MANASHD3")
-
-type shardCDCHeader struct {
-	Rank    int
-	RawSize int64   // logical stream length
-	Chunks  []int64 // chunk lengths tiling the logical stream
-	Fresh   []int32 // indices of the chunks stored in this object, ascending
 }
 
 // selfChunkRefs addresses a full chunked shard's own chunk table into

@@ -237,9 +237,8 @@ type CheckpointStats struct {
 	DeltaBytes  int64
 
 	// Content-defined-chunk accounting (CDC mode): how many of the fresh
-	// shards were stored as MANASHD3 chunk objects holding only
-	// content-new chunks, and their compressed bytes (a subset of
-	// FreshShards/FreshBytes).
+	// shards were stored as CDC objects holding only content-new chunks,
+	// and their compressed bytes (a subset of FreshShards/FreshBytes).
 	CDCShards int
 	CDCBytes  int64
 	// CDCPredictedChunks is how many of this capture's content-defined

@@ -40,7 +40,8 @@ func packImage(rec, objects []byte) []byte {
 // the record and the middle of EACH rank's object, plus trailing garbage;
 // "record" — a re-sealed (internally checksummed) record that lies: hostile
 // geometry, sizes that do not add up to the bytes present, an entry that
-// references another epoch or is a partial object drawing on one.
+// references another epoch or is a partial object drawing on one, a partial
+// object in the retired headed layout.
 func imageDamageList(t testing.TB, n int) (pristine []byte, list []imageDamage) {
 	t.Helper()
 	full, err := testJobImage(n).Encode()
@@ -128,6 +129,16 @@ func imageDamageList(t testing.TB, n int) (pristine []byte, list []imageDamage) 
 		si := &m.Shards[1]
 		si.RawFormat, si.BaseEpoch, si.PageSize, si.PageSums = RawFormatPageDelta, 0, si.RawSize, []uint32{0}
 	})
+	// A partial object in the retired layout — a gob header in front of its
+	// extents, counted in its stored stream — fails closed at validation.
+	raw := man.Shards[1].RawSize
+	forge("headed partial object", -1, fmt.Sprintf("rank 1 partial shard stores %d stream bytes but its own extents cover %d", 137+raw, raw),
+		func(m *Manifest) {
+			elsewhere(m)
+			si := &m.Shards[1]
+			si.RawFormat, si.BaseEpoch, si.PageSize, si.PageSums = RawFormatPageDelta, 0, si.RawSize, []uint32{0}
+			si.DeltaPages, si.DeltaRawSize = []int32{0}, 137+si.RawSize
+		})
 	return full, list
 }
 

@@ -4,10 +4,13 @@ package ckpt
 //
 // There is one on-disk format: the store epoch (FORMAT.md) — per rank one
 // chunked, codec-compressed, XXH64-checksummed shard object, behind a sealed
-// manifest record carrying the job geometry and the shard table. This file
-// holds the shard streams, the manifest and its record; store.go commits
-// and loads epochs. A self-contained image FILE is such an epoch, packed
-// (Encode / OpenImage at the end of this file):
+// manifest record carrying the job geometry and the shard table. A partial
+// object (partial.go) is the same envelope around nothing but the bytes of
+// the extents its entry stores itself; only manifests and the full shard's
+// header pass through gob. This file holds the shard streams, the manifest
+// and its record; store.go commits and loads epochs. A self-contained image
+// FILE is such an epoch, packed (Encode / OpenImage at the end of this
+// file):
 //
 //	[0:8)     magic "MANAIMG3"
 //	[8:12)    uint32 LE: manifest record length R
@@ -87,10 +90,10 @@ type ShardInfo struct {
 	// commit time so restart read pricing can charge the base fan-in from
 	// this manifest alone.
 	BaseSize int64
-	// DeltaRawSize/DeltaRawSum are the stored delta stream's raw
-	// (pre-compression) length and XXH64 — what Size/Checksum compress.
-	// CDC objects reuse them for their stored stream (magic + header +
-	// fresh chunk payloads): the geometry is identical.
+	// DeltaRawSize/DeltaRawSum are a partial object's stored stream's raw
+	// (pre-compression) length and XXH64 — what Size/Checksum compress. The
+	// stream is the entry's own extents' bytes, so DeltaRawSize is what they
+	// cover, and validate holds it to that.
 	DeltaRawSize int64
 	DeltaRawSum  uint64
 
@@ -117,17 +120,15 @@ const (
 	// decode allocates nothing beyond the restored state itself.
 	RawFormatChunked = 1
 	// RawFormatPageDelta: only the DIRTY pages of the logical chunked
-	// stream, against a full base shard in ShardInfo.BaseEpoch — a small
-	// gob header (base epoch, page geometry, dirty page list) followed by
-	// the dirty pages' bytes in index order. Restart merges base and delta
-	// page streams at one-page memory (see FORMAT.md, "Raw format 2").
+	// stream, against a full base shard in ShardInfo.BaseEpoch — the dirty
+	// pages' bytes in index order, nothing else. Restart merges base and
+	// delta page streams at one-page memory (see FORMAT.md, "Raw format 2").
 	RawFormatPageDelta = 2
 	// RawFormatCDC: only the FRESH content-defined chunks of the logical
-	// chunked stream — a small gob header followed by the fresh chunks'
-	// bytes in index order. The manifest's chunk table (ShardInfo.Chunks)
-	// addresses every chunk, fresh or reused, into a physically stored
-	// object; restart merges them at one-chunk memory (see FORMAT.md,
-	// "Raw format 3" and cdc.go).
+	// chunked stream — their bytes in index order, nothing else. The
+	// manifest's chunk table (ShardInfo.Chunks) addresses every chunk,
+	// fresh or reused, into a physically stored object; restart merges them
+	// at one-chunk memory (see FORMAT.md, "Raw format 3" and cdc.go).
 	RawFormatCDC = 3
 )
 
@@ -1019,25 +1020,6 @@ func (p *pageSummer) finish() []uint32 {
 	return p.sums
 }
 
-// shardDeltaMagic introduces the stored delta stream (decompressed):
-//
-//	magic | gob(shardDeltaHeader) | dirty page payloads, ascending index
-//
-// The last page of the logical stream may be short; every other page is
-// exactly PageSize bytes. The header repeats geometry the manifest also
-// carries so a delta object is self-describing for tooling, but loads are
-// always driven by the manifest entry (which names the base epoch and the
-// expected page sums).
-var shardDeltaMagic = []byte("MANASHD2")
-
-type shardDeltaHeader struct {
-	Rank      int
-	BaseEpoch int
-	PageSize  int64
-	RawSize   int64 // logical (merged) stream length
-	Pages     []int32
-}
-
 // shardRange is one span of a logical stream that a partial object stores —
 // a dirty page or a fresh chunk — with its index in the page or chunk table
 // and the CRC-32C the hash pass recorded for its bytes.
@@ -1047,68 +1029,50 @@ type shardRange struct {
 	crc    uint32
 }
 
-// partialSummary reports the identities of a stored partial object: the
-// stored stream between codec and object (DeltaRawSize/DeltaRawSum — magic,
-// header and payload ranges), the object itself (Size/Checksum), and
-// HeaderLen, the stored-stream offset where the payload ranges begin (what
-// fresh ChunkRef.SrcOff values are computed from).
-type partialSummary struct {
-	Size         int64
-	Checksum     uint64
-	DeltaRawSize int64
-	DeltaRawSum  uint64
-	HeaderLen    int64
-}
-
-// writePartialShard stores one partial object — page-delta or CDC — over a
-// store stream:
-//
-//	magic | gob(hdr) | the listed ranges of the logical stream, in order
-//
-// Only the listed ranges of the captured image are read: each is copied out
-// of s by offset and its CRC-32C checked against the one the hash pass
-// recorded, so a range that no longer holds the hashed bytes fails the
-// commit attributed to its page or chunk (unit names which) instead of
-// sealing an object the manifest's tables would reject at restart. dst is
-// closed on every path.
-func writePartialShard(rank int, dst io.WriteCloser, codec Codec, magic []byte, hdr any, s *shardStream, ranges []shardRange, unit string) (partialSummary, error) {
-	obj, err := newObjectWriter(rank, dst, codec)
+// writePartialShard stores si's partial object — page-delta or CDC — over a
+// store stream: the listed ranges of the logical stream, in order, and
+// nothing else (which extents they are is the manifest entry's to say). Only
+// those ranges of the captured image are read: each is copied out of s by
+// offset and its CRC-32C checked against the one the hash pass recorded, so a
+// range that no longer holds the hashed bytes fails the commit attributed to
+// its page or chunk instead of sealing an object the manifest's tables would
+// reject at restart. On success the object's identities are stamped into si:
+// Size/Checksum, and DeltaRawSize/DeltaRawSum for the stream the codec
+// compressed. dst is closed on every path.
+func writePartialShard(si *ShardInfo, dst io.WriteCloser, codec Codec, s *shardStream, ranges []shardRange) error {
+	obj, err := newObjectWriter(si.Rank, dst, codec)
 	if err != nil {
 		//lint:allow closecheck object-writer setup failed; dst is abandoned and the setup error surfaces
 		dst.Close()
-		return partialSummary{}, err
+		return err
+	}
+	unit := "chunk"
+	if si.RawFormat == RawFormatPageDelta {
+		unit = "page"
 	}
 	raw := newCountWriter(obj)
-	var headerLen int64
-	werr := func() error {
-		if _, err := raw.Write(magic); err != nil {
-			return fmt.Errorf("ckpt: rank %d %s-object magic: %w", rank, unit, err)
+	var werr error
+	for _, r := range ranges {
+		crc, err := s.writeRange(raw, r.off, r.n)
+		if err == nil && crc != r.crc {
+			err = fmt.Errorf("ckpt: rank %d %s %d does not hold the bytes the hash pass saw (crc %08x, want %08x): captured image mutated during commit",
+				si.Rank, unit, r.idx, crc, r.crc)
 		}
-		if err := gob.NewEncoder(raw).Encode(hdr); err != nil {
-			return fmt.Errorf("ckpt: rank %d %s-object header: %w", rank, unit, err)
+		if err != nil {
+			werr = err
+			break
 		}
-		headerLen = raw.n
-		for _, r := range ranges {
-			crc, err := s.writeRange(raw, r.off, r.n)
-			if err != nil {
-				return err
-			}
-			if crc != r.crc {
-				return fmt.Errorf("ckpt: rank %d %s %d does not hold the bytes the hash pass saw (crc %08x, want %08x): captured image mutated during commit",
-					rank, unit, r.idx, crc, r.crc)
-			}
-		}
-		return nil
-	}()
+	}
 	size, checksum, cerr := obj.close()
 	if werr != nil {
-		return partialSummary{}, werr
+		return werr
 	}
 	if cerr != nil {
-		return partialSummary{}, cerr
+		return cerr
 	}
-	return partialSummary{Size: size, Checksum: checksum,
-		DeltaRawSize: raw.n, DeltaRawSum: raw.h.sum64(), HeaderLen: headerLen}, nil
+	si.Size, si.Checksum = size, checksum
+	si.DeltaRawSize, si.DeltaRawSum = raw.n, raw.h.sum64()
+	return nil
 }
 
 // countReader accumulates an XXH64 checksum and byte count over everything
@@ -1146,39 +1110,29 @@ func (r *tallyReader) Read(p []byte) (int, error) {
 // materializing the compressed blob or the raw stream: the compressed
 // bytes are checksummed as they are read, decompression feeds the raw
 // decoder directly, and the raw byte count is tallied on the way through.
-// rawFormat is the entry's ShardInfo.RawFormat, which must be the chunked
-// layout (it allocates nothing beyond the restored state itself; partial
-// formats go through the extent merge instead). The whole
-// object is always drained so the checksum covers every stored byte —
-// trailing garbage after the compressed stream is corruption, exactly as
-// it was when the blob was checksummed at rest.
+// The stream is a full (RawFormatChunked) shard — it allocates nothing
+// beyond the restored state itself; partial formats go through the extent
+// merge instead. The whole object is always drained so the checksum covers
+// every stored byte — trailing garbage after the compressed stream is
+// corruption, exactly as it was when the blob was checksummed at rest.
 //
 // A checksum mismatch wins over any decode error: corrupted bytes produce
 // arbitrary flate/gob failures, and attributing them as corruption (not as
 // a format bug) is what the torn-write diagnostics rely on.
-func decodeShardStream(src io.Reader, rawSize int64, wantSum uint64, rawFormat int, codec Codec) (*RankImage, error) {
+func decodeShardStream(src io.Reader, rawSize int64, wantSum uint64, codec Codec) (*RankImage, error) {
 	if rawSize < 0 {
 		return nil, fmt.Errorf("negative raw size %d", rawSize)
-	}
-	if codec == nil {
-		codec = FlateCodec(0)
 	}
 	cr := newCountReader(src)
 	fr := codec.NewReader(cr)
 	defer fr.Close()
 	tr := &tallyReader{src: fr}
 
-	var ri *RankImage
-	var decErr error
-	if rawFormat == RawFormatChunked {
-		// The bufio layer reads ahead of the header's gob decoder but stays
-		// on this side of the tally, so the final drained count is exact.
-		br := getBufReader(tr)
-		ri, decErr = readShardRaw(br, rawSize)
-		putBufReader(br)
-	} else {
-		decErr = fmt.Errorf("unsupported raw shard format %d", rawFormat)
-	}
+	// The bufio layer reads ahead of the header's gob decoder but stays on
+	// this side of the tally, so the final drained count is exact.
+	br := getBufReader(tr)
+	ri, decErr := readShardRaw(br, rawSize)
+	putBufReader(br)
 	if decErr == nil {
 		if _, err := io.Copy(io.Discard, tr); err != nil {
 			decErr = fmt.Errorf("decompressing: %w", err)
@@ -1267,9 +1221,8 @@ func (man *Manifest) validate() error {
 			}
 		}
 		if si.RawFormat == RawFormatCDC && len(si.Chunks) == 0 {
-			// The streaming writer always emits at least the magic+header,
-			// so the logical stream is never empty and a CDC entry without a
-			// chunk table is unreconstructable.
+			// A logical stream always holds at least its shard header, so a
+			// CDC entry without a chunk table is unreconstructable.
 			return fmt.Errorf("ckpt: rank %d cdc shard has no chunk table", si.Rank)
 		}
 		if len(si.Chunks) > 0 {
@@ -1298,6 +1251,14 @@ func (man *Manifest) validate() error {
 				return fmt.Errorf("ckpt: rank %d chunk table covers %d bytes of a %d-byte stream",
 					si.Rank, total, si.RawSize)
 			}
+		}
+		// A partial object's stored stream is its own extents' bytes and
+		// nothing else; an entry that says otherwise (the retired layout put
+		// a header in front of them) does not describe an object this
+		// reader can address.
+		if own, _ := si.Sources(); si.Partial() && own != si.DeltaRawSize {
+			return fmt.Errorf("ckpt: rank %d partial shard stores %d stream bytes but its own extents cover %d",
+				si.Rank, si.DeltaRawSize, own)
 		}
 	}
 	return nil

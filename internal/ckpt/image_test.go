@@ -336,7 +336,7 @@ func TestShardWriterStreamsIdentically(t *testing.T) {
 				r, checksumOf(raw), len(raw), sum.RawSize, wantSum, wantSize)
 		}
 
-		got, err := decodeShardStream(bytes.NewReader(blob), sum.RawSize, sum.Checksum, RawFormatChunked, nil)
+		got, err := decodeShardStream(bytes.NewReader(blob), sum.RawSize, sum.Checksum, FlateCodec(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,9 +356,9 @@ func TestShardWriterStreamsIdentically(t *testing.T) {
 }
 
 // TestWholeGobShardsRejected: the whole-RankImage gob layout is retired and
-// nothing writes it. Its bytes must fail as an attributed error under every
-// format the decoder is asked to read them as — never alias into a silent
-// misread — and a manifest that names the format is refused at decode.
+// nothing writes it. Its bytes must fail as an attributed error when read as
+// a full shard — never alias into a silent misread — and a manifest that
+// names the format is refused at decode.
 func TestWholeGobShardsRejected(t *testing.T) {
 	clockless := testJobImage(3).Images[0]
 	clockless.ClockVT = 0
@@ -367,14 +367,8 @@ func TestWholeGobShardsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob, rawSize := flateBlob(t, raw.Bytes()), int64(raw.Len())
-	if _, err := decodeShardStream(bytes.NewReader(blob), rawSize, checksumOf(blob), RawFormatChunked, nil); err == nil {
+	if _, err := decodeShardStream(bytes.NewReader(blob), rawSize, checksumOf(blob), FlateCodec(0)); err == nil {
 		t.Fatal("gob bytes decoded under the chunked format")
-	}
-	for _, format := range []int{0, RawFormatChunked + 1} {
-		if _, err := decodeShardStream(bytes.NewReader(blob), rawSize, checksumOf(blob), format, nil); err == nil ||
-			!strings.Contains(err.Error(), "unsupported raw shard format") {
-			t.Fatalf("format %d not rejected: %v", format, err)
-		}
 	}
 	man := &Manifest{Ranks: 1, Version: ManifestV3, Shards: []ShardInfo{{Rank: 0, RawFormat: 0}}}
 	rec, err := EncodeManifestRecord(man)
@@ -435,7 +429,7 @@ func TestDecodeShardStreamRejects(t *testing.T) {
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			b := tc.mutate(append([]byte(nil), blob...))
-			_, err := decodeShardStream(bytes.NewReader(b), tc.rawSize, sum.Checksum, RawFormatChunked, nil)
+			_, err := decodeShardStream(bytes.NewReader(b), tc.rawSize, sum.Checksum, FlateCodec(0))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v does not mention %q", err, tc.want)
 			}
@@ -511,7 +505,7 @@ func TestHostileShardHeadersErrorCleanly(t *testing.T) {
 			t.Fatal(err)
 		}
 		blob := compress(raw.Bytes())
-		_, err := decodeShardStream(bytes.NewReader(blob), int64(raw.Len()), checksumOf(blob), RawFormatChunked, nil)
+		_, err := decodeShardStream(bytes.NewReader(blob), int64(raw.Len()), checksumOf(blob), FlateCodec(0))
 		if err == nil || !strings.Contains(err.Error(), "payloads beyond") {
 			t.Fatalf("overflowing header not rejected: %v", err)
 		}
@@ -523,7 +517,7 @@ func TestHostileShardHeadersErrorCleanly(t *testing.T) {
 		raw := append(append([]byte(nil), shardRawMagic...),
 			0xF8, 0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF) // -8 ext bytes: ~2^63
 		blob := compress(raw)
-		_, err := decodeShardStream(bytes.NewReader(blob), int64(len(raw)), checksumOf(blob), RawFormatChunked, nil)
+		_, err := decodeShardStream(bytes.NewReader(blob), int64(len(raw)), checksumOf(blob), FlateCodec(0))
 		if err == nil || !strings.Contains(err.Error(), "exceeds") {
 			t.Fatalf("absurd gob message length not rejected: %v", err)
 		}

@@ -51,13 +51,14 @@ type GCStats struct {
 // RefEpoch or a partial shard's Sources. The closure is transitive so that
 // every sealed epoch left behind still passes VerifyStore — a live epoch's
 // own manifest must keep resolving even when the restart set of the
-// retained heads never touches it. A live epoch keeps all of its objects (its own manifest references
-// every fresh shard it holds), so reclamation is whole-epoch: dead epochs
-// are deleted newest-first via DeleteEpoch, which unseals (removes the
-// manifest of) each epoch before its shards — a crash mid-GC leaves
-// unsealed debris for the next pass, never a sealed manifest with missing
-// bytes. Newest-first matters too: manifests only reference older epochs,
-// so no surviving sealed manifest ever dangles mid-pass.
+// retained heads never touches it. A live epoch keeps all of its objects
+// (its own manifest references every fresh shard it holds), so reclamation
+// is whole-epoch: dead epochs are deleted newest-first via DeleteEpoch,
+// which unseals (removes the manifest of) each epoch before its shards — a
+// crash mid-GC leaves unsealed debris for the next pass, never a sealed
+// manifest with missing bytes. Newest-first matters too: manifests only
+// reference older epochs, so no surviving sealed manifest ever dangles
+// mid-pass.
 //
 // Unsealed debris strictly older than the newest sealed epoch is swept in
 // the same pass (an in-flight commit is always numbered above the newest
@@ -299,7 +300,7 @@ func compactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *Com
 }
 
 // flattenPartialShard rewrites one partial shard as a self-contained
-// chunked shard in newEpoch: its own payload and every source stream
+// chunked shard in newEpoch: its own object and every source stream
 // through the extent merge (every extent CRC-checked, every object
 // checksum-verified) and the merged logical stream recompresses directly
 // into the new object — nothing shard-sized is ever held. The new object is

@@ -8,6 +8,7 @@ package ckpt
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -58,13 +59,13 @@ func flipShard(t *testing.T, s Store, epoch, rank int) {
 	}
 }
 
-// rewriteOwnObject re-encodes c.si's own object from ri with the header
-// hdrOf describes, then patches the manifest's envelope identities (Size,
-// Checksum, stored-stream identity) to the new object and reseals — the
-// object a buggy-but-consistent writer would leave behind, which only the
-// checks past the envelope can catch. Ranges carry ri's own CRCs, because
-// the range writer refuses bytes that disagree with the CRC it is handed.
-func (c *partialChain) rewriteOwnObject(t *testing.T, ri RankImage, hdrOf *ShardInfo) {
+// rewriteOwnObject re-encodes c.si's own object from ri, patches the
+// manifest's envelope identities (Size, Checksum, stored-stream identity) to
+// the new object and reseals — the object a buggy-but-consistent writer
+// would leave behind, which only the checks past the envelope can catch.
+// Ranges carry ri's own CRCs, because the range writer refuses bytes that
+// disagree with the CRC it is handed.
+func (c *partialChain) rewriteOwnObject(t *testing.T, ri RankImage) {
 	t.Helper()
 	stream, err := newShardStream(&ri, true)
 	if err != nil {
@@ -79,17 +80,13 @@ func (c *partialChain) rewriteOwnObject(t *testing.T, ri RankImage, hdrOf *Shard
 			t.Fatal(err)
 		}
 	}
-	magic, hdr, unit := partialHeader(hdrOf, own)
 	sink := &memSink{}
-	sum, err := writePartialShard(1, sink, FlateCodec(0), magic, hdr, stream, own, unit)
-	if err != nil {
+	if err := writePartialShard(c.si, sink, FlateCodec(0), stream, own); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.store.PutShard(1, 1, sink.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	c.si.Size, c.si.Checksum = sum.Size, sum.Checksum
-	c.si.DeltaRawSize, c.si.DeltaRawSum = sum.DeltaRawSize, sum.DeltaRawSum
 	if err := c.store.PutManifest(1, c.man); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +110,7 @@ func TestPartialMergeVerdicts(t *testing.T) {
 			from, _ := strconv.Atoi(m[2])
 			found := false
 			c.si.extents(func(i int, e extent) {
-				found = found || (i == k && e.epoch == epoch && e.own == (epoch == 1))
+				found = found || (i == k && e.epoch == epoch && c.si.owns(e) == (epoch == 1))
 			})
 			if !found || from != epoch {
 				t.Fatalf("verdict %q blames extent %d (epoch %d), want one stored in epoch %d", msg, k, from, epoch)
@@ -157,7 +154,7 @@ func TestPartialMergeVerdicts(t *testing.T) {
 				bad := c.img.Images[1]
 				bad.App = append([]byte(nil), bad.App...)
 				bad.App[c.edit] ^= 0x0F
-				c.rewriteOwnObject(t, bad, c.si)
+				c.rewriteOwnObject(t, bad)
 			},
 			want: "corrupted (crc ", check: extentFrom(1)},
 		{name: "sourced payload fails its crc",
@@ -165,7 +162,7 @@ func TestPartialMergeVerdicts(t *testing.T) {
 				// Every object is intact; the entry's table is what lies.
 				sourced := -1
 				c.si.extents(func(k int, e extent) {
-					if !e.own && sourced < 0 {
+					if !c.si.owns(e) && sourced < 0 {
 						sourced = k
 					}
 				})
@@ -179,13 +176,6 @@ func TestPartialMergeVerdicts(t *testing.T) {
 				}
 			},
 			want: "corrupted (crc ", check: extentFrom(0)},
-		{name: "header disagrees with the manifest",
-			damage: func(t *testing.T, c *partialChain) {
-				lying := *c.si
-				lying.RawSize++
-				c.rewriteOwnObject(t, c.img.Images[1], &lying)
-			},
-			want: "partial-object header disagrees with the manifest"},
 		{name: "source epoch unsealed",
 			damage: func(t *testing.T, c *partialChain) {
 				if _, err := c.store.DeleteEpoch(0); err != nil {
@@ -254,12 +244,14 @@ func TestPartialMergeVerdicts(t *testing.T) {
 // object, its source object, or the manifest entry itself — must come back
 // as an attributed error or a clean decode. Never a panic, and never an
 // allocation beyond what the entry states: the manifest (validated, as
-// every store read validates it) bounds every buffer the merge makes, and
-// the own object's checksum is settled before its gob header is decoded
-// (gob sizes a slice from its declared count, 10 MB at a time, so that
-// decoder must only ever see bytes a writer produced). The fuzzer therefore
-// holds decode to a small multiple of the entry's stated sizes however the
-// bytes lie. One target serves both formats because one merge does.
+// every store read validates it) bounds every buffer the merge makes, and a
+// partial object holds no gob of its own — the one gob decoder on the path,
+// the shard header at the front of the merged stream, sees only extents
+// that passed their CRC-32C, i.e. bytes a writer produced (gob sizes a slice
+// from its declared count, 10 MB at a time, so it must never see anything
+// else). The fuzzer therefore holds decode to a small multiple of the
+// entry's stated sizes however the bytes lie. One target serves both formats
+// because one merge does.
 func FuzzPartialShardDecode(f *testing.F) {
 	type seedChain struct {
 		own, src []byte
@@ -393,56 +385,6 @@ func FuzzPartialShardDecode(f *testing.F) {
 	})
 }
 
-// TestDamagedHeaderNamedBeforeDecode: gob sizes a slice from its declared
-// count before reading an element, so a header whose chunk count was damaged
-// to 16M would cost a 10 MB allocation if it were decoded first and blamed
-// afterwards. The own object's checksum is settled before its header is
-// interpreted: the verdict is corruption and the allocation never happens.
-func TestDamagedHeaderNamedBeforeDecode(t *testing.T) {
-	c := partialChains[1].build(t) // cdc: its header holds a long slice to damage in place
-	si := shardOf(t, c.man, 1)
-	codec, err := codecByID(si.CodecID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc, err := c.store.OpenShard(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(codec.NewReader(rc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// gob writes a count below 128 as itself and a chunk length (a positive
-	// int under 2^23) as its width's complement, then length<<1 big-endian.
-	gobLen := func(n int64) []byte {
-		u := uint64(n) << 1
-		return []byte{0xFD, byte(u >> 16), byte(u >> 8), byte(u)}
-	}
-	if len(si.Chunks) > 127 {
-		t.Fatalf("fixture has %d chunks; the count no longer fits one byte", len(si.Chunks))
-	}
-	table := append([]byte{byte(len(si.Chunks))}, gobLen(si.Chunks[0].Len)...)
-	at := bytes.Index(raw, table)
-	if at < 0 {
-		t.Fatal("chunk-length table not found in the stored header")
-	}
-	copy(raw[at:], []byte{0xFD, 0xFF, 0xFF, 0xFF}) // count = 16,777,215
-	if err := c.store.PutShard(1, 1, flateBlob(t, raw)); err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err = ExtractRankFromStore(c.store, 1, 1)
-	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "epoch 1 rank 1: shard corrupted (checksum ") {
-		t.Fatalf("verdict %v, want epoch 1 rank 1 named as corrupted", err)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
-		t.Fatalf("naming the damage allocated %d bytes", got)
-	}
-}
-
 // openCountingStore counts OpenShard calls per object.
 type openCountingStore struct {
 	*MemStore
@@ -454,20 +396,63 @@ func (s *openCountingStore) OpenShard(epoch, rank int) (io.ReadCloser, error) {
 	return s.MemStore.OpenShard(epoch, rank)
 }
 
-// TestSmallPartialObjectOpenedOnce: a partial object that fits one staging
-// buffer is checksummed and decoded from a single read of the store.
-func TestSmallPartialObjectOpenedOnce(t *testing.T) {
-	for _, chain := range partialChains {
-		c := chain.build(t)
-		if si := shardOf(t, c.man, 1); !si.Partial() || si.Size > shardChunkBytes {
-			t.Fatalf("%s: fixture's rank 1 is not a small partial object: %+v", chain.name, si)
-		}
-		cs := &openCountingStore{MemStore: c.store, opens: make(map[[2]int]int)}
-		if _, err := ExtractRankFromStore(cs, 1, 1); err != nil {
-			t.Fatalf("%s: %v", chain.name, err)
-		}
-		if n := cs.opens[[2]int{1, 1}]; n != 1 {
-			t.Errorf("%s: own object opened %d times, want 1", chain.name, n)
-		}
+// TestMergeOpensEachObjectOnce: a merge opens the entry's own object and
+// each source exactly once — the pass that serves an object's extents is the
+// one that settles its checksum — under both formats, with an own object
+// that fits one staging buffer and one that does not.
+func TestMergeOpensEachObjectOnce(t *testing.T) {
+	const fresh = shardChunkBytes + 128<<10 // incompressible bytes the large objects store themselves
+	big := func() *JobImage {
+		img := cdcImage(4, 3)
+		img.Images[1].App = noisyBytes(4*fresh, 3)
+		return img
+	}
+	cases := []struct {
+		name  string
+		large bool
+		build func(testing.TB) *partialChain
+	}{
+		{"page-delta/small", false, partialChains[0].build},
+		{"cdc/small", false, partialChains[1].build},
+		{"page-delta/large", true, func(t testing.TB) *partialChain {
+			c := &partialChain{store: NewMemStore(), img: big()}
+			man0, _ := commitPaged(t, c.store, 0, nil, big())
+			copy(c.img.Images[1].App, noisyBytes(fresh, 99))
+			c.man, _ = commitPaged(t, c.store, 1, man0, c.img)
+			return c
+		}},
+		{"cdc/large", true, func(t testing.TB) *partialChain {
+			c := &partialChain{store: NewMemStore(), img: big()}
+			man0, _ := commitCDC(t, c.store, 0, nil, big())
+			c.img.Images[1].App = insertAt(c.img.Images[1].App, 4096, noisyBytes(fresh, 99))
+			c.man, _ = commitCDC(t, c.store, 1, man0, c.img)
+			return c
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.build(t)
+			si := shardOf(t, c.man, 1)
+			if !si.Partial() || si.RefEpoch != 1 || (si.Size > shardChunkBytes) != tc.large {
+				t.Fatalf("fixture's rank 1 is not the partial object the case needs: format %d in epoch %d, %d stored bytes",
+					si.RawFormat, si.RefEpoch, si.Size)
+			}
+			cs := &openCountingStore{MemStore: c.store, opens: make(map[[2]int]int)}
+			ri, err := ExtractRankFromStore(cs, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ri.App, c.img.Images[1].App) {
+				t.Fatal("merge restored different bytes")
+			}
+			want := map[[2]int]int{{1, 1}: 1}
+			_, srcs := si.Sources()
+			for _, s := range srcs {
+				want[[2]int{s.Epoch, s.Rank}] = 1
+			}
+			if !reflect.DeepEqual(cs.opens, want) {
+				t.Fatalf("objects opened %v, want each of %v once", cs.opens, want)
+			}
+		})
 	}
 }

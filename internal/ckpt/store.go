@@ -821,16 +821,17 @@ func buildCommit(store Store, codec Codec, epoch int, parent *Manifest, img *Job
 			// at restart — same re-anchoring rule as page deltas.
 			table := sums.Chunks[i]
 			refs := make([]ChunkRef, len(table))
-			var reused int64
+			var reused, stored int64
 			for k := range table {
 				if r, ok := chunkIndex[keyOfRaw(&table[k])]; ok {
 					refs[k] = r
 					reused += r.Len
 				} else {
-					// SrcOff is stamped after the stream writes (the fresh
-					// payload offsets depend on the encoded header length).
+					// Fresh: the next bytes of this rank's own object, which
+					// holds its fresh chunks back to back in index order.
 					refs[k] = ChunkRef{Len: table[k].Len, CRC: table[k].CRC,
-						Sum: table[k].Sum, SrcEpoch: epoch, SrcRank: ri.Rank}
+						Sum: table[k].Sum, SrcEpoch: epoch, SrcRank: ri.Rank, SrcOff: stored}
+					stored += table[k].Len
 				}
 			}
 			if reused*2 >= sums.Sizes[i] && len(table) > 0 {
@@ -893,7 +894,6 @@ func buildCommit(store Store, codec Codec, epoch int, parent *Manifest, img *Job
 				return fmt.Errorf("ckpt: rank %d shard is %d raw bytes but was hashed as %d (sums are not this image's)",
 					ri.Rank, stream.size, si.RawSize)
 			}
-			own := si.ownRanges()
 			dst, err := store.PutShardStream(epoch, si.Rank)
 			if err != nil {
 				return err
@@ -904,24 +904,7 @@ func buildCommit(store Store, codec Codec, epoch int, parent *Manifest, img *Job
 			// chunks out of it by offset, CRC-checked against the hash pass's
 			// tables, and reads nothing else of the image.
 			if si.Partial() {
-				magic, hdr, unit := partialHeader(si, own)
-				sum, err := writePartialShard(ri.Rank, dst, codec, magic, hdr, stream, own, unit)
-				if err != nil {
-					return err
-				}
-				si.Size, si.Checksum = sum.Size, sum.Checksum
-				si.DeltaRawSize, si.DeltaRawSum = sum.DeltaRawSize, sum.DeltaRawSum
-				if si.RawFormat == RawFormatCDC {
-					// Stamp the fresh chunks' addresses into this object's stored
-					// stream: header first, then the fresh payloads in index
-					// order.
-					off := sum.HeaderLen
-					for _, r := range own {
-						si.Chunks[r.idx].SrcOff = off
-						off += r.n
-					}
-				}
-				return nil
+				return writePartialShard(si, dst, codec, stream, si.ownRanges())
 			}
 			sw, err := NewShardWriterCodec(ri.Rank, dst, codec, 0, false)
 			if err != nil {
@@ -1150,7 +1133,7 @@ func loadShardFull(store Store, si *ShardInfo) (*RankImage, error) {
 		return nil, err
 	}
 	defer rc.Close()
-	return decodeShardStream(rc, si.RawSize, si.Checksum, si.RawFormat, codec)
+	return decodeShardStream(rc, si.RawSize, si.Checksum, codec)
 }
 
 // ExtractRankFromStore decodes a single rank's image from one store epoch:
@@ -1179,7 +1162,7 @@ func ExtractRankFromStore(store Store, epoch, rank int) (*RankImage, error) {
 // on, from its manifest alone. Only the objects the epoch itself holds travel
 // to storage — a reference is free, which is the incremental win. With a
 // padded image size every full shard charges PaddedBytesPerRank and a partial
-// object the share of it its own payload covers (never padded back up to a
+// object the share of it its own extents cover (never padded back up to a
 // whole shard, never below one byte); otherwise each object charges its
 // stored size. ReadSetOf prices the same objects by the same expression, so
 // a restart is charged against exactly what the chain was charged to write.

@@ -455,7 +455,7 @@ func TestStreamingCommitMatchesBlobPath(t *testing.T) {
 					t.Fatalf("rank %d: fresh shard written in format %d", si.Rank, si.RawFormat)
 				}
 				// The blob adapters and the stream read the same bytes.
-				ri, err := decodeShardStream(bytes.NewReader(blob), si.RawSize, si.Checksum, si.RawFormat, nil)
+				ri, err := decodeShardStream(bytes.NewReader(blob), si.RawSize, si.Checksum, FlateCodec(0))
 				if err != nil {
 					t.Fatal(err)
 				}

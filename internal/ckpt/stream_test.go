@@ -7,7 +7,6 @@ package ckpt
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -64,20 +63,14 @@ func logicalOf(t *testing.T, ri *RankImage) []byte {
 	return buf.Bytes()
 }
 
-// partialReference builds a partial object's stored stream the slow way:
-// magic, gob header, then the listed [lo, hi) slices of the logical stream.
-func partialReference(t *testing.T, magic []byte, hdr any, logical []byte, spans [][2]int64) (ref []byte, headerLen int64) {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.Write(magic)
-	if err := gob.NewEncoder(&buf).Encode(hdr); err != nil {
-		t.Fatal(err)
-	}
-	headerLen = int64(buf.Len())
+// partialReference builds a partial object's stored stream the slow way: the
+// listed [lo, hi) slices of the logical stream, back to back.
+func partialReference(logical []byte, spans [][2]int64) []byte {
+	var ref []byte
 	for _, s := range spans {
-		buf.Write(logical[s[0]:s[1]])
+		ref = append(ref, logical[s[0]:s[1]]...)
 	}
-	return buf.Bytes(), headerLen
+	return ref
 }
 
 // checkStored holds one committed partial entry to its reference: the
@@ -191,10 +184,7 @@ func TestPageDeltaRangesMatchSlicedStream(t *testing.T) {
 				lo := int64(p) * pageSize
 				spans = append(spans, [2]int64{lo, min(lo+pageSize, int64(len(logical)))})
 			}
-			ref, _ := partialReference(t, shardDeltaMagic, &shardDeltaHeader{
-				Rank: r, BaseEpoch: 0, PageSize: pageSize, RawSize: int64(len(logical)), Pages: si.DeltaPages,
-			}, logical, spans)
-			checkStored(t, store, si, codecName, ref)
+			checkStored(t, store, si, codecName, partialReference(logical, spans))
 		}
 	}
 }
@@ -249,22 +239,18 @@ func TestCDCRangesMatchSlicedStream(t *testing.T) {
 			}
 			logical := logicalOf(t, &img.Images[r])
 			var spans [][2]int64
-			var lens []int64
 			var fresh []int32
 			var off int64
 			for k, c := range sums.Chunks[r] {
-				lens = append(lens, c.Len)
 				if !reused[r][k] {
 					fresh = append(fresh, int32(k))
 					spans = append(spans, [2]int64{off, off + c.Len})
 				}
 				off += c.Len
 			}
-			ref, headerLen := partialReference(t, shardCDCMagic, &shardCDCHeader{
-				Rank: r, RawSize: int64(len(logical)), Chunks: lens, Fresh: fresh,
-			}, logical, spans)
+			ref := partialReference(logical, spans)
 			checkStored(t, store, si, codecName, ref)
-			at := headerLen
+			var at int64
 			for _, k := range fresh {
 				c := &si.Chunks[k]
 				if c.SrcEpoch != 1 || c.SrcRank != r || c.SrcOff != at {

@@ -159,9 +159,16 @@ func goldenChain(t *testing.T, plan rt.CkptPlan, insertEvery int) (*ckpt.MemStor
 // shape and records were re-recorded once more when ShardInfo lost its
 // Offset field with the blob image format (every other part of that change
 // passed against the old digests first, and the old shape with the text
-// "Offset:0 " struck from it digests to the new one). The pinned digests
-// use the `none` codec so they do not depend on the toolchain's deflate; the
-// flate digests are logged for differential runs against another commit.
+// "Offset:0 " struck from it digests to the new one). When partial objects
+// lost their gob header, delta and cdc were re-recorded: their objects and
+// shape digests were first computed on the commit before, from its chains
+// with each partial object's header struck — its first DeltaRawSize − own
+// bytes cut from the object, and subtracted from DeltaRawSize, from Size and
+// from every SrcOff into it — and this tree reproduces them; records moved
+// with the checksums. The pinned digests use the `none` codec (a stored
+// object is then its stored stream) so they do not depend on the
+// toolchain's deflate; the flate digests are logged for differential runs
+// against another commit.
 //
 // The chains run in a child process that has done nothing else: gob numbers
 // user types process-wide in order of first use, and those numbers are in
@@ -192,15 +199,15 @@ func TestStoredBytesGolden(t *testing.T) {
 			records: "a11d80e8c578d72294a36a35759604a1a4a81d777adfd5ea8236f3d67104ab3b",
 		}, nil},
 		{"delta", rt.CkptPlan{Incremental: true, Delta: true}, 0, goldenDigests{
-			objects: "336a3c4ad1ccb98ec5b61710249211958e917c0e674b74cf51b7f0a8dd4a5c06",
-			shape:   "32eefdbd0e8a36a1a73f35bbfb0fe92e6c534035f6bd3f2aa3ec783b4bce9354",
-			records: "143afa3efe72bd1ff91bdf6b4ff27ac529b17c88d6d22a338485389316cb5d19",
+			objects: "6b3771ae851d1ee4a470829bb8fa5aa89dc695f6b87f78d2b39a8ff4f4f3e6b3",
+			shape:   "081147879383b7959fffb3f0f7e8e860901883e460fbad5bd684596dc23dc920",
+			records: "b0f6204e596d0868639b2110e5ce72bb6e4f6bb4b97e46b716ac09f64f7b7baa",
 		},
 			func(si *ckpt.ShardInfo) bool { return si.RawFormat == ckpt.RawFormatPageDelta }},
 		{"cdc", rt.CkptPlan{Incremental: true, CDC: true}, 1, goldenDigests{
-			objects: "534a072143d099bd700c22945e0ce962f4014e06ecd2fc184b8b848682e01929",
-			shape:   "eb659e3abc02c352704c0df4df758a9308bbb5325f199a28e822828ddb59e6bb",
-			records: "0ab0e9622854a2eee6c2f4748ed5f814f55b3b1f662aaf2db0a93315d435da94",
+			objects: "2dd07e2a7172cc9f39e3895d57a62a084fab220399317961da8acd55e9dc9f0e",
+			shape:   "0d72fc2f9e5243d3cbf73e5436e6835751742e9ce8a07fe99aaca9e6b6488def",
+			records: "02c3bfcf83f0f95eb9998c1d69a2de00eed6d93ff5c1a45756558fd3e070a63d",
 		},
 			func(si *ckpt.ShardInfo) bool { return si.RawFormat == ckpt.RawFormatCDC }},
 	}

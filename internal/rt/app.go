@@ -33,7 +33,8 @@ import "io"
 // Ranks park (become capturable) only at collective wrapper entries, inside
 // waits where they were natively blocked, and at program end — never at
 // mid-run step boundaries, where a parked rank's unsent point-to-point
-// messages could deadlock lagging peers (see docs/ALGORITHM.md).
+// messages could deadlock lagging peers (see the AtBoundary comment in
+// internal/core/cc.go).
 //   - Communication buffers that receive data are *named*: Buffer(id)
 //     resolves them so pending receives can be re-posted into restored
 //     state after restart.

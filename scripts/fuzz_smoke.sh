@@ -15,7 +15,7 @@ targets='
 ./internal/netmodel  FuzzDrainConservation
 # Chunk tables tile exactly, identities recompute, an edit re-synchronizes the boundary walk at the first eligible candidate past it; predicting from the pre-edit table changes nothing, a forged table still tiles and leaves the stream sum alone.
 ./internal/ckpt      FuzzChunkerStability
-# Damaged page-delta / CDC objects x perturbed manifest entries: an attributed error or a clean decode, no panic, no allocation beyond the stated sizes.
+# Damaged page-delta / CDC objects x perturbed manifest entries: an attributed error or a clean decode, no panic, no allocation beyond the stated sizes (gob sees only CRC-checked extents).
 ./internal/ckpt      FuzzPartialShardDecode
 # Arbitrary bytes as a packed image file: open -> verify -> load errors or decodes, verify and load agree, no panic, bounded allocation.
 ./internal/ckpt      FuzzOpenImage
