@@ -424,116 +424,6 @@ func BenchmarkTieredCheckpoint(b *testing.B) {
 	})
 }
 
-// contentionChainRun executes the tiered bench's periodic straggler run
-// (burst-tier async captures at Figure 9's padded image size) with its
-// drains routed through the given shared scheduler, and returns the capture
-// history.
-func contentionChainRun(b *testing.B, elems int, sched *netmodel.DrainScheduler, job int) []ckpt.CheckpointStats {
-	b.Helper()
-	cfg := rt.Config{
-		Ranks: 64, PPN: 32, Params: netmodel.PerlmutterLike(), Algorithm: rt.AlgoCC,
-		Checkpoint: &rt.CkptPlan{
-			AtStep: 4, Every: 1e-6, Mode: ckpt.ContinueAfterCapture,
-			Tier: netmodel.TierBurstBuffer, Async: true, Store: ckpt.NewMemStore(),
-			PaddedBytesPerRank: 398 << 20,
-			DrainSched:         sched, JobID: job,
-		},
-	}
-	scfg := apps.StragglerConfig{
-		HotRanks: 2, ColdSteps: 2, HotIters: 24,
-		StateElems: elems, HotStateElems: 256,
-	}
-	rep, err := rt.Run(cfg, func(rank int) rt.App { return apps.NewStraggler(scfg, rank) })
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(rep.CheckpointHistory) < 3 {
-		b.Fatalf("only %d chained captures", len(rep.CheckpointHistory))
-	}
-	return rep.CheckpointHistory
-}
-
-// BenchmarkContention gates the multi-tenant drain scheduler. The parity
-// sub-benchmark FAILS unless a single tenant's drains price bit-identically
-// to the scheduler-free path (the scheduler arbitrates WHEN a drain runs,
-// never what it costs alone). The knee sub-benchmark shares one scheduler
-// across four sequential tenants whose capture clocks interleave and
-// reports the per-request queue excess amplification over the single-tenant
-// backlog ("queue-amp-x"), which must be measurably above 1: that excess is
-// the contention the ccbench "contention" experiment sweeps to its knee.
-func BenchmarkContention(b *testing.B) {
-	elems := 64 << 10
-	if testing.Short() {
-		elems = 8 << 10
-	}
-
-	// meanQueue interleaves `jobs` tenants on one fair-share scheduler and
-	// returns the mean per-request queue excess.
-	meanQueue := func(b *testing.B, jobs int) float64 {
-		sched := netmodel.NewDrainScheduler(netmodel.New(netmodel.PerlmutterLike(), 32), netmodel.DrainFairShare)
-		for j := 0; j < jobs; j++ {
-			contentionChainRun(b, elems, sched, j)
-		}
-		tot := sched.Stats()
-		if tot.Requests == 0 {
-			b.Fatal("no drains reached the scheduler")
-		}
-		return tot.QueueVT / float64(tot.Requests)
-	}
-
-	b.Run("single-job-parity", func(b *testing.B) {
-		var drain float64
-		for i := 0; i < b.N; i++ {
-			base := contentionChainRun(b, elems, nil, 0)
-			sched := netmodel.NewDrainScheduler(netmodel.New(netmodel.PerlmutterLike(), 32), netmodel.DrainFIFO)
-			hist := contentionChainRun(b, elems, sched, 0)
-			// Padded images make every epoch's charged bytes identical, so
-			// the per-epoch drain price must be bit-identical run to run.
-			baseDrain := make(map[int]float64, len(base))
-			for _, st := range base {
-				baseDrain[st.Epoch] = st.TierDrainVT
-			}
-			drain = 0
-			for _, st := range hist {
-				if want, ok := baseDrain[st.Epoch]; ok && st.TierDrainVT != want {
-					b.Fatalf("epoch %d: scheduled drain %g != scheduler-free drain %g", st.Epoch, st.TierDrainVT, want)
-				}
-				if st.DrainQueueVT != 0 || st.PFSFallback {
-					b.Fatalf("epoch %d: uncontended tenant saw backpressure: %+v", st.Epoch, st)
-				}
-				drain += st.TierDrainVT
-			}
-			drain /= float64(len(hist))
-			histDrain := make(map[int]float64, len(hist))
-			for _, st := range hist {
-				histDrain[st.Epoch] = st.TierDrainVT
-			}
-			for _, r := range sched.Drain() {
-				if want, ok := histDrain[r.Epoch]; !ok || r.Standalone != want {
-					b.Fatalf("epoch %d: scheduler standalone %g != committed drain %g", r.Epoch, r.Standalone, want)
-				}
-			}
-		}
-		b.ReportMetric(drain, "drain-s")
-	})
-
-	b.Run("contention-knee", func(b *testing.B) {
-		var q1, q4 float64
-		for i := 0; i < b.N; i++ {
-			q1 = meanQueue(b, 1)
-			q4 = meanQueue(b, 4)
-			if q4 <= q1 {
-				b.Fatalf("four tenants queued no worse than one (%gs vs %gs)", q4, q1)
-			}
-		}
-		b.ReportMetric(q1, "queue-1job-s")
-		b.ReportMetric(q4, "queue-4job-s")
-		if q1 > 0 {
-			b.ReportMetric(q4/q1, "queue-amp-x")
-		}
-	})
-}
-
 // BenchmarkStreamingCheckpoint measures the bounded-memory streaming commit
 // path at Figure 9's padded scale: 64 ranks at ~398 MB per rank (~25 GB of
 // modeled image) on the periodic straggler run, committed through the

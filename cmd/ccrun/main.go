@@ -22,13 +22,6 @@
 // with a retention policy: -keep N garbage-collects dead epochs after each
 // seal and -compact-every N periodically rewrites the chain into a fresh
 // self-contained epoch, keeping the restart read fan-in at depth 1.
-//
-// -drain-policy attaches a shared drain scheduler (fifo, fair, or priority)
-// that arbitrates the burst->PFS drains and reports backpressure:
-// -burst-capacity bounds the staged backlog in MiB (a seal that cannot wait
-// out the backlog within -fallback-wait seconds is forced direct-to-PFS and
-// marked in the history), and -admit-backlog defers checkpoint requests
-// entirely while the backlog exceeds that many MiB.
 package main
 
 import (
@@ -57,10 +50,6 @@ func main() {
 		codec    = flag.String("codec", "", "stored-object codec: flate or none (empty = flate)")
 		budgetMB = flag.Int("stream-budget", 0, "in-flight streaming-encode budget in MiB for store commits (0 = default)")
 		keep     = flag.Int("keep", 0, "garbage-collect the store after each seal, retaining this many epochs (0 = keep everything)")
-		drainPol = flag.String("drain-policy", "", "arbitrate burst->PFS drains through a shared scheduler: fifo, fair, or priority (empty = no scheduler)")
-		burstCap = flag.Int("burst-capacity", 0, "burst-tier staging capacity in MiB the drain backlog may occupy (0 = unbounded; needs -drain-policy)")
-		fbWait   = flag.Float64("fallback-wait", 0, "longest admission wait in seconds before a capture falls back direct-to-PFS (needs -drain-policy)")
-		admitMB  = flag.Int("admit-backlog", 0, "defer checkpoint requests while the drain backlog exceeds this many MiB (0 = always admit; needs -drain-policy)")
 		compact  = flag.Int("compact-every", 0, "compact the chain into a self-contained epoch every N seals (0 = never)")
 		storeDir = flag.String("store", "", "commit each capture as an epoch in this store directory")
 		image    = flag.String("image", "", "write the checkpoint image to this file")
@@ -80,12 +69,12 @@ func main() {
 		Params:    mana.PerlmutterLike(),
 		Algorithm: *algo,
 	}
-	if *ckptAt <= 0 && (*storeDir != "" || *async || *incr || *delta || *cdc || *codec != "" || *every > 0 || *tier != "pfs" || *budgetMB != 0 || *keep != 0 || *compact != 0 || *drainPol != "") {
+	if *ckptAt <= 0 && (*storeDir != "" || *async || *incr || *delta || *cdc || *codec != "" || *every > 0 || *tier != "pfs" || *budgetMB != 0 || *keep != 0 || *compact != 0) {
 		// These flags only shape a checkpoint plan; without a first trigger
 		// they would be silently discarded and the run would complete with
 		// zero captures — surfaced only when a later restart finds an empty
 		// store.
-		fail(fmt.Errorf("-store/-async/-incremental/-delta/-cdc/-codec/-every/-tier/-stream-budget/-keep/-compact-every/-drain-policy require -ckpt-at to schedule the first checkpoint"))
+		fail(fmt.Errorf("-store/-async/-incremental/-delta/-cdc/-codec/-every/-tier/-stream-budget/-keep/-compact-every require -ckpt-at to schedule the first checkpoint"))
 	}
 	if *delta && *cdc {
 		// Both knobs decide how a changed shard's fresh bytes are stored;
@@ -96,14 +85,6 @@ func main() {
 	case "", "flate", "none":
 	default:
 		fail(fmt.Errorf("unknown codec %q (want flate or none)", *codec))
-	}
-	if *drainPol == "" && (*burstCap != 0 || *fbWait != 0 || *admitMB != 0) {
-		// Backpressure knobs are meaningless without the scheduler that
-		// tracks the backlog they bound.
-		fail(fmt.Errorf("-burst-capacity/-fallback-wait/-admit-backlog require -drain-policy to attach a drain scheduler"))
-	}
-	if *burstCap < 0 || *fbWait < 0 || *admitMB < 0 {
-		fail(fmt.Errorf("-burst-capacity, -fallback-wait, and -admit-backlog must be non-negative"))
 	}
 	if *budgetMB < 0 {
 		fail(fmt.Errorf("-stream-budget must be non-negative (MiB)"))
@@ -138,19 +119,6 @@ func main() {
 			StreamBudgetBytes: int64(*budgetMB) << 20,
 			KeepEpochs:        *keep,
 			CompactEvery:      *compact,
-		}
-		if *drainPol != "" {
-			policy, err := mana.ParseDrainPolicy(*drainPol)
-			if err != nil {
-				fail(err)
-			}
-			sched := mana.NewDrainScheduler(cfg.Params, cfg.PPN, policy)
-			if *burstCap > 0 {
-				sched.SetCapacity(int64(*burstCap) << 20)
-			}
-			cfg.Checkpoint.DrainSched = sched
-			cfg.Checkpoint.FallbackWaitVT = *fbWait
-			cfg.Checkpoint.AdmitBacklogBytes = int64(*admitMB) << 20
 		}
 		if *storeDir != "" {
 			fs, err := mana.NewFileStore(*storeDir)
@@ -220,15 +188,6 @@ func main() {
 			st.Tier, st.WriteVT, st.StallVT, st.OverlapVT)
 		if st.TierDrainVT > 0 {
 			fmt.Printf(", background drain to pfs %.3fs", st.TierDrainVT)
-		}
-		if st.DrainQueueVT > 0 {
-			fmt.Printf(", drain backlog wait %.3fs", st.DrainQueueVT)
-		}
-		if st.PFSFallback {
-			fmt.Printf(", backlog forced direct-to-pfs")
-		}
-		if st.AdmissionDeferred > 0 {
-			fmt.Printf(", %d requests deferred by admission control", st.AdmissionDeferred)
 		}
 		if st.Epoch >= 0 {
 			fmt.Printf(", epoch %d: %d fresh / %d reused shards, peak encode %.1f MiB",

@@ -30,10 +30,6 @@
 //	lifecycle    chain compaction and epoch garbage collection reclaim
 //	             storage without changing any surviving restart and attribute
 //	             dangling references instead of panicking
-//	contention   two tenants contending for a capacity-bounded shared drain
-//	             scheduler restart digest-identically from every sealed epoch
-//	             while backlog-forced PFS fallbacks and admission waits are
-//	             attributed in the stats
 //	faults       (first runnable case) killing a rank mid-drain or mid-capture aborts the
 //	             coordinator with diagnostics instead of wedging
 //
@@ -55,7 +51,7 @@ import (
 
 // legs are the checks that ride along with the trigger matrix, in the order
 // they run.
-var legs = []string{"negative", "crossgeo", "incremental", "delta", "cdc", "lifecycle", "contention", "faults"}
+var legs = []string{"negative", "crossgeo", "incremental", "delta", "cdc", "lifecycle", "faults"}
 
 func main() {
 	var (
@@ -191,20 +187,6 @@ func main() {
 			failed = true
 		} else {
 			fmt.Printf("lifecycle check (%s/%s): %s, ok\n", conformance.DefaultChainWorkload, algo, rpt)
-		}
-	}
-
-	// The contention sweep interleaves two tenants' drains through a shared
-	// capacity-bounded scheduler: backlog-forced PFS fallbacks and admission
-	// waits must be attributed in the stats while every sealed epoch of
-	// every tenant restarts digest-identically.
-	if run["contention"] {
-		algo := algoList[0]
-		if rpt, err := conformance.VerifyContention(conformance.DefaultChainWorkload, algo, opts); err != nil {
-			fmt.Printf("contention check (%s/%s): FAIL: %v\n", conformance.DefaultChainWorkload, algo, err)
-			failed = true
-		} else {
-			fmt.Printf("contention check (%s/%s): %s, ok\n", conformance.DefaultChainWorkload, algo, rpt)
 		}
 	}
 

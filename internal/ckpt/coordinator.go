@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,28 +106,6 @@ type Plan struct {
 	// fan-in (RestartReadVT) no matter how deep the incremental chain
 	// grows, and making the old chain reclaimable by KeepEpochs.
 	CompactEvery int
-
-	// DrainSched, when non-nil, shares this job's burst→PFS drains with
-	// other tenants through one netmodel.DrainScheduler: sealed burst
-	// epochs' drains queue against every job using the same scheduler
-	// instead of assuming a private PFS, and a bounded scheduler capacity
-	// feeds back as backpressure (CheckpointStats.DrainQueueVT), forced
-	// direct-to-PFS fallback (CheckpointStats.PFSFallback), and admission
-	// deferrals. Store-path only; requires Tier = TierBurstBuffer to have
-	// any effect. JobID keys this job in the shared per-job accounting and
-	// DrainPriority ranks it under the scheduler's priority policy.
-	DrainSched    *netmodel.DrainScheduler
-	JobID         int
-	DrainPriority int
-	// FallbackWaitVT is the longest backpressure wait a sealing epoch
-	// tolerates before abandoning the burst tier for a direct PFS commit.
-	// Zero tolerates none: any wait for staging room forces the fallback.
-	FallbackWaitVT float64
-	// AdmitBacklogBytes, when positive, enables admission control: a
-	// periodic checkpoint trigger that fires while the shared backlog
-	// exceeds this budget is refused and retried at a later boundary
-	// (counted in CheckpointStats.AdmissionDeferred).
-	AdmitBacklogBytes int64
 }
 
 // RankHooks are the capture callbacks the runtime registers per rank. They
@@ -187,20 +164,6 @@ type CheckpointStats struct {
 	// it never stalls the job and is zero for direct-to-PFS captures.
 	Tier        netmodel.StorageTier
 	TierDrainVT float64
-
-	// Multi-tenant backpressure (zero unless a shared DrainSched is
-	// attached). DrainQueueVT is the stall the drain backlog imposed when
-	// this epoch sealed: how long the burst tier lacked staging room for its
-	// bytes. PFSFallback marks an epoch whose wait exceeded the tolerance —
-	// the capture abandoned the burst tier and committed direct-to-PFS (Tier
-	// reads TierPFS and no drain was enqueued). AdmissionDeferred counts
-	// capture requests the admission controller refused since the previous
-	// capture because the backlog exceeded its budget; the runner retries
-	// them at later boundaries, so the count attributes the induced
-	// checkpoint-interval stretch to this (eventually admitted) capture.
-	DrainQueueVT      float64
-	PFSFallback       bool
-	AdmissionDeferred int
 
 	// Epoch is the store epoch this capture committed as, or -1 when the
 	// plan has no store (the image stays an in-memory blob).
@@ -318,10 +281,6 @@ type Coordinator struct {
 	// raised; captureLocked reports deltas against them so chained
 	// checkpoints don't double-count earlier drains.
 	baseSent, baseRecv, baseTests int64
-
-	// deferred counts admission-control refusals since the last capture;
-	// folded into the next capture's AdmissionDeferred (guarded by c.mu).
-	deferred int
 
 	image   *JobImage
 	stats   CheckpointStats
@@ -450,7 +409,8 @@ func (c *Coordinator) Poke() {
 
 // RequestCheckpoint raises a checkpoint request at the given virtual time.
 // It installs the algorithm's targets (Algorithm 1) and starts the capture
-// watcher. Subsequent requests while one is pending are ignored.
+// watcher. It returns false only when a request is already pending or
+// capturing.
 //
 // A new request is accepted from idle OR from released: a rank that has not
 // yet woken to acknowledge the previous release is still sitting at its
@@ -460,23 +420,6 @@ func (c *Coordinator) Poke() {
 // uneven-progress jobs the fast ranks could otherwise burn through every
 // trigger boundary before a slow waker re-enables the chain).
 func (c *Coordinator) RequestCheckpoint(vt float64) bool {
-	// Admission control: with a shared drain scheduler and a backlog budget,
-	// a request raised while the staging backlog exceeds the budget is
-	// refused before it can park a single rank. The runner's periodic
-	// trigger retries at the next boundary, so a refusal stretches this
-	// job's effective checkpoint interval instead of deepening a backlog the
-	// tier cannot absorb. (Backlog is read outside c.mu — the scheduler has
-	// its own lock and the check is advisory: a request admitted against a
-	// stale backlog is still priced correctly at seal time.)
-	if p := &c.Plan; p.DrainSched != nil && p.AdmitBacklogBytes > 0 && p.Store != nil &&
-		p.DrainSched.Backlog(vt) > p.AdmitBacklogBytes {
-		c.mu.Lock()
-		if c.ph == phaseIdle || c.ph == phaseReleased {
-			c.deferred++
-		}
-		c.mu.Unlock()
-		return false
-	}
 	c.mu.Lock()
 	if c.ph != phaseIdle && c.ph != phaseReleased {
 		c.mu.Unlock()
@@ -666,13 +609,9 @@ func (c *Coordinator) captureLocked() {
 		Epoch:          -1,
 		CompactedEpoch: -1,
 		Tier:           c.W.Model.EffectiveTier(c.Plan.Tier),
-		// Refusals accrued since the previous capture are attributed to this
-		// one: they are the admissions this capture eventually won.
-		AdmissionDeferred: c.deferred,
 		//lint:allow wallclock CaptureHostSeconds deliberately reports host-side encode cost
 		CaptureHostSeconds: time.Since(captureStart).Seconds(),
 	}
-	c.deferred = 0
 	// Drain-progress census, as per-checkpoint deltas against the request-
 	// time baselines (cumulative sums would fold every earlier chained
 	// checkpoint's drain into this one's stats). Every live rank is blocked
@@ -777,14 +716,10 @@ func (c *Coordinator) releaseLocked(resume float64) {
 }
 
 // sealPrice is what sealing one epoch cost: the modeled write, split into
-// stall and overlap; the background PFS drain of a burst-tier epoch; and the
-// backpressure verdict — the wait the drain backlog imposed, or the fallback
-// to a direct PFS write when the wait was past the plan's patience.
+// stall and overlap, and the background PFS drain of a burst-tier epoch.
 type sealPrice struct {
-	cost     netmodel.WriteCost
-	drain    float64
-	queue    float64
-	fallback bool
+	cost  netmodel.WriteCost
+	drain float64
 }
 
 // commitResult carries one epoch commit's outcome back to the stats.
@@ -885,42 +820,17 @@ func (c *Coordinator) commitEpoch(epoch int, img *JobImage) (res commitResult) {
 // encoded, so the chain records where its bytes landed and restart read
 // modeling follows it. A burst-tier epoch also accrues the background PFS
 // drain of the same bytes.
-//
-// With a shared drain scheduler, sealing is also the backpressure decision
-// point: the scheduler is asked how long past the capture time the drain
-// backlog needs to make staging room for this epoch's bytes. A wait within
-// FallbackWaitVT is charged as the epoch's queue stall and shifts the
-// drain's arrival; a longer one abandons the burst tier — the epoch is
-// stamped, charged, and restart-priced as a direct PFS write, and no drain
-// is enqueued. The tier choice is pure accounting (the shards physically
-// land in the store either way), so deciding it at seal time re-prices the
-// epoch without rewriting any data.
 func (c *Coordinator) seal(man *Manifest) (sealPrice, error) {
 	m, p, nodes := c.W.Model, &c.Plan, c.nodes()
 	bytes := WriteBytesOf(man)
 	tier := m.EffectiveTier(p.Tier)
-	var price sealPrice
-	if tier != netmodel.TierPFS && p.DrainSched != nil {
-		wait := p.DrainSched.AdmitDelay(man.CaptureVT, bytes)
-		if math.IsInf(wait, 1) || wait > p.FallbackWaitVT {
-			tier, price.fallback = netmodel.TierPFS, true
-		} else {
-			price.queue = wait
-		}
-	}
 	man.Tier = int(tier)
 	if err := p.Store.PutManifest(man.Epoch, man); err != nil {
 		return sealPrice{}, err
 	}
-	price.cost = m.TierWriteCost(tier, bytes, nodes, p.Async)
+	price := sealPrice{cost: m.TierWriteCost(tier, bytes, nodes, p.Async)}
 	if tier != netmodel.TierPFS {
 		price.drain = m.TierWriteTime(netmodel.TierPFS, bytes, nodes)
-		if p.DrainSched != nil {
-			p.DrainSched.Enqueue(netmodel.DrainRequest{
-				Job: p.JobID, Epoch: man.Epoch, Bytes: bytes, Nodes: nodes,
-				VT: man.CaptureVT + price.queue, Priority: p.DrainPriority,
-			})
-		}
 	}
 	return price, nil
 }
@@ -1018,15 +928,6 @@ func (c *Coordinator) applyCommitLocked(histIdx int, res commitResult) {
 		e.StallVT = res.cost.Stall
 		e.OverlapVT = res.cost.Overlap
 		e.TierDrainVT = res.drain
-		e.DrainQueueVT = res.queue
-		if res.fallback {
-			// The backlog forced this epoch direct-to-PFS at seal time: the
-			// stats follow the tier the bytes were actually charged (and the
-			// manifest stamped) against, so restart pricing and the history
-			// agree on where the epoch lives.
-			e.PFSFallback = true
-			e.Tier = netmodel.TierPFS
-		}
 		e.FreshShards = res.stats.FreshShards
 		e.ReusedShards = res.stats.ReusedShards
 		e.FreshBytes = res.stats.FreshBytes

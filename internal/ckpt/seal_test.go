@@ -17,24 +17,19 @@ import (
 // pinPlan is the part of a checkpoint plan a seal is priced from. The job is
 // always 4 ranks at 2 per node: two writer nodes.
 type pinPlan struct {
-	params   netmodel.Params
-	tier     netmodel.StorageTier
-	async    bool
-	codec    string
-	sched    *netmodel.DrainScheduler
-	job      int
-	priority int
-	patience float64 // FallbackWaitVT
+	params netmodel.Params
+	tier   netmodel.StorageTier
+	async  bool
+	codec  string
 }
 
 // pinPrice is what one seal cost, as the bits of each figure.
 type pinPrice struct {
-	Total, Stall, Overlap, Drain, Queue uint64
-	Fallback                            bool
+	Total, Stall, Overlap, Drain uint64
 }
 
 func (p pinPrice) String() string {
-	return fmt.Sprintf("{%#x, %#x, %#x, %#x, %#x, %v}", p.Total, p.Stall, p.Overlap, p.Drain, p.Queue, p.Fallback)
+	return fmt.Sprintf("{%#x, %#x, %#x, %#x}", p.Total, p.Stall, p.Overlap, p.Drain)
 }
 
 // pinSealer commits, compacts and collects through whatever this tree prices
@@ -49,7 +44,6 @@ func newPinSealer(t *testing.T, plan pinPlan) *pinSealer {
 	t.Helper()
 	c, err := NewCoordinator(mpi.NewWorld(4, netmodel.New(plan.params, 2)), &Plan{
 		Store: NewMemStore(), Tier: plan.tier, Async: plan.async, Codec: plan.codec,
-		DrainSched: plan.sched, JobID: plan.job, DrainPriority: plan.priority, FallbackWaitVT: plan.patience,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +54,7 @@ func newPinSealer(t *testing.T, plan pinPlan) *pinSealer {
 func pinPriceOf(p sealPrice) pinPrice {
 	return pinPrice{
 		Total: math.Float64bits(p.cost.Total), Stall: math.Float64bits(p.cost.Stall), Overlap: math.Float64bits(p.cost.Overlap),
-		Drain: math.Float64bits(p.drain), Queue: math.Float64bits(p.queue), Fallback: p.fallback,
+		Drain: math.Float64bits(p.drain),
 	}
 }
 
@@ -137,12 +131,11 @@ func (s *pinSealer) collect(t *testing.T, keep int) (*GCStats, uint64) {
 const pinChildEnv = "MANA_PRICE_PIN_CHILD"
 
 // TestSealPricePinned pins what a sealed epoch is charged: the bits of the
-// write cost, its stall/overlap split, the background drain, the admission
-// queue and the fallback verdict, for hand-built images sealed without a
-// running job — full, whole-shard reuse, page-delta and CDC epochs, each at
-// its stored size and at a padded image size; both tiers, stalled and
-// overlapped; a capacity-bounded drain scheduler that admits one seal, queues
-// the next and refuses a third; one compaction and one retention pass. The
+// write cost, its stall/overlap split and the background drain, for
+// hand-built images sealed without a running job — full, whole-shard reuse,
+// page-delta and CDC epochs, each at its stored size and at a padded image
+// size; both tiers, stalled and overlapped; one compaction and one retention
+// pass. The
 // table was recorded on the last commit that metered writes in a store
 // decorator, through that decorator; the coordinator's seal must price every
 // row the same. Four rows were re-recorded once since, all lower, when
@@ -258,71 +251,46 @@ func TestSealPricePinned(t *testing.T) {
 		}
 	}
 
-	// Backpressure: staging room for one and a half padded epochs. The first
-	// seal is admitted, the second waits for the first's drain, the third is
-	// larger than the tier and goes to the PFS.
-	model := netmodel.New(perl, 2)
-	sched := netmodel.NewDrainScheduler(model, netmodel.DrainFIFO)
-	sched.SetCapacity(6 * pad)
-	s := newPinSealer(t, pinPlan{params: perl, tier: netmodel.TierBurstBuffer, sched: sched, job: 3, priority: 1, patience: math.MaxFloat64})
-	img := padded(testJobImage(4), pad)
-	_, p = s.commit(t, "", 0, nil, img)
-	record("sched/admitted", p)
-	img = padded(testJobImage(4), pad)
-	img.CaptureVT = 1.5
-	_, p = s.commit(t, "", 1, nil, img)
-	record("sched/queued", p)
-	img = padded(testJobImage(4), 2*pad)
-	img.CaptureVT = 1.75
-	_, p = s.commit(t, "", 2, nil, img)
-	record("sched/fallback", p)
-	if js := sched.JobStats(3); js.Requests != 2 || js.Bytes != 8*pad {
-		t.Fatalf("scheduler logged %+v for the job, want the two burst seals", js)
-	}
-
 	want := map[string]string{
-		"pfs/sync/full":                 "{0x3fd020c4d09c3da2, 0x3fd020c4d09c3da2, 0x0, 0x0, 0x0, false}",
-		"pfs/sync/one-fresh":            "{0x3fd020c4a8bf6602, 0x3fd020c4a8bf6602, 0x0, 0x0, 0x0, false}",
-		"pfs/sync/all-reused":           "{0x3fd020c49ba5e354, 0x3fd020c49ba5e354, 0x0, 0x0, 0x0, false}",
-		"pfs/sync/none/full":            "{0x3fd020c4e49bd77f, 0x3fd020c4e49bd77f, 0x0, 0x0, 0x0, false}",
-		"pfs/sync/none/one-fresh":       "{0x3fd020c4ad78dc7b, 0x3fd020c4ad78dc7b, 0x0, 0x0, 0x0, false}",
-		"pfs/sync/none/all-reused":      "{0x3fd020c49ba5e354, 0x3fd020c49ba5e354, 0x0, 0x0, 0x0, false}",
-		"pfs/sync/padded/full":          "{0x3fd057be5b5992cf, 0x3fd057be5b5992cf, 0x0, 0x0, 0x0, false}",
-		"pfs/sync/padded/one-fresh":     "{0x3fd02e830b92cf33, 0x3fd02e830b92cf33, 0x0, 0x0, 0x0, false}",
-		"pfs/sync/padded/all-reused":    "{0x3fd020c49ba5e354, 0x3fd020c49ba5e354, 0x0, 0x0, 0x0, false}",
-		"pfs/async/padded/full":         "{0x3fd057be5b5992cf, 0x3fd0000000000000, 0x3f75ef96d664b3c0, 0x0, 0x0, false}",
-		"pfs/async/padded/one-fresh":    "{0x3fd02e830b92cf33, 0x3fd0000000000000, 0x3f674185c9679980, 0x0, 0x0, false}",
-		"pfs/async/padded/all-reused":   "{0x3fd020c49ba5e354, 0x3fd0000000000000, 0x3f60624dd2f1aa00, 0x0, 0x0, false}",
-		"burst/sync/full":               "{0x3f847ae69383e921, 0x3f847ae69383e921, 0x0, 0x3fd020c4d09c3da2, 0x0, false}",
-		"burst/sync/one-fresh":          "{0x3f847ae29707f2a9, 0x3f847ae29707f2a9, 0x0, 0x3fd020c4a8bf6602, 0x0, false}",
-		"burst/sync/all-reused":         "{0x3f847ae147ae147b, 0x3f847ae147ae147b, 0x0, 0x3fd020c49ba5e354, 0x0, false}",
-		"burst/async/padded/full":       "{0x3f89fa41400c6da0, 0x3f847ae147ae147b, 0x3f65fd7fe1796494, 0x3fd057be5b5992cf, 0x0, false}",
-		"burst/async/padded/one-fresh":  "{0x3f85dab945c5aac4, 0x3f847ae147ae147b, 0x3f45fd7fe1796490, 0x3fd02e830b92cf33, 0x0, false}",
-		"burst/async/padded/all-reused": "{0x3f847ae147ae147b, 0x3f847ae147ae147b, 0x0, 0x3fd020c49ba5e354, 0x0, false}",
-		"one-tier/burst-asked/full":     "{0x3fd057be5b5992cf, 0x3fd057be5b5992cf, 0x0, 0x0, 0x0, false}",
-		"delta/pfs/base":                "{0x3fd020c5030ca164, 0x3fd020c5030ca164, 0x0, 0x0, 0x0, false}",
-		"delta/pfs/partial":             "{0x3fd020c4a413adf8, 0x3fd020c4a413adf8, 0x0, 0x0, 0x0, false}",
-		"delta/pfs/partial-2":           "{0x3fd020c4a4e1d687, 0x3fd020c4a4e1d687, 0x0, 0x0, 0x0, false}",
-		"delta/pfs/compacted":           "{0x3fd020c5035f1804, 0x3fd020c5035f1804, 0x0, 0x0, 0x0, false}",
+		"pfs/sync/full":                 "{0x3fd020c4d09c3da2, 0x3fd020c4d09c3da2, 0x0, 0x0}",
+		"pfs/sync/one-fresh":            "{0x3fd020c4a8bf6602, 0x3fd020c4a8bf6602, 0x0, 0x0}",
+		"pfs/sync/all-reused":           "{0x3fd020c49ba5e354, 0x3fd020c49ba5e354, 0x0, 0x0}",
+		"pfs/sync/none/full":            "{0x3fd020c4e49bd77f, 0x3fd020c4e49bd77f, 0x0, 0x0}",
+		"pfs/sync/none/one-fresh":       "{0x3fd020c4ad78dc7b, 0x3fd020c4ad78dc7b, 0x0, 0x0}",
+		"pfs/sync/none/all-reused":      "{0x3fd020c49ba5e354, 0x3fd020c49ba5e354, 0x0, 0x0}",
+		"pfs/sync/padded/full":          "{0x3fd057be5b5992cf, 0x3fd057be5b5992cf, 0x0, 0x0}",
+		"pfs/sync/padded/one-fresh":     "{0x3fd02e830b92cf33, 0x3fd02e830b92cf33, 0x0, 0x0}",
+		"pfs/sync/padded/all-reused":    "{0x3fd020c49ba5e354, 0x3fd020c49ba5e354, 0x0, 0x0}",
+		"pfs/async/padded/full":         "{0x3fd057be5b5992cf, 0x3fd0000000000000, 0x3f75ef96d664b3c0, 0x0}",
+		"pfs/async/padded/one-fresh":    "{0x3fd02e830b92cf33, 0x3fd0000000000000, 0x3f674185c9679980, 0x0}",
+		"pfs/async/padded/all-reused":   "{0x3fd020c49ba5e354, 0x3fd0000000000000, 0x3f60624dd2f1aa00, 0x0}",
+		"burst/sync/full":               "{0x3f847ae69383e921, 0x3f847ae69383e921, 0x0, 0x3fd020c4d09c3da2}",
+		"burst/sync/one-fresh":          "{0x3f847ae29707f2a9, 0x3f847ae29707f2a9, 0x0, 0x3fd020c4a8bf6602}",
+		"burst/sync/all-reused":         "{0x3f847ae147ae147b, 0x3f847ae147ae147b, 0x0, 0x3fd020c49ba5e354}",
+		"burst/async/padded/full":       "{0x3f89fa41400c6da0, 0x3f847ae147ae147b, 0x3f65fd7fe1796494, 0x3fd057be5b5992cf}",
+		"burst/async/padded/one-fresh":  "{0x3f85dab945c5aac4, 0x3f847ae147ae147b, 0x3f45fd7fe1796490, 0x3fd02e830b92cf33}",
+		"burst/async/padded/all-reused": "{0x3f847ae147ae147b, 0x3f847ae147ae147b, 0x0, 0x3fd020c49ba5e354}",
+		"one-tier/burst-asked/full":     "{0x3fd057be5b5992cf, 0x3fd057be5b5992cf, 0x0, 0x0}",
+		"delta/pfs/base":                "{0x3fd020c5030ca164, 0x3fd020c5030ca164, 0x0, 0x0}",
+		"delta/pfs/partial":             "{0x3fd020c4a413adf8, 0x3fd020c4a413adf8, 0x0, 0x0}",
+		"delta/pfs/partial-2":           "{0x3fd020c4a4e1d687, 0x3fd020c4a4e1d687, 0x0, 0x0}",
+		"delta/pfs/compacted":           "{0x3fd020c5035f1804, 0x3fd020c5035f1804, 0x0, 0x0}",
 		"delta/pfs/gc":                  "0x3fd2e147ae147ae1",
-		"delta/burst/padded/base":       "{0x3f89fa41400c6da0, 0x3f847ae147ae147b, 0x3f65fd7fe1796494, 0x3fd057be5b5992cf, 0x0, false}",
-		"delta/burst/padded/partial":    "{0x3f84900bc74da2c6, 0x3f847ae147ae147b, 0x3f052a7f9f8e4b00, 0x3fd0219844a21ee3, 0x0, false}",
-		"delta/burst/padded/partial-2":  "{0x3f84a536479d1d11, 0x3f847ae147ae147b, 0x3f152a7ff7844b00, 0x3fd0226beda539aa, 0x0, false}",
-		"delta/burst/padded/compacted":  "{0x3f89fa41400c6da0, 0x3f847ae147ae147b, 0x3f65fd7fe1796494, 0x3fd057be5b5992cf, 0x0, false}",
+		"delta/burst/padded/base":       "{0x3f89fa41400c6da0, 0x3f847ae147ae147b, 0x3f65fd7fe1796494, 0x3fd057be5b5992cf}",
+		"delta/burst/padded/partial":    "{0x3f84900bc74da2c6, 0x3f847ae147ae147b, 0x3f052a7f9f8e4b00, 0x3fd0219844a21ee3}",
+		"delta/burst/padded/partial-2":  "{0x3f84a536479d1d11, 0x3f847ae147ae147b, 0x3f152a7ff7844b00, 0x3fd0226beda539aa}",
+		"delta/burst/padded/compacted":  "{0x3f89fa41400c6da0, 0x3f847ae147ae147b, 0x3f65fd7fe1796494, 0x3fd057be5b5992cf}",
 		"delta/burst/padded/gc":         "0x3f8652bd3c361134",
-		"cdc/pfs/base":                  "{0x3fd0227cbb4bf7cf, 0x3fd0227cbb4bf7cf, 0x0, 0x0, 0x0, false}",
-		"cdc/pfs/partial":               "{0x3fd020d8516025f8, 0x3fd020d8516025f8, 0x0, 0x0, 0x0, false}",
-		"cdc/pfs/partial-2":             "{0x3fd020d8527306b6, 0x3fd020d8527306b6, 0x0, 0x0, 0x0, false}",
-		"cdc/pfs/compacted":             "{0x3fd0227cbd71b94c, 0x3fd0227cbd71b94c, 0x0, 0x0, 0x0, false}",
+		"cdc/pfs/base":                  "{0x3fd0227cbb4bf7cf, 0x3fd0227cbb4bf7cf, 0x0, 0x0}",
+		"cdc/pfs/partial":               "{0x3fd020d8516025f8, 0x3fd020d8516025f8, 0x0, 0x0}",
+		"cdc/pfs/partial-2":             "{0x3fd020d8527306b6, 0x3fd020d8527306b6, 0x0, 0x0}",
+		"cdc/pfs/compacted":             "{0x3fd0227cbd71b94c, 0x3fd0227cbd71b94c, 0x0, 0x0}",
 		"cdc/pfs/gc":                    "0x3fd2e147ae147ae1",
-		"cdc/burst/padded/base":         "{0x3f89fa41400c6da0, 0x3f847ae147ae147b, 0x3f65fd7fe1796494, 0x3fd057be5b5992cf, 0x0, false}",
-		"cdc/burst/padded/partial":      "{0x3f84b9e770a8bbcc, 0x3f847ae147ae147b, 0x3f1f83147d53a880, 0x3fd0233ad93faddd, 0x0, false}",
-		"cdc/burst/padded/partial-2":    "{0x3f84b9ea4236afe2, 0x3f847ae147ae147b, 0x3f1f847d444db380, 0x3fd0233af56f3966, 0x0, false}",
-		"cdc/burst/padded/compacted":    "{0x3f89fa41400c6da0, 0x3f847ae147ae147b, 0x3f65fd7fe1796494, 0x3fd057be5b5992cf, 0x0, false}",
+		"cdc/burst/padded/base":         "{0x3f89fa41400c6da0, 0x3f847ae147ae147b, 0x3f65fd7fe1796494, 0x3fd057be5b5992cf}",
+		"cdc/burst/padded/partial":      "{0x3f84b9e770a8bbcc, 0x3f847ae147ae147b, 0x3f1f83147d53a880, 0x3fd0233ad93faddd}",
+		"cdc/burst/padded/partial-2":    "{0x3f84b9ea4236afe2, 0x3f847ae147ae147b, 0x3f1f847d444db380, 0x3fd0233af56f3966}",
+		"cdc/burst/padded/compacted":    "{0x3f89fa41400c6da0, 0x3f847ae147ae147b, 0x3f65fd7fe1796494, 0x3fd057be5b5992cf}",
 		"cdc/burst/padded/gc":           "0x3f8652bd3c361134",
-		"sched/admitted":                "{0x3f89fa41400c6da0, 0x3f89fa41400c6da0, 0x0, 0x3fd057be5b5992cf, 0x0, false}",
-		"sched/queued":                  "{0x3f89fa41400c6da0, 0x3f89fa41400c6da0, 0x0, 0x3fd057be5b5992cf, 0x3f75ef96d664b400, false}",
-		"sched/fallback":                "{0x3fd08eb81b0d424b, 0x3fd08eb81b0d424b, 0x0, 0x0, 0x0, true}",
 	}
 	for _, name := range order {
 		if got[name] != want[name] {

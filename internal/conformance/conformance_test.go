@@ -298,27 +298,6 @@ func TestSkipsNA(t *testing.T) {
 	}
 }
 
-// TestContention: the multi-tenant drain sweep — two interleaved tenants on
-// a capacity-bounded shared scheduler must stage at least one epoch, be
-// forced direct to the PFS at least once each, keep per-job accounting
-// partitioned, and restart digest-identical from every sealed epoch; a
-// patient tenant must absorb the same backlog as DrainQueueVT instead.
-func TestContention(t *testing.T) {
-	rpt, err := VerifyContention(DefaultChainWorkload, rt.AlgoCC, Options{Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("contention: %s", rpt)
-	if rpt.Restarts < rpt.Epochs {
-		t.Fatalf("verified %d restarts for %d sealed epochs", rpt.Restarts, rpt.Epochs)
-	}
-	if !testing.Short() {
-		if _, err := VerifyContention(DefaultChainWorkload, rt.Algo2PC, Options{Logf: t.Logf}); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // normalized returns img with every empty slice nil, the one difference a
 // serialization round trip is allowed to make.
 func normalized(img *ckpt.JobImage) *ckpt.JobImage {

@@ -178,7 +178,6 @@ var Experiments = map[string]func(Options) (*Table, error){
 	"fig8":         Fig8,
 	"fig9":         Fig9,
 	"tiers":        TierComparison,
-	"contention":   Contention,
 	"failures":     FailureSweep,
 	"p2p":          P2PMicrobench,
 	"drain":        AblationDrainDepth,
@@ -190,5 +189,5 @@ var Experiments = map[string]func(Options) (*Table, error){
 // Order lists experiment ids in presentation order.
 var Order = []string{
 	"table1", "fig5a", "fig5b", "fig6", "fig7", "fig8", "fig9",
-	"tiers", "contention", "failures", "p2p", "drain", "barrier", "network", "pollinterval",
+	"tiers", "failures", "p2p", "drain", "barrier", "network", "pollinterval",
 }

@@ -175,7 +175,7 @@ func runJob(cfg Config, w *mpi.World, coord *ckpt.Coordinator, factory func(rank
 		ckptMu.Lock()
 		defer ckptMu.Unlock()
 		if !due() || !coord.RequestCheckpoint(now) {
-			return // raised by another rank in the meantime, or refused
+			return // raised by another rank in the meantime, or one is already pending or capturing
 		}
 		atStepFired.Store(true)
 		next := math.Inf(1)

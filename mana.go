@@ -183,14 +183,6 @@ type (
 	EpochRead = netmodel.EpochRead
 	// CollKind enumerates collective operations (Bcast, Allreduce, ...).
 	CollKind = netmodel.CollKind
-	// DrainScheduler arbitrates concurrent jobs' burst->PFS drains over
-	// one shared storage tier (see CkptPlan.DrainSched).
-	DrainScheduler = netmodel.DrainScheduler
-	// DrainPolicy selects the scheduler's arbitration discipline
-	// (DrainFIFO, DrainFairShare, or DrainPriority).
-	DrainPolicy = netmodel.DrainPolicy
-	// DrainJobStats is one tenant's (or the whole scheduler's) drain meter.
-	DrainJobStats = netmodel.DrainJobStats
 	// Op is a reduction operation (OpSum, OpMax, OpMin, OpProd).
 	Op = mpi.Op
 )
@@ -217,16 +209,6 @@ const (
 	// with a background drain to the parallel filesystem accounted as
 	// CheckpointStats.TierDrainVT.
 	TierBurstBuffer = netmodel.TierBurstBuffer
-)
-
-// Drain-scheduler arbitration policies (see NewDrainScheduler).
-const (
-	// DrainFIFO serves whole drains in arrival order.
-	DrainFIFO = netmodel.DrainFIFO
-	// DrainFairShare splits the tier bandwidth evenly among active drains.
-	DrainFairShare = netmodel.DrainFairShare
-	// DrainPriority serves the highest CkptPlan.DrainPriority first.
-	DrainPriority = netmodel.DrainPriority
 )
 
 // Checkpoint modes.
@@ -330,16 +312,6 @@ func PerlmutterLike() Params { return netmodel.PerlmutterLike() }
 
 // EthernetLike returns parameters resembling a commodity gigabit cluster.
 func EthernetLike() Params { return netmodel.EthernetLike() }
-
-// NewDrainScheduler builds a shared drain scheduler over the storage model
-// the given parameters describe, for multi-tenant checkpoint runs (attach
-// it via CkptPlan.DrainSched).
-func NewDrainScheduler(p Params, ppn int, policy DrainPolicy) *DrainScheduler {
-	return netmodel.NewDrainScheduler(netmodel.New(p, ppn), policy)
-}
-
-// ParseDrainPolicy parses "fifo", "fair" (or "fair-share"), or "priority".
-func ParseDrainPolicy(s string) (DrainPolicy, error) { return netmodel.ParseDrainPolicy(s) }
 
 // F64Bytes encodes a float64 vector as a little-endian payload for sends
 // and collective buffers.

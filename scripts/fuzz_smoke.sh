@@ -11,8 +11,6 @@ fuzztime=${1:?usage: fuzz_smoke.sh <fuzztime, e.g. 10s or 5m>}
 targets='
 # A checkpoint at any schedule point, then restart, ends in the uninterrupted run state.
 ./internal/rt        FuzzCheckpointRestartTransparent
-# Drained bytes partition exactly across jobs, completions are monotone, no policy loses or invents work.
-./internal/netmodel  FuzzDrainConservation
 # Chunk tables tile exactly, identities recompute, an edit re-synchronizes the boundary walk at the first eligible candidate past it; predicting from the pre-edit table changes nothing, a forged table still tiles and leaves the stream sum alone.
 ./internal/ckpt      FuzzChunkerStability
 # Damaged page-delta / CDC objects x perturbed manifest entries: an attributed error or a clean decode, no panic, no allocation beyond the stated sizes (gob sees only CRC-checked extents).
