@@ -8,6 +8,9 @@ import (
 	"io"
 	"math"
 	"math/cmplx"
+	"runtime"
+	"runtime/debug"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -672,6 +675,7 @@ func (w *writeSizes) Write(p []byte) (int, error) {
 func TestStragglerSnapshotBlocks(t *testing.T) {
 	for _, elems := range []int{1, stragglerBlockElems - 1, stragglerBlockElems, 2*stragglerBlockElems + 37} {
 		a := NewStraggler(StragglerConfig{HotRanks: 1, HotIters: 5, StateElems: elems, InsertEvery: 1}, 0)
+		a.initState()
 		a.Iter, a.Acc = 3, 0.625
 		var want bytes.Buffer
 		for _, v := range []uint64{uint64(a.Iter), uint64(a.target), math.Float64bits(a.Acc), uint64(len(a.Sum)), uint64(len(a.State))} {
@@ -703,6 +707,162 @@ func TestStragglerSnapshotBlocks(t *testing.T) {
 			t.Fatalf("%d elements: restore did not round-trip the snapshot", elems)
 		}
 	}
+}
+
+// stragglerImage lays a straggler snapshot out by hand: the five header words
+// as given (Acc zero), then payload zero bytes.
+func stragglerImage(iter, target, nSum, nState uint64, payload int) []byte {
+	var b []byte
+	for _, v := range []uint64{iter, target, 0, nSum, nState} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return append(b, make([]byte, payload)...)
+}
+
+// TestStragglerRestoreHostile: a snapshot whose header lies is refused with
+// an error naming what is wrong, never a panic in Restore or in the Step
+// after it.
+func TestStragglerRestoreHostile(t *testing.T) {
+	insert := StragglerConfig{HotRanks: 1, HotIters: 5, StateElems: 4, InsertEvery: 1}
+	inPlace := StragglerConfig{HotRanks: 1, HotIters: 5, StateElems: 4}
+	for _, c := range []struct {
+		name string
+		cfg  StragglerConfig
+		data []byte
+		want string
+	}{
+		{"truncated header", insert, make([]byte, 39), "truncated"},
+		{"state count wraps 8*n", insert, stragglerImage(0, 5, 8, 1<<61+2, 8+16), "claims"},
+		{"sum count past the bytes", insert, stragglerImage(0, 5, 1<<62, 4, 8+32), "claims"},
+		{"payload one byte short", insert, stragglerImage(0, 5, 8, 4, 8+31), "claims"},
+		{"empty state under InsertEvery", insert, stragglerImage(0, 5, 8, 0, 8), "empty state"},
+		{"negative iteration", insert, stragglerImage(^uint64(0), 5, 8, 4, 8+32), "iteration"},
+		{"iteration past target", insert, stragglerImage(6, 5, 8, 4, 8+32), "iteration"},
+		{"state length without InsertEvery", inPlace, stragglerImage(0, 5, 8, 5, 8+40), "shape"},
+		{"sum length", insert, stragglerImage(0, 5, 16, 4, 16+32), "shape"},
+	} {
+		err := NewStraggler(c.cfg, 0).Restore(c.data)
+		if err == nil || !strings.HasPrefix(err.Error(), "straggler: ") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want a straggler error about %q", c.name, err, c.want)
+		}
+	}
+	if err := NewStraggler(insert, 0).Restore(stragglerImage(2, 5, 8, 6, 8+48)); err != nil {
+		t.Fatalf("a well-formed grown snapshot refused: %v", err)
+	}
+}
+
+// TestStragglerOneElementInsertion: a hot rank whose State is one element has
+// no interior to insert into; it inserts in front, runs to completion, and
+// restarts from a mid-run checkpoint onto the uninterrupted run's digest.
+func TestStragglerOneElementInsertion(t *testing.T) {
+	factory := func(rank int) rt.App {
+		return NewStraggler(StragglerConfig{HotRanks: 1, ColdSteps: 2, HotIters: 12, StateElems: 1, InsertEvery: 1}, rank)
+	}
+	base, err := rt.Run(smallConfig(2, rt.AlgoCC), factory)
+	if err != nil || !base.Completed {
+		t.Fatalf("uninterrupted run: %v", err)
+	}
+	cfg := smallConfig(2, rt.AlgoCC)
+	cfg.Checkpoint = &rt.CkptPlan{AtStep: 5, Mode: ckpt.ExitAfterCapture}
+	rep, err := rt.Run(cfg, factory)
+	if err != nil || rep.Image == nil {
+		t.Fatalf("checkpoint leg: %v (image %v)", err, rep != nil && rep.Image != nil)
+	}
+	rep2, err := rt.Restart(smallConfig(2, rt.AlgoCC), rep.Image, factory)
+	if err != nil || !rep2.Completed {
+		t.Fatalf("restart leg: %v", err)
+	}
+	if rep2.StateDigest != base.StateDigest {
+		t.Fatalf("restart diverged: %.12s != %.12s", rep2.StateDigest, base.StateDigest)
+	}
+}
+
+// capProbe records cap(State) after every Step of the straggler it wraps.
+type capProbe struct {
+	*Straggler
+	caps []int
+}
+
+func (p *capProbe) Step(env *rt.Env) (bool, error) {
+	more, err := p.Straggler.Step(env)
+	p.caps = append(p.caps, cap(p.State))
+	return more, err
+}
+
+// raceBuild reports whether the test binary runs under the race detector,
+// which allocates on its own account.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestStragglerRestartBuildsOnce: a restarted rank pays for its State once.
+// Constructor and Restore together allocate about one State (no initial
+// state the snapshot overwrites, no second slice for a grown snapshot), and
+// under insertion churn cap(State) never moves: a fresh rank and a restored
+// one each hold room for every insertion they have left.
+func TestStragglerRestartBuildsOnce(t *testing.T) {
+	if raceBuild() {
+		t.Log("allocation check skipped under the race detector")
+	} else {
+		const elems, grown = 2 << 20, 2<<20 + 20
+		cfg := StragglerConfig{HotRanks: 1, HotIters: 40, StateElems: elems, InsertEvery: 1}
+		snap := stragglerImage(20, 40, 8, grown, 8+8*grown)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		a := NewStraggler(cfg, 0)
+		err := a.Restore(snap)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, stateBytes := after.TotalAlloc-before.TotalAlloc, uint64(8*grown)
+		t.Logf("constructor + Restore: %d bytes allocated for a %d-byte State", got, stateBytes)
+		if limit := stateBytes*11/10 + 64<<10; got > limit {
+			t.Errorf("constructor + Restore allocated %d bytes for a %d-byte State, want <= %d", got, stateBytes, limit)
+		}
+	}
+
+	cfg := StragglerConfig{HotRanks: 2, ColdSteps: 2, HotIters: 24, StateElems: 100, HotStateElems: 1000, InsertEvery: 1}
+	probes := make([]*capProbe, 4)
+	factory := func(rank int) rt.App {
+		probes[rank] = &capProbe{Straggler: NewStraggler(cfg, rank)}
+		return probes[rank]
+	}
+	checkCaps := func(leg string) {
+		t.Helper()
+		for rank, p := range probes {
+			if !p.hot {
+				continue
+			}
+			if len(p.caps) < 2 {
+				t.Fatalf("%s: hot rank %d ran %d steps", leg, rank, len(p.caps))
+			}
+			for i, c := range p.caps {
+				if c != p.caps[0] {
+					t.Fatalf("%s: hot rank %d: cap(State) %d after step %d, %d after the first", leg, rank, c, i+1, p.caps[0])
+				}
+			}
+		}
+	}
+	run := smallConfig(4, rt.AlgoCC)
+	run.Checkpoint = &rt.CkptPlan{AtStep: 8, Mode: ckpt.ExitAfterCapture}
+	rep, err := rt.Run(run, factory)
+	if err != nil || rep.Image == nil {
+		t.Fatalf("checkpoint leg: %v", err)
+	}
+	checkCaps("fresh")
+	if rep, err = rt.Restart(smallConfig(4, rt.AlgoCC), rep.Image, factory); err != nil || !rep.Completed {
+		t.Fatalf("restart leg: %v", err)
+	}
+	checkCaps("restarted")
 }
 
 // refWriteF64s is the codec the straggler had before writeF64s: the same

@@ -54,25 +54,32 @@ func DefaultStragglerConfig() StragglerConfig {
 // collectives.
 type Straggler struct {
 	cfg    StragglerConfig
+	rank   int
+	elems  int // the configured State length (StateElems or HotStateElems)
 	target int // this rank's iteration count (HotIters or ColdSteps)
 	hot    bool
 	sub    int // sub-communicator vid (hot/cold split); not serialized
 
-	Iter  int
-	Acc   float64
-	Sum   []byte    // named buffer "sum": allreduce payload
-	State []float64 // bulk per-rank state, mutated only by hot ranks
+	Iter int
+	Acc  float64
+	Sum  []byte // named buffer "sum": allreduce payload
+	// State is the bulk per-rank state, mutated only by hot ranks. It is nil
+	// until first use: a fresh rank builds it in initState, a restarted rank
+	// decodes it in Restore and never builds the initial one.
+	State []float64
 }
 
-// NewStraggler creates the straggler app for one rank.
+// NewStraggler creates the straggler app for one rank. It allocates no
+// State (see initState).
 func NewStraggler(cfg StragglerConfig, rank int) *Straggler {
 	if cfg.HotRanks < 1 {
 		cfg.HotRanks = 1
 	}
 	a := &Straggler{
-		cfg: cfg,
-		hot: rank < cfg.HotRanks,
-		Sum: make([]byte, 8),
+		cfg:  cfg,
+		rank: rank,
+		hot:  rank < cfg.HotRanks,
+		Sum:  make([]byte, 8),
 	}
 	if a.hot {
 		a.target = cfg.HotIters
@@ -82,25 +89,47 @@ func NewStraggler(cfg StragglerConfig, rank int) *Straggler {
 	if a.target < 1 {
 		a.target = 1
 	}
-	elems := cfg.StateElems
+	a.elems = cfg.StateElems
 	if a.hot && cfg.HotStateElems > 0 {
-		elems = cfg.HotStateElems
+		a.elems = cfg.HotStateElems
 	}
-	if elems < 1 {
-		elems = 1
+	if a.elems < 1 {
+		a.elems = 1
 	}
-	a.State = make([]float64, elems)
-	if cfg.InsertEvery > 0 {
-		s := uint64(rank)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
+	return a
+}
+
+// initState builds the initial State if there is none yet. Step, Snapshot
+// and SnapshotTo call it; Restore does not, because the snapshot carries
+// every element the initial state would have held.
+func (a *Straggler) initState() {
+	if a.State != nil {
+		return
+	}
+	a.State = a.newState(a.elems, 0)
+	if a.cfg.InsertEvery > 0 {
+		s := uint64(a.rank)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 		for i := range a.State {
 			s, a.State[i] = stragglerNoise(s)
 		}
 	} else {
 		for i := range a.State {
-			a.State[i] = float64(rank) + float64(i%64)/64
+			a.State[i] = float64(a.rank) + float64(i%64)/64
 		}
 	}
-	return a
+}
+
+// newState allocates n State elements with room for every insertion the
+// rank has left from iteration iter on, so no insertion in Step reallocates.
+// The count comes from the configured HotIters, never from a snapshot's
+// target, so a snapshot's bytes size no more than the elements they hold.
+func (a *Straggler) newState(n, iter int) []float64 {
+	room := 0
+	if lo, hi, every := max(iter, 1), a.cfg.HotIters, a.cfg.InsertEvery; a.hot && every > 0 && lo < hi {
+		// Step inserts at every iteration in [lo, hi) that every divides.
+		room = (hi-1)/every - (lo-1)/every
+	}
+	return make([]float64, n, n+room)
 }
 
 // stragglerNoise advances a xorshift64 state and returns it with a
@@ -138,6 +167,7 @@ func (a *Straggler) Step(env *rt.Env) (bool, error) {
 	if a.Iter >= a.target {
 		return false, nil
 	}
+	a.initState()
 	// Consume the previous iteration's allreduce result (per the App
 	// contract, post-processing belongs to the step after the blocking
 	// batch).
@@ -148,8 +178,12 @@ func (a *Straggler) Step(env *rt.Env) (bool, error) {
 	// payload, and only while iterating.
 	if a.hot && a.cfg.InsertEvery > 0 && a.Iter > 0 && a.Iter%a.cfg.InsertEvery == 0 {
 		// Insertion churn: grow State by one element at a pseudo-random
-		// interior position, shifting everything after it.
-		pos := (a.Iter * 131) % (len(a.State) - 1)
+		// interior position, shifting everything after it. A one-element
+		// State has no interior; its insertions go in front.
+		pos := 0
+		if len(a.State) > 1 {
+			pos = (a.Iter * 131) % (len(a.State) - 1)
+		}
 		_, v := stragglerNoise(uint64(a.Iter)*0x9e3779b97f4a7c15 + 1)
 		a.State = append(a.State, 0)
 		copy(a.State[pos+1:], a.State[pos:])
@@ -188,6 +222,7 @@ func (a *Straggler) Step(env *rt.Env) (bool, error) {
 func snapshotLen(nSum, nState int) int { return 5*8 + nSum + 8*nState }
 
 func (a *Straggler) Snapshot() ([]byte, error) {
+	a.initState()
 	var buf bytes.Buffer
 	buf.Grow(snapshotLen(len(a.Sum), len(a.State)))
 	if err := a.SnapshotTo(&buf); err != nil {
@@ -199,6 +234,7 @@ func (a *Straggler) Snapshot() ([]byte, error) {
 // SnapshotTo implements rt.StreamSnapshotter: the capture path streams the
 // snapshot straight into the image buffer. Produces exactly Snapshot's bytes.
 func (a *Straggler) SnapshotTo(w io.Writer) error {
+	a.initState()
 	var hdr [5 * 8]byte
 	binary.LittleEndian.PutUint64(hdr[0:], uint64(a.Iter))
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(a.target))
@@ -221,22 +257,30 @@ func (a *Straggler) Restore(data []byte) error {
 	iter := int(binary.LittleEndian.Uint64(data[0:]))
 	target := int(binary.LittleEndian.Uint64(data[8:]))
 	acc := math.Float64frombits(binary.LittleEndian.Uint64(data[16:]))
-	nSum := int(binary.LittleEndian.Uint64(data[24:]))
-	nState := int(binary.LittleEndian.Uint64(data[32:]))
+	claimSum := binary.LittleEndian.Uint64(data[24:])
+	claimState := binary.LittleEndian.Uint64(data[32:])
 	rest := data[5*8:]
-	if nSum < 0 || nState < 0 || len(data) != snapshotLen(nSum, nState) {
+	// Bound both counts by the bytes present before multiplying: 8*nState
+	// wraps for a claim near 2^61, which would pass the length check.
+	if claimSum > uint64(len(rest)) || claimState > uint64(len(rest))/8 ||
+		len(data) != snapshotLen(int(claimSum), int(claimState)) {
 		return fmt.Errorf("straggler: snapshot claims %d+8*%d payload bytes, has %d",
-			nSum, nState, len(rest))
+			claimSum, claimState, len(rest))
 	}
-	if nSum != len(a.Sum) || (nState != len(a.State) && a.cfg.InsertEvery == 0) {
+	nSum, nState := int(claimSum), int(claimState)
+	// With insertion churn the captured State may be longer than the
+	// configured one; the snapshot's length is authoritative.
+	if nSum != len(a.Sum) || (nState != a.elems && a.cfg.InsertEvery == 0) {
 		return fmt.Errorf("straggler: snapshot shape (%d sum, %d state) does not match this rank (%d, %d)",
-			nSum, nState, len(a.Sum), len(a.State))
+			nSum, nState, len(a.Sum), a.elems)
 	}
-	if nState != len(a.State) {
-		// With insertion churn the captured State may be longer than the
-		// constructor's; the snapshot's length is authoritative.
-		a.State = make([]float64, nState)
+	if nState == 0 {
+		return fmt.Errorf("straggler: snapshot holds an empty state (Step indexes at least one element)")
 	}
+	if iter < 0 || iter > target {
+		return fmt.Errorf("straggler: snapshot iteration %d outside [0, %d]", iter, target)
+	}
+	a.State = a.newState(nState, iter)
 	a.Iter, a.Acc, a.target = iter, acc, target
 	copy(a.Sum, rest[:nSum])
 	readF64s(a.State, rest[nSum:])

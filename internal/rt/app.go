@@ -18,6 +18,12 @@ import "io"
 //     creates the same communicators (in the same order) and allocates the
 //     same named buffers. Restart replays Setup to rebuild the lower half,
 //     then Restore overwrites the state.
+//   - The constructor and Setup build nothing that a snapshot carries,
+//     beyond the named buffers Restore fills in place. A restarted rank runs
+//     both and then Restore, so any state they fill is paid for and thrown
+//     away; build it on first use instead (the first Step, Snapshot or
+//     SnapshotTo). The split-process model restores the upper half's memory
+//     the same way, without re-running its initialisation.
 //   - All mutable state lives in the App value and is captured by Snapshot.
 //   - Each Step performs at most one *blocking* MPI batch (one blocking
 //     collective, or one WaitAll), as its final action, and the state
