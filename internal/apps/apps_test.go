@@ -22,6 +22,173 @@ import (
 
 // --- FFT kernel -----------------------------------------------------------
 
+// fftForward computes the in-place forward DFT of a power-of-two-length
+// complex vector.
+func fftForward(x []complex128) { newFFTPlan(len(x), false).transform(x) }
+
+// fftInverse computes the in-place inverse DFT (normalized by 1/N).
+func fftInverse(x []complex128) { newFFTPlan(len(x), true).transform(x) }
+
+// refFFTPlan is fftPlan, and its transform fftPlan's, as they were before the
+// bit-reversal was tabulated, the butterflies re-sliced and the inverse's
+// division written out, kept verbatim but for the names: the reference
+// TestFFTPlanBitIdentical holds fftPlan to bit for bit, and the yardstick
+// BenchmarkFFTPlanRatio times it against.
+type refFFTPlan struct {
+	inverse bool
+	stages  [][]complex128
+}
+
+func newRefFFTPlan(n int, inverse bool) *refFFTPlan {
+	if n&(n-1) != 0 {
+		panic("apps: FFT length must be a power of two")
+	}
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	p := &refFFTPlan{inverse: inverse}
+	for length := 2; length <= n; length <<= 1 {
+		ang := sign * 2 * math.Pi / float64(length)
+		wl := complex(math.Cos(ang), math.Sin(ang))
+		tw := make([]complex128, length/2)
+		w := complex(1, 0)
+		for j := range tw {
+			tw[j] = w
+			w *= wl
+		}
+		p.stages = append(p.stages, tw)
+	}
+	return p
+}
+
+func (p *refFFTPlan) transform(x []complex128) {
+	n := len(x)
+	// Bit-reversal permutation.
+	for i, j := 1, 0; i < n; i++ {
+		bit := n >> 1
+		for ; j&bit != 0; bit >>= 1 {
+			j ^= bit
+		}
+		j ^= bit
+		if i < j {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	for _, tw := range p.stages {
+		half := len(tw)
+		for i := 0; i < n; i += 2 * half {
+			for j, w := range tw {
+				u := x[i+j]
+				v := x[i+j+half] * w
+				x[i+j] = u + v
+				x[i+j+half] = u - v
+			}
+		}
+	}
+	if p.inverse {
+		scale := complex(float64(n), 0)
+		for i := range x {
+			x[i] /= scale
+		}
+	}
+}
+
+// fftSpecials are the parts a rewritten butterfly or scaling could get wrong:
+// both zeros, subnormals, infinities, NaN, and magnitudes whose products
+// overflow or underflow.
+var fftSpecials = []float64{
+	0, math.Copysign(0, -1),
+	math.Float64frombits(1), -math.Float64frombits(1), math.Float64frombits(0x000fffffffffffff),
+	math.Inf(1), math.Inf(-1), math.NaN(),
+	1e300, -1e300, 1e-300, -1e-300,
+}
+
+// fftTestVector fills x from rng: noise, with specials injected into none,
+// one or about one in eight of its parts, by kind.
+func fftTestVector(x []complex128, rng *splitmix64, kind int) {
+	part := func() float64 {
+		if kind == 2 && rng.next()%8 == 0 || kind == 1 && rng.next()%uint64(2*len(x)) == 0 {
+			return fftSpecials[rng.next()%uint64(len(fftSpecials))]
+		}
+		return (rng.float() - 0.5) * math.Ldexp(1, int(rng.next()%64)-32)
+	}
+	for i := range x {
+		x[i] = complex(part(), part())
+	}
+}
+
+// sameBitsOrNaN reports whether each part of got is want's bit for bit, or
+// NaN where want's is: a NaN's payload is not compared.
+func sameBitsOrNaN(got, want complex128) bool {
+	same := func(g, w float64) bool {
+		return math.Float64bits(g) == math.Float64bits(w) || math.IsNaN(g) && math.IsNaN(w)
+	}
+	return same(real(got), real(want)) && same(imag(got), imag(want))
+}
+
+// TestFFTPlanBitIdentical: the planned transform's every output bit is the
+// reference's, in both directions at every power-of-two length up to 1024,
+// over seeded vectors carrying ±0, subnormals, ±Inf, NaN and 1e±300 parts. A
+// NaN must sit where the reference has one; its payload follows register
+// allocation and is not compared. -short (CI's race run) takes a tenth of
+// the vectors; CI runs the full count by name without the race detector.
+func TestFFTPlanBitIdentical(t *testing.T) {
+	vectors := 10000
+	if testing.Short() {
+		vectors = 1000
+	}
+	for n := 2; n <= 1024; n <<= 1 {
+		for _, inverse := range []bool{false, true} {
+			plan, ref := newFFTPlan(n, inverse), newRefFFTPlan(n, inverse)
+			rng := splitmix64{S: uint64(n) << 1}
+			got, want := make([]complex128, n), make([]complex128, n)
+			for k := 0; k < vectors; k++ {
+				fftTestVector(want, &rng, k%3)
+				copy(got, want)
+				ref.transform(want)
+				plan.transform(got)
+				for i := range got {
+					if !sameBitsOrNaN(got[i], want[i]) {
+						t.Fatalf("n=%d inverse=%v vector %d: element %d is %v, reference %v", n, inverse, k, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFoldAtaShortCircuit: foldAta takes the modulus only when a part
+// exceeds 5e5, and every case either side of that and of |z| = 1e6 — NaN and
+// infinite parts included — is folded exactly as the unconditional
+// cmplx.Abs(z) > 1e6 test folds it.
+func TestFoldAtaShortCircuit(t *testing.T) {
+	const above = 5e5
+	up := func(f float64) float64 { return math.Nextafter(f, math.Inf(1)) }
+	down := func(f float64) float64 { return math.Nextafter(f, 0) }
+	inf, nan := math.Inf(1), math.NaN()
+	for _, z := range []complex128{
+		complex(above, above), complex(-above, above), complex(up(above), 0), complex(0, -up(above)),
+		complex(7.07e5, 7.07e5), complex(-7.07e5, -7.07e5), complex(up(above), up(above)),
+		complex(1e6, 0), complex(up(1e6), 0), complex(down(1e6), 0), complex(0, up(1e6)), complex(0, -down(1e6)),
+		complex(707106.79, 707106.79), complex(707106.78, 707106.78),
+		complex(inf, 0), complex(0, -inf), complex(inf, nan), complex(nan, -inf),
+		complex(nan, 0), complex(0, nan), complex(nan, nan), complex(nan, 2e6), complex(2e6, nan),
+	} {
+		v := NewVASPMini(VASPConfig{})
+		v.bufs.add("ata", 8)
+		v.Slab = []complex128{z}
+		v.foldAta()
+		want := z + complex(0*1e-3, 0)
+		if cmplx.Abs(want) > 1e6 {
+			want /= 1e6
+		}
+		if got := v.Slab[0]; !sameBitsOrNaN(got, want) {
+			t.Errorf("foldAta(%v) = %v, want %v", z, got, want)
+		}
+	}
+}
+
 func TestFFTRoundtrip(t *testing.T) {
 	rng := splitmix64{S: 42}
 	x := make([]complex128, 128)
@@ -322,6 +489,65 @@ func TestVASPEnergyTracked(t *testing.T) {
 		if a.Energy != apps[0].Energy {
 			t.Fatalf("rank %d energy %g != rank 0 %g", r, a.Energy, apps[0].Energy)
 		}
+	}
+}
+
+// vaspRank is a VASPMini as Setup leaves it on a one-rank row, built without
+// a runtime: its four named buffers and a zero slab of SlabN elements.
+func vaspRank(cfg VASPConfig) *VASPMini {
+	v := NewVASPMini(cfg)
+	for _, id := range []string{"ata", "energy", "haloL", "haloR"} {
+		v.bufs.add(id, 8)
+	}
+	v.Slab = make([]complex128, v.cfg.SlabN)
+	return v
+}
+
+// TestVASPRestoreHostile: a snapshot that does not fit the rank is refused
+// with an error naming what is wrong — never a stale or truncated slab, nor a
+// phase Step has no case for — and a Step at such a phase fails instead of
+// returning more work forever without an MPI call.
+func TestVASPRestoreHostile(t *testing.T) {
+	cfg := VASPConfig{Iterations: 10, SlabN: 8}
+	for _, c := range []struct {
+		name string
+		edit func(*VASPMini)
+		want string
+	}{
+		{"short slab", func(v *VASPMini) { v.Slab = v.Slab[:2] }, "slab"},
+		{"long slab", func(v *VASPMini) { v.Slab = make([]complex128, 9) }, "slab"},
+		{"phase past the cycle", func(v *VASPMini) { v.Phase = 9 }, "phase"},
+		{"negative phase", func(v *VASPMini) { v.Phase = -1 }, "phase"},
+		{"negative iteration", func(v *VASPMini) { v.Iter = -5 }, "iteration"},
+		{"iteration past the run", func(v *VASPMini) { v.Iter = 11 }, "iteration"},
+	} {
+		src := vaspRank(cfg)
+		c.edit(src)
+		snap, err := src.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = vaspRank(cfg).Restore(snap)
+		if err == nil || !strings.HasPrefix(err.Error(), "vasp: ") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want a vasp error about %q", c.name, err, c.want)
+		}
+	}
+
+	done := vaspRank(cfg)
+	done.Iter, done.Slab[7] = cfg.Iterations, complex(1, -1)
+	snap, _ := done.Snapshot()
+	back := vaspRank(cfg)
+	if err := back.Restore(snap); err != nil {
+		t.Fatalf("a finished rank's snapshot refused: %v", err)
+	}
+	if again, _ := back.Snapshot(); !bytes.Equal(again, snap) {
+		t.Fatal("restore did not round-trip a finished rank's snapshot")
+	}
+
+	lost := vaspRank(cfg)
+	lost.Phase = 9
+	if more, err := lost.Step(nil); more || err == nil || !strings.HasPrefix(err.Error(), "vasp: ") {
+		t.Fatalf("Step at phase 9: more %v, err %v; want a vasp error and no more work", more, err)
 	}
 }
 
@@ -1025,5 +1251,45 @@ func BenchmarkF64CodecRatio(b *testing.B) {
 		b.ReportMetric(mbps(helper), "MB/s")
 		b.ReportMetric(mbps(indexed), "indexed-MB/s")
 		b.ReportMetric(float64(indexed)/float64(helper), "x-indexed")
+	}
+}
+
+// BenchmarkFFTPlanRatio is a gate (b.Fatalf), not a measurement: the VASP
+// proxy's step pair — a 64-point forward transform, then the inverse — must
+// run at least 1.3 times as fast through fftPlan as through the reference
+// plan it replaced, both timed in this process over the same vector. The
+// planned pair reads 1.6–1.8x on the host it was written on. CI runs it by
+// name with -benchtime=1x, without -race.
+func BenchmarkFFTPlanRatio(b *testing.B) {
+	const n, pairs = 64, 4096
+	x := make([]complex128, n)
+	rng := splitmix64{S: 64}
+	fftTestVector(x, &rng, 0)
+	fwd, inv := newFFTPlan(n, false), newFFTPlan(n, true)
+	refFwd, refInv := newRefFFTPlan(n, false), newRefFFTPlan(n, true)
+	pass := func(fwd, inv func([]complex128)) time.Duration {
+		t0 := time.Now()
+		for k := 0; k < pairs; k++ {
+			fwd(x)
+			inv(x)
+		}
+		return time.Since(t0)
+	}
+	perPair := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / pairs }
+	for i := 0; i < b.N; i++ {
+		// Fastest of 15 each, the two sides taking turns so that a busy
+		// stretch on the host falls on both.
+		ref, planned := time.Duration(1<<63-1), time.Duration(1<<63-1)
+		for try := 0; try < 15; try++ {
+			ref = min(ref, pass(refFwd.transform, refInv.transform))
+			planned = min(planned, pass(fwd.transform, inv.transform))
+		}
+		if 10*ref < 13*planned {
+			b.Fatalf("a 64-point forward+inverse pair took %.0f ns planned, %.0f ns through the reference: want at least 1.3x faster",
+				perPair(planned), perPair(ref))
+		}
+		b.ReportMetric(perPair(planned), "ns/pair")
+		b.ReportMetric(perPair(ref), "ref-ns/pair")
+		b.ReportMetric(float64(ref)/float64(planned), "x-ref")
 	}
 }

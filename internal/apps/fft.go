@@ -6,18 +6,28 @@ import "math"
 // (VASP's runtime is dominated by 3-D FFTs whose distributed transposes
 // drive its extreme collective-call rate; paper §1, §5.4).
 
-// fftPlan is the transform of one length and direction with its twiddle
-// factors tabulated: stages[k] is the sequence w, w·wl, w·wl², ... a
-// butterfly block of length 2<<k steps through. Each sequence is built by
-// the same `w *= wl` recurrence the transform used to run per block, so the
-// planned transform is bit-identical to it; what the table saves is a
-// cos/sin pair per stage and the multiply chain per block on every call.
+// fftPlan is the transform of one length and direction with everything that
+// does not depend on the data tabulated:
+//   - swaps: the bit-reversal permutation as the pairs (i, j), i < j, it
+//     exchanges;
+//   - stages: stages[k] is the twiddle sequence w, w·wl, w·wl², ... a
+//     butterfly block of length 2<<k steps through, built by the
+//     `w *= wl` recurrence;
+//   - invN: 1/n for the inverse, exact because n is a power of two.
+//
+// Every output bit but a NaN's payload is the textbook loop's, which
+// bit-reverses per call, walks each stage block by block and divides by
+// complex(n, 0) (TestFFTPlanBitIdentical keeps it): a stage's butterflies
+// are disjoint, so their order is free, and each takes the same operands
+// and twiddle.
 type fftPlan struct {
 	inverse bool
+	invN    float64
+	swaps   [][2]int32
 	stages  [][]complex128
 }
 
-// newFFTPlan tabulates the twiddles for power-of-two length n.
+// newFFTPlan tabulates the swaps and twiddles for power-of-two length n.
 func newFFTPlan(n int, inverse bool) *fftPlan {
 	if n&(n-1) != 0 {
 		panic("apps: FFT length must be a power of two")
@@ -26,7 +36,17 @@ func newFFTPlan(n int, inverse bool) *fftPlan {
 	if inverse {
 		sign = 1.0
 	}
-	p := &fftPlan{inverse: inverse}
+	p := &fftPlan{inverse: inverse, invN: 1 / float64(n), swaps: make([][2]int32, 0, n/2)}
+	for i, j := 1, 0; i < n; i++ {
+		bit := n >> 1
+		for ; j&bit != 0; bit >>= 1 {
+			j ^= bit
+		}
+		j ^= bit
+		if i < j {
+			p.swaps = append(p.swaps, [2]int32{int32(i), int32(j)})
+		}
+	}
 	for length := 2; length <= n; length <<= 1 {
 		ang := sign * 2 * math.Pi / float64(length)
 		wl := complex(math.Cos(ang), math.Sin(ang))
@@ -41,42 +61,56 @@ func newFFTPlan(n int, inverse bool) *fftPlan {
 	return p
 }
 
-// fftForward computes the in-place forward DFT of a power-of-two-length
-// complex vector.
-func fftForward(x []complex128) { newFFTPlan(len(x), false).transform(x) }
-
-// fftInverse computes the in-place inverse DFT (normalized by 1/N).
-func fftInverse(x []complex128) { newFFTPlan(len(x), true).transform(x) }
-
 // transform runs the plan in place over x, whose length must be the plan's.
 func (p *fftPlan) transform(x []complex128) {
 	n := len(x)
-	// Bit-reversal permutation.
-	for i, j := 1, 0; i < n; i++ {
-		bit := n >> 1
-		for ; j&bit != 0; bit >>= 1 {
-			j ^= bit
-		}
-		j ^= bit
-		if i < j {
-			x[i], x[j] = x[j], x[i]
-		}
+	for _, s := range p.swaps {
+		x[s[0]], x[s[1]] = x[s[1]], x[s[0]]
 	}
 	for _, tw := range p.stages {
 		half := len(tw)
-		for i := 0; i < n; i += 2 * half {
+		if n > 2*half*half {
+			// More blocks than twiddles: load each twiddle once and walk it
+			// across the blocks.
 			for j, w := range tw {
-				u := x[i+j]
-				v := x[i+j+half] * w
-				x[i+j] = u + v
-				x[i+j+half] = u - v
+				for i := j; i < n; i += 2 * half {
+					u := x[i]
+					v := x[i+half] * w
+					x[i] = u + v
+					x[i+half] = u - v
+				}
+			}
+			continue
+		}
+		for i := 0; i < n; i += 2 * half {
+			// Both halves re-sliced to len(tw) so that the loop carries no
+			// bounds check.
+			a := x[i : i+half][:len(tw)]
+			b := x[i+half : i+2*half][:len(tw)]
+			for j, w := range tw {
+				u := a[j]
+				v := b[j] * w
+				a[j] = u + v
+				b[j] = u - v
 			}
 		}
 	}
 	if p.inverse {
-		scale := complex(float64(n), 0)
-		for i := range x {
-			x[i] /= scale
+		// x[i] / complex(n, 0) as runtime.complex128div computes it: Smith's
+		// branch with ratio 0/n = 0 and denominator n. The ·0 terms stay,
+		// since they decide the sign of a zero and turn an infinity in the
+		// other part into NaN; dividing by n and multiplying by the exact
+		// 1/n round the same value once. When both parts come out NaN the
+		// runtime patches infinities back in, so that case divides.
+		for i, z := range x {
+			re, im := real(z), imag(z)
+			e := (re + im*0) * p.invN
+			f := (im - re*0) * p.invN
+			if e != e && f != f {
+				x[i] = z / complex(float64(n), 0)
+				continue
+			}
+			x[i] = complex(e, f)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"math/cmplx"
@@ -141,6 +142,8 @@ func (v *VASPMini) Step(env *rt.Env) (bool, error) {
 		}
 		v.Iter++
 		v.Phase = 0
+	default:
+		return false, fmt.Errorf("vasp: phase %d outside [0, 4]", v.Phase)
 	}
 	return v.Iter < v.cfg.Iterations, nil
 }
@@ -154,14 +157,17 @@ func (v *VASPMini) fillAta() {
 }
 
 // foldAta mixes the transposed contributions back into the slab, keeping
-// magnitudes bounded.
+// magnitudes bounded. The modulus is taken only when a part exceeds 5e5:
+// with both parts at most that, |z| ≤ 7.1e5 < 1e6. A NaN part fails both
+// comparisons, as its NaN modulus fails the 1e6 one.
 func (v *VASPMini) foldAta() {
 	b := v.bufs.get("ata")
 	for i := 0; i < len(v.Slab) && 8*i+8 <= len(b); i++ {
-		v.Slab[i] += complex(getF64(b[8*i:])*1e-3, 0)
-		if cmplx.Abs(v.Slab[i]) > 1e6 {
-			v.Slab[i] /= 1e6
+		z := v.Slab[i] + complex(getF64(b[8*i:])*1e-3, 0)
+		if (math.Abs(real(z)) > 5e5 || math.Abs(imag(z)) > 5e5) && cmplx.Abs(z) > 1e6 {
+			z /= 1e6
 		}
+		v.Slab[i] = z
 	}
 }
 
@@ -187,7 +193,9 @@ func (v *VASPMini) SnapshotTo(w io.Writer) error {
 	}{v.Iter, v.Phase, v.Slab, v.Energy, v.bufs.entries(), v.rng.S})
 }
 
-// Restore implements rt.App.
+// Restore implements rt.App. A snapshot that does not fit this rank — a
+// slab of another length, a phase Step has no case for, an iteration
+// outside the run — is refused.
 func (v *VASPMini) Restore(data []byte) error {
 	var st struct {
 		Iter, Phase int
@@ -199,7 +207,15 @@ func (v *VASPMini) Restore(data []byte) error {
 	if err := gobDecode(data, &st); err != nil {
 		return err
 	}
+	switch {
+	case len(st.Slab) != v.cfg.SlabN:
+		return fmt.Errorf("vasp: snapshot slab has %d elements, this rank %d", len(st.Slab), v.cfg.SlabN)
+	case st.Phase < 0 || st.Phase > 4:
+		return fmt.Errorf("vasp: snapshot phase %d outside [0, 4]", st.Phase)
+	case st.Iter < 0 || st.Iter > v.cfg.Iterations:
+		return fmt.Errorf("vasp: snapshot iteration %d outside [0, %d]", st.Iter, v.cfg.Iterations)
+	}
 	v.Iter, v.Phase, v.Energy, v.rng.S = st.Iter, st.Phase, st.Energy, st.Rng
-	copy(v.Slab, st.Slab)
+	v.Slab = st.Slab
 	return v.bufs.restoreEntries(st.Bufs)
 }
