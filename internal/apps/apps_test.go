@@ -3,6 +3,7 @@ package apps
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -503,12 +504,110 @@ func vaspRank(cfg VASPConfig) *VASPMini {
 	return v
 }
 
-// TestVASPRestoreHostile: a snapshot that does not fit the rank is refused
-// with an error naming what is wrong — never a stale or truncated slab, nor a
-// phase Step has no case for — and a Step at such a phase fails instead of
-// returning more work forever without an MPI call.
+// vaspImage lays a VASP snapshot out by hand: the six header words, the
+// slab's real parts, then its imaginary parts, then each buffer as given, in
+// the order given.
+func vaspImage(iter, phase uint64, energy float64, rng uint64, slab []complex128, bufs ...BufEntry) []byte {
+	var b []byte
+	for _, w := range []uint64{iter, phase, math.Float64bits(energy), rng, uint64(len(slab)), uint64(len(bufs))} {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	for _, z := range slab {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(real(z)))
+	}
+	for _, z := range slab {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(imag(z)))
+	}
+	for _, e := range bufs {
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(e.ID)))
+		b = append(b, e.ID...)
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(e.Data)))
+		b = append(b, e.Data...)
+	}
+	return b
+}
+
+// vaspBufs returns 8-byte buffers of the given IDs, in the order given.
+func vaspBufs(ids ...string) []BufEntry {
+	out := make([]BufEntry, len(ids))
+	for i, id := range ids {
+		out[i] = BufEntry{ID: id, Data: []byte{byte(i + 1), 2, 3, 4, 5, 6, 7, 8}}
+	}
+	return out
+}
+
+// TestVASPSnapshotLayout: Snapshot and SnapshotTo emit the documented
+// fixed-width layout exactly, every bit of the slab and the energy included,
+// and Restore reads it back onto the same state.
+func TestVASPSnapshotLayout(t *testing.T) {
+	cfg := VASPConfig{Iterations: 10, SlabN: 8}
+	v := vaspRank(cfg)
+	parts := awkwardF64s(2*len(v.Slab) + 1)
+	for i := range v.Slab {
+		v.Slab[i] = complex(parts[2*i], parts[2*i+1])
+	}
+	v.Iter, v.Phase, v.Energy, v.rng.S = 7, 3, parts[len(parts)-1], 0xfeedface
+	for _, e := range vaspBufs("ata", "energy", "haloL", "haloR") {
+		copy(v.bufs.get(e.ID), e.Data)
+	}
+	want := vaspImage(7, 3, v.Energy, 0xfeedface, v.Slab, vaspBufs("ata", "energy", "haloL", "haloR")...)
+	snap, err := v.Snapshot()
+	if err != nil || !bytes.Equal(snap, want) {
+		t.Fatalf("Snapshot wrote %d bytes (err %v) that differ from the %d-byte layout", len(snap), err, len(want))
+	}
+	var streamed writeSizes
+	if err := v.SnapshotTo(&streamed); err != nil || !bytes.Equal(streamed.Bytes(), want) || len(streamed.sizes) != 1 {
+		t.Fatalf("SnapshotTo: %d bytes in %d Writes (err %v), want Snapshot's in one", streamed.Len(), len(streamed.sizes), err)
+	}
+	back := vaspRank(cfg)
+	if err := back.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := back.Snapshot(); !bytes.Equal(again, snap) {
+		t.Fatal("restore did not round-trip the snapshot")
+	}
+}
+
+// retiredVASPGob is the VASP snapshot as gob wrote it before the fixed-width
+// layout, for a vaspRank of cfg: the same anonymous struct, field for field.
+func retiredVASPGob(t testing.TB, cfg VASPConfig) []byte {
+	t.Helper()
+	v := vaspRank(cfg)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(struct {
+		Iter, Phase int
+		Slab        []complex128
+		Energy      float64
+		Bufs        []BufEntry
+		Rng         uint64
+	}{v.Iter, v.Phase, v.Slab, v.Energy, v.bufs.entries(), v.rng.S}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestVASPRestoreHostile: a snapshot that does not fit the rank, or whose
+// lengths lie, is refused with a vasp: error naming what is wrong — never a
+// panic, a stale or truncated slab, a phase Step has no case for, or a rank
+// half overwritten — and a Step at such a phase fails instead of returning
+// more work forever without an MPI call.
 func TestVASPRestoreHostile(t *testing.T) {
 	cfg := VASPConfig{Iterations: 10, SlabN: 8}
+	slab := make([]complex128, cfg.SlabN)
+	good := vaspImage(1, 2, 0.5, 9, slab, vaspBufs("ata", "energy", "haloL", "haloR")...)
+	// poke returns good with the 8-byte word at off replaced by w.
+	poke := func(off int, w uint64) []byte {
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint64(b[off:], w)
+		return b
+	}
+	firstBuf := vaspHeaderLen + 16*cfg.SlabN // ata's ID length word; its data length follows "ata"
+	type hostile struct {
+		name string
+		data []byte
+		want string
+	}
+	var cases []hostile
 	for _, c := range []struct {
 		name string
 		edit func(*VASPMini)
@@ -520,6 +619,9 @@ func TestVASPRestoreHostile(t *testing.T) {
 		{"negative phase", func(v *VASPMini) { v.Phase = -1 }, "phase"},
 		{"negative iteration", func(v *VASPMini) { v.Iter = -5 }, "iteration"},
 		{"iteration past the run", func(v *VASPMini) { v.Iter = 11 }, "iteration"},
+		{"missing buffer", func(v *VASPMini) { delete(v.bufs.M, "ata") }, "buffers"},
+		{"extra buffer", func(v *VASPMini) { v.bufs.add("zeta", 8) }, "buffers"},
+		{"buffer of the wrong size", func(v *VASPMini) { v.bufs.add("ata", 16) }, "size"},
 	} {
 		src := vaspRank(cfg)
 		c.edit(src)
@@ -527,12 +629,45 @@ func TestVASPRestoreHostile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = vaspRank(cfg).Restore(snap)
+		cases = append(cases, hostile{c.name, snap, c.want})
+	}
+	for n := 0; n < len(good); n++ {
+		cases = append(cases, hostile{fmt.Sprintf("truncated to %d bytes", n), good[:n], ""})
+	}
+	cases = append(cases,
+		hostile{"slab count wraps 16*n", poke(32, 1<<60), "claims"},
+		hostile{"slab count past the bytes", poke(32, uint64(len(good))), "claims"},
+		hostile{"buffer count past the registry", poke(40, 1<<62), "buffers"},
+		hostile{"ID length past the end", poke(firstBuf, 1<<62), "past the end"},
+		hostile{"ID length one past the end", poke(firstBuf, uint64(len(good)-firstBuf-8+1)), "past the end"},
+		hostile{"data length past the end", poke(firstBuf+8+3, 1<<62), "past the end"},
+		hostile{"data length one short", poke(firstBuf+8+3, 7), "size"},
+		hostile{"trailing byte", append(append([]byte(nil), good...), 0), "past its last buffer"},
+		hostile{"unknown buffer", vaspImage(1, 2, 0.5, 9, slab, vaspBufs("ata", "energy", "haloL", "nope")...), "unknown"},
+		hostile{"ata missing, energy twice", vaspImage(1, 2, 0.5, 9, slab, vaspBufs("energy", "energy", "haloL", "haloR")...), "strictly increase"},
+		hostile{"buffers out of order", vaspImage(1, 2, 0.5, 9, slab, vaspBufs("energy", "ata", "haloL", "haloR")...), "strictly increase"},
+		hostile{"the retired gob layout", retiredVASPGob(t, cfg), ""},
+	)
+	for _, c := range cases {
+		dst := vaspRank(cfg)
+		for _, buf := range dst.bufs.M {
+			for i := range buf {
+				buf[i] = 0x55
+			}
+		}
+		before, _ := dst.Snapshot()
+		err := dst.Restore(c.data)
 		if err == nil || !strings.HasPrefix(err.Error(), "vasp: ") || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want a vasp error about %q", c.name, err, c.want)
 		}
+		if after, _ := dst.Snapshot(); !bytes.Equal(after, before) {
+			t.Errorf("%s: a refused snapshot changed the rank", c.name)
+		}
 	}
 
+	if err := vaspRank(cfg).Restore(good); err != nil {
+		t.Fatalf("the well-formed snapshot the cases edit is refused: %v", err)
+	}
 	done := vaspRank(cfg)
 	done.Iter, done.Slab[7] = cfg.Iterations, complex(1, -1)
 	snap, _ := done.Snapshot()
@@ -549,6 +684,124 @@ func TestVASPRestoreHostile(t *testing.T) {
 	if more, err := lost.Step(nil); more || err == nil || !strings.HasPrefix(err.Error(), "vasp: ") {
 		t.Fatalf("Step at phase 9: more %v, err %v; want a vasp error and no more work", more, err)
 	}
+}
+
+// TestRestoreEntriesExactSet: the gob apps' buffer restore takes exactly the
+// registry's buffers, in strictly increasing ID order, each of its size —
+// or copies nothing. The commit before restored a snapshot that left a
+// buffer out (its stale bytes kept) or named one twice.
+func TestRestoreEntriesExactSet(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		saved []BufEntry
+		want  string // "" for accepted
+	}{
+		{"exactly the registry", vaspBufs("a", "b", "c"), ""},
+		{"one left out", vaspBufs("a", "c"), "buffers"},
+		{"one left out, another twice", vaspBufs("a", "a", "c"), "strictly increase"},
+		{"out of order", vaspBufs("b", "a", "c"), "strictly increase"},
+		{"one unknown", vaspBufs("a", "b", "d"), "unknown"},
+		{"one more", vaspBufs("a", "b", "c", "d"), "buffers"},
+		{"none", nil, "buffers"},
+		{"wrong size", append(vaspBufs("a", "b"), BufEntry{ID: "c", Data: make([]byte, 9)}), "size"},
+	} {
+		b := newBufset()
+		for _, id := range []string{"c", "a", "b"} {
+			for i, buf := 0, b.add(id, 8); i < len(buf); i++ {
+				buf[i] = 0x55
+			}
+		}
+		err := b.restoreEntries(c.saved)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.HasPrefix(err.Error(), "apps: ") || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: got %v, want an apps error about %q", c.name, err, c.want)
+		}
+		for _, id := range []string{"a", "b", "c"} {
+			got, want := b.get(id)[0], byte(0x55)
+			if c.want == "" {
+				want = byte(strings.Index("abc", id) + 1)
+			}
+			if got != want {
+				t.Errorf("%s: buffer %q starts %#x, want %#x", c.name, id, got, want)
+			}
+		}
+	}
+}
+
+// TestVASPRestoreAllocs: restoring a snapshot allocates the slab and
+// nothing else. Through gob the same Restore made 229 allocations on the
+// commit before: a decoder, the type exchange and a compiled engine per
+// call.
+func TestVASPRestoreAllocs(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector allocates on its own account")
+	}
+	cfg := VASPConfig{Iterations: 10, SlabN: 64}
+	snap, err := vaspRank(cfg).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := vaspRank(cfg)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := dst.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Fatalf("Restore allocates %v times, want at most 1 (the slab)", allocs)
+	}
+}
+
+// heapBytes returns the fewest heap bytes any of three calls of f allocated.
+// Other goroutines of a test binary — the fuzzing engine's among them —
+// allocate now and then, which one measurement would charge to f; a
+// Restore that is refused or restores the same state costs the same every
+// call.
+func heapBytes(f func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// FuzzVASPRestore: arbitrary bytes are refused with a vasp: error, leaving
+// the rank as it was, or restore a state that snapshots back to exactly
+// those bytes — the layout has one encoding per state. Restore never
+// allocates more than the input's length, past a 1 KiB floor for an error
+// message.
+func FuzzVASPRestore(f *testing.F) {
+	cfg := VASPConfig{Iterations: 10, SlabN: 8}
+	good := vaspImage(1, 2, 0.5, 9, make([]complex128, cfg.SlabN), vaspBufs("ata", "energy", "haloL", "haloR")...)
+	f.Add(good)
+	f.Add(good[:len(good)-1])
+	f.Add(append(append([]byte(nil), good...), 0))
+	f.Add(vaspImage(1, 2, 0.5, 9, make([]complex128, cfg.SlabN), vaspBufs("energy", "energy", "haloL", "haloR")...))
+	f.Add(retiredVASPGob(f, cfg))
+	checkAllocs := !raceBuild()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v := vaspRank(cfg)
+		before, _ := v.Snapshot()
+		var err error
+		got := heapBytes(func() { err = v.Restore(data) })
+		if limit := uint64(len(data)) + (1 << 10); checkAllocs && got > limit {
+			t.Fatalf("Restore of %d bytes allocated %d (limit %d; err %v)", len(data), got, limit, err)
+		}
+		after, _ := v.Snapshot()
+		switch {
+		case err != nil && !strings.HasPrefix(err.Error(), "vasp: "):
+			t.Fatalf("refusal without the vasp: prefix: %v", err)
+		case err != nil && !bytes.Equal(after, before):
+			t.Fatalf("a refused snapshot changed the rank: %v", err)
+		case err == nil && !bytes.Equal(after, data):
+			t.Fatalf("restored %d bytes, snapshot back %d: not the same bytes", len(data), len(after))
+		}
+	})
 }
 
 // checkpointRestartWorkload checkpoints a workload mid-run, restarts from

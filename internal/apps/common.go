@@ -52,11 +52,11 @@ func (b *bufset) add(id string, n int) []byte {
 
 func (b *bufset) get(id string) []byte { return b.M[id] }
 
-// BufEntry is one named buffer in a snapshot. Snapshots serialize buffers as
-// a slice sorted by ID rather than a map: gob encodes maps in random
-// iteration order, and snapshot bytes must be canonical — the conformance
-// engine compares state digests bitwise, and encode→decode→re-encode must be
-// the identity.
+// BufEntry is one named buffer in a snapshot. Snapshots serialize buffers in
+// ID order (the gob apps as a sorted slice, VASP's fixed-width layout record
+// by record), never in a map's: gob encodes maps in random iteration order,
+// and snapshot bytes must be canonical — the conformance engine compares
+// state digests bitwise, and encode→decode→re-encode must be the identity.
 type BufEntry struct {
 	ID   string
 	Data []byte
@@ -73,18 +73,29 @@ func (b *bufset) entries() []BufEntry {
 }
 
 // restoreEntries copies saved buffer contents into the (already allocated,
-// same shape) registry. Unknown or mis-sized buffers are an error: Setup and
-// the snapshot disagree, which means the restart configuration is wrong.
+// same shape) registry. saved must be exactly the registry's buffers in
+// strictly increasing ID order, each of its registered size: anything else
+// means Setup and the snapshot disagree, and the restart configuration is
+// wrong. Nothing is copied unless every entry fits.
 func (b *bufset) restoreEntries(saved []BufEntry) error {
-	for _, e := range saved {
+	if len(saved) != len(b.M) {
+		return fmt.Errorf("apps: snapshot has %d buffers, this rank %d", len(saved), len(b.M))
+	}
+	// As many entries as the registry holds, with strictly increasing known
+	// IDs, are exactly its set.
+	for i, e := range saved {
 		dst, ok := b.M[e.ID]
-		if !ok {
+		switch {
+		case i > 0 && e.ID <= saved[i-1].ID:
+			return fmt.Errorf("apps: snapshot buffer %q after %q (IDs must strictly increase)", e.ID, saved[i-1].ID)
+		case !ok:
 			return fmt.Errorf("apps: snapshot has unknown buffer %q", e.ID)
-		}
-		if len(dst) != len(e.Data) {
+		case len(dst) != len(e.Data):
 			return fmt.Errorf("apps: buffer %q size mismatch: %d vs %d", e.ID, len(dst), len(e.Data))
 		}
-		copy(dst, e.Data)
+	}
+	for _, e := range saved {
+		copy(b.M[e.ID], e.Data)
 	}
 	return nil
 }

@@ -11,9 +11,10 @@ import (
 )
 
 // pinnedState hashes every rank's final application state field by field.
-// Report.StateDigest would not do: most apps snapshot through gob, whose
-// process-wide type numbering makes the bytes depend on which tests ran
-// before in the same process.
+// Report.StateDigest would not do for every row: OSU still snapshots
+// through gob, whose process-wide type numbering makes the bytes depend on
+// which tests ran before in the same process. The VASP and straggler
+// snapshots are fixed-width; all three rows hash the same way regardless.
 func pinnedState(apps []rt.App) string {
 	h := sha256.New()
 	for _, app := range apps {

@@ -165,10 +165,16 @@ func goldenChain(t *testing.T, plan rt.CkptPlan, insertEvery int) (*ckpt.MemStor
 // with each partial object's header struck — its first DeltaRawSize − own
 // bytes cut from the object, and subtracted from DeltaRawSize, from Size and
 // from every SrcOff into it — and this tree reproduces them; records moved
-// with the checksums. The pinned digests use the `none` codec (a stored
-// object is then its stored stream) so they do not depend on the
-// toolchain's deflate; the flate digests are logged for differential runs
-// against another commit.
+// with the checksums. All nine were re-recorded when the CC sequence table
+// left gob for fixed-width (group, seq) pairs, because every shard carries
+// the protocol section: on the commit before, and on this tree, every plan,
+// epoch and rank of these chains (`none` codec, 36 in all) was loaded back,
+// and each App section had the same SHA-256 and length on both, and the
+// sequence table decoded from the old gob equalled the one decoded from the
+// new bytes; only the protocol section changed, 137 → 40 bytes a rank.
+// The pinned digests use the `none` codec (a stored object is then its
+// stored stream) so they do not depend on the toolchain's deflate; the
+// flate digests are logged for differential runs against another commit.
 //
 // The chains run in a child process that has done nothing else: gob numbers
 // user types process-wide in order of first use, and those numbers are in
@@ -194,20 +200,20 @@ func TestStoredBytesGolden(t *testing.T) {
 		partial     func(*ckpt.ShardInfo) bool // the plan's partial-object format
 	}{
 		{"full", rt.CkptPlan{}, 0, goldenDigests{
-			objects: "c5572de7c5243c007e8d6f92ccfe0e54f08caa0568730f601b1684cfc0217625",
-			shape:   "59abac8490571b68bd3f25f5737ab8dac057e0b70e3b7bbb6454558f1babe03e",
-			records: "a11d80e8c578d72294a36a35759604a1a4a81d777adfd5ea8236f3d67104ab3b",
+			objects: "f3f498c8e5bb832f24d5e5450e2a2044d586ee4084d11c0a1c4609a654dac3fe",
+			shape:   "6e9e3957eaeb3ce9c88cdd7fedd20ec16c9eecf40b7b9954344ad0a8d4a1e946",
+			records: "0b5bfe86ba67da529122165567c61331c07fe406775e049cb7e72a068c09d8c7",
 		}, nil},
 		{"delta", rt.CkptPlan{Incremental: true, Delta: true}, 0, goldenDigests{
-			objects: "6b3771ae851d1ee4a470829bb8fa5aa89dc695f6b87f78d2b39a8ff4f4f3e6b3",
-			shape:   "081147879383b7959fffb3f0f7e8e860901883e460fbad5bd684596dc23dc920",
-			records: "b0f6204e596d0868639b2110e5ce72bb6e4f6bb4b97e46b716ac09f64f7b7baa",
+			objects: "848514324352904a1bec1761286d1c581687b2db7174d60f2634abbb21297f96",
+			shape:   "7f89905deea214076b766cdf6e88fc892cb9cf752d3e81f230e19a4fb15c6fd8",
+			records: "50cf245452662209d5e856c9eb4be44ebb40fcee7fc1f2862ff0ae7405b0edaf",
 		},
 			func(si *ckpt.ShardInfo) bool { return si.RawFormat == ckpt.RawFormatPageDelta }},
 		{"cdc", rt.CkptPlan{Incremental: true, CDC: true}, 1, goldenDigests{
-			objects: "2dd07e2a7172cc9f39e3895d57a62a084fab220399317961da8acd55e9dc9f0e",
-			shape:   "0d72fc2f9e5243d3cbf73e5436e6835751742e9ce8a07fe99aaca9e6b6488def",
-			records: "02c3bfcf83f0f95eb9998c1d69a2de00eed6d93ff5c1a45756558fd3e070a63d",
+			objects: "5e8ba3632834d7ae70e35e433ca76baaae01bb41dff6f15331de5fb0d8d8d269",
+			shape:   "25c0b29f2d40335af54e5ebc731372fe110a75202867d3aa2e2a0cd9305adacf",
+			records: "c4febf8207e7a1d3779ccc13e335473a2af0a961878e97dee7cecf9c1fc8b4d2",
 		},
 			func(si *ckpt.ShardInfo) bool { return si.RawFormat == ckpt.RawFormatCDC }},
 	}

@@ -1,11 +1,10 @@
 package core
 
 import (
-	"bytes"
+	"cmp"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -468,65 +467,55 @@ func (r *Rank) AtBoundary(desc *ckpt.Descriptor) ckpt.Outcome {
 	})
 }
 
-// ccState is the serialized per-rank protocol state. The sequence table is
-// stored as parallel slices sorted by group id — not as the map it lives in —
-// so that identical logical state always serializes to identical bytes (gob
-// maps have randomized iteration order). Byte-stable snapshots are what the
-// incremental checkpoint pipeline diffs against: a quiescent rank's shard
-// must hash equal across epochs or it can never be reused. The legacy Seq
-// map field is kept for decoding images captured before canonicalization.
-type ccState struct {
-	Groups []uint64 // sorted group ids
-	Seqs   []uint64 // Seqs[i] is the sequence number of Groups[i]
-	//lint:allow gobcanon legacy decode-only field: nil on every encode path, read only when restoring pre-Seqs images
-	Seq map[uint64]uint64
-}
+// Protocol snapshot layout: the sequence table as fixed-width little-endian
+// words — a count n, then n (group, seq) uint64 pairs in strictly
+// increasing group order — 8 + 16·n bytes. Sorting, not the map's iteration
+// order, makes identical logical state serialize to identical bytes, and
+// byte-stable snapshots are what the incremental checkpoint pipeline diffs
+// against: a quiescent rank's shard must hash equal across epochs or it can
+// never be reused.
 
 // Snapshot implements ckpt.Protocol.
 func (r *Rank) Snapshot() ([]byte, error) {
 	r.mu.Lock()
-	seq := make(map[uint64]uint64, len(r.seq))
+	pairs := make([][2]uint64, 0, len(r.seq))
 	for g, s := range r.seq {
-		seq[g] = s
+		pairs = append(pairs, [2]uint64{g, s})
 	}
 	r.mu.Unlock()
-	st := ccState{
-		Groups: make([]uint64, 0, len(seq)),
-		Seqs:   make([]uint64, 0, len(seq)),
+	slices.SortFunc(pairs, func(a, b [2]uint64) int { return cmp.Compare(a[0], b[0]) })
+	buf := make([]byte, 0, 8+16*len(pairs))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(pairs)))
+	for _, p := range pairs {
+		buf = binary.LittleEndian.AppendUint64(buf, p[0])
+		buf = binary.LittleEndian.AppendUint64(buf, p[1])
 	}
-	for g := range seq {
-		st.Groups = append(st.Groups, g)
-	}
-	sort.Slice(st.Groups, func(i, j int) bool { return st.Groups[i] < st.Groups[j] })
-	for _, g := range st.Groups {
-		st.Seqs = append(st.Seqs, seq[g])
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("cc: snapshot rank %d: %w", r.p.Rank(), err)
-	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
-// Restore implements ckpt.Protocol.
+// Restore implements ckpt.Protocol. Empty data is a no-op: a native image
+// carries no protocol bytes. Otherwise the count is bounded by the bytes
+// present before it is multiplied, the length must be exactly 8 + 16·n, and
+// the groups must strictly increase; a snapshot in any other shape — the
+// retired gob layout included — is refused.
 func (r *Rank) Restore(data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	var st ccState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("cc: restore rank %d: %w", r.p.Rank(), err)
+	if len(data) < 8 {
+		return fmt.Errorf("cc: restore rank %d: %d bytes, shorter than the count word", r.p.Rank(), len(data))
 	}
-	if len(st.Groups) != len(st.Seqs) {
-		return fmt.Errorf("cc: restore rank %d: %d groups but %d sequence numbers",
-			r.p.Rank(), len(st.Groups), len(st.Seqs))
+	n, pairs := binary.LittleEndian.Uint64(data), data[8:]
+	if n > uint64(len(pairs))/16 || uint64(len(pairs)) != 16*n {
+		return fmt.Errorf("cc: restore rank %d: %d groups claimed, %d bytes of pairs", r.p.Rank(), n, len(pairs))
 	}
-	seq := make(map[uint64]uint64, len(st.Groups))
-	for i, g := range st.Groups {
-		seq[g] = st.Seqs[i]
-	}
-	for g, s := range st.Seq { // legacy pre-canonicalization images
-		seq[g] = s
+	seq := make(map[uint64]uint64, n)
+	for prev := uint64(0); len(pairs) > 0; pairs = pairs[16:] {
+		g := binary.LittleEndian.Uint64(pairs)
+		if len(seq) > 0 && g <= prev {
+			return fmt.Errorf("cc: restore rank %d: group %x after %x (groups must strictly increase)", r.p.Rank(), g, prev)
+		}
+		seq[g], prev = binary.LittleEndian.Uint64(pairs[8:]), g
 	}
 	r.mu.Lock()
 	r.seq = seq

@@ -13,6 +13,10 @@ targets='
 ./internal/rt        FuzzCheckpointRestartTransparent
 # Chunk tables tile exactly, identities recompute, an edit re-synchronizes the boundary walk at the first eligible candidate past it; predicting from the pre-edit table changes nothing, a forged table still tiles and leaves the stream sum alone.
 ./internal/ckpt      FuzzChunkerStability
+# Arbitrary bytes as a VASP proxy snapshot: a vasp: refusal that leaves the rank as it was, or a state that snapshots back to exactly those bytes; no allocation beyond the length of the input.
+./internal/apps      FuzzVASPRestore
+# Arbitrary bytes as a CC sequence table: a cc: refusal that leaves the table as it was, or a table that snapshots back to exactly those bytes; allocation bounded by the input times the overhead of a Go map.
+./internal/core      FuzzCCRestore
 # Damaged page-delta / CDC objects x perturbed manifest entries: an attributed error or a clean decode, no panic, no allocation beyond the stated sizes (gob sees only CRC-checked extents).
 ./internal/ckpt      FuzzPartialShardDecode
 # Arbitrary bytes as a packed image file: open -> verify -> load errors or decodes, verify and load agree, no panic, bounded allocation.
