@@ -11,6 +11,7 @@ import (
 	"math/cmplx"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -1157,11 +1158,11 @@ func TestStragglerSnapshotBlocks(t *testing.T) {
 		a.initState()
 		a.Iter, a.Acc = 3, 0.625
 		var want bytes.Buffer
-		for _, v := range []uint64{uint64(a.Iter), uint64(a.target), math.Float64bits(a.Acc), uint64(len(a.Sum)), uint64(len(a.State))} {
+		for _, v := range []uint64{uint64(a.Iter), uint64(a.target), math.Float64bits(a.Acc), uint64(len(a.Sum)), uint64(a.state.Len())} {
 			want.Write(binary.LittleEndian.AppendUint64(nil, v))
 		}
 		want.Write(a.Sum)
-		for _, v := range a.State {
+		for _, v := range stateOf(a) {
 			want.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
 		}
 		var got writeSizes
@@ -1171,7 +1172,9 @@ func TestStragglerSnapshotBlocks(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("%d elements: SnapshotTo wrote %d bytes that differ from the %d-byte layout", elems, got.Len(), want.Len())
 		}
-		if maxWrites := 2 + (elems+stragglerBlockElems-1)/stragglerBlockElems; len(got.sizes) > maxWrites {
+		// The header, Sum, and the blocks of the runs either side of the
+		// State's hole: the seam can split one block in two.
+		if maxWrites := 3 + (elems+stragglerBlockElems-1)/stragglerBlockElems; len(got.sizes) > maxWrites {
 			t.Fatalf("%d elements: %d Writes, want at most %d", elems, len(got.sizes), maxWrites)
 		}
 		snap, err := a.Snapshot()
@@ -1256,7 +1259,8 @@ func TestStragglerOneElementInsertion(t *testing.T) {
 	}
 }
 
-// capProbe records cap(State) after every Step of the straggler it wraps.
+// capProbe records the size of the State's buffer, hole included, after
+// every Step of the straggler it wraps.
 type capProbe struct {
 	*Straggler
 	caps []int
@@ -1264,7 +1268,7 @@ type capProbe struct {
 
 func (p *capProbe) Step(env *rt.Env) (bool, error) {
 	more, err := p.Straggler.Step(env)
-	p.caps = append(p.caps, cap(p.State))
+	p.caps = append(p.caps, len(p.state.buf))
 	return more, err
 }
 
@@ -1284,8 +1288,8 @@ func raceBuild() bool {
 // TestStragglerRestartBuildsOnce: a restarted rank pays for its State once.
 // Constructor and Restore together allocate about one State (no initial
 // state the snapshot overwrites, no second slice for a grown snapshot), and
-// under insertion churn cap(State) never moves: a fresh rank and a restored
-// one each hold room for every insertion they have left.
+// under insertion churn the State's buffer never moves: a fresh rank and a
+// restored one each hold a hole with room for every insertion they have left.
 func TestStragglerRestartBuildsOnce(t *testing.T) {
 	if raceBuild() {
 		t.Log("allocation check skipped under the race detector")
@@ -1342,6 +1346,207 @@ func TestStragglerRestartBuildsOnce(t *testing.T) {
 		t.Fatalf("restart leg: %v", err)
 	}
 	checkCaps("restarted")
+}
+
+// stateOf returns a copy of the straggler's State elements in order, the
+// hole left out.
+func stateOf(a *Straggler) []float64 {
+	head, tail := a.state.halves()
+	return append(append([]float64(nil), head...), tail...)
+}
+
+// refInitState and refChurn are the straggler's State as it was before the
+// State had a hole, kept verbatim: one slice, filled in order, and an
+// insertion that appends an element and shifts the tail up by one. They are
+// the reference TestStragglerHoleMatchesTail holds the holed State to and
+// the yardstick BenchmarkStragglerChurn times it against.
+func refInitState(rank, n int, insert bool) []float64 {
+	state := make([]float64, n)
+	if insert {
+		s := uint64(rank)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
+		for i := range state {
+			s, state[i] = stragglerNoise(s)
+		}
+	} else {
+		for i := range state {
+			state[i] = float64(rank) + float64(i%64)/64
+		}
+	}
+	return state
+}
+
+func refChurn(state []float64, every, iter, target int, acc float64) []float64 {
+	if every > 0 && iter > 0 && iter%every == 0 {
+		pos := 0
+		if len(state) > 1 {
+			pos = (iter * 131) % (len(state) - 1)
+		}
+		_, v := stragglerNoise(uint64(iter)*0x9e3779b97f4a7c15 + 1)
+		state = append(state, 0)
+		copy(state[pos+1:], state[pos:])
+		state[pos] = v
+	}
+	for k := 0; k < 8; k++ {
+		i := (iter*8 + k) % len(state)
+		state[i] = state[i]*0.5 + acc + float64(iter)/float64(target)
+	}
+	return state
+}
+
+// churnHot runs a hot straggler's churn for iterations [from, to), with an
+// Acc that changes every iteration, and returns how many elements its
+// insertions moved in all (the distance from where the hole was to where
+// each insertion went).
+func churnHot(a *Straggler, from, to int) (moved int) {
+	for iter := from; iter < to; iter++ {
+		a.Iter, a.Acc = iter, float64(iter)*0.375-1
+		if every := a.cfg.InsertEvery; every > 0 && iter > 0 && iter%every == 0 {
+			moved += abs(insertPos(iter, a.state.Len()) - a.state.lo)
+		}
+		a.churn()
+	}
+	return moved
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+// TestStragglerHoleMatchesTail: the holed State holds, after every
+// iteration, bit for bit the elements the tail-shifting State did, for
+// States of one, two and three elements (the front insertion and the
+// smallest interiors), for States whose insertion position wraps around many
+// times, with and without insertion, and with more insertions than the hole
+// has room for (a snapshot whose target outruns HotIters). A rank restored
+// at any iteration round-trips its snapshot, its hole sits where its next
+// insertion goes, and it ends where the uninterrupted rank does.
+func TestStragglerHoleMatchesTail(t *testing.T) {
+	const iters = 150
+	for _, elems := range []int{1, 2, 3, 200, 5000} {
+		for _, every := range []int{0, 1, 3} {
+			cfg := StragglerConfig{HotRanks: 1, HotIters: iters, StateElems: elems, InsertEvery: every}
+			name := fmt.Sprintf("%d elements, InsertEvery %d", elems, every)
+			a := NewStraggler(cfg, 0)
+			a.initState()
+			ref := refInitState(0, elems, every > 0)
+			if !slices.Equal(f64Bits(stateOf(a)), f64Bits(ref)) {
+				t.Fatalf("%s: initial State differs from the reference fill", name)
+			}
+			if every > 0 && insertPos(every, elems) != a.state.lo {
+				t.Fatalf("%s: a fresh rank's hole is at %d, its first insertion goes to %d", name, a.state.lo, insertPos(every, elems))
+			}
+			snaps := make([][]byte, iters)
+			for iter := 0; iter < iters; iter++ {
+				churnHot(a, iter, iter+1)
+				ref = refChurn(ref, every, iter, a.target, a.Acc)
+				if !slices.Equal(f64Bits(stateOf(a)), f64Bits(ref)) {
+					t.Fatalf("%s: State differs from the tail-shifting reference after iteration %d", name, iter)
+				}
+				a.Iter = iter + 1
+				var err error
+				if snaps[iter], err = a.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, at := range []int{0, 1, 2, iters / 2, iters - 2} {
+				b := NewStraggler(cfg, 0)
+				if err := b.Restore(snaps[at]); err != nil {
+					t.Fatalf("%s: restore at %d: %v", name, at+1, err)
+				}
+				if again, _ := b.Snapshot(); !bytes.Equal(again, snaps[at]) {
+					t.Fatalf("%s: restore at %d did not round-trip the snapshot", name, at+1)
+				}
+				if next := (at + every) / max(every, 1) * every; every > 0 && next < iters && insertPos(next, b.state.Len()) != b.state.lo {
+					t.Fatalf("%s: restored at %d, hole at %d, next insertion at %d", name, at+1, b.state.lo, insertPos(next, b.state.Len()))
+				}
+				churnHot(b, at+1, iters)
+				b.Iter = iters
+				if last, _ := b.Snapshot(); !bytes.Equal(last, snaps[iters-1]) {
+					t.Fatalf("%s: restored at %d, ended elsewhere than the uninterrupted rank", name, at+1)
+				}
+			}
+
+			// A snapshot whose target outruns HotIters: the hole is sized for
+			// HotIters and grows for the rest.
+			short := cfg
+			short.HotIters = 4
+			c := NewStraggler(short, 0)
+			if err := c.Restore(snaps[0]); err != nil {
+				t.Fatal(err)
+			}
+			churnHot(c, 1, iters)
+			c.Iter = iters
+			if last, _ := c.Snapshot(); !bytes.Equal(last, snaps[iters-1]) {
+				t.Fatalf("%s: a hole that ran out of room lost elements", name)
+			}
+		}
+	}
+}
+
+// f64Bits returns the bit patterns of vs, so NaNs compare equal to
+// themselves.
+func f64Bits(vs []float64) []uint64 {
+	out := make([]uint64, len(vs))
+	for i, v := range vs {
+		out[i] = math.Float64bits(v)
+	}
+	return out
+}
+
+// TestStragglerHoleMoves: on the benchmark's hot rank (2 Mi elements, one
+// insertion a step), the first insertion of a fresh rank and of a restored
+// one moves no element, and each later one moves the 130 elements between
+// the slot after the last insertion and the next position, 131 further on —
+// not the megabytes of tail the tail-shifting State copied.
+func TestStragglerHoleMoves(t *testing.T) {
+	const elems, iters = 2 << 20, 40
+	cfg := StragglerConfig{HotRanks: 1, HotIters: iters, StateElems: elems, InsertEvery: 1}
+	a := NewStraggler(cfg, 0)
+	a.initState()
+	if moved := churnHot(a, 0, 2); moved != 0 {
+		t.Fatalf("a fresh rank's first insertion moved %d elements, want 0", moved)
+	}
+	if moved, want := churnHot(a, 2, 20), 130*18; moved != want {
+		t.Fatalf("18 insertions moved %d elements, want %d", moved, want)
+	}
+	a.Iter = 20
+	snap, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewStraggler(cfg, 0)
+	if err := b.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if moved := churnHot(b, 20, 21); moved != 0 {
+		t.Fatalf("a restored rank's first insertion moved %d elements, want 0", moved)
+	}
+	if moved, want := churnHot(b, 21, iters), 130*(iters-21); moved != want {
+		t.Fatalf("%d insertions after a restart moved %d elements, want %d", iters-21, moved, want)
+	}
+}
+
+// BenchmarkStragglerChurn times one hot step's State update on the
+// benchmark's 16 MiB hot rank under one insertion a step: "hole" is the
+// straggler's, "tail" the tail-shifting reference it replaced.
+func BenchmarkStragglerChurn(b *testing.B) {
+	const elems = 2 << 20
+	b.Run("hole", func(b *testing.B) {
+		a := NewStraggler(StragglerConfig{HotRanks: 1, HotIters: b.N + 1, StateElems: elems, InsertEvery: 1}, 0)
+		a.initState()
+		b.ResetTimer()
+		churnHot(a, 1, b.N+1)
+	})
+	b.Run("tail", func(b *testing.B) {
+		state := slices.Grow(refInitState(0, elems, true), b.N)
+		b.ResetTimer()
+		for iter := 1; iter <= b.N; iter++ {
+			state = refChurn(state, 1, iter, b.N+1, float64(iter)*0.375-1)
+		}
+	})
 }
 
 // refWriteF64s is the codec the straggler had before writeF64s: the same

@@ -24,7 +24,7 @@ func pinnedState(apps []rt.App) string {
 		case *OSU:
 			fmt.Fprintln(h, a.Iter, a.Phase)
 		case *Straggler:
-			fmt.Fprintln(h, a.Iter, a.Acc, a.Sum, a.State)
+			fmt.Fprintln(h, a.Iter, a.Acc, a.Sum, stateOf(a))
 		}
 	}
 	return fmt.Sprintf("%x", h.Sum(nil)[:8])

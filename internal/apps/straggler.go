@@ -63,10 +63,68 @@ type Straggler struct {
 	Iter int
 	Acc  float64
 	Sum  []byte // named buffer "sum": allreduce payload
-	// State is the bulk per-rank state, mutated only by hot ranks. It is nil
-	// until first use: a fresh rank builds it in initState, a restarted rank
-	// decodes it in Restore and never builds the initial one.
-	State []float64
+	// state is the bulk per-rank State, mutated only by hot ranks. It is
+	// empty until first use: a fresh rank builds it in initState, a
+	// restarted rank decodes it in Restore and never builds the initial one.
+	state holed
+}
+
+// holed is the State as a gap buffer: the elements, in order, are buf[:lo]
+// followed by buf[hi:], and buf[lo:hi] is the hole, room for the insertions
+// to come. An insertion moves the hole to its position — copying only the
+// elements between the two — and fills the hole's first slot. Successive
+// insertions land 131·InsertEvery elements apart (insertPos), so each moves
+// about a thousand bytes where shifting the tail moved half the State.
+type holed struct {
+	buf    []float64
+	lo, hi int
+}
+
+// newHoled allocates n elements with a hole of room slots in front of
+// element at, which is where the next insertion will go.
+func newHoled(n, room, at int) holed {
+	return holed{buf: make([]float64, n+room), lo: at, hi: at + room}
+}
+
+// Len is the number of elements, the hole not counted.
+func (h *holed) Len() int { return len(h.buf) - (h.hi - h.lo) }
+
+// at returns the index in buf of element i.
+func (h *holed) at(i int) int {
+	if i >= h.lo {
+		i += h.hi - h.lo
+	}
+	return i
+}
+
+// halves returns the elements in order as the two runs either side of the
+// hole; either may be empty.
+func (h *holed) halves() (head, tail []float64) { return h.buf[:h.lo], h.buf[h.hi:] }
+
+// insert makes v element pos, shifting every later element up by one.
+func (h *holed) insert(pos int, v float64) {
+	if h.lo == h.hi {
+		h.grow()
+	}
+	switch {
+	case pos < h.lo:
+		h.hi -= copy(h.buf[h.hi-(h.lo-pos):h.hi], h.buf[pos:h.lo])
+	case pos > h.lo:
+		h.hi += copy(h.buf[h.lo:], h.buf[h.hi:h.hi+(pos-h.lo)])
+	}
+	h.buf[pos] = v
+	h.lo = pos + 1
+}
+
+// grow widens a full hole by a quarter of the elements. newState sizes the
+// hole for every insertion a rank has left, so only a snapshot whose target
+// outruns the configured HotIters gets here.
+func (h *holed) grow() {
+	room := h.Len()/4 + 1
+	buf := make([]float64, len(h.buf)+room)
+	copy(buf, h.buf[:h.lo])
+	copy(buf[h.hi+room:], h.buf[h.hi:])
+	h.buf, h.hi = buf, h.hi+room
 }
 
 // NewStraggler creates the straggler app for one rank. It allocates no
@@ -103,33 +161,52 @@ func NewStraggler(cfg StragglerConfig, rank int) *Straggler {
 // and SnapshotTo call it; Restore does not, because the snapshot carries
 // every element the initial state would have held.
 func (a *Straggler) initState() {
-	if a.State != nil {
+	if a.state.buf != nil {
 		return
 	}
-	a.State = a.newState(a.elems, 0)
+	a.state = a.newState(a.elems, 0)
+	head, tail := a.state.halves()
 	if a.cfg.InsertEvery > 0 {
 		s := uint64(a.rank)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
-		for i := range a.State {
-			s, a.State[i] = stragglerNoise(s)
+		for _, run := range [2][]float64{head, tail} {
+			for i := range run {
+				s, run[i] = stragglerNoise(s)
+			}
 		}
 	} else {
-		for i := range a.State {
-			a.State[i] = float64(a.rank) + float64(i%64)/64
+		for i := range head {
+			head[i] = float64(a.rank) + float64(i%64)/64
+		}
+		for i := range tail {
+			tail[i] = float64(a.rank) + float64((len(head)+i)%64)/64
 		}
 	}
 }
 
 // newState allocates n State elements with room for every insertion the
-// rank has left from iteration iter on, so no insertion in Step reallocates.
+// rank has left from iteration iter on, so no insertion in Step reallocates,
+// and puts the hole where the first of them goes, so it moves no element.
 // The count comes from the configured HotIters, never from a snapshot's
 // target, so a snapshot's bytes size no more than the elements they hold.
-func (a *Straggler) newState(n, iter int) []float64 {
-	room := 0
-	if lo, hi, every := max(iter, 1), a.cfg.HotIters, a.cfg.InsertEvery; a.hot && every > 0 && lo < hi {
-		// Step inserts at every iteration in [lo, hi) that every divides.
-		room = (hi-1)/every - (lo-1)/every
+func (a *Straggler) newState(n, iter int) holed {
+	lo, hi, every := max(iter, 1), a.cfg.HotIters, a.cfg.InsertEvery
+	if !a.hot || every <= 0 || lo >= hi {
+		return newHoled(n, 0, n)
 	}
-	return make([]float64, n, n+room)
+	// Step inserts at every iteration in [lo, hi) that every divides; the
+	// first is lo rounded up to a multiple of every.
+	room := (hi-1)/every - (lo-1)/every
+	return newHoled(n, room, insertPos((lo+every-1)/every*every, n))
+}
+
+// insertPos is where iteration iter inserts into a State of n elements: a
+// pseudo-random interior position. A one-element State has no interior; its
+// insertions go in front.
+func insertPos(iter, n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return (iter * 131) % (n - 1)
 }
 
 // stragglerNoise advances a xorshift64 state and returns it with a
@@ -174,34 +251,32 @@ func (a *Straggler) Step(env *rt.Env) (bool, error) {
 	if a.Iter > 0 {
 		a.Acc = getF64(a.Sum) / float64(env.CommSize(a.sub))
 	}
-	// Advance deterministic local state; only hot ranks churn their bulk
-	// payload, and only while iterating.
-	if a.hot && a.cfg.InsertEvery > 0 && a.Iter > 0 && a.Iter%a.cfg.InsertEvery == 0 {
-		// Insertion churn: grow State by one element at a pseudo-random
-		// interior position, shifting everything after it. A one-element
-		// State has no interior; its insertions go in front.
-		pos := 0
-		if len(a.State) > 1 {
-			pos = (a.Iter * 131) % (len(a.State) - 1)
-		}
-		_, v := stragglerNoise(uint64(a.Iter)*0x9e3779b97f4a7c15 + 1)
-		a.State = append(a.State, 0)
-		copy(a.State[pos+1:], a.State[pos:])
-		a.State[pos] = v
-	}
-	if a.hot {
-		for k := 0; k < 8; k++ {
-			i := (a.Iter*8 + k) % len(a.State)
-			a.State[i] = a.State[i]*0.5 + a.Acc + float64(a.Iter)/float64(a.target)
-		}
-	}
+	a.churn()
 	env.Compute(2e-6)
-	contrib := a.Acc + a.State[a.Iter%len(a.State)]
-	putF64(a.Sum, contrib)
+	putF64(a.Sum, a.Acc+a.state.buf[a.state.at(a.Iter%a.state.Len())])
 	// Program counter advances before the blocking collective.
 	a.Iter++
 	env.Allreduce(a.sub, mpi.OpSum, "sum")
 	return a.Iter < a.target, nil
+}
+
+// churn advances the State by one iteration: only hot ranks churn their
+// bulk payload, and only while iterating. Under InsertEvery the State first
+// grows by one element at insertPos, shifting everything after it; then
+// eight elements are overwritten in place.
+func (a *Straggler) churn() {
+	if !a.hot {
+		return
+	}
+	if a.cfg.InsertEvery > 0 && a.Iter > 0 && a.Iter%a.cfg.InsertEvery == 0 {
+		_, v := stragglerNoise(uint64(a.Iter)*0x9e3779b97f4a7c15 + 1)
+		a.state.insert(insertPos(a.Iter, a.state.Len()), v)
+	}
+	n := a.state.Len()
+	for k := 0; k < 8; k++ {
+		i := a.state.at((a.Iter*8 + k) % n)
+		a.state.buf[i] = a.state.buf[i]*0.5 + a.Acc + float64(a.Iter)/float64(a.target)
+	}
 }
 
 // Snapshot layout: a fixed-width little-endian encoding, NOT gob. Gob's
@@ -224,7 +299,7 @@ func snapshotLen(nSum, nState int) int { return 5*8 + nSum + 8*nState }
 func (a *Straggler) Snapshot() ([]byte, error) {
 	a.initState()
 	var buf bytes.Buffer
-	buf.Grow(snapshotLen(len(a.Sum), len(a.State)))
+	buf.Grow(snapshotLen(len(a.Sum), a.state.Len()))
 	if err := a.SnapshotTo(&buf); err != nil {
 		return nil, err
 	}
@@ -240,14 +315,18 @@ func (a *Straggler) SnapshotTo(w io.Writer) error {
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(a.target))
 	binary.LittleEndian.PutUint64(hdr[16:], math.Float64bits(a.Acc))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(a.Sum)))
-	binary.LittleEndian.PutUint64(hdr[32:], uint64(len(a.State)))
+	binary.LittleEndian.PutUint64(hdr[32:], uint64(a.state.Len()))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
 	if _, err := w.Write(a.Sum); err != nil {
 		return err
 	}
-	return writeF64s(w, a.State)
+	head, tail := a.state.halves()
+	if err := writeF64s(w, head); err != nil {
+		return err
+	}
+	return writeF64s(w, tail)
 }
 
 func (a *Straggler) Restore(data []byte) error {
@@ -280,9 +359,11 @@ func (a *Straggler) Restore(data []byte) error {
 	if iter < 0 || iter > target {
 		return fmt.Errorf("straggler: snapshot iteration %d outside [0, %d]", iter, target)
 	}
-	a.State = a.newState(nState, iter)
+	a.state = a.newState(nState, iter)
 	a.Iter, a.Acc, a.target = iter, acc, target
 	copy(a.Sum, rest[:nSum])
-	readF64s(a.State, rest[nSum:])
+	head, tail := a.state.halves()
+	readF64s(head, rest[nSum:])
+	readF64s(tail, rest[nSum+8*len(head):])
 	return nil
 }
