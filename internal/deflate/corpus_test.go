@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"os"
 	"sync"
 	"testing"
 
@@ -52,6 +53,28 @@ func noiseFloats(n int) []byte {
 		binary.LittleEndian.PutUint64(b[i:], math.Float64bits(float64(s%100000)/100000))
 	}
 	return b
+}
+
+// vaspShard is one rank's raw shard stream from a 64-rank VASP proxy job, the
+// stream the store's flate codec compresses for every rank of vasp_coll: the
+// magic and the gob header (about 570 bytes of type descriptors and small
+// integers), the rank's VASPMini snapshot (1.4 KB, mostly full-mantissa
+// floats, in which nearly every literal occurs) and its CC sequence table.
+// Its block has about 260 literal/length and 14 distance symbols, with a
+// steep histogram, where noiseFloats' small stream has few distinct
+// literals. It is rank 5 of the first epoch that
+//
+//	ccrun -app vasp -ranks 64 -ppn 32 -scale 0.001 -ckpt-at 0.05 -codec none -store DIR
+//
+// seals, stored as it was written (internal/inflate's benchmarks read it
+// too). The step a run captures at is host-timed, so another run's shard
+// differs in its numbers, not in its shape.
+func vaspShard(tb testing.TB) []byte {
+	data, err := os.ReadFile("testdata/vasp_shard.raw")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
 }
 
 type shape struct {

@@ -31,8 +31,10 @@
 //     through a bit accumulator held in locals, three literals or one match
 //     per eight-byte store, into a buffer reserved for that size, and the
 //     destination sees one Write per block;
-//   - codes come from one sort of packed freq|symbol keys and one canonical
-//     pass in symbol order.
+//   - codes come from a radix sort of packed freq|symbol keys, a linear-time
+//     Huffman merge whose tie rule gives compress/flate's code lengths (its
+//     package-merge runs only where a code would pass the length limit), and
+//     one canonical pass in symbol order.
 //
 // All state is one fixed-size struct (about 440 KB, nothing sized from the
 // input), meant to be pooled and Reset. There is no Flush, no level and no
@@ -45,7 +47,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"slices"
 )
 
 // ErrClosed is returned by Write on a Writer after Close.
@@ -177,8 +178,10 @@ type Writer struct {
 	offCodes    [numOff]hcode
 	cgCodes     [numCodegen]hcode
 	codegen     [numLit + numOff + 1]uint8
-	keys        [numLit]uint32    // generate's sort buffer
-	freqs       [numLit + 1]int32 // the sorted keys' frequencies and a sentinel
+	keys        [numLit]uint32      // generate's sort buffers: the keys, in symbol order
+	sorted      [numLit]uint32      // and after the first radix pass
+	freqs       [numLit + 1]int32   // the sorted keys' frequencies and a sentinel; huffmanCounts' tree
+	bitCount    [maxBitsLimit]int32 // huffmanCounts' result
 }
 
 // NewWriter returns a Writer compressing into dst.
@@ -679,8 +682,11 @@ func (w *Writer) generateCodegen(numLiterals, numOffsets int) {
 }
 
 // generate sets codes to the length-limited Huffman code compress/flate
-// builds for freq: symbols sorted by (frequency, symbol), code lengths from
-// bitCounts handed out from the most frequent down, canonical code values.
+// builds for freq: symbols sorted by (frequency, symbol), code lengths handed
+// out from the most frequent down, canonical code values. How many symbols
+// get each length is what compress/flate's bitCounts says; huffmanCounts
+// finds that in linear time wherever no code is longer than maxBits, and
+// bitCounts itself runs only where one would be.
 func (w *Writer) generate(codes []hcode, freq []int32, maxBits int32) {
 	keys := w.keys[:0]
 	for i, f := range freq {
@@ -696,8 +702,11 @@ func (w *Writer) generate(codes []hcode, freq []int32, maxBits int32) {
 		}
 		return
 	}
-	slices.Sort(keys)
-	bitCount := w.bitCounts(keys, maxBits)
+	keys = w.sortKeys(keys)
+	bitCount, ok := w.huffmanCounts(keys, maxBits)
+	if !ok {
+		bitCount = w.bitCounts(keys, maxBits)
+	}
 
 	// The last bitCount[1] symbols of the sorted list get one bit, the
 	// bitCount[2] before them two, and so on; within a length, values go up
@@ -719,6 +728,115 @@ func (w *Writer) generate(codes []hcode, freq []int32, maxBits int32) {
 			next[n]++
 		}
 	}
+}
+
+// sortKeys sorts keys, made in symbol order, by frequency. The sort is
+// stable, so equal frequencies stay in symbol order and the result is the
+// keys sorted whole. It is a radix sort over the frequency's two bytes, low
+// then high, and a key set whose frequencies all fit in the low byte skips
+// the second pass.
+func (w *Writer) sortKeys(keys []uint32) []uint32 {
+	sorted := w.sorted[:len(keys)]
+	var all uint32
+	for _, k := range keys {
+		all |= k
+	}
+	radixPass(sorted, keys, 16)
+	if all>>24 == 0 {
+		return sorted
+	}
+	radixPass(keys, sorted, 24)
+	return keys
+}
+
+// radixPass moves src into dst ordered by the byte at shift, keeping the
+// order of keys whose byte is the same.
+func radixPass(dst, src []uint32, shift uint) {
+	var start [256]int32
+	for _, k := range src {
+		start[byte(k>>shift)]++
+	}
+	sum := int32(0)
+	for i, c := range start {
+		start[i] = sum
+		sum += c
+	}
+	for _, k := range src {
+		b := byte(k >> shift)
+		dst[start[b]] = k
+		start[b]++
+	}
+}
+
+// huffmanCounts is bitCounts where the limit does not bind. It builds a
+// Huffman tree over keys, sorted by increasing frequency (at least three),
+// by the two-queue method — leaves in sorted order, merged nodes in the
+// order they are made — and counts the leaves at each depth into
+// w.bitCount. Where the two queues' heads tie, the merged node is taken:
+// several trees are optimal, and that rule gives the one whose counts are
+// bitCounts' (taking the leaf gives other counts in a quarter of
+// TestHuffmanCountsExhaustive's cases). It reports false if a code would be longer than maxBits, and
+// then the counts are bitCounts' to find.
+//
+// The tree is built in place in w.freqs, as Moffat and Katajainen do
+// ("In-place calculation of minimum-redundancy codes", 1995): the first
+// pass leaves at freqs[i] the weight of the i-th merged node until a parent
+// takes it, then the index of that parent; the second turns parent indexes
+// into depths, root first; the third counts, depth by depth, the nodes that
+// are not merged ones.
+func (w *Writer) huffmanCounts(keys []uint32, maxBits int32) ([]int32, bool) {
+	n := len(keys)
+	a := w.freqs[:n]
+	for i, k := range keys {
+		a[i] = int32(k >> 16)
+	}
+	// a[next] is written over a leaf already taken: after next merges,
+	// 2·next nodes are taken and at most next of them are merged ones.
+	leaf, root := 0, 0
+	for next := 0; next < n-1; next++ {
+		if leaf >= n || root < next && a[root] <= a[leaf] {
+			a[next] = a[root]
+			a[root] = int32(next)
+			root++
+		} else {
+			a[next] = a[leaf]
+			leaf++
+		}
+		if leaf >= n || root < next && a[root] <= a[leaf] {
+			a[next] += a[root]
+			a[root] = int32(next)
+			root++
+		} else {
+			a[next] += a[leaf]
+			leaf++
+		}
+	}
+
+	a[n-2] = 0 // the root's depth
+	for next := n - 3; next >= 0; next-- {
+		a[next] = a[a[next]] + 1
+	}
+
+	counts := &w.bitCount
+	clear(counts[:])
+	deepest := 0
+	root = n - 2
+	for depth, nodes := 0, 1; nodes > 0; depth++ {
+		merged := 0
+		for root >= 0 && a[root] == int32(depth) {
+			merged++
+			root--
+		}
+		if nodes > merged {
+			if depth > int(maxBits) {
+				return nil, false
+			}
+			counts[depth] = int32(nodes - merged)
+			deepest = depth
+		}
+		nodes = 2 * merged
+	}
+	return counts[:deepest+1], true
 }
 
 // levelInfo is bitCounts' state for one depth of the tree under

@@ -8,20 +8,23 @@ import (
 )
 
 // The streams a checkpoint commit encodes: the two shapes the benchmark's
-// applications fill their state with, at a size that is many blocks, and one
-// small shard (a 64-rank job's per-rank state), where building three Huffman
-// codes is most of the work.
+// applications fill their state with, at a size that is many blocks, and two
+// small shards (a 64-rank job's per-rank state), where building three Huffman
+// codes was most of the work. The 1.6 KB one has few distinct literals; the
+// vasp_coll shard uses nearly all of them, and is what the store encodes 64
+// times a checkpoint there.
 type benchStream struct {
 	name string
 	data []byte
 	gate float64 // BenchmarkDeflateRatio: at least this many times compress/flate
 }
 
-func benchStreams() []benchStream {
+func benchStreams(tb testing.TB) []benchStream {
 	return []benchStream{
 		{"run_noise", runNoise(4 << 20), 1.5},
 		{"noise_floats", noiseFloats(4 << 20), 1.5},
-		{"small", noiseFloats(1600), 1.2},
+		{"small", noiseFloats(1600), 3},
+		{"vasp_shard", vaspShard(tb), 3},
 	}
 }
 
@@ -45,7 +48,7 @@ func stream(tb testing.TB, w resetWriter, data []byte) {
 }
 
 func BenchmarkDeflate(b *testing.B) {
-	for _, st := range benchStreams() {
+	for _, st := range benchStreams(b) {
 		b.Run(st.name+"/ours", func(b *testing.B) {
 			b.SetBytes(int64(len(st.data)))
 			w := NewWriter(nil)
@@ -72,7 +75,7 @@ func BenchmarkDeflate(b *testing.B) {
 func BenchmarkDeflateRatio(b *testing.B) {
 	ours := NewWriter(nil)
 	ref, _ := flate.NewWriter(nil, flate.BestSpeed)
-	for _, st := range benchStreams() {
+	for _, st := range benchStreams(b) {
 		reps := max(1, 1<<20/len(st.data)) // a small stream is timed over many
 		timed := func(w resetWriter) time.Duration {
 			t0 := time.Now()

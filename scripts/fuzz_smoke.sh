@@ -25,6 +25,8 @@ targets='
 ./internal/inflate   FuzzInflateAgree  -fuzzminimizetime=1s
 # Arbitrary bytes in arbitrary Write pieces: the in-tree encoder writes compress/flate BestSpeed bytes, the in-tree inflate reads them back, nothing allocated beyond the writer.
 ./internal/deflate   FuzzDeflateAgree  -fuzzminimizetime=1s
+# Up to 286 symbol frequencies: the radix sort orders them as a full-key sort does, and wherever the linear-time Huffman merge answers under a limit, its length counts are compress/flate's package-merge counts.
+./internal/deflate   FuzzHuffmanCounts
 '
 rows=$(grep -v '^#' <<<"$targets" | grep .)
 
