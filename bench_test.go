@@ -331,99 +331,6 @@ func BenchmarkAsyncIncrementalCheckpoint(b *testing.B) {
 	})
 }
 
-// BenchmarkTieredCheckpoint compares where a checkpoint lands in the
-// storage hierarchy, on the same periodic straggler run as the async bench
-// (64 ranks at Figure 9's padded ~398 MB per-rank images): direct-to-PFS
-// synchronous stop-and-write versus staging on the burst-buffer tier
-// (synchronously, and asynchronously where the job stalls only for the
-// burst open latency while the epoch later drains to the PFS in the
-// background). The headline metrics are the mean job-visible stall per
-// capture ("stall-s"), the mean background drain of the burst epochs
-// ("drain-s"), and the fast-tier stall reduction ("stall-shrink-x"), which
-// must be above 1: the burst tier's higher bandwidth and cheaper open beat
-// the shared filesystem even for fully synchronous dumps.
-func BenchmarkTieredCheckpoint(b *testing.B) {
-	const (
-		ranks    = 64
-		hotIters = 24
-		padded   = 398 << 20
-	)
-	elems := 64 << 10
-	if testing.Short() {
-		elems = 8 << 10
-	}
-
-	run := func(b *testing.B, tier netmodel.StorageTier, async bool) (stall, write, drain float64) {
-		cfg := rt.Config{
-			Ranks: ranks, PPN: 32, Params: netmodel.PerlmutterLike(), Algorithm: rt.AlgoCC,
-			Checkpoint: &rt.CkptPlan{
-				AtStep: 4, Every: 1e-6, Mode: ckpt.ContinueAfterCapture,
-				Tier: tier, Async: async, Store: ckpt.NewMemStore(),
-				PaddedBytesPerRank: padded,
-			},
-		}
-		scfg := apps.StragglerConfig{
-			HotRanks: 2, ColdSteps: 2, HotIters: hotIters,
-			StateElems: elems, HotStateElems: 256,
-		}
-		rep, err := rt.Run(cfg, func(rank int) rt.App {
-			return apps.NewStraggler(scfg, rank)
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.CheckpointHistory) < 3 {
-			b.Fatalf("only %d chained captures", len(rep.CheckpointHistory))
-		}
-		n := float64(len(rep.CheckpointHistory))
-		for _, st := range rep.CheckpointHistory {
-			stall += st.StallVT
-			write += st.WriteVT
-			drain += st.TierDrainVT
-		}
-		return stall / n, write / n, drain / n
-	}
-
-	cases := []struct {
-		name  string
-		tier  netmodel.StorageTier
-		async bool
-	}{
-		{"pfs-direct", netmodel.TierPFS, false},
-		{"burst-sync", netmodel.TierBurstBuffer, false},
-		{"burst-async", netmodel.TierBurstBuffer, true},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			var stall, write, drain float64
-			for i := 0; i < b.N; i++ {
-				stall, write, drain = run(b, c.tier, c.async)
-			}
-			b.ReportMetric(stall, "stall-s")
-			b.ReportMetric(write, "write-s")
-			b.ReportMetric(drain, "drain-s")
-		})
-	}
-	b.Run("stall-shrink", func(b *testing.B) {
-		var syncShrink, asyncShrink float64
-		for i := 0; i < b.N; i++ {
-			pfsStall, _, _ := run(b, netmodel.TierPFS, false)
-			bbStall, _, bbDrain := run(b, netmodel.TierBurstBuffer, false)
-			bbAsyncStall, _, _ := run(b, netmodel.TierBurstBuffer, true)
-			syncShrink = pfsStall / bbStall
-			asyncShrink = pfsStall / bbAsyncStall
-			if bbDrain <= 0 {
-				b.Fatal("burst epochs accrued no background PFS drain")
-			}
-		}
-		if syncShrink <= 1 {
-			b.Fatalf("burst tier did not shrink the synchronous stall (factor %g)", syncShrink)
-		}
-		b.ReportMetric(syncShrink, "stall-shrink-x")
-		b.ReportMetric(asyncShrink, "async-shrink-x")
-	})
-}
-
 // BenchmarkStreamingCheckpoint measures the bounded-memory streaming commit
 // path at Figure 9's padded scale: 64 ranks at ~398 MB per rank (~25 GB of
 // modeled image) on the periodic straggler run, committed through the
@@ -542,7 +449,7 @@ func BenchmarkStreamingCheckpoint(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			blobStall, _, _ := run(b, nil, false, false, "")
 			streamStall, _, _ := run(b, ckpt.NewMemStore(), false, false, "")
-			// Same padded bytes on the same tier in the same regime: the
+			// Same padded bytes in the same regime: the
 			// stream must not change the priced stall at all.
 			if diff := math.Abs(streamStall - blobStall); diff > 1e-9*math.Max(blobStall, 1) {
 				b.Fatalf("streamed stall %.9gs drifted from blob stall %.9gs", streamStall, blobStall)

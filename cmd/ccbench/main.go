@@ -33,9 +33,6 @@ func main() {
 		iters    = flag.Int("iters", 120, "OSU micro-benchmark iterations")
 		maxProcs = flag.Int("maxprocs", 2048, "largest simulated process count")
 		ppn      = flag.Int("ppn", 128, "ranks per node")
-		mtbf     = flag.Float64("mtbf", 10000, "per-node MTBF in hours (failures experiment)")
-		workH    = flag.Float64("work-hours", 24, "job compute length in hours (failures experiment)")
-		failN    = flag.Int("failure-nodes", 16, "node count priced by the failures experiment")
 		csvdir   = flag.String("csvdir", "", "also write <exp>.csv files into this directory")
 	)
 	flag.Parse()
@@ -45,9 +42,6 @@ func main() {
 	opts.OSUIters = *iters
 	opts.MaxProcs = *maxProcs
 	opts.PPN = *ppn
-	opts.NodeMTBFHours = *mtbf
-	opts.FailureWorkHours = *workH
-	opts.FailureNodes = *failN
 
 	ids := harness.Order
 	if *exp != "all" {

@@ -233,7 +233,6 @@ type sourceJSON struct {
 type epochJSON struct {
 	Epoch              int         `json:"epoch"`
 	Parent             int         `json:"parent"`
-	Tier               string      `json:"tier"`
 	Algorithm          string      `json:"algorithm"`
 	Ranks              int         `json:"ranks"`
 	PPN                int         `json:"ppn"`
@@ -283,7 +282,6 @@ func storeInfoJSON(w io.Writer, store ckpt.Store, path string, job *jobSummary) 
 		}
 		ej := epochJSON{
 			Epoch: man.Epoch, Parent: man.Parent,
-			Tier:      netmodel.StorageTier(man.Tier).String(),
 			Algorithm: man.Algorithm, Ranks: man.Ranks, PPN: man.PPN,
 			CaptureVT:          man.CaptureVT,
 			PaddedBytesPerRank: man.PaddedBytesPerRank,

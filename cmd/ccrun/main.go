@@ -6,22 +6,21 @@
 //	ccrun -app vasp -algo cc -ranks 512 -ckpt-at 0.5 -image /tmp/job.img
 //	ccrun -app vasp -algo cc -ranks 512 -restart /tmp/job.img
 //
-// and the staged asynchronous pipeline with incremental shard reuse, staged
-// on the burst-buffer storage tier:
+// and the staged asynchronous pipeline with incremental shard reuse:
 //
 //	ccrun -app straggler -algo cc -ckpt-at 0.2 -continue -every 0.2 \
-//	      -store /tmp/ckpts -async -incremental -tier burst
+//	      -store /tmp/ckpts -async -incremental
 //	ccrun -app straggler -algo cc -restart-store /tmp/ckpts [-epoch 3]
 //
 // The first periodic invocation seals one store epoch per capture (unchanged
-// shards recorded as references to earlier epochs; with -tier burst the job
-// stalls only for the burst open latency and each epoch accrues a background
-// drain to the parallel filesystem); the second rebuilds the job from any
-// sealed epoch, resolving references through the chain and reporting the
-// modeled chain-aware restart read time. Long periodic runs bound the store
-// with a retention policy: -keep N garbage-collects dead epochs after each
-// seal and -compact-every N periodically rewrites the chain into a fresh
-// self-contained epoch, keeping the restart read fan-in at depth 1.
+// shards recorded as references to earlier epochs; with -async the job
+// stalls only for the filesystem's open latency); the second rebuilds the
+// job from any sealed epoch, resolving references through the chain and
+// reporting the modeled chain-aware restart read time. Long periodic runs
+// bound the store with a retention policy: -keep N garbage-collects dead
+// epochs after each seal and -compact-every N periodically rewrites the
+// chain into a fresh self-contained epoch, keeping the restart read fan-in
+// at depth 1.
 package main
 
 import (
@@ -43,7 +42,6 @@ func main() {
 		every    = flag.Float64("every", 0, "periodic checkpoint interval after the first (0 = one checkpoint)")
 		cont     = flag.Bool("continue", false, "continue after the checkpoint instead of exiting")
 		async    = flag.Bool("async", false, "staged pipeline: resume the job while shards encode and commit")
-		tier     = flag.String("tier", "pfs", "storage tier checkpoints are charged to: pfs or burst")
 		incr     = flag.Bool("incremental", false, "reuse unchanged shards from the previous epoch (implies a store)")
 		delta    = flag.Bool("delta", false, "store partially-changed shards as page deltas against the chain's base epoch (implies a store; best with -incremental)")
 		cdc      = flag.Bool("cdc", false, "store changed shards as content-defined chunk objects reusing the chain's chunks (implies a store; best with -incremental; excludes -delta)")
@@ -69,12 +67,12 @@ func main() {
 		Params:    mana.PerlmutterLike(),
 		Algorithm: *algo,
 	}
-	if *ckptAt <= 0 && (*storeDir != "" || *async || *incr || *delta || *cdc || *codec != "" || *every > 0 || *tier != "pfs" || *budgetMB != 0 || *keep != 0 || *compact != 0) {
+	if *ckptAt <= 0 && (*storeDir != "" || *async || *incr || *delta || *cdc || *codec != "" || *every > 0 || *budgetMB != 0 || *keep != 0 || *compact != 0) {
 		// These flags only shape a checkpoint plan; without a first trigger
 		// they would be silently discarded and the run would complete with
 		// zero captures — surfaced only when a later restart finds an empty
 		// store.
-		fail(fmt.Errorf("-store/-async/-incremental/-delta/-cdc/-codec/-every/-tier/-stream-budget/-keep/-compact-every require -ckpt-at to schedule the first checkpoint"))
+		fail(fmt.Errorf("-store/-async/-incremental/-delta/-cdc/-codec/-every/-stream-budget/-keep/-compact-every require -ckpt-at to schedule the first checkpoint"))
 	}
 	if *delta && *cdc {
 		// Both knobs decide how a changed shard's fresh bytes are stored;
@@ -98,15 +96,6 @@ func main() {
 		// silently ignored after the first checkpoint.
 		fail(fmt.Errorf("-every requires -continue (a checkpoint-exit run captures once)"))
 	}
-	var storageTier mana.StorageTier
-	switch *tier {
-	case "pfs":
-		storageTier = mana.TierPFS
-	case "burst":
-		storageTier = mana.TierBurstBuffer
-	default:
-		fail(fmt.Errorf("unknown storage tier %q (want pfs or burst)", *tier))
-	}
 	if *ckptAt > 0 {
 		mode := mana.ExitAfterCapture
 		if *cont {
@@ -114,8 +103,7 @@ func main() {
 		}
 		cfg.Checkpoint = &mana.CkptPlan{
 			AtVT: *ckptAt, Every: *every, Mode: mode,
-			Async: *async, Incremental: *incr, Delta: *delta, CDC: *cdc,
-			Codec: *codec, Tier: storageTier,
+			Async: *async, Incremental: *incr, Delta: *delta, CDC: *cdc, Codec: *codec,
 			StreamBudgetBytes: int64(*budgetMB) << 20,
 			KeepEpochs:        *keep,
 			CompactEvery:      *compact,
@@ -183,12 +171,9 @@ func main() {
 	}
 	for _, st := range rep.CheckpointHistory {
 		fmt.Printf("checkpoint: requested at %.4fs, safe state at %.4fs (drain %.2fms), "+
-			"%d bytes, tier %v, write %.3fs (stall %.3fs, overlap %.3fs)",
+			"%d bytes, write %.3fs (stall %.3fs, overlap %.3fs)",
 			st.RequestVT, st.CaptureVT, st.DrainVT*1e3, st.ImageBytes,
-			st.Tier, st.WriteVT, st.StallVT, st.OverlapVT)
-		if st.TierDrainVT > 0 {
-			fmt.Printf(", background drain to pfs %.3fs", st.TierDrainVT)
-		}
+			st.WriteVT, st.StallVT, st.OverlapVT)
 		if st.Epoch >= 0 {
 			fmt.Printf(", epoch %d: %d fresh / %d reused shards, peak encode %.1f MiB",
 				st.Epoch, st.FreshShards, st.ReusedShards, float64(st.PeakEncodeBytes)/(1<<20))

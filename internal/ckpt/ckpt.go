@@ -47,9 +47,7 @@
 // resolves the reference chain through the Store and attributes any
 // corruption to the (epoch, rank) that failed. An epoch is priced when the
 // coordinator seals it, from its manifest alone (WriteBytesOf; the restart
-// side is ReadSetOf), against a storage tier (Plan.Tier): direct to the
-// parallel filesystem, or staged on the burst buffer with a background drain
-// to durable storage (CheckpointStats.TierDrainVT).
+// side is ReadSetOf), as one parallel-filesystem write.
 package ckpt
 
 import (

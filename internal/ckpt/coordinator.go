@@ -77,12 +77,6 @@ type Plan struct {
 	// "flate" (default; empty means flate) or "none" (identity passthrough,
 	// no compression CPU).
 	Codec string
-	// Tier selects the storage tier checkpoint writes are charged against
-	// (netmodel.TierPFS by default). TierBurstBuffer stages captures on the
-	// fast tier — with Async the job stalls only for the burst open
-	// latency — while each sealed epoch accrues a background parallel-FS
-	// drain (CheckpointStats.TierDrainVT).
-	Tier netmodel.StorageTier
 	// Store, when non-nil, receives every capture as a sealed epoch (shards
 	// plus manifest) in addition to the in-memory image. Restart can load
 	// any sealed epoch back via RestartFromStore.
@@ -158,13 +152,6 @@ type CheckpointStats struct {
 	StallVT   float64
 	OverlapVT float64
 
-	// Tier is the storage tier this capture was charged against
-	// (netmodel.StorageTier). TierDrainVT is the modeled background
-	// parallel-FS write that migrates a burst-tier epoch to durable storage;
-	// it never stalls the job and is zero for direct-to-PFS captures.
-	Tier        netmodel.StorageTier
-	TierDrainVT float64
-
 	// Epoch is the store epoch this capture committed as, or -1 when the
 	// plan has no store (the image stays an in-memory blob).
 	Epoch int
@@ -176,7 +163,7 @@ type CheckpointStats struct {
 	// The GC fields report what the retention pass reclaimed after this
 	// seal: dead sealed epochs, the fresh shard objects they held,
 	// unsealed-debris files, stored bytes freed, and the modeled deletion
-	// traffic (metadata operations; see netmodel.TierDeleteTime).
+	// traffic (metadata operations; see netmodel.DeleteTime).
 	CompactedEpoch   int
 	CompactVT        float64
 	GCDeletedEpochs  int
@@ -451,7 +438,7 @@ func (c *Coordinator) RequestCheckpoint(vt float64) bool {
 // can unpark between the safe-state check and the capture.
 func (c *Coordinator) captureWatcher() {
 	c.mu.Lock()
-	for !(c.ph == phasePending && c.allParkedLocked() && c.Algo.Quiesced()) {
+	for !c.safeStateLocked() {
 		if c.ph != phasePending || c.W.AbortErr() != nil {
 			c.mu.Unlock()
 			return
@@ -469,6 +456,12 @@ func (c *Coordinator) captureWatcher() {
 	c.captureLocked()
 	c.mu.Unlock()
 	c.W.WakeAll()
+}
+
+// safeStateLocked is the capture watcher's predicate: a request is pending,
+// every rank is parked or finished, and the algorithm's drain is complete.
+func (c *Coordinator) safeStateLocked() bool {
+	return c.ph == phasePending && c.allParkedLocked() && c.Algo.Quiesced()
 }
 
 func (c *Coordinator) allParkedLocked() bool {
@@ -608,7 +601,6 @@ func (c *Coordinator) captureLocked() {
 		ImageBytes:     img.TotalBytes(),
 		Epoch:          -1,
 		CompactedEpoch: -1,
-		Tier:           c.W.Model.EffectiveTier(c.Plan.Tier),
 		//lint:allow wallclock CaptureHostSeconds deliberately reports host-side encode cost
 		CaptureHostSeconds: time.Since(captureStart).Seconds(),
 	}
@@ -641,17 +633,13 @@ func (c *Coordinator) captureLocked() {
 		// itself FAILED: a broken capture must never seal a durable epoch,
 		// because a fresh process restarting from the store cannot see
 		// c.err and would restore the incomplete image as if it were
-		// healthy. The whole (possibly padded) image is charged against the
-		// selected storage tier — fully stalled by default, or latency-
+		// healthy. The whole (possibly padded) image is charged as one
+		// parallel-filesystem write — fully stalled by default, or latency-
 		// stalled with the transfer overlapped when Async.
-		cost := c.W.Model.TierWriteCost(c.Plan.Tier, img.TotalBytes(), nodes, c.Plan.Async)
+		cost := c.W.Model.WriteCost(img.TotalBytes(), nodes, c.Plan.Async)
 		c.stats.WriteVT = cost.Total
 		c.stats.StallVT = cost.Stall
 		c.stats.OverlapVT = cost.Overlap
-		if c.stats.Tier != netmodel.TierPFS {
-			// A fast-tier image still has to reach durable storage.
-			c.stats.TierDrainVT = c.W.Model.TierWriteTime(netmodel.TierPFS, img.TotalBytes(), nodes)
-		}
 		c.history = append(c.history, c.stats)
 		c.releaseLocked(maxVT + cost.Stall)
 		return
@@ -667,10 +655,10 @@ func (c *Coordinator) captureLocked() {
 	c.history = append(c.history, c.stats)
 
 	if c.Plan.Async {
-		// Release the job against only the commit tier's open latency;
+		// Release the job against only the filesystem's open latency;
 		// stages 2–3 run behind the resumed execution on a private
 		// (double-buffered) image — the next capture allocates a fresh one.
-		stall := c.W.Model.TierWriteCost(c.Plan.Tier, 0, nodes, true).Stall
+		stall := c.W.Model.WriteCost(0, nodes, true).Stall
 		c.stats.StallVT = stall
 		c.history[histIdx].StallVT = stall
 		c.commitWG.Add(1)
@@ -715,19 +703,12 @@ func (c *Coordinator) releaseLocked(resume float64) {
 	c.W.NoteActivity()
 }
 
-// sealPrice is what sealing one epoch cost: the modeled write, split into
-// stall and overlap, and the background PFS drain of a burst-tier epoch.
-type sealPrice struct {
-	cost  netmodel.WriteCost
-	drain float64
-}
-
 // commitResult carries one epoch commit's outcome back to the stats.
 type commitResult struct {
-	epoch int
-	stats *CommitStats
-	sealPrice
-	peakEncode  int64 // streaming encoder's in-flight high-water mark
+	epoch       int
+	stats       *CommitStats
+	cost        netmodel.WriteCost // the sealed epoch's modeled write
+	peakEncode  int64              // streaming encoder's in-flight high-water mark
 	hostSeconds float64
 	err         error
 
@@ -796,7 +777,7 @@ func (c *Coordinator) commitEpoch(epoch int, img *JobImage) (res commitResult) {
 	man, st, err := buildCommit(c.Plan.Store, codec, epoch, parent, img, sums, c.budget)
 	res.peakEncode = c.budget.TakePeak()
 	if err == nil {
-		res.sealPrice, err = c.seal(man)
+		res.cost, err = c.seal(man)
 	}
 	if err != nil {
 		// The epoch never sealed: remove its partial shard debris so the
@@ -813,26 +794,13 @@ func (c *Coordinator) commitEpoch(epoch int, img *JobImage) (res commitResult) {
 }
 
 // seal prices a finished manifest and seals its epoch — a commit's or a
-// compaction's — under the commit ticket. The charge is WriteBytesOf(man) on
-// the EFFECTIVE tier: requesting the burst tier on a one-tier system is a
-// plain PFS write, and fabricating a drain for it would double-count the
-// storage traffic. The manifest is stamped with the tier before it is
-// encoded, so the chain records where its bytes landed and restart read
-// modeling follows it. A burst-tier epoch also accrues the background PFS
-// drain of the same bytes.
-func (c *Coordinator) seal(man *Manifest) (sealPrice, error) {
-	m, p, nodes := c.W.Model, &c.Plan, c.nodes()
-	bytes := WriteBytesOf(man)
-	tier := m.EffectiveTier(p.Tier)
-	man.Tier = int(tier)
-	if err := p.Store.PutManifest(man.Epoch, man); err != nil {
-		return sealPrice{}, err
+// compaction's — under the commit ticket. The charge is one parallel-
+// filesystem write of WriteBytesOf(man).
+func (c *Coordinator) seal(man *Manifest) (netmodel.WriteCost, error) {
+	if err := c.Plan.Store.PutManifest(man.Epoch, man); err != nil {
+		return netmodel.WriteCost{}, err
 	}
-	price := sealPrice{cost: m.TierWriteCost(tier, bytes, nodes, p.Async)}
-	if tier != netmodel.TierPFS {
-		price.drain = m.TierWriteTime(netmodel.TierPFS, bytes, nodes)
-	}
-	return price, nil
+	return c.W.Model.WriteCost(WriteBytesOf(man), c.nodes(), c.Plan.Async), nil
 }
 
 // lifecyclePass runs the retention policy after one sealed epoch, still
@@ -863,7 +831,7 @@ func (c *Coordinator) lifecyclePass(epoch int, man *Manifest, res *commitResult)
 				// compaction fails and the number is burned, or later
 				// commits would wait forever for a seal that never comes.
 				newMan, _, err := compactChain(c.Plan.Store, epoch, c.budget)
-				var price sealPrice
+				var price netmodel.WriteCost
 				if err == nil {
 					price, err = c.seal(newMan)
 				}
@@ -876,7 +844,7 @@ func (c *Coordinator) lifecyclePass(epoch int, man *Manifest, res *commitResult)
 					// the copy, so shard reuse keeps working across it.
 					c.lastMan.Store(newMan)
 					res.compacted = newMan.Epoch
-					res.compactVT = price.cost.Total
+					res.compactVT = price.Total
 					c.sealsSinceCompact = 0
 				}
 			}
@@ -927,7 +895,6 @@ func (c *Coordinator) applyCommitLocked(histIdx int, res commitResult) {
 		e.WriteVT = res.cost.Total
 		e.StallVT = res.cost.Stall
 		e.OverlapVT = res.cost.Overlap
-		e.TierDrainVT = res.drain
 		e.FreshShards = res.stats.FreshShards
 		e.ReusedShards = res.stats.ReusedShards
 		e.FreshBytes = res.stats.FreshBytes
@@ -950,8 +917,7 @@ func (c *Coordinator) applyCommitLocked(histIdx int, res commitResult) {
 		e.GCReclaimedBytes = res.gc.ReclaimedBytes
 		// Deletes are metadata operations: the cost scales with the objects
 		// removed, not their bytes.
-		e.GCVT = c.W.Model.TierDeleteTime(c.W.Model.EffectiveTier(c.Plan.Tier),
-			res.gc.DeletedShards+res.gc.DeletedEpochs+res.gc.SweptObjects)
+		e.GCVT = c.W.Model.DeleteTime(res.gc.DeletedShards + res.gc.DeletedEpochs + res.gc.SweptObjects)
 	}
 	if res.lifecycleErr != nil && c.err == nil {
 		c.err = fmt.Errorf("ckpt: lifecycle pass after epoch %d: %w", res.epoch, res.lifecycleErr)
@@ -1018,6 +984,13 @@ func (c *Coordinator) ParkUntil(rank int, d *Descriptor, decide func() Decision)
 			c.W.NoteActivity()
 			c.cond.Broadcast()
 			return Proceed
+		}
+		if c.safeStateLocked() {
+			// decide may have consumed the last in-flight protocol state
+			// (a target update, a non-blocking collective) while this rank
+			// stays parked; nothing else would wake the capture watcher to
+			// see the safe state.
+			c.cond.Broadcast()
 		}
 		// Re-assert the label each cycle: the decide callback may have run
 		// MPI calls (absorbing target updates) that relabeled the rank.

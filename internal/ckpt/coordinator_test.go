@@ -194,6 +194,46 @@ func TestCoordinatorQuiesceGatesCapture(t *testing.T) {
 	}
 }
 
+// TestCoordinatorQuiescedWhileParkedCaptures: a parked rank's decide can
+// consume the last in-flight protocol state (CC absorbing a target update)
+// and stay parked. The capture watcher, which checked the safe state before
+// that decide ran, must still be woken to capture. Without the broadcast
+// after decide, the wakeup was lost about two times in three and the job
+// hung until the deadlock watchdog fired.
+func TestCoordinatorQuiescedWhileParkedCaptures(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		c, a, _ := newStubCoordinator(t, 1, Plan{})
+		a.mu.Lock()
+		a.quiesced = false
+		a.mu.Unlock()
+		c.RequestCheckpoint(0)
+		calls := 0 // decide runs under the coordinator lock
+		done := make(chan Outcome, 1)
+		go func() {
+			done <- c.ParkUntil(0, &Descriptor{Kind: ParkBoundary}, func() Decision {
+				if calls++; calls >= 2 {
+					a.mu.Lock()
+					a.quiesced = true
+					a.mu.Unlock()
+				}
+				return Stay
+			})
+		}()
+		time.Sleep(2 * time.Millisecond)
+		c.Poke() // wakes the watcher and the rank; either may run first
+		select {
+		case o := <-done:
+			if o != Released {
+				t.Fatalf("iteration %d: outcome %v, want Released", i, o)
+			}
+		case <-time.After(time.Second):
+			c.Poke() // let the stranded watcher capture so the goroutines end
+			<-done
+			t.Fatalf("iteration %d: the safe state was reached in decide and never captured", i)
+		}
+	}
+}
+
 func TestCoordinatorVerifyFailureSurfaces(t *testing.T) {
 	c, a, _ := newStubCoordinator(t, 1, Plan{})
 	a.mu.Lock()

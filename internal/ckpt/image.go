@@ -170,10 +170,11 @@ type Manifest struct {
 	// full capture with no parent.
 	Epoch  int
 	Parent int
-	// Tier records which storage tier this epoch was committed to
-	// (netmodel.StorageTier: 0 = parallel FS, 1 = burst buffer). Stamped by
-	// the coordinator at seal time; restart read modeling charges the chain
-	// against this tier. Zero on epochs sealed outside a coordinator.
+	// Tier is always 0 (netmodel.TierPFS, the one storage tier); validate
+	// refuses anything else. The field exists only so the on-disk record's
+	// bytes do not move and for bench/'s call sites (layers.go:274,
+	// trace.go:87), which pass it back into RestartReadCost. The gob-free
+	// manifest of ROADMAP item 7(b) drops it.
 	Tier int
 }
 
@@ -1159,6 +1160,9 @@ func decodeShardStream(src io.Reader, rawSize int64, wantSum uint64, codec Codec
 // or hostile metadata fails with a diagnostic instead of driving later
 // slicing or allocation off a cliff.
 func (man *Manifest) validate() error {
+	if man.Tier != 0 {
+		return fmt.Errorf("ckpt: epoch %d sealed on storage tier %d, which this build does not model", man.Epoch, man.Tier)
+	}
 	if man.Ranks < 0 {
 		return fmt.Errorf("ckpt: manifest declares %d ranks", man.Ranks)
 	}

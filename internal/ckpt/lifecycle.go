@@ -194,7 +194,7 @@ func CompactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *Com
 
 // compactChain is CompactChain up to the seal: the new epoch's objects are
 // written and its manifest returned finished but UNSEALED, for the caller to
-// PutManifest (tier as the source epoch's).
+// PutManifest.
 func compactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *CommitStats, error) {
 	man, err := store.GetManifest(epoch)
 	if err != nil {
@@ -234,7 +234,6 @@ func compactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *Com
 		Version:            man.Version,
 		Epoch:              newEpoch,
 		Parent:             -1,
-		Tier:               man.Tier, // the coordinator's seal re-stamps it
 	}
 	st := &CommitStats{Epoch: newEpoch}
 	errs := make([]error, len(man.Shards))

@@ -321,7 +321,7 @@ func TestFailedCommitLeavesNoDebris(t *testing.T) {
 	if hist[0].WriteVT != 0 || hist[0].FreshShards != 0 {
 		t.Fatalf("the epoch that never sealed was charged: %+v", hist[0])
 	}
-	if want := w.Model.TierWriteCost(netmodel.TierPFS, WriteBytesOf(man), 1, true); hist[1].WriteVT != want.Total || hist[1].OverlapVT != want.Overlap {
+	if want := w.Model.WriteCost(WriteBytesOf(man), 1, true); hist[1].WriteVT != want.Total || hist[1].OverlapVT != want.Overlap {
 		t.Fatalf("epoch 1 charged %g (overlap %g), its own manifest prices %+v", hist[1].WriteVT, hist[1].OverlapVT, want)
 	}
 }
@@ -337,7 +337,7 @@ func TestGCStoreDeleteCostPriced(t *testing.T) {
 		t.Fatalf("want the chain middle deleted: %+v", st)
 	}
 	// Two epochs, each one fresh shard plus its manifest.
-	if want := model.TierDeleteTime(netmodel.TierPFS, 4); math.Float64frombits(vt) != want {
+	if want := model.DeleteTime(4); math.Float64frombits(vt) != want {
 		t.Fatalf("GCVT %g, want %g", math.Float64frombits(vt), want)
 	}
 }

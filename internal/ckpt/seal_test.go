@@ -18,18 +18,17 @@ import (
 // always 4 ranks at 2 per node: two writer nodes.
 type pinPlan struct {
 	params netmodel.Params
-	tier   netmodel.StorageTier
 	async  bool
 	codec  string
 }
 
 // pinPrice is what one seal cost, as the bits of each figure.
 type pinPrice struct {
-	Total, Stall, Overlap, Drain uint64
+	Total, Stall, Overlap uint64
 }
 
 func (p pinPrice) String() string {
-	return fmt.Sprintf("{%#x, %#x, %#x, %#x}", p.Total, p.Stall, p.Overlap, p.Drain)
+	return fmt.Sprintf("{%#x, %#x, %#x}", p.Total, p.Stall, p.Overlap)
 }
 
 // pinSealer commits, compacts and collects through whatever this tree prices
@@ -43,7 +42,7 @@ type pinSealer struct {
 func newPinSealer(t *testing.T, plan pinPlan) *pinSealer {
 	t.Helper()
 	c, err := NewCoordinator(mpi.NewWorld(4, netmodel.New(plan.params, 2)), &Plan{
-		Store: NewMemStore(), Tier: plan.tier, Async: plan.async, Codec: plan.codec,
+		Store: NewMemStore(), Async: plan.async, Codec: plan.codec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,17 +50,14 @@ func newPinSealer(t *testing.T, plan pinPlan) *pinSealer {
 	return &pinSealer{c: c}
 }
 
-func pinPriceOf(p sealPrice) pinPrice {
-	return pinPrice{
-		Total: math.Float64bits(p.cost.Total), Stall: math.Float64bits(p.cost.Stall), Overlap: math.Float64bits(p.cost.Overlap),
-		Drain: math.Float64bits(p.drain),
-	}
+func pinPriceOf(p netmodel.WriteCost) pinPrice {
+	return pinPrice{Total: math.Float64bits(p.Total), Stall: math.Float64bits(p.Stall), Overlap: math.Float64bits(p.Overlap)}
 }
 
 // seal builds img's epoch against parent — hashed the way the plan's diff
 // mode hashes ("", "delta" or "cdc") — and seals it at the coordinator's
 // price.
-func (s *pinSealer) seal(t *testing.T, mode string, epoch int, parent *Manifest, img *JobImage) (*Manifest, sealPrice) {
+func (s *pinSealer) seal(t *testing.T, mode string, epoch int, parent *Manifest, img *JobImage) (*Manifest, netmodel.WriteCost) {
 	t.Helper()
 	var sums *ShardSums
 	var err error
@@ -131,17 +127,24 @@ func (s *pinSealer) collect(t *testing.T, keep int) (*GCStats, uint64) {
 const pinChildEnv = "MANA_PRICE_PIN_CHILD"
 
 // TestSealPricePinned pins what a sealed epoch is charged: the bits of the
-// write cost, its stall/overlap split and the background drain, for
-// hand-built images sealed without a running job — full, whole-shard reuse,
-// page-delta and CDC epochs, each at its stored size and at a padded image
-// size; both tiers, stalled and overlapped; one compaction and one retention
-// pass. The
-// table was recorded on the last commit that metered writes in a store
-// decorator, through that decorator; the coordinator's seal must price every
-// row the same. Four rows were re-recorded once since, all lower, when
-// partial objects stopped storing a gob header in front of their extents:
-// the unpadded partial seals (delta/pfs and cdc/pfs, partial and partial-2),
-// the only rows priced on a partial object's stored size.
+// write cost and its stall/overlap split, for hand-built images sealed
+// without a running job — full, whole-shard reuse, page-delta and CDC
+// epochs, each at its stored size and at a padded image size; stalled and
+// overlapped; one compaction and one retention pass. The table was recorded
+// on the last commit that metered writes in a store decorator, through that
+// decorator; the coordinator's seal must price every row the same. Four rows
+// were re-recorded once since, all lower, when partial objects stopped
+// storing a gob header in front of their extents: the unpadded partial seals
+// (delta/pfs and cdc/pfs, partial and partial-2), the only rows priced on a
+// partial object's stored size.
+//
+// The table once had a fourth word, a burst-buffer epoch's background drain
+// to the parallel filesystem; the burst tier is gone and the word with it.
+// The delta/pfs/padded and cdc/pfs/padded rows are the only padded partial
+// seals. Each base, partial, partial-2 and compacted row's Total and Stall
+// is the drain word of the burst row it replaced — that drain was a
+// synchronous parallel-filesystem write of the same bytes — and both were
+// run against the commit that still had the burst rows before they went in.
 //
 // Unpadded prices follow stored sizes, which follow the gob type numbers the
 // process has handed out, so — like the stored-bytes golden test — the
@@ -181,8 +184,6 @@ func TestSealPricePinned(t *testing.T) {
 		{"pfs/sync/none", pinPlan{params: eth, codec: "none"}, 0},
 		{"pfs/sync/padded", pinPlan{params: perl}, pad},
 		{"pfs/async/padded", pinPlan{params: perl, async: true}, pad},
-		{"burst/sync", pinPlan{params: perl, tier: netmodel.TierBurstBuffer}, 0},
-		{"burst/async/padded", pinPlan{params: perl, tier: netmodel.TierBurstBuffer, async: true}, pad},
 	} {
 		s := newPinSealer(t, v.plan)
 		man0, p := s.commit(t, "", 0, nil, padded(testJobImage(4), v.pad))
@@ -197,12 +198,6 @@ func TestSealPricePinned(t *testing.T) {
 		record(v.name+"/all-reused", p)
 	}
 
-	// A one-tier system asked for the burst tier is a PFS write, no drain.
-	flat := perl
-	flat.BurstAggBW, flat.BurstNodeBW = 0, 0
-	_, p := newPinSealer(t, pinPlan{params: flat, tier: netmodel.TierBurstBuffer}).commit(t, "", 0, nil, padded(testJobImage(4), pad))
-	record("one-tier/burst-asked/full", p)
-
 	// Partial objects, then the chain compacted and collected.
 	for _, v := range []struct {
 		name, mode string
@@ -210,9 +205,9 @@ func TestSealPricePinned(t *testing.T) {
 		pad        int64
 	}{
 		{"delta/pfs", "delta", pinPlan{params: eth}, 0},
-		{"delta/burst/padded", "delta", pinPlan{params: perl, tier: netmodel.TierBurstBuffer, async: true}, pad},
+		{"delta/pfs/padded", "delta", pinPlan{params: perl}, pad},
 		{"cdc/pfs", "cdc", pinPlan{params: eth}, 0},
-		{"cdc/burst/padded", "cdc", pinPlan{params: perl, tier: netmodel.TierBurstBuffer, async: true}, pad},
+		{"cdc/pfs/padded", "cdc", pinPlan{params: perl}, pad},
 	} {
 		s := newPinSealer(t, v.plan)
 		build := func(step int) *JobImage {
@@ -252,45 +247,38 @@ func TestSealPricePinned(t *testing.T) {
 	}
 
 	want := map[string]string{
-		"pfs/sync/full":                 "{0x3fd020c4d09c3da2, 0x3fd020c4d09c3da2, 0x0, 0x0}",
-		"pfs/sync/one-fresh":            "{0x3fd020c4a8bf6602, 0x3fd020c4a8bf6602, 0x0, 0x0}",
-		"pfs/sync/all-reused":           "{0x3fd020c49ba5e354, 0x3fd020c49ba5e354, 0x0, 0x0}",
-		"pfs/sync/none/full":            "{0x3fd020c4e49bd77f, 0x3fd020c4e49bd77f, 0x0, 0x0}",
-		"pfs/sync/none/one-fresh":       "{0x3fd020c4ad78dc7b, 0x3fd020c4ad78dc7b, 0x0, 0x0}",
-		"pfs/sync/none/all-reused":      "{0x3fd020c49ba5e354, 0x3fd020c49ba5e354, 0x0, 0x0}",
-		"pfs/sync/padded/full":          "{0x3fd057be5b5992cf, 0x3fd057be5b5992cf, 0x0, 0x0}",
-		"pfs/sync/padded/one-fresh":     "{0x3fd02e830b92cf33, 0x3fd02e830b92cf33, 0x0, 0x0}",
-		"pfs/sync/padded/all-reused":    "{0x3fd020c49ba5e354, 0x3fd020c49ba5e354, 0x0, 0x0}",
-		"pfs/async/padded/full":         "{0x3fd057be5b5992cf, 0x3fd0000000000000, 0x3f75ef96d664b3c0, 0x0}",
-		"pfs/async/padded/one-fresh":    "{0x3fd02e830b92cf33, 0x3fd0000000000000, 0x3f674185c9679980, 0x0}",
-		"pfs/async/padded/all-reused":   "{0x3fd020c49ba5e354, 0x3fd0000000000000, 0x3f60624dd2f1aa00, 0x0}",
-		"burst/sync/full":               "{0x3f847ae69383e921, 0x3f847ae69383e921, 0x0, 0x3fd020c4d09c3da2}",
-		"burst/sync/one-fresh":          "{0x3f847ae29707f2a9, 0x3f847ae29707f2a9, 0x0, 0x3fd020c4a8bf6602}",
-		"burst/sync/all-reused":         "{0x3f847ae147ae147b, 0x3f847ae147ae147b, 0x0, 0x3fd020c49ba5e354}",
-		"burst/async/padded/full":       "{0x3f89fa41400c6da0, 0x3f847ae147ae147b, 0x3f65fd7fe1796494, 0x3fd057be5b5992cf}",
-		"burst/async/padded/one-fresh":  "{0x3f85dab945c5aac4, 0x3f847ae147ae147b, 0x3f45fd7fe1796490, 0x3fd02e830b92cf33}",
-		"burst/async/padded/all-reused": "{0x3f847ae147ae147b, 0x3f847ae147ae147b, 0x0, 0x3fd020c49ba5e354}",
-		"one-tier/burst-asked/full":     "{0x3fd057be5b5992cf, 0x3fd057be5b5992cf, 0x0, 0x0}",
-		"delta/pfs/base":                "{0x3fd020c5030ca164, 0x3fd020c5030ca164, 0x0, 0x0}",
-		"delta/pfs/partial":             "{0x3fd020c4a413adf8, 0x3fd020c4a413adf8, 0x0, 0x0}",
-		"delta/pfs/partial-2":           "{0x3fd020c4a4e1d687, 0x3fd020c4a4e1d687, 0x0, 0x0}",
-		"delta/pfs/compacted":           "{0x3fd020c5035f1804, 0x3fd020c5035f1804, 0x0, 0x0}",
-		"delta/pfs/gc":                  "0x3fd2e147ae147ae1",
-		"delta/burst/padded/base":       "{0x3f89fa41400c6da0, 0x3f847ae147ae147b, 0x3f65fd7fe1796494, 0x3fd057be5b5992cf}",
-		"delta/burst/padded/partial":    "{0x3f84900bc74da2c6, 0x3f847ae147ae147b, 0x3f052a7f9f8e4b00, 0x3fd0219844a21ee3}",
-		"delta/burst/padded/partial-2":  "{0x3f84a536479d1d11, 0x3f847ae147ae147b, 0x3f152a7ff7844b00, 0x3fd0226beda539aa}",
-		"delta/burst/padded/compacted":  "{0x3f89fa41400c6da0, 0x3f847ae147ae147b, 0x3f65fd7fe1796494, 0x3fd057be5b5992cf}",
-		"delta/burst/padded/gc":         "0x3f8652bd3c361134",
-		"cdc/pfs/base":                  "{0x3fd0227cbb4bf7cf, 0x3fd0227cbb4bf7cf, 0x0, 0x0}",
-		"cdc/pfs/partial":               "{0x3fd020d8516025f8, 0x3fd020d8516025f8, 0x0, 0x0}",
-		"cdc/pfs/partial-2":             "{0x3fd020d8527306b6, 0x3fd020d8527306b6, 0x0, 0x0}",
-		"cdc/pfs/compacted":             "{0x3fd0227cbd71b94c, 0x3fd0227cbd71b94c, 0x0, 0x0}",
-		"cdc/pfs/gc":                    "0x3fd2e147ae147ae1",
-		"cdc/burst/padded/base":         "{0x3f89fa41400c6da0, 0x3f847ae147ae147b, 0x3f65fd7fe1796494, 0x3fd057be5b5992cf}",
-		"cdc/burst/padded/partial":      "{0x3f84b9e770a8bbcc, 0x3f847ae147ae147b, 0x3f1f83147d53a880, 0x3fd0233ad93faddd}",
-		"cdc/burst/padded/partial-2":    "{0x3f84b9ea4236afe2, 0x3f847ae147ae147b, 0x3f1f847d444db380, 0x3fd0233af56f3966}",
-		"cdc/burst/padded/compacted":    "{0x3f89fa41400c6da0, 0x3f847ae147ae147b, 0x3f65fd7fe1796494, 0x3fd057be5b5992cf}",
-		"cdc/burst/padded/gc":           "0x3f8652bd3c361134",
+		"pfs/sync/full":               "{0x3fd020c4d09c3da2, 0x3fd020c4d09c3da2, 0x0}",
+		"pfs/sync/one-fresh":          "{0x3fd020c4a8bf6602, 0x3fd020c4a8bf6602, 0x0}",
+		"pfs/sync/all-reused":         "{0x3fd020c49ba5e354, 0x3fd020c49ba5e354, 0x0}",
+		"pfs/sync/none/full":          "{0x3fd020c4e49bd77f, 0x3fd020c4e49bd77f, 0x0}",
+		"pfs/sync/none/one-fresh":     "{0x3fd020c4ad78dc7b, 0x3fd020c4ad78dc7b, 0x0}",
+		"pfs/sync/none/all-reused":    "{0x3fd020c49ba5e354, 0x3fd020c49ba5e354, 0x0}",
+		"pfs/sync/padded/full":        "{0x3fd057be5b5992cf, 0x3fd057be5b5992cf, 0x0}",
+		"pfs/sync/padded/one-fresh":   "{0x3fd02e830b92cf33, 0x3fd02e830b92cf33, 0x0}",
+		"pfs/sync/padded/all-reused":  "{0x3fd020c49ba5e354, 0x3fd020c49ba5e354, 0x0}",
+		"pfs/async/padded/full":       "{0x3fd057be5b5992cf, 0x3fd0000000000000, 0x3f75ef96d664b3c0}",
+		"pfs/async/padded/one-fresh":  "{0x3fd02e830b92cf33, 0x3fd0000000000000, 0x3f674185c9679980}",
+		"pfs/async/padded/all-reused": "{0x3fd020c49ba5e354, 0x3fd0000000000000, 0x3f60624dd2f1aa00}",
+		"delta/pfs/base":              "{0x3fd020c5030ca164, 0x3fd020c5030ca164, 0x0}",
+		"delta/pfs/partial":           "{0x3fd020c4a413adf8, 0x3fd020c4a413adf8, 0x0}",
+		"delta/pfs/partial-2":         "{0x3fd020c4a4e1d687, 0x3fd020c4a4e1d687, 0x0}",
+		"delta/pfs/compacted":         "{0x3fd020c5035f1804, 0x3fd020c5035f1804, 0x0}",
+		"delta/pfs/gc":                "0x3fd2e147ae147ae1",
+		"delta/pfs/padded/base":       "{0x3fd057be5b5992cf, 0x3fd057be5b5992cf, 0x0}",
+		"delta/pfs/padded/partial":    "{0x3fd0219844a21ee3, 0x3fd0219844a21ee3, 0x0}",
+		"delta/pfs/padded/partial-2":  "{0x3fd0226beda539aa, 0x3fd0226beda539aa, 0x0}",
+		"delta/pfs/padded/compacted":  "{0x3fd057be5b5992cf, 0x3fd057be5b5992cf, 0x0}",
+		"delta/pfs/padded/gc":         "0x3fd2e147ae147ae1",
+		"cdc/pfs/base":                "{0x3fd0227cbb4bf7cf, 0x3fd0227cbb4bf7cf, 0x0}",
+		"cdc/pfs/partial":             "{0x3fd020d8516025f8, 0x3fd020d8516025f8, 0x0}",
+		"cdc/pfs/partial-2":           "{0x3fd020d8527306b6, 0x3fd020d8527306b6, 0x0}",
+		"cdc/pfs/compacted":           "{0x3fd0227cbd71b94c, 0x3fd0227cbd71b94c, 0x0}",
+		"cdc/pfs/gc":                  "0x3fd2e147ae147ae1",
+		"cdc/pfs/padded/base":         "{0x3fd057be5b5992cf, 0x3fd057be5b5992cf, 0x0}",
+		"cdc/pfs/padded/partial":      "{0x3fd0233ad93faddd, 0x3fd0233ad93faddd, 0x0}",
+		"cdc/pfs/padded/partial-2":    "{0x3fd0233af56f3966, 0x3fd0233af56f3966, 0x0}",
+		"cdc/pfs/padded/compacted":    "{0x3fd057be5b5992cf, 0x3fd057be5b5992cf, 0x0}",
+		"cdc/pfs/padded/gc":           "0x3fd2e147ae147ae1",
 	}
 	for _, name := range order {
 		if got[name] != want[name] {

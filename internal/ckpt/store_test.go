@@ -271,8 +271,7 @@ func TestSealMetering(t *testing.T) {
 	model := netmodel.New(params, 2)
 	s := newPinSealer(t, pinPlan{params: params})
 
-	man0, p := s.seal(t, "", 0, nil, testImage(4, 3))
-	full := p.cost
+	man0, full := s.seal(t, "", 0, nil, testImage(4, 3))
 	if full.Total <= params.StorageLatency {
 		t.Fatalf("full epoch cost %+v not above latency", full)
 	}
@@ -283,8 +282,7 @@ func TestSealMetering(t *testing.T) {
 	// Incremental + overlapped epoch: nothing fresh, so the transfer charge
 	// collapses to the latency floor; the stall is just the latency.
 	s.c.Plan.Async = true
-	_, p = s.seal(t, "", 1, man0, testImage(4, 3))
-	incr := p.cost
+	_, incr := s.seal(t, "", 1, man0, testImage(4, 3))
 	if incr.Total >= full.Total {
 		t.Fatalf("incremental epoch %+v not cheaper than full %+v", incr, full)
 	}
@@ -296,62 +294,10 @@ func TestSealMetering(t *testing.T) {
 	s.c.Plan.Async = false
 	img2 := testImage(4, 4)
 	img2.PaddedBytesPerRank = 1 << 20
-	_, p = s.seal(t, "", 2, nil, img2)
-	padded := p.cost
-	want := model.TierWriteCost(netmodel.TierPFS, 4<<20, 2, false)
+	_, padded := s.seal(t, "", 2, nil, img2)
+	want := model.WriteCost(4<<20, 2, false)
 	if padded != want {
 		t.Fatalf("padded cost %+v, want %+v", padded, want)
-	}
-}
-
-// TestSealTiering: burst-tier seals are charged against the burst
-// constants, stamp the manifest with the tier, and accrue a background PFS
-// drain; direct-PFS seals drain nothing.
-func TestSealTiering(t *testing.T) {
-	params := netmodel.PerlmutterLike()
-	model := netmodel.New(params, 2)
-	s := newPinSealer(t, pinPlan{params: params})
-	ms := s.c.Plan.Store
-	padded := func(img *JobImage) *JobImage {
-		img.PaddedBytesPerRank = 64 << 20
-		return img
-	}
-
-	_, p := s.seal(t, "", 0, nil, padded(testImage(4, 3)))
-	pfs := p.cost
-	if p.drain != 0 {
-		t.Fatalf("direct-PFS epoch has a drain: %g", p.drain)
-	}
-	if man, err := ms.GetManifest(0); err != nil || man.Tier != int(netmodel.TierPFS) {
-		t.Fatalf("PFS epoch mis-stamped: tier=%v err=%v", man.Tier, err)
-	}
-
-	s.c.Plan.Tier = netmodel.TierBurstBuffer
-	_, p = s.seal(t, "", 1, nil, padded(testImage(4, 4)))
-	bb := p.cost
-	if bb.Total >= pfs.Total {
-		t.Fatalf("burst write %+v not cheaper than PFS %+v", bb, pfs)
-	}
-	drain := p.drain
-	if want := model.TierWriteTime(netmodel.TierPFS, 4*(64<<20), 2); drain != want {
-		t.Fatalf("burst epoch drain %g, want the PFS write %g", drain, want)
-	}
-	man, err := ms.GetManifest(1)
-	if err != nil || man.Tier != int(netmodel.TierBurstBuffer) {
-		t.Fatalf("burst epoch mis-stamped: %+v err=%v", man, err)
-	}
-
-	// One-tier system: requesting the burst tier is a plain PFS write — no
-	// fabricated drain, manifest stamped with the effective tier.
-	flat := params
-	flat.BurstAggBW, flat.BurstNodeBW = 0, 0
-	fs := newPinSealer(t, pinPlan{params: flat, tier: netmodel.TierBurstBuffer})
-	_, p = fs.seal(t, "", 0, nil, testImage(4, 5))
-	if p.drain != 0 {
-		t.Fatalf("one-tier system fabricated a drain: %g", p.drain)
-	}
-	if man, err := fs.c.Plan.Store.GetManifest(0); err != nil || man.Tier != int(netmodel.TierPFS) {
-		t.Fatalf("one-tier epoch not normalized to PFS: tier=%v err=%v", man.Tier, err)
 	}
 }
 

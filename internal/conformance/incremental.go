@@ -15,20 +15,17 @@ import (
 	"strings"
 
 	"mana/internal/ckpt"
-	"mana/internal/netmodel"
 	"mana/internal/rt"
 )
 
 // IncrementalChainReport summarizes a verified chain, for callers that
 // report (ccverify).
 type IncrementalChainReport struct {
-	Epochs        int
-	ReusedShards  int // total across the chain
-	FreshShards   int
-	StallSyncVT   float64 // summed job stall of the synchronous full chain
-	StallAsyncVT  float64 // summed job stall of the async incremental chain
-	StallTieredVT float64 // summed job stall of the burst-buffer async chain
-	TierDrainVT   float64 // summed background burst->PFS drain of that chain
+	Epochs       int
+	ReusedShards int // total across the chain
+	FreshShards  int
+	StallSyncVT  float64 // summed job stall of the synchronous full chain
+	StallAsyncVT float64 // summed job stall of the async incremental chain
 
 	// Streamed leg: the same async incremental pipeline committed under a
 	// deliberately tight streaming-encode budget. StreamPeakBytes is the
@@ -39,8 +36,8 @@ type IncrementalChainReport struct {
 }
 
 func (r *IncrementalChainReport) String() string {
-	return fmt.Sprintf("%d epochs, %d fresh / %d reused shards, stall %.3gs sync-full vs %.3gs async-incremental vs %.3gs burst-tiered (drain %.3gs); streamed peak encode %d B under a %d B budget",
-		r.Epochs, r.FreshShards, r.ReusedShards, r.StallSyncVT, r.StallAsyncVT, r.StallTieredVT, r.TierDrainVT,
+	return fmt.Sprintf("%d epochs, %d fresh / %d reused shards, stall %.3gs sync-full vs %.3gs async-incremental; streamed peak encode %d B under a %d B budget",
+		r.Epochs, r.FreshShards, r.ReusedShards, r.StallSyncVT, r.StallAsyncVT,
 		r.StreamPeakBytes, r.StreamBudgetBytes)
 }
 
@@ -57,8 +54,8 @@ func chainPlan(goldenRep *rt.Report, minEpochs int) rt.CkptPlan {
 
 // runChain executes the workload with periodic captures into a fresh
 // FileStore and returns the report plus the store. shape is the storage
-// side of the plan — Async, Incremental, Delta, CDC, Tier,
-// StreamBudgetBytes — as the caller would hand it to rt; the capture
+// side of the plan — Async, Incremental, Delta, CDC, StreamBudgetBytes —
+// as the caller would hand it to rt; the capture
 // triggers come from chainPlan.
 func runChain(o *Options, algo string, goldenRep *rt.Report, factory func(int) rt.App,
 	dir string, minEpochs int, shape rt.CkptPlan) (*rt.Report, *ckpt.FileStore, error) {
@@ -73,8 +70,8 @@ func runChain(o *Options, algo string, goldenRep *rt.Report, factory func(int) r
 	cfg.Checkpoint = &plan
 	rep, err := rt.Run(cfg, factory)
 	if err != nil {
-		return nil, nil, fmt.Errorf("chained run (async=%v incremental=%v delta=%v cdc=%v tier=%v): %w",
-			shape.Async, shape.Incremental, shape.Delta, shape.CDC, shape.Tier, err)
+		return nil, nil, fmt.Errorf("chained run (async=%v incremental=%v delta=%v cdc=%v): %w",
+			shape.Async, shape.Incremental, shape.Delta, shape.CDC, err)
 	}
 	if !rep.Completed {
 		return nil, nil, fmt.Errorf("chained run did not complete")
@@ -138,13 +135,6 @@ func VerifyIncrementalChain(wl, algo string, opts Options, requireReuse bool) (*
 	if err != nil {
 		return nil, err
 	}
-	// The same pipeline staged on the burst-buffer tier: tier selection is
-	// pure virtual-time accounting, so the chain must stay digest-identical
-	// while stalling even less than the PFS async chain.
-	tieredRep, tieredFS, err := runChain(&o, algo, goldenRep, factory, tmp+"/tiered", minEpochs, rt.CkptPlan{Async: true, Incremental: true, Tier: netmodel.TierBurstBuffer})
-	if err != nil {
-		return nil, err
-	}
 	// Streamed leg: the async incremental pipeline again, committed through
 	// the streaming shard API under a deliberately tight in-flight encode
 	// budget. The budget bounds memory, never content: the chain must stay
@@ -154,7 +144,7 @@ func VerifyIncrementalChain(wl, algo string, opts Options, requireReuse bool) (*
 	if err != nil {
 		return nil, err
 	}
-	for _, rep := range []*rt.Report{syncRep, asyncRep, tieredRep, streamRep} {
+	for _, rep := range []*rt.Report{syncRep, asyncRep, streamRep} {
 		if rep.StateDigest != goldenRep.StateDigest {
 			return nil, fmt.Errorf("chained run diverged from golden: %.12s != %.12s",
 				rep.StateDigest, goldenRep.StateDigest)
@@ -177,16 +167,6 @@ func VerifyIncrementalChain(wl, algo string, opts Options, requireReuse bool) (*
 				st.StallVT, st.OverlapVT, st.WriteVT)
 		}
 	}
-	for _, st := range tieredRep.CheckpointHistory {
-		rpt.StallTieredVT += st.StallVT
-		rpt.TierDrainVT += st.TierDrainVT
-		if st.Tier != netmodel.TierBurstBuffer {
-			return nil, fmt.Errorf("tiered capture charged to the wrong tier: %+v", st)
-		}
-		if st.TierDrainVT <= 0 {
-			return nil, fmt.Errorf("burst-tier capture accrued no PFS drain: %+v", st)
-		}
-	}
 	// Streamed-leg accounting: every capture must report a positive encode
 	// high-water mark at or below the configured budget — the bounded-memory
 	// contract, checked capture by capture.
@@ -207,10 +187,10 @@ func VerifyIncrementalChain(wl, algo string, opts Options, requireReuse bool) (*
 		}
 	}
 	if len(asyncRep.CheckpointHistory) < minEpochs || len(syncRep.CheckpointHistory) < minEpochs ||
-		len(tieredRep.CheckpointHistory) < minEpochs || len(streamRep.CheckpointHistory) < minEpochs {
-		return nil, fmt.Errorf("only %d async / %d sync / %d tiered / %d streamed chained captures (want >= %d)",
+		len(streamRep.CheckpointHistory) < minEpochs {
+		return nil, fmt.Errorf("only %d async / %d sync / %d streamed chained captures (want >= %d)",
 			len(asyncRep.CheckpointHistory), len(syncRep.CheckpointHistory),
-			len(tieredRep.CheckpointHistory), len(streamRep.CheckpointHistory), minEpochs)
+			len(streamRep.CheckpointHistory), minEpochs)
 	}
 	// Compare the MEAN job-visible stall per capture: capture counts may
 	// drift between the two runs (host scheduling shifts where chained
@@ -223,13 +203,6 @@ func VerifyIncrementalChain(wl, algo string, opts Options, requireReuse bool) (*
 		return nil, fmt.Errorf("async incremental captures stalled %.4gs each, not below synchronous %.4gs",
 			meanAsync, meanSync)
 	}
-	// The burst tier's open latency undercuts the PFS's, so the tiered
-	// async chain must stall even less per capture.
-	meanTiered := rpt.StallTieredVT / float64(len(tieredRep.CheckpointHistory))
-	if meanTiered >= meanAsync {
-		return nil, fmt.Errorf("burst-tier captures stalled %.4gs each, not below PFS async %.4gs",
-			meanTiered, meanAsync)
-	}
 	if requireReuse && rpt.ReusedShards == 0 {
 		return nil, fmt.Errorf("low-churn chain reused no shards (%d fresh)", rpt.FreshShards)
 	}
@@ -238,9 +211,6 @@ func VerifyIncrementalChain(wl, algo string, opts Options, requireReuse bool) (*
 	// this is the digest-identity between the async incremental pipeline and
 	// the synchronous full path.
 	if _, err := restartEverySealed(&o, algo, wl+"/sync-full", syncFS, goldenRep.StateDigest, factory); err != nil {
-		return nil, err
-	}
-	if _, err := restartEverySealed(&o, algo, wl+"/burst-tiered", tieredFS, goldenRep.StateDigest, factory); err != nil {
 		return nil, err
 	}
 	if _, err := restartEverySealed(&o, algo, wl+"/streamed", streamFS, goldenRep.StateDigest, factory); err != nil {
@@ -255,16 +225,7 @@ func VerifyIncrementalChain(wl, algo string, opts Options, requireReuse bool) (*
 		return nil, fmt.Errorf("only %d sealed epochs (want >= %d)", n, minEpochs)
 	}
 
-	// Tiered epochs must carry their tier in the sealed manifests.
-	if latest, err := ckpt.LatestEpoch(tieredFS); err != nil {
-		return nil, err
-	} else if man, err := tieredFS.GetManifest(latest); err != nil {
-		return nil, err
-	} else if man.Tier != int(netmodel.TierBurstBuffer) {
-		return nil, fmt.Errorf("tiered chain sealed manifest carries tier %d, want burst", man.Tier)
-	}
-
-	for _, fs := range []*ckpt.FileStore{asyncFS, tieredFS, streamFS} {
+	for _, fs := range []*ckpt.FileStore{asyncFS, streamFS} {
 		if faults, err := ckpt.VerifyStore(fs); err != nil || len(faults) != 0 {
 			return nil, fmt.Errorf("pristine chain did not verify: faults=%v err=%v", faults, err)
 		}

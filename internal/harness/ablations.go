@@ -177,8 +177,6 @@ var Experiments = map[string]func(Options) (*Table, error){
 	"fig7":         Fig7,
 	"fig8":         Fig8,
 	"fig9":         Fig9,
-	"tiers":        TierComparison,
-	"failures":     FailureSweep,
 	"p2p":          P2PMicrobench,
 	"drain":        AblationDrainDepth,
 	"barrier":      Ablation2PCBarrier,
@@ -189,5 +187,5 @@ var Experiments = map[string]func(Options) (*Table, error){
 // Order lists experiment ids in presentation order.
 var Order = []string{
 	"table1", "fig5a", "fig5b", "fig6", "fig7", "fig8", "fig9",
-	"tiers", "failures", "p2p", "drain", "barrier", "network", "pollinterval",
+	"p2p", "drain", "barrier", "network", "pollinterval",
 }

@@ -27,26 +27,16 @@ type Options struct {
 	Params netmodel.Params
 	// PPN is ranks per node (paper: 128).
 	PPN int
-
-	// Failure-sweep shape (the "failures" experiment): per-node MTBF in
-	// hours, the job's pure compute length in hours, and the node count the
-	// sweep prices. Zero values select the defaults (10000h, 24h, 16 nodes).
-	NodeMTBFHours    float64
-	FailureWorkHours float64
-	FailureNodes     int
 }
 
 // DefaultOptions returns laptop-friendly settings.
 func DefaultOptions() Options {
 	return Options{
-		Scale:            0.01,
-		OSUIters:         120,
-		MaxProcs:         2048,
-		Params:           netmodel.PerlmutterLike(),
-		PPN:              128,
-		NodeMTBFHours:    10000,
-		FailureWorkHours: 24,
-		FailureNodes:     16,
+		Scale:    0.01,
+		OSUIters: 120,
+		MaxProcs: 2048,
+		Params:   netmodel.PerlmutterLike(),
+		PPN:      128,
 	}
 }
 
@@ -426,75 +416,6 @@ func Fig9(o Options) (*Table, error) {
 				fmt.Sprintf("%.2f", st.WriteVT),
 				fmt.Sprintf("%.2f", restart),
 				fmt.Sprintf("%.1f GB", float64(st.ImageBytes)/(1<<30)))
-		}
-	}
-	return t, nil
-}
-
-// TierComparison extends Figure 9 across the storage hierarchy: one VASP
-// checkpoint at the paper's padded image size, written direct-to-PFS
-// (synchronous), to the burst buffer synchronously, and to the burst buffer
-// asynchronously, reporting the job-visible stall, the background drain to
-// durable storage, and the modeled restart read from each tier. The
-// experiment id is "tiers".
-func TierComparison(o Options) (*Table, error) {
-	t := &Table{
-		Title:  "Storage tiers: VASP checkpoint stall and restart by tier (Fig-9 image sizes)",
-		Header: []string{"nodes", "procs", "config", "stall (s)", "write (s)", "drain (s)", "restart (s)"},
-		Notes: []string{
-			"stall = job-visible checkpoint time; drain = background burst->PFS",
-			"migration (never stalls the job); restart reads the image back from",
-			"the tier it landed on; the burst tier must beat direct-PFS stall at",
-			"every node count, and async burst stalls only the open latency",
-		},
-	}
-	const perRankImage = int64(398) << 20
-	factory, err := apps.Factory("vasp", o.Scale)
-	if err != nil {
-		return nil, err
-	}
-	m := netmodel.New(o.Params, o.PPN)
-	for _, nodes := range []int{1, 4, 16} {
-		procs := nodes * o.PPN
-		if procs > o.MaxProcs {
-			continue
-		}
-		probe, err := rt.Run(o.config(procs, rt.AlgoNative), factory)
-		if err != nil {
-			return nil, err
-		}
-		for _, tc := range []struct {
-			name  string
-			tier  netmodel.StorageTier
-			async bool
-		}{
-			{"pfs-sync", netmodel.TierPFS, false},
-			{"burst-sync", netmodel.TierBurstBuffer, false},
-			{"burst-async", netmodel.TierBurstBuffer, true},
-		} {
-			cfg := o.config(procs, rt.AlgoCC)
-			cfg.Checkpoint = &rt.CkptPlan{
-				AtVT:               probe.RuntimeVT / 2,
-				Mode:               ckpt.ExitAfterCapture,
-				PaddedBytesPerRank: perRankImage,
-				Tier:               tc.tier,
-				Async:              tc.async,
-			}
-			rep, err := rt.Run(cfg, factory)
-			if err != nil {
-				return nil, fmt.Errorf("tiers %s %d nodes: %w", tc.name, nodes, err)
-			}
-			st := rep.Checkpoint
-			if st == nil {
-				return nil, fmt.Errorf("tiers %s %d nodes: no checkpoint captured", tc.name, nodes)
-			}
-			restart := m.RestartReadCost(tc.tier,
-				[]netmodel.EpochRead{{Shards: procs, Bytes: st.ImageBytes}}, nodes)
-			t.AddRow(fmt.Sprint(nodes), fmt.Sprint(procs), tc.name,
-				fmt.Sprintf("%.3f", st.StallVT),
-				fmt.Sprintf("%.2f", st.WriteVT),
-				fmt.Sprintf("%.2f", st.TierDrainVT),
-				fmt.Sprintf("%.2f", restart))
 		}
 	}
 	return t, nil

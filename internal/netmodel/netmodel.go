@@ -1,9 +1,8 @@
 // Package netmodel provides the performance model used by the MPI simulator:
 // a LogGP-style hierarchical cost model for point-to-point and collective
-// communication on a cluster of multi-core nodes, plus a tiered storage
-// model (a burst buffer staged over a Lustre-like parallel filesystem) for
-// checkpoint image I/O, including restart read fan-in over incremental
-// epoch chains (see storage.go).
+// communication on a cluster of multi-core nodes, plus a storage model (a
+// Lustre-like parallel filesystem) for checkpoint image I/O, including
+// restart read fan-in over incremental epoch chains (see storage.go).
 //
 // All times are in seconds of virtual time. The model is deliberately
 // analytic and deterministic: given the same entry times it always produces
@@ -52,23 +51,14 @@ type Params struct {
 	// at or below the threshold complete locally at the sender (buffered).
 	EagerThreshold int
 
-	// Storage model, parallel-filesystem (Lustre-like) tier for checkpoint
-	// images.
+	// Storage model: the parallel filesystem (Lustre-like) checkpoint images
+	// are written to.
 	StorageAggBW   float64 // aggregate filesystem bandwidth (B/s)
 	StorageNodeBW  float64 // per-node achievable bandwidth (B/s)
 	StorageLatency float64 // fixed open/close/metadata cost per operation (s)
 	StorageSeek    float64 // per-shard positioning cost on chained restart reads (s)
 	StorageStagger float64 // per-additional-node open stagger (metadata contention) (s)
 	RestartFixed   float64 // fixed lower-half re-initialization cost (s)
-
-	// Burst-buffer tier (node-local NVMe or a dedicated staging appliance).
-	// Both bandwidths zero means the system has no burst tier: TierBurstBuffer
-	// resolves to the PFS constants above (see Model.Tier).
-	BurstAggBW   float64 // aggregate burst-buffer bandwidth (B/s; 0 = uncapped)
-	BurstNodeBW  float64 // per-node burst-buffer bandwidth (B/s)
-	BurstLatency float64 // fixed open cost per operation on the burst tier (s)
-	BurstSeek    float64 // per-shard positioning cost on burst-tier reads (s)
-	BurstStagger float64 // per-additional-node open stagger on the burst tier (s)
 }
 
 // PerlmutterLike returns parameters tuned to resemble a Slingshot-11 system
@@ -94,11 +84,6 @@ func PerlmutterLike() Params {
 		StorageSeek:    5e-3,
 		StorageStagger: 2e-3,
 		RestartFixed:   2.0,
-		BurstAggBW:     400e9,
-		BurstNodeBW:    25e9,
-		BurstLatency:   0.01,
-		BurstSeek:      1e-4,
-		BurstStagger:   0,
 	}
 }
 
@@ -133,9 +118,6 @@ func (p Params) Validate() error {
 		{"StorageAggBW", p.StorageAggBW}, {"StorageNodeBW", p.StorageNodeBW},
 		{"StorageLatency", p.StorageLatency}, {"StorageSeek", p.StorageSeek},
 		{"StorageStagger", p.StorageStagger}, {"RestartFixed", p.RestartFixed},
-		{"BurstAggBW", p.BurstAggBW}, {"BurstNodeBW", p.BurstNodeBW},
-		{"BurstLatency", p.BurstLatency}, {"BurstSeek", p.BurstSeek},
-		{"BurstStagger", p.BurstStagger},
 	} {
 		if err := check(c.name, c.v); err != nil {
 			return err

@@ -239,15 +239,15 @@ func TestSmallBcastRateBand(t *testing.T) {
 
 func TestStorageModel(t *testing.T) {
 	m := testModel(128)
-	oneNode := m.TierWriteTime(TierPFS, 100<<30, 1)
-	fourNodes := m.TierWriteTime(TierPFS, 100<<30, 4)
+	oneNode := m.WriteTime(100<<30, 1)
+	fourNodes := m.WriteTime(100<<30, 4)
 	if fourNodes >= oneNode {
 		t.Fatalf("more writer nodes should be faster for fixed bytes: %g vs %g", fourNodes, oneNode)
 	}
 	// Aggregate cap: beyond AggBW/NodeBW nodes no further transfer speedup —
 	// doubling the writers may only cost MORE (open-stagger contention).
-	a := m.TierWriteTime(TierPFS, 100<<30, 100)
-	b := m.TierWriteTime(TierPFS, 100<<30, 200)
+	a := m.WriteTime(100<<30, 100)
+	b := m.WriteTime(100<<30, 200)
 	if b < a {
 		t.Fatalf("aggregate bandwidth cap not applied: %g vs %g", a, b)
 	}
@@ -255,13 +255,13 @@ func TestStorageModel(t *testing.T) {
 	flat := m.P
 	flat.StorageStagger = 0
 	fm := New(flat, 128)
-	if d := math.Abs(fm.TierWriteTime(TierPFS, 100<<30, 100) - fm.TierWriteTime(TierPFS, 100<<30, 200)); d > 1e-9 {
+	if d := math.Abs(fm.WriteTime(100<<30, 100) - fm.WriteTime(100<<30, 200)); d > 1e-9 {
 		t.Fatalf("stagger-free aggregate cap not flat (diff %g)", d)
 	}
-	if m.RestartReadTime(1<<30, 4) <= m.TierWriteTime(TierPFS, 1<<30, 4) {
+	if m.RestartReadTime(1<<30, 4) <= m.WriteTime(1<<30, 4) {
 		t.Fatal("restart must include fixed lower-half relaunch cost")
 	}
-	if m.TierWriteTime(TierPFS, 0, 0) <= 0 {
+	if m.WriteTime(0, 0) <= 0 {
 		t.Fatal("zero-node write should still pay latency")
 	}
 }
@@ -270,15 +270,15 @@ func TestCheckpointWriteCost(t *testing.T) {
 	m := testModel(128)
 	const bytes = 10 << 30
 
-	stalled := m.TierWriteCost(TierPFS, bytes, 4, false)
-	if stalled.Total != m.TierWriteTime(TierPFS, bytes, 4) {
-		t.Fatalf("stalled total %g != write time %g", stalled.Total, m.TierWriteTime(TierPFS, bytes, 4))
+	stalled := m.WriteCost(bytes, 4, false)
+	if stalled.Total != m.WriteTime(bytes, 4) {
+		t.Fatalf("stalled total %g != write time %g", stalled.Total, m.WriteTime(bytes, 4))
 	}
 	if stalled.Stall != stalled.Total || stalled.Overlap != 0 {
 		t.Fatalf("stalled write must charge everything as stall: %+v", stalled)
 	}
 
-	overlapped := m.TierWriteCost(TierPFS, bytes, 4, true)
+	overlapped := m.WriteCost(bytes, 4, true)
 	if overlapped.Total != stalled.Total {
 		t.Fatalf("overlap must not change the total cost: %+v vs %+v", overlapped, stalled)
 	}
@@ -290,7 +290,7 @@ func TestCheckpointWriteCost(t *testing.T) {
 	}
 
 	// Degenerate write: the stall can never exceed the total.
-	tiny := m.TierWriteCost(TierPFS, 0, 1, true)
+	tiny := m.WriteCost(0, 1, true)
 	if tiny.Stall > tiny.Total {
 		t.Fatalf("stall exceeds total on a zero-byte write: %+v", tiny)
 	}
@@ -346,7 +346,7 @@ func TestPropertyStorageMonotone(t *testing.T) {
 	f := func(a, b uint32, nodes uint8) bool {
 		n := int(nodes%16) + 1
 		lo, hi := int64(a), int64(a)+int64(b)
-		return m.TierWriteTime(TierPFS, hi, n) >= m.TierWriteTime(TierPFS, lo, n)
+		return m.WriteTime(hi, n) >= m.WriteTime(lo, n)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -5,93 +5,44 @@ import (
 	"testing"
 )
 
-// The burst tier must beat the PFS on both components a fast tier exists
-// for: open latency and streaming bandwidth at scale.
-func TestTierOrdering(t *testing.T) {
-	m := testModel(128)
-	const bytes = 100 << 30
-	for _, nodes := range []int{1, 4, 16} {
-		pfs := m.TierWriteTime(TierPFS, bytes, nodes)
-		bb := m.TierWriteTime(TierBurstBuffer, bytes, nodes)
-		if bb >= pfs {
-			t.Fatalf("%d nodes: burst write (%g) not faster than PFS (%g)", nodes, bb, pfs)
-		}
-	}
-	if m.Tier(TierBurstBuffer).OpenLatency >= m.Tier(TierPFS).OpenLatency {
-		t.Fatal("burst open latency should undercut the PFS metadata cost")
-	}
-	// Overlapped stall is the tier's open latency, so async captures to the
-	// fast tier stall less than async captures to the PFS.
-	sb := m.TierWriteCost(TierBurstBuffer, bytes, 4, true).Stall
-	sp := m.TierWriteCost(TierPFS, bytes, 4, true).Stall
-	if sb >= sp {
-		t.Fatalf("async burst stall %g not below async PFS stall %g", sb, sp)
-	}
-}
-
-// An unconfigured burst tier (both bandwidths zero) is a one-tier system:
-// it must resolve to the PFS constants so tier-aware callers keep working
-// on hand-built Params.
-func TestUnconfiguredBurstTierFallsBackToPFS(t *testing.T) {
-	p := PerlmutterLike()
-	p.BurstAggBW, p.BurstNodeBW = 0, 0
-	m := New(p, 128)
-	if m.Tier(TierBurstBuffer) != m.Tier(TierPFS) {
-		t.Fatalf("absent burst tier did not fall back: %+v vs %+v",
-			m.Tier(TierBurstBuffer), m.Tier(TierPFS))
-	}
-	if a, b := m.TierWriteTime(TierBurstBuffer, 1<<30, 4), m.TierWriteTime(TierPFS, 1<<30, 4); a != b {
-		t.Fatalf("fallback write times differ: %g vs %g", a, b)
-	}
-	if m.HasBurstTier() {
-		t.Fatal("zeroed burst bandwidths still report a burst tier")
-	}
-	if m.EffectiveTier(TierBurstBuffer) != TierPFS {
-		t.Fatal("absent burst tier did not normalize to PFS")
-	}
-	full := New(PerlmutterLike(), 128)
-	if !full.HasBurstTier() || full.EffectiveTier(TierBurstBuffer) != TierBurstBuffer {
-		t.Fatal("configured burst tier mis-normalized")
-	}
-}
-
-// Zero-bandwidth tier: transfers of positive bytes take forever (+Inf, not
+// Zero-bandwidth filesystem: transfers of positive bytes take forever (+Inf, not
 // NaN and no panic), while zero-byte writes still complete at the latency.
 func TestZeroBandwidthTier(t *testing.T) {
 	p := PerlmutterLike()
 	p.StorageAggBW, p.StorageNodeBW = 0, 0
 	m := New(p, 128)
-	if v := m.TierWriteTime(TierPFS, 1, 4); !math.IsInf(v, 1) {
-		t.Fatalf("positive bytes on a dead tier should cost +Inf, got %g", v)
+	if v := m.WriteTime(1, 4); !math.IsInf(v, 1) {
+		t.Fatalf("positive bytes on a dead filesystem should cost +Inf, got %g", v)
 	}
-	if v := m.TierWriteTime(TierPFS, 0, 4); math.IsNaN(v) || math.IsInf(v, 0) || v < p.StorageLatency {
-		t.Fatalf("zero-byte write on a dead tier should still pay latency, got %g", v)
+	if v := m.WriteTime(0, 4); math.IsNaN(v) || math.IsInf(v, 0) || v < p.StorageLatency {
+		t.Fatalf("zero-byte write on a dead filesystem should still pay latency, got %g", v)
 	}
-	// Aggregate-only tier (NodeBW zero): every node shares AggBW.
+	// Aggregate-only filesystem (StorageNodeBW zero): every node shares AggBW.
 	p = PerlmutterLike()
 	p.StorageNodeBW = 0
 	m = New(p, 128)
-	one := m.TierWriteTime(TierPFS, 10<<30, 1)
-	many := m.TierWriteTime(TierPFS, 10<<30, 8)
+	one := m.WriteTime(10<<30, 1)
+	many := m.WriteTime(10<<30, 8)
 	if one < float64(10<<30)/p.StorageAggBW {
-		t.Fatalf("aggregate-only tier beat its own bandwidth: %g", one)
+		t.Fatalf("aggregate-only filesystem beat its own bandwidth: %g", one)
 	}
 	// More nodes only add stagger; the shared pipe does not widen.
 	if many < one {
-		t.Fatalf("aggregate-only tier sped up with more nodes: %g vs %g", many, one)
+		t.Fatalf("aggregate-only filesystem sped up with more nodes: %g vs %g", many, one)
 	}
 }
 
-// Zero-latency tier: legal (memory-class staging), cost is pure transfer.
+// Zero-latency filesystem: legal (memory-class storage), cost is pure
+// transfer.
 func TestZeroLatencyTier(t *testing.T) {
 	p := PerlmutterLike()
-	p.BurstLatency, p.BurstStagger = 0, 0
+	p.StorageLatency, p.StorageStagger = 0, 0
 	m := New(p, 128)
-	want := float64(10<<30) / math.Min(4*p.BurstNodeBW, p.BurstAggBW)
-	if got := m.TierWriteTime(TierBurstBuffer, 10<<30, 4); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("zero-latency tier write = %g, want pure transfer %g", got, want)
+	want := float64(10<<30) / math.Min(4*p.StorageNodeBW, p.StorageAggBW)
+	if got := m.WriteTime(10<<30, 4); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("zero-latency write = %g, want pure transfer %g", got, want)
 	}
-	if got := m.TierWriteCost(TierBurstBuffer, 10<<30, 4, true); got.Stall != 0 {
+	if got := m.WriteCost(10<<30, 4, true); got.Stall != 0 {
 		t.Fatalf("zero-latency overlapped write should not stall at all: %+v", got)
 	}
 }
@@ -100,13 +51,12 @@ func TestZeroLatencyTier(t *testing.T) {
 // are clamped to one writer instead of dividing by zero.
 func TestSingleRankJobStorage(t *testing.T) {
 	m := testModel(1)
-	sp := m.Tier(TierPFS)
-	want := sp.OpenLatency + float64(1<<30)/sp.NodeBW
-	if got := m.TierWriteTime(TierPFS, 1<<30, 1); math.Abs(got-want) > 1e-12 {
+	want := m.P.StorageLatency + float64(1<<30)/m.P.StorageNodeBW
+	if got := m.WriteTime(1<<30, 1); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("single-node write = %g, want %g (no stagger term)", got, want)
 	}
 	for _, nodes := range []int{0, -3} {
-		if got := m.TierWriteTime(TierPFS, 1<<30, nodes); math.Abs(got-want) > 1e-12 {
+		if got := m.WriteTime(1<<30, nodes); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("nodes=%d not clamped to a single writer: %g vs %g", nodes, got, want)
 		}
 	}
@@ -118,10 +68,10 @@ func TestWriteStaggerScaling(t *testing.T) {
 	p := PerlmutterLike()
 	p.StorageStagger = 0.5 // exaggerate so the term dominates
 	m := New(p, 4)         // 4 ranks per node; "jobs" here are smaller than the node counts below
-	base := m.TierWriteTime(TierPFS, 0, 1)
+	base := m.WriteTime(0, 1)
 	for _, nodes := range []int{2, 8, 64, 1000} {
 		want := base + float64(nodes-1)*0.5
-		if got := m.TierWriteTime(TierPFS, 0, nodes); math.Abs(got-want) > 1e-9 {
+		if got := m.WriteTime(0, nodes); math.Abs(got-want) > 1e-9 {
 			t.Fatalf("stagger at %d nodes = %g, want %g", nodes, got, want)
 		}
 	}
@@ -145,7 +95,6 @@ func TestChainDepth1ReadEqualsFullRead(t *testing.T) {
 // by exactly one open plus the per-shard seeks for each extra epoch.
 func TestChainDepthSeekPenalty(t *testing.T) {
 	m := testModel(128)
-	sp := m.Tier(TierPFS)
 	flat := []EpochRead{{Epoch: 3, Shards: 512, Bytes: 50 << 30}}
 	deep := []EpochRead{
 		{Epoch: 3, Shards: 312, Bytes: 30 << 30},
@@ -153,36 +102,26 @@ func TestChainDepthSeekPenalty(t *testing.T) {
 		{Epoch: 0, Shards: 80, Bytes: 5 << 30},
 	}
 	a, b := m.RestartReadCost(TierPFS, flat, 4), m.RestartReadCost(TierPFS, deep, 4)
-	wantExtra := 2*sp.OpenLatency + float64(120+80)*sp.Seek
+	wantExtra := 2*m.P.StorageLatency + float64(120+80)*m.P.StorageSeek
 	if math.Abs((b-a)-wantExtra) > 1e-9 {
 		t.Fatalf("chain penalty = %g, want %g (2 opens + 200 seeks)", b-a, wantExtra)
 	}
-	// The same chain on the burst tier pays its (cheaper) seeks.
-	bb := m.RestartReadCost(TierBurstBuffer, deep, 4)
-	if bb >= b {
-		t.Fatalf("burst-tier chain read (%g) not faster than PFS (%g)", bb, b)
-	}
 	// Empty read set: still a restart (fixed relaunch + one open).
-	if got := m.RestartReadCost(TierPFS, nil, 4); got != m.P.RestartFixed+sp.OpenLatency {
+	if got := m.RestartReadCost(TierPFS, nil, 4); got != m.P.RestartFixed+m.P.StorageLatency {
 		t.Fatalf("empty read set cost %g", got)
 	}
 }
 
-// New burst/seek/stagger parameters are validated like the rest.
+// The seek and stagger parameters are validated like the rest.
 func TestTierParamsValidated(t *testing.T) {
 	for _, mutate := range []func(*Params){
-		func(p *Params) { p.BurstAggBW = -1 },
-		func(p *Params) { p.BurstNodeBW = math.NaN() },
-		func(p *Params) { p.BurstLatency = math.Inf(1) },
-		func(p *Params) { p.BurstSeek = -0.5 },
-		func(p *Params) { p.BurstStagger = -1e-9 },
 		func(p *Params) { p.StorageSeek = -1 },
 		func(p *Params) { p.StorageStagger = math.NaN() },
 	} {
 		p := PerlmutterLike()
 		mutate(&p)
 		if err := p.Validate(); err == nil {
-			t.Fatalf("bad tier params accepted: %+v", p)
+			t.Fatalf("bad storage params accepted: %+v", p)
 		}
 	}
 }

@@ -8,9 +8,13 @@ package rt
 // after the seal and before the next commit may start).
 
 import (
+	"bytes"
+	"encoding/gob"
 	"testing"
 
 	"mana/internal/ckpt"
+	"mana/internal/mpi"
+	"mana/internal/netmodel"
 )
 
 // TestLifecyclePolicyBoundsStore: a long low-churn periodic run with
@@ -142,5 +146,157 @@ func TestLifecycleGCNeverStrandsInFlightCommit(t *testing.T) {
 		if rrep.StateDigest != golden.StateDigest {
 			t.Fatalf("restart from surviving epoch %d diverged", e)
 		}
+	}
+}
+
+// frostApp is a minimal low-churn workload for chain tests (the registered
+// straggler proxy lives in internal/apps, which rt cannot import): ranks 0-1
+// stay hot on their own sub-communicator while the cold majority does two
+// steps and freezes, so periodic incremental captures record the cold
+// shards as references.
+type frostApp struct {
+	hot    bool
+	sub    int
+	Target int
+	Iter   int
+	Sum    []byte
+	State  []float64
+}
+
+func newFrostApp(rank, iters int) *frostApp {
+	a := &frostApp{hot: rank < 2, Target: 2, Sum: make([]byte, 8), State: make([]float64, 128)}
+	if a.hot {
+		a.Target = iters
+	}
+	for i := range a.State {
+		a.State[i] = float64(rank) + float64(i)/128
+	}
+	return a
+}
+
+func (a *frostApp) Name() string { return "frost" }
+func (a *frostApp) Setup(env *Env) error {
+	color := 1
+	if a.hot {
+		color = 0
+	}
+	a.sub = env.Split(WorldVID, color, env.Rank())
+	return nil
+}
+func (a *frostApp) Buffer(id string) []byte {
+	if id == "sum" {
+		return a.Sum
+	}
+	return nil
+}
+func (a *frostApp) Step(env *Env) (bool, error) {
+	if a.Iter >= a.Target {
+		return false, nil
+	}
+	if a.hot {
+		a.State[a.Iter%len(a.State)] += float64(a.Iter)
+	}
+	copy(a.Sum, mpi.F64Bytes([]float64{a.State[0]}))
+	a.Iter++
+	env.Allreduce(a.sub, mpi.OpSum, "sum")
+	return a.Iter < a.Target, nil
+}
+func (a *frostApp) Snapshot() ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(struct {
+		Target, Iter int
+		Sum          []byte
+		State        []float64
+	}{a.Target, a.Iter, a.Sum, a.State})
+	return buf.Bytes(), err
+}
+func (a *frostApp) Restore(data []byte) error {
+	var st struct {
+		Target, Iter int
+		Sum          []byte
+		State        []float64
+	}
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+		return err
+	}
+	a.Target, a.Iter = st.Target, st.Iter
+	copy(a.Sum, st.Sum)
+	copy(a.State, st.State)
+	return nil
+}
+
+// TestRestartReadAccounting: a plain image restart charges the depth-1 full
+// read, and a chained store restart charges strictly more for the same
+// payload once older epochs enter the read set.
+func TestRestartReadAccounting(t *testing.T) {
+	const iters = 40
+	_, base := runToCompletion(t, testConfig(4, AlgoCC), iters)
+
+	// Image restart: depth-1 read of the whole padded image.
+	cfg := testConfig(4, AlgoCC)
+	cfg.Checkpoint = &CkptPlan{
+		AtVT: base.RuntimeVT / 2, Mode: ckpt.ExitAfterCapture, PaddedBytesPerRank: 32 << 20,
+	}
+	rep, err := Run(cfg, func(rank int) App { return newRingApp(iters) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep2, err := Restart(testConfig(4, AlgoCC), rep.Image, func(rank int) App { return newRingApp(iters) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := netmodel.New(netmodel.PerlmutterLike(), 4)
+	if want := m.RestartReadTime(rep.Image.TotalBytes(), 1); rep2.RestartReadVT != want {
+		t.Fatalf("image RestartReadVT = %g, want %g", rep2.RestartReadVT, want)
+	}
+	if rep2.StateDigest != base.StateDigest {
+		t.Fatal("image restart diverged")
+	}
+
+	// Incremental chain on a low-churn job: restarting an epoch whose cold
+	// shards reference parents must out-price a depth-1 read of the same
+	// bytes.
+	const frostIters = 24
+	frostGolden, err := Run(testConfig(8, AlgoCC), func(rank int) App { return newFrostApp(rank, frostIters) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := ckpt.NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = testConfig(8, AlgoCC)
+	cfg.Checkpoint = &CkptPlan{
+		AtStep: 4, Every: 1e-6, Mode: ckpt.ContinueAfterCapture,
+		Store: fs, Incremental: true, PaddedBytesPerRank: 32 << 20,
+	}
+	if _, err := Run(cfg, func(rank int) App { return newFrostApp(rank, frostIters) }); err != nil {
+		t.Fatal(err)
+	}
+	latest, err := ckpt.LatestEpoch(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := fs.GetManifest(latest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := ckpt.ReadSetOf(man)
+	if len(reads) < 2 {
+		t.Fatalf("low-churn chain produced no cross-epoch references (%d epochs)", latest+1)
+	}
+	rep3, err := RestartFromStore(testConfig(8, AlgoCC), fs, latest, func(rank int) App { return newFrostApp(rank, frostIters) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, r := range reads {
+		total += r.Bytes
+	}
+	if flat := m.RestartReadTime(total, 2); rep3.RestartReadVT <= flat {
+		t.Fatalf("chained restart read %g not above flat read %g", rep3.RestartReadVT, flat)
+	}
+	if rep3.StateDigest != frostGolden.StateDigest {
+		t.Fatal("chained restart diverged")
 	}
 }

@@ -71,8 +71,7 @@ type Report struct {
 	// began from (zero for runs started fresh): the fixed lower-half
 	// relaunch plus the read fan-in over the image's resolved shard set —
 	// a restart from a store epoch charges every referenced older epoch an
-	// extra open and per-shard seeks on the tier the chain was committed to
-	// (netmodel.RestartReadCost). Like the checkpoint write costs it is a
+	// extra open and per-shard seeks (netmodel.RestartReadCost). Like the checkpoint write costs it is a
 	// modeled quantity, not charged to the rank clocks.
 	RestartReadVT float64
 
@@ -490,9 +489,9 @@ func nodesOf(cfg Config) int { return (cfg.Ranks + cfg.PPN - 1) / cfg.PPN }
 // in-memory image. epoch < 0 selects the store's newest sealed epoch.
 //
 // The report's RestartReadVT prices the chain, not a flat image: the read
-// set is the manifest's resolved shard fan-in (ckpt.ReadSetOf), charged on
-// the tier the epoch was committed to, so a deep incremental chain restarts
-// measurably slower than a fresh full capture of the same bytes.
+// set is the manifest's resolved shard fan-in (ckpt.ReadSetOf), so a deep
+// incremental chain restarts measurably slower than a fresh full capture of
+// the same bytes.
 func RestartFromStore(cfg Config, store ckpt.Store, epoch int, factory func(rank int) App) (*Report, error) {
 	if epoch < 0 {
 		latest, err := ckpt.LatestEpoch(store)
@@ -518,7 +517,7 @@ func RestartFromStore(cfg Config, store ckpt.Store, epoch int, factory func(rank
 	if rep != nil {
 		m := netmodel.New(cfg.Params, cfg.PPN) // cfg validated by Restart
 		rep.RestartReadVT = m.RestartReadCost(
-			netmodel.StorageTier(man.Tier), ckpt.ReadSetOf(man), nodesOf(cfg))
+			netmodel.TierPFS, ckpt.ReadSetOf(man), nodesOf(cfg))
 	}
 	return rep, err
 }

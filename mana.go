@@ -101,8 +101,8 @@
 // chains — a reference into a missing or unsealed parent fails with a
 // descriptive error — and attributing corruption to the exact epoch and
 // rank. The conformance engine's incremental sweep (ccverify -only incremental)
-// asserts digest equality from every epoch of a FileStore chain — on both
-// storage tiers, plus a budget-constrained streaming leg — and its
+// asserts digest equality from every epoch of a FileStore chain — plus a
+// budget-constrained streaming leg — and its
 // fault-injection suite (ccverify -only faults) kills ranks mid-drain and
 // mid-capture and asserts the coordinator aborts with diagnostics instead
 // of wedging.
@@ -116,20 +116,13 @@
 // conformance lifecycle leg (ccverify -only lifecycle) asserts restart digests
 // survive compaction + GC unchanged.
 //
-// # Storage tiers and the failure model
+// # Storage pricing
 //
-// Checkpoint writes are charged to a storage tier (CkptPlan.Tier): the
-// shared parallel filesystem (TierPFS, the default) or a burst buffer
-// (TierBurstBuffer) with cheaper opens and node-scaling bandwidth.
-// Burst-tier epochs accrue a background drain to the PFS
-// (CheckpointStats.TierDrainVT) that never stalls the job. Restart reads
-// are priced over the resolved shard set of the incremental chain
-// (Report.RestartReadVT): older referenced epochs cost extra opens and
-// per-shard seeks, so deeper chains restart slower. The harness sweeps
-// checkpoint interval against expected makespan under exponential node
-// failures and validates the Young/Daly optimal interval (ccbench -exp
-// failures, internal/harness/failure.go); ARCHITECTURE.md has the full
-// map.
+// Checkpoint writes are priced as writes to a shared parallel filesystem.
+// Restart reads are priced over the resolved shard set of the incremental
+// chain (Report.RestartReadVT): older referenced epochs cost extra opens
+// and per-shard seeks, so deeper chains restart slower. ARCHITECTURE.md has
+// the full map.
 package mana
 
 import (
@@ -175,9 +168,6 @@ type (
 	CheckpointStats = ckpt.CheckpointStats
 	// Params holds the network/storage model constants.
 	Params = netmodel.Params
-	// StorageTier selects a checkpoint storage tier (TierPFS or
-	// TierBurstBuffer) for CkptPlan.Tier.
-	StorageTier = netmodel.StorageTier
 	// EpochRead is one epoch's contribution to a restart's read fan-in
 	// (see Model.RestartReadCost and ckpt.ReadSetOf).
 	EpochRead = netmodel.EpochRead
@@ -198,17 +188,6 @@ const (
 	// AlgoCC is the paper's collective-clock algorithm: near-zero runtime
 	// overhead, non-blocking collectives supported.
 	AlgoCC = rt.AlgoCC
-)
-
-// Storage tiers for CkptPlan.Tier.
-const (
-	// TierPFS charges checkpoint writes to the shared parallel filesystem
-	// (the default).
-	TierPFS = netmodel.TierPFS
-	// TierBurstBuffer stages checkpoints on the fast tier: lower stall,
-	// with a background drain to the parallel filesystem accounted as
-	// CheckpointStats.TierDrainVT.
-	TierBurstBuffer = netmodel.TierBurstBuffer
 )
 
 // Checkpoint modes.

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Docs-consistency gate: every CLI flag README.md names must exist in the
-# corresponding binary's -help output, so the quickstart can never drift
-# from the code. Flags are collected from each tool's README section
-# (between its "### <tool>" heading and the next heading): fenced code
-# blocks and the first column of flag tables.
+# Docs-consistency gate, both ways: every CLI flag README.md names must exist
+# in the corresponding binary's -help output, and every flag a binary's
+# -help lists must be named in its README section — so a deleted flag cannot
+# leave a stale README row and a new flag cannot go undocumented. Flags are
+# collected from each tool's README section (between its "### <tool>"
+# heading and the next heading): fenced code blocks and the first column of
+# flag tables.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,6 +45,12 @@ section_flags() {
     sort -u
 }
 
+# help_flags lists the flag names a tool's -help output defines (the flag
+# package prints each as "  -name ...").
+help_flags() {
+  grep -oE '^  -[a-z][a-z0-9-]*' <<<"$1" | sed -E 's/^  -//' | sort -u
+}
+
 fail=0
 for tool in ccrun ccverify ccimg ccbench cclint; do
   if ! grep -qE "^### $tool" README.md; then
@@ -60,10 +68,17 @@ for tool in ccrun ccverify ccimg ccbench cclint; do
       fail=1
     fi
   done
+  named="$(section_flags "$tool")"
+  for f in $(help_flags "$help"); do
+    if ! grep -qx -- "$f" <<<"$named"; then
+      echo "README.md: $tool's -help lists flag -$f, absent from its README section"
+      fail=1
+    fi
+  done
 done
 
 if [ "$fail" -ne 0 ]; then
   echo "docs check FAILED"
   exit 1
 fi
-echo "docs check ok: README flags match the binaries"
+echo "docs check ok: README flags match the binaries, both ways"
