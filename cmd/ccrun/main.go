@@ -29,6 +29,7 @@ import (
 	"os"
 
 	"mana"
+	"mana/internal/ckpt"
 )
 
 func main() {
@@ -117,48 +118,51 @@ func main() {
 		}
 	}
 
-	var rep *mana.Report
+	var (
+		store mana.Store
+		from  string
+	)
 	switch {
 	case *restore != "":
 		fs, err := mana.NewFileStore(*restore)
 		if err != nil {
 			fail(err)
 		}
+		store, from = fs, *restore
+	case *restart != "":
+		// An image file is one store epoch, packed: it restarts through the
+		// same store read path as a directory.
+		data, err := os.ReadFile(*restart)
+		if err != nil {
+			fail(err)
+		}
+		if store, err = ckpt.OpenImage(data); err != nil {
+			fail(err)
+		}
+		from = *restart
+	}
+	var rep *mana.Report
+	if store != nil {
 		e := *epoch
 		if e < 0 {
-			if e, err = mana.LatestEpoch(fs); err != nil {
+			if e, err = mana.LatestEpoch(store); err != nil {
 				fail(err)
 			}
 		}
-		man, err := fs.GetManifest(e)
+		man, err := store.GetManifest(e)
 		if err != nil {
 			fail(err)
 		}
 		fmt.Printf("restarting %d ranks from %s epoch %d (captured at vt=%.4fs under %s)\n",
-			man.Ranks, *restore, e, man.CaptureVT, man.Algorithm)
+			man.Ranks, from, e, man.CaptureVT, man.Algorithm)
 		cfg.Algorithm = man.Algorithm
 		cfg.Ranks = man.Ranks
-		rep, err = mana.RestartFromStore(cfg, fs, e, factory)
+		rep, err = mana.RestartFromStore(cfg, store, e, factory)
 		if err != nil {
 			fail(err)
 		}
-	case *restart != "":
-		img, err := mana.LoadImage(*restart)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("restarting %d ranks from %s (captured at vt=%.4fs under %s)\n",
-			img.Ranks, *restart, img.CaptureVT, img.Algorithm)
-		cfg.Algorithm = img.Algorithm
-		rep, err = mana.Restart(cfg, img, factory)
-		if err != nil {
-			fail(err)
-		}
-	default:
-		rep, err = mana.Run(cfg, factory)
-		if err != nil {
-			fail(err)
-		}
+	} else if rep, err = mana.Run(cfg, factory); err != nil {
+		fail(err)
 	}
 
 	fmt.Printf("app=%s algo=%s ranks=%d ppn=%d\n", rep.App, rep.Algorithm, rep.Ranks, rep.PPN)
@@ -174,16 +178,14 @@ func main() {
 			"%d bytes, write %.3fs (stall %.3fs, overlap %.3fs)",
 			st.RequestVT, st.CaptureVT, st.DrainVT*1e3, st.ImageBytes,
 			st.WriteVT, st.StallVT, st.OverlapVT)
-		if st.Epoch >= 0 {
-			fmt.Printf(", epoch %d: %d fresh / %d reused shards, peak encode %.1f MiB",
-				st.Epoch, st.FreshShards, st.ReusedShards, float64(st.PeakEncodeBytes)/(1<<20))
-			if st.DeltaShards > 0 {
-				fmt.Printf(" (%d fresh as page deltas, %d bytes)", st.DeltaShards, st.DeltaBytes)
-			}
-			if st.CDCShards > 0 {
-				fmt.Printf(" (%d fresh as cdc chunk objects, %d bytes; %d chunks predicted from the parent's table)",
-					st.CDCShards, st.CDCBytes, st.CDCPredictedChunks)
-			}
+		fmt.Printf(", epoch %d: %d fresh / %d reused shards, peak encode %.1f MiB",
+			st.Epoch, st.FreshShards, st.ReusedShards, float64(st.PeakEncodeBytes)/(1<<20))
+		if st.DeltaShards > 0 {
+			fmt.Printf(" (%d fresh as page deltas, %d bytes)", st.DeltaShards, st.DeltaBytes)
+		}
+		if st.CDCShards > 0 {
+			fmt.Printf(" (%d fresh as cdc chunk objects, %d bytes; %d chunks predicted from the parent's table)",
+				st.CDCShards, st.CDCBytes, st.CDCPredictedChunks)
 		}
 		if st.CompactedEpoch >= 0 {
 			fmt.Printf(", compacted into epoch %d (%.3fs background)", st.CompactedEpoch, st.CompactVT)

@@ -250,7 +250,7 @@ func main() {
 		rep1.Checkpoint.CaptureVT, rep1.Checkpoint.ImageBytes>>10)
 
 	got := make([]*heatApp, cfg.Ranks)
-	if _, err := mana.Restart(cfg, rep1.Image, func(rank int) mana.App {
+	if _, err := mana.RestartFromStore(cfg, rep1.Store, rep1.Checkpoint.Epoch, func(rank int) mana.App {
 		a := newHeatApp()
 		got[rank] = a
 		return a

@@ -27,7 +27,9 @@ func main() {
 		iters    int
 		residual float64
 	}
-	solve := func(cfgRun mana.Config, img *mana.JobImage) (result, *mana.Report) {
+	// solve runs the solver fresh, or restarts it from the epoch `from`
+	// sealed when from is non-nil.
+	solve := func(cfgRun mana.Config, from *mana.Report) (result, *mana.Report) {
 		var probe result
 		factory := func(rank int) mana.App { return mana.NewPoisson(pcfg) }
 		// Keep rank 0's app to read the final residual.
@@ -41,10 +43,10 @@ func main() {
 		}
 		var rep *mana.Report
 		var err error
-		if img == nil {
+		if from == nil {
 			rep, err = mana.Run(cfgRun, factory)
 		} else {
-			rep, err = mana.Restart(cfgRun, img, factory)
+			rep, err = mana.RestartFromStore(cfgRun, from.Store, from.Checkpoint.Epoch, factory)
 		}
 		if err != nil {
 			log.Fatal(err)
@@ -77,13 +79,13 @@ func main() {
 	leg1 := cfg
 	leg1.Checkpoint = &mana.CkptPlan{AtVT: refRep.RuntimeVT / 2, Mode: mana.ExitAfterCapture}
 	_, rep1 := solve(leg1, nil)
-	if rep1.Image == nil {
-		log.Fatal("no checkpoint image")
+	if rep1.Checkpoint == nil {
+		log.Fatal("no checkpoint captured")
 	}
 	fmt.Printf("checkpoint at vt=%.3fs: drained %d in-flight non-blocking ops (all complete at capture)\n",
 		rep1.Checkpoint.CaptureVT, rep1.Counters.DrainTests)
 
-	got, rep2 := solve(cfg, rep1.Image)
+	got, rep2 := solve(cfg, rep1)
 	fmt.Printf("restarted: residual %.3e, finished at vt=%.3fs\n", got.residual, rep2.RuntimeVT)
 	if math.Abs(got.residual-ref.residual) > 1e-12*math.Max(1, ref.residual) {
 		log.Fatalf("restart diverged: %.17g vs %.17g", got.residual, ref.residual)

@@ -139,10 +139,10 @@ func main() {
 	fmt.Printf("leg 1: checkpointed at vt=%.4fs after a %.3fms drain (%d bytes)\n",
 		rep.Checkpoint.CaptureVT, rep.Checkpoint.DrainVT*1e3, rep.Checkpoint.ImageBytes)
 
-	// Leg 2: restart from the image and finish.
+	// Leg 2: restart from the epoch leg 1 sealed and finish.
 	cfg2 := cfg
 	cfg2.Checkpoint = nil
-	rep2, err := mana.Restart(cfg2, rep.Image, factory)
+	rep2, err := mana.RestartFromStore(cfg2, rep.Store, rep.Checkpoint.Epoch, factory)
 	if err != nil {
 		log.Fatal(err)
 	}

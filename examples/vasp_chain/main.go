@@ -3,7 +3,7 @@
 // allocations through checkpoint-restart. Each "allocation" runs the job for
 // a fixed slice of virtual time, checkpoints at a safe state found by the
 // collective-clock drain, and exits; the next allocation restarts from the
-// image in a fresh lower half.
+// epoch the last one sealed, in a fresh lower half.
 package main
 
 import (
@@ -30,7 +30,7 @@ func main() {
 		Algorithm: mana.AlgoCC,
 	}
 
-	var img *mana.JobImage
+	var prev *mana.Report // the last allocation, which sealed the epoch to restart from
 	start := 0.0
 	for leg := 1; ; leg++ {
 		cfg := base
@@ -39,10 +39,10 @@ func main() {
 			Mode: mana.ExitAfterCapture,
 		}
 		var rep *mana.Report
-		if img == nil {
+		if prev == nil {
 			rep, err = mana.Run(cfg, factory)
 		} else {
-			rep, err = mana.Restart(cfg, img, factory)
+			rep, err = mana.RestartFromStore(cfg, prev.Store, prev.Checkpoint.Epoch, factory)
 		}
 		if err != nil {
 			log.Fatal(err)
@@ -58,7 +58,7 @@ func main() {
 			"image %d KB, write %.2fs\n",
 			leg, start, st.CaptureVT, st.DrainVT*1e3,
 			st.ImageBytes>>10, st.WriteVT)
-		img = rep.Image
+		prev = rep
 		start = st.CaptureVT
 		if leg > 20 {
 			log.Fatal("too many legs; job not converging")

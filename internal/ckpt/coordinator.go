@@ -58,28 +58,28 @@ type Plan struct {
 	Async bool
 	// Incremental enables shard reuse across the Store's epochs: ranks
 	// whose state did not change since the previous committed capture are
-	// recorded as references instead of re-written. Requires Store.
+	// recorded as references instead of re-written.
 	Incremental bool
 	// Delta enables sub-rank page deltas on top of Incremental: capture
 	// hashing keeps a per-page CRC table, and a rank whose shard changed in
 	// only a few 64 KiB pages is stored as a page-delta object holding just
 	// the dirty pages (RawFormatPageDelta) against the chain's full
-	// base shard. Requires Store (defaulted like Incremental).
+	// base shard.
 	Delta bool
 	// CDC enables content-defined chunking on top of Incremental: capture
 	// hashing splits each rank's stream on Gear rolling-hash boundaries,
 	// and a changed rank stores only content-new chunks as a chunk object
 	// (RawFormatCDC) referencing the chain's existing chunks — reuse
-	// survives insertions, deletions, and cross-rank duplication. Requires
-	// Store (defaulted like Incremental); mutually exclusive with Delta.
+	// survives insertions, deletions, and cross-rank duplication. Mutually
+	// exclusive with Delta.
 	CDC bool
 	// Codec selects the stored-object codec for every committed shard:
 	// "flate" (default; empty means flate) or "none" (identity passthrough,
 	// no compression CPU).
 	Codec string
-	// Store, when non-nil, receives every capture as a sealed epoch (shards
-	// plus manifest) in addition to the in-memory image. Restart can load
-	// any sealed epoch back via RestartFromStore.
+	// Store receives every capture as a sealed epoch (shards plus
+	// manifest) in addition to the in-memory image; nil selects a MemStore.
+	// Restart loads any sealed epoch back via RestartFromStore.
 	Store Store
 	// StreamBudgetBytes bounds the commit stage's in-flight streaming-
 	// encode memory: shards gob+compress+checksum straight into the store's
@@ -92,7 +92,7 @@ type Plan struct {
 	// KeepEpochs, when positive, garbage-collects the store after every
 	// sealed epoch, retaining the newest KeepEpochs epochs plus everything
 	// their manifests transitively reference (GCStore). Reclaimed
-	// bytes are reported per capture in CheckpointStats. Requires Store.
+	// bytes are reported per capture in CheckpointStats.
 	KeepEpochs int
 	// CompactEvery, when positive, compacts the chain after every
 	// CompactEvery-th seal: the newest epoch is rewritten as a fresh
@@ -138,11 +138,9 @@ type CheckpointStats struct {
 	DrainVT    float64 // CaptureVT - RequestVT: cost of the drain protocol
 	ImageBytes int64
 	// WriteVT is the modeled storage write time for the bytes this capture
-	// wrote. Its basis follows what actually travels to storage: the blob
-	// path charges the raw image bytes (ImageBytes), a store commit charges
-	// the compressed fresh-shard bytes, and PaddedBytesPerRank overrides
-	// both (per rank / per fresh shard) — so padded experiments, including
-	// every paper-figure run, are identical across paths.
+	// sealed (WriteBytesOf its manifest): the stored fresh-shard bytes, or
+	// PaddedBytesPerRank per fresh shard when padded — so a padded capture,
+	// as every paper-figure run is, charges PaddedBytesPerRank × Ranks.
 	WriteVT float64
 
 	// StallVT and OverlapVT split WriteVT by where it lands: StallVT is
@@ -153,7 +151,7 @@ type CheckpointStats struct {
 	OverlapVT float64
 
 	// Epoch is the store epoch this capture committed as, or -1 when the
-	// plan has no store (the image stays an in-memory blob).
+	// capture failed (nothing sealed, nothing charged).
 	Epoch int
 
 	// Lifecycle accounting (zero unless KeepEpochs/CompactEvery enable the
@@ -174,7 +172,7 @@ type CheckpointStats struct {
 
 	// Incremental accounting: how many shards the commit stage wrote fresh
 	// versus referenced unchanged from an earlier epoch, and the compressed
-	// bytes on each side. Zero without a store.
+	// bytes on each side.
 	FreshShards  int
 	ReusedShards int
 	FreshBytes   int64
@@ -210,7 +208,7 @@ type CheckpointStats struct {
 	// stream budget bounds. It tracks accounting charges (pooled chunk
 	// buffers plus per-stream compressor state), not Go heap totals, and is
 	// always at or below the configured budget; with MANA-scale images it
-	// sits orders of magnitude below ImageBytes. Zero without a store.
+	// sits orders of magnitude below ImageBytes.
 	PeakEncodeBytes int64
 
 	// Drain-progress counters, summed across ranks at capture time and
@@ -263,6 +261,10 @@ type Coordinator struct {
 	// AppSizeHint until the first capture, the last capture's length after.
 	appLens   []int
 	requestVT float64
+	// committing is set while a synchronous capture commits with c.mu
+	// dropped: the image is taken, so parked ranks must stay parked until
+	// the release, whatever their protocol would now decide.
+	committing bool
 
 	// Cumulative drain-counter totals at the time the current request was
 	// raised; captureLocked reports deltas against them so chained
@@ -297,15 +299,13 @@ type Coordinator struct {
 }
 
 // NewCoordinator creates a coordinator for a world under a checkpoint plan
-// (nil: no plan — the job never commits to a store). The algorithm is
-// attached afterwards via SetAlgorithm (protocols and coordinator reference
-// each other).
+// (nil: no plan — the job never captures). The algorithm is attached
+// afterwards via SetAlgorithm (protocols and coordinator reference each
+// other).
 //
-// With plan.Store set, every capture is encoded into per-rank shards and
-// sealed as a store epoch (in addition to the in-memory JobImage the Result
-// path keeps returning); a plan that needs epochs — incremental reuse to diff
-// against, lifecycle policies to manage — and names no store gets an
-// in-memory one.
+// Every capture is encoded into per-rank shards and sealed as an epoch of
+// the plan's store (in addition to the in-memory JobImage the Result path
+// keeps returning); a plan that names no store gets an in-memory one.
 //
 // A store that already holds sealed epochs is RESUMED, not clobbered:
 // numbering continues after the newest sealed epoch and the incremental
@@ -325,24 +325,22 @@ func NewCoordinator(w *mpi.World, plan *Plan) (*Coordinator, error) {
 	c.doneRanks = make([]bool, w.N)
 	c.hooks = make([]RankHooks, w.N)
 	c.appLens = make([]int, w.N)
-	if p := &c.Plan; p.Store == nil && (p.Incremental || p.Delta || p.CDC || p.KeepEpochs > 0 || p.CompactEvery > 0) {
-		p.Store = NewMemStore()
+	if c.Plan.Store == nil {
+		c.Plan.Store = NewMemStore()
 	}
-	if store := c.Plan.Store; store != nil {
-		epochs, err := store.Epochs()
+	epochs, err := c.Plan.Store.Epochs()
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: listing store epochs: %w", err)
+	}
+	if len(epochs) > 0 {
+		latest := epochs[len(epochs)-1]
+		man, err := c.Plan.Store.GetManifest(latest)
 		if err != nil {
-			return nil, fmt.Errorf("ckpt: listing store epochs: %w", err)
+			return nil, fmt.Errorf("ckpt: resuming store chain: %w", err)
 		}
-		if len(epochs) > 0 {
-			latest := epochs[len(epochs)-1]
-			man, err := store.GetManifest(latest)
-			if err != nil {
-				return nil, fmt.Errorf("ckpt: resuming store chain: %w", err)
-			}
-			c.nextEpoch = latest + 1
-			c.committed = latest + 1 // the ordering ticket continues the chain
-			c.lastMan.Store(man)
-		}
+		c.nextEpoch = latest + 1
+		c.committed = latest + 1 // the ordering ticket continues the chain
+		c.lastMan.Store(man)
 	}
 	// A world abort must wake ranks parked on the coordinator's condition
 	// variable so they observe it and unwind.
@@ -625,23 +623,14 @@ func (c *Coordinator) captureLocked() {
 			c.stats.DoneAtCapture++
 		}
 	}
-	nodes := c.nodes()
 	c.image = img
 
-	if c.Plan.Store == nil || c.err != nil {
-		// Blob-only path (no commit stage) — also taken when the capture
-		// itself FAILED: a broken capture must never seal a durable epoch,
-		// because a fresh process restarting from the store cannot see
-		// c.err and would restore the incomplete image as if it were
-		// healthy. The whole (possibly padded) image is charged as one
-		// parallel-filesystem write — fully stalled by default, or latency-
-		// stalled with the transfer overlapped when Async.
-		cost := c.W.Model.WriteCost(img.TotalBytes(), nodes, c.Plan.Async)
-		c.stats.WriteVT = cost.Total
-		c.stats.StallVT = cost.Stall
-		c.stats.OverlapVT = cost.Overlap
+	if c.err != nil {
+		// A capture that FAILED seals nothing and is charged nothing: a
+		// fresh process restarting from the store cannot see c.err and
+		// would restore the incomplete image as if it were healthy.
 		c.history = append(c.history, c.stats)
-		c.releaseLocked(maxVT + cost.Stall)
+		c.releaseLocked(maxVT)
 		return
 	}
 
@@ -658,7 +647,7 @@ func (c *Coordinator) captureLocked() {
 		// Release the job against only the filesystem's open latency;
 		// stages 2–3 run behind the resumed execution on a private
 		// (double-buffered) image — the next capture allocates a fresh one.
-		stall := c.W.Model.WriteCost(0, nodes, true).Stall
+		stall := c.W.Model.WriteCost(0, c.nodes(), true).Stall
 		c.stats.StallVT = stall
 		c.history[histIdx].StallVT = stall
 		c.commitWG.Add(1)
@@ -675,12 +664,15 @@ func (c *Coordinator) captureLocked() {
 	}
 
 	// Synchronous staged pipeline: commit inline with the job stalled. The
-	// coordinator lock is dropped around the commit — every rank is parked
-	// and the phase is still pending, so the registry cannot change — to
-	// keep the commit path lock-order-free with the background variant.
+	// coordinator lock is dropped around the commit — every rank is parked,
+	// the phase is still pending and committing holds the parked ranks, so
+	// the registry cannot change — to keep the commit path lock-order-free
+	// with the background variant.
+	c.committing = true
 	c.mu.Unlock()
 	res := c.commitEpoch(epoch, img)
 	c.mu.Lock()
+	c.committing = false
 	c.applyCommitLocked(histIdx, res)
 	c.releaseLocked(maxVT + c.stats.StallVT)
 }
@@ -977,6 +969,10 @@ func (c *Coordinator) ParkUntil(rank int, d *Descriptor, decide func() Decision)
 		}
 		if err := c.W.AbortErr(); err != nil {
 			panic(mpi.AbortError{Err: err})
+		}
+		if c.committing {
+			c.cond.Wait()
+			continue
 		}
 		if decide() == Resume {
 			c.parked[rank] = false

@@ -234,6 +234,61 @@ func TestCoordinatorQuiescedWhileParkedCaptures(t *testing.T) {
 	}
 }
 
+// gatedStore holds the first PutManifest until gate closes, so a test can act
+// while a synchronous commit runs with the coordinator lock dropped.
+type gatedStore struct {
+	Store
+	sealing chan struct{} // closed when the first PutManifest starts
+	gate    chan struct{}
+	once    sync.Once
+}
+
+func (s *gatedStore) PutManifest(epoch int, man *Manifest) error {
+	s.once.Do(func() { close(s.sealing) })
+	<-s.gate
+	return s.Store.PutManifest(epoch, man)
+}
+
+// TestParkedRanksHeldThroughSyncCommit: once the image is taken, a parked
+// rank stays parked until the release, even while a synchronous commit runs
+// with the coordinator lock dropped and the rank's protocol would now resume
+// it. A rank that left then ran on past its captured state (under
+// ExitAfterCapture, into a collective its terminated peers never joined).
+func TestParkedRanksHeldThroughSyncCommit(t *testing.T) {
+	store := &gatedStore{Store: NewMemStore(), sealing: make(chan struct{}), gate: make(chan struct{})}
+	c, _, _ := newStubCoordinator(t, 2, Plan{Store: store})
+	c.RequestCheckpoint(0)
+	resume := false // read and written under the coordinator lock, in decide
+	out := make(chan Outcome, 2)
+	for r := 0; r < 2; r++ {
+		go func(rank int) {
+			out <- c.ParkUntil(rank, &Descriptor{Kind: ParkBoundary}, func() Decision {
+				if resume {
+					return Resume
+				}
+				return Stay
+			})
+		}(r)
+	}
+	<-store.sealing
+	c.mu.Lock()
+	resume = true
+	c.mu.Unlock()
+	c.Poke() // the parked ranks wake while the commit is still sealing
+	select {
+	case o := <-out:
+		close(store.gate)
+		t.Fatalf("a parked rank left with outcome %v while its capture was committing", o)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(store.gate)
+	for r := 0; r < 2; r++ {
+		if o := <-out; o != Released {
+			t.Fatalf("outcome %v, want Released", o)
+		}
+	}
+}
+
 func TestCoordinatorVerifyFailureSurfaces(t *testing.T) {
 	c, a, _ := newStubCoordinator(t, 1, Plan{})
 	a.mu.Lock()

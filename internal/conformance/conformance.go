@@ -345,45 +345,31 @@ func verifyTrigger(o *Options, wl, algo string, cr *CaseResult, factory func(int
 		}
 		return tr
 	}
-	if rep.Checkpoint != nil {
-		tr.CaptureVT = rep.Checkpoint.CaptureVT
-		tr.DrainVT = rep.Checkpoint.DrainVT
-		if tr.DrainVT < 0 {
-			tr.Err = fmt.Sprintf("negative drain time %g", tr.DrainVT)
-			return tr
-		}
-		if tr.DrainVT > drainBudget {
-			tr.Err = fmt.Sprintf("drain %.3gs exceeded budget %.3gs", tr.DrainVT, drainBudget)
-			return tr
-		}
-		if algo == rt.AlgoCC && rep.Checkpoint.TargetUpdatesSent != rep.Checkpoint.TargetUpdatesRecv {
-			tr.Err = fmt.Sprintf("drain counters unbalanced: %d target updates sent, %d consumed",
-				rep.Checkpoint.TargetUpdatesSent, rep.Checkpoint.TargetUpdatesRecv)
-			return tr
-		}
-		parked := rep.Checkpoint.ParkedPreColl + rep.Checkpoint.ParkedInBarrier +
-			rep.Checkpoint.ParkedInWait + rep.Checkpoint.DoneAtCapture
-		if parked != o.Ranks {
-			tr.Err = fmt.Sprintf("park census %d does not cover %d ranks", parked, o.Ranks)
-			return tr
-		}
-	}
-
-	// The image must survive serialization — production checkpoints cross a
-	// filesystem.
-	encoded, err := rep.Image.Encode()
-	if err != nil {
-		tr.Err = fmt.Sprintf("image encode: %v", err)
+	tr.CaptureVT = rep.Checkpoint.CaptureVT
+	tr.DrainVT = rep.Checkpoint.DrainVT
+	if tr.DrainVT < 0 {
+		tr.Err = fmt.Sprintf("negative drain time %g", tr.DrainVT)
 		return tr
 	}
-	img, err := ckpt.DecodeJobImage(encoded)
-	if err != nil {
-		tr.Err = fmt.Sprintf("image decode: %v", err)
+	if tr.DrainVT > drainBudget {
+		tr.Err = fmt.Sprintf("drain %.3gs exceeded budget %.3gs", tr.DrainVT, drainBudget)
+		return tr
+	}
+	if algo == rt.AlgoCC && rep.Checkpoint.TargetUpdatesSent != rep.Checkpoint.TargetUpdatesRecv {
+		tr.Err = fmt.Sprintf("drain counters unbalanced: %d target updates sent, %d consumed",
+			rep.Checkpoint.TargetUpdatesSent, rep.Checkpoint.TargetUpdatesRecv)
+		return tr
+	}
+	parked := rep.Checkpoint.ParkedPreColl + rep.Checkpoint.ParkedInBarrier +
+		rep.Checkpoint.ParkedInWait + rep.Checkpoint.DoneAtCapture
+	if parked != o.Ranks {
+		tr.Err = fmt.Sprintf("park census %d does not cover %d ranks", parked, o.Ranks)
 		return tr
 	}
 
-	restartCfg := baseConfig(o, algo)
-	rep2, err := rt.Restart(restartCfg, img, factory)
+	// The restart reads the epoch the capture sealed, so it crosses the
+	// store's encode, verify and decode path as a production restart would.
+	rep2, err := rt.RestartFromStore(baseConfig(o, algo), rep.Store, rep.Checkpoint.Epoch, factory)
 	if err != nil {
 		tr.Err = fmt.Sprintf("restart: %v", err)
 		return tr
@@ -401,8 +387,9 @@ func verifyTrigger(o *Options, wl, algo string, cr *CaseResult, factory func(int
 
 // captureMidRun runs the workload with a checkpoint-and-exit at the middle
 // of its golden step range and returns the golden report, the factory, and
-// the captured image. Shared by the negative and cross-geometry checks.
-func captureMidRun(o *Options, wl, algo string) (*rt.Report, func(int) rt.App, *ckpt.JobImage, error) {
+// the capturing run's report (its image, and the store and epoch it sealed
+// into). Shared by the negative and cross-geometry checks.
+func captureMidRun(o *Options, wl, algo string) (*rt.Report, func(int) rt.App, *rt.Report, error) {
 	goldenRep, factory, _, err := adaptedGolden(o, wl, algo)
 	if err != nil {
 		return nil, nil, nil, err
@@ -416,7 +403,7 @@ func captureMidRun(o *Options, wl, algo string) (*rt.Report, func(int) rt.App, *
 	if rep.Image == nil {
 		return nil, nil, nil, fmt.Errorf("no image captured at step %d", cfg.Checkpoint.AtStep)
 	}
-	return goldenRep, factory, rep.Image, nil
+	return goldenRep, factory, rep, nil
 }
 
 // notRunnable reports why a workload x algorithm cell cannot execute.
@@ -449,31 +436,23 @@ func crossGeometries(ranks, ppn int) []int {
 // VerifyCrossGeometry checks the allocation-chaining claim: a checkpoint
 // captured on one geometry must restart onto a different ranks-per-node
 // placement (and node count) and still reach the golden final-state digest.
-// The image crosses serialization on the way, as a real chained allocation
-// would.
+// Each restart reads the sealed epoch back from the capture's store, as a
+// real chained allocation would.
 func VerifyCrossGeometry(wl, algo string, opts Options) error {
 	o := opts.withDefaults()
 	if err := notRunnable(wl, algo); err != nil {
 		return err
 	}
-	goldenRep, factory, image, err := captureMidRun(&o, wl, algo)
+	goldenRep, factory, capture, err := captureMidRun(&o, wl, algo)
 	if err != nil {
 		return err
 	}
-	encoded, err := image.Encode()
-	if err != nil {
-		return fmt.Errorf("image encode: %w", err)
-	}
-	img, err := ckpt.DecodeJobImage(encoded)
-	if err != nil {
-		return fmt.Errorf("image decode: %w", err)
-	}
-	return crossGeometryOn(&o, wl, algo, goldenRep, factory, img)
+	return crossGeometryOn(&o, wl, algo, goldenRep, factory, capture)
 }
 
-// crossGeometryOn restarts an already-captured (and round-tripped) image
-// onto every alternative geometry and compares digests.
-func crossGeometryOn(o *Options, wl, algo string, goldenRep *rt.Report, factory func(int) rt.App, img *ckpt.JobImage) error {
+// crossGeometryOn restarts an already-captured epoch onto every alternative
+// geometry and compares digests.
+func crossGeometryOn(o *Options, wl, algo string, goldenRep *rt.Report, factory func(int) rt.App, capture *rt.Report) error {
 	geos := crossGeometries(o.Ranks, o.PPN)
 	if len(geos) == 0 {
 		return fmt.Errorf("no alternative geometry exists for %d ranks x %d ppn", o.Ranks, o.PPN)
@@ -481,7 +460,7 @@ func crossGeometryOn(o *Options, wl, algo string, goldenRep *rt.Report, factory 
 	for _, ppn := range geos {
 		cfg := baseConfig(o, algo)
 		cfg.PPN = ppn
-		rep, err := rt.Restart(cfg, img, factory)
+		rep, err := rt.RestartFromStore(cfg, capture.Store, capture.Checkpoint.Epoch, factory)
 		if err != nil {
 			return fmt.Errorf("restart at ppn %d: %w", ppn, err)
 		}
@@ -507,11 +486,11 @@ func VerifyShardCorruptionDetected(wl, algo string, opts Options) error {
 	if err := notRunnable(wl, algo); err != nil {
 		return err
 	}
-	_, _, image, err := captureMidRun(&o, wl, algo)
+	_, _, capture, err := captureMidRun(&o, wl, algo)
 	if err != nil {
 		return err
 	}
-	encoded, err := image.Encode()
+	encoded, err := capture.Image.Encode()
 	if err != nil {
 		return fmt.Errorf("image encode: %w", err)
 	}
@@ -576,46 +555,32 @@ func VerifyAuxSuite(wl, algo string, opts Options, negative, crossgeo bool) ([]A
 	if err := notRunnable(wl, algo); err != nil {
 		return nil, err
 	}
-	goldenRep, factory, image, err := captureMidRun(&o, wl, algo)
+	goldenRep, factory, capture, err := captureMidRun(&o, wl, algo)
 	if err != nil {
 		return nil, err
 	}
-	encoded, err := image.Encode()
-	if err != nil {
-		return nil, fmt.Errorf("image encode: %w", err)
-	}
-	// Checks that restart the image each get a private decoded copy: the
-	// corruption probe mutates its image in place.
-	decode := func() (*ckpt.JobImage, error) {
-		img, err := ckpt.DecodeJobImage(encoded)
-		if err != nil {
-			return nil, fmt.Errorf("image decode: %w", err)
-		}
-		return img, nil
-	}
 	var out []AuxVerdict
 	if negative {
-		v := AuxVerdict{Name: "negative", OK: "corrupted image detected, ok"}
-		if img, err := decode(); err != nil {
-			v.Err = err
-		} else {
-			v.Err = corruptionDetectedOn(&o, algo, goldenRep, factory, img)
+		encoded, err := capture.Image.Encode()
+		if err != nil {
+			return nil, fmt.Errorf("image encode: %w", err)
 		}
-		out = append(out, v)
 		out = append(out, AuxVerdict{
+			Name: "negative",
+			OK:   "corrupted image detected, ok",
+			Err:  corruptionDetectedOn(&o, algo, goldenRep, factory, capture),
+		}, AuxVerdict{
 			Name: "shard-corruption",
 			OK:   "corrupted shard detected and attributed, ok",
 			Err:  shardCorruptionOn(encoded, o.Ranks),
 		})
 	}
 	if crossgeo {
-		v := AuxVerdict{Name: "cross-geometry", OK: "restart digests match across geometries, ok"}
-		if img, err := decode(); err != nil {
-			v.Err = err
-		} else {
-			v.Err = crossGeometryOn(&o, wl, algo, goldenRep, factory, img)
-		}
-		out = append(out, v)
+		out = append(out, AuxVerdict{
+			Name: "cross-geometry",
+			OK:   "restart digests match across geometries, ok",
+			Err:  crossGeometryOn(&o, wl, algo, goldenRep, factory, capture),
+		})
 	}
 	return out, nil
 }
@@ -631,16 +596,20 @@ func VerifyCorruptionDetected(wl, algo string, opts Options) error {
 	if err := notRunnable(wl, algo); err != nil {
 		return err
 	}
-	goldenRep, factory, img, err := captureMidRun(&o, wl, algo)
+	goldenRep, factory, capture, err := captureMidRun(&o, wl, algo)
 	if err != nil {
 		return err
 	}
-	return corruptionDetectedOn(&o, algo, goldenRep, factory, img)
+	return corruptionDetectedOn(&o, algo, goldenRep, factory, capture)
 }
 
-// corruptionDetectedOn runs the snapshot-corruption probe. It mutates img —
-// callers sharing a capture must pass a private decoded copy.
-func corruptionDetectedOn(o *Options, algo string, goldenRep *rt.Report, factory func(int) rt.App, img *ckpt.JobImage) error {
+// corruptionDetectedOn runs the snapshot-corruption probe on a private copy
+// of the capture's sealed epoch, loaded from its store.
+func corruptionDetectedOn(o *Options, algo string, goldenRep *rt.Report, factory func(int) rt.App, capture *rt.Report) error {
+	img, err := ckpt.LoadJobImage(capture.Store, capture.Checkpoint.Epoch)
+	if err != nil {
+		return fmt.Errorf("loading the captured epoch: %w", err)
+	}
 	// Corrupt one byte in the middle of rank 0's application snapshot.
 	if len(img.Images[0].App) == 0 {
 		return fmt.Errorf("rank 0 snapshot is empty; nothing to corrupt")

@@ -337,10 +337,11 @@ func TestPackedImageRoundTrip(t *testing.T) {
 			if notRunnable(wl, algo) != nil {
 				continue // the paper's NA cell
 			}
-			_, _, image, err := captureMidRun(&o, wl, algo)
+			_, _, capture, err := captureMidRun(&o, wl, algo)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", wl, algo, err)
 			}
+			image := capture.Image
 			encoded, err := image.Encode()
 			if err != nil {
 				t.Fatalf("%s/%s: encode: %v", wl, algo, err)

@@ -408,9 +408,7 @@ func Fig9(o Options) (*Table, error) {
 				return nil, fmt.Errorf("fig9 %s %d nodes: no checkpoint captured", algo, nodes)
 			}
 			st := rep.Checkpoint
-			restart := o.Params.RestartFixed
-			m := netmodel.New(o.Params, cfg.PPN)
-			restart = m.RestartReadTime(st.ImageBytes, nodes)
+			restart := netmodel.New(o.Params, cfg.PPN).RestartReadTime(st.ImageBytes, nodes)
 			t.AddRow(fmt.Sprint(nodes), fmt.Sprint(procs), algo,
 				fmt.Sprintf("%.4f", st.DrainVT),
 				fmt.Sprintf("%.2f", st.WriteVT),

@@ -197,7 +197,8 @@ func TestStoreChainResumes(t *testing.T) {
 
 // TestFailedCaptureNotSealed: a capture that errors (snapshot fault) must
 // not seal a durable store epoch — a fresh process cannot see the run's
-// error and would restore the broken image as if it were healthy.
+// error and would restore the broken image as if it were healthy — and,
+// having written nothing, is charged nothing.
 func TestFailedCaptureNotSealed(t *testing.T) {
 	fs, err := ckpt.NewFileStore(t.TempDir())
 	if err != nil {
@@ -205,7 +206,7 @@ func TestFailedCaptureNotSealed(t *testing.T) {
 	}
 	cfg := testConfig(4, AlgoCC)
 	cfg.Checkpoint = &CkptPlan{AtStep: 3, Mode: ckpt.ExitAfterCapture, Store: fs}
-	_, err = Run(cfg, func(rank int) App {
+	rep, err := Run(cfg, func(rank int) App {
 		a := App(newRingApp(20))
 		if rank == 1 {
 			a = &failingSnapshotApp{App: a}
@@ -221,6 +222,13 @@ func TestFailedCaptureNotSealed(t *testing.T) {
 	}
 	if len(epochs) != 0 {
 		t.Fatalf("failed capture sealed %d epoch(s)", len(epochs))
+	}
+	if rep == nil || len(rep.CheckpointHistory) != 1 {
+		t.Fatalf("failed capture left no single history entry: %+v", rep)
+	}
+	if st := rep.CheckpointHistory[0]; st.Epoch != -1 || st.WriteVT != 0 || st.StallVT != 0 || st.OverlapVT != 0 {
+		t.Fatalf("failed capture was given an epoch or charged a write: epoch %d, write/stall/overlap %v/%v/%v",
+			st.Epoch, st.WriteVT, st.StallVT, st.OverlapVT)
 	}
 }
 

@@ -225,14 +225,15 @@ func (a *frostApp) Restore(data []byte) error {
 	return nil
 }
 
-// TestRestartReadAccounting: a plain image restart charges the depth-1 full
-// read, and a chained store restart charges strictly more for the same
-// payload once older epochs enter the read set.
+// TestRestartReadAccounting: restarting a single self-contained capture
+// charges the depth-1 full read, a chained store restart charges strictly
+// more for the same payload once older epochs enter the read set, and
+// Restart from an in-memory image charges no read at all.
 func TestRestartReadAccounting(t *testing.T) {
 	const iters = 40
 	_, base := runToCompletion(t, testConfig(4, AlgoCC), iters)
 
-	// Image restart: depth-1 read of the whole padded image.
+	// One self-contained epoch: depth-1 read of the whole padded image.
 	cfg := testConfig(4, AlgoCC)
 	cfg.Checkpoint = &CkptPlan{
 		AtVT: base.RuntimeVT / 2, Mode: ckpt.ExitAfterCapture, PaddedBytesPerRank: 32 << 20,
@@ -241,9 +242,16 @@ func TestRestartReadAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := Restart(testConfig(4, AlgoCC), rep.Image, func(rank int) App { return newRingApp(iters) })
+	rep2, err := RestartFromStore(testConfig(4, AlgoCC), rep.Store, rep.Checkpoint.Epoch, func(rank int) App { return newRingApp(iters) })
 	if err != nil {
 		t.Fatal(err)
+	}
+	unpriced, err := Restart(testConfig(4, AlgoCC), rep.Image, func(rank int) App { return newRingApp(iters) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unpriced.RestartReadVT != 0 {
+		t.Fatalf("Restart from an in-memory image priced a read: %g", unpriced.RestartReadVT)
 	}
 	m := netmodel.New(netmodel.PerlmutterLike(), 4)
 	if want := m.RestartReadTime(rep.Image.TotalBytes(), 1); rep2.RestartReadVT != want {

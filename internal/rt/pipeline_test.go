@@ -207,6 +207,40 @@ func TestPaddedBytesConsistentAcrossHistory(t *testing.T) {
 	}
 }
 
+// TestPaddedWritePricePinned: a padded periodic plan that names no store
+// prices every capture as one write of PaddedBytesPerRank × Ranks, bit for
+// bit, synchronous and overlapped alike. Every paper-figure run is padded,
+// so this is the equality that keeps the figures still whichever store the
+// captures seal into.
+func TestPaddedWritePricePinned(t *testing.T) {
+	const iters = 60
+	const padded = int64(3 << 20)
+	_, base := runToCompletion(t, testConfig(8, AlgoCC), iters)
+	for _, async := range []bool{false, true} {
+		cfg := testConfig(8, AlgoCC)
+		period := base.RuntimeVT / 4
+		cfg.Checkpoint = &CkptPlan{
+			AtVT: period, Every: period, Mode: ckpt.ContinueAfterCapture,
+			Async: async, PaddedBytesPerRank: padded,
+		}
+		rep, err := Run(cfg, func(rank int) App { return newRingApp(iters) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.CheckpointHistory) < 2 {
+			t.Fatalf("async=%v: expected several checkpoints, got %d", async, len(rep.CheckpointHistory))
+		}
+		m := netmodel.New(cfg.Params, cfg.PPN)
+		want := m.WriteCost(padded*int64(cfg.Ranks), nodesOf(cfg), async)
+		for i, st := range rep.CheckpointHistory {
+			if st.WriteVT != want.Total || st.StallVT != want.Stall || st.OverlapVT != want.Overlap {
+				t.Errorf("async=%v entry %d: write/stall/overlap %v/%v/%v, want %v/%v/%v", async, i,
+					st.WriteVT, st.StallVT, st.OverlapVT, want.Total, want.Stall, want.Overlap)
+			}
+		}
+	}
+}
+
 // benchApp is an OSU-style loop of size-0 benchmark Bcasts (the apps package
 // cannot be imported here — it depends on rt).
 type benchApp struct{ Iters, Iter int }

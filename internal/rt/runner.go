@@ -59,20 +59,25 @@ type Report struct {
 
 	// Checkpoint results (nil if no checkpoint was captured). With periodic
 	// checkpointing, Checkpoint/Image describe the most recent capture and
-	// CheckpointHistory lists them all.
+	// CheckpointHistory lists them all. Store is the store every capture
+	// sealed into (the plan's, or the MemStore a plan without one gets):
+	// RestartFromStore(cfg, rep.Store, rep.Checkpoint.Epoch, factory)
+	// restarts from the most recent capture.
 	Checkpoint        *ckpt.CheckpointStats
 	Image             *ckpt.JobImage
 	CheckpointHistory []ckpt.CheckpointStats
+	Store             ckpt.Store
 
 	// Completed is false when the job exited at a checkpoint (ExitAfterCapture).
 	Completed bool
 
 	// RestartReadVT is the modeled storage read time of the restart this run
-	// began from (zero for runs started fresh): the fixed lower-half
-	// relaunch plus the read fan-in over the image's resolved shard set —
-	// a restart from a store epoch charges every referenced older epoch an
-	// extra open and per-shard seeks (netmodel.RestartReadCost). Like the checkpoint write costs it is a
-	// modeled quantity, not charged to the rank clocks.
+	// began from (zero for runs started fresh, and for Restart, which reads
+	// nothing): the fixed lower-half relaunch plus the read fan-in over the
+	// epoch's resolved shard set — every referenced older epoch costs an
+	// extra open and per-shard seeks (netmodel.RestartReadCost). Like the
+	// checkpoint write costs it is a modeled quantity, not charged to the
+	// rank clocks.
 	RestartReadVT float64
 
 	// RankSteps counts the application steps each rank completed; the
@@ -408,6 +413,7 @@ func runJob(cfg Config, w *mpi.World, coord *ckpt.Coordinator, factory func(rank
 		rep.Image = image
 		rep.Checkpoint = &stats
 		rep.CheckpointHistory = coord.History()
+		rep.Store = coord.Plan.Store
 		if err != nil {
 			return rep, err
 		}
@@ -440,7 +446,8 @@ func digestOf(snaps [][]byte) string {
 
 // Restart rebuilds a job from a checkpoint image — a fresh world (the new
 // lower half), replayed Setup, restored upper halves — and runs it to
-// completion.
+// completion. It is the second half of RestartFromStore and prices no read:
+// the image is already in memory, so the report's RestartReadVT is zero.
 //
 // The configuration must run the same program shape (rank count and
 // algorithm), but the GEOMETRY may differ: a job captured at one PPN can be
@@ -469,14 +476,7 @@ func Restart(cfg Config, img *ckpt.JobImage, factory func(rank int) App) (*Repor
 	if _, err := newAlgorithm(cfg.Algorithm, coord); err != nil {
 		return nil, err
 	}
-	rep, err := runJob(cfg, w, coord, factory, img)
-	if rep != nil {
-		// A self-contained image is a depth-1 read: one sequential scan of
-		// the whole (possibly padded) image off the parallel filesystem.
-		// RestartFromStore overrides this with the chain-aware fan-in.
-		rep.RestartReadVT = w.Model.RestartReadTime(img.TotalBytes(), nodesOf(cfg))
-	}
-	return rep, err
+	return runJob(cfg, w, coord, factory, img)
 }
 
 // nodesOf returns the node count of a job's placement.
@@ -485,13 +485,13 @@ func nodesOf(cfg Config) int { return (cfg.Ranks + cfg.PPN - 1) / cfg.PPN }
 // RestartFromStore rebuilds a job from a checkpoint store epoch: the epoch's
 // manifest is read, every shard resolved through the reference chain
 // (incremental captures record unchanged shards as references into earlier
-// epochs), verified, and decoded, and the job restarts exactly as from an
-// in-memory image. epoch < 0 selects the store's newest sealed epoch.
+// epochs), verified, and decoded, and the job restarts through Restart.
+// epoch < 0 selects the store's newest sealed epoch.
 //
-// The report's RestartReadVT prices the chain, not a flat image: the read
-// set is the manifest's resolved shard fan-in (ckpt.ReadSetOf), so a deep
-// incremental chain restarts measurably slower than a fresh full capture of
-// the same bytes.
+// This is the one restart that prices a read. The report's RestartReadVT
+// prices the chain, not a flat image: the read set is the manifest's
+// resolved shard fan-in (ckpt.ReadSetOf), so a deep incremental chain
+// restarts measurably slower than a fresh full capture of the same bytes.
 func RestartFromStore(cfg Config, store ckpt.Store, epoch int, factory func(rank int) App) (*Report, error) {
 	if epoch < 0 {
 		latest, err := ckpt.LatestEpoch(store)

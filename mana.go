@@ -30,8 +30,8 @@
 // To checkpoint and restart:
 //
 //	cfg.Checkpoint = &mana.CkptPlan{AtVT: 1.0, Mode: mana.ExitAfterCapture}
-//	rep, _ := mana.Run(cfg, factory)          // exits at the safe state
-//	rep2, _ := mana.Restart(cfg2, rep.Image, factory) // fresh lower half
+//	rep, _ := mana.Run(cfg, factory) // exits at the safe state, sealed into rep.Store
+//	rep2, _ := mana.RestartFromStore(cfg2, rep.Store, rep.Checkpoint.Epoch, factory) // fresh lower half
 //
 // Custom applications implement the App interface (see its documentation
 // for the checkpointing contract) and talk to MPI through Env.
@@ -239,9 +239,19 @@ func Run(cfg Config, factory func(rank int) App) (*Report, error) {
 }
 
 // Restart rebuilds a job from a checkpoint image — a fresh lower half with
-// the upper halves restored — and runs it onward.
+// the upper halves restored — and runs it onward. The image travels as the
+// file it would be written to (its packed one-epoch store), so the restart
+// takes RestartFromStore's read path and price.
 func Restart(cfg Config, img *JobImage, factory func(rank int) App) (*Report, error) {
-	return rt.Restart(cfg, img, factory)
+	data, err := img.Encode()
+	if err != nil {
+		return nil, err
+	}
+	store, err := ckpt.OpenImage(data)
+	if err != nil {
+		return nil, err
+	}
+	return rt.RestartFromStore(cfg, store, -1, factory)
 }
 
 // RestartFromStore rebuilds a job from a checkpoint store epoch, resolving

@@ -6,8 +6,9 @@
 # 6 cold ones that finish early) it checks that
 #   (a) an uninterrupted run prints a state digest D;
 #   (b) ccrun -image f, then ccimg verify / info -json / extract on f, then
-#       ccrun -restart f reaches D — and a file in the retired blob format
-#       is refused by its magic;
+#       ccrun -restart f reaches D, opening f as the one-epoch store it is
+#       and restarting through the store read path — and a file in the
+#       retired blob format is refused by its magic;
 #   (c) a chain of -incremental -store d / -restart-store d legs verifies
 #       and restarts into D, and the first leg whose parent epoch holds
 #       every cold rank as park=done reuses exactly the cold ranks' shards:
