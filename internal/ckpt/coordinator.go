@@ -113,12 +113,14 @@ type RankHooks struct {
 	// without the double allocation of build-then-copy. The two MUST produce
 	// identical bytes — shard identity (and page-delta diffing) hashes them.
 	AppSnapshotTo func(w io.Writer) error
-	// AppSizeHint is the length of the serialized state this rank was
-	// restored from (zero on a fresh start): the best guess at how big the
-	// first capture's AppSnapshotTo output will be, so its buffer is sized
-	// once instead of doubling its way up. Later captures use the previous
-	// capture's length.
-	AppSizeHint int
+	// Restored is the bytes this rank was restored from (nil on a fresh
+	// start), handed over with their capacity: the coordinator owns them
+	// once the rank is registered. Their length is the best guess at how
+	// big the first capture's AppSnapshotTo output will be, and when their
+	// capacity covers that guess plus its headroom (withHeadroom) the first
+	// capture writes into them instead of a fresh buffer. Later captures
+	// size a fresh buffer by the previous capture's length.
+	Restored []byte
 	// ProtoSnapshot serializes the protocol state (via Protocol.Snapshot).
 	ProtoSnapshot func() ([]byte, error)
 	// ClockVT reads the rank's virtual clock.
@@ -257,8 +259,9 @@ type Coordinator struct {
 	descs     []*Descriptor
 	doneRanks []bool
 	hooks     []RankHooks
-	// appLens is each rank's expected serialized-state length: the hooks'
-	// AppSizeHint until the first capture, the last capture's length after.
+	// appLens is each rank's expected serialized-state length: the length
+	// of the hooks' Restored until the first capture, the last capture's
+	// length after.
 	appLens   []int
 	requestVT float64
 	// committing is set while a synchronous capture commits with c.mu
@@ -365,7 +368,7 @@ func (c *Coordinator) nodes() int {
 func (c *Coordinator) RegisterRank(rank int, h RankHooks) {
 	c.mu.Lock()
 	c.hooks[rank] = h
-	c.appLens[rank] = h.AppSizeHint
+	c.appLens[rank] = len(h.Restored)
 	c.mu.Unlock()
 }
 
@@ -513,9 +516,9 @@ func (c *Coordinator) captureRank(r int, img *JobImage) error {
 			// buffer instead of building a private []byte the capture then
 			// copies. The buffer is sized up front from the rank's expected
 			// length, so a state that grew no more than the headroom since is
-			// captured in exactly one allocation; with no expectation (a
+			// captured in at most one allocation; with no expectation (a
 			// fresh start's first capture) it grows by doubling.
-			buf := bytes.NewBuffer(make([]byte, 0, captureBufferCap(c.appLens[r])))
+			buf := bytes.NewBuffer(c.captureBuffer(r))
 			if err := h.AppSnapshotTo(buf); err != nil {
 				if firstErr == nil {
 					firstErr = fmt.Errorf("ckpt: rank %d app snapshot: %w", r, err)
@@ -545,16 +548,30 @@ func (c *Coordinator) captureRank(r int, img *JobImage) error {
 	return firstErr
 }
 
-// captureBufferCap sizes a capture buffer for a state expected to serialize
-// to about expect bytes: proportional slack, because state that grows at all
-// grows with its size (an exact-size buffer is the worst case — it fills,
-// then one doubling copies everything), plus a page for small states.
-func captureBufferCap(expect int) int {
-	if expect <= 0 {
-		return 0
+// captureBuffer returns the empty buffer rank r's capture writes into. The
+// first capture takes the bytes the rank was restored from when their
+// capacity covers its expected length plus the headroom — after a restart
+// they are dead once Restore returns, so the leg touches one state-sized
+// buffer fewer. Otherwise it is a fresh buffer with that capacity. A state
+// that outgrew the headroom regrows the buffer into fresh memory, so the
+// captured bytes are the same either way. Safe to run concurrently for
+// distinct ranks, like captureRank.
+func (c *Coordinator) captureBuffer(r int) []byte {
+	want := withHeadroom(c.appLens[r])
+	b := c.hooks[r].Restored
+	c.hooks[r].Restored = nil // only the first capture may write into it
+	if cap(b) >= want {
+		return b[:0]
 	}
-	return expect + expect/32 + 4096
+	return make([]byte, 0, want)
 }
+
+// withHeadroom is the capacity a buffer for a state of about n bytes gets:
+// proportional slack, because state that grows at all grows with its size
+// (an exact-size buffer is the worst case — it fills, then one doubling
+// copies everything). The loader gives a restored App the same capacity, so
+// the first capture after a restart can write into it (captureBuffer).
+func withHeadroom(n int) int { return n + n/32 }
 
 // captureLocked runs stage 1 of the checkpoint pipeline — snapshotting every
 // rank concurrently (each is parked, so per-rank snapshots are race-free by

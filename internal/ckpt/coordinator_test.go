@@ -317,10 +317,12 @@ func TestCoordinatorDoneRanksCountAsParked(t *testing.T) {
 
 // TestCaptureBufferAllocatedOnce: a rank whose serialized state grew by no
 // more than a percent since the coordinator last learned its length — from
-// the restart image's hint on the first capture, from the previous capture
-// on later ones — is captured into a buffer allocated exactly once. Without
-// the headroom an exact-size buffer fills and doubles (about 3x the state
-// in allocations); without any sizing it doubles its way up from nothing.
+// the bytes it was restored from on the first capture, from the previous
+// capture on later ones — is captured into a buffer allocated exactly once.
+// The restored bytes here have no headroom, so the first capture cannot
+// write into them. Without the headroom an exact-size buffer fills and
+// doubles (about 3x the state in allocations); without any sizing it
+// doubles its way up from nothing.
 func TestCaptureBufferAllocatedOnce(t *testing.T) {
 	const grown = 8 << 20
 	block := make([]byte, 64<<10)
@@ -337,7 +339,7 @@ func TestCaptureBufferAllocatedOnce(t *testing.T) {
 		},
 		ProtoSnapshot: func() ([]byte, error) { return nil, nil },
 		ClockVT:       func() float64 { return 0 },
-		AppSizeHint:   state,
+		Restored:      make([]byte, state),
 	})
 	for capture := 0; capture < 2; capture++ {
 		state = state * 101 / 100 // one percent more than last known

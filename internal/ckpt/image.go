@@ -760,25 +760,26 @@ func readShardRaw(src *bufio.Reader, rawSize int64) (*RankImage, error) {
 		ClockVT:  hdr.ClockVT,
 		Inflight: hdr.Inflight,
 	}
-	readPayload := func(n int64) ([]byte, error) {
-		if n == 0 {
+	readPayload := func(buf []byte) ([]byte, error) {
+		if len(buf) == 0 {
 			return nil, nil
 		}
-		buf := make([]byte, n)
 		if _, err := io.ReadFull(src, buf); err != nil {
 			return nil, fmt.Errorf("reading shard payload: %w", err)
 		}
 		return buf, nil
 	}
+	// The App gets a capture buffer's headroom: a restarted rank's first
+	// capture writes into the bytes it was restored from (captureBuffer).
 	var err error
-	if ri.App, err = readPayload(hdr.AppLen); err != nil {
+	if ri.App, err = readPayload(make([]byte, hdr.AppLen, withHeadroom(int(hdr.AppLen)))); err != nil {
 		return nil, err
 	}
-	if ri.Proto, err = readPayload(hdr.ProtoLen); err != nil {
+	if ri.Proto, err = readPayload(make([]byte, hdr.ProtoLen)); err != nil {
 		return nil, err
 	}
 	for i := range ri.Inflight {
-		if ri.Inflight[i].Data, err = readPayload(hdr.InflightLens[i]); err != nil {
+		if ri.Inflight[i].Data, err = readPayload(make([]byte, hdr.InflightLens[i])); err != nil {
 			return nil, err
 		}
 	}

@@ -1,8 +1,11 @@
 package rt
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
+	"mana/internal/ckpt"
 	"mana/internal/mpi"
 )
 
@@ -81,5 +84,43 @@ func TestCollectiveAllocs(t *testing.T) {
 func TestP2PAllocs(t *testing.T) {
 	if got := allocsPerCall(t, "ring", 3); got > 0.05 {
 		t.Errorf("ring step: %.2f allocations per call, want 0", got)
+	}
+}
+
+// TestRestartCaptureAllocs: restarting a job from a store and capturing it
+// once allocates about two states, not three: the bytes each rank is
+// restored from and the app's own copy. The capture writes into the former,
+// which are dead once Restore returns. (A fresh capture buffer, as on the
+// parent commit, reads about 3.0x.)
+func TestRestartCaptureAllocs(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector allocates on its own account")
+			}
+		}
+	}
+	const ranks, size = 2, 8 << 20
+	factory := func(rank int) App { return newBlobApp(rank, -1, size, 8) }
+	cfg := testConfig(ranks, AlgoCC)
+	cfg.Checkpoint = &CkptPlan{AtStep: 2, Mode: ckpt.ExitAfterCapture}
+	first, err := Run(cfg, factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	second, err := RestartFromStore(cfg, first.Store, first.Checkpoint.Epoch, factory)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Image == nil {
+		t.Fatal("the restarted leg did not capture")
+	}
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(ranks*size)
+	t.Logf("restart + capture allocated %.2fx the state", ratio)
+	if ratio > 2.4 {
+		t.Errorf("restart + capture allocated %.2fx the state, want <= 2.4x (restored bytes + app state)", ratio)
 	}
 }

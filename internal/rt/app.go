@@ -62,7 +62,9 @@ type App interface {
 	// hands out a view of a buffer it keeps mutating would seal shards
 	// whose bytes do not match their recorded identity.
 	Snapshot() ([]byte, error)
-	// Restore rebuilds state from a Snapshot.
+	// Restore rebuilds state from a Snapshot. Like io.Writer's Write, it
+	// must not retain data after it returns: the runtime owns those bytes,
+	// and a restarted rank's first capture overwrites them (see Restart).
 	Restore(data []byte) error
 	// Buffer resolves a named communication buffer.
 	Buffer(id string) []byte

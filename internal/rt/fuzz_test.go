@@ -250,10 +250,11 @@ func TestPropertyDoubleCheckpointChain(t *testing.T) {
 		}
 		cfg2 := testConfig(ranks, AlgoCC)
 		cfg2.Checkpoint = &CkptPlan{AtVT: base.RuntimeVT * 0.6, Mode: ckpt.ExitAfterCapture}
+		spare := cloneImage(t, rep1.Image) // the second hop takes rep1.Image
 		_, rep2 := runFuzz(t, cfg2, iters, seed, true, rep1.Image)
 		img := rep2.Image
 		if img == nil {
-			img = rep1.Image
+			img = spare
 		}
 		got, _ := runFuzz(t, testConfig(ranks, AlgoCC), iters, seed, true, img)
 		for r := 0; r < ranks; r++ {

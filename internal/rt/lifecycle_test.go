@@ -246,6 +246,8 @@ func TestRestartReadAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := netmodel.New(netmodel.PerlmutterLike(), 4)
+	wantRead := m.RestartReadTime(rep.Image.TotalBytes(), 1) // before Restart takes the image
 	unpriced, err := Restart(testConfig(4, AlgoCC), rep.Image, func(rank int) App { return newRingApp(iters) })
 	if err != nil {
 		t.Fatal(err)
@@ -253,9 +255,8 @@ func TestRestartReadAccounting(t *testing.T) {
 	if unpriced.RestartReadVT != 0 {
 		t.Fatalf("Restart from an in-memory image priced a read: %g", unpriced.RestartReadVT)
 	}
-	m := netmodel.New(netmodel.PerlmutterLike(), 4)
-	if want := m.RestartReadTime(rep.Image.TotalBytes(), 1); rep2.RestartReadVT != want {
-		t.Fatalf("image RestartReadVT = %g, want %g", rep2.RestartReadVT, want)
+	if rep2.RestartReadVT != wantRead {
+		t.Fatalf("image RestartReadVT = %g, want %g", rep2.RestartReadVT, wantRead)
 	}
 	if rep2.StateDigest != base.StateDigest {
 		t.Fatal("image restart diverged")

@@ -80,18 +80,12 @@ func TestCrossGeometryRestart(t *testing.T) {
 	if rep.Image == nil {
 		t.Fatal("no image captured")
 	}
-	blob, err := rep.Image.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := ckpt.DecodeJobImage(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img.PPN != 4 {
-		t.Fatalf("image captured at ppn %d, test assumes 4", img.PPN)
-	}
 	for _, ppn := range []int{1, 2, 8} {
+		// Each restart takes its image, so each decodes its own copy.
+		img := cloneImage(t, rep.Image)
+		if img.PPN != 4 {
+			t.Fatalf("image captured at ppn %d, test assumes 4", img.PPN)
+		}
 		cfg := Config{Ranks: 8, PPN: ppn, Params: netmodel.PerlmutterLike(), Algorithm: AlgoCC}
 		restarted := make([]*ringApp, cfg.Ranks)
 		rep2, err := Restart(cfg, img, func(rank int) App {

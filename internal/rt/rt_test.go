@@ -115,6 +115,22 @@ func (a *ringApp) Restore(data []byte) error {
 	return nil
 }
 
+// cloneImage is a deep copy of img, through its packed encoding: Restart
+// takes the image it is given, so a test that restarts from one image twice
+// hands each restart its own.
+func cloneImage(t *testing.T, img *ckpt.JobImage) *ckpt.JobImage {
+	t.Helper()
+	blob, err := img.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := ckpt.DecodeJobImage(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func testConfig(ranks int, algo string) Config {
 	return Config{Ranks: ranks, PPN: 4, Params: netmodel.PerlmutterLike(), Algorithm: algo}
 }
@@ -352,7 +368,7 @@ func TestCheckpointChaining(t *testing.T) {
 func TestRestartRejectsMismatchedConfig(t *testing.T) {
 	rep, _ := checkpointRun(t, AlgoCC, ckpt.ExitAfterCapture, 20, 1e-4)
 	cfg := testConfig(16, AlgoCC) // wrong rank count
-	if _, err := Restart(cfg, rep.Image, func(int) App { return newRingApp(20) }); err == nil {
+	if _, err := Restart(cfg, cloneImage(t, rep.Image), func(int) App { return newRingApp(20) }); err == nil {
 		t.Fatal("mismatched rank count accepted")
 	}
 	cfg = testConfig(8, Algo2PC) // wrong algorithm

@@ -284,9 +284,10 @@ func runJob(cfg Config, w *mpi.World, coord *ckpt.Coordinator, factory func(rank
 				hooks.AppSnapshotTo = ss.SnapshotTo
 			}
 			if img != nil {
-				// A restarted rank's state is about as big as the image it
-				// is restored from; the first capture sizes its buffer by it.
-				hooks.AppSizeHint = len(img.Images[rank].App)
+				// Restart owns the image: the bytes this rank is restored
+				// from are dead once Restore returns, and its first capture
+				// writes into them.
+				hooks.Restored = img.Images[rank].App
 			}
 			coord.RegisterRank(rank, hooks)
 
@@ -456,6 +457,12 @@ func digestOf(snaps [][]byte) string {
 // network-agnostic image outlives the allocation it was taken on. Only the
 // lower half changes: the storage/network model places ranks on the new
 // nodes, while the restored upper halves are placement-free.
+//
+// Restart takes ownership of img, the way bytes.NewBuffer takes its slice:
+// the caller must not use img after the call, whether it succeeds or not. A
+// restarted rank's first capture writes its snapshot into the bytes — and
+// the capacity past them — that the rank was restored from, so a caller that
+// wants to read or restart from the same image again loads its own copy.
 func Restart(cfg Config, img *ckpt.JobImage, factory func(rank int) App) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
