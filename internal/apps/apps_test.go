@@ -494,8 +494,9 @@ func TestVASPEnergyTracked(t *testing.T) {
 	}
 }
 
-// vaspRank is a VASPMini as Setup leaves it on a one-rank row, built without
-// a runtime: its four named buffers and a zero slab of SlabN elements.
+// vaspRank is a VASPMini on a one-rank row, built without a runtime: the
+// four named buffers Setup registers and a zero slab of SlabN elements where
+// the first Step would draw one.
 func vaspRank(cfg VASPConfig) *VASPMini {
 	v := NewVASPMini(cfg)
 	for _, id := range []string{"ata", "energy", "haloL", "haloR"} {
@@ -751,6 +752,81 @@ func TestVASPRestoreAllocs(t *testing.T) {
 		}
 	}); allocs > 1 {
 		t.Fatalf("Restore allocates %v times, want at most 1 (the slab)", allocs)
+	}
+}
+
+// slabProbe records, for the VASP rank it wraps, whether Setup left a slab
+// and every slab the rank held after Restore and after each Step.
+type slabProbe struct {
+	*VASPMini
+	setupSlab bool
+	slabs     []*complex128
+}
+
+func (p *slabProbe) Setup(env *rt.Env) error {
+	err := p.VASPMini.Setup(env)
+	p.setupSlab = p.Slab != nil
+	return err
+}
+
+func (p *slabProbe) Restore(data []byte) error {
+	if err := p.VASPMini.Restore(data); err != nil {
+		return err
+	}
+	p.slabs = append(p.slabs, &p.Slab[0])
+	return nil
+}
+
+func (p *slabProbe) Step(env *rt.Env) (bool, error) {
+	more, err := p.VASPMini.Step(env)
+	p.slabs = append(p.slabs, &p.Slab[0])
+	return more, err
+}
+
+// TestVASPRestartBuildsSlabOnce: Setup draws no slab — the constructor and
+// Setup build nothing a snapshot carries — so a restarted rank allocates its
+// slab once, in Restore, and keeps it; a fresh rank builds its slab on the
+// first Step and keeps it. The restart ends where the uninterrupted run does.
+func TestVASPRestartBuildsSlabOnce(t *testing.T) {
+	cfg := VASPConfig{Iterations: 12, SlabN: 64, RowSize: 2, BlockBytes: 8, ComputeVT: 1e-6}
+	probes := make([]*slabProbe, 4)
+	factory := func(rank int) rt.App {
+		probes[rank] = &slabProbe{VASPMini: NewVASPMini(cfg)}
+		return probes[rank]
+	}
+	check := func(leg string) {
+		t.Helper()
+		for rank, p := range probes {
+			switch {
+			case p.setupSlab:
+				t.Fatalf("%s: rank %d: Setup built a slab", leg, rank)
+			case len(p.slabs) < 2:
+				t.Fatalf("%s: rank %d: %d slabs recorded", leg, rank, len(p.slabs))
+			}
+			for i, s := range p.slabs {
+				if s != p.slabs[0] {
+					t.Fatalf("%s: rank %d: slab %d of %d is a new one", leg, rank, i+1, len(p.slabs))
+				}
+			}
+		}
+	}
+	base, err := rt.Run(smallConfig(4, rt.AlgoCC), factory)
+	if err != nil || !base.Completed {
+		t.Fatalf("uninterrupted run: %v", err)
+	}
+	run := smallConfig(4, rt.AlgoCC)
+	run.Checkpoint = &rt.CkptPlan{AtStep: 20, Mode: ckpt.ExitAfterCapture}
+	rep, err := rt.Run(run, factory)
+	if err != nil || rep.Image == nil {
+		t.Fatalf("checkpoint leg: %v", err)
+	}
+	check("fresh")
+	if rep, err = rt.Restart(smallConfig(4, rt.AlgoCC), rep.Image, factory); err != nil || !rep.Completed {
+		t.Fatalf("restart leg: %v", err)
+	}
+	check("restarted")
+	if rep.StateDigest != base.StateDigest {
+		t.Fatalf("restart diverged: %.12s != %.12s", rep.StateDigest, base.StateDigest)
 	}
 }
 
@@ -1110,7 +1186,7 @@ func TestCapturedImageImmutable(t *testing.T) {
 	}
 	factories["straggler-insert"] = func(rank int) rt.App {
 		return NewStraggler(StragglerConfig{HotRanks: 2, ColdSteps: 3, HotIters: 12,
-			StateElems: 300, HotStateElems: 2*stragglerBlockElems + 37, InsertEvery: 1}, rank)
+			StateElems: 300, HotStateElems: 8229, InsertEvery: 1}, rank)
 	}
 	for name, factory := range factories {
 		const ranks, at = 4, 2
@@ -1148,46 +1224,110 @@ func (w *writeSizes) Write(p []byte) (int, error) {
 	return w.Buffer.Write(p)
 }
 
-// TestStragglerSnapshotBlocks: the block-encoded SnapshotTo must emit the
-// documented fixed-width layout exactly — checked against a per-element
-// reference, at State lengths below, at, and not a multiple of the block —
-// in a handful of Writes, not one per element.
-func TestStragglerSnapshotBlocks(t *testing.T) {
-	for _, elems := range []int{1, stragglerBlockElems - 1, stragglerBlockElems, 2*stragglerBlockElems + 37} {
-		a := NewStraggler(StragglerConfig{HotRanks: 1, HotIters: 5, StateElems: elems, InsertEvery: 1}, 0)
-		a.initState()
-		a.Iter, a.Acc = 3, 0.625
-		var want bytes.Buffer
-		for _, v := range []uint64{uint64(a.Iter), uint64(a.target), math.Float64bits(a.Acc), uint64(len(a.Sum)), uint64(a.state.Len())} {
-			want.Write(binary.LittleEndian.AppendUint64(nil, v))
+// refStragglerSnapshot is the straggler's snapshot as a per-element encoder
+// lays it out: the five header words, Sum, then every State element's
+// little-endian bits in order — the layout SnapshotTo must emit without
+// encoding anything.
+func refStragglerSnapshot(a *Straggler) []byte {
+	var want bytes.Buffer
+	for _, v := range []uint64{uint64(a.Iter), uint64(a.target), math.Float64bits(a.Acc), uint64(len(a.Sum)), uint64(a.state.Len())} {
+		want.Write(binary.LittleEndian.AppendUint64(nil, v))
+	}
+	want.Write(a.Sum)
+	for _, v := range stateOf(a) {
+		want.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+	}
+	return want.Bytes()
+}
+
+// writeSlices records every slice it is handed, retaining it — which an
+// io.Writer must not do; it is here only to see what SnapshotTo passes.
+type writeSlices struct{ got [][]byte }
+
+func (w *writeSlices) Write(p []byte) (int, error) {
+	w.got = append(w.got, p)
+	return len(p), nil
+}
+
+// TestStragglerSnapshotIsState: the State is held as the bytes it
+// checkpoints. SnapshotTo emits the per-element layout exactly — at State
+// lengths from one element to past the old 32 KiB encoding block, with the
+// hole at the front, in the middle, at the end and where a fresh rank puts
+// it, every NaN payload, −0, subnormal and infinity bit for bit — and it
+// does so by handing its writer the header, Sum and the non-empty runs
+// either side of the hole, the runs aliasing the State, without allocating.
+func TestStragglerSnapshotIsState(t *testing.T) {
+	for _, elems := range []int{1, 2, 3, 200, 5000, 8229} {
+		for _, hole := range []string{"fresh", "front", "middle", "end"} {
+			name := fmt.Sprintf("%d elements, hole %s", elems, hole)
+			cfg := StragglerConfig{HotRanks: 1, HotIters: 5, StateElems: elems, InsertEvery: 1}
+			a := NewStraggler(cfg, 0)
+			a.initState()
+			a.Iter, a.Acc = 3, 0.625
+			if hole != "fresh" {
+				at := map[string]int{"front": 0, "middle": elems / 2, "end": elems}[hole]
+				a.state = newHoled(elems, 3, at)
+				vs := awkwardF64s(elems)
+				for i, v := range vs {
+					a.state.set(i, v)
+				}
+				if !slices.Equal(f64Bits(stateOf(a)), f64Bits(vs)) {
+					t.Fatalf("%s: set then get changed an element's bits", name)
+				}
+			}
+			want := refStragglerSnapshot(a)
+			var got writeSlices
+			if err := a.SnapshotTo(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(bytes.Join(got.got, nil), want) {
+				t.Fatalf("%s: SnapshotTo wrote bytes that differ from the %d-byte layout", name, len(want))
+			}
+			head, tail := a.state.halves()
+			parts := [][]byte{want[:40], a.Sum}
+			for _, run := range [][]byte{head, tail} {
+				if len(run) > 0 {
+					parts = append(parts, run)
+				}
+			}
+			if len(got.got) != len(parts) {
+				t.Fatalf("%s: %d Writes, want %d (header, Sum and the non-empty runs)", name, len(got.got), len(parts))
+			}
+			for i, p := range got.got[1:] {
+				if want := parts[i+1]; len(p) != len(want) || &p[0] != &want[0] {
+					t.Fatalf("%s: Write %d is not the rank's own bytes", name, i+2)
+				}
+			}
+			for k := 1; k <= len(parts); k++ {
+				if err := a.SnapshotTo(&failingWriter{k: k}); err != errKth {
+					t.Fatalf("%s: writer failing on Write %d: got %v", name, k, err)
+				}
+			}
+			snap, err := a.Snapshot()
+			if err != nil || !bytes.Equal(snap, want) {
+				t.Fatalf("%s: Snapshot disagrees with the layout (err %v)", name, err)
+			}
+			b := NewStraggler(cfg, 0)
+			if err := b.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			if again, _ := b.Snapshot(); !bytes.Equal(again, snap) {
+				t.Fatalf("%s: restore did not round-trip the snapshot", name)
+			}
 		}
-		want.Write(a.Sum)
-		for _, v := range stateOf(a) {
-			want.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
-		}
-		var got writeSizes
-		if err := a.SnapshotTo(&got); err != nil {
+	}
+	if raceBuild() {
+		t.Log("allocation check skipped under the race detector")
+		return
+	}
+	a := NewStraggler(StragglerConfig{HotRanks: 1, HotIters: 5, StateElems: 8229, InsertEvery: 1}, 0)
+	a.initState()
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := a.SnapshotTo(io.Discard); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("%d elements: SnapshotTo wrote %d bytes that differ from the %d-byte layout", elems, got.Len(), want.Len())
-		}
-		// The header, Sum, and the blocks of the runs either side of the
-		// State's hole: the seam can split one block in two.
-		if maxWrites := 3 + (elems+stragglerBlockElems-1)/stragglerBlockElems; len(got.sizes) > maxWrites {
-			t.Fatalf("%d elements: %d Writes, want at most %d", elems, len(got.sizes), maxWrites)
-		}
-		snap, err := a.Snapshot()
-		if err != nil || !bytes.Equal(snap, want.Bytes()) {
-			t.Fatalf("%d elements: Snapshot disagrees with the layout (err %v)", elems, err)
-		}
-		b := NewStraggler(StragglerConfig{HotRanks: 1, HotIters: 5, StateElems: elems, InsertEvery: 1}, 0)
-		if err := b.Restore(snap); err != nil {
-			t.Fatal(err)
-		}
-		if again, _ := b.Snapshot(); !bytes.Equal(again, snap) {
-			t.Fatalf("%d elements: restore did not round-trip the snapshot", elems)
-		}
+	}); allocs != 0 {
+		t.Fatalf("SnapshotTo allocates %v times per call, want 0", allocs)
 	}
 }
 
@@ -1231,6 +1371,45 @@ func TestStragglerRestoreHostile(t *testing.T) {
 	if err := NewStraggler(insert, 0).Restore(stragglerImage(2, 5, 8, 6, 8+48)); err != nil {
 		t.Fatalf("a well-formed grown snapshot refused: %v", err)
 	}
+}
+
+// FuzzStragglerRestore: arbitrary bytes are refused with a straggler: error,
+// leaving the rank as it was, or restore a state that snapshots back to
+// exactly those bytes — under insertion churn (any State length) and in
+// place (the configured length only). Restore never allocates more than the
+// input's length plus the hole it leaves for the insertions configured, past
+// a 1 KiB floor for an error message.
+func FuzzStragglerRestore(f *testing.F) {
+	insert := StragglerConfig{HotRanks: 1, HotIters: 5, StateElems: 4, InsertEvery: 1}
+	inPlace := StragglerConfig{HotRanks: 1, HotIters: 5, StateElems: 4}
+	good := stragglerImage(2, 5, 8, 4, 8+32)
+	f.Add(good)
+	f.Add(good[:len(good)-1])
+	f.Add(append(append([]byte(nil), good...), 0))
+	f.Add(stragglerImage(2, 5, 8, 6, 8+48))
+	f.Add(stragglerImage(0, 5, 8, 1<<61+2, 8+16))
+	f.Add(stragglerImage(6, 5, 8, 4, 8+32))
+	checkAllocs := !raceBuild()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, cfg := range []StragglerConfig{insert, inPlace} {
+			a := NewStraggler(cfg, 0)
+			before, _ := a.Snapshot()
+			var err error
+			got := heapBytes(func() { err = a.Restore(data) })
+			if limit := uint64(len(data)) + 8*uint64(cfg.HotIters) + (1 << 10); checkAllocs && got > limit {
+				t.Fatalf("Restore of %d bytes allocated %d (limit %d; err %v)", len(data), got, limit, err)
+			}
+			after, _ := a.Snapshot()
+			switch {
+			case err != nil && !strings.HasPrefix(err.Error(), "straggler: "):
+				t.Fatalf("refusal without the straggler: prefix: %v", err)
+			case err != nil && !bytes.Equal(after, before):
+				t.Fatalf("a refused snapshot changed the rank: %v", err)
+			case err == nil && !bytes.Equal(after, data):
+				t.Fatalf("restored %d bytes, snapshot back %d: not the same bytes", len(data), len(after))
+			}
+		}
+	})
 }
 
 // TestStragglerOneElementInsertion: a hot rank whose State is one element has
@@ -1351,8 +1530,11 @@ func TestStragglerRestartBuildsOnce(t *testing.T) {
 // stateOf returns a copy of the straggler's State elements in order, the
 // hole left out.
 func stateOf(a *Straggler) []float64 {
-	head, tail := a.state.halves()
-	return append(append([]float64(nil), head...), tail...)
+	out := make([]float64, a.state.Len())
+	for i := range out {
+		out[i] = a.state.get(i)
+	}
+	return out
 }
 
 // refInitState and refChurn are the straggler's State as it was before the
@@ -1549,25 +1731,6 @@ func BenchmarkStragglerChurn(b *testing.B) {
 	})
 }
 
-// refWriteF64s is the codec the straggler had before writeF64s: the same
-// scratch block, filled by indexing it at 8*i. It is the reference the
-// helper's bytes are held to and the yardstick BenchmarkF64CodecRatio times
-// it against.
-func refWriteF64s(w io.Writer, vs []float64) error {
-	block := make([]byte, 8*min(len(vs), stragglerBlockElems))
-	for len(vs) > 0 {
-		n := min(len(vs), stragglerBlockElems)
-		for i, v := range vs[:n] {
-			binary.LittleEndian.PutUint64(block[8*i:], math.Float64bits(v))
-		}
-		if _, err := w.Write(block[:8*n]); err != nil {
-			return err
-		}
-		vs = vs[n:]
-	}
-	return nil
-}
-
 // awkwardF64s returns n elements that a value-level copy could get wrong:
 // NaNs with distinct payloads (quiet and signalling), both zeros, both
 // infinities, subnormals, and noise.
@@ -1599,117 +1762,6 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 		return 0, errKth
 	}
 	return len(p), nil
-}
-
-// TestF64Codec: writeF64s emits the per-element little-endian layout at
-// lengths around the scratch block, every bit pattern survives the round
-// trip through readF64s, a failing writer's error comes back whichever
-// Write it strikes, a short src is never read past, and the scratch block
-// is the only allocation.
-func TestF64Codec(t *testing.T) {
-	const block = stragglerBlockElems
-	for _, n := range []int{0, 1, block - 1, block, block + 1, 2*block + 3} {
-		vs := awkwardF64s(n)
-		var want []byte
-		for _, v := range vs {
-			want = binary.LittleEndian.AppendUint64(want, math.Float64bits(v))
-		}
-		var got, ref writeSizes
-		if err := writeF64s(&got, vs); err != nil {
-			t.Fatal(err)
-		}
-		if err := refWriteF64s(&ref, vs); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want) || !bytes.Equal(ref.Bytes(), want) {
-			t.Fatalf("%d elements: writeF64s or its yardstick departs from the per-element layout", n)
-		}
-		if writes := (n + block - 1) / block; len(got.sizes) != writes {
-			t.Fatalf("%d elements: %d Writes, want %d", n, len(got.sizes), writes)
-		}
-		back := make([]float64, n)
-		readF64s(back, want)
-		for i := range vs {
-			if math.Float64bits(back[i]) != math.Float64bits(vs[i]) {
-				t.Fatalf("%d elements: element %d came back %#x, was %#x", n, i, math.Float64bits(back[i]), math.Float64bits(vs[i]))
-			}
-		}
-		for k := 1; k <= len(got.sizes); k++ {
-			if err := writeF64s(&failingWriter{k: k}, vs); err != errKth {
-				t.Fatalf("%d elements: writer failing on Write %d: got %v", n, k, err)
-			}
-		}
-	}
-
-	// A src that ends early — mid-element included — fills only the
-	// elements it holds whole; src is sliced so that a read past its
-	// length would panic, and the bytes beyond it are poison.
-	vs := awkwardF64s(5)
-	enc := make([]byte, 0, 8*len(vs))
-	for _, v := range vs {
-		enc = binary.LittleEndian.AppendUint64(enc, math.Float64bits(v))
-	}
-	for short := 0; short <= len(enc); short++ {
-		src := append(append([]byte(nil), enc[:short]...), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff)[:short:short]
-		dst := []float64{-1, -1, -1, -1, -1, -1}
-		readF64s(dst, src)
-		for i := range dst {
-			want := -1.0
-			if i < short/8 {
-				want = vs[i]
-			}
-			if math.Float64bits(dst[i]) != math.Float64bits(want) {
-				t.Fatalf("src of %d bytes: element %d is %#x", short, i, math.Float64bits(dst[i]))
-			}
-		}
-	}
-
-	big := awkwardF64s(3*block + 5)
-	var sink writeSizes
-	sink.Grow(8 * len(big))
-	if allocs := testing.AllocsPerRun(10, func() {
-		sink.Reset()
-		sink.sizes = sink.sizes[:0]
-		if err := writeF64s(&sink, big); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 1 {
-		t.Fatalf("writeF64s allocates %v times per call, want 1 (the scratch block)", allocs)
-	}
-}
-
-// BenchmarkF64CodecRatio is a gate (b.Fatalf), not a measurement: writeF64s
-// over 16 MiB of state must run at least 1.5 times as fast as the indexed
-// loop it replaced, both timed in this process into a writer that only
-// counts — a ratio, so a slow or shared host moves both sides together. The
-// helper stores one element a cycle, which is all a scalar loop can, and
-// reads 1.9–2.3x here; a 2x gate failed 3 runs in 20 on the host it was
-// written on. CI runs it by name with -benchtime=1x, without -race.
-func BenchmarkF64CodecRatio(b *testing.B) {
-	vs := awkwardF64s(2 << 20)
-	pass := func(codec func(io.Writer, []float64) error) time.Duration {
-		t0 := time.Now()
-		if err := codec(&failingWriter{}, vs); err != nil { // k = 0 never fails: it only counts
-			b.Fatal(err)
-		}
-		return time.Since(t0)
-	}
-	mbps := func(d time.Duration) float64 { return float64(8*len(vs)) / 1e6 / d.Seconds() }
-	for i := 0; i < b.N; i++ {
-		// Fastest of 15 each, the two sides taking turns so that a busy
-		// stretch on the host falls on both.
-		indexed, helper := time.Duration(1<<63-1), time.Duration(1<<63-1)
-		for try := 0; try < 15; try++ {
-			indexed = min(indexed, pass(refWriteF64s))
-			helper = min(helper, pass(writeF64s))
-		}
-		if 2*indexed < 3*helper {
-			b.Fatalf("writeF64s took %v over 16 MiB, the indexed loop %v: want at least 1.5x faster", helper, indexed)
-		}
-		b.ReportMetric(mbps(helper), "MB/s")
-		b.ReportMetric(mbps(indexed), "indexed-MB/s")
-		b.ReportMetric(float64(indexed)/float64(helper), "x-indexed")
-	}
 }
 
 // BenchmarkFFTPlanRatio is a gate (b.Fatalf), not a measurement: the VASP

@@ -119,48 +119,6 @@ func gobDecode(data []byte, v any) error {
 	return nil
 }
 
-// stragglerBlockElems is how many elements writeF64s encodes per Write: a
-// 32 KiB block amortizes the interface call that an 8-byte Write per
-// element paid two million times per 16 MiB hot rank, and stays L1-hot
-// between the encode and the Write that copies it out.
-const stragglerBlockElems = 4 << 10
-
-// writeF64s and readF64s are the fixed-width snapshot codec: each element
-// as its little-endian IEEE-754 bits, bit-exact for every payload. Neither
-// loop indexes a byte slice by 8*i — appending onto the emptied block and
-// consuming a shrinking src let the compiler drop the per-element bounds
-// checks, and the loops run at the copy's speed.
-//
-// writeF64s encodes through one scratch block per call, refilled between
-// Writes — w must not retain what it is handed (the io.Writer contract).
-func writeF64s(w io.Writer, vs []float64) error {
-	block := make([]byte, 0, 8*min(len(vs), stragglerBlockElems))
-	for len(vs) > 0 {
-		n := min(len(vs), stragglerBlockElems)
-		block = block[:0]
-		for _, v := range vs[:n] {
-			block = binary.LittleEndian.AppendUint64(block, math.Float64bits(v))
-		}
-		if _, err := w.Write(block); err != nil {
-			return err
-		}
-		vs = vs[n:]
-	}
-	return nil
-}
-
-// readF64s decodes into dst from the front of src, stopping at whichever
-// runs out first: it never reads past a short src.
-func readF64s(dst []float64, src []byte) {
-	for i := range dst {
-		if len(src) < 8 {
-			return
-		}
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
-		src = src[8:]
-	}
-}
-
 // splitmix64 is a tiny serializable PRNG for deterministic workloads
 // (math/rand's state is not portable across snapshots).
 type splitmix64 struct {

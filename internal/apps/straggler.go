@@ -64,42 +64,51 @@ type Straggler struct {
 	Acc  float64
 	Sum  []byte // named buffer "sum": allreduce payload
 	// state is the bulk per-rank State, mutated only by hot ranks. It is
-	// empty until first use: a fresh rank builds it in initState, a
-	// restarted rank decodes it in Restore and never builds the initial one.
+	// empty until first use: a fresh rank builds it in initState, and a
+	// restarted rank's Restore copies it in without building the initial one.
 	state holed
+	hdr   [5 * 8]byte // SnapshotTo's header, kept here so a capture allocates nothing
 }
 
-// holed is the State as a gap buffer: the elements, in order, are buf[:lo]
-// followed by buf[hi:], and buf[lo:hi] is the hole, room for the insertions
-// to come. An insertion moves the hole to its position — copying only the
-// elements between the two — and fills the hole's first slot. Successive
-// insertions land 131·InsertEvery elements apart (insertPos), so each moves
-// about a thousand bytes where shifting the tail moved half the State.
+// holed is the State as a gap buffer of 8-byte slots, each element held as
+// its little-endian IEEE-754 bits — the bytes the snapshot carries, so a
+// capture hands them to its writer as they are and a restore copies them in,
+// one memmove each way. The elements, in order, are slots [0, lo) followed by
+// slots [hi, len(buf)/8), and slots [lo, hi) are the hole, room for the
+// insertions to come. An insertion moves the hole to its position — copying
+// only the elements between the two — and fills the hole's first slot.
+// Successive insertions land 131·InsertEvery elements apart (insertPos), so
+// each moves about a thousand bytes where shifting the tail moved half the
+// State.
 type holed struct {
-	buf    []float64
+	buf    []byte
 	lo, hi int
 }
 
 // newHoled allocates n elements with a hole of room slots in front of
 // element at, which is where the next insertion will go.
 func newHoled(n, room, at int) holed {
-	return holed{buf: make([]float64, n+room), lo: at, hi: at + room}
+	return holed{buf: make([]byte, 8*(n+room)), lo: at, hi: at + room}
 }
 
 // Len is the number of elements, the hole not counted.
-func (h *holed) Len() int { return len(h.buf) - (h.hi - h.lo) }
+func (h *holed) Len() int { return len(h.buf)/8 - (h.hi - h.lo) }
 
-// at returns the index in buf of element i.
-func (h *holed) at(i int) int {
+// slot returns the 8 bytes of element i.
+func (h *holed) slot(i int) []byte {
 	if i >= h.lo {
 		i += h.hi - h.lo
 	}
-	return i
+	return h.buf[8*i : 8*i+8]
 }
 
+// get and set read and write element i, for the few that a step touches.
+func (h *holed) get(i int) float64    { return getF64(h.slot(i)) }
+func (h *holed) set(i int, v float64) { putF64(h.slot(i), v) }
+
 // halves returns the elements in order as the two runs either side of the
-// hole; either may be empty.
-func (h *holed) halves() (head, tail []float64) { return h.buf[:h.lo], h.buf[h.hi:] }
+// hole, as their snapshot bytes; either may be empty.
+func (h *holed) halves() (head, tail []byte) { return h.buf[:8*h.lo], h.buf[8*h.hi:] }
 
 // insert makes v element pos, shifting every later element up by one.
 func (h *holed) insert(pos int, v float64) {
@@ -108,11 +117,11 @@ func (h *holed) insert(pos int, v float64) {
 	}
 	switch {
 	case pos < h.lo:
-		h.hi -= copy(h.buf[h.hi-(h.lo-pos):h.hi], h.buf[pos:h.lo])
+		h.hi -= copy(h.buf[8*(h.hi-(h.lo-pos)):8*h.hi], h.buf[8*pos:8*h.lo]) / 8
 	case pos > h.lo:
-		h.hi += copy(h.buf[h.lo:], h.buf[h.hi:h.hi+(pos-h.lo)])
+		h.hi += copy(h.buf[8*h.lo:], h.buf[8*h.hi:8*(h.hi+pos-h.lo)]) / 8
 	}
-	h.buf[pos] = v
+	putF64(h.buf[8*pos:], v)
 	h.lo = pos + 1
 }
 
@@ -121,9 +130,9 @@ func (h *holed) insert(pos int, v float64) {
 // outruns the configured HotIters gets here.
 func (h *holed) grow() {
 	room := h.Len()/4 + 1
-	buf := make([]float64, len(h.buf)+room)
-	copy(buf, h.buf[:h.lo])
-	copy(buf[h.hi+room:], h.buf[h.hi:])
+	buf := make([]byte, len(h.buf)+8*room)
+	copy(buf, h.buf[:8*h.lo])
+	copy(buf[8*(h.hi+room):], h.buf[8*h.hi:])
 	h.buf, h.hi = buf, h.hi+room
 }
 
@@ -168,18 +177,27 @@ func (a *Straggler) initState() {
 	head, tail := a.state.halves()
 	if a.cfg.InsertEvery > 0 {
 		s := uint64(a.rank)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
-		for _, run := range [2][]float64{head, tail} {
-			for i := range run {
-				s, run[i] = stragglerNoise(s)
+		for _, run := range [2][]byte{head, tail} {
+			for j := 0; j+8 <= len(run); j += 8 {
+				var v float64
+				s, v = stragglerNoise(s)
+				putF64(run[j:j+8], v)
 			}
 		}
-	} else {
-		for i := range head {
-			head[i] = float64(a.rank) + float64(i%64)/64
+		return
+	}
+	// The in-place fill repeats every 64 elements: write one period of each
+	// run, then double it by copying.
+	rank, i := float64(a.rank), 0
+	for _, run := range [2][]byte{head, tail} {
+		period := min(len(run), 8*64)
+		for j := 0; j < period; j, i = j+8, i+1 {
+			putF64(run[j:j+8], rank+float64(i%64)/64)
 		}
-		for i := range tail {
-			tail[i] = float64(a.rank) + float64((len(head)+i)%64)/64
+		for done := period; done < len(run); done *= 2 {
+			copy(run[done:], run[:done])
 		}
+		i += (len(run) - period) / 8
 	}
 }
 
@@ -253,7 +271,7 @@ func (a *Straggler) Step(env *rt.Env) (bool, error) {
 	}
 	a.churn()
 	env.Compute(2e-6)
-	putF64(a.Sum, a.Acc+a.state.buf[a.state.at(a.Iter%a.state.Len())])
+	putF64(a.Sum, a.Acc+a.state.get(a.Iter%a.state.Len()))
 	// Program counter advances before the blocking collective.
 	a.Iter++
 	env.Allreduce(a.sub, mpi.OpSum, "sum")
@@ -274,8 +292,8 @@ func (a *Straggler) churn() {
 	}
 	n := a.state.Len()
 	for k := 0; k < 8; k++ {
-		i := a.state.at((a.Iter*8 + k) % n)
-		a.state.buf[i] = a.state.buf[i]*0.5 + a.Acc + float64(a.Iter)/float64(a.target)
+		i := (a.Iter*8 + k) % n
+		a.state.set(i, a.state.get(i)*0.5+a.Acc+float64(a.Iter)/float64(a.target))
 	}
 }
 
@@ -289,7 +307,8 @@ func (a *Straggler) churn() {
 // across epochs.
 //
 // Layout: 5 uint64 header words (Iter, target, Acc bits, len(Sum),
-// len(State)), then Sum verbatim, then each State element as float64 bits.
+// len(State)), then Sum verbatim, then each State element as float64 bits —
+// the State's own bytes (holed), so the layout costs a copy and no more.
 
 // snapshotLen is the byte length of that layout for nSum Sum bytes and
 // nState State elements: what Snapshot reserves, SnapshotTo writes and
@@ -306,27 +325,27 @@ func (a *Straggler) Snapshot() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// SnapshotTo implements rt.StreamSnapshotter: the capture path streams the
-// snapshot straight into the image buffer. Produces exactly Snapshot's bytes.
+// SnapshotTo implements rt.StreamSnapshotter: the header, Sum, then the
+// State's runs either side of its hole, each handed to w as the rank holds
+// it — no per-element encoding, no scratch. Produces exactly Snapshot's
+// bytes.
 func (a *Straggler) SnapshotTo(w io.Writer) error {
 	a.initState()
-	var hdr [5 * 8]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(a.Iter))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(a.target))
-	binary.LittleEndian.PutUint64(hdr[16:], math.Float64bits(a.Acc))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(a.Sum)))
-	binary.LittleEndian.PutUint64(hdr[32:], uint64(a.state.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(a.Sum); err != nil {
-		return err
-	}
+	binary.LittleEndian.PutUint64(a.hdr[0:], uint64(a.Iter))
+	binary.LittleEndian.PutUint64(a.hdr[8:], uint64(a.target))
+	binary.LittleEndian.PutUint64(a.hdr[16:], math.Float64bits(a.Acc))
+	binary.LittleEndian.PutUint64(a.hdr[24:], uint64(len(a.Sum)))
+	binary.LittleEndian.PutUint64(a.hdr[32:], uint64(a.state.Len()))
 	head, tail := a.state.halves()
-	if err := writeF64s(w, head); err != nil {
-		return err
+	for _, p := range [...][]byte{a.hdr[:], a.Sum, head, tail} {
+		if len(p) == 0 {
+			continue
+		}
+		if _, err := w.Write(p); err != nil {
+			return err
+		}
 	}
-	return writeF64s(w, tail)
+	return nil
 }
 
 func (a *Straggler) Restore(data []byte) error {
@@ -363,7 +382,7 @@ func (a *Straggler) Restore(data []byte) error {
 	a.Iter, a.Acc, a.target = iter, acc, target
 	copy(a.Sum, rest[:nSum])
 	head, tail := a.state.halves()
-	readF64s(head, rest[nSum:])
-	readF64s(tail, rest[nSum+8*len(head):])
+	state := rest[nSum:]
+	copy(tail, state[copy(head, state):])
 	return nil
 }

@@ -25,7 +25,7 @@ type VASPMini struct {
 	Iter  int
 	Phase int
 
-	Slab   []complex128 // local FFT slab (real numerics)
+	Slab   []complex128 // local FFT slab (real numerics); nil until initSlab or Restore
 	Energy float64
 	bufs   bufset
 	row    int // row sub-communicator vid
@@ -73,7 +73,8 @@ func NewVASPMini(cfg VASPConfig) *VASPMini {
 // Name implements rt.App.
 func (v *VASPMini) Name() string { return "vasp" }
 
-// Setup implements rt.App.
+// Setup implements rt.App. It seeds the slab's generator and draws no slab
+// (see initSlab).
 func (v *VASPMini) Setup(env *rt.Env) error {
 	rows := v.cfg.RowSize
 	if rows > env.Size() {
@@ -85,13 +86,22 @@ func (v *VASPMini) Setup(env *rt.Env) error {
 	v.bufs.add("haloL", 8)
 	v.bufs.add("haloR", 8)
 
-	v.Slab = make([]complex128, v.cfg.SlabN)
 	v.fwd, v.inv = newFFTPlan(v.cfg.SlabN, false), newFFTPlan(v.cfg.SlabN, true)
 	v.rng = splitmix64{S: uint64(env.Rank())*2654435761 + 1}
+	return nil
+}
+
+// initSlab draws the initial slab if there is none yet. Step, Snapshot and
+// SnapshotTo call it; Restore does not, because the snapshot carries the
+// slab and the generator state the draws would have left.
+func (v *VASPMini) initSlab() {
+	if v.Slab != nil {
+		return
+	}
+	v.Slab = make([]complex128, v.cfg.SlabN)
 	for i := range v.Slab {
 		v.Slab[i] = complex(v.rng.float()-0.5, v.rng.float()-0.5)
 	}
-	return nil
 }
 
 // Buffer implements rt.App.
@@ -100,6 +110,7 @@ func (v *VASPMini) Buffer(id string) []byte { return v.bufs.get(id) }
 // Step implements rt.App. Five steps per iteration; the phase counter
 // advances before every blocking batch per the rt.App contract.
 func (v *VASPMini) Step(env *rt.Env) (bool, error) {
+	v.initSlab()
 	c := v.cfg.ComputeVT
 	switch v.Phase {
 	case 0: // forward FFT, then first transpose
@@ -218,6 +229,7 @@ func (v *VASPMini) appendSnapshot(dst []byte) []byte {
 
 // Snapshot implements rt.App.
 func (v *VASPMini) Snapshot() ([]byte, error) {
+	v.initSlab()
 	return v.appendSnapshot(make([]byte, 0, v.snapshotLen())), nil
 }
 

@@ -78,8 +78,8 @@ type App interface {
 // previous epoch) hashes the serialized stream, and the runtime's final
 // job digest still uses Snapshot. Snapshot's immutability rule comes for
 // free here: an io.Writer never retains the slice it is handed, so the
-// capture buffer holds its own copy of every byte written (refilling one
-// scratch block between Writes is fine).
+// capture buffer holds its own copy of every byte written (handing w the
+// app's live state, or one scratch block refilled between Writes, is fine).
 type StreamSnapshotter interface {
 	SnapshotTo(w io.Writer) error
 }

@@ -15,6 +15,8 @@ targets='
 ./internal/ckpt      FuzzChunkerStability
 # Arbitrary bytes as a VASP proxy snapshot: a vasp: refusal that leaves the rank as it was, or a state that snapshots back to exactly those bytes; no allocation beyond the length of the input.
 ./internal/apps      FuzzVASPRestore
+# Arbitrary bytes as a straggler snapshot, under insertion churn and in place: a straggler: refusal that leaves the rank as it was, or a state that snapshots back to exactly those bytes; no allocation beyond the input plus the configured insertion room.
+./internal/apps      FuzzStragglerRestore
 # Arbitrary bytes as a CC sequence table: a cc: refusal that leaves the table as it was, or a table that snapshots back to exactly those bytes; allocation bounded by the input times the overhead of a Go map.
 ./internal/core      FuzzCCRestore
 # Damaged page-delta / CDC objects x perturbed manifest entries: an attributed error or a clean decode, no panic, no allocation beyond the stated sizes (gob sees only CRC-checked extents).
@@ -25,7 +27,7 @@ targets='
 ./internal/inflate   FuzzInflateAgree  -fuzzminimizetime=1s
 # Arbitrary bytes in arbitrary Write pieces: the in-tree encoder writes compress/flate BestSpeed bytes, the in-tree inflate reads them back, nothing allocated beyond the writer.
 ./internal/deflate   FuzzDeflateAgree  -fuzzminimizetime=1s
-# Up to 286 symbol frequencies: the radix sort orders them as a full-key sort does, and wherever the linear-time Huffman merge answers under a limit, its length counts are compress/flate's package-merge counts.
+# Up to 286 symbol frequencies: the radix sort orders them as a full-key sort does, and wherever the linear-time Huffman merge answers under a limit, its length counts are the package-merge counts of compress/flate.
 ./internal/deflate   FuzzHuffmanCounts
 '
 rows=$(grep -v '^#' <<<"$targets" | grep .)
