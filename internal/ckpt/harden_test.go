@@ -41,7 +41,8 @@ func packImage(rec, objects []byte) []byte {
 // "record" — a re-sealed (internally checksummed) record that lies: hostile
 // geometry, sizes that do not add up to the bytes present, an entry that
 // references another epoch or is a partial object drawing on one, a partial
-// object in the retired headed layout, an epoch on a retired storage tier.
+// object in the retired headed layout, an epoch on a retired storage tier,
+// gob bytes after the manifest.
 func imageDamageList(t testing.TB, n int) (pristine []byte, list []imageDamage) {
 	t.Helper()
 	full, err := testJobImage(n).Encode()
@@ -144,6 +145,23 @@ func imageDamageList(t testing.TB, n int) (pristine []byte, list []imageDamage) 
 	// of restarting priced as a parallel-filesystem read.
 	forge("retired storage tier", -1, "epoch 0 sealed on storage tier 1, which this build does not model",
 		func(m *Manifest) { m.Tier = 1 })
+	// A sealed body that goes on after the manifest — here a second copy of
+	// its value message, which a decoder stopping at the first never reads.
+	rec, err := EncodeManifestRecord(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := rec[20:]
+	split, end := scanRecord(body)
+	if end != len(body) {
+		t.Fatal("a sealed manifest is not one whole gob record")
+	}
+	value := body[split:]
+	body = append(append([]byte(nil), body...), value...)
+	rec = binary.LittleEndian.AppendUint32(append([]byte(nil), manifestRecordMagic...), uint32(len(body)))
+	rec = append(binary.LittleEndian.AppendUint64(rec, checksumOf(body)), body...)
+	add("record", "gob after the manifest", packImage(rec, full[objectsAt:]), -1,
+		fmt.Sprintf("manifest record has %d bytes after its manifest", len(value)))
 	return full, list
 }
 

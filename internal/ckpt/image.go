@@ -21,12 +21,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -596,6 +596,8 @@ type shardRawHeader struct {
 	InflightLens []int64
 }
 
+var headerGob, manifestGob gobCodec // every shard header and manifest record goes through these
+
 // shardRawMagic heads the chunked raw stream so a decoder pointed at it
 // with the wrong format fails loudly instead of gob-misparsing.
 var shardRawMagic = []byte("MANASHD1")
@@ -641,9 +643,8 @@ func newShardStream(ri *RankImage, clockless bool) (*shardStream, error) {
 			hdr.Inflight[i] = m
 		}
 	}
-	var head bytes.Buffer
-	head.Write(shardRawMagic)
-	if err := gob.NewEncoder(&head).Encode(&hdr); err != nil {
+	head, err := headerGob.encode(slices.Clip(shardRawMagic), &hdr)
+	if err != nil {
 		return nil, fmt.Errorf("ckpt: encoding rank %d shard header: %w", ri.Rank, err)
 	}
 	s := &shardStream{ri: ri}
@@ -655,7 +656,7 @@ func newShardStream(ri *RankImage, clockless bool) (*shardStream, error) {
 		s.starts = append(s.starts, s.size)
 		s.size += int64(len(seg))
 	}
-	add(head.Bytes())
+	add(head)
 	add(ri.App)
 	add(ri.Proto)
 	for _, m := range ri.Inflight {
@@ -711,12 +712,11 @@ func writeShardRaw(w io.Writer, ri *RankImage, clockless bool) error {
 }
 
 // readShardRaw reverses writeShardRaw. rawSize is the manifest's declared
-// total raw length; the header travels through a framing-capped gob reader
-// and its payload lengths are validated against rawSize — each bounded
-// individually BEFORE summing, so neither a corrupted header nor an int64
-// overflow of the sum can drive a multi-gigabyte allocation. src must be a
-// *bufio.Reader (a gob decoder over a plain reader would buffer past the
-// header and strand payload bytes in its internal reader).
+// total raw length; it caps each gob message of the header, and the header's
+// payload lengths are validated against it — each bounded individually
+// BEFORE summing, so neither a corrupted header nor an int64 overflow of the
+// sum can drive a multi-gigabyte allocation. src must be a *bufio.Reader (the
+// header is read from its buffer or through it, and the payload follows).
 func readShardRaw(src *bufio.Reader, rawSize int64) (*RankImage, error) {
 	magic := make([]byte, len(shardRawMagic))
 	if _, err := io.ReadFull(src, magic); err != nil {
@@ -726,7 +726,7 @@ func readShardRaw(src *bufio.Reader, rawSize int64) (*RankImage, error) {
 		return nil, fmt.Errorf("shard raw stream has bad magic %q", magic)
 	}
 	var hdr shardRawHeader
-	if err := gob.NewDecoder(newCappedMessageReader(src, rawSize)).Decode(&hdr); err != nil {
+	if err := headerGob.decode(src, rawSize, &hdr); err != nil {
 		return nil, fmt.Errorf("decoding shard header: %w", err)
 	}
 	if len(hdr.InflightLens) != len(hdr.Inflight) {
@@ -791,89 +791,55 @@ func readShardRaw(src *bufio.Reader, rawSize int64) (*RankImage, error) {
 // before reading a single body byte, and decodeShardStream necessarily
 // feeds it bytes whose checksum has not been verified yet — without a cap,
 // one corrupted prefix could demand a multi-gigabyte allocation (gob's own
-// ceiling is 8 GB). This reader parses every prefix in full before handing
+// ceiling is 8 GB). This reader peeks at every prefix in full before handing
 // any of it to gob and fails the read when the declared length exceeds the
 // cap; the failure then surfaces as corruption once the checksum check
-// runs. It never reads ahead of what it serves, so the caller can keep
+// runs. It never consumes more than it serves, so the caller can keep
 // reading the underlying stream exactly where gob stopped.
-//
-// (The framing parsed here is gob's wire format for unsigned counts: one
-// byte holding either the value itself (<= 0x7f) or the negated count of
-// big-endian length bytes that follow.)
 type cappedMessageReader struct {
-	br       *bufio.Reader
-	cap      int64
-	stash    [9]byte // a parsed, not-yet-served message prefix
-	stashLen int
-	stashPos int
-	body     int64 // unserved bytes of the current message body
-	err      error
+	br   *bufio.Reader
+	cap  int64
+	left uint64 // unserved bytes of the current message, its prefix included: at most 9 + MaxInt64, no wrap
+	err  error
 }
 
 func newCappedMessageReader(br *bufio.Reader, cap int64) *cappedMessageReader {
 	return &cappedMessageReader{br: br, cap: cap}
 }
 
-// fillPrefix reads and validates one whole message-length prefix.
-func (r *cappedMessageReader) fillPrefix() error {
-	b0, err := r.br.ReadByte()
-	if err != nil {
-		r.err = err
+// nextPrefix validates the next message's whole length prefix, unread.
+func (r *cappedMessageReader) nextPrefix() error {
+	b, err := r.br.Peek(9) // the longest prefix
+	n, w, ok := gobUint(b)
+	switch {
+	case len(b) > 0 && -int(int8(b[0])) > 8:
+		return fmt.Errorf("gob message prefix byte %#x invalid", b[0])
+	case !ok && len(b) > 1 && err == io.EOF: // cut inside its length bytes
+		return io.ErrUnexpectedEOF
+	case !ok:
 		return err
+	case n > uint64(max(r.cap, 0)):
+		return fmt.Errorf("gob message of %d bytes exceeds the %d-byte shard bound", n, r.cap)
 	}
-	r.stash[0], r.stashLen, r.stashPos = b0, 1, 0
-	var n int64
-	if b0 <= 0x7f {
-		n = int64(b0)
-	} else {
-		w := -int(int8(b0))
-		if w <= 0 || w > 8 {
-			r.err = fmt.Errorf("gob message prefix byte %#x invalid", b0)
-			return r.err
-		}
-		if _, err := io.ReadFull(r.br, r.stash[1:1+w]); err != nil {
-			r.err = err
-			return r.err
-		}
-		r.stashLen = 1 + w
-		for _, b := range r.stash[1 : 1+w] {
-			if n > (1<<55)-1 { // next shift would overflow toward a false pass
-				n = -1
-				break
-			}
-			n = n<<8 | int64(b)
-		}
-	}
-	if n < 0 || n > r.cap {
-		r.err = fmt.Errorf("gob message of %d bytes exceeds the %d-byte shard bound", n, r.cap)
-		return r.err
-	}
-	r.body = n
+	r.left = uint64(w) + n
 	return nil
 }
 
 func (r *cappedMessageReader) Read(p []byte) (int, error) {
+	if len(p) == 0 && r.err == nil {
+		return 0, nil
+	}
+	if r.err == nil && r.left == 0 {
+		r.err = r.nextPrefix()
+	}
 	if r.err != nil {
 		return 0, r.err
 	}
-	if len(p) == 0 {
-		return 0, nil
-	}
-	if r.stashPos == r.stashLen && r.body == 0 {
-		if err := r.fillPrefix(); err != nil {
-			return 0, err
-		}
-	}
-	if r.stashPos < r.stashLen {
-		c := copy(p, r.stash[r.stashPos:r.stashLen])
-		r.stashPos += c
-		return c, nil
-	}
-	if int64(len(p)) > r.body {
-		p = p[:r.body]
+	if uint64(len(p)) > r.left {
+		p = p[:r.left]
 	}
 	c, err := r.br.Read(p)
-	r.body -= int64(c)
+	r.left -= uint64(c)
 	return c, err
 }
 
@@ -906,8 +872,7 @@ type shardHash struct {
 // stream is the same segment list the writers later copy from, so the
 // identities describe exactly the bytes that reach the store — and it is
 // returned, so the commit copies from the very list that was hashed instead
-// of laying it out (and gob-encoding the header, type descriptors included) a
-// second time.
+// of laying it out (and gob-encoding the header) a second time.
 func hashShard(ri *RankImage, pageSize int64, cdc bool, hint []ChunkRef) (shardHash, error) {
 	s, err := newShardStream(ri, true)
 	if err != nil {
@@ -1277,15 +1242,15 @@ var manifestRecordMagic = []byte("MANAMFT3")
 // EncodeManifestRecord serializes a manifest as a standalone, checksummed
 // record (the store's per-epoch manifest object).
 func EncodeManifestRecord(man *Manifest) ([]byte, error) {
-	var head bytes.Buffer
-	if err := gob.NewEncoder(&head).Encode(man); err != nil {
+	out := make([]byte, 20) // the magic, then the length and checksum words filled in below
+	copy(out, manifestRecordMagic)
+	out, err := manifestGob.encode(out, man)
+	if err != nil {
 		return nil, fmt.Errorf("ckpt: encoding manifest record: %w", err)
 	}
-	out := make([]byte, 0, 20+head.Len())
-	out = append(out, manifestRecordMagic...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(head.Len()))
-	out = binary.LittleEndian.AppendUint64(out, checksumOf(head.Bytes()))
-	return append(out, head.Bytes()...), nil
+	binary.LittleEndian.PutUint32(out[8:], uint32(len(out)-20))
+	binary.LittleEndian.PutUint64(out[12:], checksumOf(out[20:]))
+	return out, nil
 }
 
 // DecodeManifestRecord reverses EncodeManifestRecord, verifying the magic
@@ -1306,8 +1271,12 @@ func DecodeManifestRecord(data []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("ckpt: manifest record corrupted (checksum %x, want %x)", got, wantSum)
 	}
 	var man Manifest
-	if err := gob.NewDecoder(bytes.NewReader(head)).Decode(&man); err != nil {
+	n, err := manifestGob.decodeBytes(head, &man)
+	if err != nil {
 		return nil, fmt.Errorf("ckpt: decoding manifest record: %w", err)
+	}
+	if n < len(head) {
+		return nil, fmt.Errorf("ckpt: manifest record has %d bytes after its manifest", len(head)-n)
 	}
 	if err := man.validate(); err != nil {
 		return nil, err

@@ -7,11 +7,13 @@ package ckpt
 // produce is harden_test.go's table.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -434,6 +436,25 @@ func TestDecodeShardStreamRejects(t *testing.T) {
 				t.Fatalf("error %v does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestShardHeaderHostileLength: a header whose first gob message claims a
+// length near the int64 limit is refused, not served, whatever raw size a
+// re-sealed manifest declares — the reader's count of unserved bytes must
+// not wrap.
+func TestShardHeaderHostileLength(t *testing.T) {
+	for _, prefix := range [][]byte{
+		{0xf8, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, // MaxInt64
+		{0xf8, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xf7}, // MaxInt64-8
+		{0xf8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, // MaxUint64
+	} {
+		for _, rawSize := range []int64{math.MaxInt64, math.MaxInt64 - 8} {
+			b := append(append(append([]byte(nil), shardRawMagic...), prefix...), make([]byte, 64)...)
+			if _, err := readShardRaw(bufio.NewReader(bytes.NewReader(b)), rawSize); err == nil {
+				t.Errorf("prefix %x under raw size %d: header accepted", prefix, rawSize)
+			}
+		}
 	}
 }
 

@@ -68,3 +68,43 @@ type legacy struct {
 }
 
 func encodeLegacy(l *legacy) ([]byte, error) { return gobEncode(l) }
+
+// recordCodec pays gob's type exchange once per process: a pooled encoder
+// that has already sent its types writes each record after the first. Its
+// encode method forwards an interface-typed parameter to Encode, so the
+// concrete types handed to it are roots, reached through nothing else.
+type recordCodec struct {
+	pool []*pooledEncoder
+	defs []byte
+}
+
+type pooledEncoder struct {
+	buf bytes.Buffer
+	enc *gob.Encoder
+}
+
+func (c *recordCodec) encode(dst []byte, v any) ([]byte, error) {
+	var e *pooledEncoder
+	if n := len(c.pool); n > 0 {
+		e, c.pool = c.pool[n-1], c.pool[:n-1]
+	} else {
+		e = &pooledEncoder{}
+		e.enc = gob.NewEncoder(&e.buf)
+	}
+	if err := e.enc.Encode(v); err != nil {
+		return dst, err
+	}
+	dst = append(append(dst, c.defs...), e.buf.Bytes()...)
+	e.buf.Reset()
+	c.pool = append(c.pool, e)
+	return dst, nil
+}
+
+var headerCodec recordCodec
+
+type viaCodec struct {
+	Lens  []int64
+	Index map[string]int // want:gobcanon
+}
+
+func useCodec(v *viaCodec) ([]byte, error) { return headerCodec.encode(nil, v) }

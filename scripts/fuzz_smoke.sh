@@ -21,6 +21,8 @@ targets='
 ./internal/core      FuzzCCRestore
 # Damaged page-delta / CDC objects x perturbed manifest entries: an attributed error or a clean decode, no panic, no allocation beyond the stated sizes (gob sees only CRC-checked extents).
 ./internal/ckpt      FuzzPartialShardDecode
+# Arbitrary bytes as a shard header (behind the capped reader) and as a manifest record body: the primed codec, its cache warm, and a fresh gob.Decoder give the same verdict, the same value and stop at the same byte; valid records still decode after. (Minimizing a multi-KB manifest would eat a 10s run.)
+./internal/ckpt      FuzzGobPrimedAgree  -fuzzminimizetime=1s
 # Arbitrary bytes as a packed image file: open -> verify -> load errors or decodes, verify and load agree, no panic, bounded allocation.
 ./internal/ckpt      FuzzOpenImage
 # Arbitrary bytes as a DEFLATE stream: the in-tree decoder and compress/flate both fail or agree, at fixed state. (Minimizing a multi-KB input would eat a 10s run.)
