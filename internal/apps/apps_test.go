@@ -506,10 +506,39 @@ func vaspRank(cfg VASPConfig) *VASPMini {
 	return v
 }
 
+// bufEntry is one named buffer of a hand-laid snapshot.
+type bufEntry struct {
+	ID   string
+	Data []byte
+}
+
+// layBufs lays a buffer section out by hand: each buffer as given, in the
+// order given, as its ID length word, the ID, its data length word and the
+// data.
+func layBufs(b []byte, bufs ...bufEntry) []byte {
+	for _, e := range bufs {
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(e.ID)))
+		b = append(b, e.ID...)
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(e.Data)))
+		b = append(b, e.Data...)
+	}
+	return b
+}
+
+// entriesOf is a registry's buffers in ID order.
+func entriesOf(b *bufset) []bufEntry {
+	var out []bufEntry
+	for id, data := range b.M {
+		out = append(out, bufEntry{id, data})
+	}
+	slices.SortFunc(out, func(x, y bufEntry) int { return strings.Compare(x.ID, y.ID) })
+	return out
+}
+
 // vaspImage lays a VASP snapshot out by hand: the six header words, the
 // slab's real parts, then its imaginary parts, then each buffer as given, in
 // the order given.
-func vaspImage(iter, phase uint64, energy float64, rng uint64, slab []complex128, bufs ...BufEntry) []byte {
+func vaspImage(iter, phase uint64, energy float64, rng uint64, slab []complex128, bufs ...bufEntry) []byte {
 	var b []byte
 	for _, w := range []uint64{iter, phase, math.Float64bits(energy), rng, uint64(len(slab)), uint64(len(bufs))} {
 		b = binary.LittleEndian.AppendUint64(b, w)
@@ -520,20 +549,14 @@ func vaspImage(iter, phase uint64, energy float64, rng uint64, slab []complex128
 	for _, z := range slab {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(imag(z)))
 	}
-	for _, e := range bufs {
-		b = binary.LittleEndian.AppendUint64(b, uint64(len(e.ID)))
-		b = append(b, e.ID...)
-		b = binary.LittleEndian.AppendUint64(b, uint64(len(e.Data)))
-		b = append(b, e.Data...)
-	}
-	return b
+	return layBufs(b, bufs...)
 }
 
 // vaspBufs returns 8-byte buffers of the given IDs, in the order given.
-func vaspBufs(ids ...string) []BufEntry {
-	out := make([]BufEntry, len(ids))
+func vaspBufs(ids ...string) []bufEntry {
+	out := make([]bufEntry, len(ids))
 	for i, id := range ids {
-		out[i] = BufEntry{ID: id, Data: []byte{byte(i + 1), 2, 3, 4, 5, 6, 7, 8}}
+		out[i] = bufEntry{ID: id, Data: []byte{byte(i + 1), 2, 3, 4, 5, 6, 7, 8}}
 	}
 	return out
 }
@@ -571,7 +594,9 @@ func TestVASPSnapshotLayout(t *testing.T) {
 }
 
 // retiredVASPGob is the VASP snapshot as gob wrote it before the fixed-width
-// layout, for a vaspRank of cfg: the same anonymous struct, field for field.
+// layout, for a vaspRank of cfg: the same anonymous struct, field for field
+// (only the buffer element type's name differs, in the case of its first
+// letter).
 func retiredVASPGob(t testing.TB, cfg VASPConfig) []byte {
 	t.Helper()
 	v := vaspRank(cfg)
@@ -580,9 +605,9 @@ func retiredVASPGob(t testing.TB, cfg VASPConfig) []byte {
 		Iter, Phase int
 		Slab        []complex128
 		Energy      float64
-		Bufs        []BufEntry
+		Bufs        []bufEntry
 		Rng         uint64
-	}{v.Iter, v.Phase, v.Slab, v.Energy, v.bufs.entries(), v.rng.S}); err != nil {
+	}{v.Iter, v.Phase, v.Slab, v.Energy, entriesOf(&v.bufs), v.rng.S}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -688,24 +713,25 @@ func TestVASPRestoreHostile(t *testing.T) {
 	}
 }
 
-// TestRestoreEntriesExactSet: the gob apps' buffer restore takes exactly the
-// registry's buffers, in strictly increasing ID order, each of its size —
-// or copies nothing. The commit before restored a snapshot that left a
-// buffer out (its stale bytes kept) or named one twice.
+// TestRestoreEntriesExactSet: the buffer check every app but the straggler
+// restores through takes exactly the registry's buffers, in strictly
+// increasing ID order, each of its size, and nothing after them — or
+// copies nothing. The gob apps once restored a snapshot that left a buffer
+// out (its stale bytes kept) or named one twice.
 func TestRestoreEntriesExactSet(t *testing.T) {
 	for _, c := range []struct {
 		name  string
-		saved []BufEntry
+		saved []byte
 		want  string // "" for accepted
 	}{
-		{"exactly the registry", vaspBufs("a", "b", "c"), ""},
-		{"one left out", vaspBufs("a", "c"), "buffers"},
-		{"one left out, another twice", vaspBufs("a", "a", "c"), "strictly increase"},
-		{"out of order", vaspBufs("b", "a", "c"), "strictly increase"},
-		{"one unknown", vaspBufs("a", "b", "d"), "unknown"},
-		{"one more", vaspBufs("a", "b", "c", "d"), "buffers"},
-		{"none", nil, "buffers"},
-		{"wrong size", append(vaspBufs("a", "b"), BufEntry{ID: "c", Data: make([]byte, 9)}), "size"},
+		{"exactly the registry", layBufs(nil, vaspBufs("a", "b", "c")...), ""},
+		{"one left out", layBufs(nil, vaspBufs("a", "c")...), "past the end"},
+		{"one left out, another twice", layBufs(nil, vaspBufs("a", "a", "c")...), "strictly increase"},
+		{"out of order", layBufs(nil, vaspBufs("b", "a", "c")...), "strictly increase"},
+		{"one unknown", layBufs(nil, vaspBufs("a", "b", "d")...), "unknown"},
+		{"one more", layBufs(nil, vaspBufs("a", "b", "c", "d")...), "past its last buffer"},
+		{"none", nil, "past the end"},
+		{"wrong size", layBufs(nil, append(vaspBufs("a", "b"), bufEntry{ID: "c", Data: make([]byte, 9)})...), "size"},
 	} {
 		b := newBufset()
 		for _, id := range []string{"c", "a", "b"} {
@@ -713,12 +739,15 @@ func TestRestoreEntriesExactSet(t *testing.T) {
 				buf[i] = 0x55
 			}
 		}
-		err := b.restoreEntries(c.saved)
+		err := b.check("test", c.saved)
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("%s: refused: %v", c.name, err)
-		case c.want != "" && (err == nil || !strings.HasPrefix(err.Error(), "apps: ") || !strings.Contains(err.Error(), c.want)):
-			t.Errorf("%s: got %v, want an apps error about %q", c.name, err, c.want)
+		case c.want != "" && (err == nil || !strings.HasPrefix(err.Error(), "test: ") || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: got %v, want a test: error about %q", c.name, err, c.want)
+		}
+		if err == nil {
+			b.copyFrom(c.saved)
 		}
 		for _, id := range []string{"a", "b", "c"} {
 			got, want := b.get(id)[0], byte(0x55)
@@ -729,29 +758,6 @@ func TestRestoreEntriesExactSet(t *testing.T) {
 				t.Errorf("%s: buffer %q starts %#x, want %#x", c.name, id, got, want)
 			}
 		}
-	}
-}
-
-// TestVASPRestoreAllocs: restoring a snapshot allocates the slab and
-// nothing else. Through gob the same Restore made 229 allocations on the
-// commit before: a decoder, the type exchange and a compiled engine per
-// call.
-func TestVASPRestoreAllocs(t *testing.T) {
-	if raceBuild() {
-		t.Skip("the race detector allocates on its own account")
-	}
-	cfg := VASPConfig{Iterations: 10, SlabN: 64}
-	snap, err := vaspRank(cfg).Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := vaspRank(cfg)
-	if allocs := testing.AllocsPerRun(100, func() {
-		if err := dst.Restore(snap); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs > 1 {
-		t.Fatalf("Restore allocates %v times, want at most 1 (the slab)", allocs)
 	}
 }
 
@@ -845,40 +851,6 @@ func heapBytes(f func()) uint64 {
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
 	return least
-}
-
-// FuzzVASPRestore: arbitrary bytes are refused with a vasp: error, leaving
-// the rank as it was, or restore a state that snapshots back to exactly
-// those bytes — the layout has one encoding per state. Restore never
-// allocates more than the input's length, past a 1 KiB floor for an error
-// message.
-func FuzzVASPRestore(f *testing.F) {
-	cfg := VASPConfig{Iterations: 10, SlabN: 8}
-	good := vaspImage(1, 2, 0.5, 9, make([]complex128, cfg.SlabN), vaspBufs("ata", "energy", "haloL", "haloR")...)
-	f.Add(good)
-	f.Add(good[:len(good)-1])
-	f.Add(append(append([]byte(nil), good...), 0))
-	f.Add(vaspImage(1, 2, 0.5, 9, make([]complex128, cfg.SlabN), vaspBufs("energy", "energy", "haloL", "haloR")...))
-	f.Add(retiredVASPGob(f, cfg))
-	checkAllocs := !raceBuild()
-	f.Fuzz(func(t *testing.T, data []byte) {
-		v := vaspRank(cfg)
-		before, _ := v.Snapshot()
-		var err error
-		got := heapBytes(func() { err = v.Restore(data) })
-		if limit := uint64(len(data)) + (1 << 10); checkAllocs && got > limit {
-			t.Fatalf("Restore of %d bytes allocated %d (limit %d; err %v)", len(data), got, limit, err)
-		}
-		after, _ := v.Snapshot()
-		switch {
-		case err != nil && !strings.HasPrefix(err.Error(), "vasp: "):
-			t.Fatalf("refusal without the vasp: prefix: %v", err)
-		case err != nil && !bytes.Equal(after, before):
-			t.Fatalf("a refused snapshot changed the rank: %v", err)
-		case err == nil && !bytes.Equal(after, data):
-			t.Fatalf("restored %d bytes, snapshot back %d: not the same bytes", len(data), len(after))
-		}
-	})
 }
 
 // checkpointRestartWorkload checkpoints a workload mid-run, restarts from
@@ -1143,12 +1115,13 @@ func TestSnapshotRoundTripOSU(t *testing.T) {
 
 // --- Captured-image immutability and the streaming snapshot ----------------
 
-// snapshotProbe snapshots its app both ways right after its at-th Step and
-// keeps private copies, so the test can tell after the run whether later
-// Steps reached into bytes the app had already handed out.
+// snapshotProbe snapshots its app right after its at-th Step — both ways,
+// if it streams — and keeps private copies, so the test can tell after the
+// run whether later Steps reached into bytes the app had already handed out.
 type snapshotProbe struct {
 	rt.App
 	at, steps              int
+	streams                bool   // the app is an rt.StreamSnapshotter
 	snap, streamed         []byte // what the app handed out
 	snapCopy, streamedCopy []byte // what those bytes were at the time
 	err                    error
@@ -1159,10 +1132,11 @@ func (p *snapshotProbe) Step(env *rt.Env) (bool, error) {
 	p.steps++
 	if p.steps == p.at && p.err == nil {
 		var buf bytes.Buffer
-		if p.snap, p.err = p.App.Snapshot(); p.err == nil {
-			p.err = p.App.(rt.StreamSnapshotter).SnapshotTo(&buf)
+		ss, streams := p.App.(rt.StreamSnapshotter)
+		if p.snap, p.err = p.App.Snapshot(); p.err == nil && streams {
+			p.err = ss.SnapshotTo(&buf)
 		}
-		p.streamed = buf.Bytes()
+		p.streams, p.streamed = streams, buf.Bytes()
 		p.snapCopy = append([]byte(nil), p.snap...)
 		p.streamedCopy = append([]byte(nil), p.streamed...)
 	}
@@ -1173,8 +1147,9 @@ func (p *snapshotProbe) Step(env *rt.Env) (bool, error) {
 // image once and writes it later without re-hashing, so the bytes an app
 // hands to a capture must never change afterwards (rt.App's immutability
 // rule). Every registered app is snapshotted mid-run, run to completion,
-// and the earlier bytes compared with what they were; the streaming and
-// the blob snapshot must also agree byte for byte.
+// and the earlier bytes compared with what they were; for an app that
+// streams, the streaming and the blob snapshot must also agree byte for
+// byte.
 func TestCapturedImageImmutable(t *testing.T) {
 	factories := map[string]func(rank int) rt.App{}
 	for _, name := range append([]string{"straggler"}, Names...) {
@@ -1203,7 +1178,7 @@ func TestCapturedImageImmutable(t *testing.T) {
 				t.Errorf("%s/rank%d: snapshot: %v", name, rank, p.err)
 			case p.steps <= at:
 				t.Errorf("%s/rank%d: only %d steps, nothing ran after the snapshot", name, rank, p.steps)
-			case !bytes.Equal(p.snapCopy, p.streamedCopy):
+			case p.streams && !bytes.Equal(p.snapCopy, p.streamedCopy):
 				t.Errorf("%s/rank%d: SnapshotTo wrote %d bytes that differ from Snapshot's %d",
 					name, rank, len(p.streamedCopy), len(p.snapCopy))
 			case !bytes.Equal(p.snap, p.snapCopy) || !bytes.Equal(p.streamed, p.streamedCopy):

@@ -20,11 +20,9 @@ package apps
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
-	"sort"
+	"slices"
 )
 
 // putF64 and getF64 write and read one little-endian float64 — the element
@@ -32,6 +30,17 @@ import (
 // mpi.BytesF64 would allocate a slice per value on the step path.
 func putF64(b []byte, x float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(x)) }
 func getF64(b []byte) float64    { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+
+// word reads the i-th little-endian uint64 of b.
+func word(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
+
+// boolWord is a bool's header word: 1 or 0.
+func boolWord(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // bufset is a named-buffer registry shared by the proxy apps.
 type bufset struct {
@@ -52,71 +61,145 @@ func (b *bufset) add(id string, n int) []byte {
 
 func (b *bufset) get(id string) []byte { return b.M[id] }
 
-// BufEntry is one named buffer in a snapshot. Snapshots serialize buffers in
-// ID order (the gob apps as a sorted slice, VASP's fixed-width layout record
-// by record), never in a map's: gob encodes maps in random iteration order,
-// and snapshot bytes must be canonical — the conformance engine compares
-// state digests bitwise, and encode→decode→re-encode must be the identity.
-type BufEntry struct {
-	ID   string
-	Data []byte
-}
+// The buffer section of every app snapshot but the straggler's: each named
+// buffer in ID order as its ID length word, the ID, its data length word and
+// the data, all words little-endian uint64. ID order, never a map's, keeps
+// the bytes canonical — the conformance engine compares state digests
+// bitwise, and encode→decode→re-encode must be the identity.
 
-// entries returns the buffer set in canonical (ID-sorted) order.
-func (b *bufset) entries() []BufEntry {
-	out := make([]BufEntry, 0, len(b.M))
+// snapshotLen is the byte length of the buffer section.
+func (b *bufset) snapshotLen() int {
+	n := 0
 	for id, data := range b.M {
-		out = append(out, BufEntry{ID: id, Data: data})
+		n += 16 + len(id) + len(data)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return n
 }
 
-// restoreEntries copies saved buffer contents into the (already allocated,
-// same shape) registry. saved must be exactly the registry's buffers in
-// strictly increasing ID order, each of its registered size: anything else
-// means Setup and the snapshot disagree, and the restart configuration is
-// wrong. Nothing is copied unless every entry fits.
-func (b *bufset) restoreEntries(saved []BufEntry) error {
-	if len(saved) != len(b.M) {
-		return fmt.Errorf("apps: snapshot has %d buffers, this rank %d", len(saved), len(b.M))
+// appendTo appends the buffer section to dst. The IDs are sorted in a
+// small array on the stack: a registry holds a handful of buffers.
+func (b *bufset) appendTo(dst []byte) []byte {
+	ids := make([]string, 0, 8)
+	for id := range b.M {
+		ids = append(ids, id)
 	}
-	// As many entries as the registry holds, with strictly increasing known
-	// IDs, are exactly its set.
-	for i, e := range saved {
-		dst, ok := b.M[e.ID]
+	slices.Sort(ids)
+	for _, id := range ids {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(id)))
+		dst = append(dst, id...)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(b.M[id])))
+		dst = append(dst, b.M[id]...)
+	}
+	return dst
+}
+
+// lengthPrefixed splits a length word and the bytes it counts off the front
+// of b; ok is false when either runs past the end of b.
+func lengthPrefixed(b []byte) (field, rest []byte, ok bool) {
+	if len(b) < 8 || binary.LittleEndian.Uint64(b) > uint64(len(b)-8) {
+		return nil, nil, false
+	}
+	n := 8 + binary.LittleEndian.Uint64(b)
+	return b[8:n], b[n:], true
+}
+
+// check reports, under the app's name, whether sec is a buffer section
+// holding exactly the registered buffers, in strictly increasing ID order,
+// each of its registered size, and nothing after them. It writes nothing.
+func (b *bufset) check(app string, sec []byte) error {
+	// As many buffers as the registry holds, with strictly increasing known
+	// IDs, are exactly its set. The lookup by string(id) does not allocate.
+	prev := []byte(nil)
+	for i := 0; i < len(b.M); i++ {
+		id, next, okID := lengthPrefixed(sec)
+		d, next, okData := lengthPrefixed(next)
+		if !okID || !okData {
+			return fmt.Errorf("%s: snapshot buffer %d runs past the end", app, i)
+		}
+		dst, known := b.M[string(id)]
 		switch {
-		case i > 0 && e.ID <= saved[i-1].ID:
-			return fmt.Errorf("apps: snapshot buffer %q after %q (IDs must strictly increase)", e.ID, saved[i-1].ID)
-		case !ok:
-			return fmt.Errorf("apps: snapshot has unknown buffer %q", e.ID)
-		case len(dst) != len(e.Data):
-			return fmt.Errorf("apps: buffer %q size mismatch: %d vs %d", e.ID, len(dst), len(e.Data))
+		case i > 0 && bytes.Compare(prev, id) >= 0:
+			return fmt.Errorf("%s: snapshot buffer %.32q after %.32q (IDs must strictly increase)", app, id, prev)
+		case !known:
+			return fmt.Errorf("%s: snapshot has unknown buffer %.32q", app, id)
+		case len(d) != len(dst):
+			return fmt.Errorf("%s: buffer %q size mismatch: %d vs %d", app, id, len(dst), len(d))
+		}
+		prev, sec = id, next
+	}
+	if len(sec) != 0 {
+		return fmt.Errorf("%s: snapshot has %d bytes past its last buffer", app, len(sec))
+	}
+	return nil
+}
+
+// copyFrom copies a checked buffer section into the registry.
+func (b *bufset) copyFrom(sec []byte) {
+	for len(sec) > 0 {
+		id, next, _ := lengthPrefixed(sec)
+		d, next, _ := lengthPrefixed(next)
+		copy(b.M[string(id)], d)
+		sec = next
+	}
+}
+
+// The snapshot layout of the apps that hold a buffer set and float64 arrays
+// (OSU, OSU p2p, Poisson, MD, SW4): fixed-width little-endian, as VASP's.
+// The header words are Iter, Phase, then the app's scalars — float64 bits,
+// a bool as 0 or 1 — then each array's elements at its Setup length, then
+// the buffer section. Every length is the rank's own, so only the buffer
+// section carries any.
+
+// snapshotState lays a rank out in one allocation of the exact size.
+func (b *bufset) snapshotState(words []uint64, arrays ...[]float64) []byte {
+	n := 8*len(words) + b.snapshotLen()
+	for _, a := range arrays {
+		n += 8 * len(a)
+	}
+	dst := make([]byte, 0, n)
+	for _, w := range words {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	for _, a := range arrays {
+		for _, x := range a {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 		}
 	}
-	for _, e := range saved {
-		copy(b.M[e.ID], e.Data)
-	}
-	return nil
+	return b.appendTo(dst)
 }
 
-// gobEncodeTo/gobDecode are the snapshot helpers shared by the apps.
-// gobEncodeTo streams the encoding straight into w — the apps implement
-// rt.StreamSnapshotter on top of it so the capture path never materializes
-// a second whole-snapshot buffer — and each Snapshot delegates through a
-// bytes.Buffer for callers that want the bytes.
-func gobEncodeTo(w io.Writer, v any) error {
-	if err := gob.NewEncoder(w).Encode(v); err != nil {
-		return fmt.Errorf("apps: snapshot: %w", err)
+// checkState reports, under the app's name, whether data is this rank's
+// layout with nWords header words: the length its arrays and buffers fix, a
+// phase among Step's cases [0, phases), an iteration in [0, iters], and
+// exactly the registered buffers. It writes nothing.
+func (b *bufset) checkState(app string, data []byte, nWords, phases, iters int, arrays ...[]float64) error {
+	fixed := 8 * nWords
+	for _, a := range arrays {
+		fixed += 8 * len(a)
 	}
-	return nil
+	if want := fixed + b.snapshotLen(); len(data) != want {
+		return fmt.Errorf("%s: snapshot is %d bytes, this rank's state %d", app, len(data), want)
+	}
+	switch iter, phase := int64(word(data, 0)), int64(word(data, 1)); {
+	case phase < 0 || phase >= int64(phases):
+		return fmt.Errorf("%s: snapshot phase %d outside [0, %d]", app, phase, phases-1)
+	case iter < 0 || iter > int64(iters):
+		return fmt.Errorf("%s: snapshot iteration %d outside [0, %d]", app, iter, iters)
+	}
+	return b.check(app, data[fixed:])
 }
 
-func gobDecode(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("apps: restore: %w", err)
+// restoreState copies a checked snapshot's arrays and buffers into the
+// rank; the header words are the caller's to read.
+func (b *bufset) restoreState(data []byte, nWords int, arrays ...[]float64) {
+	data = data[8*nWords:]
+	for _, a := range arrays {
+		for i := range a {
+			a[i] = getF64(data[8*i:])
+		}
+		data = data[8*len(a):]
 	}
-	return nil
+	b.copyFrom(data)
 }
 
 // splitmix64 is a tiny serializable PRNG for deterministic workloads

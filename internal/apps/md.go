@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"bytes"
-	"io"
 	"math"
 
 	"mana/internal/mpi"
@@ -221,41 +219,19 @@ func (m *MD) Step(env *rt.Env) (bool, error) {
 	return m.Iter < m.cfg.Steps, nil
 }
 
-// Snapshot implements rt.App.
+// Snapshot implements rt.App: the header words Iter, Phase and Energy, then
+// Pos, Vel and Frc, then the buffers (common.go).
 func (m *MD) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := m.SnapshotTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// SnapshotTo implements rt.StreamSnapshotter: the capture path streams the
-// gob encoding straight into the image buffer. Produces exactly Snapshot's
-// bytes.
-func (m *MD) SnapshotTo(w io.Writer) error {
-	return gobEncodeTo(w, struct {
-		Iter, Phase   int
-		Pos, Vel, Frc []float64
-		Energy        float64
-		Bufs          []BufEntry
-	}{m.Iter, m.Phase, m.Pos, m.Vel, m.Frc, m.Energy, m.bufs.entries()})
+	return m.bufs.snapshotState([]uint64{uint64(m.Iter), uint64(m.Phase), math.Float64bits(m.Energy)},
+		m.Pos, m.Vel, m.Frc), nil
 }
 
 // Restore implements rt.App.
 func (m *MD) Restore(data []byte) error {
-	var st struct {
-		Iter, Phase   int
-		Pos, Vel, Frc []float64
-		Energy        float64
-		Bufs          []BufEntry
-	}
-	if err := gobDecode(data, &st); err != nil {
+	if err := m.bufs.checkState(m.cfg.AppName, data, 3, 3, m.cfg.Steps, m.Pos, m.Vel, m.Frc); err != nil {
 		return err
 	}
-	m.Iter, m.Phase, m.Energy = st.Iter, st.Phase, st.Energy
-	copy(m.Pos, st.Pos)
-	copy(m.Vel, st.Vel)
-	copy(m.Frc, st.Frc)
-	return m.bufs.restoreEntries(st.Bufs)
+	m.Iter, m.Phase, m.Energy = int(word(data, 0)), int(word(data, 1)), getF64(data[16:])
+	m.bufs.restoreState(data, 3, m.Pos, m.Vel, m.Frc)
+	return nil
 }

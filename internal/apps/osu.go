@@ -1,9 +1,7 @@
 package apps
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 
 	"mana/internal/netmodel"
 	"mana/internal/rt"
@@ -27,6 +25,7 @@ type OSU struct {
 	cfg   OSUConfig
 	Iter  int
 	Phase int
+	bufs  bufset // empty: the collectives are size-only
 }
 
 // NewOSU creates the micro-benchmark app for one rank.
@@ -74,28 +73,20 @@ func (o *OSU) Step(env *rt.Env) (bool, error) {
 	return o.Iter < o.cfg.Iterations, nil
 }
 
-// Snapshot implements rt.App.
+// Snapshot implements rt.App: the header words Iter and Phase (common.go).
 func (o *OSU) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := o.SnapshotTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return o.bufs.snapshotState([]uint64{uint64(o.Iter), uint64(o.Phase)}), nil
 }
 
-// SnapshotTo implements rt.StreamSnapshotter: the capture path streams the
-// gob encoding straight into the image buffer. Produces exactly Snapshot's
-// bytes.
-func (o *OSU) SnapshotTo(w io.Writer) error {
-	return gobEncodeTo(w, struct{ Iter, Phase int }{o.Iter, o.Phase})
-}
-
-// Restore implements rt.App.
+// Restore implements rt.App. A blocking loop has the one phase 0.
 func (o *OSU) Restore(data []byte) error {
-	var st struct{ Iter, Phase int }
-	if err := gobDecode(data, &st); err != nil {
+	phases := 1
+	if o.cfg.Nonblocking {
+		phases = 2
+	}
+	if err := o.bufs.checkState("osu", data, 2, phases, o.cfg.Iterations); err != nil {
 		return err
 	}
-	o.Iter, o.Phase = st.Iter, st.Phase
+	o.Iter, o.Phase = int(word(data, 0)), int(word(data, 1))
 	return nil
 }

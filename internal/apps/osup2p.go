@@ -1,9 +1,7 @@
 package apps
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 
 	"mana/internal/rt"
 )
@@ -17,7 +15,7 @@ type OSUP2P struct {
 
 	Iter  int
 	Phase int
-	buf   []byte
+	bufs  bufset // "buf", cfg.Size bytes
 }
 
 // OSUP2PConfig parametrizes the benchmark.
@@ -44,7 +42,9 @@ func NewOSUP2P(cfg OSUP2PConfig) *OSUP2P {
 	if cfg.Size <= 0 {
 		cfg.Size = 8
 	}
-	return &OSUP2P{cfg: cfg, buf: make([]byte, cfg.Size)}
+	o := &OSUP2P{cfg: cfg, bufs: newBufset()}
+	o.bufs.add("buf", cfg.Size)
+	return o
 }
 
 // Name implements rt.App.
@@ -60,12 +60,7 @@ func (o *OSUP2P) Name() string {
 func (o *OSUP2P) Setup(env *rt.Env) error { return nil }
 
 // Buffer implements rt.App.
-func (o *OSUP2P) Buffer(id string) []byte {
-	if id == "buf" {
-		return o.buf
-	}
-	return nil
-}
+func (o *OSUP2P) Buffer(id string) []byte { return o.bufs.get(id) }
 
 // Step implements rt.App.
 func (o *OSUP2P) Step(env *rt.Env) (bool, error) {
@@ -148,35 +143,18 @@ func (o *OSUP2P) Step(env *rt.Env) (bool, error) {
 	return true, nil
 }
 
-// Snapshot implements rt.App.
+// Snapshot implements rt.App: the header words Iter and Phase, then the
+// buffer (common.go).
 func (o *OSUP2P) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := o.SnapshotTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// SnapshotTo implements rt.StreamSnapshotter: the capture path streams the
-// gob encoding straight into the image buffer. Produces exactly Snapshot's
-// bytes.
-func (o *OSUP2P) SnapshotTo(w io.Writer) error {
-	return gobEncodeTo(w, struct {
-		Iter, Phase int
-		Buf         []byte
-	}{o.Iter, o.Phase, o.buf})
+	return o.bufs.snapshotState([]uint64{uint64(o.Iter), uint64(o.Phase)}), nil
 }
 
 // Restore implements rt.App.
 func (o *OSUP2P) Restore(data []byte) error {
-	var st struct {
-		Iter, Phase int
-		Buf         []byte
-	}
-	if err := gobDecode(data, &st); err != nil {
+	if err := o.bufs.checkState("osu-p2p", data, 2, 3, o.cfg.Iterations); err != nil {
 		return err
 	}
-	o.Iter, o.Phase = st.Iter, st.Phase
-	copy(o.buf, st.Buf)
+	o.Iter, o.Phase = int(word(data, 0)), int(word(data, 1))
+	o.bufs.restoreState(data, 2)
 	return nil
 }

@@ -10,17 +10,19 @@ import (
 	"mana/internal/rt"
 )
 
-// pinnedState hashes every rank's final application state field by field.
-// Report.StateDigest would not do for every row: OSU still snapshots
-// through gob, whose process-wide type numbering makes the bytes depend on
-// which tests ran before in the same process. The VASP and straggler
-// snapshots are fixed-width; all three rows hash the same way regardless.
+// pinnedState hashes every rank's final application state field by field,
+// printed as when the table was recorded (VASP's buffers as ID-ordered
+// {ID Data} pairs). The hash is of the fields, not of Report.StateDigest:
+// at that time OSU snapshotted through gob, whose process-wide type
+// numbering made its bytes depend on which tests ran before in the same
+// process. Every app's snapshot is fixed-width now, but the pins stay
+// those fields'.
 func pinnedState(apps []rt.App) string {
 	h := sha256.New()
 	for _, app := range apps {
 		switch a := app.(type) {
 		case *VASPMini:
-			fmt.Fprintln(h, a.Iter, a.Phase, a.Energy, a.Slab, a.bufs.entries(), a.rng.S)
+			fmt.Fprintln(h, a.Iter, a.Phase, a.Energy, a.Slab, entriesOf(&a.bufs), a.rng.S)
 		case *OSU:
 			fmt.Fprintln(h, a.Iter, a.Phase)
 		case *Straggler:

@@ -1,8 +1,7 @@
 package apps
 
 import (
-	"bytes"
-	"io"
+	"fmt"
 	"math"
 
 	"mana/internal/mpi"
@@ -166,44 +165,24 @@ func (p *Poisson) Step(env *rt.Env) (bool, error) {
 	return true, nil
 }
 
-// Snapshot implements rt.App.
+// Snapshot implements rt.App: the header words Iter, Phase, Rho, Residual
+// and Converged, then X, R, P and Q, then the buffers (common.go).
 func (p *Poisson) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := p.SnapshotTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// SnapshotTo implements rt.StreamSnapshotter: the capture path streams the
-// gob encoding straight into the image buffer. Produces exactly Snapshot's
-// bytes.
-func (p *Poisson) SnapshotTo(w io.Writer) error {
-	return gobEncodeTo(w, struct {
-		Iter, Phase   int
-		X, R, P, Q    []float64
-		Rho, Residual float64
-		Converged     bool
-		Bufs          []BufEntry
-	}{p.Iter, p.Phase, p.X, p.R, p.P, p.Q, p.Rho, p.Residual, p.Converged, p.bufs.entries()})
+	return p.bufs.snapshotState([]uint64{uint64(p.Iter), uint64(p.Phase),
+		math.Float64bits(p.Rho), math.Float64bits(p.Residual), boolWord(p.Converged)},
+		p.X, p.R, p.P, p.Q), nil
 }
 
 // Restore implements rt.App.
 func (p *Poisson) Restore(data []byte) error {
-	var st struct {
-		Iter, Phase   int
-		X, R, P, Q    []float64
-		Rho, Residual float64
-		Converged     bool
-		Bufs          []BufEntry
-	}
-	if err := gobDecode(data, &st); err != nil {
+	if err := p.bufs.checkState("poisson", data, 5, 8, p.cfg.MaxIters, p.X, p.R, p.P, p.Q); err != nil {
 		return err
 	}
-	p.Iter, p.Phase, p.Rho, p.Residual, p.Converged = st.Iter, st.Phase, st.Rho, st.Residual, st.Converged
-	copy(p.X, st.X)
-	copy(p.R, st.R)
-	copy(p.P, st.P)
-	copy(p.Q, st.Q)
-	return p.bufs.restoreEntries(st.Bufs)
+	if c := word(data, 4); c > 1 {
+		return fmt.Errorf("poisson: snapshot Converged word %d is neither 0 nor 1", c)
+	}
+	p.Iter, p.Phase, p.Converged = int(word(data, 0)), int(word(data, 1)), word(data, 4) == 1
+	p.Rho, p.Residual = getF64(data[16:]), getF64(data[24:])
+	p.bufs.restoreState(data, 5, p.X, p.R, p.P, p.Q)
+	return nil
 }

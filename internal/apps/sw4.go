@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"bytes"
-	"io"
 	"math"
 
 	"mana/internal/mpi"
@@ -155,40 +153,19 @@ func (s *SW4Mini) Step(env *rt.Env) (bool, error) {
 	return s.Iter < s.cfg.Steps, nil
 }
 
-// Snapshot implements rt.App.
+// Snapshot implements rt.App: the header words Iter, Phase and MaxU, then U
+// and Uprev, then the buffers (common.go).
 func (s *SW4Mini) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := s.SnapshotTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// SnapshotTo implements rt.StreamSnapshotter: the capture path streams the
-// gob encoding straight into the image buffer. Produces exactly Snapshot's
-// bytes.
-func (s *SW4Mini) SnapshotTo(w io.Writer) error {
-	return gobEncodeTo(w, struct {
-		Iter, Phase int
-		U, Uprev    []float64
-		MaxU        float64
-		Bufs        []BufEntry
-	}{s.Iter, s.Phase, s.U, s.Uprev, s.MaxU, s.bufs.entries()})
+	return s.bufs.snapshotState([]uint64{uint64(s.Iter), uint64(s.Phase), math.Float64bits(s.MaxU)},
+		s.U, s.Uprev), nil
 }
 
 // Restore implements rt.App.
 func (s *SW4Mini) Restore(data []byte) error {
-	var st struct {
-		Iter, Phase int
-		U, Uprev    []float64
-		MaxU        float64
-		Bufs        []BufEntry
-	}
-	if err := gobDecode(data, &st); err != nil {
+	if err := s.bufs.checkState("sw4", data, 3, 3, s.cfg.Steps, s.U, s.Uprev); err != nil {
 		return err
 	}
-	s.Iter, s.Phase, s.MaxU = st.Iter, st.Phase, st.MaxU
-	copy(s.U, st.U)
-	copy(s.Uprev, st.Uprev)
-	return s.bufs.restoreEntries(st.Bufs)
+	s.Iter, s.Phase, s.MaxU = int(word(data, 0)), int(word(data, 1)), getF64(data[16:])
+	s.bufs.restoreState(data, 3, s.U, s.Uprev)
+	return nil
 }

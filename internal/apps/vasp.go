@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -187,8 +186,7 @@ func (v *VASPMini) foldAta() {
 // a restart then decodes at copy speed instead of compiling a gob decoder
 // per rank. Six uint64 header words (Iter, Phase, Energy bits, Rng, SlabN,
 // buffer count), then the slab as 2·SlabN float64 bits — every real part,
-// then every imaginary part — then each named buffer in ID order as its ID
-// length word, the ID, its data length word and the data.
+// then every imaginary part — then the buffer section (bufset.appendTo).
 //
 // The real parts run together because a rank parked at the first transpose
 // holds its leading ones verbatim in "ata" (fillAta): contiguous, deflate
@@ -199,11 +197,7 @@ const vaspHeaderLen = 6 * 8
 // snapshotLen is the byte length of that layout for this rank's slab and
 // buffers.
 func (v *VASPMini) snapshotLen() int {
-	n := vaspHeaderLen + 16*len(v.Slab)
-	for id, data := range v.bufs.M {
-		n += 16 + len(id) + len(data)
-	}
-	return n
+	return vaspHeaderLen + 16*len(v.Slab) + v.bufs.snapshotLen()
 }
 
 // appendSnapshot appends the layout to dst.
@@ -218,13 +212,7 @@ func (v *VASPMini) appendSnapshot(dst []byte) []byte {
 	for _, z := range v.Slab {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(imag(z)))
 	}
-	for _, e := range v.bufs.entries() {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(e.ID)))
-		dst = append(dst, e.ID...)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(e.Data)))
-		dst = append(dst, e.Data...)
-	}
-	return dst
+	return v.bufs.appendTo(dst)
 }
 
 // Snapshot implements rt.App.
@@ -241,16 +229,6 @@ func (v *VASPMini) SnapshotTo(w io.Writer) error {
 	return err
 }
 
-// lengthPrefixed splits a length word and the bytes it counts off the front
-// of b; ok is false when either runs past the end of b.
-func lengthPrefixed(b []byte) (field, rest []byte, ok bool) {
-	if len(b) < 8 || binary.LittleEndian.Uint64(b) > uint64(len(b)-8) {
-		return nil, nil, false
-	}
-	n := 8 + binary.LittleEndian.Uint64(b)
-	return b[8:n], b[n:], true
-}
-
 // Restore implements rt.App. Every count is checked against the bytes
 // present before it is multiplied or allocated, and the whole snapshot
 // before any state is written, so a refused snapshot leaves the rank as it
@@ -262,8 +240,7 @@ func (v *VASPMini) Restore(data []byte) error {
 	if len(data) < vaspHeaderLen {
 		return fmt.Errorf("vasp: snapshot truncated (%d bytes)", len(data))
 	}
-	word := func(i int) uint64 { return binary.LittleEndian.Uint64(data[8*i:]) }
-	iter, phase, nSlab, nBufs := int64(word(0)), int64(word(1)), word(4), word(5)
+	iter, phase, nSlab, nBufs := int64(word(data, 0)), int64(word(data, 1)), word(data, 4), word(data, 5)
 	rest := data[vaspHeaderLen:]
 	switch {
 	case nSlab > uint64(len(rest))/16:
@@ -278,43 +255,17 @@ func (v *VASPMini) Restore(data []byte) error {
 		return fmt.Errorf("vasp: snapshot has %d buffers, this rank %d", nBufs, len(v.bufs.M))
 	}
 	slab, bufs := rest[:16*nSlab], rest[16*nSlab:]
-
-	// As many buffers as the registry holds, with strictly increasing known
-	// IDs, are exactly its set. The lookup by string(id) does not allocate.
-	b, prev := bufs, []byte(nil)
-	for i := 0; i < len(v.bufs.M); i++ {
-		id, next, okID := lengthPrefixed(b)
-		d, next, okData := lengthPrefixed(next)
-		if !okID || !okData {
-			return fmt.Errorf("vasp: snapshot buffer %d runs past the end", i)
-		}
-		dst, known := v.bufs.M[string(id)]
-		switch {
-		case i > 0 && bytes.Compare(prev, id) >= 0:
-			return fmt.Errorf("vasp: snapshot buffer %.32q after %.32q (IDs must strictly increase)", id, prev)
-		case !known:
-			return fmt.Errorf("vasp: snapshot has unknown buffer %.32q", id)
-		case len(d) != len(dst):
-			return fmt.Errorf("vasp: buffer %q size mismatch: %d vs %d", id, len(dst), len(d))
-		}
-		prev, b = id, next
-	}
-	if len(b) != 0 {
-		return fmt.Errorf("vasp: snapshot has %d bytes past its last buffer", len(b))
+	if err := v.bufs.check("vasp", bufs); err != nil {
+		return err
 	}
 
-	v.Iter, v.Phase, v.Energy, v.rng.S = int(iter), int(phase), math.Float64frombits(word(2)), word(3)
+	v.Iter, v.Phase, v.Energy, v.rng.S = int(iter), int(phase), math.Float64frombits(word(data, 2)), word(data, 3)
 	v.Slab = make([]complex128, nSlab)
 	re, im := slab[:8*nSlab], slab[8*nSlab:]
 	for i := range v.Slab {
 		v.Slab[i] = complex(getF64(re), getF64(im))
 		re, im = re[8:], im[8:]
 	}
-	for b := bufs; len(b) > 0; {
-		id, next, _ := lengthPrefixed(b)
-		d, next, _ := lengthPrefixed(next)
-		copy(v.bufs.M[string(id)], d)
-		b = next
-	}
+	v.bufs.copyFrom(bufs)
 	return nil
 }

@@ -13,8 +13,8 @@ targets='
 ./internal/rt        FuzzCheckpointRestartTransparent
 # Chunk tables tile exactly, identities recompute, an edit re-synchronizes the boundary walk at the first eligible candidate past it; predicting from the pre-edit table changes nothing, a forged table still tiles and leaves the stream sum alone.
 ./internal/ckpt      FuzzChunkerStability
-# Arbitrary bytes as a VASP proxy snapshot: a vasp: refusal that leaves the rank as it was, or a state that snapshots back to exactly those bytes; no allocation beyond the length of the input.
-./internal/apps      FuzzVASPRestore
+# Arbitrary bytes as the snapshot of a rank one input byte picks (VASP, OSU, OSU p2p, Poisson, CoMD, LAMMPS, SW4): a refusal naming the app that leaves the rank as it was, or a state that snapshots back to exactly those bytes; no allocation beyond the length of the input.
+./internal/apps      FuzzAppRestore
 # Arbitrary bytes as a straggler snapshot, under insertion churn and in place: a straggler: refusal that leaves the rank as it was, or a state that snapshots back to exactly those bytes; no allocation beyond the input plus the configured insertion room.
 ./internal/apps      FuzzStragglerRestore
 # Arbitrary bytes as a CC sequence table: a cc: refusal that leaves the table as it was, or a table that snapshots back to exactly those bytes; allocation bounded by the input times the overhead of a Go map.
