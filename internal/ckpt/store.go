@@ -1101,20 +1101,22 @@ func LoadJobImage(store Store, epoch int) (*JobImage, error) {
 // the stored bytes are checksummed as they are read and decompression feeds
 // the gob decoder directly, so nothing shard-sized is buffered on the way.
 func loadShard(store Store, man *Manifest, si *ShardInfo) (*RankImage, error) {
-	at := fmt.Sprintf("epoch %d rank %d", man.Epoch, si.Rank)
-	if si.RefEpoch != man.Epoch {
-		at = fmt.Sprintf("epoch %d rank %d (shard stored in epoch %d)", man.Epoch, si.Rank, si.RefEpoch)
-	}
 	load := loadShardFull
 	if si.Partial() {
 		load = loadShardPartial
 	}
 	ri, err := load(store, si)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: %s: %w", at, err)
+	if err == nil && ri.Rank != si.Rank {
+		err = fmt.Errorf("shard content is for rank %d", ri.Rank)
 	}
-	if ri.Rank != si.Rank {
-		return nil, fmt.Errorf("ckpt: %s: shard content is for rank %d", at, ri.Rank)
+	if err != nil {
+		// The shard's name is built here, not before the load: loadShard
+		// runs once a shard on every restart.
+		at := fmt.Sprintf("epoch %d rank %d", man.Epoch, si.Rank)
+		if si.RefEpoch != man.Epoch {
+			at += fmt.Sprintf(" (shard stored in epoch %d)", si.RefEpoch)
+		}
+		return nil, fmt.Errorf("ckpt: %s: %w", at, err)
 	}
 	// Shards are encoded clockless; the capture-time clock rides in the
 	// manifest.

@@ -13,6 +13,7 @@ import (
 // share. The last two are the benchmark's: bench/workloads.go fatApp.fill
 // (64 bytes of xorshift noise, then 64 of one byte) and the straggler app's
 // noise floats (five-decimal values in [0, 1) as little-endian float64 bits).
+// The speed tests add the in-place straggler's periodic floats.
 
 func runNoise(n int) []byte {
 	b := make([]byte, n)
@@ -43,6 +44,18 @@ func noiseFloats(n int) []byte {
 		s ^= s >> 7
 		s ^= s << 17
 		binary.LittleEndian.PutUint64(b[i:], math.Float64bits(float64(s%100000)/100000))
+	}
+	return b
+}
+
+// periodicFloats is the in-place straggler's State (internal/apps
+// straggler.go initState): rank + (i mod 64)/64 as little-endian float64
+// bits, for rank 1. Its 512-byte period deflates to 258-byte matches at
+// distance 512, the one shape whose decode is long copies.
+func periodicFloats(n int) []byte {
+	b := make([]byte, n&^7)
+	for i := 0; i < len(b); i += 8 {
+		binary.LittleEndian.PutUint64(b[i:], math.Float64bits(1+float64(i/8%64)/64))
 	}
 	return b
 }

@@ -50,6 +50,9 @@ func FuzzInflateAgree(f *testing.F) {
 	f.Add([]byte{0x03, 0x00})                        // fixed block: end of block only
 	f.Add([]byte{0x4b, 0x04, 0x02, 0x00})            // fixed block: "a", match, end
 	f.Add([]byte{0x4b, 0x04, 0x42, 0x00})            // ... distance before the start
+	for _, b := range budgetStreams() {              // the fast loop's worst cases
+		f.Add(b.stream)
+	}
 
 	want, got := make([]byte, fuzzOutCap), make([]byte, fuzzOutCap)
 	f.Fuzz(func(t *testing.T, stream []byte) {

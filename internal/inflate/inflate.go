@@ -3,9 +3,18 @@
 // dictionary, no encoder). It exists because restart is bound by inflate:
 // compress/flate pulls its input one interface-dispatched ReadByte at a time
 // into a 32-bit bit buffer and allocates its decoder per stream, where this
-// one refills a 64-bit bit buffer eight bytes at a time from its own input
-// buffer, resolves most symbols with one lookup in a 10-bit primary table and
-// keeps all of its state in one pooled, fixed-size struct.
+// one decodes the way libdeflate does. It keeps all of its state in one
+// pooled, fixed-size struct and refills a 64-bit bit buffer eight bytes at a
+// time, without a branch, from its own input buffer. Most codes resolve with
+// one lookup in a 10-bit primary table (8-bit for distances). A table entry
+// carries the code's extra bits: bits 0-7 count the code and its extra bits
+// together, bits 8-11 the code alone, bits 12-15 are flags and bits 16-31
+// the literal, base length or base distance. So one shift consumes a length
+// or a distance, and the extra value is read from the bits as they were
+// before it. One refill decodes up to three literals with no bit count
+// checked between them; the next code is looked up before a match is
+// copied; and a table is built by writing each short code once and
+// doubling.
 //
 // The decoder is a bounded io.Reader: a 64 KiB input buffer, a 64 KiB output
 // window and fixed-size decode tables (about 150 KiB per open stream, nothing
@@ -13,9 +22,10 @@
 // input buffer and never interprets what follows it; the caller owns those
 // bytes' meaning. A truncated stream answers io.ErrUnexpectedEOF, a damaged
 // one an error wrapping ErrCorrupt — never a panic, and never output decoded
-// from bits the source did not supply: the fast loop runs only while sixteen
-// real input bytes remain, and the careful loop that finishes a stream checks
-// every code and extra-bit field against the count of real bits it holds.
+// from bits the source did not supply: the fast loop runs only while fastIn
+// (16) real input bytes remain, of which one iteration counts at most 9, and
+// the careful loop that finishes a stream checks every code and its extra
+// bits against the count of real bits it holds.
 package inflate
 
 import (
@@ -50,12 +60,14 @@ const (
 	histSize = 32 << 10 // the farthest a match reaches back
 
 	maxMatch = 258
-	// outMargin is the window room one loop iteration may use: a refill's
-	// worth of literals (49 one-bit codes at most), one maximal match and
-	// the word copy's overshoot.
+	// outMargin is the window room one loop iteration may use: three
+	// literals, or two and a maximal match with the word copy's overshoot.
 	outMargin = maxMatch + 64
-	// fastIn is the input the fast loop needs in hand: it refills the bit
-	// buffer, eight bytes a load, at most twice per iteration.
+	// fastIn is the input the fast loop needs in hand. An iteration refills
+	// at most twice: after one or two literals, with at least 36 bits left,
+	// so the refill counts at most 3 new bytes; and after a match, with at
+	// least 8 left, so at most 6. It counts at most 9 bytes past where it
+	// started, and its last eight-byte load ends at most 11 past it.
 	fastIn = 16
 
 	litBits  = 10 // primary table index widths
@@ -75,18 +87,25 @@ const (
 
 // A table entry describes one decoded symbol, or links to a subtable:
 //
-//	bits 0-3   code bits this lookup consumes (a link: the primary width)
-//	bits 4-7   extra-bit count of a length or distance (a link: subtable width)
-//	bits 8-11  flags
-//	bits 16-31 literal byte, base length, base distance (a link: subtable start)
+//	bits 0-7   bits the entry consumes: its code and, for a length or a
+//	           distance, the extra bits behind it (a link: the primary width)
+//	bits 8-11  the code's own length, where the extra bits start (a link: the
+//	           subtable width)
+//	bits 12-15 flags
+//	bits 16-31 literal byte, base length, base distance, code-length symbol
+//	           (a link: the subtable's start)
+//
+// So one shift by the low byte consumes a code with its extra bits, and the
+// extra value is the consumed bits above the code: see extra.
 const (
-	flagLit = 1 << 8
-	flagSub = 1 << 9
-	flagEOB = 1 << 10
-	flagBad = 1 << 11
+	flagLit = 1 << 12
+	flagSub = 1 << 13
+	flagEOB = 1 << 14
+	flagBad = 1 << 15
 )
 
-// Per-symbol entry payloads (everything but the code length).
+// Per-symbol entries before the code length is added: flags, payload and
+// the extra-bit count in the low byte.
 var (
 	litSyms  [maxLit]uint32
 	distSyms [maxDist]uint32
@@ -108,7 +127,7 @@ func init() {
 		if i >= 265 {
 			extra = (i - 261) / 4
 		}
-		litSyms[i] = uint32(extra)<<4 | uint32(base)<<16
+		litSyms[i] = uint32(extra) | uint32(base)<<16
 		base += 1 << extra
 	}
 	litSyms[285] = maxMatch << 16
@@ -118,13 +137,16 @@ func init() {
 		if i >= 4 {
 			extra = (i - 2) / 2
 		}
-		distSyms[i] = uint32(extra)<<4 | uint32(base)<<16
+		distSyms[i] = uint32(extra) | uint32(base)<<16
 		base += 1 << extra
 	}
 	distSyms[30], distSyms[31] = flagBad, flagBad
 	for i := range preSyms {
 		preSyms[i] = uint32(i) << 16
 	}
+	preSyms[16] |= 2 // RFC 1951 3.2.7: the repeat counts' extra bits
+	preSyms[17] |= 3
+	preSyms[18] |= 7
 
 	var lens [maxLit]uint8
 	for i := range lens { // RFC 1951 3.2.6
@@ -146,22 +168,38 @@ func init() {
 	buildTable(fixedDist[:], distBits, lens[:maxDist], distSyms[:])
 }
 
+// extra is the value of the extra bits of entry e, read from bb as it was
+// before e was consumed.
+func extra(bb uint64, e uint32) uint32 {
+	return uint32(bb&(1<<(e&63)-1)) >> (e >> 8 & 15)
+}
+
 // buildTable fills t — 1<<root primary entries, then subtables — from a set
-// of code lengths; syms gives each symbol's entry payload. It reports false
-// for an over-subscribed set and for an incomplete one other than the two
-// RFC 1951 allows in practice: no codes at all (a block of literals only has
-// no distance codes) and a single code of one bit. Unassigned bit patterns
-// of those decode to flagBad.
+// of code lengths; syms gives each symbol's entry before its code length is
+// added. It reports false for an over-subscribed set and for an incomplete
+// one other than the two RFC 1951 allows in practice: no codes at all (a
+// block of literals only has no distance codes) and a single code of one
+// bit. Unassigned bit patterns of those decode to flagBad.
 func buildTable(t []uint32, root uint, lens []uint8, syms []uint32) bool {
-	var count [16]int
-	for _, l := range lens {
-		count[l]++
+	// Two counters, so that a run of equal lengths alternates between them
+	// rather than waiting on its own last increment.
+	var c0, c1 [16]uint16
+	i := 0
+	for ; i+1 < len(lens); i += 2 {
+		c0[lens[i]]++
+		c1[lens[i+1]]++
 	}
+	if i < len(lens) {
+		c0[lens[i]]++
+	}
+	var count [16]int
 	left := 1 // unassigned code space at the current length
-	for l := 1; l <= 15; l++ {
-		left = left<<1 - count[l]
-		if left < 0 {
-			return false
+	for l := range count {
+		count[l] = int(c0[l]) + int(c1[l])
+		if l > 0 {
+			if left = left<<1 - count[l]; left < 0 {
+				return false
+			}
 		}
 	}
 	if left > 0 {
@@ -171,6 +209,14 @@ func buildTable(t []uint32, root uint, lens []uint8, syms []uint32) bool {
 		for i := range t[:1<<root] {
 			t[i] = flagBad
 		}
+		for sym, l := range lens {
+			if l != 0 { // the single one-bit code: every even index
+				for j := 0; j < 1<<root; j += 2 {
+					t[j] = syms[sym] + 0x101
+				}
+			}
+		}
+		return true
 	}
 
 	// Symbols in canonical order: by length, then by value.
@@ -186,21 +232,34 @@ func buildTable(t []uint32, root uint, lens []uint8, syms []uint32) bool {
 		}
 	}
 
+	// Codes no longer than root: t[:1<<l] is the table of l-bit codes. Each
+	// code is written once, at its bit-reversed index (codes are sent LSB
+	// first), and the table doubles — its filled part copied onto itself —
+	// each time l grows, which repeats every shorter code at each index its
+	// low bits match. An index no code of length l covers yet holds stale
+	// entries until a longer code, or the link to its subtable, overwrites it:
+	// the set is complete, so one does.
+	code, k := 0, 0 // next canonical code, next symbol in canonical order
+	for l := uint(1); l <= root; l++ {
+		if l > 1 {
+			copy(t[1<<(l-1):1<<l], t[:1<<(l-1)])
+		}
+		for n := count[l]; n > 0; n-- {
+			t[bits.Reverse16(uint16(code))>>(16-l)] = syms[sorted[k]] + uint32(l)*0x101
+			code++
+			k++
+		}
+		code <<= 1
+	}
+
+	// Longer codes go to subtables, each linked from the primary entry of
+	// its root-bit prefix.
 	end := 1 << root // next free subtable slot
 	subPrefix, subStart, subBits := -1, 0, uint(0)
-	code, i := 0, 0
-	for l := uint(1); l <= 15; l++ {
+	for l := root + 1; l <= 15; l++ {
 		for n := count[l]; n > 0; n-- {
-			rev := int(bits.Reverse16(uint16(code)) >> (16 - l)) // codes are sent LSB first
+			rev := int(bits.Reverse16(uint16(code)) >> (16 - l))
 			code++
-			e := syms[sorted[i]]
-			i++
-			if l <= root {
-				for j := rev; j < 1<<root; j += 1 << l {
-					t[j] = e | uint32(l)
-				}
-				continue
-			}
 			if prefix := rev & (1<<root - 1); prefix != subPrefix {
 				// A new subtable, wide enough for the longest code under
 				// this prefix: widen while the codes counted so far leave
@@ -213,10 +272,12 @@ func buildTable(t []uint32, root uint, lens []uint8, syms []uint32) bool {
 				if end += 1 << subBits; end > len(t) {
 					return false // cannot happen for a complete set; see litTable
 				}
-				t[prefix] = flagSub | uint32(subStart)<<16 | uint32(subBits)<<4 | uint32(root)
+				t[prefix] = flagSub | uint32(subStart)<<16 | uint32(subBits)<<8 | uint32(root)
 			}
+			e := syms[sorted[k]] + uint32(l-root)*0x101
+			k++
 			for j := rev >> root; j < 1<<subBits; j += 1 << (l - root) {
-				t[subStart+j] = e | uint32(l-root)
+				t[subStart+j] = e
 			}
 		}
 		code <<= 1
@@ -249,7 +310,7 @@ type state struct {
 	pre  [1 << preBits]uint32
 	lens [maxLit + maxDist]uint8
 
-	in  [inSize]byte
+	in  [inSize + 8]byte // 8 spare bytes: see refill
 	win [winSize]byte
 }
 
@@ -341,7 +402,7 @@ func (s *state) fill() bool {
 	s.iend = copy(s.in[:], s.in[s.ipos:s.iend])
 	s.ipos = 0
 	for tries := 0; tries < 100; tries++ {
-		n, err := s.src.Read(s.in[s.iend:])
+		n, err := s.src.Read(s.in[s.iend:inSize])
 		s.iend += n
 		if err != nil {
 			s.srcErr = err
@@ -376,6 +437,16 @@ func (s *state) need(n uint) bool {
 	return true
 }
 
+// refill tops the bit buffer up to at least 56 bits with one eight-byte load
+// from in[ipos:] and no branch; the bytes loaded past the new nb are real
+// input too, loaded again by the next refill. The caller knows eight input
+// bytes are in hand, so ipos < inSize: the mask changes nothing, and with the
+// array's 8 spare bytes it lets the compiler drop the load's bounds checks.
+func refill(in *[inSize + 8]byte, bb uint64, nb uint, ipos int) (uint64, uint, int) {
+	bb |= binary.LittleEndian.Uint64(in[ipos&(inSize-1):]) << (nb & 63)
+	return bb, nb | 56, ipos + int((63-nb)>>3)
+}
+
 // take consumes n bits the buffer is known to hold.
 func (s *state) take(n uint) uint32 {
 	v := uint32(s.bb) & (1<<n - 1)
@@ -384,25 +455,26 @@ func (s *state) take(n uint) uint32 {
 	return v
 }
 
-// symbol decodes one code of table t from the real bits in hand, which the
-// caller has topped up as far as the source allows: a code longer than those
-// is a truncated stream.
-func (s *state) symbol(t []uint32, root uint) (uint32, error) {
-	e := t[s.bb&(1<<root-1)]
+// symbol decodes one code of table t with its extra bits from the real bits
+// in hand, which the caller has topped up as far as the source allows: a code
+// longer than those is a truncated stream. It returns the entry and its value,
+// the payload plus the extra bits.
+func (s *state) symbol(t []uint32, root uint) (uint32, uint32, error) {
+	bb, n := s.bb, uint(0)
+	e := t[bb&(1<<root-1)]
 	if e&flagSub != 0 {
-		e = t[e>>16+uint32(s.bb>>root)&(1<<(e>>4&15)-1)]
-		root += uint(e & 15)
-	} else {
-		root = uint(e & 15)
+		bb >>= root
+		n = root
+		e = t[e>>16+uint32(bb)&(1<<(e>>8&15)-1)]
 	}
-	if root > s.nb {
-		return 0, s.short()
+	if n += uint(e & 0xff); n > s.nb {
+		return 0, 0, s.short()
 	}
 	if e&flagBad != 0 {
-		return 0, errSymbol
+		return 0, 0, errSymbol
 	}
-	s.take(root)
-	return e, nil
+	s.take(n)
+	return e, e>>16 + extra(bb, e), nil
 }
 
 func (s *state) blockHeader() {
@@ -487,13 +559,29 @@ func (s *state) dynamicHeader() error {
 	if !buildTable(s.pre[:], preBits, preLens[:], preSyms[:]) {
 		return errCodeSet
 	}
+	// The code lengths, each a code of at most 7 bits and at most 7 extra
+	// bits: one branch-free refill a code while eight input bytes remain,
+	// the careful need at the tail.
 	lens := s.lens[:nlit+ndist]
+	bb, nb, ipos := s.bb, s.nb, s.ipos
 	for i := 0; i < len(lens); {
-		s.need(preBits + 7) // a code and its repeat count; symbol checks what arrived
-		e, err := s.symbol(s.pre[:], preBits)
-		if err != nil {
-			return err
+		if ipos+8 <= s.iend {
+			bb, nb, ipos = refill(&s.in, bb, nb, ipos)
+		} else {
+			s.bb, s.nb, s.ipos = bb&(1<<nb-1), nb, ipos
+			s.need(preBits + 7) // what arrived is checked below
+			bb, nb, ipos = s.bb, s.nb, s.ipos
 		}
+		e := s.pre[bb&(1<<preBits-1)]
+		if uint(e&0xff) > nb {
+			return s.short()
+		}
+		if e&flagBad != 0 {
+			return errSymbol
+		}
+		saved := bb
+		bb >>= e & 63
+		nb -= uint(e & 63)
 		sym := uint8(e >> 16)
 		if sym < 16 {
 			lens[i] = sym
@@ -501,22 +589,17 @@ func (s *state) dynamicHeader() error {
 			continue
 		}
 		var prev uint8
-		rep, xb := 3, uint(2)
+		rep := 3 + int(extra(saved, e))
 		switch sym {
 		case 16:
 			if i == 0 {
 				return errCodeLengths
 			}
 			prev = lens[i-1]
-		case 17:
-			xb = 3
-		default:
-			rep, xb = 11, 7
+		case 18:
+			rep += 8
 		}
-		if s.nb < xb {
-			return s.short()
-		}
-		if rep += int(s.take(xb)); rep > len(lens)-i {
+		if rep > len(lens)-i {
 			return errCodeLengths
 		}
 		for ; rep > 0; rep-- {
@@ -524,6 +607,7 @@ func (s *state) dynamicHeader() error {
 			i++
 		}
 	}
+	s.bb, s.nb, s.ipos = bb&(1<<nb-1), nb, ipos
 	if !buildTable(s.lit[:], litBits, lens[:nlit], litSyms[:]) ||
 		!buildTable(s.dist[:], distBits, lens[nlit:], distSyms[:]) {
 		return errCodeSet
@@ -549,24 +633,28 @@ func (s *state) huffman() {
 
 // copyMatch appends length bytes starting dist back and returns the new
 // write position. Most matches are a few bytes long, where a call to memmove
-// costs more than the move: those go eight bytes a step, which may write up
-// to seven bytes past the match (room outMargin includes; they are not yet
-// output and are overwritten by what is) and is exact for any dist >= 8. The
-// ranges may overlap (dist < length repeats a pattern), so a long overlapping
-// copy doubles what it has written until the rest fits.
+// costs more than the move: with dist >= 8 the first eight bytes are one
+// word, unconditionally, and an overlapping rest goes a word at a time,
+// exact because each word is read from bytes already written. A word may
+// write up to seven bytes past the match (room outMargin includes; they are
+// not yet output and are overwritten by what is). A longer match whose
+// source does not overlap it is one memmove, which beats the words from a
+// few dozen bytes on. With dist < 8 the copy doubles what it has written
+// until the rest fits.
 func copyMatch(win *[winSize]byte, wp, dist, length int) int {
 	src, end := wp-dist, wp+length
 	switch {
-	case dist >= 8 && length <= 40:
-		for ; wp < end; src, wp = src+8, wp+8 {
-			binary.LittleEndian.PutUint64(win[wp:], binary.LittleEndian.Uint64(win[src:]))
-		}
-	case dist >= length:
-		copy(win[wp:end], win[src:])
-	default:
+	case dist < 8:
 		for wp < end {
 			wp += copy(win[wp:end], win[src:wp])
 		}
+	case length <= 8 || dist < length:
+		for ; wp < end; src, wp = src+8, wp+8 {
+			binary.LittleEndian.PutUint64(win[wp:], binary.LittleEndian.Uint64(win[src:]))
+		}
+	default:
+		binary.LittleEndian.PutUint64(win[wp:], binary.LittleEndian.Uint64(win[src:]))
+		copy(win[wp+8:end], win[src+8:])
 	}
 	return end
 }
@@ -574,123 +662,125 @@ func copyMatch(win *[winSize]byte, wp, dist, length int) int {
 // huffmanCareful decodes one literal, end-of-block or match from exactly the
 // bits the source supplied.
 func (s *state) huffmanCareful() {
-	s.need(56) // more than any one step consumes (48); every use below checks nb
-	e, err := s.symbol(s.lt[:], litBits)
+	s.need(56) // more than any one step consumes (48); symbol checks what arrived
+	e, v, err := s.symbol(s.lt[:], litBits)
 	switch {
 	case err != nil:
 		s.err = err
 	case e&flagLit != 0:
-		s.win[s.wp] = byte(e >> 16)
+		s.win[s.wp] = byte(v)
 		s.wp++
 	case e&flagEOB != 0:
 		s.endBlock()
 	default:
-		xb := uint(e >> 4 & 15)
-		if s.nb < xb {
-			s.err = s.short()
-			return
-		}
-		length := int(e>>16) + int(s.take(xb))
-		d, err := s.symbol(s.dt[:], distBits)
+		_, dist, err := s.symbol(s.dt[:], distBits)
 		if err != nil {
 			s.err = err
 			return
 		}
-		if xb = uint(d >> 4 & 15); s.nb < xb {
-			s.err = s.short()
-			return
-		}
-		dist := int(d>>16) + int(s.take(xb))
-		if dist > s.wp {
+		if int(dist) > s.wp {
 			s.err = errDistance
 			return
 		}
-		s.wp = copyMatch(&s.win, s.wp, dist, length)
+		s.wp = copyMatch(&s.win, s.wp, int(dist), int(v))
 	}
 }
 
-// huffmanFast is the hot loop. Each iteration starts by topping the bit
-// buffer up to at least 56 bits with one eight-byte load (the bytes loaded
-// past nb are re-loaded, identically, by the next refill), which covers the
-// longest step: a 15-bit length code, 5 extra bits, a 15-bit distance code
-// and 13 extra bits. It runs only while fastIn input bytes and outMargin
-// window bytes are in hand, so no refill or store needs its own check.
+// huffmanFast is the hot loop, built as libdeflate's is. A refill tops the
+// bit buffer up to at least 56 bits with one eight-byte load and no branch
+// (the bytes loaded past nb are re-loaded, identically, by the next one).
+// The entry of the next code is always looked up before the loop needs it,
+// and consumed, code and extra bits together, by one shift. It runs only
+// while fastIn input bytes and outMargin window bytes are in hand, so no
+// refill or store needs its own check; the bit budgets below are the worst
+// case of each path, with nb >= 56 at the top of every iteration.
 func (s *state) huffmanFast() {
 	bb, nb, ipos, iend, wp := s.bb, s.nb, s.ipos, s.iend, s.wp
-	lt, dt, win := s.lt, s.dt, &s.win
+	lt, dt, win, in := s.lt, s.dt, &s.win, &s.in
 	var err error
-loop:
+	bb, nb, ipos = refill(in, bb, nb, ipos)
+	e := lt[bb&(1<<litBits-1)]
 	for ipos+fastIn <= iend && wp <= winSize-outMargin {
-		bb |= binary.LittleEndian.Uint64(s.in[ipos:]) << (nb & 63)
-		ipos += int(63-nb) >> 3
-		nb |= 56
-		e := lt[bb&(1<<litBits-1)]
 		if e&flagLit != 0 {
-			// Literals, for as long as the refill covers another longest code.
-			for {
-				bb >>= e & 15
-				nb -= uint(e & 15)
+			// Up to three primary literals, 3 x 10 bits, and a 10-bit
+			// look-up of the next code: 40 <= 56, so no count is checked.
+			bb >>= e & 63
+			nb -= uint(e & 63)
+			win[wp&winMask] = byte(e >> 16)
+			wp++
+			e = lt[bb&(1<<litBits-1)]
+			if e&flagLit != 0 {
+				bb >>= e & 63
+				nb -= uint(e & 63)
 				win[wp&winMask] = byte(e >> 16)
 				wp++
-				if nb < 15 {
-					continue loop
-				}
-				if e = lt[bb&(1<<litBits-1)]; e&flagLit == 0 {
-					break
+				e = lt[bb&(1<<litBits-1)]
+				if e&flagLit != 0 {
+					bb >>= e & 63
+					nb -= uint(e & 63)
+					win[wp&winMask] = byte(e >> 16)
+					wp++
+					e = lt[bb&(1<<litBits-1)]
+					bb, nb, ipos = refill(in, bb, nb, ipos)
+					continue
 				}
 			}
-			// e is looked up but not consumed: top up again and decode it.
-			bb |= binary.LittleEndian.Uint64(s.in[ipos:]) << (nb & 63)
-			ipos += int(63-nb) >> 3
-			nb |= 56
+			// A non-literal after one or two literals (20 bits): top up
+			// again, so what follows has the budget of a fresh iteration.
+			bb, nb, ipos = refill(in, bb, nb, ipos)
 		}
+		saved := bb
+		bb >>= e & 63
+		nb -= uint(e & 63)
 		if e&flagSub != 0 {
-			bb >>= litBits
-			nb -= litBits
-			e = lt[e>>16+uint32(bb)&(1<<(e>>4&15)-1)]
+			// The primary width, then a subtable code of up to 5 bits and,
+			// for a length, 5 extra bits: 20. A literal takes at most 15,
+			// which leaves 41 bits, 10 of them for the next look-up.
+			e = lt[e>>16+uint32(bb)&(1<<(e>>8&15)-1)]
+			saved = bb
+			bb >>= e & 63
+			nb -= uint(e & 63)
 			if e&flagLit != 0 {
-				bb >>= e & 15
-				nb -= uint(e & 15)
 				win[wp&winMask] = byte(e >> 16)
 				wp++
+				e = lt[bb&(1<<litBits-1)]
+				bb, nb, ipos = refill(in, bb, nb, ipos)
 				continue
 			}
 		}
-		bb >>= e & 15
-		nb -= uint(e & 15)
 		if e&(flagEOB|flagBad) != 0 {
 			if e&flagBad != 0 {
 				err = errSymbol
 			} else {
 				s.endBlock()
 			}
-			break loop
+			break
 		}
-		xb := e >> 4 & 15
-		length := int(e>>16) + int(uint32(bb)&(1<<xb-1))
-		bb >>= xb
-		nb -= uint(xb)
-
+		// A length: at most 20 bits, so 36 are left for the distance, a
+		// 15-bit code and 13 extra bits (28) ...
+		length := int(e>>16 + extra(saved, e))
 		d := dt[bb&(1<<distBits-1)]
 		if d&flagSub != 0 {
 			bb >>= distBits
 			nb -= distBits
-			d = dt[d>>16+uint32(bb)&(1<<(d>>4&15)-1)]
+			d = dt[d>>16+uint32(bb)&(1<<(d>>8&15)-1)]
 		}
 		if d&flagBad != 0 {
 			err = errSymbol
-			break loop
+			break
 		}
-		bb >>= d & 15
-		nb -= uint(d & 15)
-		xb = d >> 4 & 15
-		dist := int(d>>16) + int(uint32(bb)&(1<<xb-1))
-		bb >>= xb
-		nb -= uint(xb)
+		saved = bb
+		bb >>= d & 63
+		nb -= uint(d & 63)
+		dist := int(d>>16 + extra(saved, d))
 		if dist > wp {
 			err = errDistance
-			break loop
+			break
 		}
+		// ... which leaves 8: top up, and look the next code up before the
+		// copy, so the two overlap.
+		bb, nb, ipos = refill(in, bb, nb, ipos)
+		e = lt[bb&(1<<litBits-1)]
 		wp = copyMatch(win, wp, dist, length)
 	}
 	// Drop the loaded-but-uncounted bytes above nb: the careful path ORs

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/iotest"
 )
@@ -264,8 +266,9 @@ func litLens(set map[int]uint) []uint {
 	return l
 }
 
-// TestInflateHandBuilt: headers no encoder emits. Each is held to the
-// reference's verdict; want states it, so the table fails if both change.
+// TestInflateHandBuilt: headers no encoder emits, and the fast loop's worst
+// cases (budgetStreams). Each is held to the reference's verdict; want
+// states it, so the table fails if both change.
 func TestInflateHandBuilt(t *testing.T) {
 	fixed := func() *bitWriter { return new(bitWriter).bits(1, 1).bits(1, 2) }
 	fixedLitA := huffCode{0x30 + 'a', 8} // fixed code of a literal below 144
@@ -330,6 +333,10 @@ func TestInflateHandBuilt(t *testing.T) {
 	add("fixed: no end of block", fixed().code(fixedLitA), "?")
 	add("empty input", new(bitWriter), "?")
 
+	for _, b := range budgetStreams() {
+		cases = append(cases, tc{b.name, b.stream, string(b.data)})
+	}
+
 	// Every verdict that does not depend on where the input ends is also
 	// taken with input to spare, which is what lets the fast loop run.
 	for _, c := range cases {
@@ -355,6 +362,95 @@ func TestInflateHandBuilt(t *testing.T) {
 			}
 		}
 	}
+
+	// The worst cases again, with every count of trailing bytes up to past
+	// fastIn (the bytes after the final block are never decoded, but the
+	// fast loop runs on them), and cut at every byte of the dynamic block.
+	// For each iteration of the fast loop some cut leaves it exactly fastIn
+	// bytes to start from; the input buffer past the cut holds random bytes,
+	// so a loop that took a bit from beyond its input would decode them.
+	rng := rand.New(rand.NewSource(5))
+	for _, b := range budgetStreams() {
+		for n := 0; n <= fastIn+8; n++ {
+			stream := append(b.stream[:len(b.stream):len(b.stream)], bytes.Repeat([]byte{0xff}, n)...)
+			if got, err := ours(stream, nil, 4096); err != nil || !bytes.Equal(got, b.data) {
+				t.Fatalf("%s, %d trailing bytes: %d bytes, err %v; want %d", b.name, n, len(got), err, len(b.data))
+			}
+		}
+		for cut := b.dynamicAt; cut < len(b.stream); cut++ {
+			r := NewReader(bytes.NewReader(b.stream[:cut]))
+			rng.Read(r.s.in[:])
+			got, err := io.ReadAll(r)
+			r.Close()
+			if err != io.ErrUnexpectedEOF || !bytes.HasPrefix(b.data, got) {
+				t.Fatalf("%s cut at %d of %d: %d bytes, err %v; want a prefix of the data and io.ErrUnexpectedEOF",
+					b.name, cut, len(b.stream), len(got), err)
+			}
+		}
+	}
+}
+
+// budgetStream is a stream at the fast loop's worst case, with what it
+// decodes to; its dynamic block starts at byte dynamicAt.
+type budgetStream struct {
+	name         string
+	stream, data []byte
+	dynamicAt    int
+}
+
+// budgetStreams are final dynamic blocks behind a stored block of 25 000
+// random bytes, the history their long distance reaches into. The
+// literal/length code has three 10-bit literals, and under one 10-bit prefix
+// codes of 11 to 15 bits: a literal and length 284 (5 extra bits) take 15.
+// The distance code runs from 1 to 15 bits; 28 (13 extra bits) takes 15. So
+// the match "*" is the longest step the fast loop takes, a subtable length
+// and a subtable distance with all their extra bits (48 bits), and the
+// streams put it behind zero to five literals, at every position in the
+// loop's groups of three. Every stream ends with end-of-block.
+func budgetStreams() []budgetStream {
+	hist := make([]byte, 25000)
+	rand.New(rand.NewSource(4)).Read(hist)
+	stored := new(bitWriter).bits(0, 1).bits(0, 2).bits(0, 5).bits(uint(len(hist)), 16).bits(^uint(len(hist)), 16)
+	stored.out = append(stored.out, hist...)
+
+	lit := make([]uint, 286)
+	for sym, n := range map[int]uint{'q': 1, 256: 2, 'd': 3, 'e': 4, 'f': 5, 'g': 6, 'h': 7, 'i': 8,
+		'a': 10, 'b': 10, 'c': 10, 257: 11, 265: 12, 258: 13, 285: 14, 284: 15, 'z': 15} {
+		lit[sym] = n
+	}
+	dist := make([]uint, 30)
+	for sym := 0; sym < 14; sym++ {
+		dist[sym] = uint(sym) + 1
+	}
+	dist[28], dist[29] = 15, 15
+
+	var out []budgetStream
+	build := func(name, seq string) {
+		w, lc, dc := dynamicBlock(lit, dist)
+		data := bytes.Clone(hist)
+		for _, c := range []byte(seq) {
+			if c != '*' {
+				w.code(lc[c])
+				data = append(data, c)
+				continue
+			}
+			w.code(lc[284]).bits(30, 5).code(dc[28]).bits(8191, 13) // length 257, distance 24576
+			for i := 0; i < 257; i++ {
+				data = append(data, data[len(data)-24576])
+			}
+		}
+		w.code(lc[256])
+		out = append(out, budgetStream{name, append(bytes.Clone(stored.out), w.out...), data, len(stored.out)})
+	}
+	for k := 0; k <= 5; k++ {
+		build(fmt.Sprintf("%d ten-bit literals, a subtable length with 5 extra bits, a subtable distance with 13", k), "abcab"[:k]+"*q")
+	}
+	for k := 0; k <= 3; k++ {
+		build(fmt.Sprintf("%d ten-bit literals, then a subtable literal", k), "abc"[:k]+"zab")
+	}
+	build("end of block right after a match", "ab*")
+	build("two matches, then end of block", "a**")
+	return out
 }
 
 // TestInflateTrailingBytes: what follows the final block is the caller's. It
@@ -481,4 +577,234 @@ func TestInflateSourceErrors(t *testing.T) {
 	if err != io.ErrNoProgress || !bytes.HasPrefix(data, got) {
 		t.Errorf("stalled source: %d bytes, err %v; want a prefix and io.ErrNoProgress", len(got), err)
 	}
+}
+
+// buildTableStrided is the table builder this package had before it built
+// by doubling, kept as the reference TestBuildTableMatchesReference holds
+// buildTable to: every code of at most root bits is written at each primary
+// index its bits match, a stride apart. It emits the same entry format.
+func buildTableStrided(t []uint32, root uint, lens []uint8, syms []uint32) bool {
+	var count [16]int
+	for _, l := range lens {
+		count[l]++
+	}
+	left := 1 // unassigned code space at the current length
+	for l := 1; l <= 15; l++ {
+		left = left<<1 - count[l]
+		if left < 0 {
+			return false
+		}
+	}
+	if left > 0 {
+		if used := len(lens) - count[0]; used > 1 || used != count[1] {
+			return false
+		}
+		for i := range t[:1<<root] {
+			t[i] = flagBad
+		}
+	}
+
+	// Symbols in canonical order: by length, then by value.
+	var offs [16]int
+	for l := 1; l < 15; l++ {
+		offs[l+1] = offs[l] + count[l]
+	}
+	var sorted [maxLit]uint16
+	for sym, l := range lens {
+		if l != 0 {
+			sorted[offs[l]] = uint16(sym)
+			offs[l]++
+		}
+	}
+
+	end := 1 << root // next free subtable slot
+	subPrefix, subStart, subBits := -1, 0, uint(0)
+	code, i := 0, 0
+	for l := uint(1); l <= 15; l++ {
+		for n := count[l]; n > 0; n-- {
+			rev := int(bits.Reverse16(uint16(code)) >> (16 - l)) // codes are sent LSB first
+			code++
+			e := syms[sorted[i]]
+			i++
+			if l <= root {
+				for j := rev; j < 1<<root; j += 1 << l {
+					t[j] = e + uint32(l)*0x101
+				}
+				continue
+			}
+			if prefix := rev & (1<<root - 1); prefix != subPrefix {
+				subPrefix, subStart, subBits = prefix, end, l-root
+				for used := n; used < 1<<subBits && root+subBits < 15; {
+					subBits++
+					used = used<<1 + count[root+subBits]
+				}
+				if end += 1 << subBits; end > len(t) {
+					return false
+				}
+				t[prefix] = flagSub | uint32(subStart)<<16 | uint32(subBits)<<8 | uint32(root)
+			}
+			for j := rev >> root; j < 1<<subBits; j += 1 << (l - root) {
+				t[subStart+j] = e + uint32(l-root)*0x101
+			}
+		}
+		code <<= 1
+	}
+	return true
+}
+
+// randomLengths returns a complete set of code lengths (1 to 15 bits) over
+// n symbols, at least two of them used: a tree grown by splitting leaves,
+// each split taking the newest leaf with probability deep (so deep sets run
+// to 15 bits) and a random one otherwise, its leaves dealt to random
+// symbols.
+func randomLengths(rng *rand.Rand, n int) []uint8 {
+	used, deep := 2+rng.Intn(n-1), rng.Float64()
+	leaves := []uint8{0}
+	for len(leaves) < used {
+		i := rng.Intn(len(leaves))
+		if rng.Float64() < deep {
+			i = len(leaves) - 1
+		}
+		for leaves[i] == 15 { // a full-depth leaf cannot split; there is always another
+			i = (i + 1) % len(leaves)
+		}
+		leaves[i]++
+		leaves = append(leaves, leaves[i])
+	}
+	lens := make([]uint8, n)
+	for j, sym := range rng.Perm(n)[:used] {
+		lens[sym] = leaves[j]
+	}
+	return lens
+}
+
+// dynamicHeaders returns the literal/length and distance code lengths of
+// every dynamic block in stream, read by stepping a decoder state through it
+// as Read does.
+func dynamicHeaders(stream []byte) [][2][]uint8 {
+	var sets [][2][]uint8
+	s := new(state)
+	s.reset(bytes.NewReader(stream))
+	for s.err == nil {
+		if s.wp > winSize-outMargin {
+			copy(s.win[:histSize], s.win[s.wp-histSize:s.wp])
+			s.wp = histSize
+		}
+		switch {
+		case s.stored > 0:
+			s.copyStored()
+		case s.huff:
+			s.huffman()
+		default:
+			// BFINAL, BTYPE, HLIT, HDIST: peeked before the header reads them.
+			peeked := s.need(13)
+			nlit, ndist := 257+int(s.bb>>3&31), 1+int(s.bb>>8&31)
+			s.blockHeader()
+			if peeked && s.err == nil && s.lt == &s.lit {
+				lens := bytes.Clone(s.lens[:nlit+ndist])
+				sets = append(sets, [2][]uint8{lens[:nlit], lens[nlit:]})
+			}
+		}
+	}
+	return sets
+}
+
+// TestBuildTableMatchesReference: the doubling builder and the strided one
+// it replaced agree on the verdict and on every primary and subtable entry
+// (tables start from the same stale contents, as a pooled state's do) over
+// the fixed codes, every dynamic header in the corpus streams, 10^4 random
+// complete literal/length and distance sets and 10^3 code-length code sets,
+// and both incomplete sets RFC 1951 allows.
+func TestBuildTableMatchesReference(t *testing.T) {
+	var got, want [litTable]uint32
+	check := func(label string, root uint, size int, lens []uint8, syms []uint32) {
+		t.Helper()
+		for i := range got {
+			got[i] = uint32(i) * 0x9e3779b9
+		}
+		want = got
+		okGot, okWant := buildTable(got[:size], root, lens, syms), buildTableStrided(want[:size], root, lens, syms)
+		if okGot != okWant {
+			t.Fatalf("%s: buildTable %v, reference %v", label, okGot, okWant)
+		}
+		if !okGot {
+			return
+		}
+		for i := range got[:size] {
+			if got[i] != want[i] {
+				t.Fatalf("%s (lengths %v): entry %d is %#x, reference %#x", label, lens, i, got[i], want[i])
+			}
+		}
+	}
+	lit := func(label string, lens []uint8) { check(label, litBits, litTable, lens, litSyms[:]) }
+	dist := func(label string, lens []uint8) { check(label, distBits, distTable, lens, distSyms[:]) }
+
+	fixed := make([]uint8, maxLit)
+	for i := range fixed { // RFC 1951 3.2.6
+		switch {
+		case i < 144, i >= 280:
+			fixed[i] = 8
+		case i < 256:
+			fixed[i] = 9
+		default:
+			fixed[i] = 7
+		}
+	}
+	lit("fixed literal/length code", fixed)
+	dist("fixed distance code", bytes.Repeat([]uint8{5}, maxDist))
+
+	headers := 0
+	var streams [][]byte
+	for _, sh := range shapes(64 << 10) {
+		for _, level := range levels {
+			for _, writes := range []int{1, 5} {
+				streams = append(streams, deflate(t, sh.data, level, writes))
+			}
+		}
+	}
+	for _, st := range benchStreams(t) {
+		streams = append(streams, deflate(t, st.data, shardLevel, 1))
+	}
+	for i, stream := range streams {
+		for j, set := range dynamicHeaders(stream) {
+			lit(fmt.Sprintf("stream %d header %d literal/length", i, j), set[0])
+			dist(fmt.Sprintf("stream %d header %d distance", i, j), set[1])
+			headers++
+		}
+	}
+	if headers < 100 {
+		t.Fatalf("only %d dynamic headers in the corpus", headers)
+	}
+
+	rng := rand.New(rand.NewSource(6))
+	deepLit, deepDist := 0, 0
+	for i := 0; i < 10000; i++ {
+		l, d := randomLengths(rng, 257+rng.Intn(30)), randomLengths(rng, 2+rng.Intn(29))
+		lit(fmt.Sprintf("random set %d literal/length", i), l)
+		dist(fmt.Sprintf("random set %d distance", i), d)
+		if slices.Max(l) > litBits {
+			deepLit++
+		}
+		if slices.Max(d) > distBits {
+			deepDist++
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		lens := randomLengths(rng, 19)
+		for slices.Max(lens) > preBits {
+			lens = randomLengths(rng, 19)
+		}
+		check(fmt.Sprintf("random code-length code %d", i), preBits, 1<<preBits, lens, preSyms[:])
+	}
+	t.Logf("%d corpus headers; %d random literal/length and %d distance sets with subtables", headers, deepLit, deepDist)
+	if deepLit < 1000 || deepDist < 1000 {
+		t.Fatalf("too few random sets reach the subtables")
+	}
+
+	one := make([]uint8, 30)
+	one[rng.Intn(30)] = 1
+	dist("no distance codes", make([]uint8, 30))
+	dist("one one-bit distance code", one)
+	lit("no literal/length codes", make([]uint8, 286))
+	lit("one one-bit literal/length code", append(make([]uint8, 285), 1))
 }

@@ -13,9 +13,11 @@ import (
 // written at: internal/deflate has only BestSpeed.
 const shardLevel = flate.BestSpeed
 
-// The streams the benchmark's restarts read: its two state shapes at 4 MiB,
-// and one rank's shard of vasp_coll (2 KB), where reading the dynamic header
-// and building its three decoding tables is a fixed cost of every stream.
+// The streams the benchmark's restarts read: its three state shapes at 4 MiB
+// (shift_cdc's noise floats, fat_full's run/noise, inplace_delta's periodic
+// floats, which are 258-byte matches and so time the long-copy path), and one
+// rank's shard of vasp_coll (2 KB), where reading the dynamic header and
+// building its three decoding tables is a fixed cost of every stream.
 type benchStream struct {
 	name string
 	data []byte
@@ -27,6 +29,7 @@ func benchStreams(tb testing.TB) []benchStream {
 		{"noise_floats", noiseFloats(4 << 20), 1.5},
 		{"run_noise", runNoise(4 << 20), 1.5},
 		{"vasp_shard", vaspShard(tb), 1.5},
+		{"periodic_floats", periodicFloats(4 << 20), 1.5},
 	}
 }
 
