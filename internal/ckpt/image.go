@@ -1303,7 +1303,8 @@ func (ji *JobImage) Encode() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := store.mans[0]
+	objs := store.epochs[0]
+	rec := objs[manifestSlot]
 	total := len(imageMagic) + 4 + len(rec)
 	for i := range man.Shards {
 		total += int(man.Shards[i].Size)
@@ -1313,7 +1314,7 @@ func (ji *JobImage) Encode() ([]byte, error) {
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(rec)))
 	out = append(out, rec...)
 	for i := range man.Shards {
-		out = append(out, store.shards[[2]int{0, man.Shards[i].Rank}]...)
+		out = append(out, objs[man.Shards[i].Rank]...)
 	}
 	return out, nil
 }
@@ -1351,13 +1352,14 @@ func openImage(data []byte) (*MemStore, *Manifest, error) {
 	} else if declared < have {
 		return nil, nil, fmt.Errorf("ckpt: image has %d trailing bytes (manifest declares %d bytes of shard objects, %d follow the record)", have-declared, declared, have)
 	}
-	store := NewMemStore()
-	store.mans[man.Epoch] = rec
+	objs := map[int][]byte{manifestSlot: rec}
 	for i := range man.Shards {
 		si := &man.Shards[i]
-		store.shards[[2]int{man.Epoch, si.Rank}] = objects[:si.Size]
+		objs[si.Rank] = objects[:si.Size]
 		objects = objects[si.Size:]
 	}
+	store := NewMemStore()
+	store.epochs[man.Epoch] = objs
 	return store, man, nil
 }
 

@@ -54,11 +54,9 @@ type GCStats struct {
 // retained heads never touches it. A live epoch keeps all of its objects
 // (its own manifest references every fresh shard it holds), so reclamation
 // is whole-epoch: dead epochs are deleted newest-first via DeleteEpoch,
-// which unseals (removes the manifest of) each epoch before its shards — a
-// crash mid-GC leaves unsealed debris for the next pass, never a sealed
-// manifest with missing bytes. Newest-first matters too: manifests only
-// reference older epochs, so no surviving sealed manifest ever dangles
-// mid-pass.
+// which unseals each before its shards go, and manifests only reference
+// older epochs, so a crash mid-GC leaves unsealed debris for the next pass,
+// never a sealed manifest that dangles.
 //
 // Unsealed debris strictly older than the newest sealed epoch is swept in
 // the same pass (an in-flight commit is always numbered above the newest
@@ -67,18 +65,13 @@ func GCStore(store Store, keep int) (*GCStats, error) {
 	if keep < 1 {
 		return nil, fmt.Errorf("ckpt: gc must keep at least one epoch (keep=%d)", keep)
 	}
-	epochs, err := store.Epochs()
+	epochs, sealed, err := sealedSet(store)
 	if err != nil {
 		return nil, err
 	}
 	st := &GCStats{}
 	if len(epochs) == 0 {
 		return st, nil
-	}
-
-	sealed := make(map[int]bool, len(epochs))
-	for _, e := range epochs {
-		sealed[e] = true
 	}
 	live := make(map[int]bool)
 	queue := make([]int, 0, keep)
@@ -150,13 +143,11 @@ func GCStore(store Store, keep int) (*GCStats, error) {
 		st.DeletedShards += fresh
 	}
 
-	if sw, ok := store.(Sweeper); ok {
-		bytes, swept, err := sw.SweepUnsealed(epochs[len(epochs)-1])
-		st.ReclaimedBytes += bytes
-		st.SweptObjects += swept
-		if err != nil {
-			return st, fmt.Errorf("ckpt: gc sweeping unsealed debris: %w", err)
-		}
+	bytes, swept, err := store.SweepUnsealed(epochs[len(epochs)-1])
+	st.ReclaimedBytes += bytes
+	st.SweptObjects += swept
+	if err != nil {
+		return st, fmt.Errorf("ckpt: gc sweeping unsealed debris: %w", err)
 	}
 	return st, nil
 }

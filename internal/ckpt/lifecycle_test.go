@@ -109,10 +109,10 @@ func TestGCStoreSweepsUnsealedDebris(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Epoch 1: aborted-commit debris. Epoch 5: in flight.
-			if err := store.PutShard(1, 0, []byte("debris")); err != nil {
+			if err := putShard(store, 1, 0, []byte("debris")); err != nil {
 				t.Fatal(err)
 			}
-			if err := store.PutShard(5, 0, []byte("inflight")); err != nil {
+			if err := putShard(store, 5, 0, []byte("inflight")); err != nil {
 				t.Fatal(err)
 			}
 			st, err := GCStore(store, 2)
@@ -160,9 +160,6 @@ func TestFileStoreDeleteEpoch(t *testing.T) {
 	}
 	if n, err := fs.DeleteEpoch(1); err != nil || n != 0 {
 		t.Fatalf("idempotent re-delete: n=%d err=%v", n, err)
-	}
-	if n, err := fs.DeleteShard(1, 0); err != nil || n != 0 {
-		t.Fatalf("deleting an absent shard: n=%d err=%v", n, err)
 	}
 }
 
@@ -305,10 +302,8 @@ func TestFailedCommitLeavesNoDebris(t *testing.T) {
 	if _, _, err := c.Result(); err == nil || !strings.Contains(err.Error(), "committing epoch 0: seal refused") {
 		t.Fatalf("failed seal not surfaced: %v", err)
 	}
-	for key := range store.shards {
-		if key[0] == 0 {
-			t.Fatalf("unsealed epoch 0 left shard object %v behind", key)
-		}
+	if objs := store.epochs[0]; len(objs) > 0 {
+		t.Fatalf("unsealed epoch 0 left %d objects behind", len(objs))
 	}
 	if epochs, _ := store.Epochs(); len(epochs) != 1 || epochs[0] != 1 {
 		t.Fatalf("sealed epochs %v, want only epoch 1", epochs)

@@ -54,7 +54,7 @@ func flipShard(t *testing.T, s Store, epoch, rank int) {
 		t.Fatal(err)
 	}
 	blob[len(blob)/2] ^= 0xFF
-	if err := s.PutShard(epoch, rank, blob); err != nil {
+	if err := putShard(s, epoch, rank, blob); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -84,7 +84,7 @@ func (c *partialChain) rewriteOwnObject(t *testing.T, ri RankImage) {
 	if err := writePartialShard(c.si, sink, FlateCodec(0), stream, own); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.store.PutShard(1, 1, sink.Bytes()); err != nil {
+	if err := putShard(c.store, 1, 1, sink.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.store.PutManifest(1, c.man); err != nil {
@@ -144,7 +144,7 @@ func TestPartialMergeVerdicts(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := c.store.PutShard(0, 1, blob[:len(blob)/2]); err != nil {
+				if err := putShard(c.store, 0, 1, blob[:len(blob)/2]); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -359,8 +359,8 @@ func FuzzPartialShardDecode(f *testing.F) {
 
 		store := NewMemStore()
 		for _, err := range []error{
-			store.PutManifest(0, seed.man0), store.PutShard(0, 1, src),
-			store.PutManifest(1, valid), store.PutShard(1, 1, own),
+			store.PutManifest(0, seed.man0), putShard(store, 0, 1, src),
+			store.PutManifest(1, valid), putShard(store, 1, 1, own),
 		} {
 			if err != nil {
 				t.Fatal(err)

@@ -328,10 +328,6 @@ func (s *countingStore) PutShardStream(epoch, rank int) (io.WriteCloser, error) 
 	return countingWriter{w, s, epoch}, err
 }
 
-func (s *countingStore) PutShard(epoch, rank int, blob []byte) error {
-	return putShardBlob(s, epoch, rank, blob)
-}
-
 // TestWriteBytesOf: the write charge derived from a sealed manifest is what
 // a store saw written for that epoch — over whole-shard reuse, page-delta and
 // CDC chains and their compactions — and it is the restart epoch's share of

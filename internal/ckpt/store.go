@@ -2,20 +2,13 @@ package ckpt
 
 // Checkpoint stores: where the staged pipeline's commit stage lands.
 //
-// A Store holds a chain of capture epochs. Each epoch has one sealed
-// manifest (v3, see FORMAT.md) and zero or more shard objects — zero when
-// every rank's state was unchanged and all shards are references into
-// earlier epochs. Sealing order is the commit contract: shards first, the
-// manifest last, so a crash mid-commit leaves a dangling unsealed epoch that
-// Epochs() simply does not report.
-//
-// Two implementations:
-//
-//   - MemStore: a map; the default commit target when a plan enables the
-//     staged pipeline without naming a store.
-//   - FileStore: one directory per epoch, one file per fresh shard plus the
-//     sealed manifest — the on-disk layout a real MANA-style per-rank image
-//     tree collapses into.
+// A Store holds a chain of capture epochs, each a sealed manifest (FORMAT.md)
+// and a shard object per rank whose state changed. Sealing order is the
+// commit contract: shards first, the manifest last, so a crash mid-commit
+// leaves an unsealed epoch that Epochs() does not report and SweepUnsealed
+// reclaims. One epoch layer (layer) holds that contract over an object layer
+// of five calls (objects): MemStore is it over a map, FileStore over a
+// directory per epoch (filestore.go), synced so a seal survives power loss.
 //
 // A store moves bytes and knows nothing of what they cost: both sides of the
 // storage model are functions of a sealed manifest (WriteBytesOf, ReadSetOf),
@@ -23,10 +16,11 @@ package ckpt
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
+	"io/fs"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,334 +28,126 @@ import (
 	"mana/internal/netmodel"
 )
 
-// Store is the commit target of the checkpoint pipeline: a keyed object
-// space for shard objects plus a sealed manifest per epoch. Shard objects
-// are STREAMED: the encoder writes through PutShardStream and restart reads
-// through OpenShard, so neither side ever needs a whole-shard []byte. The
-// blob methods (PutShard/GetShard) remain as thin adapters over the streams
-// for tools and tests that already hold the bytes.
+// Store is the commit target of the checkpoint pipeline: shard objects plus a
+// sealed manifest per epoch. Shards are STREAMED (PutShardStream, OpenShard),
+// so neither the encoder nor a restart ever needs a whole-shard []byte.
 type Store interface {
-	// PutShardStream opens a streaming writer for one rank's shard object
-	// under (epoch, rank). The object becomes readable once the writer is
-	// closed; an abandoned (never-closed) stream in an unsealed epoch is an
-	// aborted commit, invisible behind the manifest-sealed-last contract.
+	// PutShardStream opens a writer for one rank's shard object, readable
+	// (on a FileStore, durable) once the writer closes without error.
 	PutShardStream(epoch, rank int) (io.WriteCloser, error)
 	// OpenShard opens a streaming reader over a shard object's stored bytes.
 	OpenShard(epoch, rank int) (io.ReadCloser, error)
-	// PutShard stores one rank's compressed shard blob under (epoch, rank) —
-	// an adapter over PutShardStream.
-	PutShard(epoch, rank int, blob []byte) error
-	// GetShard retrieves a whole shard object — an adapter over OpenShard.
+	// GetShard reads a whole shard object into a slice the caller owns.
 	GetShard(epoch, rank int) ([]byte, error)
-	// PutManifest seals an epoch; a Store reports an epoch from Epochs only
-	// once its manifest is committed.
+	// PutManifest seals an epoch: Epochs reports it once this returns.
 	PutManifest(epoch int, man *Manifest) error
 	// GetManifest retrieves a sealed epoch's manifest.
 	GetManifest(epoch int) (*Manifest, error)
 	// Epochs lists sealed epochs in ascending order.
 	Epochs() ([]int, error)
-	// DeleteShard removes one shard object, returning the stored bytes
-	// reclaimed. Deleting an absent shard is not an error (deletion is
-	// idempotent so a GC pass interrupted mid-epoch can simply run again).
-	DeleteShard(epoch, rank int) (int64, error)
-	// DeleteEpoch removes an entire epoch — its manifest (unsealing it
-	// FIRST, so a crash mid-delete can never leave a sealed manifest whose
-	// shard bytes are gone) and then its shard objects — returning the
-	// total bytes reclaimed. Deleting an absent epoch reclaims zero.
+	// DeleteEpoch removes an epoch, unsealing it FIRST so a crash never
+	// leaves a sealed manifest over missing shards, and returns the bytes
+	// reclaimed: zero for an absent epoch, so an interrupted GC can rerun.
 	DeleteEpoch(epoch int) (int64, error)
-}
-
-// Sweeper is the optional debris-collection side of a Store: removal of
-// unsealed (aborted) epoch leftovers that Epochs() hides but that otherwise
-// accumulate forever. Both built-in stores implement it; GCStore uses it
-// when present.
-type Sweeper interface {
-	// SweepUnsealed removes every unsealed epoch's leftovers with an epoch
-	// number strictly below `before`, returning the bytes and object count
-	// reclaimed. The bound is what makes the sweep safe to run while a
-	// commit is in flight: an in-flight epoch is always numbered at or
-	// above the newest sealed epoch + 1, while failed-commit debris is
-	// always numbered below a later successful seal.
+	// SweepUnsealed removes every unsealed epoch numbered below `before`,
+	// returning the bytes and objects reclaimed. The bound makes it safe
+	// beside a commit in flight, which is numbered above the newest seal,
+	// while failed-commit debris is numbered below a later one.
 	SweepUnsealed(before int) (bytes int64, objects int, err error)
 }
 
-// putShardBlob adapts a blob write onto a store's streaming API.
-func putShardBlob(s Store, epoch, rank int, blob []byte) error {
-	w, err := s.PutShardStream(epoch, rank)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(blob); err != nil {
-		//lint:allow closecheck write already failed; the write error is the one to surface
-		w.Close()
-		return fmt.Errorf("ckpt: writing epoch %d rank %d shard: %w", epoch, rank, err)
-	}
-	if err := w.Close(); err != nil {
-		return fmt.Errorf("ckpt: writing epoch %d rank %d shard: %w", epoch, rank, err)
-	}
-	return nil
+// objKey names one object: slot is a rank's shard or a manifest name below.
+type objKey struct{ epoch, slot int }
+
+const (
+	manifestSlot = -1 // the seal: an epoch is sealed exactly while it exists
+	manifestTemp = -2 // the manifest while it is written, and once unsealed
+)
+
+// objects is an object layer. Each call says what it makes durable — what a
+// power loss after it returns cannot take back. An absent object or epoch is
+// an error wrapping fs.ErrNotExist.
+type objects interface {
+	// create opens a stream for an object, replacing any of that name. Once
+	// Close returns nil its bytes are durable; its name is not until the
+	// epoch's next publish.
+	create(k objKey) (io.WriteCloser, error)
+	open(k objKey) (io.ReadCloser, error) // reads; nothing is made durable
+	// publish renames an epoch's object from one slot to another, replacing
+	// what is there. Every name created or removed in the epoch before, and
+	// the epoch's own name, is durable before the rename, and the rename is
+	// durable when publish returns.
+	publish(epoch, from, to int) error
+	// remove deletes an epoch and all its objects, returning the bytes and
+	// objects it held. Nothing is durable: a power loss may bring any back.
+	remove(epoch int) (int64, int, error)
+	// list returns every epoch holding objects, ascending; nothing is durable.
+	list() ([]int, error)
 }
 
-// getShardBlob adapts a whole-object read onto a store's streaming API. The
-// returned slice is private to the caller.
-func getShardBlob(s Store, epoch, rank int) ([]byte, error) {
-	rc, err := s.OpenShard(epoch, rank)
+// writeClose writes b through w and closes it, the close being the commit.
+func writeClose(w io.WriteCloser, b []byte) error {
+	if _, err := w.Write(b); err != nil {
+		//lint:allow closecheck write already failed; the write error is the one to surface
+		w.Close()
+		return err
+	}
+	return w.Close()
+}
+
+// layer is the epoch layer: the Store contract, once, over an object layer.
+type layer struct{ objs objects }
+
+// PutShardStream implements Store.
+func (l layer) PutShardStream(epoch, rank int) (io.WriteCloser, error) {
+	return l.objs.create(objKey{epoch, rank})
+}
+
+// OpenShard implements Store.
+func (l layer) OpenShard(epoch, rank int) (io.ReadCloser, error) {
+	return l.objs.open(objKey{epoch, rank})
+}
+
+// GetShard implements Store.
+func (l layer) GetShard(epoch, rank int) ([]byte, error) { return l.read(objKey{epoch, rank}) }
+
+// read reads a whole object into a slice of the caller's own, allocated once
+// when the reader knows its length (a memReader does).
+func (l layer) read(k objKey) ([]byte, error) {
+	rc, err := l.objs.open(k)
 	if err != nil {
 		return nil, err
 	}
 	defer rc.Close()
-	blob, err := io.ReadAll(rc)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: reading epoch %d rank %d shard: %w", epoch, rank, err)
+	var buf bytes.Buffer
+	if r, ok := rc.(interface{ Len() int }); ok {
+		buf.Grow(r.Len() + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
 	}
-	return blob, nil
+	_, err = buf.ReadFrom(rc)
+	return buf.Bytes(), err
 }
 
-// ---------------------------------------------------------------- MemStore
-
-// MemStore is an in-memory Store. Safe for concurrent use.
-type MemStore struct {
-	mu     sync.Mutex
-	shards map[[2]int][]byte
-	mans   map[int][]byte // sealed manifests, kept encoded (decode = private copy)
-}
-
-// NewMemStore creates an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{shards: make(map[[2]int][]byte), mans: make(map[int][]byte)}
-}
-
-// memShardWriter accumulates a shard stream and installs it at Close.
-type memShardWriter struct {
-	s           *MemStore
-	epoch, rank int
-	buf         bytes.Buffer
-	closed      bool
-}
-
-func (w *memShardWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
-
-func (w *memShardWriter) Close() error {
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	w.s.mu.Lock()
-	w.s.shards[[2]int{w.epoch, w.rank}] = w.buf.Bytes()
-	w.s.mu.Unlock()
-	return nil
-}
-
-// PutShardStream implements Store: bytes accumulate privately and become
-// visible atomically at Close.
-func (s *MemStore) PutShardStream(epoch, rank int) (io.WriteCloser, error) {
-	return &memShardWriter{s: s, epoch: epoch, rank: rank}, nil
-}
-
-// OpenShard implements Store. The stored slice is immutable once installed
-// (writers hand over their private buffer; blob puts copy), so the reader
-// serves it directly.
-func (s *MemStore) OpenShard(epoch, rank int) (io.ReadCloser, error) {
-	s.mu.Lock()
-	blob, ok := s.shards[[2]int{epoch, rank}]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("ckpt: store has no shard for epoch %d rank %d", epoch, rank)
-	}
-	return io.NopCloser(bytes.NewReader(blob)), nil
-}
-
-// PutShard implements Store. The stream writer's private buffer is the
-// copy, so later mutation of blob cannot reach the stored object.
-func (s *MemStore) PutShard(epoch, rank int, blob []byte) error {
-	return putShardBlob(s, epoch, rank, blob)
-}
-
-// GetShard implements Store. The blob is copied out: callers may mutate
-// what they get back (corruption probes do) without corrupting the stored
-// shard that later epochs reference.
-func (s *MemStore) GetShard(epoch, rank int) ([]byte, error) {
-	return getShardBlob(s, epoch, rank)
-}
-
-// PutManifest implements Store.
-func (s *MemStore) PutManifest(epoch int, man *Manifest) error {
+// PutManifest implements Store. The record is written to the temp object and
+// closed (durable), then published over the manifest's name, which makes the
+// epoch's shard names durable first: a crash leaves it sealed whole or not.
+func (l layer) PutManifest(epoch int, man *Manifest) error {
 	rec, err := EncodeManifestRecord(man)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mans[epoch] = rec
-	return nil
-}
-
-// GetManifest implements Store.
-func (s *MemStore) GetManifest(epoch int) (*Manifest, error) {
-	s.mu.Lock()
-	rec, ok := s.mans[epoch]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("ckpt: store has no epoch %d", epoch)
+	w, err := l.objs.create(objKey{epoch, manifestTemp})
+	if err == nil {
+		err = writeClose(w, rec)
 	}
-	return DecodeManifestRecord(rec)
-}
-
-// Epochs implements Store.
-func (s *MemStore) Epochs() ([]int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]int, 0, len(s.mans))
-	for e := range s.mans {
-		out = append(out, e)
-	}
-	sort.Ints(out)
-	return out, nil
-}
-
-// DeleteShard implements Store.
-func (s *MemStore) DeleteShard(epoch, rank int) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := [2]int{epoch, rank}
-	n := int64(len(s.shards[key]))
-	delete(s.shards, key)
-	return n, nil
-}
-
-// DeleteEpoch implements Store: the manifest entry goes first (the epoch
-// stops being sealed), then its shard objects.
-func (s *MemStore) DeleteEpoch(epoch int) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	reclaimed := int64(len(s.mans[epoch]))
-	delete(s.mans, epoch)
-	for key, blob := range s.shards {
-		if key[0] == epoch {
-			reclaimed += int64(len(blob))
-			delete(s.shards, key)
-		}
-	}
-	return reclaimed, nil
-}
-
-// SweepUnsealed implements Sweeper: shard objects parked under an epoch
-// that never sealed (and never will — it is numbered below a later seal)
-// are aborted-commit debris.
-func (s *MemStore) SweepUnsealed(before int) (int64, int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var bytes int64
-	var objects int
-	for key, blob := range s.shards {
-		if key[0] >= before {
-			continue
-		}
-		if _, sealed := s.mans[key[0]]; sealed {
-			continue
-		}
-		bytes += int64(len(blob))
-		objects++
-		delete(s.shards, key)
-	}
-	return bytes, objects, nil
-}
-
-// --------------------------------------------------------------- FileStore
-
-// FileStore keeps each epoch in its own directory:
-//
-//	<root>/epoch-000000/rank-000000.shard   (fresh shards only)
-//	<root>/epoch-000000/manifest.ckpt       (sealed last)
-//
-// An epoch directory without a manifest is an aborted commit and is ignored.
-type FileStore struct {
-	Root string
-}
-
-// NewFileStore opens (creating if needed) a file store rooted at dir.
-func NewFileStore(dir string) (*FileStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("ckpt: creating store root: %w", err)
-	}
-	return &FileStore{Root: dir}, nil
-}
-
-// EpochDir returns the directory of one epoch.
-func (s *FileStore) EpochDir(epoch int) string {
-	return filepath.Join(s.Root, fmt.Sprintf("epoch-%06d", epoch))
-}
-
-// ShardPath returns the file a fresh shard is written to. Conformance's
-// corruption probes use it to damage specific shards in place.
-func (s *FileStore) ShardPath(epoch, rank int) string {
-	return filepath.Join(s.EpochDir(epoch), fmt.Sprintf("rank-%06d.shard", rank))
-}
-
-// ManifestPath returns an epoch's manifest file.
-func (s *FileStore) ManifestPath(epoch int) string {
-	return filepath.Join(s.EpochDir(epoch), "manifest.ckpt")
-}
-
-// PutShardStream implements Store: the shard streams straight into its
-// file. A crash mid-stream leaves a torn file, but only inside an unsealed
-// epoch — the manifest-sealed-last contract keeps it invisible, and
-// VerifyStore attributes a post-seal truncation to the exact (epoch, rank).
-func (s *FileStore) PutShardStream(epoch, rank int) (io.WriteCloser, error) {
-	if err := os.MkdirAll(s.EpochDir(epoch), 0o755); err != nil {
-		return nil, fmt.Errorf("ckpt: creating epoch %d dir: %w", epoch, err)
-	}
-	f, err := os.Create(s.ShardPath(epoch, rank))
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: creating epoch %d rank %d shard: %w", epoch, rank, err)
-	}
-	return f, nil
-}
-
-// OpenShard implements Store.
-func (s *FileStore) OpenShard(epoch, rank int) (io.ReadCloser, error) {
-	f, err := os.Open(s.ShardPath(epoch, rank))
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: reading epoch %d rank %d shard: %w", epoch, rank, err)
-	}
-	return f, nil
-}
-
-// PutShard implements Store.
-func (s *FileStore) PutShard(epoch, rank int, blob []byte) error {
-	return putShardBlob(s, epoch, rank, blob)
-}
-
-// GetShard implements Store.
-func (s *FileStore) GetShard(epoch, rank int) ([]byte, error) {
-	return getShardBlob(s, epoch, rank)
-}
-
-// PutManifest implements Store. The seal must be atomic — Epochs() treats
-// the manifest file's existence as "sealed", so a crash mid-write may not
-// leave a partial manifest behind; the record is written to a temp file and
-// renamed into place.
-func (s *FileStore) PutManifest(epoch int, man *Manifest) error {
-	rec, err := EncodeManifestRecord(man)
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(s.EpochDir(epoch), 0o755); err != nil {
-		return fmt.Errorf("ckpt: creating epoch %d dir: %w", epoch, err)
-	}
-	tmp := s.ManifestPath(epoch) + ".tmp"
-	if err := os.WriteFile(tmp, rec, 0o644); err != nil {
-		return fmt.Errorf("ckpt: sealing epoch %d manifest: %w", epoch, err)
-	}
-	if err := os.Rename(tmp, s.ManifestPath(epoch)); err != nil {
-		return fmt.Errorf("ckpt: sealing epoch %d manifest: %w", epoch, err)
-	}
-	return nil
+	return l.objs.publish(epoch, manifestTemp, manifestSlot)
 }
 
 // GetManifest implements Store.
-func (s *FileStore) GetManifest(epoch int) (*Manifest, error) {
-	rec, err := os.ReadFile(s.ManifestPath(epoch))
+func (l layer) GetManifest(epoch int) (*Manifest, error) {
+	rec, err := l.read(objKey{epoch, manifestSlot})
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: reading epoch %d manifest: %w", epoch, err)
 	}
@@ -372,139 +158,152 @@ func (s *FileStore) GetManifest(epoch int) (*Manifest, error) {
 	return man, nil
 }
 
-// Epochs implements Store.
-func (s *FileStore) Epochs() ([]int, error) {
-	all, err := s.epochDirs()
+// partition splits the epochs below `before` into sealed and unsealed. Only
+// an absent manifest means unsealed: any other failure to open it (EIO,
+// ESTALE) is returned, lest a sealed epoch be hidden and handed to a sweep.
+func (l layer) partition(before int) (sealed, unsealed []int, err error) {
+	all, err := l.objs.list()
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("ckpt: listing store: %w", err)
 	}
-	var out []int
 	for _, e := range all {
-		if _, err := os.Stat(s.ManifestPath(e)); err != nil {
-			continue // unsealed (aborted) epoch
+		if e >= before {
+			break
 		}
-		out = append(out, e)
+		rc, err := l.objs.open(objKey{e, manifestSlot})
+		switch {
+		case err == nil:
+			rc.Close()
+			sealed = append(sealed, e)
+		case errors.Is(err, fs.ErrNotExist):
+			unsealed = append(unsealed, e)
+		default:
+			return nil, nil, fmt.Errorf("ckpt: reading epoch %d manifest: %w", e, err)
+		}
 	}
-	return out, nil
+	return sealed, unsealed, nil
 }
 
-// epochDirs lists every epoch directory under the root, sealed or not, in
-// ascending order.
-func (s *FileStore) epochDirs() ([]int, error) {
-	ents, err := os.ReadDir(s.Root)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: listing store root: %w", err)
-	}
-	var out []int
-	for _, ent := range ents {
-		var e int
-		if !ent.IsDir() {
-			continue
-		}
-		if _, err := fmt.Sscanf(ent.Name(), "epoch-%d", &e); err != nil {
-			continue
-		}
-		// Strict match: Sscanf tolerates trailing garbage and odd widths,
-		// so a stray "epoch-000003.bak" would otherwise alias epoch 3 and
-		// surface it twice.
-		if ent.Name() != fmt.Sprintf("epoch-%06d", e) {
-			continue
-		}
-		out = append(out, e)
-	}
-	sort.Ints(out)
-	return out, nil
+// Epochs implements Store.
+func (l layer) Epochs() ([]int, error) {
+	sealed, _, err := l.partition(math.MaxInt)
+	return sealed, err
 }
 
-// DeleteShard implements Store.
-func (s *FileStore) DeleteShard(epoch, rank int) (int64, error) {
-	n, _, err := removeSized(s.ShardPath(epoch, rank))
+// DeleteEpoch implements Store. The manifest is published back to its temp
+// name, durably, before any shard goes: a power loss mid-delete leaves the
+// epoch sealed and whole, or unsealed debris (as a failed commit's is).
+func (l layer) DeleteEpoch(epoch int) (int64, error) {
+	if err := l.objs.publish(epoch, manifestSlot, manifestTemp); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return 0, fmt.Errorf("ckpt: unsealing epoch %d: %w", epoch, err)
+	}
+	n, _, err := l.objs.remove(epoch)
 	return n, err
 }
 
-// DeleteEpoch implements Store. Order is the crash-safety contract: the
-// manifest is removed FIRST, unsealing the epoch, and only then its shard
-// files and directory. A crash at any point leaves either the sealed epoch
-// fully intact or an unsealed directory of debris (invisible to Epochs and
-// reclaimed by SweepUnsealed) — never a sealed manifest with missing bytes.
-func (s *FileStore) DeleteEpoch(epoch int) (int64, error) {
-	reclaimed, _, err := removeSized(s.ManifestPath(epoch))
-	if err != nil {
-		return reclaimed, err
-	}
-	bytes, _, err := s.removeUnsealedDir(epoch)
-	return reclaimed + bytes, err
-}
-
-// SweepUnsealed implements Sweeper.
-func (s *FileStore) SweepUnsealed(before int) (int64, int, error) {
-	all, err := s.epochDirs()
+// SweepUnsealed implements Store.
+func (l layer) SweepUnsealed(before int) (int64, int, error) {
+	_, unsealed, err := l.partition(before)
 	if err != nil {
 		return 0, 0, err
 	}
 	var bytes int64
 	var objects int
-	for _, e := range all {
-		if e >= before {
-			continue
-		}
-		if _, err := os.Stat(s.ManifestPath(e)); err == nil {
-			continue // sealed
-		}
-		b, n, err := s.removeUnsealedDir(e)
-		bytes += b
-		objects += n
+	for _, e := range unsealed {
+		b, n, err := l.objs.remove(e)
+		bytes, objects = bytes+b, objects+n
 		if err != nil {
-			return bytes, objects, err
+			return bytes, objects, fmt.Errorf("ckpt: sweeping epoch %d: %w", e, err)
 		}
 	}
 	return bytes, objects, nil
 }
 
-// removeUnsealedDir deletes every file in an (already unsealed) epoch
-// directory, then the directory itself, tallying what was reclaimed.
-func (s *FileStore) removeUnsealedDir(epoch int) (int64, int, error) {
-	dir := s.EpochDir(epoch)
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, 0, nil
-		}
-		return 0, 0, fmt.Errorf("ckpt: listing epoch %d dir: %w", epoch, err)
-	}
-	var bytes int64
-	var objects int
-	for _, ent := range ents {
-		n, existed, err := removeSized(filepath.Join(dir, ent.Name()))
-		bytes += n
-		if existed {
-			objects++
-		}
-		if err != nil {
-			return bytes, objects, err
-		}
-	}
-	if err := os.Remove(dir); err != nil && !os.IsNotExist(err) {
-		return bytes, objects, fmt.Errorf("ckpt: removing epoch %d dir: %w", epoch, err)
-	}
-	return bytes, objects, nil
+// MemStore is an in-memory Store, safe for concurrent use: the epoch layer
+// over a map epoch → slot → bytes. An object is installed whole as its writer
+// closes and never changes after, so readers serve the stored slice itself.
+type MemStore struct {
+	layer
+	mu     sync.Mutex
+	epochs map[int]map[int][]byte
 }
 
-// removeSized deletes one file, returning its size and whether it existed.
-// An already-absent file reclaims zero bytes and is not an error (deletion
-// is idempotent).
-func removeSized(path string) (int64, bool, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, false, nil
-		}
-		return 0, false, fmt.Errorf("ckpt: deleting %s: %w", path, err)
+// NewMemStore creates an empty in-memory store.
+func NewMemStore() *MemStore {
+	m := &MemStore{epochs: make(map[int]map[int][]byte)}
+	m.layer = layer{m}
+	return m
+}
+
+// memWriter accumulates an object privately and installs it at Close.
+type memWriter struct {
+	bytes.Buffer
+	m *MemStore
+	k objKey
+}
+
+func (w *memWriter) Close() error {
+	w.m.mu.Lock()
+	defer w.m.mu.Unlock()
+	if w.m.epochs[w.k.epoch] == nil {
+		w.m.epochs[w.k.epoch] = make(map[int][]byte)
 	}
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return 0, true, fmt.Errorf("ckpt: deleting %s: %w", path, err)
+	w.m.epochs[w.k.epoch][w.k.slot] = w.Bytes()
+	return nil
+}
+
+// memReader serves a stored object in place.
+type memReader struct{ bytes.Reader }
+
+func (*memReader) Close() error { return nil }
+
+func (m *MemStore) create(k objKey) (io.WriteCloser, error) { return &memWriter{m: m, k: k}, nil }
+
+func (m *MemStore) open(k objKey) (io.ReadCloser, error) {
+	m.mu.Lock()
+	b, ok := m.epochs[k.epoch][k.slot]
+	m.mu.Unlock()
+	if !ok {
+		return nil, &fs.PathError{Op: "open", Path: fmt.Sprintf("epoch %d slot %d", k.epoch, k.slot), Err: fs.ErrNotExist}
 	}
-	return fi.Size(), true, nil
+	r := &memReader{}
+	r.Reset(b)
+	return r, nil
+}
+
+func (m *MemStore) publish(epoch, from, to int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	b, ok := m.epochs[epoch][from]
+	if !ok {
+		return fs.ErrNotExist
+	}
+	delete(m.epochs[epoch], from)
+	m.epochs[epoch][to] = b
+	return nil
+}
+
+func (m *MemStore) remove(epoch int) (int64, int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var n int64
+	for _, b := range m.epochs[epoch] {
+		n += int64(len(b))
+	}
+	objects := len(m.epochs[epoch])
+	delete(m.epochs, epoch)
+	return n, objects, nil
+}
+
+func (m *MemStore) list() ([]int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]int, 0, len(m.epochs))
+	for e := range m.epochs {
+		out = append(out, e)
+	}
+	sort.Ints(out)
+	return out, nil
 }
 
 // ------------------------------------------------------------ commit stage
@@ -996,17 +795,17 @@ func LatestEpoch(store Store) (int, error) {
 	return epochs[len(epochs)-1], nil
 }
 
-// sealedSet returns the store's sealed epochs as a set.
-func sealedSet(store Store) (map[int]bool, error) {
+// sealedSet returns the store's sealed epochs, in order and as a set.
+func sealedSet(store Store) ([]int, map[int]bool, error) {
 	epochs, err := store.Epochs()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	set := make(map[int]bool, len(epochs))
 	for _, e := range epochs {
 		set[e] = true
 	}
-	return set, nil
+	return epochs, set, nil
 }
 
 // unsealedDep returns the first epoch an entry's bytes live in that is not
@@ -1044,7 +843,7 @@ func checkRefsSealed(store Store, man *Manifest, shards []ShardInfo) error {
 	if selfContained {
 		return nil
 	}
-	sealed, err := sealedSet(store)
+	_, sealed, err := sealedSet(store)
 	if err != nil {
 		return err
 	}
@@ -1291,7 +1090,7 @@ type StoreFault struct {
 // later epochs whose manifest entry carries the identical (ref-epoch, rank,
 // checksum, raw size) tuple reuse the verdict instead of re-reading it.
 func VerifyStore(store Store) ([]StoreFault, error) {
-	epochs, err := store.Epochs()
+	epochs, sealed, err := sealedSet(store)
 	if err != nil {
 		return nil, err
 	}
@@ -1301,10 +1100,6 @@ func VerifyStore(store Store) ([]StoreFault, error) {
 		rawSize     int64
 	}
 	verified := make(map[shardID]bool)
-	sealed := make(map[int]bool, len(epochs))
-	for _, e := range epochs {
-		sealed[e] = true
-	}
 	var faults []StoreFault
 	for _, e := range epochs {
 		man, err := store.GetManifest(e)

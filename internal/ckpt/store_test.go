@@ -90,6 +90,15 @@ func TestStoreCommitRoundTrip(t *testing.T) {
 	}
 }
 
+// putShard stores a whole shard blob through the store's stream.
+func putShard(s Store, epoch, rank int, blob []byte) error {
+	w, err := s.PutShardStream(epoch, rank)
+	if err != nil {
+		return err
+	}
+	return writeClose(w, blob)
+}
+
 func mustFileStore(t *testing.T) *FileStore {
 	t.Helper()
 	fs, err := NewFileStore(t.TempDir())
@@ -248,7 +257,7 @@ func TestUnsealedEpochIgnored(t *testing.T) {
 	if _, _, err := CommitCapture(fs, 0, nil, img); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.PutShard(1, 0, []byte("partial")); err != nil {
+	if err := putShard(fs, 1, 0, []byte("partial")); err != nil {
 		t.Fatal(err)
 	}
 	epochs, err := fs.Epochs()

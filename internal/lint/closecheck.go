@@ -7,13 +7,15 @@ import (
 
 // CloseCheck requires the error from a streaming WRITER's Close to be
 // checked. On the store's write path, Close is not cleanup — it is the
-// commit point: the shard writer finalizes checksums and sizes at Close,
-// MemStore installs the object at Close, FileStore's Close is what
-// surfaces short writes, and the metering writer charges bytes at Close. A
-// discarded Close error can seal a manifest over a shard that never fully
-// landed — the silent-corruption class the manifest-sealed-last contract
-// exists to prevent. Readers (io.ReadCloser) are exempt: their Close has
-// no completion semantics.
+// commit point: the shard writer (ckpt.ShardWriter) finalizes checksums and
+// sizes at Close, the in-memory object layer's writer (ckpt.memWriter)
+// installs the object at Close, and the file object layer's writer
+// (ckpt.syncedFile, behind FileStore and PublishFile) syncs the file to the
+// device at Close and surfaces short writes there. A discarded Close error
+// can seal a manifest over a shard that never fully landed, or never
+// became durable — the silent-corruption class the manifest-sealed-last
+// contract exists to prevent. Readers (io.ReadCloser) are exempt: their
+// Close has no completion semantics.
 //
 // Two triggers:
 //

@@ -1,6 +1,7 @@
 package mana
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -72,6 +73,49 @@ func TestPublicAPICheckpointRoundtripViaFiles(t *testing.T) {
 	}
 	if _, err := LoadImage(path); err == nil {
 		t.Fatal("junk image decoded")
+	}
+}
+
+// TestSaveImageKeepsOldImage: SaveImage replaces an image only once the new
+// one is whole and synced, so a write that fails — here because a directory
+// occupies the temp name — leaves the previous image byte for byte.
+func TestSaveImageKeepsOldImage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "job.img")
+	image := func(fill byte) *JobImage {
+		return &JobImage{Algorithm: AlgoCC, Ranks: 1, PPN: 1, CaptureVT: 1,
+			Images: []RankImage{{Rank: 0, App: bytes.Repeat([]byte{fill}, 4096), Proto: []byte{fill}}}}
+	}
+	if err := SaveImage(path, image(1)); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveImage(path, image(2)); err == nil {
+		t.Fatal("SaveImage succeeded with its temp name taken")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("failed SaveImage changed the image on disk (err %v)", err)
+	}
+	if err := os.Remove(path + ".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveImage(path, image(2)); err != nil {
+		t.Fatal(err)
+	}
+	img, err := LoadImage(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img.Images[0].Proto[0] != 2 {
+		t.Fatal("second SaveImage did not replace the image")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind: %v", err)
 	}
 }
 

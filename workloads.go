@@ -59,13 +59,15 @@ var (
 	DefaultSW4Config     = apps.DefaultSW4Config
 )
 
-// SaveImage writes a checkpoint image to a file.
+// SaveImage writes a checkpoint image to a file. The image replaces any file
+// at path only once it is whole and synced (ckpt.PublishFile), so a crash
+// mid-write leaves the previous image intact.
 func SaveImage(path string, img *JobImage) error {
 	blob, err := img.Encode()
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
+	if err := ckpt.PublishFile(path, blob); err != nil {
 		return fmt.Errorf("mana: writing image: %w", err)
 	}
 	return nil
