@@ -8,8 +8,9 @@
 //	                                     machine-readable, for scripts)
 //	ccimg verify <image|store-dir>       per-shard integrity check, chain
 //	                                     reference resolution (exit 1 on fault)
-//	ccimg extract -rank N [-epoch E] [-o out.shard] <image|store-dir>
+//	ccimg extract -rank N [-epoch E] [-o out.raw] <image|store-dir>
 //	                                     decode one rank's shard without the job
+//	                                     (-o: and write its raw stream)
 //	ccimg gc -keep N <store-dir>         delete dead epochs (liveness traced
 //	                                     through shard references) and sweep
 //	                                     aborted-commit debris
@@ -24,7 +25,6 @@
 package main
 
 import (
-	"encoding/gob"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -479,7 +479,7 @@ func runExtract(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("extract", flag.ExitOnError)
 	rank := fs.Int("rank", 0, "rank whose shard to extract")
 	epoch := fs.Int("epoch", -1, "store epoch to extract from (-1 = latest)")
-	out := fs.String("o", "", "write the decoded rank image (gob) to this file")
+	out := fs.String("o", "", "write the rank's raw stream (internal/ckpt/FORMAT.md, RawSum's bytes) to this file")
 	fs.Parse(args)
 	tgt, err := readTarget(fs, "ccimg extract -rank N [-epoch E] [-o out] <image-file|store-dir>")
 	if err != nil {
@@ -497,19 +497,14 @@ func runExtract(w io.Writer, args []string) error {
 	}
 	printRank(w, ri)
 	if *out != "" {
-		f, err := os.Create(*out)
+		raw, err := ckpt.ExtractRawFromStore(tgt.store, e, *rank)
 		if err != nil {
 			return err
 		}
-		if err := gob.NewEncoder(f).Encode(ri); err != nil {
-			//lint:allow closecheck encode already failed; its error is the one to surface
-			f.Close()
+		if err := ckpt.PublishFile(*out, raw); err != nil {
 			return fmt.Errorf("writing %s: %w", *out, err)
 		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("writing %s: %w", *out, err)
-		}
-		fmt.Fprintf(w, "wrote decoded rank %d image to %s\n", *rank, *out)
+		fmt.Fprintf(w, "wrote rank %d's %d-byte raw stream to %s\n", *rank, len(raw), *out)
 	}
 	return nil
 }

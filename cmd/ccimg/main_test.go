@@ -215,3 +215,55 @@ func TestImageGolden(t *testing.T) {
 		t.Errorf("MANAIMG2 file: %v (want a bad-magic error)", err)
 	}
 }
+
+// TestExtractRawStream: `extract -o` writes the rank's raw stream as the
+// store holds it — RawSize bytes whose XXH64 is the manifest's RawSum — for
+// a full shard, a reference to one, and a CDC and a page-delta partial
+// object, whose bytes the extent merge reassembles.
+func TestExtractRawStream(t *testing.T) {
+	dir := t.TempDir()
+	cdcDir, deltaDir := filepath.Join(dir, "cdc"), filepath.Join(dir, "delta")
+	cdc := twoEpochStore(t, cdcDir,
+		func(r int) []byte { return noisy(256<<10, uint64(r+1)) },
+		ckpt.HashCaptureCDC,
+		func(app []byte) []byte {
+			return append(append(append([]byte(nil), app[:4096]...), noisy(32, 99)...), app[4096:]...)
+		})
+	delta := twoEpochStore(t, deltaDir,
+		func(r int) []byte { return bytes.Repeat([]byte{byte(7 + r)}, 16<<10) },
+		func(img *ckpt.JobImage) (*ckpt.ShardSums, error) { return ckpt.HashCapturePaged(img, 1<<10) },
+		func(app []byte) []byte { app[5000] ^= 0xFF; return app })
+	for _, c := range []struct {
+		name        string
+		path        string
+		store       *ckpt.FileStore
+		epoch, rank int
+		partial     bool
+	}{
+		{"full shard", cdcDir, cdc, 0, 1, false},
+		{"reference to a full shard", cdcDir, cdc, 1, 0, false},
+		{"CDC object", cdcDir, cdc, 1, 1, true},
+		{"page-delta object", deltaDir, delta, 1, 1, true},
+	} {
+		man, err := c.store.GetManifest(c.epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		si := man.Shards[c.rank]
+		if si.Partial() != c.partial {
+			t.Fatalf("%s: the fixture's entry is partial=%v", c.name, si.Partial())
+		}
+		out := filepath.Join(dir, fmt.Sprintf("%s-%d-%d.raw", filepath.Base(c.path), c.epoch, c.rank))
+		args := []string{"-rank", fmt.Sprint(c.rank), "-epoch", fmt.Sprint(c.epoch), "-o", out, c.path}
+		if err := runExtract(io.Discard, args); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		raw, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(raw)) != si.RawSize || ckpt.Sum64(raw) != si.RawSum || !bytes.HasPrefix(raw, []byte("MANASHD1")) {
+			t.Errorf("%s: wrote %d bytes sum %#x, want the %d-byte raw stream sum %#x", c.name, len(raw), ckpt.Sum64(raw), si.RawSize, si.RawSum)
+		}
+	}
+}

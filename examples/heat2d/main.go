@@ -8,8 +8,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"log"
 	"math"
@@ -32,45 +30,48 @@ type heatApp struct {
 	Next []float64
 	Heat float64
 
-	// Named halo buffers (receives land here).
-	HaloN, HaloS []byte // rows: tileN cells
-	HaloW, HaloE []byte // cols: tileN cells
-	Sum          []byte
+	// Named buffers (receives land here): the halo rows "haloN" and "haloS"
+	// and columns "haloW" and "haloE", tileN cells each, and the heat "sum".
+	bufs  mana.Buffers
+	sides [4]side
+}
 
-	grid         mana.Grid
-	north, south int
-	west, east   int
-	coords       []int
+// side is the halo exchange with one neighbor (peer < 0: none, a Dirichlet
+// boundary): the tileN edge cells stride apart from edge go to the peer with
+// tag^1, and the peer's land in buffer id with tag, then in the ghost cells.
+type side struct {
+	id                  string
+	peer, tag           int
+	edge, ghost, stride int
 }
 
 func newHeatApp() *heatApp {
 	side := tileN + 2
-	return &heatApp{
-		U:     make([]float64, side*side),
-		Next:  make([]float64, side*side),
-		HaloN: make([]byte, 8*tileN),
-		HaloS: make([]byte, 8*tileN),
-		HaloW: make([]byte, 8*tileN),
-		HaloE: make([]byte, 8*tileN),
-		Sum:   make([]byte, 8),
+	h := &heatApp{U: make([]float64, side*side), Next: make([]float64, side*side)}
+	for _, id := range []string{"haloN", "haloS", "haloW", "haloE"} {
+		h.bufs.Add(id, 8*tileN)
 	}
+	h.bufs.Add("sum", 8)
+	return h
 }
 
 func (h *heatApp) Name() string { return "heat2d" }
 
 func (h *heatApp) Setup(env *mana.Env) error {
 	dims := mana.DimsCreate(env.Size(), 2)
-	h.grid = mana.NewGrid(dims, []bool{false, false})
+	grid := mana.NewGrid(dims, []bool{false, false})
 	me := env.Rank()
-	h.coords = h.grid.Coords(me)
-	_, h.south = h.grid.Shift(me, 0, 1)
-	h.north, _ = h.grid.Shift(me, 0, 1)
-	h.west, _ = h.grid.Shift(me, 1, 1)
-	_, h.east = h.grid.Shift(me, 1, 1)
+	north, south := grid.Shift(me, 0, 1)
+	west, east := grid.Shift(me, 1, 1)
+	h.sides = [4]side{
+		{"haloN", north, 70, h.idx(1, 1), h.idx(0, 1), 1},
+		{"haloS", south, 71, h.idx(tileN, 1), h.idx(tileN+1, 1), 1},
+		{"haloW", west, 72, h.idx(1, 1), h.idx(1, 0), tileN + 2},
+		{"haloE", east, 73, h.idx(1, tileN), h.idx(1, tileN+1), tileN + 2},
+	}
 
 	// Initial condition: a hot square in the middle of the global domain.
-	midR, midC := dims[0]/2, dims[1]/2
-	if h.coords[0] == midR && h.coords[1] == midC {
+	if coords := grid.Coords(me); coords[0] == dims[0]/2 && coords[1] == dims[1]/2 {
 		for r := tileN / 4; r < 3*tileN/4; r++ {
 			for c := tileN / 4; c < 3*tileN/4; c++ {
 				h.U[h.idx(r+1, c+1)] = 100
@@ -82,57 +83,21 @@ func (h *heatApp) Setup(env *mana.Env) error {
 
 func (h *heatApp) idx(r, c int) int { return r*(tileN+2) + c }
 
-func (h *heatApp) Buffer(id string) []byte {
-	switch id {
-	case "haloN":
-		return h.HaloN
-	case "haloS":
-		return h.HaloS
-	case "haloW":
-		return h.HaloW
-	case "haloE":
-		return h.HaloE
-	case "sum":
-		return h.Sum
-	}
-	return nil
-}
-
-func (h *heatApp) edge(side string) []float64 {
-	out := make([]float64, tileN)
-	for i := 0; i < tileN; i++ {
-		switch side {
-		case "n":
-			out[i] = h.U[h.idx(1, i+1)]
-		case "s":
-			out[i] = h.U[h.idx(tileN, i+1)]
-		case "w":
-			out[i] = h.U[h.idx(i+1, 1)]
-		case "e":
-			out[i] = h.U[h.idx(i+1, tileN)]
-		}
-	}
-	return out
-}
+func (h *heatApp) Buffer(id string) []byte { return h.bufs.Get(id) }
 
 func (h *heatApp) Step(env *mana.Env) (bool, error) {
 	switch h.Phase {
 	case 0: // halo exchange (PROC_NULL edges skipped)
-		if h.north >= 0 {
-			env.Irecv(mana.WorldVID, h.north, 70, "haloN", 0, 8*tileN)
-			env.Send(mana.WorldVID, h.north, 71, mana.F64Bytes(h.edge("n")))
-		}
-		if h.south >= 0 {
-			env.Irecv(mana.WorldVID, h.south, 71, "haloS", 0, 8*tileN)
-			env.Send(mana.WorldVID, h.south, 70, mana.F64Bytes(h.edge("s")))
-		}
-		if h.west >= 0 {
-			env.Irecv(mana.WorldVID, h.west, 72, "haloW", 0, 8*tileN)
-			env.Send(mana.WorldVID, h.west, 73, mana.F64Bytes(h.edge("w")))
-		}
-		if h.east >= 0 {
-			env.Irecv(mana.WorldVID, h.east, 73, "haloE", 0, 8*tileN)
-			env.Send(mana.WorldVID, h.east, 72, mana.F64Bytes(h.edge("e")))
+		for _, s := range h.sides {
+			if s.peer < 0 {
+				continue
+			}
+			edge := make([]float64, tileN)
+			for i := range edge {
+				edge[i] = h.U[s.edge+i*s.stride]
+			}
+			env.Irecv(mana.WorldVID, s.peer, s.tag, s.id, 0, 8*tileN)
+			env.Send(mana.WorldVID, s.peer, s.tag^1, mana.F64Bytes(edge))
 		}
 		env.Compute(200e-6)
 		h.Phase = 1
@@ -155,7 +120,7 @@ func (h *heatApp) Step(env *mana.Env) (bool, error) {
 					local += h.U[h.idx(r, c)]
 				}
 			}
-			copy(h.Sum, mana.F64Bytes([]float64{local}))
+			copy(h.bufs.Get("sum"), mana.F64Bytes([]float64{local}))
 			h.Phase = 2
 			env.Allreduce(mana.WorldVID, mana.OpSum, "sum")
 		} else {
@@ -163,9 +128,11 @@ func (h *heatApp) Step(env *mana.Env) (bool, error) {
 			h.Phase = 0
 		}
 	case 2: // consume global heat
-		h.Heat = mana.BytesF64(h.Sum)[0]
+		h.Heat = mana.BytesF64(h.bufs.Get("sum"))[0]
 		h.Iter++
 		h.Phase = 0
+	default:
+		return false, fmt.Errorf("heat2d: phase %d outside [0, 2]", h.Phase)
 	}
 	return h.Iter < steps, nil
 }
@@ -173,50 +140,31 @@ func (h *heatApp) Step(env *mana.Env) (bool, error) {
 // unpack copies received halos into the border; absent neighbors leave
 // zeros (Dirichlet boundary).
 func (h *heatApp) unpack() {
-	for i := 0; i < tileN; i++ {
-		if h.north >= 0 {
-			h.U[h.idx(0, i+1)] = mana.BytesF64(h.HaloN)[i]
+	for _, s := range h.sides {
+		if s.peer < 0 {
+			continue
 		}
-		if h.south >= 0 {
-			h.U[h.idx(tileN+1, i+1)] = mana.BytesF64(h.HaloS)[i]
-		}
-		if h.west >= 0 {
-			h.U[h.idx(i+1, 0)] = mana.BytesF64(h.HaloW)[i]
-		}
-		if h.east >= 0 {
-			h.U[h.idx(i+1, tileN+1)] = mana.BytesF64(h.HaloE)[i]
+		for i, x := range mana.BytesF64(h.bufs.Get(s.id)) {
+			h.U[s.ghost+i*s.stride] = x
 		}
 	}
 }
 
+// Snapshot lays out the header words Iter, Phase and Heat, the tile U, and
+// the named buffers (Next is scratch every step rewrites).
 func (h *heatApp) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(struct {
-		Iter, Phase                     int
-		U                               []float64
-		Heat                            float64
-		HaloN, HaloS, HaloW, HaloE, Sum []byte
-	}{h.Iter, h.Phase, h.U, h.Heat, h.HaloN, h.HaloS, h.HaloW, h.HaloE, h.Sum})
-	return buf.Bytes(), err
+	return h.bufs.Snapshot([]uint64{uint64(h.Iter), uint64(h.Phase), math.Float64bits(h.Heat)}, h.U), nil
 }
 
+// Restore refuses a snapshot that does not fit this rank — another length, a
+// phase Step has no case for, an iteration past the run, other buffers —
+// and leaves the rank as it was.
 func (h *heatApp) Restore(data []byte) error {
-	var st struct {
-		Iter, Phase                     int
-		U                               []float64
-		Heat                            float64
-		HaloN, HaloS, HaloW, HaloE, Sum []byte
-	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	var w [3]uint64
+	if err := h.bufs.Restore(h.Name(), data, w[:], 3, steps, h.U); err != nil {
 		return err
 	}
-	h.Iter, h.Phase, h.Heat = st.Iter, st.Phase, st.Heat
-	copy(h.U, st.U)
-	copy(h.HaloN, st.HaloN)
-	copy(h.HaloS, st.HaloS)
-	copy(h.HaloW, st.HaloW)
-	copy(h.HaloE, st.HaloE)
-	copy(h.Sum, st.Sum)
+	h.Iter, h.Phase, h.Heat = int(w[0]), int(w[1]), math.Float64frombits(w[2])
 	return nil
 }
 
@@ -259,7 +207,7 @@ func main() {
 	}
 	for r := range ref {
 		for i := range ref[r].U {
-			if math.Abs(got[r].U[i]-ref[r].U[i]) > 1e-12 {
+			if math.Float64bits(got[r].U[i]) != math.Float64bits(ref[r].U[i]) {
 				log.Fatalf("rank %d cell %d diverged: %g vs %g", r, i, got[r].U[i], ref[r].U[i])
 			}
 		}

@@ -9,10 +9,9 @@
 package main
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"log"
+	"math"
 
 	"mana"
 )
@@ -22,17 +21,18 @@ type piApp struct {
 	Rounds  int
 	Samples int // per rank per round
 
-	Round  int
-	Phase  int
-	Hits   float64 // local hits this round
-	Total  float64 // global samples so far
-	InPi   float64 // running estimate
-	Seed   uint64
-	reduce []byte // named buffer "reduce"
+	Round int
+	Phase int
+	Total float64      // global samples so far
+	InPi  float64      // running estimate
+	Seed  uint64       // PRNG state
+	bufs  mana.Buffers // named buffer "reduce"
 }
 
 func newPiApp(rounds, samples int) *piApp {
-	return &piApp{Rounds: rounds, Samples: samples, reduce: make([]byte, 8)}
+	a := &piApp{Rounds: rounds, Samples: samples}
+	a.bufs.Add("reduce", 8)
+	return a
 }
 
 func (a *piApp) Name() string { return "pi" }
@@ -42,12 +42,7 @@ func (a *piApp) Setup(env *mana.Env) error {
 	return nil
 }
 
-func (a *piApp) Buffer(id string) []byte {
-	if id == "reduce" {
-		return a.reduce
-	}
-	return nil
-}
+func (a *piApp) Buffer(id string) []byte { return a.bufs.Get(id) }
 
 // rand is a tiny serializable PRNG (the seed is part of the snapshot).
 func (a *piApp) rand() float64 {
@@ -65,17 +60,18 @@ func (a *piApp) Step(env *mana.Env) (bool, error) {
 				hits++
 			}
 		}
-		a.Hits = float64(hits)
-		copy(a.reduce, mana.F64Bytes([]float64{a.Hits}))
+		copy(a.bufs.Get("reduce"), mana.F64Bytes([]float64{float64(hits)}))
 		env.Compute(50e-6) // model the sampling cost
 		a.Phase = 1
 		env.Allreduce(mana.WorldVID, mana.OpSum, "reduce")
 	case 1: // consume the reduction
-		globalHits := mana.BytesF64(a.reduce)[0]
+		globalHits := mana.BytesF64(a.bufs.Get("reduce"))[0]
 		a.Total += float64(a.Samples * env.Size())
 		a.InPi += 4 * globalHits // accumulated hit area
 		a.Round++
 		a.Phase = 0
+	default:
+		return false, fmt.Errorf("pi: phase %d outside [0, 1]", a.Phase)
 	}
 	return a.Round < a.Rounds, nil
 }
@@ -87,31 +83,23 @@ func (a *piApp) Estimate() float64 {
 	return a.InPi / a.Total
 }
 
+// Snapshot lays out the header words — Round and Phase first, then the
+// scalars — and the named buffer.
 func (a *piApp) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(struct {
-		Round, Phase      int
-		Hits, Total, InPi float64
-		Seed              uint64
-		Reduce            []byte
-	}{a.Round, a.Phase, a.Hits, a.Total, a.InPi, a.Seed, a.reduce})
-	return buf.Bytes(), err
+	return a.bufs.Snapshot([]uint64{uint64(a.Round), uint64(a.Phase),
+		math.Float64bits(a.Total), math.Float64bits(a.InPi), a.Seed}), nil
 }
 
+// Restore refuses a snapshot that does not fit this rank — another length, a
+// phase Step has no case for, a round past the run, other buffers — and
+// leaves the rank as it was.
 func (a *piApp) Restore(data []byte) error {
-	var st struct {
-		Round, Phase      int
-		Hits, Total, InPi float64
-		Seed              uint64
-		Reduce            []byte
-	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	var h [5]uint64
+	if err := a.bufs.Restore(a.Name(), data, h[:], 2, a.Rounds); err != nil {
 		return err
 	}
-	a.Round, a.Phase = st.Round, st.Phase
-	a.Hits, a.Total, a.InPi = st.Hits, st.Total, st.InPi
-	a.Seed = st.Seed
-	copy(a.reduce, st.Reduce)
+	a.Round, a.Phase, a.Total, a.InPi = int(h[0]), int(h[1]), math.Float64frombits(h[2]), math.Float64frombits(h[3])
+	a.Seed = h[4]
 	return nil
 }
 

@@ -178,7 +178,7 @@ func TestFoldAtaShortCircuit(t *testing.T) {
 		complex(nan, 0), complex(0, nan), complex(nan, nan), complex(nan, 2e6), complex(2e6, nan),
 	} {
 		v := NewVASPMini(VASPConfig{})
-		v.bufs.add("ata", 8)
+		v.bufs.Add("ata", 8)
 		v.Slab = []complex128{z}
 		v.foldAta()
 		want := z + complex(0*1e-3, 0)
@@ -500,7 +500,7 @@ func TestVASPEnergyTracked(t *testing.T) {
 func vaspRank(cfg VASPConfig) *VASPMini {
 	v := NewVASPMini(cfg)
 	for _, id := range []string{"ata", "energy", "haloL", "haloR"} {
-		v.bufs.add(id, 8)
+		v.bufs.Add(id, 8)
 	}
 	v.Slab = make([]complex128, v.cfg.SlabN)
 	return v
@@ -526,14 +526,7 @@ func layBufs(b []byte, bufs ...bufEntry) []byte {
 }
 
 // entriesOf is a registry's buffers in ID order.
-func entriesOf(b *bufset) []bufEntry {
-	var out []bufEntry
-	for id, data := range b.M {
-		out = append(out, bufEntry{id, data})
-	}
-	slices.SortFunc(out, func(x, y bufEntry) int { return strings.Compare(x.ID, y.ID) })
-	return out
-}
+func entriesOf(b *rt.Buffers) []bufEntry { return splitBufs(b.AppendSection(nil)) }
 
 // vaspImage lays a VASP snapshot out by hand: the six header words, the
 // slab's real parts, then its imaginary parts, then each buffer as given, in
@@ -573,7 +566,7 @@ func TestVASPSnapshotLayout(t *testing.T) {
 	}
 	v.Iter, v.Phase, v.Energy, v.rng.S = 7, 3, parts[len(parts)-1], 0xfeedface
 	for _, e := range vaspBufs("ata", "energy", "haloL", "haloR") {
-		copy(v.bufs.get(e.ID), e.Data)
+		copy(v.bufs.Get(e.ID), e.Data)
 	}
 	want := vaspImage(7, 3, v.Energy, 0xfeedface, v.Slab, vaspBufs("ata", "energy", "haloL", "haloR")...)
 	snap, err := v.Snapshot()
@@ -646,9 +639,14 @@ func TestVASPRestoreHostile(t *testing.T) {
 		{"negative phase", func(v *VASPMini) { v.Phase = -1 }, "phase"},
 		{"negative iteration", func(v *VASPMini) { v.Iter = -5 }, "iteration"},
 		{"iteration past the run", func(v *VASPMini) { v.Iter = 11 }, "iteration"},
-		{"missing buffer", func(v *VASPMini) { delete(v.bufs.M, "ata") }, "buffers"},
-		{"extra buffer", func(v *VASPMini) { v.bufs.add("zeta", 8) }, "buffers"},
-		{"buffer of the wrong size", func(v *VASPMini) { v.bufs.add("ata", 16) }, "size"},
+		{"missing buffer", func(v *VASPMini) {
+			v.bufs = rt.Buffers{}
+			for _, id := range []string{"energy", "haloL", "haloR"} {
+				v.bufs.Add(id, 8)
+			}
+		}, "buffers"},
+		{"extra buffer", func(v *VASPMini) { v.bufs.Add("zeta", 8) }, "buffers"},
+		{"buffer of the wrong size", func(v *VASPMini) { v.bufs.Add("ata", 16) }, "size"},
 	} {
 		src := vaspRank(cfg)
 		c.edit(src)
@@ -677,8 +675,8 @@ func TestVASPRestoreHostile(t *testing.T) {
 	)
 	for _, c := range cases {
 		dst := vaspRank(cfg)
-		for _, buf := range dst.bufs.M {
-			for i := range buf {
+		for _, id := range []string{"ata", "energy", "haloL", "haloR"} {
+			for i, buf := 0, dst.bufs.Get(id); i < len(buf); i++ {
 				buf[i] = 0x55
 			}
 		}
@@ -710,54 +708,6 @@ func TestVASPRestoreHostile(t *testing.T) {
 	lost.Phase = 9
 	if more, err := lost.Step(nil); more || err == nil || !strings.HasPrefix(err.Error(), "vasp: ") {
 		t.Fatalf("Step at phase 9: more %v, err %v; want a vasp error and no more work", more, err)
-	}
-}
-
-// TestRestoreEntriesExactSet: the buffer check every app but the straggler
-// restores through takes exactly the registry's buffers, in strictly
-// increasing ID order, each of its size, and nothing after them — or
-// copies nothing. The gob apps once restored a snapshot that left a buffer
-// out (its stale bytes kept) or named one twice.
-func TestRestoreEntriesExactSet(t *testing.T) {
-	for _, c := range []struct {
-		name  string
-		saved []byte
-		want  string // "" for accepted
-	}{
-		{"exactly the registry", layBufs(nil, vaspBufs("a", "b", "c")...), ""},
-		{"one left out", layBufs(nil, vaspBufs("a", "c")...), "past the end"},
-		{"one left out, another twice", layBufs(nil, vaspBufs("a", "a", "c")...), "strictly increase"},
-		{"out of order", layBufs(nil, vaspBufs("b", "a", "c")...), "strictly increase"},
-		{"one unknown", layBufs(nil, vaspBufs("a", "b", "d")...), "unknown"},
-		{"one more", layBufs(nil, vaspBufs("a", "b", "c", "d")...), "past its last buffer"},
-		{"none", nil, "past the end"},
-		{"wrong size", layBufs(nil, append(vaspBufs("a", "b"), bufEntry{ID: "c", Data: make([]byte, 9)})...), "size"},
-	} {
-		b := newBufset()
-		for _, id := range []string{"c", "a", "b"} {
-			for i, buf := 0, b.add(id, 8); i < len(buf); i++ {
-				buf[i] = 0x55
-			}
-		}
-		err := b.check("test", c.saved)
-		switch {
-		case c.want == "" && err != nil:
-			t.Errorf("%s: refused: %v", c.name, err)
-		case c.want != "" && (err == nil || !strings.HasPrefix(err.Error(), "test: ") || !strings.Contains(err.Error(), c.want)):
-			t.Errorf("%s: got %v, want a test: error about %q", c.name, err, c.want)
-		}
-		if err == nil {
-			b.copyFrom(c.saved)
-		}
-		for _, id := range []string{"a", "b", "c"} {
-			got, want := b.get(id)[0], byte(0x55)
-			if c.want == "" {
-				want = byte(strings.Index("abc", id) + 1)
-			}
-			if got != want {
-				t.Errorf("%s: buffer %q starts %#x, want %#x", c.name, id, got, want)
-			}
-		}
 	}
 }
 

@@ -27,7 +27,7 @@ type MD struct {
 	Pos, Vel, Frc []float64
 	Energy        float64
 
-	bufs bufset
+	bufs rt.Buffers
 }
 
 // MDConfig parametrizes the proxy.
@@ -74,7 +74,7 @@ func NewMD(cfg MDConfig) *MD {
 	if cfg.Dt == 0 {
 		cfg.Dt = 1e-3
 	}
-	return &MD{cfg: cfg, bufs: newBufset()}
+	return &MD{cfg: cfg}
 }
 
 // Name implements rt.App.
@@ -93,18 +93,18 @@ func (m *MD) Setup(env *rt.Env) error {
 		m.Pos[i] = 1.1*float64(i) + 0.02*(rng.float()-0.5)
 		m.Vel[i] = 0.05 * (rng.float() - 0.5)
 	}
-	m.bufs.add("haloL", 8)
-	m.bufs.add("haloR", 8)
-	m.bufs.add("energy", 8)
+	m.bufs.Add("haloL", 8)
+	m.bufs.Add("haloR", 8)
+	m.bufs.Add("energy", 8)
 	if m.cfg.ExchangeForces {
-		m.bufs.add("frcL", 8)
-		m.bufs.add("frcR", 8)
+		m.bufs.Add("frcL", 8)
+		m.bufs.Add("frcR", 8)
 	}
 	return nil
 }
 
 // Buffer implements rt.App.
-func (m *MD) Buffer(id string) []byte { return m.bufs.get(id) }
+func (m *MD) Buffer(id string) []byte { return m.bufs.Get(id) }
 
 // ljForce returns the Lennard-Jones force magnitude and potential for a
 // separation r (epsilon = sigma = 1, cut at 3).
@@ -179,8 +179,8 @@ func (m *MD) localEnergy(pot float64) float64 {
 func (m *MD) Step(env *rt.Env) (bool, error) {
 	switch m.Phase {
 	case 0: // force, integrate, halo exchange
-		haloL := getF64(m.bufs.get("haloL"))
-		haloR := getF64(m.bufs.get("haloR"))
+		haloL := getF64(m.bufs.Get("haloL"))
+		haloR := getF64(m.bufs.Get("haloR"))
 		pot := m.forces(haloL, haloR)
 		m.integrate()
 		m.Energy = m.localEnergy(pot)
@@ -204,7 +204,7 @@ func (m *MD) Step(env *rt.Env) (bool, error) {
 		env.WaitAll()
 	case 1: // periodic global energy
 		if (m.Iter+1)%m.cfg.EnergyEvery == 0 {
-			putF64(m.bufs.get("energy"), m.Energy)
+			putF64(m.bufs.Get("energy"), m.Energy)
 			m.Phase = 2
 			env.Allreduce(rt.WorldVID, mpi.OpSum, "energy")
 		} else {
@@ -212,7 +212,7 @@ func (m *MD) Step(env *rt.Env) (bool, error) {
 			m.Phase = 0
 		}
 	case 2: // consume global energy
-		m.Energy = getF64(m.bufs.get("energy"))
+		m.Energy = getF64(m.bufs.Get("energy"))
 		m.Iter++
 		m.Phase = 0
 	}
@@ -220,18 +220,18 @@ func (m *MD) Step(env *rt.Env) (bool, error) {
 }
 
 // Snapshot implements rt.App: the header words Iter, Phase and Energy, then
-// Pos, Vel and Frc, then the buffers (common.go).
+// Pos, Vel and Frc, then the buffers (rt.Buffers).
 func (m *MD) Snapshot() ([]byte, error) {
-	return m.bufs.snapshotState([]uint64{uint64(m.Iter), uint64(m.Phase), math.Float64bits(m.Energy)},
+	return m.bufs.Snapshot([]uint64{uint64(m.Iter), uint64(m.Phase), math.Float64bits(m.Energy)},
 		m.Pos, m.Vel, m.Frc), nil
 }
 
 // Restore implements rt.App.
 func (m *MD) Restore(data []byte) error {
-	if err := m.bufs.checkState(m.cfg.AppName, data, 3, 3, m.cfg.Steps, m.Pos, m.Vel, m.Frc); err != nil {
+	var h [3]uint64
+	if err := m.bufs.Restore(m.cfg.AppName, data, h[:], 3, m.cfg.Steps, m.Pos, m.Vel, m.Frc); err != nil {
 		return err
 	}
-	m.Iter, m.Phase, m.Energy = int(word(data, 0)), int(word(data, 1)), getF64(data[16:])
-	m.bufs.restoreState(data, 3, m.Pos, m.Vel, m.Frc)
+	m.Iter, m.Phase, m.Energy = int(h[0]), int(h[1]), math.Float64frombits(h[2])
 	return nil
 }

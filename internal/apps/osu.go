@@ -25,7 +25,7 @@ type OSU struct {
 	cfg   OSUConfig
 	Iter  int
 	Phase int
-	bufs  bufset // empty: the collectives are size-only
+	bufs  rt.Buffers // empty: the collectives are size-only
 }
 
 // NewOSU creates the micro-benchmark app for one rank.
@@ -73,9 +73,9 @@ func (o *OSU) Step(env *rt.Env) (bool, error) {
 	return o.Iter < o.cfg.Iterations, nil
 }
 
-// Snapshot implements rt.App: the header words Iter and Phase (common.go).
+// Snapshot implements rt.App: the header words Iter and Phase (rt.Buffers).
 func (o *OSU) Snapshot() ([]byte, error) {
-	return o.bufs.snapshotState([]uint64{uint64(o.Iter), uint64(o.Phase)}), nil
+	return o.bufs.Snapshot([]uint64{uint64(o.Iter), uint64(o.Phase)}), nil
 }
 
 // Restore implements rt.App. A blocking loop has the one phase 0.
@@ -84,9 +84,10 @@ func (o *OSU) Restore(data []byte) error {
 	if o.cfg.Nonblocking {
 		phases = 2
 	}
-	if err := o.bufs.checkState("osu", data, 2, phases, o.cfg.Iterations); err != nil {
+	var h [2]uint64
+	if err := o.bufs.Restore("osu", data, h[:], phases, o.cfg.Iterations); err != nil {
 		return err
 	}
-	o.Iter, o.Phase = int(word(data, 0)), int(word(data, 1))
+	o.Iter, o.Phase = int(h[0]), int(h[1])
 	return nil
 }

@@ -15,7 +15,7 @@ type OSUP2P struct {
 
 	Iter  int
 	Phase int
-	bufs  bufset // "buf", cfg.Size bytes
+	bufs  rt.Buffers // "buf", cfg.Size bytes
 }
 
 // OSUP2PConfig parametrizes the benchmark.
@@ -42,8 +42,8 @@ func NewOSUP2P(cfg OSUP2PConfig) *OSUP2P {
 	if cfg.Size <= 0 {
 		cfg.Size = 8
 	}
-	o := &OSUP2P{cfg: cfg, bufs: newBufset()}
-	o.bufs.add("buf", cfg.Size)
+	o := &OSUP2P{cfg: cfg}
+	o.bufs.Add("buf", cfg.Size)
 	return o
 }
 
@@ -60,7 +60,7 @@ func (o *OSUP2P) Name() string {
 func (o *OSUP2P) Setup(env *rt.Env) error { return nil }
 
 // Buffer implements rt.App.
-func (o *OSUP2P) Buffer(id string) []byte { return o.bufs.get(id) }
+func (o *OSUP2P) Buffer(id string) []byte { return o.bufs.Get(id) }
 
 // Step implements rt.App.
 func (o *OSUP2P) Step(env *rt.Env) (bool, error) {
@@ -144,17 +144,17 @@ func (o *OSUP2P) Step(env *rt.Env) (bool, error) {
 }
 
 // Snapshot implements rt.App: the header words Iter and Phase, then the
-// buffer (common.go).
+// buffer (rt.Buffers).
 func (o *OSUP2P) Snapshot() ([]byte, error) {
-	return o.bufs.snapshotState([]uint64{uint64(o.Iter), uint64(o.Phase)}), nil
+	return o.bufs.Snapshot([]uint64{uint64(o.Iter), uint64(o.Phase)}), nil
 }
 
 // Restore implements rt.App.
 func (o *OSUP2P) Restore(data []byte) error {
-	if err := o.bufs.checkState("osu-p2p", data, 2, 3, o.cfg.Iterations); err != nil {
+	var h [2]uint64
+	if err := o.bufs.Restore("osu-p2p", data, h[:], 3, o.cfg.Iterations); err != nil {
 		return err
 	}
-	o.Iter, o.Phase = int(word(data, 0)), int(word(data, 1))
-	o.bufs.restoreState(data, 2)
+	o.Iter, o.Phase = int(h[0]), int(h[1])
 	return nil
 }

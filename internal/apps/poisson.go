@@ -28,7 +28,7 @@ type Poisson struct {
 	Residual   float64
 	Converged  bool
 
-	bufs bufset
+	bufs rt.Buffers
 }
 
 // PoissonConfig parametrizes the solver.
@@ -54,7 +54,7 @@ func NewPoisson(cfg PoissonConfig) *Poisson {
 	if cfg.MaxIters == 0 {
 		cfg.MaxIters = 420
 	}
-	return &Poisson{cfg: cfg, bufs: newBufset()}
+	return &Poisson{cfg: cfg}
 }
 
 // Name implements rt.App.
@@ -72,15 +72,15 @@ func (p *Poisson) Setup(env *rt.Env) error {
 		p.R[i] = 1
 		p.P[i] = 1
 	}
-	p.bufs.add("dot", 8)
-	p.bufs.add("dotout", 8)
-	p.bufs.add("rho", 8)
-	p.bufs.add("rhoout", 8)
+	p.bufs.Add("dot", 8)
+	p.bufs.Add("dotout", 8)
+	p.bufs.Add("rho", 8)
+	p.bufs.Add("rhoout", 8)
 	return nil
 }
 
 // Buffer implements rt.App.
-func (p *Poisson) Buffer(id string) []byte { return p.bufs.get(id) }
+func (p *Poisson) Buffer(id string) []byte { return p.bufs.Get(id) }
 
 // applyA computes q = A p for the 1-D Laplacian block (Dirichlet ends).
 func (p *Poisson) applyA() {
@@ -111,18 +111,18 @@ func (p *Poisson) Step(env *rt.Env) (bool, error) {
 	c := p.cfg.ComputeVT
 	switch p.Phase {
 	case 0: // bootstrap: global rho0 = r.r
-		putF64(p.bufs.get("rho"), dot(p.R, p.R))
+		putF64(p.bufs.Get("rho"), dot(p.R, p.R))
 		env.Iallreduce(rt.WorldVID, mpi.OpSum, "rho", "rhoout")
 		p.Phase = 1
 	case 1:
 		p.Phase = 2
 		env.WaitAll()
 	case 2:
-		p.Rho = getF64(p.bufs.get("rhoout"))
+		p.Rho = getF64(p.bufs.Get("rhoout"))
 		p.Phase = 3
 	case 3: // q = A p; start global p.q
 		p.applyA()
-		putF64(p.bufs.get("dot"), dot(p.P, p.Q))
+		putF64(p.bufs.Get("dot"), dot(p.P, p.Q))
 		env.Iallreduce(rt.WorldVID, mpi.OpSum, "dot", "dotout")
 		env.Compute(0.6 * c) // overlapped matvec tail
 		p.Phase = 4
@@ -130,7 +130,7 @@ func (p *Poisson) Step(env *rt.Env) (bool, error) {
 		p.Phase = 5
 		env.WaitAll()
 	case 5: // alpha update; start global new rho
-		pq := getF64(p.bufs.get("dotout"))
+		pq := getF64(p.bufs.Get("dotout"))
 		if pq == 0 {
 			p.Converged = true
 			return false, nil
@@ -140,7 +140,7 @@ func (p *Poisson) Step(env *rt.Env) (bool, error) {
 			p.X[i] += alpha * p.P[i]
 			p.R[i] -= alpha * p.Q[i]
 		}
-		putF64(p.bufs.get("rho"), dot(p.R, p.R))
+		putF64(p.bufs.Get("rho"), dot(p.R, p.R))
 		env.Iallreduce(rt.WorldVID, mpi.OpSum, "rho", "rhoout")
 		env.Compute(0.4 * c)
 		p.Phase = 6
@@ -148,7 +148,7 @@ func (p *Poisson) Step(env *rt.Env) (bool, error) {
 		p.Phase = 7
 		env.WaitAll()
 	case 7: // beta update, convergence check
-		rhoNew := getF64(p.bufs.get("rhoout"))
+		rhoNew := getF64(p.bufs.Get("rhoout"))
 		beta := rhoNew / p.Rho
 		p.Rho = rhoNew
 		p.Residual = math.Sqrt(rhoNew)
@@ -166,23 +166,24 @@ func (p *Poisson) Step(env *rt.Env) (bool, error) {
 }
 
 // Snapshot implements rt.App: the header words Iter, Phase, Rho, Residual
-// and Converged, then X, R, P and Q, then the buffers (common.go).
+// and Converged, then X, R, P and Q, then the buffers (rt.Buffers).
 func (p *Poisson) Snapshot() ([]byte, error) {
-	return p.bufs.snapshotState([]uint64{uint64(p.Iter), uint64(p.Phase),
+	return p.bufs.Snapshot([]uint64{uint64(p.Iter), uint64(p.Phase),
 		math.Float64bits(p.Rho), math.Float64bits(p.Residual), boolWord(p.Converged)},
 		p.X, p.R, p.P, p.Q), nil
 }
 
-// Restore implements rt.App.
+// Restore implements rt.App. The Converged word is checked before
+// rt.Buffers.Restore writes anything.
 func (p *Poisson) Restore(data []byte) error {
-	if err := p.bufs.checkState("poisson", data, 5, 8, p.cfg.MaxIters, p.X, p.R, p.P, p.Q); err != nil {
+	if len(data) >= 40 && word(data, 4) > 1 {
+		return fmt.Errorf("poisson: snapshot Converged word %d is neither 0 nor 1", word(data, 4))
+	}
+	var h [5]uint64
+	if err := p.bufs.Restore("poisson", data, h[:], 8, p.cfg.MaxIters, p.X, p.R, p.P, p.Q); err != nil {
 		return err
 	}
-	if c := word(data, 4); c > 1 {
-		return fmt.Errorf("poisson: snapshot Converged word %d is neither 0 nor 1", c)
-	}
-	p.Iter, p.Phase, p.Converged = int(word(data, 0)), int(word(data, 1)), word(data, 4) == 1
-	p.Rho, p.Residual = getF64(data[16:]), getF64(data[24:])
-	p.bufs.restoreState(data, 5, p.X, p.R, p.P, p.Q)
+	p.Iter, p.Phase, p.Converged = int(h[0]), int(h[1]), h[4] == 1
+	p.Rho, p.Residual = math.Float64frombits(h[2]), math.Float64frombits(h[3])
 	return nil
 }

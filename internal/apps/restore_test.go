@@ -13,7 +13,7 @@ import (
 	"mana/internal/rt"
 )
 
-// bufferSetApp is one of the apps that snapshot through bufset.snapshotState,
+// bufferSetApp is one of the apps that snapshot through rt.Buffers.Snapshot,
 // at a small configuration, with what its Restore must hold a snapshot to.
 type bufferSetApp struct {
 	name          string // the prefix of its errors
@@ -68,7 +68,7 @@ func midRun(t testing.TB, factory func(rank int) rt.App) (rt.App, []byte) {
 }
 
 // bufsOf is the buffer registry of a buffer-set app.
-func bufsOf(app rt.App) *bufset {
+func bufsOf(app rt.App) *rt.Buffers {
 	switch a := app.(type) {
 	case *OSU:
 		return &a.bufs
@@ -88,10 +88,12 @@ func bufsOf(app rt.App) *bufset {
 func splitBufs(sec []byte) []bufEntry {
 	var out []bufEntry
 	for len(sec) > 0 {
-		id, rest, _ := lengthPrefixed(sec)
-		d, rest, _ := lengthPrefixed(rest)
-		out = append(out, bufEntry{string(id), d})
-		sec = rest
+		n := 8 + binary.LittleEndian.Uint64(sec)
+		id := string(sec[8:n])
+		sec = sec[n:]
+		n = 8 + binary.LittleEndian.Uint64(sec)
+		out = append(out, bufEntry{id, sec[8:n]})
+		sec = sec[n:]
 	}
 	return out
 }
@@ -109,7 +111,7 @@ func retiredAppGob(t testing.TB, app rt.App) []byte {
 		v = struct {
 			Iter, Phase int
 			Buf         []byte
-		}{a.Iter, a.Phase, a.bufs.get("buf")}
+		}{a.Iter, a.Phase, a.bufs.Get("buf")}
 	case *Poisson:
 		v = struct {
 			Iter, Phase   int
@@ -150,7 +152,7 @@ func retiredAppGob(t testing.TB, app rt.App) []byte {
 func TestAppRestoreHostile(t *testing.T) {
 	for _, a := range bufferSetApps() {
 		dst, good := midRun(t, a.factory)
-		head := good[:len(good)-bufsOf(dst).snapshotLen()]
+		head := good[:len(good)-bufsOf(dst).SectionLen()]
 		bufs := splitBufs(good[len(head):])
 		if !bytes.Equal(layBufs(head, bufs...), good) {
 			t.Fatalf("%s: the buffer section does not re-lay to itself", a.name)

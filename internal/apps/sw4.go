@@ -23,7 +23,7 @@ type SW4Mini struct {
 	U, Uprev []float64
 	MaxU     float64
 
-	bufs bufset
+	bufs rt.Buffers
 }
 
 // SW4Config parametrizes the proxy.
@@ -58,7 +58,7 @@ func NewSW4Mini(cfg SW4Config) *SW4Mini {
 	if cfg.Dt == 0 {
 		cfg.Dt = 0.4
 	}
-	return &SW4Mini{cfg: cfg, bufs: newBufset()}
+	return &SW4Mini{cfg: cfg}
 }
 
 // Name implements rt.App.
@@ -77,21 +77,21 @@ func (s *SW4Mini) Setup(env *rt.Env) error {
 		s.U[i] = math.Sin(2 * math.Pi * g / total)
 		s.Uprev[i] = s.U[i]
 	}
-	s.bufs.add("haloL", 16) // two ghost points each side (4th order)
-	s.bufs.add("haloR", 16)
-	s.bufs.add("maxu", 8)
+	s.bufs.Add("haloL", 16) // two ghost points each side (4th order)
+	s.bufs.Add("haloR", 16)
+	s.bufs.Add("maxu", 8)
 	return nil
 }
 
 // Buffer implements rt.App.
-func (s *SW4Mini) Buffer(id string) []byte { return s.bufs.get(id) }
+func (s *SW4Mini) Buffer(id string) []byte { return s.bufs.Get(id) }
 
 // stencil advances the wave equation one leapfrog step using the 4th-order
 // second-derivative stencil (-1/12, 4/3, -5/2, 4/3, -1/12).
 func (s *SW4Mini) stencil() {
 	n := len(s.U)
-	hL := mpi.BytesF64(s.bufs.get("haloL")) // [u(-2), u(-1)]
-	hR := mpi.BytesF64(s.bufs.get("haloR")) // [u(n), u(n+1)]
+	hL := mpi.BytesF64(s.bufs.Get("haloL")) // [u(-2), u(-1)]
+	hR := mpi.BytesF64(s.bufs.Get("haloR")) // [u(n), u(n+1)]
 	at := func(i int) float64 {
 		switch {
 		case i == -2:
@@ -138,7 +138,7 @@ func (s *SW4Mini) Step(env *rt.Env) (bool, error) {
 		env.WaitAll()
 	case 1: // periodic stability reduction
 		if (s.Iter+1)%s.cfg.StabilityEvery == 0 {
-			putF64(s.bufs.get("maxu"), s.MaxU)
+			putF64(s.bufs.Get("maxu"), s.MaxU)
 			s.Phase = 2
 			env.Allreduce(rt.WorldVID, mpi.OpMax, "maxu")
 		} else {
@@ -146,7 +146,7 @@ func (s *SW4Mini) Step(env *rt.Env) (bool, error) {
 			s.Phase = 0
 		}
 	case 2:
-		s.MaxU = getF64(s.bufs.get("maxu"))
+		s.MaxU = getF64(s.bufs.Get("maxu"))
 		s.Iter++
 		s.Phase = 0
 	}
@@ -154,18 +154,18 @@ func (s *SW4Mini) Step(env *rt.Env) (bool, error) {
 }
 
 // Snapshot implements rt.App: the header words Iter, Phase and MaxU, then U
-// and Uprev, then the buffers (common.go).
+// and Uprev, then the buffers (rt.Buffers).
 func (s *SW4Mini) Snapshot() ([]byte, error) {
-	return s.bufs.snapshotState([]uint64{uint64(s.Iter), uint64(s.Phase), math.Float64bits(s.MaxU)},
+	return s.bufs.Snapshot([]uint64{uint64(s.Iter), uint64(s.Phase), math.Float64bits(s.MaxU)},
 		s.U, s.Uprev), nil
 }
 
 // Restore implements rt.App.
 func (s *SW4Mini) Restore(data []byte) error {
-	if err := s.bufs.checkState("sw4", data, 3, 3, s.cfg.Steps, s.U, s.Uprev); err != nil {
+	var h [3]uint64
+	if err := s.bufs.Restore("sw4", data, h[:], 3, s.cfg.Steps, s.U, s.Uprev); err != nil {
 		return err
 	}
-	s.Iter, s.Phase, s.MaxU = int(word(data, 0)), int(word(data, 1)), getF64(data[16:])
-	s.bufs.restoreState(data, 3, s.U, s.Uprev)
+	s.Iter, s.Phase, s.MaxU = int(h[0]), int(h[1]), math.Float64frombits(h[2])
 	return nil
 }

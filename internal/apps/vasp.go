@@ -26,7 +26,7 @@ type VASPMini struct {
 
 	Slab   []complex128 // local FFT slab (real numerics); nil until initSlab or Restore
 	Energy float64
-	bufs   bufset
+	bufs   rt.Buffers
 	row    int // row sub-communicator vid
 	rng    splitmix64
 
@@ -66,7 +66,7 @@ func NewVASPMini(cfg VASPConfig) *VASPMini {
 	if cfg.BlockBytes == 0 {
 		cfg.BlockBytes = 8
 	}
-	return &VASPMini{cfg: cfg, bufs: newBufset()}
+	return &VASPMini{cfg: cfg}
 }
 
 // Name implements rt.App.
@@ -80,10 +80,10 @@ func (v *VASPMini) Setup(env *rt.Env) error {
 		rows = env.Size()
 	}
 	v.row = env.Split(rt.WorldVID, env.Rank()/rows, env.Rank()%rows)
-	v.bufs.add("ata", v.cfg.BlockBytes*env.CommSize(v.row))
-	v.bufs.add("energy", 8)
-	v.bufs.add("haloL", 8)
-	v.bufs.add("haloR", 8)
+	v.bufs.Add("ata", v.cfg.BlockBytes*env.CommSize(v.row))
+	v.bufs.Add("energy", 8)
+	v.bufs.Add("haloL", 8)
+	v.bufs.Add("haloR", 8)
 
 	v.fwd, v.inv = newFFTPlan(v.cfg.SlabN, false), newFFTPlan(v.cfg.SlabN, true)
 	v.rng = splitmix64{S: uint64(env.Rank())*2654435761 + 1}
@@ -104,7 +104,7 @@ func (v *VASPMini) initSlab() {
 }
 
 // Buffer implements rt.App.
-func (v *VASPMini) Buffer(id string) []byte { return v.bufs.get(id) }
+func (v *VASPMini) Buffer(id string) []byte { return v.bufs.Get(id) }
 
 // Step implements rt.App. Five steps per iteration; the phase counter
 // advances before every blocking batch per the rt.App contract.
@@ -142,12 +142,12 @@ func (v *VASPMini) Step(env *rt.Env) (bool, error) {
 		for _, z := range v.Slab {
 			e += real(z)*real(z) + imag(z)*imag(z)
 		}
-		putF64(v.bufs.get("energy"), e)
+		putF64(v.bufs.Get("energy"), e)
 		env.Compute(0.15 * c)
 		v.Phase = 4
 		env.Allreduce(rt.WorldVID, mpi.OpSum, "energy")
 	case 4: // consume energy, next iteration
-		v.Energy = getF64(v.bufs.get("energy"))
+		v.Energy = getF64(v.bufs.Get("energy"))
 		if math.IsNaN(v.Energy) || math.IsInf(v.Energy, 0) {
 			v.Energy = 0
 		}
@@ -161,7 +161,7 @@ func (v *VASPMini) Step(env *rt.Env) (bool, error) {
 
 // fillAta packs slab samples into the Alltoall buffer.
 func (v *VASPMini) fillAta() {
-	b := v.bufs.get("ata")
+	b := v.bufs.Get("ata")
 	for i := 0; i+8 <= len(b); i += 8 {
 		putF64(b[i:], real(v.Slab[(i/8)%len(v.Slab)]))
 	}
@@ -172,7 +172,7 @@ func (v *VASPMini) fillAta() {
 // with both parts at most that, |z| ≤ 7.1e5 < 1e6. A NaN part fails both
 // comparisons, as its NaN modulus fails the 1e6 one.
 func (v *VASPMini) foldAta() {
-	b := v.bufs.get("ata")
+	b := v.bufs.Get("ata")
 	for i := 0; i < len(v.Slab) && 8*i+8 <= len(b); i++ {
 		z := v.Slab[i] + complex(getF64(b[8*i:])*1e-3, 0)
 		if (math.Abs(real(z)) > 5e5 || math.Abs(imag(z)) > 5e5) && cmplx.Abs(z) > 1e6 {
@@ -186,7 +186,7 @@ func (v *VASPMini) foldAta() {
 // a restart then decodes at copy speed instead of compiling a gob decoder
 // per rank. Six uint64 header words (Iter, Phase, Energy bits, Rng, SlabN,
 // buffer count), then the slab as 2·SlabN float64 bits — every real part,
-// then every imaginary part — then the buffer section (bufset.appendTo).
+// then every imaginary part — then the buffer section (rt.Buffers).
 //
 // The real parts run together because a rank parked at the first transpose
 // holds its leading ones verbatim in "ata" (fillAta): contiguous, deflate
@@ -194,16 +194,12 @@ func (v *VASPMini) foldAta() {
 // vasp_coll's legs write about 6 % fewer bytes than with (re, im) pairs.
 const vaspHeaderLen = 6 * 8
 
-// snapshotLen is the byte length of that layout for this rank's slab and
-// buffers.
-func (v *VASPMini) snapshotLen() int {
-	return vaspHeaderLen + 16*len(v.Slab) + v.bufs.snapshotLen()
-}
-
-// appendSnapshot appends the layout to dst.
-func (v *VASPMini) appendSnapshot(dst []byte) []byte {
+// Snapshot implements rt.App, in one allocation of the layout's size.
+func (v *VASPMini) Snapshot() ([]byte, error) {
+	v.initSlab()
+	dst := make([]byte, 0, vaspHeaderLen+16*len(v.Slab)+v.bufs.SectionLen())
 	for _, w := range [...]uint64{uint64(v.Iter), uint64(v.Phase), math.Float64bits(v.Energy), v.rng.S,
-		uint64(len(v.Slab)), uint64(len(v.bufs.M))} {
+		uint64(len(v.Slab)), uint64(v.bufs.Len())} {
 		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
 	for _, z := range v.Slab {
@@ -212,13 +208,7 @@ func (v *VASPMini) appendSnapshot(dst []byte) []byte {
 	for _, z := range v.Slab {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(imag(z)))
 	}
-	return v.bufs.appendTo(dst)
-}
-
-// Snapshot implements rt.App.
-func (v *VASPMini) Snapshot() ([]byte, error) {
-	v.initSlab()
-	return v.appendSnapshot(make([]byte, 0, v.snapshotLen())), nil
+	return v.bufs.AppendSection(dst), nil
 }
 
 // SnapshotTo implements rt.StreamSnapshotter with one Write of Snapshot's
@@ -251,11 +241,11 @@ func (v *VASPMini) Restore(data []byte) error {
 		return fmt.Errorf("vasp: snapshot phase %d outside [0, 4]", phase)
 	case iter < 0 || iter > int64(v.cfg.Iterations):
 		return fmt.Errorf("vasp: snapshot iteration %d outside [0, %d]", iter, v.cfg.Iterations)
-	case nBufs != uint64(len(v.bufs.M)):
-		return fmt.Errorf("vasp: snapshot has %d buffers, this rank %d", nBufs, len(v.bufs.M))
+	case nBufs != uint64(v.bufs.Len()):
+		return fmt.Errorf("vasp: snapshot has %d buffers, this rank %d", nBufs, v.bufs.Len())
 	}
 	slab, bufs := rest[:16*nSlab], rest[16*nSlab:]
-	if err := v.bufs.check("vasp", bufs); err != nil {
+	if err := v.bufs.CheckSection("vasp", bufs); err != nil {
 		return err
 	}
 
@@ -266,6 +256,6 @@ func (v *VASPMini) Restore(data []byte) error {
 		v.Slab[i] = complex(getF64(re), getF64(im))
 		re, im = re[8:], im[8:]
 	}
-	v.bufs.copyFrom(bufs)
+	v.bufs.RestoreSection(bufs)
 	return nil
 }

@@ -91,7 +91,7 @@ func refChunkTable(data []byte) []RawChunk {
 	start := 0
 	seal := func(end int) {
 		span := data[start:end]
-		out = append(out, RawChunk{Len: int64(len(span)), CRC: crc32.Checksum(span, crcTable), Sum: checksumOf(span)})
+		out = append(out, RawChunk{Len: int64(len(span)), CRC: crc32.Checksum(span, crcTable), Sum: Sum64(span)})
 		start = end
 	}
 	for i, b := range data {
@@ -126,7 +126,7 @@ func checkTableTiles(t *testing.T, data []byte, chunks []RawChunk) []int64 {
 		if got := crc32.Checksum(span, crcTable); got != c.CRC {
 			t.Fatalf("chunk %d crc %08x, table says %08x", k, got, c.CRC)
 		}
-		if got := checksumOf(span); got != c.Sum {
+		if got := Sum64(span); got != c.Sum {
 			t.Fatalf("chunk %d sum %x, table says %x", k, got, c.Sum)
 		}
 		off += c.Len
@@ -172,7 +172,7 @@ func FuzzChunkerStability(f *testing.F) {
 
 		// Predicting from the table before the edit changes nothing: the
 		// hinted pass emits the reference walk's table and stream sum.
-		ref, refSum := refChunkTable(edited), checksumOf(edited)
+		ref, refSum := refChunkTable(edited), Sum64(edited)
 		hint := selfChunkRefs(ca, 0, 0)
 		for _, at := range [][]int{nil, at} {
 			if cs := chunkHinted(edited, at, hint); !slices.Equal(cs.chunks, ref) || cs.raw.sum64() != refSum {
@@ -203,7 +203,7 @@ func FuzzChunkerStability(f *testing.F) {
 				// The true identity of a ceiling-length span from this chunk's
 				// start: every proof holds, though the walk may cut sooner.
 				if span := edited[min(end-CDCMaxChunkBytes, int64(len(edited))):min(end, int64(len(edited)))]; len(span) == CDCMaxChunkBytes {
-					c.Len, c.CRC, c.Sum = CDCMaxChunkBytes, crc32.Checksum(span, crcTable), checksumOf(span)
+					c.Len, c.CRC, c.Sum = CDCMaxChunkBytes, crc32.Checksum(span, crcTable), Sum64(span)
 				}
 			}
 		}

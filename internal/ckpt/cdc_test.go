@@ -115,7 +115,7 @@ func TestChunkTableInvariants(t *testing.T) {
 		if got := crc32.Checksum(span, crcTable); got != c.CRC {
 			t.Fatalf("chunk %d crc %08x, table says %08x", k, got, c.CRC)
 		}
-		if h := checksumOf(span); h != c.Sum {
+		if h := Sum64(span); h != c.Sum {
 			t.Fatalf("chunk %d sum %x, table says %x", k, h, c.Sum)
 		}
 		off += c.Len
@@ -573,7 +573,7 @@ func TestChunkHintEquality(t *testing.T) {
 		{"identical max-size chunks", repeated, hintOf(repeated), 0, 8},
 	}
 	for _, tc := range cases {
-		ref, refSum := refChunkTable(tc.data), checksumOf(tc.data)
+		ref, refSum := refChunkTable(tc.data), Sum64(tc.data)
 		rng := rand.New(rand.NewSource(int64(len(tc.name))))
 		for _, at := range [][]int{nil, randomSplits(rng, len(tc.data))} {
 			cs := chunkHinted(tc.data, at, tc.hint)
@@ -720,8 +720,8 @@ func TestHintedCaptureAfterRestart(t *testing.T) {
 			t.Fatalf("sealed chunk %d is %+v, the reference walk's %+v", k, c, ref[k])
 		}
 	}
-	if hot.RawSum != checksumOf(raw.Bytes()) {
-		t.Fatalf("sealed stream sum %x, want %x", hot.RawSum, checksumOf(raw.Bytes()))
+	if hot.RawSum != Sum64(raw.Bytes()) {
+		t.Fatalf("sealed stream sum %x, want %x", hot.RawSum, Sum64(raw.Bytes()))
 	}
 }
 

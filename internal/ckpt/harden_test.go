@@ -159,7 +159,7 @@ func imageDamageList(t testing.TB, n int) (pristine []byte, list []imageDamage) 
 	value := body[split:]
 	body = append(append([]byte(nil), body...), value...)
 	rec = binary.LittleEndian.AppendUint32(append([]byte(nil), manifestRecordMagic...), uint32(len(body)))
-	rec = append(binary.LittleEndian.AppendUint64(rec, checksumOf(body)), body...)
+	rec = append(binary.LittleEndian.AppendUint64(rec, Sum64(body)), body...)
 	add("record", "gob after the manifest", packImage(rec, full[objectsAt:]), -1,
 		fmt.Sprintf("manifest record has %d bytes after its manifest", len(value)))
 	return full, list

@@ -1249,7 +1249,7 @@ func EncodeManifestRecord(man *Manifest) ([]byte, error) {
 		return nil, fmt.Errorf("ckpt: encoding manifest record: %w", err)
 	}
 	binary.LittleEndian.PutUint32(out[8:], uint32(len(out)-20))
-	binary.LittleEndian.PutUint64(out[12:], checksumOf(out[20:]))
+	binary.LittleEndian.PutUint64(out[12:], Sum64(out[20:]))
 	return out, nil
 }
 
@@ -1267,7 +1267,7 @@ func DecodeManifestRecord(data []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("ckpt: manifest record has %d trailing bytes (declares %d bytes, have %d)", have-want, want, have)
 	}
 	head := data[20:]
-	if got := checksumOf(head); got != wantSum {
+	if got := Sum64(head); got != wantSum {
 		return nil, fmt.Errorf("ckpt: manifest record corrupted (checksum %x, want %x)", got, wantSum)
 	}
 	var man Manifest

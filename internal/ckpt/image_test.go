@@ -184,7 +184,7 @@ func TestManifestAndShardRange(t *testing.T) {
 			t.Fatalf("shard %d has degenerate sizes: %+v", i, s)
 		}
 		object := blob[at : at+s.Size]
-		if checksumOf(object) != s.Checksum {
+		if Sum64(object) != s.Checksum {
 			t.Fatalf("the %d bytes at %d are not rank %d's object", s.Size, at, i)
 		}
 		if got, err := store.GetShard(0, i); err != nil || !bytes.Equal(got, object) {
@@ -317,7 +317,7 @@ func TestShardWriterStreamsIdentically(t *testing.T) {
 			t.Fatal("shard writer did not close its store stream")
 		}
 		blob := sink.Bytes()
-		if int64(len(blob)) != sum.Size || checksumOf(blob) != sum.Checksum {
+		if int64(len(blob)) != sum.Size || Sum64(blob) != sum.Checksum {
 			t.Fatalf("rank %d: summary %+v disagrees with the %d streamed bytes", r, sum, len(blob))
 		}
 
@@ -333,9 +333,9 @@ func TestShardWriterStreamsIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if checksumOf(raw) != wantSum || int64(len(raw)) != wantSize || sum.RawSize != wantSize {
+		if Sum64(raw) != wantSum || int64(len(raw)) != wantSize || sum.RawSize != wantSize {
 			t.Fatalf("rank %d: streamed raw identity (%x, %d; writer counted %d) != hashed (%x, %d)",
-				r, checksumOf(raw), len(raw), sum.RawSize, wantSum, wantSize)
+				r, Sum64(raw), len(raw), sum.RawSize, wantSum, wantSize)
 		}
 
 		got, err := decodeShardStream(bytes.NewReader(blob), sum.RawSize, sum.Checksum, FlateCodec(0))
@@ -369,7 +369,7 @@ func TestWholeGobShardsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob, rawSize := flateBlob(t, raw.Bytes()), int64(raw.Len())
-	if _, err := decodeShardStream(bytes.NewReader(blob), rawSize, checksumOf(blob), FlateCodec(0)); err == nil {
+	if _, err := decodeShardStream(bytes.NewReader(blob), rawSize, Sum64(blob), FlateCodec(0)); err == nil {
 		t.Fatal("gob bytes decoded under the chunked format")
 	}
 	man := &Manifest{Ranks: 1, Version: ManifestV3, Shards: []ShardInfo{{Rank: 0, RawFormat: 0}}}
@@ -526,7 +526,7 @@ func TestHostileShardHeadersErrorCleanly(t *testing.T) {
 			t.Fatal(err)
 		}
 		blob := compress(raw.Bytes())
-		_, err := decodeShardStream(bytes.NewReader(blob), int64(raw.Len()), checksumOf(blob), FlateCodec(0))
+		_, err := decodeShardStream(bytes.NewReader(blob), int64(raw.Len()), Sum64(blob), FlateCodec(0))
 		if err == nil || !strings.Contains(err.Error(), "payloads beyond") {
 			t.Fatalf("overflowing header not rejected: %v", err)
 		}
@@ -538,7 +538,7 @@ func TestHostileShardHeadersErrorCleanly(t *testing.T) {
 		raw := append(append([]byte(nil), shardRawMagic...),
 			0xF8, 0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF) // -8 ext bytes: ~2^63
 		blob := compress(raw)
-		_, err := decodeShardStream(bytes.NewReader(blob), int64(len(raw)), checksumOf(blob), FlateCodec(0))
+		_, err := decodeShardStream(bytes.NewReader(blob), int64(len(raw)), Sum64(blob), FlateCodec(0))
 		if err == nil || !strings.Contains(err.Error(), "exceeds") {
 			t.Fatalf("absurd gob message length not rejected: %v", err)
 		}

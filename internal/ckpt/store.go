@@ -942,21 +942,80 @@ func loadShardFull(store Store, si *ShardInfo) (*RankImage, error) {
 // and only its shard is fetched and decompressed — the cheap single-rank
 // fetch the per-rank store layout exists for.
 func ExtractRankFromStore(store Store, epoch, rank int) (*RankImage, error) {
-	man, err := store.GetManifest(epoch)
+	man, si, err := rankEntry(store, epoch, rank)
 	if err != nil {
 		return nil, err
 	}
-	for i := range man.Shards {
-		si := &man.Shards[i]
-		if si.Rank != rank {
-			continue
-		}
-		if err := checkRefsSealed(store, man, man.Shards[i:i+1]); err != nil {
+	return loadShard(store, man, si)
+}
+
+// ExtractRawFromStore returns one rank's logical stream from one store
+// epoch, the format-1 bytes (FORMAT.md, "Raw stream layouts") whose XXH64 is
+// the manifest's RawSum. A decoded RankImage would not re-encode to them:
+// its header is gob, whose type numbering is per process.
+func ExtractRawFromStore(store Store, epoch, rank int) ([]byte, error) {
+	_, si, err := rankEntry(store, epoch, rank)
+	if err != nil {
+		return nil, err
+	}
+	raw, err := readRawStream(store, si)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: epoch %d rank %d (stored in epoch %d): %w", epoch, rank, si.RefEpoch, err)
+	}
+	return raw, nil
+}
+
+// rankEntry resolves one rank's entry in a sealed epoch's manifest (shard i
+// is rank i: validate holds it), with every epoch it reads from sealed.
+func rankEntry(store Store, epoch, rank int) (*Manifest, *ShardInfo, error) {
+	man, err := store.GetManifest(epoch)
+	if err != nil {
+		return nil, nil, err
+	}
+	if rank < 0 || rank >= len(man.Shards) {
+		return nil, nil, fmt.Errorf("ckpt: epoch %d has no rank %d", epoch, rank)
+	}
+	return man, &man.Shards[rank], checkRefsSealed(store, man, man.Shards[rank:rank+1])
+}
+
+// readRawStream reads an entry's logical stream as a restart does — the
+// extent merge, or a full shard's codec reader once its object has matched
+// Size and Checksum — then checks it against RawSize and RawSum. Reading
+// stops one byte past RawSize: a lying size cannot grow the buffer further.
+func readRawStream(store Store, si *ShardInfo) ([]byte, error) {
+	var raw bytes.Buffer
+	if si.Partial() {
+		m, err := openPartialMerge(store, si)
+		if err != nil {
 			return nil, err
 		}
-		return loadShard(store, man, si)
+		defer m.close()
+		_, err = raw.ReadFrom(io.LimitReader(m.merged, si.RawSize+1))
+		return raw.Bytes(), m.finish(err)
 	}
-	return nil, fmt.Errorf("ckpt: epoch %d has no rank %d", epoch, rank)
+	codec, err := codecByID(si.CodecID)
+	if err != nil {
+		return nil, err
+	}
+	rc, err := store.OpenShard(si.RefEpoch, si.Rank)
+	if err != nil {
+		return nil, err
+	}
+	defer rc.Close()
+	var stored bytes.Buffer
+	if err := copyShardVerified(&stored, rc, si.Size, si.Checksum); err != nil {
+		return nil, err
+	}
+	fr := codec.NewReader(&stored)
+	defer fr.Close()
+	if _, err := raw.ReadFrom(io.LimitReader(fr, si.RawSize+1)); err != nil {
+		return nil, err
+	}
+	if int64(raw.Len()) != si.RawSize || Sum64(raw.Bytes()) != si.RawSum {
+		return nil, fmt.Errorf("raw stream is %d bytes sum %#x, the manifest's %d bytes sum %#x",
+			raw.Len(), Sum64(raw.Bytes()), si.RawSize, si.RawSum)
+	}
+	return raw.Bytes(), nil
 }
 
 // WriteBytesOf is the write charge of one epoch: the bytes its seal is priced

@@ -403,7 +403,7 @@ func TestStreamingCommitMatchesBlobPath(t *testing.T) {
 				if int64(len(blob)) != si.Size {
 					t.Fatalf("rank %d: stored %d bytes, manifest says %d", si.Rank, len(blob), si.Size)
 				}
-				if got := checksumOf(blob); got != si.Checksum {
+				if got := Sum64(blob); got != si.Checksum {
 					t.Fatalf("rank %d: stored checksum %x, manifest says %x", si.Rank, got, si.Checksum)
 				}
 				if si.RawFormat != RawFormatChunked {

@@ -83,7 +83,7 @@ func checkStored(t *testing.T, store Store, si *ShardInfo, codecName string, ref
 	if err != nil {
 		t.Fatal(err)
 	}
-	if si.Size != int64(len(blob)) || si.Checksum != checksumOf(blob) {
+	if si.Size != int64(len(blob)) || si.Checksum != Sum64(blob) {
 		t.Fatalf("rank %d: Size/Checksum %d/%x do not describe the %d stored bytes", si.Rank, si.Size, si.Checksum, len(blob))
 	}
 	codec, err := CodecByName(codecName)
@@ -100,9 +100,9 @@ func checkStored(t *testing.T, store Store, si *ShardInfo, codecName string, ref
 	if codecName == "none" && !bytes.Equal(blob, ref) {
 		t.Fatalf("rank %d: identity-codec object is not the reference stream", si.Rank)
 	}
-	if si.DeltaRawSize != int64(len(ref)) || si.DeltaRawSum != checksumOf(ref) {
+	if si.DeltaRawSize != int64(len(ref)) || si.DeltaRawSum != Sum64(ref) {
 		t.Fatalf("rank %d: DeltaRawSize/DeltaRawSum %d/%x, reference is %d/%x",
-			si.Rank, si.DeltaRawSize, si.DeltaRawSum, len(ref), checksumOf(ref))
+			si.Rank, si.DeltaRawSize, si.DeltaRawSum, len(ref), Sum64(ref))
 	}
 }
 
@@ -175,9 +175,9 @@ func TestPageDeltaRangesMatchSlicedStream(t *testing.T) {
 					seed, r, si.RawFormat, si.DeltaPages, dirty[r])
 			}
 			logical := logicalOf(t, &img.Images[r])
-			if si.RawSize != int64(len(logical)) || si.RawSum != checksumOf(logical) {
+			if si.RawSize != int64(len(logical)) || si.RawSum != Sum64(logical) {
 				t.Fatalf("seed %d rank %d: logical identity %d/%x, stream is %d/%x",
-					seed, r, si.RawSize, si.RawSum, len(logical), checksumOf(logical))
+					seed, r, si.RawSize, si.RawSum, len(logical), Sum64(logical))
 			}
 			var spans [][2]int64
 			for _, p := range si.DeltaPages {
@@ -447,9 +447,9 @@ func TestCountWriterSplitsLongWrites(t *testing.T) {
 		if wholeSink.longest > countPieceBytes {
 			t.Fatalf("image %d: downstream was handed a %d-byte Write, want at most %d", i, wholeSink.longest, countPieceBytes)
 		}
-		if whole.n != int64(len(logical)) || whole.h.sum64() != checksumOf(logical) || !bytes.Equal(wholeSink.Bytes(), logical) {
+		if whole.n != int64(len(logical)) || whole.h.sum64() != Sum64(logical) || !bytes.Equal(wholeSink.Bytes(), logical) {
 			t.Fatalf("image %d: whole-segment writes: %d bytes sum %#x, want the logical stream's %d bytes sum %#x",
-				i, whole.n, whole.h.sum64(), len(logical), checksumOf(logical))
+				i, whole.n, whole.h.sum64(), len(logical), Sum64(logical))
 		}
 		cut, cutSink, cutPages := feed(true)
 		if cut.n != whole.n || cut.h.sum64() != whole.h.sum64() || !bytes.Equal(cutSink.Bytes(), logical) || !reflect.DeepEqual(cutPages, wholePages) {
@@ -481,7 +481,7 @@ func TestCountWriterFailingDownstream(t *testing.T) {
 		if hashed := cw.n; int64(n) > hashed || hashed > int64(n)+countPieceBytes {
 			t.Fatalf("failing at %d: %d bytes consumed, %d hashed", failAt, n, hashed)
 		}
-		if cw.h.sum64() != checksumOf(seg[:cw.n]) {
+		if cw.h.sum64() != Sum64(seg[:cw.n]) {
 			t.Fatalf("failing at %d: sum is not that of the %d bytes counted", failAt, cw.n)
 		}
 	}

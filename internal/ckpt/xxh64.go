@@ -111,8 +111,9 @@ func (d *xxh64) sum64() uint64 {
 	return h
 }
 
-// checksumOf is the identity of one in-memory blob (manifest records).
-func checksumOf(b []byte) uint64 {
+// Sum64 is the identity of one in-memory blob: a manifest record's checksum,
+// or a rank's logical stream's RawSum.
+func Sum64(b []byte) uint64 {
 	d := newXXH64()
 	d.write(b)
 	return d.sum64()

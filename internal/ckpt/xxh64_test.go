@@ -23,8 +23,8 @@ func TestIdentityVectors(t *testing.T) {
 		{"Nobody inspects the spammish repetition", 0xfbcea83c8a378bf1},
 		{"Call me Ishmael. Some years ago--never mind how long precisely-", 0x02a2e85470d6fd96},
 	} {
-		if got := checksumOf([]byte(v.in)); got != v.want {
-			t.Errorf("checksumOf(%q) = %016x, want %016x", v.in, got, v.want)
+		if got := Sum64([]byte(v.in)); got != v.want {
+			t.Errorf("Sum64(%q) = %016x, want %016x", v.in, got, v.want)
 		}
 	}
 }
@@ -41,7 +41,7 @@ func TestIdentitySplitInvariance(t *testing.T) {
 			buf = make([]byte, 4096+rng.Intn(4096))
 		}
 		rng.Read(buf)
-		want := checksumOf(buf)
+		want := Sum64(buf)
 
 		d.reset()
 		for rest := buf; ; {

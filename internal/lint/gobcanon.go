@@ -14,9 +14,9 @@ import (
 // snapshot bytes as an identity: the incremental differ stops reusing
 // quiescent ranks' shards, the conformance engine's bitwise digest
 // comparison reports phantom divergence, and a chain's RawSum drifts
-// between hash and stream. The fix is the bufset pattern
-// (internal/apps/common.go): serialize a slice sorted by key, or give the
-// type a canonical GobEncode/MarshalBinary.
+// between hash and stream. The fix is what rt.Buffers does with its named
+// buffers (internal/rt/buffers.go): serialize a slice sorted by key, or give
+// the type a canonical GobEncode/MarshalBinary.
 //
 // Roots are the arguments of gob.Encoder.Encode calls; helpers that merely
 // forward an interface-typed parameter to Encode (the gobEncode(v any)
@@ -247,7 +247,7 @@ func (w *gobWalker) report(at token.Pos, path string) {
 		Pos:   w.u.Fset.Position(at),
 		Check: "gobcanon",
 		Message: fmt.Sprintf(
-			"%s is a bare map reached by snapshot gob encoding; gob's randomized map order breaks byte-stable snapshots — encode a sorted slice (bufset pattern) or implement GobEncode, or annotate `//lint:allow gobcanon <why>` for decode-only legacy fields",
+			"%s is a bare map reached by snapshot gob encoding; gob's randomized map order breaks byte-stable snapshots — encode a sorted slice (as rt.Buffers does) or implement GobEncode, or annotate `//lint:allow gobcanon <why>` for decode-only legacy fields",
 			where),
 	})
 }

@@ -44,6 +44,24 @@ import "io"
 //   - Communication buffers that receive data are *named*: Buffer(id)
 //     resolves them so pending receives can be re-posted into restored
 //     state after restart.
+//
+// Buffers holds an App's named buffers (Buffer returns bufs.Get(id)) and
+// lays its snapshot out. Its Restore refuses a snapshot of another length, a
+// phase Step has no case for, an iteration past the run or other buffers,
+// leaving the rank as it was. For an app whose state is Iter, Phase and Acc:
+//
+//	func (c *counter) Snapshot() ([]byte, error) {
+//		return c.bufs.Snapshot([]uint64{uint64(c.Iter), uint64(c.Phase), math.Float64bits(c.Acc)}), nil
+//	}
+//
+//	func (c *counter) Restore(data []byte) error {
+//		var h [3]uint64
+//		if err := c.bufs.Restore("counter", data, h[:], 2, c.Iters); err != nil { // phases 0 and 1
+//			return err
+//		}
+//		c.Iter, c.Phase, c.Acc = int(h[0]), int(h[1]), math.Float64frombits(h[2])
+//		return nil
+//	}
 type App interface {
 	// Name identifies the application (used in reports).
 	Name() string

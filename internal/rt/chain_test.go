@@ -1,8 +1,6 @@
 package rt
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"testing"
 
@@ -22,13 +20,16 @@ type chainApp struct {
 	Iter  int
 	Phase int
 	Acc   float64
-	Buf   []byte // named buffer "b"
+	Buf   []byte  // named buffer "b"
+	bufs  Buffers // "b"
 
 	left, right int // pair-comm vids (-1 when absent)
 }
 
 func newChainApp(iters int) *chainApp {
-	return &chainApp{Iters: iters, Buf: make([]byte, 8), left: -1, right: -1}
+	a := &chainApp{Iters: iters, left: -1, right: -1}
+	a.Buf = a.bufs.Add("b", 8)
+	return a
 }
 
 func (a *chainApp) Name() string { return "chain-test" }
@@ -61,12 +62,7 @@ func (a *chainApp) Setup(env *Env) error {
 	return nil
 }
 
-func (a *chainApp) Buffer(id string) []byte {
-	if id == "b" {
-		return a.Buf
-	}
-	return nil
-}
+func (a *chainApp) Buffer(id string) []byte { return a.bufs.Get(id) }
 
 func (a *chainApp) Step(env *Env) (bool, error) {
 	// Strong skew: rank r is (r+1)x slower, so at any instant the chain is
@@ -100,26 +96,15 @@ func (a *chainApp) Step(env *Env) (bool, error) {
 }
 
 func (a *chainApp) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(struct {
-		Iters, Iter, Phase int
-		Acc                float64
-		Buf                []byte
-	}{a.Iters, a.Iter, a.Phase, a.Acc, a.Buf})
-	return buf.Bytes(), err
+	return a.bufs.Snapshot([]uint64{uint64(a.Iter), uint64(a.Phase), math.Float64bits(a.Acc)}), nil
 }
 
 func (a *chainApp) Restore(data []byte) error {
-	var st struct {
-		Iters, Iter, Phase int
-		Acc                float64
-		Buf                []byte
-	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	var h [3]uint64
+	if err := a.bufs.Restore(a.Name(), data, h[:], 3, a.Iters); err != nil {
 		return err
 	}
-	a.Iters, a.Iter, a.Phase, a.Acc = st.Iters, st.Iter, st.Phase, st.Acc
-	copy(a.Buf, st.Buf)
+	a.Iter, a.Phase, a.Acc = int(h[0]), int(h[1]), math.Float64frombits(h[2])
 	return nil
 }
 
@@ -208,15 +193,11 @@ func TestDrainStopsAtFrontier(t *testing.T) {
 	}
 	iterAt := make([]int, ranks)
 	for _, ri := range rep2.Image.Images {
-		var st struct {
-			Iters, Iter, Phase int
-			Acc                float64
-			Buf                []byte
-		}
-		if err := gob.NewDecoder(bytes.NewReader(ri.App)).Decode(&st); err != nil {
+		a := newChainApp(iters)
+		if err := a.Restore(ri.App); err != nil {
 			t.Fatal(err)
 		}
-		iterAt[ri.Rank] = st.Iter
+		iterAt[ri.Rank] = a.Iter
 	}
 	for r := 0; r+1 < ranks; r++ {
 		d := iterAt[r] - iterAt[r+1]

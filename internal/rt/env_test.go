@@ -1,8 +1,6 @@
 package rt
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"testing"
 
@@ -20,31 +18,22 @@ type collApp struct {
 	Phase int
 	Check float64
 
-	Small []byte // n*8 bytes: per-rank blocks
-	Wide  []byte // n*n*8? kept n*8 for gather outputs
+	Small []byte  // n*8 bytes: per-rank blocks
+	Wide  []byte  // n*n*8? kept n*8 for gather outputs
+	bufs  Buffers // "small" and "wide"
 }
 
 func newCollApp(iters, ranks int) *collApp {
-	return &collApp{
-		Iters: iters,
-		Small: make([]byte, 8*ranks),
-		Wide:  make([]byte, 8*ranks),
-	}
+	a := &collApp{Iters: iters}
+	a.Small, a.Wide = a.bufs.Add("small", 8*ranks), a.bufs.Add("wide", 8*ranks)
+	return a
 }
 
 func (a *collApp) Name() string { return "coll-surface" }
 
 func (a *collApp) Setup(env *Env) error { return nil }
 
-func (a *collApp) Buffer(id string) []byte {
-	switch id {
-	case "small":
-		return a.Small
-	case "wide":
-		return a.Wide
-	}
-	return nil
-}
+func (a *collApp) Buffer(id string) []byte { return a.bufs.Get(id) }
 
 func (a *collApp) fold(v float64) { a.Check = math.Mod(a.Check*1.00007+v, 1e9) }
 
@@ -97,27 +86,15 @@ func (a *collApp) Step(env *Env) (bool, error) {
 }
 
 func (a *collApp) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(struct {
-		Iters, Iter, Phase int
-		Check              float64
-		Small, Wide        []byte
-	}{a.Iters, a.Iter, a.Phase, a.Check, a.Small, a.Wide})
-	return buf.Bytes(), err
+	return a.bufs.Snapshot([]uint64{uint64(a.Iter), uint64(a.Phase), math.Float64bits(a.Check)}), nil
 }
 
 func (a *collApp) Restore(data []byte) error {
-	var st struct {
-		Iters, Iter, Phase int
-		Check              float64
-		Small, Wide        []byte
-	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	var h [3]uint64
+	if err := a.bufs.Restore(a.Name(), data, h[:], 6, a.Iters); err != nil {
 		return err
 	}
-	a.Iters, a.Iter, a.Phase, a.Check = st.Iters, st.Iter, st.Phase, st.Check
-	copy(a.Small, st.Small)
-	copy(a.Wide, st.Wide)
+	a.Iter, a.Phase, a.Check = int(h[0]), int(h[1]), math.Float64frombits(h[2])
 	return nil
 }
 

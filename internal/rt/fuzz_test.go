@@ -1,8 +1,6 @@
 package rt
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"testing"
@@ -26,18 +24,18 @@ type fuzzApp struct {
 	Phase  int
 	PendOp int // which op the current iteration drew
 	Check  float64
-	Buf    []byte // named buffer "buf"
-	Ring   []byte // named buffer "ring"
-	Out    []byte // named buffer "out"
+	Buf    []byte  // named buffer "buf"
+	Ring   []byte  // named buffer "ring"
+	Out    []byte  // named buffer "out"
+	bufs   Buffers // "buf", "ring" and "out"
 	sub    int
 	useNB  bool
 }
 
 func newFuzzApp(iters int, seed uint64, useNB bool) *fuzzApp {
-	return &fuzzApp{
-		Iters: iters, Seed: seed, useNB: useNB,
-		Buf: make([]byte, 16), Ring: make([]byte, 8), Out: make([]byte, 16),
-	}
+	a := &fuzzApp{Iters: iters, Seed: seed, useNB: useNB}
+	a.Buf, a.Ring, a.Out = a.bufs.Add("buf", 16), a.bufs.Add("ring", 8), a.bufs.Add("out", 16)
+	return a
 }
 
 func (a *fuzzApp) Name() string { return "fuzz" }
@@ -47,17 +45,7 @@ func (a *fuzzApp) Setup(env *Env) error {
 	return nil
 }
 
-func (a *fuzzApp) Buffer(id string) []byte {
-	switch id {
-	case "buf":
-		return a.Buf
-	case "ring":
-		return a.Ring
-	case "out":
-		return a.Out
-	}
-	return nil
-}
+func (a *fuzzApp) Buffer(id string) []byte { return a.bufs.Get(id) }
 
 // next is a deterministic per-iteration op selector shared by all ranks
 // (they must agree on the op sequence: MPI programs are SPMD).
@@ -131,31 +119,15 @@ func (a *fuzzApp) Step(env *Env) (bool, error) {
 }
 
 func (a *fuzzApp) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(struct {
-		Iters, Iter, Phase, PendOp int
-		Seed                       uint64
-		Check                      float64
-		Buf, Ring, Out             []byte
-	}{a.Iters, a.Iter, a.Phase, a.PendOp, a.Seed, a.Check, a.Buf, a.Ring, a.Out})
-	return buf.Bytes(), err
+	return a.bufs.Snapshot([]uint64{uint64(a.Iter), uint64(a.Phase), uint64(a.PendOp), math.Float64bits(a.Check)}), nil
 }
 
 func (a *fuzzApp) Restore(data []byte) error {
-	var st struct {
-		Iters, Iter, Phase, PendOp int
-		Seed                       uint64
-		Check                      float64
-		Buf, Ring, Out             []byte
-	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	var h [4]uint64
+	if err := a.bufs.Restore(a.Name(), data, h[:], 4, a.Iters); err != nil {
 		return err
 	}
-	a.Iters, a.Iter, a.Phase, a.PendOp = st.Iters, st.Iter, st.Phase, st.PendOp
-	a.Seed, a.Check = st.Seed, st.Check
-	copy(a.Buf, st.Buf)
-	copy(a.Ring, st.Ring)
-	copy(a.Out, st.Out)
+	a.Iter, a.Phase, a.PendOp, a.Check = int(h[0]), int(h[1]), int(h[2]), math.Float64frombits(h[3])
 	return nil
 }
 

@@ -8,8 +8,6 @@ package rt
 // after the seal and before the next commit may start).
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"mana/internal/ckpt"
@@ -161,10 +159,12 @@ type frostApp struct {
 	Iter   int
 	Sum    []byte
 	State  []float64
+	bufs   Buffers // "sum"
 }
 
 func newFrostApp(rank, iters int) *frostApp {
-	a := &frostApp{hot: rank < 2, Target: 2, Sum: make([]byte, 8), State: make([]float64, 128)}
+	a := &frostApp{hot: rank < 2, Target: 2, State: make([]float64, 128)}
+	a.Sum = a.bufs.Add("sum", 8)
 	if a.hot {
 		a.Target = iters
 	}
@@ -183,12 +183,7 @@ func (a *frostApp) Setup(env *Env) error {
 	a.sub = env.Split(WorldVID, color, env.Rank())
 	return nil
 }
-func (a *frostApp) Buffer(id string) []byte {
-	if id == "sum" {
-		return a.Sum
-	}
-	return nil
-}
+func (a *frostApp) Buffer(id string) []byte { return a.bufs.Get(id) }
 func (a *frostApp) Step(env *Env) (bool, error) {
 	if a.Iter >= a.Target {
 		return false, nil
@@ -201,27 +196,17 @@ func (a *frostApp) Step(env *Env) (bool, error) {
 	env.Allreduce(a.sub, mpi.OpSum, "sum")
 	return a.Iter < a.Target, nil
 }
+
+// Snapshot lays out Iter and the one phase, 0, then State and the buffer.
 func (a *frostApp) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(struct {
-		Target, Iter int
-		Sum          []byte
-		State        []float64
-	}{a.Target, a.Iter, a.Sum, a.State})
-	return buf.Bytes(), err
+	return a.bufs.Snapshot([]uint64{uint64(a.Iter), 0}, a.State), nil
 }
 func (a *frostApp) Restore(data []byte) error {
-	var st struct {
-		Target, Iter int
-		Sum          []byte
-		State        []float64
-	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	var h [2]uint64
+	if err := a.bufs.Restore(a.Name(), data, h[:], 1, a.Target, a.State); err != nil {
 		return err
 	}
-	a.Target, a.Iter = st.Target, st.Iter
-	copy(a.Sum, st.Sum)
-	copy(a.State, st.State)
+	a.Iter = int(h[0])
 	return nil
 }
 

@@ -6,8 +6,6 @@ package rt
 // table's step-boundary hygiene.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"mana/internal/ckpt"
@@ -237,7 +235,10 @@ func TestPaddedWritePricePinned(t *testing.T) {
 
 // benchApp is an OSU-style loop of size-0 benchmark Bcasts (the apps package
 // cannot be imported here — it depends on rt).
-type benchApp struct{ Iters, Iter int }
+type benchApp struct {
+	Iters, Iter int
+	bufs        Buffers // none: size-only collectives
+}
 
 func (a *benchApp) Name() string            { return "bench-size0" }
 func (a *benchApp) Setup(env *Env) error    { return nil }
@@ -247,13 +248,18 @@ func (a *benchApp) Step(env *Env) (bool, error) {
 	env.BenchCollective(WorldVID, netmodel.Bcast, 0, 0)
 	return a.Iter < a.Iters, nil
 }
+
+// Snapshot lays out Iter and the one phase, 0.
 func (a *benchApp) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(a.Iter)
-	return buf.Bytes(), err
+	return a.bufs.Snapshot([]uint64{uint64(a.Iter), 0}), nil
 }
 func (a *benchApp) Restore(data []byte) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(&a.Iter)
+	var h [2]uint64
+	if err := a.bufs.Restore(a.Name(), data, h[:], 1, a.Iters); err != nil {
+		return err
+	}
+	a.Iter = int(h[0])
+	return nil
 }
 
 // leakBuf is a minimal App supplying one buffer for direct env tests.
@@ -276,8 +282,6 @@ func TestStepBoundaryPrunesCompletedRecvs(t *testing.T) {
 	algo := ckpt.NewNative()
 	coord.SetAlgorithm(algo)
 	app := &leakBuf{}
-	buf := make([]byte, 8)
-	app.ringApp.Ring = buf
 	env := newEnv(w.Proc(0), algo.NewRank(w.Proc(0), w.WorldComm(0)), coord, app, false)
 
 	// The peer's message is already queued, so the Irecv completes at post.

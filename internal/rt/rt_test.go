@@ -1,8 +1,6 @@
 package rt
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"testing"
@@ -22,17 +20,16 @@ type ringApp struct {
 	Phase int // 0: ring exchange, 1: allreduce, 2: subgroup allreduce
 	Iter  int
 	Acc   float64
-	Ring  []byte // named buffer "ring": received payload
-	Sum   []byte // named buffer "sum": allreduce payload
-	sub   int    // sub-communicator vid (even/odd split); not serialized
+	Ring  []byte  // named buffer "ring": received payload
+	Sum   []byte  // named buffer "sum": allreduce payload
+	bufs  Buffers // "ring" and "sum"
+	sub   int     // sub-communicator vid (even/odd split); not serialized
 }
 
 func newRingApp(iters int) *ringApp {
-	return &ringApp{
-		Iters: iters,
-		Ring:  make([]byte, 8),
-		Sum:   make([]byte, 8),
-	}
+	a := &ringApp{Iters: iters}
+	a.Ring, a.Sum = a.bufs.Add("ring", 8), a.bufs.Add("sum", 8)
+	return a
 }
 
 func (a *ringApp) Name() string { return "ring-test" }
@@ -42,15 +39,7 @@ func (a *ringApp) Setup(env *Env) error {
 	return nil
 }
 
-func (a *ringApp) Buffer(id string) []byte {
-	switch id {
-	case "ring":
-		return a.Ring
-	case "sum":
-		return a.Sum
-	}
-	return nil
-}
+func (a *ringApp) Buffer(id string) []byte { return a.bufs.Get(id) }
 
 func (a *ringApp) Step(env *Env) (bool, error) {
 	n := env.Size()
@@ -91,27 +80,15 @@ func (a *ringApp) Step(env *Env) (bool, error) {
 }
 
 func (a *ringApp) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(struct {
-		Iters, Phase, Iter int
-		Acc                float64
-		Ring, Sum          []byte
-	}{a.Iters, a.Phase, a.Iter, a.Acc, a.Ring, a.Sum})
-	return buf.Bytes(), err
+	return a.bufs.Snapshot([]uint64{uint64(a.Iter), uint64(a.Phase), math.Float64bits(a.Acc)}), nil
 }
 
 func (a *ringApp) Restore(data []byte) error {
-	var st struct {
-		Iters, Phase, Iter int
-		Acc                float64
-		Ring, Sum          []byte
-	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	var h [3]uint64
+	if err := a.bufs.Restore(a.Name(), data, h[:], 4, a.Iters); err != nil {
 		return err
 	}
-	a.Iters, a.Phase, a.Iter, a.Acc = st.Iters, st.Phase, st.Iter, st.Acc
-	copy(a.Ring, st.Ring)
-	copy(a.Sum, st.Sum)
+	a.Iter, a.Phase, a.Acc = int(h[0]), int(h[1]), math.Float64frombits(h[2])
 	return nil
 }
 
@@ -405,23 +382,18 @@ type nbApp struct {
 	Acc   float64
 	In    []byte
 	Out   []byte
+	bufs  Buffers // "in" and "out"
 }
 
 func newNBApp(iters int) *nbApp {
-	return &nbApp{Iters: iters, In: make([]byte, 8), Out: make([]byte, 8)}
+	a := &nbApp{Iters: iters}
+	a.In, a.Out = a.bufs.Add("in", 8), a.bufs.Add("out", 8)
+	return a
 }
 
-func (a *nbApp) Name() string         { return "nb-test" }
-func (a *nbApp) Setup(env *Env) error { return nil }
-func (a *nbApp) Buffer(id string) []byte {
-	switch id {
-	case "in":
-		return a.In
-	case "out":
-		return a.Out
-	}
-	return nil
-}
+func (a *nbApp) Name() string            { return "nb-test" }
+func (a *nbApp) Setup(env *Env) error    { return nil }
+func (a *nbApp) Buffer(id string) []byte { return a.bufs.Get(id) }
 
 func (a *nbApp) Step(env *Env) (bool, error) {
 	switch a.Phase {
@@ -442,27 +414,15 @@ func (a *nbApp) Step(env *Env) (bool, error) {
 }
 
 func (a *nbApp) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(struct {
-		Iters, Phase, Iter int
-		Acc                float64
-		In, Out            []byte
-	}{a.Iters, a.Phase, a.Iter, a.Acc, a.In, a.Out})
-	return buf.Bytes(), err
+	return a.bufs.Snapshot([]uint64{uint64(a.Iter), uint64(a.Phase), math.Float64bits(a.Acc)}), nil
 }
 
 func (a *nbApp) Restore(data []byte) error {
-	var st struct {
-		Iters, Phase, Iter int
-		Acc                float64
-		In, Out            []byte
-	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	var h [3]uint64
+	if err := a.bufs.Restore(a.Name(), data, h[:], 3, a.Iters); err != nil {
 		return err
 	}
-	a.Iters, a.Phase, a.Iter, a.Acc = st.Iters, st.Phase, st.Iter, st.Acc
-	copy(a.In, st.In)
-	copy(a.Out, st.Out)
+	a.Iter, a.Phase, a.Acc = int(h[0]), int(h[1]), math.Float64frombits(h[2])
 	return nil
 }
 

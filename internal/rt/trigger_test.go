@@ -156,10 +156,7 @@ func TestWatchdogDiagnosesWedgedJob(t *testing.T) {
 	cfg := testConfig(2, AlgoCC)
 	cfg.StallTimeout = 200 * time.Millisecond
 	_, err := Run(cfg, func(int) App {
-		w := &wedgeApp{}
-		w.Ring = make([]byte, 8)
-		w.Sum = make([]byte, 8)
-		return w
+		return &wedgeApp{*newRingApp(0)}
 	})
 	if err == nil {
 		t.Fatal("wedged job reported success")

@@ -137,6 +137,8 @@ type (
 	// App is a checkpointable MPI application; see the interface's
 	// documentation for the step/snapshot contract.
 	App = rt.App
+	// Buffers is an App's named buffers and the checked snapshot layout.
+	Buffers = rt.Buffers
 	// Env is the per-rank MPI-facing API (sends, receives, collectives).
 	Env = rt.Env
 	// Config describes one job: size, placement, network, algorithm.
