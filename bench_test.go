@@ -12,7 +12,6 @@ import (
 
 	"mana/internal/apps"
 	"mana/internal/ckpt"
-	"mana/internal/conformance"
 	"mana/internal/core"
 	"mana/internal/harness"
 	"mana/internal/netmodel"
@@ -240,499 +239,6 @@ func BenchmarkFig9CkptRestart(b *testing.B) {
 
 func nodesName(n int) string {
 	return map[int]string{1: "1node", 2: "2nodes", 4: "4nodes", 8: "8nodes"}[n]
-}
-
-// BenchmarkAsyncIncrementalCheckpoint compares the PR 2 synchronous
-// full-capture path against the staged asynchronous pipeline with
-// incremental shard reuse, on a periodic-checkpoint run of the low-churn
-// straggler workload (64 ranks at the paper's padded ~398 MB per-rank
-// image size, most ranks dragging a fat frozen payload after an early
-// finish while two small hot ranks keep iterating). The headline
-// metrics are the mean job-visible stall per capture ("stall-s" — what the
-// paper's practicality argument wants small; means, not totals, because
-// chained capture counts may drift a little between runs), the mean modeled
-// write per capture, and the stall reduction factor ("stall-shrink-x"):
-// async captures stall only for the storage open latency while the padded
-// transfer streams behind execution, and incremental commits skip
-// re-writing the frozen shards, so the factor must be well above 1.
-func BenchmarkAsyncIncrementalCheckpoint(b *testing.B) {
-	const (
-		ranks    = 64
-		hotIters = 24
-		padded   = 398 << 20 // Figure 9's VASP per-rank image size
-	)
-	elems := 64 << 10 // 512 KB of real frozen state per cold rank
-	if testing.Short() {
-		elems = 8 << 10
-	}
-
-	run := func(b *testing.B, async, incremental bool) (stall, write float64, fresh, reused int) {
-		cfg := rt.Config{
-			Ranks: ranks, PPN: 32, Params: netmodel.PerlmutterLike(), Algorithm: rt.AlgoCC,
-			Checkpoint: &rt.CkptPlan{
-				AtStep: 4, Every: 1e-6, Mode: ckpt.ContinueAfterCapture,
-				Async: async, Incremental: incremental, Store: ckpt.NewMemStore(),
-				PaddedBytesPerRank: padded,
-			},
-		}
-		scfg := apps.StragglerConfig{
-			HotRanks: 2, ColdSteps: 2, HotIters: hotIters,
-			StateElems: elems, HotStateElems: 256,
-		}
-		rep, err := rt.Run(cfg, func(rank int) rt.App {
-			return apps.NewStraggler(scfg, rank)
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.CheckpointHistory) < 3 {
-			b.Fatalf("only %d chained captures", len(rep.CheckpointHistory))
-		}
-		n := float64(len(rep.CheckpointHistory))
-		for _, st := range rep.CheckpointHistory {
-			stall += st.StallVT
-			write += st.WriteVT
-			fresh += st.FreshShards
-			reused += st.ReusedShards
-		}
-		return stall / n, write / n, fresh, reused
-	}
-
-	b.Run("sync-full", func(b *testing.B) {
-		var stall, write float64
-		for i := 0; i < b.N; i++ {
-			stall, write, _, _ = run(b, false, false)
-		}
-		b.ReportMetric(stall, "stall-s")
-		b.ReportMetric(write, "write-s")
-	})
-	b.Run("async-incremental", func(b *testing.B) {
-		var stall, write float64
-		var fresh, reused int
-		for i := 0; i < b.N; i++ {
-			stall, write, fresh, reused = run(b, true, true)
-		}
-		b.ReportMetric(stall, "stall-s")
-		b.ReportMetric(write, "write-s")
-		b.ReportMetric(float64(reused)/float64(fresh+reused)*100, "reuse%")
-	})
-	b.Run("stall-shrink", func(b *testing.B) {
-		var shrink float64
-		for i := 0; i < b.N; i++ {
-			syncStall, _, _, _ := run(b, false, false)
-			asyncStall, _, _, _ := run(b, true, true)
-			shrink = syncStall / asyncStall
-		}
-		if shrink <= 1 {
-			b.Fatalf("async incremental did not shrink the checkpoint stall (factor %g)", shrink)
-		}
-		b.ReportMetric(shrink, "stall-shrink-x")
-	})
-}
-
-// BenchmarkStreamingCheckpoint measures the bounded-memory streaming commit
-// path at Figure 9's padded scale: 64 ranks at ~398 MB per rank (~25 GB of
-// modeled image) on the periodic straggler run, committed through the
-// streaming shard API under a deliberately small in-flight encode budget.
-// The headline metrics are the peak streaming-encode memory per capture
-// ("peak-enc-mb" — the benchmark FAILS if it ever exceeds the budget; at
-// paper sizes it sits orders of magnitude below the image, reported as
-// "img-over-peak-x") and the mean job-visible stall per capture ("stall-s").
-// That the padded stall is exactly the padded image's write is pinned in
-// tier 1 (internal/rt TestPaddedWritePricePinned).
-func BenchmarkStreamingCheckpoint(b *testing.B) {
-	const (
-		ranks  = 64
-		padded = 398 << 20 // Figure 9's VASP per-rank image size
-		budget = int64(8) << 20
-	)
-	elems := 64 << 10
-	if testing.Short() {
-		elems = 8 << 10
-	}
-
-	run := func(b *testing.B, store ckpt.Store, async, incremental bool, codec string) (stall float64, peak int64, encoded int64) {
-		cfg := rt.Config{
-			Ranks: ranks, PPN: 32, Params: netmodel.PerlmutterLike(), Algorithm: rt.AlgoCC,
-			Checkpoint: &rt.CkptPlan{
-				AtStep: 4, Every: 1e-6, Mode: ckpt.ContinueAfterCapture,
-				Store: store, Async: async, Incremental: incremental, Codec: codec,
-				StreamBudgetBytes:  budget,
-				PaddedBytesPerRank: padded,
-			},
-		}
-		scfg := apps.StragglerConfig{
-			HotRanks: 2, ColdSteps: 2, HotIters: 24,
-			StateElems: elems, HotStateElems: 256,
-		}
-		rep, err := rt.Run(cfg, func(rank int) rt.App {
-			return apps.NewStraggler(scfg, rank)
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.CheckpointHistory) < 3 {
-			b.Fatalf("only %d chained captures", len(rep.CheckpointHistory))
-		}
-		for _, st := range rep.CheckpointHistory {
-			stall += st.StallVT
-			// All-reused epochs stream nothing and legitimately peak at
-			// zero; a capture with fresh shards must report its peak.
-			if st.PeakEncodeBytes <= 0 && st.FreshShards > 0 {
-				b.Fatalf("capture reported no streaming-encode peak: %+v", st)
-			}
-			if st.PeakEncodeBytes > budget {
-				b.Fatalf("peak encode %d bytes exceeds the %d budget", st.PeakEncodeBytes, budget)
-			}
-			if st.PeakEncodeBytes > peak {
-				peak = st.PeakEncodeBytes
-			}
-		}
-		// The real (unpadded) bytes the encode hot path streamed: every
-		// capture hashes and (when fresh) encodes the job's logical image.
-		var real int64
-		for i := range rep.Image.Images {
-			real += rep.Image.Images[i].Bytes()
-		}
-		encoded = real * int64(len(rep.CheckpointHistory))
-		return stall / float64(len(rep.CheckpointHistory)), peak, encoded
-	}
-
-	b.Run("stream-sync-full", func(b *testing.B) {
-		var stall float64
-		var peak, encoded int64
-		for i := 0; i < b.N; i++ {
-			stall, peak, encoded = run(b, ckpt.NewMemStore(), false, false, "")
-		}
-		b.SetBytes(encoded) // encode-path MB/s (real logical bytes, not padding)
-		b.ReportMetric(stall, "stall-s")
-		b.ReportMetric(float64(peak)/(1<<20), "peak-enc-mb")
-		b.ReportMetric(float64(padded)*ranks/float64(peak), "img-over-peak-x")
-	})
-	b.Run("stream-async-incremental", func(b *testing.B) {
-		var stall float64
-		var peak, encoded int64
-		for i := 0; i < b.N; i++ {
-			stall, peak, encoded = run(b, ckpt.NewMemStore(), true, true, "")
-		}
-		b.SetBytes(encoded) // hash+diff MB/s; reused shards skip the encoder
-		b.ReportMetric(stall, "stall-s")
-		b.ReportMetric(float64(peak)/(1<<20), "peak-enc-mb")
-	})
-	// The none codec drops compression from the chunked-shard encode: fresh
-	// shards stream as hash + copy. On this low-churn shape both legs are
-	// hash-bound (fresh shards are tiny), so the row documents that the
-	// passthrough codec costs nothing — its MB/s must sit at the flate row's
-	// level, not below it. The modeled stall prices logical bytes either
-	// way, so it must not move.
-	b.Run("stream-async-incremental-none", func(b *testing.B) {
-		var stall float64
-		var peak, encoded int64
-		for i := 0; i < b.N; i++ {
-			stall, peak, encoded = run(b, ckpt.NewMemStore(), true, true, "none")
-		}
-		b.SetBytes(encoded)
-		b.ReportMetric(stall, "stall-s")
-		b.ReportMetric(float64(peak)/(1<<20), "peak-enc-mb")
-	})
-}
-
-// BenchmarkPageDeltaCheckpoint measures what sub-rank page deltas save on a
-// low-churn workload whose hot shards span many 64 KiB pages: the same
-// periodic straggler run is committed once with whole-shard incremental
-// reuse and once with page deltas on, both UNPADDED so FreshBytes are the
-// real compressed bytes that traveled to storage. Steady-state captures
-// (everything after the first, which has no parent to diff against) must
-// write at least 50% fewer fresh bytes with deltas ("fresh-shrink-x"), every
-// sealed epoch of the delta chain must restart digest-identical to the
-// uninterrupted run, and the streaming encoder's peak must stay within the
-// budget.
-func BenchmarkPageDeltaCheckpoint(b *testing.B) {
-	const (
-		ranks  = 8
-		budget = int64(8) << 20
-	)
-	scfg := apps.StragglerConfig{
-		HotRanks: 2, ColdSteps: 2, HotIters: 24,
-		// Cold ranks freeze one page of state; hot ranks carry 512 KiB (8
-		// pages) and dirty only the page or two their churn window crosses
-		// between captures — the shape page deltas exist for.
-		StateElems: 8 << 10, HotStateElems: 64 << 10,
-	}
-	factory := func(rank int) rt.App { return apps.NewStraggler(scfg, rank) }
-
-	run := func(b *testing.B, delta bool) (store *ckpt.MemStore, rep *rt.Report) {
-		store = ckpt.NewMemStore()
-		cfg := rt.Config{
-			Ranks: ranks, PPN: 4, Params: netmodel.PerlmutterLike(), Algorithm: rt.AlgoCC,
-			Checkpoint: &rt.CkptPlan{
-				AtStep: 4, Every: 1e-6, Mode: ckpt.ContinueAfterCapture,
-				Store: store, Async: true, Incremental: true, Delta: delta,
-				StreamBudgetBytes: budget,
-			},
-		}
-		rep, err := rt.Run(cfg, factory)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.CheckpointHistory) < 4 {
-			b.Fatalf("only %d chained captures (want >= 4 for a steady state)", len(rep.CheckpointHistory))
-		}
-		return store, rep
-	}
-	// steady sums the fresh bytes of every capture AFTER the first: epoch 0
-	// is all-full in both modes and would dilute the comparison.
-	steady := func(rep *rt.Report) (fresh int64, deltaShards int) {
-		for _, st := range rep.CheckpointHistory[1:] {
-			fresh += st.FreshBytes
-			deltaShards += st.DeltaShards
-			if st.PeakEncodeBytes > budget {
-				b.Fatalf("peak encode %d bytes exceeds the %d budget", st.PeakEncodeBytes, budget)
-			}
-		}
-		return fresh, deltaShards
-	}
-
-	var golden string
-	if rep, err := rt.Run(rt.Config{Ranks: ranks, PPN: 4, Params: netmodel.PerlmutterLike(), Algorithm: rt.AlgoCC}, factory); err != nil {
-		b.Fatal(err)
-	} else if golden = rep.StateDigest; golden == "" {
-		b.Fatal("golden run produced no digest")
-	}
-
-	var shrink float64
-	for i := 0; i < b.N; i++ {
-		_, wholeRep := run(b, false)
-		deltaStore, deltaRep := run(b, true)
-		wholeFresh, _ := steady(wholeRep)
-		deltaFresh, deltaShards := steady(deltaRep)
-		if deltaShards == 0 {
-			b.Fatal("delta chain stored no page-delta shards")
-		}
-		if deltaFresh*2 > wholeFresh {
-			b.Fatalf("page deltas wrote %d steady-state fresh bytes, want <= half of whole-shard %d",
-				deltaFresh, wholeFresh)
-		}
-		shrink = float64(wholeFresh) / float64(deltaFresh)
-
-		// Digest-identical restart from EVERY sealed epoch of the delta chain.
-		epochs, err := deltaStore.Epochs()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, e := range epochs {
-			rrep, err := rt.RestartFromStore(
-				rt.Config{Ranks: ranks, PPN: 4, Params: netmodel.PerlmutterLike(), Algorithm: rt.AlgoCC},
-				deltaStore, e, factory)
-			if err != nil {
-				b.Fatalf("restart from delta epoch %d: %v", e, err)
-			}
-			if rrep.StateDigest != golden {
-				b.Fatalf("restart from delta epoch %d diverged: %.12s != golden %.12s", e, rrep.StateDigest, golden)
-			}
-		}
-	}
-	b.ReportMetric(shrink, "fresh-shrink-x")
-}
-
-// BenchmarkCDCCheckpoint measures what content-defined chunks save where
-// page deltas structurally cannot: the insertion-shifted straggler (the
-// conformance suite's CDCStragglerConfig shape — hot ranks splice one
-// element into the interior of a multi-megabyte state every iteration, so
-// every byte after the edit shifts between captures). Page deltas see
-// almost every page changed and re-anchor to full shards; content
-// boundaries realign after the edit, so the CDC chain stores only the
-// chunks the splice actually dirtied. The gate is the acceptance bar:
-// steady-state CDC fresh bytes must be at least 3x under the page-delta
-// chain's ("fresh-shrink-x"), every sealed CDC epoch must restart
-// digest-identical to the uninterrupted run, and the streaming encoder's
-// per-capture peak must stay within the budget.
-func BenchmarkCDCCheckpoint(b *testing.B) {
-	const (
-		ranks  = 4
-		budget = int64(8) << 20
-	)
-	scfg := conformance.CDCStragglerConfig(ranks)
-	factory := func(rank int) rt.App { return apps.NewStraggler(scfg, rank) }
-
-	run := func(b *testing.B, delta, cdc bool) (*ckpt.MemStore, *rt.Report) {
-		store := ckpt.NewMemStore()
-		cfg := rt.Config{
-			Ranks: ranks, PPN: 4, Params: netmodel.PerlmutterLike(), Algorithm: rt.AlgoCC,
-			Checkpoint: &rt.CkptPlan{
-				AtStep: 4, Every: 1e-6, Mode: ckpt.ContinueAfterCapture,
-				Store: store, Async: true, Incremental: true, Delta: delta, CDC: cdc,
-				StreamBudgetBytes: budget,
-			},
-		}
-		rep, err := rt.Run(cfg, factory)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.CheckpointHistory) < 4 {
-			b.Fatalf("only %d chained captures (want >= 4 for a steady state)", len(rep.CheckpointHistory))
-		}
-		return store, rep
-	}
-	// steady sums fresh bytes and diffed-shard counts after the first
-	// capture (epoch 0 is all-full in both modes).
-	steady := func(rep *rt.Report) (fresh int64, diffed int) {
-		for _, st := range rep.CheckpointHistory[1:] {
-			fresh += st.FreshBytes
-			diffed += st.DeltaShards + st.CDCShards
-			if st.PeakEncodeBytes > budget {
-				b.Fatalf("peak encode %d bytes exceeds the %d budget", st.PeakEncodeBytes, budget)
-			}
-		}
-		return fresh, diffed
-	}
-
-	var golden string
-	if rep, err := rt.Run(rt.Config{Ranks: ranks, PPN: 4, Params: netmodel.PerlmutterLike(), Algorithm: rt.AlgoCC}, factory); err != nil {
-		b.Fatal(err)
-	} else if golden = rep.StateDigest; golden == "" {
-		b.Fatal("golden run produced no digest")
-	}
-
-	var shrink float64
-	for i := 0; i < b.N; i++ {
-		_, deltaRep := run(b, true, false)
-		cdcStore, cdcRep := run(b, false, true)
-		deltaFresh, deltaShards := steady(deltaRep)
-		cdcFresh, cdcShards := steady(cdcRep)
-		if deltaShards == 0 && deltaFresh == 0 {
-			b.Fatal("page-delta chain stored nothing to compare against")
-		}
-		if cdcShards == 0 {
-			b.Fatal("cdc chain stored no chunk-object shards")
-		}
-		if cdcFresh*3 > deltaFresh {
-			b.Fatalf("cdc wrote %d steady-state fresh bytes, want <= a third of page-delta's %d under the insertion shift",
-				cdcFresh, deltaFresh)
-		}
-		shrink = float64(deltaFresh) / float64(cdcFresh)
-
-		// Digest-identical restart from EVERY sealed epoch of the CDC chain.
-		epochs, err := cdcStore.Epochs()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, e := range epochs {
-			rrep, err := rt.RestartFromStore(
-				rt.Config{Ranks: ranks, PPN: 4, Params: netmodel.PerlmutterLike(), Algorithm: rt.AlgoCC},
-				cdcStore, e, factory)
-			if err != nil {
-				b.Fatalf("restart from cdc epoch %d: %v", e, err)
-			}
-			if rrep.StateDigest != golden {
-				b.Fatalf("restart from cdc epoch %d diverged: %.12s != golden %.12s", e, rrep.StateDigest, golden)
-			}
-		}
-	}
-	b.ReportMetric(shrink, "fresh-shrink-x")
-}
-
-// BenchmarkChainDepthRestart measures the restart-time price of a deep
-// incremental chain and shows the retention policy bounding it. The same
-// periodic straggler run (most ranks frozen, so every epoch references its
-// ancestors) is captured twice: raw — the chain deepens with every seal and
-// the modeled restart read pays per-epoch open latency and per-shard seeks
-// all the way down — and with KeepEpochs/CompactEvery, where the coordinator
-// periodically rewrites the chain into a self-contained epoch and collects
-// the dead ones, so the latest epoch restarts at exactly the depth-1
-// sequential-scan cost no matter how long the run was. Headline metrics are
-// the resolved read-set depth ("chain-depth") and the modeled restart read
-// ("restart-read-s"); the bounded variant must be strictly cheaper and
-// depth 1.
-func BenchmarkChainDepthRestart(b *testing.B) {
-	const (
-		ranks  = 64
-		padded = 398 << 20 // Figure 9's VASP per-rank image size
-	)
-	elems := 64 << 10
-	if testing.Short() {
-		elems = 8 << 10
-	}
-
-	run := func(b *testing.B, keep, compactEvery int) (depth int, readVT float64, reclaimed int64) {
-		store := ckpt.NewMemStore()
-		cfg := rt.Config{
-			Ranks: ranks, PPN: 32, Params: netmodel.PerlmutterLike(), Algorithm: rt.AlgoCC,
-			Checkpoint: &rt.CkptPlan{
-				AtStep: 4, Every: 1e-6, Mode: ckpt.ContinueAfterCapture,
-				Async: true, Incremental: true, Store: store,
-				PaddedBytesPerRank: padded,
-				KeepEpochs:         keep,
-				CompactEvery:       compactEvery,
-			},
-		}
-		scfg := apps.StragglerConfig{
-			HotRanks: 2, ColdSteps: 2, HotIters: 24,
-			StateElems: elems, HotStateElems: 256,
-		}
-		rep, err := rt.Run(cfg, func(rank int) rt.App {
-			return apps.NewStraggler(scfg, rank)
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.CheckpointHistory) < 5 {
-			b.Fatalf("only %d chained captures (want a chain at least 5 deep)", len(rep.CheckpointHistory))
-		}
-		for _, st := range rep.CheckpointHistory {
-			reclaimed += st.GCReclaimedBytes
-		}
-		latest, err := ckpt.LatestEpoch(store)
-		if err != nil {
-			b.Fatal(err)
-		}
-		man, err := store.GetManifest(latest)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rcfg := rt.Config{Ranks: ranks, PPN: 32, Params: netmodel.PerlmutterLike(), Algorithm: rt.AlgoCC}
-		rrep, err := rt.RestartFromStore(rcfg, store, latest, func(rank int) rt.App {
-			return apps.NewStraggler(scfg, rank)
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return len(ckpt.ReadSetOf(man)), rrep.RestartReadVT, reclaimed
-	}
-
-	b.Run("raw-chain", func(b *testing.B) {
-		var depth int
-		var readVT float64
-		for i := 0; i < b.N; i++ {
-			depth, readVT, _ = run(b, 0, 0)
-		}
-		if depth < 2 {
-			b.Fatalf("raw chain's latest epoch resolved to depth %d (nothing to bound)", depth)
-		}
-		b.ReportMetric(float64(depth), "chain-depth")
-		b.ReportMetric(readVT, "restart-read-s")
-	})
-	b.Run("compact-gc", func(b *testing.B) {
-		var depth int
-		var readVT, rawVT float64
-		var reclaimed int64
-		for i := 0; i < b.N; i++ {
-			_, rawVT, _ = run(b, 0, 0)
-			depth, readVT, reclaimed = run(b, 1, 3)
-		}
-		if depth != 1 {
-			b.Fatalf("retention policy left the latest epoch at depth %d, want 1", depth)
-		}
-		if readVT >= rawVT {
-			b.Fatalf("bounded restart read %.4gs is not below the raw chain's %.4gs", readVT, rawVT)
-		}
-		if reclaimed <= 0 {
-			b.Fatal("gc reported no reclaimed bytes over the whole run")
-		}
-		b.ReportMetric(float64(depth), "chain-depth")
-		b.ReportMetric(readVT, "restart-read-s")
-		b.ReportMetric(rawVT/readVT, "read-shrink-x")
-	})
 }
 
 // BenchmarkAblationGgid measures the global-group-id hash — the only

@@ -19,8 +19,8 @@
 // reporting the modeled chain-aware restart read time. Long periodic runs
 // bound the store with a retention policy: -keep N garbage-collects dead
 // epochs after each seal and -compact-every N periodically rewrites the
-// chain into a fresh self-contained epoch, keeping the restart read fan-in
-// at depth 1.
+// chain into a fresh self-contained epoch, keeping the newest epoch's
+// restart read fan-in at N epochs or fewer.
 package main
 
 import (

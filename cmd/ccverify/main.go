@@ -17,19 +17,13 @@
 //	crossgeo     (same case) a checkpoint restarts correctly onto a
 //	             different ranks-per-node geometry — the allocation-chaining
 //	             scenario
-//	incremental  the staged asynchronous pipeline's FileStore chains restart
-//	             digest-identically from every epoch with incremental shard
-//	             reuse and attributable parent-epoch corruption (on the
-//	             low-churn straggler workload)
-//	delta        page-delta chains store partially-changed shards as dirty
-//	             pages, shrink the fresh bytes per capture, and reassemble
-//	             byte-identically through their base epochs
-//	cdc          content-defined-chunk chains keep reusing chunks under
-//	             insertion shifts that collapse page deltas and reassemble
-//	             byte-identically through their chunk sources
-//	lifecycle    chain compaction and epoch garbage collection reclaim
-//	             storage without changing any surviving restart and attribute
-//	             dangling references instead of panicking
+//	incremental  the chain legs, one per storage plan, each on a straggler
+//	delta        chain: the plan under test stores what it exists for
+//	cdc          (reused shards, page deltas, chunk objects) and beats its
+//	             baseline (stall, or fresh bytes per capture); every sealed
+//	             epoch restarts digest-identically; a damaged source and a
+//	             dangling reference are attributed; GC and compaction leave
+//	             one epoch restarting at the depth-1 read price
 //	faults       (first runnable case) killing a rank mid-drain or mid-capture aborts the
 //	             coordinator with diagnostics instead of wedging
 //
@@ -51,7 +45,7 @@ import (
 
 // legs are the checks that ride along with the trigger matrix, in the order
 // they run.
-var legs = []string{"negative", "crossgeo", "incremental", "delta", "cdc", "lifecycle", "faults"}
+var legs = append(append([]string{"negative", "crossgeo"}, conformance.ChainLegs()...), "faults")
 
 func main() {
 	var (
@@ -134,59 +128,18 @@ func main() {
 		}
 	}
 
-	// The incremental-chain sweep runs on the low-churn straggler workload —
-	// most ranks finish early and freeze, so the chain actually reuses
-	// shards — under the first requested algorithm that can run it.
-	if run["incremental"] {
-		algo := algoList[0]
-		if rpt, err := conformance.VerifyIncrementalChain(conformance.DefaultChainWorkload, algo, opts, true); err != nil {
-			fmt.Printf("incremental-chain check (%s/%s): FAIL: %v\n", conformance.DefaultChainWorkload, algo, err)
-			failed = true
-		} else {
-			fmt.Printf("incremental-chain check (%s/%s): %s, ok\n", conformance.DefaultChainWorkload, algo, rpt)
+	// The chain legs, one per storage plan, each run its own straggler
+	// chains under the first requested algorithm.
+	for _, leg := range conformance.ChainLegs() {
+		if !run[leg] {
+			continue
 		}
-	}
-
-	// The page-delta sweep runs a page-scale straggler chain with Delta on:
-	// partially-changed shards must be stored as dirty pages, restart
-	// digest-identically through their base epochs, and shrink the fresh
-	// bytes per capture against whole-shard reuse.
-	if run["delta"] {
 		algo := algoList[0]
-		if rpt, err := conformance.VerifyDeltaChain(algo, opts); err != nil {
-			fmt.Printf("page-delta-chain check (straggler/%s): FAIL: %v\n", algo, err)
+		if rpt, err := conformance.VerifyChain(leg, algo, opts); err != nil {
+			fmt.Printf("%s chain check (%s): FAIL: %v\n", leg, algo, err)
 			failed = true
 		} else {
-			fmt.Printf("page-delta-chain check (straggler/%s): %s, ok\n", algo, rpt)
-		}
-	}
-
-	// The CDC sweep runs an insertion-shifted chain with content-defined
-	// chunking on: changed shards must be stored as chunk objects whose
-	// reuse survives the byte shift that collapses page deltas, restart
-	// digest-identically from every sealed epoch (and after compaction), and
-	// attribute damaged chunk sources.
-	if run["cdc"] {
-		algo := algoList[0]
-		if rpt, err := conformance.VerifyCDCChain(algo, opts); err != nil {
-			fmt.Printf("cdc-chain check (straggler/%s): FAIL: %v\n", algo, err)
-			failed = true
-		} else {
-			fmt.Printf("cdc-chain check (straggler/%s): %s, ok\n", algo, rpt)
-		}
-	}
-
-	// The lifecycle sweep reuses the same low-churn chain shape: compaction
-	// must restore the depth-1 restart read, GC must reclaim every dead
-	// epoch without touching a live reference, and a broken chain must be
-	// attributed rather than panicking.
-	if run["lifecycle"] {
-		algo := algoList[0]
-		if rpt, err := conformance.VerifyLifecycle(conformance.DefaultChainWorkload, algo, opts); err != nil {
-			fmt.Printf("lifecycle check (%s/%s): FAIL: %v\n", conformance.DefaultChainWorkload, algo, err)
-			failed = true
-		} else {
-			fmt.Printf("lifecycle check (%s/%s): %s, ok\n", conformance.DefaultChainWorkload, algo, rpt)
+			fmt.Printf("%s chain check (%s/%s): %s, ok\n", leg, rpt.Workload, algo, rpt)
 		}
 	}
 

@@ -96,9 +96,12 @@ type Plan struct {
 	KeepEpochs int
 	// CompactEvery, when positive, compacts the chain after every
 	// CompactEvery-th seal: the newest epoch is rewritten as a fresh
-	// self-contained epoch (CompactChain), bounding the restart read
-	// fan-in (RestartReadVT) no matter how deep the incremental chain
-	// grows, and making the old chain reclaimable by KeepEpochs.
+	// self-contained epoch (CompactChain), the root later captures diff
+	// against, and the old chain becomes reclaimable by KeepEpochs. The
+	// newest sealed epoch then reads at most CompactEvery epochs — the
+	// root and the seals since — which bounds the restart read fan-in
+	// (RestartReadVT). A compaction whose epoch number a capture already in
+	// flight took waits for the next seal, so that seal may read one more.
 	CompactEvery int
 }
 

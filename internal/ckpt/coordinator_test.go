@@ -208,10 +208,13 @@ func TestCoordinatorQuiescedWhileParkedCaptures(t *testing.T) {
 		a.mu.Unlock()
 		c.RequestCheckpoint(0)
 		calls := 0 // decide runs under the coordinator lock
+		decided := make(chan struct{}, 1)
 		done := make(chan Outcome, 1)
 		go func() {
 			done <- c.ParkUntil(0, &Descriptor{Kind: ParkBoundary}, func() Decision {
-				if calls++; calls >= 2 {
+				if calls++; calls == 1 {
+					decided <- struct{}{}
+				} else {
 					a.mu.Lock()
 					a.quiesced = true
 					a.mu.Unlock()
@@ -219,6 +222,13 @@ func TestCoordinatorQuiescedWhileParkedCaptures(t *testing.T) {
 				return Stay
 			})
 		}()
+		// Poke once the rank has run decide: the rank holds the coordinator
+		// lock from decide until its Wait releases it, so the Poke, which
+		// takes the lock, lands while the rank waits. (A sleep alone let a
+		// loaded host park the rank after the Poke, and nothing then ran
+		// decide a second time.) The sleep gives the capture watcher time
+		// to start and wait too, the interleaving this test is for.
+		<-decided
 		time.Sleep(2 * time.Millisecond)
 		c.Poke() // wakes the watcher and the rank; either may run first
 		select {

@@ -261,8 +261,10 @@ func putBufReader(br *bufio.Reader) {
 
 // shardChunkBytes is the fixed size of the pooled staging buffer between
 // the compressor and the store writer (gob emits many small writes; batching
-// them keeps FileStore syscall counts sane). 512 KiB came out of a sweep of
-// BenchmarkStreamingCheckpoint over 128K/256K/512K/1M: throughput climbs
+// them keeps FileStore syscall counts sane). 512 KiB came out of a sweep over
+// 128K/256K/512K/1M of the streaming commit of a 64-rank periodic straggler
+// chain under an 8 MiB budget (a root-package benchmark since folded into
+// the conformance chain table): throughput climbs
 // ~8% from 256K (fewer store writes per shard) and flattens past 512K,
 // while the per-stream footprint stays small enough that even the
 // conformance suite's deliberately tight 4 MiB budget still admits three

@@ -209,18 +209,23 @@ func golden(o *Options, wl, algo string, scale float64) (*rt.Report, func(int) r
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := baseConfig(o, algo)
-	rep, err := rt.Run(cfg, factory)
+	rep, err := runGolden(o, algo, factory)
+	return rep, factory, err
+}
+
+// runGolden runs a job uninterrupted and checks it left a digest.
+func runGolden(o *Options, algo string, factory func(int) rt.App) (*rt.Report, error) {
+	rep, err := rt.Run(baseConfig(o, algo), factory)
 	if err != nil {
-		return nil, nil, fmt.Errorf("golden run: %w", err)
+		return nil, fmt.Errorf("golden run: %w", err)
 	}
 	if !rep.Completed {
-		return nil, nil, fmt.Errorf("golden run did not complete")
+		return nil, fmt.Errorf("golden run did not complete")
 	}
 	if rep.StateDigest == "" {
-		return nil, nil, fmt.Errorf("golden run produced no state digest")
+		return nil, fmt.Errorf("golden run produced no state digest")
 	}
-	return rep, factory, nil
+	return rep, nil
 }
 
 // adaptedGolden runs the golden job, doubling the scale until the run has at

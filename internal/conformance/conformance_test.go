@@ -177,75 +177,47 @@ func TestSweepPoints(t *testing.T) {
 	}
 }
 
-// TestIncrementalChain: the staged async pipeline's conformance sweep — a
-// FileStore chain of >= 3 captures on the low-churn straggler workload must
-// restart into the golden digest from every epoch, reuse the frozen cold
-// ranks' shards, stall less than the synchronous full path, and attribute
-// corruption of a referenced parent epoch.
-func TestIncrementalChain(t *testing.T) {
-	rpt, err := VerifyIncrementalChain(DefaultChainWorkload, rt.AlgoCC, Options{Logf: t.Logf}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("incremental chain: %s", rpt)
-	if rpt.Epochs < 3 {
-		t.Fatalf("only %d epochs in the chain", rpt.Epochs)
-	}
-	if rpt.ReusedShards == 0 {
-		t.Fatal("low-churn chain reused no shards")
-	}
+// TestChain: every row of the chain table — whole-shard reuse, page deltas,
+// content-defined chunks — restarts digest-identical from every sealed epoch
+// of a FileStore chain, stores what its plan exists for, beats its baseline
+// by the row's factor, attributes a damaged source and a dangling reference,
+// and survives GC and compaction at the depth-1 read price. Under CC in
+// -short mode; also under 2PC, and the incremental row on the churny comd
+// (almost every shard rewrites, so no reuse is asked for and the damage,
+// unseal and compaction steps run only on what reuse happens; digests,
+// per-capture accounting and the stall gate must still hold), without it.
+func TestChain(t *testing.T) {
+	algos := []string{rt.AlgoCC}
 	if !testing.Short() {
-		// The chain must also hold on a churny Table-1 workload (no reuse
-		// expected — every shard rewrites — but digests and accounting must
-		// still line up) and under the 2PC baseline.
-		if _, err := VerifyIncrementalChain("comd", rt.AlgoCC, Options{Logf: t.Logf}, false); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := VerifyIncrementalChain(DefaultChainWorkload, rt.Algo2PC, Options{Logf: t.Logf}, true); err != nil {
-			t.Fatal(err)
-		}
+		algos = append(algos, rt.Algo2PC)
 	}
-}
-
-// TestDeltaChain: the page-delta conformance sweep — a page-scale straggler
-// chain with Delta on must store some fresh shards as page deltas, write
-// fewer fresh bytes per capture than whole-shard reuse, restart
-// digest-identical from every sealed epoch, stay within the encode budget,
-// and attribute corruption of a delta's base shard.
-func TestDeltaChain(t *testing.T) {
-	rpt, err := VerifyDeltaChain(rt.AlgoCC, Options{Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("delta chain: %s", rpt)
-	if rpt.DeltaShards == 0 {
-		t.Fatal("delta chain stored no page deltas")
-	}
-	if !testing.Short() {
-		if _, err := VerifyDeltaChain(rt.Algo2PC, Options{Logf: t.Logf}); err != nil {
-			t.Fatal(err)
+	for _, leg := range ChainLegs() {
+		for _, algo := range algos {
+			t.Run(leg+"/"+algo, func(t *testing.T) {
+				rpt, err := VerifyChain(leg, algo, Options{Logf: t.Logf})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("%s chain: %s", leg, rpt)
+			})
 		}
 	}
-}
-
-// TestLifecycle: the GC + compaction conformance sweep — compaction must
-// restore the depth-1 restart read without changing the restored state, GC
-// must reclaim exactly the dead chain while transitive liveness protects
-// every referenced epoch, and a dangling reference must be attributed.
-func TestLifecycle(t *testing.T) {
-	rpt, err := VerifyLifecycle(DefaultChainWorkload, rt.AlgoCC, Options{Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
+	if testing.Short() {
+		return
 	}
-	t.Logf("lifecycle: %s", rpt)
-	if rpt.Epochs < 5 {
-		t.Fatalf("only %d epochs in the pre-compaction chain", rpt.Epochs)
-	}
-	if !testing.Short() {
-		if _, err := VerifyLifecycle(DefaultChainWorkload, rt.Algo2PC, Options{Logf: t.Logf}); err != nil {
+	t.Run("incremental-comd/"+rt.AlgoCC, func(t *testing.T) {
+		row, err := chainRowOf("incremental")
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
+		row.wl, row.stored, row.what = "comd", nil, ""
+		o := (&Options{Logf: t.Logf}).withDefaults()
+		rpt, err := verifyChain(&o, row, rt.AlgoCC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("comd chain: %s", rpt)
+	})
 }
 
 // TestFaultInjection: killing a rank mid-drain (crash and silent hang) and
@@ -276,7 +248,7 @@ func TestStragglerConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full trigger sweep; run without -short")
 	}
-	cr, err := RunCase(DefaultChainWorkload, rt.AlgoCC, Options{Logf: t.Logf})
+	cr, err := RunCase("straggler", rt.AlgoCC, Options{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

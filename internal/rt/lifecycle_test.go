@@ -2,7 +2,8 @@ package rt
 
 // Tests for the CkptPlan retention policy: KeepEpochs/CompactEvery run GC
 // and chain compaction from the coordinator's background commit stage, so
-// long periodic runs keep a bounded store and a depth-1 restart read —
+// long periodic runs keep a bounded store and a restart read of at most
+// CompactEvery epochs —
 // while a GC pass can never delete an epoch a concurrent in-flight commit
 // is about to reference (the lifecycle pass runs inside the commit ticket,
 // after the seal and before the next commit may start).
@@ -19,8 +20,9 @@ import (
 // KeepEpochs+CompactEvery must (a) complete with the same state as the
 // unpoliced run, (b) report compactions and reclaimed bytes in the history,
 // (c) leave a store that verifies clean and holds only a bounded number of
-// epochs, and (d) restart digest-identical from the latest survivor at a
-// depth-1 read.
+// epochs, and (d) leave a newest epoch whose restart reads at most
+// CompactEvery epochs — the compacted root and the seals since — and
+// restarts digest-identical.
 func TestLifecyclePolicyBoundsStore(t *testing.T) {
 	const iters = 24
 	golden, err := Run(testConfig(8, AlgoCC), func(rank int) App { return newFrostApp(rank, iters) })
@@ -76,7 +78,7 @@ func TestLifecyclePolicyBoundsStore(t *testing.T) {
 		t.Fatal("KeepEpochs=1 never reclaimed a byte")
 	}
 
-	// The surviving store: bounded, clean, and restartable at depth 1.
+	// The surviving store: bounded, clean, and restartable at a bounded depth.
 	epochs, err := store.Epochs()
 	if err != nil {
 		t.Fatal(err)
@@ -94,6 +96,15 @@ func TestLifecyclePolicyBoundsStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	man, err := store.GetManifest(latest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	depth := len(ckpt.ReadSetOf(man))
+	if depth > cfg.Checkpoint.CompactEvery {
+		t.Fatalf("newest epoch %d reads %d epochs, want at most CompactEvery = %d", latest, depth, cfg.Checkpoint.CompactEvery)
+	}
+	t.Logf("newest epoch %d reads %d epochs", latest, depth)
 	rrep, err := RestartFromStore(testConfig(8, AlgoCC), store, latest, func(rank int) App { return newFrostApp(rank, iters) })
 	if err != nil {
 		t.Fatal(err)

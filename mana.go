@@ -100,10 +100,10 @@
 // any sealed epoch (RestartFromStore), streaming and resolving reference
 // chains — a reference into a missing or unsealed parent fails with a
 // descriptive error — and attributing corruption to the exact epoch and
-// rank. The conformance engine's incremental sweep (ccverify -only incremental)
-// asserts digest equality from every epoch of a FileStore chain — plus a
-// budget-constrained streaming leg — and its
-// fault-injection suite (ccverify -only faults) kills ranks mid-drain and
+// rank. The conformance engine's chain legs (ccverify -only
+// incremental,delta,cdc), one per storage plan, assert digest equality from
+// every epoch of a FileStore chain with the encode peak inside the stream
+// budget, and its fault-injection suite (ccverify -only faults) kills ranks mid-drain and
 // mid-capture and asserts the coordinator aborts with diagnostics instead
 // of wedging.
 //
@@ -111,10 +111,10 @@
 // epochs after every seal (liveness traced through the manifests' shard
 // references; GCStore), CkptPlan.CompactEvery periodically rewrites the
 // chain head as a fresh self-contained epoch (CompactChain), bounding the
-// restart read fan-in at depth 1, and aborted-commit debris is swept along
-// the way. The ccimg gc and compact subcommands run both offline, and the
-// conformance lifecycle leg (ccverify -only lifecycle) asserts restart digests
-// survive compaction + GC unchanged.
+// newest epoch's restart read fan-in at CompactEvery epochs, and aborted-commit debris is swept along
+// the way. The ccimg gc and compact subcommands run both offline, and every
+// conformance chain leg asserts restart digests survive compaction + GC
+// unchanged.
 //
 // # Storage pricing
 //
