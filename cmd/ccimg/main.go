@@ -1,14 +1,14 @@
-// Command ccimg inspects and verifies checkpoint images and stores — the
-// restart analog of `file`/`readelf` for MANA images.
+// Command ccimg inspects and verifies checkpoint stores — the restart
+// analog of `file`/`readelf` for MANA checkpoints.
 //
-//	ccimg info [-v] [-json] <image|store-dir>
-//	                                     epoch chain summary and shard tables;
-//	                                     for an image file also the job's park
+//	ccimg info [-v] [-json] <store-dir>  epoch chain summary from the manifests;
+//	                                     -v: shard tables, and the newest
+//	                                     epoch decoded for the job's park
 //	                                     census and p2p drain (-json: the same,
 //	                                     machine-readable, for scripts)
-//	ccimg verify <image|store-dir>       per-shard integrity check, chain
+//	ccimg verify <store-dir>             per-shard integrity check, chain
 //	                                     reference resolution (exit 1 on fault)
-//	ccimg extract -rank N [-epoch E] [-o out.raw] <image|store-dir>
+//	ccimg extract -rank N [-epoch E] [-o out.raw] <store-dir>
 //	                                     decode one rank's shard without the job
 //	                                     (-o: and write its raw stream)
 //	ccimg gc -keep N <store-dir>         delete dead epochs (liveness traced
@@ -18,10 +18,9 @@
 //	                                     self-contained epoch (then gc -keep 1
 //	                                     reclaims the old chain)
 //
-// Bare `ccimg [-v] <path>` is shorthand for `ccimg info`. Either argument
-// names a checkpoint store and every command runs on it as one: a directory
-// holds one epoch per capture (incremental shard references resolved through
-// the chain), an image file is a single epoch, packed (ckpt.OpenImage).
+// Bare `ccimg [-v] <store-dir>` is shorthand for `ccimg info`. The directory
+// holds one epoch per capture, incremental shard references resolved through
+// the chain; a regular file is refused as not a store directory.
 package main
 
 import (
@@ -51,96 +50,72 @@ func main() {
 	}
 }
 
-// target is the path argument, resolved to the store it names.
-type target struct {
-	path  string
-	store ckpt.Store
-	file  bool // a packed image file: one epoch, read-only
-}
-
-// readTarget resolves the single path argument: a directory opens as a
-// FileStore, a file as the one-epoch store it packs.
-func readTarget(fs *flag.FlagSet, usage string) (*target, error) {
+// openTarget opens the single path argument as the store directory it
+// must be: a missing path is an error, not a new store.
+func openTarget(fs *flag.FlagSet, usage string) (string, ckpt.Store, error) {
 	if fs.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage:", usage)
 		os.Exit(2)
 	}
 	path := fs.Arg(0)
-	st, err := os.Stat(path)
-	if err != nil {
-		return nil, err
+	if _, err := os.Stat(path); err != nil {
+		return "", nil, err
 	}
-	if st.IsDir() {
-		store, err := ckpt.NewFileStore(path)
-		if err != nil {
-			return nil, err
-		}
-		return &target{path: path, store: store}, nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	store, err := ckpt.OpenImage(data)
-	if err != nil {
-		return nil, err
-	}
-	return &target{path: path, store: store, file: true}, nil
+	store, err := ckpt.NewFileStore(path)
+	return path, store, err
 }
 
 func runInfo(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
-	verbose := fs.Bool("v", false, "per-rank detail")
+	verbose := fs.Bool("v", false, "per-rank detail, and the newest epoch's park census and p2p drain")
 	asJSON := fs.Bool("json", false, "machine-readable manifest/chain output")
 	fs.Parse(args)
-	tgt, err := readTarget(fs, "ccimg info [-v] [-json] <image-file|store-dir>")
+	path, store, err := openTarget(fs, "ccimg info [-v] [-json] <store-dir>")
 	if err != nil {
 		return err
 	}
 	var job *jobSummary
-	if tgt.file {
-		if job, err = summarize(tgt.store); err != nil {
+	if *verbose {
+		epochs, err := store.Epochs()
+		if err != nil {
 			return err
+		}
+		if len(epochs) > 0 {
+			if job, err = summarize(store, epochs[len(epochs)-1]); err != nil {
+				return err
+			}
 		}
 	}
 	if *asJSON {
-		return storeInfoJSON(w, tgt.store, tgt.path, job)
+		return storeInfoJSON(w, store, path, job)
 	}
-	if job != nil {
-		job.print(w, tgt.path)
-	}
-	if err := storeInfo(w, tgt.store, tgt.path, *verbose); err != nil {
+	if err := storeInfo(w, store, path, *verbose); err != nil {
 		return err
 	}
-	if job != nil && *verbose {
+	if job != nil {
 		fmt.Fprintln(w)
-		for i := range job.img.Images {
-			printRank(w, &job.img.Images[i])
-		}
+		job.print(w)
 	}
 	return nil
 }
 
 // jobSummary is what only decoded shards can tell about an epoch: where the
-// ranks were parked and what the p2p drain carried. `info` prints it for an
-// image file (a store directory's chain is summarized from manifests alone).
+// ranks were parked and what the p2p drain carried. `info -v` takes it of
+// the newest epoch; the chain itself is summarized from manifests alone.
 type jobSummary struct {
+	epoch                                 int
 	img                                   *ckpt.JobImage
 	parks                                 map[ckpt.ParkKind]int
 	inflight, inflightBytes, pendingRecvs int
 }
 
-// summarize decodes the store's newest epoch and takes its census.
-func summarize(store ckpt.Store) (*jobSummary, error) {
-	epoch, err := ckpt.LatestEpoch(store)
-	if err != nil {
-		return nil, err
-	}
+// summarize decodes one epoch and takes its census.
+func summarize(store ckpt.Store, epoch int) (*jobSummary, error) {
 	img, err := ckpt.LoadJobImage(store, epoch)
 	if err != nil {
 		return nil, err
 	}
-	job := &jobSummary{img: img, parks: map[ckpt.ParkKind]int{}}
+	job := &jobSummary{epoch: epoch, img: img, parks: map[ckpt.ParkKind]int{}}
 	for i := range img.Images {
 		ri := &img.Images[i]
 		job.parks[ri.Desc.Kind]++
@@ -153,13 +128,13 @@ func summarize(store ckpt.Store) (*jobSummary, error) {
 	return job, nil
 }
 
-func (job *jobSummary) print(w io.Writer, path string) {
+// print renders the census, then every rank's decoded descriptor.
+func (job *jobSummary) print(w io.Writer) {
 	img := job.img
-	fmt.Fprintf(w, "checkpoint image: %s\n", path)
+	fmt.Fprintf(w, "epoch %d, decoded:\n", job.epoch)
 	fmt.Fprintf(w, "  algorithm:   %s\n", img.Algorithm)
 	fmt.Fprintf(w, "  ranks:       %d (%d per node, %d nodes)\n",
 		img.Ranks, img.PPN, (img.Ranks+img.PPN-1)/img.PPN)
-	fmt.Fprintf(w, "  captured at: vt=%.6fs\n", img.CaptureVT)
 	fmt.Fprintf(w, "  total bytes: %d", img.TotalBytes())
 	if img.PaddedBytesPerRank > 0 {
 		fmt.Fprintf(w, " (padded to %d per rank)", img.PaddedBytesPerRank)
@@ -174,6 +149,9 @@ func (job *jobSummary) print(w io.Writer, path string) {
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "  p2p drain:   %d in-flight messages (%d bytes), %d pending receives\n",
 		job.inflight, job.inflightBytes, job.pendingRecvs)
+	for i := range img.Images {
+		printRank(w, &img.Images[i])
+	}
 }
 
 func printRank(w io.Writer, ri *ckpt.RankImage) {
@@ -247,21 +225,25 @@ type epochJSON struct {
 	Shards             []shardJSON `json:"shards"`
 }
 
+// censusJSON is jobSummary's -json rendering.
+type censusJSON struct {
+	Epoch            int            `json:"epoch"`
+	TotalBytes       int64          `json:"total_bytes"`
+	Parks            map[string]int `json:"parks"`
+	InflightMessages int            `json:"inflight_messages"`
+	InflightBytes    int            `json:"inflight_bytes"`
+	PendingRecvs     int            `json:"pending_recvs"`
+}
+
 type infoJSON struct {
-	Kind string `json:"kind"` // "image" or "store"
-	Path string `json:"path"`
-	// An image file's job summary (see jobSummary); its geometry is in its
-	// one epoch below.
-	TotalBytes       int64          `json:"total_bytes,omitempty"`
-	Parks            map[string]int `json:"parks,omitempty"`
-	InflightMessages int            `json:"inflight_messages,omitempty"`
-	InflightBytes    int            `json:"inflight_bytes,omitempty"`
-	PendingRecvs     int            `json:"pending_recvs,omitempty"`
-	Epochs           []epochJSON    `json:"epochs,omitempty"`
+	Kind   string      `json:"kind"` // always "store"
+	Path   string      `json:"path"`
+	Census *censusJSON `json:"census,omitempty"` // -v only
+	Epochs []epochJSON `json:"epochs,omitempty"`
 }
 
 // storeInfoJSON renders a store's whole epoch chain machine-readably, with
-// the job summary when the target is an image file (job non-nil).
+// the newest epoch's census when job is non-nil.
 func storeInfoJSON(w io.Writer, store ckpt.Store, path string, job *jobSummary) error {
 	epochs, err := store.Epochs()
 	if err != nil {
@@ -269,11 +251,11 @@ func storeInfoJSON(w io.Writer, store ckpt.Store, path string, job *jobSummary) 
 	}
 	out := infoJSON{Kind: "store", Path: path, Epochs: []epochJSON{}}
 	if job != nil {
-		out.Kind, out.TotalBytes, out.Parks = "image", job.img.TotalBytes(), map[string]int{}
+		out.Census = &censusJSON{Epoch: job.epoch, TotalBytes: job.img.TotalBytes(), Parks: map[string]int{},
+			InflightMessages: job.inflight, InflightBytes: job.inflightBytes, PendingRecvs: job.pendingRecvs}
 		for k, n := range job.parks {
-			out.Parks[k.String()] = n
+			out.Census.Parks[k.String()] = n
 		}
-		out.InflightMessages, out.InflightBytes, out.PendingRecvs = job.inflight, job.inflightBytes, job.pendingRecvs
 	}
 	for _, e := range epochs {
 		man, err := store.GetManifest(e)
@@ -390,19 +372,19 @@ func storeInfo(w io.Writer, store ckpt.Store, path string, verbose bool) error {
 func runVerify(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	fs.Parse(args)
-	tgt, err := readTarget(fs, "ccimg verify <image-file|store-dir>")
+	path, store, err := openTarget(fs, "ccimg verify <store-dir>")
 	if err != nil {
 		return err
 	}
-	epochs, err := tgt.store.Epochs()
+	epochs, err := store.Epochs()
 	if err != nil {
 		return err
 	}
-	faults, err := ckpt.VerifyStore(tgt.store)
+	faults, err := ckpt.VerifyStore(store)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%s: %d sealed epochs\n", tgt.path, len(epochs))
+	fmt.Fprintf(w, "%s: %d sealed epochs\n", path, len(epochs))
 	if len(faults) == 0 {
 		fmt.Fprintln(w, "all epochs verify: ok")
 		return nil
@@ -424,18 +406,15 @@ func runGC(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("gc", flag.ExitOnError)
 	keep := fs.Int("keep", 1, "sealed epochs to retain (plus everything they reference)")
 	fs.Parse(args)
-	tgt, err := readTarget(fs, "ccimg gc [-keep N] <store-dir>")
+	path, store, err := openTarget(fs, "ccimg gc [-keep N] <store-dir>")
 	if err != nil {
 		return err
 	}
-	if tgt.file {
-		return fmt.Errorf("gc needs a store directory, not an image file")
-	}
-	st, err := ckpt.GCStore(tgt.store, *keep)
+	st, err := ckpt.GCStore(store, *keep)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%s: kept epochs %v\n", tgt.path, st.LiveEpochs)
+	fmt.Fprintf(w, "%s: kept epochs %v\n", path, st.LiveEpochs)
 	fmt.Fprintf(w, "reclaimed %d bytes: %d dead epoch(s), %d shard(s), %d unsealed debris file(s)\n",
 		st.ReclaimedBytes, st.DeletedEpochs, st.DeletedShards, st.SweptObjects)
 	return nil
@@ -448,30 +427,27 @@ func runCompact(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ExitOnError)
 	epoch := fs.Int("epoch", -1, "epoch to compact (-1 = latest)")
 	fs.Parse(args)
-	tgt, err := readTarget(fs, "ccimg compact [-epoch E] <store-dir>")
+	path, store, err := openTarget(fs, "ccimg compact [-epoch E] <store-dir>")
 	if err != nil {
 		return err
 	}
-	if tgt.file {
-		return fmt.Errorf("compact needs a store directory, not an image file")
-	}
 	e := *epoch
 	if e < 0 {
-		if e, err = ckpt.LatestEpoch(tgt.store); err != nil {
+		if e, err = ckpt.LatestEpoch(store); err != nil {
 			return err
 		}
 	}
-	man, st, err := ckpt.CompactChain(tgt.store, e, nil)
+	man, st, err := ckpt.CompactChain(store, e, nil)
 	if err != nil {
 		return err
 	}
 	if st == nil {
-		fmt.Fprintf(w, "%s: epoch %d is already self-contained, nothing to do\n", tgt.path, e)
+		fmt.Fprintf(w, "%s: epoch %d is already self-contained, nothing to do\n", path, e)
 		return nil
 	}
 	fmt.Fprintf(w, "%s: compacted epoch %d into self-contained epoch %d (%d shards, %d bytes)\n",
-		tgt.path, e, man.Epoch, st.FreshShards, st.FreshBytes)
-	fmt.Fprintf(w, "run `ccimg gc -keep 1 %s` to reclaim the old chain\n", tgt.path)
+		path, e, man.Epoch, st.FreshShards, st.FreshBytes)
+	fmt.Fprintf(w, "run `ccimg gc -keep 1 %s` to reclaim the old chain\n", path)
 	return nil
 }
 
@@ -481,23 +457,23 @@ func runExtract(w io.Writer, args []string) error {
 	epoch := fs.Int("epoch", -1, "store epoch to extract from (-1 = latest)")
 	out := fs.String("o", "", "write the rank's raw stream (internal/ckpt/FORMAT.md, RawSum's bytes) to this file")
 	fs.Parse(args)
-	tgt, err := readTarget(fs, "ccimg extract -rank N [-epoch E] [-o out] <image-file|store-dir>")
+	_, store, err := openTarget(fs, "ccimg extract -rank N [-epoch E] [-o out] <store-dir>")
 	if err != nil {
 		return err
 	}
 	e := *epoch
 	if e < 0 {
-		if e, err = ckpt.LatestEpoch(tgt.store); err != nil {
+		if e, err = ckpt.LatestEpoch(store); err != nil {
 			return err
 		}
 	}
-	ri, err := ckpt.ExtractRankFromStore(tgt.store, e, *rank)
+	ri, err := ckpt.ExtractRankFromStore(store, e, *rank)
 	if err != nil {
 		return err
 	}
 	printRank(w, ri)
 	if *out != "" {
-		raw, err := ckpt.ExtractRawFromStore(tgt.store, e, *rank)
+		raw, err := ckpt.ExtractRawFromStore(store, e, *rank)
 		if err != nil {
 			return err
 		}

@@ -92,27 +92,29 @@ func maskVolatile(out []byte) []byte {
 	return out
 }
 
-// TestInfoGolden pins what `ccimg info -v` and `ccimg info -json` print for
-// a page-delta store and a CDC store: both kinds of partial entry go through
-// the one Sources branch, and the output is what scripts parse. Regenerate
-// with `go test ./cmd/ccimg -update`.
+// TestInfoGolden pins what `ccimg info -v` and `ccimg info -v -json` print
+// for a page-delta store and a CDC store: both kinds of partial entry go
+// through the one Sources branch, the newest epoch's census follows the
+// chain, and the output is what scripts parse. Regenerate with
+// `go test ./cmd/ccimg -update`.
 func TestInfoGolden(t *testing.T) {
 	dir := t.TempDir()
 	stores := []struct {
 		name  string
 		store *ckpt.FileStore
 	}{
-		{"delta", twoEpochStore(t, filepath.Join(dir, "delta"),
+		{"delta", twoEpochStore(t, filepath.Join(dir, "delta-store"),
 			func(r int) []byte { return bytes.Repeat([]byte{byte(7 + r)}, 16<<10) },
 			func(img *ckpt.JobImage) (*ckpt.ShardSums, error) { return ckpt.HashCapturePaged(img, 1<<10) },
 			func(app []byte) []byte { app[5000] ^= 0xFF; return app })},
-		{"cdc", twoEpochStore(t, filepath.Join(dir, "cdc"),
+		{"cdc", twoEpochStore(t, filepath.Join(dir, "cdc-store"),
 			func(r int) []byte { return noisy(256<<10, uint64(r+1)) },
 			ckpt.HashCaptureCDC,
 			func(app []byte) []byte {
 				return append(append(append([]byte(nil), app[:4096]...), noisy(32, 99)...), app[4096:]...)
 			})},
 	}
+	unrooted := func(b []byte) []byte { return bytes.ReplaceAll(b, []byte(dir+string(filepath.Separator)), nil) }
 	for _, s := range stores {
 		man, err := s.store.GetManifest(1)
 		if err != nil {
@@ -122,14 +124,14 @@ func TestInfoGolden(t *testing.T) {
 			t.Fatalf("%s fixture did not store rank 1 as a partial object: %+v", s.name, si)
 		}
 		var text, js bytes.Buffer
-		if err := storeInfo(&text, s.store, s.name+"-store", true); err != nil {
+		if err := runInfo(&text, []string{"-v", s.store.Root}); err != nil {
 			t.Fatal(err)
 		}
-		if err := storeInfoJSON(&js, s.store, s.name+"-store", nil); err != nil {
+		if err := runInfo(&js, []string{"-v", "-json", s.store.Root}); err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, s.name+"_info.txt", text.Bytes())
-		checkGolden(t, s.name+"_info.json", js.Bytes())
+		checkGolden(t, s.name+"_info.txt", unrooted(text.Bytes()))
+		checkGolden(t, s.name+"_info.json", unrooted(js.Bytes()))
 	}
 }
 
@@ -156,12 +158,12 @@ func checkGolden(t *testing.T, file string, out []byte) {
 	}
 }
 
-// TestImageGolden pins what every command prints for a packed image FILE:
-// the path resolves to the one-epoch store the file is, so info, info
-// -json, verify and extract are the store arms TestInfoGolden pins for
-// directories, plus the job summary only a file target prints. gc and
-// compact refuse it.
-func TestImageGolden(t *testing.T) {
+// TestInfoCensus: `info -v` decodes the newest epoch and prints its park
+// census and p2p drain, and each rank's descriptor, in text and in -json;
+// without -v, info reads manifests only and so lists a store whose shard is
+// damaged. verify and extract read the same directory, gc and compact run
+// on it, and a regular file is refused by every command.
+func TestInfoCensus(t *testing.T) {
 	ji := &ckpt.JobImage{Algorithm: "2pc", Ranks: 3, PPN: 2, CaptureVT: 0.75, Images: []ckpt.RankImage{
 		{Rank: 0, ClockVT: 0.75, App: bytes.Repeat([]byte{7}, 4<<10), Proto: []byte{1},
 			Desc: ckpt.Descriptor{Kind: ckpt.ParkInBarrier, Coll: &ckpt.CollDesc{CommVID: 1, Kind: 2, Root: 1, InBufID: "in", OutBufID: "out"}}},
@@ -170,49 +172,89 @@ func TestImageGolden(t *testing.T) {
 			Inflight: []mpi.InflightSnapshot{{CommID: 0, SrcComm: 2, Tag: 9, Data: []byte("payload")}}},
 		{Rank: 2, ClockVT: 0.25, App: []byte("done"), Desc: ckpt.Descriptor{Kind: ckpt.ParkDone}},
 	}}
-	data, err := ji.Encode()
+	dir := filepath.Join(t.TempDir(), "job")
+	store, err := ckpt.NewFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	img := filepath.Join(dir, "small.img")
-	if err := os.WriteFile(img, data, 0o644); err != nil {
+	if _, _, err := ckpt.CommitCapture(store, 0, nil, ji); err != nil {
 		t.Fatal(err)
 	}
-	var text, js bytes.Buffer
-	for _, c := range []struct {
-		name string
-		run  func(io.Writer, []string) error
-		args []string
-	}{
-		{"info", runInfo, []string{"-v", img}},
-		{"verify", runVerify, []string{img}},
-		{"extract", runExtract, []string{"-rank", "1", img}},
+	run := func(cmd func(io.Writer, []string) error, args ...string) string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := cmd(&out, append(args, dir)); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		return out.String()
+	}
+	for _, want := range []string{
+		"epoch 0, decoded:\n",
+		"  ranks:       3 (2 per node, 2 nodes)\n",
+		"  total bytes: 7110\n",
+		"  park kinds:  in-barrier:1 in-wait:1 done:1 \n",
+		"  p2p drain:   1 in-flight messages (7 bytes), 1 pending receives\n",
+		`           pending collective: Reduce on comm vid 1 (root 1, bufs "in"/"out")` + "\n",
+		"           pending recv: comm vid 0 src 2 tag 9 -> halo[16:48]\n",
+		"rank    2: park=done           app=4B proto=0B clock=0.250000s\n",
 	} {
-		fmt.Fprintf(&text, "$ ccimg %s %s\n", c.name, strings.Join(c.args, " "))
-		if err := c.run(&text, c.args); err != nil {
-			t.Fatal(err)
+		if out := run(runInfo, "-v"); !strings.Contains(out, want) {
+			t.Errorf("info -v lacks %q:\n%s", want, out)
 		}
 	}
-	if err := runInfo(&js, []string{"-json", img}); err != nil {
-		t.Fatal(err)
+	for _, want := range []string{
+		`"census": {`, `"total_bytes": 7110`, `"in-barrier": 1`, `"inflight_messages": 1`, `"inflight_bytes": 7`, `"pending_recvs": 1`,
+	} {
+		if out := run(runInfo, "-v", "-json"); !strings.Contains(out, want) {
+			t.Errorf("info -v -json lacks %s:\n%s", want, out)
+		}
 	}
-	unrooted := func(b []byte) []byte { return bytes.ReplaceAll(b, []byte(dir+string(filepath.Separator)), nil) }
-	checkGolden(t, "image_info.txt", unrooted(text.Bytes()))
-	checkGolden(t, "image_info.json", unrooted(js.Bytes()))
+	if out := run(runInfo, "-json"); strings.Contains(out, "census") {
+		t.Errorf("info -json without -v printed a census:\n%s", out)
+	}
+	if out := run(runVerify); !strings.Contains(out, "all epochs verify: ok") {
+		t.Errorf("verify: %s", out)
+	}
+	if out := run(runExtract, "-rank", "1"); !strings.Contains(out, "in-flight: comm 0 from 2 tag 9 (7 bytes)") {
+		t.Errorf("extract -rank 1: %s", out)
+	}
+	run(runCompact)
+	if out := run(runGC, "-keep", "1"); !strings.Contains(out, "kept epochs [0]") {
+		t.Errorf("gc -keep 1: %s", out)
+	}
 
-	for name, run := range map[string]func(io.Writer, []string) error{"gc": runGC, "compact": runCompact} {
-		if err := run(io.Discard, []string{img}); err == nil || !strings.Contains(err.Error(), "not an image file") {
-			t.Errorf("%s on an image file: %v", name, err)
-		}
-	}
-	// An image in the retired blob format fails by its magic.
-	old := append([]byte("MANAIMG2"), data[8:]...)
-	if err := os.WriteFile(img, old, 0o644); err != nil {
+	// A damaged shard: the manifest-only listing still reads; the census,
+	// which decodes every shard, names the rank.
+	shard := store.ShardPath(0, 1)
+	b, err := os.ReadFile(shard)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runVerify(io.Discard, []string{img}); err == nil || !strings.Contains(err.Error(), "bad magic") {
-		t.Errorf("MANAIMG2 file: %v (want a bad-magic error)", err)
+	b[len(b)/2] ^= 0xFF
+	if err := os.WriteFile(shard, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run(runInfo)
+	if err := runInfo(io.Discard, []string{"-v", dir}); err == nil || !strings.Contains(err.Error(), "epoch 0 rank 1") {
+		t.Errorf("info -v over a damaged shard: %v", err)
+	}
+
+	empty := t.TempDir()
+	var out bytes.Buffer
+	if err := runInfo(&out, []string{"-v", empty}); err != nil || !strings.Contains(out.String(), "(0 sealed epochs)") {
+		t.Errorf("info -v on an empty store: %v\n%s", err, out.String())
+	}
+
+	file := filepath.Join(t.TempDir(), "job.img")
+	if err := os.WriteFile(file, []byte("MANAIMG3"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, cmd := range map[string]func(io.Writer, []string) error{
+		"info": runInfo, "verify": runVerify, "extract": runExtract, "gc": runGC, "compact": runCompact,
+	} {
+		if err := cmd(io.Discard, []string{file}); err == nil || !strings.Contains(err.Error(), "not a store directory") {
+			t.Errorf("%s on a regular file: %v", name, err)
+		}
 	}
 }
 

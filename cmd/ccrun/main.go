@@ -3,8 +3,8 @@
 // restart — the repo's mpirun-under-MANA analog. It demonstrates allocation
 // chaining end to end:
 //
-//	ccrun -app vasp -algo cc -ranks 512 -ckpt-at 0.5 -image /tmp/job.img
-//	ccrun -app vasp -algo cc -ranks 512 -restart /tmp/job.img
+//	ccrun -app vasp -algo cc -ranks 512 -ckpt-at 0.5 -store /tmp/job
+//	ccrun -app vasp -algo cc -ranks 512 -restart-store /tmp/job
 //
 // and the staged asynchronous pipeline with incremental shard reuse:
 //
@@ -29,7 +29,6 @@ import (
 	"os"
 
 	"mana"
-	"mana/internal/ckpt"
 )
 
 func main() {
@@ -51,8 +50,6 @@ func main() {
 		keep     = flag.Int("keep", 0, "garbage-collect the store after each seal, retaining this many epochs (0 = keep everything)")
 		compact  = flag.Int("compact-every", 0, "compact the chain into a self-contained epoch every N seals (0 = never)")
 		storeDir = flag.String("store", "", "commit each capture as an epoch in this store directory")
-		image    = flag.String("image", "", "write the checkpoint image to this file")
-		restart  = flag.String("restart", "", "restart from this image file")
 		restore  = flag.String("restart-store", "", "restart from a store directory")
 		epoch    = flag.Int("epoch", -1, "store epoch to restart from (-1 = latest)")
 	)
@@ -74,6 +71,11 @@ func main() {
 		// zero captures — surfaced only when a later restart finds an empty
 		// store.
 		fail(fmt.Errorf("-store/-async/-incremental/-delta/-cdc/-codec/-every/-stream-budget/-keep/-compact-every require -ckpt-at to schedule the first checkpoint"))
+	}
+	if *epoch != -1 && *restore == "" {
+		// Only a restart reads an epoch; without a store to read it from the
+		// flag would be silently discarded and the job would start fresh.
+		fail(fmt.Errorf("-epoch requires -restart-store (it names the epoch to restart from)"))
 	}
 	if *delta && *cdc {
 		// Both knobs decide how a changed shard's fresh bytes are stored;
@@ -118,31 +120,12 @@ func main() {
 		}
 	}
 
-	var (
-		store mana.Store
-		from  string
-	)
-	switch {
-	case *restore != "":
-		fs, err := mana.NewFileStore(*restore)
-		if err != nil {
-			fail(err)
-		}
-		store, from = fs, *restore
-	case *restart != "":
-		// An image file is one store epoch, packed: it restarts through the
-		// same store read path as a directory.
-		data, err := os.ReadFile(*restart)
-		if err != nil {
-			fail(err)
-		}
-		if store, err = ckpt.OpenImage(data); err != nil {
-			fail(err)
-		}
-		from = *restart
-	}
 	var rep *mana.Report
-	if store != nil {
+	if *restore != "" {
+		store, err := mana.NewFileStore(*restore)
+		if err != nil {
+			fail(err)
+		}
 		e := *epoch
 		if e < 0 {
 			if e, err = mana.LatestEpoch(store); err != nil {
@@ -154,7 +137,7 @@ func main() {
 			fail(err)
 		}
 		fmt.Printf("restarting %d ranks from %s epoch %d (captured at vt=%.4fs under %s)\n",
-			man.Ranks, from, e, man.CaptureVT, man.Algorithm)
+			man.Ranks, *restore, e, man.CaptureVT, man.Algorithm)
 		cfg.Algorithm = man.Algorithm
 		cfg.Ranks = man.Ranks
 		rep, err = mana.RestartFromStore(cfg, store, e, factory)
@@ -196,18 +179,14 @@ func main() {
 		}
 		fmt.Println()
 	}
-	if !rep.Completed {
+	if !rep.Completed && *storeDir == "" {
+		fmt.Println("job exited at checkpoint (not kept: name a -store to restart from)")
+	} else if !rep.Completed {
 		fmt.Println("job exited at checkpoint (restart to continue)")
 	} else if rep.StateDigest != "" {
 		// Equal for an uninterrupted run and for any chain of checkpoint /
 		// restart legs of the same program (scripts/cli_roundtrip.sh).
 		fmt.Printf("state digest: %s\n", rep.StateDigest)
-	}
-	if rep.Image != nil && *image != "" {
-		if err := mana.SaveImage(*image, rep.Image); err != nil {
-			fail(err)
-		}
-		fmt.Printf("image written to %s\n", *image)
 	}
 }
 

@@ -24,8 +24,8 @@
 // every rank concurrently (all ranks are parked, so per-rank state is frozen)
 // and the image is written as one independently compressed and checksummed
 // shard per rank behind a job manifest, encoded and decoded across
-// GOMAXPROCS workers — into a Store, or packed into a single file, which is
-// the same epoch either way (see image.go).
+// GOMAXPROCS workers — into a Store, one epoch per capture (see image.go and
+// store.go).
 //
 // The checkpoint path is a staged pipeline (see coordinator.go, store.go,
 // FORMAT.md): stage 1 snapshots all ranks while parked; stages 2–3 hash

@@ -26,8 +26,13 @@ type FileStore struct {
 	Root string
 }
 
-// NewFileStore opens (creating if needed) a file store rooted at dir.
+// NewFileStore opens (creating if needed) a file store rooted at dir. A
+// checkpoint on disk is only ever such a directory: a regular file at dir is
+// refused by name.
 func NewFileStore(dir string) (*FileStore, error) {
+	if st, err := os.Stat(dir); err == nil && !st.IsDir() {
+		return nil, fmt.Errorf("ckpt: %s is not a store directory", dir)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ckpt: creating store root: %w", err)
 	}

@@ -1,90 +1,106 @@
 package ckpt
 
-// Hardening of the one decode path a checkpoint FILE has: a packed image
-// opens as a store (OpenImage) and everything behind that is the store's
-// own load and verify. One damage list states what every kind of damage
-// must produce — an error that names what is wrong, attributed to the rank
-// whose object was hit, never a panic or an allocation sized by a lie.
-// FuzzOpenImage explores around the same list.
+// Hardening of the one decode path a checkpoint has: a store epoch — a
+// sealed manifest record and one object per rank — read through the store's
+// own load, verify and extract. One damage list states what every kind of
+// damage must produce — an error that names what is wrong, attributed to
+// the rank whose object was hit, never a panic or an allocation sized by a
+// lie. FuzzOpenImage explores around the same list.
 
 import (
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// imageDamage is one way to damage a packed image.
-type imageDamage struct {
+// epochDamage is one way to damage a store epoch.
+type epochDamage struct {
 	kind, name string
-	data       []byte
-	// rank is the shard the damage hit: the file still opens, VerifyStore
-	// faults exactly this rank and every other rank still extracts. -1 when
-	// the damage is to the framing, the record or the size accounting, and
-	// OpenImage itself must refuse the file.
+	epoch      int      // the key the epoch is held under: its record's own
+	rec        []byte   // the manifest record
+	objects    [][]byte // rank r's object; nil when it is missing
+	// rank is the shard the damage hit: VerifyStore faults exactly this rank
+	// and every other rank still extracts. -1 when the damage is to the
+	// record, and every read of the epoch must refuse it.
 	rank int
-	want string // what the decode error must say
+	want string // what the load error must say
 }
 
-// packImage frames a manifest record and an object section as Encode does.
-func packImage(rec, objects []byte) []byte {
-	out := binary.LittleEndian.AppendUint32(append([]byte(nil), imageMagic...), uint32(len(rec)))
-	return append(append(out, rec...), objects...)
+// installEpoch holds rec and objects as the one epoch of a MemStore, where a
+// commit would have left them.
+func installEpoch(epoch int, rec []byte, objects [][]byte) *MemStore {
+	objs := map[int][]byte{manifestSlot: rec}
+	for r, o := range objects {
+		if o != nil {
+			objs[r] = o
+		}
+	}
+	store := NewMemStore()
+	store.epochs[epoch] = objs
+	return store
 }
 
-// imageDamageList is THE damage list over a packed image of n ranks (n >= 3),
-// returned with the pristine file. Kinds: "truncated" — at every section
-// boundary, at every length through the header, and at a stride through
-// record and objects; "flipped" — one byte in the magic, the length word,
-// the record and the middle of EACH rank's object, plus trailing garbage;
-// "record" — a re-sealed (internally checksummed) record that lies: hostile
-// geometry, sizes that do not add up to the bytes present, an entry that
-// references another epoch or is a partial object drawing on one, a partial
-// object in the retired headed layout, an epoch on a retired storage tier,
-// gob bytes after the manifest.
-func imageDamageList(t testing.TB, n int) (pristine []byte, list []imageDamage) {
+// epochDamageList is THE damage list over a committed epoch of n ranks
+// (n >= 3), returned with the pristine record and objects. Kinds:
+// "truncated" — the record at every length through its 20-byte header and
+// at a stride through its body, each rank's object at a few lengths, and
+// each rank's object missing; "flipped" — one byte in the record's magic,
+// its length word and its body and in the middle of EACH rank's object,
+// plus trailing bytes on the record and on each object; "record" — a
+// re-sealed (internally checksummed) record that lies: hostile geometry, an
+// entry that references another epoch or is a partial object drawing on
+// one, a partial object in the retired headed layout, an epoch on a retired
+// storage tier, gob bytes after the manifest.
+func epochDamageList(t testing.TB, n int) (rec []byte, objects [][]byte, list []epochDamage) {
 	t.Helper()
-	full, err := testJobImage(n).Encode()
-	if err != nil {
-		t.Fatal(err)
+	store, man := commitTestImage(t, testJobImage(n))
+	rec = store.epochs[0][manifestSlot]
+	objects = make([][]byte, n)
+	for r := range objects {
+		objects[r] = store.epochs[0][r]
 	}
-	man, err := DecodeManifest(full)
-	if err != nil {
-		t.Fatal(err)
+	add := func(kind, name string, epoch int, rec []byte, objects [][]byte, rank int, want string) {
+		list = append(list, epochDamage{kind, name, epoch, rec, objects, rank, want})
 	}
-	objectsAt := 12 + int(binary.LittleEndian.Uint32(full[8:12]))
-	add := func(kind, name string, data []byte, rank int, want string) {
-		list = append(list, imageDamage{kind, name, data, rank, want})
+	withObject := func(r int, o []byte) [][]byte {
+		out := slices.Clone(objects)
+		out[r] = o
+		return out
 	}
-
-	cuts := map[int]bool{0: true, 8: true, 12: true, objectsAt: true, len(full) - 1: true}
-	for l := 0; l < 64; l++ {
-		cuts[l] = true
-	}
-	for l := 64; l < len(full); l += len(full)/97 + 1 {
-		cuts[l] = true
-	}
-	flip := func(at int, mask byte) []byte {
-		bad := append([]byte(nil), full...)
+	flip := func(b []byte, at int, mask byte) []byte {
+		bad := slices.Clone(b)
 		bad[at] ^= mask
 		return bad
 	}
-	add("flipped", "magic", flip(3, 0xFF), -1, "bad magic")
-	add("flipped", "length word", flip(8, 0x01), -1, "manifest record")
-	add("flipped", "record", flip((12+objectsAt)/2, 0xFF), -1, "manifest record corrupted")
-	at := objectsAt
-	for r := range man.Shards {
-		size := int(man.Shards[r].Size)
-		cuts[at] = true
-		add("flipped", fmt.Sprintf("rank %d object", r), flip(at+size/2, 0xFF), r,
-			fmt.Sprintf("epoch 0 rank %d: shard corrupted (checksum ", r))
-		at += size
+	corrupted := func(r int) string { return fmt.Sprintf("epoch 0 rank %d: shard corrupted (checksum ", r) }
+
+	add("flipped", "record magic", 0, flip(rec, 3, 0xFF), objects, -1, "not a manifest record")
+	add("flipped", "record length word", 0, flip(rec, 8, 0x01), objects, -1, "manifest record")
+	add("flipped", "record", 0, flip(rec, (20+len(rec))/2, 0xFF), objects, -1, "manifest record corrupted")
+	for r, o := range objects {
+		add("flipped", fmt.Sprintf("rank %d object", r), 0, rec, withObject(r, flip(o, len(o)/2, 0xFF)), r, corrupted(r))
 	}
-	add("flipped", "trailing garbage", append(append([]byte(nil), full...), 0xEE, 0xEE), -1,
-		"image has 2 trailing bytes")
-	for l := range cuts {
-		add("truncated", fmt.Sprintf("to %d of %d bytes", l, len(full)), full[:l], -1, "truncated")
+	add("flipped", "record trailing bytes", 0, append(slices.Clone(rec), 0xEE, 0xEE), objects, -1,
+		"manifest record has 2 trailing bytes")
+	for r, o := range objects {
+		add("flipped", fmt.Sprintf("rank %d object trailing bytes", r), 0, rec, withObject(r, append(slices.Clone(o), 0xEE, 0xEE)), r, corrupted(r))
+	}
+	for l := 0; l < len(rec); l += max(1, (l-20)/8) {
+		want := "manifest record truncated"
+		if l < 20 {
+			want = "not a manifest record"
+		}
+		add("truncated", fmt.Sprintf("record to %d of %d bytes", l, len(rec)), 0, rec[:l], objects, -1, want)
+	}
+	for r, o := range objects {
+		for _, l := range []int{0, 1, len(o) / 3, len(o) / 2, len(o) - 1} {
+			add("truncated", fmt.Sprintf("rank %d object to %d of %d bytes", r, l, len(o)), 0, rec, withObject(r, o[:l]), r, corrupted(r))
+		}
+		add("truncated", fmt.Sprintf("rank %d object missing", r), 0, rec, withObject(r, nil), r, fmt.Sprintf("epoch 0 rank %d: ", r))
 	}
 
 	forge := func(name string, rank int, want string, mutate func(m *Manifest)) {
@@ -95,26 +111,19 @@ func imageDamageList(t testing.TB, n int) (pristine []byte, list []imageDamage) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		add("record", name, packImage(rec, full[objectsAt:]), rank, want)
+		add("record", name, m.Epoch, rec, objects, rank, want)
 	}
-	objects := int64(len(full) - objectsAt)
 	forge("negative size", -1, "negative geometry", func(m *Manifest) { m.Shards[1].Size = -1 })
 	forge("negative raw", -1, "negative geometry", func(m *Manifest) { m.Shards[1].RawSize = -1 })
-	forge("size past end", -1, fmt.Sprintf("declares %d bytes of shard objects, %d follow", objects+objects+1-man.Shards[0].Size, objects),
-		func(m *Manifest) { m.Shards[0].Size = objects + 1 })
-	forge("size short", -1, fmt.Sprintf("image has 1 trailing bytes (manifest declares %d bytes of shard objects, %d follow", objects-1, objects),
-		func(m *Manifest) { m.Shards[2].Size-- })
-	forge("sizes overflow", -1, "shard sizes overflow", func(m *Manifest) { m.Shards[0].Size, m.Shards[1].Size = 1<<62, 1<<62 })
 	forge("rank out of range", -1, "names rank 7", func(m *Manifest) { m.Shards[0].Rank = 7 })
 	forge("negative ranks", -1, "declares -1 ranks", func(m *Manifest) { m.Ranks = -1; m.Shards = nil })
 	forge("shard/rank mismatch", -1, "lists 2 shards", func(m *Manifest) { m.Shards = m.Shards[:2] })
 	// An absurd RawSize must error after bounded work (the decompressed
 	// stream won't match), never allocate the declared size.
 	forge("absurd raw size", 1, "epoch 0 rank 1: raw size mismatch", func(m *Manifest) { m.Shards[1].RawSize = 1 << 50 })
-	// A file is one epoch: an entry whose bytes live in another one, or a
-	// partial object that draws on another one, is a reference into an
-	// epoch the opened store does not hold — the chain check every store
-	// read runs, nothing specific to files.
+	// An entry whose bytes live in another epoch, or a partial object that
+	// draws on another one, is a reference into an epoch the store does not
+	// hold — the chain check every store read runs.
 	elsewhere := func(m *Manifest) {
 		m.Epoch = 1
 		for i := range m.Shards {
@@ -140,41 +149,37 @@ func imageDamageList(t testing.TB, n int) (pristine []byte, list []imageDamage) 
 			si.RawFormat, si.BaseEpoch, si.PageSize, si.PageSums = RawFormatPageDelta, 0, si.RawSize, []uint32{0}
 			si.DeltaPages, si.DeltaRawSize = []int32{0}, 137+si.RawSize
 		})
-	// Last, so the fuzz seeds drawn from the rows above keep their numbers.
 	// An epoch sealed on the retired burst-buffer tier fails closed instead
 	// of restarting priced as a parallel-filesystem read.
 	forge("retired storage tier", -1, "epoch 0 sealed on storage tier 1, which this build does not model",
 		func(m *Manifest) { m.Tier = 1 })
 	// A sealed body that goes on after the manifest — here a second copy of
 	// its value message, which a decoder stopping at the first never reads.
-	rec, err := EncodeManifestRecord(man)
-	if err != nil {
-		t.Fatal(err)
-	}
 	body := rec[20:]
 	split, end := scanRecord(body)
 	if end != len(body) {
 		t.Fatal("a sealed manifest is not one whole gob record")
 	}
 	value := body[split:]
-	body = append(append([]byte(nil), body...), value...)
-	rec = binary.LittleEndian.AppendUint32(append([]byte(nil), manifestRecordMagic...), uint32(len(body)))
-	rec = append(binary.LittleEndian.AppendUint64(rec, Sum64(body)), body...)
-	add("record", "gob after the manifest", packImage(rec, full[objectsAt:]), -1,
+	body = append(slices.Clone(body), value...)
+	long := binary.LittleEndian.AppendUint32(slices.Clone(manifestRecordMagic), uint32(len(body)))
+	long = append(binary.LittleEndian.AppendUint64(long, Sum64(body)), body...)
+	add("record", "gob after the manifest", 0, long, objects, -1,
 		fmt.Sprintf("manifest record has %d bytes after its manifest", len(value)))
-	return full, list
+	return rec, objects, list
 }
 
-// runImageDamage holds every row of one kind to its verdict, through every
-// way a file is read.
-func runImageDamage(t *testing.T, kind string) {
+// runEpochDamage holds every row of one kind to its verdict, through every
+// way an epoch is read.
+func runEpochDamage(t *testing.T, kind string) {
 	const n = 5
-	full, list := imageDamageList(t, n)
-	if img, err := DecodeJobImage(full); err != nil || img == nil {
-		t.Fatalf("pristine image did not decode: %v", err)
+	rec, objects, list := epochDamageList(t, n)
+	pristine := installEpoch(0, rec, objects)
+	if img, err := LoadJobImage(pristine, 0); err != nil || !reflect.DeepEqual(img, testJobImage(n)) {
+		t.Fatalf("pristine epoch did not load back: %v", err)
 	}
-	if faults, err := VerifyStore(openTestImage(t, full)); err != nil || len(faults) != 0 {
-		t.Fatalf("pristine image has faults %v (err %v)", faults, err)
+	if faults, err := VerifyStore(pristine); err != nil || len(faults) != 0 {
+		t.Fatalf("pristine epoch has faults %v (err %v)", faults, err)
 	}
 	ran := 0
 	for _, c := range list {
@@ -185,24 +190,12 @@ func runImageDamage(t *testing.T, kind string) {
 		func() {
 			defer func() {
 				if p := recover(); p != nil {
-					t.Fatalf("%s: decode panicked on %d bytes: %v", c.name, len(c.data), p)
+					t.Fatalf("%s: a read panicked: %v", c.name, p)
 				}
 			}()
-			if _, err := DecodeJobImage(c.data); err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("%s: decode error %v does not say %q", c.name, err, c.want)
-			}
-			store, err := OpenImage(c.data)
-			if _, merr := DecodeManifest(c.data); (merr == nil) != (err == nil) {
-				t.Fatalf("%s: OpenImage says %v, DecodeManifest says %v", c.name, err, merr)
-			}
-			if c.rank < 0 {
-				if err == nil || !strings.Contains(err.Error(), c.want) {
-					t.Fatalf("%s: OpenImage error %v does not say %q", c.name, err, c.want)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("%s: damage inside rank %d's shard failed the whole file: %v", c.name, c.rank, err)
+			store := installEpoch(c.epoch, c.rec, c.objects)
+			if _, err := LoadJobImage(store, c.epoch); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%s: load error %v does not say %q", c.name, err, c.want)
 			}
 			faults, err := VerifyStore(store)
 			if err != nil {
@@ -211,13 +204,12 @@ func runImageDamage(t *testing.T, kind string) {
 			if len(faults) != 1 || faults[0].Rank != c.rank {
 				t.Fatalf("%s: damage to rank %d attributed to %v", c.name, c.rank, faults)
 			}
-			epoch, err := LatestEpoch(store)
-			if err != nil {
-				t.Fatal(err)
+			if c.rank < 0 && !strings.Contains(faults[0].Err.Error(), c.want) {
+				t.Fatalf("%s: verify says %v, not %q", c.name, faults[0].Err, c.want)
 			}
 			for r := -1; r <= n; r++ {
-				_, err := ExtractRankFromStore(store, epoch, r)
-				if healthy := r >= 0 && r < n && r != c.rank; healthy != (err == nil) {
+				_, err := ExtractRankFromStore(store, c.epoch, r)
+				if healthy := c.rank >= 0 && r >= 0 && r < n && r != c.rank; healthy != (err == nil) {
 					t.Fatalf("%s: extract of rank %d: %v", c.name, r, err)
 				}
 			}
@@ -228,86 +220,77 @@ func runImageDamage(t *testing.T, kind string) {
 	}
 }
 
-// TestTruncatedImagesError: every truncation of a valid image — at each
-// section boundary, densely through the header, at a stride through record
-// and objects — is refused as a truncation.
-func TestTruncatedImagesError(t *testing.T) { runImageDamage(t, "truncated") }
+// TestTruncatedImagesError: every truncation of an epoch's record — densely
+// through its header, at a stride through its body — is refused as a
+// truncation, and a truncated or missing object is attributed to its rank.
+func TestTruncatedImagesError(t *testing.T) { runEpochDamage(t, "truncated") }
 
-// TestShardCorruptionAttributed: a flipped byte in rank k's object fails the
-// decode and is attributed to exactly rank k, every other rank still
-// extracts, and a flip in the framing or the record — or bytes past the end
-// — is structural: no shard to blame.
-func TestShardCorruptionAttributed(t *testing.T) { runImageDamage(t, "flipped") }
+// TestShardCorruptionAttributed: a flipped byte in rank k's object, or bytes
+// past its end, fails the load and is attributed to exactly rank k while
+// every other rank still extracts; the same in the record is structural:
+// no shard to blame.
+func TestShardCorruptionAttributed(t *testing.T) { runEpochDamage(t, "flipped") }
 
 // TestHostileManifestsError: internally-checksummed records that lie about
-// geometry, sizes or where the bytes live are refused by validation, by the
-// size accounting or by the chain check — never trusted into slicing or
-// allocation.
-func TestHostileManifestsError(t *testing.T) { runImageDamage(t, "record") }
+// geometry or where the bytes live are refused by validation or by the
+// chain check — never trusted into slicing or allocation.
+func TestHostileManifestsError(t *testing.T) { runEpochDamage(t, "record") }
 
 // TestRankNotInManifest: extraction of a rank the manifest does not list
 // must error.
 func TestRankNotInManifest(t *testing.T) {
-	blob, err := testJobImage(3).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ExtractRankFromStore(openTestImage(t, blob), 0, 17); err == nil || !strings.Contains(err.Error(), "no rank 17") {
+	store, _ := commitTestImage(t, testJobImage(3))
+	if _, err := ExtractRankFromStore(store, 0, 17); err == nil || !strings.Contains(err.Error(), "no rank 17") {
 		t.Fatalf("extract of missing rank: %v", err)
 	}
 }
 
-// FuzzOpenImage: whatever bytes a file holds, open → verify → load comes
-// back as an error or a decoded job — never a panic, and never an
-// allocation beyond a small multiple of what the file and its (validated)
-// manifest state. Seeded with the damage list, so the fuzzer starts from
-// files that already get past the framing.
+// FuzzOpenImage: whatever bytes a 3-rank store epoch holds, under whatever
+// epoch number, load and verify come back as an error or a decoded job —
+// never a panic, and never an allocation beyond a small multiple of what
+// the objects and their (validated) manifest state. Seeded with the damage
+// list, so the fuzzer starts from epochs that already get past the record.
+// The rows keep their order: the seed numbers are test names.
 func FuzzOpenImage(f *testing.F) {
-	full, list := imageDamageList(f, 3)
-	f.Add(full)
+	rec, objects, list := epochDamageList(f, 3)
+	f.Add(uint8(0), rec, objects[0], objects[1], objects[2])
 	for _, c := range list {
 		if c.kind != "truncated" {
-			f.Add(c.data)
+			f.Add(uint8(c.epoch), c.rec, c.objects[0], c.objects[1], c.objects[2])
 		}
 	}
-	f.Add(full[:len(full)/2])
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(uint8(0), rec, objects[0], objects[1][:len(objects[1])/2], objects[2])
+	f.Fuzz(func(t *testing.T, key uint8, rec, o0, o1, o2 []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		stated := int64(len(data))
-		store, err := OpenImage(data)
+		epoch, stated := int(key), int64(len(rec)+len(o0)+len(o1)+len(o2))
+		store := installEpoch(epoch, rec, [][]byte{o0, o1, o2})
+		man, err := store.GetManifest(epoch)
 		if err == nil {
-			epoch, err := LatestEpoch(store)
-			if err != nil {
-				t.Fatalf("an opened image holds no epoch: %v", err)
-			}
-			man, err := store.GetManifest(epoch)
-			if err != nil {
-				t.Fatalf("an opened image's manifest does not decode: %v", err)
-			}
 			for i := range man.Shards {
 				if stated += man.Shards[i].RawSize; stated > 64<<20 || stated < 0 {
 					t.Skip() // a manifest that honestly states gigabytes may allocate them
 				}
 			}
-			faults, verr := VerifyStore(store)
-			img, lerr := LoadJobImage(store, epoch)
-			if verr != nil {
-				t.Fatalf("verify failed structurally on an opened image: %v", verr)
-			}
-			if (len(faults) == 0) != (lerr == nil) {
-				t.Fatalf("verify found %v but load said %v", faults, lerr)
-			}
-			if lerr == nil && len(img.Images) != man.Ranks {
-				t.Fatalf("clean load returned %d of %d ranks", len(img.Images), man.Ranks)
-			}
+		}
+		faults, verr := VerifyStore(store)
+		img, lerr := LoadJobImage(store, epoch)
+		switch {
+		case verr != nil:
+			t.Fatalf("verify failed structurally on a held epoch: %v", verr)
+		case err != nil && (len(faults) != 1 || faults[0].Rank != -1 || lerr == nil):
+			t.Fatalf("an unreadable record (%v) gave faults %v and load %v", err, faults, lerr)
+		case (len(faults) == 0) != (lerr == nil):
+			t.Fatalf("verify found %v but load said %v", faults, lerr)
+		case lerr == nil && len(img.Images) != man.Ranks:
+			t.Fatalf("clean load returned %d of %d ranks", len(img.Images), man.Ranks)
 		}
 		runtime.ReadMemStats(&after)
 		// Manifest decodes, a flate window per shard and a few copy buffers
 		// are spent whatever the input; past that fixed floor, memory follows
 		// the stated sizes.
 		if got, limit := int64(after.TotalAlloc-before.TotalAlloc), 3*stated+(4<<20); got > limit {
-			t.Fatalf("open/verify/load allocated %d bytes for a file stating %d (limit %d; open: %v)", got, stated, limit, err)
+			t.Fatalf("verify/load allocated %d bytes for an epoch stating %d (limit %d; record: %v)", got, stated, limit, err)
 		}
 	})
 }

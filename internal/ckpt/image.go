@@ -8,14 +8,7 @@ package ckpt
 // object (partial.go) is the same envelope around nothing but the bytes of
 // the extents its entry stores itself; only manifests and the full shard's
 // header pass through gob. This file holds the shard streams, the manifest
-// and its record; store.go commits and loads epochs. A self-contained image
-// FILE is such an epoch, packed (Encode / OpenImage at the end of this
-// file):
-//
-//	[0:8)     magic "MANAIMG3"
-//	[8:12)    uint32 LE: manifest record length R
-//	[12:12+R) the epoch's manifest record ("MANAMFT3", see FORMAT.md)
-//	[12+R:)   the epoch's shard objects in rank order, each ShardInfo.Size bytes
+// and its record; store.go commits and loads epochs.
 
 import (
 	"bufio"
@@ -234,9 +227,8 @@ func putBufReader(br *bufio.Reader) {
 
 // ---------------------------------------------------------- streaming encode
 
-// Streaming shard I/O. Every shard — a store commit's and an image file's
-// alike — is encoded straight into the store's shard writer through
-// fixed-size buffers: materializing a rank's raw stream or stored object
+// Streaming shard I/O. Every shard is encoded straight into the store's
+// shard writer through fixed-size buffers: materializing a rank's raw stream or stored object
 // whole would make peak encode memory scale with the image size (hundreds
 // of MB per rank at MANA scale). Crucially the raw layout is CHUNKED
 // (RawFormatChunked): gob frames every Encode call as one message that it
@@ -1284,115 +1276,4 @@ func DecodeManifestRecord(data []byte) (*Manifest, error) {
 		return nil, err
 	}
 	return &man, nil
-}
-
-// ------------------------------------------------------------ packed image
-
-// imageMagic heads a self-contained image file: one store epoch, packed
-// (layout at the top of this file). A file in any earlier image format fails
-// here by magic; none is read.
-var imageMagic = []byte("MANAIMG3")
-
-// Encode serializes the job image as a single file: the image is committed
-// as one full epoch into a private MemStore through the ordinary commit path,
-// and the file is exactly what that store then holds — the sealed manifest
-// record followed by the shard objects in rank order. The bytes are a
-// function of the image alone: shards land in rank order however the commit
-// fan-out was scheduled.
-func (ji *JobImage) Encode() ([]byte, error) {
-	store := NewMemStore()
-	man, _, err := CommitCapture(store, 0, nil, ji)
-	if err != nil {
-		return nil, err
-	}
-	objs := store.epochs[0]
-	rec := objs[manifestSlot]
-	total := len(imageMagic) + 4 + len(rec)
-	for i := range man.Shards {
-		total += int(man.Shards[i].Size)
-	}
-	out := make([]byte, 0, total)
-	out = append(out, imageMagic...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(rec)))
-	out = append(out, rec...)
-	for i := range man.Shards {
-		out = append(out, objs[man.Shards[i].Rank]...)
-	}
-	return out, nil
-}
-
-// openImage checks a packed image's framing — magic, record length, the
-// record itself (DecodeManifestRecord) and that the shard table's stored
-// sizes account for every remaining byte, no fewer and no more — and installs
-// the record and the objects, as sub-slices of data, in a MemStore.
-func openImage(data []byte) (*MemStore, *Manifest, error) {
-	head := len(imageMagic) + 4
-	if len(data) < head {
-		return nil, nil, fmt.Errorf("ckpt: image truncated (%d bytes, the header alone is %d)", len(data), head)
-	}
-	if !bytes.Equal(data[:len(imageMagic)], imageMagic) {
-		return nil, nil, fmt.Errorf("ckpt: not a checkpoint image (bad magic)")
-	}
-	recLen := int64(binary.LittleEndian.Uint32(data[len(imageMagic):head]))
-	if have := int64(len(data) - head); recLen > have {
-		return nil, nil, fmt.Errorf("ckpt: image truncated (manifest record declares %d bytes, %d follow the header)", recLen, have)
-	}
-	rec, objects := data[head:int64(head)+recLen], data[int64(head)+recLen:]
-	man, err := DecodeManifestRecord(rec)
-	if err != nil {
-		return nil, nil, err
-	}
-	var declared int64
-	for i := range man.Shards {
-		// Sizes are validated non-negative, so a sum below zero overflowed.
-		if declared += man.Shards[i].Size; declared < 0 {
-			return nil, nil, fmt.Errorf("ckpt: image manifest's shard sizes overflow")
-		}
-	}
-	if have := int64(len(objects)); declared > have {
-		return nil, nil, fmt.Errorf("ckpt: image truncated (manifest declares %d bytes of shard objects, %d follow the record)", declared, have)
-	} else if declared < have {
-		return nil, nil, fmt.Errorf("ckpt: image has %d trailing bytes (manifest declares %d bytes of shard objects, %d follow the record)", have-declared, declared, have)
-	}
-	objs := map[int][]byte{manifestSlot: rec}
-	for i := range man.Shards {
-		si := &man.Shards[i]
-		objs[si.Rank] = objects[:si.Size]
-		objects = objects[si.Size:]
-	}
-	store := NewMemStore()
-	store.epochs[man.Epoch] = objs
-	return store, man, nil
-}
-
-// OpenImage opens a packed image as the one-epoch store it is (the caller
-// must leave data alone while the store is in use), so LoadJobImage,
-// VerifyStore and ExtractRankFromStore serve a file exactly as they serve a
-// store directory. An entry that references another epoch, or a partial
-// object drawing on one, fails there as any reference into an unsealed
-// epoch does.
-func OpenImage(data []byte) (Store, error) {
-	store, _, err := openImage(data)
-	if err != nil {
-		return nil, err
-	}
-	return store, nil
-}
-
-// DecodeManifest reads a packed image's manifest without touching shard
-// data.
-func DecodeManifest(data []byte) (*Manifest, error) {
-	_, man, err := openImage(data)
-	return man, err
-}
-
-// DecodeJobImage deserializes a job image produced by Encode, verifying the
-// framing and every checksum. Corruption is attributed to the specific rank
-// shard.
-func DecodeJobImage(data []byte) (*JobImage, error) {
-	store, man, err := openImage(data)
-	if err != nil {
-		return nil, err
-	}
-	return LoadJobImage(store, man.Epoch)
 }

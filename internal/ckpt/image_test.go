@@ -1,15 +1,14 @@
 package ckpt
 
-// Tests for the packed image file and the shard streams under it:
-// round trip, determinism of the parallel encoder, manifest inspection,
-// single-rank extraction, serial/parallel capture equivalence, and the
-// streaming shard writer and decoder. What damage to a packed image must
-// produce is harden_test.go's table.
+// Tests for a committed epoch and the shard streams under it: round trip,
+// determinism of the parallel encoder, manifest inspection, single-rank
+// extraction, serial/parallel capture equivalence, and the streaming shard
+// writer and decoder. What damage to a store epoch must produce is
+// harden_test.go's table.
 
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -63,14 +62,15 @@ func testJobImage(ranks int) *JobImage {
 	return ji
 }
 
-// openTestImage opens a packed image as its one-epoch store.
-func openTestImage(t testing.TB, blob []byte) Store {
+// commitTestImage commits ji as epoch 0 of a fresh MemStore.
+func commitTestImage(t testing.TB, ji *JobImage) (*MemStore, *Manifest) {
 	t.Helper()
-	store, err := OpenImage(blob)
+	store := NewMemStore()
+	man, _, err := CommitCapture(store, 0, nil, ji)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return store
+	return store, man
 }
 
 // flateBlob compresses raw the way the default codec stores a shard.
@@ -90,18 +90,13 @@ func flateBlob(t testing.TB, raw []byte) []byte {
 	return out.Bytes()
 }
 
-// TestImageRoundTrip: an encoded image decodes back to what was encoded,
-// and a file in either retired blob format is refused by its magic rather
-// than misparsed.
+// TestImageRoundTrip: a committed image loads back to what was committed.
 func TestImageRoundTrip(t *testing.T) {
 	ji := testJobImage(6)
-	blob, err := ji.Encode()
+	store, _ := commitTestImage(t, ji)
+	got, err := LoadJobImage(store, 0)
 	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeJobImage(blob)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
+		t.Fatalf("load: %v", err)
 	}
 	if !reflect.DeepEqual(got, ji) {
 		t.Fatalf("round trip changed the image:\ngot  %+v\nwant %+v", got, ji)
@@ -112,51 +107,30 @@ func TestImageRoundTrip(t *testing.T) {
 	if c := got.Images[1].Desc.Coll; c == nil || !c.Bench {
 		t.Fatalf("bench descriptor lost: %+v", got.Images[1].Desc)
 	}
-	for _, magic := range []string{"MANAIMG1", "MANAIMG2"} {
-		old := append([]byte(magic), blob[8:]...)
-		for name, err := range map[string]error{
-			"decode":   func() error { _, err := DecodeJobImage(old); return err }(),
-			"open":     func() error { _, err := OpenImage(old); return err }(),
-			"manifest": func() error { _, err := DecodeManifest(old); return err }(),
-		} {
-			if err == nil || !strings.Contains(err.Error(), "bad magic") {
-				t.Fatalf("%s of a %s image: %v (want a bad-magic error)", name, magic, err)
-			}
-		}
-	}
 }
 
-// TestEncodeDeterministic: the parallel encoder must produce identical bytes
-// run to run — shards land in rank order regardless of worker scheduling.
+// TestEncodeDeterministic: the parallel encoder must store identical bytes
+// run to run — every shard object and the manifest record, whatever the
+// worker scheduling.
 func TestEncodeDeterministic(t *testing.T) {
 	ji := testJobImage(16)
-	a, err := ji.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, _ := commitTestImage(t, ji)
 	for i := 0; i < 4; i++ {
-		b, err := ji.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("encode attempt %d produced different bytes", i)
+		if b, _ := commitTestImage(t, ji); !reflect.DeepEqual(a.epochs, b.epochs) {
+			t.Fatalf("commit attempt %d stored different bytes", i)
 		}
 	}
 }
 
 // TestManifestAndShardRange: the manifest is readable without touching
-// shard data, and the shard table's sizes alone address every object — the
-// file is magic, length word, record, then the objects back to back in rank
-// order, with nothing before, between or after.
+// shard data, and its shard table describes every object the epoch holds —
+// one full shard a rank, of exactly its entry's size and checksum, and
+// nothing else.
 func TestManifestAndShardRange(t *testing.T) {
 	ji := testJobImage(5)
 	ji.PaddedBytesPerRank = 1234
-	blob, err := ji.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	man, err := DecodeManifest(blob)
+	store, _ := commitTestImage(t, ji)
+	man, err := store.GetManifest(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,17 +139,15 @@ func TestManifestAndShardRange(t *testing.T) {
 		t.Fatalf("manifest header mismatch: %+v", man)
 	}
 	if man.Epoch != 0 || man.Parent != -1 || len(man.Shards) != 5 {
-		t.Fatalf("packed epoch is %d (parent %d) with %d shards, want a parentless epoch 0 with 5", man.Epoch, man.Parent, len(man.Shards))
+		t.Fatalf("committed epoch is %d (parent %d) with %d shards, want a parentless epoch 0 with 5", man.Epoch, man.Parent, len(man.Shards))
 	}
 	rec, err := EncodeManifestRecord(man)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := binary.LittleEndian.Uint32(blob[8:12]); int(want) != len(rec) || !bytes.Equal(blob[12:12+len(rec)], rec) {
-		t.Fatalf("the file does not carry the epoch's manifest record behind its %d-byte length word", want)
+	if !bytes.Equal(store.epochs[0][manifestSlot], rec) {
+		t.Fatal("the epoch's manifest object is not its manifest's record")
 	}
-	store := openTestImage(t, blob)
-	at := int64(12 + len(rec))
 	for i, s := range man.Shards {
 		if s.Rank != i || s.RefEpoch != 0 || s.Partial() {
 			t.Fatalf("shard %d is rank %d stored in epoch %d (partial %v), want a full shard of its own epoch", i, s.Rank, s.RefEpoch, s.Partial())
@@ -183,30 +155,19 @@ func TestManifestAndShardRange(t *testing.T) {
 		if s.Size <= 0 || s.RawSize <= 0 {
 			t.Fatalf("shard %d has degenerate sizes: %+v", i, s)
 		}
-		object := blob[at : at+s.Size]
-		if Sum64(object) != s.Checksum {
-			t.Fatalf("the %d bytes at %d are not rank %d's object", s.Size, at, i)
+		object, err := store.GetShard(0, i)
+		if err != nil || int64(len(object)) != s.Size || Sum64(object) != s.Checksum {
+			t.Fatalf("rank %d's object is %d bytes (err %v), not the entry's %d", i, len(object), err, s.Size)
 		}
-		if got, err := store.GetShard(0, i); err != nil || !bytes.Equal(got, object) {
-			t.Fatalf("the opened store's rank %d object differs from the file's (err %v)", i, err)
-		}
-		at += s.Size
 	}
-	if at != int64(len(blob)) {
-		t.Fatalf("shard table accounts for %d of the file's %d bytes", at, len(blob))
-	}
-	if _, err := DecodeManifest([]byte("MANAIMG1xxxxxxxx")); err == nil {
-		t.Fatal("v1 image yielded a manifest")
+	if got := len(store.epochs[0]); got != len(man.Shards)+1 {
+		t.Fatalf("the epoch holds %d objects, want %d shards and the manifest", got, len(man.Shards))
 	}
 }
 
 func TestExtractRank(t *testing.T) {
 	ji := testJobImage(6)
-	blob, err := ji.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := openTestImage(t, blob)
+	store, _ := commitTestImage(t, ji)
 	for _, r := range []int{0, 3, 5} {
 		ri, err := ExtractRankFromStore(store, 0, r)
 		if err != nil {
@@ -270,17 +231,11 @@ func TestCaptureSerialParallelEquivalent(t *testing.T) {
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("serial and parallel captures differ:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
-	// ... and so the same file, byte for byte.
-	a, err := serial.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := parallel.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("serial and parallel captures encode to different files")
+	// ... and so the same stored bytes, object for object.
+	a, _ := commitTestImage(t, serial)
+	b, _ := commitTestImage(t, parallel)
+	if !reflect.DeepEqual(a.epochs, b.epochs) {
+		t.Fatal("serial and parallel captures commit different objects")
 	}
 }
 
@@ -545,11 +500,12 @@ func TestHostileShardHeadersErrorCleanly(t *testing.T) {
 	})
 }
 
-// BenchmarkPackedImageRoundTrip times Encode + DecodeJobImage — what
-// `ccrun -image` then `-restart` cost beyond the run — on a many-small-ranks
+// BenchmarkStoreRoundTrip times CommitCapture + LoadJobImage over a MemStore
+// — what a checkpoint-exit and its restart cost beyond the run, less the
+// file writes — on a many-small-ranks
 // image (fixed per-shard costs) and two bulk ones (half of each rank's state
 // incompressible). Run with -cpu 1 to compare commits.
-func BenchmarkPackedImageRoundTrip(b *testing.B) {
+func BenchmarkStoreRoundTrip(b *testing.B) {
 	shapes := []struct{ ranks, bytes int }{{64, 1600}, {8, 3 << 20}, {2, 16 << 20}}
 	for _, s := range shapes {
 		if testing.Short() && s.bytes > 1<<20 {
@@ -568,11 +524,11 @@ func BenchmarkPackedImageRoundTrip(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(s.ranks * s.bytes))
 			for i := 0; i < b.N; i++ {
-				blob, err := ji.Encode()
-				if err != nil {
+				store := NewMemStore()
+				if _, _, err := CommitCapture(store, 0, nil, ji); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := DecodeJobImage(blob); err != nil {
+				if _, err := LoadJobImage(store, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

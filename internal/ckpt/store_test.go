@@ -3,6 +3,7 @@ package ckpt
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -61,6 +62,39 @@ func sameImages(t *testing.T, a, b *JobImage) {
 			x.Desc.Kind != y.Desc.Kind {
 			t.Fatalf("rank %d images differ:\n%+v\n%+v", r, x, y)
 		}
+	}
+}
+
+// TestPublishFileKeepsOldFile: PublishFile (ccimg extract -o's writer)
+// replaces a file only once the new bytes are whole and synced, so a write
+// that fails — here because a directory occupies the temp name — leaves the
+// previous file byte for byte.
+func TestPublishFileKeepsOldFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rank.raw")
+	old := bytes.Repeat([]byte{1}, 4096)
+	if err := PublishFile(path, old); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := PublishFile(path, []byte("new")); err == nil {
+		t.Fatal("PublishFile succeeded with its temp name taken")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("failed PublishFile changed the file on disk (err %v)", err)
+	}
+	if err := os.Remove(path + ".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if err := PublishFile(path, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "new" {
+		t.Fatalf("second PublishFile did not replace the file: %q (err %v)", got, err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind: %v", err)
 	}
 }
 

@@ -23,6 +23,7 @@ package conformance
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"time"
@@ -481,11 +482,11 @@ func crossGeometryOn(o *Options, wl, algo string, goldenRep *rt.Report, factory 
 	return nil
 }
 
-// VerifyShardCorruptionDetected guards the image file's integrity story: it
-// captures a checkpoint, encodes it, flips one byte inside a
-// specific rank's shard, and asserts that (a) the full decode refuses the
-// image, (b) per-shard verification attributes the fault to exactly the
-// corrupted rank, and (c) the pristine image verifies clean.
+// VerifyShardCorruptionDetected guards the store's integrity story on disk:
+// it captures a checkpoint, commits it into a fresh FileStore, flips one
+// byte inside a specific rank's shard file, and asserts that (a) the full
+// load refuses the epoch, (b) per-shard verification attributes the fault
+// to exactly the corrupted rank, and (c) the pristine epoch verifies clean.
 func VerifyShardCorruptionDetected(wl, algo string, opts Options) error {
 	o := opts.withDefaults()
 	if err := notRunnable(wl, algo); err != nil {
@@ -495,44 +496,42 @@ func VerifyShardCorruptionDetected(wl, algo string, opts Options) error {
 	if err != nil {
 		return err
 	}
-	encoded, err := capture.Image.Encode()
-	if err != nil {
-		return fmt.Errorf("image encode: %w", err)
-	}
-	return shardCorruptionOn(encoded, o.Ranks)
+	return shardCorruptionOn(capture.Image)
 }
 
-// shardCorruptionOn runs the per-shard corruption probe on a packed image,
-// through the store the file opens as.
-func shardCorruptionOn(encoded []byte, ranks int) error {
-	verify := func(data []byte) ([]ckpt.StoreFault, error) {
-		store, err := ckpt.OpenImage(data)
-		if err != nil {
-			return nil, err
-		}
-		return ckpt.VerifyStore(store)
-	}
-	if faults, err := verify(encoded); err != nil || len(faults) != 0 {
-		return fmt.Errorf("pristine image did not verify: faults=%v err=%v", faults, err)
-	}
-	man, err := ckpt.DecodeManifest(encoded)
+// shardCorruptionOn runs the per-shard corruption probe on the capture,
+// committed as epoch 0 of a temporary store directory.
+func shardCorruptionOn(img *ckpt.JobImage) error {
+	dir, err := os.MkdirTemp("", "ckpt-shard-*")
 	if err != nil {
-		return fmt.Errorf("reading the image manifest: %w", err)
+		return err
 	}
-	// The objects close the file in rank order, Size bytes each, so a shard
-	// is addressed by the sizes from it to the end. Any shard must be
-	// covered; the last one sits behind every other.
-	victim := ranks - 1
-	lo := int64(len(encoded))
-	for i := victim; i < len(man.Shards); i++ {
-		lo -= man.Shards[i].Size
+	defer os.RemoveAll(dir)
+	fs, err := ckpt.NewFileStore(dir)
+	if err != nil {
+		return err
 	}
-	bad := append([]byte(nil), encoded...)
-	bad[lo+man.Shards[victim].Size/2] ^= 0xFF
-	if _, err := ckpt.DecodeJobImage(bad); err == nil {
-		return fmt.Errorf("decode accepted an image with a corrupted rank-%d shard", victim)
+	if _, _, err := ckpt.CommitCapture(fs, 0, nil, img); err != nil {
+		return fmt.Errorf("committing the capture: %w", err)
 	}
-	faults, err := verify(bad)
+	if faults, err := ckpt.VerifyStore(fs); err != nil || len(faults) != 0 {
+		return fmt.Errorf("pristine epoch did not verify: faults=%v err=%v", faults, err)
+	}
+	// Any shard must be covered; damage the last rank's.
+	victim := len(img.Images) - 1
+	path := fs.ShardPath(0, victim)
+	shard, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	shard[len(shard)/2] ^= 0xFF
+	if err := os.WriteFile(path, shard, 0o644); err != nil {
+		return err
+	}
+	if _, err := ckpt.LoadJobImage(fs, 0); err == nil {
+		return fmt.Errorf("load accepted an epoch with a corrupted rank-%d shard", victim)
+	}
+	faults, err := ckpt.VerifyStore(fs)
 	if err != nil {
 		return fmt.Errorf("per-shard verify failed structurally: %w", err)
 	}
@@ -566,10 +565,6 @@ func VerifyAuxSuite(wl, algo string, opts Options, negative, crossgeo bool) ([]A
 	}
 	var out []AuxVerdict
 	if negative {
-		encoded, err := capture.Image.Encode()
-		if err != nil {
-			return nil, fmt.Errorf("image encode: %w", err)
-		}
 		out = append(out, AuxVerdict{
 			Name: "negative",
 			OK:   "corrupted image detected, ok",
@@ -577,7 +572,7 @@ func VerifyAuxSuite(wl, algo string, opts Options, negative, crossgeo bool) ([]A
 		}, AuxVerdict{
 			Name: "shard-corruption",
 			OK:   "corrupted shard detected and attributed, ok",
-			Err:  shardCorruptionOn(encoded, o.Ranks),
+			Err:  shardCorruptionOn(capture.Image),
 		})
 	}
 	if crossgeo {

@@ -296,12 +296,12 @@ func normalized(img *ckpt.JobImage) *ckpt.JobImage {
 	return &out
 }
 
-// TestPackedImageRoundTrip: an image file is lossless. For every registered
-// app under CC and 2PC, a mid-run capture → Encode → DecodeJobImage returns
+// TestStoreRoundTrip: a store epoch is lossless. For every registered app
+// under CC and 2PC, a mid-run capture → CommitCapture → LoadJobImage returns
 // the captured JobImage field for field — geometry, App, Proto, every
 // in-flight payload, the park descriptor with its pending receives, and the
 // clocks, which travel in the manifest rather than in the shards.
-func TestPackedImageRoundTrip(t *testing.T) {
+func TestStoreRoundTrip(t *testing.T) {
 	o := (&Options{}).withDefaults()
 	var parks, inflight, recvs int
 	for _, wl := range append(append([]string(nil), apps.Names...), "straggler") {
@@ -314,13 +314,13 @@ func TestPackedImageRoundTrip(t *testing.T) {
 				t.Fatalf("%s/%s: %v", wl, algo, err)
 			}
 			image := capture.Image
-			encoded, err := image.Encode()
-			if err != nil {
-				t.Fatalf("%s/%s: encode: %v", wl, algo, err)
+			store := ckpt.NewMemStore()
+			if _, _, err := ckpt.CommitCapture(store, 0, nil, image); err != nil {
+				t.Fatalf("%s/%s: commit: %v", wl, algo, err)
 			}
-			got, err := ckpt.DecodeJobImage(encoded)
+			got, err := ckpt.LoadJobImage(store, 0)
 			if err != nil {
-				t.Fatalf("%s/%s: decode: %v", wl, algo, err)
+				t.Fatalf("%s/%s: load: %v", wl, algo, err)
 			}
 			want := normalized(image)
 			if got = normalized(got); !reflect.DeepEqual(got, want) {
@@ -344,6 +344,6 @@ func TestPackedImageRoundTrip(t *testing.T) {
 	}
 	// The sweep must have carried what a round trip can lose.
 	if parks == 0 || inflight == 0 || recvs == 0 {
-		t.Fatalf("captures held %d mid-run parks, %d in-flight messages, %d pending receives: nothing of one kind crossed the file", parks, inflight, recvs)
+		t.Fatalf("captures held %d mid-run parks, %d in-flight messages, %d pending receives: nothing of one kind crossed the store", parks, inflight, recvs)
 	}
 }

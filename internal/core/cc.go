@@ -394,8 +394,20 @@ func (r *Rank) Initiate(ci *ckpt.CommInfo, exec func() *mpi.Request) *mpi.Reques
 	return req
 }
 
+// track records a non-blocking collective for the drain. The list is pruned
+// of completed requests whenever it fills its capacity, which grows only
+// when more than half of it is still incomplete: it stays within a few times
+// the rank's incomplete requests, at amortized O(1) work a call and with no
+// allocation once grown. These removals are bookkeeping, not drain tests:
+// only nbPending counts DrainTests.
 func (r *Rank) track(req *mpi.Request) {
 	r.nbMu.Lock()
+	if len(r.nb) == cap(r.nb) {
+		r.nb = slices.DeleteFunc(r.nb, (*mpi.Request).Done)
+		if len(r.nb) > cap(r.nb)/2 {
+			r.nb = slices.Grow(r.nb, cap(r.nb))
+		}
+	}
 	r.nb = append(r.nb, req)
 	r.nbMu.Unlock()
 }

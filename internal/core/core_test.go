@@ -113,6 +113,43 @@ func TestSeqNumbersTrackCollectives(t *testing.T) {
 	}
 }
 
+// TestTrackPrunesCompletedRequests: outside any checkpoint, a rank's drain
+// list holds its incomplete non-blocking collectives and a bounded number of
+// completed ones, pruned without counting drain tests; every incomplete
+// request stays for the drain; tracking allocates nothing once grown.
+func TestTrackPrunesCompletedRequests(t *testing.T) {
+	cc, protos, w := newTestCC(1)
+	ci := worldInfo(w, 0)
+	protos[0].RegisterComm(ci)
+	r := cc.ranks[0]
+	const n = 1000
+	for i := 0; i < n; i++ {
+		protos[0].Initiate(ci, ci.Comm.Ibarrier).Wait()
+		if len(r.nb) > 2 {
+			t.Fatalf("after %d completed initiations the drain list holds %d requests", i+1, len(r.nb))
+		}
+	}
+	if got := w.Proc(0).Ct.DrainTests; got != 0 {
+		t.Fatalf("pruning outside a checkpoint counted %d drain tests", got)
+	}
+	done := protos[0].Initiate(ci, ci.Comm.Ibarrier)
+	done.Wait()
+	if allocs := testing.AllocsPerRun(1000, func() { r.track(done) }); allocs != 0 {
+		t.Fatalf("tracking a completed request allocates %v times a call", allocs)
+	}
+
+	// Rank 1 never joins: every initiation of rank 0 stays incomplete.
+	cc2, protos2, w2 := newTestCC(2)
+	ci0 := worldInfo(w2, 0)
+	protos2[0].RegisterComm(ci0)
+	for i := 0; i < 50; i++ {
+		protos2[0].Initiate(ci0, ci0.Comm.Ibarrier)
+	}
+	if got := cc2.ranks[0].nbPending(); got != 50 {
+		t.Fatalf("%d of 50 incomplete requests left for the drain", got)
+	}
+}
+
 func TestSnapshotRestoreRoundtrip(t *testing.T) {
 	cc, protos, w := newTestCC(1)
 	ci := worldInfo(w, 0)

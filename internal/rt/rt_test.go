@@ -92,16 +92,16 @@ func (a *ringApp) Restore(data []byte) error {
 	return nil
 }
 
-// cloneImage is a deep copy of img, through its packed encoding: Restart
-// takes the image it is given, so a test that restarts from one image twice
-// hands each restart its own.
+// cloneImage is a deep copy of img, through a store epoch: Restart takes
+// the image it is given, so a test that restarts from one image twice hands
+// each restart its own.
 func cloneImage(t *testing.T, img *ckpt.JobImage) *ckpt.JobImage {
 	t.Helper()
-	blob, err := img.Encode()
-	if err != nil {
+	store := ckpt.NewMemStore()
+	if _, _, err := ckpt.CommitCapture(store, 0, nil, img); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ckpt.DecodeJobImage(blob)
+	out, err := ckpt.LoadJobImage(store, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,14 +273,10 @@ func TestCCCheckpointExitAndRestart(t *testing.T) {
 		t.Fatal("no image captured")
 	}
 
-	// Round-trip the image through serialization, as a real restart would.
-	blob, err := rep.Image.Encode()
+	// Read the image back from its sealed epoch, as a real restart would.
+	img, err := ckpt.LoadJobImage(rep.Store, rep.Checkpoint.Epoch)
 	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	img, err := ckpt.DecodeJobImage(blob)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
+		t.Fatalf("load: %v", err)
 	}
 
 	apps := restartAndFinish(t, AlgoCC, iters, img)

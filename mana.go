@@ -58,17 +58,18 @@
 //
 // # Checkpoint images
 //
-// An image file (SaveImage / LoadImage) is one store epoch, packed: every
-// rank's upper half is an independent shard object — chunked, compressed,
-// and checksummed on its own — behind the epoch's manifest record, and
-// capture plus encode/decode fan out across GOMAXPROCS workers. Corruption
-// is detected and attributed to the specific rank shard, and a single rank
-// can be extracted without decoding the job. The ccimg tool fronts all of
-// it, for a file and a store directory alike:
+// A checkpoint on disk is a store directory (NewFileStore, CkptPlan.Store):
+// one subdirectory per capture epoch, holding every rank's upper half as an
+// independent shard object — chunked, compressed, and checksummed on its
+// own — behind the epoch's sealed manifest record, with capture plus
+// encode/decode fanned out across GOMAXPROCS workers. Corruption is detected
+// and attributed to the specific epoch and rank, and a single rank can be
+// extracted without decoding the job. The ccimg tool fronts all of it:
 //
-//	ccimg info -v job.img            # geometry, park census, shard table
-//	ccimg verify job.img             # per-shard integrity (CI-friendly exit)
-//	ccimg extract -rank 3 job.img    # decode one rank's shard
+//	ccimg info -v ckpts              # epoch chain, shard tables, and the newest
+//	                                 # epoch's park census and p2p drain
+//	ccimg verify ckpts               # per-shard integrity (CI-friendly exit)
+//	ccimg extract -rank 3 ckpts      # decode one rank's shard
 //
 // # Cross-geometry restart
 //
@@ -197,7 +198,7 @@ const (
 	// ContinueAfterCapture resumes the job in place after the checkpoint.
 	ContinueAfterCapture = ckpt.ContinueAfterCapture
 	// ExitAfterCapture terminates the job at the checkpoint; restart from
-	// the returned image (allocation chaining).
+	// its sealed store epoch (allocation chaining).
 	ExitAfterCapture = ckpt.ExitAfterCapture
 )
 
@@ -238,22 +239,6 @@ const (
 // or to a checkpoint-exit.
 func Run(cfg Config, factory func(rank int) App) (*Report, error) {
 	return rt.Run(cfg, factory)
-}
-
-// Restart rebuilds a job from a checkpoint image — a fresh lower half with
-// the upper halves restored — and runs it onward. The image travels as the
-// file it would be written to (its packed one-epoch store), so the restart
-// takes RestartFromStore's read path and price.
-func Restart(cfg Config, img *JobImage, factory func(rank int) App) (*Report, error) {
-	data, err := img.Encode()
-	if err != nil {
-		return nil, err
-	}
-	store, err := ckpt.OpenImage(data)
-	if err != nil {
-		return nil, err
-	}
-	return rt.RestartFromStore(cfg, store, -1, factory)
 }
 
 // RestartFromStore rebuilds a job from a checkpoint store epoch, resolving

@@ -1,10 +1,10 @@
 package mana
 
 import (
-	"bytes"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -31,91 +31,59 @@ func TestPublicAPIRunWorkloads(t *testing.T) {
 	}
 }
 
+// TestPublicAPICheckpointRoundtripViaFiles: a checkpoint-exit run seals
+// its capture into a store directory, and a restart reads it back from
+// there; a regular file where the directory should be is refused by name.
 func TestPublicAPICheckpointRoundtripViaFiles(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "job.img")
-
+	dir := filepath.Join(t.TempDir(), "ckpts")
+	store, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	factory, err := Workload("comd", 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := apiConfig(8, AlgoCC)
-	cfg.Checkpoint = &CkptPlan{AtVT: 0.05, Mode: ExitAfterCapture}
+	cfg.Checkpoint = &CkptPlan{AtVT: 0.05, Mode: ExitAfterCapture, Store: store}
 	rep, err := Run(cfg, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Image == nil {
-		t.Fatal("no image")
+	if rep.Image == nil || rep.Store != store {
+		t.Fatal("no image sealed into the store")
 	}
-	if err := SaveImage(path, rep.Image); err != nil {
-		t.Fatal(err)
-	}
-	img, err := LoadImage(path)
+	img, err := LoadJobImage(store, rep.Checkpoint.Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if img.Ranks != 8 || img.Algorithm != AlgoCC {
 		t.Fatalf("image header wrong: %+v", img)
 	}
-	rep2, err := Restart(apiConfig(8, AlgoCC), img, factory)
+	reopened, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep2, err := RestartFromStore(apiConfig(8, AlgoCC), reopened, -1, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep2.Completed {
 		t.Fatal("restart did not complete")
 	}
-	if _, err := LoadImage(filepath.Join(dir, "missing.img")); err == nil {
-		t.Fatal("missing image loaded")
-	}
-	if err := os.WriteFile(path, []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadImage(path); err == nil {
-		t.Fatal("junk image decoded")
-	}
-}
-
-// TestSaveImageKeepsOldImage: SaveImage replaces an image only once the new
-// one is whole and synced, so a write that fails — here because a directory
-// occupies the temp name — leaves the previous image byte for byte.
-func TestSaveImageKeepsOldImage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "job.img")
-	image := func(fill byte) *JobImage {
-		return &JobImage{Algorithm: AlgoCC, Ranks: 1, PPN: 1, CaptureVT: 1,
-			Images: []RankImage{{Rank: 0, App: bytes.Repeat([]byte{fill}, 4096), Proto: []byte{fill}}}}
-	}
-	if err := SaveImage(path, image(1)); err != nil {
-		t.Fatal(err)
-	}
-	old, err := os.ReadFile(path)
+	empty, err := NewFileStore(filepath.Join(t.TempDir(), "empty"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+	if _, err := RestartFromStore(apiConfig(8, AlgoCC), empty, -1, factory); err == nil {
+		t.Fatal("restart from an empty store succeeded")
+	}
+	file := filepath.Join(t.TempDir(), "job.img")
+	if err := os.WriteFile(file, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveImage(path, image(2)); err == nil {
-		t.Fatal("SaveImage succeeded with its temp name taken")
-	}
-	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
-		t.Fatalf("failed SaveImage changed the image on disk (err %v)", err)
-	}
-	if err := os.Remove(path + ".tmp"); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveImage(path, image(2)); err != nil {
-		t.Fatal(err)
-	}
-	img, err := LoadImage(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img.Images[0].Proto[0] != 2 {
-		t.Fatal("second SaveImage did not replace the image")
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("temp file left behind: %v", err)
+	if _, err := NewFileStore(file); err == nil || !strings.Contains(err.Error(), "not a store directory") {
+		t.Fatalf("a regular file opened as a store: %v", err)
 	}
 }
 

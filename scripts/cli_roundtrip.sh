@@ -5,18 +5,17 @@
 # the in-process tests cannot reach. On the 8-rank straggler (2 hot ranks,
 # 6 cold ones that finish early) it checks that
 #   (a) an uninterrupted run prints a state digest D;
-#   (b) ccrun -image f, then ccimg verify / info -json / extract on f, then
-#       ccrun -restart f reaches D, opening f as the one-epoch store it is
-#       and restarting through the store read path — and a file in the
-#       retired blob format is refused by its magic;
+#   (b) ccrun -ckpt-at t -store d, then ccimg verify / info -json / extract
+#       on d, then ccrun -restart-store d reaches D — and a regular file is
+#       refused by ccrun -restart-store and ccimg as not a store directory,
+#       as is -epoch without -restart-store;
 #   (c) a chain of -incremental -store d / -restart-store d legs verifies
 #       and restarts into D, and the first leg whose parent epoch holds
 #       every cold rank as park=done reuses exactly the cold ranks' shards:
 #       shard reuse works across processes of one binary.
 # Which leg (c)'s precondition first holds on depends on host scheduling
 # (ROADMAP item 0), so legs are added, bounded, until it does. It is read
-# with `ccimg info -v` from the image file each leg also writes: a store
-# directory's `info -v` is manifest-only and park kinds live in the shards.
+# from the park census `ccimg info -v` decodes from the store's newest epoch.
 # (Pipelines end in `grep >/dev/null`, not `grep -q`: under pipefail an early
 # exit of grep fails the writer with SIGPIPE.)
 set -euo pipefail
@@ -39,23 +38,27 @@ want=$(ccrun | digest_of)
 [ -n "$want" ] || fail "the uninterrupted run printed no state digest"
 echo "uninterrupted:        $want"
 
-# (b) through an image file
-img="$work/job.img"
-ccrun -ckpt-at "$step" -image "$img" >/dev/null
-"$ccimg" verify "$img" >/dev/null || fail "ccimg verify refused a fresh image file"
-"$ccimg" info -json "$img" | grep '"kind": "image"' >/dev/null || fail "ccimg info -json did not describe an image"
-"$ccimg" extract -rank 1 "$img" | grep '^rank    1: park=' >/dev/null || fail "ccimg extract -rank 1 printed no rank line"
-got=$(ccrun -restart "$img" | digest_of)
-echo "restart from file:    $got"
-[ "$got" = "$want" ] || fail "restart from the image file diverged"
+# (b) through a one-epoch store directory
+one="$work/one"
+ccrun -ckpt-at "$step" -store "$one" >/dev/null
+"$ccimg" verify "$one" >/dev/null || fail "ccimg verify refused a fresh store"
+"$ccimg" info -json "$one" | grep '"kind": "store"' >/dev/null || fail "ccimg info -json did not describe a store"
+"$ccimg" extract -rank 1 "$one" | grep '^rank    1: park=' >/dev/null || fail "ccimg extract -rank 1 printed no rank line"
+got=$(ccrun -restart-store "$one" | digest_of)
+echo "restart from store:   $got"
+[ "$got" = "$want" ] || fail "restart from the one-epoch store diverged"
 
-{ printf MANAIMG2; tail -c +9 "$img"; } >"$work/old.img"
-for cmd in "ccrun -restart" "$ccimg verify"; do
-	if $cmd "$work/old.img" >/dev/null 2>"$work/err"; then
-		fail "$cmd accepted a MANAIMG2 file"
+printf MANAIMG3 >"$work/job.img"
+for cmd in "ccrun -restart-store" "$ccimg verify"; do
+	if $cmd "$work/job.img" >/dev/null 2>"$work/err"; then
+		fail "$cmd accepted a regular file"
 	fi
-	grep -q "bad magic" "$work/err" || fail "$cmd on a MANAIMG2 file: $(cat "$work/err")"
+	grep -q "not a store directory" "$work/err" || fail "$cmd on a regular file: $(cat "$work/err")"
 done
+if ccrun -epoch 0 >/dev/null 2>"$work/err"; then
+	fail "ccrun accepted -epoch without -restart-store"
+fi
+grep -q "requires -restart-store" "$work/err" || fail "ccrun -epoch alone: $(cat "$work/err")"
 
 # (c) through a store chain, one process per leg
 store="$work/store"
@@ -64,7 +67,7 @@ parent_cold_done=0
 pinned=""
 for ((leg = 0; leg < max_legs; leg++)); do
 	at=$(awk -v k="$leg" -v s="$step" 'BEGIN { printf "%.4f", s * (k + 1) }')
-	out=$(ccrun "${from[@]}" -ckpt-at "$at" -incremental -store "$store" -image "$work/leg.img")
+	out=$(ccrun "${from[@]}" -ckpt-at "$at" -incremental -store "$store")
 	from=(-restart-store "$store")
 	counts=$(sed -n 's/.*epoch [0-9]*: \([0-9]*\) fresh \/ \([0-9]*\) reused shards.*/\1 \2/p' <<<"$out")
 	[ -n "$counts" ] || fail "leg $leg sealed no epoch (the run ended before the precondition held)"
@@ -75,13 +78,13 @@ for ((leg = 0; leg < max_legs; leg++)); do
 		pinned=$leg
 		break
 	fi
-	if [ "$("$ccimg" info -v "$work/leg.img" | grep -c 'park=done')" -ge "$cold" ]; then
+	if [ "$("$ccimg" info -v "$store" | grep -c '^rank .*park=done')" -ge "$cold" ]; then
 		parent_cold_done=1
 	fi
 done
 [ -n "$pinned" ] || fail "no epoch held every cold rank as done within $max_legs legs"
 "$ccimg" verify "$store" >/dev/null || fail "ccimg verify found faults in the store chain"
 got=$(ccrun -restart-store "$store" | digest_of)
-echo "restart from store:   $got"
+echo "restart from chain:   $got"
 [ "$got" = "$want" ] || fail "restart from the store chain diverged"
 echo "cli_roundtrip: ok (three equal digests; leg $pinned reused the $cold cold shards across processes)"

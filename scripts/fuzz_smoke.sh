@@ -23,8 +23,8 @@ targets='
 ./internal/ckpt      FuzzPartialShardDecode
 # Arbitrary bytes as a shard header (behind the capped reader) and as a manifest record body: the primed codec, its cache warm, and a fresh gob.Decoder give the same verdict, the same value and stop at the same byte; valid records still decode after. (Minimizing a multi-KB manifest would eat a 10s run.)
 ./internal/ckpt      FuzzGobPrimedAgree  -fuzzminimizetime=1s
-# Arbitrary bytes as a packed image file: open -> verify -> load errors or decodes, verify and load agree, no panic, bounded allocation.
-./internal/ckpt      FuzzOpenImage
+# Arbitrary bytes as a 3-rank store epoch (manifest record, three objects, any epoch number): verify and load error or decode and agree, no panic, bounded allocation. (Minimizing a multi-KB epoch would eat a 10s run.)
+./internal/ckpt      FuzzOpenImage  -fuzzminimizetime=1s
 # Arbitrary bytes as a DEFLATE stream: the in-tree decoder and compress/flate both fail or agree, at fixed state. (Minimizing a multi-KB input would eat a 10s run.)
 ./internal/inflate   FuzzInflateAgree  -fuzzminimizetime=1s
 # Arbitrary bytes in arbitrary Write pieces: the in-tree encoder writes compress/flate BestSpeed bytes, the in-tree inflate reads them back, nothing allocated beyond the writer.

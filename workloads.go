@@ -1,12 +1,6 @@
 package mana
 
-import (
-	"fmt"
-	"os"
-
-	"mana/internal/apps"
-	"mana/internal/ckpt"
-)
+import "mana/internal/apps"
 
 // Workload configuration types, re-exported for users who want to tune the
 // built-in proxy applications directly.
@@ -58,26 +52,3 @@ var (
 	DefaultLJConfig      = apps.DefaultLJConfig
 	DefaultSW4Config     = apps.DefaultSW4Config
 )
-
-// SaveImage writes a checkpoint image to a file. The image replaces any file
-// at path only once it is whole and synced (ckpt.PublishFile), so a crash
-// mid-write leaves the previous image intact.
-func SaveImage(path string, img *JobImage) error {
-	blob, err := img.Encode()
-	if err != nil {
-		return err
-	}
-	if err := ckpt.PublishFile(path, blob); err != nil {
-		return fmt.Errorf("mana: writing image: %w", err)
-	}
-	return nil
-}
-
-// LoadImage reads a checkpoint image from a file.
-func LoadImage(path string) (*JobImage, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("mana: reading image: %w", err)
-	}
-	return ckpt.DecodeJobImage(blob)
-}
