@@ -122,6 +122,11 @@ func main() {
 
 	var rep *mana.Report
 	if *restore != "" {
+		// A restart reads a store; a missing path is an error, not a new
+		// empty store directory.
+		if _, err := os.Stat(*restore); err != nil {
+			fail(err)
+		}
 		store, err := mana.NewFileStore(*restore)
 		if err != nil {
 			fail(err)

@@ -54,7 +54,8 @@ func installEpoch(epoch int, rec []byte, objects [][]byte) *MemStore {
 // re-sealed (internally checksummed) record that lies: hostile geometry, an
 // entry that references another epoch or is a partial object drawing on
 // one, a partial object in the retired headed layout, an epoch on a retired
-// storage tier, gob bytes after the manifest.
+// storage tier, an object's stored size, a page no merge may buffer, gob
+// bytes after the manifest.
 func epochDamageList(t testing.TB, n int) (rec []byte, objects [][]byte, list []epochDamage) {
 	t.Helper()
 	store, man := commitTestImage(t, testJobImage(n))
@@ -153,6 +154,19 @@ func epochDamageList(t testing.TB, n int) (rec []byte, objects [][]byte, list []
 	// of restarting priced as a parallel-filesystem read.
 	forge("retired storage tier", -1, "epoch 0 sealed on storage tier 1, which this build does not model",
 		func(m *Manifest) { m.Tier = 1 })
+	// An entry that lies about its object's stored byte count is refused by
+	// the read that counts them, and priced by no restart.
+	size := man.Shards[1].Size
+	forge("lying stored size", 1, fmt.Sprintf("epoch 0 rank 1: shard corrupted (%d stored bytes, want %d)", size, size+1000),
+		func(m *Manifest) { m.Shards[1].Size += 1000 })
+	// A page-delta entry whose one page — dirty, so it draws on no other
+	// epoch — is 1 TiB long: the merge would buffer a page of that size.
+	forge("1 TiB page", -1, fmt.Sprintf("rank 1 shard has page size %d", int64(1<<40)), func(m *Manifest) {
+		elsewhere(m)
+		si := &m.Shards[1]
+		si.RawFormat, si.BaseEpoch, si.PageSums, si.DeltaPages = RawFormatPageDelta, 0, []uint32{0}, []int32{0}
+		si.PageSize, si.RawSize, si.DeltaRawSize = 1<<40, 1<<40, 1<<40
+	})
 	// A sealed body that goes on after the manifest — here a second copy of
 	// its value message, which a decoder stopping at the first never reads.
 	body := rec[20:]
@@ -209,8 +223,9 @@ func runEpochDamage(t *testing.T, kind string) {
 			}
 			for r := -1; r <= n; r++ {
 				_, err := ExtractRankFromStore(store, c.epoch, r)
-				if healthy := c.rank >= 0 && r >= 0 && r < n && r != c.rank; healthy != (err == nil) {
-					t.Fatalf("%s: extract of rank %d: %v", c.name, r, err)
+				_, rawErr := ExtractRawFromStore(store, c.epoch, r)
+				if healthy := c.rank >= 0 && r >= 0 && r < n && r != c.rank; healthy != (err == nil) || healthy != (rawErr == nil) {
+					t.Fatalf("%s: extract of rank %d: %v; raw extract: %v", c.name, r, err, rawErr)
 				}
 			}
 		}()
@@ -232,8 +247,9 @@ func TestTruncatedImagesError(t *testing.T) { runEpochDamage(t, "truncated") }
 func TestShardCorruptionAttributed(t *testing.T) { runEpochDamage(t, "flipped") }
 
 // TestHostileManifestsError: internally-checksummed records that lie about
-// geometry or where the bytes live are refused by validation or by the
-// chain check — never trusted into slicing or allocation.
+// geometry, stored sizes or where the bytes live are refused by validation,
+// by the chain check or by the read that counts the bytes — never trusted
+// into slicing or allocation.
 func TestHostileManifestsError(t *testing.T) { runEpochDamage(t, "record") }
 
 // TestRankNotInManifest: extraction of a rank the manifest does not list
@@ -253,13 +269,21 @@ func TestRankNotInManifest(t *testing.T) {
 // The rows keep their order: the seed numbers are test names.
 func FuzzOpenImage(f *testing.F) {
 	rec, objects, list := epochDamageList(f, 3)
+	add := func(c epochDamage) { f.Add(uint8(c.epoch), c.rec, c.objects[0], c.objects[1], c.objects[2]) }
 	f.Add(uint8(0), rec, objects[0], objects[1], objects[2])
+	// Rows added to the list after the half-object seed follow it.
+	late := map[string]bool{"lying stored size": true, "1 TiB page": true}
 	for _, c := range list {
-		if c.kind != "truncated" {
-			f.Add(uint8(c.epoch), c.rec, c.objects[0], c.objects[1], c.objects[2])
+		if c.kind != "truncated" && !late[c.name] {
+			add(c)
 		}
 	}
 	f.Add(uint8(0), rec, objects[0], objects[1][:len(objects[1])/2], objects[2])
+	for _, c := range list {
+		if late[c.name] {
+			add(c)
+		}
+	}
 	f.Fuzz(func(t *testing.T, key uint8, rec, o0, o1, o2 []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

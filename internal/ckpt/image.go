@@ -782,7 +782,7 @@ func readShardRaw(src *bufio.Reader, rawSize int64) (*RankImage, error) {
 
 // cappedMessageReader enforces a per-message length cap on gob's framing.
 // gob allocates each message's buffer from the UNTRUSTED length prefix
-// before reading a single body byte, and decodeShardStream necessarily
+// before reading a single body byte, and the entry reader necessarily
 // feeds it bytes whose checksum has not been verified yet — without a cap,
 // one corrupted prefix could demand a multi-gigabyte allocation (gob's own
 // ceiling is 8 GB). This reader peeks at every prefix in full before handing
@@ -1036,86 +1036,6 @@ func writePartialShard(si *ShardInfo, dst io.WriteCloser, codec Codec, s *shardS
 	return nil
 }
 
-// countReader accumulates an XXH64 checksum and byte count over everything
-// read through it.
-type countReader struct {
-	src io.Reader
-	h   xxh64
-	n   int64
-}
-
-func newCountReader(src io.Reader) *countReader {
-	return &countReader{src: src, h: newXXH64()}
-}
-
-func (r *countReader) Read(p []byte) (int, error) {
-	n, err := r.src.Read(p)
-	r.h.write(p[:n])
-	r.n += int64(n)
-	return n, err
-}
-
-// tallyReader counts decompressed bytes (no hashing).
-type tallyReader struct {
-	src io.Reader
-	n   int64
-}
-
-func (r *tallyReader) Read(p []byte) (int, error) {
-	n, err := r.src.Read(p)
-	r.n += int64(n)
-	return n, err
-}
-
-// decodeShardStream decodes one shard from a store stream without ever
-// materializing the compressed blob or the raw stream: the compressed
-// bytes are checksummed as they are read, decompression feeds the raw
-// decoder directly, and the raw byte count is tallied on the way through.
-// The stream is a full (RawFormatChunked) shard — it allocates nothing
-// beyond the restored state itself; partial formats go through the extent
-// merge instead. The whole object is always drained so the checksum covers
-// every stored byte — trailing garbage after the compressed stream is
-// corruption, exactly as it was when the blob was checksummed at rest.
-//
-// A checksum mismatch wins over any decode error: corrupted bytes produce
-// arbitrary flate/gob failures, and attributing them as corruption (not as
-// a format bug) is what the torn-write diagnostics rely on.
-func decodeShardStream(src io.Reader, rawSize int64, wantSum uint64, codec Codec) (*RankImage, error) {
-	if rawSize < 0 {
-		return nil, fmt.Errorf("negative raw size %d", rawSize)
-	}
-	cr := newCountReader(src)
-	fr := codec.NewReader(cr)
-	defer fr.Close()
-	tr := &tallyReader{src: fr}
-
-	// The bufio layer reads ahead of the header's gob decoder but stays on
-	// this side of the tally, so the final drained count is exact.
-	br := getBufReader(tr)
-	ri, decErr := readShardRaw(br, rawSize)
-	putBufReader(br)
-	if decErr == nil {
-		if _, err := io.Copy(io.Discard, tr); err != nil {
-			decErr = fmt.Errorf("decompressing: %w", err)
-		}
-	}
-	// Drain the remaining stored bytes (flate stops at its final block) so
-	// the checksum is over the whole shard object.
-	if _, err := io.Copy(io.Discard, cr); err != nil && decErr == nil {
-		decErr = fmt.Errorf("reading shard: %w", err)
-	}
-	if got := cr.h.sum64(); got != wantSum {
-		return nil, fmt.Errorf("shard corrupted (checksum %x, want %x)", got, wantSum)
-	}
-	if decErr != nil {
-		return nil, decErr
-	}
-	if tr.n != rawSize {
-		return nil, fmt.Errorf("raw size mismatch: decompressed %d bytes, manifest says %d", tr.n, rawSize)
-	}
-	return ri, nil
-}
-
 // validate sanity-checks a decoded manifest's shard table so that corrupted
 // or hostile metadata fails with a diagnostic instead of driving later
 // slicing or allocation off a cliff.
@@ -1155,6 +1075,12 @@ func (man *Manifest) validate() error {
 		if si.PageSize < 0 || si.BaseSize < 0 || si.DeltaRawSize < 0 {
 			return fmt.Errorf("ckpt: rank %d shard has negative page geometry (page %d, base %d, delta raw %d)",
 				si.Rank, si.PageSize, si.BaseSize, si.DeltaRawSize)
+		}
+		if si.PageSize > CDCMaxChunkBytes {
+			// The merge buffers one extent, so a page may be no longer than a
+			// chunk may.
+			return fmt.Errorf("ckpt: rank %d shard has page size %d (want at most %d)",
+				si.Rank, si.PageSize, int64(CDCMaxChunkBytes))
 		}
 		if len(si.PageSums) > 0 || si.RawFormat == RawFormatPageDelta {
 			// Any recorded page table must tile the logical stream exactly —

@@ -90,6 +90,25 @@ func flateBlob(t testing.TB, raw []byte) []byte {
 	return out.Bytes()
 }
 
+// readFullShard reads blob as rank's flate-coded full-shard object through
+// the store's own extraction: the object sits in a one-epoch MemStore whose
+// manifest entry states the blob's length, rawSize and sum.
+func readFullShard(t testing.TB, rank int, blob []byte, rawSize int64, sum uint64) (*RankImage, error) {
+	t.Helper()
+	man := &Manifest{Algorithm: "cc", Ranks: rank + 1, PPN: 1, Version: ManifestV3, Shards: make([]ShardInfo, rank+1)}
+	objects := make([][]byte, rank+1)
+	for i := range man.Shards {
+		man.Shards[i] = ShardInfo{Rank: i, Size: int64(len(blob)), Checksum: sum, RawSize: rawSize,
+			RawFormat: RawFormatChunked, CodecID: CodecFlate}
+		objects[i] = blob
+	}
+	rec, err := EncodeManifestRecord(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ExtractRankFromStore(installEpoch(0, rec, objects), 0, rank)
+}
+
 // TestImageRoundTrip: a committed image loads back to what was committed.
 func TestImageRoundTrip(t *testing.T) {
 	ji := testJobImage(6)
@@ -293,7 +312,7 @@ func TestShardWriterStreamsIdentically(t *testing.T) {
 				r, Sum64(raw), len(raw), sum.RawSize, wantSum, wantSize)
 		}
 
-		got, err := decodeShardStream(bytes.NewReader(blob), sum.RawSize, sum.Checksum, FlateCodec(0))
+		got, err := readFullShard(t, ri.Rank, blob, sum.RawSize, sum.Checksum)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +343,7 @@ func TestWholeGobShardsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob, rawSize := flateBlob(t, raw.Bytes()), int64(raw.Len())
-	if _, err := decodeShardStream(bytes.NewReader(blob), rawSize, Sum64(blob), FlateCodec(0)); err == nil {
+	if _, err := readFullShard(t, 0, blob, rawSize, Sum64(blob)); err == nil {
 		t.Fatal("gob bytes decoded under the chunked format")
 	}
 	man := &Manifest{Ranks: 1, Version: ManifestV3, Shards: []ShardInfo{{Rank: 0, RawFormat: 0}}}
@@ -354,8 +373,9 @@ func TestChunkedHeaderStaysSmall(t *testing.T) {
 	}
 }
 
-// TestDecodeShardStreamRejects: the streaming decoder must attribute a
-// flipped bit, a truncation, trailing garbage, and a lying raw size.
+// TestDecodeShardStreamRejects: a full shard's read must attribute a flipped
+// bit, a truncation, trailing garbage, and a lying raw size; a negative raw
+// size never gets past the manifest's validation.
 func TestDecodeShardStreamRejects(t *testing.T) {
 	ri := &testJobImage(3).Images[1]
 	sink := &memSink{}
@@ -381,12 +401,12 @@ func TestDecodeShardStreamRejects(t *testing.T) {
 		"truncated": {func(b []byte) []byte { return b[:len(b)/2] }, sum.RawSize, "corrupted"},
 		"trailing":  {func(b []byte) []byte { return append(b, 0xEE) }, sum.RawSize, "corrupted"},
 		"raw-size":  {func(b []byte) []byte { return b }, sum.RawSize + 1, "raw size mismatch"},
-		"neg-size":  {func(b []byte) []byte { return b }, -1, "negative raw size"},
+		"neg-size":  {func(b []byte) []byte { return b }, -1, "negative geometry"},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			b := tc.mutate(append([]byte(nil), blob...))
-			_, err := decodeShardStream(bytes.NewReader(b), tc.rawSize, sum.Checksum, FlateCodec(0))
+			_, err := readFullShard(t, ri.Rank, b, tc.rawSize, sum.Checksum)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v does not mention %q", err, tc.want)
 			}
@@ -464,7 +484,7 @@ func TestStreamBudgetAccounting(t *testing.T) {
 	}
 }
 
-// TestHostileShardHeadersErrorCleanly: the streaming decoder parses header
+// TestHostileShardHeadersErrorCleanly: the entry reader parses header
 // bytes BEFORE the checksum is verified, so hostile or bit-rotted framing
 // must fail with a diagnostic — never a huge allocation or a panic.
 func TestHostileShardHeadersErrorCleanly(t *testing.T) {
@@ -481,7 +501,7 @@ func TestHostileShardHeadersErrorCleanly(t *testing.T) {
 			t.Fatal(err)
 		}
 		blob := compress(raw.Bytes())
-		_, err := decodeShardStream(bytes.NewReader(blob), int64(raw.Len()), Sum64(blob), FlateCodec(0))
+		_, err := readFullShard(t, 0, blob, int64(raw.Len()), Sum64(blob))
 		if err == nil || !strings.Contains(err.Error(), "payloads beyond") {
 			t.Fatalf("overflowing header not rejected: %v", err)
 		}
@@ -493,7 +513,7 @@ func TestHostileShardHeadersErrorCleanly(t *testing.T) {
 		raw := append(append([]byte(nil), shardRawMagic...),
 			0xF8, 0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF) // -8 ext bytes: ~2^63
 		blob := compress(raw)
-		_, err := decodeShardStream(bytes.NewReader(blob), int64(len(raw)), Sum64(blob), FlateCodec(0))
+		_, err := readFullShard(t, 0, blob, int64(len(raw)), Sum64(blob))
 		if err == nil || !strings.Contains(err.Error(), "exceeds") {
 			t.Fatalf("absurd gob message length not rejected: %v", err)
 		}

@@ -291,7 +291,7 @@ func compactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *Com
 
 // flattenPartialShard rewrites one partial shard as a self-contained
 // chunked shard in newEpoch: its own object and every source stream
-// through the extent merge (every extent CRC-checked, every object
+// through the entry reader (every extent CRC-checked, every object
 // checksum-verified) and the merged logical stream recompresses directly
 // into the new object — nothing shard-sized is ever held. The new object is
 // re-encoded with the codec that produced the partial one, so the entry's
@@ -305,11 +305,11 @@ func flattenPartialShard(store Store, newEpoch int, si *ShardInfo) error {
 	if err != nil {
 		return err
 	}
-	m, err := openPartialMerge(store, si)
+	r, err := openEntry(store, si)
 	if err != nil {
 		return err
 	}
-	defer m.close()
+	defer r.close()
 	dst, err := store.PutShardStream(newEpoch, si.Rank)
 	if err != nil {
 		return err
@@ -322,18 +322,18 @@ func flattenPartialShard(store Store, newEpoch int, si *ShardInfo) error {
 	}
 	// The merged stream IS the chunked raw stream; feed it straight into the
 	// writer's raw side (the page summer re-derives the table as it flows).
-	_, copyErr := io.Copy(sw.raw, m.merged)
+	_, copyErr := io.Copy(sw.raw, r.logical)
 	sum, closeErr := sw.Close()
-	// The writer only counts raw bytes; the merge reader hashed exactly the
+	// The writer only counts raw bytes; the entry reader hashed exactly the
 	// bytes it handed the writer, so its XXH64 IS the new object's raw
 	// identity — a reading of the flattened stream itself, not an echo of
 	// the manifest. Reported through finish so a corrupt source object still
 	// wins the verdict.
-	if got := m.merged.h.sum64(); copyErr == nil && (got != si.RawSum || sum.RawSize != si.RawSize) {
+	if got := r.logical.h.sum64(); copyErr == nil && (got != si.RawSum || sum.RawSize != si.RawSize) {
 		copyErr = fmt.Errorf("flattened shard does not match its manifest identity (got %d raw bytes sum %#x, want %d sum %#x)",
 			sum.RawSize, got, si.RawSize, si.RawSum)
 	}
-	if err := m.finish(copyErr); err != nil {
+	if err := r.finish(copyErr); err != nil {
 		return err
 	}
 	if closeErr != nil {

@@ -21,8 +21,13 @@ package ckpt
 // Sources are one hop by construction: an address always names an object
 // that physically holds the bytes (a full shard, or a partial entry's own
 // object), never another entry's extent list.
+//
+// The same file holds the one reader of every manifest entry (entryReader):
+// a partial entry is the extent merge, and a full shard the degenerate case
+// whose logical stream is its own object's decoded stream, with no extents.
 
 import (
+	"cmp"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -153,15 +158,15 @@ func (si *ShardInfo) paddedShare(padded, part int64) int64 {
 	return padded * part / si.RawSize
 }
 
-// mergeSource is one distinct object a merge reads extents out of: the
-// entry's own object or a source. Extents arrive in roughly ascending offset
-// order (own extents and clean pages strictly so; reused chunks except
-// around edits), so the object's decompressed stream is read sequentially,
-// skipping forward between extents; a backward seek retires the current
-// reader instance and reopens from the start.
+// mergeSource is one stored object an entry's logical stream is read out of:
+// the entry's own object or a source. Extents arrive in roughly ascending
+// offset order (own extents and clean pages strictly so; reused chunks
+// except around edits), so the object's decompressed stream is read
+// sequentially, skipping forward between extents; a backward seek retires
+// the current reader instance and reopens from the start.
 //
 // Integrity: the FIRST instance of each object is its verifying pass — by
-// the time the merge finishes, that instance has read the object end to end
+// the time the read finishes, that instance has read the object end to end
 // and its stored size and checksum are compared against the object's own
 // manifest entry, exactly as a direct load of that shard would. Later
 // instances (after a backward seek) skip re-verification — every extent they
@@ -171,73 +176,83 @@ type mergeSource struct {
 	epoch, rank int
 	bi          *ShardInfo // the object's own manifest entry
 	rc          io.ReadCloser
-	cr          *countReader // rc, counted and hashed: the stored bytes
+	cr          countReader // rc, counted and hashed: the stored bytes
 	dec         io.ReadCloser
-	rd          io.Reader // dec, or partialMerge.raw over it: what extents are read from
+	rd          io.Reader // dec, or entryReader.raw over it: what extents are read from
 	pos         int64     // position in the current instance's decompressed stream
 	opened      int       // instances opened so far (first one verifies)
 	done        bool      // primary verification attempted
 	verr        error     // primary verification outcome
 }
 
-// partialMerge wires one partial entry's stored objects — its own object at
-// si.RefEpoch plus every distinct source — into the reconstructed logical
-// stream, reading every extent the same way (readSource). Callers read
-// `merged` (CRC-checked extent by extent as it assembles, one extent of
-// memory) and then call finish, which drains every object so each checksum
-// covers every stored byte. The verdict order: this object's checksum
-// mismatch wins (corrupted bytes produce arbitrary downstream failures;
-// naming the corrupt object is what matters), then a source's ("source shard
-// in epoch N corrupted"), then the caller's decode error, then this object's
-// stored-stream identity.
-type partialMerge struct {
+// entryReader is the one reader of a manifest entry's logical stream: load,
+// VerifyStore, extraction and compaction all read through it. A full
+// shard's logical stream is its own object's decoded stream, read straight
+// through. A partial entry's is assembled from its own object at
+// si.RefEpoch plus every distinct source, reading every extent the same way
+// (readSource) and CRC-checking it as it assembles, one extent of memory.
+// Callers read `logical` and then call finish, which drains every object so
+// each checksum covers every stored byte. The verdict order: this object's
+// stored size or checksum mismatch wins (corrupted bytes produce arbitrary
+// downstream failures; naming the corrupt object is what matters), then a
+// source's ("source shard in epoch N corrupted"), then the caller's decode
+// error, then the logical length. Only a partial entry then checks the
+// merged stream's RawSum and its own stored stream's identity: a full
+// shard's object checksum already covers its stream.
+type entryReader struct {
 	store   Store
 	si      *ShardInfo
+	logical *countReader // what callers read: &raw for a full shard, the hashed merge for a partial one
+	own     mergeSource
+	raw     countReader // the own object's decompressed stream, as its first instance read it
+
+	// A partial entry's merge state; unused for a full shard.
 	ext     []extent
-	merged  *countReader
-	own     *mergeSource
-	raw     *countReader            // the own object's decompressed stream, as its first instance read it
 	sources map[[2]int]*mergeSource // every object an extent is read from, own included
 	mans    map[int]*Manifest       // source-manifest cache
-
-	idx   int // next extent to assemble
-	buf   []byte
-	avail []byte
-	err   error
+	idx     int                     // next extent to assemble
+	buf     []byte
+	avail   []byte
+	err     error
 }
 
-// openPartialMerge opens the entry's own object — so its checksum is settled
-// even when no extent is read from it — and derives the extent list; every
-// other object opens when an extent first touches it.
-func openPartialMerge(store Store, si *ShardInfo) (*partialMerge, error) {
-	m := &partialMerge{store: store, si: si,
-		own:     &mergeSource{name: "shard", epoch: si.RefEpoch, rank: si.Rank, bi: si},
-		sources: make(map[[2]int]*mergeSource), mans: make(map[int]*Manifest)}
-	m.sources[[2]int{si.RefEpoch, si.Rank}] = m.own
-	if err := m.openSource(m.own); err != nil {
+// openEntry opens the entry's own object — so its checksum is settled even
+// when a partial entry reads no extent from it — and, for a partial entry,
+// derives the extent list; every other object opens when an extent first
+// touches it.
+func openEntry(store Store, si *ShardInfo) (*entryReader, error) {
+	r := &entryReader{store: store, si: si,
+		own: mergeSource{name: "shard", epoch: si.RefEpoch, rank: si.Rank, bi: si}}
+	if err := r.openSource(&r.own); err != nil {
 		return nil, err
 	}
-	m.ext = make([]extent, 0, max(len(si.PageSums), len(si.Chunks)))
+	if !si.Partial() {
+		r.logical = &r.raw
+		return r, nil
+	}
+	r.sources = map[[2]int]*mergeSource{{si.RefEpoch, si.Rank}: &r.own}
+	r.mans = make(map[int]*Manifest)
+	r.ext = make([]extent, 0, max(len(si.PageSums), len(si.Chunks)))
 	var maxLen int64 = 1
 	si.extents(func(_ int, e extent) {
-		m.ext = append(m.ext, e)
-		maxLen = max(maxLen, e.n)
+		r.ext = append(r.ext, e)
+		maxLen = max(maxLen, e.n) // validate bounds pages and chunks by CDCMaxChunkBytes
 	})
-	m.buf = make([]byte, maxLen)
-	m.merged = newCountReader(m)
-	return m, nil
+	r.buf = make([]byte, maxLen)
+	r.logical = newCountReader(r)
+	return r, nil
 }
 
 // sourceInfo resolves a source's manifest entry, requiring it to be a
 // physical object whose decompressed stream is addressable by offset.
-func (m *partialMerge) sourceInfo(epoch, rank int) (*ShardInfo, error) {
-	man := m.mans[epoch]
+func (r *entryReader) sourceInfo(epoch, rank int) (*ShardInfo, error) {
+	man := r.mans[epoch]
 	if man == nil {
 		var err error
-		if man, err = m.store.GetManifest(epoch); err != nil {
+		if man, err = r.store.GetManifest(epoch); err != nil {
 			return nil, fmt.Errorf("reading source epoch %d manifest: %w", epoch, err)
 		}
-		m.mans[epoch] = man
+		r.mans[epoch] = man
 	}
 	if rank < 0 || rank >= len(man.Shards) {
 		return nil, fmt.Errorf("source epoch %d has no rank %d", epoch, rank)
@@ -264,21 +279,21 @@ func (si *ShardInfo) sourceStreamLen() int64 {
 	return si.RawSize
 }
 
-func (m *partialMerge) openSource(s *mergeSource) error {
+func (r *entryReader) openSource(s *mergeSource) error {
 	codec, err := codecByID(s.bi.CodecID)
 	if err != nil {
 		return err
 	}
-	rc, err := m.store.OpenShard(s.epoch, s.rank)
+	rc, err := r.store.OpenShard(s.epoch, s.rank)
 	if err != nil {
 		return fmt.Errorf("opening %s: %w", s.name, err)
 	}
-	s.rc, s.cr = rc, newCountReader(rc)
-	s.dec = codec.NewReader(s.cr)
+	s.rc, s.cr = rc, countReader{src: rc, h: newXXH64(), hash: true}
+	s.dec = codec.NewReader(&s.cr)
 	s.rd, s.pos = s.dec, 0
-	if s == m.own && s.opened == 0 {
-		m.raw = newCountReader(s.dec)
-		s.rd = m.raw
+	if s == &r.own && s.opened == 0 {
+		r.raw = countReader{src: s.dec, h: newXXH64(), hash: r.si.Partial()}
+		s.rd = &r.raw
 	}
 	s.opened++
 	return nil
@@ -289,7 +304,7 @@ func (s *mergeSource) shut() {
 	if s.dec != nil {
 		s.dec.Close()
 		s.rc.Close()
-		s.dec, s.rc, s.cr, s.rd = nil, nil, nil, nil
+		s.dec, s.rc, s.rd = nil, nil, nil
 	}
 }
 
@@ -297,17 +312,19 @@ func (s *mergeSource) shut() {
 // primary one it is first read to EOF and the object's own integrity verdict
 // settled: a stored size or checksum mismatch wins over any decompression
 // error the drain produced.
-func (m *partialMerge) retireSource(s *mergeSource) error {
+func (r *entryReader) retireSource(s *mergeSource) error {
 	if s.dec != nil && s.opened == 1 && !s.done {
 		s.done = true
 		if _, err := io.Copy(io.Discard, s.rd); err != nil {
 			s.verr = fmt.Errorf("decompressing %s: %w", s.name, err)
 		}
-		if _, err := io.Copy(io.Discard, s.cr); err != nil && s.verr == nil {
+		if _, err := io.Copy(io.Discard, &s.cr); err != nil && s.verr == nil {
 			s.verr = fmt.Errorf("reading %s: %w", s.name, err)
 		}
-		if got := s.cr.h.sum64(); got != s.bi.Checksum || s.cr.n != s.bi.Size {
+		if got := s.cr.h.sum64(); got != s.bi.Checksum {
 			s.verr = fmt.Errorf("%s corrupted (checksum %x, want %x)", s.name, got, s.bi.Checksum)
+		} else if s.cr.n != s.bi.Size {
+			s.verr = fmt.Errorf("%s corrupted (%d stored bytes, want %d)", s.name, s.cr.n, s.bi.Size)
 		}
 	}
 	s.shut()
@@ -316,27 +333,27 @@ func (m *partialMerge) retireSource(s *mergeSource) error {
 
 // readSource reads one extent's bytes out of the decompressed stream of the
 // object it is addressed to, opening that object on first touch.
-func (m *partialMerge) readSource(e *extent, b []byte) error {
+func (r *entryReader) readSource(e *extent, b []byte) error {
 	key := [2]int{e.epoch, e.rank}
-	s := m.sources[key]
+	s := r.sources[key]
 	if s == nil {
-		bi, err := m.sourceInfo(e.epoch, e.rank)
+		bi, err := r.sourceInfo(e.epoch, e.rank)
 		if err != nil {
 			return err
 		}
 		s = &mergeSource{name: fmt.Sprintf("source shard in epoch %d", e.epoch), epoch: e.epoch, rank: e.rank, bi: bi}
-		m.sources[key] = s
+		r.sources[key] = s
 	}
 	if e.off > s.bi.sourceStreamLen()-e.n {
 		return fmt.Errorf("[%d:%d) exceeds %s (%d stream bytes)", e.off, e.off+e.n, s.name, s.bi.sourceStreamLen())
 	}
 	if s.dec != nil && e.off < s.pos {
-		if err := m.retireSource(s); err != nil {
+		if err := r.retireSource(s); err != nil {
 			return err
 		}
 	}
 	if s.dec == nil {
-		if err := m.openSource(s); err != nil {
+		if err := r.openSource(s); err != nil {
 			return err
 		}
 	}
@@ -353,45 +370,46 @@ func (m *partialMerge) readSource(e *extent, b []byte) error {
 	return nil
 }
 
-// fill assembles and verifies the next extent into m.avail: corruption is
+// fill assembles and verifies the next extent into r.avail: corruption is
 // attributed to the exact extent before a byte of it reaches the decoder.
-func (m *partialMerge) fill() error {
-	if m.idx >= len(m.ext) {
+func (r *entryReader) fill() error {
+	if r.idx >= len(r.ext) {
 		return io.EOF
 	}
-	e := &m.ext[m.idx]
-	b := m.buf[:e.n]
-	if err := m.readSource(e, b); err != nil {
-		return fmt.Errorf("extent %d: %w", m.idx, err)
+	e := &r.ext[r.idx]
+	b := r.buf[:e.n]
+	if err := r.readSource(e, b); err != nil {
+		return fmt.Errorf("extent %d: %w", r.idx, err)
 	}
 	if got := crc32.Checksum(b, crcTable); got != e.crc {
 		return fmt.Errorf("extent %d corrupted (crc %08x, want %08x; sourced from epoch %d rank %d)",
-			m.idx, got, e.crc, e.epoch, e.rank)
+			r.idx, got, e.crc, e.epoch, e.rank)
 	}
-	m.avail = b
-	m.idx++
+	r.avail = b
+	r.idx++
 	return nil
 }
 
-// Read serves the reconstructed logical stream (callers go through
-// m.merged, which hashes it).
-func (m *partialMerge) Read(p []byte) (int, error) {
-	if m.err != nil {
-		return 0, m.err
+// Read serves a partial entry's merged logical stream (callers go through
+// r.logical, which hashes it).
+func (r *entryReader) Read(p []byte) (int, error) {
+	if r.err != nil {
+		return 0, r.err
 	}
-	for len(m.avail) == 0 {
-		if err := m.fill(); err != nil {
-			m.err = err
+	for len(r.avail) == 0 {
+		if err := r.fill(); err != nil {
+			r.err = err
 			return 0, err
 		}
 	}
-	n := copy(p, m.avail)
-	m.avail = m.avail[n:]
+	n := copy(p, r.avail)
+	r.avail = r.avail[n:]
 	return n, nil
 }
 
-func (m *partialMerge) close() {
-	for _, s := range m.sources {
+func (r *entryReader) close() {
+	r.own.shut()
+	for _, s := range r.sources {
 		s.shut()
 	}
 }
@@ -400,31 +418,27 @@ func (m *partialMerge) close() {
 // own and each source's, each drained so its checksum covers every stored
 // byte — then settles the verdict against decErr, the caller's decode
 // result, in the order the type comment gives.
-func (m *partialMerge) finish(decErr error) error {
-	si := m.si
-	if decErr == nil && (m.merged.n != si.RawSize || m.merged.h.sum64() != si.RawSum) {
-		decErr = fmt.Errorf("merged stream does not match the manifest identity (got %d bytes sum %#x, want %d bytes sum %#x)",
-			m.merged.n, m.merged.h.sum64(), si.RawSize, si.RawSum)
-	}
+func (r *entryReader) finish(decErr error) error {
+	si := r.si
 	// This object first, then the sources in (epoch, rank) order, so the
 	// verdict is deterministic.
-	objs := []*mergeSource{m.own}
-	for _, s := range m.sources {
-		if s != m.own {
+	var first [4]*mergeSource
+	objs := append(first[:0], &r.own)
+	for _, s := range r.sources {
+		if s != &r.own {
 			objs = append(objs, s)
 		}
 	}
-	sources := objs[1:]
-	sort.Slice(sources, func(a, b int) bool {
-		if sources[a].epoch != sources[b].epoch {
-			return sources[a].epoch < sources[b].epoch
+	slices.SortFunc(objs[1:], func(a, b *mergeSource) int {
+		if c := cmp.Compare(a.epoch, b.epoch); c != 0 {
+			return c
 		}
-		return sources[a].rank < sources[b].rank
+		return cmp.Compare(a.rank, b.rank)
 	})
 	for _, s := range objs {
 		// A corruption verdict resurfaces below in verdict order; the first
 		// drain error of any kind is kept as the decode-level fallback.
-		if err := m.retireSource(s); err != nil && decErr == nil {
+		if err := r.retireSource(s); err != nil && decErr == nil {
 			decErr = err
 		}
 	}
@@ -436,34 +450,40 @@ func (m *partialMerge) finish(decErr error) error {
 	if decErr != nil {
 		return decErr
 	}
-	if m.raw.n != si.DeltaRawSize || m.raw.h.sum64() != si.DeltaRawSum {
+	if r.logical.n != si.RawSize {
+		return fmt.Errorf("raw size mismatch: decompressed %d bytes, manifest says %d", r.logical.n, si.RawSize)
+	}
+	if !si.Partial() {
+		return nil
+	}
+	if got := r.logical.h.sum64(); got != si.RawSum {
+		return fmt.Errorf("merged stream does not match the manifest identity (sum %#x, want %#x)", got, si.RawSum)
+	}
+	if r.raw.n != si.DeltaRawSize || r.raw.h.sum64() != si.DeltaRawSum {
 		return fmt.Errorf("stored stream does not match the manifest (raw %d sum %#x; want raw %d sum %#x)",
-			m.raw.n, m.raw.h.sum64(), si.DeltaRawSize, si.DeltaRawSum)
+			r.raw.n, r.raw.h.sum64(), si.DeltaRawSize, si.DeltaRawSum)
 	}
 	return nil
 }
 
-// loadShardPartial reconstructs one partial entry's rank image by streaming
-// the merge straight into the shard decoder — one extent of merge memory
-// plus one sequential reader per distinct object.
-func loadShardPartial(store Store, si *ShardInfo) (*RankImage, error) {
-	m, err := openPartialMerge(store, si)
-	if err != nil {
-		return nil, err
+// countReader counts everything read through it and, when made by
+// newCountReader, accumulates its XXH64 checksum.
+type countReader struct {
+	src  io.Reader
+	h    xxh64
+	n    int64
+	hash bool
+}
+
+func newCountReader(src io.Reader) *countReader {
+	return &countReader{src: src, h: newXXH64(), hash: true}
+}
+
+func (r *countReader) Read(p []byte) (int, error) {
+	n, err := r.src.Read(p)
+	if r.hash {
+		r.h.write(p[:n])
 	}
-	defer m.close()
-	// The bufio layer reads ahead of the header's gob decoder but stays on
-	// this side of the merged counter, so the drained count is exact.
-	br := getBufReader(m.merged)
-	ri, decErr := readShardRaw(br, si.RawSize)
-	putBufReader(br)
-	if decErr == nil {
-		if _, err := io.Copy(io.Discard, m.merged); err != nil {
-			decErr = fmt.Errorf("merging extents: %w", err)
-		}
-	}
-	if err := m.finish(decErr); err != nil {
-		return nil, err
-	}
-	return ri, nil
+	r.n += int64(n)
+	return n, err
 }

@@ -393,10 +393,14 @@ func HashCapture(img *JobImage) (*ShardSums, error) {
 // HashCapturePaged additionally records each rank's CRC-32C page table over
 // the same pass (the page CRCs ride the identity stream — no second walk),
 // arming CommitStreamed's page-delta diff. pageSize <= 0 selects the
-// default ShardPageBytes.
+// default ShardPageBytes; a page above CDCMaxChunkBytes is refused, as a
+// manifest stating one would be.
 func HashCapturePaged(img *JobImage, pageSize int64) (*ShardSums, error) {
 	if pageSize <= 0 {
 		pageSize = ShardPageBytes
+	}
+	if pageSize > CDCMaxChunkBytes {
+		return nil, fmt.Errorf("ckpt: page size %d above the %d a manifest accepts", pageSize, int64(CDCMaxChunkBytes))
 	}
 	return hashCapture(img, pageSize, false, nil)
 }
@@ -896,26 +900,31 @@ func LoadJobImage(store Store, epoch int) (*JobImage, error) {
 	return ji, nil
 }
 
-// loadShard streams, verifies, and decodes one shard through its reference:
-// the stored bytes are checksummed as they are read and decompression feeds
-// the gob decoder directly, so nothing shard-sized is buffered on the way.
+// loadShard streams, verifies, and decodes one shard through the entry
+// reader: the stored bytes are checksummed as they are read and the logical
+// stream feeds the gob decoder directly, so nothing shard-sized is buffered
+// on the way.
 func loadShard(store Store, man *Manifest, si *ShardInfo) (*RankImage, error) {
-	load := loadShardFull
-	if si.Partial() {
-		load = loadShardPartial
-	}
-	ri, err := load(store, si)
-	if err == nil && ri.Rank != si.Rank {
-		err = fmt.Errorf("shard content is for rank %d", ri.Rank)
-	}
+	r, err := openEntry(store, si)
 	if err != nil {
-		// The shard's name is built here, not before the load: loadShard
-		// runs once a shard on every restart.
-		at := fmt.Sprintf("epoch %d rank %d", man.Epoch, si.Rank)
-		if si.RefEpoch != man.Epoch {
-			at += fmt.Sprintf(" (shard stored in epoch %d)", si.RefEpoch)
+		return nil, entryError(man, si, err)
+	}
+	defer r.close()
+	// The bufio layer reads ahead of the header's gob decoder but stays on
+	// this side of the logical counter, so the drained count is exact.
+	br := getBufReader(r.logical)
+	ri, decErr := readShardRaw(br, si.RawSize)
+	putBufReader(br)
+	if decErr == nil {
+		if _, err := io.Copy(io.Discard, r.logical); err != nil {
+			decErr = fmt.Errorf("reading stream: %w", err)
 		}
-		return nil, fmt.Errorf("ckpt: %s: %w", at, err)
+	}
+	if err := r.finish(decErr); err != nil {
+		return nil, entryError(man, si, err)
+	}
+	if ri.Rank != si.Rank {
+		return nil, entryError(man, si, fmt.Errorf("shard content is for rank %d", ri.Rank))
 	}
 	// Shards are encoded clockless; the capture-time clock rides in the
 	// manifest.
@@ -923,18 +932,16 @@ func loadShard(store Store, man *Manifest, si *ShardInfo) (*RankImage, error) {
 	return ri, nil
 }
 
-// loadShardFull decodes a full shard straight off its one stored object.
-func loadShardFull(store Store, si *ShardInfo) (*RankImage, error) {
-	codec, err := codecByID(si.CodecID)
-	if err != nil {
-		return nil, err
+// entryError attributes a failed read of one manifest entry to its epoch and
+// rank, and to the epoch physically holding its object when that is another.
+// The name is built only on failure: entries are read once a shard on every
+// restart.
+func entryError(man *Manifest, si *ShardInfo, err error) error {
+	at := fmt.Sprintf("epoch %d rank %d", man.Epoch, si.Rank)
+	if si.RefEpoch != man.Epoch {
+		at += fmt.Sprintf(" (shard stored in epoch %d)", si.RefEpoch)
 	}
-	rc, err := store.OpenShard(si.RefEpoch, si.Rank)
-	if err != nil {
-		return nil, err
-	}
-	defer rc.Close()
-	return decodeShardStream(rc, si.RawSize, si.Checksum, codec)
+	return fmt.Errorf("ckpt: %s: %w", at, err)
 }
 
 // ExtractRankFromStore decodes a single rank's image from one store epoch:
@@ -954,15 +961,23 @@ func ExtractRankFromStore(store Store, epoch, rank int) (*RankImage, error) {
 // the manifest's RawSum. A decoded RankImage would not re-encode to them:
 // its header is gob, whose type numbering is per process.
 func ExtractRawFromStore(store Store, epoch, rank int) ([]byte, error) {
-	_, si, err := rankEntry(store, epoch, rank)
+	man, si, err := rankEntry(store, epoch, rank)
 	if err != nil {
 		return nil, err
 	}
-	raw, err := readRawStream(store, si)
+	r, err := openEntry(store, si)
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: epoch %d rank %d (stored in epoch %d): %w", epoch, rank, si.RefEpoch, err)
+		return nil, entryError(man, si, err)
 	}
-	return raw, nil
+	defer r.close()
+	// Reading stops one byte past RawSize: a lying size cannot grow the
+	// buffer further.
+	var raw bytes.Buffer
+	_, err = raw.ReadFrom(io.LimitReader(r.logical, si.RawSize+1))
+	if err := r.finish(err); err != nil {
+		return nil, entryError(man, si, err)
+	}
+	return raw.Bytes(), nil
 }
 
 // rankEntry resolves one rank's entry in a sealed epoch's manifest (shard i
@@ -976,46 +991,6 @@ func rankEntry(store Store, epoch, rank int) (*Manifest, *ShardInfo, error) {
 		return nil, nil, fmt.Errorf("ckpt: epoch %d has no rank %d", epoch, rank)
 	}
 	return man, &man.Shards[rank], checkRefsSealed(store, man, man.Shards[rank:rank+1])
-}
-
-// readRawStream reads an entry's logical stream as a restart does — the
-// extent merge, or a full shard's codec reader once its object has matched
-// Size and Checksum — then checks it against RawSize and RawSum. Reading
-// stops one byte past RawSize: a lying size cannot grow the buffer further.
-func readRawStream(store Store, si *ShardInfo) ([]byte, error) {
-	var raw bytes.Buffer
-	if si.Partial() {
-		m, err := openPartialMerge(store, si)
-		if err != nil {
-			return nil, err
-		}
-		defer m.close()
-		_, err = raw.ReadFrom(io.LimitReader(m.merged, si.RawSize+1))
-		return raw.Bytes(), m.finish(err)
-	}
-	codec, err := codecByID(si.CodecID)
-	if err != nil {
-		return nil, err
-	}
-	rc, err := store.OpenShard(si.RefEpoch, si.Rank)
-	if err != nil {
-		return nil, err
-	}
-	defer rc.Close()
-	var stored bytes.Buffer
-	if err := copyShardVerified(&stored, rc, si.Size, si.Checksum); err != nil {
-		return nil, err
-	}
-	fr := codec.NewReader(&stored)
-	defer fr.Close()
-	if _, err := raw.ReadFrom(io.LimitReader(fr, si.RawSize+1)); err != nil {
-		return nil, err
-	}
-	if int64(raw.Len()) != si.RawSize || Sum64(raw.Bytes()) != si.RawSum {
-		return nil, fmt.Errorf("raw stream is %d bytes sum %#x, the manifest's %d bytes sum %#x",
-			raw.Len(), Sum64(raw.Bytes()), si.RawSize, si.RawSum)
-	}
-	return raw.Bytes(), nil
 }
 
 // WriteBytesOf is the write charge of one epoch: the bytes its seal is priced
@@ -1147,7 +1122,8 @@ type StoreFault struct {
 // A physical shard referenced by many epochs — the norm on the low-churn
 // chains incremental checkpointing targets — is fetched and decoded once:
 // later epochs whose manifest entry carries the identical (ref-epoch, rank,
-// checksum, raw size) tuple reuse the verdict instead of re-reading it.
+// checksum, stored size, raw size) tuple reuse the verdict instead of
+// re-reading it, so an entry that lies about any of them is read again.
 func VerifyStore(store Store) ([]StoreFault, error) {
 	epochs, sealed, err := sealedSet(store)
 	if err != nil {
@@ -1156,6 +1132,7 @@ func VerifyStore(store Store) ([]StoreFault, error) {
 	type shardID struct {
 		epoch, rank int
 		sum         uint64
+		size        int64
 		rawSize     int64
 	}
 	verified := make(map[shardID]bool)
@@ -1179,7 +1156,7 @@ func VerifyStore(store Store) ([]StoreFault, error) {
 				})
 				continue
 			}
-			if !verified[shardID{si.RefEpoch, si.Rank, si.Checksum, si.RawSize}] {
+			if !verified[shardID{si.RefEpoch, si.Rank, si.Checksum, si.Size, si.RawSize}] {
 				todo = append(todo, i)
 			}
 		}
@@ -1195,7 +1172,7 @@ func VerifyStore(store Store) ([]StoreFault, error) {
 				})
 				continue
 			}
-			verified[shardID{si.RefEpoch, si.Rank, si.Checksum, si.RawSize}] = true
+			verified[shardID{si.RefEpoch, si.Rank, si.Checksum, si.Size, si.RawSize}] = true
 		}
 	}
 	return faults, nil

@@ -444,7 +444,7 @@ func TestStreamingCommitMatchesBlobPath(t *testing.T) {
 					t.Fatalf("rank %d: fresh shard written in format %d", si.Rank, si.RawFormat)
 				}
 				// The blob adapters and the stream read the same bytes.
-				ri, err := decodeShardStream(bytes.NewReader(blob), si.RawSize, si.Checksum, FlateCodec(0))
+				ri, err := ExtractRankFromStore(store, 0, si.Rank)
 				if err != nil {
 					t.Fatal(err)
 				}

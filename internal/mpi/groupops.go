@@ -1,7 +1,5 @@
 package mpi
 
-import "sort"
-
 // Group set operations, mirroring MPI_Group_union / _intersection /
 // _difference / _incl / _excl. All are purely local (no communication), as
 // in MPI. Result ordering follows the MPI standard: union keeps the first
@@ -104,140 +102,6 @@ func (c *Comm) CommCreate(group *Group) *Comm {
 		key = i
 	}
 	return c.Split(color, key)
-}
-
-// --- Cartesian topology -----------------------------------------------
-
-// Cart is a Cartesian process topology over a communicator
-// (MPI_Cart_create with reorder=false). Coordinate math is purely local;
-// the communicator itself is duplicated so topology traffic is separate.
-type Cart struct {
-	Comm     *Comm
-	Dims     []int
-	Periodic []bool
-}
-
-// CartCreate builds a Cartesian topology; the product of dims must equal
-// the communicator size. Collective over c (it duplicates the comm).
-func (c *Comm) CartCreate(dims []int, periodic []bool) *Cart {
-	n := 1
-	for _, d := range dims {
-		n *= d
-	}
-	if n != c.Size() {
-		panic("mpi: CartCreate dims do not cover the communicator")
-	}
-	if len(dims) != len(periodic) {
-		panic("mpi: CartCreate dims/periodic length mismatch")
-	}
-	return &Cart{
-		Comm:     c.Dup(),
-		Dims:     append([]int(nil), dims...),
-		Periodic: append([]bool(nil), periodic...),
-	}
-}
-
-// Coords returns the Cartesian coordinates of a comm rank (row-major, like
-// MPI_Cart_coords).
-func (t *Cart) Coords(rank int) []int {
-	out := make([]int, len(t.Dims))
-	for i := len(t.Dims) - 1; i >= 0; i-- {
-		out[i] = rank % t.Dims[i]
-		rank /= t.Dims[i]
-	}
-	return out
-}
-
-// Rank returns the comm rank at the given coordinates, applying periodic
-// wrapping; it returns -1 if a non-periodic coordinate is out of range
-// (MPI_PROC_NULL analog).
-func (t *Cart) Rank(coords []int) int {
-	rank := 0
-	for i, c := range coords {
-		d := t.Dims[i]
-		if c < 0 || c >= d {
-			if !t.Periodic[i] {
-				return -1
-			}
-			c = ((c % d) + d) % d
-		}
-		rank = rank*d + c
-	}
-	return rank
-}
-
-// Shift returns the source and destination comm ranks for a displacement
-// along one dimension (MPI_Cart_shift): recv from src, send to dst.
-func (t *Cart) Shift(dim, disp int) (src, dst int) {
-	me := t.Coords(t.Comm.Rank())
-	up := append([]int(nil), me...)
-	up[dim] += disp
-	down := append([]int(nil), me...)
-	down[dim] -= disp
-	return t.Rank(down), t.Rank(up)
-}
-
-// Sub returns the Cartesian sub-topologies obtained by keeping only the
-// marked dimensions (MPI_Cart_sub): ranks sharing the dropped coordinates
-// form one sub-communicator each.
-func (t *Cart) Sub(keep []bool) *Cart {
-	if len(keep) != len(t.Dims) {
-		panic("mpi: Cart.Sub keep length mismatch")
-	}
-	me := t.Coords(t.Comm.Rank())
-	color := 0
-	key := 0
-	var dims []int
-	var periodic []bool
-	for i := range t.Dims {
-		if keep[i] {
-			key = key*t.Dims[i] + me[i]
-			dims = append(dims, t.Dims[i])
-			periodic = append(periodic, t.Periodic[i])
-		} else {
-			color = color*t.Dims[i] + me[i]
-		}
-	}
-	sub := t.Comm.Split(color, key)
-	return &Cart{Comm: sub, Dims: dims, Periodic: periodic}
-}
-
-// DimsCreate factors n processes into ndims balanced dimensions
-// (MPI_Dims_create): the most-square decomposition with dimensions in
-// non-increasing order.
-func DimsCreate(n, ndims int) []int {
-	dims := make([]int, ndims)
-	for i := range dims {
-		dims[i] = 1
-	}
-	// Repeatedly split off the largest prime factor onto the smallest dim.
-	factors := primeFactors(n)
-	sort.Sort(sort.Reverse(sort.IntSlice(factors)))
-	for _, f := range factors {
-		mi := 0
-		for i := 1; i < ndims; i++ {
-			if dims[i] < dims[mi] {
-				mi = i
-			}
-		}
-		dims[mi] *= f
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(dims)))
-	return dims
-}
-
-func primeFactors(n int) []int {
-	var out []int
-	for f := 2; f*f <= n; f++ {
-		for n%f == 0 {
-			out = append(out, f)
-			n /= f
-		}
-	}
-	if n > 1 {
-		out = append(out, n)
-	}
-	return out
 }
 
 // Sendrecv implements MPI_Sendrecv: a combined send and receive that cannot

@@ -3,8 +3,6 @@ package mpi
 import (
 	"testing"
 	"testing/quick"
-
-	"mana/internal/netmodel"
 )
 
 func TestGroupSetOps(t *testing.T) {
@@ -102,79 +100,6 @@ func TestCommCreate(t *testing.T) {
 		}
 		nc.Barrier()
 	})
-}
-
-func TestCartTopology(t *testing.T) {
-	runRanks(t, 12, 12, func(c *Comm) {
-		cart := c.CartCreate([]int{3, 4}, []bool{true, false})
-		me := cart.Coords(c.Rank())
-		if got := cart.Rank(me); got != c.Rank() {
-			t.Errorf("coords/rank roundtrip: %d -> %v -> %d", c.Rank(), me, got)
-		}
-		// Periodic dimension wraps, non-periodic falls off the edge.
-		src, dst := cart.Shift(0, 1)
-		if src < 0 || dst < 0 {
-			t.Errorf("periodic shift returned PROC_NULL: %d %d", src, dst)
-		}
-		if me[1] == 3 {
-			if _, d := cart.Shift(1, 1); d != -1 {
-				t.Errorf("non-periodic edge should be PROC_NULL, got %d", d)
-			}
-		}
-		// Shift symmetry: my dst's src is me.
-		peerCoords := cart.Coords(dst)
-		if cart.Rank([]int{(peerCoords[0] - 1 + 3) % 3, peerCoords[1]}) != c.Rank() {
-			t.Errorf("shift not symmetric")
-		}
-	})
-}
-
-func TestCartSub(t *testing.T) {
-	runRanks(t, 12, 12, func(c *Comm) {
-		cart := c.CartCreate([]int{3, 4}, []bool{false, false})
-		rows := cart.Sub([]bool{false, true}) // keep dim 1: rows of 4
-		if rows.Comm.Size() != 4 {
-			t.Errorf("row size %d", rows.Comm.Size())
-		}
-		if rows.Comm.Rank() != cart.Coords(c.Rank())[1] {
-			t.Errorf("row rank %d vs coord %d", rows.Comm.Rank(), cart.Coords(c.Rank())[1])
-		}
-		rows.Comm.Barrier()
-	})
-}
-
-func TestCartCreateValidation(t *testing.T) {
-	w := NewWorld(4, netmodel.New(netmodel.PerlmutterLike(), 4))
-	c := w.WorldComm(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad dims accepted")
-		}
-	}()
-	c.CartCreate([]int{3}, []bool{false})
-}
-
-func TestDimsCreate(t *testing.T) {
-	cases := map[[2]int][]int{
-		{12, 2}: {4, 3}, {16, 2}: {4, 4}, {8, 3}: {2, 2, 2},
-		{7, 2}: {7, 1}, {1, 2}: {1, 1}, {24, 3}: {4, 3, 2},
-	}
-	for in, want := range cases {
-		got := DimsCreate(in[0], in[1])
-		prod := 1
-		for _, d := range got {
-			prod *= d
-		}
-		if prod != in[0] {
-			t.Errorf("DimsCreate(%d,%d) = %v does not cover n", in[0], in[1], got)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("DimsCreate(%d,%d) = %v, want %v", in[0], in[1], got, want)
-				break
-			}
-		}
-	}
 }
 
 func TestSendrecv(t *testing.T) {

@@ -8,7 +8,8 @@
 #   (b) ccrun -ckpt-at t -store d, then ccimg verify / info -json / extract
 #       on d, then ccrun -restart-store d reaches D — and a regular file is
 #       refused by ccrun -restart-store and ccimg as not a store directory,
-#       as is -epoch without -restart-store;
+#       as is -epoch without -restart-store, and a missing path is refused
+#       by ccrun -restart-store without being created;
 #   (c) a chain of -incremental -store d / -restart-store d legs verifies
 #       and restarts into D, and the first leg whose parent epoch holds
 #       every cold rank as park=done reuses exactly the cold ranks' shards:
@@ -59,6 +60,12 @@ if ccrun -epoch 0 >/dev/null 2>"$work/err"; then
 	fail "ccrun accepted -epoch without -restart-store"
 fi
 grep -q "requires -restart-store" "$work/err" || fail "ccrun -epoch alone: $(cat "$work/err")"
+missing="$work/no-such-store"
+if ccrun -restart-store "$missing" >/dev/null 2>"$work/err"; then
+	fail "ccrun -restart-store accepted a missing path"
+fi
+grep -q "no such file or directory" "$work/err" || fail "ccrun -restart-store on a missing path: $(cat "$work/err")"
+[ ! -e "$missing" ] || fail "ccrun -restart-store created the missing path"
 
 # (c) through a store chain, one process per leg
 store="$work/store"
