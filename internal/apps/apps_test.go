@@ -1256,6 +1256,70 @@ func TestStragglerSnapshotIsState(t *testing.T) {
 	}
 }
 
+// TestStragglerRestoreHoled: Restore lays the snapshot's elements into a
+// State whose hole sits where the rank's next insertion goes — at the front,
+// in the middle, before the last element, or, with no insertion left, at the
+// end — and that State snapshots back to exactly the restored bytes, awkward
+// floats bit for bit. Every insertion left after the restore fills the hole
+// without regrowing the State, and the elements end as the tail-shifting
+// reference's do.
+func TestStragglerRestoreHoled(t *testing.T) {
+	const elems, iters = 200, 400
+	cfg := StragglerConfig{HotRanks: 1, HotIters: iters, StateElems: elems, InsertEvery: 1}
+	iterAt := func(at int) int { // an iteration whose insertion goes in front of element at
+		for iter := 1; iter < iters; iter++ {
+			if insertPos(iter, elems) == at {
+				return iter
+			}
+		}
+		t.Fatalf("no iteration inserts at %d", at)
+		return 0
+	}
+	for _, c := range []struct {
+		hole     string
+		iter, at int
+	}{
+		{"front", iterAt(0), 0},
+		{"middle", iterAt(elems / 2), elems / 2},
+		{"before the last element", iterAt(elems - 2), elems - 2},
+		{"end, no insertion left", iters, elems},
+	} {
+		src := NewStraggler(cfg, 0)
+		src.initState()
+		vs := awkwardF64s(elems)
+		for i, v := range vs {
+			src.state.set(i, v)
+		}
+		src.Iter, src.Acc = c.iter, 0.625
+		snap, err := src.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := NewStraggler(cfg, 0)
+		if err := a.Restore(snap); err != nil {
+			t.Fatalf("hole %s: %v", c.hole, err)
+		}
+		if room := max(iters-c.iter, 0); a.state.lo != c.at || a.state.hi-a.state.lo != room {
+			t.Fatalf("hole %s: restored hole [%d, %d), want [%d, %d)", c.hole, a.state.lo, a.state.hi, c.at, c.at+room)
+		}
+		if again, _ := a.Snapshot(); !bytes.Equal(again, snap) {
+			t.Fatalf("hole %s: restore did not round-trip the snapshot", c.hole)
+		}
+		buf, ref := a.state.buf, vs
+		for iter := c.iter; iter < iters; iter++ {
+			a.Iter, a.Acc = iter, float64(iter)*0.375-1
+			a.churn()
+			ref = refChurn(ref, 1, iter, a.target, a.Acc)
+			if len(a.state.buf) != len(buf) || &a.state.buf[0] != &buf[0] {
+				t.Fatalf("hole %s: the insertion at iteration %d regrew the restored State", c.hole, iter)
+			}
+		}
+		if !slices.Equal(f64Bits(stateOf(a)), f64Bits(ref)) {
+			t.Fatalf("hole %s: State differs from the tail-shifting reference after the insertions", c.hole)
+		}
+	}
+}
+
 // stragglerImage lays a straggler snapshot out by hand: the five header words
 // as given (Acc zero), then payload zero bytes.
 func stragglerImage(iter, target, nSum, nState uint64, payload int) []byte {

@@ -125,9 +125,9 @@ func (h *holed) insert(pos int, v float64) {
 	h.lo = pos + 1
 }
 
-// grow widens a full hole by a quarter of the elements. newState sizes the
-// hole for every insertion a rank has left, so only a snapshot whose target
-// outruns the configured HotIters gets here.
+// grow widens a full hole by a quarter of the elements. Straggler.hole
+// leaves room for every insertion a rank has left, so only a snapshot whose
+// target outruns the configured HotIters gets here.
 func (h *holed) grow() {
 	room := h.Len()/4 + 1
 	buf := make([]byte, len(h.buf)+8*room)
@@ -173,7 +173,8 @@ func (a *Straggler) initState() {
 	if a.state.buf != nil {
 		return
 	}
-	a.state = a.newState(a.elems, 0)
+	room, at := a.hole(a.elems, 0)
+	a.state = newHoled(a.elems, room, at)
 	head, tail := a.state.halves()
 	if a.cfg.InsertEvery > 0 {
 		s := uint64(a.rank)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
@@ -201,20 +202,20 @@ func (a *Straggler) initState() {
 	}
 }
 
-// newState allocates n State elements with room for every insertion the
-// rank has left from iteration iter on, so no insertion in Step reallocates,
-// and puts the hole where the first of them goes, so it moves no element.
-// The count comes from the configured HotIters, never from a snapshot's
-// target, so a snapshot's bytes size no more than the elements they hold.
-func (a *Straggler) newState(n, iter int) holed {
+// hole sizes and places the hole of an n-element State from iteration iter
+// on: room for every insertion the rank has left, so no insertion in Step
+// reallocates, in front of element at, where the first of them goes, so it
+// moves no element. The count comes from the configured HotIters, never from
+// a snapshot's target, so a snapshot's bytes size no more than the elements
+// they hold.
+func (a *Straggler) hole(n, iter int) (room, at int) {
 	lo, hi, every := max(iter, 1), a.cfg.HotIters, a.cfg.InsertEvery
 	if !a.hot || every <= 0 || lo >= hi {
-		return newHoled(n, 0, n)
+		return 0, n
 	}
 	// Step inserts at every iteration in [lo, hi) that every divides; the
 	// first is lo rounded up to a multiple of every.
-	room := (hi-1)/every - (lo-1)/every
-	return newHoled(n, room, insertPos((lo+every-1)/every*every, n))
+	return (hi-1)/every - (lo-1)/every, insertPos((lo+every-1)/every*every, n)
 }
 
 // insertPos is where iteration iter inserts into a State of n elements: a
@@ -378,11 +379,14 @@ func (a *Straggler) Restore(data []byte) error {
 	if iter < 0 || iter > target {
 		return fmt.Errorf("straggler: snapshot iteration %d outside [0, %d]", iter, target)
 	}
-	a.state = a.newState(nState, iter)
 	a.Iter, a.Acc, a.target = iter, acc, target
 	copy(a.Sum, rest[:nSum])
-	head, tail := a.state.halves()
+	// Each element is copied once into memory nothing zeroed first:
+	// bytes.Join allocates its result uncleared and lays the runs either
+	// side of the hole into it. Only the hole, a slice of its own, is zeroed.
+	room, at := a.hole(nState, iter)
 	state := rest[nSum:]
-	copy(tail, state[copy(head, state):])
+	runs := [][]byte{state[:8*at], state[8*at:]}
+	a.state = holed{buf: bytes.Join(runs, make([]byte, 8*room)), lo: at, hi: at + room}
 	return nil
 }

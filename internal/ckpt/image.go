@@ -712,13 +712,19 @@ func writeShardRaw(w io.Writer, ri *RankImage, clockless bool) error {
 // sum can drive a multi-gigabyte allocation. src must be a *bufio.Reader (the
 // header is read from its buffer or through it, and the payload follows).
 func readShardRaw(src *bufio.Reader, rawSize int64) (*RankImage, error) {
-	magic := make([]byte, len(shardRawMagic))
-	if _, err := io.ReadFull(src, magic); err != nil {
+	// The magic is checked in the reader's buffer, so nothing is allocated
+	// for it; Discard then drops bytes Peek holds and cannot fail.
+	magic, err := src.Peek(len(shardRawMagic))
+	if err != nil {
+		if err == io.EOF && len(magic) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, fmt.Errorf("reading shard header: %w", err)
 	}
 	if !bytes.Equal(magic, shardRawMagic) {
 		return nil, fmt.Errorf("shard raw stream has bad magic %q", magic)
 	}
+	src.Discard(len(magic))
 	var hdr shardRawHeader
 	if err := headerGob.decode(src, rawSize, &hdr); err != nil {
 		return nil, fmt.Errorf("decoding shard header: %w", err)
@@ -765,7 +771,6 @@ func readShardRaw(src *bufio.Reader, rawSize int64) (*RankImage, error) {
 	}
 	// The App gets a capture buffer's headroom: a restarted rank's first
 	// capture writes into the bytes it was restored from (captureBuffer).
-	var err error
 	if ri.App, err = readPayload(make([]byte, hdr.AppLen, withHeadroom(int(hdr.AppLen)))); err != nil {
 		return nil, err
 	}

@@ -322,17 +322,11 @@ func flattenPartialShard(store Store, newEpoch int, si *ShardInfo) error {
 	}
 	// The merged stream IS the chunked raw stream; feed it straight into the
 	// writer's raw side (the page summer re-derives the table as it flows).
+	// finish checks the merged stream's length and XXH64 against the entry:
+	// the entry reader hashed exactly the bytes it handed the writer, so a
+	// flattened stream that passes is the entry's logical stream.
 	_, copyErr := io.Copy(sw.raw, r.logical)
 	sum, closeErr := sw.Close()
-	// The writer only counts raw bytes; the entry reader hashed exactly the
-	// bytes it handed the writer, so its XXH64 IS the new object's raw
-	// identity — a reading of the flattened stream itself, not an echo of
-	// the manifest. Reported through finish so a corrupt source object still
-	// wins the verdict.
-	if got := r.logical.h.sum64(); copyErr == nil && (got != si.RawSum || sum.RawSize != si.RawSize) {
-		copyErr = fmt.Errorf("flattened shard does not match its manifest identity (got %d raw bytes sum %#x, want %d sum %#x)",
-			sum.RawSize, got, si.RawSize, si.RawSum)
-	}
 	if err := r.finish(copyErr); err != nil {
 		return err
 	}

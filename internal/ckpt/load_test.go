@@ -197,7 +197,8 @@ func smallShardEpoch(t *testing.T, n int) Store {
 // TestLoadAllocsPerShard: loading many small shards pays the codec, buffer
 // and gob decoder state once, not per shard. Two epoch sizes give the cost
 // of one more shard: the decoded image and a few small objects around it —
-// 13 allocations and 3.3 KB for a 2 KB shard on go1.24. Before the inflate
+// 9 allocations and 3.7 KB for a 2 KB shard on go1.24 (10 before the shard
+// magic was checked in the read-ahead buffer). Before the inflate
 // state and the read-ahead buffer were pooled, one more shard also cost a
 // decompressor, its window and two buffers (~68 KB, ~60 allocations); before
 // the header decoders were primed (gobCodec), a fresh gob decoder, the type
@@ -226,8 +227,8 @@ func TestLoadAllocsPerShard(t *testing.T) {
 	shardAllocs, shardBytes := (a64-a32)/32, float64(b64-b32)/32
 
 	t.Logf("one more 2 KB shard: %.1f allocations, %.0f bytes", shardAllocs, shardBytes)
-	if shardAllocs > 20 {
-		t.Errorf("one more shard takes %.1f allocations to load, want <= 20", shardAllocs)
+	if shardAllocs > 19 {
+		t.Errorf("one more shard takes %.1f allocations to load, want <= 19", shardAllocs)
 	}
 	if limit := 2000.0 + 2048; shardBytes > limit {
 		t.Errorf("one more shard allocates %.0f bytes to load, want <= %.0f (the image + 2 KiB)", shardBytes, limit)

@@ -190,7 +190,8 @@ type mergeSource struct {
 // shard's logical stream is its own object's decoded stream, read straight
 // through. A partial entry's is assembled from its own object at
 // si.RefEpoch plus every distinct source, reading every extent the same way
-// (readSource) and CRC-checking it as it assembles, one extent of memory.
+// (readSource) and CRC-checking it as it assembles: in the caller's buffer
+// when the extent fits there, else in one extent of staging memory.
 // Callers read `logical` and then call finish, which drains every object so
 // each checksum covers every stored byte. The verdict order: this object's
 // stored size or checksum mismatch wins (corrupted bytes produce arbitrary
@@ -211,8 +212,8 @@ type entryReader struct {
 	sources map[[2]int]*mergeSource // every object an extent is read from, own included
 	mans    map[int]*Manifest       // source-manifest cache
 	idx     int                     // next extent to assemble
-	buf     []byte
-	avail   []byte
+	buf     []byte                  // stages an extent for reads shorter than it
+	avail   []byte                  // the staged extent's bytes not yet served
 	err     error
 }
 
@@ -370,37 +371,46 @@ func (r *entryReader) readSource(e *extent, b []byte) error {
 	return nil
 }
 
-// fill assembles and verifies the next extent into r.avail: corruption is
-// attributed to the exact extent before a byte of it reaches the decoder.
-func (r *entryReader) fill() error {
-	if r.idx >= len(r.ext) {
-		return io.EOF
-	}
+// fill assembles the next extent into b, its exact length, and verifies it:
+// corruption is attributed to the exact extent before a byte of it is
+// counted as read. A failure is kept in r.err.
+func (r *entryReader) fill(b []byte) error {
 	e := &r.ext[r.idx]
-	b := r.buf[:e.n]
 	if err := r.readSource(e, b); err != nil {
-		return fmt.Errorf("extent %d: %w", r.idx, err)
-	}
-	if got := crc32.Checksum(b, crcTable); got != e.crc {
-		return fmt.Errorf("extent %d corrupted (crc %08x, want %08x; sourced from epoch %d rank %d)",
+		r.err = fmt.Errorf("extent %d: %w", r.idx, err)
+	} else if got := crc32.Checksum(b, crcTable); got != e.crc {
+		r.err = fmt.Errorf("extent %d corrupted (crc %08x, want %08x; sourced from epoch %d rank %d)",
 			r.idx, got, e.crc, e.epoch, e.rank)
+	} else {
+		r.idx++
 	}
-	r.avail = b
-	r.idx++
-	return nil
+	return r.err
 }
 
 // Read serves a partial entry's merged logical stream (callers go through
-// r.logical, which hashes it).
+// r.logical, which hashes it). An extent that fits p is assembled and
+// checked in p itself, so it lands once; p then holds its bytes, counted as
+// read, only if its CRC passed. A shorter read is served from r.buf.
 func (r *entryReader) Read(p []byte) (int, error) {
 	if r.err != nil {
 		return 0, r.err
 	}
-	for len(r.avail) == 0 {
-		if err := r.fill(); err != nil {
-			r.err = err
-			return 0, err
+	if len(r.avail) == 0 {
+		if r.idx >= len(r.ext) {
+			r.err = io.EOF
+			return 0, io.EOF
 		}
+		n := r.ext[r.idx].n
+		if n <= int64(len(p)) {
+			if r.fill(p[:n]) != nil {
+				return 0, r.err
+			}
+			return int(n), nil
+		}
+		if r.fill(r.buf[:n]) != nil {
+			return 0, r.err
+		}
+		r.avail = r.buf[:n]
 	}
 	n := copy(p, r.avail)
 	r.avail = r.avail[n:]

@@ -456,3 +456,111 @@ func TestMergeOpensEachObjectOnce(t *testing.T) {
 		})
 	}
 }
+
+// readEntry reads c.si's logical stream through the entry reader, each Read
+// handed a fresh buffer of size(r) bytes, until EOF or an error. It returns
+// the bytes served, what each Read returned, the error that ended the read
+// (nil at EOF) and the reader, still open.
+func readEntry(t *testing.T, c *partialChain, size func(r *entryReader) int) (got []byte, ns []int, rerr error, r *entryReader) {
+	t.Helper()
+	r, err := openEntry(c.store, c.si)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.close)
+	for {
+		p := make([]byte, size(r))
+		n, err := r.logical.Read(p)
+		got, ns = append(got, p[:n]...), append(ns, n)
+		if err == io.EOF {
+			return got, ns, nil, r
+		}
+		if err != nil {
+			return got, ns, err, r
+		}
+	}
+}
+
+// TestEntryReaderReadSizes: the entry reader assembles an extent in the
+// caller's buffer when it fits and stages it otherwise, and the two ways
+// serve the same stream. Reads of 1 B, 4 KiB, exactly the next extent and
+// the whole stream give the same bytes and the same logical XXH64, and a
+// buffer that holds an extent gets it, checked, from one Read without the
+// staging buffer being written. Over a
+// damaged extent the in-place read returns 0 bytes and the staged read's
+// verdict: no byte that failed its CRC is counted or hashed.
+func TestEntryReaderReadSizes(t *testing.T) {
+	for _, chain := range partialChains {
+		t.Run(chain.name, func(t *testing.T) {
+			c := chain.build(t)
+			c.si = shardOf(t, c.man, 1)
+			if !c.si.Partial() {
+				t.Fatalf("fixture did not store rank 1 as a partial object: %+v", c.si)
+			}
+			whole := int(c.si.RawSize)
+			nextExtent := func(r *entryReader) int { return int(r.ext[min(r.idx, len(r.ext)-1)].n) }
+			sizes := []struct {
+				name    string
+				size    func(*entryReader) int
+				inPlace bool // every Read's buffer holds the next extent
+			}{
+				{"1 B", func(*entryReader) int { return 1 }, false},
+				{"4 KiB", func(*entryReader) int { return 4 << 10 }, false},
+				{"one extent", nextExtent, true},
+				{"whole stream", func(*entryReader) int { return whole }, true},
+			}
+			var first []byte
+			for _, s := range sizes {
+				got, ns, err, r := readEntry(t, c, s.size)
+				if err != nil {
+					t.Fatalf("%s reads: %v", s.name, err)
+				}
+				if first == nil {
+					first = got
+				}
+				if !bytes.Equal(got, first) || int64(len(got)) != c.si.RawSize {
+					t.Fatalf("%s reads served %d bytes that differ from 1 B reads' %d", s.name, len(got), len(first))
+				}
+				if sum := r.logical.h.sum64(); sum != c.si.RawSum || Sum64(got) != sum {
+					t.Fatalf("%s reads: logical XXH64 %#x over %#x served, want %#x", s.name, sum, Sum64(got), c.si.RawSum)
+				}
+				if err := r.finish(nil); err != nil {
+					t.Fatalf("%s reads: %v", s.name, err)
+				}
+				if s.inPlace {
+					if bytes.Count(r.buf, []byte{0}) != len(r.buf) {
+						t.Fatalf("%s reads staged an extent in r.buf", s.name)
+					}
+					for k, e := range r.ext {
+						if int64(ns[k]) != e.n {
+							t.Fatalf("%s reads: Read %d returned %d bytes, want extent %d's %d", s.name, k, ns[k], k, e.n)
+						}
+					}
+				}
+			}
+
+			bad := c.img.Images[1]
+			bad.App = append([]byte(nil), bad.App...)
+			bad.App[c.edit] ^= 0x0F
+			c.rewriteOwnObject(t, bad)
+			_, _, staged, _ := readEntry(t, c, func(*entryReader) int { return 1 })
+			got, ns, inPlace, r := readEntry(t, c, func(*entryReader) int { return whole })
+			if staged == nil || inPlace == nil || inPlace.Error() != staged.Error() {
+				t.Fatalf("damaged extent: in-place read %v, staged read %v; want the same verdict", inPlace, staged)
+			}
+			m := regexp.MustCompile(`^extent (\d+) corrupted \(crc [0-9a-f]{8}, want [0-9a-f]{8}; sourced from epoch 1 rank 1\)$`).FindStringSubmatch(inPlace.Error())
+			if m == nil {
+				t.Fatalf("verdict %q does not name an extent of the entry's own object", inPlace)
+			}
+			k, _ := strconv.Atoi(m[1])
+			var before int64
+			for _, e := range r.ext[:k] {
+				before += e.n
+			}
+			if ns[len(ns)-1] != 0 || int64(len(got)) != before || r.logical.n != before || r.logical.h.sum64() != Sum64(got) {
+				t.Fatalf("read over damaged extent %d: last Read returned %d, %d bytes served and %d counted, want 0 and %d",
+					k, ns[len(ns)-1], len(got), r.logical.n, before)
+			}
+		})
+	}
+}

@@ -299,9 +299,10 @@ func TestCommitRejectsMutatedPage(t *testing.T) {
 }
 
 // TestCompactionChecksFlattenedIdentity: flattening reads the raw identity
-// of what it writes off the merge reader (the shard writer only counts
+// of what it writes off the entry reader (the shard writer only counts
 // bytes), and a partial shard whose verified merge does not hash to its
-// manifest identity must not be compacted into a full shard that claims it.
+// manifest identity must not be compacted into a full shard that claims it:
+// the entry reader's finish refuses it, and both epochs survive.
 func TestCompactionChecksFlattenedIdentity(t *testing.T) {
 	commits := map[string]func(testing.TB, Store, int, *Manifest, *JobImage) (*Manifest, *CommitStats){
 		"delta": commitPaged, "cdc": commitCDC,
@@ -326,7 +327,7 @@ func TestCompactionChecksFlattenedIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, err := CompactChain(fs, 1, nil)
-		if err == nil || !strings.Contains(err.Error(), "flattened shard does not match its manifest identity") {
+		if err == nil || !strings.Contains(err.Error(), "merged stream does not match the manifest identity") {
 			t.Fatalf("%s: compaction over a lying identity: %v", name, err)
 		}
 		if epochs, _ := fs.Epochs(); len(epochs) != 2 {
