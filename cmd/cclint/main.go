@@ -2,9 +2,9 @@
 // enforces the invariants the checkpoint/restore pipeline relies on but the
 // compiler cannot see (lock discipline on *Locked methods, StreamBudget
 // pairing, virtual-time purity, writer Close-as-commit-point, canonical gob
-// encoding). It is stdlib-only — go/parser + go/types with a source
-// importer — so it adds no module dependencies and runs anywhere `go`
-// does.
+// encoding, no function that only tests reach). It is stdlib-only —
+// go/parser + go/types with a source importer — so it adds no module
+// dependencies and runs anywhere `go` does.
 //
 // Usage:
 //

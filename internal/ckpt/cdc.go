@@ -265,22 +265,6 @@ func (s *chunkSummer) finish() []RawChunk {
 	return s.chunks
 }
 
-// gearCandidates returns every boundary-candidate offset of data (cut-after
-// positions where the rolling hash's masked bits vanish), ignoring the
-// min/max walk. The fuzz target reasons about realignment directly on this
-// signal.
-func gearCandidates(data []byte) []int64 {
-	var out []int64
-	var g uint64
-	for i, b := range data {
-		g = g<<1 + gearTable[b]
-		if g&cdcBoundaryMask == 0 {
-			out = append(out, int64(i)+1)
-		}
-	}
-	return out
-}
-
 // selfChunkRefs addresses a full chunked shard's own chunk table into
 // itself: SrcOff is the logical offset (the stored decompressed stream of a
 // full shard IS the logical stream).

@@ -20,6 +20,22 @@ import (
 	"time"
 )
 
+// gearCandidates returns every boundary-candidate offset of data (cut-after
+// positions where the rolling hash's masked bits vanish), ignoring the
+// min/max walk. The fuzz target reasons about realignment directly on this
+// signal.
+func gearCandidates(data []byte) []int64 {
+	var out []int64
+	var g uint64
+	for i, b := range data {
+		g = g<<1 + gearTable[b]
+		if g&cdcBoundaryMask == 0 {
+			out = append(out, int64(i)+1)
+		}
+	}
+	return out
+}
+
 // noisyBytes fills n bytes from a xorshift64 stream: content-rich data with
 // plenty of gear cut candidates (a periodic fill would starve the chunker).
 func noisyBytes(n int, seed uint64) []byte {
@@ -290,10 +306,11 @@ func TestCDCCommitRoundTrip(t *testing.T) {
 		t.Fatal("single-rank extract through the cdc object diverged")
 	}
 	// The restart read set must span the chunk sources' epoch.
-	reads, err := ResolveReadSet(fs, 1)
+	sealed1, err := fs.GetManifest(1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reads := ReadSetOf(sealed1)
 	if len(reads) != 2 || reads[0].Epoch != 1 || reads[1].Epoch != 0 {
 		t.Fatalf("cdc epoch read set %+v, want epochs [1 0]", reads)
 	}

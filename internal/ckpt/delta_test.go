@@ -117,10 +117,11 @@ func TestPageDeltaCommitRoundTrip(t *testing.T) {
 	}
 	// The restart read set must span the delta's base epoch, not just the
 	// restart epoch.
-	reads, err := ResolveReadSet(fs, 1)
+	sealed1, err := fs.GetManifest(1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reads := ReadSetOf(sealed1)
 	if len(reads) != 2 || reads[0].Epoch != 1 || reads[1].Epoch != 0 {
 		t.Fatalf("delta epoch read set %+v, want epochs [1 0]", reads)
 	}
@@ -375,8 +376,8 @@ func TestDeltaCommitBudgetBounded(t *testing.T) {
 				t.Fatalf("budgeted delta commit stored no deltas: %+v", st)
 			}
 			peak := budget.TakePeak()
-			if peak <= 0 || peak > budget.Cap() {
-				t.Fatalf("peak %d outside (0, %d]", peak, budget.Cap())
+			if peak <= 0 || peak > budget.cap {
+				t.Fatalf("peak %d outside (0, %d]", peak, budget.cap)
 			}
 			got, err := LoadJobImage(fs, 1)
 			if err != nil {

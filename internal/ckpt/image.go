@@ -300,9 +300,6 @@ func NewStreamBudget(capBytes int64) *StreamBudget {
 	return b
 }
 
-// Cap returns the budget's capacity in bytes.
-func (b *StreamBudget) Cap() int64 { return b.cap }
-
 // Acquire blocks until n bytes fit under the budget, then charges them.
 func (b *StreamBudget) Acquire(n int64) {
 	if n > b.cap {

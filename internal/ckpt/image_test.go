@@ -438,8 +438,8 @@ func TestShardHeaderHostileLength(t *testing.T) {
 // high-water marks.
 func TestStreamBudgetAccounting(t *testing.T) {
 	b := NewStreamBudget(100)
-	if b.Cap() != 100 {
-		t.Fatalf("cap %d", b.Cap())
+	if b.cap != 100 {
+		t.Fatalf("cap %d", b.cap)
 	}
 	b.Acquire(60)
 	b.Acquire(40) // exactly full
@@ -479,7 +479,7 @@ func TestStreamBudgetAccounting(t *testing.T) {
 	b.Release(1000)
 
 	// Default capacity kicks in for zero.
-	if NewStreamBudget(0).Cap() != DefaultStreamBudgetBytes {
+	if NewStreamBudget(0).cap != DefaultStreamBudgetBytes {
 		t.Fatal("zero capacity did not select the default")
 	}
 }

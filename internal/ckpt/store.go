@@ -1086,26 +1086,6 @@ func ReadSetOf(man *Manifest) []netmodel.EpochRead {
 	return reads
 }
 
-// ResolveReadSet computes a store epoch's restart read set AFTER validating
-// the chain it crosses: the epoch's manifest must decode and every
-// cross-epoch reference must land in a sealed epoch. A broken chain — a
-// referenced parent that was deleted, or whose manifest was lost mid-commit
-// — returns a descriptive error naming the (epoch, rank, referenced epoch)
-// instead of a silently mispriced (or zero-valued) read set. It is the
-// entry point for callers that only PRICE an epoch without loading it;
-// rt.RestartFromStore gets the identical validation from LoadJobImage
-// (same checkRefsSealed, run before any shard is touched).
-func ResolveReadSet(store Store, epoch int) ([]netmodel.EpochRead, error) {
-	man, err := store.GetManifest(epoch)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkRefsSealed(store, man, man.Shards); err != nil {
-		return nil, err
-	}
-	return ReadSetOf(man), nil
-}
-
 // StoreFault names one damaged or unresolvable shard in a store chain.
 type StoreFault struct {
 	Epoch    int // epoch whose manifest references the shard

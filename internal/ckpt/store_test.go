@@ -523,8 +523,8 @@ func TestTornShardWriteAttributed(t *testing.T) {
 
 // TestChainBrokenParentAttributed: resolving a chain whose referenced
 // parent epoch is missing or unsealed must return a descriptive error from
-// every entry point — load, single-rank extract, read-set pricing — and a
-// per-shard fault from VerifyStore; never a zero-value read set.
+// every entry point — load and single-rank extract — and a per-shard fault
+// from VerifyStore.
 func TestChainBrokenParentAttributed(t *testing.T) {
 	wantMsg := "references epoch 0, which is not sealed"
 	check := func(t *testing.T, fs *FileStore) {
@@ -536,13 +536,6 @@ func TestChainBrokenParentAttributed(t *testing.T) {
 		// broken reference.
 		if _, err := ExtractRankFromStore(fs, 2, 2); err == nil || !strings.Contains(err.Error(), wantMsg) {
 			t.Fatalf("extract error %v does not explain the broken chain", err)
-		}
-		reads, err := ResolveReadSet(fs, 2)
-		if err == nil || !strings.Contains(err.Error(), wantMsg) {
-			t.Fatalf("read-set error %v does not explain the broken chain", err)
-		}
-		if reads != nil {
-			t.Fatalf("broken chain produced a read set anyway: %+v", reads)
 		}
 		faults, err := VerifyStore(fs)
 		if err != nil {
@@ -580,32 +573,6 @@ func TestChainBrokenParentAttributed(t *testing.T) {
 	})
 }
 
-// TestResolveReadSetMatchesManifest: on a healthy chain the validated read
-// set is exactly ReadSetOf of the epoch's manifest.
-func TestResolveReadSetMatchesManifest(t *testing.T) {
-	fs := commitChain(t)
-	man, err := fs.GetManifest(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ReadSetOf(man)
-	got, err := ResolveReadSet(fs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("read set %+v, want %+v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("read set %+v, want %+v", got, want)
-		}
-	}
-	if len(want) < 2 {
-		t.Fatalf("chain fixture holds no cross-epoch references: %+v", want)
-	}
-}
-
 // TestCommitStreamedBudgetBounded: commits succeed under an arbitrarily
 // tight budget (a single stream always fits), and the budget's high-water
 // mark never exceeds its capacity.
@@ -632,8 +599,8 @@ func TestCommitStreamedBudgetBounded(t *testing.T) {
 				t.Fatalf("commit stats: %+v", st)
 			}
 			peak := budget.TakePeak()
-			if peak <= 0 || peak > budget.Cap() {
-				t.Fatalf("peak %d outside (0, %d]", peak, budget.Cap())
+			if peak <= 0 || peak > budget.cap {
+				t.Fatalf("peak %d outside (0, %d]", peak, budget.cap)
 			}
 			got, err := LoadJobImage(store, man.Epoch)
 			if err != nil {

@@ -439,25 +439,11 @@ func crossGeometries(ranks, ppn int) []int {
 	return out
 }
 
-// VerifyCrossGeometry checks the allocation-chaining claim: a checkpoint
+// crossGeometryOn checks the allocation-chaining claim: a checkpoint
 // captured on one geometry must restart onto a different ranks-per-node
 // placement (and node count) and still reach the golden final-state digest.
 // Each restart reads the sealed epoch back from the capture's store, as a
 // real chained allocation would.
-func VerifyCrossGeometry(wl, algo string, opts Options) error {
-	o := opts.withDefaults()
-	if err := notRunnable(wl, algo); err != nil {
-		return err
-	}
-	goldenRep, factory, capture, err := captureMidRun(&o, wl, algo)
-	if err != nil {
-		return err
-	}
-	return crossGeometryOn(&o, wl, algo, goldenRep, factory, capture)
-}
-
-// crossGeometryOn restarts an already-captured epoch onto every alternative
-// geometry and compares digests.
 func crossGeometryOn(o *Options, wl, algo string, goldenRep *rt.Report, factory func(int) rt.App, capture *rt.Report) error {
 	geos := crossGeometries(o.Ranks, o.PPN)
 	if len(geos) == 0 {
@@ -482,25 +468,11 @@ func crossGeometryOn(o *Options, wl, algo string, goldenRep *rt.Report, factory 
 	return nil
 }
 
-// VerifyShardCorruptionDetected guards the store's integrity story on disk:
-// it captures a checkpoint, commits it into a fresh FileStore, flips one
-// byte inside a specific rank's shard file, and asserts that (a) the full
-// load refuses the epoch, (b) per-shard verification attributes the fault
-// to exactly the corrupted rank, and (c) the pristine epoch verifies clean.
-func VerifyShardCorruptionDetected(wl, algo string, opts Options) error {
-	o := opts.withDefaults()
-	if err := notRunnable(wl, algo); err != nil {
-		return err
-	}
-	_, _, capture, err := captureMidRun(&o, wl, algo)
-	if err != nil {
-		return err
-	}
-	return shardCorruptionOn(capture.Image)
-}
-
-// shardCorruptionOn runs the per-shard corruption probe on the capture,
-// committed as epoch 0 of a temporary store directory.
+// shardCorruptionOn guards the store's integrity story on disk: it commits
+// the capture as epoch 0 of a temporary FileStore, flips one byte inside a
+// specific rank's shard file, and asserts that (a) the full load refuses the
+// epoch, (b) per-shard verification attributes the fault to exactly the
+// corrupted rank, and (c) the pristine epoch verifies clean.
 func shardCorruptionOn(img *ckpt.JobImage) error {
 	dir, err := os.MkdirTemp("", "ckpt-shard-*")
 	if err != nil {
@@ -585,26 +557,13 @@ func VerifyAuxSuite(wl, algo string, opts Options, negative, crossgeo bool) ([]A
 	return out, nil
 }
 
-// VerifyCorruptionDetected captures a checkpoint mid-run, corrupts one byte
-// of a rank's application snapshot inside the image, and confirms the
-// corruption cannot slip through: either the restore fails outright or the
-// restarted run's digest diverges from the golden one. It returns an error
-// if the corrupted image restarts into the golden state — which would mean
-// the conformance engine is incapable of detecting real divergence.
-func VerifyCorruptionDetected(wl, algo string, opts Options) error {
-	o := opts.withDefaults()
-	if err := notRunnable(wl, algo); err != nil {
-		return err
-	}
-	goldenRep, factory, capture, err := captureMidRun(&o, wl, algo)
-	if err != nil {
-		return err
-	}
-	return corruptionDetectedOn(&o, algo, goldenRep, factory, capture)
-}
-
-// corruptionDetectedOn runs the snapshot-corruption probe on a private copy
-// of the capture's sealed epoch, loaded from its store.
+// corruptionDetectedOn corrupts one byte of a rank's application snapshot
+// in a private copy of the capture's sealed epoch, loaded from its store, and
+// confirms the corruption cannot slip through: either the restore fails
+// outright or the restarted run's digest diverges from the golden one. It
+// returns an error if the corrupted image restarts into the golden state —
+// which would mean the conformance engine is incapable of detecting real
+// divergence.
 func corruptionDetectedOn(o *Options, algo string, goldenRep *rt.Report, factory func(int) rt.App, capture *rt.Report) error {
 	img, err := ckpt.LoadJobImage(capture.Store, capture.Checkpoint.Epoch)
 	if err != nil {

@@ -62,35 +62,36 @@ func TestConformanceMatrix(t *testing.T) {
 	}
 }
 
-// TestCorruptionDetected is the engine's negative control: an intentionally
-// corrupted restore must surface as a restore error or a digest mismatch —
-// never as a clean pass.
-func TestCorruptionDetected(t *testing.T) {
-	wl := "comd"
-	if err := VerifyCorruptionDetected(wl, rt.AlgoCC, Options{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCrossGeometryRestart: the allocation-chaining sweep — a checkpoint
-// captured at one PPN restarts onto packed, spread, and halved placements
-// and must hit the golden digest on each.
-func TestCrossGeometryRestart(t *testing.T) {
-	if err := VerifyCrossGeometry("comd", rt.AlgoCC, Options{Logf: t.Logf}); err != nil {
-		t.Fatal(err)
-	}
-	if !testing.Short() {
-		if err := VerifyCrossGeometry("vasp", rt.Algo2PC, Options{Logf: t.Logf}); err != nil {
-			t.Fatal(err)
+// TestAuxSuite runs what ccverify runs beyond the matrix, over one mid-run
+// capture: the engine's negative control (an intentionally corrupted restore
+// must surface as a restore error or a digest mismatch, never as a clean
+// pass), the shard probe (a flipped byte inside a shard file must fail the
+// load and be attributed to that rank's shard) and the allocation-chaining
+// sweep (the capture restarts onto packed, spread and halved placements and
+// must hit the golden digest on each). Without -short the sweep also runs on
+// vasp under 2PC.
+func TestAuxSuite(t *testing.T) {
+	check := func(wl, algo string, negative bool) {
+		verdicts, err := VerifyAuxSuite(wl, algo, Options{Logf: t.Logf}, negative, true)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", wl, algo, err)
+		}
+		want := 1
+		if negative {
+			want = 3
+		}
+		if len(verdicts) != want {
+			t.Fatalf("%s/%s: %d verdicts, want %d", wl, algo, len(verdicts), want)
+		}
+		for _, v := range verdicts {
+			if v.Err != nil {
+				t.Errorf("%s/%s %s: %v", wl, algo, v.Name, v.Err)
+			}
 		}
 	}
-}
-
-// TestShardCorruptionDetected: corruption inside the encoded sharded image
-// must fail the decode and be attributed to the right rank's shard.
-func TestShardCorruptionDetected(t *testing.T) {
-	if err := VerifyShardCorruptionDetected("comd", rt.AlgoCC, Options{}); err != nil {
-		t.Fatal(err)
+	check("comd", rt.AlgoCC, true)
+	if !testing.Short() {
+		check("vasp", rt.Algo2PC, false)
 	}
 }
 

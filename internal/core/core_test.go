@@ -96,12 +96,12 @@ func TestSeqNumbersTrackCollectives(t *testing.T) {
 
 	done := make(chan struct{})
 	go func() {
-		protos[1].Collective(ci1, nil, func() { ci1.Comm.Barrier() })
-		protos[1].Collective(ci1, nil, func() { ci1.Comm.Barrier() })
+		protos[1].Collective(ci1, nil, func() { ci1.Comm.CollectiveSized(netmodel.Barrier, 0, 0) })
+		protos[1].Collective(ci1, nil, func() { ci1.Comm.CollectiveSized(netmodel.Barrier, 0, 0) })
 		close(done)
 	}()
-	protos[0].Collective(ci0, nil, func() { ci0.Comm.Barrier() })
-	protos[0].Collective(ci0, nil, func() { ci0.Comm.Barrier() })
+	protos[0].Collective(ci0, nil, func() { ci0.Comm.CollectiveSized(netmodel.Barrier, 0, 0) })
+	protos[0].Collective(ci0, nil, func() { ci0.Comm.CollectiveSized(netmodel.Barrier, 0, 0) })
 	<-done
 
 	r0 := cc.ranks[0]

@@ -223,7 +223,8 @@ var referenceChanged = sync.OnceValue(func() bool {
 // reference's bytes, and both inflates turn it back into data.
 func check(t *testing.T, label string, got, data []byte, want []byte) {
 	t.Helper()
-	r := inflate.NewReader(bytes.NewReader(got))
+	r := new(inflate.Reader)
+	r.Reset(bytes.NewReader(got))
 	back, err := io.ReadAll(r)
 	r.Close()
 	if err != nil || !bytes.Equal(back, data) {

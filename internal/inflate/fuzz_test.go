@@ -60,7 +60,7 @@ func FuzzInflateAgree(f *testing.F) {
 
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		r := NewReader(bytes.NewReader(stream))
+		r := newReader(bytes.NewReader(stream))
 		gotN, err := readCapped(r, got)
 		r.Close()
 		runtime.ReadMemStats(&after)

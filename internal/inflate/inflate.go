@@ -286,7 +286,7 @@ func buildTable(t []uint32, root uint, lens []uint8, syms []uint32) bool {
 }
 
 // state is everything one open stream needs. It is what the pool holds; a
-// Reader is the handle that owns one between NewReader/Reset and Close.
+// Reader is the handle that owns one between Reset and Close.
 type state struct {
 	src    io.Reader
 	srcErr error // the source's terminal answer, io.EOF included
@@ -329,16 +329,9 @@ type Reader struct {
 	s *state // nil once closed
 }
 
-// NewReader returns a Reader decompressing src. Close returns its state to a
-// pool; a Reader that is never closed is simply garbage.
-func NewReader(src io.Reader) *Reader {
-	r := new(Reader)
-	r.Reset(src)
-	return r
-}
-
-// Reset discards any state and starts decompressing src, as NewReader would;
-// it reopens a closed Reader.
+// Reset discards any state and starts decompressing src; it opens the zero
+// value and reopens a closed Reader. A Reader that is never closed is simply
+// garbage.
 func (r *Reader) Reset(src io.Reader) {
 	if r.s == nil {
 		r.s = pool.Get().(*state)

@@ -24,6 +24,13 @@ func reference(stream []byte) ([]byte, error) {
 	return io.ReadAll(flate.NewReader(bytes.NewReader(stream)))
 }
 
+// newReader opens a Reader on src: the zero value and Reset.
+func newReader(src io.Reader) *Reader {
+	r := new(Reader)
+	r.Reset(src)
+	return r
+}
+
 // ours decodes stream with this package through src (nil: a bytes.Reader)
 // in reads of at most bufSize bytes.
 func ours(stream []byte, wrap func(io.Reader) io.Reader, bufSize int) ([]byte, error) {
@@ -31,7 +38,7 @@ func ours(stream []byte, wrap func(io.Reader) io.Reader, bufSize int) ([]byte, e
 	if wrap != nil {
 		src = wrap(src)
 	}
-	r := NewReader(src)
+	r := newReader(src)
 	defer r.Close()
 	var out []byte
 	buf := make([]byte, bufSize)
@@ -378,7 +385,7 @@ func TestInflateHandBuilt(t *testing.T) {
 			}
 		}
 		for cut := b.dynamicAt; cut < len(b.stream); cut++ {
-			r := NewReader(bytes.NewReader(b.stream[:cut]))
+			r := newReader(bytes.NewReader(b.stream[:cut]))
 			rng.Read(r.s.in[:])
 			got, err := io.ReadAll(r)
 			r.Close()
@@ -461,7 +468,7 @@ func TestInflateTrailingBytes(t *testing.T) {
 	stream := append(deflate(t, data, 6, 1), "\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8\xf7"...)
 	agree(t, "nine trailing bytes", stream)
 	src := bytes.NewReader(stream)
-	r := NewReader(src)
+	r := newReader(src)
 	got, err := io.ReadAll(r)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("decoded %d bytes, err %v; want %d", len(got), err, len(data))
@@ -482,7 +489,7 @@ func TestInflateCloseTwice(t *testing.T) {
 	corpus := shapes(100 << 10)
 	textStream, noiseStream := deflate(t, corpus[4].data, 1, 1), deflate(t, corpus[7].data, 1, 1)
 
-	a := NewReader(bytes.NewReader(textStream))
+	a := newReader(bytes.NewReader(textStream))
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -495,13 +502,13 @@ func TestInflateCloseTwice(t *testing.T) {
 
 	// b most likely holds the state a released. Closing a again while b is
 	// mid-stream, then opening c, must leave b and c on different states.
-	b := NewReader(bytes.NewReader(textStream))
+	b := newReader(bytes.NewReader(textStream))
 	head := make([]byte, 1000)
 	if _, err := io.ReadFull(b, head); err != nil {
 		t.Fatal(err)
 	}
 	a.Close()
-	c := NewReader(bytes.NewReader(noiseStream))
+	c := newReader(bytes.NewReader(noiseStream))
 	if b.s == c.s {
 		t.Fatal("two open readers share one decoder state")
 	}
@@ -533,7 +540,7 @@ func TestInflateSteadyState(t *testing.T) {
 	data := shapes(2000)[4].data
 	stream := deflate(t, data, shardLevel, 1)
 	src := bytes.NewReader(nil)
-	r := NewReader(src)
+	r := newReader(src)
 	defer r.Close()
 	buf := make([]byte, 4096)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -569,11 +576,11 @@ func TestInflateSourceErrors(t *testing.T) {
 	data := shapes(20 << 10)[5].data
 	stream := deflate(t, data, 6, 1)
 	boom := errors.New("boom")
-	got, err := io.ReadAll(NewReader(&failingReader{stream[:len(stream)/2], boom}))
+	got, err := io.ReadAll(newReader(&failingReader{stream[:len(stream)/2], boom}))
 	if err != boom || !bytes.HasPrefix(data, got) {
 		t.Errorf("failing source: %d bytes, err %v; want a prefix and %v", len(got), err, boom)
 	}
-	got, err = io.ReadAll(NewReader(&failingReader{stream[:len(stream)/2], nil}))
+	got, err = io.ReadAll(newReader(&failingReader{stream[:len(stream)/2], nil}))
 	if err != io.ErrNoProgress || !bytes.HasPrefix(data, got) {
 		t.Errorf("stalled source: %d bytes, err %v; want a prefix and io.ErrNoProgress", len(got), err)
 	}

@@ -65,7 +65,7 @@ func BenchmarkInflate(b *testing.B) {
 		stream := deflate(b, st.data, shardLevel, 1)
 		b.Run(st.name+"/ours", func(b *testing.B) {
 			b.SetBytes(int64(size))
-			r := NewReader(nil)
+			r := new(Reader)
 			defer r.Close()
 			for i := 0; i < b.N; i++ {
 				r.Reset(bytes.NewReader(stream))
@@ -99,7 +99,7 @@ func BenchmarkInflate(b *testing.B) {
 // it).
 func BenchmarkInflateRatio(b *testing.B) {
 	buf := make([]byte, 256<<10)
-	ours := NewReader(nil)
+	ours := new(Reader)
 	defer ours.Close()
 	for _, st := range benchStreams(b) {
 		size := len(st.data)

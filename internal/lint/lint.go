@@ -15,6 +15,10 @@
 //   - gobcanon: types reached by snapshot gob encoding must not contain
 //     bare map fields — gob's randomized map order breaks the
 //     digest-stability rule incremental shard reuse diffs against.
+//   - testonly: every function is referenced from non-test code, or is API
+//     (the root package's exported names, the exported methods of the types
+//     it re-exports by alias, any method whose name an interface declares,
+//     main and init) — code only tests reach is a second, unexercised API.
 //
 // A finding is suppressed by annotating the offending line (trailing, or a
 // comment line directly above) with:
@@ -61,6 +65,7 @@ func Analyzers() []*Analyzer {
 		Wallclock(nil),
 		CloseCheck(),
 		GobCanon(),
+		TestOnly(),
 	}
 }
 

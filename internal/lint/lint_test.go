@@ -100,9 +100,21 @@ func TestBudgetPair(t *testing.T) { testGolden(t, "budgetpair") }
 func TestWallclock(t *testing.T)  { testGolden(t, "wallclock") }
 func TestCloseCheck(t *testing.T) { testGolden(t, "closecheck") }
 func TestGobCanon(t *testing.T)   { testGolden(t, "gobcanon") }
+func TestTestOnly(t *testing.T) {
+	testGolden(t, "testonly")
+	// Unsuppressed, Kept is found too: its allow, not a blind spot for
+	// exported functions, keeps it out of the golden run.
+	u, err := LoadDirs([]string{filepath.Join("testdata", "src", "testonly")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw := analyzerNamed(t, "testonly").Run(u); len(raw) != 4 {
+		t.Fatalf("%d raw findings, want the 3 golden ones and Kept", len(raw))
+	}
+}
 func TestAnalyzerCount(t *testing.T) {
-	if n := len(Analyzers()); n != 5 {
-		t.Fatalf("Analyzers() = %d analyzers, want 5", n)
+	if n := len(Analyzers()); n != 6 {
+		t.Fatalf("Analyzers() = %d analyzers, want 6", n)
 	}
 }
 

@@ -45,6 +45,9 @@ type Package struct {
 type Unit struct {
 	Fset *token.FileSet
 	Pkgs []*Package
+	// module is the module path when the unit is a whole module (LoadModule),
+	// empty for a list of directories.
+	module string
 }
 
 // moduleImporter serves module-internal packages from the already-checked
@@ -146,7 +149,11 @@ func LoadModule(root string) (*Unit, error) {
 		}
 		return mod + "/" + filepath.ToSlash(rel)
 	}
-	return load(dirs, pathOf)
+	u, err := load(dirs, pathOf)
+	if err == nil {
+		u.module = mod
+	}
+	return u, err
 }
 
 // LoadDirs parses and type-checks the named package directories (the

@@ -295,7 +295,6 @@ func (c *Comm) exchange(kind netmodel.CollKind, size, root int, op Op, payload, 
 // Alltoall, Scatter's root and ReduceScatter; ignored where the kind takes
 // none from this rank) and out receives its result, if it has one. in and
 // out may be the same buffer. It returns the number of bytes written to out.
-// The []byte-returning methods below are this routine with a fresh out.
 func (c *Comm) Collective(kind netmodel.CollKind, root int, op Op, in, out []byte) int {
 	if out == nil {
 		out = noData
@@ -304,66 +303,9 @@ func (c *Comm) Collective(kind netmodel.CollKind, root int, op Op, in, out []byt
 	return len(c.exchange(kind, size, root, op, payload, out))
 }
 
-// fresh runs a blocking collective whose result is returned in a new buffer.
-func (c *Comm) fresh(kind netmodel.CollKind, root int, op Op, in []byte) []byte {
-	size, payload := c.payloadOf(kind, root, in)
-	return c.exchange(kind, size, root, op, payload, nil)
-}
-
-// Barrier implements MPI_Barrier.
-func (c *Comm) Barrier() { c.exchange(netmodel.Barrier, 0, 0, OpSum, nil, noData) }
-
-// Bcast implements MPI_Bcast: the root's buf is sent to all; on non-roots
-// buf is overwritten with the root's data. Returns the received data length.
-func (c *Comm) Bcast(root int, buf []byte) int {
-	n := c.Collective(netmodel.Bcast, root, OpSum, buf, buf)
-	if c.myRank == root {
-		return len(buf)
-	}
-	return n
-}
-
-// Reduce implements MPI_Reduce; the reduced vector is returned at the root
-// (nil elsewhere). Payloads are little-endian float64 vectors.
-func (c *Comm) Reduce(root int, op Op, data []byte) []byte {
-	return c.fresh(netmodel.Reduce, root, op, data)
-}
-
-// Allreduce implements MPI_Allreduce.
-func (c *Comm) Allreduce(op Op, data []byte) []byte {
-	return c.fresh(netmodel.Allreduce, 0, op, data)
-}
-
-// Gather implements MPI_Gather: the root receives the concatenation of all
-// contributions in comm-rank order (nil elsewhere).
-func (c *Comm) Gather(root int, data []byte) []byte {
-	return c.fresh(netmodel.Gather, root, OpSum, data)
-}
-
-// Allgather implements MPI_Allgather.
+// Allgather implements MPI_Allgather with the result in a new buffer: the
+// exchange behind Comm.Split.
 func (c *Comm) Allgather(data []byte) []byte {
-	return c.fresh(netmodel.Allgather, 0, OpSum, data)
-}
-
-// Alltoall implements MPI_Alltoall: data must contain Size() equal blocks;
-// block j goes to comm rank j; the result contains one block from each rank.
-func (c *Comm) Alltoall(data []byte) []byte {
-	return c.fresh(netmodel.Alltoall, 0, OpSum, data)
-}
-
-// Scatter implements MPI_Scatter: the root's data (Size() equal blocks) is
-// distributed; every rank receives its block.
-func (c *Comm) Scatter(root int, data []byte) []byte {
-	return c.fresh(netmodel.Scatter, root, OpSum, data)
-}
-
-// Scan implements MPI_Scan (inclusive prefix reduction).
-func (c *Comm) Scan(op Op, data []byte) []byte {
-	return c.fresh(netmodel.Scan, 0, op, data)
-}
-
-// ReduceScatter implements MPI_Reduce_scatter_block: reduce all
-// contributions, then scatter equal blocks.
-func (c *Comm) ReduceScatter(op Op, data []byte) []byte {
-	return c.fresh(netmodel.ReduceScatter, 0, op, data)
+	size, payload := c.payloadOf(netmodel.Allgather, 0, data)
+	return c.exchange(netmodel.Allgather, size, 0, OpSum, payload, nil)
 }

@@ -42,11 +42,6 @@ type Comm struct {
 	collSeq uint64 // local count of collective operations initiated
 }
 
-// ID returns the communicator's global id. Ids are deterministic functions
-// of the creation path, so a restarted job that replays the same
-// communicator-creation calls reproduces the same ids.
-func (c *Comm) ID() uint64 { return c.core.id }
-
 // Rank returns the caller's rank within the communicator.
 func (c *Comm) Rank() int { return c.myRank }
 
@@ -56,14 +51,8 @@ func (c *Comm) Size() int { return c.core.group.Size() }
 // Group returns the communicator's group.
 func (c *Comm) Group() *Group { return c.core.group }
 
-// Proc returns the owning process.
-func (c *Comm) Proc() *Proc { return c.p }
-
 // WorldRank translates a communicator rank to a world rank.
 func (c *Comm) WorldRank(commRank int) int { return c.core.group.WorldRank(commRank) }
-
-// Geometry returns the communicator's placement geometry.
-func (c *Comm) Geometry() netmodel.Geometry { return c.core.geom }
 
 // deriveCommID computes the deterministic id of a child communicator created
 // from parent at the parent's current collective sequence with the given
@@ -137,11 +126,6 @@ func (c *Comm) Split(color, key int) *Comm {
 	id := deriveCommID(c.core.id, seqAtCall, int64(color), worldRanks)
 	core := c.core.w.internCore(id, worldRanks)
 	return &Comm{core: core, p: c.p, myRank: myNewRank}
-}
-
-// Dup implements MPI_Comm_dup: a new communicator with the same group.
-func (c *Comm) Dup() *Comm {
-	return c.Split(0, c.myRank)
 }
 
 // internCore returns the shared commCore for id, creating it if this rank is

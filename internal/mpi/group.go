@@ -24,21 +24,6 @@ func (g *Group) WorldRank(i int) int { return g.ranks[i] }
 // result as read-only.
 func (g *Group) WorldRanks() []int { return g.ranks }
 
-// RankOf returns the group rank of the given world rank, or -1 if the world
-// rank is not a member. This is MPI_Group_translate_ranks against
-// MPI_COMM_WORLD — a purely local operation (paper §4.2.4 relies on this).
-func (g *Group) RankOf(worldRank int) int {
-	for i, r := range g.ranks {
-		if r == worldRank {
-			return i
-		}
-	}
-	return -1
-}
-
-// Contains reports whether the world rank is a member.
-func (g *Group) Contains(worldRank int) bool { return g.RankOf(worldRank) >= 0 }
-
 // SortedWorldRanks returns the members sorted ascending. Two groups that are
 // MPI_SIMILAR (same members, any order) have equal sorted slices; the
 // collective-clock ggid is computed from this canonical form.
@@ -47,19 +32,4 @@ func (g *Group) SortedWorldRanks() []int {
 	copy(s, g.ranks)
 	sort.Ints(s)
 	return s
-}
-
-// Similar reports whether two groups contain the same set of world ranks
-// (MPI_SIMILAR). Identical order is not required.
-func Similar(a, b *Group) bool {
-	if a.Size() != b.Size() {
-		return false
-	}
-	as, bs := a.SortedWorldRanks(), b.SortedWorldRanks()
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
 }

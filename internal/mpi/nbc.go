@@ -14,7 +14,7 @@ import "mana/internal/netmodel"
 // (nil for none) receives the caller's result when the request completes.
 func (c *Comm) istart(kind netmodel.CollKind, size, root int, op Op, payload, out []byte) *Request {
 	s, _ := c.enter(kind, size, root, op, payload, true)
-	r := newRequest(reqColl, c.p)
+	r := newRequest(c.p)
 	r.slot, r.slotRank, r.buf = s, c.myRank, out
 	return r
 }
@@ -30,32 +30,4 @@ func (c *Comm) ICollective(kind netmodel.CollKind, root int, op Op, in, out []by
 // 2PC algorithm inserts before every collective.)
 func (c *Comm) Ibarrier() *Request {
 	return c.ICollective(netmodel.Barrier, 0, OpSum, nil, nil)
-}
-
-// Ibcast implements MPI_Ibcast: on the root, buf supplies the payload; on
-// other ranks buf receives it at completion.
-func (c *Comm) Ibcast(root int, buf []byte) *Request {
-	return c.ICollective(netmodel.Bcast, root, OpSum, buf, buf)
-}
-
-// Iallreduce implements MPI_Iallreduce; out receives the reduced vector and
-// must be at least as long as data.
-func (c *Comm) Iallreduce(op Op, data, out []byte) *Request {
-	return c.ICollective(netmodel.Allreduce, 0, op, data, out)
-}
-
-// Iallgather implements MPI_Iallgather; out must hold Size()*len(data).
-func (c *Comm) Iallgather(data, out []byte) *Request {
-	return c.ICollective(netmodel.Allgather, 0, OpSum, data, out)
-}
-
-// Ialltoall implements MPI_Ialltoall; data holds Size() equal blocks and out
-// must be the same length.
-func (c *Comm) Ialltoall(data, out []byte) *Request {
-	return c.ICollective(netmodel.Alltoall, 0, OpSum, data, out)
-}
-
-// Ireduce implements MPI_Ireduce; out receives the result on the root.
-func (c *Comm) Ireduce(root int, op Op, data, out []byte) *Request {
-	return c.ICollective(netmodel.Reduce, root, op, data, out)
 }

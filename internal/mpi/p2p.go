@@ -104,15 +104,6 @@ func (mb *mailbox) postedFor(commID uint64, srcComm, tag int) int {
 	return -1
 }
 
-// Isend implements MPI_Isend. With eager sends the request completes
-// immediately; it exists so applications can use a uniform request style.
-func (c *Comm) Isend(dst, tag int, data []byte) *Request {
-	r := newRequest(reqSend, c.p)
-	c.Send(dst, tag, data)
-	r.complete(c.p.Clk.Now(), Status{Source: c.myRank, Tag: tag, Count: len(data)})
-	return r
-}
-
 // Irecv implements MPI_Irecv: post a receive for (src, tag) into buf. src
 // may be AnySource and tag may be AnyTag. If a matching unexpected message
 // is already queued, the request completes immediately.
@@ -121,7 +112,7 @@ func (c *Comm) Irecv(src, tag int, buf []byte) *Request {
 	p.Ct.P2PRecvs++
 	p.Clk.Advance(p.w.Model.P.CallOverhead)
 
-	req := newRequest(reqRecv, p)
+	req := newRequest(p)
 	req.commID, req.src, req.tag, req.buf = c.core.id, src, tag, buf
 
 	mb := p.w.mail[p.rank]
@@ -152,31 +143,10 @@ func (c *Comm) Recv(src, tag int, buf []byte) Status {
 	return st
 }
 
-// Iprobe implements MPI_Iprobe: check, without receiving, whether a message
-// matching (src, tag) is queued. It reports the message's status if so. Only
-// messages that have arrived by the caller's current virtual time are
-// visible, mirroring a real network.
-func (c *Comm) Iprobe(src, tag int) (bool, Status) {
-	p := c.p
-	p.Ct.Probes++
-	p.Clk.Advance(p.w.Model.P.CallOverhead)
-	now := p.Clk.Now()
-
-	mb := p.w.mail[p.rank]
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for _, msg := range mb.queue {
-		if matches(msg.commID, msg.srcComm, msg.tag, c.core.id, src, tag) && msg.arriveVT <= now {
-			return true, Status{Source: msg.srcComm, Tag: msg.tag, Count: len(msg.data)}
-		}
-	}
-	return false, Status{}
-}
-
 // HasQueued reports whether any message matching (src, tag) is queued for
 // this rank regardless of virtual arrival time. The checkpoint layer's
 // wait-for-targets loop uses it as a wakeup predicate under the mailbox
-// lock via Proc.WaitUntil; unlike Iprobe it charges no cost.
+// lock via Proc.WaitUntil; it charges no cost.
 func (c *Comm) HasQueued(src, tag int) bool {
 	mb := c.p.w.mail[c.p.rank]
 	mb.mu.Lock()
@@ -218,28 +188,7 @@ func (w *World) SnapshotInflight(rank int) []InflightSnapshot {
 	return out
 }
 
-// DrainInflight removes and returns every queued (unreceived) message for
-// the given world rank. The checkpoint coordinator calls this once all ranks
-// are parked: the messages become part of the receiver's upper-half image
-// and are re-injected at restart (MANA's send/recv-count drain).
-func (w *World) DrainInflight(rank int) []InflightSnapshot {
-	mb := w.mail[rank]
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	out := make([]InflightSnapshot, 0, len(mb.queue))
-	for _, msg := range mb.queue {
-		out = append(out, InflightSnapshot{
-			CommID:  msg.commID,
-			SrcComm: msg.srcComm,
-			Tag:     msg.tag,
-			Data:    append([]byte(nil), msg.data...),
-		})
-	}
-	mb.queue = nil
-	return out
-}
-
-// InjectDrained re-queues messages captured by DrainInflight into a fresh
+// InjectDrained re-queues messages captured by SnapshotInflight into a fresh
 // world at restart time. They become immediately available to receives.
 func (w *World) InjectDrained(rank int, msgs []InflightSnapshot, atVT float64) {
 	mb := w.mail[rank]
@@ -265,16 +214,4 @@ func (w *World) PendingPosted(rank int) int {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	return len(mb.posted)
-}
-
-// CancelPosted removes all posted receives for a rank and returns how many
-// were cancelled. Used at capture time for receives that are recorded as
-// descriptors and re-posted after restart.
-func (w *World) CancelPosted(rank int) int {
-	mb := w.mail[rank]
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	n := len(mb.posted)
-	mb.posted = nil
-	return n
 }

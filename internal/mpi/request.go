@@ -1,18 +1,8 @@
 package mpi
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
-)
-
-// reqKind distinguishes the operation behind a Request.
-type reqKind int
-
-const (
-	reqSend reqKind = iota
-	reqRecv
-	reqColl
 )
 
 // Status describes a completed receive, mirroring MPI_Status.
@@ -23,10 +13,9 @@ type Status struct {
 }
 
 // Request is the handle of a non-blocking operation (MPI_Request). A request
-// is created by Isend/Irecv/I-collectives and completed by Test or Wait.
+// is created by Irecv or an I-collective and completed by Wait.
 type Request struct {
-	kind reqKind
-	p    *Proc
+	p *Proc
 
 	// done is stored last by complete; completeVT and status may be read
 	// once it is observed. A receive is completed by its sender.
@@ -40,8 +29,9 @@ type Request struct {
 	src, tag int
 	buf      []byte
 
-	// Collective plumbing. mu makes collDone single-flight: the owner and
-	// the checkpoint coordinator's drain both poll.
+	// Collective plumbing, slot nil for a receive. mu makes collDone
+	// single-flight: the owner and the checkpoint coordinator's drain both
+	// poll.
 	mu       sync.Mutex
 	slot     *collSlot
 	slotRank int // comm rank within the collective
@@ -49,14 +39,13 @@ type Request struct {
 
 // newRequest takes a request from the rank's free list or allocates one.
 // Only the owning rank's goroutine creates and frees its requests.
-func newRequest(kind reqKind, p *Proc) *Request {
+func newRequest(p *Proc) *Request {
 	if k := len(p.freeReqs) - 1; k >= 0 {
 		r := p.freeReqs[k]
 		p.freeReqs = p.freeReqs[:k]
-		r.kind = kind
 		return r
 	}
-	return &Request{kind: kind, p: p}
+	return &Request{p: p}
 }
 
 // Free returns a completed request to its rank's free list
@@ -78,7 +67,7 @@ func (r *Request) complete(vt float64, st Status) {
 // Done reports (without charging any cost or blocking) whether the request
 // has completed. The checkpointing layer uses this for bookkeeping.
 func (r *Request) Done() bool {
-	return r == nil || r.done.Load() || r.kind == reqColl && r.collDone()
+	return r == nil || r.done.Load() || r.slot != nil && r.collDone()
 }
 
 // collDone resolves completion for collective requests against the slot: a
@@ -109,19 +98,6 @@ func (r *Request) collDone() bool {
 	return true
 }
 
-// Test implements MPI_Test: it charges one poll's CPU cost and reports
-// completion. On completion the caller's clock advances to the completion
-// time if that is later.
-func (r *Request) Test() bool {
-	r.p.Ct.Tests++
-	r.p.Clk.Advance(r.p.w.Model.P.CallOverhead)
-	if !r.Done() {
-		return false
-	}
-	r.p.Clk.SyncTo(r.completeVT)
-	return true
-}
-
 // Wait implements MPI_Wait: it blocks (really, in the host program) until
 // the operation completes, then advances the caller's clock to the later of
 // its current time and the completion time. The virtual cost of waiting is
@@ -139,43 +115,3 @@ func (r *Request) Wait() Status {
 	r.p.Clk.SyncTo(r.completeVT)
 	return r.status
 }
-
-// WaitPolling emulates a test loop ("while (!flag) MPI_Test(...)") without
-// burning host CPU: it blocks until completion, then charges the virtual
-// cost of the polls that the loop would have executed, rounding the caller's
-// clock up to the poll grid. Returns the number of simulated poll
-// iterations. The 2PC algorithm and the non-blocking drain use this.
-func (r *Request) WaitPolling() (polls int64) {
-	start := r.p.Clk.Now()
-	st := r.Wait()
-	_ = st
-	interval := r.p.w.Model.P.PollInterval
-	if interval <= 0 {
-		return 0
-	}
-	waited := r.p.Clk.Now() - start
-	if waited < 0 {
-		waited = 0
-	}
-	polls = int64(math.Ceil(waited/interval)) + 1
-	r.p.Ct.Tests += polls
-	r.p.Clk.SyncTo(start + float64(polls)*interval)
-	return polls
-}
-
-// Waitall waits for every request in order. Because Wait only moves clocks
-// forward to completion times, waiting in order is equivalent to MPI_Waitall
-// for timing purposes.
-func Waitall(reqs []*Request) []Status {
-	sts := make([]Status, len(reqs))
-	for i, r := range reqs {
-		if r != nil {
-			sts[i] = r.Wait()
-		}
-	}
-	return sts
-}
-
-// Status returns the completed request's status. Valid only after Wait/Test
-// reported completion.
-func (r *Request) Status() Status { return r.status }

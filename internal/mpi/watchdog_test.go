@@ -110,7 +110,7 @@ func TestAbortWakesCollective(t *testing.T) {
 	var errs [2]error
 	var wg sync.WaitGroup
 	runRank(&wg, &errs[0], func() {
-		w.WorldComm(0).Barrier() // rank 1 never joins
+		w.WorldComm(0).Collective(netmodel.Barrier, 0, OpSum, nil, nil) // rank 1 never joins
 	})
 	time.Sleep(50 * time.Millisecond)
 	boom := fmt.Errorf("rank 1 exploded")

@@ -6,18 +6,18 @@
 // The simulator implements the slice of MPI-4.0 semantics the paper's
 // algorithms depend on:
 //
-//   - communicators and groups, MPI_Comm_split, MPI_SIMILAR comparison, and
-//     the purely local MPI_Group_translate_ranks;
+//   - communicators and groups, and MPI_Comm_split;
 //   - point-to-point send/recv with tags, MPI_ANY_SOURCE/MPI_ANY_TAG, and
 //     non-overtaking FIFO matching per (source, communicator, tag);
-//   - blocking collectives that may be synchronizing (Barrier, Allreduce,
+//   - blocking collectives of every netmodel.CollKind through one call,
+//     Comm.Collective, that may be synchronizing (Barrier, Allreduce,
 //     Allgather, Alltoall, Scan, ReduceScatter synchronize; Bcast, Reduce,
 //     Gather, Scatter do not — root/leaves exit early, §3);
-//   - non-blocking point-to-point and collective operations with request
-//     objects, Test/Wait/Waitall and Iprobe; a non-blocking collective
-//     completes only after every participant has initiated it, after which
-//     it progresses independently of all other operations (MPI-4.0 Example
-//     6.36, quoted in paper §3).
+//   - non-blocking receives and collectives (Irecv, Comm.ICollective) with
+//     request objects completed by Wait and polled by Done; a non-blocking
+//     collective completes only after every participant has initiated it,
+//     after which it progresses independently of all other operations
+//     (MPI-4.0 Example 6.36, quoted in paper §3).
 //
 // The simulator deliberately knows nothing about checkpointing: the CC and
 // 2PC algorithms interpose on it from the outside, exactly as MANA's upper

@@ -16,7 +16,6 @@ const (
 	Scatter
 	Scan
 	ReduceScatter
-	numCollKinds
 )
 
 var collNames = [...]string{
@@ -139,26 +138,6 @@ func (m *Model) syncDuration(spec CollSpec) float64 {
 	default:
 		return m.treeCost(g, size)
 	}
-}
-
-// NonblockingCompletion returns, per comm rank, the virtual time at which a
-// non-blocking collective completes for that rank, given per-rank initiation
-// times. The operation progresses "in background": completion times do not
-// depend on when ranks test for completion, only on when every rank has
-// initiated (MPI-4.0 §6.36 independence property, paper §3).
-func (m *Model) NonblockingCompletion(spec CollSpec, inits []float64) []float64 {
-	// Reuse the blocking exit shapes; for non-rooted ops the completion is
-	// max(inits)+duration, for rooted ops receivers complete when the data
-	// arrives. This is exactly CollExits with entries = initiation times.
-	return m.CollExits(spec, inits)
-}
-
-// CollNetDuration returns an estimate of the pure-network duration of one
-// collective assuming simultaneous entry; used by OSU-style reporting.
-func (m *Model) CollNetDuration(spec CollSpec) float64 {
-	entries := make([]float64, spec.Geom.N)
-	exits := m.CollExits(spec, entries)
-	return maxF(exits)
 }
 
 // latFor returns the dominant per-hop latency for a geometry.

@@ -16,6 +16,12 @@ func worldGeom(m *Model, n int) (Geometry, []int) {
 	return m.GeometryOf(ranks), ranks
 }
 
+// collNetDuration is the pure-network duration of one collective entered by
+// every rank at once: its latest exit.
+func collNetDuration(m *Model, spec CollSpec) float64 {
+	return maxF(m.CollExits(spec, make([]float64, spec.Geom.N)))
+}
+
 func TestValidate(t *testing.T) {
 	if err := PerlmutterLike().Validate(); err != nil {
 		t.Fatalf("default params invalid: %v", err)
@@ -213,12 +219,12 @@ func TestCollCostGrowsWithSizeAndRanks(t *testing.T) {
 	for _, k := range []CollKind{Bcast, Allreduce, Alltoall, Allgather} {
 		gSmall, rSmall := worldGeom(m, 128)
 		gBig, rBig := worldGeom(m, 2048)
-		d1 := m.CollNetDuration(CollSpec{Kind: k, Size: 4, Geom: gSmall, WorldRanks: rSmall})
-		d2 := m.CollNetDuration(CollSpec{Kind: k, Size: 1 << 20, Geom: gSmall, WorldRanks: rSmall})
+		d1 := collNetDuration(m, CollSpec{Kind: k, Size: 4, Geom: gSmall, WorldRanks: rSmall})
+		d2 := collNetDuration(m, CollSpec{Kind: k, Size: 1 << 20, Geom: gSmall, WorldRanks: rSmall})
 		if d2 <= d1 {
 			t.Errorf("%v: 1MB (%g) should cost more than 4B (%g)", k, d2, d1)
 		}
-		d3 := m.CollNetDuration(CollSpec{Kind: k, Size: 4, Geom: gBig, WorldRanks: rBig})
+		d3 := collNetDuration(m, CollSpec{Kind: k, Size: 4, Geom: gBig, WorldRanks: rBig})
 		if d3 <= d1 {
 			t.Errorf("%v: 2048 ranks (%g) should cost more than 128 ranks (%g)", k, d3, d1)
 		}
@@ -230,7 +236,7 @@ func TestSmallBcastRateBand(t *testing.T) {
 	// 4 nodes. Our calibration should land within a loose band (50k-1M).
 	m := testModel(128)
 	g, ranks := worldGeom(m, 512)
-	d := m.CollNetDuration(CollSpec{Kind: Bcast, Size: 4, Root: 0, Geom: g, WorldRanks: ranks})
+	d := collNetDuration(m, CollSpec{Kind: Bcast, Size: 4, Root: 0, Geom: g, WorldRanks: ranks})
 	rate := 1 / d
 	if rate < 50e3 || rate > 1e6 {
 		t.Fatalf("4B Bcast rate %.0f/s outside plausible Slingshot band", rate)
@@ -296,13 +302,17 @@ func TestCheckpointWriteCost(t *testing.T) {
 	}
 }
 
+// TestNonblockingCompletionMatchesBlockingShape: a non-blocking collective
+// completes for each rank at CollExits of the initiation times (the
+// simulator's collSlot.exitFor), so a synchronizing kind completes no rank
+// before the last initiation.
 func TestNonblockingCompletionMatchesBlockingShape(t *testing.T) {
 	m := testModel(128)
 	g, ranks := worldGeom(m, 64)
 	spec := CollSpec{Kind: Allreduce, Size: 1024, Geom: g, WorldRanks: ranks}
 	inits := make([]float64, 64)
 	inits[10] = 0.3
-	compl := m.NonblockingCompletion(spec, inits)
+	compl := m.CollExits(spec, inits)
 	for i, c := range compl {
 		if c < 0.3 {
 			t.Fatalf("rank %d completes before last initiation: %g", i, c)
@@ -360,8 +370,8 @@ func TestLargeMessagePipelining(t *testing.T) {
 	gSmall, rSmall := worldGeom(m, 256)
 	gBig, rBig := worldGeom(m, 2048)
 	const size = 1 << 20
-	dSmall := m.CollNetDuration(CollSpec{Kind: Bcast, Size: size, Geom: gSmall, WorldRanks: rSmall})
-	dBig := m.CollNetDuration(CollSpec{Kind: Bcast, Size: size, Geom: gBig, WorldRanks: rBig})
+	dSmall := collNetDuration(m, CollSpec{Kind: Bcast, Size: size, Geom: gSmall, WorldRanks: rSmall})
+	dBig := collNetDuration(m, CollSpec{Kind: Bcast, Size: size, Geom: gBig, WorldRanks: rBig})
 	bwTerm := float64(size) / m.P.BwInter
 	if dSmall < bwTerm {
 		t.Fatalf("1MB bcast (%g) cannot beat the bandwidth floor (%g)", dSmall, bwTerm)

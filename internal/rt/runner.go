@@ -511,11 +511,10 @@ func RestartFromStore(cfg Config, store ckpt.Store, epoch int, factory func(rank
 	if err != nil {
 		return nil, err
 	}
-	// LoadJobImage validates chain resolution before touching any shard: a
-	// reference into a missing or unsealed parent epoch fails with one
-	// descriptive error (the same check ckpt.ResolveReadSet fronts for
-	// callers that only price), never a mispriced read set or a confusing
-	// per-shard fetch failure mid-restore.
+	// LoadJobImage validates chain resolution (checkRefsSealed) before
+	// touching any shard: a reference into a missing or unsealed parent epoch
+	// fails with one descriptive error, never a mispriced read set or a
+	// confusing per-shard fetch failure mid-restore.
 	img, err := ckpt.LoadJobImage(store, epoch)
 	if err != nil {
 		return nil, err

@@ -18,7 +18,7 @@ type Counters struct {
 	P2PRecvs        int64
 	Tests           int64 // MPI_Test-style completion polls
 	Waits           int64
-	Probes          int64
+	Probes          int64 // always 0: no probe call; kept for apps' pinned counter table
 	BytesSent       int64
 	BytesRecv       int64
 	PerKind         [16]int64 // indexed by netmodel.CollKind

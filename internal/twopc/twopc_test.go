@@ -52,7 +52,7 @@ func TestCollectiveInsertsBarrier(t *testing.T) {
 			ci := worldInfo(w, rank)
 			protos[rank].RegisterComm(ci)
 			ran := false
-			out := protos[rank].Collective(ci, nil, func() { ci.Comm.Barrier() })
+			out := protos[rank].Collective(ci, nil, func() { ci.Comm.CollectiveSized(netmodel.Barrier, 0, 0) })
 			_ = ran
 			if out != ckpt.Proceed {
 				t.Errorf("rank %d: outcome %v", rank, out)
@@ -88,7 +88,8 @@ func TestBarrierCostsSynchronization(t *testing.T) {
 				w.Proc(rank).Compute(1.0) // straggler
 			}
 			// A Bcast whose root (rank 0) would natively exit immediately.
-			protos[rank].Collective(ci, nil, func() { ci.Comm.Bcast(0, []byte{1}) })
+			buf := []byte{1}
+			protos[rank].Collective(ci, nil, func() { ci.Comm.Collective(netmodel.Bcast, 0, mpi.OpSum, buf, buf) })
 			exits[rank] = w.Proc(rank).Clk.Now()
 		}(r)
 	}
@@ -126,5 +127,57 @@ func TestHoldAtWaitWithoutPending(t *testing.T) {
 	}
 	if out := protos[0].AtBoundary(&ckpt.Descriptor{Kind: ckpt.ParkBoundary}); out != ckpt.Proceed {
 		t.Fatalf("boundary outcome %v", out)
+	}
+}
+
+// TestBarrierPollsOnTheGrid: a rank that waits at the inserted barrier is
+// charged the test loop it would have run, ⌊waited/PollInterval⌋ + 1 polls
+// in Ct.Tests, and leaves the loop on the poll grid: start + polls ×
+// PollInterval. waited runs from the rank's Ibarrier (start) to the
+// barrier's completion; the same job with PollInterval 0, which charges no
+// loop, gives that completion.
+func TestBarrierPollsOnTheGrid(t *testing.T) {
+	// run has rank 1 compute 1 ms before the wrapped collective and reports
+	// rank 0's clock and poll count when its collective begins.
+	run := func(interval float64) (after float64, tests int64, p netmodel.Params) {
+		_, protos, w := newTest2PC(2)
+		w.Model.P.PollInterval = interval
+		var wg sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func(rank int) {
+				defer wg.Done()
+				ci := worldInfo(w, rank)
+				protos[rank].RegisterComm(ci)
+				proc := w.Proc(rank)
+				if rank == 1 {
+					proc.Compute(1e-3)
+				}
+				protos[rank].Collective(ci, nil, func() {
+					if rank == 0 {
+						after, tests = proc.Clk.Now(), proc.Ct.Tests
+					}
+					ci.Comm.CollectiveSized(netmodel.Barrier, 0, 0)
+				})
+			}(r)
+		}
+		wg.Wait()
+		return after, tests, w.Model.P
+	}
+	completion, tests, _ := run(0)
+	if tests != 0 {
+		t.Fatalf("no poll interval, yet %d polls charged", tests)
+	}
+	after, tests, p := run(netmodel.PerlmutterLike().PollInterval)
+	start := p.WrapperCost + p.CallOverhead // rank 0's clock once its Ibarrier is issued
+	waited := completion - start
+	if waited < 1e-3 {
+		t.Fatalf("rank 0 waited %g s at the barrier, want at least the straggler's 1 ms", waited)
+	}
+	if want := int64(waited/p.PollInterval) + 1; tests != want {
+		t.Fatalf("charged %d polls for a %g s wait, want %d", tests, waited, want)
+	}
+	if want := start + float64(tests)*p.PollInterval; after != want {
+		t.Fatalf("rank 0 left the test loop at %.15g, want the poll grid's %.15g", after, want)
 	}
 }
