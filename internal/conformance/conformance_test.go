@@ -62,37 +62,52 @@ func TestConformanceMatrix(t *testing.T) {
 	}
 }
 
-// TestAuxSuite runs what ccverify runs beyond the matrix, over one mid-run
-// capture: the engine's negative control (an intentionally corrupted restore
-// must surface as a restore error or a digest mismatch, never as a clean
-// pass), the shard probe (a flipped byte inside a shard file must fail the
-// load and be attributed to that rank's shard) and the allocation-chaining
-// sweep (the capture restarts onto packed, spread and halved placements and
-// must hit the golden digest on each). Without -short the sweep also runs on
-// vasp under 2PC.
-func TestAuxSuite(t *testing.T) {
-	check := func(wl, algo string, negative bool) {
-		verdicts, err := VerifyAuxSuite(wl, algo, Options{Logf: t.Logf}, negative, true)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", wl, algo, err)
-		}
-		want := 1
-		if negative {
-			want = 3
-		}
-		if len(verdicts) != want {
-			t.Fatalf("%s/%s: %d verdicts, want %d", wl, algo, len(verdicts), want)
-		}
-		for _, v := range verdicts {
-			if v.Err != nil {
-				t.Errorf("%s/%s %s: %v", wl, algo, v.Name, v.Err)
-			}
-		}
+// auxVerdict runs VerifyAuxSuite over one mid-run capture of wl under algo
+// with the given checks selected and fails t unless it returns exactly want
+// verdicts and the one called name passed.
+func auxVerdict(t *testing.T, wl, algo string, negative, crossgeo bool, want int, name string) {
+	t.Helper()
+	verdicts, err := VerifyAuxSuite(wl, algo, Options{Logf: t.Logf}, negative, crossgeo)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", wl, algo, err)
 	}
-	check("comd", rt.AlgoCC, true)
+	if len(verdicts) != want {
+		t.Fatalf("%s/%s: %d verdicts, want %d", wl, algo, len(verdicts), want)
+	}
+	for _, v := range verdicts {
+		if v.Name != name {
+			continue
+		}
+		if v.Err != nil {
+			t.Fatalf("%s/%s %s: %v", wl, algo, v.Name, v.Err)
+		}
+		return
+	}
+	t.Fatalf("%s/%s: no %q verdict", wl, algo, name)
+}
+
+// TestCorruptionDetected is the engine's negative control: an intentionally
+// corrupted restore must surface as a restore error or a digest mismatch —
+// never as a clean pass.
+func TestCorruptionDetected(t *testing.T) {
+	auxVerdict(t, "comd", rt.AlgoCC, true, false, 2, "negative")
+}
+
+// TestCrossGeometryRestart: the allocation-chaining sweep — a checkpoint
+// captured at one PPN restarts onto packed, spread, and halved placements
+// and must hit the golden digest on each. The capture is shared with the
+// negative checks, as ccverify shares it, so all three verdicts come back.
+func TestCrossGeometryRestart(t *testing.T) {
+	auxVerdict(t, "comd", rt.AlgoCC, true, true, 3, "cross-geometry")
 	if !testing.Short() {
-		check("vasp", rt.Algo2PC, false)
+		auxVerdict(t, "vasp", rt.Algo2PC, false, true, 1, "cross-geometry")
 	}
+}
+
+// TestShardCorruptionDetected: a flipped byte inside a shard file must fail
+// the load and be attributed to that rank's shard.
+func TestShardCorruptionDetected(t *testing.T) {
+	auxVerdict(t, "comd", rt.AlgoCC, true, false, 2, "shard-corruption")
 }
 
 // TestGoldenDigestDeterministic: the digest must be a pure function of the
