@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math"
 
@@ -150,10 +151,10 @@ func (h *heatApp) unpack() {
 	}
 }
 
-// Snapshot lays out the header words Iter, Phase and Heat, the tile U, and
+// SnapshotTo writes the header words Iter, Phase and Heat, the tile U, and
 // the named buffers (Next is scratch every step rewrites).
-func (h *heatApp) Snapshot() ([]byte, error) {
-	return h.bufs.Snapshot([]uint64{uint64(h.Iter), uint64(h.Phase), math.Float64bits(h.Heat)}, h.U), nil
+func (h *heatApp) SnapshotTo(w io.Writer) error {
+	return h.bufs.SnapshotTo(w, []uint64{uint64(h.Iter), uint64(h.Phase), math.Float64bits(h.Heat)}, h.U)
 }
 
 // Restore refuses a snapshot that does not fit this rank — another length, a

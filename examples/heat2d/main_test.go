@@ -5,7 +5,16 @@ import (
 	"encoding/binary"
 	"strings"
 	"testing"
+
+	"mana"
 )
+
+// snapshot is a's SnapshotTo bytes as one slice.
+func snapshot(a mana.App) ([]byte, error) {
+	var b bytes.Buffer
+	err := a.SnapshotTo(&b)
+	return b.Bytes(), err
+}
 
 // TestRestoreRefusesMisfits: a snapshot that does not fit a tile — a
 // 3-element U at phase 9, or one holding only Iter — is refused and leaves
@@ -15,19 +24,19 @@ import (
 func TestRestoreRefusesMisfits(t *testing.T) {
 	src := newHeatApp()
 	src.Iter, src.U[7] = 3, 1.5
-	good, _ := src.Snapshot()
+	good, _ := snapshot(src)
 	short := newHeatApp()
 	short.U, short.Phase = short.U[:3], 9
-	phase9, _ := short.Snapshot()
+	phase9, _ := snapshot(short)
 	onlyIter := binary.LittleEndian.AppendUint64(nil, 3)
 
 	dst := newHeatApp()
-	before, _ := dst.Snapshot()
+	before, _ := snapshot(dst)
 	for name, data := range map[string][]byte{"3-element U at phase 9": phase9, "only Iter": onlyIter} {
 		if err := dst.Restore(data); err == nil || !strings.HasPrefix(err.Error(), "heat2d: ") {
 			t.Errorf("%s: got %v, want a heat2d: error", name, err)
 		}
-		if after, _ := dst.Snapshot(); !bytes.Equal(after, before) {
+		if after, _ := snapshot(dst); !bytes.Equal(after, before) {
 			t.Errorf("%s: a refused snapshot changed the tile", name)
 		}
 	}

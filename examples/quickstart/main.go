@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math"
 
@@ -83,11 +84,11 @@ func (a *piApp) Estimate() float64 {
 	return a.InPi / a.Total
 }
 
-// Snapshot lays out the header words — Round and Phase first, then the
+// SnapshotTo writes the header words — Round and Phase first, then the
 // scalars — and the named buffer.
-func (a *piApp) Snapshot() ([]byte, error) {
-	return a.bufs.Snapshot([]uint64{uint64(a.Round), uint64(a.Phase),
-		math.Float64bits(a.Total), math.Float64bits(a.InPi), a.Seed}), nil
+func (a *piApp) SnapshotTo(w io.Writer) error {
+	return a.bufs.SnapshotTo(w, []uint64{uint64(a.Round), uint64(a.Phase),
+		math.Float64bits(a.Total), math.Float64bits(a.InPi), a.Seed})
 }
 
 // Restore refuses a snapshot that does not fit this rank — another length, a

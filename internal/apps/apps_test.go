@@ -526,7 +526,11 @@ func layBufs(b []byte, bufs ...bufEntry) []byte {
 }
 
 // entriesOf is a registry's buffers in ID order.
-func entriesOf(b *rt.Buffers) []bufEntry { return splitBufs(b.AppendSection(nil)) }
+func entriesOf(b *rt.Buffers) []bufEntry {
+	var sec bytes.Buffer
+	b.SnapshotTo(&sec, nil)
+	return splitBufs(sec.Bytes())
+}
 
 // vaspImage lays a VASP snapshot out by hand: the six header words, the
 // slab's real parts, then its imaginary parts, then each buffer as given, in
@@ -554,9 +558,9 @@ func vaspBufs(ids ...string) []bufEntry {
 	return out
 }
 
-// TestVASPSnapshotLayout: Snapshot and SnapshotTo emit the documented
-// fixed-width layout exactly, every bit of the slab and the energy included,
-// and Restore reads it back onto the same state.
+// TestVASPSnapshotLayout: SnapshotTo emits the documented fixed-width
+// layout exactly, in one Write, every bit of the slab and the energy
+// included, and Restore reads it back onto the same state.
 func TestVASPSnapshotLayout(t *testing.T) {
 	cfg := VASPConfig{Iterations: 10, SlabN: 8}
 	v := vaspRank(cfg)
@@ -569,19 +573,17 @@ func TestVASPSnapshotLayout(t *testing.T) {
 		copy(v.bufs.Get(e.ID), e.Data)
 	}
 	want := vaspImage(7, 3, v.Energy, 0xfeedface, v.Slab, vaspBufs("ata", "energy", "haloL", "haloR")...)
-	snap, err := v.Snapshot()
-	if err != nil || !bytes.Equal(snap, want) {
-		t.Fatalf("Snapshot wrote %d bytes (err %v) that differ from the %d-byte layout", len(snap), err, len(want))
-	}
 	var streamed writeSizes
 	if err := v.SnapshotTo(&streamed); err != nil || !bytes.Equal(streamed.Bytes(), want) || len(streamed.sizes) != 1 {
-		t.Fatalf("SnapshotTo: %d bytes in %d Writes (err %v), want Snapshot's in one", streamed.Len(), len(streamed.sizes), err)
+		t.Fatalf("SnapshotTo: %d bytes in %d Writes (err %v), want the %d-byte layout in one",
+			streamed.Len(), len(streamed.sizes), err, len(want))
 	}
+	snap := streamed.Bytes()
 	back := vaspRank(cfg)
 	if err := back.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if again, _ := back.Snapshot(); !bytes.Equal(again, snap) {
+	if again, _ := snapshot(back); !bytes.Equal(again, snap) {
 		t.Fatal("restore did not round-trip the snapshot")
 	}
 }
@@ -650,7 +652,7 @@ func TestVASPRestoreHostile(t *testing.T) {
 	} {
 		src := vaspRank(cfg)
 		c.edit(src)
-		snap, err := src.Snapshot()
+		snap, err := snapshot(src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -680,12 +682,12 @@ func TestVASPRestoreHostile(t *testing.T) {
 				buf[i] = 0x55
 			}
 		}
-		before, _ := dst.Snapshot()
+		before, _ := snapshot(dst)
 		err := dst.Restore(c.data)
 		if err == nil || !strings.HasPrefix(err.Error(), "vasp: ") || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want a vasp error about %q", c.name, err, c.want)
 		}
-		if after, _ := dst.Snapshot(); !bytes.Equal(after, before) {
+		if after, _ := snapshot(dst); !bytes.Equal(after, before) {
 			t.Errorf("%s: a refused snapshot changed the rank", c.name)
 		}
 	}
@@ -695,12 +697,12 @@ func TestVASPRestoreHostile(t *testing.T) {
 	}
 	done := vaspRank(cfg)
 	done.Iter, done.Slab[7] = cfg.Iterations, complex(1, -1)
-	snap, _ := done.Snapshot()
+	snap, _ := snapshot(done)
 	back := vaspRank(cfg)
 	if err := back.Restore(snap); err != nil {
 		t.Fatalf("a finished rank's snapshot refused: %v", err)
 	}
-	if again, _ := back.Snapshot(); !bytes.Equal(again, snap) {
+	if again, _ := snapshot(back); !bytes.Equal(again, snap) {
 		t.Fatal("restore did not round-trip a finished rank's snapshot")
 	}
 
@@ -1007,14 +1009,14 @@ func roundTripApps(t *testing.T, ranks int, factory func(rank int) rt.App) []rt.
 // full conformance matrix.
 func checkRoundTrip(t *testing.T, name string, app rt.App) {
 	t.Helper()
-	s1, err := app.Snapshot()
+	s1, err := snapshot(app)
 	if err != nil {
 		t.Fatalf("%s: snapshot: %v", name, err)
 	}
 	if err := app.Restore(s1); err != nil {
 		t.Fatalf("%s: restore: %v", name, err)
 	}
-	s2, err := app.Snapshot()
+	s2, err := snapshot(app)
 	if err != nil {
 		t.Fatalf("%s: re-snapshot: %v", name, err)
 	}
@@ -1022,7 +1024,7 @@ func checkRoundTrip(t *testing.T, name string, app rt.App) {
 		t.Fatalf("%s: snapshot not canonical: %d vs %d bytes (or content drift)", name, len(s1), len(s2))
 	}
 	// Canonical also means stable across repeated encodes of the same state.
-	s3, err := app.Snapshot()
+	s3, err := snapshot(app)
 	if err != nil {
 		t.Fatalf("%s: third snapshot: %v", name, err)
 	}
@@ -1063,43 +1065,41 @@ func TestSnapshotRoundTripOSU(t *testing.T) {
 	}
 }
 
-// --- Captured-image immutability and the streaming snapshot ----------------
+// snapshot is a's SnapshotTo bytes as one slice.
+func snapshot(a rt.StreamSnapshotter) ([]byte, error) {
+	var b bytes.Buffer
+	err := a.SnapshotTo(&b)
+	return b.Bytes(), err
+}
 
-// snapshotProbe snapshots its app right after its at-th Step — both ways,
-// if it streams — and keeps private copies, so the test can tell after the
-// run whether later Steps reached into bytes the app had already handed out.
+// --- Captured-image immutability ------------------------------------------
+
+// snapshotProbe snapshots its app right after its at-th Step and keeps a
+// private copy, so the test can tell after the run whether later Steps
+// reached into bytes the app had already handed out.
 type snapshotProbe struct {
 	rt.App
-	at, steps              int
-	streams                bool   // the app is an rt.StreamSnapshotter
-	snap, streamed         []byte // what the app handed out
-	snapCopy, streamedCopy []byte // what those bytes were at the time
-	err                    error
+	at, steps int
+	snap      []byte // what the app handed out
+	snapCopy  []byte // what those bytes were at the time
+	err       error
 }
 
 func (p *snapshotProbe) Step(env *rt.Env) (bool, error) {
 	more, err := p.App.Step(env)
 	p.steps++
 	if p.steps == p.at && p.err == nil {
-		var buf bytes.Buffer
-		ss, streams := p.App.(rt.StreamSnapshotter)
-		if p.snap, p.err = p.App.Snapshot(); p.err == nil && streams {
-			p.err = ss.SnapshotTo(&buf)
-		}
-		p.streams, p.streamed = streams, buf.Bytes()
+		p.snap, p.err = snapshot(p.App)
 		p.snapCopy = append([]byte(nil), p.snap...)
-		p.streamedCopy = append([]byte(nil), p.streamed...)
 	}
 	return more, err
 }
 
 // TestCapturedImageImmutable: the checkpoint pipeline hashes a captured
 // image once and writes it later without re-hashing, so the bytes an app
-// hands to a capture must never change afterwards (rt.App's immutability
-// rule). Every registered app is snapshotted mid-run, run to completion,
-// and the earlier bytes compared with what they were; for an app that
-// streams, the streaming and the blob snapshot must also agree byte for
-// byte.
+// hands to a capture must never change afterwards. Every registered app is
+// snapshotted mid-run, run to completion, and the earlier bytes compared
+// with what they were.
 func TestCapturedImageImmutable(t *testing.T) {
 	factories := map[string]func(rank int) rt.App{}
 	for _, name := range append([]string{"straggler"}, Names...) {
@@ -1128,10 +1128,7 @@ func TestCapturedImageImmutable(t *testing.T) {
 				t.Errorf("%s/rank%d: snapshot: %v", name, rank, p.err)
 			case p.steps <= at:
 				t.Errorf("%s/rank%d: only %d steps, nothing ran after the snapshot", name, rank, p.steps)
-			case p.streams && !bytes.Equal(p.snapCopy, p.streamedCopy):
-				t.Errorf("%s/rank%d: SnapshotTo wrote %d bytes that differ from Snapshot's %d",
-					name, rank, len(p.streamedCopy), len(p.snapCopy))
-			case !bytes.Equal(p.snap, p.snapCopy) || !bytes.Equal(p.streamed, p.streamedCopy):
+			case !bytes.Equal(p.snap, p.snapCopy):
 				t.Errorf("%s/rank%d: snapshot bytes changed under later Steps (live state aliased)", name, rank)
 			}
 		}
@@ -1228,7 +1225,7 @@ func TestStragglerSnapshotIsState(t *testing.T) {
 					t.Fatalf("%s: writer failing on Write %d: got %v", name, k, err)
 				}
 			}
-			snap, err := a.Snapshot()
+			snap, err := snapshot(a)
 			if err != nil || !bytes.Equal(snap, want) {
 				t.Fatalf("%s: Snapshot disagrees with the layout (err %v)", name, err)
 			}
@@ -1236,7 +1233,7 @@ func TestStragglerSnapshotIsState(t *testing.T) {
 			if err := b.Restore(snap); err != nil {
 				t.Fatal(err)
 			}
-			if again, _ := b.Snapshot(); !bytes.Equal(again, snap) {
+			if again, _ := snapshot(b); !bytes.Equal(again, snap) {
 				t.Fatalf("%s: restore did not round-trip the snapshot", name)
 			}
 		}
@@ -1291,7 +1288,7 @@ func TestStragglerRestoreHoled(t *testing.T) {
 			src.state.set(i, v)
 		}
 		src.Iter, src.Acc = c.iter, 0.625
-		snap, err := src.Snapshot()
+		snap, err := snapshot(src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1302,7 +1299,7 @@ func TestStragglerRestoreHoled(t *testing.T) {
 		if room := max(iters-c.iter, 0); a.state.lo != c.at || a.state.hi-a.state.lo != room {
 			t.Fatalf("hole %s: restored hole [%d, %d), want [%d, %d)", c.hole, a.state.lo, a.state.hi, c.at, c.at+room)
 		}
-		if again, _ := a.Snapshot(); !bytes.Equal(again, snap) {
+		if again, _ := snapshot(a); !bytes.Equal(again, snap) {
 			t.Fatalf("hole %s: restore did not round-trip the snapshot", c.hole)
 		}
 		buf, ref := a.state.buf, vs
@@ -1382,13 +1379,13 @@ func FuzzStragglerRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, cfg := range []StragglerConfig{insert, inPlace} {
 			a := NewStraggler(cfg, 0)
-			before, _ := a.Snapshot()
+			before, _ := snapshot(a)
 			var err error
 			got := heapBytes(func() { err = a.Restore(data) })
 			if limit := uint64(len(data)) + 8*uint64(cfg.HotIters) + (1 << 10); checkAllocs && got > limit {
 				t.Fatalf("Restore of %d bytes allocated %d (limit %d; err %v)", len(data), got, limit, err)
 			}
-			after, _ := a.Snapshot()
+			after, _ := snapshot(a)
 			switch {
 			case err != nil && !strings.HasPrefix(err.Error(), "straggler: "):
 				t.Fatalf("refusal without the straggler: prefix: %v", err)
@@ -1516,6 +1513,34 @@ func TestStragglerRestartBuildsOnce(t *testing.T) {
 	checkCaps("restarted")
 }
 
+// TestStragglerDigestAllocs: a run to completion digests each rank's final
+// state by streaming SnapshotTo into the hash, so on a 16 MiB hot rank the
+// run allocates its State and little else. A digest over per-rank final
+// snapshots held a second State-sized copy of every rank.
+func TestStragglerDigestAllocs(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const elems = 2 << 20
+	cfg := StragglerConfig{HotRanks: 1, ColdSteps: 2, HotIters: 4, StateElems: 100, HotStateElems: elems}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rep, err := rt.Run(smallConfig(2, rt.AlgoNative), func(rank int) rt.App { return NewStraggler(cfg, rank) })
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Completed || rep.StateDigest == "" {
+		t.Fatalf("run did not complete with a digest (completed %v, digest %q)", rep.Completed, rep.StateDigest)
+	}
+	got, stateBytes := after.TotalAlloc-before.TotalAlloc, uint64(8*elems)
+	t.Logf("run to completion: %d bytes allocated for a %d-byte State", got, stateBytes)
+	if limit := stateBytes + stateBytes/8; got > limit {
+		t.Errorf("run to completion allocated %d bytes for a %d-byte State, want <= %d", got, stateBytes, limit)
+	}
+}
+
 // stateOf returns a copy of the straggler's State elements in order, the
 // hole left out.
 func stateOf(a *Straggler) []float64 {
@@ -1618,7 +1643,7 @@ func TestStragglerHoleMatchesTail(t *testing.T) {
 				}
 				a.Iter = iter + 1
 				var err error
-				if snaps[iter], err = a.Snapshot(); err != nil {
+				if snaps[iter], err = snapshot(a); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -1627,7 +1652,7 @@ func TestStragglerHoleMatchesTail(t *testing.T) {
 				if err := b.Restore(snaps[at]); err != nil {
 					t.Fatalf("%s: restore at %d: %v", name, at+1, err)
 				}
-				if again, _ := b.Snapshot(); !bytes.Equal(again, snaps[at]) {
+				if again, _ := snapshot(b); !bytes.Equal(again, snaps[at]) {
 					t.Fatalf("%s: restore at %d did not round-trip the snapshot", name, at+1)
 				}
 				if next := (at + every) / max(every, 1) * every; every > 0 && next < iters && insertPos(next, b.state.Len()) != b.state.lo {
@@ -1635,7 +1660,7 @@ func TestStragglerHoleMatchesTail(t *testing.T) {
 				}
 				churnHot(b, at+1, iters)
 				b.Iter = iters
-				if last, _ := b.Snapshot(); !bytes.Equal(last, snaps[iters-1]) {
+				if last, _ := snapshot(b); !bytes.Equal(last, snaps[iters-1]) {
 					t.Fatalf("%s: restored at %d, ended elsewhere than the uninterrupted rank", name, at+1)
 				}
 			}
@@ -1650,7 +1675,7 @@ func TestStragglerHoleMatchesTail(t *testing.T) {
 			}
 			churnHot(c, 1, iters)
 			c.Iter = iters
-			if last, _ := c.Snapshot(); !bytes.Equal(last, snaps[iters-1]) {
+			if last, _ := snapshot(c); !bytes.Equal(last, snaps[iters-1]) {
 				t.Fatalf("%s: a hole that ran out of room lost elements", name)
 			}
 		}
@@ -1684,7 +1709,7 @@ func TestStragglerHoleMoves(t *testing.T) {
 		t.Fatalf("18 insertions moved %d elements, want %d", moved, want)
 	}
 	a.Iter = 20
-	snap, err := a.Snapshot()
+	snap, err := snapshot(a)
 	if err != nil {
 		t.Fatal(err)
 	}

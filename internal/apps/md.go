@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"io"
 	"math"
 
 	"mana/internal/mpi"
@@ -219,11 +220,11 @@ func (m *MD) Step(env *rt.Env) (bool, error) {
 	return m.Iter < m.cfg.Steps, nil
 }
 
-// Snapshot implements rt.App: the header words Iter, Phase and Energy, then
-// Pos, Vel and Frc, then the buffers (rt.Buffers).
-func (m *MD) Snapshot() ([]byte, error) {
-	return m.bufs.Snapshot([]uint64{uint64(m.Iter), uint64(m.Phase), math.Float64bits(m.Energy)},
-		m.Pos, m.Vel, m.Frc), nil
+// SnapshotTo implements rt.App: the header words Iter, Phase and Energy,
+// then Pos, Vel and Frc, then the buffers (rt.Buffers).
+func (m *MD) SnapshotTo(w io.Writer) error {
+	return m.bufs.SnapshotTo(w, []uint64{uint64(m.Iter), uint64(m.Phase), math.Float64bits(m.Energy)},
+		m.Pos, m.Vel, m.Frc)
 }
 
 // Restore implements rt.App.

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"io"
 
 	"mana/internal/netmodel"
 	"mana/internal/rt"
@@ -73,9 +74,9 @@ func (o *OSU) Step(env *rt.Env) (bool, error) {
 	return o.Iter < o.cfg.Iterations, nil
 }
 
-// Snapshot implements rt.App: the header words Iter and Phase (rt.Buffers).
-func (o *OSU) Snapshot() ([]byte, error) {
-	return o.bufs.Snapshot([]uint64{uint64(o.Iter), uint64(o.Phase)}), nil
+// SnapshotTo implements rt.App: the header words Iter and Phase (rt.Buffers).
+func (o *OSU) SnapshotTo(w io.Writer) error {
+	return o.bufs.SnapshotTo(w, []uint64{uint64(o.Iter), uint64(o.Phase)})
 }
 
 // Restore implements rt.App. A blocking loop has the one phase 0.

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"io"
 
 	"mana/internal/rt"
 )
@@ -143,10 +144,10 @@ func (o *OSUP2P) Step(env *rt.Env) (bool, error) {
 	return true, nil
 }
 
-// Snapshot implements rt.App: the header words Iter and Phase, then the
+// SnapshotTo implements rt.App: the header words Iter and Phase, then the
 // buffer (rt.Buffers).
-func (o *OSUP2P) Snapshot() ([]byte, error) {
-	return o.bufs.Snapshot([]uint64{uint64(o.Iter), uint64(o.Phase)}), nil
+func (o *OSUP2P) SnapshotTo(w io.Writer) error {
+	return o.bufs.SnapshotTo(w, []uint64{uint64(o.Iter), uint64(o.Phase)})
 }
 
 // Restore implements rt.App.

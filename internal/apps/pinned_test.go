@@ -53,29 +53,29 @@ func TestVirtualTimeUntouched(t *testing.T) {
 		want       map[string]string // by algorithm
 	}{
 		{"vasp", 64, 32, vasp, map[string]string{
-			rt.AlgoNative: "3fa7e8c6845c914d d3bddb70b034f60f {7744 0 5120 5120 0 5120 0 103424 0 [0 0 0 2560 0 64 5120 0 0 0 0 0 0 0 0 0] 0 0 0 0 0}",
-			rt.AlgoCC:     "3fa7ea3e53a10796 d3bddb70b034f60f {7744 0 5120 5120 0 5120 0 103424 0 [0 0 0 2560 0 64 5120 0 0 0 0 0 0 0 0 0] 17920 0 0 0 0}",
-			rt.Algo2PC:    "3fa84c135acef94a d3bddb70b034f60f {7744 7680 5120 5120 394240 12800 0 103424 0 [7680 0 0 2560 0 64 5120 0 0 0 0 0 0 0 0 0] 17920 0 0 7680 0}",
+			rt.AlgoNative: "3fa7e8c6845c914d d3bddb70b034f60f {7744 0 5120 5120 0 5120 103424 0 [0 0 0 2560 0 64 5120 0 0 0 0 0 0 0 0 0] 0 0 0 0 0}",
+			rt.AlgoCC:     "3fa7ea3e53a10796 d3bddb70b034f60f {7744 0 5120 5120 0 5120 103424 0 [0 0 0 2560 0 64 5120 0 0 0 0 0 0 0 0 0] 17920 0 0 0 0}",
+			rt.Algo2PC:    "3fa84c135acef94a d3bddb70b034f60f {7744 7680 5120 5120 394240 12800 103424 0 [7680 0 0 2560 0 64 5120 0 0 0 0 0 0 0 0 0] 17920 0 0 7680 0}",
 		}},
 		{"osu-allreduce", 16, 4, osu(OSUConfig{Kind: netmodel.Allreduce, Size: 8, Iterations: 50}), map[string]string{
-			rt.AlgoNative: "3f40bfebbdd3b5a4 d88c0b8cebfae63e {800 0 0 0 0 0 0 6400 0 [0 0 0 800 0 0 0 0 0 0 0 0 0 0 0 0] 0 0 0 0 0}",
-			rt.AlgoCC:     "3f40d0b2b5746b8d d88c0b8cebfae63e {800 0 0 0 0 0 0 6400 0 [0 0 0 800 0 0 0 0 0 0 0 0 0 0 0 0] 800 0 0 0 0}",
-			rt.Algo2PC:    "3f50d006e8fd5a01 d88c0b8cebfae63e {800 800 0 0 68000 800 0 6400 0 [800 0 0 800 0 0 0 0 0 0 0 0 0 0 0 0] 800 0 0 800 0}",
+			rt.AlgoNative: "3f40bfebbdd3b5a4 d88c0b8cebfae63e {800 0 0 0 0 0 6400 0 [0 0 0 800 0 0 0 0 0 0 0 0 0 0 0 0] 0 0 0 0 0}",
+			rt.AlgoCC:     "3f40d0b2b5746b8d d88c0b8cebfae63e {800 0 0 0 0 0 6400 0 [0 0 0 800 0 0 0 0 0 0 0 0 0 0 0 0] 800 0 0 0 0}",
+			rt.Algo2PC:    "3f50d006e8fd5a01 d88c0b8cebfae63e {800 800 0 0 68000 800 6400 0 [800 0 0 800 0 0 0 0 0 0 0 0 0 0 0 0] 800 0 0 800 0}",
 		}},
 		{"osu-bcast", 16, 4, osu(OSUConfig{Kind: netmodel.Bcast, Size: 1024, Iterations: 50}), map[string]string{
-			rt.AlgoNative: "3f29b4b1f8e0fce0 d88c0b8cebfae63e {800 0 0 0 0 0 0 819200 0 [0 800 0 0 0 0 0 0 0 0 0 0 0 0 0 0] 0 0 0 0 0}",
-			rt.AlgoCC:     "3f29f7cdd763d49e d88c0b8cebfae63e {800 0 0 0 0 0 0 819200 0 [0 800 0 0 0 0 0 0 0 0 0 0 0 0 0 0] 800 0 0 0 0}",
-			rt.Algo2PC:    "3f5077c761d3da7b d88c0b8cebfae63e {800 800 0 0 77310 800 0 819200 0 [800 800 0 0 0 0 0 0 0 0 0 0 0 0 0 0] 800 0 0 800 0}",
+			rt.AlgoNative: "3f29b4b1f8e0fce0 d88c0b8cebfae63e {800 0 0 0 0 0 819200 0 [0 800 0 0 0 0 0 0 0 0 0 0 0 0 0 0] 0 0 0 0 0}",
+			rt.AlgoCC:     "3f29f7cdd763d49e d88c0b8cebfae63e {800 0 0 0 0 0 819200 0 [0 800 0 0 0 0 0 0 0 0 0 0 0 0 0 0] 800 0 0 0 0}",
+			rt.Algo2PC:    "3f5077c761d3da7b d88c0b8cebfae63e {800 800 0 0 77310 800 819200 0 [800 800 0 0 0 0 0 0 0 0 0 0 0 0 0 0] 800 0 0 800 0}",
 		}},
 		{"osu-iallreduce", 16, 4, osu(OSUConfig{Kind: netmodel.Allreduce, Nonblocking: true, Size: 8, Iterations: 50, ComputeWindow: 5e-6}),
 			map[string]string{
-				rt.AlgoNative: "3f40bfebbdd3b5a4 d88c0b8cebfae63e {0 800 0 0 0 800 0 6400 0 [0 0 0 800 0 0 0 0 0 0 0 0 0 0 0 0] 0 0 0 0 0}",
-				rt.AlgoCC:     "3f40d0b2b5746b8d d88c0b8cebfae63e {0 800 0 0 0 800 0 6400 0 [0 0 0 800 0 0 0 0 0 0 0 0 0 0 0 0] 800 0 0 0 0}",
+				rt.AlgoNative: "3f40bfebbdd3b5a4 d88c0b8cebfae63e {0 800 0 0 0 800 6400 0 [0 0 0 800 0 0 0 0 0 0 0 0 0 0 0 0] 0 0 0 0 0}",
+				rt.AlgoCC:     "3f40d0b2b5746b8d d88c0b8cebfae63e {0 800 0 0 0 800 6400 0 [0 0 0 800 0 0 0 0 0 0 0 0 0 0 0 0] 800 0 0 0 0}",
 			}},
 		{"straggler", 8, 4, straggler, map[string]string{
-			rt.AlgoNative: "3f37a3cbfcb72dfa ff393bf55df5729b {152 0 0 0 0 0 0 1280 0 [0 0 0 144 0 8 0 0 0 0 0 0 0 0 0 0] 0 0 0 0 0}",
-			rt.AlgoCC:     "3f37cc0fe89f48fd ff393bf55df5729b {152 0 0 0 0 0 0 1280 0 [0 0 0 144 0 8 0 0 0 0 0 0 0 0 0 0] 144 0 0 0 0}",
-			rt.Algo2PC:    "3f43cd5d029ef29f ff393bf55df5729b {152 144 0 0 5400 144 0 1280 0 [144 0 0 144 0 8 0 0 0 0 0 0 0 0 0 0] 144 0 0 144 0}",
+			rt.AlgoNative: "3f37a3cbfcb72dfa ff393bf55df5729b {152 0 0 0 0 0 1280 0 [0 0 0 144 0 8 0 0 0 0 0 0 0 0 0 0] 0 0 0 0 0}",
+			rt.AlgoCC:     "3f37cc0fe89f48fd ff393bf55df5729b {152 0 0 0 0 0 1280 0 [0 0 0 144 0 8 0 0 0 0 0 0 0 0 0 0] 144 0 0 0 0}",
+			rt.Algo2PC:    "3f43cd5d029ef29f ff393bf55df5729b {152 144 0 0 5400 144 1280 0 [144 0 0 144 0 8 0 0 0 0 0 0 0 0 0 0] 144 0 0 144 0}",
 		}},
 	}
 	for _, c := range cases {

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"io"
 	"math"
 
 	"mana/internal/mpi"
@@ -165,12 +166,12 @@ func (p *Poisson) Step(env *rt.Env) (bool, error) {
 	return true, nil
 }
 
-// Snapshot implements rt.App: the header words Iter, Phase, Rho, Residual
+// SnapshotTo implements rt.App: the header words Iter, Phase, Rho, Residual
 // and Converged, then X, R, P and Q, then the buffers (rt.Buffers).
-func (p *Poisson) Snapshot() ([]byte, error) {
-	return p.bufs.Snapshot([]uint64{uint64(p.Iter), uint64(p.Phase),
+func (p *Poisson) SnapshotTo(w io.Writer) error {
+	return p.bufs.SnapshotTo(w, []uint64{uint64(p.Iter), uint64(p.Phase),
 		math.Float64bits(p.Rho), math.Float64bits(p.Residual), boolWord(p.Converged)},
-		p.X, p.R, p.P, p.Q), nil
+		p.X, p.R, p.P, p.Q)
 }
 
 // Restore implements rt.App. The Converged word is checked before

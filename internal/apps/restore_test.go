@@ -212,20 +212,20 @@ func TestAppRestoreHostile(t *testing.T) {
 			}
 		}
 		t.Logf("%s: %d cases on a %d-byte snapshot at iteration %d, phase %d", a.name, len(cases), len(good), word(good, 0), word(good, 1))
-		before, _ := dst.Snapshot()
+		before, _ := snapshot(dst)
 		for _, c := range cases {
 			err := dst.Restore(c.data)
 			if err == nil || !strings.HasPrefix(err.Error(), a.name+": ") || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("%s: %s: got %v, want a %s: error about %q", a.name, c.name, err, a.name, c.want)
 			}
-			if after, _ := dst.Snapshot(); !bytes.Equal(after, before) {
+			if after, _ := snapshot(dst); !bytes.Equal(after, before) {
 				t.Errorf("%s: %s: a refused snapshot changed the rank", a.name, c.name)
 			}
 		}
 		if err := dst.Restore(good); err != nil {
 			t.Fatalf("%s: the mid-run snapshot the cases edit is refused: %v", a.name, err)
 		}
-		if again, _ := dst.Snapshot(); !bytes.Equal(again, good) {
+		if again, _ := snapshot(dst); !bytes.Equal(again, good) {
 			t.Fatalf("%s: restore did not round-trip the mid-run snapshot", a.name)
 		}
 	}
@@ -240,7 +240,7 @@ func TestRestoreAllocs(t *testing.T) {
 		t.Skip("the race detector allocates on its own account")
 	}
 	cfg := VASPConfig{Iterations: 10, SlabN: 64}
-	vasp, err := vaspRank(cfg).Snapshot()
+	vasp, err := snapshot(vaspRank(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,13 +301,13 @@ func FuzzAppRestore(f *testing.F) {
 				t.Fatalf("%s: the mid-run snapshot is refused: %v", name, err)
 			}
 		}
-		before, _ := app.Snapshot()
+		before, _ := snapshot(app)
 		var err error
 		got := heapBytes(func() { err = app.Restore(data) })
 		if limit := uint64(len(data)) + (1 << 10); checkAllocs && got > limit {
 			t.Fatalf("%s: Restore of %d bytes allocated %d (limit %d; err %v)", name, len(data), got, limit, err)
 		}
-		after, _ := app.Snapshot()
+		after, _ := snapshot(app)
 		switch {
 		case err != nil && !strings.HasPrefix(err.Error(), name+": "):
 			t.Fatalf("refusal without the %s: prefix: %v", name, err)

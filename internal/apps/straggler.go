@@ -166,9 +166,9 @@ func NewStraggler(cfg StragglerConfig, rank int) *Straggler {
 	return a
 }
 
-// initState builds the initial State if there is none yet. Step, Snapshot
-// and SnapshotTo call it; Restore does not, because the snapshot carries
-// every element the initial state would have held.
+// initState builds the initial State if there is none yet. Step and
+// SnapshotTo call it; Restore does not, because the snapshot carries every
+// element the initial state would have held.
 func (a *Straggler) initState() {
 	if a.state.buf != nil {
 		return
@@ -312,24 +312,12 @@ func (a *Straggler) churn() {
 // the State's own bytes (holed), so the layout costs a copy and no more.
 
 // snapshotLen is the byte length of that layout for nSum Sum bytes and
-// nState State elements: what Snapshot reserves, SnapshotTo writes and
-// Restore requires.
+// nState State elements: what SnapshotTo writes and Restore requires.
 func snapshotLen(nSum, nState int) int { return 5*8 + nSum + 8*nState }
 
-func (a *Straggler) Snapshot() ([]byte, error) {
-	a.initState()
-	var buf bytes.Buffer
-	buf.Grow(snapshotLen(len(a.Sum), a.state.Len()))
-	if err := a.SnapshotTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// SnapshotTo implements rt.StreamSnapshotter: the header, Sum, then the
-// State's runs either side of its hole, each handed to w as the rank holds
-// it — no per-element encoding, no scratch. Produces exactly Snapshot's
-// bytes.
+// SnapshotTo implements rt.App: the header, Sum, then the State's runs
+// either side of its hole, each handed to w as the rank holds it — no
+// per-element encoding, no scratch.
 func (a *Straggler) SnapshotTo(w io.Writer) error {
 	a.initState()
 	binary.LittleEndian.PutUint64(a.hdr[0:], uint64(a.Iter))

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"io"
 	"math"
 
 	"mana/internal/mpi"
@@ -153,11 +154,11 @@ func (s *SW4Mini) Step(env *rt.Env) (bool, error) {
 	return s.Iter < s.cfg.Steps, nil
 }
 
-// Snapshot implements rt.App: the header words Iter, Phase and MaxU, then U
-// and Uprev, then the buffers (rt.Buffers).
-func (s *SW4Mini) Snapshot() ([]byte, error) {
-	return s.bufs.Snapshot([]uint64{uint64(s.Iter), uint64(s.Phase), math.Float64bits(s.MaxU)},
-		s.U, s.Uprev), nil
+// SnapshotTo implements rt.App: the header words Iter, Phase and MaxU, then
+// U and Uprev, then the buffers (rt.Buffers).
+func (s *SW4Mini) SnapshotTo(w io.Writer) error {
+	return s.bufs.SnapshotTo(w, []uint64{uint64(s.Iter), uint64(s.Phase), math.Float64bits(s.MaxU)},
+		s.U, s.Uprev)
 }
 
 // Restore implements rt.App.

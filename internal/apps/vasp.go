@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -90,7 +89,7 @@ func (v *VASPMini) Setup(env *rt.Env) error {
 	return nil
 }
 
-// initSlab draws the initial slab if there is none yet. Step, Snapshot and
+// initSlab draws the initial slab if there is none yet. Step and
 // SnapshotTo call it; Restore does not, because the snapshot carries the
 // slab and the generator state the draws would have left.
 func (v *VASPMini) initSlab() {
@@ -194,29 +193,18 @@ func (v *VASPMini) foldAta() {
 // vasp_coll's legs write about 6 % fewer bytes than with (re, im) pairs.
 const vaspHeaderLen = 6 * 8
 
-// Snapshot implements rt.App, in one allocation of the layout's size.
-func (v *VASPMini) Snapshot() ([]byte, error) {
-	v.initSlab()
-	dst := make([]byte, 0, vaspHeaderLen+16*len(v.Slab)+v.bufs.SectionLen())
-	for _, w := range [...]uint64{uint64(v.Iter), uint64(v.Phase), math.Float64bits(v.Energy), v.rng.S,
-		uint64(len(v.Slab)), uint64(v.bufs.Len())} {
-		dst = binary.LittleEndian.AppendUint64(dst, w)
-	}
-	for _, z := range v.Slab {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(real(z)))
-	}
-	for _, z := range v.Slab {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(imag(z)))
-	}
-	return v.bufs.AppendSection(dst), nil
-}
-
-// SnapshotTo implements rt.StreamSnapshotter with one Write of Snapshot's
-// bytes (about 1.4 KB a rank).
+// SnapshotTo implements rt.App: the layout's header words, then the slab's
+// real and imaginary parts as two arrays, then the buffers (rt.Buffers) —
+// one Write of about 1.4 KB a rank.
 func (v *VASPMini) SnapshotTo(w io.Writer) error {
-	snap, _ := v.Snapshot()
-	_, err := w.Write(snap)
-	return err
+	v.initSlab()
+	parts := make([]float64, 2*len(v.Slab))
+	re, im := parts[:len(v.Slab)], parts[len(v.Slab):]
+	for i, z := range v.Slab {
+		re[i], im[i] = real(z), imag(z)
+	}
+	return v.bufs.SnapshotTo(w, []uint64{uint64(v.Iter), uint64(v.Phase), math.Float64bits(v.Energy), v.rng.S,
+		uint64(len(v.Slab)), uint64(v.bufs.Len())}, re, im)
 }
 
 // Restore implements rt.App. Every count is checked against the bytes

@@ -9,6 +9,7 @@ package ckpt
 import (
 	"bytes"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"os"
 	"reflect"
@@ -644,7 +645,10 @@ func cdcCoordinator(t *testing.T, store Store, state *shiftState, n int) *Coordi
 	t.Helper()
 	c, _, _ := newStubCoordinator(t, n, Plan{Store: store, Incremental: true, CDC: true})
 	h := c.hooks[0]
-	h.AppSnapshot = func() ([]byte, error) { return bytes.Clone(state.b), nil }
+	h.AppSnapshotTo = func(w io.Writer) error {
+		_, err := w.Write(state.b)
+		return err
+	}
 	c.RegisterRank(0, h)
 	return c
 }

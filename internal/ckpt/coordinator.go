@@ -109,12 +109,8 @@ type Plan struct {
 // are invoked while the rank is parked (blocked), so they may read the
 // rank's state without further synchronization.
 type RankHooks struct {
-	// AppSnapshot serializes the application's upper-half state.
-	AppSnapshot func() ([]byte, error)
-	// AppSnapshotTo, when non-nil, is preferred over AppSnapshot: it streams
-	// the same bytes into a writer, letting the capture path fill its buffer
-	// without the double allocation of build-then-copy. The two MUST produce
-	// identical bytes — shard identity (and page-delta diffing) hashes them.
+	// AppSnapshotTo streams the application's upper-half state into the
+	// capture buffer (captureBuffer).
 	AppSnapshotTo func(w io.Writer) error
 	// Restored is the bytes this rank was restored from (nil on a fresh
 	// start), handed over with their capacity: the coordinator owns them
@@ -513,29 +509,20 @@ func (c *Coordinator) captureRank(r int, img *JobImage) error {
 				r, posted, len(ri.Desc.Recvs))
 		}
 	}
-	if h := c.hooks[r]; h.AppSnapshot != nil || h.AppSnapshotTo != nil {
-		if h.AppSnapshotTo != nil {
-			// Streaming fast path: the app writes straight into the image
-			// buffer instead of building a private []byte the capture then
-			// copies. The buffer is sized up front from the rank's expected
-			// length, so a state that grew no more than the headroom since is
-			// captured in at most one allocation; with no expectation (a
-			// fresh start's first capture) it grows by doubling.
-			buf := bytes.NewBuffer(c.captureBuffer(r))
-			if err := h.AppSnapshotTo(buf); err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("ckpt: rank %d app snapshot: %w", r, err)
-				}
-			} else {
-				ri.App = buf.Bytes()
-				c.appLens[r] = len(ri.App)
-			}
-		} else {
-			app, err := h.AppSnapshot()
-			if err != nil && firstErr == nil {
+	if h := c.hooks[r]; h.AppSnapshotTo != nil {
+		// The app writes straight into the image buffer. The buffer is sized
+		// up front from the rank's expected length, so a state that grew no
+		// more than the headroom since is captured in at most one
+		// allocation; with no expectation (a fresh start's first capture) it
+		// grows by doubling.
+		buf := bytes.NewBuffer(c.captureBuffer(r))
+		if err := h.AppSnapshotTo(buf); err != nil {
+			if firstErr == nil {
 				firstErr = fmt.Errorf("ckpt: rank %d app snapshot: %w", r, err)
 			}
-			ri.App = app
+		} else {
+			ri.App = buf.Bytes()
+			c.appLens[r] = len(ri.App)
 		}
 		proto, err := h.ProtoSnapshot()
 		if err != nil && firstErr == nil {

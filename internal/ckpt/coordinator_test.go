@@ -52,7 +52,10 @@ func newStubCoordinator(t testing.TB, n int, plan Plan) (*Coordinator, *stubAlgo
 	for r := 0; r < n; r++ {
 		rank := r
 		c.RegisterRank(r, RankHooks{
-			AppSnapshot:   func() ([]byte, error) { return []byte{byte(rank)}, nil },
+			AppSnapshotTo: func(w io.Writer) error {
+				_, err := w.Write([]byte{byte(rank)})
+				return err
+			},
 			ProtoSnapshot: func() ([]byte, error) { return nil, nil },
 			ClockVT:       func() float64 { return float64(rank) },
 			SetClock:      func(vt float64) {},

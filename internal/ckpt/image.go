@@ -602,8 +602,10 @@ var shardRawMagic = []byte("MANASHD1")
 // copied out by offset without streaming the bytes before it.
 //
 // The payload segments alias the captured image, which is immutable once
-// captureRank returns (see rt.App): that is what lets the commit stamp the
-// hash pass's identity onto bytes it writes later without re-hashing them.
+// captureRank returns — the app streamed its state into a buffer the
+// coordinator owns (RankHooks.AppSnapshotTo): that is what lets the commit
+// stamp the hash pass's identity onto bytes it writes later without
+// re-hashing them.
 type shardStream struct {
 	ri     *RankImage // the image the segments alias
 	segs   [][]byte   // non-empty segments, in stream order

@@ -215,12 +215,13 @@ func TestCaptureSerialParallelEquivalent(t *testing.T) {
 		for r := 0; r < n; r++ {
 			rank := r
 			c.RegisterRank(r, RankHooks{
-				AppSnapshot: func() ([]byte, error) {
+				AppSnapshotTo: func(w io.Writer) error {
 					buf := make([]byte, 128)
 					for i := range buf {
 						buf[i] = byte(rank * i)
 					}
-					return buf, nil
+					_, err := w.Write(buf)
+					return err
 				},
 				ProtoSnapshot: func() ([]byte, error) { return []byte{byte(rank)}, nil },
 				ClockVT:       func() float64 { return float64(rank) },

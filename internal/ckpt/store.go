@@ -337,8 +337,9 @@ type CommitStats struct {
 // manifest. parent is the previously committed manifest (nil for the
 // chain's first epoch, or when incremental reuse is disabled).
 //
-// A shard is reused when its clockless raw gob hashes identically (RawSum,
-// RawSize) to the parent epoch's entry for the same rank; the manifest then
+// A shard is reused when its clockless logical stream (RawFormatChunked)
+// hashes identically (RawSum, RawSize) to the parent epoch's entry for the
+// same rank; the manifest then
 // records a reference to the epoch that physically holds the bytes
 // (reference chains are collapsed: RefEpoch is copied from the parent
 // entry, never left pointing at an intermediate reference).
@@ -351,8 +352,9 @@ func CommitCapture(store Store, epoch int, parent *Manifest, img *JobImage) (*Ma
 }
 
 // ShardSums holds stage 2a's output: every rank's clockless shard identity
-// (raw gob size and XXH64 hash), computed by streaming each gob through a
-// counter — no raw bytes are retained. It depends only on the image — not
+// (the logical stream's size and XXH64 hash), computed in one walk over the
+// stream's segments — its gob header, then the payloads in place, none
+// copied (shardStream). It depends only on the image — not
 // on the parent manifest — so the coordinator computes it BEFORE taking the
 // epoch-ordering ticket, letting concurrent background commits hash in
 // parallel instead of queueing their CPU work behind the previous epoch.
@@ -570,11 +572,10 @@ func buildCommit(store Store, codec Codec, epoch int, parent *Manifest, img *Job
 		}
 		p := parentByRank[ri.Rank]
 		switch {
-		// Reuse keys on the raw identity, which includes the layout: a
-		// legacy-format parent shard never hashes equal to a chunked one, so
-		// a chain resumed from an old store re-writes (not mis-references)
-		// its first capture. The reused entry copies the parent's format so
-		// decode follows the bytes that actually exist.
+		// Reuse keys on the identity of the logical stream, whatever
+		// object the parent stored it as: a full shard, a page delta or a
+		// CDC object. The reused entry copies the parent's format so decode
+		// follows the bytes that actually exist.
 		case p != nil && p.RawSum == sums.Sums[i] && p.RawSize == sums.Sizes[i]:
 			// Unchanged since the parent capture: reference the bytes where
 			// they already live instead of rewriting them. A page-delta
@@ -750,8 +751,8 @@ func buildCommit(store Store, codec Codec, epoch int, parent *Manifest, img *Job
 // deltaEligible reports whether rank i's changed shard can be stored as a
 // page delta against parent entry p: the parent must carry a page table at
 // this capture's page size over an identical-length logical stream (page
-// diffs are positional), and must itself be a chunked or page-delta shard —
-// a legacy gob parent has no compatible layout and forces a clean
+// diffs are positional), and must itself be a full or page-delta shard: a
+// CDC parent names its bytes by chunk, not by page, so it forces a clean
 // full-shard fallback.
 func deltaEligible(p *ShardInfo, sums *ShardSums, i int) bool {
 	return p != nil &&

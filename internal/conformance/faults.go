@@ -9,6 +9,7 @@ package conformance
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -52,11 +53,11 @@ func (f *faultApp) Step(env *rt.Env) (bool, error) {
 	return f.App.Step(env)
 }
 
-func (f *faultApp) Snapshot() ([]byte, error) {
+func (f *faultApp) SnapshotTo(w io.Writer) error {
 	if f.mode == faultSnapshot {
-		return nil, fmt.Errorf("injected fault: snapshot failed mid-capture")
+		return fmt.Errorf("injected fault: snapshot failed mid-capture")
 	}
-	return f.App.Snapshot()
+	return f.App.SnapshotTo(w)
 }
 
 // VerifyFaultInjection kills one rank mid-drain (crash and silent-hang

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
-	"io"
 	"os"
 	"os/exec"
 	"sync"
@@ -41,10 +40,6 @@ func (a *gatedApp) Step(env *rt.Env) (bool, error) {
 		a.left.Wait()
 	}
 	return more, err
-}
-
-func (a *gatedApp) SnapshotTo(w io.Writer) error {
-	return a.App.(rt.StreamSnapshotter).SnapshotTo(w)
 }
 
 // goldenConfig is the job the golden chains run: three ranks on two nodes.

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"io"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -27,8 +28,11 @@ func (a *allocApp) Buffer(id string) []byte {
 	}
 	return a.x
 }
-func (a *allocApp) Snapshot() ([]byte, error) { return []byte{byte(a.iter)}, nil }
-func (a *allocApp) Restore([]byte) error      { return nil }
+func (a *allocApp) SnapshotTo(w io.Writer) error {
+	_, err := w.Write([]byte{byte(a.iter)})
+	return err
+}
+func (a *allocApp) Restore([]byte) error { return nil }
 
 func (a *allocApp) Step(env *Env) (bool, error) {
 	a.iter++

@@ -21,10 +21,11 @@ import "io"
 //   - The constructor and Setup build nothing that a snapshot carries,
 //     beyond the named buffers Restore fills in place. A restarted rank runs
 //     both and then Restore, so any state they fill is paid for and thrown
-//     away; build it on first use instead (the first Step, Snapshot or
-//     SnapshotTo). The split-process model restores the upper half's memory
-//     the same way, without re-running its initialisation.
-//   - All mutable state lives in the App value and is captured by Snapshot.
+//     away; build it on first use instead (the first Step or SnapshotTo).
+//     The split-process model restores the upper half's memory the same
+//     way, without re-running its initialisation.
+//   - All mutable state lives in the App value and is captured by
+//     SnapshotTo, the one way an App serializes itself.
 //   - Each Step performs at most one *blocking* MPI batch (one blocking
 //     collective, or one WaitAll), as its final action, and the state
 //     machine's program counter must be advanced *before* issuing it;
@@ -50,8 +51,8 @@ import "io"
 // phase Step has no case for, an iteration past the run or other buffers,
 // leaving the rank as it was. For an app whose state is Iter, Phase and Acc:
 //
-//	func (c *counter) Snapshot() ([]byte, error) {
-//		return c.bufs.Snapshot([]uint64{uint64(c.Iter), uint64(c.Phase), math.Float64bits(c.Acc)}), nil
+//	func (c *counter) SnapshotTo(w io.Writer) error {
+//		return c.bufs.SnapshotTo(w, []uint64{uint64(c.Iter), uint64(c.Phase), math.Float64bits(c.Acc)})
 //	}
 //
 //	func (c *counter) Restore(data []byte) error {
@@ -71,33 +72,24 @@ type App interface {
 	// Step advances the application by one unit of work, returning false
 	// when the program is complete.
 	Step(env *Env) (more bool, err error)
-	// Snapshot serializes all mutable state (the upper-half image). The
-	// returned bytes must not alias live state: the captured image is
-	// IMMUTABLE from the moment Snapshot returns — later Steps must leave
-	// every byte of it as it was. The checkpoint pipeline hashes the image
-	// once and writes it to the store later (behind the resumed job, when
-	// the capture is asynchronous) without hashing it again, so an app that
-	// hands out a view of a buffer it keeps mutating would seal shards
-	// whose bytes do not match their recorded identity.
-	Snapshot() ([]byte, error)
-	// Restore rebuilds state from a Snapshot. Like io.Writer's Write, it
-	// must not retain data after it returns: the runtime owns those bytes,
-	// and a restarted rank's first capture overwrites them (see Restart).
+	// StreamSnapshotter serializes all mutable state (the upper-half image).
+	StreamSnapshotter
+	// Restore rebuilds state from SnapshotTo's bytes. Like io.Writer's
+	// Write, it must not retain data after it returns: the runtime owns
+	// those bytes, and a restarted rank's first capture overwrites them
+	// (see Restart).
 	Restore(data []byte) error
 	// Buffer resolves a named communication buffer.
 	Buffer(id string) []byte
 }
 
-// StreamSnapshotter is an optional App extension: an app that can serialize
-// its state directly into a writer. When implemented, the runtime's capture
-// path prefers it over Snapshot — the image buffer is filled in one pass
-// instead of build-then-copy. SnapshotTo MUST produce exactly the bytes
-// Snapshot would return: shard identity (and page-delta diffing against the
-// previous epoch) hashes the serialized stream, and the runtime's final
-// job digest still uses Snapshot. Snapshot's immutability rule comes for
-// free here: an io.Writer never retains the slice it is handed, so the
-// capture buffer holds its own copy of every byte written (handing w the
-// app's live state, or one scratch block refilled between Writes, is fine).
+// StreamSnapshotter is how an App serializes itself: SnapshotTo writes the
+// rank's whole state to w, in as many Writes as suits the app, and the same
+// state always as the same bytes (job digests are compared bitwise). The
+// runtime calls it only while the rank is parked or finished. The capture
+// streams it into the image buffer and the job digest into a hash. An
+// io.Writer never keeps the slice it is handed, so w may be given the
+// app's live state, and then no copy of the state is built on the way.
 type StreamSnapshotter interface {
 	SnapshotTo(w io.Writer) error
 }

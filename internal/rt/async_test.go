@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -253,11 +254,11 @@ func TestSnapshotFailureSurfaces(t *testing.T) {
 	}
 }
 
-// failingSnapshotApp delegates everything but fails every Snapshot call.
+// failingSnapshotApp delegates everything but fails every SnapshotTo call.
 type failingSnapshotApp struct{ App }
 
-func (f *failingSnapshotApp) Snapshot() ([]byte, error) {
-	return nil, errSnapshotFault
+func (f *failingSnapshotApp) SnapshotTo(io.Writer) error {
+	return errSnapshotFault
 }
 
 var errSnapshotFault = &snapshotFaultError{}

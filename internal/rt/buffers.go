@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"slices"
 )
@@ -46,23 +47,6 @@ func (b *Buffers) SectionLen() int {
 		n += 16 + len(id) + len(data)
 	}
 	return n
-}
-
-// AppendSection appends the buffer section to dst. The IDs are sorted in a
-// small array on the stack: a registry holds a handful of buffers.
-func (b *Buffers) AppendSection(dst []byte) []byte {
-	ids := make([]string, 0, 8)
-	for id := range b.m {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(id)))
-		dst = append(dst, id...)
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(b.m[id])))
-		dst = append(dst, b.m[id]...)
-	}
-	return dst
 }
 
 // lengthPrefixed splits a length word and the bytes it counts off the front
@@ -117,36 +101,52 @@ func (b *Buffers) RestoreSection(sec []byte) {
 	}
 }
 
-// Snapshot lays out the header words hdr — Iter and Phase first — the
-// arrays and the buffer section, in one allocation of the exact size.
-func (b *Buffers) Snapshot(hdr []uint64, arrays ...[]float64) []byte {
-	n := 8*len(hdr) + b.SectionLen()
-	for _, a := range arrays {
-		n += 8 * len(a)
-	}
-	dst := make([]byte, 0, n)
-	for _, w := range hdr {
-		dst = binary.LittleEndian.AppendUint64(dst, w)
+// SnapshotTo writes the header words hdr — Iter and Phase first — the
+// arrays and the buffer section to w, laid out in one allocation of the
+// exact size and handed over in one Write.
+func (b *Buffers) SnapshotTo(w io.Writer, hdr []uint64, arrays ...[]float64) error {
+	dst := make([]byte, 0, fixedLen(hdr, arrays)+b.SectionLen())
+	for _, x := range hdr {
+		dst = binary.LittleEndian.AppendUint64(dst, x)
 	}
 	for _, a := range arrays {
 		for _, x := range a {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 		}
 	}
-	return b.AppendSection(dst)
+	ids := make([]string, 0, 8) // on the stack: a registry holds a handful of buffers
+	for id := range b.m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(id)))
+		dst = append(dst, id...)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(b.m[id])))
+		dst = append(dst, b.m[id]...)
+	}
+	_, err := w.Write(dst)
+	return err
+}
+
+// fixedLen is the byte length of the header words and arrays.
+func fixedLen(hdr []uint64, arrays [][]float64) int {
+	n := 8 * len(hdr)
+	for _, a := range arrays {
+		n += 8 * len(a)
+	}
+	return n
 }
 
 // Restore fills hdr, the arrays and the buffers from data if data is the
-// layout Snapshot lays for this rank with len(hdr) header words: the length
-// the arrays and buffers fix, a phase among Step's cases [0, phases), an
-// iteration in [0, iters], and exactly the registered buffers. Otherwise it
-// returns an error under the app's name and writes nothing. A restore that
-// succeeds allocates nothing, and none keeps a reference to data.
+// layout SnapshotTo writes for this rank with len(hdr) header words: the
+// length the arrays and buffers fix, a phase among Step's cases
+// [0, phases), an iteration in [0, iters], and exactly the registered
+// buffers. Otherwise it returns an error under the app's name and writes
+// nothing. A restore that succeeds allocates nothing, and none keeps a
+// reference to data.
 func (b *Buffers) Restore(app string, data []byte, hdr []uint64, phases, iters int, arrays ...[]float64) error {
-	fixed := 8 * len(hdr)
-	for _, a := range arrays {
-		fixed += 8 * len(a)
-	}
+	fixed := fixedLen(hdr, arrays)
 	if want := fixed + b.SectionLen(); len(data) != want {
 		return fmt.Errorf("%s: snapshot is %d bytes, this rank's state %d", app, len(data), want)
 	}

@@ -102,19 +102,23 @@ func newBufRank(nx int) *bufRank {
 	return r
 }
 
-func (r *bufRank) snapshot() []byte { return r.bufs.Snapshot(r.hdr[:], r.xs, r.ys) }
+func (r *bufRank) snapshot() []byte {
+	var b bytes.Buffer
+	r.bufs.SnapshotTo(&b, r.hdr[:], r.xs, r.ys)
+	return b.Bytes()
+}
 
 func (r *bufRank) restore(data []byte) error {
 	return r.bufs.Restore("test", data, r.hdr[:], 4, 10, r.xs, r.ys)
 }
 
-// TestBuffersRestoreHostile: Restore takes back exactly what Snapshot laid
-// for the rank and refuses, with an error under the app's name that leaves
-// the header, the arrays and the buffers as they were, every truncation, a
-// phase past Step's cases, an iteration past the run, an array of another
-// length, a buffer missing, unknown or extra, and a byte past the last
-// buffer. Through gob, the examples restored a 3-element array at phase 9,
-// and a snapshot holding only Iter, with a nil error.
+// TestBuffersRestoreHostile: Restore takes back exactly what SnapshotTo
+// wrote for the rank and refuses, with an error under the app's name that
+// leaves the header, the arrays and the buffers as they were, every
+// truncation, a phase past Step's cases, an iteration past the run, an
+// array of another length, a buffer missing, unknown or extra, and a byte
+// past the last buffer. Through gob, the examples restored a 3-element
+// array at phase 9, and a snapshot holding only Iter, with a nil error.
 func TestBuffersRestoreHostile(t *testing.T) {
 	src := newBufRank(3)
 	src.hdr = [3]uint64{7, 2, math.Float64bits(-0.25)}

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"io"
 	"math"
 	"testing"
 
@@ -95,8 +96,8 @@ func (a *chainApp) Step(env *Env) (bool, error) {
 	return a.Iter < a.Iters, nil
 }
 
-func (a *chainApp) Snapshot() ([]byte, error) {
-	return a.bufs.Snapshot([]uint64{uint64(a.Iter), uint64(a.Phase), math.Float64bits(a.Acc)}), nil
+func (a *chainApp) SnapshotTo(w io.Writer) error {
+	return a.bufs.SnapshotTo(w, []uint64{uint64(a.Iter), uint64(a.Phase), math.Float64bits(a.Acc)})
 }
 
 func (a *chainApp) Restore(data []byte) error {

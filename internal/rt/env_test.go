@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"io"
 	"math"
 	"testing"
 
@@ -85,8 +86,8 @@ func (a *collApp) Step(env *Env) (bool, error) {
 	return a.Iter < a.Iters, nil
 }
 
-func (a *collApp) Snapshot() ([]byte, error) {
-	return a.bufs.Snapshot([]uint64{uint64(a.Iter), uint64(a.Phase), math.Float64bits(a.Check)}), nil
+func (a *collApp) SnapshotTo(w io.Writer) error {
+	return a.bufs.SnapshotTo(w, []uint64{uint64(a.Iter), uint64(a.Phase), math.Float64bits(a.Check)})
 }
 
 func (a *collApp) Restore(data []byte) error {

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"testing"
 
@@ -118,8 +119,8 @@ func (a *fuzzApp) Step(env *Env) (bool, error) {
 	return a.Iter < a.Iters, nil
 }
 
-func (a *fuzzApp) Snapshot() ([]byte, error) {
-	return a.bufs.Snapshot([]uint64{uint64(a.Iter), uint64(a.Phase), uint64(a.PendOp), math.Float64bits(a.Check)}), nil
+func (a *fuzzApp) SnapshotTo(w io.Writer) error {
+	return a.bufs.SnapshotTo(w, []uint64{uint64(a.Iter), uint64(a.Phase), uint64(a.PendOp), math.Float64bits(a.Check)})
 }
 
 func (a *fuzzApp) Restore(data []byte) error {

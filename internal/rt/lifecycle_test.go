@@ -9,6 +9,7 @@ package rt
 // after the seal and before the next commit may start).
 
 import (
+	"io"
 	"testing"
 
 	"mana/internal/ckpt"
@@ -209,8 +210,8 @@ func (a *frostApp) Step(env *Env) (bool, error) {
 }
 
 // Snapshot lays out Iter and the one phase, 0, then State and the buffer.
-func (a *frostApp) Snapshot() ([]byte, error) {
-	return a.bufs.Snapshot([]uint64{uint64(a.Iter), 0}, a.State), nil
+func (a *frostApp) SnapshotTo(w io.Writer) error {
+	return a.bufs.SnapshotTo(w, []uint64{uint64(a.Iter), 0}, a.State)
 }
 func (a *frostApp) Restore(data []byte) error {
 	var h [2]uint64

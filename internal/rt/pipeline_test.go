@@ -6,6 +6,7 @@ package rt
 // table's step-boundary hygiene.
 
 import (
+	"io"
 	"testing"
 
 	"mana/internal/ckpt"
@@ -250,8 +251,8 @@ func (a *benchApp) Step(env *Env) (bool, error) {
 }
 
 // Snapshot lays out Iter and the one phase, 0.
-func (a *benchApp) Snapshot() ([]byte, error) {
-	return a.bufs.Snapshot([]uint64{uint64(a.Iter), 0}), nil
+func (a *benchApp) SnapshotTo(w io.Writer) error {
+	return a.bufs.SnapshotTo(w, []uint64{uint64(a.Iter), 0})
 }
 func (a *benchApp) Restore(data []byte) error {
 	var h [2]uint64

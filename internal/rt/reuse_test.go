@@ -66,12 +66,6 @@ func (a *blobApp) SnapshotTo(w io.Writer) error {
 	return err
 }
 
-func (a *blobApp) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := a.SnapshotTo(&buf)
-	return buf.Bytes(), err
-}
-
 func (a *blobApp) Restore(data []byte) error {
 	if len(data) < 8 || (a.rank != a.grower && len(data) != 8+a.size) {
 		return fmt.Errorf("blob: %d-byte snapshot for a %d-byte state", len(data), a.size)
@@ -125,7 +119,7 @@ func TestRestartCapturesIntoRestoredBytes(t *testing.T) {
 		t.Fatal("the restarted leg did not checkpoint and exit")
 	}
 	for r, ri := range second.Image.Images {
-		want, err := apps[r].Snapshot()
+		want, err := snapshot(apps[r])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,9 @@
 package rt
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"testing"
 
@@ -79,8 +81,8 @@ func (a *ringApp) Step(env *Env) (bool, error) {
 	return a.Iter < a.Iters, nil
 }
 
-func (a *ringApp) Snapshot() ([]byte, error) {
-	return a.bufs.Snapshot([]uint64{uint64(a.Iter), uint64(a.Phase), math.Float64bits(a.Acc)}), nil
+func (a *ringApp) SnapshotTo(w io.Writer) error {
+	return a.bufs.SnapshotTo(w, []uint64{uint64(a.Iter), uint64(a.Phase), math.Float64bits(a.Acc)})
 }
 
 func (a *ringApp) Restore(data []byte) error {
@@ -106,6 +108,13 @@ func cloneImage(t *testing.T, img *ckpt.JobImage) *ckpt.JobImage {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// snapshot is a's SnapshotTo bytes as one slice.
+func snapshot(a StreamSnapshotter) ([]byte, error) {
+	var b bytes.Buffer
+	err := a.SnapshotTo(&b)
+	return b.Bytes(), err
 }
 
 func testConfig(ranks int, algo string) Config {
@@ -409,8 +418,8 @@ func (a *nbApp) Step(env *Env) (bool, error) {
 	return a.Iter < a.Iters, nil
 }
 
-func (a *nbApp) Snapshot() ([]byte, error) {
-	return a.bufs.Snapshot([]uint64{uint64(a.Iter), uint64(a.Phase), math.Float64bits(a.Acc)}), nil
+func (a *nbApp) SnapshotTo(w io.Writer) error {
+	return a.bufs.SnapshotTo(w, []uint64{uint64(a.Iter), uint64(a.Phase), math.Float64bits(a.Acc)})
 }
 
 func (a *nbApp) Restore(data []byte) error {

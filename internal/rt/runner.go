@@ -149,7 +149,7 @@ func runJob(cfg Config, w *mpi.World, coord *ckpt.Coordinator, factory func(rank
 		// Per-rank results, each written only by its own rank goroutine and
 		// read after wg.Wait.
 		rankSteps = make([]int64, cfg.Ranks)
-		finalSnap = make([][]byte, cfg.Ranks)
+		apps      = make([]App, cfg.Ranks)
 
 		// Checkpoint scheduling: the next request time, advanced by Every
 		// after each successful request (periodic checkpointing). Both are
@@ -264,6 +264,7 @@ func runJob(cfg Config, w *mpi.World, coord *ckpt.Coordinator, factory func(rank
 			}()
 
 			app := factory(rank)
+			apps[rank] = app
 			if rank == 0 {
 				appName.Store(app.Name())
 			}
@@ -272,16 +273,11 @@ func runJob(cfg Config, w *mpi.World, coord *ckpt.Coordinator, factory func(rank
 			env := newEnv(p, proto, coord, app, cfg.Checkpoint != nil)
 
 			hooks := ckpt.RankHooks{
-				AppSnapshot:   app.Snapshot,
+				AppSnapshotTo: app.SnapshotTo,
 				ProtoSnapshot: proto.Snapshot,
 				ClockVT:       p.Clk.Now,
 				SetClock:      p.Clk.Set,
 				PendingRecvs:  env.pendingRecvDescs,
-			}
-			if ss, ok := app.(StreamSnapshotter); ok {
-				// Streaming capture fast path: the app serializes straight
-				// into the coordinator's buffer (must match Snapshot's bytes).
-				hooks.AppSnapshotTo = ss.SnapshotTo
 			}
 			if img != nil {
 				// Restart owns the image: the bytes this rank is restored
@@ -342,11 +338,6 @@ func runJob(cfg Config, w *mpi.World, coord *ckpt.Coordinator, factory func(rank
 				if ri.Desc.Kind == ckpt.ParkDone {
 					// The rank had already finished when the checkpoint was
 					// captured; its restored state is its final state.
-					if snap, err := app.Snapshot(); err == nil {
-						finalSnap[rank] = snap
-					} else {
-						recordErr(fmt.Errorf("rank %d final snapshot: %w", rank, err))
-					}
 					coord.FinishRank(rank)
 					return
 				}
@@ -374,12 +365,6 @@ func runJob(cfg Config, w *mpi.World, coord *ckpt.Coordinator, factory func(rank
 			if out := proto.AtBoundary(&ckpt.Descriptor{Kind: ckpt.ParkDone}); out == ckpt.Terminated {
 				return
 			}
-			// Record the rank's final upper-half state for the job digest.
-			if snap, err := app.Snapshot(); err == nil {
-				finalSnap[rank] = snap
-			} else {
-				recordErr(fmt.Errorf("rank %d final snapshot: %w", rank, err))
-			}
 			coord.FinishRank(rank)
 		}(r)
 	}
@@ -401,26 +386,26 @@ func runJob(cfg Config, w *mpi.World, coord *ckpt.Coordinator, factory func(rank
 	}
 	rep.Rates = trace.RatesOf(&rep.Counters, cfg.Ranks, rep.RuntimeVT)
 
-	errMu.Lock()
-	jobErr := firstErr
-	errMu.Unlock()
-	if rep.Completed && jobErr == nil {
-		rep.StateDigest = digestOf(finalSnap)
-	}
-
 	// The coordinator accounts padded image sizes at capture time, so the
 	// standalone stats and every CheckpointHistory entry already agree.
-	if image, stats, err := coord.Result(); image != nil {
+	image, stats, ckptErr := coord.Result()
+	if image != nil {
 		rep.Image = image
 		rep.Checkpoint = &stats
 		rep.CheckpointHistory = coord.History()
 		rep.Store = coord.Plan.Store
-		if err != nil {
-			return rep, err
-		}
 	}
+
+	// Result has drained every capture, so no chained capture is still
+	// calling SnapshotTo on a finished rank: the digest reads each alone.
 	errMu.Lock()
 	defer errMu.Unlock()
+	if rep.Completed && firstErr == nil {
+		rep.StateDigest, firstErr = digestOf(apps)
+	}
+	if image != nil && ckptErr != nil {
+		return rep, ckptErr
+	}
 	return rep, firstErr
 }
 
@@ -429,20 +414,34 @@ func runJob(cfg Config, w *mpi.World, coord *ckpt.Coordinator, factory func(rank
 // and one shared value saves an allocation per step.
 var boundaryDesc = ckpt.Descriptor{Kind: ckpt.ParkBoundary}
 
-// digestOf hashes every rank's final snapshot into one canonical job digest.
-// Snapshots are length-prefixed so rank boundaries cannot alias.
-func digestOf(snaps [][]byte) string {
+// digestOf hashes every rank's final state into one canonical job digest:
+// each rank's snapshot length as 8 bytes, so rank boundaries cannot alias,
+// then its bytes. Both come from streaming SnapshotTo — into a counter,
+// then into the hash — so no rank's state is copied to be digested.
+func digestOf(apps []App) (string, error) {
 	h := sha256.New()
 	var pfx [8]byte
-	for _, s := range snaps {
-		if s == nil {
-			return "" // a rank produced no snapshot: no meaningful digest
+	for r, app := range apps {
+		var n byteCounter
+		err := app.SnapshotTo(&n)
+		if err == nil {
+			binary.LittleEndian.PutUint64(pfx[:], uint64(n))
+			h.Write(pfx[:])
+			err = app.SnapshotTo(h)
 		}
-		binary.LittleEndian.PutUint64(pfx[:], uint64(len(s)))
-		h.Write(pfx[:])
-		h.Write(s)
+		if err != nil {
+			return "", fmt.Errorf("rank %d final snapshot: %w", r, err)
+		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// byteCounter is an io.Writer that counts what it is given and keeps none.
+type byteCounter int64
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
 }
 
 // Restart rebuilds a job from a checkpoint image — a fresh world (the new

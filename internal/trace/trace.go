@@ -18,7 +18,6 @@ type Counters struct {
 	P2PRecvs        int64
 	Tests           int64 // MPI_Test-style completion polls
 	Waits           int64
-	Probes          int64 // always 0: no probe call; kept for apps' pinned counter table
 	BytesSent       int64
 	BytesRecv       int64
 	PerKind         [16]int64 // indexed by netmodel.CollKind
@@ -59,7 +58,6 @@ func (c *Counters) Add(other *Counters) {
 	c.P2PRecvs += other.P2PRecvs
 	c.Tests += other.Tests
 	c.Waits += other.Waits
-	c.Probes += other.Probes
 	c.BytesSent += other.BytesSent
 	c.BytesRecv += other.BytesRecv
 	for i := range c.PerKind {

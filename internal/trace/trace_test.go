@@ -25,13 +25,13 @@ func TestCollectiveCounting(t *testing.T) {
 
 func TestAdd(t *testing.T) {
 	a := Counters{CollBlocking: 1, P2PSends: 2, P2PRecvs: 3, Tests: 4,
-		Waits: 5, Probes: 6, BytesSent: 7, BytesRecv: 8, WrapperCalls: 9,
-		TargetUpdatesSent: 10, TargetUpdatesRecv: 11, Barriers2PC: 12, DrainTests: 13}
-	a.PerKind[2] = 14
+		Waits: 5, BytesSent: 6, BytesRecv: 7, WrapperCalls: 8,
+		TargetUpdatesSent: 9, TargetUpdatesRecv: 10, Barriers2PC: 11, DrainTests: 12}
+	a.PerKind[2] = 13
 	b := a
 	a.Add(&b)
-	if a.CollBlocking != 2 || a.P2PCalls() != 10 || a.PerKind[2] != 28 ||
-		a.DrainTests != 26 || a.TargetUpdatesSent != 20 {
+	if a.CollBlocking != 2 || a.P2PCalls() != 10 || a.PerKind[2] != 26 ||
+		a.DrainTests != 24 || a.TargetUpdatesSent != 18 {
 		t.Fatalf("add wrong: %+v", a)
 	}
 }
