@@ -482,20 +482,48 @@ func readEntry(t *testing.T, c *partialChain, size func(r *entryReader) int) (go
 }
 
 // TestEntryReaderReadSizes: the entry reader assembles an extent in the
-// caller's buffer when it fits and stages it otherwise, and the two ways
-// serve the same stream. Reads of 1 B, 4 KiB, exactly the next extent and
-// the whole stream give the same bytes and the same logical XXH64, and a
-// buffer that holds an extent gets it, checked, from one Read without the
-// staging buffer being written. Over a
-// damaged extent the in-place read returns 0 bytes and the staged read's
-// verdict: no byte that failed its CRC is counted or hashed.
+// caller's buffer when it fits, together with the run behind it, and stages
+// it otherwise, and the ways serve the same stream. Reads of 1 B, 4 KiB,
+// exactly the next extent and the whole stream give the same bytes and the
+// same logical XXH64. A buffer that holds the next extent gets, from one
+// Read and without the staging buffer being written, that extent and every
+// following one that continues the same object's stream, as far as the
+// buffer and runBytes allow: clean pages and reused chunks of one source
+// come as one run, and an extent of another object ends it even where its
+// offset continues the run's. Over a damaged extent — the entry's own, or a sourced one
+// inside a run — the in-place read serves the verified extents before it,
+// then returns 0 bytes and the staged read's verdict, which names it: no
+// byte of it or past it is counted or hashed.
 func TestEntryReaderReadSizes(t *testing.T) {
-	for _, chain := range partialChains {
+	// A page delta whose first and third pages are dirty: the own object
+	// holds the two back to back, so its first extent ends at the offset
+	// where the clean second page starts in the base, and the own stream
+	// goes on past it. Only the object a run reads from keeps them apart.
+	twoDirty := func(t testing.TB) *partialChain {
+		c := &partialChain{store: NewMemStore(), img: pagedImage(4, 6), edit: 0}
+		man0, _ := commitPaged(t, c.store, 0, nil, pagedImage(4, 6))
+		c.img.Images[1].App[c.edit] ^= 0xFF
+		c.img.Images[1].App[2*testPageSize] ^= 0xFF
+		c.man, _ = commitPaged(t, c.store, 1, man0, c.img)
+		return c
+	}
+	chains := append(partialChains[:len(partialChains):len(partialChains)], struct {
+		name  string
+		build func(t testing.TB) *partialChain
+	}{"page-delta, pages 0 and 2 dirty", twoDirty})
+	for _, chain := range chains {
 		t.Run(chain.name, func(t *testing.T) {
 			c := chain.build(t)
 			c.si = shardOf(t, c.man, 1)
 			if !c.si.Partial() {
 				t.Fatalf("fixture did not store rank 1 as a partial object: %+v", c.si)
+			}
+			if chain.name == "page-delta, pages 0 and 2 dirty" {
+				var ext []extent
+				c.si.extents(func(_ int, e extent) { ext = append(ext, e) })
+				if !c.si.owns(ext[0]) || c.si.owns(ext[1]) || ext[0].off+ext[0].n != ext[1].off || !c.si.owns(ext[2]) {
+					t.Fatalf("fixture's first extents %+v are not own, base, own pages with the base page's offset abutting the first", ext[:3])
+				}
 			}
 			whole := int(c.si.RawSize)
 			nextExtent := func(r *entryReader) int { return int(r.ext[min(r.idx, len(r.ext)-1)].n) }
@@ -503,11 +531,12 @@ func TestEntryReaderReadSizes(t *testing.T) {
 				name    string
 				size    func(*entryReader) int
 				inPlace bool // every Read's buffer holds the next extent
+				limit   int  // in place: the longest run a buffer holds (0: the next extent alone)
 			}{
-				{"1 B", func(*entryReader) int { return 1 }, false},
-				{"4 KiB", func(*entryReader) int { return 4 << 10 }, false},
-				{"one extent", nextExtent, true},
-				{"whole stream", func(*entryReader) int { return whole }, true},
+				{"1 B", func(*entryReader) int { return 1 }, false, 0},
+				{"4 KiB", func(*entryReader) int { return 4 << 10 }, false, 0},
+				{"one extent", nextExtent, true, 0},
+				{"whole stream", func(*entryReader) int { return whole }, true, whole},
 			}
 			var first []byte
 			for _, s := range sizes {
@@ -527,40 +556,112 @@ func TestEntryReaderReadSizes(t *testing.T) {
 				if err := r.finish(nil); err != nil {
 					t.Fatalf("%s reads: %v", s.name, err)
 				}
-				if s.inPlace {
-					if bytes.Count(r.buf, []byte{0}) != len(r.buf) {
-						t.Fatalf("%s reads staged an extent in r.buf", s.name)
-					}
-					for k, e := range r.ext {
-						if int64(ns[k]) != e.n {
-							t.Fatalf("%s reads: Read %d returned %d bytes, want extent %d's %d", s.name, k, ns[k], k, e.n)
-						}
-					}
+				if !s.inPlace {
+					continue
 				}
+				if bytes.Count(r.buf, []byte{0}) != len(r.buf) {
+					t.Fatalf("%s reads staged an extent in r.buf", s.name)
+				}
+				runs := checkRuns(t, s.name, r.ext, ns, s.limit)
+				if runs == 0 && s.limit > 0 {
+					t.Fatalf("%s reads: no Read served more than one extent", s.name)
+				}
+				t.Logf("%s reads: %d extents in %d Reads, %d of them runs", s.name, len(r.ext), len(ns)-1, runs)
 			}
 
-			bad := c.img.Images[1]
-			bad.App = append([]byte(nil), bad.App...)
-			bad.App[c.edit] ^= 0x0F
-			c.rewriteOwnObject(t, bad)
-			_, _, staged, _ := readEntry(t, c, func(*entryReader) int { return 1 })
-			got, ns, inPlace, r := readEntry(t, c, func(*entryReader) int { return whole })
-			if staged == nil || inPlace == nil || inPlace.Error() != staged.Error() {
-				t.Fatalf("damaged extent: in-place read %v, staged read %v; want the same verdict", inPlace, staged)
+			damages := []struct {
+				name   string
+				epoch  int // where the damaged extent is stored
+				damage func(c *partialChain)
+			}{
+				{"own extent", 1, func(c *partialChain) {
+					bad := c.img.Images[1]
+					bad.App = append([]byte(nil), bad.App...)
+					bad.App[c.edit] ^= 0x0F
+					c.rewriteOwnObject(t, bad)
+				}},
+				{"sourced extent inside a run", 0, func(c *partialChain) {
+					// The entry's table lies about an extent that its
+					// neighbours' run passes through.
+					var ext []extent
+					c.si.extents(func(_ int, e extent) { ext = append(ext, e) })
+					for k := 1; k+1 < len(ext); k++ {
+						if !c.si.owns(ext[k]) && continues(ext[k-1], ext[k]) && continues(ext[k], ext[k+1]) {
+							if len(c.si.Chunks) > 0 {
+								c.si.Chunks[k].CRC ^= 1
+							} else {
+								c.si.PageSums[k] ^= 1
+							}
+							return
+						}
+					}
+					t.Fatal("fixture has no sourced extent inside a run")
+				}},
 			}
-			m := regexp.MustCompile(`^extent (\d+) corrupted \(crc [0-9a-f]{8}, want [0-9a-f]{8}; sourced from epoch 1 rank 1\)$`).FindStringSubmatch(inPlace.Error())
-			if m == nil {
-				t.Fatalf("verdict %q does not name an extent of the entry's own object", inPlace)
-			}
-			k, _ := strconv.Atoi(m[1])
-			var before int64
-			for _, e := range r.ext[:k] {
-				before += e.n
-			}
-			if ns[len(ns)-1] != 0 || int64(len(got)) != before || r.logical.n != before || r.logical.h.sum64() != Sum64(got) {
-				t.Fatalf("read over damaged extent %d: last Read returned %d, %d bytes served and %d counted, want 0 and %d",
-					k, ns[len(ns)-1], len(got), r.logical.n, before)
+			for _, d := range damages {
+				c := chain.build(t)
+				c.si = shardOf(t, c.man, 1)
+				d.damage(c)
+				_, _, staged, _ := readEntry(t, c, func(*entryReader) int { return 1 })
+				got, ns, inPlace, r := readEntry(t, c, func(*entryReader) int { return whole })
+				if staged == nil || inPlace == nil || inPlace.Error() != staged.Error() {
+					t.Fatalf("damaged %s: in-place read %v, staged read %v; want the same verdict", d.name, inPlace, staged)
+				}
+				m := regexp.MustCompile(`^extent (\d+) corrupted \(crc [0-9a-f]{8}, want [0-9a-f]{8}; sourced from epoch (\d) rank 1\)$`).FindStringSubmatch(inPlace.Error())
+				if m == nil || m[2] != strconv.Itoa(d.epoch) {
+					t.Fatalf("damaged %s: verdict %q does not name an extent stored in epoch %d", d.name, inPlace, d.epoch)
+				}
+				k, _ := strconv.Atoi(m[1])
+				var before int64
+				for _, e := range r.ext[:k] {
+					before += e.n
+				}
+				if ns[len(ns)-1] != 0 || int64(len(got)) != before || r.logical.n != before || r.logical.h.sum64() != Sum64(got) {
+					t.Fatalf("damaged %s: read over extent %d: last Read returned %d, %d bytes served and %d counted, want 0 and %d",
+						d.name, k, ns[len(ns)-1], len(got), r.logical.n, before)
+				}
 			}
 		})
 	}
+}
+
+// continues reports whether extent b picks up its object's stream where a
+// ends, so one read can assemble both.
+func continues(a, b extent) bool {
+	return a.epoch == b.epoch && a.rank == b.rank && a.off+a.n == b.off
+}
+
+// checkRuns holds each in-place Read (ns, the last one the 0 at EOF) to one
+// run: the extents it served continue one another, and it stopped only where
+// the next extent does not continue them or would pass runBytes or limit
+// (0: the Read's buffer held only its first extent). It returns how many
+// Reads served more than one extent.
+func checkRuns(t *testing.T, name string, ext []extent, ns []int, limit int) (runs int) {
+	t.Helper()
+	k := 0
+	for i, n := range ns[:len(ns)-1] {
+		start, size := k, int64(0)
+		for ; k < len(ext) && size < int64(n); k++ {
+			if k > start && !continues(ext[k-1], ext[k]) {
+				t.Fatalf("%s reads: Read %d served extent %d, which does not continue extent %d", name, i, k, k-1)
+			}
+			size += ext[k].n
+		}
+		if size != int64(n) {
+			t.Fatalf("%s reads: Read %d returned %d bytes, not a whole number of extents from extent %d", name, i, n, start)
+		}
+		if k-start > 1 {
+			runs++
+			if size > runBytes || size > int64(limit) {
+				t.Fatalf("%s reads: Read %d served a %d-byte run, over runBytes or the buffer", name, i, size)
+			}
+		}
+		if k < len(ext) && limit > 0 && continues(ext[k-1], ext[k]) && size+ext[k].n <= min(runBytes, int64(limit)) {
+			t.Fatalf("%s reads: Read %d stopped before extent %d, which continues its run and fits", name, i, k)
+		}
+	}
+	if k != len(ext) || ns[len(ns)-1] != 0 {
+		t.Fatalf("%s reads: %d Reads served %d of %d extents", name, len(ns)-1, k, len(ext))
+	}
+	return runs
 }

@@ -18,7 +18,14 @@
 //
 // The decoder is a bounded io.Reader: a 64 KiB input buffer, a 64 KiB output
 // window and fixed-size decode tables (about 150 KiB per open stream, nothing
-// sized from the stream). It reads ahead of the final block by at most its
+// sized from the stream). A read of at least directMin (128 KiB) decodes
+// straight into the caller's buffer, through window-sized views that slide
+// along it where the window would slide its history down, so each byte is
+// written once, where it is wanted; a match that reaches back before the
+// buffer's start reads the window's history, and the buffer's last 32 KiB
+// become it. Only a shorter read — a bufio fill, a small shard — decodes
+// into the window and is copied out. Nothing keeps the caller's buffer once
+// Read returns. The decoder reads ahead of the final block by at most its
 // input buffer and never interprets what follows it; the caller owns those
 // bytes' meaning. A truncated stream answers io.ErrUnexpectedEOF, a damaged
 // one an error wrapping ErrCorrupt — never a panic, and never output decoded
@@ -58,11 +65,20 @@ const (
 	winSize  = 64 << 10 // output window: 32 KiB of history plus room to decode into
 	winMask  = winSize - 1
 	histSize = 32 << 10 // the farthest a match reaches back
+	// directMin is the shortest read decoded straight into the caller's
+	// buffer, through window-sized views of it (see direct). A direct read
+	// pays a fixed cost the window path does not — histSize bytes copied
+	// back as history, a tail decoded in the window — which a read of one
+	// window does not earn back on long-copy streams, and two do.
+	directMin = 2 * winSize
 
 	maxMatch = 258
 	// outMargin is the window room one loop iteration may use: three
 	// literals, or two and a maximal match with the word copy's overshoot.
 	outMargin = maxMatch + 64
+	// winStop is where decoding into the window stops, so a step that
+	// starts below it has outMargin bytes of room.
+	winStop = winSize - outMargin + 1
 	// fastIn is the input the fast loop needs in hand. An iteration refills
 	// at most twice: after one or two literals, with at least 36 bits left,
 	// so the refill counts at most 3 new bytes; and after a match, with at
@@ -297,6 +313,10 @@ type state struct {
 
 	ipos, iend int // unread input is in[ipos:iend]
 	rp, wp     int // win[rp:wp] is decoded and not yet served; win[:wp] is history
+	// back is how much of the window's history, win[:back], precedes what
+	// is being decoded: the start of a direct read (see direct), otherwise
+	// 0, and the window holds its own history.
+	back int
 
 	final  bool // the block being decoded is the last
 	huff   bool // inside a Huffman block (lt/dt are valid)
@@ -353,37 +373,98 @@ func (r *Reader) Close() error {
 }
 
 // Read implements io.Reader: io.EOF after the final block's last byte,
-// io.ErrUnexpectedEOF if the source ends first.
+// io.ErrUnexpectedEOF if the source ends first. Decoded bytes the window
+// has not served yet come first; then a read with at least directMin bytes
+// of room left decodes straight into p (see direct), and a shorter one is
+// served from the window.
 func (r *Reader) Read(p []byte) (int, error) {
 	s := r.s
 	if s == nil {
 		return 0, ErrClosed
 	}
-	for len(p) > 0 {
-		if s.rp < s.wp {
-			n := copy(p, s.win[s.rp:s.wp])
-			s.rp += n
-			return n, nil
-		}
+	n := copy(p, s.win[s.rp:s.wp])
+	s.rp += n
+	if len(p)-n >= directMin && s.err == nil {
+		n += s.direct(p[n:])
+	}
+	for n == 0 && len(p) > 0 {
 		if s.err != nil {
 			return 0, s.err
 		}
-		if s.wp > winSize-outMargin { // everything is served: slide the history down
-			copy(s.win[:histSize], s.win[s.wp-histSize:s.wp])
-			s.rp, s.wp = histSize, histSize
+		s.decodeWindow(winSize)
+		n = copy(p, s.win[s.rp:s.wp])
+		s.rp += n
+	}
+	return n, nil
+}
+
+// decodeWindow decodes at least want more bytes into the window, fewer if
+// the stream ends or fails or the window fills, first sliding the history
+// down if the window has no room left. It is called only once the window
+// has served everything.
+func (s *state) decodeWindow(want int) {
+	if s.wp >= winStop {
+		copy(s.win[:histSize], s.win[s.wp-histSize:s.wp])
+		s.rp, s.wp = histSize, histSize
+	}
+	s.wp = s.decode(&s.win, s.wp, min(winStop, s.wp+want))
+}
+
+// direct decodes into p itself, once the window has served everything. It
+// decodes through a window-sized view of p exactly as it would into the
+// window, and where the window would slide its history down, the view
+// slides up p instead, keeping histSize bytes of output behind the write
+// position: nothing is copied. Only in the first view can a match reach
+// back before p's start; it copies that part from the window's history
+// (zlib's inflate_fast does the same). Afterwards, unless the stream
+// ended or failed, p's last histSize bytes become the history. The last bytes, fewer than one step of the decode
+// loops may write (outMargin), are decoded in the window a careful step at
+// a time and copied, and what the last step decoded past p's end is served
+// by the next Read; p is full on return unless the stream ended or failed.
+// Nothing keeps p.
+func (s *state) direct(p []byte) int {
+	s.back = s.wp
+	base, wp := 0, 0 // the view is p[base:base+winSize]; wp is within it
+	for {
+		wp = s.decode((*[winSize]byte)(p[base:]), wp, winStop)
+		shift := min(wp-histSize, len(p)-winSize-base)
+		if s.err != nil || shift <= 0 {
+			break
 		}
-		for s.err == nil && s.wp <= winSize-outMargin {
-			switch {
-			case s.stored > 0:
-				s.copyStored()
-			case s.huff:
-				s.huffman()
-			default:
-				s.blockHeader()
-			}
+		base, wp = base+shift, wp-shift
+	}
+	s.back = 0
+	n := base + wp
+	if s.err != nil {
+		return n // Read serves s.err next and never reads the history
+	}
+	s.wp = copy(s.win[:], p[n-histSize:n]) // n >= winStop: decode stopped at the view's stop
+	s.rp = s.wp
+	if n < len(p) {
+		s.decodeWindow(len(p) - n)
+		m := copy(p[n:], s.win[s.rp:s.wp])
+		s.rp += m
+		n += m
+	}
+	return n
+}
+
+// decode decodes into out[wp:] until wp reaches stop, the stream ends or it
+// fails, and returns the new write position. out is the window or a view of
+// a direct read's buffer. A step that starts below stop may write up to
+// outMargin bytes: stop is at most winStop.
+func (s *state) decode(out *[winSize]byte, wp int, stop int) int {
+	for s.err == nil && wp < stop {
+		switch {
+		case s.stored > 0:
+			wp = s.copyStored(out, wp)
+		case s.huff:
+			wp = s.huffman(out, wp, stop)
+		default:
+			s.blockHeader()
 		}
 	}
-	return 0, nil
+	return wp
 }
 
 // fill moves the unread input to the front of the buffer and reads more
@@ -509,27 +590,28 @@ func (s *state) endBlock() {
 	}
 }
 
-// copyStored moves stored-block bytes to the window: first the whole bytes
-// the bit buffer holds (they precede the input buffer's), then in bulk.
-func (s *state) copyStored() {
-	for s.nb >= 8 && s.stored > 0 {
-		s.win[s.wp] = byte(s.take(8))
-		s.wp++
+// copyStored moves stored-block bytes to out[wp:]: first the whole bytes the
+// bit buffer holds (they precede the input buffer's), then in bulk.
+func (s *state) copyStored(out *[winSize]byte, wp int) int {
+	for s.nb >= 8 && s.stored > 0 && wp < len(out) {
+		out[wp] = byte(s.take(8))
+		wp++
 		s.stored--
 	}
-	if s.stored > 0 {
+	if s.stored > 0 && wp < len(out) {
 		if s.ipos == s.iend && !s.fill() {
 			s.err = s.short()
-			return
+			return wp
 		}
-		n := copy(s.win[s.wp:], s.in[s.ipos:min(s.iend, s.ipos+s.stored)])
+		n := copy(out[wp:], s.in[s.ipos:min(s.iend, s.ipos+s.stored)])
 		s.ipos += n
-		s.wp += n
+		wp += n
 		s.stored -= n
 	}
 	if s.stored == 0 {
 		s.endBlock()
 	}
+	return wp
 }
 
 // dynamicHeader reads a dynamic block's code lengths (RFC 1951 3.2.7) and
@@ -608,75 +690,102 @@ func (s *state) dynamicHeader() error {
 	return nil
 }
 
-// huffman decodes symbols of the current block until it ends, the window
-// fills or the stream fails: in the fast loop while input is plentiful, one
-// careful step at a time otherwise.
-func (s *state) huffman() {
-	for s.huff && s.err == nil && s.wp <= winSize-outMargin {
+// huffman decodes symbols of the current block into out[wp:] until it ends,
+// wp reaches stop or the stream fails: in the fast loop while input is
+// plentiful and the decode runs to winStop, one careful step at a time
+// otherwise (a direct read's last bytes stop short of it).
+func (s *state) huffman(out *[winSize]byte, wp int, stop int) int {
+	for s.huff && s.err == nil && wp < stop {
 		if s.iend-s.ipos < fastIn {
 			s.fill()
 		}
-		if s.iend-s.ipos >= fastIn {
-			s.huffmanFast()
+		if s.iend-s.ipos >= fastIn && stop == winStop {
+			wp = s.huffmanFast(out, wp)
 		} else {
-			s.huffmanCareful()
+			wp = s.huffmanCareful(out, wp)
 		}
 	}
+	return wp
 }
 
-// copyMatch appends length bytes starting dist back and returns the new
-// write position. Most matches are a few bytes long, where a call to memmove
-// costs more than the move: with dist >= 8 the first eight bytes are one
-// word, unconditionally, and an overlapping rest goes a word at a time,
+// copyMatch appends length bytes starting dist back in out and returns the
+// new write position. Most matches are a few bytes long, where a call to
+// memmove costs more than the move: with dist >= 8 the first eight bytes are
+// one word, unconditionally, and an overlapping rest goes a word at a time,
 // exact because each word is read from bytes already written. A word may
 // write up to seven bytes past the match (room outMargin includes; they are
 // not yet output and are overwritten by what is). A longer match whose
 // source does not overlap it is one memmove, which beats the words from a
 // few dozen bytes on. With dist < 8 the copy doubles what it has written
 // until the rest fits.
-func copyMatch(win *[winSize]byte, wp, dist, length int) int {
+func copyMatch(out *[winSize]byte, wp, dist, length int) int {
 	src, end := wp-dist, wp+length
 	switch {
 	case dist < 8:
 		for wp < end {
-			wp += copy(win[wp:end], win[src:wp])
+			wp += copy(out[wp:end], out[src:wp])
 		}
 	case length <= 8 || dist < length:
 		for ; wp < end; src, wp = src+8, wp+8 {
-			binary.LittleEndian.PutUint64(win[wp:], binary.LittleEndian.Uint64(win[src:]))
+			binary.LittleEndian.PutUint64(out[wp:], binary.LittleEndian.Uint64(out[src:]))
 		}
 	default:
-		binary.LittleEndian.PutUint64(win[wp:], binary.LittleEndian.Uint64(win[src:]))
-		copy(win[wp+8:end], win[src+8:])
+		binary.LittleEndian.PutUint64(out[wp:], binary.LittleEndian.Uint64(out[src:]))
+		copy(out[wp+8:end], out[src+8:])
+	}
+	return end
+}
+
+// copyBack is copyMatch for a match whose source starts before out[0], in
+// hist (dist > wp). Whole in hist, it goes a word at a time while hist
+// holds eight bytes to read, with copyMatch's overshoot; straddling out[0],
+// the hist part is one copy and the rest a match inside out, which then
+// starts at out[0].
+func copyBack(out *[winSize]byte, wp int, hist []byte, dist, length int) int {
+	end := wp + length
+	if k := dist - wp; k < length {
+		copy(out[wp:], hist[len(hist)-k:])
+		return copyMatch(out, wp+k, dist, length-k)
+	}
+	src := len(hist) - (dist - wp)
+	for ; wp < end && src+8 <= len(hist); src, wp = src+8, wp+8 {
+		binary.LittleEndian.PutUint64(out[wp:], binary.LittleEndian.Uint64(hist[src:]))
+	}
+	if wp < end {
+		copy(out[wp:end], hist[src:])
 	}
 	return end
 }
 
 // huffmanCareful decodes one literal, end-of-block or match from exactly the
 // bits the source supplied.
-func (s *state) huffmanCareful() {
+func (s *state) huffmanCareful(out *[winSize]byte, wp int) int {
 	s.need(56) // more than any one step consumes (48); symbol checks what arrived
 	e, v, err := s.symbol(s.lt[:], litBits)
 	switch {
 	case err != nil:
 		s.err = err
 	case e&flagLit != 0:
-		s.win[s.wp] = byte(v)
-		s.wp++
+		out[wp] = byte(v)
+		wp++
 	case e&flagEOB != 0:
 		s.endBlock()
 	default:
 		_, dist, err := s.symbol(s.dt[:], distBits)
 		if err != nil {
 			s.err = err
-			return
+			return wp
 		}
-		if int(dist) > s.wp {
+		switch {
+		case int(dist) > wp+s.back:
 			s.err = errDistance
-			return
+		case int(dist) > wp:
+			wp = copyBack(out, wp, s.win[:s.back], int(dist), int(v))
+		default:
+			wp = copyMatch(out, wp, int(dist), int(v))
 		}
-		s.wp = copyMatch(&s.win, s.wp, int(dist), int(v))
 	}
+	return wp
 }
 
 // huffmanFast is the hot loop, built as libdeflate's is. A refill tops the
@@ -684,34 +793,37 @@ func (s *state) huffmanCareful() {
 // (the bytes loaded past nb are re-loaded, identically, by the next one).
 // The entry of the next code is always looked up before the loop needs it,
 // and consumed, code and extra bits together, by one shift. It runs only
-// while fastIn input bytes and outMargin window bytes are in hand, so no
-// refill or store needs its own check; the bit budgets below are the worst
-// case of each path, with nb >= 56 at the top of every iteration.
-func (s *state) huffmanFast() {
-	bb, nb, ipos, iend, wp := s.bb, s.nb, s.ipos, s.iend, s.wp
-	lt, dt, win, in := s.lt, s.dt, &s.win, &s.in
+// while fastIn input bytes are in hand and wp is below winStop, so outMargin
+// bytes of out are too: no refill or store needs its own check. The bit
+// budgets below are the worst case of each path, with nb >= 56 at the top of
+// every iteration. A match reaching back before out[0] takes that part from
+// the window's history (copyBack).
+func (s *state) huffmanFast(out *[winSize]byte, wp int) int {
+	bb, nb, ipos, iend := s.bb, s.nb, s.ipos, s.iend
+	lt, dt, in := s.lt, s.dt, &s.in
+	_ = out[0] // out's nil check, once
 	var err error
 	bb, nb, ipos = refill(in, bb, nb, ipos)
 	e := lt[bb&(1<<litBits-1)]
-	for ipos+fastIn <= iend && wp <= winSize-outMargin {
+	for ipos+fastIn <= iend && wp < winStop {
 		if e&flagLit != 0 {
 			// Up to three primary literals, 3 x 10 bits, and a 10-bit
 			// look-up of the next code: 40 <= 56, so no count is checked.
 			bb >>= e & 63
 			nb -= uint(e & 63)
-			win[wp&winMask] = byte(e >> 16)
+			out[wp&winMask] = byte(e >> 16)
 			wp++
 			e = lt[bb&(1<<litBits-1)]
 			if e&flagLit != 0 {
 				bb >>= e & 63
 				nb -= uint(e & 63)
-				win[wp&winMask] = byte(e >> 16)
+				out[wp&winMask] = byte(e >> 16)
 				wp++
 				e = lt[bb&(1<<litBits-1)]
 				if e&flagLit != 0 {
 					bb >>= e & 63
 					nb -= uint(e & 63)
-					win[wp&winMask] = byte(e >> 16)
+					out[wp&winMask] = byte(e >> 16)
 					wp++
 					e = lt[bb&(1<<litBits-1)]
 					bb, nb, ipos = refill(in, bb, nb, ipos)
@@ -734,7 +846,7 @@ func (s *state) huffmanFast() {
 			bb >>= e & 63
 			nb -= uint(e & 63)
 			if e&flagLit != 0 {
-				win[wp&winMask] = byte(e >> 16)
+				out[wp&winMask] = byte(e >> 16)
 				wp++
 				e = lt[bb&(1<<litBits-1)]
 				bb, nb, ipos = refill(in, bb, nb, ipos)
@@ -766,20 +878,27 @@ func (s *state) huffmanFast() {
 		bb >>= d & 63
 		nb -= uint(d & 63)
 		dist := int(d>>16 + extra(saved, d))
-		if dist > wp {
-			err = errDistance
-			break
-		}
 		// ... which leaves 8: top up, and look the next code up before the
 		// copy, so the two overlap.
+		if dist > wp {
+			if dist-wp > s.back {
+				err = errDistance
+				break
+			}
+			bb, nb, ipos = refill(in, bb, nb, ipos)
+			e = lt[bb&(1<<litBits-1)]
+			wp = copyBack(out, wp, s.win[:s.back], dist, length)
+			continue
+		}
 		bb, nb, ipos = refill(in, bb, nb, ipos)
 		e = lt[bb&(1<<litBits-1)]
-		wp = copyMatch(win, wp, dist, length)
+		wp = copyMatch(out, wp, dist, length)
 	}
 	// Drop the loaded-but-uncounted bytes above nb: the careful path ORs
 	// bytes in one at a time and must find zeros there.
-	s.bb, s.nb, s.ipos, s.wp = bb&(1<<nb-1), nb, ipos, wp
+	s.bb, s.nb, s.ipos = bb&(1<<nb-1), nb, ipos
 	if err != nil {
 		s.err = err
 	}
+	return wp
 }

@@ -34,6 +34,13 @@ func newReader(src io.Reader) *Reader {
 // ours decodes stream with this package through src (nil: a bytes.Reader)
 // in reads of at most bufSize bytes.
 func ours(stream []byte, wrap func(io.Reader) io.Reader, bufSize int) ([]byte, error) {
+	return oursSplit(stream, wrap, bufSize, func() int { return bufSize })
+}
+
+// oursSplit is ours with each Read's size drawn from next, at most bufSize.
+// Every destination's capacity ends where its length does, so a decoder
+// that wrote past len(p) would panic.
+func oursSplit(stream []byte, wrap func(io.Reader) io.Reader, bufSize int, next func() int) ([]byte, error) {
 	var src io.Reader = bytes.NewReader(stream)
 	if wrap != nil {
 		src = wrap(src)
@@ -43,7 +50,8 @@ func ours(stream []byte, wrap func(io.Reader) io.Reader, bufSize int) ([]byte, e
 	var out []byte
 	buf := make([]byte, bufSize)
 	for {
-		n, err := r.Read(buf)
+		size := min(next(), bufSize)
+		n, err := r.Read(buf[:size:size])
 		out = append(out, buf[:n]...)
 		if err == io.EOF {
 			return out, nil
@@ -99,29 +107,107 @@ func TestInflateRoundTrip(t *testing.T) {
 	}
 }
 
-// checkCut holds a truncated stream to the reference: an error exactly when
-// the reference errors (io.ErrUnexpectedEOF, nothing vaguer), and the bytes
-// that came out first a prefix of the data that is no shorter than the
-// reference's (it asks for at least the end-of-block code's length per
-// symbol, so it can stop a few decodable literals early; never the reverse).
+// TestInflateReadSizes: every corpus shape, the benchmark's in-place
+// straggler floats and a real vasp_coll shard, at four levels in one and in
+// three blocks, decode to compress/flate's bytes whatever the reads: 1 B, a
+// page, either side of directMin (the window's largest read and the direct
+// path's smallest), 64 KiB, 1 MiB, the whole stream, and a seeded random
+// split that crosses the boundary both ways, so direct reads start at every
+// kind of offset and their matches reach back across p's start into the
+// window's history. A whole-stream read of a large stream is one Read: the
+// window cannot serve that, so a fallback to it fails here.
+func TestInflateReadSizes(t *testing.T) {
+	size := 300 << 10
+	if testing.Short() {
+		size = 100 << 10
+	}
+	corpus := append(shapes(size), shape{"periodic_floats", periodicFloats(size)}, shape{"vasp_shard", vaspShard(t)})
+	rng := rand.New(rand.NewSource(7))
+	for _, sh := range corpus {
+		for _, level := range []int{flate.HuffmanOnly, flate.NoCompression, 1, 6} {
+			for _, writes := range []int{1, 3} {
+				stream := deflate(t, sh.data, level, writes)
+				want, err := reference(stream)
+				if err != nil || !bytes.Equal(want, sh.data) {
+					t.Fatalf("%s level %d: reference decode failed: %v", sh.name, level, err)
+				}
+				whole := max(1, len(want))
+				for _, n := range []int{1, 4 << 10, directMin - 1, directMin, directMin + 1, 64 << 10, 1 << 20, whole} {
+					if got, err := ours(stream, nil, n); err != nil || !bytes.Equal(got, want) {
+						t.Fatalf("%s level %d writes %d, reads of %d: %d bytes, err %v; want %d", sh.name, level, writes, n, len(got), err, len(want))
+					}
+				}
+				split := func() int {
+					switch rng.Intn(3) {
+					case 0:
+						return 1 + rng.Intn(64)
+					case 1:
+						return directMin - 400 + rng.Intn(800)
+					}
+					return 1 + rng.Intn(whole)
+				}
+				if got, err := oursSplit(stream, nil, whole, split); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s level %d writes %d, random reads: %d bytes, err %v; want %d", sh.name, level, writes, len(got), err, len(want))
+				}
+				if len(want) >= directMin {
+					r := newReader(bytes.NewReader(stream))
+					n, _ := r.Read(make([]byte, len(want)))
+					r.Close()
+					if n != len(want) {
+						t.Fatalf("%s level %d writes %d: one whole-stream Read served %d of %d bytes", sh.name, level, writes, n, len(want))
+					}
+				}
+			}
+		}
+	}
+
+	// Long matches that straddle a direct read's start: 20 KiB of noise
+	// repeated is 258-byte matches 20 480 bytes back, so each direct read's
+	// first 20 KiB copies from the window's history. Read sizes step across
+	// a match's length, so the reads start at every offset within one.
+	period := make([]byte, 20<<10)
+	rng.Read(period)
+	data := bytes.Repeat(period, 32)
+	for _, level := range []int{1, 6} {
+		stream := deflate(t, data, level, 1)
+		for k := 0; k < 2*maxMatch; k += 3 {
+			if got, err := ours(stream, nil, directMin+k); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("repeated noise level %d, reads of %d: %d bytes, err %v; want %d", level, directMin+k, len(got), err, len(data))
+			}
+		}
+	}
+}
+
+// checkCut holds a truncated stream, read through the window and directly
+// (verdictBufs), to the reference: an error exactly when the reference errors
+// (io.ErrUnexpectedEOF, nothing vaguer), and the bytes that came out first a
+// prefix of the data that is no shorter than the reference's (it asks for at
+// least the end-of-block code's length per symbol, so it can stop a few
+// decodable literals early; never the reverse).
 func checkCut(t *testing.T, label string, stream, data []byte, cut int) {
 	t.Helper()
 	want, wantErr := reference(stream[:cut])
-	got, err := ours(stream[:cut], nil, 4096)
-	if (err != nil) != (wantErr != nil) {
-		t.Fatalf("%s cut at %d of %d: err %v, reference %v", label, cut, len(stream), err, wantErr)
-	}
-	if err != nil && err != io.ErrUnexpectedEOF {
-		t.Fatalf("%s cut at %d of %d: err %v, want io.ErrUnexpectedEOF", label, cut, len(stream), err)
-	}
-	if !bytes.HasPrefix(data, got) || len(got) < len(want) {
-		t.Fatalf("%s cut at %d of %d: %d bytes out (reference %d), not a prefix of the data or shorter than the reference's",
-			label, cut, len(stream), len(got), len(want))
-	}
-	if err == nil && len(got) != len(data) {
-		t.Fatalf("%s cut at %d of %d: clean end after %d of %d bytes", label, cut, len(stream), len(got), len(data))
+	for _, bufSize := range verdictBufs {
+		got, err := ours(stream[:cut], nil, bufSize)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%s buf %d cut at %d of %d: err %v, reference %v", label, bufSize, cut, len(stream), err, wantErr)
+		}
+		if err != nil && err != io.ErrUnexpectedEOF {
+			t.Fatalf("%s buf %d cut at %d of %d: err %v, want io.ErrUnexpectedEOF", label, bufSize, cut, len(stream), err)
+		}
+		if !bytes.HasPrefix(data, got) || len(got) < len(want) {
+			t.Fatalf("%s buf %d cut at %d of %d: %d bytes out (reference %d), not a prefix of the data or shorter than the reference's",
+				label, bufSize, cut, len(stream), len(got), len(want))
+		}
+		if err == nil && len(got) != len(data) {
+			t.Fatalf("%s buf %d cut at %d of %d: clean end after %d of %d bytes", label, bufSize, cut, len(stream), len(got), len(data))
+		}
 	}
 }
+
+// verdictBufs are the read sizes the truncation and corruption tests decode
+// with: the window's path and a direct read.
+var verdictBufs = []int{4096, directMin}
 
 // shortDiv thins the sampled differential tests under -short (the race run).
 func shortDiv() int {
@@ -170,20 +256,22 @@ func TestInflateBitFlips(t *testing.T) {
 	}
 }
 
-// agree requires the reference's verdict on stream: both fail, or both
-// succeed with equal output.
+// agree requires the reference's verdict on stream, in the window's reads
+// and in direct ones: both fail, or both succeed with equal output.
 func agree(t *testing.T, label string, stream []byte) {
 	t.Helper()
 	want, wantErr := reference(stream)
-	got, err := ours(stream, nil, 4096)
-	if (err != nil) != (wantErr != nil) {
-		t.Fatalf("%s: err %v, reference %v", label, err, wantErr)
-	}
-	if err == nil && !bytes.Equal(got, want) {
-		t.Fatalf("%s: decoded %d bytes, reference %d, and they differ", label, len(got), len(want))
-	}
-	if err != nil && err != io.ErrUnexpectedEOF && !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("%s: err %v is neither truncation nor ErrCorrupt", label, err)
+	for _, bufSize := range verdictBufs {
+		got, err := ours(stream, nil, bufSize)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%s, buf %d: err %v, reference %v", label, bufSize, err, wantErr)
+		}
+		if err == nil && !bytes.Equal(got, want) {
+			t.Fatalf("%s, buf %d: decoded %d bytes, reference %d, and they differ", label, bufSize, len(got), len(want))
+		}
+		if err != nil && err != io.ErrUnexpectedEOF && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s, buf %d: err %v is neither truncation nor ErrCorrupt", label, bufSize, err)
+		}
 	}
 }
 
@@ -546,7 +634,7 @@ func TestInflateSteadyState(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		src.Reset(stream)
 		r.Reset(src)
-		if n := drain(t, r, buf); n != len(data) {
+		if n := drain(t, r, buf, len(buf)); n != len(data) {
 			t.Fatalf("decoded %d bytes, want %d", n, len(data))
 		}
 	})
@@ -693,15 +781,15 @@ func dynamicHeaders(stream []byte) [][2][]uint8 {
 	s := new(state)
 	s.reset(bytes.NewReader(stream))
 	for s.err == nil {
-		if s.wp > winSize-outMargin {
+		if s.wp >= winStop {
 			copy(s.win[:histSize], s.win[s.wp-histSize:s.wp])
 			s.wp = histSize
 		}
 		switch {
 		case s.stored > 0:
-			s.copyStored()
+			s.wp = s.copyStored(&s.win, s.wp)
 		case s.huff:
-			s.huffman()
+			s.wp = s.huffman(&s.win, s.wp, winStop)
 		default:
 			// BFINAL, BTYPE, HLIT, HDIST: peeked before the header reads them.
 			peeked := s.need(13)

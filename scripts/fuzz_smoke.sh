@@ -25,7 +25,7 @@ targets='
 ./internal/ckpt      FuzzGobPrimedAgree  -fuzzminimizetime=1s
 # Arbitrary bytes as a 3-rank store epoch (manifest record, three objects, any epoch number): verify and load error or decode and agree, no panic, bounded allocation. (Minimizing a multi-KB epoch would eat a 10s run.)
 ./internal/ckpt      FuzzOpenImage  -fuzzminimizetime=1s
-# Arbitrary bytes as a DEFLATE stream: the in-tree decoder and compress/flate both fail or agree, at fixed state. (Minimizing a multi-KB input would eat a 10s run.)
+# Arbitrary bytes as a DEFLATE stream, read in reads of an arbitrary size (through the window, straight into the destination, or mixed, so matches straddle the start of a direct read): the in-tree decoder and compress/flate both fail or agree, a failure is truncation or ErrCorrupt, no Read writes past its destination, at fixed state. (Minimizing a multi-KB input would eat a 10s run.)
 ./internal/inflate   FuzzInflateAgree  -fuzzminimizetime=1s
 # Arbitrary bytes in arbitrary Write pieces: the in-tree encoder writes compress/flate BestSpeed bytes, the in-tree inflate reads them back, nothing allocated beyond the writer.
 ./internal/deflate   FuzzDeflateAgree  -fuzzminimizetime=1s
