@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var checks = []string{"lockedcall", "budgetpair", "wallclock", "closecheck", "gobcanon", "testonly"}
+var checks = []string{"lockedcall", "wallclock", "closecheck", "gobcanon", "testonly"}
 
 // TestBadTestdataFails drives each check's known-bad testdata package
 // through the real CLI entry point: non-zero exit and file:line diagnostics

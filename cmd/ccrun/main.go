@@ -18,9 +18,8 @@
 // job from any sealed epoch, resolving references through the chain and
 // reporting the modeled chain-aware restart read time. Long periodic runs
 // bound the store with a retention policy: -keep N garbage-collects dead
-// epochs after each seal and -compact-every N periodically rewrites the
-// chain into a fresh self-contained epoch, keeping the newest epoch's
-// restart read fan-in at N epochs or fewer.
+// epochs after each seal. Between legs, `ccimg compact` rewrites the chain
+// into a fresh self-contained epoch, so the next restart reads one epoch.
 package main
 
 import (
@@ -48,7 +47,6 @@ func main() {
 		codec    = flag.String("codec", "", "stored-object codec: flate or none (empty = flate)")
 		budgetMB = flag.Int("stream-budget", 0, "in-flight streaming-encode budget in MiB for store commits (0 = default)")
 		keep     = flag.Int("keep", 0, "garbage-collect the store after each seal, retaining this many epochs (0 = keep everything)")
-		compact  = flag.Int("compact-every", 0, "compact the chain into a self-contained epoch every N seals (0 = never)")
 		storeDir = flag.String("store", "", "commit each capture as an epoch in this store directory")
 		restore  = flag.String("restart-store", "", "restart from a store directory")
 		epoch    = flag.Int("epoch", -1, "store epoch to restart from (-1 = latest)")
@@ -65,12 +63,12 @@ func main() {
 		Params:    mana.PerlmutterLike(),
 		Algorithm: *algo,
 	}
-	if *ckptAt <= 0 && (*storeDir != "" || *async || *incr || *delta || *cdc || *codec != "" || *every > 0 || *budgetMB != 0 || *keep != 0 || *compact != 0) {
+	if *ckptAt <= 0 && (*storeDir != "" || *async || *incr || *delta || *cdc || *codec != "" || *every > 0 || *budgetMB != 0 || *keep != 0) {
 		// These flags only shape a checkpoint plan; without a first trigger
 		// they would be silently discarded and the run would complete with
 		// zero captures — surfaced only when a later restart finds an empty
 		// store.
-		fail(fmt.Errorf("-store/-async/-incremental/-delta/-cdc/-codec/-every/-stream-budget/-keep/-compact-every require -ckpt-at to schedule the first checkpoint"))
+		fail(fmt.Errorf("-store/-async/-incremental/-delta/-cdc/-codec/-every/-stream-budget/-keep require -ckpt-at to schedule the first checkpoint"))
 	}
 	if *epoch != -1 && *restore == "" {
 		// Only a restart reads an epoch; without a store to read it from the
@@ -90,8 +88,8 @@ func main() {
 	if *budgetMB < 0 {
 		fail(fmt.Errorf("-stream-budget must be non-negative (MiB)"))
 	}
-	if *keep < 0 || *compact < 0 {
-		fail(fmt.Errorf("-keep and -compact-every must be non-negative"))
+	if *keep < 0 {
+		fail(fmt.Errorf("-keep must be non-negative"))
 	}
 	if *every > 0 && !*cont {
 		// Periodic chaining only happens when the job continues after each
@@ -109,7 +107,6 @@ func main() {
 			Async: *async, Incremental: *incr, Delta: *delta, CDC: *cdc, Codec: *codec,
 			StreamBudgetBytes: int64(*budgetMB) << 20,
 			KeepEpochs:        *keep,
-			CompactEvery:      *compact,
 		}
 		if *storeDir != "" {
 			fs, err := mana.NewFileStore(*storeDir)
@@ -174,9 +171,6 @@ func main() {
 		if st.CDCShards > 0 {
 			fmt.Printf(" (%d fresh as cdc chunk objects, %d bytes; %d chunks predicted from the parent's table)",
 				st.CDCShards, st.CDCBytes, st.CDCPredictedChunks)
-		}
-		if st.CompactedEpoch >= 0 {
-			fmt.Printf(", compacted into epoch %d (%.3fs background)", st.CompactedEpoch, st.CompactVT)
 		}
 		if st.GCDeletedEpochs > 0 || st.GCSweptObjects > 0 {
 			fmt.Printf(", gc reclaimed %d bytes (%d epochs, %d debris files)",

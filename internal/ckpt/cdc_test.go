@@ -747,24 +747,22 @@ func TestHintedCaptureAfterRestart(t *testing.T) {
 }
 
 // TestHintedAsyncChain: the hint is loaded outside the ordering ticket while
-// earlier commits, and the compaction that re-roots the chain, store it
-// under the ticket. An Async chain of CDC captures in back-to-back bursts
-// with CompactEvery must seal exactly the manifests a serial replay of the
-// same images — unhinted, one commit at a time — seals. Run under -race.
+// earlier commits store it under the ticket. An Async chain of CDC captures
+// in back-to-back bursts must seal exactly the manifests a serial replay of
+// the same images — unhinted, one commit at a time — seals. Run under -race.
 func TestHintedAsyncChain(t *testing.T) {
 	const ranks, captures = 4, 9
 	store := NewMemStore()
 	state := &shiftState{b: noisyBytes(2<<20, 55)}
 	c := cdcCoordinator(t, store, state, ranks)
-	c.Plan.Async, c.Plan.CompactEvery = true, 2
+	c.Plan.Async = true
 	imgs := make([]*JobImage, captures)
 	for k := range imgs {
 		imgs[k] = captureNow(t, c, float64(k+1))
 		state.step()
 		if k%3 == 2 {
-			// Let the burst's commits seal: the last one's compaction then
-			// finds its epoch number free, and the next burst's first hash
-			// reads a manifest CompactChain wrote.
+			// Let the burst's commits seal, so the next burst's first hash
+			// reads the newest manifest while the rest read stale ones.
 			c.History()
 		}
 	}
@@ -779,7 +777,7 @@ func TestHintedAsyncChain(t *testing.T) {
 
 	serial := NewMemStore()
 	var parent *Manifest
-	var predicted, compacted int
+	var predicted int
 	for k, st := range hist {
 		sums, err := HashCaptureCDC(imgs[k])
 		if err != nil {
@@ -788,21 +786,12 @@ func TestHintedAsyncChain(t *testing.T) {
 		if parent, _, err = CommitStreamed(serial, st.Epoch, parent, imgs[k], sums, nil); err != nil {
 			t.Fatal(err)
 		}
-		if st.CompactedEpoch >= 0 {
-			if parent, _, err = CompactChain(serial, st.Epoch, nil); err != nil {
-				t.Fatal(err)
-			}
-			if parent.Epoch != st.CompactedEpoch {
-				t.Fatalf("serial compaction sealed epoch %d, the chain's %d", parent.Epoch, st.CompactedEpoch)
-			}
-			compacted++
-		}
 		predicted += st.CDCPredictedChunks
 	}
-	if compacted == 0 || predicted == 0 {
-		t.Fatalf("chain compacted %d times and predicted %d chunks: nothing was exercised", compacted, predicted)
+	if predicted == 0 {
+		t.Fatal("no chunk was predicted: the hint was never exercised")
 	}
-	t.Logf("%d captures, %d compactions, %d chunks predicted", captures, compacted, predicted)
+	t.Logf("%d captures, %d chunks predicted", captures, predicted)
 	got, err := store.Epochs()
 	if err != nil {
 		t.Fatal(err)

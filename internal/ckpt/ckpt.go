@@ -34,10 +34,10 @@
 // whole messages, so bulk state never passes through it), flate, and
 // checksum flow straight into the store's shard writer (ShardWriter)
 // through pooled fixed-size buffers, with
-// concurrent streams bounded in bytes by a StreamBudget
-// (Plan.StreamBudgetBytes; high-water reported as
-// CheckpointStats.PeakEncodeBytes), so peak encode memory never scales
-// with the image size. Restart reads are symmetric (OpenShard streamed
+// concurrent streams bounded in bytes by a StreamBudget, which caps the
+// fan-out's worker count (Plan.StreamBudgetBytes; what a commit ran with
+// reported as CheckpointStats.PeakEncodeBytes), so peak encode memory
+// never scales with the image size. Restart reads are symmetric (OpenShard streamed
 // through verification into the gob decoder). With
 // Plan.Async the job is released after stage 1 against only the
 // storage open latency — the forked-checkpoint analog — and the write time

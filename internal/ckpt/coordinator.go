@@ -83,26 +83,17 @@ type Plan struct {
 	Store Store
 	// StreamBudgetBytes bounds the commit stage's in-flight streaming-
 	// encode memory: shards gob+compress+checksum straight into the store's
-	// shard streams, and concurrent streams charge a fixed footprint
-	// against this budget, so peak encode memory never scales with the
-	// image size. Zero selects DefaultStreamBudgetBytes. The realized
-	// high-water mark is reported per capture as
-	// CheckpointStats.PeakEncodeBytes.
+	// shard streams, each open stream is accounted at a fixed footprint,
+	// and the fan-out runs only as many streams at once as fit under this
+	// budget, so peak encode memory never scales with the image size. Zero
+	// selects DefaultStreamBudgetBytes. What a capture's commit ran with is
+	// reported as CheckpointStats.PeakEncodeBytes.
 	StreamBudgetBytes int64
 	// KeepEpochs, when positive, garbage-collects the store after every
 	// sealed epoch, retaining the newest KeepEpochs epochs plus everything
 	// their manifests transitively reference (GCStore). Reclaimed
 	// bytes are reported per capture in CheckpointStats.
 	KeepEpochs int
-	// CompactEvery, when positive, compacts the chain after every
-	// CompactEvery-th seal: the newest epoch is rewritten as a fresh
-	// self-contained epoch (CompactChain), the root later captures diff
-	// against, and the old chain becomes reclaimable by KeepEpochs. The
-	// newest sealed epoch then reads at most CompactEvery epochs — the
-	// root and the seals since — which bounds the restart read fan-in
-	// (RestartReadVT). A compaction whose epoch number a capture already in
-	// flight took waits for the next seal, so that seal may read one more.
-	CompactEvery int
 }
 
 // RankHooks are the capture callbacks the runtime registers per rank. They
@@ -155,16 +146,11 @@ type CheckpointStats struct {
 	// capture failed (nothing sealed, nothing charged).
 	Epoch int
 
-	// Lifecycle accounting (zero unless KeepEpochs/CompactEvery enable the
-	// post-seal lifecycle pass). CompactedEpoch is the self-contained epoch
-	// this seal's compaction produced (-1 when none ran); CompactVT is its
-	// modeled write time (background traffic — it never stalls the job).
-	// The GC fields report what the retention pass reclaimed after this
-	// seal: dead sealed epochs, the fresh shard objects they held,
-	// unsealed-debris files, stored bytes freed, and the modeled deletion
-	// traffic (metadata operations; see netmodel.DeleteTime).
-	CompactedEpoch   int
-	CompactVT        float64
+	// Retention accounting (zero unless KeepEpochs enables the post-seal
+	// GC): what the pass reclaimed after this seal — dead sealed epochs,
+	// the fresh shard objects they held, unsealed-debris files, stored
+	// bytes freed — and the modeled deletion traffic (metadata operations;
+	// see netmodel.DeleteTime).
 	GCDeletedEpochs  int
 	GCDeletedShards  int
 	GCSweptObjects   int
@@ -204,12 +190,12 @@ type CheckpointStats struct {
 	// (including any wait for the preceding epoch's commit to seal).
 	CommitHostSeconds float64
 
-	// PeakEncodeBytes is the high-water mark of the streaming encoder's
-	// in-flight memory during this capture's commit — the quantity the
-	// stream budget bounds. It tracks accounting charges (pooled chunk
-	// buffers plus per-stream compressor state), not Go heap totals, and is
-	// always at or below the configured budget; with MANA-scale images it
-	// sits orders of magnitude below ImageBytes.
+	// PeakEncodeBytes is the streaming encoder's in-flight memory during
+	// this capture's commit — the quantity the stream budget bounds: the
+	// shard streams the commit ran at once times their accounted footprint
+	// (pooled chunk buffer plus per-stream compressor state), not Go heap
+	// totals, clamped to the budget. Zero when no shard was fresh; with
+	// MANA-scale images it sits orders of magnitude below ImageBytes.
 	PeakEncodeBytes int64
 
 	// Drain-progress counters, summed across ranks at capture time and
@@ -288,16 +274,12 @@ type Coordinator struct {
 	// the identity pass's chunk hint, which may therefore be an epoch older
 	// than the parent — a sealed manifest is never written again, and a
 	// stale hint only lowers the chunker's hit rate.
-	budget     *StreamBudget // created on first commit, guarded by commitMu
 	nextEpoch  int
 	commitWG   sync.WaitGroup
 	commitMu   sync.Mutex
 	commitCond *sync.Cond
 	committed  int // epochs sealed so far (the next commit ticket)
 	lastMan    atomic.Pointer[Manifest]
-	// sealsSinceCompact counts seals toward the next CompactEvery trigger
-	// (guarded by commitMu, like the rest of the commit stage's state).
-	sealsSinceCompact int
 }
 
 // NewCoordinator creates a coordinator for a world under a checkpoint plan
@@ -600,12 +582,11 @@ func (c *Coordinator) captureLocked() {
 	img.CaptureVT = maxVT
 
 	c.stats = CheckpointStats{
-		RequestVT:      c.requestVT,
-		CaptureVT:      maxVT,
-		DrainVT:        maxVT - c.requestVT,
-		ImageBytes:     img.TotalBytes(),
-		Epoch:          -1,
-		CompactedEpoch: -1,
+		RequestVT:  c.requestVT,
+		CaptureVT:  maxVT,
+		DrainVT:    maxVT - c.requestVT,
+		ImageBytes: img.TotalBytes(),
+		Epoch:      -1,
 		//lint:allow wallclock CaptureHostSeconds deliberately reports host-side encode cost
 		CaptureHostSeconds: time.Since(captureStart).Seconds(),
 	}
@@ -707,17 +688,14 @@ type commitResult struct {
 	epoch       int
 	stats       *CommitStats
 	cost        netmodel.WriteCost // the sealed epoch's modeled write
-	peakEncode  int64              // streaming encoder's in-flight high-water mark
 	hostSeconds float64
 	err         error
 
-	// Lifecycle pass outcome (KeepEpochs/CompactEvery). lifecycleErr is
-	// kept apart from err: the epoch itself SEALED, so its cost fields must
-	// still be applied even when the retention pass after it failed.
-	compacted    int // epoch the chain was compacted into, -1 when none
-	compactVT    float64
-	gc           *GCStats
-	lifecycleErr error
+	// Retention pass outcome (KeepEpochs). gcErr is kept apart from err:
+	// the epoch itself SEALED, so its cost fields must still be applied
+	// even when the GC after it failed.
+	gc    *GCStats
+	gcErr error
 }
 
 // commitEpoch runs stages 2–3 for one captured image: hash every shard's
@@ -725,11 +703,12 @@ type commitResult struct {
 // image; the manifest CDC mode reads beside it is a hint), then under the
 // ordering ticket diff against the previous committed manifest (when
 // Incremental), stream the fresh shards into the store under the encode
-// budget, and seal the epoch. Called WITHOUT c.mu held.
+// budget, seal the epoch and run the retention pass. Called WITHOUT c.mu
+// held, and takes no lock but the ticket.
 func (c *Coordinator) commitEpoch(epoch int, img *JobImage) (res commitResult) {
 	//lint:allow wallclock commit hostSeconds deliberately reports host-side commit cost
 	t0 := time.Now()
-	res = commitResult{epoch: epoch, compacted: -1}
+	res = commitResult{epoch: epoch}
 	codec, encErr := CodecByName(c.Plan.Codec)
 	var sums *ShardSums
 	switch {
@@ -768,13 +747,7 @@ func (c *Coordinator) commitEpoch(epoch int, img *JobImage) (res commitResult) {
 	if c.Plan.Incremental {
 		parent = c.lastMan.Load()
 	}
-	// Commits are serialized by the ordering ticket, so reading the shared
-	// budget's per-epoch peak below is race-free.
-	if c.budget == nil {
-		c.budget = NewStreamBudget(c.Plan.StreamBudgetBytes)
-	}
-	man, st, err := buildCommit(c.Plan.Store, codec, epoch, parent, img, sums, c.budget)
-	res.peakEncode = c.budget.TakePeak()
+	man, st, err := buildCommit(c.Plan.Store, codec, epoch, parent, img, sums, NewStreamBudget(c.Plan.StreamBudgetBytes))
 	if err == nil {
 		res.cost, err = c.seal(man)
 	}
@@ -788,91 +761,24 @@ func (c *Coordinator) commitEpoch(epoch int, img *JobImage) (res commitResult) {
 	}
 	res.stats = st
 	c.lastMan.Store(man)
-	c.lifecyclePass(epoch, man, &res)
+	// GC runs inside the ticket: that is the race-freedom argument for GC
+	// vs. an in-flight commit — the next queued commit cannot start until
+	// it finishes, its diff parent is lastMan (always retained, keep >= 1),
+	// and reuse copies RefEpoch from lastMan's entries, all of which GC
+	// traced live.
+	if c.Plan.KeepEpochs > 0 {
+		res.gc, res.gcErr = GCStore(c.Plan.Store, c.Plan.KeepEpochs)
+	}
 	return res
 }
 
-// seal prices a finished manifest and seals its epoch — a commit's or a
-// compaction's — under the commit ticket. The charge is one parallel-
-// filesystem write of WriteBytesOf(man).
+// seal prices a finished manifest and seals its epoch under the commit
+// ticket. The charge is one parallel-filesystem write of WriteBytesOf(man).
 func (c *Coordinator) seal(man *Manifest) (netmodel.WriteCost, error) {
 	if err := c.Plan.Store.PutManifest(man.Epoch, man); err != nil {
 		return netmodel.WriteCost{}, err
 	}
 	return c.W.Model.WriteCost(WriteBytesOf(man), c.nodes(), c.Plan.Async), nil
-}
-
-// lifecyclePass runs the retention policy after one sealed epoch, still
-// under the commit ticket (commitMu held, committed == epoch): compaction
-// every CompactEvery-th seal, then GC keeping KeepEpochs. Running inside
-// the ticket is the race-freedom argument for GC vs. an in-flight commit —
-// the next queued commit cannot start until this pass finishes, its diff
-// parent is lastMan (always retained, keep >= 1), and reuse copies RefEpoch
-// from lastMan's entries, all of which GC traced live.
-func (c *Coordinator) lifecyclePass(epoch int, man *Manifest, res *commitResult) {
-	if c.Plan.CompactEvery > 0 {
-		c.sealsSinceCompact++
-		if c.sealsSinceCompact >= c.Plan.CompactEvery {
-			hasRefs := false
-			for i := range man.Shards {
-				if man.Shards[i].RefEpoch != man.Epoch {
-					hasRefs = true
-					break
-				}
-			}
-			if !hasRefs {
-				c.sealsSinceCompact = 0 // already self-contained
-			} else if c.reserveEpoch(epoch + 1) {
-				// The compacted epoch takes the number epoch+1, which
-				// compactChain derives as latest-sealed+1 (nothing newer can
-				// seal while we hold the ticket). The number is consumed
-				// either way: the ticket advances past it even when the
-				// compaction fails and the number is burned, or later
-				// commits would wait forever for a seal that never comes.
-				newMan, _, err := compactChain(c.Plan.Store, epoch, c.budget)
-				var price netmodel.WriteCost
-				if err == nil {
-					price, err = c.seal(newMan)
-				}
-				c.committed++
-				if err != nil {
-					res.lifecycleErr = fmt.Errorf("compacting chain at epoch %d: %w", epoch, err)
-				} else {
-					// Re-root the chain: the next capture diffs against the
-					// compacted epoch. Raw identities are carried over by
-					// the copy, so shard reuse keeps working across it.
-					c.lastMan.Store(newMan)
-					res.compacted = newMan.Epoch
-					res.compactVT = price.Total
-					c.sealsSinceCompact = 0
-				}
-			}
-			// Reservation lost (a later capture already took epoch+1):
-			// leave the counter tripped and retry at the next seal.
-		}
-	}
-	if c.Plan.KeepEpochs > 0 && res.lifecycleErr == nil {
-		gc, err := GCStore(c.Plan.Store, c.Plan.KeepEpochs)
-		res.gc = gc
-		if err != nil {
-			res.lifecycleErr = fmt.Errorf("gc after epoch %d: %w", epoch, err)
-		}
-	}
-}
-
-// reserveEpoch claims the next capture epoch number for the compaction
-// pass. It succeeds only when no capture has taken a number past the
-// just-sealed epoch: epoch numbering must stay in capture order, and a
-// compacted epoch squeezed under captures already numbered above it would
-// seal out of order and re-root the diff chain behind their backs.
-func (c *Coordinator) reserveEpoch(want int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.nextEpoch != want {
-		return false
-	}
-	c.nextEpoch++
-	return true
 }
 
 // applyCommitLocked folds a commit's outcome into the history entry it
@@ -881,7 +787,6 @@ func (c *Coordinator) reserveEpoch(want int) bool {
 func (c *Coordinator) applyCommitLocked(histIdx int, res commitResult) {
 	e := &c.history[histIdx]
 	e.CommitHostSeconds = res.hostSeconds
-	e.PeakEncodeBytes = res.peakEncode
 	if res.err != nil {
 		// The failed epoch's cost fields deliberately stay zero (no write
 		// time is charged for an epoch that never sealed); the run itself
@@ -903,12 +808,11 @@ func (c *Coordinator) applyCommitLocked(histIdx int, res commitResult) {
 		e.CDCShards = res.stats.CDCShards
 		e.CDCBytes = res.stats.CDCBytes
 		e.CDCPredictedChunks = res.stats.CDCPredictedChunks
+		e.PeakEncodeBytes = res.stats.peakEncode
 	}
-	// Lifecycle outcome applies even when the pass failed part-way (the
-	// epoch itself sealed; whatever was reclaimed before the failure is
-	// real), with the failure surfaced through the run error.
-	e.CompactedEpoch = res.compacted
-	e.CompactVT = res.compactVT
+	// The GC outcome applies even when the pass failed part-way (the epoch
+	// itself sealed; whatever was reclaimed before the failure is real),
+	// with the failure surfaced through the run error.
 	if res.gc != nil {
 		e.GCDeletedEpochs = res.gc.DeletedEpochs
 		e.GCDeletedShards = res.gc.DeletedShards
@@ -918,8 +822,8 @@ func (c *Coordinator) applyCommitLocked(histIdx int, res commitResult) {
 		// removed, not their bytes.
 		e.GCVT = c.W.Model.DeleteTime(res.gc.DeletedShards + res.gc.DeletedEpochs + res.gc.SweptObjects)
 	}
-	if res.lifecycleErr != nil && c.err == nil {
-		c.err = fmt.Errorf("ckpt: lifecycle pass after epoch %d: %w", res.epoch, res.lifecycleErr)
+	if res.gcErr != nil && c.err == nil {
+		c.err = fmt.Errorf("ckpt: gc after epoch %d: %w", res.epoch, res.gcErr)
 	}
 	if histIdx == len(c.history)-1 {
 		c.stats = *e

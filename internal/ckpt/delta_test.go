@@ -346,9 +346,9 @@ func TestDeltaFallbacksToFullShard(t *testing.T) {
 	})
 }
 
-// TestDeltaCommitBudgetBounded: with deltas on, the streaming encoder's
-// high-water mark stays within an arbitrarily tight budget, down to the
-// serial floor.
+// TestDeltaCommitBudgetBounded: with deltas on, the streaming encoder holds
+// no more shard writers open than an arbitrarily tight budget admits, down
+// to the serial floor, and reports a peak inside it.
 func TestDeltaCommitBudgetBounded(t *testing.T) {
 	for name, capBytes := range map[string]int64{
 		"tight": 1,
@@ -367,18 +367,15 @@ func TestDeltaCommitBudgetBounded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			budget := NewStreamBudget(capBytes)
-			_, st, err := CommitStreamed(fs, 1, man0, img1, sums, budget)
+			store := &openCounter{Store: fs}
+			_, st, err := CommitStreamed(store, 1, man0, img1, sums, NewStreamBudget(capBytes))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if st.DeltaShards == 0 {
 				t.Fatalf("budgeted delta commit stored no deltas: %+v", st)
 			}
-			peak := budget.TakePeak()
-			if peak <= 0 || peak > budget.cap {
-				t.Fatalf("peak %d outside (0, %d]", peak, budget.cap)
-			}
+			checkStreamBound(t, "delta commit", store, st, capBytes)
 			got, err := LoadJobImage(fs, 1)
 			if err != nil {
 				t.Fatal(err)

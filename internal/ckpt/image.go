@@ -247,9 +247,10 @@ func putBufReader(br *bufio.Reader) {
 // RawSum/RawSize are stamped from that pass (see shardStream).
 //
 // Concurrency is bounded in BYTES, not just workers: every open ShardWriter
-// charges shardStreamFootprint against a StreamBudget, so the commit
-// stage's in-flight memory never exceeds the configured budget no matter
-// how many ranks or how large their shards.
+// is accounted at shardStreamFootprint, and a StreamBudget admits only as
+// many fan-out workers as fit, so the commit stage's in-flight memory never
+// exceeds the configured budget no matter how many ranks or how large their
+// shards.
 
 // shardChunkBytes is the fixed size of the pooled staging buffer between
 // the compressor and the store writer (gob emits many small writes; batching
@@ -267,7 +268,7 @@ const shardChunkBytes = 512 << 10
 // accounted at: the pooled chunk buffer plus a conservative bound on the
 // flate compressor's window/hash state and the gob encoder's scratch. It is
 // an accounting constant, deliberately rounded up — the budget must bound
-// real memory, so over-charging is the safe direction.
+// real memory, so over-counting is the safe direction.
 const shardStreamFootprint = shardChunkBytes + 768<<10
 
 // DefaultStreamBudgetBytes is the commit stage's in-flight encode budget
@@ -276,17 +277,14 @@ const shardStreamFootprint = shardChunkBytes + 768<<10
 // explicitly tightened.
 const DefaultStreamBudgetBytes = 64 << 20
 
-// StreamBudget bounds the bytes of in-flight streaming-encode state and
-// records the high-water mark (CheckpointStats.PeakEncodeBytes). Acquire
-// blocks until the requested bytes fit; a request larger than the whole
-// budget is clamped so a single stream can always make progress (the bound
-// then degrades to one stream's footprint, never to a deadlock).
+// StreamBudget bounds the bytes of in-flight streaming-encode state. It
+// bounds them by worker count: each worker of a shard fan-out holds at most
+// one open stream, so a fan-out under the budget runs at most
+// cap/shardStreamFootprint workers, and never fewer than one — a budget
+// below one stream's footprint degrades to a serial fan-out, never to a
+// deadlock. A nil budget has the default capacity.
 type StreamBudget struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	cap   int64
-	inUse int64
-	peak  int64
+	cap int64
 }
 
 // NewStreamBudget creates a budget of capBytes (<=0 selects
@@ -295,47 +293,22 @@ func NewStreamBudget(capBytes int64) *StreamBudget {
 	if capBytes <= 0 {
 		capBytes = DefaultStreamBudgetBytes
 	}
-	b := &StreamBudget{cap: capBytes}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+	return &StreamBudget{cap: capBytes}
 }
 
-// Acquire blocks until n bytes fit under the budget, then charges them.
-func (b *StreamBudget) Acquire(n int64) {
-	if n > b.cap {
-		n = b.cap // one stream must always fit (see type doc)
+// fanOut runs fn(i) for each of jobs shard streams on as many workers as
+// the budget admits, and returns the in-flight encode memory it ran with
+// (CheckpointStats.PeakEncodeBytes): the streams open at once times
+// shardStreamFootprint, clamped to the capacity when a single stream is
+// larger than the whole budget.
+func (b *StreamBudget) fanOut(jobs int, fn func(i int)) (peak int64) {
+	capBytes := int64(DefaultStreamBudgetBytes)
+	if b != nil {
+		capBytes = b.cap
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for b.inUse+n > b.cap {
-		b.cond.Wait()
-	}
-	b.inUse += n
-	if b.inUse > b.peak {
-		b.peak = b.inUse
-	}
-}
-
-// Release returns n bytes to the budget.
-func (b *StreamBudget) Release(n int64) {
-	if n > b.cap {
-		n = b.cap
-	}
-	b.mu.Lock()
-	b.inUse -= n
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-// TakePeak returns the high-water mark since the last TakePeak and resets
-// it to the current in-use level. Commits are serialized (the coordinator's
-// epoch ticket), so per-epoch peaks read cleanly off a shared budget.
-func (b *StreamBudget) TakePeak() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	p := b.peak
-	b.peak = b.inUse
-	return p
+	workers := min(encodeWorkers(jobs), max(1, int(capBytes/shardStreamFootprint)))
+	fanOut(jobs, workers, fn)
+	return min(int64(min(workers, jobs))*shardStreamFootprint, capBytes)
 }
 
 // tallyWriter counts the bytes written through it (no hashing).

@@ -434,54 +434,123 @@ func TestShardHeaderHostileLength(t *testing.T) {
 	}
 }
 
-// TestStreamBudgetAccounting: acquire blocks at capacity, oversized
-// requests clamp instead of deadlocking, and TakePeak reports per-window
-// high-water marks.
-func TestStreamBudgetAccounting(t *testing.T) {
-	b := NewStreamBudget(100)
-	if b.cap != 100 {
-		t.Fatalf("cap %d", b.cap)
-	}
-	b.Acquire(60)
-	b.Acquire(40) // exactly full
-	released := make(chan struct{})
-	go func() {
-		b.Acquire(10) // must block until something frees
-		close(released)
-	}()
-	select {
-	case <-released:
-		t.Fatal("acquire over capacity did not block")
-	case <-time.After(20 * time.Millisecond):
-	}
-	b.Release(60)
-	select {
-	case <-released:
-	case <-time.After(time.Second):
-		t.Fatal("acquire did not wake on release")
-	}
-	if p := b.TakePeak(); p != 100 {
-		t.Fatalf("peak %d, want 100", p)
-	}
-	b.Release(40)
-	b.Release(10)
-	if p := b.TakePeak(); p != 50 {
-		// After the reset the window's high-water was the in-use level at
-		// reset time (50: the 40 + the unblocked 10).
-		t.Fatalf("second-window peak %d, want 50", p)
-	}
+// openCounter is the oracle for the commit stage's encode bound: a Store
+// that counts the shard writers open on it at once. Each writer stays open
+// a moment past its last byte, so fan-out workers that may overlap do.
+type openCounter struct {
+	Store
+	mu        sync.Mutex
+	open, max int
+}
 
-	// A request larger than the whole budget clamps (single streams must
-	// always make progress) rather than deadlocking.
-	b.Acquire(1000)
-	if p := b.TakePeak(); p != 100 {
-		t.Fatalf("clamped acquire peaked at %d, want 100", p)
+func (s *openCounter) PutShardStream(epoch, rank int) (io.WriteCloser, error) {
+	w, err := s.Store.PutShardStream(epoch, rank)
+	if err != nil {
+		return nil, err
 	}
-	b.Release(1000)
+	s.mu.Lock()
+	s.open++
+	s.max = max(s.max, s.open)
+	s.mu.Unlock()
+	return &countedWriter{WriteCloser: w, s: s}, nil
+}
 
-	// Default capacity kicks in for zero.
-	if NewStreamBudget(0).cap != DefaultStreamBudgetBytes {
-		t.Fatal("zero capacity did not select the default")
+// reset starts a new count (no writer may be open).
+func (s *openCounter) reset() {
+	s.mu.Lock()
+	s.max = 0
+	s.mu.Unlock()
+}
+
+type countedWriter struct {
+	io.WriteCloser
+	s *openCounter
+}
+
+func (w *countedWriter) Close() error {
+	time.Sleep(time.Millisecond)
+	err := w.WriteCloser.Close()
+	w.s.mu.Lock()
+	w.s.open--
+	w.s.mu.Unlock()
+	return err
+}
+
+// checkStreamBound holds what a commit or compaction under a budget of
+// capBytes (<= 0: the default) did against the oracle: at most
+// max(1, capacity/footprint) writers open at once, a reported peak inside
+// the budget that covers the writers it held, and — where both the budget
+// and GOMAXPROCS admit two streams — more than one stream at once.
+func checkStreamBound(t *testing.T, what string, s *openCounter, st *CommitStats, capBytes int64) {
+	t.Helper()
+	capacity := capBytes
+	if capacity <= 0 {
+		capacity = DefaultStreamBudgetBytes
+	}
+	bound := max(1, int(capacity/shardStreamFootprint))
+	s.mu.Lock()
+	held := s.max
+	s.mu.Unlock()
+	t.Logf("%s: %d writers open at once (bound %d), peak %d B of %d B", what, held, bound, st.peakEncode, capacity)
+	switch {
+	case held > bound:
+		t.Fatalf("%s held %d shard writers open at once; a %d B budget admits %d", what, held, capacity, bound)
+	case st.peakEncode <= 0 || st.peakEncode > capacity:
+		t.Fatalf("%s reported an encode peak of %d B, outside (0, %d]", what, st.peakEncode, capacity)
+	case st.peakEncode < min(int64(held)*shardStreamFootprint, capacity):
+		t.Fatalf("%s reported %d B but held %d streams of %d B", what, st.peakEncode, held, shardStreamFootprint)
+	case min(bound, runtime.GOMAXPROCS(0)) > 1 && held < 2:
+		t.Fatalf("%s never held two writers open at once: the fan-out ran serially", what)
+	}
+}
+
+// TestStreamBudgetBoundsOpenStreams: at GOMAXPROCS 4, a commit and a
+// compaction — reused shards copied, page deltas flattened — under a budget
+// below one stream's footprint, a 4 MiB one and the default each hold no
+// more writers open at once than the budget admits, and report a peak
+// inside it.
+func TestStreamBudgetBoundsOpenStreams(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const ranks = 16
+	for _, v := range []struct {
+		name     string
+		capBytes int64
+	}{
+		{"below-one", shardStreamFootprint - 1},
+		{"4MiB", 4 << 20},
+		{"default", 0},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			store := &openCounter{Store: NewMemStore()}
+			img0 := pagedImage(ranks, 7)
+			sums, err := HashCapturePaged(img0, testPageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			man0, st, err := CommitStreamed(store, 0, nil, img0, sums, NewStreamBudget(v.capBytes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkStreamBound(t, "commit", store, st, v.capBytes)
+
+			// Half the ranks change a byte: epoch 1 stores them as page
+			// deltas and references the rest, so its compaction both
+			// flattens and copies.
+			img1 := pagedImage(ranks, 7)
+			for r := 0; r < ranks; r += 2 {
+				img1.Images[r].App[100] ^= 0xFF
+			}
+			man1, st := commitPaged(t, store, 1, man0, img1)
+			if st.DeltaShards != ranks/2 || st.ReusedShards != ranks/2 {
+				t.Fatalf("epoch 1 stored %d deltas and reused %d shards, want %d of each", st.DeltaShards, st.ReusedShards, ranks/2)
+			}
+			store.reset()
+			_, st, err = CompactChain(store, man1.Epoch, NewStreamBudget(v.capBytes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkStreamBound(t, "compaction", store, st, v.capBytes)
+		})
 	}
 }
 

@@ -164,8 +164,8 @@ func GCStore(store Store, keep int) (*GCStats, error) {
 // checked against the manifest before the new epoch seals), so the restart
 // image — and its digest — is bit-identical to restarting from the source
 // epoch. Raw identities (RawSum/RawSize) are carried over unchanged, which
-// keeps incremental reuse working when the coordinator re-roots a running
-// chain onto the compacted epoch.
+// keeps incremental reuse working when a restarted job resumes the chain
+// from the compacted epoch.
 //
 // budget bounds the copy fan-out's in-flight memory exactly as it bounds
 // the commit stage's (nil selects the default capacity). An epoch that is
@@ -173,20 +173,6 @@ func GCStore(store Store, keep int) (*GCStats, error) {
 // On any copy or verification failure nothing is sealed and the partial
 // new epoch is removed.
 func CompactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *CommitStats, error) {
-	man, st, err := compactChain(store, epoch, budget)
-	if err != nil || st == nil {
-		return man, st, err
-	}
-	if err := store.PutManifest(man.Epoch, man); err != nil {
-		return nil, nil, err
-	}
-	return man, st, nil
-}
-
-// compactChain is CompactChain up to the seal: the new epoch's objects are
-// written and its manifest returned finished but UNSEALED, for the caller to
-// PutManifest.
-func compactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *CommitStats, error) {
 	man, err := store.GetManifest(epoch)
 	if err != nil {
 		return nil, nil, err
@@ -211,9 +197,6 @@ func compactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *Com
 		return nil, nil, err
 	}
 	newEpoch := latest + 1
-	if budget == nil {
-		budget = NewStreamBudget(0)
-	}
 
 	newMan := &Manifest{
 		Algorithm:          man.Algorithm,
@@ -228,11 +211,9 @@ func compactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *Com
 	}
 	st := &CommitStats{Epoch: newEpoch}
 	errs := make([]error, len(man.Shards))
-	fanOut(len(man.Shards), encodeWorkers(len(man.Shards)), func(i int) {
+	st.peakEncode = budget.fanOut(len(man.Shards), func(i int) {
 		errs[i] = func() error {
 			si := man.Shards[i]
-			budget.Acquire(shardStreamFootprint)
-			defer budget.Release(shardStreamFootprint)
 			if si.Partial() {
 				// A partial shard cannot be copied verbatim — the copy would
 				// still dangle off its sources. Flatten it: stream the
@@ -285,6 +266,9 @@ func compactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *Com
 	for i := range newMan.Shards {
 		st.FreshShards++
 		st.FreshBytes += newMan.Shards[i].Size
+	}
+	if err := store.PutManifest(newEpoch, newMan); err != nil {
+		return nil, nil, err
 	}
 	return newMan, st, nil
 }

@@ -94,9 +94,11 @@ func (s *pinSealer) commit(t *testing.T, mode string, epoch int, parent *Manifes
 }
 
 // compact rewrites epoch as a self-contained one and prices that seal.
+// CompactChain seals the new epoch; sealing its manifest again through the
+// coordinator rewrites the same record and prices it.
 func (s *pinSealer) compact(t *testing.T, epoch int) (*Manifest, pinPrice) {
 	t.Helper()
-	man, _, err := compactChain(s.c.Plan.Store, epoch, nil)
+	man, _, err := CompactChain(s.c.Plan.Store, epoch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +110,7 @@ func (s *pinSealer) compact(t *testing.T, epoch int) (*Manifest, pinPrice) {
 }
 
 // collect runs the retention pass, folds it into a history entry the way a
-// commit's lifecycle pass is folded, and returns the bits of its modeled
-// time.
+// commit's GC is folded, and returns the bits of its modeled time.
 func (s *pinSealer) collect(t *testing.T, keep int) (*GCStats, uint64) {
 	t.Helper()
 	st, err := GCStore(s.c.Plan.Store, keep)
@@ -120,7 +121,7 @@ func (s *pinSealer) collect(t *testing.T, keep int) (*GCStats, uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.history = append(c.history, CheckpointStats{})
-	c.applyCommitLocked(len(c.history)-1, commitResult{stats: &CommitStats{}, compacted: -1, gc: st})
+	c.applyCommitLocked(len(c.history)-1, commitResult{stats: &CommitStats{}, gc: st})
 	return st, math.Float64bits(c.history[len(c.history)-1].GCVT)
 }
 

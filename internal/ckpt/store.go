@@ -329,6 +329,10 @@ type CommitStats struct {
 	// CDCPredictedChunks is sums.PredictedChunks: how many of this capture's
 	// chunks the identity pass took from the parent's table.
 	CDCPredictedChunks int
+
+	// peakEncode is the in-flight encode memory the stream fan-out ran
+	// with (StreamBudget.fanOut), reported as CheckpointStats.PeakEncodeBytes.
+	peakEncode int64
 }
 
 // CommitCapture runs stages 2–3 of the checkpoint pipeline for one captured
@@ -488,7 +492,7 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 // identity pass over this very img, stored sizes and checksums from the
 // writers. Nothing here re-hashes the raw stream, and a partial object
 // reads only the pages or chunks it stores. budget bounds the fan-out's
-// in-flight encode memory; nil selects a default-capacity budget. The
+// in-flight encode memory; nil selects the default capacity. The
 // caller seals (PutManifest) or, on error, removes the epoch's debris.
 //
 // When sums carries page tables (HashCapturePaged), the diff is page-
@@ -499,9 +503,6 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 // manifest seals as ManifestV4.
 func buildCommit(store Store, codec Codec, epoch int, parent *Manifest, img *JobImage, sums *ShardSums, budget *StreamBudget) (*Manifest, *CommitStats, error) {
 	n := len(img.Images)
-	if budget == nil {
-		budget = NewStreamBudget(0)
-	}
 	deltaMode := sums.PageSums != nil
 	cdcMode := sums.Chunks != nil
 
@@ -671,17 +672,15 @@ func buildCommit(store Store, codec Codec, epoch int, parent *Manifest, img *Job
 		man.Shards[i] = si
 	}
 
-	// Stream the fresh shards concurrently, each worker's in-flight state
-	// charged against the budget: the fan-out degrades gracefully to fewer
-	// concurrent streams as the budget tightens, never to more memory.
+	// Stream the fresh shards concurrently, on as many workers as the
+	// budget admits: the fan-out degrades gracefully to fewer concurrent
+	// streams as the budget tightens, never to more memory.
 	ferrs := make([]error, len(fresh))
-	fanOut(len(fresh), encodeWorkers(len(fresh)), func(j int) {
+	st.peakEncode = budget.fanOut(len(fresh), func(j int) {
 		ferrs[j] = func() error {
 			i := fresh[j]
 			ri := &img.Images[i]
 			si := &man.Shards[i]
-			budget.Acquire(shardStreamFootprint)
-			defer budget.Release(shardStreamFootprint)
 			// The identity pass's layout of this very rank image, when sums
 			// carries one; anything else is laid out here, and the size check
 			// below catches sums that belong to another image.

@@ -574,8 +574,8 @@ func TestChainBrokenParentAttributed(t *testing.T) {
 }
 
 // TestCommitStreamedBudgetBounded: commits succeed under an arbitrarily
-// tight budget (a single stream always fits), and the budget's high-water
-// mark never exceeds its capacity.
+// tight budget (a single stream always fits), never hold more shard writers
+// open than the budget admits, and report a peak inside it.
 func TestCommitStreamedBudgetBounded(t *testing.T) {
 	for name, capBytes := range map[string]int64{
 		"tight":    1, // below one stream's footprint: degrades to serial
@@ -584,24 +584,20 @@ func TestCommitStreamedBudgetBounded(t *testing.T) {
 		"default0": 0,
 	} {
 		t.Run(name, func(t *testing.T) {
-			budget := NewStreamBudget(capBytes)
-			store := NewMemStore()
+			store := &openCounter{Store: NewMemStore()}
 			img := testImage(16, 3)
 			sums, err := HashCapture(img)
 			if err != nil {
 				t.Fatal(err)
 			}
-			man, st, err := CommitStreamed(store, 0, nil, img, sums, budget)
+			man, st, err := CommitStreamed(store, 0, nil, img, sums, NewStreamBudget(capBytes))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if st.FreshShards != 16 {
 				t.Fatalf("commit stats: %+v", st)
 			}
-			peak := budget.TakePeak()
-			if peak <= 0 || peak > budget.cap {
-				t.Fatalf("peak %d outside (0, %d]", peak, budget.cap)
-			}
+			checkStreamBound(t, "commit", store, st, capBytes)
 			got, err := LoadJobImage(store, man.Epoch)
 			if err != nil {
 				t.Fatal(err)

@@ -5,9 +5,6 @@
 //   - lockedcall: a *Locked method of a mutex-guarded type may only be
 //     called from another *Locked method of the same type or from a caller
 //     that locks the receiver's mu.
-//   - budgetpair: every StreamBudget.Acquire must be paired with a deferred
-//     Release in the same function, so error returns and panics cannot leak
-//     budget and wedge later commits.
 //   - wallclock: no time.Now/Since/Until in virtual-time-modeled library
 //     code; host-time measurement sites must be explicitly annotated.
 //   - closecheck: the error from a streaming writer's Close must be checked
@@ -61,7 +58,6 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		LockedCall(),
-		BudgetPair(),
 		Wallclock(nil),
 		CloseCheck(),
 		GobCanon(),

@@ -96,7 +96,6 @@ func testGolden(t *testing.T, check string) {
 }
 
 func TestLockedCall(t *testing.T) { testGolden(t, "lockedcall") }
-func TestBudgetPair(t *testing.T) { testGolden(t, "budgetpair") }
 func TestWallclock(t *testing.T)  { testGolden(t, "wallclock") }
 func TestCloseCheck(t *testing.T) { testGolden(t, "closecheck") }
 func TestGobCanon(t *testing.T)   { testGolden(t, "gobcanon") }
@@ -113,8 +112,8 @@ func TestTestOnly(t *testing.T) {
 	}
 }
 func TestAnalyzerCount(t *testing.T) {
-	if n := len(Analyzers()); n != 6 {
-		t.Fatalf("Analyzers() = %d analyzers, want 6", n)
+	if n := len(Analyzers()); n != 5 {
+		t.Fatalf("Analyzers() = %d analyzers, want 5", n)
 	}
 }
 

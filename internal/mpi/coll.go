@@ -18,7 +18,6 @@ import (
 type collSlot struct {
 	core *commCore
 	spec netmodel.CollSpec
-	nb   bool      // non-blocking instance (members poll through their mailboxes)
 	cond sync.Cond // on core.mu; broadcast when the root has entered and when full
 
 	entries []float64 // entry (initiation) virtual time per comm rank, -1 until seen
@@ -35,7 +34,7 @@ type collSlot struct {
 // communicator. Members pass through instances in order, so seq is either
 // live or the next one, which the first member to reach it claims from the
 // free list.
-func (core *commCore) slotLocked(seq uint64, kind netmodel.CollKind, size, root int, op Op, nb bool) *collSlot {
+func (core *commCore) slotLocked(seq uint64, kind netmodel.CollKind, size, root int, op Op) *collSlot {
 	idx := int(seq - core.base)
 	if idx < len(core.live) {
 		return core.live[idx]
@@ -53,7 +52,7 @@ func (core *commCore) slotLocked(seq uint64, kind netmodel.CollKind, size, root 
 		s.spec.Geom, s.spec.WorldRanks = core.geom, core.group.WorldRanks()
 	}
 	s.spec.Kind, s.spec.Size, s.spec.Root, s.spec.ReduceOp = kind, size, root, int(op)
-	s.nb, s.arrived, s.retired, s.result = nb, 0, false, s.result[:0]
+	s.arrived, s.retired, s.result = 0, false, s.result[:0]
 	s.left.Store(0)
 	for i := range s.entries {
 		s.entries[i], s.datas[i] = -1, s.datas[i][:0]
@@ -244,7 +243,7 @@ func (c *Comm) enter(kind netmodel.CollKind, size, root int, op Op, payload []by
 			}
 		}
 	}()
-	s = core.slotLocked(seq, kind, size, root, op, nb)
+	s = core.slotLocked(seq, kind, size, root, op)
 	if s.spec.Kind != kind || s.entries[i] >= 0 {
 		panic(fmt.Sprintf("mpi: rank %d entered %v on comm %d seq %d, which is %v with entry %g (erroneous program)",
 			i, kind, core.id, seq, s.spec.Kind, s.entries[i]))

@@ -94,10 +94,10 @@
 // after most ranks finish). Shards travel as streams, not blobs: each
 // fresh shard encodes (a small gob header plus its payload bytes raw),
 // compresses, and checksums straight into the store's shard writer
-// through fixed-size buffers, with concurrent streams bounded
-// in bytes by CkptPlan.StreamBudgetBytes (per-capture high-water reported
-// as CheckpointStats.PeakEncodeBytes), so checkpointable image size is not
-// capped by host RAM. Each capture seals one store epoch; restart loads
+// through fixed-size buffers, with the number of concurrent streams
+// bounded in bytes by CkptPlan.StreamBudgetBytes (what each capture ran
+// with reported as CheckpointStats.PeakEncodeBytes), so checkpointable
+// image size is not capped by host RAM. Each capture seals one store epoch; restart loads
 // any sealed epoch (RestartFromStore), streaming and resolving reference
 // chains — a reference into a missing or unsealed parent fails with a
 // descriptive error — and attributing corruption to the exact epoch and
@@ -110,12 +110,11 @@
 //
 // Chains do not grow forever: CkptPlan.KeepEpochs garbage-collects dead
 // epochs after every seal (liveness traced through the manifests' shard
-// references; GCStore), CkptPlan.CompactEvery periodically rewrites the
-// chain head as a fresh self-contained epoch (CompactChain), bounding the
-// newest epoch's restart read fan-in at CompactEvery epochs, and aborted-commit debris is swept along
-// the way. The ccimg gc and compact subcommands run both offline, and every
-// conformance chain leg asserts restart digests survive compaction + GC
-// unchanged.
+// references; GCStore), sweeping aborted-commit debris along the way.
+// Between legs, CompactChain rewrites the chain head as a fresh
+// self-contained epoch, so the next restart reads one epoch. The ccimg gc
+// and compact subcommands run both offline, and every conformance chain leg
+// asserts restart digests survive compaction + GC unchanged.
 //
 // # Storage pricing
 //
