@@ -2,9 +2,9 @@
 // enforces the invariants the checkpoint/restore pipeline relies on but the
 // compiler cannot see (lock discipline on *Locked methods, virtual-time
 // purity, writer Close-as-commit-point, canonical gob encoding, no function
-// that only tests reach). It is stdlib-only —
-// go/parser + go/types with a source importer — so it adds no module
-// dependencies and runs anywhere `go` does.
+// that only tests reach and no struct field that only tests read). It is
+// stdlib-only — go/parser + go/types with a source importer — so it adds no
+// module dependencies and runs anywhere `go` does.
 //
 // Usage:
 //

@@ -173,8 +173,8 @@ func main() {
 				st.CDCShards, st.CDCBytes, st.CDCPredictedChunks)
 		}
 		if st.GCDeletedEpochs > 0 || st.GCSweptObjects > 0 {
-			fmt.Printf(", gc reclaimed %d bytes (%d epochs, %d debris files)",
-				st.GCReclaimedBytes, st.GCDeletedEpochs, st.GCSweptObjects)
+			fmt.Printf(", gc reclaimed %d bytes (%d epochs, %d debris files; delete %.3fs)",
+				st.GCReclaimedBytes, st.GCDeletedEpochs, st.GCSweptObjects, st.GCVT)
 		}
 		fmt.Println()
 	}

@@ -134,10 +134,9 @@ type chunkSummer struct {
 	hint   []ChunkRef
 	byKey  map[chunkKey]int // hint position of each identity, first occurrence
 	expect int              // hint position expected at the next chunk start, -1 for none
-	// predicted counts chunks emitted by predict, declined the expectations
-	// it dropped (what a stale hint costs; the tests bound it per edit);
-	// everything else was cut by the gear loop.
-	predicted, declined int
+	// predicted counts chunks emitted by predict; everything else was cut
+	// by the gear loop.
+	predicted int
 }
 
 func newChunkSummer(hint []ChunkRef) *chunkSummer {
@@ -222,7 +221,6 @@ func (s *chunkSummer) Write(p []byte) (int, error) {
 				start = i
 				continue
 			}
-			s.declined++
 		}
 		if cl < gearSkipBytes {
 			n := min(int(gearSkipBytes-cl), len(p)-i)

@@ -148,22 +148,21 @@ type CheckpointStats struct {
 
 	// Retention accounting (zero unless KeepEpochs enables the post-seal
 	// GC): what the pass reclaimed after this seal — dead sealed epochs,
-	// the fresh shard objects they held, unsealed-debris files, stored
-	// bytes freed — and the modeled deletion traffic (metadata operations;
-	// see netmodel.DeleteTime).
+	// unsealed-debris files, stored bytes freed — and the modeled deletion
+	// traffic (metadata operations; see netmodel.DeleteTime), which ccrun's
+	// GC line prints. Every field here has a program reader; cclint's
+	// testonly reports one that only tests read.
 	GCDeletedEpochs  int
-	GCDeletedShards  int
 	GCSweptObjects   int
 	GCReclaimedBytes int64
 	GCVT             float64
 
 	// Incremental accounting: how many shards the commit stage wrote fresh
 	// versus referenced unchanged from an earlier epoch, and the compressed
-	// bytes on each side.
+	// bytes written fresh.
 	FreshShards  int
 	ReusedShards int
 	FreshBytes   int64
-	ReusedBytes  int64
 
 	// Page-delta accounting (Delta mode): how many of the fresh shards were
 	// stored as page deltas against an earlier full shard, and their
@@ -802,7 +801,6 @@ func (c *Coordinator) applyCommitLocked(histIdx int, res commitResult) {
 		e.FreshShards = res.stats.FreshShards
 		e.ReusedShards = res.stats.ReusedShards
 		e.FreshBytes = res.stats.FreshBytes
-		e.ReusedBytes = res.stats.ReusedBytes
 		e.DeltaShards = res.stats.DeltaShards
 		e.DeltaBytes = res.stats.DeltaBytes
 		e.CDCShards = res.stats.CDCShards
@@ -815,7 +813,6 @@ func (c *Coordinator) applyCommitLocked(histIdx int, res commitResult) {
 	// with the failure surfaced through the run error.
 	if res.gc != nil {
 		e.GCDeletedEpochs = res.gc.DeletedEpochs
-		e.GCDeletedShards = res.gc.DeletedShards
 		e.GCSweptObjects = res.gc.SweptObjects
 		e.GCReclaimedBytes = res.gc.ReclaimedBytes
 		// Deletes are metadata operations: the cost scales with the objects

@@ -238,7 +238,6 @@ func putBufReader(br *bufio.Reader) {
 // encoder's own bounded state:
 //
 //	shardStream: magic + gob(small header) | payload segments, by reference
-//	  → tallyWriter(raw size)
 //	  → codec (internal/deflate) → countWriter(compressed XXH64+size)
 //	  → pooled chunk buffer → Store.PutShardStream
 //
@@ -309,17 +308,6 @@ func (b *StreamBudget) fanOut(jobs int, fn func(i int)) (peak int64) {
 	workers := min(encodeWorkers(jobs), max(1, int(capBytes/shardStreamFootprint)))
 	fanOut(jobs, workers, fn)
 	return min(int64(min(workers, jobs))*shardStreamFootprint, capBytes)
-}
-
-// tallyWriter counts the bytes written through it (no hashing).
-type tallyWriter struct {
-	dst io.Writer
-	n   int64
-}
-
-func (w *tallyWriter) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
-	return w.dst.Write(p)
 }
 
 // countWriter accumulates an XXH64 checksum and byte count over everything
@@ -489,19 +477,19 @@ func (o *objectWriter) close() (size int64, checksum uint64, err error) {
 type ShardSummary struct {
 	Size     int64  // compressed bytes that reached the store
 	Checksum uint64 // XXH64 over the compressed stream
-	RawSize  int64  // raw stream bytes before compression
 	// PageSums is the CRC-32C page table of the raw stream, present only
 	// when the writer was opened with a page size.
 	PageSums []uint32
 }
 
 // ShardWriter streams one rank's full shard into a store stream: the rank
-// image's logical stream flows through the raw byte tally into the object
-// writer. Nothing shard-sized is ever buffered. Close finalizes the codec
-// stream, closes the store writer, and returns the summary.
+// image's logical stream flows (through the page summer, when asked for)
+// into the object writer. Nothing shard-sized is ever buffered. Close
+// finalizes the codec stream, closes the store writer, and returns the
+// summary.
 type ShardWriter struct {
 	obj   *objectWriter
-	raw   *tallyWriter
+	raw   io.Writer // the head of the raw stream: pages, else obj
 	pages *pageSummer
 }
 
@@ -516,13 +504,11 @@ func NewShardWriterCodec(rank int, dst io.WriteCloser, codec Codec, pageSize int
 	if err != nil {
 		return nil, err
 	}
-	w := &ShardWriter{obj: obj}
-	var rawDst io.Writer = obj
+	w := &ShardWriter{obj: obj, raw: obj}
 	if pageSize > 0 {
-		w.pages = newPageSummer(pageSize, rawDst)
-		rawDst = w.pages
+		w.pages = newPageSummer(pageSize, obj)
+		w.raw = w.pages
 	}
-	w.raw = &tallyWriter{dst: rawDst}
 	return w, nil
 }
 
@@ -537,7 +523,7 @@ func (w *ShardWriter) Encode(ri *RankImage, clockless bool) error {
 // store writer, and reports the shard's geometry and checksum.
 func (w *ShardWriter) Close() (ShardSummary, error) {
 	size, checksum, err := w.obj.close()
-	sum := ShardSummary{Size: size, Checksum: checksum, RawSize: w.raw.n}
+	sum := ShardSummary{Size: size, Checksum: checksum}
 	if w.pages != nil {
 		sum.PageSums = w.pages.finish()
 	}

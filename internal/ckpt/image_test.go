@@ -308,12 +308,12 @@ func TestShardWriterStreamsIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if Sum64(raw) != wantSum || int64(len(raw)) != wantSize || sum.RawSize != wantSize {
-			t.Fatalf("rank %d: streamed raw identity (%x, %d; writer counted %d) != hashed (%x, %d)",
-				r, Sum64(raw), len(raw), sum.RawSize, wantSum, wantSize)
+		if Sum64(raw) != wantSum || int64(len(raw)) != wantSize {
+			t.Fatalf("rank %d: streamed raw identity (%x, %d) != hashed (%x, %d)",
+				r, Sum64(raw), len(raw), wantSum, wantSize)
 		}
 
-		got, err := readFullShard(t, ri.Rank, blob, sum.RawSize, sum.Checksum)
+		got, err := readFullShard(t, ri.Rank, blob, wantSize, sum.Checksum)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,16 +392,21 @@ func TestDecodeShardStreamRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := sink.Bytes()
+	h, err := hashShard(ri, 0, false, nil) // the raw size a manifest carries
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawSize := h.stream.size
 
 	cases := map[string]struct {
 		mutate  func([]byte) []byte
 		rawSize int64
 		want    string
 	}{
-		"bit-flip":  {func(b []byte) []byte { b[len(b)/2] ^= 1; return b }, sum.RawSize, "corrupted"},
-		"truncated": {func(b []byte) []byte { return b[:len(b)/2] }, sum.RawSize, "corrupted"},
-		"trailing":  {func(b []byte) []byte { return append(b, 0xEE) }, sum.RawSize, "corrupted"},
-		"raw-size":  {func(b []byte) []byte { return b }, sum.RawSize + 1, "raw size mismatch"},
+		"bit-flip":  {func(b []byte) []byte { b[len(b)/2] ^= 1; return b }, rawSize, "corrupted"},
+		"truncated": {func(b []byte) []byte { return b[:len(b)/2] }, rawSize, "corrupted"},
+		"trailing":  {func(b []byte) []byte { return append(b, 0xEE) }, rawSize, "corrupted"},
+		"raw-size":  {func(b []byte) []byte { return b }, rawSize + 1, "raw size mismatch"},
 		"neg-size":  {func(b []byte) []byte { return b }, -1, "negative geometry"},
 	}
 	for name, tc := range cases {

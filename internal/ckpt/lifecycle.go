@@ -209,7 +209,7 @@ func CompactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *Com
 		Epoch:              newEpoch,
 		Parent:             -1,
 	}
-	st := &CommitStats{Epoch: newEpoch}
+	st := &CommitStats{}
 	errs := make([]error, len(man.Shards))
 	st.peakEncode = budget.fanOut(len(man.Shards), func(i int) {
 		errs[i] = func() error {

@@ -388,9 +388,6 @@ func TestWriteBytesOf(t *testing.T) {
 				for _, man := range append(mans, compacted) {
 					got := WriteBytesOf(man)
 					read := ReadSetOf(man)[0]
-					if read.Epoch != man.Epoch {
-						t.Fatalf("epoch %d: read set leads with epoch %d", man.Epoch, read.Epoch)
-					}
 					var floored int64 // partial shares that rounded to nothing
 					for i := range man.Shards {
 						si := &man.Shards[i]

@@ -311,11 +311,9 @@ func (m *MemStore) list() ([]int, error) {
 // CommitStats summarizes one epoch commit: the incremental differ's verdict
 // plus the bytes that actually traveled to storage.
 type CommitStats struct {
-	Epoch        int
 	FreshShards  int
 	ReusedShards int
 	FreshBytes   int64 // compressed bytes written this epoch
-	ReusedBytes  int64 // compressed bytes referenced from earlier epochs
 	// DeltaShards/DeltaBytes count the subset of the fresh set written as
 	// page-delta objects (dirty pages only) rather than full shards; their
 	// bytes are included in FreshBytes.
@@ -554,7 +552,7 @@ func buildCommit(store Store, codec Codec, epoch int, parent *Manifest, img *Job
 	// Diff against the parent BEFORE streaming: on the low-churn jobs
 	// incremental checkpointing targets, most shards are references and
 	// re-encoding them would be pure waste. Only the fresh set streams.
-	st := &CommitStats{Epoch: epoch, CDCPredictedChunks: sums.PredictedChunks}
+	st := &CommitStats{CDCPredictedChunks: sums.PredictedChunks}
 	fresh := make([]int, 0, n)
 	for i := range img.Images {
 		ri := &img.Images[i]
@@ -616,7 +614,6 @@ func buildCommit(store Store, codec Codec, epoch int, parent *Manifest, img *Job
 			// deduplicating against them (and CDC entries stay decodable).
 			si.Chunks = p.Chunks
 			st.ReusedShards++
-			st.ReusedBytes += p.Size
 		case cdcMode:
 			// Changed. Look every chunk up in the parent chain's index:
 			// chunks whose content already lives in a sealed object are
@@ -1034,7 +1031,7 @@ func ReadSetOf(man *Manifest) []netmodel.EpochRead {
 	charge := func(epoch int, bytes int64) {
 		r := byEpoch[epoch]
 		if r == nil {
-			r = &netmodel.EpochRead{Epoch: epoch}
+			r = &netmodel.EpochRead{}
 			byEpoch[epoch] = r
 		}
 		r.Shards++
@@ -1070,7 +1067,7 @@ func ReadSetOf(man *Manifest) []netmodel.EpochRead {
 		}
 	}
 	if byEpoch[man.Epoch] == nil {
-		byEpoch[man.Epoch] = &netmodel.EpochRead{Epoch: man.Epoch}
+		byEpoch[man.Epoch] = &netmodel.EpochRead{}
 	}
 	reads := make([]netmodel.EpochRead, 0, len(byEpoch))
 	reads = append(reads, *byEpoch[man.Epoch])

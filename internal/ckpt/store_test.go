@@ -359,9 +359,9 @@ func TestReadSetOf(t *testing.T) {
 	}
 	reads := ReadSetOf(man)
 	want := []netmodel.EpochRead{
-		{Epoch: 5, Shards: 1, Bytes: 100},
-		{Epoch: 4, Shards: 1, Bytes: 30},
-		{Epoch: 2, Shards: 2, Bytes: 50},
+		{Shards: 1, Bytes: 100}, // epoch 5
+		{Shards: 1, Bytes: 30},  // epoch 4
+		{Shards: 2, Bytes: 50},  // epoch 2
 	}
 	if len(reads) != len(want) {
 		t.Fatalf("read set %+v, want %+v", reads, want)
@@ -375,7 +375,7 @@ func TestReadSetOf(t *testing.T) {
 	// All-reference epoch: the restart epoch still leads with zero shards.
 	man.Shards[0].RefEpoch = 4
 	reads = ReadSetOf(man)
-	if reads[0].Epoch != 5 || reads[0].Shards != 0 || reads[0].Bytes != 0 {
+	if len(reads) != 3 || reads[0] != (netmodel.EpochRead{}) {
 		t.Fatalf("all-reference epoch not leading: %+v", reads)
 	}
 

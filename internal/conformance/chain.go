@@ -346,7 +346,7 @@ func (row *chainRow) golden(o *Options, algo string) (*rt.Report, func(int) rt.A
 		return nil, nil, err
 	}
 	if row.shape == nil {
-		rep, factory, _, err := adaptedGolden(o, row.wl, algo)
+		rep, factory, err := adaptedGolden(o, row.wl, algo)
 		return rep, factory, err
 	}
 	cfg := *row.shape

@@ -117,9 +117,7 @@ type CaseResult struct {
 	SkipReason string
 
 	GoldenDigest string
-	GoldenSteps  int64   // rank 0's step count in the golden run
-	GoldenVT     float64 // golden virtual makespan
-	Scale        float64 // the (possibly adapted) workload scale used
+	GoldenSteps  int64 // rank 0's step count in the golden run
 
 	Triggers []TriggerResult
 	Failures int
@@ -232,18 +230,18 @@ func runGolden(o *Options, algo string, factory func(int) rt.App) (*rt.Report, e
 // adaptedGolden runs the golden job, doubling the scale until the run has at
 // least MinTriggers+2 rank-0 steps: the trigger sweep needs room, and tiny
 // scaled workloads may complete in fewer.
-func adaptedGolden(o *Options, wl, algo string) (*rt.Report, func(int) rt.App, float64, error) {
+func adaptedGolden(o *Options, wl, algo string) (*rt.Report, func(int) rt.App, error) {
 	scale := o.Scale
 	for attempt := 0; ; attempt++ {
 		rep, factory, err := golden(o, wl, algo, scale)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 		if rep.RankSteps[0] >= int64(o.MinTriggers)+2 {
-			return rep, factory, scale, nil
+			return rep, factory, nil
 		}
 		if attempt >= 12 {
-			return nil, nil, 0, fmt.Errorf("cannot reach %d steps (have %d at scale %g)",
+			return nil, nil, fmt.Errorf("cannot reach %d steps (have %d at scale %g)",
 				o.MinTriggers+2, rep.RankSteps[0], scale)
 		}
 		scale *= 2
@@ -288,7 +286,7 @@ func sweepPoints(n int64, minT, maxT int) []int {
 // RunCase verifies one workload x algorithm combination.
 func RunCase(wl, algo string, opts Options) (*CaseResult, error) {
 	o := opts.withDefaults()
-	cr := &CaseResult{Workload: wl, Algorithm: algo, Scale: o.Scale}
+	cr := &CaseResult{Workload: wl, Algorithm: algo}
 
 	if algo == rt.AlgoNative || algo == "" {
 		return nil, fmt.Errorf("the native baseline cannot checkpoint; verify %q or %q", rt.AlgoCC, rt.Algo2PC)
@@ -301,14 +299,12 @@ func RunCase(wl, algo string, opts Options) (*CaseResult, error) {
 	}
 
 	// Golden run, adapting scale until the sweep has room.
-	goldenRep, factory, scale, err := adaptedGolden(&o, wl, algo)
+	goldenRep, factory, err := adaptedGolden(&o, wl, algo)
 	if err != nil {
 		return nil, err
 	}
-	cr.Scale = scale
 	cr.GoldenDigest = goldenRep.StateDigest
 	cr.GoldenSteps = goldenRep.RankSteps[0]
-	cr.GoldenVT = goldenRep.RuntimeVT
 
 	drainBudget := o.DrainBudgetFactor*goldenRep.RuntimeVT + 0.1
 
@@ -396,7 +392,7 @@ func verifyTrigger(o *Options, wl, algo string, cr *CaseResult, factory func(int
 // the capturing run's report (its image, and the store and epoch it sealed
 // into). Shared by the negative and cross-geometry checks.
 func captureMidRun(o *Options, wl, algo string) (*rt.Report, func(int) rt.App, *rt.Report, error) {
-	goldenRep, factory, _, err := adaptedGolden(o, wl, algo)
+	goldenRep, factory, err := adaptedGolden(o, wl, algo)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -76,7 +76,7 @@ func VerifyFaultInjection(wl, algo string, opts Options) ([]AuxVerdict, error) {
 		// starts counting once all activity stops).
 		o.StallTimeout = time.Second
 	}
-	goldenRep, factory, _, err := adaptedGolden(&o, wl, algo)
+	goldenRep, factory, err := adaptedGolden(&o, wl, algo)
 	if err != nil {
 		return nil, err
 	}

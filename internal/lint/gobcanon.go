@@ -22,10 +22,11 @@ import (
 // forward an interface-typed parameter to Encode (the gobEncode(v any)
 // pattern) are treated as encoders themselves, so their call sites'
 // concrete argument types are roots too. From each root the analyzer walks
-// exported fields, slices, arrays, and pointers — stopping at types with
-// their own GobEncode or MarshalBinary — and reports each reachable map at
-// the field that declares it. Decode-only legacy map fields (kept for old
-// images) are annotated `//lint:allow gobcanon <why>` at the field.
+// exported fields, slices, arrays, map values and pointers — stopping at
+// types with their own GobEncode or MarshalBinary — and reports each
+// reachable map at the field that declares it. Decode-only legacy map
+// fields (kept for old images) are annotated `//lint:allow gobcanon <why>`
+// at the field.
 func GobCanon() *Analyzer {
 	return &Analyzer{
 		Name: "gobcanon",
@@ -34,21 +35,34 @@ func GobCanon() *Analyzer {
 	}
 }
 
-// gobRoot is one type that flows into a gob Encode call.
+// gobRoot is one type that flows into an encode call.
 type gobRoot struct {
 	t   types.Type
 	pos token.Pos // the Encode (or wrapper) call site
 }
 
-func runGobCanon(u *Unit) []Diagnostic {
-	inUnit := make(map[*types.Package]bool, len(u.Pkgs))
-	for _, pkg := range u.Pkgs {
-		inUnit[pkg.Pkg] = true
-	}
+// gobEncoders and reflectEncoders name the calls whose first argument an
+// encoder reads field by field: gob's alone, and gob's and JSON's.
+var (
+	gobEncoders     = map[string]bool{"(*encoding/gob.Encoder).Encode": true}
+	reflectEncoders = map[string]bool{"(*encoding/gob.Encoder).Encode": true,
+		"(*encoding/json.Encoder).Encode": true, "encoding/json.Marshal": true, "encoding/json.MarshalIndent": true}
+)
 
+func runGobCanon(u *Unit) []Diagnostic {
+	w := newGobWalker(u)
+	for _, r := range encodeRoots(u, gobEncoders) {
+		w.walk(r.t, r.pos, "")
+	}
+	return w.out
+}
+
+// encodeRoots returns the types that flow into the first argument of a call
+// to one of encoders, directly or through a wrapper.
+func encodeRoots(u *Unit, encoders map[string]bool) []gobRoot {
 	var roots []gobRoot
 	// wrappers maps a function that forwards one of its interface-typed
-	// parameters to gob Encode onto that parameter's index.
+	// parameters to an encoder onto that parameter's index.
 	wrappers := make(map[*types.Func]int)
 
 	for _, pkg := range u.Pkgs {
@@ -61,10 +75,10 @@ func runGobCanon(u *Unit) []Diagnostic {
 				params := paramObjects(pkg.Info, fd)
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					call, ok := n.(*ast.CallExpr)
-					if !ok || len(call.Args) != 1 {
+					if !ok || len(call.Args) == 0 {
 						return true
 					}
-					if !isGobEncodeCall(pkg.Info, call) {
+					if fn := calleeFunc(pkg.Info, call); fn == nil || !encoders[fn.FullName()] {
 						return true
 					}
 					arg := call.Args[0]
@@ -107,16 +121,7 @@ func runGobCanon(u *Unit) []Diagnostic {
 			}
 		}
 	}
-
-	w := &gobWalker{
-		u: u, inUnit: inUnit,
-		visited:  make(map[*types.Named]bool),
-		reported: make(map[token.Pos]bool),
-	}
-	for _, r := range roots {
-		w.walk(r.t, r.pos, "")
-	}
-	return w.out
+	return roots
 }
 
 // paramObjects collects a function declaration's parameter objects in
@@ -161,26 +166,24 @@ func forwardedParam(info *types.Info, arg ast.Expr, params []types.Object) (int,
 	return 0, false
 }
 
-// isGobEncodeCall matches `enc.Encode(x)` with enc an *encoding/gob.Encoder.
-func isGobEncodeCall(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Encode" {
-		return false
-	}
-	recv := methodRecvNamed(info, call)
-	if recv == nil || recv.Obj().Pkg() == nil {
-		return false
-	}
-	return recv.Obj().Pkg().Path() == "encoding/gob" && recv.Obj().Name() == "Encoder"
-}
-
-// gobWalker walks gob-reachable types and reports bare maps.
+// gobWalker walks encoder-reachable types, records the fields it reaches
+// and reports bare maps.
 type gobWalker struct {
 	u        *Unit
 	inUnit   map[*types.Package]bool
 	visited  map[*types.Named]bool
 	reported map[token.Pos]bool
+	fields   map[*types.Var]bool
 	out      []Diagnostic
+}
+
+func newGobWalker(u *Unit) *gobWalker {
+	w := &gobWalker{u: u, inUnit: make(map[*types.Package]bool, len(u.Pkgs)), visited: make(map[*types.Named]bool),
+		reported: make(map[token.Pos]bool), fields: make(map[*types.Var]bool)}
+	for _, pkg := range u.Pkgs {
+		w.inUnit[pkg.Pkg] = true
+	}
+	return w
 }
 
 // walk descends t. at is the position the finding is attributed to — the
@@ -197,6 +200,7 @@ func (w *gobWalker) walk(t types.Type, at token.Pos, path string) {
 		w.walk(tt.Elem(), at, path)
 	case *types.Map:
 		w.report(at, path)
+		w.walk(tt.Elem(), at, path)
 	case *types.Named:
 		if w.visited[tt] {
 			return
@@ -225,6 +229,7 @@ func (w *gobWalker) walk(t types.Type, at token.Pos, path string) {
 			if !f.Exported() {
 				continue // gob silently skips unexported fields
 			}
+			w.fields[f.Origin()] = true
 			fieldPath := f.Name()
 			if path != "" {
 				fieldPath = path + "." + f.Name()

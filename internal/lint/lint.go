@@ -15,7 +15,9 @@
 //   - testonly: every function is referenced from non-test code, or is API
 //     (the root package's exported names, the exported methods of the types
 //     it re-exports by alias, any method whose name an interface declares,
-//     main and init) — code only tests reach is a second, unexercised API.
+//     main and init) — code only tests reach is a second, unexercised API;
+//     and every struct field is read by non-test code, unless gob or JSON
+//     encodes it, its struct is a map key or compared, or it is embedded.
 //
 // A finding is suppressed by annotating the offending line (trailing, or a
 // comment line directly above) with:

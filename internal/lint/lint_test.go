@@ -107,8 +107,21 @@ func TestTestOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raw := analyzerNamed(t, "testonly").Run(u); len(raw) != 4 {
-		t.Fatalf("%d raw findings, want the 3 golden ones and Kept", len(raw))
+	raw := analyzerNamed(t, "testonly").Run(u)
+	if len(raw) != 8 {
+		t.Fatalf("%d raw findings, want the 7 golden ones and Kept", len(raw))
+	}
+	// Each field finding names its field: written, incremented, set by a
+	// composite literal, read by a test. The encoded, map-key, compared and
+	// embedding structs' fields are not found (the golden run fails on any).
+	named := make(map[string]bool)
+	for _, d := range raw {
+		named[strings.Fields(d.Message)[0]] = true
+	}
+	for _, f := range []string{"last", "calls", "label", "seen"} {
+		if !named["testonly.tally."+f] {
+			t.Errorf("no finding names testonly.tally.%s: %v", f, raw)
+		}
 	}
 }
 func TestAnalyzerCount(t *testing.T) {

@@ -30,8 +30,6 @@ import (
 type Package struct {
 	// Path is the package's import path ("mana/internal/ckpt").
 	Path string
-	// Dir is the directory the package was loaded from.
-	Dir string
 	// Files are the package's parsed non-test files.
 	Files []*ast.File
 	// Pkg is the type-checked package.
@@ -173,7 +171,6 @@ func isSourceFile(name string) bool {
 
 // parsed is one package's pre-typecheck state.
 type parsed struct {
-	dir     string
 	path    string
 	files   []*ast.File
 	imports map[string]bool // in-unit imports only (filled after all parse)
@@ -191,7 +188,7 @@ func load(dirs []string, pathOf func(dir string) string) (*Unit, error) {
 		if err != nil {
 			return nil, err
 		}
-		p := &parsed{dir: abs, path: pathOf(abs)}
+		p := &parsed{path: pathOf(abs)}
 		ents, err := os.ReadDir(abs)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %w", err)
@@ -287,7 +284,7 @@ func load(dirs []string, pathOf func(dir string) string) (*Unit, error) {
 		}
 		im.mod[p.path] = pkg
 		u.Pkgs = append(u.Pkgs, &Package{
-			Path: p.path, Dir: p.dir, Files: p.files, Pkg: pkg, Info: info,
+			Path: p.path, Files: p.files, Pkg: pkg, Info: info,
 		})
 	}
 	return u, nil

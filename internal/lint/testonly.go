@@ -21,13 +21,24 @@ import (
 // ones included) of the types it re-exports by alias (type Env = rt.Env),
 // any method whose name an interface visible to the unit declares — a call
 // through an interface names only the interface's method — and main and
-// init. Anything else kept without a caller carries
-// `//lint:allow testonly <why>`.
+// init.
+//
+// It reports, too, every struct field outside bench/ that no non-test code
+// reads: one that is only assigned, incremented, set by composite literals
+// or read by tests is state no program needs. Every selector use that is not
+// an assignment target, a ++/-- operand or a composite-literal key is a
+// read. Fields that are read without a selector are exempt, derived rather
+// than listed: those of the types gob or JSON encoding reaches (gobcanon's
+// roots and walk), those of struct types non-test code uses as a map key or
+// compares with == or !=, and embedded fields. Anything else kept without a
+// caller or a reader carries `//lint:allow testonly <why>`.
 func TestOnly() *Analyzer {
 	return &Analyzer{
 		Name: "testonly",
-		Doc:  "every function is reached by non-test code or is API",
-		Run:  runTestOnly,
+		Doc:  "every function and struct field is used by non-test code or is API",
+		Run: func(u *Unit) []Diagnostic {
+			return append(runTestOnly(u), unreadFields(u)...)
+		},
 	}
 }
 
@@ -57,7 +68,7 @@ func runTestOnly(u *Unit) []Diagnostic {
 	ifaceNames := interfaceMethodNames(u)
 	var out []Diagnostic
 	for _, pkg := range u.Pkgs {
-		if u.module != "" && strings.HasPrefix(pkg.Path+"/", u.module+"/bench/") {
+		if u.inBench(pkg) {
 			continue
 		}
 		for _, file := range pkg.Files {
@@ -83,6 +94,101 @@ func runTestOnly(u *Unit) []Diagnostic {
 						"a _test.go file, or annotate `//lint:allow testonly <why>`", pkg.Pkg.Name(), name),
 				})
 			}
+		}
+	}
+	return out
+}
+
+// inBench reports whether pkg lies under the module's bench/.
+func (u *Unit) inBench(pkg *Package) bool {
+	return u.module != "" && strings.HasPrefix(pkg.Path+"/", u.module+"/bench/")
+}
+
+// unreadFields reports the struct fields outside bench/ that no selector of
+// non-test code reads and no exemption covers.
+func unreadFields(u *Unit) []Diagnostic {
+	w := newGobWalker(u)
+	for _, r := range encodeRoots(u, reflectEncoders) {
+		w.walk(r.t, r.pos, "")
+	}
+	read := w.fields
+	var readAll func(t types.Type) // a comparison or a map key reads every field
+	readAll = func(t types.Type) {
+		switch t := t.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				read[t.Field(i).Origin()] = true
+				readAll(t.Field(i).Type())
+			}
+		case *types.Array:
+			readAll(t.Elem())
+		}
+	}
+	for _, pkg := range u.Pkgs {
+		for _, tv := range pkg.Info.Types {
+			if m, ok := tv.Type.Underlying().(*types.Map); ok {
+				readAll(m.Key())
+			}
+		}
+		written := make(map[*ast.Ident]bool)
+		write := func(e ast.Expr) {
+			if sel, ok := unparen(e).(*ast.SelectorExpr); ok {
+				written[sel.Sel] = true
+			}
+		}
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						write(lhs)
+					}
+				case *ast.IncDecStmt:
+					write(n.X)
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						written[id] = true
+					}
+				case *ast.BinaryExpr:
+					if t := pkg.Info.TypeOf(n.X); t != nil && (n.Op == token.EQL || n.Op == token.NEQ) {
+						readAll(t)
+					}
+				case *ast.Ident:
+					if v, ok := pkg.Info.Uses[n].(*types.Var); ok && v.IsField() && !written[n] {
+						read[v.Origin()] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	var out []Diagnostic
+	for _, pkg := range u.Pkgs {
+		if u.inBench(pkg) {
+			continue
+		}
+		for _, file := range pkg.Files {
+			owner := make(map[ast.Expr]string) // a struct type's name, when it has one
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					owner[n.Type] = n.Name.Name + "."
+				case *ast.StructType:
+					for _, f := range n.Fields.List {
+						for _, id := range f.Names { // an embedded field has none
+							if v, ok := pkg.Info.Defs[id].(*types.Var); ok && !read[v] {
+								out = append(out, Diagnostic{
+									Pos:   u.Fset.Position(id.Pos()),
+									Check: "testonly",
+									Message: fmt.Sprintf("%s.%s%s is read by no non-test code; delete it, give it a reader "+
+										"a program needs, or annotate `//lint:allow testonly <why>`", pkg.Pkg.Name(), owner[n], id.Name),
+								})
+							}
+						}
+					}
+				}
+				return true
+			})
 		}
 	}
 	return out

@@ -265,7 +265,6 @@ func (c *Comm) enter(kind netmodel.CollKind, size, root int, op Op, payload []by
 	for !s.settledFor(i) {
 		p.w.checkAbort()
 		parked = true
-		p.collParks++
 		p.waitSite.Store(&siteCollective)
 		s.cond.Wait()
 	}

@@ -76,7 +76,7 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 		// synchronizes.
 		r := mb.posted[i]
 		mb.posted = append(mb.posted[:i], mb.posted[i+1:]...)
-		r.complete(arrive, Status{Source: c.myRank, Tag: tag, Count: copy(r.buf, data)})
+		r.complete(arrive, Status{Count: copy(r.buf, data)})
 	} else {
 		var msg *message
 		if k := len(mb.free) - 1; k >= 0 {
@@ -121,7 +121,7 @@ func (c *Comm) Irecv(src, tag int, buf []byte) *Request {
 	for i, msg := range mb.queue {
 		if matches(msg.commID, msg.srcComm, msg.tag, req.commID, src, tag) {
 			mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
-			req.complete(msg.arriveVT, Status{Source: msg.srcComm, Tag: msg.tag, Count: copy(buf, msg.data)})
+			req.complete(msg.arriveVT, Status{Count: copy(buf, msg.data)})
 			p.Ct.BytesRecv += int64(len(msg.data))
 			mb.free = append(mb.free, msg)
 			return req

@@ -5,11 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// Status describes a completed receive, mirroring MPI_Status.
+// Status describes a completed receive, mirroring MPI_Status's count: the
+// source and tag no program here asks for are not kept.
 type Status struct {
-	Source int // comm rank of the sender
-	Tag    int
-	Count  int // bytes received
+	Count int // bytes received
 }
 
 // Request is the handle of a non-blocking operation (MPI_Request). A request

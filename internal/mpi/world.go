@@ -129,8 +129,7 @@ type Proc struct {
 	// labels are static strings, so labelling a wait allocates nothing.
 	waitSite atomic.Pointer[string]
 
-	freeReqs  []*Request // completed requests handed back through Request.Free
-	collParks int        // times the rank slept inside a blocking collective (tests)
+	freeReqs []*Request // completed requests handed back through Request.Free
 }
 
 // Wait-site labels of the simulator's own blocking calls.

@@ -103,9 +103,9 @@ func (m *Model) DeleteTime(objects int) float64 {
 
 // EpochRead is one epoch's contribution to a restart's resolved read set:
 // how many shard objects the restarting job must fetch from that epoch and
-// how many bytes they hold. ckpt.ReadSetOf derives the set from a manifest.
+// how many bytes they hold. ckpt.ReadSetOf derives the set from a manifest;
+// an entry's epoch is its place in the set.
 type EpochRead struct {
-	Epoch  int
 	Shards int
 	Bytes  int64
 }

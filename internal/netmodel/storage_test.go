@@ -83,7 +83,7 @@ func TestWriteStaggerScaling(t *testing.T) {
 func TestChainDepth1ReadEqualsFullRead(t *testing.T) {
 	m := testModel(128)
 	const bytes = 50 << 30
-	reads := []EpochRead{{Epoch: 7, Shards: 512, Bytes: bytes}}
+	reads := []EpochRead{{Shards: 512, Bytes: bytes}}
 	got := m.RestartReadCost(TierPFS, reads, 4)
 	want := m.RestartReadTime(bytes, 4)
 	if math.Abs(got-want) > 1e-12 {
@@ -95,11 +95,11 @@ func TestChainDepth1ReadEqualsFullRead(t *testing.T) {
 // by exactly one open plus the per-shard seeks for each extra epoch.
 func TestChainDepthSeekPenalty(t *testing.T) {
 	m := testModel(128)
-	flat := []EpochRead{{Epoch: 3, Shards: 512, Bytes: 50 << 30}}
+	flat := []EpochRead{{Shards: 512, Bytes: 50 << 30}}
 	deep := []EpochRead{
-		{Epoch: 3, Shards: 312, Bytes: 30 << 30},
-		{Epoch: 1, Shards: 120, Bytes: 15 << 30},
-		{Epoch: 0, Shards: 80, Bytes: 5 << 30},
+		{Shards: 312, Bytes: 30 << 30}, // epoch 3, the restart epoch
+		{Shards: 120, Bytes: 15 << 30}, // epoch 1
+		{Shards: 80, Bytes: 5 << 30},   // epoch 0
 	}
 	a, b := m.RestartReadCost(TierPFS, flat, 4), m.RestartReadCost(TierPFS, deep, 4)
 	wantExtra := 2*m.P.StorageLatency + float64(120+80)*m.P.StorageSeek

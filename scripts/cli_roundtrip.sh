@@ -15,7 +15,7 @@
 #       every cold rank as park=done reuses exactly the cold ranks' shards:
 #       shard reuse works across processes of one binary.
 # Which leg (c)'s precondition first holds on depends on host scheduling
-# (ROADMAP item 0), so legs are added, bounded, until it does. It is read
+# (ROADMAP item 2), so legs are added, bounded, until it does. It is read
 # from the park census `ccimg info -v` decodes from the store's newest epoch.
 # (Pipelines end in `grep >/dev/null`, not `grep -q`: under pipefail an early
 # exit of grep fails the writer with SIGPIPE.)
