@@ -559,8 +559,10 @@ func vaspBufs(ids ...string) []bufEntry {
 }
 
 // TestVASPSnapshotLayout: SnapshotTo emits the documented fixed-width
-// layout exactly, in one Write, every bit of the slab and the energy
-// included, and Restore reads it back onto the same state.
+// layout exactly, in one Write of its one allocation, every bit of the slab
+// and the energy included, and Restore reads it back onto the same state.
+// So a capture that ends the job, which keeps a one-Write snapshot
+// (ckpt's TestExitCaptureAllocs), allocates once a rank.
 func TestVASPSnapshotLayout(t *testing.T) {
 	cfg := VASPConfig{Iterations: 10, SlabN: 8}
 	v := vaspRank(cfg)
@@ -585,6 +587,17 @@ func TestVASPSnapshotLayout(t *testing.T) {
 	}
 	if again, _ := snapshot(back); !bytes.Equal(again, snap) {
 		t.Fatal("restore did not round-trip the snapshot")
+	}
+	if raceBuild() {
+		t.Log("allocation check skipped under the race detector")
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := v.SnapshotTo(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Fatalf("SnapshotTo allocates %v times, want 1 (the layout)", allocs)
 	}
 }
 
@@ -1096,11 +1109,17 @@ func (p *snapshotProbe) Step(env *rt.Env) (bool, error) {
 }
 
 // stepCounter counts its app's Steps, and how many came before its first
-// snapshot.
+// snapshot, and keeps the bytes its app was restored from.
 type stepCounter struct {
 	rt.App
 	steps, snappedAt int
 	snapped          bool
+	restored         []byte
+}
+
+func (c *stepCounter) Restore(data []byte) error {
+	c.restored = data
+	return c.App.Restore(data)
 }
 
 func (c *stepCounter) Step(env *rt.Env) (bool, error) {
@@ -1117,19 +1136,28 @@ func (c *stepCounter) SnapshotTo(w io.Writer) error {
 
 // TestCapturedImageImmutable: the checkpoint pipeline hashes a captured
 // image once, seals that hash as each entry's RawSum and keeps the image, so
-// the bytes a capture holds must never change afterwards. The capture most
-// exposed to a change is a restarted rank's first: it writes into the bytes
-// the rank was restored from (captureBuffer), which inflate filled straight
-// from the store, and which an app that kept them as live state would go on
-// mutating. Every registered app is checkpointed into a store, restarted
-// from it, captured again at the restarted leg's first step boundary and run
-// to completion; that capture's bytes must still hash to what its sealed
-// epoch records, and some rank must have stepped after it. Two hand-built
-// stragglers add hot ranks whose State (160 KB) is large enough to be
-// inflated by a direct read, one of them inserting elements as it goes.
-// Poisson sits this out: under CC its capture lands at the end of the solve
-// (Rank.Initiate never parks), so its restarted leg has no step left to
-// run and takes no capture, and 2PC does not run it.
+// the bytes a capture holds must never change afterwards. The captures most
+// exposed to a change are a restarted rank's:
+//   - its first continued capture writes into the bytes the rank was
+//     restored from, which inflate filled straight from the store — unless
+//     the app kept them as its live state, as the straggler does, and then it
+//     must copy into fresh memory;
+//   - a capture that ends the job keeps a one-Write snapshot, the
+//     straggler's live layout, as the image, and under Async the commit
+//     reads it after the ranks are released.
+//
+// Every registered app is checkpointed into a store, restarted from it,
+// captured again at the restarted leg's first step boundary and run to
+// completion; that capture's bytes must still hash to what its sealed epoch
+// records, some rank must have stepped after it, and no straggler rank's
+// image may be the bytes it kept. Each straggler is also restarted into an
+// Async capture that ends the job two steps in, whose kept images must hash
+// to their sealed sums. Two hand-built stragglers add hot ranks whose State
+// (160 KB) is large enough to be inflated by a direct read, one of them
+// inserting elements as it goes. Poisson sits this out: under CC its capture
+// lands at the end of the solve (Rank.Initiate never parks), so its
+// restarted leg has no step left to run and takes no capture, and 2PC does
+// not run it.
 func TestCapturedImageImmutable(t *testing.T) {
 	factories := map[string]func(rank int) rt.App{}
 	for _, name := range append([]string{"straggler"}, Names...) {
@@ -1162,29 +1190,52 @@ func TestCapturedImageImmutable(t *testing.T) {
 		if err != nil || first.Completed || first.Checkpoint == nil {
 			t.Fatalf("%s: the first leg did not checkpoint and exit (err %v)", name, err)
 		}
-		cfg.Checkpoint = &rt.CkptPlan{AtVT: first.Image.CaptureVT, Store: first.Store}
-		counters := make([]*stepCounter, ranks)
-		rep, err := rt.RestartFromStore(cfg, first.Store, first.Checkpoint.Epoch, func(rank int) rt.App {
-			counters[rank] = &stepCounter{App: factory(rank)}
-			return counters[rank]
-		})
-		if err != nil || !rep.Completed || rep.Checkpoint == nil || rep.Checkpoint.Epoch == first.Checkpoint.Epoch {
-			t.Fatalf("%s: the restarted leg did not capture and run to completion (err %v)", name, err)
-		}
-		if !slices.ContainsFunc(counters, func(c *stepCounter) bool { return c.steps > c.snappedAt }) {
-			t.Fatalf("%s: no rank stepped after the restarted leg's capture", name)
-		}
-		man, err := rep.Store.GetManifest(rep.Checkpoint.Epoch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sums, err := ckpt.HashCapture(rep.Image)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := range rep.Image.Images {
-			if sums.Sums[r] != man.Shards[r].RawSum {
-				t.Errorf("%s/rank%d: the captured bytes changed after their epoch sealed them (live state aliases the capture)", name, r)
+		straggler := strings.HasPrefix(name, "straggler")
+		for _, exit := range []bool{false, true} {
+			if exit && !straggler {
+				continue
+			}
+			leg := name
+			cfg.Checkpoint = &rt.CkptPlan{AtVT: first.Image.CaptureVT, Store: first.Store}
+			if exit {
+				leg += "/exit"
+				cfg.Checkpoint = &rt.CkptPlan{AtStep: 2, Mode: ckpt.ExitAfterCapture, Async: true, Store: first.Store}
+			}
+			counters := make([]*stepCounter, ranks)
+			rep, err := rt.RestartFromStore(cfg, first.Store, first.Checkpoint.Epoch, func(rank int) rt.App {
+				counters[rank] = &stepCounter{App: factory(rank)}
+				return counters[rank]
+			})
+			if err != nil || rep.Completed == exit || rep.Checkpoint == nil || rep.Checkpoint.Epoch == first.Checkpoint.Epoch {
+				t.Fatalf("%s: the restarted leg did not capture and run on (err %v)", leg, err)
+			}
+			if !exit && !slices.ContainsFunc(counters, func(c *stepCounter) bool { return c.steps > c.snappedAt }) {
+				t.Fatalf("%s: no rank stepped after the restarted leg's capture", leg)
+			}
+			man, err := rep.Store.GetManifest(rep.Checkpoint.Epoch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sums, err := ckpt.HashCapture(rep.Image)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := range rep.Image.Images {
+				if sums.Sums[r] != man.Shards[r].RawSum {
+					t.Errorf("%s/rank%d: the captured bytes changed after their epoch sealed them (live state aliases the capture)", leg, r)
+				}
+			}
+			if !straggler {
+				continue
+			}
+			for r, c := range counters {
+				img, live := rep.Image.Images[r].App, c.App.(*Straggler).state.buf
+				if &live[0] != &c.restored[0] {
+					t.Fatalf("%s/rank%d: the straggler did not keep the bytes it was restored from", leg, r)
+				}
+				if kept := &img[0] == &live[0]; kept != exit {
+					t.Errorf("%s/rank%d: the image is the rank's live layout: %v, want %v", leg, r, kept, exit)
+				}
 			}
 		}
 	}
@@ -1217,8 +1268,8 @@ func refStragglerSnapshot(a *Straggler) []byte {
 	return want.Bytes()
 }
 
-// writeSlices records every slice it is handed, retaining it — which an
-// io.Writer must not do; it is here only to see what SnapshotTo passes.
+// writeSlices records every slice it is handed, retaining it — as the
+// capture does until SnapshotTo returns — to see what SnapshotTo passes.
 type writeSlices struct{ got [][]byte }
 
 func (w *writeSlices) Write(p []byte) (int, error) {
@@ -1226,13 +1277,21 @@ func (w *writeSlices) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestStragglerSnapshotIsState: the State is held as the bytes it
+// holeAt gives a fresh rank's n-element State a hole of room slots in front
+// of element at, where insertions would have left it.
+func holeAt(a *Straggler, n, room, at int) {
+	off := 5*8 + len(a.Sum)
+	a.state = holed{buf: make([]byte, off+8*(n+room)), off: off, lo: at, hi: at + room}
+	a.Sum = a.state.buf[5*8 : off]
+}
+
+// TestStragglerSnapshotIsState: the rank holds its state as the bytes it
 // checkpoints. SnapshotTo emits the per-element layout exactly — at State
 // lengths from one element to past the old 32 KiB encoding block, with the
 // hole at the front, in the middle, at the end and where a fresh rank puts
 // it, every NaN payload, −0, subnormal and infinity bit for bit — and it
-// does so by handing its writer the header, Sum and the non-empty runs
-// either side of the hole, the runs aliasing the State, without allocating.
+// does so by moving the hole to the end and handing its writer the rank's
+// own layout in one Write, without allocating.
 func TestStragglerSnapshotIsState(t *testing.T) {
 	for _, elems := range []int{1, 2, 3, 200, 5000, 8229} {
 		for _, hole := range []string{"fresh", "front", "middle", "end"} {
@@ -1242,8 +1301,7 @@ func TestStragglerSnapshotIsState(t *testing.T) {
 			a.initState()
 			a.Iter, a.Acc = 3, 0.625
 			if hole != "fresh" {
-				at := map[string]int{"front": 0, "middle": elems / 2, "end": elems}[hole]
-				a.state = newHoled(elems, 3, at)
+				holeAt(a, elems, 3, map[string]int{"front": 0, "middle": elems / 2, "end": elems}[hole])
 				vs := awkwardF64s(elems)
 				for i, v := range vs {
 					a.state.set(i, v)
@@ -1257,28 +1315,16 @@ func TestStragglerSnapshotIsState(t *testing.T) {
 			if err := a.SnapshotTo(&got); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(bytes.Join(got.got, nil), want) {
+			if len(got.got) != 1 {
+				t.Fatalf("%s: %d Writes, want 1 (the layout)", name, len(got.got))
+			}
+			if p := got.got[0]; !bytes.Equal(p, want) {
 				t.Fatalf("%s: SnapshotTo wrote bytes that differ from the %d-byte layout", name, len(want))
+			} else if &p[0] != &a.state.buf[0] || a.state.lo != elems || a.state.hi != len(a.state.slots())/8 {
+				t.Fatalf("%s: the Write is not the rank's own layout with the hole at its end", name)
 			}
-			head, tail := a.state.halves()
-			parts := [][]byte{want[:40], a.Sum}
-			for _, run := range [][]byte{head, tail} {
-				if len(run) > 0 {
-					parts = append(parts, run)
-				}
-			}
-			if len(got.got) != len(parts) {
-				t.Fatalf("%s: %d Writes, want %d (header, Sum and the non-empty runs)", name, len(got.got), len(parts))
-			}
-			for i, p := range got.got[1:] {
-				if want := parts[i+1]; len(p) != len(want) || &p[0] != &want[0] {
-					t.Fatalf("%s: Write %d is not the rank's own bytes", name, i+2)
-				}
-			}
-			for k := 1; k <= len(parts); k++ {
-				if err := a.SnapshotTo(&failingWriter{k: k}); err != errKth {
-					t.Fatalf("%s: writer failing on Write %d: got %v", name, k, err)
-				}
+			if err := a.SnapshotTo(&failingWriter{k: 1}); err != errKth {
+				t.Fatalf("%s: writer failing on its Write: got %v", name, err)
 			}
 			snap, err := snapshot(a)
 			if err != nil || !bytes.Equal(snap, want) {
@@ -1288,7 +1334,7 @@ func TestStragglerSnapshotIsState(t *testing.T) {
 			if err := b.Restore(snap); err != nil {
 				t.Fatal(err)
 			}
-			if again, _ := snapshot(b); !bytes.Equal(again, snap) {
+			if again, _ := snapshot(b); !bytes.Equal(again, want) {
 				t.Fatalf("%s: restore did not round-trip the snapshot", name)
 			}
 		}
@@ -1308,13 +1354,13 @@ func TestStragglerSnapshotIsState(t *testing.T) {
 	}
 }
 
-// TestStragglerRestoreHoled: Restore lays the snapshot's elements into a
-// State whose hole sits where the rank's next insertion goes — at the front,
-// in the middle, before the last element, or, with no insertion left, at the
-// end — and that State snapshots back to exactly the restored bytes, awkward
-// floats bit for bit. Every insertion left after the restore fills the hole
-// without regrowing the State, and the elements end as the tail-shifting
-// reference's do.
+// TestStragglerRestoreHoled: Restore keeps the snapshot's elements with the
+// hole at their end, room for every insertion left, wherever the rank's
+// next insertion goes — at the front, in the middle, before the last
+// element, or, with no insertion left, nowhere — and that State snapshots
+// back to exactly the restored bytes, awkward floats bit for bit. Every
+// insertion left after the restore fills the hole without regrowing the
+// State, and the elements end as the tail-shifting reference's do.
 func TestStragglerRestoreHoled(t *testing.T) {
 	const elems, iters = 200, 400
 	cfg := StragglerConfig{HotRanks: 1, HotIters: iters, StateElems: elems, InsertEvery: 1}
@@ -1351,8 +1397,8 @@ func TestStragglerRestoreHoled(t *testing.T) {
 		if err := a.Restore(snap); err != nil {
 			t.Fatalf("hole %s: %v", c.hole, err)
 		}
-		if room := max(iters-c.iter, 0); a.state.lo != c.at || a.state.hi-a.state.lo != room {
-			t.Fatalf("hole %s: restored hole [%d, %d), want [%d, %d)", c.hole, a.state.lo, a.state.hi, c.at, c.at+room)
+		if room := max(iters-c.iter, 0); a.state.lo != elems || a.state.hi-a.state.lo != room {
+			t.Fatalf("next insertion %s: restored hole [%d, %d), want [%d, %d)", c.hole, a.state.lo, a.state.hi, elems, elems+room)
 		}
 		if again, _ := snapshot(a); !bytes.Equal(again, snap) {
 			t.Fatalf("hole %s: restore did not round-trip the snapshot", c.hole)
@@ -1415,11 +1461,12 @@ func TestStragglerRestoreHostile(t *testing.T) {
 }
 
 // FuzzStragglerRestore: arbitrary bytes are refused with a straggler: error,
-// leaving the rank as it was, or restore a state that snapshots back to
-// exactly those bytes — under insertion churn (any State length) and in
-// place (the configured length only). Restore never allocates more than the
-// input's length plus the hole it leaves for the insertions configured, past
-// a 1 KiB floor for an error message.
+// keeping nothing and leaving the rank as it was, or restore a state that
+// snapshots back to exactly those bytes — under insertion churn (any State
+// length) and in place (the configured length only), from bytes with room
+// for the hole past them (kept) and without (copied). Restore never
+// allocates more than the input's length plus the hole it leaves for the
+// insertions configured, past a 1 KiB floor for an error message.
 func FuzzStragglerRestore(f *testing.F) {
 	insert := StragglerConfig{HotRanks: 1, HotIters: 5, StateElems: 4, InsertEvery: 1}
 	inPlace := StragglerConfig{HotRanks: 1, HotIters: 5, StateElems: 4}
@@ -1433,24 +1480,43 @@ func FuzzStragglerRestore(f *testing.F) {
 	checkAllocs := !raceBuild()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, cfg := range []StragglerConfig{insert, inPlace} {
-			a := NewStraggler(cfg, 0)
-			before, _ := snapshot(a)
-			var err error
-			got := heapBytes(func() { err = a.Restore(data) })
-			if limit := uint64(len(data)) + 8*uint64(cfg.HotIters) + (1 << 10); checkAllocs && got > limit {
-				t.Fatalf("Restore of %d bytes allocated %d (limit %d; err %v)", len(data), got, limit, err)
-			}
-			after, _ := snapshot(a)
-			switch {
-			case err != nil && !strings.HasPrefix(err.Error(), "straggler: "):
-				t.Fatalf("refusal without the straggler: prefix: %v", err)
-			case err != nil && !bytes.Equal(after, before):
-				t.Fatalf("a refused snapshot changed the rank: %v", err)
-			case err == nil && !bytes.Equal(after, data):
-				t.Fatalf("restored %d bytes, snapshot back %d: not the same bytes", len(data), len(after))
+			// Restore may keep what it is given, so it gets a copy and data
+			// stays the reference.
+			for _, room := range []int{0, 8 * cfg.HotIters} {
+				in := append(make([]byte, 0, len(data)+room), data...)
+				a := NewStraggler(cfg, 0)
+				before, _ := snapshot(a)
+				var err error
+				got := heapBytes(func() { err = a.Restore(in) })
+				if limit := uint64(len(data)) + 8*uint64(cfg.HotIters) + (1 << 10); checkAllocs && got > limit {
+					t.Fatalf("Restore of %d bytes allocated %d (limit %d; err %v)", len(data), got, limit, err)
+				}
+				after, _ := snapshot(a)
+				switch {
+				case err != nil && !strings.HasPrefix(err.Error(), "straggler: "):
+					t.Fatalf("refusal without the straggler: prefix: %v", err)
+				case err != nil && !bytes.Equal(after, before):
+					t.Fatalf("a refused snapshot changed the rank: %v", err)
+				case err == nil && !bytes.Equal(after, data):
+					t.Fatalf("restored %d bytes, snapshot back %d: not the same bytes", len(data), len(after))
+				}
+				if err != nil {
+					scribble(in[:cap(in)])
+					if again, _ := snapshot(a); !bytes.Equal(again, before) {
+						t.Fatalf("a refused Restore kept its input: %v", err)
+					}
+				}
 			}
 		}
 	})
+}
+
+// scribble inverts every byte of b, so a rank that kept a reference to b
+// shows it in its next snapshot.
+func scribble(b []byte) {
+	for i := range b {
+		b[i] = ^b[i]
+	}
 }
 
 // TestStragglerOneElementInsertion: a hot rank whose State is one element has
@@ -1505,11 +1571,14 @@ func raceBuild() bool {
 	return false
 }
 
-// TestStragglerRestartBuildsOnce: a restarted rank pays for its State once.
-// Constructor and Restore together allocate about one State (no initial
-// state the snapshot overwrites, no second slice for a grown snapshot), and
-// under insertion churn the State's buffer never moves: a fresh rank and a
-// restored one each hold a hole with room for every insertion they have left.
+// TestStragglerRestartBuildsOnce: a restarted rank pays for its State at
+// most once. Constructor and Restore together allocate nothing State-sized
+// when the restored bytes have room for the hole past them — the rank keeps
+// them — and about one State when they do not (no initial state the
+// snapshot overwrites, no second slice for a grown snapshot). Under
+// insertion churn the State's buffer never moves: a fresh rank and a
+// restored one each hold a hole with room for every insertion they have
+// left.
 func TestStragglerRestartBuildsOnce(t *testing.T) {
 	if raceBuild() {
 		t.Log("allocation check skipped under the race detector")
@@ -1517,19 +1586,32 @@ func TestStragglerRestartBuildsOnce(t *testing.T) {
 		const elems, grown = 2 << 20, 2<<20 + 20
 		cfg := StragglerConfig{HotRanks: 1, HotIters: 40, StateElems: elems, InsertEvery: 1}
 		snap := stragglerImage(20, 40, 8, grown, 8+8*grown)
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		a := NewStraggler(cfg, 0)
-		err := a.Restore(snap)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, stateBytes := after.TotalAlloc-before.TotalAlloc, uint64(8*grown)
-		t.Logf("constructor + Restore: %d bytes allocated for a %d-byte State", got, stateBytes)
-		if limit := stateBytes*11/10 + 64<<10; got > limit {
-			t.Errorf("constructor + Restore allocated %d bytes for a %d-byte State, want <= %d", got, stateBytes, limit)
+		stateBytes := uint64(8 * grown)
+		for _, c := range []struct {
+			name  string
+			data  []byte
+			limit uint64
+		}{
+			{"kept", append(make([]byte, 0, len(snap)+8*20), snap...), 64 << 10},
+			{"copied", snap[:len(snap):len(snap)], stateBytes*11/10 + 64<<10},
+		} {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			a := NewStraggler(cfg, 0)
+			err := a.Restore(c.data)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := after.TotalAlloc - before.TotalAlloc
+			t.Logf("%s: constructor + Restore: %d bytes allocated for a %d-byte State", c.name, got, stateBytes)
+			if got > c.limit {
+				t.Errorf("%s: constructor + Restore allocated %d bytes for a %d-byte State, want <= %d", c.name, got, stateBytes, c.limit)
+			}
+			if kept := &a.state.buf[0] == &c.data[0]; kept != (c.name == "kept") {
+				t.Errorf("%s: the rank kept the restored bytes: %v", c.name, kept)
+			}
 		}
 	}
 
@@ -1670,10 +1752,12 @@ func abs(x int) int {
 // iteration, bit for bit the elements the tail-shifting State did, for
 // States of one, two and three elements (the front insertion and the
 // smallest interiors), for States whose insertion position wraps around many
-// times, with and without insertion, and with more insertions than the hole
-// has room for (a snapshot whose target outruns HotIters). A rank restored
-// at any iteration round-trips its snapshot, its hole sits where its next
-// insertion goes, and it ends where the uninterrupted rank does.
+// times, with and without insertion, with a snapshot after every iteration
+// moving the hole back to the end, and with more insertions than the hole
+// has room for (a snapshot whose target outruns HotIters). A fresh rank's
+// hole and a rank's restored at any iteration sit at the end of the State;
+// the restored rank round-trips its snapshot and ends where the
+// uninterrupted rank does.
 func TestStragglerHoleMatchesTail(t *testing.T) {
 	const iters = 150
 	for _, elems := range []int{1, 2, 3, 200, 5000} {
@@ -1686,8 +1770,8 @@ func TestStragglerHoleMatchesTail(t *testing.T) {
 			if !slices.Equal(f64Bits(stateOf(a)), f64Bits(ref)) {
 				t.Fatalf("%s: initial State differs from the reference fill", name)
 			}
-			if every > 0 && insertPos(every, elems) != a.state.lo {
-				t.Fatalf("%s: a fresh rank's hole is at %d, its first insertion goes to %d", name, a.state.lo, insertPos(every, elems))
+			if a.state.lo != elems || a.state.hi != len(a.state.slots())/8 {
+				t.Fatalf("%s: a fresh rank's hole is [%d, %d), not at the end of its %d elements", name, a.state.lo, a.state.hi, elems)
 			}
 			snaps := make([][]byte, iters)
 			for iter := 0; iter < iters; iter++ {
@@ -1703,15 +1787,17 @@ func TestStragglerHoleMatchesTail(t *testing.T) {
 				}
 			}
 			for _, at := range []int{0, 1, 2, iters / 2, iters - 2} {
+				// Restore may keep the bytes it is given, so each rank gets
+				// its own copy.
 				b := NewStraggler(cfg, 0)
-				if err := b.Restore(snaps[at]); err != nil {
+				if err := b.Restore(bytes.Clone(snaps[at])); err != nil {
 					t.Fatalf("%s: restore at %d: %v", name, at+1, err)
 				}
 				if again, _ := snapshot(b); !bytes.Equal(again, snaps[at]) {
 					t.Fatalf("%s: restore at %d did not round-trip the snapshot", name, at+1)
 				}
-				if next := (at + every) / max(every, 1) * every; every > 0 && next < iters && insertPos(next, b.state.Len()) != b.state.lo {
-					t.Fatalf("%s: restored at %d, hole at %d, next insertion at %d", name, at+1, b.state.lo, insertPos(next, b.state.Len()))
+				if b.state.lo != b.state.Len() || b.state.hi != len(b.state.slots())/8 {
+					t.Fatalf("%s: restored at %d, hole [%d, %d), not at the end of its %d elements", name, at+1, b.state.lo, b.state.hi, b.state.Len())
 				}
 				churnHot(b, at+1, iters)
 				b.Iter = iters
@@ -1725,7 +1811,7 @@ func TestStragglerHoleMatchesTail(t *testing.T) {
 			short := cfg
 			short.HotIters = 4
 			c := NewStraggler(short, 0)
-			if err := c.Restore(snaps[0]); err != nil {
+			if err := c.Restore(bytes.Clone(snaps[0])); err != nil {
 				t.Fatal(err)
 			}
 			churnHot(c, 1, iters)
@@ -1749,16 +1835,17 @@ func f64Bits(vs []float64) []uint64 {
 
 // TestStragglerHoleMoves: on the benchmark's hot rank (2 Mi elements, one
 // insertion a step), the first insertion of a fresh rank and of a restored
-// one moves no element, and each later one moves the 130 elements between
-// the slot after the last insertion and the next position, 131 further on —
-// not the megabytes of tail the tail-shifting State copied.
+// one moves the elements behind its position, as the hole rests at the end
+// of the State, and each later one moves the 130 elements between the slot
+// after the last insertion and the next position, 131 further on — not the
+// megabytes of tail the tail-shifting State copied.
 func TestStragglerHoleMoves(t *testing.T) {
 	const elems, iters = 2 << 20, 40
 	cfg := StragglerConfig{HotRanks: 1, HotIters: iters, StateElems: elems, InsertEvery: 1}
 	a := NewStraggler(cfg, 0)
 	a.initState()
-	if moved := churnHot(a, 0, 2); moved != 0 {
-		t.Fatalf("a fresh rank's first insertion moved %d elements, want 0", moved)
+	if moved, want := churnHot(a, 0, 2), elems-insertPos(1, elems); moved != want {
+		t.Fatalf("a fresh rank's first insertion moved %d elements, want %d", moved, want)
 	}
 	if moved, want := churnHot(a, 2, 20), 130*18; moved != want {
 		t.Fatalf("18 insertions moved %d elements, want %d", moved, want)
@@ -1772,8 +1859,8 @@ func TestStragglerHoleMoves(t *testing.T) {
 	if err := b.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if moved := churnHot(b, 20, 21); moved != 0 {
-		t.Fatalf("a restored rank's first insertion moved %d elements, want 0", moved)
+	if want, moved := b.state.Len()-insertPos(20, b.state.Len()), churnHot(b, 20, 21); moved != want {
+		t.Fatalf("a restored rank's first insertion moved %d elements, want %d", moved, want)
 	}
 	if moved, want := churnHot(b, 21, iters), 130*(iters-21); moved != want {
 		t.Fatalf("%d insertions after a restart moved %d elements, want %d", iters-21, moved, want)

@@ -268,10 +268,10 @@ func TestRestoreAllocs(t *testing.T) {
 
 // FuzzAppRestore: arbitrary bytes, restored into the rank the first input
 // picks — VASP or one of the buffer-set apps — are refused with an error
-// naming the app, leaving the rank as it was, or restore a state that
-// snapshots back to exactly those bytes: each layout has one encoding per
-// state. Restore never allocates more than the input's length, past a
-// 1 KiB floor for an error message.
+// naming the app, keeping nothing and leaving the rank as it was, or
+// restore a state that snapshots back to exactly those bytes: each layout
+// has one encoding per state. Restore never allocates more than the input's
+// length, past a 1 KiB floor for an error message.
 func FuzzAppRestore(f *testing.F) {
 	cfg := VASPConfig{Iterations: 10, SlabN: 8}
 	good := vaspImage(1, 2, 0.5, 9, make([]complex128, cfg.SlabN), vaspBufs("ata", "energy", "haloL", "haloR")...)
@@ -302,8 +302,11 @@ func FuzzAppRestore(f *testing.F) {
 			}
 		}
 		before, _ := snapshot(app)
+		// Restore may keep what it is given, so it gets a copy and data
+		// stays the reference.
+		in := bytes.Clone(data)
 		var err error
-		got := heapBytes(func() { err = app.Restore(data) })
+		got := heapBytes(func() { err = app.Restore(in) })
 		if limit := uint64(len(data)) + (1 << 10); checkAllocs && got > limit {
 			t.Fatalf("%s: Restore of %d bytes allocated %d (limit %d; err %v)", name, len(data), got, limit, err)
 		}
@@ -315,6 +318,12 @@ func FuzzAppRestore(f *testing.F) {
 			t.Fatalf("%s: a refused snapshot changed the rank: %v", name, err)
 		case err == nil && !bytes.Equal(after, data):
 			t.Fatalf("%s: restored %d bytes, snapshot back %d: not the same bytes", name, len(data), len(after))
+		}
+		if err != nil {
+			scribble(in)
+			if again, _ := snapshot(app); !bytes.Equal(again, before) {
+				t.Fatalf("%s: a refused Restore kept its input: %v", name, err)
+			}
 		}
 	})
 }

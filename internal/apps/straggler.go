@@ -62,78 +62,94 @@ type Straggler struct {
 
 	Iter int
 	Acc  float64
-	Sum  []byte // named buffer "sum": allreduce payload
-	// state is the bulk per-rank State, mutated only by hot ranks. It is
-	// empty until first use: a fresh rank builds it in initState, and a
-	// restarted rank's Restore copies it in without building the initial one.
+	// Sum is the named buffer "sum", the allreduce payload. Once the rank has
+	// a State it is the layout's Sum bytes (state.buf[5*8:state.off]).
+	Sum []byte
+	// state is the rank's snapshot layout, the bulk per-rank State in it,
+	// mutated only by hot ranks. It is empty until first use: a fresh rank
+	// builds it in initState, and a restarted rank's Restore keeps the bytes
+	// it was restored from as it.
 	state holed
-	hdr   [5 * 8]byte // SnapshotTo's header, kept here so a capture allocates nothing
 }
 
-// holed is the State as a gap buffer of 8-byte slots, each element held as
-// its little-endian IEEE-754 bits — the bytes the snapshot carries, so a
-// capture hands them to its writer as they are and a restore copies them in,
-// one memmove each way. The elements, in order, are slots [0, lo) followed by
-// slots [hi, len(buf)/8), and slots [lo, hi) are the hole, room for the
-// insertions to come. An insertion moves the hole to its position — copying
-// only the elements between the two — and fills the hole's first slot.
-// Successive insertions land 131·InsertEvery elements apart (insertPos), so
-// each moves about a thousand bytes where shifting the tail moved half the
-// State.
+// holed is the straggler's snapshot layout held as live state: the five
+// header words and Sum in buf[:off], then the State as a gap buffer of
+// 8-byte slots, each element its little-endian IEEE-754 bits — the bytes the
+// snapshot carries, so a capture hands the layout to its writer in one piece
+// and a restore keeps the snapshot as it is. The elements, in order, are
+// slots [0, lo) followed by slots [hi, len(slots)), and slots [lo, hi) are
+// the hole, room for the insertions to come. The hole rests at the end, in
+// the capacity past the snapshot's bytes. An insertion moves the hole to its
+// position — copying only the elements between the two — and fills the
+// hole's first slot; the first after the hole rested moves the tail behind
+// the position, later ones land 131·InsertEvery elements apart (insertPos)
+// and each moves about a thousand bytes where shifting the tail moved half
+// the State. A snapshot moves the hole back to the end (packed).
 type holed struct {
-	buf    []byte
-	lo, hi int
+	buf         []byte
+	off, lo, hi int
 }
 
-// newHoled allocates n elements with a hole of room slots in front of
-// element at, which is where the next insertion will go.
-func newHoled(n, room, at int) holed {
-	return holed{buf: make([]byte, 8*(n+room)), lo: at, hi: at + room}
+// newHoled allocates a layout of off bytes in front of n elements and a
+// hole of room slots behind them.
+func newHoled(off, n, room int) holed {
+	return holed{buf: make([]byte, off+8*(n+room)), off: off, lo: n, hi: n + room}
 }
+
+// slots returns the State's slots, the hole among them.
+func (h *holed) slots() []byte { return h.buf[h.off:] }
 
 // Len is the number of elements, the hole not counted.
-func (h *holed) Len() int { return len(h.buf)/8 - (h.hi - h.lo) }
+func (h *holed) Len() int { return len(h.slots())/8 - (h.hi - h.lo) }
 
 // slot returns the 8 bytes of element i.
 func (h *holed) slot(i int) []byte {
 	if i >= h.lo {
 		i += h.hi - h.lo
 	}
-	return h.buf[8*i : 8*i+8]
+	return h.buf[h.off+8*i : h.off+8*i+8]
 }
 
 // get and set read and write element i, for the few that a step touches.
 func (h *holed) get(i int) float64    { return getF64(h.slot(i)) }
 func (h *holed) set(i int, v float64) { putF64(h.slot(i), v) }
 
-// halves returns the elements in order as the two runs either side of the
-// hole, as their snapshot bytes; either may be empty.
-func (h *holed) halves() (head, tail []byte) { return h.buf[:8*h.lo], h.buf[8*h.hi:] }
-
 // insert makes v element pos, shifting every later element up by one.
 func (h *holed) insert(pos int, v float64) {
 	if h.lo == h.hi {
 		h.grow()
 	}
+	s := h.slots()
 	switch {
 	case pos < h.lo:
-		h.hi -= copy(h.buf[8*(h.hi-(h.lo-pos)):8*h.hi], h.buf[8*pos:8*h.lo]) / 8
+		h.hi -= copy(s[8*(h.hi-(h.lo-pos)):8*h.hi], s[8*pos:8*h.lo]) / 8
 	case pos > h.lo:
-		h.hi += copy(h.buf[8*h.lo:], h.buf[8*h.hi:8*(h.hi+pos-h.lo)]) / 8
+		h.hi += copy(s[8*h.lo:], s[8*h.hi:8*(h.hi+pos-h.lo)]) / 8
 	}
-	putF64(h.buf[8*pos:], v)
+	putF64(s[8*pos:], v)
 	h.lo = pos + 1
 }
 
-// grow widens a full hole by a quarter of the elements. Straggler.hole
-// leaves room for every insertion a rank has left, so only a snapshot whose
-// target outruns the configured HotIters gets here.
+// grow widens a full hole by a quarter of the elements, into a new layout.
+// Straggler.room leaves room for every insertion a rank has left, so only a
+// snapshot whose target outruns the configured HotIters gets here.
 func (h *holed) grow() {
 	room := h.Len()/4 + 1
 	buf := make([]byte, len(h.buf)+8*room)
-	copy(buf, h.buf[:8*h.lo])
-	copy(buf[8*(h.hi+room):], h.buf[8*h.hi:])
+	copy(buf, h.buf[:h.off+8*h.lo])
+	copy(buf[h.off+8*(h.hi+room):], h.buf[h.off+8*h.hi:])
 	h.buf, h.hi = buf, h.hi+room
+}
+
+// packed moves the hole back to the end if an insertion moved it, and
+// returns the layout without it: the snapshot's bytes.
+func (h *holed) packed() []byte {
+	s := h.slots()
+	if end := len(s) / 8; h.hi < end {
+		copy(s[8*h.lo:], s[8*h.hi:])
+		h.lo, h.hi = h.lo+end-h.hi, end
+	}
+	return h.buf[:h.off+8*h.lo]
 }
 
 // NewStraggler creates the straggler app for one rank. It allocates no
@@ -166,56 +182,49 @@ func NewStraggler(cfg StragglerConfig, rank int) *Straggler {
 	return a
 }
 
-// initState builds the initial State if there is none yet. Step and
+// initState builds the initial State if there is none yet: the layout
+// Restore keeps, with Sum moved into it and the hole at the end. Step and
 // SnapshotTo call it; Restore does not, because the snapshot carries every
 // element the initial state would have held.
 func (a *Straggler) initState() {
 	if a.state.buf != nil {
 		return
 	}
-	room, at := a.hole(a.elems, 0)
-	a.state = newHoled(a.elems, room, at)
-	head, tail := a.state.halves()
+	a.state = newHoled(5*8+len(a.Sum), a.elems, a.room(0))
+	copy(a.state.buf[5*8:], a.Sum)
+	a.Sum = a.state.buf[5*8 : a.state.off]
+	run := a.state.slots()[:8*a.elems]
 	if a.cfg.InsertEvery > 0 {
 		s := uint64(a.rank)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
-		for _, run := range [2][]byte{head, tail} {
-			for j := 0; j+8 <= len(run); j += 8 {
-				var v float64
-				s, v = stragglerNoise(s)
-				putF64(run[j:j+8], v)
-			}
+		for j := 0; j < len(run); j += 8 {
+			var v float64
+			s, v = stragglerNoise(s)
+			putF64(run[j:j+8], v)
 		}
 		return
 	}
-	// The in-place fill repeats every 64 elements: write one period of each
-	// run, then double it by copying.
-	rank, i := float64(a.rank), 0
-	for _, run := range [2][]byte{head, tail} {
-		period := min(len(run), 8*64)
-		for j := 0; j < period; j, i = j+8, i+1 {
-			putF64(run[j:j+8], rank+float64(i%64)/64)
-		}
-		for done := period; done < len(run); done *= 2 {
-			copy(run[done:], run[:done])
-		}
-		i += (len(run) - period) / 8
+	// The in-place fill repeats every 64 elements: write one period, then
+	// double it by copying.
+	period := min(len(run), 8*64)
+	for j := 0; j < period; j += 8 {
+		putF64(run[j:j+8], float64(a.rank)+float64(j/8)/64)
+	}
+	for done := period; done < len(run); done *= 2 {
+		copy(run[done:], run[:done])
 	}
 }
 
-// hole sizes and places the hole of an n-element State from iteration iter
-// on: room for every insertion the rank has left, so no insertion in Step
-// reallocates, in front of element at, where the first of them goes, so it
-// moves no element. The count comes from the configured HotIters, never from
-// a snapshot's target, so a snapshot's bytes size no more than the elements
-// they hold.
-func (a *Straggler) hole(n, iter int) (room, at int) {
+// room sizes the hole of a State from iteration iter on: room for every
+// insertion the rank has left, so no insertion in Step reallocates. The
+// count comes from the configured HotIters, never from a snapshot's target,
+// so a snapshot's bytes size no more than the elements they hold.
+func (a *Straggler) room(iter int) int {
 	lo, hi, every := max(iter, 1), a.cfg.HotIters, a.cfg.InsertEvery
 	if !a.hot || every <= 0 || lo >= hi {
-		return 0, n
+		return 0
 	}
-	// Step inserts at every iteration in [lo, hi) that every divides; the
-	// first is lo rounded up to a multiple of every.
-	return (hi-1)/every - (lo-1)/every, insertPos((lo+every-1)/every*every, n)
+	// Step inserts at every iteration in [lo, hi) that every divides.
+	return (hi-1)/every - (lo-1)/every
 }
 
 // insertPos is where iteration iter inserts into a State of n elements: a
@@ -290,6 +299,7 @@ func (a *Straggler) churn() {
 	if a.cfg.InsertEvery > 0 && a.Iter > 0 && a.Iter%a.cfg.InsertEvery == 0 {
 		_, v := stragglerNoise(uint64(a.Iter)*0x9e3779b97f4a7c15 + 1)
 		a.state.insert(insertPos(a.Iter, a.state.Len()), v)
+		a.Sum = a.state.buf[5*8 : a.state.off] // a full hole grows into a new layout
 	}
 	n := a.state.Len()
 	for k := 0; k < 8; k++ {
@@ -308,35 +318,34 @@ func (a *Straggler) churn() {
 // across epochs.
 //
 // Layout: 5 uint64 header words (Iter, target, Acc bits, len(Sum),
-// len(State)), then Sum verbatim, then each State element as float64 bits —
-// the State's own bytes (holed), so the layout costs a copy and no more.
+// len(State)), then Sum verbatim, then each State element as float64 bits.
+// The rank holds its state as this layout (holed), so a snapshot costs no
+// copy and a restore keeps the snapshot's bytes.
 
 // snapshotLen is the byte length of that layout for nSum Sum bytes and
 // nState State elements: what SnapshotTo writes and Restore requires.
 func snapshotLen(nSum, nState int) int { return 5*8 + nSum + 8*nState }
 
-// SnapshotTo implements rt.App: the header, Sum, then the State's runs
-// either side of its hole, each handed to w as the rank holds it — no
-// per-element encoding, no scratch.
+// SnapshotTo implements rt.App: it writes the header words into the layout,
+// moves the hole to the end if an insertion moved it, and hands the layout
+// to w in one Write — no per-element encoding, no scratch.
 func (a *Straggler) SnapshotTo(w io.Writer) error {
 	a.initState()
-	binary.LittleEndian.PutUint64(a.hdr[0:], uint64(a.Iter))
-	binary.LittleEndian.PutUint64(a.hdr[8:], uint64(a.target))
-	binary.LittleEndian.PutUint64(a.hdr[16:], math.Float64bits(a.Acc))
-	binary.LittleEndian.PutUint64(a.hdr[24:], uint64(len(a.Sum)))
-	binary.LittleEndian.PutUint64(a.hdr[32:], uint64(a.state.Len()))
-	head, tail := a.state.halves()
-	for _, p := range [...][]byte{a.hdr[:], a.Sum, head, tail} {
-		if len(p) == 0 {
-			continue
-		}
-		if _, err := w.Write(p); err != nil {
-			return err
-		}
-	}
-	return nil
+	hdr := a.state.buf[:5*8]
+	binary.LittleEndian.PutUint64(hdr[0:], uint64(a.Iter))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(a.target))
+	binary.LittleEndian.PutUint64(hdr[16:], math.Float64bits(a.Acc))
+	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(a.Sum)))
+	binary.LittleEndian.PutUint64(hdr[32:], uint64(a.state.Len()))
+	_, err := w.Write(a.state.packed())
+	return err
 }
 
+// Restore implements rt.App. It keeps data as the rank's layout, the hole in
+// the capacity past it, and hands data back as its snapshot's one Write (the
+// rt.App rule for an app that keeps data). Only when that capacity has no
+// room for the hole does it copy data, once, into memory nothing zeroed
+// first but the hole. A refused snapshot keeps nothing.
 func (a *Straggler) Restore(data []byte) error {
 	if len(data) < 5*8 {
 		return fmt.Errorf("straggler: snapshot truncated (%d bytes)", len(data))
@@ -368,13 +377,14 @@ func (a *Straggler) Restore(data []byte) error {
 		return fmt.Errorf("straggler: snapshot iteration %d outside [0, %d]", iter, target)
 	}
 	a.Iter, a.Acc, a.target = iter, acc, target
-	copy(a.Sum, rest[:nSum])
-	// Each element is copied once into memory nothing zeroed first:
-	// bytes.Join allocates its result uncleared and lays the runs either
-	// side of the hole into it. Only the hole, a slice of its own, is zeroed.
-	room, at := a.hole(nState, iter)
-	state := rest[nSum:]
-	runs := [][]byte{state[:8*at], state[8*at:]}
-	a.state = holed{buf: bytes.Join(runs, make([]byte, 8*room)), lo: at, hi: at + room}
+	buf, hole := data, 8*a.room(iter)
+	if cap(data)-len(data) >= hole {
+		buf = data[:len(data)+hole]
+	} else {
+		buf = bytes.Join([][]byte{data, make([]byte, hole)}, nil)
+	}
+	off := 5*8 + nSum
+	a.state = holed{buf: buf, off: off, lo: nState, hi: (len(buf) - off) / 8}
+	a.Sum = buf[5*8 : off]
 	return nil
 }

@@ -100,16 +100,14 @@ type Plan struct {
 // are invoked while the rank is parked (blocked), so they may read the
 // rank's state without further synchronization.
 type RankHooks struct {
-	// AppSnapshotTo streams the application's upper-half state into the
-	// capture buffer (captureBuffer).
+	// AppSnapshotTo hands the application's upper-half state to the
+	// capture as slices (appImage).
 	AppSnapshotTo func(w io.Writer) error
 	// Restored is the bytes this rank was restored from (nil on a fresh
-	// start), handed over with their capacity: the coordinator owns them
-	// once the rank is registered. Their length is the best guess at how
-	// big the first capture's AppSnapshotTo output will be, and when their
-	// capacity covers that guess plus its headroom (withHeadroom) the first
-	// capture writes into them instead of a fresh buffer. Later captures
-	// size a fresh buffer by the previous capture's length.
+	// start), with their capacity. The app may keep them as its state, and
+	// then hands them back as its snapshot's only Write (rt.App); otherwise
+	// they are dead once it is restored, and the first capture copies into
+	// them when they are large enough.
 	Restored []byte
 	// ProtoSnapshot serializes the protocol state (via Protocol.Snapshot).
 	ProtoSnapshot func() ([]byte, error)
@@ -243,10 +241,8 @@ type Coordinator struct {
 	descs     []*Descriptor
 	doneRanks []bool
 	hooks     []RankHooks
-	// appLens is each rank's expected serialized-state length: the length
-	// of the hooks' Restored until the first capture, the last capture's
-	// length after.
-	appLens   []int
+	// snaps is each rank's capture writer, reused from capture to capture.
+	snaps     []snapParts
 	requestVT float64
 	// committing is set while a synchronous capture commits with c.mu
 	// dropped: the image is taken, so parked ranks must stay parked until
@@ -307,7 +303,7 @@ func NewCoordinator(w *mpi.World, plan *Plan) (*Coordinator, error) {
 	c.descs = make([]*Descriptor, w.N)
 	c.doneRanks = make([]bool, w.N)
 	c.hooks = make([]RankHooks, w.N)
-	c.appLens = make([]int, w.N)
+	c.snaps = make([]snapParts, w.N)
 	if c.Plan.Store == nil {
 		c.Plan.Store = NewMemStore()
 	}
@@ -348,7 +344,6 @@ func (c *Coordinator) nodes() int {
 func (c *Coordinator) RegisterRank(rank int, h RankHooks) {
 	c.mu.Lock()
 	c.hooks[rank] = h
-	c.appLens[rank] = len(h.Restored)
 	c.mu.Unlock()
 }
 
@@ -491,20 +486,16 @@ func (c *Coordinator) captureRank(r int, img *JobImage) error {
 		}
 	}
 	if h := c.hooks[r]; h.AppSnapshotTo != nil {
-		// The app writes straight into the image buffer. The buffer is sized
-		// up front from the rank's expected length, so a state that grew no
-		// more than the headroom since is captured in at most one
-		// allocation; with no expectation (a fresh start's first capture) it
-		// grows by doubling.
-		buf := bytes.NewBuffer(c.captureBuffer(r))
-		if err := h.AppSnapshotTo(buf); err != nil {
+		s := &c.snaps[r]
+		if err := h.AppSnapshotTo(s); err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("ckpt: rank %d app snapshot: %w", r, err)
 			}
 		} else {
-			ri.App = buf.Bytes()
-			c.appLens[r] = len(ri.App)
+			ri.App = c.appImage(r, s)
 		}
+		clear(s.parts) // hold none of the app's memory past the capture
+		s.parts, s.n = s.parts[:0], 0
 		proto, err := h.ProtoSnapshot()
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("ckpt: rank %d protocol snapshot: %w", r, err)
@@ -519,29 +510,58 @@ func (c *Coordinator) captureRank(r int, img *JobImage) error {
 	return firstErr
 }
 
-// captureBuffer returns the empty buffer rank r's capture writes into. The
-// first capture takes the bytes the rank was restored from when their
-// capacity covers its expected length plus the headroom — after a restart
-// they are dead once Restore returns, so the leg touches one state-sized
-// buffer fewer. Otherwise it is a fresh buffer with that capacity. A state
-// that outgrew the headroom regrows the buffer into fresh memory, so the
-// captured bytes are the same either way. Safe to run concurrently for
-// distinct ranks, like captureRank.
-func (c *Coordinator) captureBuffer(r int) []byte {
-	want := withHeadroom(c.appLens[r])
-	b := c.hooks[r].Restored
-	c.hooks[r].Restored = nil // only the first capture may write into it
-	if cap(b) >= want {
-		return b[:0]
-	}
-	return make([]byte, 0, want)
+// snapParts is the writer a capture hands an app's SnapshotTo. It keeps
+// every non-empty slice it is given, and their total length, until the
+// capture lays them out (appImage) — which is why rt.App asks that they stay
+// as they are until SnapshotTo returns.
+type snapParts struct {
+	parts [][]byte
+	n     int
 }
 
-// withHeadroom is the capacity a buffer for a state of about n bytes gets:
-// proportional slack, because state that grows at all grows with its size
-// (an exact-size buffer is the worst case — it fills, then one doubling
-// copies everything). The loader gives a restored App the same capacity, so
-// the first capture after a restart can write into it (captureBuffer).
+func (s *snapParts) Write(p []byte) (int, error) {
+	if len(p) > 0 {
+		s.parts = append(s.parts, p)
+		s.n += len(p)
+	}
+	return len(p), nil
+}
+
+// appImage lays out rank r's captured state from the slices its SnapshotTo
+// handed over, copying it at most once:
+//   - a capture that ends the job keeps a one-Write snapshot as it is: the
+//     rank never runs again, whatever Async says, so nothing writes the
+//     bytes while the commit reads them;
+//   - the first capture after a restart copies into the bytes the rank was
+//     restored from, unless the app kept them — an app that keeps them hands
+//     them back as its only Write (rt.App), so pointer identity tells a kept
+//     buffer from a dead one — and if they are large enough;
+//   - any other capture copies into one exactly sized allocation, which
+//     bytes.Join does not clear first.
+//
+// Safe to run concurrently for distinct ranks, like captureRank.
+func (c *Coordinator) appImage(r int, s *snapParts) []byte {
+	restored := c.hooks[r].Restored
+	c.hooks[r].Restored = nil // only the first capture may write into it
+	if len(s.parts) == 1 && c.Plan.Mode == ExitAfterCapture {
+		return s.parts[0]
+	}
+	kept := len(s.parts) == 1 && len(restored) > 0 && &s.parts[0][0] == &restored[0]
+	if !kept && cap(restored) >= s.n {
+		dst := restored[:0]
+		for _, p := range s.parts {
+			dst = append(dst, p...)
+		}
+		return dst
+	}
+	return bytes.Join(s.parts, nil)
+}
+
+// withHeadroom is the capacity the loader gives a restored App of n bytes:
+// proportional slack, because state that grows at all grows with its size.
+// An app that keeps its restored bytes grows into it (a straggler's hole);
+// otherwise the first capture can write into them (appImage) unless the
+// state outgrew it.
 func withHeadroom(n int) int { return n + n/32 }
 
 // captureLocked runs stage 1 of the checkpoint pipeline — snapshotting every

@@ -328,14 +328,46 @@ func TestCoordinatorDoneRanksCountAsParked(t *testing.T) {
 	}
 }
 
-// TestCaptureBufferAllocatedOnce: a rank whose serialized state grew by no
-// more than a percent since the coordinator last learned its length — from
-// the bytes it was restored from on the first capture, from the previous
-// capture on later ones — is captured into a buffer allocated exactly once.
-// The restored bytes here have no headroom, so the first capture cannot
-// write into them. Without the headroom an exact-size buffer fills and
-// doubles (about 3x the state in allocations); without any sizing it
-// doubles its way up from nothing.
+// TestCaptureBufferAllocatedOnce: a rank whose state, handed over in 64 KiB
+// pieces, grew by a percent past the bytes it was restored from — so the
+// first capture cannot write into them — and again by a percent before the
+// next capture is captured each time into one buffer allocated once: the
+// capture lays the pieces out when it knows their total. A buffer grown by
+// doubling as the pieces arrive allocates about 2-3x the state.
+// TestExitCaptureAllocs: a capture that ends the job keeps a one-Write
+// snapshot as the rank's image, so capturing a rank whose SnapshotTo lays
+// its state out in one exact-size allocation and one Write — as the VASP
+// proxy's and rt.Buffers' do, 1 072 B for a registered vasp_coll rank —
+// allocates that layout and nothing more. Any other capture copies it once,
+// into one more exact-size allocation. (A capture into a bytes.Buffer
+// allocated 3 times either way: the layout, the buffer and its header.)
+func TestExitCaptureAllocs(t *testing.T) {
+	skipUnderRace(t)
+	const n = 1072
+	for _, c := range []struct {
+		mode Mode
+		want float64
+	}{{ExitAfterCapture, 1}, {ContinueAfterCapture, 2}} {
+		co, _, _ := newStubCoordinator(t, 1, Plan{Mode: c.mode})
+		co.hooks[0].AppSnapshotTo = func(w io.Writer) error {
+			_, err := w.Write(make([]byte, n))
+			return err
+		}
+		img := &JobImage{Images: make([]RankImage, 1)}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := co.captureRank(0, img); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if len(img.Images[0].App) != n {
+			t.Fatalf("mode %d: captured %d bytes of a %d-byte snapshot", c.mode, len(img.Images[0].App), n)
+		}
+		if allocs != c.want {
+			t.Errorf("mode %d: a capture allocates %v times, want %v", c.mode, allocs, c.want)
+		}
+	}
+}
+
 func TestCaptureBufferAllocatedOnce(t *testing.T) {
 	const grown = 8 << 20
 	block := make([]byte, 64<<10)

@@ -727,8 +727,9 @@ func readShardRaw(src *bufio.Reader, rawSize int64) (*RankImage, error) {
 		}
 		return buf, nil
 	}
-	// The App gets a capture buffer's headroom: a restarted rank's first
-	// capture writes into the bytes it was restored from (captureBuffer).
+	// The App gets headroom (withHeadroom): an app that keeps the bytes it
+	// was restored from grows into it, and otherwise the restarted rank's
+	// first capture writes into them (appImage).
 	if ri.App, err = readPayload(make([]byte, hdr.AppLen, withHeadroom(int(hdr.AppLen)))); err != nil {
 		return nil, err
 	}

@@ -74,10 +74,15 @@ type App interface {
 	Step(env *Env) (more bool, err error)
 	// StreamSnapshotter serializes all mutable state (the upper-half image).
 	StreamSnapshotter
-	// Restore rebuilds state from SnapshotTo's bytes. Like io.Writer's
-	// Write, it must not retain data after it returns: the runtime owns
-	// those bytes, and a restarted rank's first capture overwrites them
-	// (see Restart).
+	// Restore rebuilds state from SnapshotTo's bytes. It may keep data,
+	// and the capacity past it, as the rank's own: a restarted rank is
+	// handed the bytes it was restored from (see Restart), and nothing else
+	// writes them while the app keeps them. An app that keeps data hands it
+	// back — its first byte first — as its snapshot's only Write, for as long
+	// as it keeps it; that is how the runtime tells a kept buffer from a dead
+	// one. An app that copies out of data keeps no reference to it, and the
+	// rank's first capture writes into it. A Restore that fails keeps
+	// nothing.
 	Restore(data []byte) error
 	// Buffer resolves a named communication buffer.
 	Buffer(id string) []byte
@@ -86,10 +91,14 @@ type App interface {
 // StreamSnapshotter is how an App serializes itself: SnapshotTo writes the
 // rank's whole state to w, in as many Writes as suits the app, and the same
 // state always as the same bytes (job digests are compared bitwise). The
-// runtime calls it only while the rank is parked or finished. The capture
-// streams it into the image buffer and the job digest into a hash. An
-// io.Writer never keeps the slice it is handed, so w may be given the
-// app's live state, and then no copy of the state is built on the way.
+// runtime calls it only while the rank is parked or finished. The job digest
+// streams it into a hash. The capture keeps the slices it is handed until
+// SnapshotTo returns and copies them once, so they must stay as they are
+// until then, and w may be given the app's live state: no copy of the state
+// is built on the way. A capture that ends the job (ExitAfterCapture) copies
+// nothing from a snapshot made in one Write; it keeps that slice as the
+// rank's image, because the rank never runs again, so the app must not
+// change it afterwards.
 type StreamSnapshotter interface {
 	SnapshotTo(w io.Writer) error
 }

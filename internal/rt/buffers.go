@@ -114,6 +114,13 @@ func (b *Buffers) SnapshotTo(w io.Writer, hdr []uint64, arrays ...[]float64) err
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 		}
 	}
+	_, err := w.Write(b.AppendSection(dst))
+	return err
+}
+
+// AppendSection appends the buffer section to dst, for an app that lays out
+// its header words and arrays itself.
+func (b *Buffers) AppendSection(dst []byte) []byte {
 	ids := make([]string, 0, 8) // on the stack: a registry holds a handful of buffers
 	for id := range b.m {
 		ids = append(ids, id)
@@ -125,8 +132,7 @@ func (b *Buffers) SnapshotTo(w io.Writer, hdr []uint64, arrays ...[]float64) err
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(b.m[id])))
 		dst = append(dst, b.m[id]...)
 	}
-	_, err := w.Write(dst)
-	return err
+	return dst
 }
 
 // fixedLen is the byte length of the header words and arrays.

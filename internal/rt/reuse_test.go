@@ -75,6 +75,53 @@ func (a *blobApp) Restore(data []byte) error {
 	return nil
 }
 
+// keepApp is the straggler's shape in miniature: its state is its snapshot
+// layout — the iteration as 8 bytes, then size bytes that every step
+// rewrites in place — which Restore keeps and SnapshotTo hands back in one
+// Write. Each step ends in an 8-byte Allreduce, like blobApp's.
+type keepApp struct {
+	size, iters int
+	buf         []byte
+	x           []byte // named buffer "x": the Allreduce payload
+}
+
+func (a *keepApp) Name() string            { return "keep-test" }
+func (a *keepApp) Setup(*Env) error        { return nil }
+func (a *keepApp) Buffer(id string) []byte { return a.x }
+func (a *keepApp) iter() int               { return int(binary.LittleEndian.Uint64(a.buf)) }
+
+func (a *keepApp) ensure() {
+	if a.buf == nil {
+		a.buf = make([]byte, 8+a.size)
+	}
+}
+
+func (a *keepApp) Step(env *Env) (bool, error) {
+	a.ensure()
+	iter := a.iter()
+	for i := 8 + iter%64; i < len(a.buf); i += 4093 {
+		a.buf[i] += byte(iter + 1)
+	}
+	binary.LittleEndian.PutUint64(a.buf, uint64(iter+1))
+	binary.LittleEndian.PutUint64(a.x, uint64(iter+1))
+	env.Allreduce(WorldVID, mpi.OpSum, "x")
+	return iter+1 < a.iters, nil
+}
+
+func (a *keepApp) SnapshotTo(w io.Writer) error {
+	a.ensure()
+	_, err := w.Write(a.buf)
+	return err
+}
+
+func (a *keepApp) Restore(data []byte) error {
+	if len(data) != 8+a.size {
+		return fmt.Errorf("keep: %d-byte snapshot for a %d-byte state", len(data), a.size)
+	}
+	a.buf = data
+	return nil
+}
+
 // TestRestartCapturesIntoRestoredBytes: a restarted rank's first capture
 // writes its snapshot into the bytes the rank was restored from, so the leg
 // allocates no capture buffer. A rank whose state outgrew the loader's

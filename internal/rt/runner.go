@@ -281,8 +281,7 @@ func runJob(cfg Config, w *mpi.World, coord *ckpt.Coordinator, factory func(rank
 			}
 			if img != nil {
 				// Restart owns the image: the bytes this rank is restored
-				// from are dead once Restore returns, and its first capture
-				// writes into them.
+				// from are the app's to keep, or else its first capture's.
 				hooks.Restored = img.Images[rank].App
 			}
 			coord.RegisterRank(rank, hooks)
@@ -458,10 +457,11 @@ func (c *byteCounter) Write(p []byte) (int, error) {
 // nodes, while the restored upper halves are placement-free.
 //
 // Restart takes ownership of img, the way bytes.NewBuffer takes its slice:
-// the caller must not use img after the call, whether it succeeds or not. A
-// restarted rank's first capture writes its snapshot into the bytes — and
-// the capacity past them — that the rank was restored from, so a caller that
-// wants to read or restart from the same image again loads its own copy.
+// the caller must not use img after the call, whether it succeeds or not.
+// Each rank's App bytes — and the capacity past them — go to its app, which
+// may keep them as its live state (App.Restore), and otherwise to its first
+// capture, which writes its snapshot into them. A caller that wants to read
+// or restart from the same image again loads its own copy.
 func Restart(cfg Config, img *ckpt.JobImage, factory func(rank int) App) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
