@@ -670,47 +670,9 @@ func writeShardRaw(w io.Writer, ri *RankImage, clockless bool) error {
 // sum can drive a multi-gigabyte allocation. src must be a *bufio.Reader (the
 // header is read from its buffer or through it, and the payload follows).
 func readShardRaw(src *bufio.Reader, rawSize int64) (*RankImage, error) {
-	// The magic is checked in the reader's buffer, so nothing is allocated
-	// for it; Discard then drops bytes Peek holds and cannot fail.
-	magic, err := src.Peek(len(shardRawMagic))
+	hdr, err := readShardHeader(src, rawSize)
 	if err != nil {
-		if err == io.EOF && len(magic) > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, fmt.Errorf("reading shard header: %w", err)
-	}
-	if !bytes.Equal(magic, shardRawMagic) {
-		return nil, fmt.Errorf("shard raw stream has bad magic %q", magic)
-	}
-	src.Discard(len(magic))
-	var hdr shardRawHeader
-	if err := headerGob.decode(src, rawSize, &hdr); err != nil {
-		return nil, fmt.Errorf("decoding shard header: %w", err)
-	}
-	if len(hdr.InflightLens) != len(hdr.Inflight) {
-		return nil, fmt.Errorf("shard header declares negative or mismatched payloads")
-	}
-	// Budget the declared payloads against rawSize by SUBTRACTION — a
-	// running remainder cannot overflow the way a running sum of
-	// attacker-chosen int64 terms can.
-	remaining := rawSize
-	debit := func(l int64) error {
-		if l < 0 || l > remaining {
-			return fmt.Errorf("shard header declares payloads beyond the manifest's %d raw bytes", rawSize)
-		}
-		remaining -= l
-		return nil
-	}
-	if err := debit(hdr.AppLen); err != nil {
 		return nil, err
-	}
-	if err := debit(hdr.ProtoLen); err != nil {
-		return nil, err
-	}
-	for _, l := range hdr.InflightLens {
-		if err := debit(l); err != nil {
-			return nil, err
-		}
 	}
 	ri := &RankImage{
 		Rank:     hdr.Rank,
@@ -742,6 +704,89 @@ func readShardRaw(src *bufio.Reader, rawSize int64) (*RankImage, error) {
 		}
 	}
 	return ri, nil
+}
+
+// trialShardRaw is readShardRaw without the image: the same header parse,
+// then each declared payload read through scratch and dropped, failing
+// where readShardRaw would and in its words. It returns the rank the header
+// names.
+func trialShardRaw(src *bufio.Reader, rawSize int64, scratch []byte) (int, error) {
+	hdr, err := readShardHeader(src, rawSize)
+	if err != nil {
+		return 0, err
+	}
+	// Each payload is one io.ReadFull of its length, a scratch buffer at a
+	// time.
+	return hdr.Rank, hdr.eachPayload(func(l int64) error {
+		for read := int64(0); read < l; {
+			n, err := io.ReadFull(src, scratch[:min(int64(len(scratch)), l-read)])
+			read += int64(n)
+			if err == io.EOF && read > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			if err != nil {
+				return fmt.Errorf("reading shard payload: %w", err)
+			}
+		}
+		return nil
+	})
+}
+
+// readShardHeader reads a raw stream's magic and header, and budgets the
+// payloads it declares against rawSize.
+func readShardHeader(src *bufio.Reader, rawSize int64) (*shardRawHeader, error) {
+	// The magic is checked in the reader's buffer, so nothing is allocated
+	// for it; Discard then drops bytes Peek holds and cannot fail.
+	magic, err := src.Peek(len(shardRawMagic))
+	if err != nil {
+		if err == io.EOF && len(magic) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("reading shard header: %w", err)
+	}
+	if !bytes.Equal(magic, shardRawMagic) {
+		return nil, fmt.Errorf("shard raw stream has bad magic %q", magic)
+	}
+	src.Discard(len(magic))
+	var hdr shardRawHeader
+	if err := headerGob.decode(src, rawSize, &hdr); err != nil {
+		return nil, fmt.Errorf("decoding shard header: %w", err)
+	}
+	if len(hdr.InflightLens) != len(hdr.Inflight) {
+		return nil, fmt.Errorf("shard header declares negative or mismatched payloads")
+	}
+	// Budget the declared payloads against rawSize by SUBTRACTION — a
+	// running remainder cannot overflow the way a running sum of
+	// attacker-chosen int64 terms can.
+	remaining := rawSize
+	err = hdr.eachPayload(func(l int64) error {
+		if l < 0 || l > remaining {
+			return fmt.Errorf("shard header declares payloads beyond the manifest's %d raw bytes", rawSize)
+		}
+		remaining -= l
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &hdr, nil
+}
+
+// eachPayload visits the payload lengths the header declares, in stream
+// order: App, Proto, then each in-flight message.
+func (h *shardRawHeader) eachPayload(visit func(l int64) error) error {
+	if err := visit(h.AppLen); err != nil {
+		return err
+	}
+	if err := visit(h.ProtoLen); err != nil {
+		return err
+	}
+	for _, l := range h.InflightLens {
+		if err := visit(l); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // cappedMessageReader enforces a per-message length cap on gob's framing.

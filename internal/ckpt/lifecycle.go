@@ -289,7 +289,7 @@ func flattenPartialShard(store Store, newEpoch int, si *ShardInfo) error {
 	if err != nil {
 		return err
 	}
-	r, err := openEntry(store, si)
+	r, err := openEntry(store, si, nil)
 	if err != nil {
 		return err
 	}

@@ -171,14 +171,20 @@ func (si *ShardInfo) paddedShare(padded, part int64) int64 {
 // manifest entry, exactly as a direct load of that shard would. Later
 // instances (after a backward seek) skip re-verification — every extent they
 // serve is still CRC-checked against the entry's table.
+//
+// An object a store walk holds (heldObject) is read from its decoded bytes
+// instead, seeking by address, and its verdict is the walk's: it was
+// checked end to end against its own entry when it was decoded.
 type mergeSource struct {
 	name        string // how verdicts name the object
 	epoch, rank int
 	bi          *ShardInfo // the object's own manifest entry
+	held        *heldObject
+	hr          heldReader // held's decoded stream, at pos
 	rc          io.ReadCloser
 	cr          countReader // rc, counted and hashed: the stored bytes
 	dec         io.ReadCloser
-	rd          io.Reader // dec, or entryReader.raw over it: what extents are read from
+	rd          io.Reader // dec or &hr, or entryReader.raw over it: what extents are read from
 	pos         int64     // position in the current instance's decompressed stream
 	opened      int       // instances opened so far (first one verifies)
 	done        bool      // primary verification attempted
@@ -204,6 +210,7 @@ type mergeSource struct {
 // shard's object checksum already covers its stream.
 type entryReader struct {
 	store   Store
+	walk    *storeWalk // what a store walk has read already; nil outside one
 	si      *ShardInfo
 	logical *countReader // what callers read: &raw for a full shard, the hashed merge for a partial one
 	own     mergeSource
@@ -222,10 +229,11 @@ type entryReader struct {
 // openEntry opens the entry's own object — so its checksum is settled even
 // when a partial entry reads no extent from it — and, for a partial entry,
 // derives the extent list; every other object opens when an extent first
-// touches it.
-func openEntry(store Store, si *ShardInfo) (*entryReader, error) {
-	r := &entryReader{store: store, si: si,
-		own: mergeSource{name: "shard", epoch: si.RefEpoch, rank: si.Rank, bi: si}}
+// touches it. Objects walk holds are read from its bytes; walk may be nil.
+func openEntry(store Store, si *ShardInfo, walk *storeWalk) (*entryReader, error) {
+	r := &entryReader{store: store, walk: walk, si: si,
+		own: mergeSource{name: "shard", epoch: si.RefEpoch, rank: si.Rank, bi: si,
+			held: walk.holding(si.RefEpoch, si.Rank, si)}}
 	if err := r.openSource(&r.own); err != nil {
 		return nil, err
 	}
@@ -249,13 +257,15 @@ func openEntry(store Store, si *ShardInfo) (*entryReader, error) {
 // sourceInfo resolves a source's manifest entry, requiring it to be a
 // physical object whose decompressed stream is addressable by offset.
 func (r *entryReader) sourceInfo(epoch, rank int) (*ShardInfo, error) {
-	man := r.mans[epoch]
-	if man == nil {
-		var err error
-		if man, err = r.store.GetManifest(epoch); err != nil {
-			return nil, fmt.Errorf("reading source epoch %d manifest: %w", epoch, err)
+	man, err := r.walk.manifest(epoch)
+	if man == nil && err == nil {
+		if man = r.mans[epoch]; man == nil {
+			man, err = r.store.GetManifest(epoch)
+			r.mans[epoch] = man
 		}
-		r.mans[epoch] = man
+	}
+	if err != nil {
+		return nil, fmt.Errorf("reading source epoch %d manifest: %w", epoch, err)
 	}
 	if rank < 0 || rank >= len(man.Shards) {
 		return nil, fmt.Errorf("source epoch %d has no rank %d", epoch, rank)
@@ -283,19 +293,26 @@ func (si *ShardInfo) sourceStreamLen() int64 {
 }
 
 func (r *entryReader) openSource(s *mergeSource) error {
-	codec, err := codecByID(s.bi.CodecID)
-	if err != nil {
-		return err
+	if s.held != nil {
+		s.hr, s.rd = s.held.readerAt(0), &s.hr
+	} else {
+		codec, err := codecByID(s.bi.CodecID)
+		if err != nil {
+			return err
+		}
+		rc, err := r.store.OpenShard(s.epoch, s.rank)
+		if err != nil {
+			return fmt.Errorf("opening %s: %w", s.name, err)
+		}
+		s.rc, s.cr = rc, countReader{src: rc, h: newXXH64(), hash: true}
+		s.dec = codec.NewReader(&s.cr)
+		s.rd = s.dec
 	}
-	rc, err := r.store.OpenShard(s.epoch, s.rank)
-	if err != nil {
-		return fmt.Errorf("opening %s: %w", s.name, err)
-	}
-	s.rc, s.cr = rc, countReader{src: rc, h: newXXH64(), hash: true}
-	s.dec = codec.NewReader(&s.cr)
-	s.rd, s.pos = s.dec, 0
+	s.pos = 0
 	if s == &r.own && s.opened == 0 {
-		r.raw = countReader{src: s.dec, h: newXXH64(), hash: r.si.Partial()}
+		// A held object's stream identity is the walk's: hashing it again
+		// would check nothing.
+		r.raw = countReader{src: s.rd, h: newXXH64(), hash: r.si.Partial() && s.held == nil}
 		s.rd = &r.raw
 	}
 	s.opened++
@@ -316,6 +333,12 @@ func (s *mergeSource) shut() {
 // settled: a stored size or checksum mismatch wins over any decompression
 // error the drain produced.
 func (r *entryReader) retireSource(s *mergeSource) error {
+	if s.held != nil {
+		if !s.done && s.opened > 0 {
+			s.done, s.verr = true, s.held.verdict(s.name, s.bi)
+		}
+		return s.verr
+	}
 	if s.dec != nil && s.opened == 1 && !s.done {
 		s.done = true
 		if _, err := io.Copy(io.Discard, s.rd); err != nil {
@@ -352,7 +375,8 @@ func (r *entryReader) source(e *extent) (*mergeSource, error) {
 		if err != nil {
 			return nil, err
 		}
-		s = &mergeSource{name: fmt.Sprintf("source shard in epoch %d", e.epoch), epoch: e.epoch, rank: e.rank, bi: bi}
+		s = &mergeSource{name: fmt.Sprintf("source shard in epoch %d", e.epoch), epoch: e.epoch, rank: e.rank, bi: bi,
+			held: r.walk.holding(e.epoch, e.rank, bi)}
 		r.sources[key] = s
 	}
 	if e.off > s.bi.sourceStreamLen()-e.n {
@@ -362,8 +386,17 @@ func (r *entryReader) source(e *extent) (*mergeSource, error) {
 }
 
 // seek positions s's decompressed stream at off, opening the object on
-// first touch and reopening it to go back.
+// first touch and reopening it to go back; a held object is addressed.
 func (r *entryReader) seek(s *mergeSource, off int64) error {
+	if s.held != nil {
+		if s.opened == 0 {
+			if err := r.openSource(s); err != nil {
+				return err
+			}
+		}
+		s.hr, s.pos = s.held.readerAt(off), off
+		return nil
+	}
 	if s.dec != nil && off < s.pos {
 		if err := r.retireSource(s); err != nil {
 			return err
@@ -519,9 +552,13 @@ func (r *entryReader) finish(decErr error) error {
 	if got := r.logical.h.sum64(); got != si.RawSum {
 		return fmt.Errorf("merged stream does not match the manifest identity (sum %#x, want %#x)", got, si.RawSum)
 	}
-	if r.raw.n != si.DeltaRawSize || r.raw.h.sum64() != si.DeltaRawSum {
+	rawN, rawSum := r.raw.n, r.raw.h.sum64()
+	if h := r.own.held; h != nil { // the walk checked its stream against h.bi
+		rawN, rawSum = h.bi.DeltaRawSize, h.bi.DeltaRawSum
+	}
+	if rawN != si.DeltaRawSize || rawSum != si.DeltaRawSum {
 		return fmt.Errorf("stored stream does not match the manifest (raw %d sum %#x; want raw %d sum %#x)",
-			r.raw.n, r.raw.h.sum64(), si.DeltaRawSize, si.DeltaRawSum)
+			rawN, rawSum, si.DeltaRawSize, si.DeltaRawSum)
 	}
 	return nil
 }

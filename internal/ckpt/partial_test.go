@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -242,7 +243,8 @@ func TestPartialMergeVerdicts(t *testing.T) {
 
 // FuzzPartialShardDecode: hostile bytes behind a partial entry — its own
 // object, its source object, or the manifest entry itself — must come back
-// as an attributed error or a clean decode. Never a panic, and never an
+// as an attributed error or a clean decode, and VerifyStore must fault the
+// entry exactly then, with the same verdict. Never a panic, and never an
 // allocation beyond what the entry states: the manifest (validated, as
 // every store read validates it) bounds every buffer the merge makes, and a
 // partial object holds no gob of its own — the one gob decoder on the path,
@@ -382,17 +384,49 @@ func FuzzPartialShardDecode(f *testing.F) {
 		if got, limit := int64(after.TotalAlloc-before.TotalAlloc), 3*stated+(4<<20); got > limit {
 			t.Fatalf("decode allocated %d bytes for an entry stating %d (limit %d; verdict: %v)", got, stated, limit, err)
 		}
+
+		// The store walk, which may read the source from bytes it decoded
+		// for another entry, faults the entry exactly when extraction fails,
+		// in the same words — but for a source in an unsealed epoch, which
+		// the walk states without the entry's name.
+		runtime.ReadMemStats(&before)
+		faults, verr := VerifyStore(store)
+		runtime.ReadMemStats(&after)
+		if verr != nil {
+			t.Fatalf("verify failed structurally: %v", verr)
+		}
+		var fault error
+		for _, f := range faults {
+			if f.Epoch == 1 && f.Rank == 1 {
+				fault = f.Err
+			}
+		}
+		if (fault == nil) != (err == nil) {
+			t.Fatalf("verify says %v for the entry, extraction %v", fault, err)
+		}
+		if fault != nil {
+			if got, want := fault.Error(), err.Error(); got != want && !(strings.HasPrefix(got, "references epoch") && strings.Contains(want, got)) {
+				t.Fatalf("verify says %q for the entry, extraction %q", got, want)
+			}
+		}
+		if got, limit := int64(after.TotalAlloc-before.TotalAlloc), 3*stated+(4<<20); got > limit {
+			t.Fatalf("verify allocated %d bytes for an entry stating %d (limit %d; faults: %v)", got, stated, limit, faults)
+		}
 	})
 }
 
-// openCountingStore counts OpenShard calls per object.
+// openCountingStore counts OpenShard calls per object, from any number of
+// goroutines.
 type openCountingStore struct {
 	*MemStore
+	mu    sync.Mutex
 	opens map[[2]int]int
 }
 
 func (s *openCountingStore) OpenShard(epoch, rank int) (io.ReadCloser, error) {
+	s.mu.Lock()
 	s.opens[[2]int{epoch, rank}]++
+	s.mu.Unlock()
 	return s.MemStore.OpenShard(epoch, rank)
 }
 
@@ -463,7 +497,7 @@ func TestMergeOpensEachObjectOnce(t *testing.T) {
 // (nil at EOF) and the reader, still open.
 func readEntry(t *testing.T, c *partialChain, size func(r *entryReader) int) (got []byte, ns []int, rerr error, r *entryReader) {
 	t.Helper()
-	r, err := openEntry(c.store, c.si)
+	r, err := openEntry(c.store, c.si, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,12 +15,15 @@ package ckpt
 // and the coordinator prices an epoch from them when it seals it.
 
 import (
+	"bufio"
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -902,15 +905,44 @@ func LoadJobImage(store Store, epoch int) (*JobImage, error) {
 // stream feeds the gob decoder directly, so nothing shard-sized is buffered
 // on the way.
 func loadShard(store Store, man *Manifest, si *ShardInfo) (*RankImage, error) {
-	r, err := openEntry(store, si)
+	var ri *RankImage
+	err := decodeEntry(store, man, si, nil, func(br *bufio.Reader) (int, error) {
+		var err error
+		if ri, err = readShardRaw(br, si.RawSize); err != nil {
+			return 0, err
+		}
+		return ri.Rank, nil
+	})
 	if err != nil {
-		return nil, entryError(man, si, err)
+		return nil, err
+	}
+	// Shards are encoded clockless; the capture-time clock rides in the
+	// manifest.
+	ri.ClockVT = si.ClockVT
+	return ri, nil
+}
+
+// checkEntry is loadShard without the image, for VerifyStore: the entry is
+// read through walk's held objects and its header trial-decoded.
+func checkEntry(store Store, man *Manifest, si *ShardInfo, walk *storeWalk) error {
+	return decodeEntry(store, man, si, walk, func(br *bufio.Reader) (int, error) {
+		return trialShardRaw(br, si.RawSize, make([]byte, max(1, min(si.RawSize, runBytes))))
+	})
+}
+
+// decodeEntry reads one entry's logical stream through decode, which returns
+// the rank the stream's header names, drains the rest and settles the
+// verdict: the entry reader's order, then the rank.
+func decodeEntry(store Store, man *Manifest, si *ShardInfo, walk *storeWalk, decode func(*bufio.Reader) (int, error)) error {
+	r, err := openEntry(store, si, walk)
+	if err != nil {
+		return entryError(man, si, err)
 	}
 	defer r.close()
 	// The bufio layer reads ahead of the header's gob decoder but stays on
 	// this side of the logical counter, so the drained count is exact.
 	br := getBufReader(r.logical)
-	ri, decErr := readShardRaw(br, si.RawSize)
+	rank, decErr := decode(br)
 	putBufReader(br)
 	if decErr == nil {
 		if _, err := io.Copy(io.Discard, r.logical); err != nil {
@@ -918,15 +950,12 @@ func loadShard(store Store, man *Manifest, si *ShardInfo) (*RankImage, error) {
 		}
 	}
 	if err := r.finish(decErr); err != nil {
-		return nil, entryError(man, si, err)
+		return entryError(man, si, err)
 	}
-	if ri.Rank != si.Rank {
-		return nil, entryError(man, si, fmt.Errorf("shard content is for rank %d", ri.Rank))
+	if rank != si.Rank {
+		return entryError(man, si, fmt.Errorf("shard content is for rank %d", rank))
 	}
-	// Shards are encoded clockless; the capture-time clock rides in the
-	// manifest.
-	ri.ClockVT = si.ClockVT
-	return ri, nil
+	return nil
 }
 
 // entryError attributes a failed read of one manifest entry to its epoch and
@@ -962,7 +991,7 @@ func ExtractRawFromStore(store Store, epoch, rank int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := openEntry(store, si)
+	r, err := openEntry(store, si, nil)
 	if err != nil {
 		return nil, entryError(man, si, err)
 	}
@@ -1092,30 +1121,45 @@ type StoreFault struct {
 }
 
 // VerifyStore walks every sealed epoch of a store, verifying that each
-// manifest decodes, every shard reference resolves, and every shard's
-// checksum and trial decode pass. Faults are attributed per (epoch, rank);
-// a structural failure (unreadable epoch list) is returned as err.
+// manifest decodes, every shard reference resolves, and every entry's
+// objects, extents and stream identities check and its header trial-decodes
+// (loadShard's checks, without materializing the image). Faults are
+// attributed per (epoch, rank); a structural failure (unreadable epoch list)
+// is returned as err.
+//
+// The walk reads each sealed manifest once and makes two passes over them.
+// The first (storeWalk.hold) decodes, once, every object that entries
+// stating two or more distinct tuples (below) read — a partial entry's
+// sources, mostly — and checks it end to end against its own manifest
+// entry; it holds the decoded bytes of each that passes, oldest first, up
+// to the largest sealed epoch's summed RawSize, the memory a restart of
+// that epoch takes anyway. The second checks every entry through the entry
+// reader, reading held objects from those bytes: an entry that states
+// another checksum or stored size for one is faulted from the first pass's
+// facts. An object not held — read by one tuple, damaged, or past the
+// budget — is read from the store by each entry that reads it, as a load
+// would, so the verdicts over a damaged object are a per-entry walk's.
 //
 // A physical shard referenced by many epochs — the norm on the low-churn
-// chains incremental checkpointing targets — is fetched and decoded once:
-// later epochs whose manifest entry carries the identical (ref-epoch, rank,
-// checksum, stored size, raw size) tuple reuse the verdict instead of
-// re-reading it, so an entry that lies about any of them is read again.
+// chains incremental checkpointing targets — is checked once: later epochs
+// whose manifest entry carries the identical (ref-epoch, rank, checksum,
+// stored size, raw size) tuple reuse the verdict instead of re-reading it,
+// so an entry that lies about any of them is checked again.
 func VerifyStore(store Store) ([]StoreFault, error) {
 	epochs, sealed, err := sealedSet(store)
 	if err != nil {
 		return nil, err
 	}
-	type shardID struct {
-		epoch, rank int
-		sum         uint64
-		size        int64
-		rawSize     int64
-	}
-	verified := make(map[shardID]bool)
-	var faults []StoreFault
+	walk := &storeWalk{mans: make(map[int]manifestRead, len(epochs))}
 	for _, e := range epochs {
 		man, err := store.GetManifest(e)
+		walk.mans[e] = manifestRead{man, err}
+	}
+	walk.hold(store, epochs, sealed)
+	verified := make(map[entryKey]bool)
+	var faults []StoreFault
+	for _, e := range epochs {
+		man, err := walk.manifest(e)
 		if err != nil {
 			faults = append(faults, StoreFault{Epoch: e, Rank: -1, RefEpoch: e, Err: err})
 			continue
@@ -1133,13 +1177,13 @@ func VerifyStore(store Store) ([]StoreFault, error) {
 				})
 				continue
 			}
-			if !verified[shardID{si.RefEpoch, si.Rank, si.Checksum, si.Size, si.RawSize}] {
+			if !verified[keyOf(si)] {
 				todo = append(todo, i)
 			}
 		}
 		errs := make([]error, len(todo))
 		fanOut(len(todo), encodeWorkers(len(todo)), func(j int) {
-			_, errs[j] = loadShard(store, man, &man.Shards[todo[j]])
+			errs[j] = checkEntry(store, man, &man.Shards[todo[j]], walk)
 		})
 		for j, err := range errs {
 			si := &man.Shards[todo[j]]
@@ -1149,8 +1193,215 @@ func VerifyStore(store Store) ([]StoreFault, error) {
 				})
 				continue
 			}
-			verified[shardID{si.RefEpoch, si.Rank, si.Checksum, si.Size, si.RawSize}] = true
+			verified[keyOf(si)] = true
 		}
 	}
 	return faults, nil
+}
+
+// entryKey is what VerifyStore takes to name one check of a stored object:
+// entries that state the same tuple share a verdict.
+type entryKey struct {
+	epoch, rank int
+	sum         uint64
+	size        int64
+	rawSize     int64
+}
+
+func keyOf(si *ShardInfo) entryKey {
+	return entryKey{si.RefEpoch, si.Rank, si.Checksum, si.Size, si.RawSize}
+}
+
+// storeWalk is what one VerifyStore walk has read, shared read-only by every
+// entry it checks: each sealed epoch's manifest, or the error reading it,
+// and the objects it holds decoded.
+type storeWalk struct {
+	mans map[int]manifestRead
+	held map[[2]int]*heldObject
+}
+
+type manifestRead struct {
+	man *Manifest
+	err error
+}
+
+// manifest returns a sealed epoch's manifest as the walk read it: nil and
+// nil for an epoch it did not read (or a nil walk).
+func (w *storeWalk) manifest(epoch int) (*Manifest, error) {
+	if w == nil {
+		return nil, nil
+	}
+	m := w.mans[epoch]
+	return m.man, m.err
+}
+
+// holding returns the held object at (epoch, rank) if an entry stating bi
+// for it may read it from the walk's bytes: bi must name the codec and the
+// raw format of the entry the walk decoded it as.
+func (w *storeWalk) holding(epoch, rank int, bi *ShardInfo) *heldObject {
+	if w == nil {
+		return nil
+	}
+	if h := w.held[[2]int{epoch, rank}]; h != nil && h.bi.CodecID == bi.CodecID && h.bi.RawFormat == bi.RawFormat {
+		return h
+	}
+	return nil
+}
+
+// hold is the walk's first pass: it decodes every object that entries with
+// two or more distinct tuples (entryKey) read — as their own object or as a
+// source — within the budget, and keeps those that check clean.
+func (w *storeWalk) hold(store Store, epochs []int, sealed map[int]bool) {
+	readers := make(map[[2]int]int)
+	seen := make(map[entryKey]bool)
+	var budget int64
+	for _, e := range epochs {
+		man, _ := w.manifest(e)
+		if man == nil {
+			continue
+		}
+		var sum int64
+		for i := range man.Shards {
+			si := &man.Shards[i]
+			sum += si.RawSize
+			if seen[keyOf(si)] || unsealedDep(man, si, sealed) >= 0 {
+				continue
+			}
+			seen[keyOf(si)] = true
+			readers[[2]int{si.RefEpoch, si.Rank}]++
+			_, srcs := si.Sources()
+			for _, s := range srcs {
+				readers[[2]int{s.Epoch, s.Rank}]++
+			}
+		}
+		budget = max(budget, sum)
+	}
+	var objs [][2]int
+	for obj, n := range readers {
+		if n > 1 {
+			objs = append(objs, obj)
+		}
+	}
+	slices.SortFunc(objs, func(a, b [2]int) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a[1], b[1])
+	})
+	var take []*heldObject
+	for _, obj := range objs {
+		man, _ := w.manifest(obj[0])
+		if man == nil || obj[1] < 0 || obj[1] >= len(man.Shards) {
+			continue
+		}
+		bi := &man.Shards[obj[1]] // validate enforces shard i == rank i
+		if n := bi.sourceStreamLen(); bi.RefEpoch == obj[0] && n <= budget {
+			budget -= n
+			take = append(take, &heldObject{bi: bi})
+		}
+	}
+	w.held = make(map[[2]int]*heldObject, len(take))
+	ok := make([]bool, len(take))
+	fanOut(len(take), encodeWorkers(len(take)), func(i int) {
+		ok[i] = take[i].decode(store)
+	})
+	for i, h := range take {
+		if ok[i] {
+			w.held[[2]int{h.bi.RefEpoch, h.bi.Rank}] = h
+		}
+	}
+}
+
+// heldObject is a stored object a store walk decoded whole and found to be
+// what its own manifest entry bi states — stored size and checksum, a clean
+// decode of exactly sourceStreamLen bytes and, for a partial object, their
+// DeltaRawSum — kept decoded for the entries that read it.
+type heldObject struct {
+	bi     *ShardInfo
+	blocks [][]byte // the decoded stream, heldBlockBytes a block
+}
+
+// heldBlockBytes is the unit a held stream is decoded into: large enough
+// that inflate decodes straight into it (directMin is 128 KiB), and what a
+// lying entry can make the walk allocate past the bytes that exist.
+const heldBlockBytes = 1 << 20
+
+// decode reads the object once, reporting whether it checked clean; the
+// blocks are kept only if it did.
+func (h *heldObject) decode(store Store) bool {
+	codec, err := codecByID(h.bi.CodecID)
+	if err != nil {
+		return false
+	}
+	rc, err := store.OpenShard(h.bi.RefEpoch, h.bi.Rank)
+	if err != nil {
+		return false
+	}
+	defer rc.Close()
+	cr := countReader{src: rc, h: newXXH64(), hash: true}
+	dec := codec.NewReader(&cr)
+	defer dec.Close()
+	for n, want := int64(0), h.bi.sourceStreamLen(); n < want; n += heldBlockBytes {
+		b := make([]byte, min(heldBlockBytes, want-n))
+		if _, err := io.ReadFull(dec, b); err != nil {
+			return false
+		}
+		h.blocks = append(h.blocks, b)
+	}
+	var one [1]byte
+	if _, err := io.ReadFull(dec, one[:]); err != io.EOF {
+		return false // longer than its entry states, or a decode error
+	}
+	if _, err := io.Copy(io.Discard, &cr); err != nil || cr.n != h.bi.Size || cr.h.sum64() != h.bi.Checksum {
+		return false
+	}
+	if h.bi.Partial() {
+		x := newXXH64()
+		for _, b := range h.blocks {
+			x.write(b)
+		}
+		return x.sum64() == h.bi.DeltaRawSum
+	}
+	return true
+}
+
+// verdict is what the entry reader's first pass over the object would
+// conclude for an entry stating bi for it, in its words: the object checked
+// clean against h.bi, so only a stated identity that differs fails.
+func (h *heldObject) verdict(name string, bi *ShardInfo) error {
+	if bi.Checksum != h.bi.Checksum {
+		return fmt.Errorf("%s corrupted (checksum %x, want %x)", name, h.bi.Checksum, bi.Checksum)
+	}
+	if bi.Size != h.bi.Size {
+		return fmt.Errorf("%s corrupted (%d stored bytes, want %d)", name, h.bi.Size, bi.Size)
+	}
+	return nil
+}
+
+// readerAt reads the held stream from off.
+func (h *heldObject) readerAt(off int64) heldReader {
+	off = min(max(off, 0), h.bi.sourceStreamLen())
+	return heldReader{blocks: h.blocks, i: int(off / heldBlockBytes), off: int(off % heldBlockBytes)}
+}
+
+// heldReader reads a held stream from block i at off; readers share the
+// blocks and never write them.
+type heldReader struct {
+	blocks [][]byte
+	i, off int
+}
+
+func (r *heldReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) && r.i < len(r.blocks) {
+		c := copy(p[n:], r.blocks[r.i][r.off:])
+		n, r.off = n+c, r.off+c
+		if r.off == len(r.blocks[r.i]) {
+			r.i, r.off = r.i+1, 0
+		}
+	}
+	if n == 0 && len(p) > 0 {
+		return 0, io.EOF
+	}
+	return n, nil
 }

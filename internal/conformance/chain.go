@@ -9,10 +9,11 @@ package conformance
 //
 //   - every capture of both chains against what its plan promises;
 //   - a restart from every sealed epoch of the test chain, and VerifyStore;
+//   - damage to an object a later epoch of the whole chain reads — a reused
+//     shard, a partial object's source — attributed by the restart and by
+//     VerifyStore;
 //   - GC keeping 2, after which every survivor still verifies and restarts;
-//   - damage to an object a later epoch reads — a reused shard, a partial
-//     object's source — attributed by the restart and by VerifyStore;
-//   - a dangling reference, attributed the same way;
+//   - a dangling reference among the survivors, attributed the same way;
 //   - compaction, then GC keeping 1, leaving one epoch that restarts at
 //     exactly the depth-1 read price.
 
@@ -270,19 +271,8 @@ func verifyChain(o *Options, row chainRow, algo string) (*ChainReport, error) {
 	if faults, err := ckpt.VerifyStore(fs); err != nil || len(faults) != 0 {
 		return nil, fmt.Errorf("pristine %s chain did not verify: faults=%v err=%v", rpt.TestName, faults, err)
 	}
-
-	// GC keeping 2 must keep every epoch a survivor reads. The damage and
-	// compaction legs then run on the survivors, which verify far faster
-	// than the whole chain.
-	if _, err := ckpt.GCStore(fs, 2); err != nil {
-		return nil, fmt.Errorf("gc keep=2: %w", err)
-	}
-	if faults, err := ckpt.VerifyStore(fs); err != nil || len(faults) != 0 {
-		return nil, fmt.Errorf("gc'd chain did not verify (liveness must be transitive): faults=%v err=%v", faults, err)
-	}
-	if _, err := restartEverySealed(o, algo, "gc-survivors", fs, golden, factory); err != nil {
-		return nil, err
-	}
+	// The damage legs run on the whole chain, so every epoch that reads the
+	// damaged object is verified, not only the GC survivors.
 	ref, src, err := newestDependencies(fs)
 	if err != nil {
 		return nil, err
@@ -294,6 +284,21 @@ func verifyChain(o *Options, row chainRow, algo string) (*ChainReport, error) {
 		if err := verifyDamageAttributed(o, algo, fs, factory, d); err != nil {
 			return nil, err
 		}
+	}
+
+	// GC keeping 2 must keep every epoch a survivor reads. The dangling
+	// reference and compaction legs then run on the survivors.
+	if _, err := ckpt.GCStore(fs, 2); err != nil {
+		return nil, fmt.Errorf("gc keep=2: %w", err)
+	}
+	if faults, err := ckpt.VerifyStore(fs); err != nil || len(faults) != 0 {
+		return nil, fmt.Errorf("gc'd chain did not verify (liveness must be transitive): faults=%v err=%v", faults, err)
+	}
+	if _, err := restartEverySealed(o, algo, "gc-survivors", fs, golden, factory); err != nil {
+		return nil, err
+	}
+	if ref, _, err = newestDependencies(fs); err != nil {
+		return nil, err
 	}
 
 	// The newest survivor that reads an earlier epoch is compacted: the

@@ -19,7 +19,7 @@ targets='
 ./internal/apps      FuzzStragglerRestore
 # Arbitrary bytes as a CC sequence table: a cc: refusal that leaves the table as it was, or a table that snapshots back to exactly those bytes; allocation bounded by the input times the overhead of a Go map.
 ./internal/core      FuzzCCRestore
-# Damaged page-delta / CDC objects x perturbed manifest entries: an attributed error or a clean decode, no panic, no allocation beyond the stated sizes (gob sees only CRC-checked extents).
+# Damaged page-delta / CDC objects x perturbed manifest entries: an attributed error or a clean decode, no panic, no allocation beyond the stated sizes (gob sees only CRC-checked extents); VerifyStore, which may read the source from bytes it decoded once for several entries, faults the entry exactly when extraction fails, in the same words, within the same bound.
 ./internal/ckpt      FuzzPartialShardDecode
 # Arbitrary bytes as a shard header (behind the capped reader) and as a manifest record body: the primed codec, its cache warm, and a fresh gob.Decoder give the same verdict, the same value and stop at the same byte; valid records still decode after. (Minimizing a multi-KB manifest would eat a 10s run.)
 ./internal/ckpt      FuzzGobPrimedAgree  -fuzzminimizetime=1s
