@@ -1141,7 +1141,8 @@ func (c *stepCounter) SnapshotTo(w io.Writer) error {
 //   - its first continued capture writes into the bytes the rank was
 //     restored from, which inflate filled straight from the store — unless
 //     the app kept them as its live state, as the straggler does, and then it
-//     must copy into fresh memory;
+//     must copy into fresh memory, also when the straggler's snapshot no
+//     longer starts at their first byte but ends at their capacity's last;
 //   - a capture that ends the job keeps a one-Write snapshot, the
 //     straggler's live layout, as the image, and under Async the commit
 //     reads it after the ranks are released.
@@ -1229,11 +1230,11 @@ func TestCapturedImageImmutable(t *testing.T) {
 				continue
 			}
 			for r, c := range counters {
-				img, live := rep.Image.Images[r].App, c.App.(*Straggler).state.buf
-				if &live[0] != &c.restored[0] {
+				img, st := rep.Image.Images[r].App, &c.App.(*Straggler).state
+				if &st.buf[0] != &c.restored[0] {
 					t.Fatalf("%s/rank%d: the straggler did not keep the bytes it was restored from", leg, r)
 				}
-				if kept := &img[0] == &live[0]; kept != exit {
+				if kept := &img[0] == &st.buf[st.at]; kept != exit {
 					t.Errorf("%s/rank%d: the image is the rank's live layout: %v, want %v", leg, r, kept, exit)
 				}
 			}
@@ -1281,8 +1282,61 @@ func (w *writeSlices) Write(p []byte) (int, error) {
 // of element at, where insertions would have left it.
 func holeAt(a *Straggler, n, room, at int) {
 	off := 5*8 + len(a.Sum)
-	a.state = holed{buf: make([]byte, off+8*(n+room)), off: off, lo: at, hi: at + room}
-	a.Sum = a.state.buf[5*8 : off]
+	a.state = holed{buf: make([]byte, off+8*(n+room)), off: off, lo: at, gap: 8 * room}
+	a.Sum = a.state.head()[5*8:]
+}
+
+// layoutOf is where a holed State's bytes are: which buffer, and the offsets
+// that place its head and each element in it.
+type layoutOf struct {
+	buf                 *byte
+	at, off, lo, gap, n int
+}
+
+func layoutNow(h *holed) layoutOf {
+	return layoutOf{&h.buf[0], h.at, h.off, h.lo, h.gap, h.Len()}
+}
+
+// elemAt is the offset of element i's slot in the buffer.
+func (l layoutOf) elemAt(i int) int {
+	if i >= l.lo {
+		return l.at + l.off + 8*i + l.gap
+	}
+	return l.at + l.off + 8*i
+}
+
+// movedBy runs f on h and returns how many of the bytes h held before f it
+// moved, by where each lands after f: the head if the layout's start moved,
+// and each element whose slot did, an insertion at ins (−1: none) shifting
+// the elements from ins on up by one. A new buffer moved everything.
+func movedBy(h *holed, ins int, f func()) (moved int) {
+	before := layoutNow(h)
+	f()
+	after := layoutNow(h)
+	if before.buf != after.buf {
+		return before.off + 8*before.n
+	}
+	if before.at != after.at {
+		moved += before.off
+	}
+	for i := 0; i < before.n; i++ {
+		j := i
+		if ins >= 0 && i >= ins {
+			j++
+		}
+		if before.elemAt(i) != after.elemAt(j) {
+			moved += 8
+		}
+	}
+	return moved
+}
+
+// packedEnds reports whether p, a straggler's one snapshot Write, is its own
+// layout: a run of its State's buffer that starts at the buffer's first byte
+// or ends at its capacity's last.
+func packedEnds(p []byte, h *holed) bool {
+	full := h.buf[:cap(h.buf)]
+	return &p[0] == &h.buf[h.at] && (&p[0] == &full[0] || &p[len(p)-1] == &full[len(full)-1])
 }
 
 // TestStragglerSnapshotIsState: the rank holds its state as the bytes it
@@ -1290,8 +1344,10 @@ func holeAt(a *Straggler, n, room, at int) {
 // lengths from one element to past the old 32 KiB encoding block, with the
 // hole at the front, in the middle, at the end and where a fresh rank puts
 // it, every NaN payload, −0, subnormal and infinity bit for bit — and it
-// does so by moving the hole to the end and handing its writer the rank's
-// own layout in one Write, without allocating.
+// does so by closing the hole toward the front and handing its writer the
+// rank's own layout in one Write, without allocating: a run of the State's
+// buffer that ends at its capacity's last byte (the hole closed, or a fresh
+// rank's room in front) or starts at its first (a hole at the end stays).
 func TestStragglerSnapshotIsState(t *testing.T) {
 	for _, elems := range []int{1, 2, 3, 200, 5000, 8229} {
 		for _, hole := range []string{"fresh", "front", "middle", "end"} {
@@ -1320,8 +1376,8 @@ func TestStragglerSnapshotIsState(t *testing.T) {
 			}
 			if p := got.got[0]; !bytes.Equal(p, want) {
 				t.Fatalf("%s: SnapshotTo wrote bytes that differ from the %d-byte layout", name, len(want))
-			} else if &p[0] != &a.state.buf[0] || a.state.lo != elems || a.state.hi != len(a.state.slots())/8 {
-				t.Fatalf("%s: the Write is not the rank's own layout with the hole at its end", name)
+			} else if !packedEnds(p, &a.state) || (a.state.gap > 0 && a.state.lo != elems) {
+				t.Fatalf("%s: the Write is not the rank's own layout, packed to one end", name)
 			}
 			if err := a.SnapshotTo(&failingWriter{k: 1}); err != errKth {
 				t.Fatalf("%s: writer failing on its Write: got %v", name, err)
@@ -1355,9 +1411,10 @@ func TestStragglerSnapshotIsState(t *testing.T) {
 }
 
 // TestStragglerRestoreHoled: Restore keeps the snapshot's elements with the
-// hole at their end, room for every insertion left, wherever the rank's
-// next insertion goes — at the front, in the middle, before the last
-// element, or, with no insertion left, nowhere — and that State snapshots
+// hole at their end, in the capacity past them, room for every insertion
+// left, wherever the rank's next insertion goes — at the front, in the
+// middle, before the last element, or, with no insertion left, nowhere —
+// and that State snapshots
 // back to exactly the restored bytes, awkward floats bit for bit. Every
 // insertion left after the restore fills the hole without regrowing the
 // State, and the elements end as the tail-shifting reference's do.
@@ -1397,8 +1454,9 @@ func TestStragglerRestoreHoled(t *testing.T) {
 		if err := a.Restore(snap); err != nil {
 			t.Fatalf("hole %s: %v", c.hole, err)
 		}
-		if room := max(iters-c.iter, 0); a.state.lo != elems || a.state.hi-a.state.lo != room {
-			t.Fatalf("next insertion %s: restored hole [%d, %d), want [%d, %d)", c.hole, a.state.lo, a.state.hi, elems, elems+room)
+		if room := max(iters-c.iter, 0); a.state.lo != elems || a.state.at != 0 || a.state.gap != max(cap(snap)-len(snap), 8*room) {
+			t.Fatalf("next insertion %s: restored hole of %d bytes in front of element %d, want the capacity past the %d elements, at least %d slots",
+				c.hole, a.state.gap, a.state.lo, elems, room)
 		}
 		if again, _ := snapshot(a); !bytes.Equal(again, snap) {
 			t.Fatalf("hole %s: restore did not round-trip the snapshot", c.hole)
@@ -1678,6 +1736,56 @@ func TestStragglerDigestAllocs(t *testing.T) {
 	}
 }
 
+// snapCounter counts its app's SnapshotTo calls and how many allocations
+// they made.
+type snapCounter struct {
+	rt.App
+	calls  int
+	allocs uint64
+}
+
+func (c *snapCounter) SnapshotTo(w io.Writer) error {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := c.App.SnapshotTo(w)
+	runtime.ReadMemStats(&after)
+	c.calls++
+	c.allocs += after.Mallocs - before.Mallocs
+	return err
+}
+
+// TestDigestSnapshotsOnce: the job digest of a run to completion snapshots
+// each rank once, so a VASP rank lays its layout out once — one allocation,
+// the app's own — where a digest that streamed each rank into a byte
+// counter and then into the hash laid it out twice. The digest is the same
+// bytes either way (the golden digests pin it). No rank is captured, so
+// the digest is the only caller.
+func TestDigestSnapshotsOnce(t *testing.T) {
+	for _, name := range []string{"vasp", "straggler"} {
+		factory, err := Factory(name, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const ranks = 4
+		counters := make([]*snapCounter, ranks)
+		rep, err := rt.Run(smallConfig(ranks, rt.AlgoNative), func(rank int) rt.App {
+			counters[rank] = &snapCounter{App: factory(rank)}
+			return counters[rank]
+		})
+		if err != nil || !rep.Completed || rep.StateDigest == "" {
+			t.Fatalf("%s: run did not complete with a digest (err %v)", name, err)
+		}
+		for r, c := range counters {
+			if c.calls != 1 {
+				t.Errorf("%s/rank%d: the digest snapshotted the rank %d times, want 1", name, r, c.calls)
+			}
+			if name == "vasp" && !raceBuild() && c.allocs != 1 {
+				t.Errorf("%s/rank%d: the digest's snapshot allocated %d times, want 1 (the layout)", name, r, c.allocs)
+			}
+		}
+	}
+}
+
 // stateOf returns a copy of the straggler's State elements in order, the
 // hole left out.
 func stateOf(a *Straggler) []float64 {
@@ -1727,25 +1835,25 @@ func refChurn(state []float64, every, iter, target int, acc float64) []float64 {
 }
 
 // churnHot runs a hot straggler's churn for iterations [from, to), with an
-// Acc that changes every iteration, and returns how many elements its
-// insertions moved in all (the distance from where the hole was to where
-// each insertion went).
-func churnHot(a *Straggler, from, to int) (moved int) {
+// Acc that changes every iteration.
+func churnHot(a *Straggler, from, to int) {
 	for iter := from; iter < to; iter++ {
 		a.Iter, a.Acc = iter, float64(iter)*0.375-1
-		if every := a.cfg.InsertEvery; every > 0 && iter > 0 && iter%every == 0 {
-			moved += abs(insertPos(iter, a.state.Len()) - a.state.lo)
-		}
 		a.churn()
 	}
-	return moved
 }
 
-func abs(x int) int {
-	if x < 0 {
-		return -x
+// churnMoved is churnHot, returning how many bytes its insertions moved in
+// all (movedBy).
+func churnMoved(a *Straggler, from, to int) (moved int) {
+	for iter := from; iter < to; iter++ {
+		ins := -1
+		if every := a.cfg.InsertEvery; every > 0 && iter > 0 && iter%every == 0 {
+			ins = insertPos(iter, a.state.Len())
+		}
+		moved += movedBy(&a.state, ins, func() { churnHot(a, iter, iter+1) })
 	}
-	return x
+	return moved
 }
 
 // TestStragglerHoleMatchesTail: the holed State holds, after every
@@ -1753,11 +1861,12 @@ func abs(x int) int {
 // States of one, two and three elements (the front insertion and the
 // smallest interiors), for States whose insertion position wraps around many
 // times, with and without insertion, with a snapshot after every iteration
-// moving the hole back to the end, and with more insertions than the hole
-// has room for (a snapshot whose target outruns HotIters). A fresh rank's
-// hole and a rank's restored at any iteration sit at the end of the State;
-// the restored rank round-trips its snapshot and ends where the
-// uninterrupted rank does.
+// closing the hole toward the front, and with more insertions than the
+// hole has room for (a snapshot whose target outruns HotIters), one of them
+// from a State packed to the front with no room left. A fresh rank's room
+// sits in front of its layout, and a rank's restored at any iteration has
+// its hole at the end of the State; the restored rank round-trips its
+// snapshot and ends where the uninterrupted rank does.
 func TestStragglerHoleMatchesTail(t *testing.T) {
 	const iters = 150
 	for _, elems := range []int{1, 2, 3, 200, 5000} {
@@ -1770,8 +1879,8 @@ func TestStragglerHoleMatchesTail(t *testing.T) {
 			if !slices.Equal(f64Bits(stateOf(a)), f64Bits(ref)) {
 				t.Fatalf("%s: initial State differs from the reference fill", name)
 			}
-			if a.state.lo != elems || a.state.hi != len(a.state.slots())/8 {
-				t.Fatalf("%s: a fresh rank's hole is [%d, %d), not at the end of its %d elements", name, a.state.lo, a.state.hi, elems)
+			if a.state.at != 8*a.room(0) || a.state.gap != 0 {
+				t.Fatalf("%s: a fresh rank has %d bytes of room in front and a %d-byte hole, want %d and none", name, a.state.at, a.state.gap, 8*a.room(0))
 			}
 			snaps := make([][]byte, iters)
 			for iter := 0; iter < iters; iter++ {
@@ -1796,8 +1905,9 @@ func TestStragglerHoleMatchesTail(t *testing.T) {
 				if again, _ := snapshot(b); !bytes.Equal(again, snaps[at]) {
 					t.Fatalf("%s: restore at %d did not round-trip the snapshot", name, at+1)
 				}
-				if b.state.lo != b.state.Len() || b.state.hi != len(b.state.slots())/8 {
-					t.Fatalf("%s: restored at %d, hole [%d, %d), not at the end of its %d elements", name, at+1, b.state.lo, b.state.hi, b.state.Len())
+				if b.state.at != 0 || b.state.lo != b.state.Len() {
+					t.Fatalf("%s: restored at %d, %d bytes of room in front and the hole in front of element %d, not at the end of its %d elements",
+						name, at+1, b.state.at, b.state.lo, b.state.Len())
 				}
 				churnHot(b, at+1, iters)
 				b.Iter = iters
@@ -1819,6 +1929,20 @@ func TestStragglerHoleMatchesTail(t *testing.T) {
 			if last, _ := snapshot(c); !bytes.Equal(last, snaps[iters-1]) {
 				t.Fatalf("%s: a hole that ran out of room lost elements", name)
 			}
+			// The same with a snapshot after every iteration: a State packed
+			// to the front reopens its room in front as a hole, or grows
+			// once that room is spent.
+			d := NewStraggler(short, 0)
+			if err := d.Restore(bytes.Clone(snaps[0])); err != nil {
+				t.Fatal(err)
+			}
+			for iter := 1; iter < iters; iter++ {
+				churnHot(d, iter, iter+1)
+				d.Iter = iter + 1
+				if got, _ := snapshot(d); !bytes.Equal(got, snaps[iter]) {
+					t.Fatalf("%s: a hole that ran out of room, packed after every iteration, lost elements by iteration %d", name, iter)
+				}
+			}
 		}
 	}
 }
@@ -1834,37 +1958,63 @@ func f64Bits(vs []float64) []uint64 {
 }
 
 // TestStragglerHoleMoves: on the benchmark's hot rank (2 Mi elements, one
-// insertion a step), the first insertion of a fresh rank and of a restored
-// one moves the elements behind its position, as the hole rests at the end
-// of the State, and each later one moves the 130 elements between the slot
-// after the last insertion and the next position, 131 further on — not the
-// megabytes of tail the tail-shifting State copied.
+// insertion a step), no insertion or snapshot of a fresh rank moves the
+// State's tail, counted in bytes by where each lands (movedBy). A fresh
+// rank's room rests in front of its layout, so its first insertion moves
+// only the header words, Sum and the elements before its position; each
+// later one moves the 130 elements between the slot after the last
+// insertion and the next position, 131 further on; a snapshot closes the
+// hole toward the front, moving at most off + 8·lo
+// bytes, and the insertion after it reopens that room as a hole by moving
+// the same head and elements back down. What is left: a restored rank's
+// room is the capacity past the bytes it was restored from, so its first
+// insertion moves the elements behind its position — the tail — once; its
+// capture after that moves at most off + 8·lo bytes again.
 func TestStragglerHoleMoves(t *testing.T) {
 	const elems, iters = 2 << 20, 40
 	cfg := StragglerConfig{HotRanks: 1, HotIters: iters, StateElems: elems, InsertEvery: 1}
 	a := NewStraggler(cfg, 0)
 	a.initState()
-	if moved, want := churnHot(a, 0, 2), elems-insertPos(1, elems); moved != want {
-		t.Fatalf("a fresh rank's first insertion moved %d elements, want %d", moved, want)
+	off := a.state.off
+	if moved, want := churnMoved(a, 0, 2), off+8*insertPos(1, elems); moved != want {
+		t.Fatalf("a fresh rank's first insertion moved %d bytes, want %d (the head and the elements before it)", moved, want)
 	}
-	if moved, want := churnHot(a, 2, 20), 130*18; moved != want {
-		t.Fatalf("18 insertions moved %d elements, want %d", moved, want)
+	if moved, want := churnMoved(a, 2, 20), 8*130*18; moved != want {
+		t.Fatalf("18 insertions moved %d bytes, want %d", moved, want)
 	}
-	a.Iter = 20
-	snap, err := snapshot(a)
-	if err != nil {
-		t.Fatal(err)
+	capture := func(a *Straggler, iter int) []byte {
+		t.Helper()
+		a.Iter = iter
+		lo := a.state.lo
+		var got writeSlices
+		if moved, most := movedBy(&a.state, -1, func() {
+			if err := a.SnapshotTo(&got); err != nil {
+				t.Fatal(err)
+			}
+		}), off+8*lo; moved == 0 || moved > most {
+			t.Fatalf("a snapshot at iteration %d moved %d bytes, want at most %d (the head and the elements before the hole)", iter, moved, most)
+		}
+		if len(got.got) != 1 || !packedEnds(got.got[0], &a.state) {
+			t.Fatalf("a snapshot at iteration %d is not one Write of the rank's layout, packed to one end", iter)
+		}
+		return bytes.Clone(got.got[0])
 	}
+	snap := capture(a, 20)
+	if moved, want := churnMoved(a, 20, 21), off+8*insertPos(20, a.state.Len()); moved != want {
+		t.Fatalf("the insertion after a snapshot moved %d bytes, want %d (the head and the elements before it)", moved, want)
+	}
+
 	b := NewStraggler(cfg, 0)
 	if err := b.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if want, moved := b.state.Len()-insertPos(20, b.state.Len()), churnHot(b, 20, 21); moved != want {
-		t.Fatalf("a restored rank's first insertion moved %d elements, want %d", moved, want)
+	if want, moved := 8*(b.state.Len()-insertPos(20, b.state.Len())), churnMoved(b, 20, 21); moved != want {
+		t.Fatalf("a restored rank's first insertion moved %d bytes, want %d (the tail behind it)", moved, want)
 	}
-	if moved, want := churnHot(b, 21, iters), 130*(iters-21); moved != want {
-		t.Fatalf("%d insertions after a restart moved %d elements, want %d", iters-21, moved, want)
+	if moved, want := churnMoved(b, 21, iters-1), 8*130*(iters-22); moved != want {
+		t.Fatalf("%d insertions after a restart moved %d bytes, want %d", iters-22, moved, want)
 	}
+	capture(b, iters-1)
 }
 
 // BenchmarkStragglerChurn times one hot step's State update on the

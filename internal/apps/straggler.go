@@ -63,7 +63,8 @@ type Straggler struct {
 	Iter int
 	Acc  float64
 	// Sum is the named buffer "sum", the allreduce payload. Once the rank has
-	// a State it is the layout's Sum bytes (state.buf[5*8:state.off]).
+	// a State it is the layout's Sum bytes (state.head()[5*8:]), and it moves
+	// with the layout's start.
 	Sum []byte
 	// state is the rank's snapshot layout, the bulk per-rank State in it,
 	// mutated only by hot ranks. It is empty until first use: a fresh rank
@@ -73,41 +74,49 @@ type Straggler struct {
 }
 
 // holed is the straggler's snapshot layout held as live state: the five
-// header words and Sum in buf[:off], then the State as a gap buffer of
-// 8-byte slots, each element its little-endian IEEE-754 bits — the bytes the
+// header words and Sum (the head, off bytes), then the State as 8-byte
+// slots, each element its little-endian IEEE-754 bits — the bytes the
 // snapshot carries, so a capture hands the layout to its writer in one piece
-// and a restore keeps the snapshot as it is. The elements, in order, are
-// slots [0, lo) followed by slots [hi, len(slots)), and slots [lo, hi) are
-// the hole, room for the insertions to come. The hole rests at the end, in
-// the capacity past the snapshot's bytes. An insertion moves the hole to its
-// position — copying only the elements between the two — and fills the
-// hole's first slot; the first after the hole rested moves the tail behind
-// the position, later ones land 131·InsertEvery elements apart (insertPos)
-// and each moves about a thousand bytes where shifting the tail moved half
-// the State. A snapshot moves the hole back to the end (packed).
+// and a restore keeps the snapshot as it is. Free room for the insertions to
+// come sits either in front of the layout or in it, as a hole. buf holds, in
+// order: at bytes of room in front, the head, elements [0, lo), the hole of
+// gap bytes, elements [lo, Len()); buf ends with the last of them, or with
+// the hole when lo is Len(). At most one of at and gap is non-zero.
+//
+// An insertion moves the hole to its position — copying only the elements
+// between the two — and fills the hole's first slot. Room in front becomes a
+// hole first, by moving the head and the elements before the position down
+// into it. Insertions land 131·InsertEvery elements apart (insertPos), so
+// each later one moves about a thousand bytes where shifting the tail moved
+// half the State. A snapshot closes the hole toward the front (packed): the
+// hole becomes room in front.
+// A fresh rank's room starts in front (newHoled); a restored rank's is the
+// capacity past the bytes it was restored from, so its first insertion
+// moves the elements behind its position.
 type holed struct {
-	buf         []byte
-	off, lo, hi int
+	buf              []byte
+	at, off, lo, gap int
 }
 
-// newHoled allocates a layout of off bytes in front of n elements and a
-// hole of room slots behind them.
+// newHoled allocates a layout of off bytes in front of n elements, with
+// room for room more in front of it.
 func newHoled(off, n, room int) holed {
-	return holed{buf: make([]byte, off+8*(n+room)), off: off, lo: n, hi: n + room}
+	return holed{buf: make([]byte, off+8*(n+room)), at: 8 * room, off: off, lo: n}
 }
 
-// slots returns the State's slots, the hole among them.
-func (h *holed) slots() []byte { return h.buf[h.off:] }
+// head returns the header words and Sum, wherever the layout starts.
+func (h *holed) head() []byte { return h.buf[h.at : h.at+h.off] }
 
-// Len is the number of elements, the hole not counted.
-func (h *holed) Len() int { return len(h.slots())/8 - (h.hi - h.lo) }
+// Len is the number of elements.
+func (h *holed) Len() int { return (len(h.buf) - h.at - h.off - h.gap) / 8 }
 
 // slot returns the 8 bytes of element i.
 func (h *holed) slot(i int) []byte {
+	p := h.at + h.off + 8*i
 	if i >= h.lo {
-		i += h.hi - h.lo
+		p += h.gap
 	}
-	return h.buf[h.off+8*i : h.off+8*i+8]
+	return h.buf[p : p+8]
 }
 
 // get and set read and write element i, for the few that a step touches.
@@ -116,40 +125,48 @@ func (h *holed) set(i int, v float64) { putF64(h.slot(i), v) }
 
 // insert makes v element pos, shifting every later element up by one.
 func (h *holed) insert(pos int, v float64) {
-	if h.lo == h.hi {
-		h.grow()
+	if h.gap < 8 {
+		if h.at < 8 {
+			h.grow()
+		} else { // reopen the room in front as a hole at pos (gap is 0)
+			copy(h.buf, h.buf[h.at:h.at+h.off+8*pos])
+			h.at, h.lo, h.gap = 0, pos, h.at
+		}
 	}
-	s := h.slots()
+	s := h.buf[h.at+h.off:]
 	switch {
 	case pos < h.lo:
-		h.hi -= copy(s[8*(h.hi-(h.lo-pos)):8*h.hi], s[8*pos:8*h.lo]) / 8
+		copy(s[8*pos+h.gap:], s[8*pos:8*h.lo])
 	case pos > h.lo:
-		h.hi += copy(s[8*h.lo:], s[8*h.hi:8*(h.hi+pos-h.lo)]) / 8
+		copy(s[8*h.lo:], s[8*h.lo+h.gap:8*pos+h.gap])
 	}
 	putF64(s[8*pos:], v)
-	h.lo = pos + 1
+	h.lo, h.gap = pos+1, h.gap-8
 }
 
-// grow widens a full hole by a quarter of the elements, into a new layout.
-// Straggler.room leaves room for every insertion a rank has left, so only a
-// snapshot whose target outruns the configured HotIters gets here.
+// grow widens a full hole by a quarter of the elements, into a new layout
+// that starts at its first byte. Straggler.room leaves room for every
+// insertion a rank has left, so only a snapshot whose target outruns the
+// configured HotIters gets here.
 func (h *holed) grow() {
-	room := h.Len()/4 + 1
-	buf := make([]byte, len(h.buf)+8*room)
-	copy(buf, h.buf[:h.off+8*h.lo])
-	copy(buf[h.off+8*(h.hi+room):], h.buf[h.off+8*h.hi:])
-	h.buf, h.hi = buf, h.hi+room
+	n, split := h.Len(), h.at+h.off+8*h.lo
+	buf := make([]byte, h.off+8*(n+n/4+1))
+	copy(buf, h.buf[h.at:split])
+	copy(buf[len(buf)-8*(n-h.lo):], h.buf[split+h.gap:])
+	h.buf, h.at, h.gap = buf, 0, len(buf)-h.off-8*n
 }
 
-// packed moves the hole back to the end if an insertion moved it, and
-// returns the layout without it: the snapshot's bytes.
+// packed closes the hole, if an insertion opened one in the State, toward
+// the front — it moves the head and the elements before the hole up to the
+// hole's end, so the hole becomes room in front — and returns the layout
+// without it: the snapshot's bytes. A hole at the end stays where it is.
 func (h *holed) packed() []byte {
-	s := h.slots()
-	if end := len(s) / 8; h.hi < end {
-		copy(s[8*h.lo:], s[8*h.hi:])
-		h.lo, h.hi = h.lo+end-h.hi, end
+	n := h.Len()
+	if h.gap > 0 && h.lo < n {
+		copy(h.buf[h.at+h.gap:], h.buf[h.at:h.at+h.off+8*h.lo])
+		h.at, h.gap = h.at+h.gap, 0
 	}
-	return h.buf[:h.off+8*h.lo]
+	return h.buf[h.at : h.at+h.off+8*n]
 }
 
 // NewStraggler creates the straggler app for one rank. It allocates no
@@ -183,7 +200,7 @@ func NewStraggler(cfg StragglerConfig, rank int) *Straggler {
 }
 
 // initState builds the initial State if there is none yet: the layout
-// Restore keeps, with Sum moved into it and the hole at the end. Step and
+// Restore keeps, with Sum moved into it and the room in front. Step and
 // SnapshotTo call it; Restore does not, because the snapshot carries every
 // element the initial state would have held.
 func (a *Straggler) initState() {
@@ -191,9 +208,9 @@ func (a *Straggler) initState() {
 		return
 	}
 	a.state = newHoled(5*8+len(a.Sum), a.elems, a.room(0))
-	copy(a.state.buf[5*8:], a.Sum)
-	a.Sum = a.state.buf[5*8 : a.state.off]
-	run := a.state.slots()[:8*a.elems]
+	copy(a.state.head()[5*8:], a.Sum)
+	a.Sum = a.state.head()[5*8:]
+	run := a.state.buf[a.state.at+a.state.off:]
 	if a.cfg.InsertEvery > 0 {
 		s := uint64(a.rank)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
 		for j := 0; j < len(run); j += 8 {
@@ -299,7 +316,7 @@ func (a *Straggler) churn() {
 	if a.cfg.InsertEvery > 0 && a.Iter > 0 && a.Iter%a.cfg.InsertEvery == 0 {
 		_, v := stragglerNoise(uint64(a.Iter)*0x9e3779b97f4a7c15 + 1)
 		a.state.insert(insertPos(a.Iter, a.state.Len()), v)
-		a.Sum = a.state.buf[5*8 : a.state.off] // a full hole grows into a new layout
+		a.Sum = a.state.head()[5*8:] // the insertion may have moved the head
 	}
 	n := a.state.Len()
 	for k := 0; k < 8; k++ {
@@ -326,26 +343,30 @@ func (a *Straggler) churn() {
 // nState State elements: what SnapshotTo writes and Restore requires.
 func snapshotLen(nSum, nState int) int { return 5*8 + nSum + 8*nState }
 
-// SnapshotTo implements rt.App: it writes the header words into the layout,
-// moves the hole to the end if an insertion moved it, and hands the layout
-// to w in one Write — no per-element encoding, no scratch.
+// SnapshotTo implements rt.App: it closes the hole if an insertion opened
+// one, writes the header words into the layout, and hands the layout to w in
+// one Write — no per-element encoding, no scratch.
 func (a *Straggler) SnapshotTo(w io.Writer) error {
 	a.initState()
-	hdr := a.state.buf[:5*8]
+	layout := a.state.packed()
+	a.Sum = a.state.head()[5*8:]
+	hdr := layout[:5*8]
 	binary.LittleEndian.PutUint64(hdr[0:], uint64(a.Iter))
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(a.target))
 	binary.LittleEndian.PutUint64(hdr[16:], math.Float64bits(a.Acc))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(a.Sum)))
 	binary.LittleEndian.PutUint64(hdr[32:], uint64(a.state.Len()))
-	_, err := w.Write(a.state.packed())
+	_, err := w.Write(layout)
 	return err
 }
 
-// Restore implements rt.App. It keeps data as the rank's layout, the hole in
-// the capacity past it, and hands data back as its snapshot's one Write (the
-// rt.App rule for an app that keeps data). Only when that capacity has no
-// room for the hole does it copy data, once, into memory nothing zeroed
-// first but the hole. A refused snapshot keeps nothing.
+// Restore implements rt.App. It keeps data and the whole capacity past it as
+// the rank's layout, the hole in that capacity, and hands back as its
+// snapshot's one Write a run of it that starts at data's first byte or ends
+// at the capacity's last (the rt.App rule for an app that keeps data). Only
+// when that capacity has no room for the insertions left does it copy data,
+// once, into memory nothing zeroed first but the hole. A refused snapshot
+// keeps nothing.
 func (a *Straggler) Restore(data []byte) error {
 	if len(data) < 5*8 {
 		return fmt.Errorf("straggler: snapshot truncated (%d bytes)", len(data))
@@ -377,14 +398,11 @@ func (a *Straggler) Restore(data []byte) error {
 		return fmt.Errorf("straggler: snapshot iteration %d outside [0, %d]", iter, target)
 	}
 	a.Iter, a.Acc, a.target = iter, acc, target
-	buf, hole := data, 8*a.room(iter)
-	if cap(data)-len(data) >= hole {
-		buf = data[:len(data)+hole]
-	} else {
+	buf := data[:cap(data)]
+	if hole := 8 * a.room(iter); len(buf)-len(data) < hole {
 		buf = bytes.Join([][]byte{data, make([]byte, hole)}, nil)
 	}
-	off := 5*8 + nSum
-	a.state = holed{buf: buf, off: off, lo: nState, hi: (len(buf) - off) / 8}
-	a.Sum = buf[5*8 : off]
+	a.state = holed{buf: buf, off: 5*8 + nSum, lo: nState, gap: len(buf) - len(data)}
+	a.Sum = a.state.head()[5*8:]
 	return nil
 }

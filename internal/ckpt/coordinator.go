@@ -105,7 +105,8 @@ type RankHooks struct {
 	AppSnapshotTo func(w io.Writer) error
 	// Restored is the bytes this rank was restored from (nil on a fresh
 	// start), with their capacity. The app may keep them as its state, and
-	// then hands them back as its snapshot's only Write (rt.App); otherwise
+	// then hands back a run of them, from their first byte or to their
+	// capacity's last, as its snapshot's only Write (rt.App); otherwise
 	// they are dead once it is restored, and the first capture copies into
 	// them when they are large enough.
 	Restored []byte
@@ -242,7 +243,7 @@ type Coordinator struct {
 	doneRanks []bool
 	hooks     []RankHooks
 	// snaps is each rank's capture writer, reused from capture to capture.
-	snaps     []snapParts
+	snaps     []SnapParts
 	requestVT float64
 	// committing is set while a synchronous capture commits with c.mu
 	// dropped: the image is taken, so parked ranks must stay parked until
@@ -303,7 +304,7 @@ func NewCoordinator(w *mpi.World, plan *Plan) (*Coordinator, error) {
 	c.descs = make([]*Descriptor, w.N)
 	c.doneRanks = make([]bool, w.N)
 	c.hooks = make([]RankHooks, w.N)
-	c.snaps = make([]snapParts, w.N)
+	c.snaps = make([]SnapParts, w.N)
 	if c.Plan.Store == nil {
 		c.Plan.Store = NewMemStore()
 	}
@@ -494,8 +495,7 @@ func (c *Coordinator) captureRank(r int, img *JobImage) error {
 		} else {
 			ri.App = c.appImage(r, s)
 		}
-		clear(s.parts) // hold none of the app's memory past the capture
-		s.parts, s.n = s.parts[:0], 0
+		s.Reset() // hold none of the app's memory past the capture
 		proto, err := h.ProtoSnapshot()
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("ckpt: rank %d protocol snapshot: %w", r, err)
@@ -510,21 +510,27 @@ func (c *Coordinator) captureRank(r int, img *JobImage) error {
 	return firstErr
 }
 
-// snapParts is the writer a capture hands an app's SnapshotTo. It keeps
-// every non-empty slice it is given, and their total length, until the
-// capture lays them out (appImage) — which is why rt.App asks that they stay
-// as they are until SnapshotTo returns.
-type snapParts struct {
-	parts [][]byte
-	n     int
+// SnapParts is the writer a capture hands an app's SnapshotTo, and the job
+// digest too. It keeps every non-empty slice it is given, and their total
+// length N, until the capture lays them out (appImage) or the digest hashes
+// them — which is why rt.App asks that they stay as they are until then.
+type SnapParts struct {
+	Parts [][]byte
+	N     int
 }
 
-func (s *snapParts) Write(p []byte) (int, error) {
+func (s *SnapParts) Write(p []byte) (int, error) {
 	if len(p) > 0 {
-		s.parts = append(s.parts, p)
-		s.n += len(p)
+		s.Parts = append(s.Parts, p)
+		s.N += len(p)
 	}
 	return len(p), nil
+}
+
+// Reset empties s, keeping its slice of parts but none of their memory.
+func (s *SnapParts) Reset() {
+	clear(s.Parts)
+	s.Parts, s.N = s.Parts[:0], 0
 }
 
 // appImage lays out rank r's captured state from the slices its SnapshotTo
@@ -534,32 +540,42 @@ func (s *snapParts) Write(p []byte) (int, error) {
 //     bytes while the commit reads them;
 //   - the first capture after a restart copies into the bytes the rank was
 //     restored from, unless the app kept them — an app that keeps them hands
-//     them back as its only Write (rt.App), so pointer identity tells a kept
-//     buffer from a dead one — and if they are large enough;
+//     back as its only Write a run of their capacity that starts at their
+//     first byte or ends at its last (rt.App), so pointer identity at either
+//     end tells a kept buffer from a dead one — and if they are large enough;
 //   - any other capture copies into one exactly sized allocation, which
 //     bytes.Join does not clear first.
 //
 // Safe to run concurrently for distinct ranks, like captureRank.
-func (c *Coordinator) appImage(r int, s *snapParts) []byte {
+func (c *Coordinator) appImage(r int, s *SnapParts) []byte {
 	restored := c.hooks[r].Restored
 	c.hooks[r].Restored = nil // only the first capture may write into it
-	if len(s.parts) == 1 && c.Plan.Mode == ExitAfterCapture {
-		return s.parts[0]
+	if len(s.Parts) == 1 && c.Plan.Mode == ExitAfterCapture {
+		return s.Parts[0]
 	}
-	kept := len(s.parts) == 1 && len(restored) > 0 && &s.parts[0][0] == &restored[0]
-	if !kept && cap(restored) >= s.n {
+	if !(len(s.Parts) == 1 && keeps(restored, s.Parts[0])) && cap(restored) >= s.N {
 		dst := restored[:0]
-		for _, p := range s.parts {
+		for _, p := range s.Parts {
 			dst = append(dst, p...)
 		}
 		return dst
 	}
-	return bytes.Join(s.parts, nil)
+	return bytes.Join(s.Parts, nil)
+}
+
+// keeps reports whether p, an app's one non-empty snapshot Write, is the
+// restored bytes kept: it starts at their first byte or ends at the last
+// byte of their capacity.
+func keeps(restored, p []byte) bool {
+	full := restored[:cap(restored)]
+	return len(full) > 0 && (&p[0] == &full[0] || &p[len(p)-1] == &full[len(full)-1])
 }
 
 // withHeadroom is the capacity the loader gives a restored App of n bytes:
 // proportional slack, because state that grows at all grows with its size.
-// An app that keeps its restored bytes grows into it (a straggler's hole);
+// An app that keeps its restored bytes grows into it (a straggler's hole,
+// which its snapshot closes toward the front, so the snapshot ends at the
+// capacity's last byte);
 // otherwise the first capture can write into them (appImage) unless the
 // state outgrew it.
 func withHeadroom(n int) int { return n + n/32 }

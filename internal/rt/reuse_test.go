@@ -193,3 +193,89 @@ func TestRestartCapturesIntoRestoredBytes(t *testing.T) {
 		t.Fatalf("restart from the reused capture: digest %.16s, uninterrupted %.16s", final.StateDigest, golden.StateDigest)
 	}
 }
+
+// endKeepApp is keepApp keeping its restored bytes by their other end:
+// Restore moves them to the end of data's capacity and keeps that run as its
+// state, so its snapshot's one Write ends at the capacity's last byte and,
+// with the loader's headroom, does not start at data's first — the
+// straggler's state once its snapshot closes the hole toward the front.
+type endKeepApp struct{ keepApp }
+
+func (a *endKeepApp) Restore(data []byte) error {
+	if err := a.keepApp.Restore(data); err != nil {
+		return err
+	}
+	full := data[:cap(data)]
+	a.buf = full[len(full)-len(data):]
+	copy(a.buf, data)
+	return nil
+}
+
+// TestRestartKeepsBytesByTheirEnd: an app that keeps its restored bytes may
+// hand back as its one Write a run of them that ends at their capacity's
+// last byte. The capture counts that as kept: a continuing capture copies
+// it into fresh memory — into the restored bytes it would overwrite the
+// rank's live state — so the captured bytes still hash to their sealed
+// sums and the rank runs on to the uninterrupted run's digest; a capture
+// that ends the job keeps it as the image, without a copy.
+func TestRestartKeepsBytesByTheirEnd(t *testing.T) {
+	const ranks, size, iters = 2, 64 << 10, 8
+	factory := func(int) App { return &endKeepApp{keepApp{size: size, iters: iters, x: make([]byte, 8)}} }
+	golden, err := Run(testConfig(ranks, AlgoCC), factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(ranks, AlgoCC)
+	cfg.Checkpoint = &CkptPlan{AtStep: 2, Mode: ckpt.ExitAfterCapture}
+	first, err := Run(cfg, factory)
+	if err != nil || first.Completed || first.Checkpoint == nil {
+		t.Fatalf("the first leg did not checkpoint and exit (err %v)", err)
+	}
+	for _, mode := range []ckpt.Mode{ckpt.ContinueAfterCapture, ckpt.ExitAfterCapture} {
+		exit := mode == ckpt.ExitAfterCapture
+		img, err := ckpt.LoadJobImage(first.Store, first.Checkpoint.Epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored := make([][]byte, ranks)
+		for r := range restored {
+			restored[r] = img.Images[r].App
+		}
+		apps := make([]*endKeepApp, ranks)
+		leg := testConfig(ranks, AlgoCC)
+		leg.Checkpoint = &CkptPlan{AtStep: 2, Mode: mode}
+		rep, err := Restart(leg, img, func(rank int) App {
+			apps[rank] = factory(rank).(*endKeepApp)
+			return apps[rank]
+		})
+		if err != nil || rep.Completed == exit || rep.Image == nil {
+			t.Fatalf("exit %v: the restarted leg did not capture and run on as planned (err %v)", exit, err)
+		}
+		man, err := rep.Store.GetManifest(rep.Checkpoint.Epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums, err := ckpt.HashCapture(rep.Image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, ri := range rep.Image.Images {
+			full := restored[r][:cap(restored[r])]
+			if live := apps[r].buf; &live[len(live)-1] != &full[len(full)-1] || &live[0] == &full[0] {
+				t.Fatalf("exit %v/rank%d: the app does not keep its restored bytes by their end alone", exit, r)
+			}
+			if kept := &ri.App[0] == &apps[r].buf[0]; kept != exit {
+				t.Errorf("exit %v/rank%d: the image is the rank's live bytes: %v, want %v", exit, r, kept, exit)
+			}
+			if !exit && &ri.App[0] == &full[0] {
+				t.Errorf("rank%d: the continuing capture copied into the bytes the rank keeps", r)
+			}
+			if sums.Sums[r] != man.Shards[r].RawSum {
+				t.Errorf("exit %v/rank%d: the captured bytes changed after their epoch sealed them", exit, r)
+			}
+		}
+		if !exit && rep.StateDigest != golden.StateDigest {
+			t.Errorf("a leg that continued past its capture: digest %.16s, uninterrupted %.16s", rep.StateDigest, golden.StateDigest)
+		}
+	}
+}

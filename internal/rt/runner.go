@@ -415,32 +415,25 @@ var boundaryDesc = ckpt.Descriptor{Kind: ckpt.ParkBoundary}
 
 // digestOf hashes every rank's final state into one canonical job digest:
 // each rank's snapshot length as 8 bytes, so rank boundaries cannot alias,
-// then its bytes. Both come from streaming SnapshotTo — into a counter,
-// then into the hash — so no rank's state is copied to be digested.
+// then its bytes. One SnapshotTo a rank hands over the slices, which are
+// kept, as a capture keeps them, until the length is known and they are
+// hashed, so no rank's state is copied or laid out twice to be digested.
 func digestOf(apps []App) (string, error) {
 	h := sha256.New()
 	var pfx [8]byte
+	s := ckpt.SnapParts{Parts: make([][]byte, 0, 8)}
 	for r, app := range apps {
-		var n byteCounter
-		err := app.SnapshotTo(&n)
-		if err == nil {
-			binary.LittleEndian.PutUint64(pfx[:], uint64(n))
-			h.Write(pfx[:])
-			err = app.SnapshotTo(h)
-		}
-		if err != nil {
+		s.Reset()
+		if err := app.SnapshotTo(&s); err != nil {
 			return "", fmt.Errorf("rank %d final snapshot: %w", r, err)
+		}
+		binary.LittleEndian.PutUint64(pfx[:], uint64(s.N))
+		h.Write(pfx[:])
+		for _, p := range s.Parts {
+			h.Write(p)
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// byteCounter is an io.Writer that counts what it is given and keeps none.
-type byteCounter int64
-
-func (c *byteCounter) Write(p []byte) (int, error) {
-	*c += byteCounter(len(p))
-	return len(p), nil
 }
 
 // Restart rebuilds a job from a checkpoint image — a fresh world (the new
