@@ -45,7 +45,6 @@ func main() {
 		delta    = flag.Bool("delta", false, "store partially-changed shards as page deltas against the chain's base epoch (implies a store; best with -incremental)")
 		cdc      = flag.Bool("cdc", false, "store changed shards as content-defined chunk objects reusing the chain's chunks (implies a store; best with -incremental; excludes -delta)")
 		codec    = flag.String("codec", "", "stored-object codec: flate or none (empty = flate)")
-		budgetMB = flag.Int("stream-budget", 0, "in-flight streaming-encode budget in MiB for store commits (0 = default)")
 		keep     = flag.Int("keep", 0, "garbage-collect the store after each seal, retaining this many epochs (0 = keep everything)")
 		storeDir = flag.String("store", "", "commit each capture as an epoch in this store directory")
 		restore  = flag.String("restart-store", "", "restart from a store directory")
@@ -63,12 +62,12 @@ func main() {
 		Params:    mana.PerlmutterLike(),
 		Algorithm: *algo,
 	}
-	if *ckptAt <= 0 && (*storeDir != "" || *async || *incr || *delta || *cdc || *codec != "" || *every > 0 || *budgetMB != 0 || *keep != 0) {
+	if *ckptAt <= 0 && (*storeDir != "" || *async || *incr || *delta || *cdc || *codec != "" || *every > 0 || *keep != 0) {
 		// These flags only shape a checkpoint plan; without a first trigger
 		// they would be silently discarded and the run would complete with
 		// zero captures — surfaced only when a later restart finds an empty
 		// store.
-		fail(fmt.Errorf("-store/-async/-incremental/-delta/-cdc/-codec/-every/-stream-budget/-keep require -ckpt-at to schedule the first checkpoint"))
+		fail(fmt.Errorf("-store/-async/-incremental/-delta/-cdc/-codec/-every/-keep require -ckpt-at to schedule the first checkpoint"))
 	}
 	if *epoch != -1 && *restore == "" {
 		// Only a restart reads an epoch; without a store to read it from the
@@ -84,9 +83,6 @@ func main() {
 	case "", "flate", "none":
 	default:
 		fail(fmt.Errorf("unknown codec %q (want flate or none)", *codec))
-	}
-	if *budgetMB < 0 {
-		fail(fmt.Errorf("-stream-budget must be non-negative (MiB)"))
 	}
 	if *keep < 0 {
 		fail(fmt.Errorf("-keep must be non-negative"))
@@ -105,8 +101,7 @@ func main() {
 		cfg.Checkpoint = &mana.CkptPlan{
 			AtVT: *ckptAt, Every: *every, Mode: mode,
 			Async: *async, Incremental: *incr, Delta: *delta, CDC: *cdc, Codec: *codec,
-			StreamBudgetBytes: int64(*budgetMB) << 20,
-			KeepEpochs:        *keep,
+			KeepEpochs: *keep,
 		}
 		if *storeDir != "" {
 			fs, err := mana.NewFileStore(*storeDir)

@@ -782,8 +782,8 @@ func TestHintedCaptureAfterRestart(t *testing.T) {
 	}
 }
 
-// TestHintedAsyncChain: the hint is loaded outside the ordering ticket while
-// earlier commits store it under the ticket. An Async chain of CDC captures
+// TestHintedAsyncChain: the hint is loaded outside the commit order while
+// earlier commits store it in that order. An Async chain of CDC captures
 // in back-to-back bursts must seal exactly the manifests a serial replay of
 // the same images — unhinted, one commit at a time — seals. Run under -race.
 func TestHintedAsyncChain(t *testing.T) {

@@ -34,8 +34,8 @@
 // whole messages, so bulk state never passes through it), flate, and
 // checksum flow straight into the store's shard writer (ShardWriter)
 // through pooled fixed-size buffers, with
-// concurrent streams bounded in bytes by a StreamBudget, which caps the
-// fan-out's worker count (Plan.StreamBudgetBytes; what a commit ran with
+// concurrent streams bounded in bytes by a constant, which caps the
+// fan-out's worker count (maxEncodeStreams; what a commit ran with
 // reported as CheckpointStats.PeakEncodeBytes), so peak encode memory
 // never scales with the image size. Restart reads are symmetric (OpenShard streamed
 // through verification into the gob decoder). With

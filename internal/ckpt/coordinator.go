@@ -81,14 +81,6 @@ type Plan struct {
 	// manifest) in addition to the in-memory image; nil selects a MemStore.
 	// Restart loads any sealed epoch back via RestartFromStore.
 	Store Store
-	// StreamBudgetBytes bounds the commit stage's in-flight streaming-
-	// encode memory: shards gob+compress+checksum straight into the store's
-	// shard streams, each open stream is accounted at a fixed footprint,
-	// and the fan-out runs only as many streams at once as fit under this
-	// budget, so peak encode memory never scales with the image size. Zero
-	// selects DefaultStreamBudgetBytes. What a capture's commit ran with is
-	// reported as CheckpointStats.PeakEncodeBytes.
-	StreamBudgetBytes int64
 	// KeepEpochs, when positive, garbage-collects the store after every
 	// sealed epoch, retaining the newest KeepEpochs epochs plus everything
 	// their manifests transitively reference (GCStore). Reclaimed
@@ -156,29 +148,10 @@ type CheckpointStats struct {
 	GCReclaimedBytes int64
 	GCVT             float64
 
-	// Incremental accounting: how many shards the commit stage wrote fresh
-	// versus referenced unchanged from an earlier epoch, and the compressed
-	// bytes written fresh.
-	FreshShards  int
-	ReusedShards int
-	FreshBytes   int64
-
-	// Page-delta accounting (Delta mode): how many of the fresh shards were
-	// stored as page deltas against an earlier full shard, and their
-	// compressed bytes (a subset of FreshShards/FreshBytes).
-	DeltaShards int
-	DeltaBytes  int64
-
-	// Content-defined-chunk accounting (CDC mode): how many of the fresh
-	// shards were stored as CDC objects holding only content-new chunks,
-	// and their compressed bytes (a subset of FreshShards/FreshBytes).
-	CDCShards int
-	CDCBytes  int64
-	// CDCPredictedChunks is how many of this capture's content-defined
-	// chunks the identity pass proved against the previous sealed epoch's
-	// chunk table instead of finding with the rolling hash (host cost only:
-	// the table is the same either way).
-	CDCPredictedChunks int
+	// CommitStats is what the commit stage stored — fresh, reused,
+	// page-delta and chunk-object shards, their bytes, the encode peak —
+	// applied once the epoch seals (zero for a failed capture).
+	CommitStats
 
 	// CaptureHostSeconds is the wall-clock (host, not virtual) time the
 	// coordinator spent building this checkpoint's job image — the quantity
@@ -187,14 +160,6 @@ type CheckpointStats struct {
 	// CommitHostSeconds is the wall-clock time of the encode+commit stage
 	// (including any wait for the preceding epoch's commit to seal).
 	CommitHostSeconds float64
-
-	// PeakEncodeBytes is the streaming encoder's in-flight memory during
-	// this capture's commit — the quantity the stream budget bounds: the
-	// shard streams the commit ran at once times their accounted footprint
-	// (pooled chunk buffer plus per-stream compressor state), not Go heap
-	// totals, clamped to the budget. Zero when no shard was fresh; with
-	// MANA-scale images it sits orders of magnitude below ImageBytes.
-	PeakEncodeBytes int64
 
 	// Drain-progress counters, summed across ranks at capture time and
 	// reported as per-checkpoint deltas against their values when THIS
@@ -255,8 +220,8 @@ type Coordinator struct {
 	// checkpoints don't double-count earlier drains.
 	baseSent, baseRecv, baseTests int64
 
-	image   *JobImage
-	stats   CheckpointStats
+	image *JobImage
+	// history holds every capture's stats; the newest is Result's.
 	history []CheckpointStats
 	err     error
 
@@ -264,17 +229,16 @@ type Coordinator struct {
 	// order == epoch order) and commits seal strictly in epoch order — the
 	// incremental differ diffs each epoch against the previous committed
 	// manifest, so an out-of-order seal would diff against the wrong
-	// parent. commitMu/commitCond implement the ordering ticket. lastMan is
-	// the most recently sealed manifest: stored only under the ticket (and by
-	// NewCoordinator), loaded under it as the diff parent and outside it as
-	// the identity pass's chunk hint, which may therefore be an epoch older
-	// than the parent — a sealed manifest is never written again, and a
-	// stale hint only lowers the chunker's hit rate.
+	// parent. lastCommit (guarded by mu) is closed once the newest launched
+	// commit has applied its outcome; each commit waits on its
+	// predecessor's before its ordered part, so they close in epoch order.
+	// lastMan is the most recently sealed manifest: stored only in that
+	// order (and by NewCoordinator), loaded in it as the diff parent and
+	// outside it as the identity pass's chunk hint, which may therefore be
+	// an epoch older than the parent — a sealed manifest is never written
+	// again, and a stale hint only lowers the chunker's hit rate.
 	nextEpoch  int
-	commitWG   sync.WaitGroup
-	commitMu   sync.Mutex
-	commitCond *sync.Cond
-	committed  int // epochs sealed so far (the next commit ticket)
+	lastCommit chan struct{}
 	lastMan    atomic.Pointer[Manifest]
 }
 
@@ -299,7 +263,8 @@ func NewCoordinator(w *mpi.World, plan *Plan) (*Coordinator, error) {
 		c.Plan = *plan
 	}
 	c.cond = sync.NewCond(&c.mu)
-	c.commitCond = sync.NewCond(&c.commitMu)
+	c.lastCommit = make(chan struct{})
+	close(c.lastCommit)
 	c.parked = make([]bool, w.N)
 	c.descs = make([]*Descriptor, w.N)
 	c.doneRanks = make([]bool, w.N)
@@ -319,7 +284,6 @@ func NewCoordinator(w *mpi.World, plan *Plan) (*Coordinator, error) {
 			return nil, fmt.Errorf("ckpt: resuming store chain: %w", err)
 		}
 		c.nextEpoch = latest + 1
-		c.committed = latest + 1 // the ordering ticket continues the chain
 		c.lastMan.Store(man)
 	}
 	// A world abort must wake ranks parked on the coordinator's condition
@@ -582,11 +546,10 @@ func withHeadroom(n int) int { return n + n/32 }
 
 // captureLocked runs stage 1 of the checkpoint pipeline — snapshotting every
 // rank concurrently (each is parked, so per-rank snapshots are race-free by
-// construction) — then hands the frozen image to the commit path:
-// inline (the job stalls for the full write, today's stop-and-write) or, with
-// Async, in the background after releasing the job against only the storage
-// open latency. Caller holds c.mu, which freezes the parked-rank registry
-// for the worker goroutines.
+// construction) — then launches the frozen image's commit: the job stalls
+// until it is applied (stop-and-write) or, with Async, is released against
+// only the storage open latency while it runs. Caller holds c.mu, which
+// freezes the parked-rank registry for the worker goroutines.
 func (c *Coordinator) captureLocked() {
 	//lint:allow wallclock CaptureHostSeconds deliberately reports host-side encode cost
 	captureStart := time.Now()
@@ -616,7 +579,7 @@ func (c *Coordinator) captureLocked() {
 	}
 	img.CaptureVT = maxVT
 
-	c.stats = CheckpointStats{
+	st := CheckpointStats{
 		RequestVT:  c.requestVT,
 		CaptureVT:  maxVT,
 		DrainVT:    maxVT - c.requestVT,
@@ -631,19 +594,19 @@ func (c *Coordinator) captureLocked() {
 	// (parked on the coordinator condition or finished through FinishRank's
 	// lock), so reading its counters here is ordered by c.mu.
 	sent, recv, tests := c.drainTotals()
-	c.stats.TargetUpdatesSent = sent - c.baseSent
-	c.stats.TargetUpdatesRecv = recv - c.baseRecv
-	c.stats.DrainTests = tests - c.baseTests
+	st.TargetUpdatesSent = sent - c.baseSent
+	st.TargetUpdatesRecv = recv - c.baseRecv
+	st.DrainTests = tests - c.baseTests
 	for r := 0; r < c.W.N; r++ {
 		switch {
 		case c.descs[r] != nil && c.descs[r].Kind == ParkPreCollective:
-			c.stats.ParkedPreColl++
+			st.ParkedPreColl++
 		case c.descs[r] != nil && c.descs[r].Kind == ParkInBarrier:
-			c.stats.ParkedInBarrier++
+			st.ParkedInBarrier++
 		case c.descs[r] != nil && c.descs[r].Kind == ParkInWait:
-			c.stats.ParkedInWait++
+			st.ParkedInWait++
 		case c.doneRanks[r] || (c.descs[r] != nil && c.descs[r].Kind == ParkDone):
-			c.stats.DoneAtCapture++
+			st.DoneAtCapture++
 		}
 	}
 	c.image = img
@@ -652,7 +615,7 @@ func (c *Coordinator) captureLocked() {
 		// A capture that FAILED seals nothing and is charged nothing: a
 		// fresh process restarting from the store cannot see c.err and
 		// would restore the incomplete image as if it were healthy.
-		c.history = append(c.history, c.stats)
+		c.history = append(c.history, st)
 		c.releaseLocked(maxVT)
 		return
 	}
@@ -660,44 +623,46 @@ func (c *Coordinator) captureLocked() {
 	// Staged pipeline: the epoch is assigned now, under the capture lock, so
 	// epoch order always equals capture order even when commits run in the
 	// background.
-	epoch := c.nextEpoch
+	st.Epoch = c.nextEpoch
 	c.nextEpoch++
-	c.stats.Epoch = epoch
-	histIdx := len(c.history)
-	c.history = append(c.history, c.stats)
-
 	if c.Plan.Async {
-		// Release the job against only the filesystem's open latency;
-		// stages 2–3 run behind the resumed execution on a private
-		// (double-buffered) image — the next capture allocates a fresh one.
-		stall := c.W.Model.WriteCost(0, c.nodes(), true).Stall
-		c.stats.StallVT = stall
-		c.history[histIdx].StallVT = stall
-		c.commitWG.Add(1)
-		go func() {
-			res := c.commitEpoch(epoch, img)
-			c.mu.Lock()
-			c.applyCommitLocked(histIdx, res)
-			c.mu.Unlock()
-			c.W.NoteActivity()
-			c.commitWG.Done()
-		}()
-		c.releaseLocked(maxVT + stall)
+		// Released against only the filesystem's open latency; stages 2–3
+		// run behind the resumed execution on a private (double-buffered)
+		// image — the next capture allocates a fresh one.
+		st.StallVT = c.W.Model.WriteCost(0, c.nodes(), true).Stall
+	}
+	histIdx := len(c.history)
+	c.history = append(c.history, st)
+
+	// Stages 2–3 run on their own goroutine, sync or async alike. The
+	// commit takes its predecessor's channel and closes its own once its
+	// outcome is applied — failed or not, or every later commit would wait
+	// forever.
+	prev, done := c.lastCommit, make(chan struct{})
+	c.lastCommit = done
+	go func() {
+		res := c.commitEpoch(st.Epoch, img, prev)
+		c.mu.Lock()
+		c.applyCommitLocked(histIdx, res)
+		c.mu.Unlock()
+		c.W.NoteActivity()
+		close(done)
+	}()
+	if c.Plan.Async {
+		c.releaseLocked(maxVT + st.StallVT)
 		return
 	}
 
-	// Synchronous staged pipeline: commit inline with the job stalled. The
-	// coordinator lock is dropped around the commit — every rank is parked,
-	// the phase is still pending and committing holds the parked ranks, so
-	// the registry cannot change — to keep the commit path lock-order-free
-	// with the background variant.
+	// Synchronous: the job stays stalled until the commit is applied. The
+	// coordinator lock is dropped for the wait — every rank is parked, the
+	// phase is still pending and committing holds the parked ranks, so the
+	// registry cannot change — because the commit applies under it.
 	c.committing = true
 	c.mu.Unlock()
-	res := c.commitEpoch(epoch, img)
+	<-done
 	c.mu.Lock()
 	c.committing = false
-	c.applyCommitLocked(histIdx, res)
-	c.releaseLocked(maxVT + c.stats.StallVT)
+	c.releaseLocked(maxVT + c.history[histIdx].StallVT)
 }
 
 // releaseLocked charges the resume time to every live rank and transitions
@@ -735,12 +700,12 @@ type commitResult struct {
 
 // commitEpoch runs stages 2–3 for one captured image: hash every shard's
 // identity (parallel with other epochs' hashing — it depends only on this
-// image; the manifest CDC mode reads beside it is a hint), then under the
-// ordering ticket diff against the previous committed manifest (when
-// Incremental), stream the fresh shards into the store under the encode
-// budget, seal the epoch and run the retention pass. Called WITHOUT c.mu
-// held, and takes no lock but the ticket.
-func (c *Coordinator) commitEpoch(epoch int, img *JobImage) (res commitResult) {
+// image; the manifest CDC mode reads beside it is a hint), then, once prev —
+// the previous epoch's commit — has closed, diff against the previous
+// committed manifest (when Incremental), stream the fresh shards into the
+// store, seal the epoch and run the retention pass. Called WITHOUT c.mu
+// held, and takes no lock.
+func (c *Coordinator) commitEpoch(epoch int, img *JobImage, prev <-chan struct{}) (res commitResult) {
 	//lint:allow wallclock commit hostSeconds deliberately reports host-side commit cost
 	t0 := time.Now()
 	res = commitResult{epoch: epoch}
@@ -760,17 +725,10 @@ func (c *Coordinator) commitEpoch(epoch int, img *JobImage) (res commitResult) {
 		sums, encErr = HashCapture(img)
 	}
 
-	// The ticket MUST advance even when this epoch fails (encode or commit):
-	// later epochs wait for committed == their number, and a skipped
-	// increment would deadlock every commit behind the failed one.
-	c.commitMu.Lock()
-	defer c.commitMu.Unlock()
-	for c.committed != epoch {
-		c.commitCond.Wait()
-	}
+	// Everything below runs in epoch order, a failed hash included, so
+	// that this commit's channel closes only after every earlier one.
+	<-prev
 	defer func() {
-		c.committed++
-		c.commitCond.Broadcast()
 		//lint:allow wallclock commit hostSeconds deliberately reports host-side commit cost
 		res.hostSeconds = time.Since(t0).Seconds()
 	}()
@@ -782,7 +740,7 @@ func (c *Coordinator) commitEpoch(epoch int, img *JobImage) (res commitResult) {
 	if c.Plan.Incremental {
 		parent = c.lastMan.Load()
 	}
-	man, st, err := buildCommit(c.Plan.Store, codec, epoch, parent, img, sums, NewStreamBudget(c.Plan.StreamBudgetBytes))
+	man, st, err := buildCommit(c.Plan.Store, codec, epoch, parent, img, sums)
 	if err == nil {
 		res.cost, err = c.seal(man)
 	}
@@ -796,19 +754,19 @@ func (c *Coordinator) commitEpoch(epoch int, img *JobImage) (res commitResult) {
 	}
 	res.stats = st
 	c.lastMan.Store(man)
-	// GC runs inside the ticket: that is the race-freedom argument for GC
-	// vs. an in-flight commit — the next queued commit cannot start until
-	// it finishes, its diff parent is lastMan (always retained, keep >= 1),
-	// and reuse copies RefEpoch from lastMan's entries, all of which GC
-	// traced live.
+	// GC runs inside the epoch order: that is the race-freedom argument for
+	// GC vs. an in-flight commit — the next queued commit cannot start until
+	// this one's channel closes, its diff parent is lastMan (always
+	// retained, keep >= 1), and reuse copies RefEpoch from lastMan's
+	// entries, all of which GC traced live.
 	if c.Plan.KeepEpochs > 0 {
 		res.gc, res.gcErr = GCStore(c.Plan.Store, c.Plan.KeepEpochs)
 	}
 	return res
 }
 
-// seal prices a finished manifest and seals its epoch under the commit
-// ticket. The charge is one parallel-filesystem write of WriteBytesOf(man).
+// seal prices a finished manifest and seals its epoch in commit order. The
+// charge is one parallel-filesystem write of WriteBytesOf(man).
 func (c *Coordinator) seal(man *Manifest) (netmodel.WriteCost, error) {
 	if err := c.Plan.Store.PutManifest(man.Epoch, man); err != nil {
 		return netmodel.WriteCost{}, err
@@ -817,8 +775,7 @@ func (c *Coordinator) seal(man *Manifest) (netmodel.WriteCost, error) {
 }
 
 // applyCommitLocked folds a commit's outcome into the history entry it
-// belongs to (and into the headline stats when that entry is still the
-// newest capture). Caller holds c.mu.
+// belongs to. Caller holds c.mu.
 func (c *Coordinator) applyCommitLocked(histIdx int, res commitResult) {
 	e := &c.history[histIdx]
 	e.CommitHostSeconds = res.hostSeconds
@@ -834,15 +791,7 @@ func (c *Coordinator) applyCommitLocked(histIdx int, res commitResult) {
 		e.WriteVT = res.cost.Total
 		e.StallVT = res.cost.Stall
 		e.OverlapVT = res.cost.Overlap
-		e.FreshShards = res.stats.FreshShards
-		e.ReusedShards = res.stats.ReusedShards
-		e.FreshBytes = res.stats.FreshBytes
-		e.DeltaShards = res.stats.DeltaShards
-		e.DeltaBytes = res.stats.DeltaBytes
-		e.CDCShards = res.stats.CDCShards
-		e.CDCBytes = res.stats.CDCBytes
-		e.CDCPredictedChunks = res.stats.CDCPredictedChunks
-		e.PeakEncodeBytes = res.stats.peakEncode
+		e.CommitStats = *res.stats
 	}
 	// The GC outcome applies even when the pass failed part-way (the epoch
 	// itself sealed; whatever was reclaimed before the failure is real),
@@ -858,26 +807,24 @@ func (c *Coordinator) applyCommitLocked(histIdx int, res commitResult) {
 	if res.gcErr != nil && c.err == nil {
 		c.err = fmt.Errorf("ckpt: gc after epoch %d: %w", res.epoch, res.gcErr)
 	}
-	if histIdx == len(c.history)-1 {
-		c.stats = *e
-	}
 }
 
 // drainPending waits for any in-flight capture to complete before waiting
-// out its background commit. A chained request can be accepted just as the
-// final ranks finish: the capture watcher then runs concurrently with the
-// caller reading results, and its async commit would otherwise register
-// with the WaitGroup only after a bare commitWG.Wait had already returned —
-// committing to the store after the run reported. The wait gives up if the
-// world dies (the watcher exits without a phase transition on abort; for a
-// wedged drain the watchdog's abort is what wakes us).
+// out the newest commit, which closes only after every earlier one. A
+// chained request can be accepted just as the final ranks finish: the
+// capture watcher then runs concurrently with the caller reading results,
+// and a commit channel read before its capture launched would let the run
+// report before that commit reached the store. The capture wait gives up
+// if the world dies (the watcher exits without a phase transition on
+// abort; for a wedged drain the watchdog's abort is what wakes us).
 func (c *Coordinator) drainPending() {
 	c.mu.Lock()
 	for c.ph == phasePending && c.W.AbortErr() == nil {
 		c.cond.Wait()
 	}
+	last := c.lastCommit
 	c.mu.Unlock()
-	c.commitWG.Wait()
+	<-last
 }
 
 // ParkUntil parks the rank at a capturable point described by d. decide is
@@ -961,13 +908,18 @@ func (c *Coordinator) FinishRank(rank int) {
 	c.W.NoteActivity()
 }
 
-// Result returns the checkpoint results once a capture has happened, first
+// Result returns the checkpoint results once a capture has happened — the
+// image and stats of the newest capture (its History entry) — first
 // draining any in-flight capture and its background commit.
 func (c *Coordinator) Result() (*JobImage, CheckpointStats, error) {
 	c.drainPending()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.image, c.stats, c.err
+	var st CheckpointStats
+	if n := len(c.history); n > 0 {
+		st = c.history[n-1]
+	}
+	return c.image, st, c.err
 }
 
 // History returns the statistics of every checkpoint captured during the

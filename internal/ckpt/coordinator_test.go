@@ -302,6 +302,82 @@ func TestParkedRanksHeldThroughSyncCommit(t *testing.T) {
 	}
 }
 
+// TestResultIsNewestHistory: Result's stats are History's newest entry,
+// field for field with the commit's promoted fields, and Result returns
+// only once that capture's commit has applied its outcome — after a failed
+// capture, a synchronous one, and an Async chain whose last commit seals
+// after the job was released.
+func TestResultIsNewestHistory(t *testing.T) {
+	const n = 3
+	type result struct {
+		st  CheckpointStats
+		err error
+	}
+	newest := func(t *testing.T, c *Coordinator, r result, wantEpoch int, wantErr bool) {
+		t.Helper()
+		if (r.err != nil) != wantErr {
+			t.Fatalf("Result error %v, want an error: %v", r.err, wantErr)
+		}
+		hist := c.History()
+		if len(hist) == 0 || r.st != hist[len(hist)-1] {
+			t.Fatalf("Result's stats %+v are not History's newest entry %+v", r.st, hist)
+		}
+		if r.st.Epoch != wantEpoch {
+			t.Fatalf("newest capture is epoch %d, want %d", r.st.Epoch, wantEpoch)
+		}
+	}
+	resultOf := func(c *Coordinator) result {
+		_, st, err := c.Result()
+		return result{st, err}
+	}
+
+	t.Run("failed", func(t *testing.T) {
+		c, a, _ := newStubCoordinator(t, n, Plan{})
+		a.mu.Lock()
+		a.verifyErr = errors.New("boom")
+		a.mu.Unlock()
+		captureNow(t, c, 1)
+		r := resultOf(c)
+		newest(t, c, r, -1, true)
+		if r.st.FreshShards != 0 || r.st.WriteVT != 0 {
+			t.Fatalf("a failed capture was committed: %+v", r.st)
+		}
+	})
+
+	t.Run("sync", func(t *testing.T) {
+		c, _, _ := newStubCoordinator(t, n, Plan{})
+		captureNow(t, c, 1)
+		r := resultOf(c)
+		newest(t, c, r, 0, false)
+		if r.st.FreshShards != n || r.st.WriteVT <= 0 || r.st.StallVT != r.st.WriteVT {
+			t.Fatalf("sync capture's commit not applied: %+v", r.st)
+		}
+	})
+
+	t.Run("async-chain", func(t *testing.T) {
+		store := &gatedStore{Store: NewMemStore(), sealing: make(chan struct{}), gate: make(chan struct{})}
+		c, _, _ := newStubCoordinator(t, n, Plan{Store: store, Async: true})
+		for k := 0; k < 3; k++ {
+			captureNow(t, c, float64(k+1)) // released; no commit has sealed
+		}
+		<-store.sealing
+		got := make(chan result, 1)
+		go func() { got <- resultOf(c) }()
+		select {
+		case r := <-got:
+			close(store.gate)
+			t.Fatalf("Result returned %+v while the chain's commits were still sealing", r.st)
+		case <-time.After(20 * time.Millisecond):
+		}
+		close(store.gate)
+		r := <-got
+		newest(t, c, r, 2, false)
+		if r.st.FreshShards != n || r.st.OverlapVT <= 0 || r.st.PeakEncodeBytes <= 0 {
+			t.Fatalf("last commit's outcome not applied: %+v", r.st)
+		}
+	})
+}
+
 func TestCoordinatorVerifyFailureSurfaces(t *testing.T) {
 	c, a, _ := newStubCoordinator(t, 1, Plan{})
 	a.mu.Lock()

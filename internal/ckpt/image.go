@@ -242,14 +242,14 @@ func putBufReader(br *bufio.Reader) {
 //	  → pooled chunk buffer → Store.PutShardStream
 //
 // The raw XXH64 identity is NOT recomputed on this path: HashCapture* walked
-// the same segment list once, before the commit ticket, and the manifest's
-// RawSum/RawSize are stamped from that pass (see shardStream).
+// the same segment list once, before the commit waited for its predecessor,
+// and the manifest's RawSum/RawSize are stamped from that pass (see
+// shardStream).
 //
 // Concurrency is bounded in BYTES, not just workers: every open ShardWriter
-// is accounted at shardStreamFootprint, and a StreamBudget admits only as
-// many fan-out workers as fit, so the commit stage's in-flight memory never
-// exceeds the configured budget no matter how many ranks or how large their
-// shards.
+// is accounted at shardStreamFootprint, and the fan-out runs at most
+// maxEncodeStreams of them at once, so the commit stage's in-flight memory
+// never exceeds 64 MiB no matter how many ranks or how large their shards.
 
 // shardChunkBytes is the fixed size of the pooled staging buffer between
 // the compressor and the store writer (gob emits many small writes; batching
@@ -258,56 +258,34 @@ func putBufReader(br *bufio.Reader) {
 // chain under an 8 MiB budget (a root-package benchmark since folded into
 // the conformance chain table): throughput climbs
 // ~8% from 256K (fewer store writes per shard) and flattens past 512K,
-// while the per-stream footprint stays small enough that even the
-// conformance suite's deliberately tight 4 MiB budget still admits three
-// concurrent streams.
+// while the per-stream footprint stays small.
 const shardChunkBytes = 512 << 10
 
 // shardStreamFootprint is the in-flight memory one open ShardWriter is
 // accounted at: the pooled chunk buffer plus a conservative bound on the
 // flate compressor's window/hash state and the gob encoder's scratch. It is
-// an accounting constant, deliberately rounded up — the budget must bound
-// real memory, so over-counting is the safe direction.
+// an accounting constant, deliberately rounded up — the bound must hold
+// for real memory, so over-counting is the safe direction.
 const shardStreamFootprint = shardChunkBytes + 768<<10
 
-// DefaultStreamBudgetBytes is the commit stage's in-flight encode budget
-// when the plan does not set one: room for tens of concurrent shard
-// streams, far above any sane GOMAXPROCS, so the budget only throttles when
-// explicitly tightened.
-const DefaultStreamBudgetBytes = 64 << 20
+// maxEncodeStreams bounds the shard streams a commit or compaction holds
+// open at once: 64 MiB of in-flight encode state, 51 streams — far above
+// any sane GOMAXPROCS, which bounds the fan-out first.
+const maxEncodeStreams = (64 << 20) / shardStreamFootprint
 
-// StreamBudget bounds the bytes of in-flight streaming-encode state. It
-// bounds them by worker count: each worker of a shard fan-out holds at most
-// one open stream, so a fan-out under the budget runs at most
-// cap/shardStreamFootprint workers, and never fewer than one — a budget
-// below one stream's footprint degrades to a serial fan-out, never to a
-// deadlock. A nil budget has the default capacity.
-type StreamBudget struct {
-	cap int64
-}
+// StreamBudget is an empty type that CommitStreamed and CompactChain still
+// take, and ignore: the encode bound is maxEncodeStreams.
+type StreamBudget struct{}
 
-// NewStreamBudget creates a budget of capBytes (<=0 selects
-// DefaultStreamBudgetBytes).
-func NewStreamBudget(capBytes int64) *StreamBudget {
-	if capBytes <= 0 {
-		capBytes = DefaultStreamBudgetBytes
-	}
-	return &StreamBudget{cap: capBytes}
-}
-
-// fanOut runs fn(i) for each of jobs shard streams on as many workers as
-// the budget admits, and returns the in-flight encode memory it ran with
-// (CheckpointStats.PeakEncodeBytes): the streams open at once times
-// shardStreamFootprint, clamped to the capacity when a single stream is
-// larger than the whole budget.
-func (b *StreamBudget) fanOut(jobs int, fn func(i int)) (peak int64) {
-	capBytes := int64(DefaultStreamBudgetBytes)
-	if b != nil {
-		capBytes = b.cap
-	}
-	workers := min(encodeWorkers(jobs), max(1, int(capBytes/shardStreamFootprint)))
+// streamFanOut runs fn(i) for each of jobs shard streams on
+// min(GOMAXPROCS, jobs, maxEncodeStreams) workers, one open stream each,
+// and returns the in-flight encode memory it ran with
+// (CommitStats.PeakEncodeBytes): the streams open at once times
+// shardStreamFootprint.
+func streamFanOut(jobs int, fn func(i int)) (peak int64) {
+	workers := min(encodeWorkers(jobs), maxEncodeStreams)
 	fanOut(jobs, workers, fn)
-	return min(int64(min(workers, jobs))*shardStreamFootprint, capBytes)
+	return int64(min(workers, jobs)) * shardStreamFootprint
 }
 
 // countWriter accumulates an XXH64 checksum and byte count over everything

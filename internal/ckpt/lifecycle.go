@@ -167,8 +167,8 @@ func GCStore(store Store, keep int) (*GCStats, error) {
 // keeps incremental reuse working when a restarted job resumes the chain
 // from the compacted epoch.
 //
-// budget bounds the copy fan-out's in-flight memory exactly as it bounds
-// the commit stage's (nil selects the default capacity). An epoch that is
+// The copy fan-out's in-flight memory is bounded exactly as the commit
+// stage's (streamFanOut; budget is ignored). An epoch that is
 // already self-contained is returned unchanged with nil stats (no-op).
 // On any copy or verification failure nothing is sealed and the partial
 // new epoch is removed.
@@ -211,7 +211,7 @@ func CompactChain(store Store, epoch int, budget *StreamBudget) (*Manifest, *Com
 	}
 	st := &CommitStats{}
 	errs := make([]error, len(man.Shards))
-	st.peakEncode = budget.fanOut(len(man.Shards), func(i int) {
+	st.PeakEncodeBytes = streamFanOut(len(man.Shards), func(i int) {
 		errs[i] = func() error {
 			si := man.Shards[i]
 			if si.Partial() {

@@ -76,7 +76,7 @@ func (s *pinSealer) seal(t *testing.T, mode string, epoch int, parent *Manifest,
 	if err != nil {
 		t.Fatal(err)
 	}
-	man, _, err := buildCommit(s.c.Plan.Store, codec, epoch, parent, img, sums, nil)
+	man, _, err := buildCommit(s.c.Plan.Store, codec, epoch, parent, img, sums)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -312,11 +312,14 @@ func (m *MemStore) list() ([]int, error) {
 // ------------------------------------------------------------ commit stage
 
 // CommitStats summarizes one epoch commit: the incremental differ's verdict
-// plus the bytes that actually traveled to storage.
+// plus the bytes that actually traveled to storage. CheckpointStats embeds
+// it, so a capture reports these fields as its own.
 type CommitStats struct {
+	// How many shards the commit wrote fresh versus referenced unchanged
+	// from an earlier epoch, and the compressed bytes written fresh.
 	FreshShards  int
 	ReusedShards int
-	FreshBytes   int64 // compressed bytes written this epoch
+	FreshBytes   int64
 	// DeltaShards/DeltaBytes count the subset of the fresh set written as
 	// page-delta objects (dirty pages only) rather than full shards; their
 	// bytes are included in FreshBytes.
@@ -328,12 +331,18 @@ type CommitStats struct {
 	CDCShards int
 	CDCBytes  int64
 	// CDCPredictedChunks is sums.PredictedChunks: how many of this capture's
-	// chunks the identity pass took from the parent's table.
+	// content-defined chunks the identity pass proved against the previous
+	// sealed epoch's chunk table instead of finding with the rolling hash
+	// (host cost only: the table is the same either way).
 	CDCPredictedChunks int
 
-	// peakEncode is the in-flight encode memory the stream fan-out ran
-	// with (StreamBudget.fanOut), reported as CheckpointStats.PeakEncodeBytes.
-	peakEncode int64
+	// PeakEncodeBytes is the streaming encoder's in-flight memory during the
+	// commit (streamFanOut): the shard streams it ran at once times their
+	// accounted footprint (pooled chunk buffer plus per-stream compressor
+	// state), not Go heap totals, at most maxEncodeStreams of them. Zero
+	// when no shard was fresh; with MANA-scale images it sits orders of
+	// magnitude below ImageBytes.
+	PeakEncodeBytes int64
 }
 
 // CommitCapture runs stages 2–3 of the checkpoint pipeline for one captured
@@ -359,10 +368,10 @@ func CommitCapture(store Store, epoch int, parent *Manifest, img *JobImage) (*Ma
 // ShardSums holds stage 2a's output: every rank's clockless shard identity
 // (the logical stream's size and XXH64 hash), computed in one walk over the
 // stream's segments — its gob header, then the payloads in place, none
-// copied (shardStream). It depends only on the image — not
-// on the parent manifest — so the coordinator computes it BEFORE taking the
-// epoch-ordering ticket, letting concurrent background commits hash in
-// parallel instead of queueing their CPU work behind the previous epoch.
+// copied (shardStream). It depends only on the image — not on the parent
+// manifest — so the coordinator computes it BEFORE waiting for the previous
+// epoch's commit, letting concurrent background commits hash in parallel
+// instead of queueing their CPU work behind the previous epoch.
 type ShardSums struct {
 	Sums  []uint64
 	Sizes []int64
@@ -473,9 +482,10 @@ func hintFor(hint *Manifest, i, rank int) []ChunkRef {
 }
 
 // CommitStreamed runs the ordered tail of the commit — buildCommit through
-// the flate codec — and seals the manifest as built.
+// the flate codec — and seals the manifest as built. budget is ignored (see
+// StreamBudget).
 func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sums *ShardSums, budget *StreamBudget) (*Manifest, *CommitStats, error) {
-	man, st, err := buildCommit(store, FlateCodec(0), epoch, parent, img, sums, budget)
+	man, st, err := buildCommit(store, FlateCodec(0), epoch, parent, img, sums)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -492,9 +502,8 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 // (RawSum/RawSize, page and chunk tables) from sums, which must be the
 // identity pass over this very img, stored sizes and checksums from the
 // writers. Nothing here re-hashes the raw stream, and a partial object
-// reads only the pages or chunks it stores. budget bounds the fan-out's
-// in-flight encode memory; nil selects the default capacity. The
-// caller seals (PutManifest) or, on error, removes the epoch's debris.
+// reads only the pages or chunks it stores. The caller seals (PutManifest)
+// or, on error, removes the epoch's debris.
 //
 // When sums carries page tables (HashCapturePaged), the diff is page-
 // granular: a changed rank whose parent entry has a compatible page table
@@ -502,7 +511,7 @@ func CommitStreamed(store Store, epoch int, parent *Manifest, img *JobImage, sum
 // anchored at the chain's most recent FULL shard for that rank (deltas
 // never chain off deltas, so restart reads exactly two objects). The
 // manifest seals as ManifestV4.
-func buildCommit(store Store, codec Codec, epoch int, parent *Manifest, img *JobImage, sums *ShardSums, budget *StreamBudget) (*Manifest, *CommitStats, error) {
+func buildCommit(store Store, codec Codec, epoch int, parent *Manifest, img *JobImage, sums *ShardSums) (*Manifest, *CommitStats, error) {
 	n := len(img.Images)
 	deltaMode := sums.PageSums != nil
 	cdcMode := sums.Chunks != nil
@@ -672,11 +681,9 @@ func buildCommit(store Store, codec Codec, epoch int, parent *Manifest, img *Job
 		man.Shards[i] = si
 	}
 
-	// Stream the fresh shards concurrently, on as many workers as the
-	// budget admits: the fan-out degrades gracefully to fewer concurrent
-	// streams as the budget tightens, never to more memory.
+	// Stream the fresh shards concurrently, one open stream a worker.
 	ferrs := make([]error, len(fresh))
-	st.peakEncode = budget.fanOut(len(fresh), func(j int) {
+	st.PeakEncodeBytes = streamFanOut(len(fresh), func(j int) {
 		ferrs[j] = func() error {
 			i := fresh[j]
 			ri := &img.Images[i]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -573,31 +574,30 @@ func TestChainBrokenParentAttributed(t *testing.T) {
 	})
 }
 
-// TestCommitStreamedBudgetBounded: commits succeed under an arbitrarily
-// tight budget (a single stream always fits), never hold more shard writers
-// open than the budget admits, and report a peak inside it.
+// TestCommitStreamedBudgetBounded: commits on one stream at a time
+// (GOMAXPROCS 1) and on the host's GOMAXPROCS (0 leaves it) never hold more
+// shard writers open than the bound admits, and report the peak they held.
 func TestCommitStreamedBudgetBounded(t *testing.T) {
-	for name, capBytes := range map[string]int64{
-		"tight":    1, // below one stream's footprint: degrades to serial
-		"one":      shardStreamFootprint,
-		"roomy":    64 << 20,
+	for name, procs := range map[string]int{
+		"one":      1,
 		"default0": 0,
 	} {
 		t.Run(name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			store := &openCounter{Store: NewMemStore()}
 			img := testImage(16, 3)
 			sums, err := HashCapture(img)
 			if err != nil {
 				t.Fatal(err)
 			}
-			man, st, err := CommitStreamed(store, 0, nil, img, sums, NewStreamBudget(capBytes))
+			man, st, err := CommitStreamed(store, 0, nil, img, sums, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if st.FreshShards != 16 {
 				t.Fatalf("commit stats: %+v", st)
 			}
-			checkStreamBound(t, "commit", store, st, capBytes)
+			checkStreamBound(t, "commit", store, st)
 			got, err := LoadJobImage(store, man.Epoch)
 			if err != nil {
 				t.Fatal(err)

@@ -114,7 +114,7 @@ func commitWith(t testing.TB, store Store, codecName string, epoch int, parent *
 	if err != nil {
 		t.Fatal(err)
 	}
-	man, st, err := buildCommit(store, codec, epoch, parent, img, sums, nil)
+	man, st, err := buildCommit(store, codec, epoch, parent, img, sums)
 	if err != nil {
 		t.Fatal(err)
 	}

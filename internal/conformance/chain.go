@@ -97,7 +97,7 @@ var chainRows = []chainRow{{
 	leg:    "incremental",
 	wl:     "straggler",
 	base:   rt.CkptPlan{PaddedBytesPerRank: fig9Padded},
-	test:   rt.CkptPlan{Async: true, Incremental: true, StreamBudgetBytes: 4 << 20, PaddedBytesPerRank: fig9Padded},
+	test:   rt.CkptPlan{Async: true, Incremental: true, PaddedBytesPerRank: fig9Padded},
 	stored: func(st *ckpt.CheckpointStats) int { return st.ReusedShards },
 	what:   "reused",
 	gate:   meanStall,
@@ -113,8 +113,8 @@ var chainRows = []chainRow{{
 		StateElems:    8 << 10,  // 64 KiB
 		HotStateElems: 64 << 10, // 512 KiB
 	},
-	base:   rt.CkptPlan{Async: true, Incremental: true, StreamBudgetBytes: 4 << 20},
-	test:   rt.CkptPlan{Async: true, Incremental: true, Delta: true, StreamBudgetBytes: 4 << 20},
+	base:   rt.CkptPlan{Async: true, Incremental: true},
+	test:   rt.CkptPlan{Async: true, Incremental: true, Delta: true},
 	stored: func(st *ckpt.CheckpointStats) int { return st.DeltaShards },
 	what:   "page-delta",
 	gate:   steadyFresh,
@@ -132,8 +132,8 @@ var chainRows = []chainRow{{
 		HotStateElems: 256 << 10, // 2 MiB
 		InsertEvery:   1,
 	},
-	base:   rt.CkptPlan{Async: true, Incremental: true, Delta: true, StreamBudgetBytes: 8 << 20},
-	test:   rt.CkptPlan{Async: true, Incremental: true, CDC: true, StreamBudgetBytes: 8 << 20},
+	base:   rt.CkptPlan{Async: true, Incremental: true, Delta: true},
+	test:   rt.CkptPlan{Async: true, Incremental: true, CDC: true},
 	stored: func(st *ckpt.CheckpointStats) int { return st.CDCShards },
 	what:   "chunk-object",
 	gate:   steadyFresh,
@@ -178,7 +178,6 @@ type ChainReport struct {
 	Base, Test, Factor float64 // the gate's two means and the factor Test must be below
 	BaseName, TestName string
 	StreamPeak         int64 // the test chain's largest per-capture encode peak
-	StreamBudget       int64
 	// Lifecycle, on the test chain: compaction then GC keeping 1.
 	CompactedEpoch int
 	DeletedEpochs  int
@@ -192,8 +191,8 @@ func (r *ChainReport) String() string {
 	if r.What != "" {
 		s += fmt.Sprintf(", %d %s shards", r.Stored, r.What)
 	}
-	s += fmt.Sprintf("; %s %.6g vs %.6g %s, ratio %.6g (gate < %.3g); peak encode %d B under a %d B budget",
-		r.Gate, r.Test, r.Base, r.BaseName, r.Test/r.Base, r.Factor, r.StreamPeak, r.StreamBudget)
+	s += fmt.Sprintf("; %s %.6g vs %.6g %s, ratio %.6g (gate < %.3g); peak encode %d B",
+		r.Gate, r.Test, r.Base, r.BaseName, r.Test/r.Base, r.Factor, r.StreamPeak)
 	if r.DeletedEpochs > 0 {
 		s += fmt.Sprintf("; compacted into epoch %d, gc reclaimed %d B across %d epochs, restart read %.4gs -> %.4gs",
 			r.CompactedEpoch, r.ReclaimedBytes, r.DeletedEpochs, r.ReadVTBefore, r.ReadVTAfter)
@@ -241,7 +240,6 @@ func verifyChain(o *Options, row chainRow, algo string) (*ChainReport, error) {
 		Gate: row.gate, Factor: row.factor,
 		Base: row.gate.mean(reps[0].CheckpointHistory), Test: row.gate.mean(testHist),
 		BaseName: planName(row.base), TestName: planName(row.test),
-		StreamBudget: budgetOf(row.test),
 	}
 	for i := range testHist {
 		st := &testHist[i]
@@ -380,19 +378,11 @@ func planName(p rt.CkptPlan) string {
 	return mode + "-" + reuse
 }
 
-func budgetOf(p rt.CkptPlan) int64 {
-	if p.StreamBudgetBytes > 0 {
-		return p.StreamBudgetBytes
-	}
-	return ckpt.DefaultStreamBudgetBytes
-}
-
 // checkCaptures holds every capture of a chain to what its plan promises.
 func checkCaptures(hist []ckpt.CheckpointStats, plan rt.CkptPlan) error {
 	if len(hist) < minEpochs {
 		return fmt.Errorf("only %d captures (want >= %d)", len(hist), minEpochs)
 	}
-	budget := budgetOf(plan)
 	for i := range hist {
 		st := &hist[i]
 		switch {
@@ -400,8 +390,6 @@ func checkCaptures(hist []ckpt.CheckpointStats, plan rt.CkptPlan) error {
 			return fmt.Errorf("capture %d: stall %g + overlap %g != write %g", i, st.StallVT, st.OverlapVT, st.WriteVT)
 		case !plan.Async && st.OverlapVT != 0:
 			return fmt.Errorf("capture %d: a synchronous capture overlapped %gs of its write", i, st.OverlapVT)
-		case st.PeakEncodeBytes > budget:
-			return fmt.Errorf("capture %d: encode peak %d B exceeds the %d B budget", i, st.PeakEncodeBytes, budget)
 		case st.PeakEncodeBytes <= 0 && st.FreshShards > 0:
 			return fmt.Errorf("capture %d wrote %d fresh shards with no encode peak", i, st.FreshShards)
 		case st.DeltaBytes > st.FreshBytes || st.CDCBytes > st.FreshBytes:

@@ -3,7 +3,7 @@ package rt
 // Tests for the CkptPlan retention policy: KeepEpochs runs GC from the
 // coordinator's background commit stage, so long periodic runs keep a
 // bounded store — while a GC pass can never delete an epoch a concurrent
-// in-flight commit is about to reference (GC runs inside the commit ticket,
+// in-flight commit is about to reference (GC runs inside the commit order,
 // after the seal and before the next commit may start).
 
 import (
@@ -92,7 +92,7 @@ func TestLifecyclePolicyBoundsStore(t *testing.T) {
 // commits, the epoch sealed by commit k is the diff parent of in-flight
 // commit k+1. An aggressive keep=1 GC runs after every seal, racing the
 // pipeline — every sealed epoch must still resolve its references (GC
-// inside the commit ticket always retains the next commit's parent), and
+// inside the commit order always retains the next commit's parent), and
 // every restart must reproduce the golden state.
 func TestLifecycleGCNeverStrandsInFlightCommit(t *testing.T) {
 	const iters = 24

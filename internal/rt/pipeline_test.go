@@ -339,12 +339,11 @@ func hasReq(env *Env, id int) bool {
 }
 
 // TestStreamBudgetPlumbedAndReported: a store-committed run must report a
-// positive streaming-encode high-water mark per capture, bounded by the
-// plan's budget — the end-to-end form of the bounded-memory contract — and
-// the budget must not change what gets committed (digest-identical restart).
+// positive streaming-encode high-water mark per capture that wrote a fresh
+// shard, and its streaming commit must not change what gets committed
+// (digest-identical restart).
 func TestStreamBudgetPlumbedAndReported(t *testing.T) {
 	const iters = 200
-	budget := int64(4) << 20
 	cfg := testConfig(6, AlgoCC)
 	base, err := Run(cfg, func(rank int) App { return newChainApp(iters) })
 	if err != nil {
@@ -356,7 +355,6 @@ func TestStreamBudgetPlumbedAndReported(t *testing.T) {
 		Every: base.RuntimeVT / 5,
 		Mode:  ckpt.ContinueAfterCapture,
 		Store: store, Async: true, Incremental: true,
-		StreamBudgetBytes: budget,
 	}
 	rep, err := Run(cfg, func(rank int) App { return newChainApp(iters) })
 	if err != nil {
@@ -370,16 +368,13 @@ func TestStreamBudgetPlumbedAndReported(t *testing.T) {
 		if st.PeakEncodeBytes <= 0 && st.FreshShards > 0 {
 			t.Errorf("capture %d reported no streaming-encode peak: %+v", i, st)
 		}
-		if st.PeakEncodeBytes > budget {
-			t.Errorf("capture %d peak %d exceeds the %d budget", i, st.PeakEncodeBytes, budget)
-		}
 	}
 	rep2, err := RestartFromStore(testConfig(6, AlgoCC), store, -1, func(rank int) App { return newChainApp(iters) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep2.StateDigest != base.StateDigest {
-		t.Fatalf("budgeted streaming commit diverged: %.12s != %.12s", rep2.StateDigest, base.StateDigest)
+		t.Fatalf("streaming commit diverged: %.12s != %.12s", rep2.StateDigest, base.StateDigest)
 	}
 	if rep2.RestartReadVT <= 0 {
 		t.Fatalf("store restart priced no read time")

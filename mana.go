@@ -95,16 +95,16 @@
 // fresh shard encodes (a small gob header plus its payload bytes raw),
 // compresses, and checksums straight into the store's shard writer
 // through fixed-size buffers, with the number of concurrent streams
-// bounded in bytes by CkptPlan.StreamBudgetBytes (what each capture ran
-// with reported as CheckpointStats.PeakEncodeBytes), so checkpointable
-// image size is not capped by host RAM. Each capture seals one store epoch; restart loads
+// bounded by GOMAXPROCS and by a constant 64 MiB of encode state (what each
+// capture ran with reported as CheckpointStats.PeakEncodeBytes), so
+// checkpointable image size is not capped by host RAM. Each capture seals one store epoch; restart loads
 // any sealed epoch (RestartFromStore), streaming and resolving reference
 // chains — a reference into a missing or unsealed parent fails with a
 // descriptive error — and attributing corruption to the exact epoch and
 // rank. The conformance engine's chain legs (ccverify -only
 // incremental,delta,cdc), one per storage plan, assert digest equality from
-// every epoch of a FileStore chain with the encode peak inside the stream
-// budget, and its fault-injection suite (ccverify -only faults) kills ranks mid-drain and
+// every epoch of a FileStore chain with an encode peak on every capture
+// that wrote a fresh shard, and its fault-injection suite (ccverify -only faults) kills ranks mid-drain and
 // mid-capture and asserts the coordinator aborts with diagnostics instead
 // of wedging.
 //
