@@ -159,7 +159,7 @@ func printRank(w io.Writer, ri *ckpt.RankImage) {
 		ri.Rank, ri.Desc.Kind, len(ri.App), len(ri.Proto), ri.ClockVT)
 	if ri.Desc.Coll != nil {
 		c := ri.Desc.Coll
-		if c.Bench || c.VirtSize > 0 {
+		if c.Bench {
 			fmt.Fprintf(w, "           pending collective: %v on comm vid %d (root %d, bench size %d)\n",
 				netmodel.CollKind(c.Kind), c.CommVID, c.Root, c.VirtSize)
 		} else {

@@ -323,11 +323,11 @@ func (c *Coordinator) Pending() bool { return c.pending.Load() }
 // computation).
 func (c *Coordinator) MarkPending() { c.pending.Store(true) }
 
-// Poke wakes every parked rank (and the capture watcher) so they re-evaluate
-// their predicates. Protocols call this after any action that could unblock
-// a peer: sending a target update, executing a collective, initiating a
-// non-blocking operation, or sending a point-to-point message while a
-// checkpoint is pending.
+// Poke wakes every parked rank so it re-runs its decide: one whose decide
+// completes the safe state captures (ParkUntil). Protocols call this after
+// any action that could unblock a peer: sending a target update, executing
+// a collective, initiating a non-blocking operation, or sending a
+// point-to-point message while a checkpoint is pending.
 func (c *Coordinator) Poke() {
 	c.mu.Lock()
 	c.cond.Broadcast()
@@ -336,9 +336,10 @@ func (c *Coordinator) Poke() {
 }
 
 // RequestCheckpoint raises a checkpoint request at the given virtual time.
-// It installs the algorithm's targets (Algorithm 1) and starts the capture
-// watcher. It returns false only when a request is already pending or
-// capturing.
+// It installs the algorithm's targets (Algorithm 1) and captures at once if
+// the safe state already holds (every rank has finished); otherwise the rank
+// whose park or finish completes it captures. It returns false only when a
+// request is already pending or capturing.
 //
 // A new request is accepted from idle OR from released: a rank that has not
 // yet woken to acknowledge the previous release is still sitting at its
@@ -369,38 +370,31 @@ func (c *Coordinator) RequestCheckpoint(vt float64) bool {
 
 	c.Algo.OnCheckpointRequest()
 	c.pending.Store(true)
-	go c.captureWatcher()
+	c.mu.Lock()
+	c.captureIfSafeLocked()
+	c.mu.Unlock()
 	c.Poke()
 	return true
 }
 
-// captureWatcher waits for the global safe state, captures, then releases
-// or terminates. The capture happens under the coordinator lock, so no rank
-// can unpark between the safe-state check and the capture.
-func (c *Coordinator) captureWatcher() {
-	c.mu.Lock()
-	for !c.safeStateLocked() {
-		if c.ph != phasePending || c.W.AbortErr() != nil {
-			c.mu.Unlock()
-			return
-		}
-		c.cond.Wait()
+// captureIfSafeLocked captures, then releases or terminates the job, if this
+// caller's transition completed the global safe state. It runs under c.mu
+// wherever that state can be completed — a park whose decide stays, a
+// finish, a request — so no rank can unpark between the check and the
+// capture, and no other goroutine has to be woken to see it. Reports
+// whether it captured.
+func (c *Coordinator) captureIfSafeLocked() bool {
+	// A dead world's ranks have unwound: a post-mortem image would be garbage.
+	if !c.safeStateLocked() || c.W.AbortErr() != nil {
+		return false
 	}
-	if c.W.AbortErr() != nil {
-		// The world died while this watcher slept; a post-mortem image of
-		// unwound ranks would be garbage.
-		c.mu.Unlock()
-		return
-	}
-	// Safe state reached: every rank is parked at a capturable point and the
-	// algorithm's drain is complete. Capture with all ranks blocked.
 	c.captureLocked()
-	c.mu.Unlock()
 	c.W.WakeAll()
+	return true
 }
 
-// safeStateLocked is the capture watcher's predicate: a request is pending,
-// every rank is parked or finished, and the algorithm's drain is complete.
+// safeStateLocked is the capture predicate: a request is pending, every
+// rank is parked or finished, and the algorithm's drain is complete.
 func (c *Coordinator) safeStateLocked() bool {
 	return c.ph == phasePending && c.allParkedLocked() && c.Algo.Quiesced()
 }
@@ -809,29 +803,26 @@ func (c *Coordinator) applyCommitLocked(histIdx int, res commitResult) {
 	}
 }
 
-// drainPending waits for any in-flight capture to complete before waiting
-// out the newest commit, which closes only after every earlier one. A
-// chained request can be accepted just as the final ranks finish: the
-// capture watcher then runs concurrently with the caller reading results,
-// and a commit channel read before its capture launched would let the run
-// report before that commit reached the store. The capture wait gives up
-// if the world dies (the watcher exits without a phase transition on
-// abort; for a wedged drain the watchdog's abort is what wakes us).
+// drainPending waits out the newest commit, which closes only after every
+// earlier one. A capture runs on the goroutine whose park, finish or request
+// completed the safe state, and launches its commit before that call
+// returns, so once every rank goroutine has returned — Result and History
+// are called only then — the newest commit's channel is this one.
 func (c *Coordinator) drainPending() {
 	c.mu.Lock()
-	for c.ph == phasePending && c.W.AbortErr() == nil {
-		c.cond.Wait()
-	}
 	last := c.lastCommit
 	c.mu.Unlock()
 	<-last
 }
 
 // ParkUntil parks the rank at a capturable point described by d. decide is
-// evaluated under the coordinator lock after every wake; returning Resume
-// unparks the rank (new work arrived: a target update, a completed receive).
-// The outcome tells the caller whether to continue executing (Proceed),
-// continue after an in-place checkpoint (Released), or unwind (Terminated).
+// evaluated under the coordinator lock on parking and after every wake;
+// returning Resume unparks the rank (new work arrived: a target update, a
+// completed receive). When it returns Stay and the rank's park, or what
+// decide consumed, completed the safe state, the rank captures here, on
+// its own goroutine. The outcome tells the caller whether to continue
+// executing (Proceed), continue after an in-place checkpoint (Released), or
+// unwind (Terminated).
 func (c *Coordinator) ParkUntil(rank int, d *Descriptor, decide func() Decision) Outcome {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -841,7 +832,6 @@ func (c *Coordinator) ParkUntil(rank int, d *Descriptor, decide func() Decision)
 	c.parked[rank] = true
 	c.descs[rank] = d
 	c.W.NoteActivity()
-	c.cond.Broadcast() // the capture watcher may now see all-parked
 	defer c.W.SetWaitSite(rank, "")
 
 	for {
@@ -872,12 +862,8 @@ func (c *Coordinator) ParkUntil(rank int, d *Descriptor, decide func() Decision)
 			c.cond.Broadcast()
 			return Proceed
 		}
-		if c.safeStateLocked() {
-			// decide may have consumed the last in-flight protocol state
-			// (a target update, a non-blocking collective) while this rank
-			// stays parked; nothing else would wake the capture watcher to
-			// see the safe state.
-			c.cond.Broadcast()
+		if c.captureIfSafeLocked() {
+			continue // released or terminated: the phase says which
 		}
 		// Re-assert the label each cycle: the decide callback may have run
 		// MPI calls (absorbing target updates) that relabeled the rank.
@@ -898,11 +884,12 @@ func (c *Coordinator) maybeBackToIdleLocked() {
 }
 
 // FinishRank marks a rank as having completed its program. Finished ranks
-// count as parked for capture purposes.
+// count as parked for capture purposes, so the last rank to finish while a
+// request is pending may capture here.
 func (c *Coordinator) FinishRank(rank int) {
 	c.mu.Lock()
 	c.doneRanks[rank] = true
-	c.cond.Broadcast()
+	c.captureIfSafeLocked()
 	c.mu.Unlock()
 	c.W.SetWaitSite(rank, "done")
 	c.W.NoteActivity()

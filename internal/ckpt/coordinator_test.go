@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -199,10 +200,11 @@ func TestCoordinatorQuiesceGatesCapture(t *testing.T) {
 
 // TestCoordinatorQuiescedWhileParkedCaptures: a parked rank's decide can
 // consume the last in-flight protocol state (CC absorbing a target update)
-// and stay parked. The capture watcher, which checked the safe state before
-// that decide ran, must still be woken to capture. Without the broadcast
-// after decide, the wakeup was lost about two times in three and the job
-// hung until the deadlock watchdog fired.
+// and stay parked. That decide completes the safe state, so the rank
+// captures on the spot, under the lock decide ran under: no other goroutine
+// has to be woken to see the state. (When a separate goroutine captured,
+// its wakeup here was lost about two times in three and the job hung until
+// the deadlock watchdog fired.)
 func TestCoordinatorQuiescedWhileParkedCaptures(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		c, a, _ := newStubCoordinator(t, 1, Plan{})
@@ -229,21 +231,127 @@ func TestCoordinatorQuiescedWhileParkedCaptures(t *testing.T) {
 		// lock from decide until its Wait releases it, so the Poke, which
 		// takes the lock, lands while the rank waits. (A sleep alone let a
 		// loaded host park the rank after the Poke, and nothing then ran
-		// decide a second time.) The sleep gives the capture watcher time
-		// to start and wait too, the interleaving this test is for.
+		// decide a second time.) The sleep lets the rank settle into its
+		// Wait before the Poke arrives.
 		<-decided
 		time.Sleep(2 * time.Millisecond)
-		c.Poke() // wakes the watcher and the rank; either may run first
+		c.Poke() // the rank re-runs decide, which completes the safe state
 		select {
 		case o := <-done:
 			if o != Released {
 				t.Fatalf("iteration %d: outcome %v, want Released", i, o)
 			}
 		case <-time.After(time.Second):
-			c.Poke() // let the stranded watcher capture so the goroutines end
+			c.Poke() // let the rank re-run decide so the goroutine ends
 			<-done
 			t.Fatalf("iteration %d: the safe state was reached in decide and never captured", i)
 		}
+	}
+}
+
+// goroutineHeader is the calling goroutine's runtime.Stack header,
+// "goroutine N".
+func goroutineHeader() string {
+	buf := make([]byte, 64)
+	h, _, _ := strings.Cut(string(buf[:runtime.Stack(buf, false)]), " [")
+	return h
+}
+
+// TestCaptureRunsOnCompletingGoroutine: the goroutine whose transition
+// completes the safe state captures, so the snapshot hooks run on it — a
+// rank that parks, a parked rank whose decide consumes the last in-flight
+// protocol state after a Poke, a rank that finishes, and a request raised
+// after every rank has finished, which has captured by the time
+// RequestCheckpoint returns. (One rank: the capture fan-out then snapshots
+// on the capturing goroutine itself.)
+func TestCaptureRunsOnCompletingGoroutine(t *testing.T) {
+	stay := func() Decision { return Stay }
+	for _, tc := range []struct {
+		name string
+		// complete makes the transition on the calling goroutine; before
+		// runs on the test's goroutine first.
+		before, complete func(t *testing.T, c *Coordinator, a *stubAlgo)
+	}{
+		{name: "park",
+			before: func(t *testing.T, c *Coordinator, a *stubAlgo) { c.RequestCheckpoint(0) },
+			complete: func(t *testing.T, c *Coordinator, a *stubAlgo) {
+				if o := c.ParkUntil(0, &Descriptor{Kind: ParkBoundary}, stay); o != Released {
+					t.Errorf("outcome %v, want Released", o)
+				}
+			}},
+		{name: "decide",
+			before: func(t *testing.T, c *Coordinator, a *stubAlgo) {
+				a.mu.Lock()
+				a.quiesced = false
+				a.mu.Unlock()
+				c.RequestCheckpoint(0)
+			},
+			complete: func(t *testing.T, c *Coordinator, a *stubAlgo) {
+				calls := 0 // decide runs under the coordinator lock
+				poked := make(chan struct{})
+				go func() {
+					<-poked
+					c.Poke() // lands while the rank waits: Poke takes the lock
+					close(poked)
+				}()
+				o := c.ParkUntil(0, &Descriptor{Kind: ParkBoundary}, func() Decision {
+					if calls++; calls == 1 {
+						poked <- struct{}{}
+					} else {
+						a.mu.Lock()
+						a.quiesced = true
+						a.mu.Unlock()
+					}
+					return Stay
+				})
+				if o != Released {
+					t.Errorf("outcome %v, want Released", o)
+				}
+				<-poked
+			}},
+		{name: "finish",
+			before: func(t *testing.T, c *Coordinator, a *stubAlgo) { c.RequestCheckpoint(0) },
+			complete: func(t *testing.T, c *Coordinator, a *stubAlgo) {
+				c.FinishRank(0)
+			}},
+		{name: "request-after-finish",
+			before: func(t *testing.T, c *Coordinator, a *stubAlgo) { c.FinishRank(0) },
+			complete: func(t *testing.T, c *Coordinator, a *stubAlgo) {
+				if !c.RequestCheckpoint(0) {
+					t.Error("request rejected")
+				}
+				c.mu.Lock()
+				defer c.mu.Unlock()
+				if len(c.history) != 1 || c.image == nil {
+					t.Errorf("RequestCheckpoint returned with %d captures, want 1", len(c.history))
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, a, _ := newStubCoordinator(t, 1, Plan{})
+			var snapshotOn string // written under the coordinator lock
+			c.hooks[0].AppSnapshotTo = func(w io.Writer) error {
+				snapshotOn = goroutineHeader()
+				_, err := w.Write([]byte{0})
+				return err
+			}
+			tc.before(t, c, a)
+			completer := make(chan string)
+			go func() {
+				h := goroutineHeader()
+				tc.complete(t, c, a)
+				completer <- h
+			}()
+			h := <-completer
+			if _, _, err := c.Result(); err != nil {
+				t.Fatal(err)
+			}
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			if snapshotOn != h {
+				t.Fatalf("snapshot taken on %q, not on %q, whose %s completed the safe state", snapshotOn, h, tc.name)
+			}
+		})
 	}
 }
 

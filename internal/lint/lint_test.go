@@ -108,17 +108,17 @@ func TestTestOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := analyzerNamed(t, "testonly").Run(u)
-	if len(raw) != 8 {
-		t.Fatalf("%d raw findings, want the 7 golden ones and Kept", len(raw))
+	if len(raw) != 9 {
+		t.Fatalf("%d raw findings, want the 8 golden ones and Kept", len(raw))
 	}
 	// Each field finding names its field: written, incremented, set by a
-	// composite literal, read by a test. The encoded, map-key, compared and
+	// composite literal, read by a test, only stored into by element. The encoded, map-key, compared and
 	// embedding structs' fields are not found (the golden run fails on any).
 	named := make(map[string]bool)
 	for _, d := range raw {
 		named[strings.Fields(d.Message)[0]] = true
 	}
-	for _, f := range []string{"last", "calls", "label", "seen"} {
+	for _, f := range []string{"last", "calls", "label", "seen", "slots"} {
 		if !named["testonly.tally."+f] {
 			t.Errorf("no finding names testonly.tally.%s: %v", f, raw)
 		}

@@ -12,11 +12,13 @@ type tally struct {
 	calls int    // want:testonly — only incremented
 	label string // want:testonly — only a composite literal sets it
 	seen  int    // want:testonly — only a test reads it
+	slots [4]int // want:testonly — only its elements are stored
 }
 
 func record(t *tally, v int) {
 	t.last = v
 	t.calls++
+	t.slots[v&3] = v
 }
 
 var sample = &tally{label: "sample"}

@@ -131,8 +131,12 @@ func unreadFields(u *Unit) []Diagnostic {
 			}
 		}
 		written := make(map[*ast.Ident]bool)
-		write := func(e ast.Expr) {
-			if sel, ok := unparen(e).(*ast.SelectorExpr); ok {
+		write := func(e ast.Expr) { // x.f = v, and an element store x.f[i] = v
+			e = unparen(e)
+			for ix, ok := e.(*ast.IndexExpr); ok; ix, ok = e.(*ast.IndexExpr) {
+				e = unparen(ix.X)
+			}
+			if sel, ok := e.(*ast.SelectorExpr); ok {
 				written[sel.Sel] = true
 			}
 		}

@@ -467,40 +467,14 @@ func (e *Env) IBenchCollective(vid int, kind netmodel.CollKind, root, size int) 
 	return e.initiate(collCall{ci: e.comm(vid), kind: kind, root: root, size: size, bench: true})
 }
 
-// execCollDesc re-issues a pending collective from its restart descriptor.
-// The VirtSize > 0 fallback recognizes benchmark collectives captured into
-// v1 images, which predate the Bench flag (a size-0 bench collective from
-// such an image is indistinguishable from a named-buffer one and used to
-// panic on the buffer lookup — the flag exists precisely for that case).
+// execCollDesc re-issues a pending collective from its restart descriptor,
+// through the call describeCall recorded it from. resumePending has checked
+// its kind.
 func (e *Env) execCollDesc(d *ckpt.CollDesc) {
-	if d.Bench || d.VirtSize > 0 {
-		e.BenchCollective(d.CommVID, netmodel.CollKind(d.Kind), d.Root, d.VirtSize)
-		return
-	}
-	switch netmodel.CollKind(d.Kind) {
-	case netmodel.Barrier:
-		e.Barrier(d.CommVID)
-	case netmodel.Bcast:
-		e.Bcast(d.CommVID, d.Root, d.InBufID)
-	case netmodel.Allreduce:
-		e.Allreduce(d.CommVID, mpi.Op(d.Op), d.InBufID)
-	case netmodel.Reduce:
-		e.Reduce(d.CommVID, d.Root, mpi.Op(d.Op), d.InBufID)
-	case netmodel.Allgather:
-		e.Allgather(d.CommVID, d.InBufID, d.OutBufID)
-	case netmodel.Alltoall:
-		e.Alltoall(d.CommVID, d.InBufID)
-	case netmodel.Gather:
-		e.Gather(d.CommVID, d.Root, d.InBufID, d.OutBufID)
-	case netmodel.Scatter:
-		e.Scatter(d.CommVID, d.Root, d.InBufID, d.OutBufID)
-	case netmodel.Scan:
-		e.Scan(d.CommVID, mpi.Op(d.Op), d.InBufID)
-	case netmodel.ReduceScatter:
-		e.ReduceScatter(d.CommVID, mpi.Op(d.Op), d.InBufID)
-	default:
-		panic(fmt.Sprintf("rt: cannot re-issue collective kind %d", d.Kind))
-	}
+	e.collective(collCall{
+		ci: e.comm(d.CommVID), kind: netmodel.CollKind(d.Kind), op: mpi.Op(d.Op), root: d.Root,
+		in: d.InBufID, out: d.OutBufID, size: d.VirtSize, bench: d.Bench,
+	})
 }
 
 // repostRecvs re-posts pending receives recorded in a restart image.

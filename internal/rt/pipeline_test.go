@@ -7,6 +7,7 @@ package rt
 
 import (
 	"io"
+	"strings"
 	"testing"
 
 	"mana/internal/ckpt"
@@ -155,6 +156,48 @@ func TestBenchCollectiveSizeZeroRestart(t *testing.T) {
 	}
 	if rep2.StateDigest != golden.StateDigest {
 		t.Fatalf("size-0 bench restart diverged: %.12s != %.12s", rep2.StateDigest, golden.StateDigest)
+	}
+}
+
+// TestRestartRefusesHostileCollDesc: a pending collective's descriptor comes
+// from image bytes, so a restart refuses one it cannot re-issue — a kind
+// outside Barrier..ReduceScatter, named in the error, or no descriptor at
+// all — with the rank's resume error, not a panic.
+func TestRestartRefusesHostileCollDesc(t *testing.T) {
+	factory := func(int) App { return &benchApp{Iters: 12} }
+	for _, tc := range []struct {
+		name   string
+		tamper func(d *ckpt.Descriptor)
+		want   string
+	}{
+		{"kind past ReduceScatter", func(d *ckpt.Descriptor) { d.Coll.Kind = int(netmodel.ReduceScatter) + 1 }, "unknown collective kind 10"},
+		{"kind 99", func(d *ckpt.Descriptor) { d.Coll.Kind = 99 }, "unknown collective kind 99"},
+		{"negative kind", func(d *ckpt.Descriptor) { d.Coll.Kind = -1 }, "unknown collective kind -1"},
+		{"no descriptor", func(d *ckpt.Descriptor) { d.Coll = nil }, "without a collective descriptor"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(4, AlgoCC)
+			cfg.Checkpoint = &CkptPlan{AtStep: 5, Mode: ckpt.ExitAfterCapture}
+			rep, err := Run(cfg, factory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tampered := false
+			for i := range rep.Image.Images {
+				if d := &rep.Image.Images[i].Desc; d.Coll != nil {
+					tc.tamper(d)
+					tampered = true
+					break
+				}
+			}
+			if !tampered {
+				t.Fatal("no pending collective descriptor in the image")
+			}
+			_, err = Restart(testConfig(4, AlgoCC), rep.Image, factory)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "panic") {
+				t.Fatalf("restart error %v, want a resume error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -548,11 +548,15 @@ func resumePending(env *Env, ri *ckpt.RankImage) error {
 	case ckpt.ParkPreCollective, ckpt.ParkInBarrier:
 		// Re-post receives that were outstanding, then re-issue the pending
 		// collective (for 2PC the wrapper re-inserts its barrier first).
-		env.repostRecvs(ri.Desc.Recvs)
-		if ri.Desc.Coll == nil {
+		c := ri.Desc.Coll
+		if c == nil {
 			return fmt.Errorf("image parked %v without a collective descriptor", ri.Desc.Kind)
 		}
-		env.execCollDesc(ri.Desc.Coll)
+		if k := netmodel.CollKind(c.Kind); k < netmodel.Barrier || k > netmodel.ReduceScatter {
+			return fmt.Errorf("image parked %v on unknown collective kind %d", ri.Desc.Kind, c.Kind)
+		}
+		env.repostRecvs(ri.Desc.Recvs)
+		env.execCollDesc(c)
 		env.stepBoundary()
 	case ckpt.ParkInWait:
 		ids := env.repostRecvs(ri.Desc.Recvs)

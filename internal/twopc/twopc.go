@@ -21,7 +21,6 @@ package twopc
 
 import (
 	"fmt"
-	"sync"
 
 	"mana/internal/ckpt"
 	"mana/internal/mpi"
@@ -30,14 +29,11 @@ import (
 // TwoPC is the job-wide 2PC algorithm.
 type TwoPC struct {
 	coord *ckpt.Coordinator
-
-	mu    sync.Mutex
-	ranks []*Rank
 }
 
 // New creates the 2PC algorithm bound to a coordinator and registers itself.
 func New(coord *ckpt.Coordinator) *TwoPC {
-	t := &TwoPC{coord: coord, ranks: make([]*Rank, coord.W.N)}
+	t := &TwoPC{coord: coord}
 	coord.SetAlgorithm(t)
 	return t
 }
@@ -51,11 +47,7 @@ func (t *TwoPC) SupportsNonblocking() bool { return false }
 
 // NewRank implements ckpt.Algorithm.
 func (t *TwoPC) NewRank(p *mpi.Proc, world *mpi.Comm) ckpt.Protocol {
-	r := &Rank{t: t, p: p}
-	t.mu.Lock()
-	t.ranks[p.Rank()] = r
-	t.mu.Unlock()
-	return r
+	return &Rank{t: t, p: p}
 }
 
 // OnCheckpointRequest implements ckpt.Algorithm. 2PC needs no target
