@@ -267,7 +267,6 @@ func Describe(desc func() *Descriptor, kind ParkKind) *Descriptor {
 // Algorithm is the job-wide view of a checkpointing algorithm.
 type Algorithm interface {
 	Name() string
-	SupportsNonblocking() bool
 
 	// NewRank creates the per-rank protocol instance. world is the rank's
 	// MPI_COMM_WORLD handle (protocols derive their hidden control channel

@@ -103,7 +103,7 @@ func TestPropertyImageBytesMonotone(t *testing.T) {
 func TestNativeAlgorithm(t *testing.T) {
 	w := mpi.NewWorld(2, netmodel.New(netmodel.PerlmutterLike(), 2))
 	n := NewNative()
-	if n.Name() != "native" || !n.SupportsNonblocking() {
+	if n.Name() != "native" {
 		t.Fatal("native metadata wrong")
 	}
 	if err := n.VerifySafeState(); err != nil {

@@ -176,13 +176,13 @@ type CheckpointStats struct {
 	DoneAtCapture     int   // ranks that had finished their program
 }
 
-// phase of the coordinator's checkpoint state machine.
+// phase of the coordinator's checkpoint state machine. A release returns
+// to idle.
 type phase int
 
 const (
 	phaseIdle phase = iota
 	phasePending
-	phaseReleased
 	phaseTerminated
 )
 
@@ -210,10 +210,6 @@ type Coordinator struct {
 	// snaps is each rank's capture writer, reused from capture to capture.
 	snaps     []SnapParts
 	requestVT float64
-	// committing is set while a synchronous capture commits with c.mu
-	// dropped: the image is taken, so parked ranks must stay parked until
-	// the release, whatever their protocol would now decide.
-	committing bool
 
 	// Cumulative drain-counter totals at the time the current request was
 	// raised; captureLocked reports deltas against them so chained
@@ -338,19 +334,20 @@ func (c *Coordinator) Poke() {
 // RequestCheckpoint raises a checkpoint request at the given virtual time.
 // It installs the algorithm's targets (Algorithm 1) and captures at once if
 // the safe state already holds (every rank has finished); otherwise the rank
-// whose park or finish completes it captures. It returns false only when a
-// request is already pending or capturing.
+// whose park or finish completes it captures. It returns false unless the
+// coordinator is idle: a request is already pending, or the job terminated.
 //
-// A new request is accepted from idle OR from released: a rank that has not
-// yet woken to acknowledge the previous release is still sitting at its
-// park point — state frozen, descriptor accurate, clock already charged —
-// which is exactly a capturable position for the next drain, so chained
-// periodic checkpoints need not wait for scheduling stragglers (with
-// uneven-progress jobs the fast ranks could otherwise burn through every
-// trigger boundary before a slow waker re-enables the chain).
+// The coordinator is idle again as soon as a capture releases, before every
+// parked rank has woken: a rank that has not yet woken to acknowledge the
+// release is still sitting at its park point — state frozen, descriptor
+// accurate, clock already charged — which is exactly a capturable position
+// for the next drain, so chained periodic checkpoints need not wait for
+// scheduling stragglers (with uneven-progress jobs the fast ranks could
+// otherwise burn through every trigger boundary before a slow waker
+// re-enables the chain).
 func (c *Coordinator) RequestCheckpoint(vt float64) bool {
 	c.mu.Lock()
-	if c.ph != phaseIdle && c.ph != phaseReleased {
+	if c.ph != phaseIdle {
 		c.mu.Unlock()
 		return false
 	}
@@ -540,10 +537,11 @@ func withHeadroom(n int) int { return n + n/32 }
 
 // captureLocked runs stage 1 of the checkpoint pipeline — snapshotting every
 // rank concurrently (each is parked, so per-rank snapshots are race-free by
-// construction) — then launches the frozen image's commit: the job stalls
-// until it is applied (stop-and-write) or, with Async, is released against
-// only the storage open latency while it runs. Caller holds c.mu, which
-// freezes the parked-rank registry for the worker goroutines.
+// construction) — then commits the frozen image: here, before the release
+// (stop-and-write), or, with Async, on a goroutine of its own behind a job
+// released against only the storage open latency. Caller holds c.mu, which
+// freezes the parked-rank registry for the worker goroutines and, through a
+// synchronous commit, holds every parked rank until the release.
 func (c *Coordinator) captureLocked() {
 	//lint:allow wallclock CaptureHostSeconds deliberately reports host-side encode cost
 	captureStart := time.Now()
@@ -628,10 +626,19 @@ func (c *Coordinator) captureLocked() {
 	histIdx := len(c.history)
 	c.history = append(c.history, st)
 
-	// Stages 2–3 run on their own goroutine, sync or async alike. The
-	// commit takes its predecessor's channel and closes its own once its
-	// outcome is applied — failed or not, or every later commit would wait
-	// forever.
+	if !c.Plan.Async {
+		// Synchronous: the commit runs here, under c.mu, so no parked rank
+		// can leave before the release whatever its protocol would now
+		// decide. The watchdog's DebugString and the world's abort hook take
+		// c.mu too: both wait for an in-flight synchronous commit.
+		c.applyCommitLocked(histIdx, c.commitEpoch(st.Epoch, img, c.lastCommit))
+		c.releaseLocked(maxVT + c.history[histIdx].StallVT)
+		return
+	}
+
+	// Stages 2–3 run on their own goroutine. The commit takes its
+	// predecessor's channel and closes its own once its outcome is applied —
+	// failed or not, or every later commit would wait forever.
 	prev, done := c.lastCommit, make(chan struct{})
 	c.lastCommit = done
 	go func() {
@@ -642,25 +649,11 @@ func (c *Coordinator) captureLocked() {
 		c.W.NoteActivity()
 		close(done)
 	}()
-	if c.Plan.Async {
-		c.releaseLocked(maxVT + st.StallVT)
-		return
-	}
-
-	// Synchronous: the job stays stalled until the commit is applied. The
-	// coordinator lock is dropped for the wait — every rank is parked, the
-	// phase is still pending and committing holds the parked ranks, so the
-	// registry cannot change — because the commit applies under it.
-	c.committing = true
-	c.mu.Unlock()
-	<-done
-	c.mu.Lock()
-	c.committing = false
-	c.releaseLocked(maxVT + c.history[histIdx].StallVT)
+	c.releaseLocked(maxVT + st.StallVT)
 }
 
-// releaseLocked charges the resume time to every live rank and transitions
-// the job out of the pending phase. Caller holds c.mu.
+// releaseLocked charges the resume time to every live rank and returns the
+// job to idle, or terminates it. Caller holds c.mu.
 func (c *Coordinator) releaseLocked(resume float64) {
 	for r := 0; r < c.W.N; r++ {
 		if h := c.hooks[r]; h.SetClock != nil && !c.doneRanks[r] {
@@ -671,7 +664,7 @@ func (c *Coordinator) releaseLocked(resume float64) {
 	if c.Plan.Mode == ExitAfterCapture {
 		c.ph = phaseTerminated
 	} else {
-		c.ph = phaseReleased
+		c.ph = phaseIdle
 	}
 	c.cond.Broadcast()
 	c.W.NoteActivity()
@@ -697,8 +690,8 @@ type commitResult struct {
 // image; the manifest CDC mode reads beside it is a hint), then, once prev —
 // the previous epoch's commit — has closed, diff against the previous
 // committed manifest (when Incremental), stream the fresh shards into the
-// store, seal the epoch and run the retention pass. Called WITHOUT c.mu
-// held, and takes no lock.
+// store, seal the epoch and run the retention pass. Takes no lock (a
+// synchronous capture holds c.mu around it).
 func (c *Coordinator) commitEpoch(epoch int, img *JobImage, prev <-chan struct{}) (res commitResult) {
 	//lint:allow wallclock commit hostSeconds deliberately reports host-side commit cost
 	t0 := time.Now()
@@ -803,11 +796,11 @@ func (c *Coordinator) applyCommitLocked(histIdx int, res commitResult) {
 	}
 }
 
-// drainPending waits out the newest commit, which closes only after every
-// earlier one. A capture runs on the goroutine whose park, finish or request
-// completed the safe state, and launches its commit before that call
-// returns, so once every rank goroutine has returned — Result and History
-// are called only then — the newest commit's channel is this one.
+// drainPending waits out the newest Async commit, which closes only after
+// every earlier one. A capture runs on the goroutine whose park, finish or
+// request completed the safe state, and commits or launches its commit
+// before that call returns, so once every rank goroutine has returned —
+// Result and History are called only then — nothing else is in flight.
 func (c *Coordinator) drainPending() {
 	c.mu.Lock()
 	last := c.lastCommit
@@ -836,24 +829,17 @@ func (c *Coordinator) ParkUntil(rank int, d *Descriptor, decide func() Decision)
 
 	for {
 		switch c.ph {
-		case phaseReleased, phaseIdle:
-			// Captured (or a concurrent release); this rank continues.
+		case phaseIdle:
+			// Captured and released; this rank continues.
 			c.parked[rank] = false
 			c.descs[rank] = nil
 			c.W.NoteActivity()
-			if c.ph == phaseReleased {
-				c.maybeBackToIdleLocked()
-			}
 			return Released
 		case phaseTerminated:
 			return Terminated
 		}
 		if err := c.W.AbortErr(); err != nil {
 			panic(mpi.AbortError{Err: err})
-		}
-		if c.committing {
-			c.cond.Wait()
-			continue
 		}
 		if decide() == Resume {
 			c.parked[rank] = false
@@ -870,17 +856,6 @@ func (c *Coordinator) ParkUntil(rank int, d *Descriptor, decide func() Decision)
 		c.W.SetWaitSite(rank, "parked:"+d.Kind.String())
 		c.cond.Wait()
 	}
-}
-
-// maybeBackToIdleLocked returns the coordinator to idle once every rank has
-// acknowledged the release, enabling checkpoint chaining.
-func (c *Coordinator) maybeBackToIdleLocked() {
-	for _, p := range c.parked {
-		if p {
-			return
-		}
-	}
-	c.ph = phaseIdle
 }
 
 // FinishRank marks a rank as having completed its program. Finished ranks
@@ -943,14 +918,11 @@ func (c *Coordinator) WaitFor(pred func() bool) {
 }
 
 // DebugString renders the coordinator's state for the deadlock watchdog's
-// diagnostic dump.
+// diagnostic dump, once an in-flight synchronous commit lets go of c.mu.
 func (c *Coordinator) DebugString() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	names := map[phase]string{
-		phaseIdle: "idle", phasePending: "pending",
-		phaseReleased: "released", phaseTerminated: "terminated",
-	}
+	names := map[phase]string{phaseIdle: "idle", phasePending: "pending", phaseTerminated: "terminated"}
 	parked, done := 0, 0
 	for i := range c.parked {
 		if c.parked[i] {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,7 +24,6 @@ type stubAlgo struct {
 }
 
 func (s *stubAlgo) Name() string                              { return "stub" }
-func (s *stubAlgo) SupportsNonblocking() bool                 { return true }
 func (s *stubAlgo) NewRank(p *mpi.Proc, w *mpi.Comm) Protocol { return nativeRank{} }
 func (s *stubAlgo) OnCheckpointRequest() {
 	s.mu.Lock()
@@ -356,7 +356,7 @@ func TestCaptureRunsOnCompletingGoroutine(t *testing.T) {
 }
 
 // gatedStore holds the first PutManifest until gate closes, so a test can act
-// while a synchronous commit runs with the coordinator lock dropped.
+// while a commit is sealing.
 type gatedStore struct {
 	Store
 	sealing chan struct{} // closed when the first PutManifest starts
@@ -372,19 +372,19 @@ func (s *gatedStore) PutManifest(epoch int, man *Manifest) error {
 
 // TestParkedRanksHeldThroughSyncCommit: once the image is taken, a parked
 // rank stays parked until the release, even while a synchronous commit runs
-// with the coordinator lock dropped and the rank's protocol would now resume
-// it. A rank that left then ran on past its captured state (under
-// ExitAfterCapture, into a collective its terminated peers never joined).
+// and the rank's protocol would now resume it. A rank that left then ran on
+// past its captured state (under ExitAfterCapture, into a collective its
+// terminated peers never joined).
 func TestParkedRanksHeldThroughSyncCommit(t *testing.T) {
 	store := &gatedStore{Store: NewMemStore(), sealing: make(chan struct{}), gate: make(chan struct{})}
 	c, _, _ := newStubCoordinator(t, 2, Plan{Store: store})
 	c.RequestCheckpoint(0)
-	resume := false // read and written under the coordinator lock, in decide
+	var resume atomic.Bool
 	out := make(chan Outcome, 2)
 	for r := 0; r < 2; r++ {
 		go func(rank int) {
 			out <- c.ParkUntil(rank, &Descriptor{Kind: ParkBoundary}, func() Decision {
-				if resume {
+				if resume.Load() {
 					return Resume
 				}
 				return Stay
@@ -392,10 +392,10 @@ func TestParkedRanksHeldThroughSyncCommit(t *testing.T) {
 		}(r)
 	}
 	<-store.sealing
-	c.mu.Lock()
-	resume = true
-	c.mu.Unlock()
-	c.Poke() // the parked ranks wake while the commit is still sealing
+	resume.Store(true)
+	// Poke takes the coordinator lock, which the sealing commit holds: it
+	// wakes the parked ranks as soon as anything lets them run.
+	go c.Poke()
 	select {
 	case o := <-out:
 		close(store.gate)

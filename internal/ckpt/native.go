@@ -12,9 +12,6 @@ func NewNative() *Native { return &Native{} }
 // Name implements Algorithm.
 func (*Native) Name() string { return "native" }
 
-// SupportsNonblocking implements Algorithm.
-func (*Native) SupportsNonblocking() bool { return true }
-
 // NewRank implements Algorithm.
 func (*Native) NewRank(p *mpi.Proc, world *mpi.Comm) Protocol { return nativeRank{} }
 

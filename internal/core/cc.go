@@ -20,10 +20,12 @@ const UpdateTag = 1 << 30
 // CC is the job-wide collective-clock algorithm.
 type CC struct {
 	coord *ckpt.Coordinator
-
-	mu     sync.Mutex
-	ranks  []*Rank
-	groups map[uint64][]int // ggid -> sorted member world ranks
+	// ranks is indexed by world rank. Each rank's goroutine fills its own
+	// slot before the runner's startup barrier, which orders it before any
+	// checkpoint request reads the table. The ranks' SEQ tables are also the
+	// group membership: a rank's table has an entry for exactly the groups
+	// it registered.
+	ranks []*Rank
 
 	// gate orders sequence-number increments against target installation:
 	// increments hold it shared, Algorithm 1's snapshot-and-install holds it
@@ -40,21 +42,13 @@ type CC struct {
 
 // New creates the CC algorithm bound to a coordinator and registers itself.
 func New(coord *ckpt.Coordinator) *CC {
-	cc := &CC{
-		coord:  coord,
-		ranks:  make([]*Rank, coord.W.N),
-		groups: make(map[uint64][]int),
-	}
+	cc := &CC{coord: coord, ranks: make([]*Rank, coord.W.N)}
 	coord.SetAlgorithm(cc)
 	return cc
 }
 
 // Name implements ckpt.Algorithm.
 func (cc *CC) Name() string { return "cc" }
-
-// SupportsNonblocking implements ckpt.Algorithm: supporting non-blocking
-// collectives is one of the paper's points of novelty (§1.1).
-func (cc *CC) SupportsNonblocking() bool { return true }
 
 // NewRank implements ckpt.Algorithm.
 func (cc *CC) NewRank(p *mpi.Proc, world *mpi.Comm) ckpt.Protocol {
@@ -65,26 +59,18 @@ func (cc *CC) NewRank(p *mpi.Proc, world *mpi.Comm) ckpt.Protocol {
 		seq:    make(map[uint64]uint64),
 		target: make(map[uint64]uint64),
 	}
-	cc.mu.Lock()
 	cc.ranks[p.Rank()] = r
-	cc.mu.Unlock()
 	return r
 }
 
 // OnCheckpointRequest implements Algorithm 1: compute, per group, the
 // maximum sequence number over the members and install it as the target at
-// every member. In MANA this initial exchange rides the DMTCP coordinator's
+// every member. The members of a group are the ranks whose SEQ table holds
+// it. In MANA this initial exchange rides the DMTCP coordinator's
 // out-of-band socket; here the coordinator object reads each rank's table
 // directly (the signal-handler analog). All later target changes travel as
 // real simulated MPI messages (Algorithm 2's SEND step).
 func (cc *CC) OnCheckpointRequest() {
-	cc.mu.Lock()
-	groups := make(map[uint64][]int, len(cc.groups))
-	for g, m := range cc.groups {
-		groups[g] = m
-	}
-	cc.mu.Unlock()
-
 	// Exclusive section: no sequence number can move while the snapshot is
 	// taken and the targets installed, and the pending flag becomes visible
 	// to wrappers before any later increment.
@@ -92,20 +78,21 @@ func (cc *CC) OnCheckpointRequest() {
 	defer cc.gate.Unlock()
 	cc.coord.MarkPending()
 
-	targets := make(map[uint64]uint64, len(groups))
-	for g, members := range groups {
-		var max uint64
-		for _, w := range members {
-			if s := cc.ranks[w].seqOf(g); s > max {
-				max = s
-			}
+	targets := make(map[uint64]uint64)
+	for _, r := range cc.ranks {
+		r.mu.Lock()
+		for g, s := range r.seq {
+			targets[g] = max(targets[g], s)
 		}
-		targets[g] = max
+		r.mu.Unlock()
 	}
-	for g, members := range groups {
-		for _, w := range members {
-			cc.ranks[w].installTarget(g, targets[g])
+	for _, r := range cc.ranks {
+		r.mu.Lock()
+		for g := range r.seq {
+			r.target[g] = targets[g]
 		}
+		r.hasTargets = true
+		r.mu.Unlock()
 	}
 }
 
@@ -135,25 +122,10 @@ func (cc *CC) VerifySafeState() error {
 	if s, c := cc.updatesSent.Load(), cc.updatesConsumed.Load(); s != c {
 		return fmt.Errorf("cc: %d target updates sent but %d consumed", s, c)
 	}
-	cc.mu.Lock()
-	groups := make(map[uint64][]int, len(cc.groups))
-	for g, m := range cc.groups {
-		groups[g] = m
-	}
-	cc.mu.Unlock()
-	for g, members := range groups {
-		var want uint64
-		for i, w := range members {
-			r := cc.ranks[w]
-			seq, tgt := r.seqTarget(g)
-			if seq != tgt {
-				return fmt.Errorf("cc: rank %d group %x: SEQ %d != TARGET %d", w, g, seq, tgt)
-			}
-			if i == 0 {
-				want = seq
-			} else if seq != want {
-				return fmt.Errorf("cc: group %x: rank %d at %d, rank %d at %d", g, members[0], want, w, seq)
-			}
+	first := make(map[uint64][2]uint64) // group -> its lowest member and that member's SEQ
+	for _, r := range cc.ranks {
+		if err := r.verifyTargets(first); err != nil {
+			return err
 		}
 	}
 	for _, r := range cc.ranks {
@@ -184,41 +156,34 @@ type Rank struct {
 func (r *Rank) Name() string { return "cc" }
 
 // RegisterComm implements ckpt.Protocol: initialize SEQ[ggid]=0 the first
-// time a group is seen (§4.2.1) and record the membership for target
-// computation and update fan-out.
+// time a group is seen (§4.2.1). The entry is the rank's membership in the
+// group for target computation; update fan-out reads ci.Members.
 func (r *Rank) RegisterComm(ci *ckpt.CommInfo) {
 	r.mu.Lock()
 	if _, ok := r.seq[ci.Ggid]; !ok {
 		r.seq[ci.Ggid] = 0
 	}
 	r.mu.Unlock()
+}
 
-	r.cc.mu.Lock()
-	if _, ok := r.cc.groups[ci.Ggid]; !ok {
-		members := make([]int, len(ci.Members))
-		copy(members, ci.Members)
-		r.cc.groups[ci.Ggid] = members
+// verifyTargets checks, for every group in r's table, that SEQ equals
+// TARGET and equals the SEQ of the group's lowest member, which first
+// records for the ranks' lower-to-higher walk.
+func (r *Rank) verifyTargets(first map[uint64][2]uint64) error {
+	w := r.p.Rank()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for g, seq := range r.seq {
+		if tgt := r.target[g]; seq != tgt {
+			return fmt.Errorf("cc: rank %d group %x: SEQ %d != TARGET %d", w, g, seq, tgt)
+		}
+		if f, ok := first[g]; !ok {
+			first[g] = [2]uint64{uint64(w), seq}
+		} else if seq != f[1] {
+			return fmt.Errorf("cc: group %x: rank %d at %d, rank %d at %d", g, f[0], f[1], w, seq)
+		}
 	}
-	r.cc.mu.Unlock()
-}
-
-func (r *Rank) seqOf(g uint64) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq[g]
-}
-
-func (r *Rank) seqTarget(g uint64) (uint64, uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq[g], r.target[g]
-}
-
-func (r *Rank) installTarget(g uint64, t uint64) {
-	r.mu.Lock()
-	r.target[g] = t
-	r.hasTargets = true
-	r.mu.Unlock()
+	return nil
 }
 
 // reachedAllTargets reports SEQ[g] >= TARGET[g] for every group this rank

@@ -82,6 +82,18 @@ func newTestCC(n int) (*CC, []ckpt.Protocol, *mpi.World) {
 	return cc, protos, w
 }
 
+func (r *Rank) seqOf(g uint64) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.seq[g]
+}
+
+func (r *Rank) seqTarget(g uint64) (uint64, uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.seq[g], r.target[g]
+}
+
 func worldInfo(w *mpi.World, rank int) *ckpt.CommInfo {
 	c := w.WorldComm(rank)
 	members := c.Group().SortedWorldRanks()
@@ -226,6 +238,61 @@ func TestTargetsComputedAsMaxima(t *testing.T) {
 	}
 	if !cc.ranks[1].reachedAllTargets() {
 		t.Fatal("rank 1 at SEQ 7 has reached target 7")
+	}
+
+	// Two overlapping split groups, {0,1} and {1,2}: each group's target is
+	// the max over its own members' tables, and a rank gets none for a
+	// group it is not in.
+	cc, protos, w = newTestCC(3)
+	split := func(members ...int) *ckpt.CommInfo {
+		return &ckpt.CommInfo{Ggid: GgidOf(members), Members: members}
+	}
+	lo, hi := split(0, 1), split(1, 2)
+	for r := 0; r < 3; r++ {
+		protos[r].RegisterComm(worldInfo(w, r))
+	}
+	seqs := map[*ckpt.CommInfo][]uint64{lo: {4, 9}, hi: {3, 6}}
+	for ci, ss := range seqs {
+		for i, m := range ci.Members {
+			protos[m].RegisterComm(ci)
+			cc.ranks[m].mu.Lock()
+			cc.ranks[m].seq[ci.Ggid] = ss[i]
+			cc.ranks[m].mu.Unlock()
+		}
+	}
+	cc.OnCheckpointRequest()
+	for ci, want := range map[*ckpt.CommInfo]uint64{lo: 9, hi: 6} {
+		for _, m := range ci.Members {
+			if _, tgt := cc.ranks[m].seqTarget(ci.Ggid); tgt != want {
+				t.Fatalf("rank %d target %d in group %v, want %d (the group's max)", m, tgt, ci.Members, want)
+			}
+		}
+	}
+	for r, ci := range map[int]*ckpt.CommInfo{0: hi, 2: lo} {
+		cc.ranks[r].mu.Lock()
+		_, ok := cc.ranks[r].target[ci.Ggid]
+		cc.ranks[r].mu.Unlock()
+		if ok {
+			t.Fatalf("rank %d got a target for group %v, which it is not in", r, ci.Members)
+		}
+	}
+	if cc.ranks[1].reachedAllTargets() || cc.ranks[0].reachedAllTargets() || !cc.ranks[2].reachedAllTargets() {
+		t.Fatal("ranks 0 (4 < 9) and 1 (3 < 6) are behind a target, rank 2 (6, 6) is not")
+	}
+	if err := cc.VerifySafeState(); err == nil {
+		t.Fatal("ranks behind their group's target passed verification")
+	}
+	for _, up := range []struct {
+		r  int
+		ci *ckpt.CommInfo
+		s  uint64
+	}{{0, lo, 9}, {1, hi, 6}} {
+		cc.ranks[up.r].mu.Lock()
+		cc.ranks[up.r].seq[up.ci.Ggid] = up.s
+		cc.ranks[up.r].mu.Unlock()
+	}
+	if err := cc.VerifySafeState(); err != nil {
+		t.Fatalf("every member at its group's target rejected: %v", err)
 	}
 }
 

@@ -328,18 +328,24 @@ func (e *Env) initiate(call collCall) int {
 	return e.addReq(reqEntry{req: e.proto.Initiate(call.ci, e.start)})
 }
 
-// callBufs resolves the call's named buffers on the ranks that use them: a
-// Scatter's in buffer and a Gather's out buffer exist on the root only.
+// callBufs resolves the call's named buffers on the ranks that use them.
 func (e *Env) callBufs() (in, out []byte) {
 	c := &e.call
-	isRoot := c.ci.Comm.Rank() == c.root
-	if c.in != "" && (c.kind != netmodel.Scatter || isRoot) {
+	useIn, useOut := bufsUsed(c.kind, c.ci.Comm.Rank() == c.root)
+	if c.in != "" && useIn {
 		in = e.buf(c.in, 0, 0)
 	}
-	if c.out != "" && (c.kind != netmodel.Gather || isRoot) {
+	if c.out != "" && useOut {
 		out = e.buf(c.out, 0, 0)
 	}
 	return in, out
+}
+
+// bufsUsed reports whether a rank resolves a collective's in and out
+// buffers: a Scatter's in buffer and a Gather's out buffer exist on the
+// root only.
+func bufsUsed(kind netmodel.CollKind, isRoot bool) (in, out bool) {
+	return kind != netmodel.Scatter || isRoot, kind != netmodel.Gather || isRoot
 }
 
 // execCall performs the call in flight: the result lands in the out buffer.

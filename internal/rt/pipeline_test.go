@@ -159,32 +159,50 @@ func TestBenchCollectiveSizeZeroRestart(t *testing.T) {
 	}
 }
 
-// TestRestartRefusesHostileCollDesc: a pending collective's descriptor comes
-// from image bytes, so a restart refuses one it cannot re-issue — a kind
-// outside Barrier..ReduceScatter, named in the error, or no descriptor at
-// all — with the rank's resume error, not a panic.
+// TestRestartRefusesHostileCollDesc: a pending collective's descriptor, and
+// the receives re-posted with it, come from image bytes, so a restart
+// refuses one it cannot re-issue — a kind outside Barrier..ReduceScatter, no
+// descriptor at all, a communicator, root, source, buffer name or region the
+// rank cannot resolve — with the rank's resume error naming the field and
+// its value, not a panic. The buffer and receive rows run on collApp, whose
+// collectives name buffers (benchApp's size-only ones resolve none).
 func TestRestartRefusesHostileCollDesc(t *testing.T) {
-	factory := func(int) App { return &benchApp{Iters: 12} }
+	const ranks = 4
+	bench := func(int) App { return &benchApp{Iters: 12} }
+	named := func(int) App { return newCollApp(12, ranks) }
+	recv := func(rd ckpt.RecvDesc) func(d *ckpt.Descriptor) {
+		return func(d *ckpt.Descriptor) { d.Recvs = append(d.Recvs, rd) }
+	}
+	small := 8 * ranks // collApp's "small" buffer
 	for _, tc := range []struct {
-		name   string
-		tamper func(d *ckpt.Descriptor)
-		want   string
+		name    string
+		factory func(int) App
+		tamper  func(d *ckpt.Descriptor)
+		want    string
 	}{
-		{"kind past ReduceScatter", func(d *ckpt.Descriptor) { d.Coll.Kind = int(netmodel.ReduceScatter) + 1 }, "unknown collective kind 10"},
-		{"kind 99", func(d *ckpt.Descriptor) { d.Coll.Kind = 99 }, "unknown collective kind 99"},
-		{"negative kind", func(d *ckpt.Descriptor) { d.Coll.Kind = -1 }, "unknown collective kind -1"},
-		{"no descriptor", func(d *ckpt.Descriptor) { d.Coll = nil }, "without a collective descriptor"},
+		{"kind past ReduceScatter", bench, func(d *ckpt.Descriptor) { d.Coll.Kind = int(netmodel.ReduceScatter) + 1 }, "unknown collective kind 10"},
+		{"kind 99", bench, func(d *ckpt.Descriptor) { d.Coll.Kind = 99 }, "unknown collective kind 99"},
+		{"negative kind", bench, func(d *ckpt.Descriptor) { d.Coll.Kind = -1 }, "unknown collective kind -1"},
+		{"no descriptor", bench, func(d *ckpt.Descriptor) { d.Coll = nil }, "without a collective descriptor"},
+		{"comm 99", bench, func(d *ckpt.Descriptor) { d.Coll.CommVID = 99 }, "collective CommVID 99: no such communicator"},
+		{"comm -1", bench, func(d *ckpt.Descriptor) { d.Coll.CommVID = -1 }, "collective CommVID -1: no such communicator"},
+		{"root = comm size", bench, func(d *ckpt.Descriptor) { d.Coll.Root = ranks }, "collective Root 4 outside communicator 0 of size 4"},
+		{"unknown in buffer", named, func(d *ckpt.Descriptor) { d.Coll.InBufID = "nope" }, `collective InBufID "nope": no such buffer`},
+		{"recv on an unknown comm", named, recv(ckpt.RecvDesc{CommVID: 99, Src: mpi.AnySource, BufID: "small"}), "Recvs[0].CommVID 99: no such communicator"},
+		{"recv from src = comm size", named, recv(ckpt.RecvDesc{Src: ranks, BufID: "small"}), "Recvs[0].Src 4 outside communicator 0 of size 4"},
+		{"recv into an unknown buffer", named, recv(ckpt.RecvDesc{Src: mpi.AnySource, BufID: "nope"}), `Recvs[0].BufID "nope": no such buffer`},
+		{"recv off past the buffer", named, recv(ckpt.RecvDesc{Src: mpi.AnySource, BufID: "small", Off: small + 1}), `Recvs[0] Off 33 Len 0 outside buffer "small" of 32 bytes`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := testConfig(4, AlgoCC)
+			cfg := testConfig(ranks, AlgoCC)
 			cfg.Checkpoint = &CkptPlan{AtStep: 5, Mode: ckpt.ExitAfterCapture}
-			rep, err := Run(cfg, factory)
+			rep, err := Run(cfg, tc.factory)
 			if err != nil {
 				t.Fatal(err)
 			}
 			tampered := false
 			for i := range rep.Image.Images {
-				if d := &rep.Image.Images[i].Desc; d.Coll != nil {
+				if d := &rep.Image.Images[i].Desc; d.Coll != nil && len(d.Recvs) == 0 {
 					tc.tamper(d)
 					tampered = true
 					break
@@ -193,7 +211,7 @@ func TestRestartRefusesHostileCollDesc(t *testing.T) {
 			if !tampered {
 				t.Fatal("no pending collective descriptor in the image")
 			}
-			_, err = Restart(testConfig(4, AlgoCC), rep.Image, factory)
+			_, err = Restart(testConfig(ranks, AlgoCC), rep.Image, tc.factory)
 			if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "panic") {
 				t.Fatalf("restart error %v, want a resume error containing %q", err, tc.want)
 			}

@@ -542,7 +542,10 @@ func restoreFromImage(env *Env, app App, proto ckpt.Protocol, p *mpi.Proc, img *
 	return nil
 }
 
-// resumePending re-issues whatever operation the rank was parked on.
+// resumePending re-issues whatever operation the rank was parked on. Every
+// communicator, rank, buffer name and region it re-issues with comes from
+// image bytes, so each is checked first: one the rank cannot resolve is an
+// error naming the field and its value, not a panic in Env.comm or Env.buf.
 func resumePending(env *Env, ri *ckpt.RankImage) error {
 	switch ri.Desc.Kind {
 	case ckpt.ParkPreCollective, ckpt.ParkInBarrier:
@@ -555,10 +558,19 @@ func resumePending(env *Env, ri *ckpt.RankImage) error {
 		if k := netmodel.CollKind(c.Kind); k < netmodel.Barrier || k > netmodel.ReduceScatter {
 			return fmt.Errorf("image parked %v on unknown collective kind %d", ri.Desc.Kind, c.Kind)
 		}
+		if err := env.checkImageColl(c); err != nil {
+			return err
+		}
+		if err := env.checkImageRecvs(ri.Desc.Recvs); err != nil {
+			return err
+		}
 		env.repostRecvs(ri.Desc.Recvs)
 		env.execCollDesc(c)
 		env.stepBoundary()
 	case ckpt.ParkInWait:
+		if err := env.checkImageRecvs(ri.Desc.Recvs); err != nil {
+			return err
+		}
 		ids := env.repostRecvs(ri.Desc.Recvs)
 		env.WaitAll(ids...)
 		env.stepBoundary()
@@ -566,6 +578,60 @@ func resumePending(env *Env, ri *ckpt.RankImage) error {
 		// Nothing pending.
 	default:
 		return fmt.Errorf("unknown park kind %v in image", ri.Desc.Kind)
+	}
+	return nil
+}
+
+// imageComm resolves a communicator id read from an image, naming the
+// field it came from when the rank has no such communicator.
+func (e *Env) imageComm(field string, vid int) (*ckpt.CommInfo, error) {
+	if vid < 0 || vid >= len(e.comms) || e.comms[vid] == nil {
+		return nil, fmt.Errorf("image %s %d: no such communicator", field, vid)
+	}
+	return e.comms[vid], nil
+}
+
+// checkImageColl checks a pending collective's communicator, root and the
+// named buffers this rank will resolve when it re-issues it.
+func (e *Env) checkImageColl(c *ckpt.CollDesc) error {
+	ci, err := e.imageComm("collective CommVID", c.CommVID)
+	if err != nil {
+		return err
+	}
+	if n := ci.Comm.Size(); c.Root < 0 || c.Root >= n {
+		return fmt.Errorf("image collective Root %d outside communicator %d of size %d", c.Root, c.CommVID, n)
+	}
+	if c.Bench {
+		return nil // size-only: no buffer is resolved
+	}
+	useIn, useOut := bufsUsed(netmodel.CollKind(c.Kind), ci.Comm.Rank() == c.Root)
+	if c.InBufID != "" && useIn && e.app.Buffer(c.InBufID) == nil {
+		return fmt.Errorf("image collective InBufID %q: no such buffer", c.InBufID)
+	}
+	if c.OutBufID != "" && useOut && e.app.Buffer(c.OutBufID) == nil {
+		return fmt.Errorf("image collective OutBufID %q: no such buffer", c.OutBufID)
+	}
+	return nil
+}
+
+// checkImageRecvs checks each pending receive's communicator, source,
+// buffer and region before any is re-posted.
+func (e *Env) checkImageRecvs(descs []ckpt.RecvDesc) error {
+	for i, d := range descs {
+		ci, err := e.imageComm(fmt.Sprintf("Recvs[%d].CommVID", i), d.CommVID)
+		if err != nil {
+			return err
+		}
+		if n := ci.Comm.Size(); d.Src != mpi.AnySource && (d.Src < 0 || d.Src >= n) {
+			return fmt.Errorf("image Recvs[%d].Src %d outside communicator %d of size %d", i, d.Src, d.CommVID, n)
+		}
+		b := e.app.Buffer(d.BufID)
+		if b == nil {
+			return fmt.Errorf("image Recvs[%d].BufID %q: no such buffer", i, d.BufID)
+		}
+		if d.Off < 0 || d.Len < 0 || d.Off > len(b) || d.Len > len(b)-d.Off {
+			return fmt.Errorf("image Recvs[%d] Off %d Len %d outside buffer %q of %d bytes", i, d.Off, d.Len, d.BufID, len(b))
+		}
 	}
 	return nil
 }

@@ -41,10 +41,6 @@ func New(coord *ckpt.Coordinator) *TwoPC {
 // Name implements ckpt.Algorithm.
 func (t *TwoPC) Name() string { return "2pc" }
 
-// SupportsNonblocking implements ckpt.Algorithm: 2PC cannot wrap
-// non-blocking collectives (paper §2.2, §5.2).
-func (t *TwoPC) SupportsNonblocking() bool { return false }
-
 // NewRank implements ckpt.Algorithm.
 func (t *TwoPC) NewRank(p *mpi.Proc, world *mpi.Comm) ckpt.Protocol {
 	return &Rank{t: t, p: p}

@@ -30,9 +30,6 @@ func TestMetadata(t *testing.T) {
 	if tp.Name() != "2pc" || protos[0].Name() != "2pc" {
 		t.Fatal("wrong name")
 	}
-	if tp.SupportsNonblocking() {
-		t.Fatal("2PC must not claim non-blocking support")
-	}
 	if !tp.Quiesced() {
 		t.Fatal("2PC quiesces whenever all ranks are parked")
 	}
